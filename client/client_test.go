@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,6 +68,11 @@ type miniServer struct {
 
 	mu    sync.Mutex
 	conns []net.Conn
+
+	// severNext makes the next request read off any connection kill that
+	// connection instead of being answered: the peer dies with the call in
+	// flight. One-shot, so the redialed connection is served normally.
+	severNext atomic.Bool
 }
 
 func startMiniServer(t *testing.T) *miniServer {
@@ -99,7 +105,7 @@ func (m *miniServer) serve(nc net.Conn) {
 	br := bufio.NewReader(nc)
 	for {
 		payload, err := wire.ReadFrame(br, 0)
-		if err != nil {
+		if err != nil || m.severNext.CompareAndSwap(true, false) {
 			nc.Close()
 			return
 		}
@@ -194,9 +200,13 @@ func TestOneConnResetDoesNotPoisonPool(t *testing.T) {
 	}
 }
 
-// TestRetryDisabledFailsFast: with MaxRetries < 0 the old fail-fast
-// behavior is preserved for the in-flight call — but a later call still
-// succeeds, because the pool itself always heals by redialing.
+// TestRetryDisabledFailsFast: with MaxRetries < 0 the call in flight when
+// its connection dies fails without a retry — but a later call still
+// succeeds, because the pool itself always heals by redialing. The server
+// holds the request across the sever (it reads the frame, then closes), so
+// the failing call is in flight by construction; a call issued after the
+// reader goroutine has already evicted a dead conn redials and succeeds,
+// which is the pool healing, not a retry.
 func TestRetryDisabledFailsFast(t *testing.T) {
 	m := startMiniServer(t)
 	c, err := Dial(m.ln.Addr().String(), Options{MaxRetries: -1})
@@ -208,9 +218,9 @@ func TestRetryDisabledFailsFast(t *testing.T) {
 	if _, _, err := c.Query(testQuery); err != nil {
 		t.Fatalf("warm-up query: %v", err)
 	}
-	m.closeAll()
+	m.severNext.Store(true)
 	if _, _, err := c.Query(testQuery); err == nil {
-		t.Fatal("retry-disabled call on dead conn succeeded")
+		t.Fatal("retry-disabled call whose conn died in flight succeeded")
 	}
 	// The dead conn was evicted; the pool heals for the next call.
 	if _, _, err := c.Query(testQuery); err != nil {

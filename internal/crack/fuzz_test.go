@@ -43,20 +43,28 @@ func FuzzCrackRange(f *testing.F) {
 	})
 }
 
-// FuzzCrackInThree fuzzes the single-pass crack-in-three kernel against the
-// two-pass crack-in-two reference: for every fuzzer-chosen predicate
-// sequence, both kernels must produce identical areas, identical piece
-// boundaries, and identical CheckPieces() validity; and two maps replaying
-// the sequence through CrackRange must end up with identical final layouts
-// (the alignment-determinism invariant of Section 3.2).
-func FuzzCrackInThree(f *testing.F) {
+// FuzzCrackRangeInPiece fuzzes the fused same-piece range crack. For every
+// fuzzer-chosen predicate sequence: it must produce the areas and piece
+// boundaries of the two-pass crack-in-two reference; the predicated default
+// and the branchy in-two reference repair must agree on layout and stats;
+// a map with equal heads and different tails must end with an identical
+// head column (the alignment-determinism invariant of Section 3.2); and no
+// (head, tail) pairing may be lost.
+func FuzzCrackRangeInPiece(f *testing.F) {
 	f.Add(int64(1), []byte{10, 40, 5, 60, 20, 20})
 	f.Add(int64(4), []byte{0, 127, 64, 65, 1, 126})
 	f.Add(int64(8), []byte{})
 	f.Fuzz(func(t *testing.T, seed int64, preds []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randPairs(rng, 256, 128)
-		b := WrapPairs(append([]Value(nil), a.Head...), append([]Value(nil), a.Tail...))
+		before := pairSet(a)
+		other := make([]Value, a.Len())
+		for i := range other {
+			other[i] = Value(rng.Int63())
+		}
+		b := WrapPairs(append([]Value(nil), a.Head...), other)
+		br := WrapPairs(append([]Value(nil), a.Head...), append([]Value(nil), a.Tail...))
+		br.Branchy = true
 		ref := WrapPairs(append([]Value(nil), a.Head...), append([]Value(nil), a.Tail...))
 		for i := 0; i+1 < len(preds) && i < 40; i += 2 {
 			lo, hi := int64(preds[i])%128, int64(preds[i+1])%128
@@ -66,9 +74,15 @@ func FuzzCrackInThree(f *testing.F) {
 			pred := store.Pred{Lo: lo, Hi: hi, LoIncl: preds[i]%2 == 0, HiIncl: preds[i+1]%2 == 0}
 			alo, ahi := a.CrackRange(pred)
 			b.CrackRange(pred)
+			br.CrackRange(pred)
 			rlo, rhi := crackRangeTwoPass(ref, pred)
 			if alo != rlo || ahi != rhi {
 				t.Fatalf("pred %v: area (%d,%d) vs two-pass (%d,%d)", pred, alo, ahi, rlo, rhi)
+			}
+			for j := 0; j < a.Len(); j++ {
+				if in := j >= alo && j < ahi; pred.Matches(a.Head[j]) != in {
+					t.Fatalf("pred %v: position %d (val %d) inArea=%v", pred, j, a.Head[j], in)
+				}
 			}
 			if !sameBoundaries(a, ref) {
 				t.Fatalf("pred %v: piece boundaries diverged from two-pass reference", pred)
@@ -77,10 +91,20 @@ func FuzzCrackInThree(f *testing.F) {
 		if a.CheckPieces() != ref.CheckPieces() || !a.CheckPieces() {
 			t.Fatal("piece invariant validity diverged")
 		}
+		if !equalSets(before, pairSet(a)) {
+			t.Fatal("tuple multiset changed")
+		}
+		if a.Stats != br.Stats {
+			t.Fatalf("stats diverged: predicated %+v vs branchy %+v", a.Stats, br.Stats)
+		}
 		for i := 0; i < a.Len(); i++ {
-			if a.Head[i] != b.Head[i] || a.Tail[i] != b.Tail[i] {
-				t.Fatalf("replayed maps diverged at %d: (%d,%d) vs (%d,%d)",
-					i, a.Head[i], a.Tail[i], b.Head[i], b.Tail[i])
+			if a.Head[i] != br.Head[i] || a.Tail[i] != br.Tail[i] {
+				t.Fatalf("predicated and branchy repair diverged at %d: (%d,%d) vs (%d,%d)",
+					i, a.Head[i], a.Tail[i], br.Head[i], br.Tail[i])
+			}
+			if a.Head[i] != b.Head[i] {
+				t.Fatalf("maps with equal heads and different tails diverged at %d: %d vs %d",
+					i, a.Head[i], b.Head[i])
 			}
 		}
 	})

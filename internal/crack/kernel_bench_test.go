@@ -37,9 +37,10 @@ func BenchmarkCrackInTwo(b *testing.B) {
 	}
 }
 
-// BenchmarkCrackInThree measures the single-pass kernel on the same cold
-// column and predicate.
-func BenchmarkCrackInThree(b *testing.B) {
+// BenchmarkCrackRangeCold measures the fused same-piece range crack (one
+// counting pass for both bounds, two repairs) on the same cold column and
+// predicate.
+func BenchmarkCrackRangeCold(b *testing.B) {
 	head, tail := benchColumn()
 	pred := store.Range(1000, 1<<17)
 	b.ReportAllocs()
@@ -75,28 +76,6 @@ func BenchmarkCrackInTwoPredicated(b *testing.B) { benchCrackInTwoKernel(b, fals
 
 // BenchmarkCrackInTwoBranchyRef is the branchy two-pointer reference.
 func BenchmarkCrackInTwoBranchyRef(b *testing.B) { benchCrackInTwoKernel(b, true) }
-
-// benchCrackInThreeKernel measures the fused crack-in-three on the same
-// cold random column.
-func benchCrackInThreeKernel(b *testing.B, branchy bool) {
-	head, tail := benchColumn()
-	pred := store.Range(1000, 1<<17)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		p := WrapPairs(append([]Value(nil), head...), append([]Value(nil), tail...))
-		p.Branchy = branchy
-		b.StartTimer()
-		p.CrackRange(pred)
-	}
-}
-
-// BenchmarkCrackInThreePredicated is the branch-free predicated default.
-func BenchmarkCrackInThreePredicated(b *testing.B) { benchCrackInThreeKernel(b, false) }
-
-// BenchmarkCrackInThreeBranchyRef is the branchy reference.
-func BenchmarkCrackInThreeBranchyRef(b *testing.B) { benchCrackInThreeKernel(b, true) }
 
 // benchCrackedPairs returns a 2^16-tuple column cracked into ~512 pieces,
 // plus a batch of pending inserts spread over the domain.

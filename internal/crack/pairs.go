@@ -12,21 +12,33 @@
 //	chunk map       H_A   — head = A values, tail = tuple keys
 //	key map         M_Akey— head = A values, tail = tuple keys
 //
-// Crack-in-two and crack-in-three are implemented as deterministic pure
-// functions of (piece contents, predicate). Determinism is the invariant
-// that makes sideways cracking's adaptive alignment correct: two maps of the
-// same set that replay the same sequence of cracks end up with identical
-// head orderings (Section 3.2).
+// Cracking is implemented as deterministic pure functions of (piece
+// contents, predicate). Determinism is the invariant that makes sideways
+// cracking's adaptive alignment correct: two maps of the same set that
+// replay the same sequence of cracks end up with identical head orderings
+// (Section 3.2).
 //
-// CrackRange partitions against both bounds of a range predicate with one
-// crack-in-three (a single classification pass that fixes both split
-// positions, followed by a movement-optimal cycle repair that stores every
-// misplaced tuple exactly once) whenever both bounds fall into the same
-// uncracked piece — the common cold-start case — and falls back to two
-// crack-in-two passes otherwise. Which path is taken depends only on the
-// cracker-index state, which itself is a function of the replayed
-// operation sequence, so the choice is deterministic across aligned maps
-// and the alignment invariant is preserved.
+// A crack pays for the piece it lands in and nothing else. Crack-in-two
+// counts the tuples left of the bound (fixing the split position) and then
+// repairs: the k-th misplaced tuple of the left region is swapped with the
+// k-th of the right, block by block, out of two L1-resident position
+// buffers. CrackRange partitions against both bounds of a range predicate;
+// whenever both fall into the same uncracked piece — the common cold-start
+// case — one fused counting pass fixes both split positions, the piece is
+// repaired as a whole at the bound that leaves the smaller remainder, and
+// that remainder is repaired at the other bound. Otherwise each bound cracks
+// its own piece in two. Which path is taken, and which bound goes first,
+// depends only on the cracker-index state and the piece's head values, both
+// functions of the replayed operation sequence, so the choice is identical
+// across aligned maps and the alignment invariant is preserved.
+//
+// The range crack is built for memory traffic, not for the fewest tuple
+// moves. A partition that stores every misplaced tuple exactly once has to
+// remember where all of them are — position buffers as large as the piece,
+// 8 MB written per cold 1M-row piece — and on the bandwidth-poor machines
+// this runs on that write costs more than reading the head again. The fused
+// form reads the head about 2.25 times for a narrow range, touches tails
+// only where tuples swap, and allocates nothing.
 //
 // Updates use the Ripple algorithm. RippleInsert merges one pending tuple;
 // RippleInsertBatch merges many in a single pass (one index walk, one bulk
@@ -42,17 +54,17 @@
 //     longer depends on the query pattern. Auxiliary pivots are ordinary
 //     index boundaries; probes and SelectRO benefit from them immediately.
 //   - The partition inner loops run branch-free by default: per-tuple
-//     left/right decisions are computed as 0/1 cursor advances and masked
-//     swaps instead of unpredictable branches, so throughput does not
-//     collapse on random data (~50% mispredicts in the branchy loop).
-//     Pairs.Branchy selects the branchy reference implementation, which is
-//     fuzz-pinned layout-identical to the predicated kernels.
+//     left/right decisions are computed as 0/1 counter advances and
+//     store-always position compaction instead of unpredictable branches,
+//     so throughput does not collapse on random data (~50% mispredicts in
+//     the branchy loop). Pairs.Branchy selects the branchy two-pointer
+//     reference repair, which is fuzz-pinned layout-identical to the
+//     predicated one.
 package crack
 
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"crackstore/internal/crackindex"
 	"crackstore/internal/store"
@@ -61,16 +73,16 @@ import (
 // Value aliases the kernel value type.
 type Value = store.Value
 
-// KernelStats counts partition work. Tests use it to verify that a cold
-// range crack classifies each tuple once and that crack-in-three moves no
-// more tuples than two crack-in-twos; benchmarks use it for work
-// accounting.
+// KernelStats counts partition work. Tests use it to bound the traffic of a
+// range crack and of a pending-delete merge by the pieces they touch;
+// benchmarks use it for work accounting.
 type KernelStats struct {
-	InTwo   int // crack-in-two partition passes
-	InThree int // crack-in-three partitions (both bounds in one pass)
-	Visited int // tuples classified, one per tuple per partition pass
-	Moved   int // tuples stored to a new position (swaps count 2, rotations 3)
+	InTwo   int // crack-in-two partitions (one bound, one piece)
+	InThree int // same-piece range cracks (both bounds, one fused count)
+	Visited int // tuples read by repair passes (a crack-in-two has one, a range crack two)
+	Moved   int // tuples stored to a new position (a swap counts 2)
 	Aux     int // auxiliary policy pivots introduced (see Policy)
+	Scanned int // tuples examined by LocateKeys
 }
 
 // Add accumulates o into s (aggregation across columns/maps/chunks).
@@ -80,6 +92,7 @@ func (s *KernelStats) Add(o KernelStats) {
 	s.Visited += o.Visited
 	s.Moved += o.Moved
 	s.Aux += o.Aux
+	s.Scanned += o.Scanned
 }
 
 // Pairs is a two-column table with a cracker index over the head column.
@@ -94,8 +107,8 @@ type Pairs struct {
 	// must stay aligned have to crack under one policy.
 	Policy Policy
 
-	// Branchy selects the branchy reference partition loops instead of the
-	// branch-free predicated defaults. Both produce identical layouts;
+	// Branchy selects the branchy reference repair loop instead of the
+	// branch-free predicated default. Both produce identical layouts;
 	// the switch exists for the equivalence fuzz targets and the kernel
 	// microbenchmarks.
 	Branchy bool
@@ -169,43 +182,49 @@ func b2v(b bool) Value {
 
 // crackInTwo partitions positions [lo, hi) so that all values on the left
 // of boundary b precede all values at-or-right of it, returning the split
-// position. It dispatches to the branch-free predicated kernel (default)
-// or the branchy two-pointer reference (Pairs.Branchy); both execute the
-// same cursor state machine and produce identical layouts, which the
-// equivalence fuzz targets pin. The result is a deterministic function of
-// the piece contents either way.
+// position: a branch-free counting pass fixes the split, then repair moves
+// the misplaced tuples across it. The result is a deterministic function of
+// the piece contents.
 func (p *Pairs) crackInTwo(b crackindex.Bound, lo, hi int) int {
 	p.Stats.InTwo++
-	p.Stats.Visited += hi - lo
 	c, ok := cut(b)
 	if !ok {
 		// Non-representable boundary {MaxInt64, exclusive}: every value is
 		// on its left; nothing moves and the split is at hi.
+		p.Stats.Visited += hi - lo
 		return hi
 	}
-	if p.Branchy {
-		return p.crackInTwoBranchy(c, lo, hi)
+	nL := 0
+	for _, v := range p.Head[lo:hi] {
+		nL += int(b2v(v < c))
 	}
-	return p.crackInTwoPred(c, lo, hi)
+	p.repair(c, lo, lo+nL, hi)
+	return lo + nL
 }
 
-// crackInTwoBranchy is the branchy reference of the count-then-repair
-// crack-in-two: a counting pass fixes the split position, then cursor i
-// scans the left region for misplaced (>= c) tuples while cursor j scans
-// the right region for misplaced (< c) ones, swapping the k-th stall of
-// each — every swap puts two tuples in their final region, the minimum
-// movement any swap-based partition can achieve. The stall positions and
-// their pairing are what crackInTwoPred replicates exactly.
-func (p *Pairs) crackInTwoBranchy(c Value, lo, hi int) int {
-	h, t := p.Head, p.Tail
-	nL := 0
-	for _, v := range h[lo:hi] {
-		if v < c {
-			nL++
-		}
+// repair finishes a partition of [lo, hi) whose split position is already
+// known (split-lo tuples are < c): it exchanges the k-th misplaced tuple of
+// [lo, split) with the k-th misplaced tuple of [split, hi), so every swap
+// puts two tuples in their final region — the minimum movement any
+// swap-based partition can achieve. It dispatches to the branch-free
+// predicated kernel (default) or the branchy two-pointer reference
+// (Pairs.Branchy); both pair the same positions and produce identical
+// layouts and stats, which the equivalence fuzz targets pin.
+func (p *Pairs) repair(c Value, lo, split, hi int) {
+	p.Stats.Visited += hi - lo
+	if p.Branchy {
+		p.Stats.Moved += p.repairBranchy(c, lo, split, hi)
+	} else {
+		p.Stats.Moved += p.repairPred(c, lo, split, hi)
 	}
-	split := lo + nL
-	moved := 0
+}
+
+// repairBranchy is the branchy reference repair: cursor i scans the left
+// region for misplaced (>= c) tuples while cursor j scans the right region
+// for misplaced (< c) ones, swapping the k-th stall of each. The stall
+// positions and their pairing are what repairPred replicates exactly.
+func (p *Pairs) repairBranchy(c Value, lo, split, hi int) (moved int) {
+	h, t := p.Head, p.Tail
 	i, j := lo, split
 	for {
 		for i < split && h[i] < c {
@@ -224,8 +243,7 @@ func (p *Pairs) crackInTwoBranchy(c Value, lo, hi int) int {
 		i++
 		j++
 	}
-	p.Stats.Moved += moved
-	return split
+	return moved
 }
 
 // predBlock is the compaction block size of the predicated kernels: small
@@ -233,24 +251,16 @@ func (p *Pairs) crackInTwoBranchy(c Value, lo, hi int) int {
 // per-block control branches to noise (one check per predBlock tuples).
 const predBlock = 256
 
-// crackInTwoPred is the branch-free predicated crack-in-two: the counting
-// pass is a 0/1 accumulation, and the repair phase block-compacts the
-// misplaced positions of each region into small index buffers using
-// store-always/advance-by-flag compaction, then swaps the paired positions
-// unconditionally. No per-tuple branch depends on the data anywhere — the
-// classic two-pointer loop mispredicts once per tuple on random data,
-// while here the only data-dependent control is one buffer check per
-// predBlock tuples. Pairing (k-th misplaced of the left region with the
-// k-th of the right) matches crackInTwoBranchy exactly, so layouts and
-// stats are identical (fuzz-pinned).
-func (p *Pairs) crackInTwoPred(c Value, lo, hi int) int {
+// repairPred is the branch-free predicated repair: it block-compacts the
+// misplaced positions of each region into two small stack-resident index
+// buffers using store-always/advance-by-flag compaction, then swaps the
+// paired positions unconditionally. No per-tuple branch depends on the data
+// anywhere — the classic two-pointer loop mispredicts once per tuple on
+// random data, while here the only data-dependent control is one buffer
+// check per predBlock tuples. It reads each head value of [lo, hi) once,
+// touches tails only where it swaps, and allocates nothing.
+func (p *Pairs) repairPred(c Value, lo, split, hi int) (moved int) {
 	h, t := p.Head, p.Tail
-	nL := 0
-	for _, v := range h[lo:hi] {
-		nL += int(b2v(v < c))
-	}
-	split := lo + nL
-	moved := 0
 	var bufI, bufJ [predBlock]int
 	i, j := lo, split
 	ni, ci, nj, cj := 0, 0, 0, 0
@@ -289,8 +299,7 @@ func (p *Pairs) crackInTwoPred(c Value, lo, hi int) int {
 		ci += sw
 		cj += sw
 	}
-	p.Stats.Moved += moved
-	return split
+	return moved
 }
 
 // CrackBound ensures a physical boundary for b exists, cracking the piece it
@@ -314,260 +323,43 @@ func (p *Pairs) crackBoundAt(b crackindex.Bound, pc crackindex.Piece) int {
 	return pos
 }
 
-// crackInThree partitions positions [lo, hi) against both bounds in one
-// classification pass: values left of b1, then values in [b1, b2), then
-// values at-or-right of b2. Requires b1 <= b2. Returns the two split
-// positions.
+// crackRangeInPiece partitions the single piece [lo, hi) against both
+// bounds of a range: values left of b1, then values in [b1, b2), then values
+// at-or-right of b2. Requires b1 < b2. Returns the two split positions.
 //
-// The kernel is movement-optimal: it first counts the three classes (one
-// branch-free pass fixing the split positions), then repairs misplaced
-// tuples with direct 2-cycle swaps and 3-cycle rotations, so every
-// misplaced tuple is stored exactly once — the information-theoretic
-// minimum. Two crack-in-two passes are swap-based and therefore store
-// every tuple they move at least once too, over a superset of the
-// misplaced tuples, which makes Moved(crack-in-three) <= Moved(two
-// crack-in-twos) a theorem rather than an empirical observation
-// (TestCrackInThreeMovesNoMoreThanTwoPass pins it).
-//
-// Like crackInTwo it dispatches between the predicated default and the
-// branchy reference, which produce identical layouts, and is a
-// deterministic function of the piece contents.
-func (p *Pairs) crackInThree(b1, b2 crackindex.Bound, lo, hi int) (int, int) {
+// One fused branch-free counting pass fixes both splits. The piece is then
+// repaired twice with the splits already known: first as a whole at the
+// bound that leaves the smaller remainder — hi-lt tuples right of b1 or
+// gt-lo tuples left of b2 — and then that remainder at the other bound. The
+// order is a pure function of the piece contents, so aligned maps,
+// head-recovery replays and crack-tape recovery, which all replay the same
+// predicates over equal heads, stay layout-identical. With n tuples of
+// which nL lie left of the range and nM inside it, the head is read n times
+// to count and n + min(n-nL, nL+nM) times to repair: 2.25n in all on
+// average for a narrow range placed uniformly.
+func (p *Pairs) crackRangeInPiece(b1, b2 crackindex.Bound, lo, hi int) (int, int) {
 	c1, ok1 := cut(b1)
 	c2, ok2 := cut(b2)
 	if !ok1 || !ok2 {
-		// Unreachable for predicates over real value domains; resolve the
-		// non-representable bound as two crack-in-two passes (which keep
-		// their own stats).
-		lo = p.crackInTwo(b1, lo, hi)
-		return lo, p.crackInTwo(b2, lo, hi)
+		// A bound at the very end of the value domain (an unbounded range)
+		// has no cutoff to count against; resolve each bound by itself.
+		lt := p.crackInTwo(b1, lo, hi)
+		return lt, p.crackInTwo(b2, lt, hi)
 	}
 	p.Stats.InThree++
-	p.Stats.Visited += hi - lo
-	if p.Branchy {
-		return p.crackInThreeBranchy(c1, c2, lo, hi)
-	}
-	return p.crackInThreePred(c1, c2, lo, hi)
-}
-
-// crackInThreeBranchy is the branchy reference of the count-then-permute
-// crack-in-three. The counting pass fixes the final regions A=[lo,lt),
-// B=[lt,gt), C=[gt,hi); repair then runs three greedy 2-cycle phases —
-// M-in-A with L-in-B, R-in-A with L-in-C, R-in-B with M-in-C, each a
-// pairwise swap of the k-th misplaced tuple of one region with the k-th
-// matching one of the other — and finishes the leftovers, which class
-// conservation forces into 3-cycles of a single orientation (one tuple per
-// region), with three-way rotations. Every misplaced tuple is written
-// exactly once: the minimum movement any correct partition can achieve.
-// The phase order and pairing are what crackInThreePred replicates.
-func (p *Pairs) crackInThreeBranchy(c1, c2 Value, lo, hi int) (int, int) {
-	h, t := p.Head, p.Tail
-	nL, nM := 0, 0
-	for _, v := range h[lo:hi] {
-		if v < c1 {
-			nL++
-		} else if v < c2 {
-			nM++
-		}
-	}
-	lt, gt := lo+nL, lo+nL+nM
-	moved := 0
-
-	// Phase 1: 2-cycles M-in-A <-> L-in-B.
-	i, j := lo, lt
-	for {
-		for i < lt && !(h[i] >= c1 && h[i] < c2) {
-			i++
-		}
-		for j < gt && h[j] >= c1 {
-			j++
-		}
-		if i == lt || j == gt {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		t[i], t[j] = t[j], t[i]
-		moved += 2
-		i++
-		j++
-	}
-	// Phase 2: 2-cycles R-in-A <-> L-in-C.
-	i, j = lo, gt
-	for {
-		for i < lt && h[i] < c2 {
-			i++
-		}
-		for j < hi && h[j] >= c1 {
-			j++
-		}
-		if i == lt || j == hi {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		t[i], t[j] = t[j], t[i]
-		moved += 2
-		i++
-		j++
-	}
-	// Phase 3: 2-cycles R-in-B <-> M-in-C.
-	i, j = lt, gt
-	for {
-		for i < gt && h[i] < c2 {
-			i++
-		}
-		for j < hi && !(h[j] >= c1 && h[j] < c2) {
-			j++
-		}
-		if i == gt || j == hi {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		t[i], t[j] = t[j], t[i]
-		moved += 2
-		i++
-		j++
-	}
-	// Phase 4: leftover 3-cycles, all of one orientation (each has exactly
-	// one tuple per region; a's class decides the rotation direction).
-	a, b, c := lo, lt, gt
-	for {
-		for a < lt && h[a] < c1 {
-			a++
-		}
-		for b < gt && h[b] >= c1 && h[b] < c2 {
-			b++
-		}
-		for c < hi && h[c] >= c2 {
-			c++
-		}
-		if a == lt || b == gt || c == hi {
-			break
-		}
-		if h[a] < c2 {
-			// M@a, R@b, L@c: a<-c, b<-a, c<-b.
-			h[a], h[b], h[c] = h[c], h[a], h[b]
-			t[a], t[b], t[c] = t[c], t[a], t[b]
-		} else {
-			// R@a, L@b, M@c: a<-b, b<-c, c<-a.
-			h[a], h[b], h[c] = h[b], h[c], h[a]
-			t[a], t[b], t[c] = t[b], t[c], t[a]
-		}
-		moved += 3
-		a++
-		b++
-		c++
-	}
-	p.Stats.Moved += moved
-	return lt, gt
-}
-
-// threeScratch pools the position-buffer scratch of crackInThreePred
-// (sized 2*piece+6 int32s), so repeated cold cracks allocate once per size
-// high-water mark instead of per call. Cracks run under their structure's
-// write lock, but independent structures (shards, map sets) crack in
-// parallel, hence a pool rather than a global.
-var threeScratch = sync.Pool{New: func() any { return new([]int32) }}
-
-// crackInThreePred is the branch-free predicated crack-in-three: the same
-// counting pass and repair phases as crackInThreeBranchy, but each region
-// is scanned exactly once, compacting the positions of its two misplaced
-// classes into index buffers with store-always/advance-by-flag compaction
-// (no data-dependent branch). The phase swap counts then follow from the
-// buffer lengths by arithmetic, and every swap and rotation is applied
-// unconditionally from the buffers. Pairing is scan-order on both sides of
-// every phase — exactly crackInThreeBranchy's — so layouts and stats are
-// identical (fuzz-pinned).
-func (p *Pairs) crackInThreePred(c1, c2 Value, lo, hi int) (int, int) {
-	if hi > math.MaxInt32 {
-		// Positions no longer fit the int32 compaction buffers; the
-		// branchy reference produces the identical layout.
-		return p.crackInThreeBranchy(c1, c2, lo, hi)
-	}
-	h, t := p.Head, p.Tail
-	nL, nM := 0, 0
-	for _, v := range h[lo:hi] {
+	nL, nLM := 0, 0
+	for _, v := range p.Head[lo:hi] {
 		nL += int(b2v(v < c1))
-		nM += int(b2v(v >= c1) & b2v(v < c2))
+		nLM += int(b2v(v < c2))
 	}
-	lt, gt := lo+nL, lo+nL+nM
-
-	// Per-class position buffers, sliced out of one pooled scratch. Each
-	// region needs capacity region-size+1 per class (store-always writes
-	// one slot past the final count).
-	aCap, bCap, cCap := lt-lo+1, gt-lt+1, hi-gt+1
-	sp := threeScratch.Get().(*[]int32)
-	if need := 2 * (aCap + bCap + cCap); cap(*sp) < need {
-		*sp = make([]int32, need)
+	lt, gt := lo+nL, lo+nLM
+	if hi-lt <= gt-lo {
+		p.repair(c1, lo, lt, hi)
+		p.repair(c2, lt, gt, hi)
+	} else {
+		p.repair(c2, lo, gt, hi)
+		p.repair(c1, lo, lt, gt)
 	}
-	s := *sp
-	bufAM, s := s[:aCap], s[aCap:]
-	bufAR, s := s[:aCap], s[aCap:]
-	bufBL, s := s[:bCap], s[bCap:]
-	bufBR, s := s[:bCap], s[bCap:]
-	bufCL, s := s[:cCap], s[cCap:]
-	bufCM := s[:cCap]
-
-	nAM, nAR := 0, 0
-	for i := lo; i < lt; i++ {
-		v := h[i]
-		bufAM[nAM] = int32(i)
-		nAM += int(b2v(v >= c1) & b2v(v < c2))
-		bufAR[nAR] = int32(i)
-		nAR += int(b2v(v >= c2))
-	}
-	nBL, nBR := 0, 0
-	for i := lt; i < gt; i++ {
-		v := h[i]
-		bufBL[nBL] = int32(i)
-		nBL += int(b2v(v < c1))
-		bufBR[nBR] = int32(i)
-		nBR += int(b2v(v >= c2))
-	}
-	nCL, nCM := 0, 0
-	for i := gt; i < hi; i++ {
-		v := h[i]
-		bufCL[nCL] = int32(i)
-		nCL += int(b2v(v < c1))
-		bufCM[nCM] = int32(i)
-		nCM += int(b2v(v >= c1) & b2v(v < c2))
-	}
-
-	// Greedy 2-cycle phases (pairing matches the branchy phases).
-	s1 := min(nAM, nBL) // M-in-A <-> L-in-B
-	for k := 0; k < s1; k++ {
-		a, b := int(bufAM[k]), int(bufBL[k])
-		h[a], h[b] = h[b], h[a]
-		t[a], t[b] = t[b], t[a]
-	}
-	s2 := min(nAR, nCL) // R-in-A <-> L-in-C
-	for k := 0; k < s2; k++ {
-		a, b := int(bufAR[k]), int(bufCL[k])
-		h[a], h[b] = h[b], h[a]
-		t[a], t[b] = t[b], t[a]
-	}
-	s3 := min(nBR, nCM) // R-in-B <-> M-in-C
-	for k := 0; k < s3; k++ {
-		a, b := int(bufBR[k]), int(bufCM[k])
-		h[a], h[b] = h[b], h[a]
-		t[a], t[b] = t[b], t[a]
-	}
-
-	// Leftover 3-cycles, single orientation by class conservation; the
-	// buffer tails are still in scan order, matching the branchy phase 4.
-	r1 := nAM - s1 // M@a, R@b, L@c: a<-c, b<-a, c<-b
-	for k := 0; k < r1; k++ {
-		pa, pb, pc := int(bufAM[s1+k]), int(bufBR[s3+k]), int(bufCL[s2+k])
-		h[pa], h[pb], h[pc] = h[pc], h[pa], h[pb]
-		t[pa], t[pb], t[pc] = t[pc], t[pa], t[pb]
-	}
-	r2 := nAR - s2 // R@a, L@b, M@c: a<-b, b<-c, c<-a
-	for k := 0; k < r2; k++ {
-		pa, pb, pc := int(bufAR[s2+k]), int(bufBL[s1+k]), int(bufCM[s3+k])
-		h[pa], h[pb], h[pc] = h[pb], h[pc], h[pa]
-		t[pa], t[pb], t[pc] = t[pb], t[pc], t[pa]
-	}
-	threeScratch.Put(sp)
-	p.Stats.Moved += 2*(s1+s2+s3) + 3*(r1+r2)
 	return lt, gt
 }
 
@@ -576,9 +368,9 @@ func (p *Pairs) crackInThreePred(c1, c2 Value, lo, hi int) (int, int) {
 // core of operator sideways.select steps (4)-(6) and of crackers.select.
 //
 // When both bounds of pred fall into the same uncracked piece (always the
-// case on a cold column), the piece is partitioned against both bounds in
-// one crack-in-three pass; otherwise each bound cracks its own piece in
-// two. The path choice depends only on the index state, so it is identical
+// case on a cold column), the piece is partitioned against both bounds by
+// one fused range crack; otherwise each bound cracks its own piece in two.
+// The path choice depends only on the index state, so it is identical
 // across maps replaying the same operation sequence.
 func (p *Pairs) CrackRange(pred store.Pred) (lo, hi int) {
 	b1, b2 := pred.LowerBound(), pred.UpperBound()
@@ -593,7 +385,7 @@ func (p *Pairs) CrackRange(pred store.Pred) (lo, hi int) {
 	if b1.Less(b2) {
 		pc := p.Idx.PieceFor(b1, len(p.Head))
 		if !pc.LoExact && (!pc.HasHiB || b2.Less(pc.HiBound)) {
-			lo, hi = p.crackInThree(b1, b2, pc.Lo, pc.Hi)
+			lo, hi = p.crackRangeInPiece(b1, b2, pc.Lo, pc.Hi)
 			p.Idx.Insert(b1, lo)
 			p.Idx.Insert(b2, hi)
 			return lo, hi
@@ -631,6 +423,33 @@ func (p *Pairs) Area(pred store.Pred) (lo, hi int, ok bool) {
 func (p *Pairs) NeedsCrack(pred store.Pred) bool {
 	_, _, ok := p.Area(pred)
 	return !ok
+}
+
+// LocateKeys returns, ascending, the positions of the tuples whose head
+// matches pred and whose tail is one of keys (ascending). This is how a key
+// map M_Akey or key chunk turns pending deletions into physical positions
+// (Section 3.5): every tuple matching pred lies between the start of the
+// piece pred's lower bound falls into and the end of the piece its upper
+// bound falls into, so only those pieces are read — pred need not be cracked
+// yet — and the cheap head test runs before the key search.
+func (p *Pairs) LocateKeys(pred store.Pred, keys []int) []int {
+	n := len(p.Head)
+	lo := p.Idx.PieceFor(pred.LowerBound(), n).Lo
+	hi := p.Idx.PieceFor(pred.UpperBound(), n).Hi
+	var positions []int
+	for i := lo; i < hi; i++ {
+		if !pred.Matches(p.Head[i]) {
+			continue
+		}
+		k := int(p.Tail[i])
+		if j := sort.SearchInts(keys, k); j < len(keys) && keys[j] == k {
+			positions = append(positions, i)
+		}
+	}
+	if hi > lo {
+		p.Stats.Scanned += hi - lo
+	}
+	return positions
 }
 
 // RippleInsert inserts the tuple (v, t) into the piece where v belongs,

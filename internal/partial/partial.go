@@ -66,6 +66,7 @@ type chunk struct {
 	// exclusive access (LFU storage management)
 	headDropped bool
 	lastCrack   int // store query counter at the last replayed crack entry
+	cost        int // tuples() as last added to Store.storage (see account)
 }
 
 func (c *chunk) Len() int { return len(c.p.Tail) }
@@ -151,6 +152,7 @@ type Store struct {
 	Policy crack.Policy
 
 	queries        int
+	storage        int            // running sum of chunk.tuples() over all live chunks
 	pinnedAreas    map[*area]bool // areas resolved by the in-flight query
 	statsMu        sync.Mutex     // guards colMin/colMax (lazily filled by read-only probes)
 	colMin, colMax map[string]Value
@@ -170,8 +172,6 @@ func NewStore(rel *store.Relation) *Store {
 // Relation returns the underlying base relation.
 func (s *Store) Relation() *store.Relation { return s.rel }
 
-// StorageTuples returns the total chunk storage in tuples (head-dropped
-// chunks count half). The chunk maps are excluded; see ChunkMapTuples.
 // Kernel aggregates the kernel partition counters and cracker-index
 // sizes over every chunk map and every materialized chunk: the
 // observability bridge. Call it under the same synchronization as
@@ -192,16 +192,24 @@ func (s *Store) Kernel() (ks crack.KernelStats, pieces, cols int) {
 	return ks, pieces, cols
 }
 
-func (s *Store) StorageTuples() int {
-	total := 0
-	for _, set := range s.sets {
-		for _, w := range set.areas {
-			for _, c := range w.chunks {
-				total += c.tuples()
-			}
-		}
-	}
-	return total
+// StorageTuples returns the total chunk storage in tuples (head-dropped
+// chunks count half). The chunk maps are excluded; see ChunkMapTuples.
+func (s *Store) StorageTuples() int { return s.storage }
+
+// account brings the running storage total up to date with chunk c. Every
+// step that changes what a live chunk costs — creation, ripple updates,
+// dropping or recovering its head — ends with it, so the budget check never
+// has to re-walk the chunks.
+func (s *Store) account(c *chunk) {
+	s.storage += c.tuples() - c.cost
+	c.cost = c.tuples()
+}
+
+// dropHead drops chunk c's head column, keeping only the tail.
+func (s *Store) dropHead(c *chunk) {
+	c.p.Head = nil
+	c.headDropped = true
+	s.account(c)
 }
 
 // ChunkMapTuples returns the total size of all chunk maps H_A in tuples.
@@ -401,6 +409,7 @@ func (set *Set) ensureChunk(w *area, tailAttr string, pinned map[*chunk]bool) *c
 	c := &chunk{p: crack.WrapPairs(head, tail), lastCrack: set.st.queries}
 	c.p.Policy = set.ha.Policy
 	w.chunks[tailAttr] = c
+	set.st.account(c)
 	return c
 }
 
@@ -439,6 +448,7 @@ func (set *Set) replay(w *area, c *chunk, end int, tailAttr string) {
 			c.p.RippleDeleteBatch(e.positions)
 		}
 	}
+	set.st.account(c)
 }
 
 // boundsKnown reports whether both bounds of pred are already boundaries in
@@ -453,6 +463,7 @@ func boundsKnown(c *chunk, pred store.Pred) bool {
 // deterministic cracking guarantees the rebuilt head pairs correctly with
 // the surviving tail.
 func (set *Set) recoverHead(w *area, c *chunk) {
+	defer set.st.account(c)
 	for _, sib := range w.chunks {
 		if sib != c && !sib.headDropped && sib.cursor == c.cursor {
 			head := make([]Value, len(sib.p.Head))
@@ -498,8 +509,7 @@ func (s *Store) DropHead() {
 		for _, w := range set.areas {
 			for _, c := range w.chunks {
 				if !c.headDropped {
-					c.p.Head = nil
-					c.headDropped = true
+					s.dropHead(c)
 				}
 			}
 		}
@@ -517,13 +527,11 @@ func (s *Store) maybeDropHeads(set *Set, used []*chunk, areas []*area) {
 			continue
 		}
 		if s.CachedPieceTuples > 0 && maxPiece(c, areas[i]) <= s.CachedPieceTuples {
-			c.p.Head = nil
-			c.headDropped = true
+			s.dropHead(c)
 			continue
 		}
 		if s.HeadDropIdleQueries > 0 && s.queries-c.lastCrack >= s.HeadDropIdleQueries {
-			c.p.Head = nil
-			c.headDropped = true
+			s.dropHead(c)
 		}
 	}
 }
@@ -546,36 +554,50 @@ func maxPiece(c *chunk, _ *area) int {
 
 // ensureBudget drops least-frequently-accessed unpinned chunks until size
 // more tuples fit in the budget. Dropping an area's last chunk un-fetches
-// the area.
+// the area. Equally rarely used chunks go in (set attribute, area id, tail
+// attribute) order, so one query stream always evicts the same chunks
+// whatever order the maps iterate in.
 func (s *Store) ensureBudget(size int, pinned map[*chunk]bool) {
 	if s.Budget <= 0 {
 		return
 	}
-	for s.StorageTuples()+size > s.Budget {
-		type cand struct {
-			set  *Set
-			w    *area
-			attr string
-			c    *chunk
+	type cand struct {
+		set  *Set
+		w    *area
+		attr string
+		c    *chunk
+	}
+	before := func(a, b cand) bool {
+		if a.c.access != b.c.access {
+			return a.c.access < b.c.access
 		}
-		var victim *cand
+		if a.set.attr != b.set.attr {
+			return a.set.attr < b.set.attr
+		}
+		if a.w.id != b.w.id {
+			return a.w.id < b.w.id
+		}
+		return a.attr < b.attr
+	}
+	for s.storage+size > s.Budget {
+		var victim cand
 		for _, set := range s.sets {
 			for _, w := range set.areas {
 				for attr, c := range w.chunks {
 					if pinned[c] {
 						continue
 					}
-					if victim == nil || c.access < victim.c.access ||
-						(c.access == victim.c.access && w.id < victim.w.id) {
-						victim = &cand{set, w, attr, c}
+					if cd := (cand{set, w, attr, c}); victim.c == nil || before(cd, victim) {
+						victim = cd
 					}
 				}
 			}
 		}
-		if victim == nil {
+		if victim.c == nil {
 			return // everything pinned; allow exceeding the budget
 		}
 		delete(victim.w.chunks, victim.attr)
+		s.storage -= victim.c.cost
 		// Never un-fetch an area the in-flight query resolved: pushing its
 		// tape updates back to pending while the query holds the area
 		// object would double-apply them. An empty fetched area is valid.
@@ -666,17 +688,13 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string) []Region {
 			}
 			kc := set.ensureChunk(w, "", nil)
 			set.replay(w, kc, len(w.tape), "")
-			want := make(map[Value]bool, len(keys))
-			for _, k := range keys {
-				want[Value(k)] = true
+			if kc.headDropped {
+				// Replay recovers a dropped head only for entries that move
+				// tuples; locating keys reads it, as the delete entry's own
+				// replay below would.
+				set.recoverHead(w, kc)
 			}
-			var positions []int
-			for i, k := range kc.p.Tail {
-				if want[k] {
-					positions = append(positions, i)
-				}
-			}
-			sort.Ints(positions)
+			positions := kc.p.LocateKeys(pred, keys)
 			w.tape = append(w.tape, entry{kind: entryDelete, keys: keys, positions: positions})
 			w.lastUpdate = len(w.tape)
 			set.replay(w, kc, len(w.tape), "")
@@ -1138,8 +1156,28 @@ func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool
 	return conjunctiveRegions(regions, tailOf, others, projs), true
 }
 
-// sanity check helper used by tests: verify every chunk's piece invariants.
+// checkStorage verifies the running storage total against a full recount.
+func (s *Store) checkStorage() error {
+	recount := 0
+	for _, set := range s.sets {
+		for _, w := range set.areas {
+			for _, c := range w.chunks {
+				recount += c.tuples()
+			}
+		}
+	}
+	if recount != s.storage {
+		return fmt.Errorf("running storage total %d, recount %d", s.storage, recount)
+	}
+	return nil
+}
+
+// sanity check helper used by tests: verify the storage total and every
+// chunk's piece invariants.
 func (s *Store) checkInvariants() error {
+	if err := s.checkStorage(); err != nil {
+		return err
+	}
 	for attr, set := range s.sets {
 		if !set.ha.CheckPieces() {
 			return fmt.Errorf("chunk map H_%s violates piece invariants", attr)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -500,5 +501,74 @@ func TestQuickDisjunctiveWithUpdates(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// budgetedStream runs one seeded 1,000-query stream — conjunctive selections
+// headed by three different attributes, with updates beside them — against a
+// store whose budget forces eviction across sets, checking after every query
+// that the running storage total equals a full recount. It returns the final
+// storage total and an inventory of every set's areas and chunks.
+func budgetedStream(t *testing.T, seed int64) (int, string) {
+	t.Helper()
+	const rows, domain = 4000, 4000
+	rng := rand.New(rand.NewSource(seed))
+	attrs := []string{"A", "B", "C", "D", "E", "F"}
+	s := NewStore(buildRel(rng, rows, attrs, domain))
+	s.Budget = 3 * rows
+	s.HeadDropIdleQueries = 25
+	live := rows
+	for q := 0; q < 1000; q++ {
+		if q%10 == 9 {
+			vals := make([]Value, len(attrs))
+			for i := range vals {
+				vals[i] = Value(rng.Int63n(domain))
+			}
+			s.Insert(vals...)
+			live++
+			s.Delete(rng.Intn(live))
+		}
+		head := attrs[q%3]
+		x, y := attrs[3+q%3], attrs[(4+q)%6]
+		lo := rng.Int63n(domain)
+		s.MultiSelect([]AttrPred{
+			{Attr: head, Pred: store.Range(lo, lo+domain/100)},
+			{Attr: x, Pred: store.Range(0, domain/2)},
+		}, []string{y}, false)
+		if err := s.checkStorage(); err != nil {
+			t.Fatalf("seed %d query %d: %v", seed, q, err)
+		}
+	}
+	if err := s.checkInvariants(); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	var inv []string
+	for attr, set := range s.sets {
+		for _, w := range set.areas {
+			for tail, c := range w.chunks {
+				inv = append(inv, fmt.Sprintf("%s/%d[%d,%d)/%s len=%d cursor=%d dropped=%v access=%d",
+					attr, w.id, w.lo, w.hi, tail, c.Len(), c.cursor, c.headDropped, c.access))
+			}
+			inv = append(inv, fmt.Sprintf("%s/%d[%d,%d) tape=%d", attr, w.id, w.lo, w.hi, len(w.tape)))
+		}
+	}
+	sort.Strings(inv)
+	return s.StorageTuples(), strings.Join(inv, "\n")
+}
+
+// TestBudgetedStreamIsDeterministic: eviction picks its victim by a total
+// order, never by map iteration order, so two runs of one seeded stream end
+// with the same storage total, areas and chunk inventory.
+func TestBudgetedStreamIsDeterministic(t *testing.T) {
+	tuples, inv := budgetedStream(t, 21)
+	if tuples == 0 || !strings.Contains(inv, "dropped=true") {
+		t.Fatalf("stream did not exercise the budget and head drops: %d tuples\n%s", tuples, inv)
+	}
+	for run := 0; run < 3; run++ {
+		againTuples, againInv := budgetedStream(t, 21)
+		if againTuples != tuples || againInv != inv {
+			t.Fatalf("run %d diverged: %d vs %d storage tuples\n--- first\n%s\n--- again\n%s",
+				run, tuples, againTuples, inv, againInv)
+		}
 	}
 }

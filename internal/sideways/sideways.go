@@ -296,8 +296,8 @@ func (set *Set) replay(m *Map, end int) {
 
 // mergePending converts pending updates relevant to pred into tape entries
 // (Section 3.5): matching insertions become an insert entry; matching
-// deletions are located via the aligned key map and become a delete entry
-// carrying physical positions.
+// deletions are located via the aligned key map — reading only the pieces
+// pred falls into — and become a delete entry carrying physical positions.
 func (set *Set) mergePending(pred store.Pred) {
 	headCol := set.st.rel.MustColumn(set.attr)
 	if len(set.pendIns) > 0 {
@@ -328,18 +328,10 @@ func (set *Set) mergePending(pred store.Pred) {
 				set.keyMap = set.newMap("")
 			}
 			set.replay(set.keyMap, len(set.tape))
-			want := make(map[Value]bool, len(matchedKeys))
 			for _, k := range matchedKeys {
-				want[Value(k)] = true
 				delete(set.pendDel, k)
 			}
-			var positions []int
-			for i, k := range set.keyMap.pairs.Tail {
-				if want[k] {
-					positions = append(positions, i)
-				}
-			}
-			sort.Ints(positions)
+			positions := set.keyMap.pairs.LocateKeys(pred, matchedKeys)
 			set.tape = append(set.tape, entry{kind: entryDelete, positions: positions})
 			set.replay(set.keyMap, len(set.tape))
 		}

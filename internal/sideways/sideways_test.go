@@ -414,3 +414,60 @@ func BenchmarkSelectProjectConverging(b *testing.B) {
 		}
 	}
 }
+
+// TestPendingDeleteMergeReadsOnlyEnclosingPieces: no full-column scan remains
+// on the merge path. On a 1M-row store cracked into over 1,000 pieces, a
+// query that merges one matching pending delete reads, to locate it in the
+// aligned key map, no more than the two pieces its bounds fall into.
+func TestPendingDeleteMergeReadsOnlyEnclosingPieces(t *testing.T) {
+	const n = 1_000_000
+	rng := rand.New(rand.NewSource(12))
+	rel := buildRel(rng, n, []string{"A", "B"}, n)
+	s := NewStore(rel)
+	projs := []string{"B"}
+	for q := 0; q < 700; q++ {
+		lo := rng.Int63n(n - 500)
+		s.SelectProject("A", store.Range(lo, lo+500), projs)
+	}
+	set := s.SetIfExists("A")
+	m := set.MapIfExists("B")
+	if pieces := m.pairs.Idx.Pieces(); pieces < 1000 {
+		t.Fatalf("map has %d pieces, want at least 1000", pieces)
+	}
+	aVals := rel.MustColumn("A").Vals
+	// The first merged delete creates the key map and replays the whole tape
+	// onto it; the second is the steady state being measured.
+	for round, key := range []int{17, 4711} {
+		a := aVals[key]
+		pred := store.Range(a-100, a+100)
+		pcLo := m.pairs.Idx.PieceFor(pred.LowerBound(), m.Len())
+		pcHi := m.pairs.Idx.PieceFor(pred.UpperBound(), m.Len())
+		enclosing := pcHi.Hi - pcLo.Lo
+		if pcLo.Hi < pcHi.Lo {
+			enclosing = (pcLo.Hi - pcLo.Lo) + (pcHi.Hi - pcHi.Lo)
+		}
+		var before int
+		if set.keyMap != nil {
+			before = set.keyMap.pairs.Stats.Scanned
+		}
+		s.Delete(key)
+		res := s.SelectProject("A", pred, projs)
+		scanned := set.keyMap.pairs.Stats.Scanned - before
+		if scanned == 0 || scanned > enclosing {
+			t.Fatalf("round %d: locating one pending delete read %d key-map tuples, want 1..%d (the enclosing pieces) of %d",
+				round, scanned, enclosing, n)
+		}
+		want := 0
+		for k, v := range aVals {
+			if pred.Matches(v) && !s.IsDeleted(k) {
+				want++
+			}
+		}
+		if res.N != want {
+			t.Fatalf("round %d: %d rows after the delete, want %d", round, res.N, want)
+		}
+		if set.keyMap.Len() != n-round-1 {
+			t.Fatalf("round %d: key map holds %d tuples, want %d", round, set.keyMap.Len(), n-round-1)
+		}
+	}
+}

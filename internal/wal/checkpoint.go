@@ -67,14 +67,7 @@ func RemoveSegmentsExcept(dir string, keep uint64) {
 // new one, never a torn hybrid (the single-frame CRC would expose one
 // anyway).
 func WriteCheckpoint(dir string, cp *Checkpoint) error {
-	payload := appendCheckpointPayload(nil, cp)
-	framed := make([]byte, 0, frameHeader+len(payload))
-	framed = append(framed, make([]byte, frameHeader)...)
-	framed = append(framed, payload...)
-	n := uint32(len(payload))
-	binary.BigEndian.PutUint32(framed, n)
-	binary.BigEndian.PutUint32(framed[4:], n^lenEcho)
-	binary.BigEndian.PutUint32(framed[8:], crc32.ChecksumIEEE(payload))
+	framed := encodeCheckpoint(cp)
 
 	tmp := filepath.Join(dir, checkpointFile+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -131,38 +124,55 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 	return decodeCheckpointPayload(payload)
 }
 
-func appendCheckpointPayload(dst []byte, cp *Checkpoint) []byte {
-	dst = append(dst, checkpointVersion)
-	dst = binary.AppendUvarint(dst, cp.Seq)
-	dst = appendString(dst, cp.Name)
-	dst = binary.AppendUvarint(dst, uint64(len(cp.Attrs)))
-	for _, a := range cp.Attrs {
-		dst = appendString(dst, a)
-	}
+// encodeCheckpoint returns cp as one checkpoint frame. The columns are all
+// but a sliver of a checkpoint and their encoded size is known up front, so
+// the frame is allocated once at its exact size and the values are stored in
+// place; only the small variable-length parts around them (names before,
+// tombstones and tape after) are staged in append-grown buffers.
+func encodeCheckpoint(cp *Checkpoint) []byte {
 	rows := 0
 	if len(cp.Cols) > 0 {
 		rows = len(cp.Cols[0])
 	}
-	dst = binary.AppendUvarint(dst, uint64(rows))
+	head := []byte{checkpointVersion}
+	head = binary.AppendUvarint(head, cp.Seq)
+	head = appendString(head, cp.Name)
+	head = binary.AppendUvarint(head, uint64(len(cp.Attrs)))
+	for _, a := range cp.Attrs {
+		head = appendString(head, a)
+	}
+	head = binary.AppendUvarint(head, uint64(rows))
+
+	tail := binary.AppendUvarint(nil, uint64(len(cp.Dead)))
+	for _, k := range cp.Dead {
+		tail = binary.AppendUvarint(tail, uint64(k))
+	}
+	tail = binary.AppendUvarint(tail, uint64(len(cp.Tape)))
+	var rec []byte
+	for _, r := range cp.Tape {
+		rec = AppendPayload(rec[:0], r)
+		tail = binary.AppendUvarint(tail, uint64(len(rec)))
+		tail = append(tail, rec...)
+	}
+
+	framed := make([]byte, frameHeader+len(head)+8*rows*len(cp.Cols)+len(tail))
+	payload := framed[frameHeader:]
+	off := copy(payload, head)
 	for _, col := range cp.Cols {
 		if len(col) != rows {
 			panic("wal: checkpoint with ragged columns")
 		}
 		for _, v := range col {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+			binary.LittleEndian.PutUint64(payload[off:], uint64(v))
+			off += 8
 		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(cp.Dead)))
-	for _, k := range cp.Dead {
-		dst = binary.AppendUvarint(dst, uint64(k))
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(cp.Tape)))
-	for _, rec := range cp.Tape {
-		p := AppendPayload(nil, rec)
-		dst = binary.AppendUvarint(dst, uint64(len(p)))
-		dst = append(dst, p...)
-	}
-	return dst
+	copy(payload[off:], tail)
+	n := uint32(len(payload))
+	binary.BigEndian.PutUint32(framed, n)
+	binary.BigEndian.PutUint32(framed[4:], n^lenEcho)
+	binary.BigEndian.PutUint32(framed[8:], crc32.ChecksumIEEE(payload))
+	return framed
 }
 
 func decodeCheckpointPayload(payload []byte) (*Checkpoint, error) {
