@@ -119,7 +119,7 @@ func OpenWithPolicy(kind Kind, rel *Relation, pol CrackPolicy) Engine {
 }
 
 // SetCrackPolicy applies an adaptive cracking policy to an engine
-// (including Concurrent/Serialized wrappers and sharded engines),
+// (including Concurrent wrappers and sharded engines),
 // reporting whether the engine's physical design cracks. Call before the
 // first query.
 func SetCrackPolicy(e Engine, pol CrackPolicy) bool { return engine.SetPolicy(e, pol) }
@@ -238,11 +238,6 @@ func ClusteredMin(e Engine, attr string) (v Value, ok bool) {
 // waiting reader). Wrapping is idempotent.
 func Concurrent(e Engine) Engine { return engine.Concurrent(e) }
 
-// Serialized wraps an engine with a single mutex that serializes every
-// operation. It is the baseline Concurrent is benchmarked against
-// (crackbench -clients).
-func Serialized(e Engine) Engine { return engine.Serialized(e) }
-
 // Snapshot wraps an engine for concurrent serving with lock-free snapshot
 // reads: writers publish every reorganization (crack, pending-update
 // merge) as a new immutable version behind an atomic pointer, readers pin
@@ -259,13 +254,6 @@ func Snapshot(e Engine) Engine { return engine.Snapshot(e) }
 // published and reclaimed (Snapshot). ok is false when e's wrapper does
 // not track them.
 func ConcurrencyStats(e Engine) (engine.ConcStats, bool) { return engine.ConcStatsOf(e) }
-
-// Synchronized wraps an engine so it can be shared across goroutines.
-//
-// Deprecated: Synchronized is a shim over Concurrent, kept for
-// compatibility; call Concurrent directly in new code, or Serialized for
-// the fully serialized baseline.
-func Synchronized(e Engine) Engine { return engine.Synchronized(e) }
 
 // DurableOptions configures OpenDurable: WAL fsync mode (WALSyncGroup /
 // WALSyncAlways / WALSyncNone), checkpoint rotation threshold, cracking
@@ -338,22 +326,28 @@ func Sharded(kind Kind, rel *Relation, n int, opts ShardOptions) Engine {
 	return shard.New(kind, rel, n, opts)
 }
 
-// ServeOptions tunes a Server: worker-pool size, admission-queue capacity,
-// and admission batching of same-attribute queries.
+// ServeOptions tunes a Server: the number of concurrently executing
+// queries (Workers), the overload watermark (MaxWaiting), the per-query
+// deadline (Timeout), and the metrics registry and latency-sample window.
+// How the engine is shared and which cracking policy it runs are not
+// serving options: decide them where the engine is built (Concurrent,
+// Snapshot, OpenWithPolicy, Sharded, OpenDurable).
 type ServeOptions = serve.Options
 
 // Server executes queries from many clients against one shared engine
-// through a bounded worker pool, capturing per-query latencies.
+// under a bound on concurrently executing queries, capturing per-query
+// latencies.
 type Server = serve.Server
 
 // ServeStats summarizes a serving run: query count, throughput (QPS), and
 // latency percentiles.
 type ServeStats = serve.Stats
 
-// Serve starts a concurrent serving layer over e (wrapping it in
-// Concurrent unless it is already shared-safe). Callers submit queries
-// with Server.Do from any number of goroutines and must Close the server
-// when done.
+// Serve returns a concurrent serving layer over e. The one wrapping rule:
+// an engine that is not already shared-safe (Concurrent, Snapshot, Sharded,
+// OpenDurable) is wrapped in Concurrent. Callers submit queries with
+// Server.Do from any number of goroutines — each executes on its caller's
+// goroutine — and Close the server when done.
 func Serve(e Engine, opts ServeOptions) *Server { return serve.New(e, opts) }
 
 // ErrServeTimeout is the distinct error Server.Do returns when
@@ -406,8 +400,8 @@ type RemoteStats = client.Stats
 func Dial(addr string, opts DialOptions) (*RemoteClient, error) { return client.Dial(addr, opts) }
 
 // NetServeOptions tunes a network server: the serving-layer knobs
-// (workers, batching, per-query Timeout, Policy) plus wire limits
-// (MaxFrame, MaxPipeline).
+// (NetServeOptions.Serve: Workers, MaxWaiting, per-query Timeout) plus wire
+// limits (MaxFrame, MaxPipeline, MaxInflight).
 type NetServeOptions = netserve.Options
 
 // NetServer serves an engine over TCP to RemoteClient peers. Close drains

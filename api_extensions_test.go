@@ -103,8 +103,8 @@ func TestCrackerJoinPublic(t *testing.T) {
 	}
 }
 
-func TestSynchronizedPublic(t *testing.T) {
-	e := crackstore.Synchronized(crackstore.Open(crackstore.Sideways, demoRelation(2000, 14)))
+func TestConcurrentPublic(t *testing.T) {
+	e := crackstore.Concurrent(crackstore.Open(crackstore.Sideways, demoRelation(2000, 14)))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -31,11 +31,10 @@ type concurrentConfig struct {
 	Churn   float64 // fraction of queries over cold, never-warmed ranges
 	Seed    int64
 	JSONDir string
-	Batch   bool // also run the admission-batching server variant
 	// CPUSweep, when non-empty, repeats the serialized/concurrent
 	// comparison at each GOMAXPROCS value, emitting one series per value
 	// (exp.Series.CPUs) so multi-core scaling claims are reproducible from
-	// the artifact. Sharding and batching variants stay out of the sweep.
+	// the artifact. The sharded variant stays out of the sweep.
 	CPUSweep []int
 
 	// jsonDefaulted is set when JSONDir was not given explicitly: only the
@@ -120,7 +119,7 @@ func coldQuery(rng *rand.Rand, width, span int64) engine.Query {
 // it through build, warm the engine by running the whole pool once (every
 // range gets cracked and every map aligned), then fire Clients goroutines
 // at a serving layer and collect throughput, latency, and error counts.
-func (c concurrentConfig) runMode(name string, build func(*store.Relation) engine.Engine, batch bool) serve.Stats {
+func (c concurrentConfig) runMode(name string, build func(*store.Relation) engine.Engine) serve.Stats {
 	e := build(c.buildRelation())
 	pool := c.queryPool()
 	for _, q := range pool {
@@ -130,7 +129,7 @@ func (c concurrentConfig) runMode(name string, build func(*store.Relation) engin
 	// not pollute the measured serving window.
 	runtime.GC()
 
-	srv := serve.New(e, serve.Options{Workers: c.Clients, Batch: batch})
+	srv := serve.New(e, serve.Options{Workers: c.Clients})
 	perClient := c.Queries / c.Clients
 	width, span := c.churnGeometry()
 	var wg sync.WaitGroup
@@ -175,8 +174,8 @@ func (c concurrentConfig) runCPUSweep(single func(func(engine.Engine) engine.Eng
 	for _, p := range c.CPUSweep {
 		runtime.GOMAXPROCS(p)
 		fmt.Printf("\n-- GOMAXPROCS=%d --\n", p)
-		serialized := c.runMode(fmt.Sprintf("serialized/p=%d", p), single(engine.Serialized), false)
-		concurrent := c.runMode(fmt.Sprintf("concurrent/p=%d", p), single(engine.Concurrent), false)
+		serialized := c.runMode(fmt.Sprintf("serialized/p=%d", p), single(engine.Serialized))
+		concurrent := c.runMode(fmt.Sprintf("concurrent/p=%d", p), single(engine.Concurrent))
 		if serialized.QPS > 0 {
 			fmt.Printf("p=%d speedup: %.2fx aggregate QPS over the serialized baseline\n",
 				p, concurrent.QPS/serialized.QPS)
@@ -218,15 +217,11 @@ func runConcurrentBench(c concurrentConfig) {
 		return
 	}
 
-	serialized := c.runMode("serialized", single(engine.Serialized), false)
-	concurrent := c.runMode("concurrent", single(engine.Concurrent), false)
+	serialized := c.runMode("serialized", single(engine.Serialized))
+	concurrent := c.runMode("concurrent", single(engine.Concurrent))
 	series := []exp.Series{
 		{Name: "serialized", Y: serialized.Latencies, Errors: serialized.Errors},
 		{Name: "concurrent", Y: concurrent.Latencies, Errors: concurrent.Errors},
-	}
-	if c.Batch {
-		batched := c.runMode("concurrent+batching", single(engine.Concurrent), true)
-		series = append(series, exp.Series{Name: "concurrent+batching", Y: batched.Latencies, Errors: batched.Errors})
 	}
 
 	if serialized.QPS > 0 {
@@ -246,7 +241,7 @@ func runConcurrentBench(c concurrentConfig) {
 		name := fmt.Sprintf("sharded x%d", c.Shards)
 		sharded := c.runMode(name, func(rel *store.Relation) engine.Engine {
 			return shard.New(engine.Sideways, rel, c.Shards, shard.Options{Attr: "A"})
-		}, false)
+		})
 		if concurrent.QPS > 0 {
 			fmt.Printf("sharded speedup: %.2fx aggregate QPS over the single-engine concurrent wrapper\n",
 				sharded.QPS/concurrent.QPS)

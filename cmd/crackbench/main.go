@@ -36,10 +36,9 @@
 // benchmark: N client goroutines fire a warm sideways workload through the
 // serving layer, once against the serialized (global-mutex) baseline and
 // once against the probe/execute Concurrent wrapper, reporting aggregate
-// QPS, tail latencies, and error counts (-serve-batch adds the
-// admission-batching variant). Adding -shards S also measures the relation
-// range-partitioned across S independently locked engines and emits
-// BENCH_sharded_serving.json next to the single-engine series.
+// QPS, tail latencies, and error counts. Adding -shards S also measures the
+// relation range-partitioned across S independently locked engines and
+// emits BENCH_sharded_serving.json next to the single-engine series.
 //
 // With -remote addr the same workload is instead fired over TCP at a
 // crackserved daemon (start it first with matching -rows/-seed; restart it
@@ -119,7 +118,6 @@ func main() {
 		srvPool = flag.Int("pool", 0, "concurrent mode: distinct predicates in the warm workload (0 = default)")
 		srvSel  = flag.Float64("sel", 0, "concurrent mode: per-query selectivity (0 = default 0.0002)")
 		srvChrn = flag.Float64("churn", 0, "concurrent mode: fraction of queries over cold never-warmed ranges (each one cracks; 0 = fully warm workload)")
-		srvBat  = flag.Bool("serve-batch", false, "concurrent mode: also run the admission-batching server variant")
 		mvcc    = flag.Bool("mvcc", false, "run the snapshot-reads benchmark: a warm read workload under a continuously cracking background writer, Snapshot (lock-free epoch-protected reads) vs Concurrent (RWMutex) vs a no-writer baseline, swept over -cpus (emits BENCH_mvcc_reads.json; -json defaults to bench/)")
 		cpus    = flag.String("cpus", "", "comma-separated GOMAXPROCS values to sweep (serving modes emit one series per value; default: -mvcc sweeps 1,2,4, other modes run at the process default)")
 		policy  = flag.String("policy", "", "adaptive mode: cracking policy to measure (default|stochastic|capped|all); runs the policy-vs-pattern comparison and emits BENCH_adaptive_workloads.json (-json defaults to bench/)")
@@ -259,7 +257,6 @@ func main() {
 			Churn:    *srvChrn,
 			Seed:     *seed,
 			JSONDir:  *jsonDir,
-			Batch:    *srvBat,
 			CPUSweep: cpuSweep,
 		})
 		return

@@ -113,7 +113,12 @@ func (c mvccConfig) mvccArm(name string, snapshot, writer bool) serve.Stats {
 	}
 	runtime.GC()
 
-	srv := serve.New(e, serve.Options{Workers: c.Clients, Snapshot: snapshot})
+	if snapshot {
+		// The warm layout survives the conversion; the other arm is wrapped
+		// in Concurrent by serve.New.
+		e = engine.Snapshot(e)
+	}
+	srv := serve.New(e, serve.Options{Workers: c.Clients})
 	shared := srv.Engine()
 
 	var stop atomic.Bool

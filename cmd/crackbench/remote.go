@@ -200,7 +200,7 @@ func runRemoteBench(c remoteConfig) {
 	}.withDefaults()
 	inproc := base.runMode("in-process concurrent", func(rel *store.Relation) engine.Engine {
 		return engine.Concurrent(engine.New(engine.Sideways, rel))
-	}, false)
+	})
 
 	remote, serverErrs := c.runRemote(base.queryPool())
 

@@ -75,7 +75,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "concurrently executing queries (0 = GOMAXPROCS)")
 		snapshot = flag.Bool("snapshot", false, "serve reads from epoch-protected snapshots (lock-free reads; selcrack engines, per shard when sharded)")
 		timeout  = flag.Duration("timeout", 0, "per-query deadline (0 = none)")
-		batch    = flag.Bool("batch", false, "enable admission batching of same-attribute queries")
 		rows     = flag.Int("rows", 200_000, "synthetic relation rows")
 		seed     = flag.Int64("seed", 1, "synthetic relation seed")
 		maxFrame = flag.Int("max-frame", 0, "largest accepted request frame in bytes (0 = default)")
@@ -95,15 +94,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "crackserved: unknown engine kind %q\n", *kindName)
 		os.Exit(2)
 	}
-	var pol *crack.Policy
+	// The zero policy is "crack at query bounds only", what -policy ""
+	// asks for.
+	var pol crack.Policy
 	if *policy != "" {
 		pk, ok := crack.KindByName(*policy)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "crackserved: unknown policy %q\n", *policy)
 			os.Exit(2)
 		}
-		p := crack.Policy{Kind: pk}
-		pol = &p
+		pol.Kind = pk
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
@@ -112,6 +112,9 @@ func main() {
 		return 1 + rng.Int63n(domain)
 	})
 
+	// This is the one place that decides how the engine is shared and which
+	// policy it cracks under; the serving layers below take what they get
+	// (serve.New wraps a bare engine in Concurrent, nothing else).
 	var e engine.Engine
 	if *dataDir != "" {
 		if *shards > 1 || *snapshot {
@@ -123,7 +126,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "crackserved: %v\n", err)
 			os.Exit(2)
 		}
-		e, err = engine.OpenDurable(kind, rel, *dataDir, engine.DurableOptions{Sync: mode, Policy: pol})
+		e, err = engine.OpenDurable(kind, rel, *dataDir, engine.DurableOptions{Sync: mode, Policy: &pol})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "crackserved: open %s: %v\n", *dataDir, err)
 			os.Exit(1)
@@ -139,15 +142,17 @@ func main() {
 				fmt.Printf("crackserved: durable: replayed recovery from %s (%d records, %d bytes, %d torn bytes truncated, tape=%d cracks) in %v\n",
 					*dataDir, ds.ReplayedRecords, ds.ReplayedBytes, ds.TruncatedBytes, ds.TapeLen, ds.RecoveryTime.Round(time.Millisecond))
 			}
+			if ds.TapeSkipped > 0 {
+				fmt.Printf("crackserved: durable: skipped %d crack-tape records that do not fit the recovered relation\n", ds.TapeSkipped)
+			}
 		}
 	} else if *shards > 1 {
-		opts := shard.Options{Attr: "A", Snapshot: *snapshot}
-		if pol != nil {
-			opts.Policy = *pol
-		}
-		e = shard.New(kind, rel, *shards, opts)
+		e = shard.New(kind, rel, *shards, shard.Options{Attr: "A", Policy: pol, Snapshot: *snapshot})
 	} else {
-		e = engine.New(kind, rel)
+		e = engine.NewWithPolicy(kind, rel, pol)
+		if *snapshot {
+			e = engine.Snapshot(e)
+		}
 	}
 
 	// The metrics registry observes every layer at scrape time: the engine
@@ -175,11 +180,8 @@ func main() {
 	opts := netserve.Options{
 		Serve: serve.Options{
 			Workers:    *workers,
-			Batch:      *batch,
 			Timeout:    *timeout,
-			Policy:     pol,
 			MaxWaiting: *maxWait,
-			Snapshot:   *snapshot,
 		},
 		MaxFrame:    *maxFrame,
 		MaxInflight: *maxInfl,
@@ -210,8 +212,8 @@ func main() {
 		bound = srv.Addr()
 	}
 	// Register the engine bridge against the engine that actually serves:
-	// serve.New may have wrapped e (Concurrent, or Snapshot under
-	// -snapshot), and the wrapper is what locks correctly for scrapes.
+	// serve.New wraps a bare e in Concurrent, and the wrapper is what locks
+	// correctly for scrapes.
 	engine.RegisterMetrics(reg, srv.Engine())
 	fmt.Printf("crackserved: %s engine (%d rows, shards=%d, policy=%s) listening on %s\n",
 		kind, *rows, *shards, orDefault(*policy), bound)

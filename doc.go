@@ -71,10 +71,11 @@
 //	e := crackstore.OpenWithPolicy(crackstore.SelCrack, rel,
 //	    crackstore.CrackPolicy{Kind: crackstore.StochasticCracking})
 //
-// Policies thread through every layer: SetCrackPolicy applies one to an
-// existing engine (including Concurrent/Serialized wrappers),
-// ShardOptions.Policy configures every shard, and ServeOptions.Policy
-// configures a served engine. Pick StochasticCracking for unknown or
+// A policy belongs to the engine, so it is chosen where the engine is
+// built: OpenWithPolicy (or SetCrackPolicy on an existing engine, through
+// any wrapper), ShardOptions.Policy for every shard of a sharded engine,
+// DurableOptions.Policy for a durable one. The serving layers take the
+// engine as they find it. Pick StochasticCracking for unknown or
 // adversarial access patterns (duplicate-heavy and skewed pieces split
 // well because pivots are sampled from the data); CappedCracking when
 // deterministic pivot placement matters more (uniform data, reproducible
@@ -106,11 +107,10 @@
 //	res, cost, err := srv.Do(q)          // from any client goroutine
 //
 // Serve adds a bounded multi-client executor with per-query latency
-// capture and optional admission batching of same-attribute queries.
-// Synchronized (the old single-mutex wrapper) is deprecated; it now
-// delegates to Concurrent, and the fully serialized behavior remains
-// available as Serialized for benchmarking (crackbench -clients N
-// measures both).
+// capture. A query takes one path from Server.Do to the engine: it runs on
+// the submitting goroutine under a semaphore of Workers slots — no queue,
+// no handoff, no goroutine owned by the server (crackbench -clients N
+// measures it against a single-mutex baseline).
 //
 // Serving statistics (ServeStats) use conservative nearest-rank
 // percentiles — the fractional rank is rounded upward, never truncated to
@@ -120,13 +120,10 @@
 //
 // # Concurrency model
 //
-// Three wrappers make an engine shared-safe; they trade write-path cost
-// for read-path isolation:
-//
-//   - Serialized: one mutex around every operation. Zero per-version
-//     overhead and the simplest possible reasoning; every query — read or
-//     crack — waits its turn. Appropriate for single-client embedding and
-//     as the honest baseline in benchmarks.
+// Two wrappers make an engine shared-safe; they trade write-path cost
+// for read-path isolation. (One mutex around every operation — the paper's
+// single-executor setting — exists only as internal/engine's Serialized,
+// the baseline the benchmarks compare against.)
 //
 //   - Concurrent: the probe/execute read-write lock above. Aligned warm
 //     reads share the lock and scale with cores, but any query that
@@ -153,11 +150,14 @@
 //     Implemented for SelCrack engines; other kinds fall back to
 //     Concurrent.
 //
-// ServeOptions.Snapshot selects the Snapshot wrapper in the serving
-// layer, crackserved -snapshot selects it in the daemon, and
-// ConcurrencyStats exposes each wrapper's contention counters (reader
-// wait time under Concurrent; versions published and reclaimed under
-// Snapshot).
+// Who wraps is one rule: whoever shares an engine calls Concurrent or
+// Snapshot on it, and both return an already shared-safe engine
+// (Concurrent, Snapshot, Sharded, OpenDurable) unchanged, so locks never
+// stack. Serve applies exactly that rule — a bare engine gets Concurrent,
+// anything else is used as-is; to serve snapshot reads, pass it a Snapshot
+// engine (crackserved -snapshot does). ConcurrencyStats exposes the
+// contention counters (reader wait time under Concurrent and for durable
+// engines; versions published and reclaimed under Snapshot).
 //
 // # Sharding
 //
@@ -212,23 +212,24 @@
 //
 // Server-side, each connection runs one reader and one writer goroutine;
 // decoded queries dispatch into the same serve.Server the in-process path
-// uses (bounded workers, admission batching, latency stats), with warm
-// read-only queries answered inline on the reader to spare a goroutine
-// handoff. ServeOptions.Timeout bounds every query with a distinct
+// uses (bounded workers, latency stats), with warm read-only queries
+// answered inline on the reader to spare a goroutine handoff. ServeOptions.Timeout bounds every query with a distinct
 // ErrServeTimeout counted in the stats; a query that overruns its deadline
 // finishes in the background without leaking its worker slot, so the
 // connection's pipeline keeps moving. Close drains gracefully.
 //
 // Choose Dial when the engine must live elsewhere — shared across app
 // instances, or sized beyond the client machine; choose Open/Serve when
-// embedding in-process, which skips the wire entirely (the protocol costs
-// ~10µs/query of CPU at saturation on one core, amortized by pipelining;
-// an adapting 2M-row workload with 10% cold cracks serves at ~0.3-0.5x the
-// in-process rate over loopback on a single shared core, with comparable
-// tail latency — bench/BENCH_remote_serving.json, regenerated by
-// crackserved + crackbench -remote). A remote client replaying the same
-// workload gets byte-identical results to in-process execution for every
-// engine kind, sharded or not (the answer-equivalence test pins this).
+// embedding in-process, which skips the wire entirely. What the wire costs
+// on the machine at hand is one command: `bash benchmark/run.sh --workload
+// remote-warm` drives a warm engine through netserve and a pooled client
+// over loopback TCP, and `--trace 1` adds the per-layer ledger of the same
+// run (serve admission, wire encode/decode, TCP and scheduling, client).
+// The committed bench/BENCH_remote_serving.json is a 20k-row protocol
+// smoke run and backs no throughput figure. A remote client replaying the
+// same workload gets byte-identical results to in-process execution for
+// every engine kind, sharded or not (the answer-equivalence test pins
+// this).
 //
 // # Resilience
 //
@@ -278,11 +279,22 @@
 //	    crackstore.DurableOptions{Sync: crackstore.WALSyncGroup})
 //	defer crackstore.CloseDurable(e)
 //
+// A durable engine is the Concurrent guard plus a journal: the same lock
+// and read side (it reports reader waits through ConcurrencyStats and
+// needs no further wrapper), with Insert, Delete and Query journaled.
 // Every acked Insert and Delete is appended to a write-ahead log before it
-// is applied (log order is apply order, so replay reproduces tuple keys),
-// and every reorganizing query is recorded on a crack tape — the redo log
-// of the layout itself. WAL records reuse the wire protocol's
-// self-validating framing (length, masked length echo, payload CRC32), so
+// is applied (log order is apply order, so replay reproduces tuple keys).
+// A reorganizing query is recorded on a crack tape — the redo log of the
+// layout itself — after it has executed, inside the same write-lock
+// section: a query the engine rejects (an unknown column) never reaches
+// the tape, and since tape records are never fsync-waited, a crash between
+// crack and record costs restart warmth, not correctness. Recovery skips
+// and counts (DurabilityStatsReport.TapeSkipped) a tape record that does
+// not fit the recovered relation — no predicate, or an unknown attribute —
+// instead of replaying it, and the next checkpoint drops it. WAL records
+// and wire messages share one self-validating frame header
+// (internal/frame: length, masked length echo, payload CRC32, a distinct
+// mask per format so neither accepts the other's frames), so
 // a torn tail, a zero-filled preallocation, or a flipped bit truncates the
 // log at the last intact record instead of replaying garbage; the codec is
 // fuzz-pinned (no panics, no unbounded allocation, decode/encode fixed

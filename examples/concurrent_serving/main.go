@@ -2,9 +2,8 @@
 // wraps the engine in the two-phase (probe/execute) Concurrent protocol,
 // so after a warm-up the clients' aligned repeat queries run genuinely in
 // parallel under a shared read lock — only queries that actually crack new
-// ranges or merge updates serialize behind the write lock. Compare against
-// the old fully serialized wrapper to see throughput and tail latency
-// improve.
+// ranges or merge updates serialize behind the write lock. (crackbench
+// -clients N measures this against a single-mutex baseline.)
 package main
 
 import (
@@ -21,12 +20,18 @@ const (
 	perEach = 2_000
 )
 
-func buildEngine() crackstore.Engine {
+// warmEngine builds the engine and runs one pass over the pool, which
+// cracks every hot range.
+func warmEngine(qs []crackstore.Query) crackstore.Engine {
 	rng := rand.New(rand.NewSource(1))
 	rel := crackstore.Build("orders", rows,
 		[]string{"amount", "customer"},
 		func(string, int) crackstore.Value { return rng.Int63n(rows) })
-	return crackstore.Open(crackstore.Sideways, rel)
+	e := crackstore.Open(crackstore.Sideways, rel)
+	for _, q := range qs {
+		e.Query(q)
+	}
+	return e
 }
 
 // pool is the clients' shared hot query set: narrow ranges over amount.
@@ -43,13 +48,9 @@ func pool() []crackstore.Query {
 	return qs
 }
 
-func run(name string, e crackstore.Engine) {
+func main() {
 	qs := pool()
-	// Warm-up: one pass over the pool cracks every hot range.
-	for _, q := range qs {
-		e.Query(q)
-	}
-	srv := crackstore.Serve(e, crackstore.ServeOptions{Workers: clients})
+	srv := crackstore.Serve(warmEngine(qs), crackstore.ServeOptions{Workers: clients})
 	defer srv.Close()
 
 	var wg sync.WaitGroup
@@ -68,14 +69,7 @@ func run(name string, e crackstore.Engine) {
 	wg.Wait()
 
 	st := srv.Stats()
-	fmt.Printf("%-12s %8d queries  %10.0f q/s   p50=%-9v p99=%-9v max=%v\n",
-		name, st.Queries, st.QPS, st.P50, st.P99, st.Max)
-}
-
-func main() {
-	fmt.Printf("%d clients, %d queries each, one shared sideways engine\n\n", clients, perEach)
-	run("serialized", crackstore.Serialized(buildEngine()))
-	run("concurrent", crackstore.Concurrent(buildEngine()))
-	fmt.Println("\nThe serialized wrapper queues every client behind one mutex; the")
-	fmt.Println("concurrent wrapper probes first and serves aligned repeats in parallel.")
+	fmt.Printf("%d clients, one shared sideways engine: %d queries  %.0f q/s   p50=%v p99=%v max=%v\n",
+		clients, st.Queries, st.QPS, st.P50, st.P99, st.Max)
+	fmt.Printf("readers blocked behind a writer %d times (%v in total)\n", st.ReaderWaits, st.ReaderWait)
 }

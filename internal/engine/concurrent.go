@@ -55,10 +55,9 @@ func ConcStatsOf(e Engine) (ConcStats, bool) {
 // one crack pays for every reader that was waiting behind it.
 //
 // Wrapping is idempotent: Concurrent on an engine that is already safe to
-// share (a Concurrent or Serialized wrapper, or an engine carrying the
-// SharedEngine marker, such as the sharded engine) returns it unchanged —
-// adding a global lock over an engine that manages its own finer-grained
-// locking would serialize it.
+// share (IsShared: a Concurrent, Snapshot or durable engine, the sharded
+// engine) returns it unchanged — adding a global lock over an engine that
+// manages its own finer-grained locking would serialize it.
 func Concurrent(e Engine) Engine {
 	if IsShared(e) {
 		return e
@@ -66,23 +65,24 @@ func Concurrent(e Engine) Engine {
 	return &rwEngine{e: e}
 }
 
-// sharedMarker tags engines defined outside this package that are already
-// safe to share across goroutines because they do their own locking (e.g.
-// internal/shard, which wraps every shard in Concurrent individually).
+// sharedMarker tags engines that are already safe to share across
+// goroutines because they do their own locking: the wrappers in this
+// package, and engines defined outside it (e.g. internal/shard, which wraps
+// every shard in Concurrent individually).
 type sharedMarker interface{ SharedEngine() }
 
-// IsShared reports whether e is already safe to share across goroutines:
-// a Concurrent or Serialized wrapper, or any engine implementing the
-// SharedEngine marker method.
+// IsShared reports whether e is already safe to share across goroutines,
+// i.e. implements the SharedEngine marker method. This is the one rule for
+// who wraps: whoever shares an engine calls Concurrent (or Snapshot) on it,
+// and both leave an IsShared engine alone.
 func IsShared(e Engine) bool {
-	switch e.(type) {
-	case *rwEngine, *syncEngine:
-		return true
-	}
 	_, ok := e.(sharedMarker)
 	return ok
 }
 
+// rwEngine is the RWMutex probe/execute guard behind Concurrent — and,
+// embedded, behind the durable engine, which adds a journal to the write
+// side and nothing to the read side.
 type rwEngine struct {
 	mu sync.RWMutex
 	e  Engine
@@ -103,6 +103,9 @@ func (s *rwEngine) rlock() {
 	s.readerWaitNs.Add(int64(time.Since(t0)))
 	s.readerWaits.Add(1)
 }
+
+// SharedEngine marks the guard (and anything embedding it) safe to share.
+func (s *rwEngine) SharedEngine() {}
 
 func (s *rwEngine) ConcStats() ConcStats {
 	return ConcStats{

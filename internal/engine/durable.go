@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,7 +25,9 @@ type DurableOptions struct {
 	// Policy, if non-nil, is the adaptive cracking policy applied at open
 	// — both to fresh stores and before tape replay on recovery, since a
 	// policy-steered tape must be replayed under the same policy to
-	// reproduce the cuts.
+	// reproduce the cuts. Set it here rather than with SetPolicy afterwards:
+	// a policy set after queries ran is not recorded and therefore not
+	// re-applied before tape replay.
 	Policy *crack.Policy
 	// Wrap, if set, wraps the WAL segment file before use; faultnet's
 	// WrapFile injects torn writes, short writes, and fsync errors here.
@@ -60,6 +61,10 @@ type DurStats struct {
 	// TapeLen is the crack tape length (reorganizing queries recorded
 	// since the relation was seeded; the warmth a restart inherits).
 	TapeLen int
+	// TapeSkipped counts crack-tape records recovery dropped because they
+	// name an attribute the recovered relation does not have (images
+	// written by binaries that recorded a query before running it).
+	TapeSkipped int
 	// Checkpoints counts checkpoints written by this process.
 	Checkpoints int64
 	// WriteErrs counts writes refused or failed because of storage errors
@@ -74,13 +79,18 @@ type DurStats struct {
 // to a CRC-framed WAL before it is applied, reorganizing queries append
 // their shape to a crack tape, and periodic checkpoints materialize base
 // columns + tombstones + tape into an atomically-replaced snapshot with a
-// fresh WAL segment. It is also a shared-safe wrapper (same probe/execute
-// RWMutex protocol as Concurrent): holding the write lock across
-// log-append and in-memory apply makes log order equal apply order, which
-// is what lets replay reproduce identical tuple keys.
+// fresh WAL segment.
+//
+// It is the Concurrent guard plus a journal: the embedded rwEngine supplies
+// the lock, the whole read side (Probe, QueryRO, Storage, reader-wait
+// stats) and the unjournaled write-side methods, and durEngine overrides
+// only the three operations the journal must see. Holding the guard's
+// write lock across log-append and in-memory apply makes log order equal
+// apply order, which is what lets replay reproduce identical tuple keys.
+// Prepare and JoinInput are deliberately not journaled: presorted copies
+// and join warmth are derivable state a restart rebuilds on demand.
 type durEngine struct {
-	mu  sync.RWMutex
-	e   Engine
+	rwEngine
 	rel *store.Relation
 
 	dir   string
@@ -98,10 +108,6 @@ type durEngine struct {
 
 	open DurStats // recovery-time fields, fixed after OpenDurable
 }
-
-// SharedEngine marks the wrapper safe to share; serve and Concurrent must
-// not add another lock on top.
-func (d *durEngine) SharedEngine() {}
 
 // OpenDurable opens (or creates) a durable engine of the given kind backed
 // by data directory dir. For a fresh directory, rel seeds the store: its
@@ -128,7 +134,7 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 		// missing; OpenLog creates it empty, so that order is safe, while
 		// the reverse order could leave a segment with records but no
 		// checkpoint to anchor them.
-		d := &durEngine{e: New(kind, rel), rel: rel, dir: dir, width: len(rel.Order), opts: opts}
+		d := &durEngine{rwEngine: rwEngine{e: New(kind, rel)}, rel: rel, dir: dir, width: len(rel.Order), opts: opts}
 		if opts.Policy != nil {
 			SetPolicy(d.e, *opts.Policy)
 		}
@@ -157,7 +163,7 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 	for i, attr := range cp.Attrs {
 		rrel.MustColumn(attr).Vals = cp.Cols[i]
 	}
-	d := &durEngine{e: New(kind, rrel), rel: rrel, dir: dir, width: len(cp.Attrs), opts: opts, cpSeq: cp.Seq}
+	d := &durEngine{rwEngine: rwEngine{e: New(kind, rrel)}, rel: rrel, dir: dir, width: len(cp.Attrs), opts: opts, cpSeq: cp.Seq}
 	if opts.Policy != nil {
 		SetPolicy(d.e, *opts.Policy)
 	}
@@ -173,9 +179,8 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 	// order). This is what makes the restart warm rather than correct-but-
 	// cold.
 	for _, rec := range cp.Tape {
-		d.e.Query(tapeQuery(rec))
+		d.replayCrack(rec)
 	}
-	d.tape = cp.Tape
 
 	// Apply the segment tail on top of the checkpoint.
 	segPath := wal.SegmentPath(dir, cp.Seq)
@@ -226,8 +231,7 @@ func (d *durEngine) applyReplay(cpSeq uint64, rec wal.Record) error {
 		}
 		d.open.ReplayedRecords++
 	case wal.RecCrack:
-		d.e.Query(tapeQuery(rec))
-		d.tape = append(d.tape, rec)
+		d.replayCrack(rec)
 		d.open.ReplayedRecords++
 	case wal.RecCheckpoint:
 		if rec.Seq != cpSeq {
@@ -237,6 +241,28 @@ func (d *durEngine) applyReplay(cpSeq uint64, rec wal.Record) error {
 		return fmt.Errorf("engine: replaying unknown wal record type %d", rec.Type)
 	}
 	return nil
+}
+
+// replayCrack re-runs one recovered crack-tape record and keeps it on the
+// tape. A record that does not fit the recovered relation — no predicate,
+// or a predicate or projection over an attribute the relation lacks — is
+// skipped and counted instead: the engine would panic on it, the tape is
+// an optimization, and dropping the record here also keeps it out of the
+// next checkpoint, so an image poisoned once reopens clean from then on.
+func (d *durEngine) replayCrack(rec wal.Record) {
+	fits := len(rec.Preds) > 0
+	for _, p := range rec.Preds {
+		fits = fits && d.rel.Column(p.Attr) != nil
+	}
+	for _, a := range rec.Projs {
+		fits = fits && d.rel.Column(a) != nil
+	}
+	if !fits {
+		d.open.TapeSkipped++
+		return
+	}
+	d.e.Query(tapeQuery(rec))
+	d.tape = append(d.tape, rec)
 }
 
 // tapeQuery converts a crack-tape record back into the query that cut it.
@@ -389,84 +415,72 @@ func CloseDurable(e Engine) (bool, error) {
 // Engine interface.
 
 func (d *durEngine) Name() string { return d.e.Name() + " (durable)" }
-func (d *durEngine) Kind() Kind   { return d.e.Kind() }
 
-// SetCrackPolicy forwards the policy under the write lock. Prefer
-// DurableOptions.Policy: a policy set after queries ran is not recorded
-// and therefore not re-applied before tape replay on recovery.
-func (d *durEngine) SetCrackPolicy(pol crack.Policy) bool {
+// logThenApply is the write path of Insert and Delete: append rec to the
+// WAL, apply it in memory inside the same write-lock section (so log order
+// is apply order), then wait outside the lock until the record is durable
+// per the sync mode — concurrent writers stack up appends and share fsyncs
+// (group commit); if a checkpoint retired the record's segment meanwhile,
+// step 1 of the rotation already fsynced it and the wait returns at once.
+// A refused append applies nothing: the in-memory state never runs ahead of
+// the log's ordering. It reports whether the write may be acked; a refused
+// or failed write counts in DurStats.WriteErrs, and since the log poisons
+// on the first storage error every later write fails too (the durable
+// prefix is unknowable, so acking would lie — restart and recover instead).
+func (d *durEngine) logThenApply(rec wal.Record, apply func()) bool {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return SetPolicy(d.e, pol)
+	log := d.log
+	end, err := log.AppendBuffered(rec)
+	if err == nil {
+		apply()
+		d.maybeCheckpointLocked()
+	}
+	d.mu.Unlock()
+	if err == nil {
+		err = log.WaitDurable(end)
+	}
+	if err != nil {
+		d.writeErrs.Add(1)
+	}
+	return err == nil
 }
 
-// Insert logs the tuple, applies it, and acks only after the record is
-// durable per the sync mode. A refused or failed write returns key -1 and
-// counts in DurStats.WriteErrs; after any storage error the log is
-// poisoned and every subsequent write returns -1 (the durable prefix is
-// unknowable, so acking would lie — restart and recover instead).
+// Insert logs the tuple, applies it, and acks with its key only once the
+// record is durable; a refused or failed write returns key -1.
 func (d *durEngine) Insert(vals ...Value) int {
 	if len(vals) != d.width {
 		d.writeErrs.Add(1)
 		return -1
 	}
-	rec := wal.Record{Type: wal.RecInsert, Width: d.width, Vals: vals}
-	d.mu.Lock()
-	log := d.log
-	end, err := log.AppendBuffered(rec)
-	if err != nil {
-		d.mu.Unlock()
-		d.writeErrs.Add(1)
-		return -1
-	}
-	key := d.e.Insert(vals...)
-	d.maybeCheckpointLocked()
-	d.mu.Unlock()
-	// The durability wait happens outside the lock: concurrent inserts
-	// stack up appends and share fsyncs (group commit). If a checkpoint
-	// retired this record's segment meanwhile, step 1 of the rotation
-	// already fsynced it and the wait returns immediately.
-	if err := log.WaitDurable(end); err != nil {
-		d.writeErrs.Add(1)
+	key := -1
+	if !d.logThenApply(wal.Record{Type: wal.RecInsert, Width: d.width, Vals: vals}, func() {
+		key = d.e.Insert(vals...)
+	}) {
 		return -1
 	}
 	return key
 }
 
-// Delete logs and applies a tombstone. A refused append applies nothing
-// (the in-memory state never runs ahead of the log's ordering); a failed
-// durability wait counts as a write error, with the tombstone applied —
-// the poisoned log stops all further acks anyway.
+// Delete logs and applies a tombstone. A failed durability wait leaves the
+// tombstone applied — the poisoned log stops all further acks anyway.
 func (d *durEngine) Delete(key int) {
-	rec := wal.Record{Type: wal.RecDelete, Keys: []int{key}}
-	d.mu.Lock()
-	log := d.log
-	end, err := log.AppendBuffered(rec)
-	if err != nil {
-		d.mu.Unlock()
-		d.writeErrs.Add(1)
-		return
-	}
-	d.e.Delete(key)
-	d.dead = append(d.dead, key)
-	d.maybeCheckpointLocked()
-	d.mu.Unlock()
-	if err := log.WaitDurable(end); err != nil {
-		d.writeErrs.Add(1)
-	}
+	d.logThenApply(wal.Record{Type: wal.RecDelete, Keys: []int{key}}, func() {
+		d.e.Delete(key)
+		d.dead = append(d.dead, key)
+	})
 }
 
-// Query runs the probe/execute protocol (see Concurrent): read-only under
-// the shared lock, exclusive only when reorganization is needed — and a
-// reorganizing query is appended to the crack tape before it runs, so the
-// cuts it makes survive a restart. Tape appends are buffered, never
-// durability-waited: losing an unsynced tape tail costs restart warmth,
-// not correctness, and read latency must not pay for fsyncs.
+// Query is the guard's probe/execute protocol with a journaled slow path:
+// the read side is rwEngine's, untouched; a query that must reorganize is
+// appended to the crack tape once it has returned, still inside the same
+// write-lock section, so the cuts it made survive a restart. Recording
+// after execution means a query the engine rejects (it panics on an
+// unknown column) never reaches the tape, where it would poison every
+// later recovery. Tape appends are buffered, never durability-waited:
+// losing an unsynced tape tail costs restart warmth, not correctness, and
+// read latency must not pay for fsyncs.
 func (d *durEngine) Query(q Query) (Result, Cost) {
-	d.mu.RLock()
-	res, cost, ok := d.e.QueryRO(q)
-	d.mu.RUnlock()
-	if ok {
+	if res, cost, ok := d.QueryRO(q); ok {
 		return res, cost
 	}
 	d.mu.Lock()
@@ -474,48 +488,12 @@ func (d *durEngine) Query(q Query) (Result, Cost) {
 	if res, cost, ok := d.e.QueryRO(q); ok {
 		return res, cost
 	}
+	res, cost := d.e.Query(q)
 	rec := crackRecord(q)
 	if _, err := d.log.AppendBuffered(rec); err != nil {
 		d.writeErrs.Add(1)
 	}
 	d.tape = append(d.tape, rec)
-	res, cost = d.e.Query(q)
 	d.maybeCheckpointLocked()
 	return res, cost
-}
-
-func (d *durEngine) Probe(q Query) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.e.Probe(q)
-}
-
-func (d *durEngine) QueryRO(q Query) (Result, Cost, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.e.QueryRO(q)
-}
-
-// Prepare runs under the write lock and is not logged: presorted copies
-// are derivable state and self-organizing engines no-op here, so a restart
-// merely rebuilds them on demand.
-func (d *durEngine) Prepare(attrs ...string) time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.e.Prepare(attrs...)
-}
-
-func (d *durEngine) Storage() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.e.Storage()
-}
-
-// JoinInput cracks both inputs under the write lock (see Concurrent). The
-// reorganization it causes is not tape-recorded — join warmth is rebuilt
-// on demand after a restart.
-func (d *durEngine) JoinInput(preds []AttrPred, joinAttr string, projs []string) (JoinInput, Cost) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.e.JoinInput(preds, joinAttr, projs)
 }

@@ -183,12 +183,6 @@ func TestDurableFreshOpenBasics(t *testing.T) {
 	if res.N != 1 {
 		t.Fatalf("sentinel query N=%d", res.N)
 	}
-	if !IsShared(e) {
-		t.Fatal("durable engine must carry the shared marker")
-	}
-	if Concurrent(e) != e {
-		t.Fatal("Concurrent double-wrapped a durable engine")
-	}
 	if ok, err := CloseDurable(e); !ok || err != nil {
 		t.Fatalf("close: ok=%v err=%v", ok, err)
 	}
@@ -614,4 +608,163 @@ func TestDurableFaultInjection(t *testing.T) {
 		t.Fatalf("recovered %d sentinels, acked %d, submitted 300", res.N, len(acked))
 	}
 	CloseDurable(rec)
+}
+
+// mustPanic runs f and fails the test unless it panics — the engine's
+// answer to a query naming a column the relation does not have (serve
+// converts that panic into an in-band error).
+func mustPanic(t *testing.T, tag string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: expected the engine to reject the query", tag)
+		}
+	}()
+	f()
+}
+
+// TestDurableMalformedQueryLeavesNoTape is the regression test for the
+// poison-tape bug: a query the engine rejects used to be tape-recorded
+// before it ran, the record survived into the next checkpoint, and every
+// later OpenDurable panicked replaying it. The tape entry is now written
+// only after the query has returned.
+func TestDurableMalformedQueryLeavesNoTape(t *testing.T) {
+	for _, kind := range []Kind{SelCrack, Sideways} {
+		t.Run(kind.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			e, err := OpenDurable(kind, durSeedRel(), dir, DurableOptions{Sync: wal.SyncNone})
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			mustPanic(t, "unknown predicate column", func() {
+				e.Query(Query{Preds: []AttrPred{{Attr: "NOPE", Pred: store.Range(0, 10)}}, Projs: []string{"A"}})
+			})
+			mustPanic(t, "unknown projection column", func() {
+				e.Query(Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(0, 500)}}, Projs: []string{"NOPE"}})
+			})
+			if st, _ := DurStatsOf(e); st.TapeLen != 0 {
+				t.Fatalf("rejected queries left %d tape records", st.TapeLen)
+			}
+			// The guard is not left locked by the panic: a good query runs.
+			e.Query(Query{Preds: []AttrPred{{Attr: "B", Pred: store.Range(100, 400)}}, Projs: []string{"A"}})
+			if ok, err := CloseDurable(e); !ok || err != nil {
+				t.Fatalf("close: ok=%v err=%v", ok, err)
+			}
+			re, err := OpenDurable(kind, nil, dir, DurableOptions{Sync: wal.SyncNone})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer CloseDurable(re)
+			if st, _ := DurStatsOf(re); st.TapeLen != 1 || st.TapeSkipped != 0 {
+				t.Fatalf("reopened tape: len=%d skipped=%d, want the one good query", st.TapeLen, st.TapeSkipped)
+			}
+			assertAnswerEquivalent(t, "reopened", re, NewScan(durSeedRel()), durBattery(nil))
+		})
+	}
+}
+
+// TestDurableRecoverySkipsUnfitTapeRecords: images poisoned by older
+// binaries must reopen. A crack record that names an unknown attribute (or
+// no predicate at all) — hand-appended to the live segment, or sitting in
+// the checkpoint's tape — is skipped and counted, not replayed into a
+// panic; the good records around it still replay, and the store answers
+// like a Scan twin.
+func TestDurableRecoverySkipsUnfitTapeRecords(t *testing.T) {
+	bad := []wal.Record{
+		{Type: wal.RecCrack, Preds: []wal.PredRec{{Attr: "NOPE", Pred: store.Range(0, 10)}}, Projs: []string{"A"}},
+		{Type: wal.RecCrack, Preds: []wal.PredRec{{Attr: "A", Pred: store.Range(0, 10)}}, Projs: []string{"NOPE"}},
+		{Type: wal.RecCrack, Projs: []string{"A"}},
+	}
+	good := Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(200, 600)}}, Projs: []string{"B"}}
+	opts := DurableOptions{Sync: wal.SyncAlways, CheckpointBytes: -1}
+
+	check := func(t *testing.T, dir string, wantReplayed int) {
+		t.Helper()
+		re, err := OpenDurable(Sideways, nil, dir, opts)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		st, _ := DurStatsOf(re)
+		if st.TapeSkipped != len(bad) || st.TapeLen != 1 {
+			t.Fatalf("skipped=%d tape=%d, want %d skipped and the one good record kept", st.TapeSkipped, st.TapeLen, len(bad))
+		}
+		if st.ReplayedRecords != wantReplayed {
+			t.Fatalf("replayed %d segment records, want %d", st.ReplayedRecords, wantReplayed)
+		}
+		if re.Probe(good) {
+			t.Fatal("the good tape record around the skipped ones was not replayed")
+		}
+		twin := NewScan(durSeedRel())
+		twin.Insert(durSentinelBase, 1, 2)
+		assertAnswerEquivalent(t, "recovered", re, twin, durBattery([]store.Value{durSentinelBase}))
+		// Closing writes a checkpoint without the skipped records: the
+		// next open has nothing left to skip.
+		if ok, err := CloseDurable(re); !ok || err != nil {
+			t.Fatalf("close: ok=%v err=%v", ok, err)
+		}
+		again, err := OpenDurable(Sideways, nil, dir, opts)
+		if err != nil {
+			t.Fatalf("second reopen: %v", err)
+		}
+		defer CloseDurable(again)
+		if st, _ := DurStatsOf(again); st.TapeSkipped != 0 || st.TapeLen == 0 || !st.CleanShutdown {
+			t.Fatalf("second reopen: %+v", st)
+		}
+	}
+
+	// crashImage runs the good workload and returns a copy of the directory
+	// as a kill would leave it (no Close): seed checkpoint + live segment.
+	crashImage := func(t *testing.T) string {
+		t.Helper()
+		src := t.TempDir()
+		e, err := OpenDurable(Sideways, durSeedRel(), src, opts)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		defer CloseDurable(e)
+		e.Query(good)
+		if key := e.Insert(durSentinelBase, 1, 2); key < 0 {
+			t.Fatal("insert refused")
+		}
+		dir := filepath.Join(t.TempDir(), "crash")
+		copyDurDir(t, src, dir)
+		return dir
+	}
+
+	t.Run("segment", func(t *testing.T) {
+		dir := crashImage(t)
+		seg, err := os.ReadFile(wal.SegmentPath(dir, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range bad {
+			seg = wal.AppendRecord(seg, rec)
+		}
+		if err := os.WriteFile(wal.SegmentPath(dir, 0), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check(t, dir, 2+len(bad)) // good crack + insert + the skipped ones
+	})
+
+	t.Run("checkpoint", func(t *testing.T) {
+		dir := crashImage(t)
+		// Fold the segment into a checkpoint the way an older binary would
+		// have: its tape carries the bad records around the good one.
+		re, err := OpenDurable(Sideways, nil, dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := CloseDurable(re); !ok || err != nil {
+			t.Fatalf("close: ok=%v err=%v", ok, err)
+		}
+		cp, err := wal.LoadCheckpoint(dir)
+		if err != nil || cp == nil || len(cp.Tape) != 1 {
+			t.Fatalf("load checkpoint: %v (%+v)", err, cp)
+		}
+		cp.Tape = append(append(append([]wal.Record(nil), bad[0]), cp.Tape...), bad[1:]...)
+		if err := wal.WriteCheckpoint(dir, cp); err != nil {
+			t.Fatal(err)
+		}
+		check(t, dir, 0)
+	})
 }

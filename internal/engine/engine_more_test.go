@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -116,68 +115,6 @@ func TestJoinCostTotal(t *testing.T) {
 	jc := JoinCost{PreSel: 1, Join: 2, PostTR: 3}
 	if jc.Total() != 6 {
 		t.Fatalf("Total = %d", jc.Total())
-	}
-}
-
-func TestSynchronizedConcurrentUse(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	rel := buildRel(rng, 1000, []string{"A", "B"}, 200)
-	e := Synchronized(New(Sideways, cloneRel(rel)))
-	if Synchronized(e) != e {
-		t.Fatal("double-wrapping should be a no-op")
-	}
-	if e.Kind() != Sideways {
-		t.Fatal("wrapper must preserve kind")
-	}
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for i := 0; i < 50; i++ {
-				switch r.Intn(10) {
-				case 0:
-					e.Insert(Value(r.Int63n(200)), Value(r.Int63n(200)))
-				default:
-					lo := r.Int63n(200)
-					res, _ := e.Query(Query{
-						Preds: []AttrPred{{Attr: "A", Pred: store.Range(lo, lo+20)}},
-						Projs: []string{"B"},
-					})
-					if res.N < 0 {
-						errs <- "negative result size"
-					}
-				}
-			}
-		}(int64(g))
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
-	}
-	// Results must still be exact after the concurrent phase.
-	res, _ := e.Query(Query{
-		Preds: []AttrPred{{Attr: "A", Pred: store.Range(0, 1000)}},
-		Projs: []string{"B"},
-	})
-	if res.N == 0 {
-		t.Fatal("post-concurrency query returned nothing")
-	}
-}
-
-func TestSynchronizedJoinInput(t *testing.T) {
-	rel := buildRel(rand.New(rand.NewSource(6)), 100, []string{"A", "B", "C"}, 30)
-	e := Synchronized(New(Scan, cloneRel(rel)))
-	ji, _ := e.JoinInput([]AttrPred{{Attr: "A", Pred: store.Range(0, 30)}}, "C", []string{"B"})
-	if len(ji.JoinVals) == 0 {
-		t.Skip("degenerate: no matches")
-	}
-	v := ji.Fetch("B", 0)
-	if v < 0 || v >= 30 {
-		t.Fatalf("fetched value %d out of domain", v)
 	}
 }
 

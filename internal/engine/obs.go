@@ -112,21 +112,6 @@ func (s *rwEngine) KernelReport() (KernelReport, bool) {
 	return KernelReportOf(s.e)
 }
 
-// KernelReport forwards under the mutex.
-func (s *syncEngine) KernelReport() (KernelReport, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return KernelReportOf(s.e)
-}
-
-// KernelReport forwards under the read lock (writers hold it
-// exclusively while logging and applying).
-func (d *durEngine) KernelReport() (KernelReport, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return KernelReportOf(d.e)
-}
-
 func addKernel(r *KernelReport, ks crack.KernelStats) {
 	r.InTwo += uint64(ks.InTwo)
 	r.InThree += uint64(ks.InThree)

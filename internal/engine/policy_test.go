@@ -85,20 +85,15 @@ func TestPolicyEnginesMatchDefault(t *testing.T) {
 	}
 }
 
-// TestPolicyThreadsThroughWrappers: SetPolicy through Concurrent and
-// Serialized wrappers must reach the inner engine and actually introduce
-// auxiliary pivots on oversized pieces.
+// TestPolicyThreadsThroughWrappers: SetPolicy through the Concurrent guard
+// (alone and embedded in the durable engine) and the Serialized baseline
+// must reach the inner engine and actually introduce auxiliary pivots on
+// oversized pieces.
 func TestPolicyThreadsThroughWrappers(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		wrap func(Engine) Engine
-	}{
-		{"concurrent", Concurrent},
-		{"serialized", Serialized},
-	} {
+	for _, tc := range wrapperCases() {
 		rng := rand.New(rand.NewSource(5))
 		rel := buildRel(rng, 20000, []string{"A", "B"}, 20000)
-		e := tc.wrap(New(SelCrack, rel))
+		e := tc.open(t, SelCrack, rel)
 		if !SetPolicy(e, crack.Policy{Kind: crack.Stochastic, Cap: 512, Seed: 3}) {
 			t.Fatalf("%s: SetPolicy not forwarded to the cracking engine", tc.name)
 		}
@@ -109,6 +104,8 @@ func TestPolicyThreadsThroughWrappers(t *testing.T) {
 		var inner Engine
 		switch w := e.(type) {
 		case *rwEngine:
+			inner = w.e
+		case *durEngine:
 			inner = w.e
 		case *syncEngine:
 			inner = w.e
@@ -135,9 +132,11 @@ func TestPolicyIgnoredByNonCrackingEngines(t *testing.T) {
 			t.Fatalf("%v: SetPolicy reported success on a non-cracking engine", kind)
 		}
 		// Wrappers must propagate the inner engine's answer, not their own.
-		if SetPolicy(Concurrent(New(kind, buildRel(rng, 100, []string{"A", "B"}, 100))),
-			crack.Policy{Kind: crack.Capped}) {
-			t.Fatalf("%v: SetPolicy reported success through a Concurrent wrapper", kind)
+		for _, gc := range guardCases() {
+			if SetPolicy(gc.open(t, kind, buildRel(rng, 100, []string{"A", "B"}, 100)),
+				crack.Policy{Kind: crack.Capped}) {
+				t.Fatalf("%v: SetPolicy reported success through a %s wrapper", kind, gc.name)
+			}
 		}
 		if SetPolicy(Serialized(New(kind, buildRel(rng, 100, []string{"A", "B"}, 100))),
 			crack.Policy{Kind: crack.Capped}) {

@@ -7,26 +7,21 @@ import (
 	"crackstore/internal/crack"
 )
 
-// Synchronized wraps an engine so it can be shared across goroutines.
-//
-// Deprecated: Synchronized is now a thin shim over Concurrent, which uses
-// the two-phase probe/execute protocol to serve reorganization-free
-// queries in parallel instead of serializing everything behind one mutex.
-// Call Concurrent directly in new code. The fully serialized wrapper is
-// still available as Serialized for use as a benchmark baseline.
-func Synchronized(e Engine) Engine { return Concurrent(e) }
-
 // Serialized wraps an engine with a single mutex: every operation —
 // including queries that would reorganize nothing — runs exclusively.
 // This mirrors the paper's setting (cracking happens in the critical path
-// of a single query executor) and serves as the baseline the Concurrent
-// wrapper is benchmarked against.
+// of a single query executor). It is not part of the public API: it exists
+// as the baseline the Concurrent wrapper is benchmarked against
+// (crackbench -clients) and tested against.
 func Serialized(e Engine) Engine {
 	if _, ok := e.(*syncEngine); ok {
 		return e
 	}
 	return &syncEngine{e: e}
 }
+
+// SharedEngine marks the wrapper safe to share (see IsShared).
+func (s *syncEngine) SharedEngine() {}
 
 type syncEngine struct {
 	mu sync.Mutex

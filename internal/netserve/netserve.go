@@ -2,7 +2,7 @@
 // a TCP server that speaks the internal/wire protocol and dispatches
 // decoded requests into a serve.Server, so remote clients
 // (crackstore/client, cmd/crackserved) reach the same bounded-concurrency,
-// admission-batched, latency-tracked execution path in-process callers get.
+// latency-tracked execution path in-process callers get.
 //
 // Each accepted connection runs exactly two long-lived goroutines: a reader
 // that decodes frames and dispatches each request on its own (pipeline-
@@ -44,8 +44,8 @@ import (
 
 // Options tunes the network server.
 type Options struct {
-	// Serve configures the underlying serving layer (worker pool,
-	// admission batching, per-query Timeout, cracking Policy).
+	// Serve configures the underlying serving layer (Workers, MaxWaiting,
+	// per-query Timeout).
 	Serve serve.Options
 	// MaxFrame caps frame sizes in both directions: request frames
 	// announcing more are rejected without allocation, and a response
@@ -709,11 +709,11 @@ func (s *Server) exec(req *wire.Request, arrival time.Time) (resp *wire.Response
 		// Read-only requests stay inside the serving layer so the worker
 		// bound, per-query deadline, and statistics apply to them exactly
 		// as to full queries. TryRO covers the common case; when it
-		// declines for lack of a free slot (or batching mode) rather than
-		// because the query would reorganize, fall through to Do — for a
-		// reorganization-free query that is the same read-only execution,
-		// just queued fairly behind the pool. Traced requests skip TryRO:
-		// tracing wants the timed pool path.
+		// declines for lack of a free slot rather than because the query
+		// would reorganize, fall through to Do — for a reorganization-free
+		// query that is the same read-only execution, just queued fairly
+		// for a slot. Traced requests skip TryRO: tracing wants the timed
+		// path.
 		var res engine.Result
 		var cost engine.Cost
 		ok := false

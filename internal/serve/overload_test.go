@@ -9,79 +9,74 @@ import (
 
 // TestOverloadSheds: with Workers=1 busy on a slow crack and MaxWaiting=2,
 // a flood of submissions is mostly shed with ErrOverloaded — cheaply, not
-// by stalling — while non-shed queries still complete correctly. Covers
-// both direct and batching admission.
+// by stalling — while non-shed queries still complete correctly.
 func TestOverloadSheds(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		g := &gatedEngine{delay: 50 * time.Millisecond}
-		srv := New(g, Options{Workers: 1, Batch: batch, Queue: 16, MaxWaiting: 2})
+	g := &gatedEngine{delay: 50 * time.Millisecond}
+	srv := New(g, Options{Workers: 1, MaxWaiting: 2})
 
-		const flood = 32
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var shed, ok, other int
-		for i := 0; i < flood; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, _, err := srv.Do(slowQuery)
-				mu.Lock()
-				defer mu.Unlock()
-				switch {
-				case err == nil:
-					ok++
-				case errors.Is(err, ErrOverloaded):
-					shed++
-				default:
-					other++
-				}
-			}()
-		}
-		wg.Wait()
-		if other != 0 {
-			t.Errorf("batch=%v: %d unexpected errors", batch, other)
-		}
-		if shed == 0 {
-			t.Errorf("batch=%v: flood of %d at MaxWaiting=2 shed nothing", batch, flood)
-		}
-		if ok == 0 {
-			t.Errorf("batch=%v: everything was shed; watermark must admit work", batch)
-		}
-		st := srv.Stats()
-		if st.Sheds != shed {
-			t.Errorf("batch=%v: Stats.Sheds=%d, want %d", batch, st.Sheds, shed)
-		}
-		if st.Errors != 0 {
-			t.Errorf("batch=%v: sheds leaked into Errors (%d)", batch, st.Errors)
-		}
-		// The server is healthy after the storm: a lone query succeeds.
-		if _, _, err := srv.Do(slowQuery); err != nil {
-			t.Errorf("batch=%v: post-storm query failed: %v", batch, err)
-		}
-		srv.Close()
+	const flood = 32
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var shed, ok, other int
+	for i := 0; i < flood; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, err := srv.Do(slowQuery)
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case err == nil:
+				ok++
+			case errors.Is(err, ErrOverloaded):
+				shed++
+			default:
+				other++
+			}
+		}()
 	}
+	wg.Wait()
+	if other != 0 {
+		t.Errorf("%d unexpected errors", other)
+	}
+	if shed == 0 {
+		t.Errorf("flood of %d at MaxWaiting=2 shed nothing", flood)
+	}
+	if ok == 0 {
+		t.Error("everything was shed; watermark must admit work")
+	}
+	st := srv.Stats()
+	if st.Sheds != shed {
+		t.Errorf("Stats.Sheds=%d, want %d", st.Sheds, shed)
+	}
+	if st.Errors != 0 {
+		t.Errorf("sheds leaked into Errors (%d)", st.Errors)
+	}
+	// The server is healthy after the storm: a lone query succeeds.
+	if _, _, err := srv.Do(slowQuery); err != nil {
+		t.Errorf("post-storm query failed: %v", err)
+	}
+	srv.Close()
 }
 
 // TestDoUntilExpiredSkipsExecution: a DoUntil whose deadline has already
-// passed returns ErrTimeout without ever reaching the engine, in both
-// modes — the server-side half of the wire TTL hint.
+// passed returns ErrTimeout without ever reaching the engine — the
+// server-side half of the wire TTL hint.
 func TestDoUntilExpiredSkipsExecution(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		g := &gatedEngine{}
-		srv := New(g, Options{Workers: 1, Batch: batch})
-		before := g.calls.Load()
-		_, _, err := srv.DoUntil(slowQuery, time.Now().Add(-time.Second))
-		if !errors.Is(err, ErrTimeout) {
-			t.Errorf("batch=%v: want ErrTimeout for expired deadline, got %v", batch, err)
-		}
-		if g.calls.Load() != before {
-			t.Errorf("batch=%v: expired request reached the engine", batch)
-		}
-		if st := srv.Stats(); st.Errors != 1 {
-			t.Errorf("batch=%v: expired request not counted: Errors=%d", batch, st.Errors)
-		}
-		srv.Close()
+	g := &gatedEngine{}
+	srv := New(g, Options{Workers: 1})
+	before := g.calls.Load()
+	_, _, err := srv.DoUntil(slowQuery, time.Now().Add(-time.Second))
+	if !errors.Is(err, ErrTimeout) {
+		t.Errorf("want ErrTimeout for expired deadline, got %v", err)
 	}
+	if g.calls.Load() != before {
+		t.Error("expired request reached the engine")
+	}
+	if st := srv.Stats(); st.Errors != 1 {
+		t.Errorf("expired request not counted: Errors=%d", st.Errors)
+	}
+	srv.Close()
 }
 
 // TestDoUntilNoSlotLeak is the regression test for the TTL satellite: a
@@ -89,39 +84,37 @@ func TestDoUntilExpiredSkipsExecution(t *testing.T) {
 // worker slot must not leak slots — afterwards the full worker capacity is
 // still available and fresh queries run.
 func TestDoUntilNoSlotLeak(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		g := &gatedEngine{delay: 150 * time.Millisecond}
-		srv := New(g, Options{Workers: 1, Batch: batch, Queue: 64})
+	g := &gatedEngine{delay: 150 * time.Millisecond}
+	srv := New(g, Options{Workers: 1})
 
-		// Occupy the worker.
-		var wg sync.WaitGroup
-		wg.Add(1)
+	// Occupy the worker.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		srv.Do(slowQuery)
+	}()
+	time.Sleep(20 * time.Millisecond)
+
+	// 16 requests whose deadlines expire while the worker is busy.
+	var expired sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		expired.Add(1)
 		go func() {
-			defer wg.Done()
-			srv.Do(slowQuery)
+			defer expired.Done()
+			_, _, err := srv.DoUntil(slowQuery, time.Now().Add(30*time.Millisecond))
+			if !errors.Is(err, ErrTimeout) {
+				t.Errorf("want ErrTimeout, got %v", err)
+			}
 		}()
-		time.Sleep(20 * time.Millisecond)
-
-		// 16 requests whose deadlines expire while the worker is busy.
-		var expired sync.WaitGroup
-		for i := 0; i < 16; i++ {
-			expired.Add(1)
-			go func() {
-				defer expired.Done()
-				_, _, err := srv.DoUntil(slowQuery, time.Now().Add(30*time.Millisecond))
-				if !errors.Is(err, ErrTimeout) {
-					t.Errorf("batch=%v: want ErrTimeout, got %v", batch, err)
-				}
-			}()
-		}
-		expired.Wait()
-		wg.Wait()
-
-		// All slots must be back: a query with plenty of deadline runs fine.
-		g.delay = 0
-		if _, _, err := srv.DoUntil(slowQuery, time.Now().Add(5*time.Second)); err != nil {
-			t.Errorf("batch=%v: slot leaked — post-expiry query failed: %v", batch, err)
-		}
-		srv.Close()
 	}
+	expired.Wait()
+	wg.Wait()
+
+	// All slots must be back: a query with plenty of deadline runs fine.
+	g.delay = 0
+	if _, _, err := srv.DoUntil(slowQuery, time.Now().Add(5*time.Second)); err != nil {
+		t.Errorf("slot leaked — post-expiry query failed: %v", err)
+	}
+	srv.Close()
 }

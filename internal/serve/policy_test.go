@@ -11,10 +11,11 @@ import (
 	"crackstore/internal/store"
 )
 
-// TestServePolicyOption: Options.Policy applies the adaptive cracking
-// policy before serving, and served answers match a default-policy
-// reference engine exactly.
-func TestServePolicyOption(t *testing.T) {
+// TestServePolicyEngine: an engine built with an adaptive cracking policy
+// (engine.NewWithPolicy — the policy is decided where the engine is built,
+// not by the server) serves answers that match a default-policy reference
+// engine exactly.
+func TestServePolicyEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	rel := buildRel(rng, 4000, 800)
 	clone := store.NewRelation(rel.Name, rel.Order...)
@@ -22,7 +23,7 @@ func TestServePolicyOption(t *testing.T) {
 		clone.MustColumn(a).Vals = append([]store.Value(nil), rel.MustColumn(a).Vals...)
 	}
 	pol := crack.Policy{Kind: crack.Stochastic, Cap: 256, Seed: 6}
-	srv := New(engine.New(engine.SelCrack, rel), Options{Workers: 2, Policy: &pol})
+	srv := New(engine.NewWithPolicy(engine.SelCrack, rel, pol), Options{Workers: 2})
 	defer srv.Close()
 	ref := engine.New(engine.SelCrack, clone)
 

@@ -1,22 +1,17 @@
 // Package serve implements the concurrent query-serving layer: a bounded
 // executor that runs queries from many clients against one shared engine,
-// with per-query latency capture and optional admission batching.
+// with per-query latency capture.
 //
 // The layer builds on the engine two-phase (probe/execute) protocol: the
-// engine is wrapped in engine.Concurrent, so reorganization-free queries —
-// the vast majority after a warm-up — run in parallel under a shared read
-// lock, and only queries that must crack, merge pending updates, or
-// maintain auxiliary structures serialize behind the write lock.
+// engine is wrapped in engine.Concurrent unless it is already shared-safe,
+// so reorganization-free queries — the vast majority after a warm-up — run
+// in parallel under a shared read lock, and only queries that must crack,
+// merge pending updates, or maintain auxiliary structures serialize behind
+// the write lock.
 //
-// Without batching, queries execute directly on the submitting goroutine
-// under a concurrency-limiting semaphore (Workers slots) — no handoff, no
-// context switch. With admission batching (Options.Batch), queries instead
-// flow through an admission queue where a dispatcher groups them by
-// primary selection attribute and hands each group to a worker: the first
-// query of a group pays the crack for its value range, the rest
-// immediately hit the read-only fast path — one crack pays for many
-// waiters. Groups over different attributes still run in parallel across
-// the pool.
+// Queries execute directly on the submitting goroutine under a
+// concurrency-limiting semaphore (Workers slots) — no handoff, no context
+// switch, and no goroutine owned by the server.
 package serve
 
 import (
@@ -29,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"crackstore/internal/crack"
 	"crackstore/internal/engine"
 	"crackstore/internal/obs"
 )
@@ -39,32 +33,13 @@ type Options struct {
 	// Workers bounds the number of concurrently executing queries; 0
 	// means GOMAXPROCS.
 	Workers int
-	// Queue is the admission-queue capacity in batching mode; 0 means 4x
-	// Workers.
-	Queue int
-	// Batch enables admission batching of same-attribute queries.
-	Batch bool
-	// BatchWindow optionally holds a batch open for this long to collect
-	// more queries; 0 (the default) batches only queries already waiting
-	// in the admission queue, adding no artificial latency. Only used
-	// when Batch is set.
-	BatchWindow time.Duration
-	// BatchMax caps the queries collected into one admission batch;
-	// 0 means 64. Only used when Batch is set.
-	BatchMax int
-	// Policy, when non-nil, applies the adaptive cracking policy
-	// (crack.Policy) to the engine before serving begins. Leave nil to
-	// keep whatever policy the engine was constructed with. Engines whose
-	// physical design does not crack ignore it.
-	Policy *crack.Policy
-	// MaxWaiting, when > 0, bounds the number of queries waiting for
-	// execution (an admission-queue watermark in batching mode, a
-	// semaphore-wait watermark in direct mode): a submission arriving with
-	// the watermark already reached is shed immediately with ErrOverloaded
-	// instead of queueing. Shedding is the overload defense for the remote
-	// path — the server answers cheaply and in-band rather than letting an
-	// unbounded backlog stretch every caller's latency (or stall the
-	// connection). 0 disables shedding; queues then grow without limit.
+	// MaxWaiting, when > 0, bounds the number of queries waiting for an
+	// execution slot: a submission arriving with the watermark already
+	// reached is shed immediately with ErrOverloaded instead of queueing.
+	// Shedding is the overload defense for the remote path — the server
+	// answers cheaply and in-band rather than letting an unbounded backlog
+	// stretch every caller's latency (or stall the connection). 0 disables
+	// shedding; the backlog then grows without limit.
 	MaxWaiting int
 	// Timeout is an optional per-query deadline covering both the wait
 	// for an execution slot and the execution itself; 0 disables. A query
@@ -75,12 +50,6 @@ type Options struct {
 	// cannot wedge the callers (or a network connection's pipeline) stuck
 	// behind it.
 	Timeout time.Duration
-	// Snapshot wraps the engine in engine.Snapshot instead of
-	// engine.Concurrent: read-only queries traverse epoch-protected
-	// versioned pieces lock-free and never wait behind a crack. Engines
-	// whose kind engine.Snapshot does not support fall back to Concurrent.
-	// Ignored when the engine is already shared-safe.
-	Snapshot bool
 	// Metrics, when non-nil, registers the serving-layer metric families
 	// (crack_serve_*) in the given registry and feeds them as queries
 	// flow. Nil (the default) keeps the hot path byte-identical to the
@@ -102,12 +71,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Queue <= 0 {
-		o.Queue = 4 * o.Workers
-	}
-	if o.BatchMax <= 0 {
-		o.BatchMax = 64
-	}
 	return o
 }
 
@@ -128,37 +91,10 @@ var ErrTimeout = errors.New("serve: query deadline exceeded")
 // overload defense working, not a failure of the query.
 var ErrOverloaded = errors.New("serve: server overloaded, query shed")
 
-type request struct {
-	q    engine.Query
-	t0   time.Time
-	res  engine.Result
-	cost engine.Cost
-	err  error
-	done chan struct{}
-
-	// sp, when non-nil, receives the queue/execute stage timings (trace
-	// support). The worker writes it before closing done; the caller
-	// reads it after done closes — no lock needed.
-	sp *SpanTimes
-
-	// deadline is t0 + Options.Timeout (zero when timeouts are off).
-	deadline time.Time
-	// claimed decides, exactly once, who accounts for this request: the
-	// worker completing it or the Do call timing out. The loser records
-	// nothing and (worker side) discards its result, so a timed-out query
-	// is counted exactly once, as an error.
-	claimed atomic.Bool
-}
-
-// expired reports whether the request's deadline (if any) has passed.
-func (r *request) expired(now time.Time) bool {
-	return !r.deadline.IsZero() && now.After(r.deadline)
-}
-
 // SpanTimes receives the serving-side stage timings of one query from
 // DoUntilSpans: Queue is the time from submission to the start of
-// execution (semaphore or admission-queue wait), Exec the engine
-// execution time. Only filled in for successful queries.
+// execution (the semaphore wait), Exec the engine execution time. Only
+// filled in for successful queries.
 type SpanTimes struct {
 	Queue time.Duration
 	Exec  time.Duration
@@ -168,16 +104,15 @@ type SpanTimes struct {
 // (Options.Metrics unset) is valid for every method and does nothing, so
 // call sites stay unconditional. The success path is deliberately two
 // histogram observes and nothing else: queries_total is derived from the
-// latency histogram's bucket sum at scrape time, and in direct mode
-// inflight is read from the semaphore depth at scrape time, so neither
-// costs an atomic on the hot path.
+// latency histogram's bucket sum at scrape time, and inflight is read
+// from the semaphore depth at scrape time, so neither costs an atomic on
+// the hot path.
 type serveMetrics struct {
 	errors   *obs.Counter
 	timeouts *obs.Counter
 	sheds    *obs.Counter
 	latency  *obs.Histogram
 	queue    *obs.Histogram
-	inflight *obs.Gauge // batching mode only; nil in direct mode
 }
 
 func newServeMetrics(r *obs.Registry, s *Server) *serveMetrics {
@@ -194,37 +129,16 @@ func newServeMetrics(r *obs.Registry, s *Server) *serveMetrics {
 	// Every success observes latency exactly once, so the histogram's
 	// count is the query count — no separate hot-path counter needed.
 	r.CounterFunc("crack_serve_queries_total", "queries completed successfully", m.latency.Count)
-	if s.opts.Batch {
-		// Batch workers don't hold the semaphore; count executions
-		// directly.
-		m.inflight = r.Gauge("crack_serve_inflight", "queries executing on the engine right now")
-	} else {
-		// Direct mode holds a semaphore slot for exactly the execution
-		// window (including detached timed-out executions), so the
-		// channel depth is the inflight count, read only at scrape time.
-		r.GaugeFunc("crack_serve_inflight", "queries executing on the engine right now", func() float64 {
-			return float64(len(s.sem))
-		})
-	}
+	// A semaphore slot is held for exactly the execution window (including
+	// detached timed-out executions), so the channel depth is the inflight
+	// count, read only at scrape time.
+	r.GaugeFunc("crack_serve_inflight", "queries executing on the engine right now", func() float64 {
+		return float64(len(s.sem))
+	})
 	r.GaugeFunc("crack_serve_waiting", "queries waiting for an execution slot", func() float64 {
-		if s.opts.Batch {
-			return float64(len(s.admit))
-		}
 		return float64(s.waiting.Load())
 	})
 	return m
-}
-
-func (m *serveMetrics) execStart() {
-	if m != nil && m.inflight != nil {
-		m.inflight.Add(1)
-	}
-}
-
-func (m *serveMetrics) execEnd() {
-	if m != nil && m.inflight != nil {
-		m.inflight.Add(-1)
-	}
 }
 
 func (m *serveMetrics) observeQueue(d time.Duration) {
@@ -263,16 +177,12 @@ type Server struct {
 	opts Options
 	met  *serveMetrics // nil unless Options.Metrics is set
 
-	sem chan struct{} // direct mode: concurrency-limiting semaphore
+	sem chan struct{} // concurrency-limiting semaphore, Workers slots
 
-	admit chan *request   // batching mode: admission queue
-	work  chan []*request // batching mode: dispatcher -> worker pool
-	wg    sync.WaitGroup  // batching mode: workers + dispatcher
-
-	inDo    sync.WaitGroup // Do calls in flight (both modes)
+	inDo    sync.WaitGroup // Do calls in flight
 	bg      sync.WaitGroup // detached executions whose caller timed out
 	closed  atomic.Bool
-	waiting atomic.Int64 // direct mode: Do calls blocked on the semaphore
+	waiting atomic.Int64 // Do calls blocked on the semaphore
 
 	mu     sync.Mutex
 	lats   []time.Duration
@@ -284,37 +194,16 @@ type Server struct {
 	last   time.Time // last completion
 }
 
-// New starts a server over e. Unless e is already a shared-safe wrapper
-// (engine.Concurrent or engine.Serialized), it is wrapped in
-// engine.Concurrent. Close must be called to release the pool.
+// New returns a server over e. How the engine is shared, and under which
+// cracking policy, is decided where the engine is built (engine.Snapshot,
+// engine.NewWithPolicy, shard.Options, engine.OpenDurable); New keeps one
+// rule: an engine that is not already shared-safe (engine.IsShared) is
+// wrapped in engine.Concurrent. The server owns no goroutines; Close waits
+// for in-flight queries.
 func New(e engine.Engine, opts Options) *Server {
 	opts = opts.withDefaults()
-	if opts.Policy != nil {
-		// Apply before any query runs: tape-replaying structures freeze
-		// their policy at set creation.
-		engine.SetPolicy(e, *opts.Policy)
-	}
-	if !engine.IsShared(e) {
-		if opts.Snapshot {
-			e = engine.Snapshot(e)
-		} else {
-			e = engine.Concurrent(e)
-		}
-	}
-	s := &Server{e: e, opts: opts}
+	s := &Server{e: engine.Concurrent(e), opts: opts, sem: make(chan struct{}, opts.Workers)}
 	s.met = newServeMetrics(opts.Metrics, s)
-	if opts.Batch {
-		s.admit = make(chan *request, opts.Queue)
-		s.work = make(chan []*request, opts.Queue)
-		for i := 0; i < opts.Workers; i++ {
-			s.wg.Add(1)
-			go s.worker()
-		}
-		s.wg.Add(1)
-		go s.dispatch()
-	} else {
-		s.sem = make(chan struct{}, opts.Workers)
-	}
 	return s
 }
 
@@ -323,8 +212,8 @@ func (s *Server) Engine() engine.Engine { return s.e }
 
 // Do submits q and blocks until it has been executed, returning the result
 // and the engine cost split. The captured latency spans submission to
-// completion, including queue or semaphore wait time. Do is safe to call
-// from any number of goroutines.
+// completion, including semaphore wait time. Do is safe to call from any
+// number of goroutines.
 func (s *Server) Do(q engine.Query) (engine.Result, engine.Cost, error) {
 	return s.DoUntil(q, time.Time{})
 }
@@ -337,7 +226,7 @@ func (s *Server) Do(q engine.Query) (engine.Result, engine.Cost, error) {
 // returns ErrTimeout with the same exactly-once accounting and no-slot-leak
 // guarantees as Options.Timeout.
 func (s *Server) DoUntil(q engine.Query, deadline time.Time) (engine.Result, engine.Cost, error) {
-	return s.doUntil(q, deadline, nil)
+	return s.DoUntilSpans(q, deadline, nil)
 }
 
 // DoUntilSpans is DoUntil for traced queries: on success, sp receives
@@ -345,16 +234,6 @@ func (s *Server) DoUntil(q engine.Query, deadline time.Time) (engine.Result, eng
 // response spans). Passing sp costs two extra clock reads on this call
 // only; untraced calls through DoUntil are unaffected.
 func (s *Server) DoUntilSpans(q engine.Query, deadline time.Time, sp *SpanTimes) (engine.Result, engine.Cost, error) {
-	return s.doUntil(q, deadline, sp)
-}
-
-// timed reports whether this call must capture phase boundaries — for a
-// span-collecting caller or the queue-wait histogram.
-func (s *Server) timed(sp *SpanTimes) bool {
-	return sp != nil || s.met != nil
-}
-
-func (s *Server) doUntil(q engine.Query, deadline time.Time, sp *SpanTimes) (engine.Result, engine.Cost, error) {
 	if len(q.Preds) == 0 {
 		return engine.Result{}, engine.Cost{}, ErrEmptyQuery
 	}
@@ -373,7 +252,7 @@ func (s *Server) doUntil(q engine.Query, deadline time.Time, sp *SpanTimes) (eng
 	}
 	if !deadline.IsZero() && !t0.Before(deadline) {
 		// Expired before submission (e.g. the TTL burned up in transit):
-		// never touches the queue or a slot.
+		// never touches a slot.
 		s.met.timeout()
 		s.recordError(t0, t0)
 		return engine.Result{}, engine.Cost{}, ErrTimeout
@@ -382,88 +261,75 @@ func (s *Server) doUntil(q engine.Query, deadline time.Time, sp *SpanTimes) (eng
 		s.recordShed()
 		return engine.Result{}, engine.Cost{}, ErrOverloaded
 	}
-	if !s.opts.Batch {
-		if !deadline.IsZero() {
-			return s.doDirectDeadline(q, t0, deadline, sp)
-		}
-		// Direct mode: execute on this goroutine under the semaphore. The
-		// uncontended acquire is non-blocking so the warm path can skip
-		// the mid-query clock read: a slot taken without waiting means
-		// the slot wait was ~0 and the queue histogram records an exact
-		// zero. Only actual waiters — and span-traced queries, which need
-		// the queue/execute split regardless — pay for a time.Now (~65ns
-		// on some VMs, the single largest per-query instrumentation cost).
-		waited := false
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			s.waiting.Add(1)
-			s.sem <- struct{}{}
-			s.waiting.Add(-1)
-			waited = true
-		}
-		var t1 time.Time
-		if sp != nil || (waited && s.met != nil) {
-			t1 = time.Now()
-		}
-		s.met.execStart()
-		res, cost, err := safeQuery(s.e, q)
-		s.met.execEnd()
-		<-s.sem
-		end := time.Now()
-		if err != nil {
-			s.recordError(t0, end)
-			return res, cost, err
-		}
-		if sp != nil {
-			sp.Queue, sp.Exec = t1.Sub(t0), end.Sub(t1)
-		}
-		if s.met != nil {
-			if t1.IsZero() {
-				s.met.observeQueue(0)
-			} else {
-				s.met.observeQueue(t1.Sub(t0))
-			}
-		}
-		s.record(end.Sub(t0), t0)
-		return res, cost, nil
-	}
-
-	req := &request{q: q, t0: t0, deadline: deadline, done: make(chan struct{}), sp: sp}
 	if !deadline.IsZero() {
-		return s.doBatchDeadline(req)
+		return s.doDeadline(q, t0, deadline, sp)
 	}
-	s.admit <- req
-	<-req.done
-	return req.res, req.cost, req.err
+	// Execute on this goroutine under the semaphore. The uncontended
+	// acquire is non-blocking so the warm path can skip the mid-query clock
+	// read: a slot taken without waiting means the slot wait was ~0 and the
+	// queue histogram records an exact zero. Only actual waiters — and
+	// span-traced queries, which need the queue/execute split regardless —
+	// pay for a time.Now (~65ns on some VMs, the single largest per-query
+	// instrumentation cost).
+	waited := false
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		s.waiting.Add(1)
+		s.sem <- struct{}{}
+		s.waiting.Add(-1)
+		waited = true
+	}
+	var t1 time.Time
+	if sp != nil || (waited && s.met != nil) {
+		t1 = time.Now()
+	}
+	res, cost, err := safeQuery(s.e, q)
+	<-s.sem
+	s.account(t0, t1, time.Now(), sp, err)
+	return res, cost, err
+}
+
+// account records one executed query: an error, or a success with its
+// latency and its queue/execute split. t1 is when execution began; zero
+// means the slot was taken without waiting and nobody needed the clock
+// read, so the queue time is an exact zero.
+func (s *Server) account(t0, t1, end time.Time, sp *SpanTimes, err error) {
+	if err != nil {
+		s.recordError(t0, end)
+		return
+	}
+	var queue time.Duration
+	if !t1.IsZero() {
+		queue = t1.Sub(t0)
+	}
+	if sp != nil {
+		// On the deadline path this write happens before the send on the
+		// outcome channel; the caller reads sp only after receiving.
+		sp.Queue, sp.Exec = queue, end.Sub(t0)-queue
+	}
+	s.met.observeQueue(queue)
+	s.record(end.Sub(t0), t0)
 }
 
 // shouldShed reports whether a new submission must be shed at the
-// MaxWaiting watermark. Batching mode reads the admission-queue depth;
-// direct mode counts Do calls blocked on the semaphore. Both are cheap,
-// slightly racy reads — overload control needs a watermark, not an exact
-// count.
+// MaxWaiting watermark: the count of Do calls blocked on the semaphore, a
+// cheap, slightly racy read — overload control needs a watermark, not an
+// exact count.
 func (s *Server) shouldShed() bool {
-	if s.opts.MaxWaiting <= 0 {
-		return false
-	}
-	if s.opts.Batch {
-		return len(s.admit) >= s.opts.MaxWaiting
-	}
-	return int(s.waiting.Load()) >= s.opts.MaxWaiting
+	return s.opts.MaxWaiting > 0 && int(s.waiting.Load()) >= s.opts.MaxWaiting
 }
 
 // TryRO executes q immediately on the calling goroutine if the engine can
 // answer it without reorganizing and a worker slot is free right now,
 // recording it in the serving stats exactly like Do. ok is false — and
 // nothing has executed — when the query needs reorganization, no slot is
-// free, the server batches admissions, or the server is closed; callers
-// then fall back to Do. The point is dispatch cost: a network reader can
-// answer the warm read-only majority inline instead of paying a goroutine
-// handoff per request, while cracking queries still go through Do and
-// pipeline out of order.
+// free, or the server is closed; callers then fall back to Do. The point is
+// dispatch cost: a network reader can answer the warm read-only majority
+// inline instead of paying a goroutine handoff per request, while cracking
+// queries still go through Do and pipeline out of order.
 func (s *Server) TryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
-	if len(q.Preds) == 0 || s.opts.Batch {
+	if len(q.Preds) == 0 {
 		return engine.Result{}, engine.Cost{}, false
 	}
 	t0 := time.Now()
@@ -477,9 +343,7 @@ func (s *Server) TryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	default: // all slots busy: let Do queue fairly
 		return engine.Result{}, engine.Cost{}, false
 	}
-	s.met.execStart()
 	res, cost, ok := safeQueryRO(s.e, q)
-	s.met.execEnd()
 	<-s.sem
 	if !ok {
 		return engine.Result{}, engine.Cost{}, false
@@ -506,13 +370,12 @@ type outcome struct {
 	err  error
 }
 
-// doDirectDeadline is the direct-mode Do under a deadline. The wait for a
-// semaphore slot is bounded by the deadline; once a slot is held the
+// doDeadline is Do under a deadline. The wait for a semaphore slot is bounded by the deadline; once a slot is held the
 // query runs on a detached goroutine so an expiring deadline returns
 // ErrTimeout to the caller immediately while the execution finishes in the
 // background and releases the slot itself — expiry can neither interrupt an
 // engine mid-crack nor leak the slot.
-func (s *Server) doDirectDeadline(q engine.Query, t0, deadline time.Time, sp *SpanTimes) (engine.Result, engine.Cost, error) {
+func (s *Server) doDeadline(q engine.Query, t0, deadline time.Time, sp *SpanTimes) (engine.Result, engine.Cost, error) {
 	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
 	s.waiting.Add(1)
@@ -527,7 +390,7 @@ func (s *Server) doDirectDeadline(q engine.Query, t0, deadline time.Time, sp *Sp
 		return engine.Result{}, engine.Cost{}, ErrTimeout
 	}
 	var t1 time.Time
-	if s.timed(sp) {
+	if sp != nil || s.met != nil { // a span collector or the queue histogram wants the split
 		t1 = time.Now()
 	}
 	var claimed atomic.Bool
@@ -535,27 +398,13 @@ func (s *Server) doDirectDeadline(q engine.Query, t0, deadline time.Time, sp *Sp
 	s.bg.Add(1)
 	go func() {
 		defer s.bg.Done()
-		s.met.execStart()
 		res, cost, err := safeQuery(s.e, q)
-		s.met.execEnd()
 		<-s.sem
 		end := time.Now()
 		if !claimed.CompareAndSwap(false, true) {
 			return // caller timed out and accounted for the query; discard
 		}
-		if err != nil {
-			s.recordError(t0, end)
-		} else {
-			if s.timed(sp) {
-				if sp != nil {
-					// Written before the ch send; the caller reads only
-					// after receiving from ch.
-					sp.Queue, sp.Exec = t1.Sub(t0), end.Sub(t1)
-				}
-				s.met.observeQueue(t1.Sub(t0))
-			}
-			s.record(end.Sub(t0), t0)
-		}
+		s.account(t0, t1, end, sp, err)
 		ch <- outcome{res, cost, err}
 	}()
 	select {
@@ -573,40 +422,9 @@ func (s *Server) doDirectDeadline(q engine.Query, t0, deadline time.Time, sp *Sp
 	}
 }
 
-// doBatchDeadline is the batching-mode Do under a deadline (req.deadline
-// is set): admission itself is bounded by the deadline, and a request whose
-// deadline expires while queued behind a slow crack is answered ErrTimeout
-// right away — the worker that eventually pops it sees the claim and skips
-// execution.
-func (s *Server) doBatchDeadline(req *request) (engine.Result, engine.Cost, error) {
-	timer := time.NewTimer(time.Until(req.deadline))
-	defer timer.Stop()
-	select {
-	case s.admit <- req:
-	case <-timer.C:
-		// Never admitted; the request is exclusively ours.
-		s.met.timeout()
-		s.recordError(req.t0, time.Now())
-		return engine.Result{}, engine.Cost{}, ErrTimeout
-	}
-	select {
-	case <-req.done:
-		return req.res, req.cost, req.err
-	case <-timer.C:
-		if req.claimed.CompareAndSwap(false, true) {
-			s.met.timeout()
-			s.recordError(req.t0, time.Now())
-			return engine.Result{}, engine.Cost{}, ErrTimeout
-		}
-		// A worker claimed the request concurrently; take its answer.
-		<-req.done
-		return req.res, req.cost, req.err
-	}
-}
-
 // safeQuery converts an engine panic (e.g. a predicate naming a column the
 // relation does not have) into an error, so a malformed query can neither
-// leak a semaphore slot nor kill a worker and strand its group's waiters.
+// leak a semaphore slot nor take down the submitting goroutine.
 func safeQuery(e engine.Engine, q engine.Query) (res engine.Result, cost engine.Cost, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -680,127 +498,14 @@ func (s *Server) noteStartLocked(t0 time.Time) {
 	}
 }
 
-// dispatch moves requests from the admission queue to the worker pool,
-// batching same-attribute queries.
-func (s *Server) dispatch() {
-	defer s.wg.Done()
-	defer close(s.work)
-	for req := range s.admit {
-		batch := []*request{req}
-		if s.opts.BatchWindow > 0 {
-			deadline := time.NewTimer(s.opts.BatchWindow)
-		windowed:
-			for len(batch) < s.opts.BatchMax {
-				select {
-				case r, ok := <-s.admit:
-					if !ok {
-						break windowed
-					}
-					batch = append(batch, r)
-				case <-deadline.C:
-					break windowed
-				}
-			}
-			deadline.Stop()
-		} else {
-		drain:
-			// Batch whatever queued up while the workers were busy; never
-			// hold a query back waiting for company.
-			for len(batch) < s.opts.BatchMax {
-				select {
-				case r, ok := <-s.admit:
-					if !ok {
-						break drain
-					}
-					batch = append(batch, r)
-				default:
-					break drain
-				}
-			}
-		}
-		// Group by primary attribute, preserving arrival order within a
-		// group: the group's first query cracks, the rest ride the
-		// read-only fast path.
-		order := make([]string, 0, 4)
-		groups := make(map[string][]*request, 4)
-		for _, r := range batch {
-			attr := r.q.Preds[0].Attr
-			if _, ok := groups[attr]; !ok {
-				order = append(order, attr)
-			}
-			groups[attr] = append(groups[attr], r)
-		}
-		for _, attr := range order {
-			s.work <- groups[attr]
-		}
-	}
-}
-
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for group := range s.work {
-		for _, req := range group {
-			s.serveRequest(req)
-		}
-	}
-}
-
-// serveRequest executes one admitted request, honoring its deadline: an
-// abandoned or already-expired request is skipped without touching the
-// engine (that skip is what un-wedges a queue stuck behind a slow crack),
-// and a result whose caller timed out mid-execution is discarded — the
-// caller's ErrTimeout accounting already covered the query.
-func (s *Server) serveRequest(req *request) {
-	defer close(req.done)
-	if req.claimed.Load() {
-		return // caller timed out while the request was queued
-	}
-	if req.expired(time.Now()) {
-		if req.claimed.CompareAndSwap(false, true) {
-			req.err = ErrTimeout
-			s.met.timeout()
-			s.recordError(req.t0, time.Now())
-		}
-		return
-	}
-	var t1 time.Time
-	if s.timed(req.sp) {
-		t1 = time.Now()
-	}
-	s.met.execStart()
-	res, cost, err := safeQuery(s.e, req.q)
-	s.met.execEnd()
-	if !req.deadline.IsZero() && !req.claimed.CompareAndSwap(false, true) {
-		return // caller gave up mid-execution; discard
-	}
-	req.res, req.cost, req.err = res, cost, err
-	if err == nil {
-		end := time.Now()
-		if s.timed(req.sp) {
-			if req.sp != nil {
-				// Written before close(req.done); the caller reads after.
-				req.sp.Queue, req.sp.Exec = t1.Sub(req.t0), end.Sub(t1)
-			}
-			s.met.observeQueue(t1.Sub(req.t0))
-		}
-		s.record(end.Sub(req.t0), req.t0)
-	} else {
-		s.recordError(req.t0, time.Now())
-	}
-}
-
-// Close waits for in-flight queries, drains the queues, and stops the
-// pool. Close is idempotent; Do after Close returns ErrClosed.
+// Close waits for in-flight queries, including detached executions whose
+// caller timed out. Close is idempotent; Do after Close returns ErrClosed.
 func (s *Server) Close() {
 	if s.closed.Swap(true) {
 		return
 	}
 	s.inDo.Wait() // let racing Do calls finish
 	s.bg.Wait()   // and detached timed-out executions release their slots
-	if s.opts.Batch {
-		close(s.admit)
-		s.wg.Wait()
-	}
 }
 
 // Stats summarizes the serving run so far.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -20,88 +21,84 @@ func buildRel(rng *rand.Rand, n int, domain int64) *store.Relation {
 // engine and checks every result count against a direct scan of the base
 // relation (read-only workload, so counts are stable).
 func TestServeMatchesDirectCounts(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(11))
-		rel := buildRel(rng, 4000, 500)
-		srv := New(engine.New(engine.Sideways, rel), Options{Workers: 4, Batch: batch})
+	rng := rand.New(rand.NewSource(11))
+	rel := buildRel(rng, 4000, 500)
+	srv := New(engine.New(engine.Sideways, rel), Options{Workers: 4})
 
-		preds := make([]store.Pred, 16)
-		want := make([]int, 16)
-		for i := range preds {
-			lo := rng.Int63n(450)
-			preds[i] = store.Range(lo, lo+40)
-			want[i] = store.SelectCount(rel.MustColumn("A"), preds[i])
-		}
+	preds := make([]store.Pred, 16)
+	want := make([]int, 16)
+	for i := range preds {
+		lo := rng.Int63n(450)
+		preds[i] = store.Range(lo, lo+40)
+		want[i] = store.SelectCount(rel.MustColumn("A"), preds[i])
+	}
 
-		var wg sync.WaitGroup
-		errs := make(chan string, 64)
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(seed int) {
-				defer wg.Done()
-				r := rand.New(rand.NewSource(int64(seed)))
-				for i := 0; i < 40; i++ {
-					j := r.Intn(len(preds))
-					res, _, err := srv.Do(engine.Query{
-						Preds: []engine.AttrPred{{Attr: "A", Pred: preds[j]}},
-						Projs: []string{"B"},
-					})
-					if err != nil {
-						errs <- err.Error()
-						return
-					}
-					if res.N != want[j] {
-						errs <- "wrong result count"
-						return
-					}
-					if len(res.Cols["B"]) != want[j] {
-						errs <- "projection length mismatch"
-						return
-					}
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(seed)))
+			for i := 0; i < 40; i++ {
+				j := r.Intn(len(preds))
+				res, _, err := srv.Do(engine.Query{
+					Preds: []engine.AttrPred{{Attr: "A", Pred: preds[j]}},
+					Projs: []string{"B"},
+				})
+				if err != nil {
+					errs <- err.Error()
+					return
 				}
-			}(g)
-		}
-		wg.Wait()
-		close(errs)
-		for e := range errs {
-			t.Fatalf("batch=%v: %s", batch, e)
-		}
+				if res.N != want[j] {
+					errs <- "wrong result count"
+					return
+				}
+				if len(res.Cols["B"]) != want[j] {
+					errs <- "projection length mismatch"
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatalf("%s", e)
+	}
 
-		st := srv.Stats()
-		if st.Queries != 8*40 {
-			t.Fatalf("batch=%v: stats recorded %d queries, want %d", batch, st.Queries, 8*40)
-		}
-		if st.QPS <= 0 || st.P50 <= 0 || st.P99 < st.P50 || st.Max < st.P99 {
-			t.Fatalf("batch=%v: implausible stats %+v", batch, st)
-		}
-		srv.Close()
-		if _, _, err := srv.Do(engine.Query{
-			Preds: []engine.AttrPred{{Attr: "A", Pred: preds[0]}},
-		}); err != ErrClosed {
-			t.Fatalf("batch=%v: Do after Close = %v, want ErrClosed", batch, err)
-		}
+	st := srv.Stats()
+	if st.Queries != 8*40 {
+		t.Fatalf("stats recorded %d queries, want %d", st.Queries, 8*40)
+	}
+	if st.QPS <= 0 || st.P50 <= 0 || st.P99 < st.P50 || st.Max < st.P99 {
+		t.Fatalf("implausible stats %+v", st)
+	}
+	srv.Close()
+	if _, _, err := srv.Do(engine.Query{
+		Preds: []engine.AttrPred{{Attr: "A", Pred: preds[0]}},
+	}); err != ErrClosed {
+		t.Fatalf("Do after Close = %v, want ErrClosed", err)
 	}
 }
 
 // TestServeSurvivesPanickingQuery: a query naming a nonexistent attribute
 // panics inside the engine; the server must surface it as an error and
-// keep serving (no leaked semaphore slot, no stranded batch waiters).
+// keep serving (no leaked semaphore slot).
 func TestServeSurvivesPanickingQuery(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		rel := buildRel(rand.New(rand.NewSource(4)), 500, 100)
-		srv := New(engine.New(engine.Sideways, rel), Options{Workers: 2, Batch: batch})
-		bad := engine.Query{Preds: []engine.AttrPred{{Attr: "nope", Pred: store.Range(0, 10)}}}
-		good := engine.Query{Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(0, 10)}}, Projs: []string{"B"}}
-		for i := 0; i < 8; i++ { // more bad queries than worker slots
-			if _, _, err := srv.Do(bad); err == nil {
-				t.Fatalf("batch=%v: panicking query returned no error", batch)
-			}
+	rel := buildRel(rand.New(rand.NewSource(4)), 500, 100)
+	srv := New(engine.New(engine.Sideways, rel), Options{Workers: 2})
+	bad := engine.Query{Preds: []engine.AttrPred{{Attr: "nope", Pred: store.Range(0, 10)}}}
+	good := engine.Query{Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(0, 10)}}, Projs: []string{"B"}}
+	for i := 0; i < 8; i++ { // more bad queries than worker slots
+		if _, _, err := srv.Do(bad); err == nil {
+			t.Fatal("panicking query returned no error")
 		}
-		if _, _, err := srv.Do(good); err != nil {
-			t.Fatalf("batch=%v: server unusable after panics: %v", batch, err)
-		}
-		srv.Close()
 	}
+	if _, _, err := srv.Do(good); err != nil {
+		t.Fatalf("server unusable after panics: %v", err)
+	}
+	srv.Close()
 }
 
 // TestStatsPercentileNearestRank pins the percentile math against known
@@ -187,30 +184,28 @@ func TestStatsFirstSubmissionMinimum(t *testing.T) {
 // TestStatsCountsErrors: errored queries must surface in Stats.Errors
 // instead of silently shrinking the run.
 func TestStatsCountsErrors(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		rel := buildRel(rand.New(rand.NewSource(9)), 500, 100)
-		srv := New(engine.New(engine.Sideways, rel), Options{Workers: 2, Batch: batch})
-		bad := engine.Query{Preds: []engine.AttrPred{{Attr: "nope", Pred: store.Range(0, 10)}}}
-		good := engine.Query{Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(0, 10)}}, Projs: []string{"B"}}
-		for i := 0; i < 5; i++ {
-			if _, _, err := srv.Do(bad); err == nil {
-				t.Fatalf("batch=%v: bad query returned no error", batch)
-			}
+	rel := buildRel(rand.New(rand.NewSource(9)), 500, 100)
+	srv := New(engine.New(engine.Sideways, rel), Options{Workers: 2})
+	bad := engine.Query{Preds: []engine.AttrPred{{Attr: "nope", Pred: store.Range(0, 10)}}}
+	good := engine.Query{Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(0, 10)}}, Projs: []string{"B"}}
+	for i := 0; i < 5; i++ {
+		if _, _, err := srv.Do(bad); err == nil {
+			t.Fatal("bad query returned no error")
 		}
-		for i := 0; i < 3; i++ {
-			if _, _, err := srv.Do(good); err != nil {
-				t.Fatalf("batch=%v: good query failed: %v", batch, err)
-			}
-		}
-		st := srv.Stats()
-		if st.Errors != 5 {
-			t.Fatalf("batch=%v: Stats.Errors = %d, want 5", batch, st.Errors)
-		}
-		if st.Queries != 3 {
-			t.Fatalf("batch=%v: Stats.Queries = %d, want 3", batch, st.Queries)
-		}
-		srv.Close()
 	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := srv.Do(good); err != nil {
+			t.Fatalf("good query failed: %v", err)
+		}
+	}
+	st := srv.Stats()
+	if st.Errors != 5 {
+		t.Fatalf("Stats.Errors = %d, want 5", st.Errors)
+	}
+	if st.Queries != 3 {
+		t.Fatalf("Stats.Queries = %d, want 3", st.Queries)
+	}
+	srv.Close()
 }
 
 func TestServeRejectsEmptyQuery(t *testing.T) {
@@ -220,4 +215,18 @@ func TestServeRejectsEmptyQuery(t *testing.T) {
 	if _, _, err := srv.Do(engine.Query{}); err != ErrEmptyQuery {
 		t.Fatalf("Do(empty) = %v, want ErrEmptyQuery", err)
 	}
+}
+
+// TestNewOwnsNoGoroutines: there is one executor and it is the caller's
+// goroutine — constructing a server starts nothing, so there is nothing
+// for Close to stop and nothing to leak when Close is forgotten.
+func TestNewOwnsNoGoroutines(t *testing.T) {
+	rel := buildRel(rand.New(rand.NewSource(3)), 100, 50)
+	e := engine.New(engine.Scan, rel)
+	before := runtime.NumGoroutine()
+	srv := New(e, Options{Workers: 8, Timeout: time.Second, MaxWaiting: 4})
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("New started %d goroutines", after-before)
+	}
+	srv.Close()
 }

@@ -53,31 +53,29 @@ var slowQuery = engine.Query{
 // finishes, the execution must release its slot in the background (a
 // follow-up query gets a slot), and the timeout must count in Errors.
 func TestTimeoutDuringExecution(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		g := &gatedEngine{delay: 600 * time.Millisecond}
-		srv := New(g, Options{Workers: 1, Batch: batch, Timeout: 40 * time.Millisecond})
-		t0 := time.Now()
-		_, _, err := srv.Do(slowQuery)
-		took := time.Since(t0)
-		if !errors.Is(err, ErrTimeout) {
-			t.Fatalf("batch=%v: want ErrTimeout, got %v", batch, err)
-		}
-		if took >= g.delay {
-			t.Fatalf("batch=%v: Do blocked %v — the full execution time; the deadline did not detach", batch, took)
-		}
-		// Close waits for the detached execution: afterwards the slot has
-		// been released and the stats are final.
-		srv.Close()
-		st := srv.Stats()
-		if st.Errors != 1 {
-			t.Fatalf("batch=%v: Errors = %d, want 1", batch, st.Errors)
-		}
-		if st.Queries != 0 {
-			t.Fatalf("batch=%v: timed-out query also counted as a success (Queries = %d)", batch, st.Queries)
-		}
-		if got := g.calls.Load(); got != 1 {
-			t.Fatalf("batch=%v: engine executed %d times, want 1", batch, got)
-		}
+	g := &gatedEngine{delay: 600 * time.Millisecond}
+	srv := New(g, Options{Workers: 1, Timeout: 40 * time.Millisecond})
+	t0 := time.Now()
+	_, _, err := srv.Do(slowQuery)
+	took := time.Since(t0)
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("want ErrTimeout, got %v", err)
+	}
+	if took >= g.delay {
+		t.Fatalf("Do blocked %v — the full execution time; the deadline did not detach", took)
+	}
+	// Close waits for the detached execution: afterwards the slot has
+	// been released and the stats are final.
+	srv.Close()
+	st := srv.Stats()
+	if st.Errors != 1 {
+		t.Fatalf("Errors = %d, want 1", st.Errors)
+	}
+	if st.Queries != 0 {
+		t.Fatalf("timed-out query also counted as a success (Queries = %d)", st.Queries)
+	}
+	if got := g.calls.Load(); got != 1 {
+		t.Fatalf("engine executed %d times, want 1", got)
 	}
 }
 
@@ -86,42 +84,40 @@ func TestTimeoutDuringExecution(t *testing.T) {
 // engine — the skip that keeps a wedged queue from executing a backlog of
 // already-abandoned work.
 func TestTimeoutWhileQueued(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		g := &gatedEngine{delay: 600 * time.Millisecond}
-		srv := New(g, Options{Workers: 1, Batch: batch, Timeout: 60 * time.Millisecond})
+	g := &gatedEngine{delay: 600 * time.Millisecond}
+	srv := New(g, Options{Workers: 1, Timeout: 60 * time.Millisecond})
 
-		var wg sync.WaitGroup
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the wedger
+		defer wg.Done()
+		srv.Do(slowQuery)
+	}()
+	time.Sleep(20 * time.Millisecond) // let it take the slot
+	const waiters = 4
+	timeouts := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
 		wg.Add(1)
-		go func() { // the wedger
+		go func() {
 			defer wg.Done()
-			srv.Do(slowQuery)
+			_, _, err := srv.Do(slowQuery)
+			timeouts <- err
 		}()
-		time.Sleep(20 * time.Millisecond) // let it take the slot
-		const waiters = 4
-		timeouts := make(chan error, waiters)
-		for i := 0; i < waiters; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, _, err := srv.Do(slowQuery)
-				timeouts <- err
-			}()
+	}
+	wg.Wait()
+	for i := 0; i < waiters; i++ {
+		if err := <-timeouts; !errors.Is(err, ErrTimeout) {
+			t.Fatalf("waiter got %v, want ErrTimeout", err)
 		}
-		wg.Wait()
-		for i := 0; i < waiters; i++ {
-			if err := <-timeouts; !errors.Is(err, ErrTimeout) {
-				t.Fatalf("batch=%v: waiter got %v, want ErrTimeout", batch, err)
-			}
-		}
-		srv.Close()
-		if got := g.calls.Load(); got != 1 {
-			t.Fatalf("batch=%v: engine executed %d times, want 1 (abandoned waiters must not execute)", batch, got)
-		}
-		st := srv.Stats()
-		// The wedger itself also timed out (delay >> timeout).
-		if st.Errors != waiters+1 {
-			t.Fatalf("batch=%v: Errors = %d, want %d", batch, st.Errors, waiters+1)
-		}
+	}
+	srv.Close()
+	if got := g.calls.Load(); got != 1 {
+		t.Fatalf("engine executed %d times, want 1 (abandoned waiters must not execute)", got)
+	}
+	st := srv.Stats()
+	// The wedger itself also timed out (delay >> timeout).
+	if st.Errors != waiters+1 {
+		t.Fatalf("Errors = %d, want %d", st.Errors, waiters+1)
 	}
 }
 
@@ -130,27 +126,25 @@ func TestTimeoutWhileQueued(t *testing.T) {
 // Queries + Errors equals the number of calls, regardless of which side of
 // the deadline each one landed on.
 func TestTimeoutAccountingExactlyOnce(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		g := &gatedEngine{delay: 2 * time.Millisecond}
-		srv := New(g, Options{Workers: 2, Batch: batch, Timeout: 2 * time.Millisecond})
-		const calls = 200
-		var wg sync.WaitGroup
-		for i := 0; i < 8; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := 0; j < calls/8; j++ {
-					srv.Do(slowQuery)
-				}
-			}()
-		}
-		wg.Wait()
-		srv.Close()
-		st := srv.Stats()
-		if st.Queries+st.Errors != calls {
-			t.Fatalf("batch=%v: Queries(%d) + Errors(%d) = %d, want %d",
-				batch, st.Queries, st.Errors, st.Queries+st.Errors, calls)
-		}
+	g := &gatedEngine{delay: 2 * time.Millisecond}
+	srv := New(g, Options{Workers: 2, Timeout: 2 * time.Millisecond})
+	const calls = 200
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < calls/8; j++ {
+				srv.Do(slowQuery)
+			}
+		}()
+	}
+	wg.Wait()
+	srv.Close()
+	st := srv.Stats()
+	if st.Queries+st.Errors != calls {
+		t.Fatalf("Queries(%d) + Errors(%d) = %d, want %d",
+			st.Queries, st.Errors, st.Queries+st.Errors, calls)
 	}
 }
 
@@ -182,22 +176,20 @@ func TestLatencyWindowBoundsHistory(t *testing.T) {
 // TestNoTimeoutFastQueries: with a deadline comfortably above the execution
 // time nothing times out and results flow normally.
 func TestNoTimeoutFastQueries(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		g := &gatedEngine{}
-		srv := New(g, Options{Workers: 2, Batch: batch, Timeout: 5 * time.Second})
-		for i := 0; i < 20; i++ {
-			res, _, err := srv.Do(slowQuery)
-			if err != nil {
-				t.Fatalf("batch=%v: %v", batch, err)
-			}
-			if res.N != 1 {
-				t.Fatalf("batch=%v: N = %d, want 1", batch, res.N)
-			}
+	g := &gatedEngine{}
+	srv := New(g, Options{Workers: 2, Timeout: 5 * time.Second})
+	for i := 0; i < 20; i++ {
+		res, _, err := srv.Do(slowQuery)
+		if err != nil {
+			t.Fatalf("%v", err)
 		}
-		srv.Close()
-		st := srv.Stats()
-		if st.Queries != 20 || st.Errors != 0 {
-			t.Fatalf("batch=%v: stats %d/%d, want 20/0", batch, st.Queries, st.Errors)
+		if res.N != 1 {
+			t.Fatalf("N = %d, want 1", res.N)
 		}
+	}
+	srv.Close()
+	st := srv.Stats()
+	if st.Queries != 20 || st.Errors != 0 {
+		t.Fatalf("stats %d/%d, want 20/0", st.Queries, st.Errors)
 	}
 }

@@ -3,10 +3,11 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
+
+	"crackstore/internal/frame"
 )
 
 // File names inside a durable data directory.
@@ -110,15 +111,15 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 	if len(b) < frameHeader {
 		return nil, fmt.Errorf("wal: checkpoint too short: %d bytes", len(b))
 	}
-	n := binary.BigEndian.Uint32(b)
-	if n^lenEcho != binary.BigEndian.Uint32(b[4:]) {
+	n, ok := frame.Len(b, lenEcho)
+	if !ok {
 		return nil, fmt.Errorf("wal: checkpoint header echo mismatch")
 	}
 	if int64(n) != int64(len(b)-frameHeader) {
 		return nil, fmt.Errorf("wal: checkpoint length %d does not match file body %d", n, len(b)-frameHeader)
 	}
 	payload := b[frameHeader:]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(b[8:]) {
+	if !frame.SumOK(b, payload) {
 		return nil, fmt.Errorf("wal: checkpoint checksum mismatch")
 	}
 	return decodeCheckpointPayload(payload)
@@ -168,10 +169,7 @@ func encodeCheckpoint(cp *Checkpoint) []byte {
 		}
 	}
 	copy(payload[off:], tail)
-	n := uint32(len(payload))
-	binary.BigEndian.PutUint32(framed, n)
-	binary.BigEndian.PutUint32(framed[4:], n^lenEcho)
-	binary.BigEndian.PutUint32(framed[8:], crc32.ChecksumIEEE(payload))
+	frame.Put(framed, payload, lenEcho)
 	return framed
 }
 

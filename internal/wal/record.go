@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
+	"crackstore/internal/frame"
 	"crackstore/internal/store"
 )
 
@@ -79,14 +79,16 @@ type Record struct {
 	Seq uint64
 }
 
-// Framing constants. The header reuses the internal/wire idiom: the
+// Framing. Records and checkpoints carry the self-validating header of
+// internal/frame, with lenEcho as this format's domain constant (distinct
+// from the wire protocol's, so neither accepts the other's frames): the
 // payload length travels twice — once plain, once XOR-masked — so a reader
 // validates the length before trusting it, and a CRC-32 of the payload
 // turns silent byte corruption into a detectable torn tail instead of a
 // wrong replay. An all-zero header (common torn-write shape) never
 // validates because of the mask.
 const (
-	frameHeader = 12
+	frameHeader = frame.HeaderSize
 	lenEcho     = 0x5AC3A55A
 
 	// MaxRecord caps a single record frame. A length prefix above it is
@@ -155,11 +157,7 @@ func AppendRecord(dst []byte, rec Record) []byte {
 	start := len(dst)
 	dst = append(dst, make([]byte, frameHeader)...)
 	dst = AppendPayload(dst, rec)
-	payload := dst[start+frameHeader:]
-	n := uint32(len(payload))
-	binary.BigEndian.PutUint32(dst[start:], n)
-	binary.BigEndian.PutUint32(dst[start+4:], n^lenEcho)
-	binary.BigEndian.PutUint32(dst[start+8:], crc32.ChecksumIEEE(payload))
+	frame.Put(dst[start:], dst[start+frameHeader:], lenEcho)
 	return dst
 }
 
@@ -248,16 +246,13 @@ func Scan(b []byte, fn func(off int64, rec Record) error) (int64, error) {
 		if len(b)-off < frameHeader {
 			return int64(off), nil
 		}
-		n := binary.BigEndian.Uint32(b[off:])
-		echo := binary.BigEndian.Uint32(b[off+4:])
-		if n^lenEcho != echo {
-			return int64(off), nil
-		}
-		if n > MaxRecord || off+frameHeader+int(n) > len(b) {
+		hdr := b[off : off+frameHeader]
+		n, ok := frame.Len(hdr, lenEcho)
+		if !ok || n > MaxRecord || off+frameHeader+int(n) > len(b) {
 			return int64(off), nil
 		}
 		payload := b[off+frameHeader : off+frameHeader+int(n)]
-		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(b[off+8:]) {
+		if !frame.SumOK(hdr, payload) {
 			return int64(off), nil
 		}
 		rec, err := DecodeRecord(payload)

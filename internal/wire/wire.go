@@ -5,28 +5,19 @@
 //
 // # Framing
 //
-// Every message travels as one frame:
-//
-//	+----------------+------------------+----------------+---------------------+
-//	| length uint32  | length^lenEcho   | crc32 uint32   | payload             |
-//	| big-endian     | big-endian       | IEEE, payload  | (length bytes)      |
-//	+----------------+------------------+----------------+---------------------+
-//
-// The length counts payload bytes only, and travels twice — once plain,
-// once XOR-masked — so the reader validates it before trusting it: a
-// corrupted length byte is the one fault a payload CRC cannot catch,
-// because the reader would block waiting for a frame that was never sent
-// instead of reaching the checksum. Readers also enforce a maximum frame
-// size (MaxFrame / DefaultMaxFrame): a peer announcing a larger frame is a
-// protocol error, detected before any allocation, so a corrupt or
-// adversarial length prefix cannot make the receiver allocate gigabytes.
-// The checksum turns silent byte corruption — a flaky link, a broken
-// middlebox — into a detectable connection error (ErrChecksum) instead of
-// a wrong answer: a value column is raw 8-byte words, so without the CRC a
-// flipped bit would decode cleanly into a different value. Corruption is
-// not recoverable in-stream (the frame boundary itself is untrusted);
-// the reader reports it and the connection ends, which the client treats
-// like any other connection failure and retries idempotently elsewhere.
+// Every message travels as one frame under the self-validating header of
+// internal/frame (payload length, the length again masked with lenEcho,
+// CRC-32 of the payload), which is what lets a reader validate the length
+// before it decides how many bytes to wait for. Readers also enforce a
+// maximum frame size (MaxFrame / DefaultMaxFrame): a peer announcing a
+// larger frame is a protocol error, detected before any allocation, so a
+// corrupt or adversarial length prefix cannot make the receiver allocate
+// gigabytes. The checksum matters here because a value column is raw
+// 8-byte words: without it a flipped bit would decode cleanly into a
+// different value. Corruption is not recoverable in-stream (the frame
+// boundary itself is untrusted); the reader reports ErrChecksum and the
+// connection ends, which the client treats like any other connection
+// failure and retries idempotently elsewhere.
 //
 // # Payloads
 //
@@ -80,13 +71,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"sort"
 	"time"
 
 	"crackstore/internal/engine"
+	"crackstore/internal/frame"
 	"crackstore/internal/obs"
 	"crackstore/internal/store"
 )
@@ -96,18 +87,12 @@ import (
 // lists); version 1 is the implied pre-Hello protocol.
 const ProtoVersion = 2
 
-// FrameHeader is the byte size of the frame header: a big-endian payload
-// length, the same length XOR lenEcho, and a big-endian CRC-32 (IEEE) of
-// the payload. The masked echo makes the header self-validating: the
-// payload CRC can only be checked after the length is trusted, so a
-// corrupted length byte would otherwise mis-frame the stream — the reader
-// could block forever waiting for bytes that never come instead of
-// failing. With the echo, any corruption confined to the length field is
-// detected before a single payload byte is read.
-const FrameHeader = 12
+// FrameHeader is the byte size of the frame header (see internal/frame).
+const FrameHeader = frame.HeaderSize
 
-// lenEcho masks the redundant length copy so an all-zero header (a common
-// failure shape) never validates.
+// lenEcho is the wire format's frame domain: it masks the redundant length
+// copy so an all-zero header (a common failure shape) never validates, and
+// differs from the WAL's so neither accepts the other's frames.
 const lenEcho = 0x5AA5C33C
 
 // DefaultMaxFrame is the frame-size cap used when a reader does not choose
@@ -271,9 +256,7 @@ var (
 // and payload to buf.
 func AppendFrame(buf, payload []byte) []byte {
 	var hdr [FrameHeader]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(payload))^lenEcho)
-	binary.BigEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(payload))
+	frame.Put(hdr[:], payload, lenEcho)
 	return append(append(buf, hdr[:]...), payload...)
 }
 
@@ -297,8 +280,8 @@ func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if echo := binary.BigEndian.Uint32(hdr[4:8]); echo != n^lenEcho {
+	n, ok := frame.Len(hdr[:], lenEcho)
+	if !ok {
 		return nil, fmt.Errorf("%w: length %d does not match its echo", ErrChecksum, n)
 	}
 	// Compare in uint64: converting a cap >= 2^32 to uint32 would wrap and
@@ -313,8 +296,8 @@ func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
 		}
 		return nil, err
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(hdr[8:]); got != want {
-		return nil, fmt.Errorf("%w: crc %08x != %08x over %d bytes", ErrChecksum, got, want, n)
+	if !frame.SumOK(hdr[:], payload) {
+		return nil, fmt.Errorf("%w: payload crc over %d bytes", ErrChecksum, n)
 	}
 	return payload, nil
 }
@@ -721,10 +704,7 @@ func beginFrame(buf []byte) ([]byte, int) {
 }
 
 func endFrame(buf []byte, start int) []byte {
-	payload := buf[start+FrameHeader:]
-	binary.BigEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[start+4:], uint32(len(payload))^lenEcho)
-	binary.BigEndian.PutUint32(buf[start+8:], crc32.ChecksumIEEE(payload))
+	frame.Put(buf[start:], buf[start+FrameHeader:], lenEcho)
 	return buf
 }
 
