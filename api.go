@@ -171,17 +171,22 @@ func MaxPerProj(res Result, projs []string) (map[string]Value, bool) {
 // SidewaysStore returns the underlying sideways store of a Sideways engine
 // for advanced inspection (map sets, tapes, storage), or nil.
 func SidewaysStore(e Engine) *sideways.Store {
-	if se, ok := e.(interface{ Store() *sideways.Store }); ok {
-		return se.Store()
-	}
-	return nil
+	st, _ := mapStoreOf(e).(*sideways.Store)
+	return st
 }
 
 // PartialStore returns the underlying partial store of a PartialSideways
 // engine, or nil.
 func PartialStore(e Engine) *partial.Store {
-	if pe, ok := e.(interface{ Store() *partial.Store }); ok {
-		return pe.Store()
+	st, _ := mapStoreOf(e).(*partial.Store)
+	return st
+}
+
+// mapStoreOf returns the map-set store behind a bare Sideways or
+// PartialSideways engine, or nil.
+func mapStoreOf(e Engine) any {
+	if me, ok := e.(interface{ Store() any }); ok {
+		return me.Store()
 	}
 	return nil
 }

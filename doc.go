@@ -54,6 +54,31 @@
 // sideways cracking depends on: maps that replay the same cracker tape
 // stay physically identical.
 //
+// # Map sets
+//
+// Section 4 of the paper defines partial sideways cracking as Section 3's
+// operators run chunk-wise, so Sideways and PartialSideways are two map-set
+// layouts over one core (internal/sideways/mapset.go). The core owns what
+// does not depend on how a set stores its maps: the base side of a store
+// (relation, tombstones, insert/delete fan-out, the uniform selectivity
+// fallback); each set's pending-update ledger, from which a query takes
+// the insertions and deletions its predicate touches; the cracker tape and
+// its replay; the planner, which picks the head predicate's set from the
+// self-organizing histograms and gives every distinct tail attribute one
+// slot; and the finish, select_create_bv / select_refine_bv / reconstruct
+// over a list of aligned windows {Lo, Hi, Tails} — a full map set answers
+// from one window, a partial set from one per area — which sizes each
+// output column once and assigns each distinct projection once. One
+// adapter in internal/engine turns either store into an Engine.
+// Each store keeps what would make shared code ask which caller it serves:
+// the set-level select (one tape per set, against one tape per area with
+// partial alignment), the storage manager (whole maps dropped
+// least-frequently-used first, against chunk eviction, head dropping and
+// un-fetching areas), the disjunctive marking pass (a full map marks the
+// head area by position; chunks of different areas share no position
+// space, so a partial set tests the head predicate by value), and the full
+// maps' single-predicate, single-projection read-only fast path.
+//
 // # Adaptive cracking policies
 //
 // Plain cracking converges only as fast as the workload lets it: every

@@ -724,168 +724,106 @@ func (e *presortEngine) JoinInput(preds []AttrPred, joinAttr string, projs []str
 }
 
 // ---------------------------------------------------------------------------
-// Sideways cracking engine (full maps).
+// Map-set engines: sideways cracking with full maps and with partial maps.
 
-type sidewaysEngine struct {
-	st *sideways.Store
+// mapStore is what the adapter needs of a map-set store; *sideways.Store
+// and *partial.Store both provide it.
+type mapStore interface {
+	MultiSelect(preds []AttrPred, projs []string, disjunctive bool) sideways.Result
+	MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool) (sideways.Result, bool)
+	ProbeMulti(preds []AttrPred, projs []string, disjunctive bool) bool
+	Insert(vals ...Value) int
+	Delete(key int)
+	StorageTuples() int
+	Kernel() (ks crack.KernelStats, pieces, cols int)
+}
+
+// mapEngine adapts a map-set store to Engine.
+type mapEngine struct {
+	st     mapStore
+	kind   Kind
+	name   string
+	policy *crack.Policy // the store's Policy field
 }
 
 // NewSideways returns the full-map sideways cracking engine (Section 3).
-func NewSideways(rel *store.Relation) Engine {
-	return &sidewaysEngine{st: sideways.NewStore(rel)}
-}
+func NewSideways(rel *store.Relation) Engine { return NewSidewaysWithBudget(rel, 0) }
 
 // NewSidewaysWithBudget returns a sideways engine with a storage threshold
 // (full maps are dropped LFU when the budget is exceeded, Section 4.2).
 func NewSidewaysWithBudget(rel *store.Relation, budget int) Engine {
 	st := sideways.NewStore(rel)
 	st.Budget = budget
-	return &sidewaysEngine{st: st}
-}
-
-func (e *sidewaysEngine) Name() string { return "sideways cracking" }
-func (e *sidewaysEngine) Kind() Kind   { return Sideways }
-
-// SetCrackPolicy configures the adaptive pivot policy for the store's
-// maps; it affects map sets created after the call (sets freeze their
-// policy at creation to keep tape replay aligned).
-func (e *sidewaysEngine) SetCrackPolicy(pol crack.Policy) bool {
-	e.st.Policy = pol
-	return true
-}
-
-func (e *sidewaysEngine) Insert(vals ...Value) int        { return e.st.Insert(vals...) }
-func (e *sidewaysEngine) Delete(key int)                  { e.st.Delete(key) }
-func (e *sidewaysEngine) Prepare(...string) time.Duration { return 0 }
-func (e *sidewaysEngine) Storage() int                    { return e.st.StorageTuples() }
-func (e *sidewaysEngine) Store() *sideways.Store          { return e.st }
-
-func (e *sidewaysEngine) Query(q Query) (Result, Cost) {
-	var cost Cost
-	t0 := time.Now()
-	res := e.st.MultiSelect(q.Preds, q.Projs, q.Disjunctive)
-	cost.Sel = time.Since(t0)
-	return Result{Cols: res.Cols, N: res.N}, cost
-}
-
-// Probe reports whether the query would crack a map, merge pending
-// updates, materialize a map, or grow the set's cracker tape.
-func (e *sidewaysEngine) Probe(q Query) bool {
-	if len(q.Preds) == 0 {
-		return true
-	}
-	return e.st.ProbeMulti(q.Preds, q.Projs, q.Disjunctive)
-}
-
-func (e *sidewaysEngine) QueryRO(q Query) (Result, Cost, bool) {
-	if len(q.Preds) == 0 {
-		return Result{}, Cost{}, false
-	}
-	var cost Cost
-	t0 := time.Now()
-	res, ok := e.st.MultiSelectRO(q.Preds, q.Projs, q.Disjunctive)
-	if !ok {
-		return Result{}, Cost{}, false
-	}
-	cost.Sel = time.Since(t0)
-	return Result{Cols: res.Cols, N: res.N}, cost, true
-}
-
-func (e *sidewaysEngine) JoinInput(preds []AttrPred, joinAttr string, projs []string) (JoinInput, Cost) {
-	var cost Cost
-	t0 := time.Now()
-	res := e.st.MultiSelect(preds, append(append([]string(nil), projs...), joinAttr), false)
-	cost.Sel = time.Since(t0)
-	return JoinInput{
-		JoinVals: res.Cols[joinAttr],
-		Fetch: func(attr string, i int) Value {
-			return res.Cols[attr][i]
-		},
-	}, cost
-}
-
-// ---------------------------------------------------------------------------
-// Partial sideways cracking engine.
-
-type partialEngine struct {
-	st *partial.Store
+	return &mapEngine{st: st, kind: Sideways, name: "sideways cracking", policy: &st.Policy}
 }
 
 // NewPartial returns the partial sideways cracking engine (Section 4).
-func NewPartial(rel *store.Relation) Engine {
-	return &partialEngine{st: partial.NewStore(rel)}
-}
+func NewPartial(rel *store.Relation) Engine { return NewPartialWithBudget(rel, 0) }
 
 // NewPartialWithBudget returns a partial engine with a chunk storage
 // threshold in tuples.
 func NewPartialWithBudget(rel *store.Relation, budget int) Engine {
 	st := partial.NewStore(rel)
 	st.Budget = budget
-	return &partialEngine{st: st}
+	return WrapPartial(st)
 }
 
 // WrapPartial wraps an already-configured partial store in an Engine.
-func WrapPartial(st *partial.Store) Engine { return &partialEngine{st: st} }
+func WrapPartial(st *partial.Store) Engine {
+	return &mapEngine{st: st, kind: PartialSideways, name: "partial sideways cracking", policy: &st.Policy}
+}
 
-func (e *partialEngine) Name() string { return "partial sideways cracking" }
-func (e *partialEngine) Kind() Kind   { return PartialSideways }
+func (e *mapEngine) Name() string { return e.name }
+func (e *mapEngine) Kind() Kind   { return e.kind }
 
-// SetCrackPolicy configures the adaptive pivot policy for chunk maps and
-// chunks; it affects sets created after the call (sets freeze their policy
-// at creation to keep area-tape replay aligned).
-func (e *partialEngine) SetCrackPolicy(pol crack.Policy) bool {
-	e.st.Policy = pol
+// SetCrackPolicy configures the adaptive pivot policy for the store's maps
+// (chunk maps and chunks for partial maps); it affects map sets created
+// after the call (sets freeze their policy at creation to keep tape replay
+// aligned).
+func (e *mapEngine) SetCrackPolicy(pol crack.Policy) bool {
+	*e.policy = pol
 	return true
 }
 
-func (e *partialEngine) Insert(vals ...Value) int        { return e.st.Insert(vals...) }
-func (e *partialEngine) Delete(key int)                  { e.st.Delete(key) }
-func (e *partialEngine) Prepare(...string) time.Duration { return 0 }
-func (e *partialEngine) Storage() int                    { return e.st.StorageTuples() }
-func (e *partialEngine) Store() *partial.Store           { return e.st }
+func (e *mapEngine) Insert(vals ...Value) int        { return e.st.Insert(vals...) }
+func (e *mapEngine) Delete(key int)                  { e.st.Delete(key) }
+func (e *mapEngine) Prepare(...string) time.Duration { return 0 }
+func (e *mapEngine) Storage() int                    { return e.st.StorageTuples() }
 
-func (e *partialEngine) Query(q Query) (Result, Cost) {
-	var cost Cost
+// Store returns the *sideways.Store or *partial.Store behind the engine,
+// for advanced inspection (map sets, tapes, areas, storage).
+func (e *mapEngine) Store() any { return e.st }
+
+func (e *mapEngine) Query(q Query) (Result, Cost) {
 	t0 := time.Now()
 	res := e.st.MultiSelect(q.Preds, q.Projs, q.Disjunctive)
-	cost.Sel = time.Since(t0)
-	return Result{Cols: res.Cols, N: res.N}, cost
+	return Result(res), Cost{Sel: time.Since(t0)}
 }
 
-// Probe reports whether the query would fetch an area, create or replay a
-// chunk, crack, merge pending updates, or grow an area tape.
-func (e *partialEngine) Probe(q Query) bool {
-	if len(q.Preds) == 0 {
-		return true
-	}
+// Probe reports whether the query would crack a map or chunk, merge pending
+// updates, materialize a map or fetch an area, or grow a cracker tape.
+func (e *mapEngine) Probe(q Query) bool {
 	return e.st.ProbeMulti(q.Preds, q.Projs, q.Disjunctive)
 }
 
-func (e *partialEngine) QueryRO(q Query) (Result, Cost, bool) {
-	if len(q.Preds) == 0 {
-		return Result{}, Cost{}, false
-	}
-	var cost Cost
+func (e *mapEngine) QueryRO(q Query) (Result, Cost, bool) {
 	t0 := time.Now()
 	res, ok := e.st.MultiSelectRO(q.Preds, q.Projs, q.Disjunctive)
 	if !ok {
 		return Result{}, Cost{}, false
 	}
-	cost.Sel = time.Since(t0)
-	return Result{Cols: res.Cols, N: res.N}, cost, true
+	return Result(res), Cost{Sel: time.Since(t0)}, true
 }
 
-func (e *partialEngine) JoinInput(preds []AttrPred, joinAttr string, projs []string) (JoinInput, Cost) {
-	var cost Cost
+func (e *mapEngine) JoinInput(preds []AttrPred, joinAttr string, projs []string) (JoinInput, Cost) {
 	t0 := time.Now()
 	res := e.st.MultiSelect(preds, append(append([]string(nil), projs...), joinAttr), false)
-	cost.Sel = time.Since(t0)
 	return JoinInput{
 		JoinVals: res.Cols[joinAttr],
 		Fetch: func(attr string, i int) Value {
 			return res.Cols[attr][i]
 		},
-	}, cost
+	}, Cost{Sel: time.Since(t0)}
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -183,5 +184,42 @@ func TestQuickEnginesAgreeDisjunctiveWithUpdates(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRepeatedProjection: a projection named twice — by the caller, or by
+// JoinInput appending the join attribute to a list that already has it — is
+// one column of N values on every engine, on the write path and read-only.
+func TestRepeatedProjection(t *testing.T) {
+	rel := buildRel(rand.New(rand.NewSource(9)), 300, []string{"A", "B", "C"}, 60)
+	engines := []Engine{NewSidewaysWithBudget(cloneRel(rel), 900), NewPartialWithBudget(cloneRel(rel), 600)}
+	for _, k := range allKinds() {
+		engines = append(engines, New(k, cloneRel(rel)))
+	}
+	oracle := NewScan(cloneRel(rel))
+	narrow := []AttrPred{{Attr: "A", Pred: store.Range(20, 30)}}
+	wide := []AttrPred{{Attr: "A", Pred: store.Range(10, 50)}, {Attr: "C", Pred: store.Range(5, 55)}}
+	queries := []Query{
+		{Preds: narrow, Projs: []string{"B"}}, // partial maps: the wide queries span three areas
+		{Preds: wide[:1], Projs: []string{"B", "B"}},
+		{Preds: wide, Projs: []string{"B", "C", "B"}},
+		{Preds: wide, Projs: []string{"B", "B"}, Disjunctive: true},
+	}
+	for _, e := range engines {
+		for _, q := range queries {
+			want, _ := oracle.Query(q)
+			tag := fmt.Sprintf("%s %+v", e.Name(), q)
+			res, _ := e.Query(q)
+			checkResult(t, tag, res, q.Projs, canonRows(want, q.Projs))
+			if res, _, ok := e.QueryRO(q); ok {
+				checkResult(t, tag+" QueryRO", res, q.Projs, canonRows(want, q.Projs))
+			} else if !q.Disjunctive && (e.Kind() == Sideways || e.Kind() == PartialSideways) {
+				// (A disjunctive plan may pick another set once this one exists.)
+				t.Errorf("%s: QueryRO refused a query Query just answered", tag)
+			}
+		}
+		want, _ := oracle.JoinInput(wide, "B", []string{"B"})
+		got, _ := e.JoinInput(wide, "B", []string{"B"})
+		checkRows(t, e.Name()+" JoinInput", joinRows(got, []string{"B"}), joinRows(want, []string{"B"}))
 	}
 }

@@ -1,0 +1,270 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"crackstore/internal/store"
+)
+
+// The map-set engines — full and partial maps, unbudgeted and budgeted —
+// against Scan as the oracle, driven by one byte-coded op stream.
+
+var fuzzAttrs = []string{"A", "B", "C", "D"}
+
+const (
+	fuzzRows   = 200
+	fuzzDomain = 64
+)
+
+// Op stream format. Every op starts with a header byte h; h%8 selects the
+// kind (0 insert, 1 delete, 2 join input, anything else a query) and bit 3
+// makes a query disjunctive. The seed builders below are its documentation.
+const (
+	opInsert = 0
+	opDelete = 1
+	opJoin   = 2
+	opQuery  = 3
+	opDisj   = 8
+)
+
+// Predicate shapes (shape byte % 4).
+const (
+	shapeRange    = 0 // [lo, hi)
+	shapeOpen     = 1 // (lo, hi)
+	shapePoint    = 2 // = lo
+	shapeInverted = 3 // lower bound above upper bound: matches nothing
+)
+
+// attr indexes fuzzAttrs.
+const (
+	aA = iota
+	aB
+	aC
+	aD
+)
+
+func encPred(attr, shape, lo, hi byte) []byte { return []byte{attr, shape, lo, hi} }
+
+func encPreds(preds ...[]byte) []byte {
+	out := []byte{byte(len(preds) - 1)}
+	for _, p := range preds {
+		out = append(out, p...)
+	}
+	return out
+}
+
+func encProjs(attrs ...byte) []byte { return append([]byte{byte(len(attrs) - 1)}, attrs...) }
+
+func encQuery(header byte, preds, projs []byte) []byte {
+	return append(append([]byte{header}, preds...), projs...)
+}
+
+func encJoin(preds []byte, joinAttr byte, projs []byte) []byte {
+	return append(append(append([]byte{opJoin}, preds...), joinAttr), projs...)
+}
+
+func cat(ops ...[]byte) []byte {
+	var out []byte
+	for _, op := range ops {
+		out = append(out, op...)
+	}
+	return out
+}
+
+// opReader decodes the stream; past its end every byte reads as zero.
+type opReader struct {
+	buf []byte
+	pos int
+}
+
+func (r *opReader) more() bool { return r.pos < len(r.buf) }
+
+func (r *opReader) next() byte {
+	if r.pos >= len(r.buf) {
+		return 0
+	}
+	r.pos++
+	return r.buf[r.pos-1]
+}
+
+func (r *opReader) pred() AttrPred {
+	attr := fuzzAttrs[r.next()%4]
+	shape := r.next() % 4
+	lo, hi := Value(r.next()%fuzzDomain), Value(r.next()%fuzzDomain)
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	switch shape {
+	case shapeRange:
+		return AttrPred{Attr: attr, Pred: store.Range(lo, hi)}
+	case shapeOpen:
+		return AttrPred{Attr: attr, Pred: store.Open(lo, hi)}
+	case shapePoint:
+		return AttrPred{Attr: attr, Pred: store.Point(lo)}
+	}
+	return AttrPred{Attr: attr, Pred: store.Pred{Lo: hi + 1, Hi: lo, LoIncl: true, HiIncl: true}}
+}
+
+func (r *opReader) preds() []AttrPred {
+	out := make([]AttrPred, 1+r.next()%3)
+	for i := range out {
+		out[i] = r.pred()
+	}
+	return out
+}
+
+func (r *opReader) projs() []string {
+	out := make([]string, 1+r.next()%3)
+	for i := range out {
+		out[i] = fuzzAttrs[r.next()%4]
+	}
+	return out
+}
+
+// checkRows requires got to be exactly the oracle's rows.
+func checkRows(t *testing.T, tag string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, scan returned %d", tag, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: row %d = %s, scan has %s", tag, i, got[i], want[i])
+		}
+	}
+}
+
+// checkResult requires res to hold exactly the oracle's rows, every
+// projected column res.N long.
+func checkResult(t *testing.T, tag string, res Result, projs []string, want []string) {
+	t.Helper()
+	for _, attr := range projs {
+		if len(res.Cols[attr]) != res.N {
+			t.Fatalf("%s: column %s holds %d values for N = %d", tag, attr, len(res.Cols[attr]), res.N)
+		}
+	}
+	checkRows(t, tag, canonRows(res, projs), want)
+}
+
+// joinRows canonicalizes one side of a join: per qualifying tuple its join
+// value and the fetched projections.
+func joinRows(ji JoinInput, projs []string) []string {
+	rows := make([]string, len(ji.JoinVals))
+	for i, jv := range ji.JoinVals {
+		row := []Value{jv}
+		for _, attr := range projs {
+			row = append(row, ji.Fetch(attr, i))
+		}
+		rows[i] = fmt.Sprint(row)
+	}
+	sort.Strings(rows)
+	return rows
+}
+
+func mapEngines(rel *store.Relation) []Engine {
+	return []Engine{
+		New(Sideways, cloneRel(rel)),
+		New(PartialSideways, cloneRel(rel)),
+		NewSidewaysWithBudget(cloneRel(rel), 3*fuzzRows),
+		NewPartialWithBudget(cloneRel(rel), 2*fuzzRows),
+	}
+}
+
+// runMapOps replays ops on the four map-set engines and on Scan. Every
+// query is answered three times per engine — QueryRO before, Query, QueryRO
+// after — and every answer QueryRO gives must be the one Query gives.
+func runMapOps(t *testing.T, seed int64, ops []byte) {
+	rel := buildRel(rand.New(rand.NewSource(seed)), fuzzRows, fuzzAttrs, fuzzDomain)
+	oracle := NewScan(cloneRel(rel))
+	engines := mapEngines(rel)
+	rows := fuzzRows
+	r := &opReader{buf: ops}
+	for step := 0; r.more() && step < 400; step++ {
+		h := r.next()
+		switch h % 8 {
+		case opInsert:
+			vals := []Value{Value(r.next() % fuzzDomain), Value(r.next() % fuzzDomain), Value(r.next() % fuzzDomain), Value(r.next() % fuzzDomain)}
+			oracle.Insert(vals...)
+			for _, e := range engines {
+				if key := e.Insert(vals...); key != rows {
+					t.Fatalf("step %d: %s inserted key %d, want %d", step, e.Name(), key, rows)
+				}
+			}
+			rows++
+		case opDelete:
+			key := (int(r.next())<<8 | int(r.next())) % rows
+			oracle.Delete(key)
+			for _, e := range engines {
+				e.Delete(key)
+			}
+		case opJoin:
+			preds, joinAttr, projs := r.preds(), fuzzAttrs[r.next()%4], r.projs()
+			ji, _ := oracle.JoinInput(preds, joinAttr, projs)
+			want := joinRows(ji, projs)
+			for i, e := range engines {
+				ji, _ := e.JoinInput(preds, joinAttr, projs)
+				tag := fmt.Sprintf("step %d engine %d (%s) JoinInput(%v, %s, %v)", step, i, e.Name(), preds, joinAttr, projs)
+				checkRows(t, tag, joinRows(ji, projs), want)
+			}
+		default:
+			q := Query{Disjunctive: h&opDisj != 0, Preds: r.preds(), Projs: r.projs()}
+			res, _ := oracle.Query(q)
+			want := canonRows(res, q.Projs)
+			for i, e := range engines {
+				tag := fmt.Sprintf("step %d engine %d (%s) %+v", step, i, e.Name(), q)
+				if res, _, ok := e.QueryRO(q); ok {
+					checkResult(t, tag+" QueryRO before", res, q.Projs, want)
+				}
+				res, _ := e.Query(q)
+				checkResult(t, tag+" Query", res, q.Projs, want)
+				if res, _, ok := e.QueryRO(q); ok {
+					checkResult(t, tag+" QueryRO after", res, q.Projs, want)
+				}
+			}
+		}
+	}
+}
+
+// randomOps is a seeded op stream: about one update per five queries.
+func randomOps(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	ops := make([]byte, n)
+	rng.Read(ops)
+	return ops
+}
+
+func FuzzMapEnginesAgree(f *testing.F) {
+	wide := encPreds(encPred(aA, shapeRange, 10, 50))
+	narrow := encPreds(encPred(aA, shapeRange, 20, 30))
+	// A repeated projection, over several areas of a partial map and then
+	// read-only, conjunctive and disjunctive.
+	f.Add(int64(1), cat(
+		encQuery(opQuery, narrow, encProjs(aB)),
+		encQuery(opQuery, wide, encProjs(aB, aB)),
+		encQuery(opQuery, wide, encProjs(aB, aB)),
+		encQuery(opQuery|opDisj, encPreds(encPred(aA, shapeRange, 10, 50), encPred(aC, shapePoint, 7, 0)), encProjs(aB, aC, aB)),
+	))
+	// The join attribute is also a projection: JoinInput appends it again.
+	f.Add(int64(2), cat(
+		encQuery(opQuery, narrow, encProjs(aB)),
+		encJoin(wide, aB, encProjs(aB)),
+		encJoin(encPreds(encPred(aA, shapeOpen, 5, 60), encPred(aC, shapeRange, 0, 40)), aD, encProjs(aB, aD)),
+	))
+	// The same attribute twice, the head attribute projected, an inverted
+	// range, and updates in between.
+	f.Add(int64(3), cat(
+		encQuery(opQuery, encPreds(encPred(aA, shapeRange, 5, 40), encPred(aA, shapeOpen, 20, 60)), encProjs(aA, aC)),
+		[]byte{opInsert, 25, 1, 2, 3},
+		[]byte{opDelete, 0, 17},
+		encQuery(opQuery|opDisj, encPreds(encPred(aB, shapeInverted, 9, 30), encPred(aA, shapePoint, 25, 0)), encProjs(aA)),
+		encQuery(opQuery, encPreds(encPred(aA, shapeInverted, 3, 8)), encProjs(aD, aD)),
+		encQuery(opQuery, encPreds(encPred(aA, shapeRange, 0, 63), encPred(aB, shapeRange, 0, 63), encPred(aC, shapeOpen, 1, 50)), encProjs(aD)),
+	))
+	for seed := int64(4); seed < 10; seed++ {
+		f.Add(seed, randomOps(seed, 1500))
+	}
+	f.Fuzz(runMapOps)
+}

@@ -71,19 +71,9 @@ func (e *selCrackEngine) KernelReport() (KernelReport, bool) {
 	return r, true
 }
 
-// KernelReport implements KernelObservable for the sideways engine.
+// KernelReport implements KernelObservable for the map-set engines.
 // Caller serializes.
-func (e *sidewaysEngine) KernelReport() (KernelReport, bool) {
-	ks, pieces, cols := e.st.Kernel()
-	var r KernelReport
-	addKernel(&r, ks)
-	r.Pieces, r.Columns = uint64(pieces), uint64(cols)
-	return r, true
-}
-
-// KernelReport implements KernelObservable for the partial engine.
-// Caller serializes.
-func (e *partialEngine) KernelReport() (KernelReport, bool) {
+func (e *mapEngine) KernelReport() (KernelReport, bool) {
 	ks, pieces, cols := e.st.Kernel()
 	var r KernelReport
 	addKernel(&r, ks)

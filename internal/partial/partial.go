@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"crackstore/internal/bitvec"
@@ -41,21 +40,6 @@ type (
 	AttrPred = sideways.AttrPred
 	Result   = sideways.Result
 )
-
-type entryKind uint8
-
-const (
-	entryCrack entryKind = iota
-	entryInsert
-	entryDelete
-)
-
-type entry struct {
-	kind      entryKind
-	pred      store.Pred
-	keys      []int // insert: tuple keys; delete: tuple keys (for un-fetch)
-	positions []int // delete: physical positions at this tape point
-}
 
 // chunk is one materialized piece of a partial map: a (head, tail) pairs
 // table covering its area's value range, plus a cursor into the area tape.
@@ -87,14 +71,13 @@ type area struct {
 	id       int
 	lo, hi   int // span in H_A, frozen at fetch time
 	loB, hiB crackindex.Bound
-	tape     []entry
+	tape     sideways.Tape
 	// lastUpdate is one past the tape index of the most recent insert or
 	// delete entry. Partial alignment may lag on crack entries but must
 	// never leave an update entry unapplied in a chunk it returns data
 	// from.
 	lastUpdate int
 	chunks     map[string]*chunk
-	access     int64
 }
 
 // covers reports whether bound b falls in [loB, hiB).
@@ -110,9 +93,8 @@ type Set struct {
 	ha    *crack.Pairs // chunk map H_A: head = A values, tail = keys
 	areas []*area      // fetched areas, ascending by value range
 
-	pendIns []int
-	pendDel map[int]bool
-	nextID  int
+	pend   *sideways.Pending // updates not yet in an area tape
+	nextID int
 }
 
 // Attr returns the head attribute name.
@@ -123,9 +105,8 @@ func (set *Set) NumAreas() int { return len(set.areas) }
 
 // Store owns a base relation and its partial map sets.
 type Store struct {
-	rel        *store.Relation
-	tombstones map[int]bool
-	sets       map[string]*Set
+	sideways.Base
+	sets map[string]*Set
 
 	// Budget is the storage threshold T in tuples over all chunks (the
 	// chunk map is excluded, like the cracker columns of selection
@@ -151,26 +132,15 @@ type Store struct {
 	// a crack whose bounds are existing boundaries is a physical no-op.
 	Policy crack.Policy
 
-	queries        int
-	storage        int            // running sum of chunk.tuples() over all live chunks
-	pinnedAreas    map[*area]bool // areas resolved by the in-flight query
-	statsMu        sync.Mutex     // guards colMin/colMax (lazily filled by read-only probes)
-	colMin, colMax map[string]Value
+	queries     int
+	storage     int            // running sum of chunk.tuples() over all live chunks
+	pinnedAreas map[*area]bool // areas resolved by the in-flight query
 }
 
 // NewStore wraps rel (not copied) for partial sideways cracking.
 func NewStore(rel *store.Relation) *Store {
-	return &Store{
-		rel:        rel,
-		tombstones: make(map[int]bool),
-		sets:       make(map[string]*Set),
-		colMin:     make(map[string]Value),
-		colMax:     make(map[string]Value),
-	}
+	return &Store{Base: sideways.NewBase(rel), sets: make(map[string]*Set)}
 }
-
-// Relation returns the underlying base relation.
-func (s *Store) Relation() *store.Relation { return s.rel }
 
 // Kernel aggregates the kernel partition counters and cracker-index
 // sizes over every chunk map and every materialized chunk: the
@@ -221,45 +191,13 @@ func (s *Store) ChunkMapTuples() int {
 	return total
 }
 
-// Insert appends a tuple to the base relation and registers it as pending
-// with every existing set. Returns the new tuple's key.
-func (s *Store) Insert(vals ...Value) int {
-	s.rel.AppendRow(vals...)
-	key := s.rel.NumRows() - 1
-	for _, set := range s.sets {
-		set.pendIns = append(set.pendIns, key)
-	}
-	return key
-}
-
-// Delete tombstones the tuple with the given key.
-func (s *Store) Delete(key int) {
-	if s.tombstones[key] {
-		return
-	}
-	s.tombstones[key] = true
-	for _, set := range s.sets {
-		set.noteDelete(key)
-	}
-}
-
-func (set *Set) noteDelete(key int) {
-	for i, k := range set.pendIns {
-		if k == key {
-			set.pendIns = append(set.pendIns[:i], set.pendIns[i+1:]...)
-			return
-		}
-	}
-	set.pendDel[key] = true
-}
-
 // Set returns the partial map set for attr, creating H_A on demand from the
 // current base state (inserts included; live tombstones become pending).
 func (s *Store) Set(attr string) *Set {
 	if set, ok := s.sets[attr]; ok {
 		return set
 	}
-	col := s.rel.MustColumn(attr)
+	col := s.Relation().MustColumn(attr)
 	n := col.Len()
 	head := make([]Value, n)
 	copy(head, col.Vals)
@@ -268,18 +206,15 @@ func (s *Store) Set(attr string) *Set {
 		tail[i] = Value(i)
 	}
 	set := &Set{
-		st:      s,
-		attr:    attr,
-		ha:      crack.WrapPairs(head, tail),
-		pendDel: make(map[int]bool),
+		st:   s,
+		attr: attr,
+		ha:   crack.WrapPairs(head, tail),
+		pend: sideways.NewPending(&s.Base, attr),
 	}
 	// ha.Policy doubles as the set's frozen policy snapshot: chunks and
 	// head-recovery replays copy it, so a later Store.Policy change cannot
 	// misalign an existing set.
 	set.ha.Policy = s.Policy
-	for k := range s.tombstones {
-		set.pendDel[k] = true
-	}
 	s.sets[attr] = set
 	return set
 }
@@ -292,20 +227,14 @@ var (
 	maxBound = crackindex.Bound{V: math.MaxInt64, Incl: false} // after all values
 )
 
-// FullRange matches every tuple; used to resolve the whole domain for
-// disjunctive queries.
-var FullRange = store.Pred{Lo: math.MinInt64, Hi: math.MaxInt64, LoIncl: true, HiIncl: true}
-
 // resolve returns, in value order, the fetched areas that jointly cover
-// pred's value range, fetching gap areas from H_A as needed (Section 4.1,
-// "Creating Chunks"). Newly fetched areas cover exactly the needed range,
-// so only pre-existing boundary areas may require chunk cracking.
-func (set *Set) resolve(pred store.Pred) []*area {
+// pred's value range. With fetch set, gap areas are fetched from H_A as
+// needed (Section 4.1, "Creating Chunks"); newly fetched areas cover exactly
+// the needed range, so only pre-existing boundary areas may require chunk
+// cracking. Without it resolve is read-only and reports ok == false when a
+// gap would have to be fetched.
+func (set *Set) resolve(pred store.Pred, fetch bool) (out []*area, ok bool) {
 	lowerB, upperB := pred.LowerBound(), pred.UpperBound()
-	if !lowerB.Less(upperB) {
-		return nil
-	}
-	var out []*area
 	cur := lowerB
 	i := 0
 	for cur.Less(upperB) {
@@ -318,6 +247,9 @@ func (set *Set) resolve(pred store.Pred) []*area {
 			i++
 			continue
 		}
+		if !fetch {
+			return nil, false
+		}
 		gapEnd := upperB
 		if i < len(set.areas) && set.areas[i].loB.Less(upperB) {
 			gapEnd = set.areas[i].loB
@@ -329,7 +261,7 @@ func (set *Set) resolve(pred store.Pred) []*area {
 		i++
 		cur = gapEnd
 	}
-	return out
+	return out, true
 }
 
 // fetch cracks H_A at the given bounds (in the unfetched gap they fall in),
@@ -366,16 +298,7 @@ func crackHABound(ha *crack.Pairs, b crackindex.Bound) int {
 // unfetch removes area w: its tape's updates are pushed back to the set's
 // pending structures so they reapply when the range is fetched again.
 func (set *Set) unfetch(w *area) {
-	for _, e := range w.tape {
-		switch e.kind {
-		case entryInsert:
-			set.pendIns = append(set.pendIns, e.keys...)
-		case entryDelete:
-			for _, k := range e.keys {
-				set.pendDel[k] = true
-			}
-		}
-	}
+	set.pend.Restore(w.tape)
 	for i, a := range set.areas {
 		if a == w {
 			set.areas = append(set.areas[:i], set.areas[i+1:]...)
@@ -401,7 +324,7 @@ func (set *Set) ensureChunk(w *area, tailAttr string, pinned map[*chunk]bool) *c
 	if tailAttr == "" {
 		copy(tail, set.ha.Tail[w.lo:w.hi])
 	} else {
-		col := set.st.rel.MustColumn(tailAttr)
+		col := set.st.Relation().MustColumn(tailAttr)
 		for i := 0; i < size; i++ {
 			tail[i] = col.Vals[int(set.ha.Tail[w.lo+i])]
 		}
@@ -418,13 +341,13 @@ func (set *Set) replay(w *area, c *chunk, end int, tailAttr string) {
 	if c.cursor >= end {
 		return
 	}
-	headCol := set.st.rel.MustColumn(set.attr)
+	headCol := set.st.Relation().MustColumn(set.attr)
 	var tailCol *store.Column
 	if tailAttr != "" {
-		tailCol = set.st.rel.MustColumn(tailAttr)
+		tailCol = set.st.Relation().MustColumn(tailAttr)
 	}
 	for ; c.cursor < end; c.cursor++ {
-		e := w.tape[c.cursor]
+		pred, isCrack := w.tape.CrackAt(c.cursor)
 		// Head-dropped chunks replay lazily: a crack entry whose bounds
 		// are already boundaries is a physical no-op and can be skipped
 		// (Section 4.1: "if b matches one of the past cracks, cracking and
@@ -433,19 +356,14 @@ func (set *Set) replay(w *area, c *chunk, end int, tailAttr string) {
 		// crack, ripple-insert and delete reorganize head and tail
 		// together.
 		if c.headDropped {
-			if e.kind == entryCrack && boundsKnown(c, e.pred) {
+			if isCrack && boundsKnown(c, pred) {
 				continue
 			}
 			set.recoverHead(w, c)
 		}
-		switch e.kind {
-		case entryCrack:
-			c.p.CrackRange(e.pred)
+		w.tape.Replay(c.p, c.cursor, c.cursor+1, headCol, tailCol)
+		if isCrack {
 			c.lastCrack = set.st.queries
-		case entryInsert:
-			c.p.RippleInsertKeys(e.keys, headCol, tailCol)
-		case entryDelete:
-			c.p.RippleDeleteBatch(e.positions)
 		}
 	}
 	set.st.account(c)
@@ -481,22 +399,7 @@ func (set *Set) recoverHead(w *area, c *chunk) {
 	// Replay under the set's policy: the rebuilt head must make the same
 	// pivot decisions the chunk originally did to pair with its tail.
 	tmp.Policy = set.ha.Policy
-	headCol := set.st.rel.MustColumn(set.attr)
-	for i := 0; i < c.cursor; i++ {
-		e := w.tape[i]
-		switch e.kind {
-		case entryCrack:
-			tmp.CrackRange(e.pred)
-		case entryInsert:
-			vals := make([]Value, len(e.keys))
-			for i, k := range e.keys {
-				vals[i] = headCol.Vals[k]
-			}
-			tmp.RippleInsertBatch(vals, make([]Value, len(e.keys)))
-		case entryDelete:
-			tmp.RippleDeleteBatch(e.positions)
-		}
-	}
+	w.tape.Replay(tmp, 0, c.cursor, set.st.Relation().MustColumn(set.attr), nil)
 	c.p.Head = tmp.Head
 	c.headDropped = false
 }
@@ -518,15 +421,15 @@ func (s *Store) DropHead() {
 
 // maybeDropHeads applies the two head-drop opportunities of Section 4.1 to
 // the chunks used by the current query.
-func (s *Store) maybeDropHeads(set *Set, used []*chunk, areas []*area) {
+func (s *Store) maybeDropHeads(used []*chunk) {
 	if s.CachedPieceTuples <= 0 && s.HeadDropIdleQueries <= 0 {
 		return
 	}
-	for i, c := range used {
+	for _, c := range used {
 		if c.headDropped {
 			continue
 		}
-		if s.CachedPieceTuples > 0 && maxPiece(c, areas[i]) <= s.CachedPieceTuples {
+		if s.CachedPieceTuples > 0 && maxPiece(c) <= s.CachedPieceTuples {
 			s.dropHead(c)
 			continue
 		}
@@ -537,7 +440,7 @@ func (s *Store) maybeDropHeads(set *Set, used []*chunk, areas []*area) {
 }
 
 // maxPiece returns the largest piece size of chunk c.
-func maxPiece(c *chunk, _ *area) int {
+func maxPiece(c *chunk) int {
 	largest := 0
 	prev := 0
 	c.p.Idx.Walk(func(b crackindex.Bound, pos int) {
@@ -607,25 +510,15 @@ func (s *Store) ensureBudget(size int, pinned map[*chunk]bool) {
 	}
 }
 
-// Region is one chunk-wise result fragment: the aligned chunks of one area
-// (parallel to the query's tail attributes) and the qualifying position
-// range [Lo, Hi) within them.
-type Region struct {
-	Chunks []*chunk
-	Lo, Hi int
-}
-
-// Tail returns the tail values of the i-th requested attribute within the
-// region.
-func (r Region) Tail(i int) []Value { return r.Chunks[i].p.Tail[r.Lo:r.Hi] }
-
 // Query is the set-level partial sideways.select: resolve/fetch the areas
 // covering pred, merge relevant pending updates into the area tapes, crack
-// boundary chunks, partially align covered chunks, and return one Region
-// per area in value order (chunk-wise processing, Section 4.1).
-func (set *Set) Query(pred store.Pred, tailAttrs []string) []Region {
+// boundary chunks, partially align covered chunks, and return one window
+// per area in value order (chunk-wise processing, Section 4.1): the aligned
+// chunk tails, parallel to tailAttrs, and the qualifying position range
+// within them.
+func (set *Set) Query(pred store.Pred, tailAttrs []string) []sideways.Window {
 	set.st.queries++
-	areas := set.resolve(pred)
+	areas, _ := set.resolve(pred, true)
 	if len(areas) == 0 {
 		return nil
 	}
@@ -636,56 +529,16 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string) []Region {
 	defer func() { set.st.pinnedAreas = nil }()
 	lowerB, upperB := pred.LowerBound(), pred.UpperBound()
 
-	// Merge pending insertions into the tapes of the areas they belong to.
-	if len(set.pendIns) > 0 {
-		headCol := set.st.rel.MustColumn(set.attr)
-		perArea := make(map[*area][]int)
-		rest := set.pendIns[:0]
-		for _, k := range set.pendIns {
-			if !pred.Matches(headCol.Vals[k]) {
-				rest = append(rest, k)
-				continue
-			}
-			w := findArea(areas, crackindex.Bound{V: headCol.Vals[k], Incl: true})
-			if w == nil {
-				rest = append(rest, k) // defensive; should not happen
-				continue
-			}
-			perArea[w] = append(perArea[w], k)
+	// Merge pending insertions into the tapes of the areas they belong to,
+	// and pending deletions via each area's key chunk.
+	ins := set.perArea(areas, set.pend.TakeInserts(pred))
+	del := set.perArea(areas, set.pend.TakeDeletes(pred))
+	for _, w := range areas {
+		if keys := ins[w]; len(keys) > 0 {
+			w.tape.LogInsert(keys)
+			w.lastUpdate = len(w.tape)
 		}
-		set.pendIns = rest
-		for _, w := range areas {
-			if keys := perArea[w]; len(keys) > 0 {
-				w.tape = append(w.tape, entry{kind: entryInsert, keys: keys})
-				w.lastUpdate = len(w.tape)
-			}
-		}
-	}
-
-	// Merge pending deletions via each area's key chunk.
-	if len(set.pendDel) > 0 {
-		headCol := set.st.rel.MustColumn(set.attr)
-		var matched []int
-		for k := range set.pendDel {
-			if pred.Matches(headCol.Vals[k]) {
-				matched = append(matched, k)
-			}
-		}
-		sort.Ints(matched)
-		perArea := make(map[*area][]int)
-		for _, k := range matched {
-			w := findArea(areas, crackindex.Bound{V: headCol.Vals[k], Incl: true})
-			if w == nil {
-				continue
-			}
-			perArea[w] = append(perArea[w], k)
-			delete(set.pendDel, k)
-		}
-		for _, w := range areas {
-			keys := perArea[w]
-			if len(keys) == 0 {
-				continue
-			}
+		if keys := del[w]; len(keys) > 0 {
 			kc := set.ensureChunk(w, "", nil)
 			set.replay(w, kc, len(w.tape), "")
 			if kc.headDropped {
@@ -694,8 +547,7 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string) []Region {
 				// replay below would.
 				set.recoverHead(w, kc)
 			}
-			positions := kc.p.LocateKeys(pred, keys)
-			w.tape = append(w.tape, entry{kind: entryDelete, keys: keys, positions: positions})
+			w.tape.LogDelete(keys, kc.p.LocateKeys(pred, keys))
 			w.lastUpdate = len(w.tape)
 			set.replay(w, kc, len(w.tape), "")
 		}
@@ -705,27 +557,26 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string) []Region {
 	// alignment: "only the boundary chunks might need to be cracked").
 	first, last := areas[0], areas[len(areas)-1]
 	if first.loB.Less(lowerB) {
-		first.tape = append(first.tape, entry{kind: entryCrack, pred: pred})
+		first.tape.LogCrack(pred)
 	}
 	if upperB.Less(last.hiB) && (last != first || !first.loB.Less(lowerB)) {
-		last.tape = append(last.tape, entry{kind: entryCrack, pred: pred})
+		last.tape.LogCrack(pred)
 	}
 
-	// Align chunks and build regions.
-	regions := make([]Region, 0, len(areas))
+	// Align chunks and build windows.
+	wins := make([]sideways.Window, 0, len(areas))
 	pinned := make(map[*chunk]bool)
 	var usedChunks []*chunk
-	var usedAreas []*area
 	for _, w := range areas {
-		w.access++
 		chunks := make([]*chunk, len(tailAttrs))
 		// Partial alignment (Section 4.1): boundary areas align to the
 		// tape end (they must replay this query's crack); covered areas
 		// align only to the maximum cursor among the chunks this query
 		// uses — but never short of the last update entry, which affects
 		// chunk contents rather than just their internal order.
+		cutLo, cutHi := w == first && first.loB.Less(lowerB), w == last && upperB.Less(last.hiB)
 		target := len(w.tape)
-		if !boundaryArea(w, first, last, lowerB, upperB) && !set.st.ForceFullAlignment {
+		if !cutLo && !cutHi && !set.st.ForceFullAlignment {
 			target = w.lastUpdate
 			for _, attr := range tailAttrs {
 				if c, ok := w.chunks[attr]; ok && c.cursor > target {
@@ -740,43 +591,69 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string) []Region {
 			c.access++
 			chunks[i] = c
 			usedChunks = append(usedChunks, c)
-			usedAreas = append(usedAreas, w)
 		}
-		lo, hi := 0, 0
-		if len(chunks) > 0 {
-			hi = chunks[0].Len()
-			if first == w && first.loB.Less(lowerB) {
-				if p, ok := chunks[0].p.Idx.Lookup(lowerB); ok {
-					lo = p
-				}
-			}
-			if last == w && upperB.Less(last.hiB) {
-				if p, ok := chunks[0].p.Idx.Lookup(upperB); ok {
-					hi = p
-				}
-			}
-			if hi < lo {
-				hi = lo
-			}
+		win, ok := windowOf(chunks, cutLo, cutHi, lowerB, upperB)
+		if !ok {
+			panic(fmt.Sprintf("partial: missing boundary after alignment for %v", pred))
 		}
-		regions = append(regions, Region{Chunks: chunks, Lo: lo, Hi: hi})
+		wins = append(wins, win)
 	}
-	set.st.maybeDropHeads(set, usedChunks, usedAreas)
-	return regions
+	set.st.maybeDropHeads(usedChunks)
+	return wins
 }
 
-// boundaryArea reports whether w is a boundary area of the current query.
-func boundaryArea(w, first, last *area, lowerB, upperB crackindex.Bound) bool {
-	return (w == first && first.loB.Less(lowerB)) || (w == last && upperB.Less(last.hiB))
+// windowOf returns the window over the aligned chunks of one area: all of
+// it, cut at lowerB and/or upperB where the area is a boundary area on that
+// side. ok is false when a cut is not a boundary of the chunks' index yet.
+func windowOf(chunks []*chunk, cutLo, cutHi bool, lowerB, upperB crackindex.Bound) (win sideways.Window, ok bool) {
+	win.Tails = make([][]Value, len(chunks))
+	for i, c := range chunks {
+		win.Tails[i] = c.p.Tail
+	}
+	if len(chunks) == 0 {
+		return win, true
+	}
+	win.Hi = chunks[0].Len()
+	if cutLo {
+		if win.Lo, ok = chunks[0].p.Idx.Lookup(lowerB); !ok {
+			return win, false
+		}
+	}
+	if cutHi {
+		if win.Hi, ok = chunks[0].p.Idx.Lookup(upperB); !ok {
+			return win, false
+		}
+	}
+	if win.Hi < win.Lo {
+		win.Hi = win.Lo
+	}
+	return win, true
 }
 
+// perArea groups pending-update keys by the resolved area their head value
+// falls in, keeping their order.
+func (set *Set) perArea(areas []*area, keys []int) map[*area][]int {
+	if len(keys) == 0 {
+		return nil
+	}
+	headCol := set.st.Relation().MustColumn(set.attr)
+	out := make(map[*area][]int)
+	for _, k := range keys {
+		w := findArea(areas, crackindex.Bound{V: headCol.Vals[k], Incl: true})
+		out[w] = append(out[w], k)
+	}
+	return out
+}
+
+// findArea returns the area covering b. The areas a query resolved jointly
+// cover its predicate, so a bound matching the predicate always has one.
 func findArea(areas []*area, b crackindex.Bound) *area {
 	for _, w := range areas {
 		if w.covers(b) {
 			return w
 		}
 	}
-	return nil
+	panic(fmt.Sprintf("partial: %v outside the resolved areas", b))
 }
 
 // EstimateSelectivity estimates |pred(attr)| using the chunk map's cracker
@@ -786,340 +663,134 @@ func (s *Store) EstimateSelectivity(attr string, pred store.Pred) int {
 		_, _, est := set.ha.Idx.Estimate(pred.LowerBound(), pred.UpperBound(), set.ha.Len())
 		return est
 	}
-	lo, hi := s.colStats(attr)
-	n := s.rel.NumRows()
-	if hi <= lo {
-		return n
-	}
-	clo, chi := pred.Lo, pred.Hi
-	if clo < lo {
-		clo = lo
-	}
-	if chi > hi {
-		chi = hi
-	}
-	if chi < clo {
-		return 0
-	}
-	return int(float64(n) * float64(chi-clo) / float64(hi-lo))
-}
-
-func (s *Store) colStats(attr string) (lo, hi Value) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	if l, ok := s.colMin[attr]; ok {
-		return l, s.colMax[attr]
-	}
-	col := s.rel.MustColumn(attr)
-	l, _ := store.Min(col.Vals)
-	h, _ := store.Max(col.Vals)
-	s.colMin[attr], s.colMax[attr] = l, h
-	return l, h
+	return s.UniformEstimate(attr, pred)
 }
 
 // SelectProject evaluates select projs from R where pred(selAttr) with
 // chunk-wise processing.
 func (s *Store) SelectProject(selAttr string, pred store.Pred, projs []string) Result {
-	set := s.Set(selAttr)
-	regions := set.Query(pred, projs)
-	res := Result{Cols: make(map[string][]Value, len(projs))}
-	for _, r := range regions {
-		res.N += r.Hi - r.Lo
-	}
-	for i, attr := range projs {
-		out := make([]Value, 0, res.N)
-		for _, r := range regions {
-			out = append(out, r.Tail(i)...)
-		}
-		res.Cols[attr] = out
-	}
-	return res
+	return s.MultiSelect([]AttrPred{{Attr: selAttr, Pred: pred}}, projs, false)
 }
 
-// choosePred picks the plan's head predicate: the most (conjunctive) or
-// least (disjunctive) selective one per the chunk-map histograms. Read-only.
-func (s *Store) choosePred(preds []AttrPred, disjunctive bool) int {
-	chosen := 0
-	if len(preds) == 1 {
-		return 0
-	}
-	bestEst := s.EstimateSelectivity(preds[0].Attr, preds[0].Pred)
-	for i := 1; i < len(preds); i++ {
-		est := s.EstimateSelectivity(preds[i].Attr, preds[i].Pred)
-		better := est < bestEst
-		if disjunctive {
-			better = est > bestEst
-		}
-		if better {
-			chosen, bestEst = i, est
-		}
-	}
-	return chosen
-}
-
-// multiPlan lays out a multi-selection plan: head and secondary predicates
-// plus the tail-attribute slots (others first, then projections, then the
-// head attribute itself for disjunctions, which must evaluate the head
-// predicate outside its cracked region).
-func (s *Store) multiPlan(preds []AttrPred, projs []string, disjunctive bool) (head AttrPred, others []AttrPred, tailAttrs []string, tailOf map[string]int) {
-	chosen := s.choosePred(preds, disjunctive)
-	others = make([]AttrPred, 0, len(preds)-1)
-	for i, ap := range preds {
-		if i != chosen {
-			others = append(others, ap)
-		}
-	}
-	head = preds[chosen]
-	tailAttrs = make([]string, 0, len(others)+len(projs)+1)
-	tailOf = make(map[string]int)
-	add := func(attr string) {
-		if _, ok := tailOf[attr]; !ok {
-			tailOf[attr] = len(tailAttrs)
-			tailAttrs = append(tailAttrs, attr)
-		}
-	}
-	for _, ap := range others {
-		add(ap.Attr)
-	}
-	for _, attr := range projs {
-		add(attr)
-	}
+// plan lays out a multi-selection plan (the head predicate's set is chosen
+// via the chunk-map histograms) and the value range the set is queried
+// for. A disjunction must evaluate the head predicate outside its cracked
+// region too, so it reads the whole domain and the head attribute itself
+// as one more tail, in slot headSlot.
+func (s *Store) plan(preds []AttrPred, projs []string, disjunctive bool) (pl sideways.Plan, pred store.Pred, headSlot int) {
+	pl = sideways.PlanMulti(s, preds, projs, disjunctive)
 	if disjunctive {
-		add(head.Attr)
+		return pl, sideways.FullRange, pl.Slot(pl.Head.Attr)
 	}
-	return head, others, tailAttrs, tailOf
+	return pl, pl.Head.Pred, -1
 }
 
 // MultiSelect evaluates a multi-selection query (Section 3.3 semantics on
 // partial maps, processed chunk by chunk).
 func (s *Store) MultiSelect(preds []AttrPred, projs []string, disjunctive bool) Result {
-	if len(preds) == 0 {
-		panic("partial: MultiSelect requires at least one predicate")
-	}
-	head, others, tailAttrs, tailOf := s.multiPlan(preds, projs, disjunctive)
-	set := s.Set(head.Attr)
-
-	if disjunctive {
-		// The whole domain is relevant.
-		regions := set.Query(FullRange, tailAttrs)
-		return disjunctiveRegions(regions, tailOf, head, others, projs)
-	}
-	regions := set.Query(head.Pred, tailAttrs)
-	return conjunctiveRegions(regions, tailOf, others, projs)
+	pl, pred, headSlot := s.plan(preds, projs, disjunctive)
+	return finish(&pl, headSlot, s.Set(pl.Head.Attr).Query(pred, pl.Tails))
 }
 
-// disjunctiveRegions finishes a disjunctive plan: per region, mark tuples
-// matching any predicate and reconstruct the projections. A pure read over
-// the aligned chunks, shared by the write path and the read-only path.
-func disjunctiveRegions(regions []Region, tailOf map[string]int, head AttrPred, others []AttrPred, projs []string) Result {
-	res := Result{Cols: make(map[string][]Value, len(projs))}
-	headIdx := tailOf[head.Attr]
-	for _, r := range regions {
-		n := r.Chunks[0].Len()
-		bv := bitvec.New(n)
-		headTail := r.Chunks[headIdx].p.Tail
-		for i := 0; i < n; i++ {
-			if head.Pred.Matches(headTail[i]) {
-				bv.Set(i)
+// finish answers a plan from its aligned windows. A pure read, shared by
+// the write path and the read-only path.
+func finish(pl *sideways.Plan, headSlot int, wins []sideways.Window) Result {
+	if headSlot < 0 {
+		return pl.Conjunctive(wins)
+	}
+	// Disjunctive: per window, mark the tuples matching any predicate. The
+	// windows span whole chunks, and chunks of different areas share no
+	// position space, so the head predicate is tested by value.
+	marks := make([]*bitvec.Vector, len(wins))
+	for k, w := range wins {
+		bv := bitvec.New(w.Hi - w.Lo)
+		headTail := w.Tails[headSlot]
+		for i := w.Lo; i < w.Hi; i++ {
+			if pl.Head.Pred.Matches(headTail[i]) {
+				bv.Set(i - w.Lo)
 				continue
 			}
-			for _, ap := range others {
-				if ap.Pred.Matches(r.Chunks[tailOf[ap.Attr]].p.Tail[i]) {
-					bv.Set(i)
+			for j, ap := range pl.Others {
+				if ap.Pred.Matches(pl.OtherTail(w, j)[i]) {
+					bv.Set(i - w.Lo)
 					break
 				}
 			}
 		}
-		res.N += bv.Count()
-		for _, attr := range projs {
-			vals := sideways.ReconstructBV(r.Chunks[tailOf[attr]].p.Tail, 0, bv)
-			res.Cols[attr] = append(res.Cols[attr], vals...)
-		}
+		marks[k] = bv
 	}
-	if res.Cols == nil {
-		res.Cols = map[string][]Value{}
-	}
-	for _, attr := range projs {
-		if res.Cols[attr] == nil {
-			res.Cols[attr] = []Value{}
-		}
-	}
-	return res
+	return pl.Reconstruct(wins, marks)
 }
 
-// conjunctiveRegions finishes a conjunctive plan: per region, refine the
-// qualifying range with a bit vector for the secondary predicates and
-// reconstruct the projections. Pure read, shared by both paths.
-func conjunctiveRegions(regions []Region, tailOf map[string]int, others []AttrPred, projs []string) Result {
-	res := Result{Cols: make(map[string][]Value, len(projs))}
-	for _, attr := range projs {
-		res.Cols[attr] = []Value{}
-	}
-	for _, r := range regions {
-		var bv *bitvec.Vector
-		for _, ap := range others {
-			tail := r.Chunks[tailOf[ap.Attr]].p.Tail
-			if bv == nil {
-				bv = sideways.SelectCreateBV(tail, r.Lo, r.Hi, ap.Pred)
-			} else {
-				sideways.SelectRefineBV(tail, r.Lo, r.Hi, ap.Pred, bv)
-			}
-		}
-		if bv == nil {
-			res.N += r.Hi - r.Lo
-			for _, attr := range projs {
-				res.Cols[attr] = append(res.Cols[attr], r.Tail(tailOf[attr])...)
-			}
-			continue
-		}
-		res.N += bv.Count()
-		for _, attr := range projs {
-			vals := sideways.ReconstructBV(r.Chunks[tailOf[attr]].p.Tail, r.Lo, bv)
-			res.Cols[attr] = append(res.Cols[attr], vals...)
-		}
-	}
-	return res
-}
-
-// pendingTouches reports whether any pending insertion or deletion of the
-// set falls inside pred's value range. Read-only.
-func (set *Set) pendingTouches(pred store.Pred) bool {
-	if len(set.pendIns) == 0 && len(set.pendDel) == 0 {
-		return false
-	}
-	headCol := set.st.rel.MustColumn(set.attr)
-	for _, k := range set.pendIns {
-		if pred.Matches(headCol.Vals[k]) {
-			return true
-		}
-	}
-	for k := range set.pendDel {
-		if pred.Matches(headCol.Vals[k]) {
-			return true
-		}
-	}
-	return false
-}
-
-// resolveRO returns, in value order, the fetched areas covering pred, or
-// ok == false when a gap would have to be fetched from H_A (a write).
-// Read-only counterpart of resolve.
-func (set *Set) resolveRO(pred store.Pred) ([]*area, bool) {
-	lowerB, upperB := pred.LowerBound(), pred.UpperBound()
-	if !lowerB.Less(upperB) {
-		return nil, true
-	}
-	var out []*area
-	cur := lowerB
-	i := 0
-	for cur.Less(upperB) {
-		for i < len(set.areas) && !cur.Less(set.areas[i].hiB) {
-			i++
-		}
-		if i >= len(set.areas) || cur.Less(set.areas[i].loB) {
-			return nil, false
-		}
-		out = append(out, set.areas[i])
-		cur = set.areas[i].hiB
-		i++
-	}
-	return out, true
-}
-
-// regionsRO builds the chunk-wise regions for pred without replaying,
-// fetching, or cracking anything. ok is false when the write path would
-// reorganize: a gap needs fetching, a chunk is missing or misaligned, or a
-// boundary chunk lacks the predicate's physical bounds.
-func (s *Store) regionsRO(set *Set, pred store.Pred, tailAttrs []string) ([]Region, bool) {
-	areas, ok := set.resolveRO(pred)
+// windowsRO builds the chunk-wise windows for pred, and the chunks they
+// read, without replaying, fetching, or cracking anything. ok is false when
+// the write path would reorganize: a gap needs fetching, a chunk is missing
+// or misaligned, or a boundary chunk lacks the predicate's physical bounds.
+func (s *Store) windowsRO(set *Set, pred store.Pred, tailAttrs []string) (wins []sideways.Window, used []*chunk, ok bool) {
+	areas, ok := set.resolve(pred, false)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	if len(areas) == 0 {
-		return nil, true
+		return nil, nil, true
 	}
 	lowerB, upperB := pred.LowerBound(), pred.UpperBound()
 	first, last := areas[0], areas[len(areas)-1]
-	regions := make([]Region, 0, len(areas))
+	wins = make([]sideways.Window, 0, len(areas))
+	used = make([]*chunk, 0, len(areas)*len(tailAttrs))
 	for _, w := range areas {
-		chunks := make([]*chunk, len(tailAttrs))
+		chunks := make([]*chunk, 0, len(tailAttrs))
 		cursor := -1
-		for i, attr := range tailAttrs {
+		for _, attr := range tailAttrs {
 			c, ok := w.chunks[attr]
 			if !ok {
-				return nil, false
+				return nil, nil, false
 			}
 			// The write path replays laggards to a shared target; a cursor
 			// mismatch among the used chunks means replay work.
 			if cursor == -1 {
 				cursor = c.cursor
 			} else if c.cursor != cursor {
-				return nil, false
+				return nil, nil, false
 			}
-			chunks[i] = c
+			chunks = append(chunks, c)
 		}
+		used = append(used, chunks...)
+		cutLo, cutHi := w == first && first.loB.Less(lowerB), w == last && upperB.Less(last.hiB)
 		if len(tailAttrs) > 0 {
-			if boundaryArea(w, first, last, lowerB, upperB) || s.ForceFullAlignment {
+			if cutLo || cutHi || s.ForceFullAlignment {
 				// Boundary chunks must already sit at the tape end (the
 				// write path would replay this query's crack onto them).
 				if cursor != len(w.tape) {
-					return nil, false
+					return nil, nil, false
 				}
 			} else if cursor < w.lastUpdate {
 				// Partial alignment may lag on cracks but never on updates.
-				return nil, false
+				return nil, nil, false
 			}
 		}
-		lo, hi := 0, 0
-		if len(chunks) > 0 {
-			hi = chunks[0].Len()
-			if w == first && first.loB.Less(lowerB) {
-				p, ok := chunks[0].p.Idx.Lookup(lowerB)
-				if !ok {
-					return nil, false
-				}
-				lo = p
-			}
-			if w == last && upperB.Less(last.hiB) {
-				p, ok := chunks[0].p.Idx.Lookup(upperB)
-				if !ok {
-					return nil, false
-				}
-				hi = p
-			}
-			if hi < lo {
-				hi = lo
-			}
+		win, ok := windowOf(chunks, cutLo, cutHi, lowerB, upperB)
+		if !ok {
+			return nil, nil, false
 		}
-		regions = append(regions, Region{Chunks: chunks, Lo: lo, Hi: hi})
+		wins = append(wins, win)
 	}
-	return regions, true
+	return wins, used, true
 }
 
 // planRO resolves a full read-only plan or reports ok == false when the
 // query needs the write path.
-func (s *Store) planRO(preds []AttrPred, projs []string, disjunctive bool) (regions []Region, tailOf map[string]int, head AttrPred, others []AttrPred, ok bool) {
+func (s *Store) planRO(preds []AttrPred, projs []string, disjunctive bool) (pl sideways.Plan, headSlot int, wins []sideways.Window, used []*chunk, ok bool) {
 	if len(preds) == 0 {
-		return nil, nil, head, nil, false
+		return pl, 0, nil, nil, false
 	}
-	var tailAttrs []string
-	head, others, tailAttrs, tailOf = s.multiPlan(preds, projs, disjunctive)
-	set := s.sets[head.Attr]
-	if set == nil {
-		return nil, nil, head, nil, false
+	pl, pred, headSlot := s.plan(preds, projs, disjunctive)
+	set := s.sets[pl.Head.Attr]
+	if set == nil || !set.pend.Settled(pl.Head.Pred, disjunctive) {
+		return pl, 0, nil, nil, false
 	}
-	pred := head.Pred
-	if disjunctive {
-		pred = FullRange
-	}
-	if set.pendingTouches(pred) {
-		return nil, nil, head, nil, false
-	}
-	regions, ok = s.regionsRO(set, pred, tailAttrs)
-	if !ok {
-		return nil, nil, head, nil, false
-	}
-	return regions, tailOf, head, others, true
+	wins, used, ok = s.windowsRO(set, pred, pl.Tails)
+	return pl, headSlot, wins, used, ok
 }
 
 // ProbeMulti is the read-only probe of the two-phase (probe/execute)
@@ -1139,21 +810,16 @@ func (s *Store) ProbeMulti(preds []AttrPred, projs []string, disjunctive bool) b
 // exclusive access. LFU access counters are bumped atomically; the
 // head-drop idle clock is not advanced by read-only queries.
 func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool) (Result, bool) {
-	regions, tailOf, head, others, ok := s.planRO(preds, projs, disjunctive)
+	pl, headSlot, wins, used, ok := s.planRO(preds, projs, disjunctive)
 	if !ok {
 		return Result{}, false
 	}
-	// No dedup needed: regions are one per area and a region's chunks are
+	// No dedup needed: windows are one per area and an area's chunks are
 	// keyed by distinct tail attributes, so no chunk repeats.
-	for _, r := range regions {
-		for _, c := range r.Chunks {
-			atomic.AddInt64(&c.access, 1)
-		}
+	for _, c := range used {
+		atomic.AddInt64(&c.access, 1)
 	}
-	if disjunctive {
-		return disjunctiveRegions(regions, tailOf, head, others, projs), true
-	}
-	return conjunctiveRegions(regions, tailOf, others, projs), true
+	return finish(&pl, headSlot, wins), true
 }
 
 // checkStorage verifies the running storage total against a full recount.

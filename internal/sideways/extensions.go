@@ -14,13 +14,10 @@ import (
 // can be performed in a partitioned like way exploiting disjoint ranges in
 // the input maps").
 
-// fullPred matches every tuple.
-var fullPred = store.Pred{Lo: math.MinInt64, Hi: math.MaxInt64, LoIncl: true, HiIncl: true}
-
 // MergePendingAll converts every pending insertion and deletion of the set
 // into tape entries, regardless of value range. Plans that read whole maps
 // (disjunctions) call this before querying.
-func (set *Set) MergePendingAll() { set.mergePending(fullPred) }
+func (set *Set) MergePendingAll() { set.mergePending(FullRange) }
 
 // MaxAttr returns the maximum live value of attr. When a cracker map for
 // the attribute exists, only the last non-empty piece (plus merged pending
@@ -73,7 +70,7 @@ func (s *Store) extremeAttr(attr string, wantMax bool) (Value, bool) {
 		}
 	}
 	// Every piece probe came back empty: fall back to the full range.
-	return s.pieceExtreme(set, fullPred, wantMax)
+	return s.pieceExtreme(set, FullRange, wantMax)
 }
 
 // pieceExtreme queries one value range on the set's most aligned map and
@@ -202,8 +199,8 @@ func (set *Set) QueryKeys(pred store.Pred) (lo, hi int, m *Map) {
 		set.keyMap = set.newMap("")
 	}
 	set.mergePending(pred)
-	set.tape = append(set.tape, entry{kind: entryCrack, pred: pred})
-	set.replay(set.keyMap, len(set.tape))
+	set.tape.LogCrack(pred)
+	set.align(set.keyMap)
 	set.keyMap.access++
 	lo, hi = areaOf(set.keyMap, pred)
 	return lo, hi, set.keyMap

@@ -1,0 +1,85 @@
+package sideways
+
+import (
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"crackstore/internal/store"
+)
+
+// budgetedMapStream runs one 12-query stream under a three-map budget and
+// returns the surviving maps and the storage total. Every map is used once
+// before the next one is needed, so every eviction is a tie on access count.
+func budgetedMapStream() (maps string, tuples int) {
+	rel := buildRel(rand.New(rand.NewSource(5)), 100, []string{"A", "B", "C", "D", "E", "F"}, 50)
+	s := NewStore(rel)
+	s.Budget = 300
+	stream := [][2]string{
+		{"A", "C"}, {"B", "D"}, {"A", "E"}, {"B", "F"}, {"A", "D"}, {"C", "A"},
+		{"B", "E"}, {"A", "F"}, {"C", "B"}, {"B", "C"}, {"A", "B"}, {"C", "D"},
+	}
+	for i, q := range stream {
+		lo := Value(i * 3)
+		s.SelectProject(q[0], store.Range(lo, lo+15), []string{q[1]})
+	}
+	var names []string
+	for attr, set := range s.sets {
+		for tail := range set.maps {
+			names = append(names, attr+tail)
+		}
+	}
+	sort.Strings(names)
+	return strings.Join(names, ","), s.StorageTuples()
+}
+
+// TestBudgetedMapEvictionIsDeterministic: equal-access ties evict in (set
+// attribute, tail attribute) order, never in Go map iteration order, so one
+// stream always leaves the same maps behind.
+func TestBudgetedMapEvictionIsDeterministic(t *testing.T) {
+	maps, tuples := budgetedMapStream()
+	if n := strings.Count(maps, ",") + 1; n != 3 || tuples != 300 {
+		t.Fatalf("stream should end with the budget's three maps, has %d (%s), %d tuples", n, maps, tuples)
+	}
+	for run := 0; run < 200; run++ {
+		if again, againTuples := budgetedMapStream(); again != maps || againTuples != tuples {
+			t.Fatalf("run %d left {%s} (%d tuples), the first run {%s} (%d tuples)", run, again, againTuples, maps, tuples)
+		}
+	}
+}
+
+// TestDeleteOfBaseKeysSkipsPendingInserts pins the ledger's baseLen rule: a
+// key that was in the base when the set was created cannot be a pending
+// insertion, so deleting it never scans the pending insertions — 10k such
+// deletes beside 10k pending insertions compare nothing, where scanning
+// would compare 10^8 times.
+func TestDeleteOfBaseKeysSkipsPendingInserts(t *testing.T) {
+	const n = 10000
+	rel := buildRel(rand.New(rand.NewSource(6)), n, []string{"A", "B"}, 1000)
+	b := NewBase(rel)
+	ledgers := []*Pending{NewPending(&b, "A"), NewPending(&b, "B")}
+	for i := 0; i < n; i++ {
+		b.Insert(Value(i), Value(i))
+	}
+	for key := 0; key < n; key++ {
+		b.Delete(key)
+	}
+	for i, p := range ledgers {
+		if p.insScanned != 0 {
+			t.Errorf("ledger %d: deleting base keys compared %d pending insertions", i, p.insScanned)
+		}
+		if len(p.ins) != n || len(p.del) != n {
+			t.Errorf("ledger %d: %d pending insertions and %d pending deletions, want %d each", i, len(p.ins), len(p.del), n)
+		}
+	}
+	// A pending insertion is still cancelled by its own delete, not queued
+	// behind it.
+	b.Delete(n + 7)
+	for i, p := range ledgers {
+		if len(p.ins) != n-1 || len(p.del) != n || p.insScanned != 8 {
+			t.Errorf("ledger %d after cancelling a pending insertion: %d insertions, %d deletions, %d compared",
+				i, len(p.ins), len(p.del), p.insScanned)
+		}
+	}
+}
