@@ -79,6 +79,30 @@
 // space, so a partial set tests the head predicate by value), and the full
 // maps' single-predicate, single-projection read-only fast path.
 //
+// The two storage managers share their eviction rule (Usage in mapset.go):
+// least-frequently-used with dynamic aging. A map's or chunk's priority is
+// its access count plus the store's age when it was last used, and the age
+// is the priority of the last victim; ties go in name order, so a query
+// stream always evicts the same victims. The paper's plain access count
+// thrashes on its own Fig 9 cycle (five query types wanting five maps under
+// a budget of three): each batch's new chunks, used once, are evicted a
+// query after they are created, while the chunks of batches that have ended
+// keep their high counts and their place. Aging lets a structure nobody
+// uses be overtaken within a few evictions, and on that cycle cuts the
+// chunk tuples materialized by about a quarter. Partial maps also recycle
+// storage: the columns of an evicted chunk or a dropped head go to a free
+// list owned by the store, in size classes of four per doubling, and new
+// chunks and recovered heads are filled into them, so steady-state chunk
+// creation neither zeroes nor page-faults fresh memory. A column is
+// recycled only once nothing can refer to it: eviction and head drops
+// happen on the write path under exclusive access, they skip the chunks the
+// in-flight query has pinned (the only ones its windows read), and a Result
+// is always a copy. The free list holds at most Budget/8 values — a
+// sixteenth of the bytes the budget allows live chunks — gives up columns
+// of its fullest class first, and keeps nothing without a budget. Kernel
+// counters of evicted structures are folded into a store-level total, so
+// crack_kernel_* never runs backwards.
+//
 // # Adaptive cracking policies
 //
 // Plain cracking converges only as fast as the workload lets it: every

@@ -1,7 +1,9 @@
 package bitvec
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -203,6 +205,64 @@ func TestQuickAndOrSemantics(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: FromRange, AndRange and Gather are their per-element
+// definitions, for any interval (inverted and domain-wide ones too) and any
+// length; a Gather through NewSet takes the whole-word path.
+func TestQuickRangeKernels(t *testing.T) {
+	bounds := []int64{math.MinInt64, -3, 0, 2, math.MaxInt64}
+	f := func(seed int64, nRaw uint16) bool {
+		n := int(nRaw) % 300
+		rng := rand.New(rand.NewSource(seed))
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(rng.Intn(9) - 4)
+			if rng.Intn(8) == 0 {
+				vals[i] = bounds[rng.Intn(len(bounds))]
+			}
+		}
+		lo1, hi1 := bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))]
+		lo2, hi2 := int64(rng.Intn(9)-4), int64(rng.Intn(9)-4)
+		v := FromRange(vals, lo1, hi1)
+		w := NewSet(n)
+		w.AndRange(vals, lo2, hi2)
+		both := v.Clone()
+		both.AndRange(vals, lo2, hi2)
+		var want []int64
+		for i, x := range vals {
+			in1, in2 := lo1 <= x && x <= hi1, lo2 <= x && x <= hi2
+			if v.Get(i) != in1 || w.Get(i) != in2 || both.Get(i) != (in1 && in2) {
+				return false
+			}
+			if in1 && in2 {
+				want = append(want, x)
+			}
+		}
+		got := make([]int64, n)
+		all := make([]int64, n)
+		return slices.Equal(got[:both.Gather(got, vals)], want) &&
+			NewSet(n).Gather(all, vals) == n && slices.Equal(all, vals)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRangeKernelsLengthMismatchPanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"AndRange": func() { New(10).AndRange(make([]int64, 9), 0, 1) },
+		"Gather":   func() { New(10).Gather(make([]int64, 10), make([]int64, 11)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted values of another length", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 

@@ -223,3 +223,38 @@ func TestRepeatedProjection(t *testing.T) {
 		checkRows(t, e.Name()+" JoinInput", joinRows(got, []string{"B"}), joinRows(want, []string{"B"}))
 	}
 }
+
+// TestCountWithoutProjections: one predicate and nothing projected is a
+// count. The map-set engines answered 0 — a set with no tail asked of it had
+// no map to read the area from — on every kind, cold and warm, Query and
+// QueryRO, with updates in between.
+func TestCountWithoutProjections(t *testing.T) {
+	rel := buildRel(rand.New(rand.NewSource(11)), 1000, []string{"A", "B"}, 1000)
+	engines := []Engine{NewSidewaysWithBudget(cloneRel(rel), 2000), NewPartialWithBudget(cloneRel(rel), 1500)}
+	for _, k := range allKinds() {
+		engines = append(engines, New(k, cloneRel(rel)))
+	}
+	oracle := NewScan(cloneRel(rel))
+	q := Query{Preds: []AttrPred{{Attr: "A", Pred: store.Pred{Lo: 100, Hi: 300, LoIncl: true, HiIncl: true}}}}
+	for round := 0; round < 3; round++ {
+		want, _ := oracle.Query(q)
+		if want.N == 0 {
+			t.Fatal("the scan finds nothing to count")
+		}
+		for _, e := range engines {
+			if res, _ := e.Query(q); res.N != want.N {
+				t.Errorf("round %d, %s: Query counts %d, scan %d", round, e.Name(), res.N, want.N)
+			}
+			res, _, ok := e.QueryRO(q)
+			if !ok {
+				t.Errorf("round %d, %s: QueryRO refused a query Query just answered", round, e.Name())
+			} else if res.N != want.N {
+				t.Errorf("round %d, %s: QueryRO counts %d, scan %d", round, e.Name(), res.N, want.N)
+			}
+		}
+		for _, e := range append(engines, oracle) {
+			e.Insert(200+Value(round), 7)
+			e.Delete(round)
+		}
+	}
+}

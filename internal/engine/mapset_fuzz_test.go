@@ -56,7 +56,7 @@ func encPreds(preds ...[]byte) []byte {
 	return out
 }
 
-func encProjs(attrs ...byte) []byte { return append([]byte{byte(len(attrs) - 1)}, attrs...) }
+func encProjs(attrs ...byte) []byte { return append([]byte{byte(len(attrs))}, attrs...) }
 
 func encQuery(header byte, preds, projs []byte) []byte {
 	return append(append([]byte{header}, preds...), projs...)
@@ -117,7 +117,7 @@ func (r *opReader) preds() []AttrPred {
 }
 
 func (r *opReader) projs() []string {
-	out := make([]string, 1+r.next()%3)
+	out := make([]string, r.next()%4)
 	for i := range out {
 		out[i] = fuzzAttrs[r.next()%4]
 	}
@@ -262,6 +262,14 @@ func FuzzMapEnginesAgree(f *testing.F) {
 		encQuery(opQuery|opDisj, encPreds(encPred(aB, shapeInverted, 9, 30), encPred(aA, shapePoint, 25, 0)), encProjs(aA)),
 		encQuery(opQuery, encPreds(encPred(aA, shapeInverted, 3, 8)), encProjs(aD, aD)),
 		encQuery(opQuery, encPreds(encPred(aA, shapeRange, 0, 63), encPred(aB, shapeRange, 0, 63), encPred(aC, shapeOpen, 1, 50)), encProjs(aD)),
+	))
+	// Nothing projected: a count, from one predicate, cold and read-only,
+	// then from two and from a disjunction.
+	f.Add(int64(4), cat(
+		encQuery(opQuery, wide, encProjs()),
+		encQuery(opQuery, wide, encProjs()),
+		encQuery(opQuery, encPreds(encPred(aB, shapeOpen, 3, 40), encPred(aC, shapeRange, 10, 60)), encProjs()),
+		encQuery(opQuery|opDisj, encPreds(encPred(aA, shapePoint, 9, 0), encPred(aD, shapeRange, 0, 20)), encProjs()),
 	))
 	for seed := int64(4); seed < 10; seed++ {
 		f.Add(seed, randomOps(seed, 1500))

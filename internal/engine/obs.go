@@ -3,6 +3,7 @@ package engine
 import (
 	"crackstore/internal/crack"
 	"crackstore/internal/obs"
+	"crackstore/internal/partial"
 )
 
 // Observability bridge: the engine layer's pre-existing stats structs
@@ -81,6 +82,38 @@ func (e *mapEngine) KernelReport() (KernelReport, bool) {
 	return r, true
 }
 
+// ChunkObservable is implemented by engines over partial maps (and their
+// wrappers): the chunk lifecycle of the storage manager.
+type ChunkObservable interface {
+	ChunkStats() (partial.ChunkStats, bool)
+}
+
+// ChunkStatsOf reports the chunk lifecycle counters of e, or ok false when
+// e does not keep partial maps.
+func ChunkStatsOf(e Engine) (partial.ChunkStats, bool) {
+	if o, ok := e.(ChunkObservable); ok {
+		return o.ChunkStats()
+	}
+	return partial.ChunkStats{}, false
+}
+
+// ChunkStats implements ChunkObservable for the map-set engines. Caller
+// serializes.
+func (e *mapEngine) ChunkStats() (partial.ChunkStats, bool) {
+	st, ok := e.st.(*partial.Store)
+	if !ok {
+		return partial.ChunkStats{}, false
+	}
+	return st.ChunkStats(), true
+}
+
+// ChunkStats forwards under the read lock, like KernelReport.
+func (s *rwEngine) ChunkStats() (partial.ChunkStats, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return ChunkStatsOf(s.e)
+}
+
 // KernelReport implements KernelObservable for the snapshot engine:
 // per-column counters are atomics and the cols map is copy-on-write, so
 // no lock is needed.
@@ -112,8 +145,9 @@ func addKernel(r *KernelReport, ks crack.KernelStats) {
 
 // RegisterMetrics registers e's observable stats into r as func-backed
 // families, read only at scrape time: kernel work and index shape
-// (crack_kernel_*, crack_index_*), reader contention and snapshot
-// lifecycle (crack_engine_*, crack_snapshot_*), and durability
+// (crack_kernel_*, crack_index_*), the chunk lifecycle of partial maps
+// (crack_partial_*), reader contention and snapshot lifecycle
+// (crack_engine_*, crack_snapshot_*), and durability
 // (crack_wal_*, including a live fsync-latency histogram attached to the
 // engine's WAL). Families whose layer the engine does not have are not
 // registered, so their absence on /metrics is meaningful. Safe to call
@@ -132,6 +166,14 @@ func RegisterMetrics(r *obs.Registry, e Engine) {
 		r.CounterFunc("crack_kernel_aux_pivots_total", "auxiliary policy pivots introduced", func() uint64 { return kr().Aux })
 		r.GaugeFunc("crack_index_pieces", "pieces across all cracker indexes (layout refinement)", func() float64 { return float64(kr().Pieces) })
 		r.GaugeFunc("crack_index_columns", "cracked structures (columns, maps, chunks)", func() float64 { return float64(kr().Columns) })
+	}
+	if _, ok := ChunkStatsOf(e); ok {
+		cs := func() partial.ChunkStats { c, _ := ChunkStatsOf(e); return c }
+		r.CounterFunc("crack_partial_chunks_created_total", "chunks materialized from chunk-map areas", func() uint64 { return cs().Created })
+		r.CounterFunc("crack_partial_chunk_tuples_created_total", "tuples fetched and gathered into new chunks", func() uint64 { return cs().TuplesCreated })
+		r.CounterFunc("crack_partial_chunks_evicted_total", "chunks dropped to stay within the storage budget", func() uint64 { return cs().Evicted })
+		r.CounterFunc("crack_partial_chunk_buffers_recycled_total", "chunk columns drawn from the free list", func() uint64 { return cs().BuffersRecycled })
+		r.CounterFunc("crack_partial_chunk_buffers_allocated_total", "chunk columns allocated because the free list had none of the size class", func() uint64 { return cs().BuffersAllocated })
 	}
 	if _, ok := ConcStatsOf(e); ok {
 		cs := func() ConcStats { c, _ := ConcStatsOf(e); return c }

@@ -1,0 +1,149 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+
+	"crackstore/internal/obs"
+	"crackstore/internal/partial"
+	"crackstore/internal/store"
+)
+
+// cycleQuery draws query q of the Fig 9 cycle over attributes A..F: five
+// types A∈1% ∧ X∈50% → Y, in batches of 100.
+func cycleQuery(rng *rand.Rand, q, domain int) Query {
+	types := [][2]string{{"B", "C"}, {"C", "D"}, {"D", "E"}, {"E", "F"}, {"F", "B"}}
+	typ := types[q/100%len(types)]
+	lo, xlo := Value(rng.Intn(domain-domain/100)), Value(rng.Intn(domain/2))
+	return Query{
+		Preds: []AttrPred{
+			{Attr: "A", Pred: store.Range(lo, lo+Value(domain/100))},
+			{Attr: typ[0], Pred: store.Range(xlo, xlo+Value(domain/2))},
+		},
+		Projs: []string{typ[1]},
+	}
+}
+
+// TestRecycledBuffersNeverAliasAnswers keeps every answer of a 2,000-query
+// budgeted stream — head drops on, updates between batches, two goroutines
+// re-asking recent queries beside the writer — and compares them all with
+// the scan oracle once the stream is over. Chunk columns are recycled
+// without being cleared, so an answer that shared memory with a chunk would
+// have been overwritten by then.
+func TestRecycledBuffersNeverAliasAnswers(t *testing.T) {
+	const rows, batches, perBatch = 10000, 20, 100
+	attrs := []string{"A", "B", "C", "D", "E", "F"}
+	rng := rand.New(rand.NewSource(23))
+	rel := buildRel(rng, rows, attrs, rows)
+	st := partial.NewStore(cloneRel(rel))
+	st.Budget = 3 * rows
+	st.HeadDropIdleQueries = 20
+	e := Concurrent(WrapPartial(st))
+
+	type asked struct {
+		q       Query
+		answers [3]Result // the writer's, then one per echoing goroutine
+	}
+	type update struct {
+		vals []Value
+		del  int
+	}
+	kept := make([][]asked, batches) // per batch: the oracle's state differs
+	updates := make([][]update, batches)
+	for b := range kept {
+		kept[b] = make([]asked, perBatch)
+		for i := range kept[b] {
+			kept[b][i].q = cycleQuery(rng, b*perBatch+i, rows)
+		}
+		var echo [2]chan int
+		var wg sync.WaitGroup
+		for r := range echo {
+			echo[r] = make(chan int, perBatch) // one send per query: never blocks
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for i := range echo[r] {
+					kept[b][i].answers[1+r], _ = e.Query(kept[b][i].q)
+				}
+			}(r)
+		}
+		for i := range kept[b] {
+			kept[b][i].answers[0], _ = e.Query(kept[b][i].q)
+			echo[0] <- i
+			echo[1] <- i
+		}
+		close(echo[0])
+		close(echo[1])
+		wg.Wait()
+		for u := 0; u < 3; u++ {
+			up := update{vals: make([]Value, len(attrs)), del: rng.Intn(rows)}
+			for i := range up.vals {
+				up.vals[i] = Value(rng.Intn(rows))
+			}
+			e.Insert(up.vals...)
+			e.Delete(up.del)
+			updates[b] = append(updates[b], up)
+		}
+	}
+
+	cs, ok := ChunkStatsOf(e)
+	if !ok || cs.Evicted == 0 || cs.BuffersRecycled == 0 {
+		t.Fatalf("the stream did not recycle chunk columns: %+v", cs)
+	}
+	oracle := NewScan(cloneRel(rel))
+	for b := range kept {
+		for i, a := range kept[b] {
+			res, _ := oracle.Query(a.q)
+			want := canonRows(res, a.q.Projs)
+			for r, got := range a.answers {
+				checkResult(t, fmt.Sprintf("batch %d query %d answer %d %+v", b, i, r, a.q), got, a.q.Projs, want)
+			}
+		}
+		for _, up := range updates[b] {
+			oracle.Insert(up.vals...)
+			oracle.Delete(up.del)
+		}
+	}
+}
+
+// TestChunkLifecycleMetrics: a budgeted partial engine exposes the five
+// chunk lifecycle families, all off zero after a cycle stream; an engine
+// without partial maps registers none of them.
+func TestChunkLifecycleMetrics(t *testing.T) {
+	const rows = 20000
+	rng := rand.New(rand.NewSource(29))
+	rel := buildRel(rng, rows, []string{"A", "B", "C", "D", "E", "F"}, rows)
+	e := Concurrent(NewPartialWithBudget(cloneRel(rel), 3*rows))
+	reg := obs.NewRegistry()
+	RegisterMetrics(reg, e)
+	for q := 0; q < 1000; q++ {
+		e.Query(cycleQuery(rng, q, rows))
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range []string{
+		"crack_partial_chunks_created_total",
+		"crack_partial_chunk_tuples_created_total",
+		"crack_partial_chunks_evicted_total",
+		"crack_partial_chunk_buffers_recycled_total",
+		"crack_partial_chunk_buffers_allocated_total",
+	} {
+		if !regexp.MustCompile(`(?m)^` + fam + ` [1-9]`).MatchString(b.String()) {
+			t.Errorf("family %s missing or zero after a budgeted cycle stream", fam)
+		}
+	}
+
+	full := obs.NewRegistry()
+	RegisterMetrics(full, New(Sideways, cloneRel(rel)))
+	for _, fam := range full.Families() {
+		if strings.HasPrefix(fam, "crack_partial_") {
+			t.Errorf("a full-map engine registered %s", fam)
+		}
+	}
+}

@@ -149,7 +149,9 @@ func TestServerSideSampling(t *testing.T) {
 func TestMetricsEndToEnd(t *testing.T) {
 	rel := buildRel(1, 2000, 500)
 	reg := obs.NewRegistry()
-	e := engine.Concurrent(engine.New(engine.Sideways, rel))
+	// Partial maps under a budget: the engine with every kernel family and
+	// the chunk lifecycle ones.
+	e := engine.Concurrent(engine.NewPartialWithBudget(rel, 2*rel.NumRows()))
 	s := startServer(t, e, Options{Metrics: reg})
 	engine.RegisterMetrics(reg, s.srv.Engine())
 	c := dial(t, s, client.Options{Metrics: reg})
@@ -178,6 +180,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"crack_kernel_crack_in_two_total",
 		"crack_index_pieces",
 		"crack_engine_storage_tuples",
+		"crack_partial_chunks_created_total",
+		"crack_partial_chunk_tuples_created_total",
+		"crack_partial_chunks_evicted_total",
+		"crack_partial_chunk_buffers_recycled_total",
+		"crack_partial_chunk_buffers_allocated_total",
 	} {
 		if !strings.Contains(out, strings.SplitN(fam, " ", 2)[0]) {
 			t.Errorf("exposition missing family %s", fam)

@@ -10,20 +10,35 @@
 // has its own cracker tape; chunks carry a cursor into their area's tape and
 // are aligned by replay, exactly like full maps but at chunk granularity.
 //
-// The storage manager drops least-frequently-accessed chunks when a budget
-// is exceeded; dropping the last chunk of an area un-fetches it (its tape's
-// pending effects are pushed back to the set's pending updates, so nothing
-// is lost). Heavily cracked or idle chunks can drop their head column; the
-// head is recovered deterministically from the frozen H_A area by replaying
-// the tape prefix, or copied from a same-cursor sibling chunk (Section 4.1,
-// "Dropping the Head Column").
+// The storage manager evicts chunks when a budget is exceeded; dropping the
+// last chunk of an area un-fetches it (its tape's pending effects are pushed
+// back to the set's pending updates, so nothing is lost). Heavily cracked or
+// idle chunks can drop their head column; the head is recovered
+// deterministically from the frozen H_A area by replaying the tape prefix,
+// or copied from a same-cursor sibling chunk (Section 4.1, "Dropping the
+// Head Column").
+//
+// Under a budget smaller than the workload's working set, creating chunks
+// is steady-state work, so the manager is built to pay for a chunk tuple
+// once. Eviction is least-frequently-used with dynamic aging
+// (sideways.Usage): a chunk's priority is its access count plus the store's
+// age at its last use, the age being the priority of the last victim. The
+// paper's plain count thrashes on its own Fig 9 cycle: the victim is the
+// chunk created one query ago, with its count of one, while the well-used
+// chunks of a batch that has ended are kept for good. Victims come off a
+// heap with lazily refreshed keys, since read-only queries raise priorities
+// atomically and cannot reorder anything. The columns of evicted chunks and
+// dropped heads go to a store-owned free list that new chunks and recovered
+// heads draw from (see buffers for the ownership rule); it holds at most
+// Budget/8 values, a sixteenth of the bytes the budget allows live chunks.
 package partial
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
-	"sync/atomic"
 
 	"crackstore/internal/bitvec"
 	"crackstore/internal/crack"
@@ -44,13 +59,18 @@ type (
 // chunk is one materialized piece of a partial map: a (head, tail) pairs
 // table covering its area's value range, plus a cursor into the area tape.
 type chunk struct {
-	p      *crack.Pairs
-	cursor int
-	access int64 // bumped atomically by the read-only path, plainly under
-	// exclusive access (LFU storage management)
-	headDropped bool
-	lastCrack   int // store query counter at the last replayed crack entry
-	cost        int // tuples() as last added to Store.storage (see account)
+	p              *crack.Pairs
+	cursor         int
+	sideways.Usage // eviction priority; touched atomically by read-only queries
+	headDropped    bool
+	lastCrack      int // store query counter at the last replayed crack entry
+	cost           int // tuples() as last added to Store.storage (see account)
+
+	// Where the chunk lives: what eviction needs to remove it, and the
+	// (set attribute, area id, tail attribute) order of equal priorities.
+	set  *Set
+	w    *area
+	attr string
 }
 
 func (c *chunk) Len() int { return len(c.p.Tail) }
@@ -135,6 +155,152 @@ type Store struct {
 	queries     int
 	storage     int            // running sum of chunk.tuples() over all live chunks
 	pinnedAreas map[*area]bool // areas resolved by the in-flight query
+	victims     victimHeap     // every live chunk, lowest eviction priority first
+	bufs        buffers        // columns of evicted chunks and dropped heads
+	life        ChunkStats
+	// evictedAccesses sums the access counts of evicted chunks: a mean near
+	// one says the manager evicts what it created a query ago.
+	evictedAccesses int64
+}
+
+// ChunkStats counts the chunk lifecycle since the store was created.
+type ChunkStats struct {
+	Created       uint64 // chunks materialized
+	TuplesCreated uint64 // tuples fetched and gathered into them
+	Evicted       uint64 // chunks dropped for the budget
+	// Columns handed to new chunks and recovered heads: taken from the free
+	// list, or allocated because it held none of the size class.
+	BuffersRecycled, BuffersAllocated uint64
+}
+
+// ChunkStats returns the lifecycle counters. Call it under the same
+// synchronization as queries.
+func (s *Store) ChunkStats() ChunkStats {
+	st := s.life
+	st.BuffersRecycled, st.BuffersAllocated = s.bufs.recycled, s.bufs.allocated
+	return st
+}
+
+// buffers is the store's free list of chunk columns. Under a budget chunk
+// creation is steady-state work, and a fresh column costs its zeroing plus a
+// page fault per 4 KB on top of the copy that fills it; a recycled one costs
+// the copy.
+//
+// Ownership: a column enters the list when its chunk is evicted or its head
+// is dropped — on the write path, under exclusive access — and from then on
+// nothing else refers to it. A Window holds tails of chunks the in-flight
+// query pinned, eviction skips pinned chunks, a head drop releases the head
+// only, read-only queries never run beside the write path, and a Result is
+// always a copy. Columns leave the list without being cleared; whoever
+// draws one overwrites all of it.
+//
+// Capacities are rounded to size classes, four per doubling, so a column
+// serves any chunk of its class and a chunk's columns are at most a quarter
+// larger than the chunk. The list holds at most Budget/8 values — a
+// sixteenth of the bytes the budget allows live chunks — and nothing without
+// a budget.
+type buffers struct {
+	free                map[int][][]Value // by capacity, always a size class
+	idle                int               // values held
+	recycled, allocated uint64
+}
+
+// minClass is the smallest pooled capacity; smaller columns cost nothing to
+// allocate.
+const minClass = 8
+
+// classUp returns the smallest size class >= n.
+func classUp(n int) int {
+	if n <= minClass {
+		return minClass
+	}
+	g := 1 << (bits.Len(uint(n-1)) - 3)
+	return (n + g - 1) &^ (g - 1)
+}
+
+// classDown returns the largest size class <= n, 0 when there is none.
+func classDown(n int) int {
+	if n < minClass {
+		return 0
+	}
+	g := 1 << (bits.Len(uint(n)) - 3)
+	return n &^ (g - 1)
+}
+
+// get returns a column of length n with unspecified contents.
+func (b *buffers) get(n int) []Value {
+	c := classUp(n)
+	if l := b.free[c]; len(l) > 0 {
+		buf := l[len(l)-1]
+		b.free[c] = l[:len(l)-1]
+		b.idle -= c
+		b.recycled++
+		return buf[:n]
+	}
+	b.allocated++
+	return make([]Value, n, c)
+}
+
+// put hands a column nothing refers to any more to the list, which keeps
+// within limit values by giving up columns of the class that holds most: the
+// sizes the store evicts drift away from the sizes it creates, and the glut
+// must not crowd out the classes in demand.
+func (b *buffers) put(buf []Value, limit int) {
+	c := classDown(cap(buf))
+	if c == 0 || c > limit {
+		return
+	}
+	if b.free == nil {
+		b.free = make(map[int][][]Value)
+	}
+	for b.idle+c > limit {
+		glut, held := 0, 0
+		for class, l := range b.free {
+			if v := class * len(l); v > held || v == held && class > glut {
+				glut, held = class, v
+			}
+		}
+		l := b.free[glut]
+		l[len(l)-1] = nil
+		b.free[glut] = l[:len(l)-1]
+		b.idle -= glut
+	}
+	b.free[c] = append(b.free[c], buf[:0:c])
+	b.idle += c
+}
+
+// victimHeap orders the store's live chunks by eviction priority. Keys are
+// lazy: a use raises a chunk's priority without touching the heap (read-only
+// queries could not), so a key may be lower than the truth, never higher,
+// and ensureBudget refreshes whatever surfaces before trusting it.
+type victimHeap []victimKey
+
+type victimKey struct {
+	prio int64
+	c    *chunk
+}
+
+func (h victimHeap) Len() int      { return len(h) }
+func (h victimHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h victimHeap) Less(i, j int) bool {
+	a, b := h[i].c, h[j].c
+	switch {
+	case h[i].prio != h[j].prio:
+		return h[i].prio < h[j].prio
+	case a.set.attr != b.set.attr:
+		return a.set.attr < b.set.attr
+	case a.w.id != b.w.id:
+		return a.w.id < b.w.id
+	}
+	return a.attr < b.attr
+}
+func (h *victimHeap) Push(x any) { *h = append(*h, x.(victimKey)) }
+func (h *victimHeap) Pop() any {
+	old := *h
+	k := old[len(old)-1]
+	old[len(old)-1] = victimKey{}
+	*h = old[:len(old)-1]
+	return k
 }
 
 // NewStore wraps rel (not copied) for partial sideways cracking.
@@ -142,11 +308,13 @@ func NewStore(rel *store.Relation) *Store {
 	return &Store{Base: sideways.NewBase(rel), sets: make(map[string]*Set)}
 }
 
-// Kernel aggregates the kernel partition counters and cracker-index
-// sizes over every chunk map and every materialized chunk: the
-// observability bridge. Call it under the same synchronization as
-// queries (the stats are plain ints on the Pairs).
+// Kernel aggregates the kernel partition counters over every chunk map and
+// every chunk the store has had, evicted ones included, and the
+// cracker-index sizes over the live ones: the observability bridge. Call it
+// under the same synchronization as queries (the stats are plain ints on the
+// Pairs).
 func (s *Store) Kernel() (ks crack.KernelStats, pieces, cols int) {
+	ks = s.RetiredKernel()
 	for _, set := range s.sets {
 		ks.Add(set.ha.Stats)
 		pieces += set.ha.Idx.Pieces()
@@ -175,8 +343,12 @@ func (s *Store) account(c *chunk) {
 	c.cost = c.tuples()
 }
 
+// release hands a column nothing refers to any more to the free list.
+func (s *Store) release(buf []Value) { s.bufs.put(buf, s.Budget/8) }
+
 // dropHead drops chunk c's head column, keeping only the tail.
 func (s *Store) dropHead(c *chunk) {
+	s.release(c.p.Head)
 	c.p.Head = nil
 	c.headDropped = true
 	s.account(c)
@@ -316,23 +488,28 @@ func (set *Set) ensureChunk(w *area, tailAttr string, pinned map[*chunk]bool) *c
 	if c, ok := w.chunks[tailAttr]; ok {
 		return c
 	}
+	st := set.st
 	size := w.hi - w.lo
-	set.st.ensureBudget(size, pinned)
-	head := make([]Value, size)
+	st.ensureBudget(size, pinned)
+	head := st.bufs.get(size)
 	copy(head, set.ha.Head[w.lo:w.hi])
-	tail := make([]Value, size)
+	tail := st.bufs.get(size)
+	keys := set.ha.Tail[w.lo:w.hi]
 	if tailAttr == "" {
-		copy(tail, set.ha.Tail[w.lo:w.hi])
+		copy(tail, keys)
 	} else {
-		col := set.st.Relation().MustColumn(tailAttr)
-		for i := 0; i < size; i++ {
-			tail[i] = col.Vals[int(set.ha.Tail[w.lo+i])]
+		vals := st.Relation().MustColumn(tailAttr).Vals
+		for i, k := range keys {
+			tail[i] = vals[k]
 		}
 	}
-	c := &chunk{p: crack.WrapPairs(head, tail), lastCrack: set.st.queries}
+	c := &chunk{p: crack.WrapPairs(head, tail), lastCrack: st.queries, set: set, w: w, attr: tailAttr}
 	c.p.Policy = set.ha.Policy
 	w.chunks[tailAttr] = c
-	set.st.account(c)
+	st.account(c)
+	heap.Push(&st.victims, victimKey{c.Priority(), c})
+	st.life.Created++
+	st.life.TuplesCreated += uint64(size)
 	return c
 }
 
@@ -381,10 +558,11 @@ func boundsKnown(c *chunk, pred store.Pred) bool {
 // deterministic cracking guarantees the rebuilt head pairs correctly with
 // the surviving tail.
 func (set *Set) recoverHead(w *area, c *chunk) {
-	defer set.st.account(c)
+	st := set.st
+	defer st.account(c)
 	for _, sib := range w.chunks {
 		if sib != c && !sib.headDropped && sib.cursor == c.cursor {
-			head := make([]Value, len(sib.p.Head))
+			head := st.bufs.get(len(sib.p.Head))
 			copy(head, sib.p.Head)
 			c.p.Head = head
 			c.headDropped = false
@@ -392,16 +570,18 @@ func (set *Set) recoverHead(w *area, c *chunk) {
 		}
 	}
 	size := w.hi - w.lo
-	head := make([]Value, size)
+	head := st.bufs.get(size)
 	copy(head, set.ha.Head[w.lo:w.hi])
-	dummy := make([]Value, size)
-	tmp := crack.WrapPairs(head, dummy)
+	// The replay drags a tail along whose values nobody reads.
+	tmp := crack.WrapPairs(head, st.bufs.get(size))
 	// Replay under the set's policy: the rebuilt head must make the same
 	// pivot decisions the chunk originally did to pair with its tail.
 	tmp.Policy = set.ha.Policy
-	w.tape.Replay(tmp, 0, c.cursor, set.st.Relation().MustColumn(set.attr), nil)
+	w.tape.Replay(tmp, 0, c.cursor, st.Relation().MustColumn(set.attr), nil)
 	c.p.Head = tmp.Head
 	c.headDropped = false
+	c.p.Stats.Add(tmp.Stats) // the rebuild is kernel work done for c
+	st.release(tmp.Tail)
 }
 
 // DropHead explicitly drops the head column of every chunk in every set,
@@ -455,58 +635,49 @@ func maxPiece(c *chunk) int {
 	return largest
 }
 
-// ensureBudget drops least-frequently-accessed unpinned chunks until size
-// more tuples fit in the budget. Dropping an area's last chunk un-fetches
-// the area. Equally rarely used chunks go in (set attribute, area id, tail
-// attribute) order, so one query stream always evicts the same chunks
-// whatever order the maps iterate in.
+// ensureBudget evicts the unpinned chunks of lowest Usage priority until
+// size more tuples fit in the budget; chunks of equal priority go in (set
+// attribute, area id, tail attribute) order, so one query stream always
+// evicts the same chunks. Dropping an area's last chunk un-fetches the area.
 func (s *Store) ensureBudget(size int, pinned map[*chunk]bool) {
 	if s.Budget <= 0 {
 		return
 	}
-	type cand struct {
-		set  *Set
-		w    *area
-		attr string
-		c    *chunk
+	var held []victimKey // pinned chunks that surfaced
+	for s.storage+size > s.Budget && len(s.victims) > 0 {
+		top := &s.victims[0]
+		if prio := top.c.Priority(); prio != top.prio {
+			top.prio = prio
+			heap.Fix(&s.victims, 0)
+			continue
+		}
+		k := heap.Pop(&s.victims).(victimKey)
+		if pinned[k.c] {
+			held = append(held, k)
+			continue
+		}
+		s.evict(k.c)
 	}
-	before := func(a, b cand) bool {
-		if a.c.access != b.c.access {
-			return a.c.access < b.c.access
-		}
-		if a.set.attr != b.set.attr {
-			return a.set.attr < b.set.attr
-		}
-		if a.w.id != b.w.id {
-			return a.w.id < b.w.id
-		}
-		return a.attr < b.attr
+	// With everything else gone the query exceeds the budget.
+	for _, k := range held {
+		heap.Push(&s.victims, k)
 	}
-	for s.storage+size > s.Budget {
-		var victim cand
-		for _, set := range s.sets {
-			for _, w := range set.areas {
-				for attr, c := range w.chunks {
-					if pinned[c] {
-						continue
-					}
-					if cd := (cand{set, w, attr, c}); victim.c == nil || before(cd, victim) {
-						victim = cd
-					}
-				}
-			}
-		}
-		if victim.c == nil {
-			return // everything pinned; allow exceeding the budget
-		}
-		delete(victim.w.chunks, victim.attr)
-		s.storage -= victim.c.cost
-		// Never un-fetch an area the in-flight query resolved: pushing its
-		// tape updates back to pending while the query holds the area
-		// object would double-apply them. An empty fetched area is valid.
-		if len(victim.w.chunks) == 0 && !s.pinnedAreas[victim.w] {
-			victim.set.unfetch(victim.w)
-		}
+}
+
+// evict drops chunk c, already off the victim heap, and recycles its columns.
+func (s *Store) evict(c *chunk) {
+	delete(c.w.chunks, c.attr)
+	s.storage -= c.cost
+	s.Retire(&c.Usage, c.p.Stats)
+	s.life.Evicted++
+	s.evictedAccesses += c.Accesses()
+	s.release(c.p.Head)
+	s.release(c.p.Tail)
+	// Never un-fetch an area the in-flight query resolved: pushing its
+	// tape updates back to pending while the query holds the area
+	// object would double-apply them. An empty fetched area is valid.
+	if len(c.w.chunks) == 0 && !s.pinnedAreas[c.w] {
+		c.set.unfetch(c.w)
 	}
 }
 
@@ -588,7 +759,7 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string) []sideways.Window {
 			c := set.ensureChunk(w, attr, pinned)
 			pinned[c] = true
 			set.replay(w, c, target, attr)
-			c.access++
+			set.st.Touch(&c.Usage)
 			chunks[i] = c
 			usedChunks = append(usedChunks, c)
 		}
@@ -807,8 +978,8 @@ func (s *Store) ProbeMulti(preds []AttrPred, projs []string, disjunctive bool) b
 // ProbeMulti: it answers the query only when every needed chunk exists,
 // is sufficiently aligned, and no pending update or fetch is required.
 // ok is false otherwise; callers then fall back to MultiSelect under
-// exclusive access. LFU access counters are bumped atomically; the
-// head-drop idle clock is not advanced by read-only queries.
+// exclusive access. The chunks' Usage is bumped atomically; the head-drop
+// idle clock is not advanced by read-only queries.
 func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool) (Result, bool) {
 	pl, headSlot, wins, used, ok := s.planRO(preds, projs, disjunctive)
 	if !ok {
@@ -817,7 +988,7 @@ func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool
 	// No dedup needed: windows are one per area and an area's chunks are
 	// keyed by distinct tail attributes, so no chunk repeats.
 	for _, c := range used {
-		atomic.AddInt64(&c.access, 1)
+		s.Touch(&c.Usage)
 	}
 	return finish(&pl, headSlot, wins), true
 }

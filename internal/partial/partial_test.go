@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"crackstore/internal/crack"
 	"crackstore/internal/store"
 )
 
@@ -507,8 +508,9 @@ func TestQuickDisjunctiveWithUpdates(t *testing.T) {
 // budgetedStream runs one seeded 1,000-query stream — conjunctive selections
 // headed by three different attributes, with updates beside them — against a
 // store whose budget forces eviction across sets, checking after every query
-// that the running storage total equals a full recount. It returns the final
-// storage total and an inventory of every set's areas and chunks.
+// that the running storage total equals a full recount and that no kernel
+// counter went down: an evicted chunk's work stays counted. It returns the
+// final storage total and an inventory of every set's areas and chunks.
 func budgetedStream(t *testing.T, seed int64) (int, string) {
 	t.Helper()
 	const rows, domain = 4000, 4000
@@ -518,6 +520,7 @@ func budgetedStream(t *testing.T, seed int64) (int, string) {
 	s.Budget = 3 * rows
 	s.HeadDropIdleQueries = 25
 	live := rows
+	var before crack.KernelStats
 	for q := 0; q < 1000; q++ {
 		if q%10 == 9 {
 			vals := make([]Value, len(attrs))
@@ -538,16 +541,24 @@ func budgetedStream(t *testing.T, seed int64) (int, string) {
 		if err := s.checkStorage(); err != nil {
 			t.Fatalf("seed %d query %d: %v", seed, q, err)
 		}
+		ks, _, _ := s.Kernel()
+		if ks.Visited < before.Visited || ks.Moved < before.Moved || ks.InTwo < before.InTwo || ks.InThree < before.InThree {
+			t.Fatalf("seed %d query %d: kernel counters fell from %+v to %+v", seed, q, before, ks)
+		}
+		before = ks
 	}
 	if err := s.checkInvariants(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
+	}
+	if s.life.Evicted == 0 {
+		t.Fatalf("seed %d: the stream evicted nothing", seed)
 	}
 	var inv []string
 	for attr, set := range s.sets {
 		for _, w := range set.areas {
 			for tail, c := range w.chunks {
 				inv = append(inv, fmt.Sprintf("%s/%d[%d,%d)/%s len=%d cursor=%d dropped=%v access=%d",
-					attr, w.id, w.lo, w.hi, tail, c.Len(), c.cursor, c.headDropped, c.access))
+					attr, w.id, w.lo, w.hi, tail, c.Len(), c.cursor, c.headDropped, c.Accesses()))
 			}
 			inv = append(inv, fmt.Sprintf("%s/%d[%d,%d) tape=%d", attr, w.id, w.lo, w.hi, len(w.tape)))
 		}

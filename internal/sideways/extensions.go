@@ -201,7 +201,6 @@ func (set *Set) QueryKeys(pred store.Pred) (lo, hi int, m *Map) {
 	set.mergePending(pred)
 	set.tape.LogCrack(pred)
 	set.align(set.keyMap)
-	set.keyMap.access++
 	lo, hi = areaOf(set.keyMap, pred)
 	return lo, hi, set.keyMap
 }

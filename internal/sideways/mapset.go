@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"crackstore/internal/bitvec"
 	"crackstore/internal/crack"
@@ -16,7 +17,8 @@ import (
 // sideways cracking as the same operators run chunk-wise, so everything
 // that does not depend on how a set lays out its maps lives here once: the
 // base-side state of a store, a set's pending-update ledger, the cracker
-// tape, the multi-selection planner and the bit-vector finish.
+// tape, the multi-selection planner, the bit-vector finish and the eviction
+// rule of the two storage managers.
 
 // Base is the base-side state every map-set store carries: the relation,
 // its tombstones, and the pending-update ledgers of the sets built over
@@ -27,6 +29,9 @@ type Base struct {
 	rel        *store.Relation
 	tombstones map[int]bool
 	ledgers    []*Pending // one per map set
+
+	age     int64             // eviction age: the highest priority evicted so far
+	retired crack.KernelStats // kernel work done on structures since evicted
 
 	statsMu        sync.Mutex       // guards colMin/colMax (lazily filled by read-only probes)
 	colMin, colMax map[string]Value // cached base column stats for fallback estimation
@@ -41,6 +46,46 @@ func NewBase(rel *store.Relation) Base {
 		colMax:     make(map[string]Value),
 	}
 }
+
+// Usage is what the storage managers know about one evictable structure, a
+// full map or a chunk of a partial map. Both evict by LFU with dynamic
+// aging: a structure's priority is its access count plus the store's age
+// when it was last used, and the age is the priority of the last victim.
+// Counts alone would keep the much-used structures of a batch that ended and
+// evict the ones the current batch created a query ago; with the age, a
+// structure nobody uses is overtaken by the new ones within a few evictions.
+type Usage struct {
+	access atomic.Int64 // queries that used the structure
+	usedAt atomic.Int64 // the store's age at the last of them
+}
+
+// Priority orders eviction: the lowest goes first. Callers break ties by the
+// structure's name so one query stream always evicts the same victims.
+func (u *Usage) Priority() int64 { return u.usedAt.Load() + u.access.Load() }
+
+// Accesses returns the number of queries that used the structure.
+func (u *Usage) Accesses() int64 { return u.access.Load() }
+
+// Touch records one query's use of u. Read-only queries call it
+// concurrently: the age only moves under exclusive access, so they all store
+// the same one — and none at all while nothing has been evicted since the
+// last use, the whole life of an unbudgeted store.
+func (b *Base) Touch(u *Usage) {
+	if u.usedAt.Load() != b.age {
+		u.usedAt.Store(b.age)
+	}
+	u.access.Add(1)
+}
+
+// Retire records the eviction of the structure u describes: the store ages
+// to its priority, and the kernel work ks done on it stays counted.
+func (b *Base) Retire(u *Usage, ks crack.KernelStats) {
+	b.age = max(b.age, u.Priority())
+	b.retired.Add(ks)
+}
+
+// RetiredKernel returns the kernel counters of every evicted structure.
+func (b *Base) RetiredKernel() crack.KernelStats { return b.retired }
 
 // Relation returns the underlying base relation.
 func (b *Base) Relation() *store.Relation { return b.rel }
@@ -344,6 +389,12 @@ func PlanMulti(est Estimator, preds []AttrPred, projs []string, disjunctive bool
 	for _, attr := range projs {
 		pl.Slot(attr)
 	}
+	if len(pl.Tails) == 0 {
+		// One predicate and nothing projected: the answer is a count, and
+		// the set can only read an area off a map it has. Its own head
+		// attribute is the tail that asks for nothing else.
+		pl.Slot(pl.Head.Attr)
+	}
 	return pl
 }
 
@@ -430,13 +481,14 @@ func (pl *Plan) Reconstruct(wins []Window, marks []*bitvec.Vector) Result {
 			continue
 		}
 		slot := slices.Index(pl.Tails, attr)
-		out := make([]Value, 0, n)
+		out := make([]Value, n)
+		at := 0
 		for i, w := range wins {
-			tail := w.Tails[slot]
+			area := w.Tails[slot][w.Lo:w.Hi]
 			if marks == nil {
-				out = append(out, tail[w.Lo:w.Hi]...)
+				at += copy(out[at:], area)
 			} else {
-				out = appendMarked(out, tail, w.Lo, marks[i])
+				at += marks[i].Gather(out[at:], area)
 			}
 		}
 		res.Cols[attr] = out
@@ -444,35 +496,43 @@ func (pl *Plan) Reconstruct(wins []Window, marks []*bitvec.Vector) Result {
 	return res
 }
 
+// closedInterval normalises pred to the closed interval [lo, hi] the
+// word-at-a-time kernels compare against; lo > hi when nothing can match.
+func closedInterval(pred store.Pred) (lo, hi Value) {
+	lo, hi = pred.Lo, pred.Hi
+	if !pred.LoIncl {
+		if lo == math.MaxInt64 {
+			return 1, 0
+		}
+		lo++
+	}
+	if !pred.HiIncl {
+		if hi == math.MinInt64 {
+			return 1, 0
+		}
+		hi--
+	}
+	return lo, hi
+}
+
 // SelectCreateBV is operator sideways.select_create_bv step (8): create a
 // bit vector for area [lo, hi) of an aligned map tail under pred.
 func SelectCreateBV(tail []Value, lo, hi int, pred store.Pred) *bitvec.Vector {
-	bv := bitvec.New(hi - lo)
-	for i := lo; i < hi; i++ {
-		if pred.Matches(tail[i]) {
-			bv.Set(i - lo)
-		}
-	}
-	return bv
+	vlo, vhi := closedInterval(pred)
+	return bitvec.FromRange(tail[lo:hi], vlo, vhi)
 }
 
 // SelectRefineBV is operator sideways.select_refine_bv step (8): clear bits
 // of tuples in [lo, hi) that fail pred.
 func SelectRefineBV(tail []Value, lo, hi int, pred store.Pred, bv *bitvec.Vector) {
-	for i := lo; i < hi; i++ {
-		if bv.Get(i-lo) && !pred.Matches(tail[i]) {
-			bv.Clear(i - lo)
-		}
-	}
+	vlo, vhi := closedInterval(pred)
+	bv.AndRange(tail[lo:hi], vlo, vhi)
 }
 
 // ReconstructBV is operator sideways.reconstruct step (8): gather the tail
 // values whose bit is set; base is the tail offset of bit 0.
 func ReconstructBV(tail []Value, base int, bv *bitvec.Vector) []Value {
-	return appendMarked(make([]Value, 0, bv.Count()), tail, base, bv)
-}
-
-func appendMarked(out, tail []Value, base int, bv *bitvec.Vector) []Value {
-	bv.ForEachSet(func(i int) { out = append(out, tail[base+i]) })
+	out := make([]Value, bv.Count())
+	bv.Gather(out, tail[base:base+bv.Len()])
 	return out
 }

@@ -49,6 +49,29 @@ func TestBudgetedMapEvictionIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestEvictedMapsKeepTheirKernelCounts: Kernel sums the work done on every
+// map the store has had, so dropping a much-cracked map for the budget —
+// here for a fresh map of another set, cracked once — never takes its
+// partition passes out of the counters.
+func TestEvictedMapsKeepTheirKernelCounts(t *testing.T) {
+	rel := buildRel(rand.New(rand.NewSource(5)), 1000, []string{"A", "B", "C"}, 500)
+	s := NewStore(rel)
+	s.Budget = 2000
+	for i := 0; i < 8; i++ {
+		lo := Value(i * 50)
+		s.SelectProject("A", store.Range(lo, lo+60), []string{"B", "C"})
+	}
+	before, _, _ := s.Kernel()
+	s.SelectProject("B", store.Range(100, 200), []string{"A"})
+	if n := len(s.Set("A").Maps()); n != 1 {
+		t.Fatalf("S_A keeps %d maps beside the new one of S_B under a two-map budget", n)
+	}
+	after, _, _ := s.Kernel()
+	if after.Visited <= before.Visited || after.Moved < before.Moved || after.InTwo+after.InThree <= before.InTwo+before.InThree {
+		t.Fatalf("a map was cracked, yet the kernel counters went from %+v to %+v", before, after)
+	}
+}
+
 // TestDeleteOfBaseKeysSkipsPendingInserts pins the ledger's baseLen rule: a
 // key that was in the base when the set was created cannot be a pending
 // insertion, so deleting it never scans the pending insertions — 10k such

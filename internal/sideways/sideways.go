@@ -21,7 +21,6 @@ package sideways
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"crackstore/internal/bitvec"
 	"crackstore/internal/crack"
@@ -36,9 +35,8 @@ type Value = store.Value
 type Map struct {
 	tailAttr string // "" for the key map
 	pairs    *crack.Pairs
-	cursor   int   // tape position of the last replayed entry
-	access   int64 // queries that used this map (for LFU storage management);
-	// bumped atomically by the read-only path, plainly under exclusive access
+	cursor   int // tape position of the last replayed entry
+	Usage        // for storage management
 }
 
 // Len returns the number of tuples currently in the map.
@@ -82,8 +80,9 @@ type Store struct {
 	sets map[string]*Set
 
 	// Budget is the storage threshold T in tuples for map storage; 0 means
-	// unlimited. When exceeded, least-frequently-accessed maps not needed
-	// by the current query are dropped (Section 4.2's full-map policy).
+	// unlimited. When exceeded, the maps of lowest Usage priority not
+	// needed by the current query are dropped (Section 4.2's full-map
+	// policy, least-frequently-used, with aging).
 	Budget int
 
 	// EagerAlignment is an ablation switch: when set, every query aligns
@@ -112,11 +111,12 @@ func NewStore(rel *store.Relation) *Store {
 // NumSets returns the number of materialized map sets.
 func (s *Store) NumSets() int { return len(s.sets) }
 
-// Kernel aggregates the kernel partition counters and cracker-index
-// sizes over every map of every set: the observability bridge. Call it
-// under the same synchronization as queries (the stats are plain ints on
-// the maps' Pairs).
+// Kernel aggregates the kernel partition counters over every map the store
+// has had, evicted ones included, and the cracker-index sizes over the live
+// ones: the observability bridge. Call it under the same synchronization as
+// queries (the stats are plain ints on the maps' Pairs).
 func (s *Store) Kernel() (ks crack.KernelStats, pieces, cols int) {
+	ks = s.RetiredKernel()
 	for _, set := range s.sets {
 		for _, m := range set.maps {
 			ks.Add(m.pairs.Stats)
@@ -239,7 +239,7 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string) (lo, hi int, used []*
 	set.tape.LogCrack(pred)
 	for _, m := range used {
 		set.align(m)
-		m.access++
+		set.st.Touch(&m.Usage)
 	}
 	if set.st.EagerAlignment {
 		for _, m := range set.maps {
@@ -262,11 +262,11 @@ func areaOf(m *Map, pred store.Pred) (lo, hi int) {
 	return lo, hi
 }
 
-// ensureBudget drops least-frequently-accessed maps (across all sets, never
-// ones needed by the current query) until a new map of base size fits
-// within the store budget. With Budget == 0 it is a no-op. Equally rarely
-// used maps go in (set attribute, tail attribute) order, so one query
-// stream always evicts the same maps whatever order the Go maps iterate in.
+// ensureBudget drops the maps of lowest Usage priority (across all sets,
+// never ones needed by the current query) until a new map of base size fits
+// within the store budget. With Budget == 0 it is a no-op. Maps of equal
+// priority go in (set attribute, tail attribute) order, so one query stream
+// always evicts the same maps whatever order the Go maps iterate in.
 func (s *Store) ensureBudget(cur *Set, needed []string) {
 	if s.Budget <= 0 {
 		return
@@ -275,20 +275,22 @@ func (s *Store) ensureBudget(cur *Set, needed []string) {
 		var victimSet *Set
 		var victimAttr string
 		var victim *Map
+		var victimPrio int64
 		for _, set := range s.sets {
 			for attr, m := range set.maps {
 				if set == cur && slices.Contains(needed, attr) {
 					continue
 				}
-				if victim == nil || m.access < victim.access || m.access == victim.access &&
+				if prio := m.Priority(); victim == nil || prio < victimPrio || prio == victimPrio &&
 					(set.attr < victimSet.attr || set.attr == victimSet.attr && attr < victimAttr) {
-					victimSet, victimAttr, victim = set, attr, m
+					victimSet, victimAttr, victim, victimPrio = set, attr, m, prio
 				}
 			}
 		}
 		if victim == nil {
 			return // nothing droppable; allow exceeding the budget
 		}
+		s.Retire(&victim.Usage, victim.pairs.Stats)
 		delete(victimSet.maps, victimAttr)
 	}
 }
@@ -466,8 +468,8 @@ func (s *Store) ProbeMulti(preds []AttrPred, projs []string, disjunctive bool) b
 // ProbeMulti: it answers the query only when doing so requires no cracking,
 // no pending-update merge, no map creation, and no tape growth. ok is false
 // otherwise; callers then fall back to MultiSelect under exclusive access.
-// Safe for concurrent use with other read-only operations. LFU access
-// counters are bumped atomically; everything else is left untouched.
+// Safe for concurrent use with other read-only operations. The maps' Usage
+// is bumped atomically; everything else is left untouched.
 func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool) (Result, bool) {
 	// Dedicated fast path for the dominant aligned-repeat shape: one
 	// predicate, one projection, conjunctive. Same eligibility rules as
@@ -487,7 +489,7 @@ func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool
 		if !ok {
 			return Result{}, false
 		}
-		atomic.AddInt64(&m.access, 1)
+		s.Touch(&m.Usage)
 		out := make([]Value, hi-lo)
 		copy(out, m.pairs.Tail[lo:hi])
 		return Result{Cols: map[string][]Value{projs[0]: out}, N: hi - lo}, true
@@ -497,7 +499,7 @@ func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool
 		return Result{}, false
 	}
 	for _, m := range used {
-		atomic.AddInt64(&m.access, 1)
+		s.Touch(&m.Usage)
 	}
 	return pl.finish(lo, hi, used, disjunctive), true
 }
