@@ -1,4 +1,4 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: adaptive
+// Ablation benchmarks for three design choices of the paper: adaptive
 // (lazy) vs eager alignment, histogram-driven vs naive map-set choice, and
 // partial vs forced-full chunk alignment. Each pair runs the identical
 // workload with only the switch flipped.

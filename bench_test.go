@@ -3,8 +3,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// and use cmd/crackbench / cmd/tpchbench for full-size runs with the
-// printed rows/series.
+// and use `crackbench -exp <id>` / cmd/tpchbench for full-size runs with
+// the printed rows/series. Serving, remote and durability numbers come
+// from `bash benchmark/run.sh`, not from here.
 package crackstore_test
 
 import (

@@ -1,9 +1,9 @@
 // Command crackserved serves a crackstore engine over TCP: the network
 // daemon of the remote-serving subsystem. It builds a synthetic relation
-// (the same shape crackbench uses: attributes A, B, C with uniform values
-// in [1, rows], deterministic under -seed), wraps it in the chosen engine,
-// and listens for internal/wire clients — crackstore.Dial, or
-// crackbench -remote for load generation.
+// (attributes A, B, C with uniform values in [1, rows], deterministic
+// under -seed, so a client can rebuild it and check answers), wraps it in
+// the chosen engine, and listens for internal/wire clients —
+// crackstore.Dial, or the client package directly.
 //
 // Usage:
 //
@@ -25,9 +25,9 @@
 // streams at the given aggregate rate, with decisions seeded by
 // -fault-seed. This is a debug mode for exercising client resilience
 // (retries, idempotent writes, redials) against a real daemon without a
-// separate proxy; see also `crackbench -chaos`. -max-waiting and
-// -max-inflight bound admission: requests beyond them draw an in-band
-// overloaded response (shed) instead of queueing without bound.
+// separate proxy. -max-waiting and -max-inflight bound admission:
+// requests beyond them draw an in-band overloaded response (shed) instead
+// of queueing without bound.
 //
 // -data-dir makes the engine durable: acked writes go through a write-
 // ahead log in that directory before they are applied, reorganizing

@@ -132,11 +132,11 @@
 // spread, where auxiliary pivots only add constant overhead. Policies are
 // part of the deterministic layout, so structures that replay shared
 // tapes freeze the policy at set creation — configure engines before
-// their first query. On a 100k-tuple, 1000-query sequential sweep the
-// stochastic policy answers the workload ~16x faster cumulatively than
-// plain cracking while staying at or below plain cracking's cost on
-// uniform random workloads (committed bench/BENCH_adaptive_workloads.json,
-// regenerated by crackbench -policy all -pattern all).
+// their first query. `crackbench -exp adaptive -queries 1000` replays
+// every (access pattern, policy) pair and prints the cumulative cost of
+// each: the sequential sweep is where the stochastic policy pulls away
+// from plain cracking, the uniform random pattern where auxiliary pivots
+// buy nothing.
 //
 // # Concurrent serving
 //
@@ -158,8 +158,10 @@
 // Serve adds a bounded multi-client executor with per-query latency
 // capture. A query takes one path from Server.Do to the engine: it runs on
 // the submitting goroutine under a semaphore of Workers slots — no queue,
-// no handoff, no goroutine owned by the server (crackbench -clients N
-// measures it against a single-mutex baseline).
+// no handoff, no goroutine owned by the server (`bash benchmark/run.sh
+// --workload serve-warm --trace 1` prices it: serve.self_ns and
+// serve.queue_ns on the ledger, over engine.concurrent.self_ns for the
+// lock below).
 //
 // Serving statistics (ServeStats) use conservative nearest-rank
 // percentiles — the fractional rank is rounded upward, never truncated to
@@ -170,9 +172,7 @@
 // # Concurrency model
 //
 // Two wrappers make an engine shared-safe; they trade write-path cost
-// for read-path isolation. (One mutex around every operation — the paper's
-// single-executor setting — exists only as internal/engine's Serialized,
-// the baseline the benchmarks compare against.)
+// for read-path isolation.
 //
 //   - Concurrent: the probe/execute read-write lock above. Aligned warm
 //     reads share the lock and scale with cores, but any query that
@@ -187,14 +187,16 @@
 //     pointer; readers pin an epoch, traverse the version they loaded
 //     without taking any lock, and apply the (bounded) pending-update
 //     backlog virtually; retired versions are reclaimed once the last
-//     epoch that could see them has exited. Reads never wait for cracks:
-//     under a continuously cracking-and-inserting writer, read p99 stays
-//     within noise of a writer-free baseline while the RWMutex wrapper's
-//     p99 inflates by the full crack+merge duration (hundreds of times
-//     worse at GOMAXPROCS >= 2 in the committed bench/BENCH_mvcc_reads.json,
-//     regenerated by crackbench -mvcc). The cost is version-build
-//     allocation on the write path and a piece-granularity copy per
-//     crack. Appropriate whenever reads must meet a latency target while
+//     epoch that could see them has exited. Reads never wait for cracks,
+//     where under the RWMutex wrapper a reader's tail inherits the full
+//     crack+merge duration of whatever a writer is doing: `bash
+//     benchmark/run.sh --workload serve-churn --trace 1` shows that side
+//     (the reader's query_p99_us, serve.reader_p999_us,
+//     engine.concurrent.reader_wait_frac); the snapshot side has a ledger
+//     row, engine.snapshot.self_ns on `--workload serve-warm --trace 1`,
+//     and no end-to-end workload yet (ROADMAP item 3). The cost is
+//     version-build allocation on the write path and a piece-granularity
+//     copy per crack. Appropriate whenever reads must meet a latency target while
 //     the store keeps adapting — the common case this package exists for.
 //     Implemented for SelCrack engines; other kinds fall back to
 //     Concurrent.
@@ -227,7 +229,9 @@
 // still spreads load and prunes point predicates but cannot prune ranges.
 // Inserts and deletes route to the owning shard; global tuple keys are
 // preserved. The sharded engine is already shared-safe — Serve and
-// Concurrent use it as-is (crackbench -shards S -clients N measures it).
+// Concurrent use it as-is (shard.self_ns on `bash benchmark/run.sh
+// --workload serve-warm --trace 1` is what the fan-out adds to a warm
+// query over the bare engine).
 //
 // # Remote serving
 //
@@ -274,8 +278,7 @@
 // remote-warm` drives a warm engine through netserve and a pooled client
 // over loopback TCP, and `--trace 1` adds the per-layer ledger of the same
 // run (serve admission, wire encode/decode, TCP and scheduling, client).
-// The committed bench/BENCH_remote_serving.json is a 20k-row protocol
-// smoke run and backs no throughput figure. A remote client replaying the
+// A remote client replaying the
 // same workload gets byte-identical results to in-process execution for
 // every engine kind, sharded or not (the answer-equivalence test pins
 // this).
@@ -307,15 +310,14 @@
 // in-band "overloaded" response (ErrServeOverloaded in process,
 // ErrRemoteOverloaded once a remote client's retry budget is spent) at
 // the admission watermark, so a saturated server answers cheaply and
-// stays responsive — the committed chaos benchmark
-// (bench/BENCH_chaos_resilience.json, regenerated by crackbench -chaos)
-// shows ~96% of fault-free throughput at a 1% injected fault rate with
-// retries on, zero residual errors up to 5% faults, and a 2x-overloaded
-// server shedding in-band while every query still completes through
-// retries. The fault injector itself is internal/faultnet (also behind
-// crackserved -fault-rate), and a remote-vs-local equivalence test runs
-// the full stack through it asserting byte-identical answers and
-// exactly-once writes under 1-5% fault rates.
+// stays responsive. The fault injector itself is internal/faultnet (also
+// behind crackserved -fault-rate). A remote-vs-local equivalence test
+// runs the full stack through it asserting byte-identical answers and
+// exactly-once writes under 1-5% fault rates, and cmd/crackserved's
+// daemon test does the same to the real binary through a 2% fault proxy:
+// zero wrong answers, zero residual errors, retries and redials nonzero.
+// What faults cost in throughput is not measured yet — benchmark/ has no
+// fault-injected workload (ROADMAP item 4a).
 //
 // # Durability
 //
@@ -356,10 +358,10 @@
 // file identity — not offsets — decides which records postdate the
 // checkpoint, and a crash anywhere in the rotation recovers from exactly
 // one consistent (checkpoint, segment) pair. A clean Close leaves a marker
-// that lets the next open skip replay entirely; the committed
-// bench/BENCH_durability.json (regenerated by crackbench -durable) shows a
-// warm restart answering its first-query battery ~40x faster than a cold
-// rebuild that must re-crack from scratch.
+// that lets the next open skip replay entirely. `bash benchmark/run.sh
+// --workload durable-churn` reports what a crash costs (recover_ms, the
+// post-crash open) and what an ack costs (write_p50_us); `--trace 1` adds
+// wal.replayed_records, wal.tape_records and the fsync rows behind them.
 //
 // DurableOptions.Sync picks the ack contract: WALSyncGroup (default)
 // blocks each ack on an fsync covering its record, with concurrent writers
@@ -374,12 +376,15 @@
 // fault core, shared between network connections and the faultfs file
 // wrapper). crackserved -data-dir serves a durable engine, logs whether
 // startup recovery was clean or replayed, and its SIGTERM drain
-// checkpoints and marks clean; CI's crash-recovery job SIGKILLs the
-// daemon mid-churn and verifies every acked insert survives exactly once.
+// checkpoints and marks clean; cmd/crackserved's daemon test (CI's
+// daemon-smoke job) SIGKILLs the daemon mid-churn and verifies every acked
+// insert survives exactly once.
 //
-// The cmd/crackbench and cmd/tpchbench tools regenerate every table and
-// figure of the paper's evaluation; see DESIGN.md for the experiment index
-// and EXPERIMENTS.md for measured results.
+// The cmd/crackbench and cmd/tpchbench tools regenerate the tables and
+// figures of the paper's evaluation (`crackbench -exp all`); everything
+// about serving, the wire and durability is measured by `bash
+// benchmark/run.sh`, whose output carries its environment (see
+// benchmark/README.md).
 //
 // # Observability
 //
@@ -392,9 +397,10 @@
 // Pre-existing stats structs (serve.Stats, engine.ConcStats/DurStats,
 // wal.Stats, the kernel counters) are bridged with func-backed metrics
 // whose closures run at scrape time only, so instrumentation costs the
-// hot path nothing. The committed bench/BENCH_observability.json
-// (regenerated by crackbench -obs) pins that contract: instrumented-and-
-// continuously-scraped throughput within a few percent of uninstrumented.
+// hot path nothing. Any `bash benchmark/run.sh --workload remote-warm
+// --trace 1` run reports what looking costs as trace.overhead_frac: the
+// throughput of the same workload without and with a registry on every
+// layer and sampled spans.
 //
 // Families are named crack_<layer>_<what>[_unit] — layers kernel, index,
 // engine, snapshot, wal, serve, net, client — with counters suffixed
@@ -416,9 +422,8 @@
 // in the response, and the client re-anchors them into its own timeline
 // bracketed by client_send/client_recv spans, delivering one
 // obs.Trace to DialOptions.OnTrace. `crackserved -trace-sample N`
-// additionally samples server-side (events as one-line JSON on stderr),
-// and `crackbench -remote addr -trace N` prints the slowest traces of a
-// run. The signals this layer exposes — piece counts, crack rates, queue
+// additionally samples server-side (events as one-line JSON on stderr).
+// The signals this layer exposes — piece counts, crack rates, queue
 // and crack span shares — are exactly the inputs a future adaptive
 // tuner (merge-like reorganization scheduling, admission control) would
 // observe; see ROADMAP.md.

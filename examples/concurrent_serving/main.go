@@ -2,8 +2,8 @@
 // wraps the engine in the two-phase (probe/execute) Concurrent protocol,
 // so after a warm-up the clients' aligned repeat queries run genuinely in
 // parallel under a shared read lock — only queries that actually crack new
-// ranges or merge updates serialize behind the write lock. (crackbench
-// -clients N measures this against a single-mutex baseline.)
+// ranges or merge updates serialize behind the write lock. (`bash
+// benchmark/run.sh --workload serve-warm` measures it.)
 package main
 
 import (

@@ -10,15 +10,15 @@ import (
 	"crackstore/internal/workload"
 )
 
-// warmEngine builds a sideways engine over rows random tuples and runs the
-// returned query pool once, so every pool query afterwards hits the
-// reorganization-free path.
-func warmEngine(rows int, sel float64, wrap func(Engine) Engine) (Engine, []Query) {
+// warmEngine builds a Concurrent sideways engine over rows random tuples
+// and runs the returned query pool once, so every pool query afterwards
+// hits the reorganization-free path.
+func warmEngine(rows int, sel float64) (Engine, []Query) {
 	rng := rand.New(rand.NewSource(1))
 	rel := store.Build("R", rows, []string{"A", "B"}, func(string, int) Value {
 		return rng.Int63n(int64(rows)) + 1
 	})
-	e := wrap(New(Sideways, rel))
+	e := Concurrent(New(Sideways, rel))
 	gen := workload.New(int64(rows), 2)
 	pool := make([]Query, 64)
 	for i := range pool {
@@ -62,32 +62,27 @@ func BenchmarkJoinFetch(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmQuery compares the serialized baseline against the
-// probe/execute Concurrent wrapper on an aligned repeat workload, across
-// client counts. With >1 CPU the Concurrent numbers scale with cores; the
-// serialized ones do not.
+// BenchmarkWarmQuery runs an aligned repeat workload through the
+// probe/execute Concurrent wrapper across client counts. With >1 CPU the
+// numbers scale with cores; the wrapper's overhead over the bare engine is
+// gated by benchmark/'s engine.concurrent.self_ns row.
 func BenchmarkWarmQuery(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		wrap func(Engine) Engine
-	}{{"serialized", Serialized}, {"concurrent", Concurrent}} {
-		for _, clients := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("%s/clients=%d", mode.name, clients), func(b *testing.B) {
-				e, pool := warmEngine(100_000, 0.01, mode.wrap)
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				per := b.N / clients
-				for g := 0; g < clients; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						for i := 0; i < per; i++ {
-							e.Query(pool[(g+i)%len(pool)])
-						}
-					}(g)
-				}
-				wg.Wait()
-			})
-		}
+	for _, clients := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("concurrent/clients=%d", clients), func(b *testing.B) {
+			e, pool := warmEngine(100_000, 0.01)
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			per := b.N / clients
+			for g := 0; g < clients; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						e.Query(pool[(g+i)%len(pool)])
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
 	}
 }

@@ -36,14 +36,6 @@ func guardCases() []guardCase {
 	}
 }
 
-// wrapperCases adds the single-mutex baseline to guardCases, for the
-// contracts every lock wrapper shares.
-func wrapperCases() []guardCase {
-	return append(guardCases(), guardCase{"serialized", func(_ *testing.T, kind Kind, rel *store.Relation) Engine {
-		return Serialized(New(kind, rel))
-	}})
-}
-
 // The concurrency property test: N goroutines fire a mixed
 // select/insert/delete workload through one shared Concurrent(e). Each
 // goroutine owns a disjoint value band (both in the base data and in its
@@ -250,7 +242,7 @@ func TestConcurrentProbeConsistency(t *testing.T) {
 // and preserves its kind, and every wrapper leaves it alone — a second lock
 // over an engine that already locks would serialize it.
 func TestConcurrentWrapIdempotent(t *testing.T) {
-	for _, gc := range wrapperCases() {
+	for _, gc := range guardCases() {
 		t.Run(gc.name, func(t *testing.T) {
 			e := gc.open(t, Sideways, buildBandedRel(5))
 			if !IsShared(e) {

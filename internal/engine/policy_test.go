@@ -86,11 +86,10 @@ func TestPolicyEnginesMatchDefault(t *testing.T) {
 }
 
 // TestPolicyThreadsThroughWrappers: SetPolicy through the Concurrent guard
-// (alone and embedded in the durable engine) and the Serialized baseline
-// must reach the inner engine and actually introduce auxiliary pivots on
-// oversized pieces.
+// (alone and embedded in the durable engine) must reach the inner engine
+// and actually introduce auxiliary pivots on oversized pieces.
 func TestPolicyThreadsThroughWrappers(t *testing.T) {
-	for _, tc := range wrapperCases() {
+	for _, tc := range guardCases() {
 		rng := rand.New(rand.NewSource(5))
 		rel := buildRel(rng, 20000, []string{"A", "B"}, 20000)
 		e := tc.open(t, SelCrack, rel)
@@ -106,8 +105,6 @@ func TestPolicyThreadsThroughWrappers(t *testing.T) {
 		case *rwEngine:
 			inner = w.e
 		case *durEngine:
-			inner = w.e
-		case *syncEngine:
 			inner = w.e
 		}
 		sc := inner.(*selCrackEngine)
@@ -137,10 +134,6 @@ func TestPolicyIgnoredByNonCrackingEngines(t *testing.T) {
 				crack.Policy{Kind: crack.Capped}) {
 				t.Fatalf("%v: SetPolicy reported success through a %s wrapper", kind, gc.name)
 			}
-		}
-		if SetPolicy(Serialized(New(kind, buildRel(rng, 100, []string{"A", "B"}, 100))),
-			crack.Policy{Kind: crack.Capped}) {
-			t.Fatalf("%v: SetPolicy reported success through a Serialized wrapper", kind)
 		}
 		res, _ := e.Query(Query{
 			Preds: []AttrPred{{Attr: "A", Pred: store.Range(10, 50)}},

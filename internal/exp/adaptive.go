@@ -24,15 +24,11 @@ import (
 // a small constant overhead on patterns plain cracking already handles.
 //
 // The emitted BENCH_adaptive_workloads.json carries the policy and pattern
-// on every series plus document-level metadata, so the committed artifact
-// is self-describing. Returns the series keyed "pattern/policy".
-func AdaptiveWorkloads(cfg Config, patterns, policies []string) map[string]Series {
-	if len(patterns) == 0 {
-		patterns = workload.PatternNames()
-	}
-	if len(policies) == 0 {
-		policies = []string{"default", "stochastic", "capped"}
-	}
+// on every series plus document-level metadata, so the artifact is
+// self-describing. Returns the series keyed "pattern/policy".
+func AdaptiveWorkloads(cfg Config) map[string]Series {
+	patterns := workload.PatternNames()
+	policies := []string{"default", "stochastic", "capped"}
 	rel := buildUniform(cfg, "R", 2)
 	// One sweep step per query: the sequential pattern covers the domain
 	// exactly once, the worst case for plain cracking.
@@ -74,7 +70,7 @@ func AdaptiveWorkloads(cfg Config, patterns, policies []string) map[string]Serie
 		title += fmt.Sprintf(": sequential sweep %.1fx faster under stochastic (%v vs %v)",
 			float64(d)/float64(s), s.Round(time.Microsecond), d.Round(time.Microsecond))
 	}
-	cfg.Meta = map[string]string{
+	meta := map[string]string{
 		"rows":        fmt.Sprint(cfg.Rows),
 		"queries":     fmt.Sprint(cfg.Queries),
 		"seed":        fmt.Sprint(cfg.Seed),
@@ -83,10 +79,10 @@ func AdaptiveWorkloads(cfg Config, patterns, policies []string) map[string]Serie
 		"policy_cap":  "default (max(1024, rows/16))",
 	}
 	// Print the sampled table without the title-derived exports; the JSON
-	// artifact keeps a fixed name so future revisions diff against it.
+	// artifact keeps a fixed name so two runs can be diffed.
 	printCfg := cfg
 	printCfg.JSONDir, printCfg.CSVDir = "", ""
 	printSeries(printCfg, title, "query", series)
-	cfg.reportExportError(cfg.jsonSeries("adaptive_workloads", title, "query", series))
+	cfg.reportExportError(cfg.jsonSeries("adaptive_workloads", title, "query", meta, series))
 	return out
 }

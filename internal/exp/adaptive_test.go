@@ -16,7 +16,7 @@ import (
 func TestAdaptiveWorkloadsSmoke(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Rows: 20000, Queries: 200, Seed: 1, W: io.Discard, JSONDir: dir}
-	out := AdaptiveWorkloads(cfg, nil, nil)
+	out := AdaptiveWorkloads(cfg)
 
 	for _, pattern := range []string{"random", "sequential", "zoomin", "periodic"} {
 		for _, pol := range []string{"default", "stochastic", "capped"} {

@@ -34,10 +34,6 @@ type Config struct {
 	// giving later revisions a machine-readable perf trajectory to compare
 	// against.
 	JSONDir string
-	// Meta, when non-empty, is recorded verbatim in every BENCH_*.json
-	// this config emits (scale, policy caps, pattern parameters), so the
-	// committed artifacts are self-describing.
-	Meta map[string]string
 }
 
 // Default returns a laptop-scale configuration.
@@ -103,54 +99,18 @@ func SamplePoints(n int) []int {
 type Series struct {
 	Name string
 	Y    []time.Duration
-	// Errors counts failed queries behind this series (serving runs). They
-	// have no latency sample in Y; a nonzero count is surfaced in the JSON
-	// emission so a run with failures cannot pass as healthy.
-	Errors int
 	// Policy and Pattern, when set, record the adaptive cracking policy
 	// and the access pattern behind this series; they are emitted into the
 	// BENCH_*.json line so the artifact is self-describing.
 	Policy  string
 	Pattern string
-	// Transport, Conns and Pipeline describe a remote-serving series: the
-	// transport the queries traveled over ("tcp", or "in-process" for the
-	// local baseline), the pooled connections, and the per-connection
-	// pipeline depth (concurrent in-flight requests). Zero values are
-	// omitted from the JSON emission.
-	Transport string
-	Conns     int
-	Pipeline  int
-	// FaultRate, Retries, Hedges, Sheds, and Redials describe a chaos /
-	// resilience series: the injected fault rate behind the run and the
-	// client-side resilience counters it drove (retried calls, hedged
-	// reads, in-band overload sheds absorbed, connections redialed). They
-	// make the chaos artifact self-auditing: a fault run whose counters
-	// are all zero exercised nothing.
-	FaultRate float64
-	Retries   int
-	Hedges    int
-	Sheds     int
-	Redials   int
-	// CPUs records the GOMAXPROCS value the series ran at (a -cpus
-	// sweep); 0 means the process default and is omitted from the JSON.
-	CPUs int
-	// ReaderWait, ReaderWaits, Snapshots, and Reclaimed surface the shared
-	// engine wrapper's contention counters behind a serving series: time
-	// readers spent blocked acquiring read access and how often
-	// (Concurrent), versions published and reclaimed (Snapshot). A
-	// snapshot series with nonzero ReaderWait — or a contended Concurrent
-	// series without it — flags a broken measurement.
-	ReaderWait  time.Duration
-	ReaderWaits int64
-	Snapshots   int64
-	Reclaimed   int64
 }
 
 // printSeries prints sampled points of several aligned series and, when
 // CSVDir is set, exports the full series as CSV.
 func printSeries(cfg Config, title string, xlabel string, series []Series) {
 	cfg.reportExportError(cfg.csvSeries(sanitize(title), xlabel, series))
-	cfg.reportExportError(cfg.jsonSeries(sanitize(title), title, xlabel, series))
+	cfg.reportExportError(cfg.jsonSeries(sanitize(title), title, xlabel, nil, series))
 	cfg.logf("\n== %s ==\n", title)
 	cfg.logf("%-10s", xlabel)
 	for _, s := range series {

@@ -78,12 +78,19 @@ func TestExp2Shape(t *testing.T) {
 }
 
 func TestExp3Shape(t *testing.T) {
-	cfg := tiny()
-	cfg.Rows = 50000
-	res := Exp3(cfg)
-	for name, ys := range res.Cost {
-		if len(ys) != 4 {
-			t.Fatalf("%s has %d points", name, len(ys))
+	// 1 and 2 rows: the 20% intermediate rounds to zero tuples, which used
+	// to divide by zero.
+	for _, rows := range []int{50000, 1, 2} {
+		cfg := tiny()
+		cfg.Rows = rows
+		res := Exp3(cfg)
+		if len(res.Cost) != 4 {
+			t.Fatalf("rows=%d: %d strategies, want 4", rows, len(res.Cost))
+		}
+		for name, ys := range res.Cost {
+			if len(ys) != 4 {
+				t.Fatalf("rows=%d: %s has %d points", rows, name, len(ys))
+			}
 		}
 	}
 }

@@ -22,67 +22,25 @@ type benchLineJSON struct {
 	Name         string  `json:"name"`
 	Policy       string  `json:"policy,omitempty"`
 	Pattern      string  `json:"pattern,omitempty"`
-	Transport    string  `json:"transport,omitempty"`
-	Conns        int     `json:"conns,omitempty"`
-	Pipeline     int     `json:"pipeline,omitempty"`
-	Errors       int     `json:"errors,omitempty"`
-	FaultRate    float64 `json:"fault_rate,omitempty"`
-	Retries      int     `json:"retries,omitempty"`
-	Hedges       int     `json:"hedges,omitempty"`
-	Sheds        int     `json:"sheds,omitempty"`
-	Redials      int     `json:"redials,omitempty"`
-	CPUs         int     `json:"cpus,omitempty"`
-	ReaderWaitUs int64   `json:"reader_wait_us,omitempty"`
-	ReaderWaits  int64   `json:"reader_waits,omitempty"`
-	Snapshots    int64   `json:"snapshots,omitempty"`
-	Reclaimed    int64   `json:"reclaimed,omitempty"`
 	PerQueryUs   []int64 `json:"per_query_us"`
 	CumulativeUs []int64 `json:"cumulative_us"`
 }
 
-// WriteSeriesJSON writes one panel of per-query latency series in the
-// BENCH_<name>.json format used by the experiment harness, so ad-hoc
-// benchmark drivers (crackbench -clients) emit series future PRs can diff
-// against.
-func WriteSeriesJSON(dir, name, title, xlabel string, series []Series) error {
-	return Config{JSONDir: dir}.jsonSeries(name, title, xlabel, series)
-}
-
-// WriteSeriesJSONMeta is WriteSeriesJSON with document-level metadata
-// (rows, queries, policy caps, ...) recorded in the artifact.
-func WriteSeriesJSONMeta(dir, name, title, xlabel string, meta map[string]string, series []Series) error {
-	return Config{JSONDir: dir, Meta: meta}.jsonSeries(name, title, xlabel, series)
-}
-
 // jsonSeries writes the full per-query and cumulative latency series of one
 // figure panel as BENCH_<name>.json into Config.JSONDir.
-func (c Config) jsonSeries(name string, title, xlabel string, series []Series) error {
+func (c Config) jsonSeries(name, title, xlabel string, meta map[string]string, series []Series) error {
 	if c.JSONDir == "" || len(series) == 0 {
 		return nil
 	}
 	if err := os.MkdirAll(c.JSONDir, 0o755); err != nil {
 		return err
 	}
-	doc := benchSeriesJSON{Title: title, XLabel: xlabel, Meta: c.Meta}
+	doc := benchSeriesJSON{Title: title, XLabel: xlabel, Meta: meta}
 	for _, s := range series {
 		line := benchLineJSON{
 			Name:         s.Name,
 			Policy:       s.Policy,
 			Pattern:      s.Pattern,
-			Transport:    s.Transport,
-			Conns:        s.Conns,
-			Pipeline:     s.Pipeline,
-			Errors:       s.Errors,
-			FaultRate:    s.FaultRate,
-			Retries:      s.Retries,
-			Hedges:       s.Hedges,
-			Sheds:        s.Sheds,
-			Redials:      s.Redials,
-			CPUs:         s.CPUs,
-			ReaderWaitUs: s.ReaderWait.Microseconds(),
-			ReaderWaits:  s.ReaderWaits,
-			Snapshots:    s.Snapshots,
-			Reclaimed:    s.Reclaimed,
 			PerQueryUs:   make([]int64, len(s.Y)),
 			CumulativeUs: make([]int64, len(s.Y)),
 		}

@@ -94,7 +94,7 @@ func Exp1(cfg Config) *Exp1Result {
 			series = append(series, Series{Name: name, Y: ss[len(ss)-1]})
 		}
 	}
-	cfg.reportExportError(cfg.jsonSeries(sanitize("Exp1 (Fig 4a) per-query"), "Exp1 (Fig 4a) per-query", "query", series))
+	cfg.reportExportError(cfg.jsonSeries(sanitize("Exp1 (Fig 4a) per-query"), "Exp1 (Fig 4a) per-query", "query", nil, series))
 	return res
 }
 
@@ -174,7 +174,7 @@ type Exp3Result struct {
 func Exp3(cfg Config) *Exp3Result {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.Rows
-	resultSize := n / 5 // 20% selectivity intermediate
+	resultSize := max(1, n/5) // 20% selectivity intermediate; at least one tuple
 	cols := make([]*store.Column, 8)
 	for i := range cols {
 		vals := make([]Value, n)

@@ -1,8 +1,8 @@
 // Storage-side fault injection: the same seeded-draw machinery that breaks
 // network streams (see faultnet.go) wrapped around a write-syncer file, so
 // the WAL's crash paths — torn appends, short writes, failed fsyncs — can
-// be exercised deterministically in ordinary tests and from
-// `crackbench -durable`. The wrapper deliberately satisfies the wal
+// be exercised deterministically in ordinary tests. The wrapper
+// deliberately satisfies the wal
 // package's File seam structurally (io.Writer + Sync + Close) without
 // importing it, keeping faultnet dependency-free.
 

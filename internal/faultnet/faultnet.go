@@ -4,9 +4,9 @@
 // truncate byte streams, cut connections mid-frame, short-write, and stall
 // accepts. It exists so the resilience layer (client retries, idempotency
 // tokens, hedged reads, overload shedding) can be exercised against real
-// failures in ordinary tests, from `crackbench -chaos`, and as a
-// `crackserved -fault-rate` debug mode, without ever touching iptables or
-// real packet loss.
+// failures in ordinary tests (in process and against a real crackserved
+// child: cmd/crackserved's daemon test) and as a `crackserved -fault-rate`
+// debug mode, without ever touching iptables or real packet loss.
 //
 // All randomness flows from one seeded source per Injector, so a run is
 // reproducible given its seed and the (scheduler-dependent) order of
@@ -256,8 +256,8 @@ func (l *Listener) Accept() (net.Conn, error) {
 // In-process proxy.
 
 // Proxy is a TCP forwarder that injects faults into both directions of
-// every proxied connection: tests and crackbench put it between a healthy
-// client and a healthy server so neither endpoint needs fault hooks.
+// every proxied connection: tests put it between a healthy client and a
+// healthy server so neither endpoint needs fault hooks.
 type Proxy struct {
 	ln     net.Listener
 	target string

@@ -144,8 +144,8 @@ func TestServerSideSampling(t *testing.T) {
 }
 
 // TestMetricsEndToEnd drives queries over the wire against a fully
-// instrumented server and asserts the layered families the metrics-smoke
-// CI job depends on are present and moving.
+// instrumented server and asserts the layered families the daemon test's
+// metrics scenario (cmd/crackserved) scrapes are present and moving.
 func TestMetricsEndToEnd(t *testing.T) {
 	rel := buildRel(1, 2000, 500)
 	reg := obs.NewRegistry()

@@ -12,7 +12,7 @@ import (
 // sorted by name, counters/gauges/func-backed scalars, and a histogram
 // with log2 buckets in seconds, cumulative counts, an +Inf bucket, and
 // the exact-max companion gauge. The format is protocol surface for
-// scrapers and the CI metrics-smoke job; change it deliberately.
+// scrapers and cmd/crackserved's daemon test; change it deliberately.
 func TestPrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("crack_test_events_total", "events handled")
@@ -205,8 +205,8 @@ func TestDuplicatePanics(t *testing.T) {
 	r.Counter("dup_total", "")
 }
 
-// TestTraceWriteJSON pins the one-line event format shared by server
-// emission and `crackbench -trace` output.
+// TestTraceWriteJSON pins the one-line event format of server emission
+// (`crackserved -trace-sample`).
 func TestTraceWriteJSON(t *testing.T) {
 	tr := Trace{
 		ID:    0xabc,

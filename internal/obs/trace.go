@@ -14,8 +14,8 @@ import (
 // wire as a request extension, accumulates per-stage spans on the server
 // (queue → execute → crack), returns in the response, and is completed
 // by the client (send/recv spans). Traces are emitted as one-line JSON
-// events; `crackserved -trace-sample` and `crackbench -trace` print
-// them. Sampling is 1-in-N at the client, so the untraced hot path costs
+// events; `crackserved -trace-sample` prints the server's, and a client
+// gets its own through client.Options.OnTrace. Sampling is 1-in-N at the client, so the untraced hot path costs
 // one counter increment and a branch.
 
 // Stage labels one span of a query's life. Wire-encoded as a single

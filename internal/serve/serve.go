@@ -561,7 +561,7 @@ func (s *Server) Stats() Stats {
 	if len(lats) > 0 {
 		elapsed = last.Sub(first)
 	}
-	st := Summarize(lats, errs, elapsed)
+	st := summarize(lats, errs, elapsed)
 	st.Sheds = sheds
 	if total != st.Queries {
 		st.Queries = total
@@ -578,12 +578,10 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Summarize computes Stats from externally captured per-query latencies —
-// the same conservative nearest-rank percentile math the server applies to
-// its own samples, exported so load generators measuring from the client
-// side (crackbench -remote) report comparable numbers. lats is retained in
-// the returned Stats (not copied).
-func Summarize(lats []time.Duration, errors int, elapsed time.Duration) Stats {
+// summarize computes Stats from per-query latencies with conservative
+// nearest-rank percentiles. lats is retained in the returned Stats (not
+// copied).
+func summarize(lats []time.Duration, errors int, elapsed time.Duration) Stats {
 	st := Stats{Queries: len(lats), Errors: errors, Latencies: lats}
 	if len(lats) == 0 {
 		return st

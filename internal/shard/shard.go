@@ -32,6 +32,7 @@ import (
 
 	"crackstore/internal/crack"
 	"crackstore/internal/engine"
+	"crackstore/internal/partial"
 	"crackstore/internal/store"
 )
 
@@ -188,6 +189,26 @@ func (s *Engine) KernelReport() (engine.KernelReport, bool) {
 		total.Aux += kr.Aux
 		total.Pieces += kr.Pieces
 		total.Columns += kr.Columns
+	}
+	return total, any
+}
+
+// ChunkStats implements engine.ChunkObservable by summing the per-shard
+// chunk lifecycle counters (ok false when the shards keep no partial maps).
+func (s *Engine) ChunkStats() (partial.ChunkStats, bool) {
+	var total partial.ChunkStats
+	any := false
+	for _, sh := range s.shards {
+		cs, ok := engine.ChunkStatsOf(sh)
+		if !ok {
+			continue
+		}
+		any = true
+		total.Created += cs.Created
+		total.TuplesCreated += cs.TuplesCreated
+		total.Evicted += cs.Evicted
+		total.BuffersRecycled += cs.BuffersRecycled
+		total.BuffersAllocated += cs.BuffersAllocated
 	}
 	return total, any
 }

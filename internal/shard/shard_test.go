@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"crackstore/internal/engine"
+	"crackstore/internal/obs"
 	"crackstore/internal/store"
 )
 
@@ -461,4 +463,44 @@ func TestShardedConcurrentUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestShardedPartialChunkMetrics: a sharded partial engine forwards the
+// chunk lifecycle counters, so a metrics scrape lists the crack_partial_*
+// families and reports the per-shard sum.
+func TestShardedPartialChunkMetrics(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	s := New(engine.PartialSideways, buildRel(rng, 4000, 4000), 4, Options{Attr: "A"})
+	for i := 0; i < 20; i++ {
+		lo := rng.Int63n(3000)
+		s.Query(engine.Query{
+			Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(lo, lo+900)}},
+			Projs: []string{"B"},
+		})
+	}
+
+	reg := obs.NewRegistry()
+	engine.RegisterMetrics(reg, s)
+	fams := strings.Join(reg.Families(), " ")
+	for _, fam := range []string{
+		"crack_partial_chunks_created_total", "crack_partial_chunk_tuples_created_total",
+		"crack_partial_chunks_evicted_total", "crack_partial_chunk_buffers_recycled_total",
+		"crack_partial_chunk_buffers_allocated_total",
+	} {
+		if !strings.Contains(fams, fam) {
+			t.Errorf("scrape of a sharded partial engine lacks %s", fam)
+		}
+	}
+
+	var sum uint64
+	for _, sh := range s.shards {
+		cs, ok := engine.ChunkStatsOf(sh)
+		if !ok {
+			t.Fatal("partial shard reports no chunk stats")
+		}
+		sum += cs.Created
+	}
+	if total, ok := engine.ChunkStatsOf(s); !ok || total.Created != sum || sum == 0 {
+		t.Fatalf("sharded ChunkStats Created=%d ok=%v, per-shard sum %d (want equal, nonzero)", total.Created, ok, sum)
+	}
 }
