@@ -234,8 +234,8 @@ func ClusteredMin(e Engine, attr string) (v Value, ok bool) {
 	return 0, false
 }
 
-// Concurrent wraps an engine with the two-phase (probe/execute) locking
-// protocol so it can be shared across goroutines: queries that reorganize
+// Concurrent wraps an engine with the two-phase (QueryRO, then Query)
+// locking protocol so it can be shared across goroutines: queries that reorganize
 // nothing — the vast majority once a workload's ranges are cracked — run
 // in parallel under a shared read lock, and only queries that must crack,
 // merge pending updates, or maintain auxiliary structures take the
@@ -254,15 +254,17 @@ func Concurrent(e Engine) Engine { return engine.Concurrent(e) }
 // fall back to Concurrent. Wrapping is idempotent.
 func Snapshot(e Engine) Engine { return engine.Snapshot(e) }
 
-// ConcurrencyStats reports reader/writer contention statistics from a
-// shared-safe wrapper: time readers spent blocked (Concurrent), versions
-// published and reclaimed (Snapshot). ok is false when e's wrapper does
-// not track them.
+// ConcurrencyStats reports how e's readers fared against its read-write
+// lock: how long and how often they blocked behind a writer (Concurrent,
+// durable and — summed over shards — sharded engines). ok is false when e
+// has no such lock: a bare engine, or a Snapshot engine, whose readers take
+// none (its published and reclaimed versions are the crack_snapshot_*
+// metric families).
 func ConcurrencyStats(e Engine) (engine.ConcStats, bool) { return engine.ConcStatsOf(e) }
 
 // DurableOptions configures OpenDurable: WAL fsync mode (WALSyncGroup /
-// WALSyncAlways / WALSyncNone), checkpoint rotation threshold, cracking
-// policy, and a file-wrapping hook for fault injection.
+// WALSyncNone), checkpoint rotation threshold, cracking policy, and a
+// file-wrapping hook for fault injection.
 type DurableOptions = engine.DurableOptions
 
 // DurabilityStatsReport is the durability counter snapshot of a durable
@@ -280,14 +282,11 @@ const (
 	// WALSyncGroup (default): acks wait for an fsync covering their
 	// record; concurrent writers share fsyncs (group commit).
 	WALSyncGroup = wal.SyncGroup
-	// WALSyncAlways: eager fsync per record; same loss guarantee as group
-	// commit, more syscalls for a strictly serial writer.
-	WALSyncAlways = wal.SyncAlways
 	// WALSyncNone: acks never wait; a crash may lose the acked tail.
 	WALSyncNone = wal.SyncNone
 )
 
-// ParseWALSync parses "group", "always" or "none" (the -fsync flag values).
+// ParseWALSync parses "group" or "none" (the -fsync flag values).
 func ParseWALSync(s string) (WALSync, error) { return wal.ParseSyncMode(s) }
 
 // OpenDurable opens (or creates) a durable engine backed by data directory

@@ -39,7 +39,7 @@
 // (records and bytes applied, torn tail truncated). The SIGINT/SIGTERM
 // drain flushes and fsyncs the log, writes a checkpoint and the clean-
 // shutdown marker, so the next start skips replay. -fsync picks the
-// durability mode (group | always | none); -data-dir is incompatible with
+// durability mode (group | none); -data-dir is incompatible with
 // -shards and -snapshot.
 package main
 
@@ -83,7 +83,7 @@ func main() {
 		faultR   = flag.Float64("fault-rate", 0, "DEBUG: inject connection faults (corruption, resets, truncation, partial writes, delays) at this aggregate per-operation rate")
 		faultS   = flag.Int64("fault-seed", 1, "DEBUG: seed for -fault-rate decisions")
 		dataDir  = flag.String("data-dir", "", "durable mode: write-ahead log + checkpoints in this directory; restarts recover the store warm")
-		fsync    = flag.String("fsync", "group", "durable mode fsync policy (group|always|none)")
+		fsync    = flag.String("fsync", "group", "durable mode fsync policy (group|none)")
 		metrics  = flag.String("metrics-addr", "", "serve /metrics (Prometheus text; ?format=json for JSON) and /debug/pprof/* on this address (empty = off)")
 		traceN   = flag.Int("trace-sample", 0, "server-side sample 1 in N requests for tracing; traces print as one-line JSON events on stderr (0 = off)")
 	)

@@ -141,15 +141,18 @@
 // # Concurrent serving
 //
 // Cracking makes reads into writes, so the paper's engines assume a single
-// query executor. This package adds a two-phase (probe/execute) protocol
-// on top: every engine can report, read-only, whether a query would
-// physically reorganize anything (Engine.Probe) and can execute
-// reorganization-free queries without mutating state (Engine.QueryRO).
+// query executor. This package adds a two-phase protocol on top: every
+// engine executes reorganization-free queries without mutating state
+// (Engine.QueryRO) and refuses, read-only, the ones that would physically
+// reorganize anything; Engine.Query executes those. The refusal is the one
+// eligibility answer — there is no asking without executing, because an
+// answer not acted on under the same lock is stale by the time it is used.
 // Concurrent wraps an engine with a read-write lock built on that
-// protocol — aligned repeat queries run in parallel under the shared
-// lock, and only queries that must crack, merge pending updates, or
-// maintain auxiliary structures serialize behind the exclusive lock
-// (double-checked, so one crack pays for every waiting reader):
+// protocol — every query first tries QueryRO under the shared lock, so
+// aligned repeat queries run in parallel, and only queries that must
+// crack, merge pending updates, or maintain auxiliary structures fall back
+// to Query behind the exclusive lock (double-checked, so one crack pays
+// for every waiting reader):
 //
 //	shared := crackstore.Concurrent(e)   // safe for any number of goroutines
 //	srv := crackstore.Serve(shared, crackstore.ServeOptions{Workers: 8})
@@ -174,7 +177,7 @@
 // Two wrappers make an engine shared-safe; they trade write-path cost
 // for read-path isolation.
 //
-//   - Concurrent: the probe/execute read-write lock above. Aligned warm
+//   - Concurrent: the QueryRO-then-Query read-write lock above. Aligned warm
 //     reads share the lock and scale with cores, but any query that
 //     cracks, or whose range matches a pending insertion, takes (or
 //     waits for) the exclusive lock — so read tail latency inherits the
@@ -207,8 +210,10 @@
 // stack. Serve applies exactly that rule — a bare engine gets Concurrent,
 // anything else is used as-is; to serve snapshot reads, pass it a Snapshot
 // engine (crackserved -snapshot does). ConcurrencyStats exposes the
-// contention counters (reader wait time under Concurrent and for durable
-// engines; versions published and reclaimed under Snapshot).
+// contention counters of the read-write lock (reader wait time under
+// Concurrent, per shard summed under Sharded, and for durable engines); a
+// Snapshot engine has no such lock and reports ok false — what it
+// publishes and reclaims is the crack_snapshot_* metric families.
 //
 // # Sharding
 //
@@ -365,8 +370,8 @@
 //
 // DurableOptions.Sync picks the ack contract: WALSyncGroup (default)
 // blocks each ack on an fsync covering its record, with concurrent writers
-// sharing fsyncs (group commit); WALSyncAlways syncs eagerly per record;
-// WALSyncNone acks immediately and risks the tail. After any storage
+// sharing fsyncs (group commit) and a strictly serial writer paying one
+// fsync per record; WALSyncNone acks immediately and risks the tail. After any storage
 // error the log poisons — every later write is refused with a -1 key
 // rather than acked on a log whose durable prefix is unknowable. The
 // crash-point property test kills a logged workload at every byte offset
@@ -394,16 +399,27 @@
 // counters and gauges, fixed-bucket log₂ latency histograms (Observe is a
 // few atomic ops, no locks, no allocation), and a named Registry that
 // exposes everything as Prometheus text (version 0.0.4) or JSON.
-// Pre-existing stats structs (serve.Stats, engine.ConcStats/DurStats,
-// wal.Stats, the kernel counters) are bridged with func-backed metrics
-// whose closures run at scrape time only, so instrumentation costs the
-// hot path nothing. Any `bash benchmark/run.sh --workload remote-warm
+//
+// Every stack reports on itself through one method. An engine's Report
+// has one section per layer the stack is built from — kernel (a physical
+// design that cracks), chunks (partial maps), readers (the read-write lock
+// of Concurrent and durable engines), snapshot (versioned reads), durable
+// (the WAL) — and a section is present only when the layer is: each
+// wrapper takes its own lock, asks the engine it wraps, and adds its own
+// section; a sharded engine sums its shards'. RegisterMetrics exports a
+// family only when its section is present, read by closures that run at
+// scrape time only, so absence on /metrics is an answer: a Snapshot stack
+// lists no crack_engine_reader_* family because it has no lock to wait on,
+// a Concurrent one no crack_snapshot_* family because it publishes no
+// versions. The serving layers (serve, netserve, client) count each event
+// once, in an obs instrument they keep whether or not a registry exports
+// it — ServeStats and crack_serve_* read the same counters. Any `bash benchmark/run.sh --workload remote-warm
 // --trace 1` run reports what looking costs as trace.overhead_frac: the
 // throughput of the same workload without and with a registry on every
 // layer and sampled spans.
 //
 // Families are named crack_<layer>_<what>[_unit] — layers kernel, index,
-// engine, snapshot, wal, serve, net, client — with counters suffixed
+// partial, engine, snapshot, wal, serve, net, client — with counters suffixed
 // _total and durations in seconds; a histogram family also exports an
 // exact _max companion gauge. `crackserved -metrics-addr :9191` mounts
 // /metrics (text; ?format=json for the JSON twin) and net/http/pprof on a

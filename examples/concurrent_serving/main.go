@@ -1,5 +1,5 @@
 // Concurrent serving: many clients, one shared engine. The serving layer
-// wraps the engine in the two-phase (probe/execute) Concurrent protocol,
+// wraps the engine in the two-phase (QueryRO, then Query) Concurrent protocol,
 // so after a warm-up the clients' aligned repeat queries run genuinely in
 // parallel under a shared read lock — only queries that actually crack new
 // ranges or merge updates serialize behind the write lock. (`bash

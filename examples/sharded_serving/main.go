@@ -1,5 +1,5 @@
 // Sharded serving: one relation range-partitioned across four engines,
-// each behind its own probe/execute lock. A single Concurrent engine
+// each behind its own Concurrent lock. A single Concurrent engine
 // already serves read-only repeats in parallel, but every crack — and
 // cracking stores turn reads into writes — still stalls the whole
 // relation behind one write lock. Sharding splits that lock: a client

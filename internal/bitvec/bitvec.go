@@ -82,14 +82,6 @@ func (v *Vector) Or(o *Vector) {
 	}
 }
 
-// SetAll sets every bit.
-func (v *Vector) SetAll() {
-	for i := range v.words {
-		v.words[i] = ^uint64(0)
-	}
-	v.clearTail()
-}
-
 // ClearAll clears every bit.
 func (v *Vector) ClearAll() {
 	for i := range v.words {

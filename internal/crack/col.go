@@ -142,13 +142,6 @@ func (c *Col) SelectRO(pred store.Pred) (keys []Value, ok bool) {
 	return c.P.Tail[lo:hi], true
 }
 
-// NeedsCrack is the read-only probe paired with SelectRO: it reports
-// whether Select(pred) would physically reorganize the column.
-func (c *Col) NeedsCrack(pred store.Pred) bool {
-	_, ok := c.SelectRO(pred)
-	return !ok
-}
-
 // Select is operator crackers.select(A,v1,v2): it merges relevant pending
 // updates, physically reorganizes the column to cluster qualifying tuples
 // into a contiguous area, and returns the keys of qualifying tuples. The
@@ -161,15 +154,6 @@ func (c *Col) Select(pred store.Pred) []Value {
 	lo, hi := c.P.CrackRange(pred)
 	hi = c.applyPendingDeletes(lo, hi)
 	return c.P.Tail[lo:hi]
-}
-
-// SelectArea is Select but returns the cracked area bounds instead of the
-// key view; used by cost accounting in the experiment harness.
-func (c *Col) SelectArea(pred store.Pred) (lo, hi int) {
-	c.mergePendingInserts(pred)
-	lo, hi = c.P.CrackRange(pred)
-	hi = c.applyPendingDeletes(lo, hi)
-	return lo, hi
 }
 
 // RelSelect is operator crackers.rel_select (Section 2.2): for conjunctive

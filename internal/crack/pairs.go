@@ -418,13 +418,6 @@ func (p *Pairs) Area(pred store.Pred) (lo, hi int, ok bool) {
 	return lo, hi, true
 }
 
-// NeedsCrack reports whether answering pred would physically reorganize the
-// pairs. Read-only; safe to call concurrently with other readers.
-func (p *Pairs) NeedsCrack(pred store.Pred) bool {
-	_, _, ok := p.Area(pred)
-	return !ok
-}
-
 // LocateKeys returns, ascending, the positions of the tuples whose head
 // matches pred and whose tail is one of keys (ascending). This is how a key
 // map M_Akey or key chunk turns pending deletions into physical positions

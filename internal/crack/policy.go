@@ -67,8 +67,8 @@ func KindByName(name string) (PolicyKind, bool) {
 // the Default policy (no auxiliary pivots).
 //
 // Auxiliary pivots are recorded in the cracker index exactly like
-// query-bound boundaries, so read-only probes (Area, SelectRO, the engine
-// probe layer) benefit from them immediately, ripple updates shift them
+// query-bound boundaries, so read-only lookups (Area, SelectRO, the engines'
+// QueryRO) benefit from them immediately, ripple updates shift them
 // like any other boundary, and a later query whose bound equals a pivot
 // pays no partition pass at all.
 //

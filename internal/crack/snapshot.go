@@ -190,23 +190,13 @@ func (v *colVersion) area(pred store.Pred) (i, j int, ok bool) {
 	return i, j, true
 }
 
-// NeedsCrack reports whether answering pred requires the writer path: a
-// missing cut, or a pending-update backlog large enough that merging it
-// beats rescanning it on every read.
-func (c *SnapCol) NeedsCrack(pred store.Pred) bool {
-	v := c.cur.Load()
-	if len(v.pendIns) > snapMaxPend || len(v.pendDel) > snapMaxPend {
-		return true
-	}
-	_, _, ok := v.area(pred)
-	return !ok
-}
-
 // GatherRO appends the keys of tuples matching pred to dst, reading one
 // consistent version lock-free. ok is false when answering pred needs the
-// writer path (see NeedsCrack). The caller MUST hold an Epoch pin (Enter
-// before, Exit after) spanning the call and any use of the result — the pin
-// is what keeps the version's pieces from being reclaimed underneath it.
+// writer path: a missing cut, or a pending-update backlog large enough that
+// merging it beats rescanning it on every read. The caller MUST hold an
+// Epoch pin (Enter before, Exit after) spanning the call and any use of the
+// result — the pin is what keeps the version's pieces from being reclaimed
+// underneath it.
 // Pending insertions are applied virtually and pending deletions filtered,
 // so the answer equals the writer path's.
 func (c *SnapCol) GatherRO(pred store.Pred, dst []Value) ([]Value, bool) {

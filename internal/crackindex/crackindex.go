@@ -254,23 +254,6 @@ func tighten(n *node, b Bound, p Piece) Piece {
 	return p
 }
 
-// ShiftFrom adds delta to the position of every boundary (live or deleted)
-// at position >= pos. Used when ripple updates grow or shrink the column.
-func (ix *Index) ShiftFrom(pos, delta int) {
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.pos >= pos {
-			n.pos += delta
-		}
-		walk(n.l)
-		walk(n.r)
-	}
-	walk(ix.root)
-}
-
 // Reposition calls f for every live boundary in ascending order and stores
 // the returned position. It is the bulk counterpart of re-Inserting each
 // boundary after a batched ripple update: one tree walk instead of one

@@ -122,21 +122,6 @@ func TestDeleteAndRevive(t *testing.T) {
 	}
 }
 
-func TestShiftFrom(t *testing.T) {
-	ix := New()
-	ix.Insert(Bound{10, true}, 100)
-	ix.Insert(Bound{20, true}, 200)
-	ix.Insert(Bound{30, true}, 300)
-	ix.ShiftFrom(200, 5)
-	want := map[int64]int{10: 100, 20: 205, 30: 305}
-	for v, wpos := range want {
-		pos, _ := ix.Lookup(Bound{v, true})
-		if pos != wpos {
-			t.Errorf("after shift, boundary %d at %d, want %d", v, pos, wpos)
-		}
-	}
-}
-
 func TestWalkOrdered(t *testing.T) {
 	ix := New()
 	vals := []int64{50, 10, 30, 70, 20}

@@ -8,40 +8,25 @@ import (
 	"crackstore/internal/crack"
 )
 
-// ConcStats reports how a shared-safe wrapper's readers fare against
-// concurrent reorganization: how long (and how often) readers blocked
-// waiting for access, and — for snapshot engines — how many versions were
-// published and reclaimed. The zero value means "nothing observed".
+// ConcStats is the Readers section of a Report: how the readers of the
+// RWMutex guard fare against concurrent reorganization. The zero value
+// means "nothing observed". Snapshot readers take no lock and have no such
+// section; what they publish and reclaim is SnapshotStats.
 type ConcStats struct {
 	// ReaderWait is the cumulative time readers spent blocked acquiring
-	// read access (zero for lock-free snapshot readers).
+	// read access.
 	ReaderWait time.Duration
 	// ReaderWaits counts read acquisitions that had to block.
 	ReaderWaits int64
-	// Snapshots counts versions published by writers (snapshot engine).
-	Snapshots int64
-	// Reclaimed counts retired versions whose memory was freed after all
-	// reader epochs moved past them (snapshot engine).
-	Reclaimed int64
 }
 
-// ConcObservable is implemented by shared-safe wrappers that track
-// reader/writer contention statistics.
-type ConcObservable interface {
-	ConcStats() ConcStats
+func (d *ConcStats) add(s ConcStats) {
+	d.ReaderWait += s.ReaderWait
+	d.ReaderWaits += s.ReaderWaits
 }
 
-// ConcStatsOf extracts contention statistics from e if its wrapper tracks
-// them.
-func ConcStatsOf(e Engine) (ConcStats, bool) {
-	if o, ok := e.(ConcObservable); ok {
-		return o.ConcStats(), true
-	}
-	return ConcStats{}, false
-}
-
-// Concurrent wraps an engine with the two-phase (probe/execute) locking
-// protocol so it can serve many goroutines at once.
+// Concurrent wraps an engine with the two-phase (QueryRO, then Query)
+// locking protocol so it can serve many goroutines at once.
 //
 // Cracking engines physically reorganize their structures as a side effect
 // of queries — reads are writes — but after a warm-up the vast majority of
@@ -80,7 +65,7 @@ func IsShared(e Engine) bool {
 	return ok
 }
 
-// rwEngine is the RWMutex probe/execute guard behind Concurrent — and,
+// rwEngine is the RWMutex QueryRO/Query guard behind Concurrent — and,
 // embedded, behind the durable engine, which adds a journal to the write
 // side and nothing to the read side.
 type rwEngine struct {
@@ -107,11 +92,18 @@ func (s *rwEngine) rlock() {
 // SharedEngine marks the guard (and anything embedding it) safe to share.
 func (s *rwEngine) SharedEngine() {}
 
-func (s *rwEngine) ConcStats() ConcStats {
-	return ConcStats{
+// Report is the wrapped engine's report, read under the read lock, plus the
+// guard's Readers section. Deliberately bypasses rlock(): a metrics scrape
+// must not count as reader contention.
+func (s *rwEngine) Report() Report {
+	s.mu.RLock()
+	r := ReportOf(s.e)
+	s.mu.RUnlock()
+	r.Readers = &ConcStats{
 		ReaderWait:  time.Duration(s.readerWaitNs.Load()),
 		ReaderWaits: s.readerWaits.Load(),
 	}
+	return r
 }
 
 func (s *rwEngine) Name() string { return s.e.Name() + " (concurrent)" }
@@ -142,12 +134,6 @@ func (s *rwEngine) Query(q Query) (Result, Cost) {
 		return res, cost
 	}
 	return s.e.Query(q)
-}
-
-func (s *rwEngine) Probe(q Query) bool {
-	s.rlock()
-	defer s.mu.RUnlock()
-	return s.e.Probe(q)
 }
 
 func (s *rwEngine) QueryRO(q Query) (Result, Cost, bool) {

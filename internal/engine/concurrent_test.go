@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"crackstore/internal/store"
 	"crackstore/internal/wal"
@@ -189,8 +190,8 @@ func TestConcurrentMatchesSequentialReplay(t *testing.T) {
 }
 
 // TestConcurrentProbeConsistency checks the protocol contract on a live
-// engine: once a query has run, an identical repeat must probe as
-// reorganization-free and QueryRO must agree with Query.
+// engine: once a query has run, QueryRO must accept an identical repeat and
+// agree with Query.
 func TestConcurrentProbeConsistency(t *testing.T) {
 	for _, kind := range allKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -202,9 +203,6 @@ func TestConcurrentProbeConsistency(t *testing.T) {
 				Projs: []string{"B"},
 			}
 			first, _ := e.Query(q)
-			if e.Probe(q) {
-				t.Fatalf("%v: repeat query still probes as reorganizing", kind)
-			}
 			ro, _, ok := e.QueryRO(q)
 			if !ok {
 				t.Fatalf("%v: QueryRO refused an aligned repeat", kind)
@@ -220,19 +218,19 @@ func TestConcurrentProbeConsistency(t *testing.T) {
 				t.Fatalf("%v: QueryRO multiset differs from Query", kind)
 			}
 
-			// An update relevant to the range must flip the probe back —
+			// An update relevant to the range must make QueryRO refuse —
 			// except for the scan engine, whose inserts land directly in
 			// the base column with nothing pending to merge.
 			e.Insert(Value(60), Value(60))
-			if kind != Scan && !e.Probe(q) {
-				t.Fatalf("%v: probe missed a pending insertion in range", kind)
+			if _, _, ok := e.QueryRO(q); kind != Scan && ok {
+				t.Fatalf("%v: QueryRO missed a pending insertion in range", kind)
 			}
 			res, _ := e.Query(q)
 			if res.N != first.N+1 {
 				t.Fatalf("%v: post-insert N=%d, want %d", kind, res.N, first.N+1)
 			}
-			if e.Probe(q) {
-				t.Fatalf("%v: probe still reorganizing after merge", kind)
+			if _, _, ok := e.QueryRO(q); !ok {
+				t.Fatalf("%v: QueryRO still refuses after the merge", kind)
 			}
 		})
 	}
@@ -349,8 +347,16 @@ func TestConcurrentReaderWaitStats(t *testing.T) {
 			case *durEngine:
 				mu = &w.mu
 			}
+			// A scrape that finds the guard write-locked waits like a reader
+			// but is not one: it must not count as contention.
+			mu.Lock()
+			scraped := make(chan struct{})
+			go func() { ReportOf(e); close(scraped) }()
+			time.Sleep(2 * time.Millisecond)
+			mu.Unlock()
+			<-scraped
 			if cs, ok := ConcStatsOf(e); !ok || cs.ReaderWaits != 0 {
-				t.Fatalf("fresh engine: ConcStats ok=%v %+v", ok, cs)
+				t.Fatalf("fresh engine after a blocked scrape: ConcStats ok=%v %+v", ok, cs)
 			}
 			// The reader must reach the lock while the writer holds it. There
 			// is no event for "blocked in RLock", so yield to it and retry
@@ -360,7 +366,7 @@ func TestConcurrentReaderWaitStats(t *testing.T) {
 				started, done := make(chan struct{}), make(chan struct{})
 				go func() {
 					close(started)
-					e.Probe(q)
+					e.QueryRO(q)
 					close(done)
 				}()
 				<-started

@@ -41,7 +41,8 @@ func (o DurableOptions) checkpointBytes() int64 {
 	return o.CheckpointBytes
 }
 
-// DurStats reports durability state and activity for a durable engine.
+// DurStats is the Durable section of a Report: durability state and
+// activity of a durable engine.
 type DurStats struct {
 	// Recovered is true when the open found an existing store on disk
 	// (false for a fresh directory).
@@ -75,6 +76,26 @@ type DurStats struct {
 	Wal      wal.Stats
 }
 
+// add sums the counters; of several parts, the whole recovered if any part
+// did, and shut down cleanly only if all did.
+func (d *DurStats) add(s DurStats) {
+	d.Recovered = d.Recovered || s.Recovered
+	d.CleanShutdown = d.CleanShutdown && s.CleanShutdown
+	d.ReplayedRecords += s.ReplayedRecords
+	d.ReplayedBytes += s.ReplayedBytes
+	d.TruncatedBytes += s.TruncatedBytes
+	d.RecoveryTime += s.RecoveryTime
+	d.TapeLen += s.TapeLen
+	d.TapeSkipped += s.TapeSkipped
+	d.Checkpoints += s.Checkpoints
+	d.WriteErrs += s.WriteErrs
+	d.WalBytes += s.WalBytes
+	d.Wal.Appends += s.Wal.Appends
+	d.Wal.Bytes += s.Wal.Bytes
+	d.Wal.Fsyncs += s.Wal.Fsyncs
+	d.Wal.GroupCommits += s.Wal.GroupCommits
+}
+
 // durEngine makes any engine durable: every acked Insert/Delete is written
 // to a CRC-framed WAL before it is applied, reorganizing queries append
 // their shape to a crack tape, and periodic checkpoints materialize base
@@ -82,9 +103,9 @@ type DurStats struct {
 // fresh WAL segment.
 //
 // It is the Concurrent guard plus a journal: the embedded rwEngine supplies
-// the lock, the whole read side (Probe, QueryRO, Storage, reader-wait
-// stats) and the unjournaled write-side methods, and durEngine overrides
-// only the three operations the journal must see. Holding the guard's
+// the lock, the whole read side (QueryRO, Storage, reader-wait stats) and
+// the unjournaled write-side methods, and durEngine overrides only the
+// three operations the journal must see. Holding the guard's
 // write lock across log-append and in-memory apply makes log order equal
 // apply order, which is what lets replay reproduce identical tuple keys.
 // Prepare and JoinInput are deliberately not journaled: presorted copies
@@ -376,8 +397,11 @@ func (d *durEngine) Close() error {
 	return d.log.Close()
 }
 
-// DurStats returns a snapshot of the durability counters.
-func (d *durEngine) DurStats() DurStats {
+// Report is the guard's report plus the Durable section, each read in its
+// own read-lock section (never nested: a writer queued between two nested
+// RLocks would deadlock them).
+func (d *durEngine) Report() Report {
+	r := d.rwEngine.Report()
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	s := d.open
@@ -386,20 +410,8 @@ func (d *durEngine) DurStats() DurStats {
 	s.WriteErrs = d.writeErrs.Load()
 	s.WalBytes = d.log.Size()
 	s.Wal = d.log.Stats()
-	return s
-}
-
-// DurObservable is implemented by durable engines.
-type DurObservable interface {
-	DurStats() DurStats
-}
-
-// DurStatsOf extracts durability statistics from e if it is durable.
-func DurStatsOf(e Engine) (DurStats, bool) {
-	if o, ok := e.(DurObservable); ok {
-		return o.DurStats(), true
-	}
-	return DurStats{}, false
+	r.Durable = &s
+	return r
 }
 
 // CloseDurable checkpoints and closes a durable engine, reporting false
@@ -470,8 +482,8 @@ func (d *durEngine) Delete(key int) {
 	})
 }
 
-// Query is the guard's probe/execute protocol with a journaled slow path:
-// the read side is rwEngine's, untouched; a query that must reorganize is
+// Query is the guard's two-phase protocol with a journaled slow path: the
+// read side is rwEngine's, untouched; a query that must reorganize is
 // appended to the crack tape once it has returned, still inside the same
 // write-lock section, so the cuts it made survive a restart. Recording
 // after execution means a query the engine rejects (it panics on an

@@ -162,7 +162,7 @@ func copyDurDir(t *testing.T, src, dst string) {
 
 func TestDurableFreshOpenBasics(t *testing.T) {
 	dir := t.TempDir()
-	e, err := OpenDurable(SelCrack, durSeedRel(), dir, DurableOptions{Sync: wal.SyncAlways})
+	e, err := OpenDurable(SelCrack, durSeedRel(), dir, DurableOptions{Sync: wal.SyncGroup})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -197,7 +197,7 @@ func TestDurableFreshOpenBasics(t *testing.T) {
 // zero acked-write loss at the full image, no phantoms anywhere.
 func TestDurableCrashMatrix(t *testing.T) {
 	dir := t.TempDir()
-	opts := DurableOptions{Sync: wal.SyncAlways, CheckpointBytes: -1}
+	opts := DurableOptions{Sync: wal.SyncGroup, CheckpointBytes: -1}
 	e, err := OpenDurable(SelCrack, durSeedRel(), dir, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -209,7 +209,7 @@ func TestDurableCrashMatrix(t *testing.T) {
 		}
 	}
 	// No Close: the crash happens with the WAL as the only record of the
-	// post-checkpoint writes. SyncAlways means every acked write is inside
+	// post-checkpoint writes. SyncGroup means every acked write is inside
 	// the synced image read back here.
 	img, err := os.ReadFile(wal.SegmentPath(dir, 0))
 	if err != nil {
@@ -325,10 +325,10 @@ func TestDurableWarmRestart(t *testing.T) {
 			}
 			// Warmth: the queries that cracked the dead process's layout
 			// must find the recovered layout already cracked — no
-			// reorganization, which is exactly what Probe reports. Only
+			// reorganization, which is exactly what QueryRO's ok reports. Only
 			// single-predicate queries guarantee this: multi-predicate
 			// plans pick their head from live selectivity estimates, so
-			// their probe outcome varies with physical state even on a
+			// their eligibility varies with physical state even on a
 			// never-crashed store.
 			warm := 0
 			for i, q := range cracked {
@@ -336,7 +336,7 @@ func TestDurableWarmRestart(t *testing.T) {
 					continue
 				}
 				warm++
-				if re.Probe(q) {
+				if _, _, ok := re.QueryRO(q); !ok {
 					t.Fatalf("recovered store cold for replayed query %d: %+v", i, q)
 				}
 			}
@@ -392,7 +392,7 @@ func TestDurableRecoverMissingSegment(t *testing.T) {
 // (b) the final state matches a never-crashed twin.
 func TestDurableCheckpointRotation(t *testing.T) {
 	dir := t.TempDir()
-	opts := DurableOptions{Sync: wal.SyncAlways, CheckpointBytes: 512}
+	opts := DurableOptions{Sync: wal.SyncGroup, CheckpointBytes: 512}
 	e, err := OpenDurable(SelCrack, durSeedRel(), dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -541,7 +541,7 @@ func TestDurableFaultInjection(t *testing.T) {
 	var dir string
 	opts := func(seed int64) DurableOptions {
 		return DurableOptions{
-			Sync:            wal.SyncAlways,
+			Sync:            wal.SyncGroup,
 			CheckpointBytes: -1,
 			Wrap: func(f wal.File) wal.File {
 				return faultnet.WrapFile(f, faultnet.MixFS(0.04, seed))
@@ -676,7 +676,7 @@ func TestDurableRecoverySkipsUnfitTapeRecords(t *testing.T) {
 		{Type: wal.RecCrack, Projs: []string{"A"}},
 	}
 	good := Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(200, 600)}}, Projs: []string{"B"}}
-	opts := DurableOptions{Sync: wal.SyncAlways, CheckpointBytes: -1}
+	opts := DurableOptions{Sync: wal.SyncGroup, CheckpointBytes: -1}
 
 	check := func(t *testing.T, dir string, wantReplayed int) {
 		t.Helper()
@@ -691,7 +691,7 @@ func TestDurableRecoverySkipsUnfitTapeRecords(t *testing.T) {
 		if st.ReplayedRecords != wantReplayed {
 			t.Fatalf("replayed %d segment records, want %d", st.ReplayedRecords, wantReplayed)
 		}
-		if re.Probe(good) {
+		if _, _, ok := re.QueryRO(good); !ok {
 			t.Fatal("the good tape record around the skipped ones was not replayed")
 		}
 		twin := NewScan(durSeedRel())

@@ -16,6 +16,12 @@
 // compare cost profiles. Costs are split into selection (locating
 // qualifying tuples) and tuple reconstruction (materializing projections),
 // matching the breakdown in the paper's Section 3.6 table.
+//
+// Wrappers make an engine shared-safe (Concurrent, Snapshot), durable
+// (OpenDurable) or partitioned (internal/shard). What a wrapper must
+// forward is the Engine interface plus three optional methods:
+// SetCrackPolicy, the SharedEngine marker, and Report — the one method
+// through which a stack says what its layers are doing (see Report).
 package engine
 
 import (
@@ -103,30 +109,25 @@ func (c Cost) Total() time.Duration { return c.Sel + c.TR }
 
 // Engine is one physical design wrapping a single relation.
 //
-// Engines follow a two-phase (probe/execute) query protocol: Probe asks,
-// read-only, whether a query would physically reorganize engine state;
-// QueryRO executes reorganization-free queries, reporting ok == false for
-// queries that would reorganize. Concurrent builds on QueryRO: it
-// attempts every query under a shared read lock and falls back to
-// exclusive access only when QueryRO refuses — i.e. when the query must
-// crack, merge pending updates, or maintain auxiliary structures. Probe
-// is the planning-side view of the same eligibility rule, for callers
-// (admission control, schedulers, tests) that want the answer without
-// executing.
+// Engines follow a two-phase query protocol: QueryRO executes
+// reorganization-free queries and refuses (ok == false) the ones that would
+// physically reorganize engine state; Query executes anything. Concurrent
+// builds on it: it attempts every query under a shared read lock and falls
+// back to exclusive access only when QueryRO refuses — i.e. when the query
+// must crack, merge pending updates, or maintain auxiliary structures.
+// QueryRO's ok is the one eligibility answer; there is no way to ask
+// without executing, because an answer that is not acted on under the same
+// lock is stale by the time it is used.
 type Engine interface {
 	Name() string
 	Kind() Kind
 	// Query evaluates q and reports the cost split.
 	Query(q Query) (Result, Cost)
-	// Probe is the read-only half of the protocol: it reports whether
-	// Query(q) would physically reorganize engine state — crack a piece,
-	// merge a pending update, or build/align an auxiliary structure. It
-	// never mutates and is safe to call concurrently with other read-only
-	// operations.
-	Probe(q Query) bool
 	// QueryRO answers q without reorganizing anything. ok is false when
-	// reorganization is required; callers then fall back to Query under
-	// exclusive access. Safe to call concurrently with other read-only
+	// Query(q) would physically reorganize engine state — crack a piece,
+	// merge a pending update, or build/align an auxiliary structure;
+	// callers then fall back to Query under exclusive access. It never
+	// mutates and is safe to call concurrently with other read-only
 	// operations.
 	QueryRO(q Query) (Result, Cost, bool)
 	// Insert appends a tuple (attribute order of the relation); returns
@@ -285,9 +286,7 @@ func (e *scanEngine) Query(q Query) (Result, Cost) {
 	return res, cost
 }
 
-// Probe: a full scan never reorganizes anything.
-func (e *scanEngine) Probe(q Query) bool { return false }
-
+// QueryRO: a full scan never reorganizes anything.
 func (e *scanEngine) QueryRO(q Query) (Result, Cost, bool) {
 	res, cost := e.Query(q)
 	return res, cost, true
@@ -475,29 +474,10 @@ func (e *selCrackEngine) Query(q Query) (Result, Cost) {
 	return res, cost
 }
 
-// Probe reports whether q's selections would crack a cracker column or
-// merge a pending update (including the on-demand creation of a missing
-// cracker column).
-func (e *selCrackEngine) Probe(q Query) bool {
-	if len(q.Preds) == 0 {
-		return true
-	}
-	if q.Disjunctive {
-		for _, ap := range q.Preds {
-			c, ok := e.cols[ap.Attr]
-			if !ok || c.NeedsCrack(ap.Pred) {
-				return true
-			}
-		}
-		return false
-	}
-	c, ok := e.cols[q.Preds[0].Attr]
-	return !ok || c.NeedsCrack(q.Preds[0].Pred)
-}
-
 // selectKeysRO is the reorganization-free twin of selectKeys: it reads the
 // qualifying keys out of already-cracked areas. ok is false when any
-// touched column would reorganize.
+// touched column would crack or merge a pending update, or does not exist
+// yet.
 func (e *selCrackEngine) selectKeysRO(preds []AttrPred, disjunctive bool) ([]Value, bool) {
 	if len(preds) == 0 {
 		return nil, false
@@ -688,22 +668,16 @@ func (e *presortEngine) Query(q Query) (Result, Cost) {
 	return res, cost
 }
 
-// Probe reports whether the primary predicate's presorted copy is missing
-// or stale (updates force a full re-sort on the next query).
-func (e *presortEngine) Probe(q Query) bool {
-	if len(q.Preds) == 0 {
-		return true
-	}
-	primary := q.Preds[0].Attr
-	return e.ps.CopyFor(primary) == nil || e.stale[primary]
-}
-
+// QueryRO refuses when the primary predicate's presorted copy is missing or
+// stale (updates force a full re-sort on the next query). With a fresh copy
+// the query is a binary search plus aligned scans — no rebuild, no mutation.
 func (e *presortEngine) QueryRO(q Query) (Result, Cost, bool) {
-	if e.Probe(q) {
+	if len(q.Preds) == 0 {
 		return Result{}, Cost{}, false
 	}
-	// With a fresh copy the query is a binary search plus aligned scans —
-	// no rebuild, no mutation.
+	if primary := q.Preds[0].Attr; e.ps.CopyFor(primary) == nil || e.stale[primary] {
+		return Result{}, Cost{}, false
+	}
 	res, cost := e.Query(q)
 	return res, cost, true
 }
@@ -731,7 +705,6 @@ func (e *presortEngine) JoinInput(preds []AttrPred, joinAttr string, projs []str
 type mapStore interface {
 	MultiSelect(preds []AttrPred, projs []string, disjunctive bool) sideways.Result
 	MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool) (sideways.Result, bool)
-	ProbeMulti(preds []AttrPred, projs []string, disjunctive bool) bool
 	Insert(vals ...Value) int
 	Delete(key int)
 	StorageTuples() int
@@ -800,12 +773,8 @@ func (e *mapEngine) Query(q Query) (Result, Cost) {
 	return Result(res), Cost{Sel: time.Since(t0)}
 }
 
-// Probe reports whether the query would crack a map or chunk, merge pending
+// QueryRO refuses when the query would crack a map or chunk, merge pending
 // updates, materialize a map or fetch an area, or grow a cracker tape.
-func (e *mapEngine) Probe(q Query) bool {
-	return e.st.ProbeMulti(q.Preds, q.Projs, q.Disjunctive)
-}
-
 func (e *mapEngine) QueryRO(q Query) (Result, Cost, bool) {
 	t0 := time.Now()
 	res, ok := e.st.MultiSelectRO(q.Preds, q.Projs, q.Disjunctive)

@@ -107,9 +107,7 @@ func (e *rowStoreEngine) Query(q Query) (Result, Cost) {
 	return res, cost
 }
 
-// Probe: the read-only row store never reorganizes during queries.
-func (e *rowStoreEngine) Probe(q Query) bool { return false }
-
+// QueryRO: the read-only row store never reorganizes during queries.
 func (e *rowStoreEngine) QueryRO(q Query) (Result, Cost, bool) {
 	res, cost := e.Query(q)
 	return res, cost, true

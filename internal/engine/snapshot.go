@@ -35,7 +35,7 @@ func Snapshot(e Engine) Engine {
 }
 
 // snapEngine is the multi-version selection-cracking engine behind
-// Snapshot. Readers (Probe, QueryRO, and Query's fast path) are entirely
+// Snapshot. Readers (QueryRO, and Query's fast path) are entirely
 // lock-free: they pin an epoch, load immutable state through atomic
 // pointers, and copy what they need. Writers (cracking queries, Insert,
 // Delete, JoinInput) serialize on mu and publish every change as a new
@@ -167,28 +167,10 @@ func (e *snapEngine) Storage() int {
 	return total
 }
 
-// Probe reports whether q would reorganize: a missing cracker column, a
-// missing cut, or a pending-update backlog due for merging. Lock-free.
-func (e *snapEngine) Probe(q Query) bool {
-	if len(q.Preds) == 0 {
-		return true
-	}
-	cols := *e.cols.Load()
-	if q.Disjunctive {
-		for _, ap := range q.Preds {
-			c, ok := cols[ap.Attr]
-			if !ok || c.NeedsCrack(ap.Pred) {
-				return true
-			}
-		}
-		return false
-	}
-	c, ok := cols[q.Preds[0].Attr]
-	return !ok || c.NeedsCrack(q.Preds[0].Pred)
-}
-
 // gatherRO collects qualifying keys lock-free from one consistent snapshot
-// per touched column. The caller must hold an epoch pin spanning the call.
+// per touched column; ok is false when q would reorganize — a missing
+// cracker column, a missing cut, or a pending-update backlog due for
+// merging. The caller must hold an epoch pin spanning the call.
 func (e *snapEngine) gatherRO(q Query) ([]Value, bool) {
 	cols := *e.cols.Load()
 	if q.Disjunctive {
@@ -361,8 +343,9 @@ func (e *snapEngine) JoinInput(preds []AttrPred, joinAttr string, projs []string
 	}, cost
 }
 
-// SnapshotStats aggregates the version-lifecycle counters across the
-// engine's cracker columns, plus the number of currently pinned readers.
+// SnapshotStats is the Snapshot section of a Report: the version-lifecycle
+// counters summed across the engine's cracker columns, plus the number of
+// currently pinned readers.
 type SnapshotStats struct {
 	Published uint64 // versions published (atomic pointer swaps)
 	Reclaimed uint64 // versions reclaimed after their readers exited
@@ -370,26 +353,30 @@ type SnapshotStats struct {
 	Readers   int    // currently pinned readers (racy, monitoring only)
 }
 
-// SnapshotStats returns the aggregated snapshot counters.
-func (e *snapEngine) SnapshotStats() SnapshotStats {
+func (d *SnapshotStats) add(s SnapshotStats) {
+	d.Published += s.Published
+	d.Reclaimed += s.Reclaimed
+	d.Limbo += s.Limbo
+	d.Readers += s.Readers
+}
+
+// Report is the kernel and snapshot sections. Per-column counters are
+// atomics and the cols map is copy-on-write, so no lock is needed.
+func (e *snapEngine) Report() Report {
+	var ks crack.KernelStats
 	var st SnapshotStats
-	for _, c := range *e.cols.Load() {
+	pieces := 0
+	cols := *e.cols.Load()
+	for _, c := range cols {
+		ks.Add(c.KernelStats())
+		pieces += c.Pieces()
 		s := c.Stats()
 		st.Published += s.Published
 		st.Reclaimed += s.Reclaimed
 		st.Limbo += s.Limbo
 	}
 	st.Readers = e.ep.Active()
-	return st
-}
-
-// ConcStats implements ConcObservable: snapshot readers never block, so
-// reader-wait is identically zero; the interesting signal is versions
-// published and reclaimed.
-func (e *snapEngine) ConcStats() ConcStats {
-	st := e.SnapshotStats()
-	return ConcStats{
-		Snapshots: int64(st.Published),
-		Reclaimed: int64(st.Reclaimed),
-	}
+	r := kernelSection(ks, pieces, len(cols))
+	r.Snapshot = &st
+	return r
 }

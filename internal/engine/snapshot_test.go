@@ -146,7 +146,7 @@ func TestSnapshotReadersNeverSeeReclaimedState(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
-	st := se.SnapshotStats()
+	st := *se.Report().Snapshot
 	if st.Published == 0 {
 		t.Fatal("writer published no versions: the test exercised nothing")
 	}
@@ -182,8 +182,8 @@ func TestSnapshotFallback(t *testing.T) {
 }
 
 // TestSnapshotConcStats checks the observability contract: the snapshot
-// wrapper reports published/reclaimed versions and zero reader-wait, the
-// Concurrent wrapper reports reader-wait fields.
+// wrapper reports published/reclaimed versions and has no reader lock to
+// report on, the Concurrent wrapper reports reader-wait fields.
 func TestSnapshotConcStats(t *testing.T) {
 	rel := buildBandedRel(5)
 	e := Snapshot(New(SelCrack, cloneRel(rel)))
@@ -193,15 +193,11 @@ func TestSnapshotConcStats(t *testing.T) {
 			Projs: []string{"B"},
 		})
 	}
-	cs, ok := ConcStatsOf(e)
-	if !ok {
-		t.Fatal("snapshot engine does not report ConcStats")
+	if ss, ok := SnapshotStatsOf(e); !ok || ss.Published == 0 {
+		t.Fatalf("no snapshots counted after cracking queries (ok=%v)", ok)
 	}
-	if cs.Snapshots == 0 {
-		t.Fatal("no snapshots counted after cracking queries")
-	}
-	if cs.ReaderWait != 0 || cs.ReaderWaits != 0 {
-		t.Fatal("lock-free readers reported blocked time")
+	if _, ok := ConcStatsOf(e); ok {
+		t.Fatal("lock-free readers report on a reader lock they do not have")
 	}
 	if _, ok := ConcStatsOf(Concurrent(New(Scan, cloneRel(rel)))); !ok {
 		t.Fatal("Concurrent wrapper does not report ConcStats")

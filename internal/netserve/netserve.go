@@ -11,7 +11,10 @@
 // carries an ID and responses are written in completion order, a single
 // connection pipelines many in-flight requests — a slow crack does not
 // stall the answers of the read-only queries behind it (pair with
-// serve.Options.Timeout to bound the slow request itself).
+// serve.Options.Timeout to bound the slow request itself). A read-only
+// request (OpQueryRO) executes Engine.QueryRO through the serving layer and
+// nothing else: the engine's refusal comes back as StatusRefused. Network
+// events are counted once, in obs instruments the server always keeps.
 //
 // Malformed input never kills the process: an oversized frame or an
 // undecodable payload draws an error response and, when the stream can no
@@ -22,19 +25,17 @@
 package netserve
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"bufio"
-
-	"os"
 
 	"crackstore/internal/engine"
 	"crackstore/internal/obs"
@@ -68,11 +69,11 @@ type Options struct {
 	// replays it when a client retry re-sends a token, so a write whose
 	// response was lost in transit is applied exactly once. 0 means 4096.
 	DedupWindow int
-	// Metrics, when non-nil, registers the network layer's counters
-	// (frames, bytes, corrupt frames, dedup hits, connections) into the
-	// registry; it is also forwarded to the serving layer unless
-	// Serve.Metrics is already set, so one registry observes both layers.
-	// Nil keeps the hot path byte-identical to the uninstrumented build.
+	// Metrics, when non-nil, exports the network layer's counters (frames,
+	// bytes, corrupt frames, dedup hits, connections, sheds) as the
+	// crack_net_* families of the registry; it is also forwarded to the
+	// serving layer unless Serve.Metrics is already set, so one registry
+	// observes both layers. The counters exist and count either way.
 	Metrics *obs.Registry
 	// TraceSample, when > 0, server-side samples one in TraceSample
 	// non-ping requests for tracing (rounded up to the next power of
@@ -134,15 +135,19 @@ type Server struct {
 	// dispatch.
 	inlineRO bool
 
-	// glimit is the global in-flight cap (nil when MaxInflight is 0);
-	// sheds counts requests answered StatusOverloaded at this layer.
+	// glimit is the global in-flight cap (nil when MaxInflight is 0).
 	glimit chan struct{}
-	sheds  atomic.Int64
 	dedup  *dedupWindow
 
-	// met is nil when Options.Metrics is nil; every method on a nil met
-	// no-ops, so call sites are unconditional.
-	met     *netMetrics
+	// The network layer's counters, each kept once and always on; sheds
+	// counts requests answered StatusOverloaded at this layer.
+	framesRead, framesWritten *obs.Counter
+	bytesRead, bytesWritten   *obs.Counter
+	corrupt, dedupHits        *obs.Counter
+	hellos, traces, sheds     *obs.Counter
+	connsTotal                *obs.Counter
+	connsOpen                 *obs.Gauge
+
 	sampler *obs.Sampler // server-side 1-in-N trace sampling (nil = off)
 	traceMu sync.Mutex   // serializes one-line JSON trace events on traceSink
 
@@ -160,40 +165,15 @@ type Server struct {
 func NewServer(e engine.Engine, opts Options) *Server {
 	opts = opts.withDefaults()
 	kind := e.Kind()
+	r := opts.Metrics // nil registers nowhere and still returns working instruments
 	s := &Server{
 		srv:      serve.New(e, opts.Serve),
 		opts:     opts,
 		inlineRO: kind != engine.Scan && kind != engine.RowStore,
 		dedup:    newDedupWindow(opts.DedupWindow),
 		conns:    make(map[*conn]struct{}),
-	}
-	if opts.MaxInflight > 0 {
-		s.glimit = make(chan struct{}, opts.MaxInflight)
-	}
-	s.met = newNetMetrics(opts.Metrics, s)
-	s.sampler = obs.NewSampler(opts.TraceSample)
-	return s
-}
+		sampler:  obs.NewSampler(opts.TraceSample),
 
-// netMetrics holds the network layer's registry-backed instruments. A
-// nil *netMetrics (Options.Metrics unset) no-ops on every method, so the
-// loops never branch on configuration.
-type netMetrics struct {
-	framesRead, framesWritten *obs.Counter
-	bytesRead, bytesWritten   *obs.Counter
-	corrupt                   *obs.Counter
-	dedupHits                 *obs.Counter
-	hellos                    *obs.Counter
-	connsTotal                *obs.Counter
-	traces                    *obs.Counter
-	conns                     *obs.Gauge
-}
-
-func newNetMetrics(r *obs.Registry, s *Server) *netMetrics {
-	if r == nil {
-		return nil
-	}
-	m := &netMetrics{
 		framesRead:    r.Counter("crack_net_frames_read_total", "request frames decoded off client connections"),
 		framesWritten: r.Counter("crack_net_frames_written_total", "response frames written to client connections"),
 		bytesRead:     r.Counter("crack_net_bytes_read_total", "bytes read off client connections (frame headers included)"),
@@ -203,61 +183,13 @@ func newNetMetrics(r *obs.Registry, s *Server) *netMetrics {
 		hellos:        r.Counter("crack_net_hello_total", "protocol version negotiations answered"),
 		connsTotal:    r.Counter("crack_net_conns_total", "connections accepted"),
 		traces:        r.Counter("crack_net_traces_total", "requests traced (client-initiated plus server-sampled)"),
-		conns:         r.Gauge("crack_net_conns", "currently open connections"),
+		connsOpen:     r.Gauge("crack_net_conns", "currently open connections"),
+		sheds:         r.Counter("crack_net_sheds_total", "requests shed by the global in-flight cap"),
 	}
-	r.CounterFunc("crack_net_sheds_total", "requests shed by the global in-flight cap", func() uint64 { return uint64(s.sheds.Load()) })
-	return m
-}
-
-func (m *netMetrics) frameRead(n int) {
-	if m != nil {
-		m.framesRead.Inc()
-		m.bytesRead.Add(uint64(n))
+	if opts.MaxInflight > 0 {
+		s.glimit = make(chan struct{}, opts.MaxInflight)
 	}
-}
-
-func (m *netMetrics) frameWritten(n int) {
-	if m != nil {
-		m.framesWritten.Inc()
-		m.bytesWritten.Add(uint64(n))
-	}
-}
-
-func (m *netMetrics) corruptFrame() {
-	if m != nil {
-		m.corrupt.Inc()
-	}
-}
-
-func (m *netMetrics) dedupHit() {
-	if m != nil {
-		m.dedupHits.Inc()
-	}
-}
-
-func (m *netMetrics) hello() {
-	if m != nil {
-		m.hellos.Inc()
-	}
-}
-
-func (m *netMetrics) connOpen() {
-	if m != nil {
-		m.connsTotal.Inc()
-		m.conns.Add(1)
-	}
-}
-
-func (m *netMetrics) connClose() {
-	if m != nil {
-		m.conns.Add(-1)
-	}
-}
-
-func (m *netMetrics) traced() {
-	if m != nil {
-		m.traces.Inc()
-	}
+	return s
 }
 
 // Listen starts serving e on addr (e.g. ":9090", "127.0.0.1:0") in a
@@ -332,7 +264,8 @@ func (s *Server) Serve(ln net.Listener) error {
 		// tear the serve layer down under this connection's goroutines.
 		s.wg.Add(2)
 		s.mu.Unlock()
-		s.met.connOpen()
+		s.connsTotal.Inc()
+		s.connsOpen.Add(1)
 		go c.readLoop()
 		go c.writeLoop()
 	}
@@ -354,7 +287,7 @@ func (s *Server) Addr() net.Addr {
 // cap.
 func (s *Server) Stats() serve.Stats {
 	st := s.srv.Stats()
-	st.Sheds += int(s.sheds.Load())
+	st.Sheds += int(s.sheds.Value())
 	return st
 }
 
@@ -391,7 +324,7 @@ func (s *Server) dropConn(c *conn) {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
-	s.met.connClose()
+	s.connsOpen.Add(-1)
 }
 
 // ---------------------------------------------------------------------------
@@ -431,7 +364,7 @@ func (c *conn) readLoop() {
 		payload, err := wire.ReadFrame(br, c.s.opts.MaxFrame)
 		if err != nil {
 			if errors.Is(err, wire.ErrFrameTooLarge) || errors.Is(err, wire.ErrCorrupt) {
-				c.s.met.corruptFrame()
+				c.s.corrupt.Inc()
 			}
 			if errors.Is(err, wire.ErrFrameTooLarge) {
 				// The length prefix itself was intact: report the refusal
@@ -441,10 +374,11 @@ func (c *conn) readLoop() {
 			}
 			break
 		}
-		c.s.met.frameRead(len(payload) + wire.FrameHeader)
+		c.s.framesRead.Inc()
+		c.s.bytesRead.Add(uint64(len(payload) + wire.FrameHeader))
 		req, err := wire.DecodeRequest(payload)
 		if err != nil {
-			c.s.met.corruptFrame()
+			c.s.corrupt.Inc()
 			// Framing was intact — only this payload is bad. If its header
 			// (op + ID) survives, answer the error in-band and keep
 			// serving the connection; otherwise the peer is not speaking
@@ -482,7 +416,7 @@ func (c *conn) readLoop() {
 			case c.s.glimit <- struct{}{}:
 				acquired = true
 			default:
-				c.s.sheds.Add(1)
+				c.s.sheds.Inc()
 				c.send(&wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOverloaded})
 				continue
 			}
@@ -516,7 +450,7 @@ func (c *conn) readLoop() {
 			defer c.inflight.Done()
 			resp := c.s.dispatch(&req, arrival)
 			if req.Trace != 0 {
-				c.s.met.traced()
+				c.s.traces.Inc()
 				c.sendTraced(&req, resp, arrival, sampled)
 			} else {
 				c.send(resp)
@@ -552,8 +486,10 @@ func (c *conn) writeLoop() {
 		if !broken {
 			if _, err := bw.Write(*frame); err != nil {
 				broken = true
-			} else if c.s.met.frameWritten(len(*frame)); len(c.out) == 0 {
-				if err := bw.Flush(); err != nil {
+			} else {
+				c.s.framesWritten.Inc()
+				c.s.bytesWritten.Add(uint64(len(*frame)))
+				if len(c.out) == 0 && bw.Flush() != nil {
 					broken = true
 				}
 			}
@@ -647,7 +583,7 @@ func (s *Server) dispatch(req *wire.Request, arrival time.Time) *wire.Response {
 		if !first {
 			// A retry of a write the server already owns: wait out the
 			// original execution if needed and replay its response.
-			s.met.dedupHit()
+			s.dedupHits.Inc()
 			<-e.done
 			r := e.resp
 			r.ID = req.ID
@@ -708,31 +644,19 @@ func (s *Server) exec(req *wire.Request, arrival time.Time) (resp *wire.Response
 	case wire.OpQueryRO:
 		// Read-only requests stay inside the serving layer so the worker
 		// bound, per-query deadline, and statistics apply to them exactly
-		// as to full queries. TryRO covers the common case; when it
-		// declines for lack of a free slot rather than because the query
-		// would reorganize, fall through to Do — for a reorganization-free
-		// query that is the same read-only execution, just queued fairly
-		// for a slot. Traced requests skip TryRO: tracing wants the timed
-		// path.
-		var res engine.Result
-		var cost engine.Cost
-		ok := false
-		if sp == nil {
-			res, cost, ok = s.srv.TryRO(req.Query)
+		// as to full queries — and they execute Engine.QueryRO only, so the
+		// contract "never reorganizes, else StatusRefused" holds whatever
+		// writes land meanwhile: the engine's refusal is the one answer.
+		res, cost, ok, err := s.srv.DoRO(req.Query, deadline, sp)
+		if err != nil {
+			return fail(err)
 		}
 		if !ok {
-			if s.srv.Engine().Probe(req.Query) {
-				resp.Status = wire.StatusRefused
-				return resp
-			}
-			var err error
-			res, cost, err = s.srv.DoUntilSpans(req.Query, deadline, sp)
-			if err != nil {
-				return fail(err)
-			}
-			resp.Spans = serverSpans(sp, cost)
+			resp.Status = wire.StatusRefused
+			return resp
 		}
 		resp.Result, resp.Cost = res, cost
+		resp.Spans = serverSpans(sp, cost)
 	case wire.OpInsert:
 		resp.Key = s.srv.Engine().Insert(req.Vals...)
 	case wire.OpDelete:
@@ -744,7 +668,7 @@ func (s *Server) exec(req *wire.Request, arrival time.Time) (resp *wire.Response
 		// Version negotiation: answer with the server's protocol version.
 		// Old servers answer OpHello with an in-band unknown-op error,
 		// which new clients read as "version 1, no tracing".
-		s.met.hello()
+		s.hellos.Inc()
 		resp.Version = wire.ProtoVersion
 	case wire.OpStats:
 		st := s.Stats()

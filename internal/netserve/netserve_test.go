@@ -398,7 +398,6 @@ func (g *slowEngine) Query(q engine.Query) (engine.Result, engine.Cost) {
 	time.Sleep(g.delay)
 	return engine.Result{N: 1, Cols: map[string][]store.Value{"B": {1}}}, engine.Cost{}
 }
-func (g *slowEngine) Probe(q engine.Query) bool { return true }
 func (g *slowEngine) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	return engine.Result{}, engine.Cost{}, false
 }

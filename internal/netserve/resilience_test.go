@@ -2,11 +2,13 @@ package netserve
 
 import (
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"crackstore/internal/engine"
+	"crackstore/internal/obs"
 	"crackstore/internal/serve"
 	"crackstore/internal/store"
 	"crackstore/internal/wire"
@@ -28,7 +30,6 @@ func (g *stallEngine) Query(q engine.Query) (engine.Result, engine.Cost) {
 	<-g.gate
 	return engine.Result{N: 1, Cols: map[string][]store.Value{"B": {1}}}, engine.Cost{}
 }
-func (g *stallEngine) Probe(q engine.Query) bool { return true }
 func (g *stallEngine) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	return engine.Result{}, engine.Cost{}, false
 }
@@ -89,9 +90,6 @@ func TestGlobalInflightSheds(t *testing.T) {
 	if resp.ID != 3 || resp.Status != wire.StatusOverloaded {
 		t.Fatalf("over-cap request answered %+v, want StatusOverloaded for ID 3", resp)
 	}
-	if st := s.Stats(); st.Sheds != 1 {
-		t.Fatalf("Stats.Sheds = %d, want 1", st.Sheds)
-	}
 
 	close(g.gate)
 	seen := map[uint64]bool{}
@@ -104,6 +102,11 @@ func TestGlobalInflightSheds(t *testing.T) {
 	}
 	if !seen[1] || !seen[2] {
 		t.Fatalf("missing answers, saw %v", seen)
+	}
+	// Stats reads the engine's report under the guard's read lock, so it is
+	// asked once the stalled writers are gone.
+	if st := s.Stats(); st.Sheds != 1 {
+		t.Fatalf("Stats.Sheds = %d, want 1", st.Sheds)
 	}
 }
 
@@ -132,6 +135,59 @@ func TestServeWatermarkShedsOverWire(t *testing.T) {
 		if resp := r.read(); resp.Status != wire.StatusOK {
 			t.Fatalf("backlogged query answered %+v", resp)
 		}
+	}
+}
+
+// TestReadOnlyRequestNeverReorganizes: an OpQueryRO request executes
+// Engine.QueryRO and nothing else. When the engine refuses, the answer is
+// StatusRefused and Engine.Query has not run — traced or not, and whether a
+// slot was free or the request had to queue for one (the paths that used to
+// ask the engine first and then call Query on a stale answer).
+func TestReadOnlyRequestNeverReorganizes(t *testing.T) {
+	g := &stallEngine{gate: make(chan struct{})}
+	reg := obs.NewRegistry()
+	s := startServer(t, g, Options{Serve: serve.Options{Workers: 1}, Metrics: reg})
+	refused := func(id, trace uint64) {
+		t.Helper()
+		resp := s.dispatch(&wire.Request{ID: id, Op: wire.OpQueryRO, Trace: trace, Query: stallQuery}, time.Now())
+		if resp.Status != wire.StatusRefused || resp.ID != id {
+			t.Errorf("read-only request (trace=%d) answered %+v, want StatusRefused", trace, resp)
+		}
+	}
+	refused(1, 0)
+	refused(2, 7)
+	if n := g.calls.Load(); n != 0 {
+		t.Fatalf("read-only requests reached Engine.Query %d times", n)
+	}
+
+	// Wedge the only slot behind a full query, queue both shapes behind it.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.dispatch(&wire.Request{ID: 3, Op: wire.OpQuery, Query: stallQuery}, time.Now())
+	}()
+	for g.calls.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	for id, trace := range map[uint64]uint64{4: 0, 5: 7} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			refused(id, trace)
+		}()
+	}
+	for text := new(strings.Builder); !strings.Contains(text.String(), "\ncrack_serve_waiting 2\n"); reg.WritePrometheus(text) {
+		time.Sleep(time.Millisecond) // until both have reached the semaphore
+		text.Reset()
+	}
+	close(g.gate)
+	wg.Wait()
+	if n := g.calls.Load(); n != 1 {
+		t.Fatalf("Engine.Query ran %d times, want 1 (the wedging query alone)", n)
+	}
+	if st := s.Stats(); st.Queries != 1 || st.Errors != 0 {
+		t.Fatalf("a refusal is neither a success nor an error: %+v", st)
 	}
 }
 

@@ -10,9 +10,12 @@
 //     so serving layers can keep them on per-query paths.
 //   - The Registry is only touched at registration time and at scrape
 //     time. Layers hold direct *Counter/*Gauge/*Histogram pointers.
-//   - Func-backed metrics bridge the repo's pre-existing stats structs
-//     (serve.Stats, engine.ConcStats/DurStats, wal.Stats, ...) into the
-//     registry at zero hot-path cost: the closure runs at scrape time
+//   - An event is counted once. Layers that count on a hot path (serve,
+//     netserve, client) keep the instruments themselves, always on, and a
+//     registry only names them: a nil *Registry hands out instruments that
+//     work and are not exported. State that is only ever read (an engine
+//     stack's Report: kernel counters, snapshot versions, WAL activity) is
+//     exported by func-backed metrics whose closure runs at scrape time
 //     only.
 //   - obs imports nothing from the rest of the repo; every other layer
 //     may import obs. This keeps the dependency arrow one-directional.
@@ -250,8 +253,8 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 }
 
 // CounterFunc registers a counter whose value is read by fn at scrape
-// time only — the bridge for pre-existing cumulative stats (wal.Stats
-// appends, engine kernel counters) with zero hot-path cost.
+// time only — for cumulative state something else already keeps (an
+// engine report's kernel counters and WAL appends), at zero hot-path cost.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.add(&metric{name: name, help: help, kind: kindCounterFunc, cf: fn})
 }

@@ -964,18 +964,8 @@ func (s *Store) planRO(preds []AttrPred, projs []string, disjunctive bool) (pl s
 	return pl, headSlot, wins, used, ok
 }
 
-// ProbeMulti is the read-only probe of the two-phase (probe/execute)
-// protocol: it reports whether MultiSelect(preds, projs, disjunctive) would
-// physically reorganize the store (fetch an area, create or replay a chunk,
-// crack, merge pending updates, or grow a tape). Safe for concurrent use
-// with other read-only operations.
-func (s *Store) ProbeMulti(preds []AttrPred, projs []string, disjunctive bool) bool {
-	_, _, _, _, ok := s.planRO(preds, projs, disjunctive)
-	return !ok
-}
-
-// MultiSelectRO is the reorganization-free execute path paired with
-// ProbeMulti: it answers the query only when every needed chunk exists,
+// MultiSelectRO is the reorganization-free execute path of the two-phase
+// protocol: it answers the query only when every needed chunk exists,
 // is sufficiently aligned, and no pending update or fetch is required.
 // ok is false otherwise; callers then fall back to MultiSelect under
 // exclusive access. The chunks' Usage is bumped atomically; the head-drop

@@ -111,18 +111,3 @@ func (t *Table) Select(preds []Pred, sortedOn string) [][]Value {
 	}
 	return out
 }
-
-// MaxOf returns the maximum of attr over the given rows.
-func (t *Table) MaxOf(rows [][]Value, attr string) (Value, bool) {
-	if len(rows) == 0 {
-		return 0, false
-	}
-	f := t.Field(attr)
-	m := rows[0][f]
-	for _, r := range rows[1:] {
-		if r[f] > m {
-			m = r[f]
-		}
-	}
-	return m, true
-}

@@ -66,18 +66,3 @@ func TestQuickSortedUnsortedAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMaxOf(t *testing.T) {
-	rel := store.NewRelation("R", "A", "B")
-	rel.AppendRow(1, 10)
-	rel.AppendRow(2, 30)
-	rel.AppendRow(3, 20)
-	tab := New(rel)
-	m, ok := tab.MaxOf(tab.Rows, "B")
-	if !ok || m != 30 {
-		t.Fatalf("MaxOf = %d,%v", m, ok)
-	}
-	if _, ok := tab.MaxOf(nil, "B"); ok {
-		t.Fatal("MaxOf(empty) should be !ok")
-	}
-}

@@ -66,7 +66,7 @@ func TestDoUntilExpiredSkipsExecution(t *testing.T) {
 	g := &gatedEngine{}
 	srv := New(g, Options{Workers: 1})
 	before := g.calls.Load()
-	_, _, err := srv.DoUntil(slowQuery, time.Now().Add(-time.Second))
+	_, _, err := srv.DoUntilSpans(slowQuery, time.Now().Add(-time.Second), nil)
 	if !errors.Is(err, ErrTimeout) {
 		t.Errorf("want ErrTimeout for expired deadline, got %v", err)
 	}
@@ -102,7 +102,7 @@ func TestDoUntilNoSlotLeak(t *testing.T) {
 		expired.Add(1)
 		go func() {
 			defer expired.Done()
-			_, _, err := srv.DoUntil(slowQuery, time.Now().Add(30*time.Millisecond))
+			_, _, err := srv.DoUntilSpans(slowQuery, time.Now().Add(30*time.Millisecond), nil)
 			if !errors.Is(err, ErrTimeout) {
 				t.Errorf("want ErrTimeout, got %v", err)
 			}
@@ -113,7 +113,7 @@ func TestDoUntilNoSlotLeak(t *testing.T) {
 
 	// All slots must be back: a query with plenty of deadline runs fine.
 	g.delay = 0
-	if _, _, err := srv.DoUntil(slowQuery, time.Now().Add(5*time.Second)); err != nil {
+	if _, _, err := srv.DoUntilSpans(slowQuery, time.Now().Add(5*time.Second), nil); err != nil {
 		t.Errorf("slot leaked — post-expiry query failed: %v", err)
 	}
 	srv.Close()

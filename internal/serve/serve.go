@@ -2,8 +2,8 @@
 // executor that runs queries from many clients against one shared engine,
 // with per-query latency capture.
 //
-// The layer builds on the engine two-phase (probe/execute) protocol: the
-// engine is wrapped in engine.Concurrent unless it is already shared-safe,
+// The layer builds on the engine two-phase (QueryRO, then Query) protocol:
+// the engine is wrapped in engine.Concurrent unless it is already shared-safe,
 // so reorganization-free queries — the vast majority after a warm-up — run
 // in parallel under a shared read lock, and only queries that must crack,
 // merge pending updates, or maintain auxiliary structures serialize behind
@@ -12,6 +12,10 @@
 // Queries execute directly on the submitting goroutine under a
 // concurrency-limiting semaphore (Workers slots) — no handoff, no context
 // switch, and no goroutine owned by the server.
+//
+// Every serving event is counted once, in an obs instrument the server
+// always keeps (a handful of atomics per query): Stats reads them, and
+// Options.Metrics only decides whether a registry exports them too.
 package serve
 
 import (
@@ -50,12 +54,11 @@ type Options struct {
 	// cannot wedge the callers (or a network connection's pipeline) stuck
 	// behind it.
 	Timeout time.Duration
-	// Metrics, when non-nil, registers the serving-layer metric families
-	// (crack_serve_*) in the given registry and feeds them as queries
-	// flow. Nil (the default) keeps the hot path byte-identical to the
-	// uninstrumented server: no clocks, no atomics beyond the existing
-	// ones. One registry serves one Server — registering two servers in
-	// the same registry panics on the duplicate family names.
+	// Metrics, when non-nil, exports the serving-layer instruments as the
+	// crack_serve_* families of the given registry. The instruments exist
+	// and count either way — they are what Stats reads. One registry
+	// serves one Server — registering two servers in the same registry
+	// panics on the duplicate family names.
 	Metrics *obs.Registry
 	// LatencyWindow bounds the retained per-query latency samples: once
 	// full, the oldest samples are overwritten, so percentiles describe a
@@ -100,82 +103,24 @@ type SpanTimes struct {
 	Exec  time.Duration
 }
 
-// serveMetrics holds the serving-layer instruments. A nil *serveMetrics
-// (Options.Metrics unset) is valid for every method and does nothing, so
-// call sites stay unconditional. The success path is deliberately two
-// histogram observes and nothing else: queries_total is derived from the
-// latency histogram's bucket sum at scrape time, and inflight is read
-// from the semaphore depth at scrape time, so neither costs an atomic on
-// the hot path.
-type serveMetrics struct {
-	errors   *obs.Counter
-	timeouts *obs.Counter
-	sheds    *obs.Counter
-	latency  *obs.Histogram
-	queue    *obs.Histogram
-}
-
-func newServeMetrics(r *obs.Registry, s *Server) *serveMetrics {
-	if r == nil {
-		return nil
-	}
-	m := &serveMetrics{
-		errors:   r.Counter("crack_serve_errors_total", "queries that failed (engine errors and deadline expiries)"),
-		timeouts: r.Counter("crack_serve_timeouts_total", "queries that failed by deadline expiry (subset of errors)"),
-		sheds:    r.Counter("crack_serve_sheds_total", "queries shed in-band at the MaxWaiting watermark"),
-		latency:  r.Histogram("crack_serve_latency_seconds", "successful query latency, submission to completion (wait + execute)"),
-		queue:    r.Histogram("crack_serve_queue_seconds", "successful query wait for an execution slot"),
-	}
-	// Every success observes latency exactly once, so the histogram's
-	// count is the query count — no separate hot-path counter needed.
-	r.CounterFunc("crack_serve_queries_total", "queries completed successfully", m.latency.Count)
-	// A semaphore slot is held for exactly the execution window (including
-	// detached timed-out executions), so the channel depth is the inflight
-	// count, read only at scrape time.
-	r.GaugeFunc("crack_serve_inflight", "queries executing on the engine right now", func() float64 {
-		return float64(len(s.sem))
-	})
-	r.GaugeFunc("crack_serve_waiting", "queries waiting for an execution slot", func() float64 {
-		return float64(s.waiting.Load())
-	})
-	return m
-}
-
-func (m *serveMetrics) observeQueue(d time.Duration) {
-	if m != nil {
-		m.queue.Observe(d)
-	}
-}
-
-func (m *serveMetrics) success(lat time.Duration) {
-	if m != nil {
-		m.latency.Observe(lat)
-	}
-}
-
-func (m *serveMetrics) error() {
-	if m != nil {
-		m.errors.Inc()
-	}
-}
-
-func (m *serveMetrics) timeout() {
-	if m != nil {
-		m.timeouts.Inc()
-	}
-}
-
-func (m *serveMetrics) shed() {
-	if m != nil {
-		m.sheds.Inc()
-	}
-}
+// errRefused is QueryRO's refusal travelling the execution path of DoRO: the
+// query would reorganize, so nothing ran — neither a success nor an error.
+var errRefused = errors.New("serve: read-only query would reorganize")
 
 // Server executes queries from many clients against one shared engine.
 type Server struct {
 	e    engine.Engine
 	opts Options
-	met  *serveMetrics // nil unless Options.Metrics is set
+
+	// The serving counters, each kept once. The success path is two
+	// histogram observes and nothing else: the query count is the latency
+	// histogram's (every success observes it exactly once), and inflight is
+	// the semaphore depth.
+	errors   *obs.Counter // failed: engine errors and deadline expiries
+	timeouts *obs.Counter // the deadline expiries among them
+	sheds    *obs.Counter
+	latency  *obs.Histogram // successes, submission to completion
+	queue    *obs.Histogram // successes, wait for an execution slot
 
 	sem chan struct{} // concurrency-limiting semaphore, Workers slots
 
@@ -187,9 +132,6 @@ type Server struct {
 	mu     sync.Mutex
 	lats   []time.Duration
 	latPos int       // LatencyWindow mode: next overwrite position once full
-	total  int       // completed successes ever (lats may be a window of them)
-	errs   int       // executed queries that failed (panic or engine error)
-	sheds  int       // queries shed at the MaxWaiting watermark
 	first  time.Time // earliest submission
 	last   time.Time // last completion
 }
@@ -202,8 +144,24 @@ type Server struct {
 // for in-flight queries.
 func New(e engine.Engine, opts Options) *Server {
 	opts = opts.withDefaults()
-	s := &Server{e: engine.Concurrent(e), opts: opts, sem: make(chan struct{}, opts.Workers)}
-	s.met = newServeMetrics(opts.Metrics, s)
+	r := opts.Metrics // nil registers nowhere and still returns working instruments
+	s := &Server{
+		e: engine.Concurrent(e), opts: opts, sem: make(chan struct{}, opts.Workers),
+		errors:   r.Counter("crack_serve_errors_total", "queries that failed (engine errors and deadline expiries)"),
+		timeouts: r.Counter("crack_serve_timeouts_total", "queries that failed by deadline expiry (subset of errors)"),
+		sheds:    r.Counter("crack_serve_sheds_total", "queries shed in-band at the MaxWaiting watermark"),
+		latency:  r.Histogram("crack_serve_latency_seconds", "successful query latency, submission to completion (wait + execute)"),
+		queue:    r.Histogram("crack_serve_queue_seconds", "successful query wait for an execution slot"),
+	}
+	r.CounterFunc("crack_serve_queries_total", "queries completed successfully", s.latency.Count)
+	// A slot is held for exactly the execution window (detached timed-out
+	// executions included), so the semaphore depth is the inflight count.
+	r.GaugeFunc("crack_serve_inflight", "queries executing on the engine right now", func() float64 {
+		return float64(len(s.sem))
+	})
+	r.GaugeFunc("crack_serve_waiting", "queries waiting for an execution slot", func() float64 {
+		return float64(s.waiting.Load())
+	})
 	return s
 }
 
@@ -215,25 +173,39 @@ func (s *Server) Engine() engine.Engine { return s.e }
 // completion, including semaphore wait time. Do is safe to call from any
 // number of goroutines.
 func (s *Server) Do(q engine.Query) (engine.Result, engine.Cost, error) {
-	return s.DoUntil(q, time.Time{})
+	return s.do(q, time.Time{}, nil, false)
 }
 
-// DoUntil is Do with an explicit absolute deadline, the entry point for
-// callers that carry their own expiry — netserve maps a request's wire TTL
-// hint here, so a query whose client has already given up is skipped
+// DoUntilSpans is Do with an explicit absolute deadline, the entry point
+// for callers that carry their own expiry — netserve maps a request's wire
+// TTL hint here, so a query whose client has already given up is skipped
 // instead of executed. A zero deadline means no caller deadline; when
 // Options.Timeout is also set, the earlier of the two applies. Expiry
 // returns ErrTimeout with the same exactly-once accounting and no-slot-leak
-// guarantees as Options.Timeout.
-func (s *Server) DoUntil(q engine.Query, deadline time.Time) (engine.Result, engine.Cost, error) {
-	return s.DoUntilSpans(q, deadline, nil)
+// guarantees as Options.Timeout. For traced queries sp, when non-nil,
+// receives the queue and execute stage durations on success (netserve
+// encodes them as response spans), at the cost of two extra clock reads on
+// this call only.
+func (s *Server) DoUntilSpans(q engine.Query, deadline time.Time, sp *SpanTimes) (engine.Result, engine.Cost, error) {
+	return s.do(q, deadline, sp, false)
 }
 
-// DoUntilSpans is DoUntil for traced queries: on success, sp receives
-// the queue and execute stage durations (netserve encodes them as
-// response spans). Passing sp costs two extra clock reads on this call
-// only; untraced calls through DoUntil are unaffected.
-func (s *Server) DoUntilSpans(q engine.Query, deadline time.Time, sp *SpanTimes) (engine.Result, engine.Cost, error) {
+// DoRO is DoUntilSpans for a query that must not reorganize: it takes the
+// same path — slot, deadline, shedding, accounting — but executes
+// Engine.QueryRO, never Engine.Query. ok is false, with a nil error, when
+// the engine refused because answering would reorganize; a refusal is
+// neither a success nor an error in Stats (nothing ran). There is no asking
+// first and executing second: the engine's answer is the execution.
+func (s *Server) DoRO(q engine.Query, deadline time.Time, sp *SpanTimes) (res engine.Result, cost engine.Cost, ok bool, err error) {
+	if res, cost, err = s.do(q, deadline, sp, true); errors.Is(err, errRefused) {
+		return res, cost, false, nil
+	}
+	return res, cost, err == nil, err
+}
+
+// do is the one submission path: q executes read-only when ro is set, and
+// then fails with errRefused if the engine would have to reorganize.
+func (s *Server) do(q engine.Query, deadline time.Time, sp *SpanTimes, ro bool) (engine.Result, engine.Cost, error) {
 	if len(q.Preds) == 0 {
 		return engine.Result{}, engine.Cost{}, ErrEmptyQuery
 	}
@@ -253,16 +225,18 @@ func (s *Server) DoUntilSpans(q engine.Query, deadline time.Time, sp *SpanTimes)
 	if !deadline.IsZero() && !t0.Before(deadline) {
 		// Expired before submission (e.g. the TTL burned up in transit):
 		// never touches a slot.
-		s.met.timeout()
-		s.recordError(t0, t0)
+		s.recordTimeout(t0, t0)
 		return engine.Result{}, engine.Cost{}, ErrTimeout
 	}
-	if s.shouldShed() {
-		s.recordShed()
+	// Shed at the MaxWaiting watermark: the count of calls blocked on the
+	// semaphore, a cheap, slightly racy read — overload control needs a
+	// watermark, not an exact count.
+	if s.opts.MaxWaiting > 0 && int(s.waiting.Load()) >= s.opts.MaxWaiting {
+		s.sheds.Inc()
 		return engine.Result{}, engine.Cost{}, ErrOverloaded
 	}
 	if !deadline.IsZero() {
-		return s.doDeadline(q, t0, deadline, sp)
+		return s.doDeadline(q, t0, deadline, sp, ro)
 	}
 	// Execute on this goroutine under the semaphore. The uncontended
 	// acquire is non-blocking so the warm path can skip the mid-query clock
@@ -271,20 +245,19 @@ func (s *Server) DoUntilSpans(q engine.Query, deadline time.Time, sp *SpanTimes)
 	// span-traced queries, which need the queue/execute split regardless —
 	// pay for a time.Now (~65ns on some VMs, the single largest per-query
 	// instrumentation cost).
-	waited := false
+	var t1 time.Time
 	select {
 	case s.sem <- struct{}{}:
+		if sp != nil {
+			t1 = time.Now()
+		}
 	default:
 		s.waiting.Add(1)
 		s.sem <- struct{}{}
 		s.waiting.Add(-1)
-		waited = true
-	}
-	var t1 time.Time
-	if sp != nil || (waited && s.met != nil) {
 		t1 = time.Now()
 	}
-	res, cost, err := safeQuery(s.e, q)
+	res, cost, err := s.run(q, ro)
 	<-s.sem
 	s.account(t0, t1, time.Now(), sp, err)
 	return res, cost, err
@@ -296,7 +269,9 @@ func (s *Server) DoUntilSpans(q engine.Query, deadline time.Time, sp *SpanTimes)
 // read, so the queue time is an exact zero.
 func (s *Server) account(t0, t1, end time.Time, sp *SpanTimes, err error) {
 	if err != nil {
-		s.recordError(t0, end)
+		if !errors.Is(err, errRefused) {
+			s.recordError(t0, end)
+		}
 		return
 	}
 	var queue time.Duration
@@ -308,26 +283,19 @@ func (s *Server) account(t0, t1, end time.Time, sp *SpanTimes, err error) {
 		// outcome channel; the caller reads sp only after receiving.
 		sp.Queue, sp.Exec = queue, end.Sub(t0)-queue
 	}
-	s.met.observeQueue(queue)
+	s.queue.Observe(queue)
 	s.record(end.Sub(t0), t0)
-}
-
-// shouldShed reports whether a new submission must be shed at the
-// MaxWaiting watermark: the count of Do calls blocked on the semaphore, a
-// cheap, slightly racy read — overload control needs a watermark, not an
-// exact count.
-func (s *Server) shouldShed() bool {
-	return s.opts.MaxWaiting > 0 && int(s.waiting.Load()) >= s.opts.MaxWaiting
 }
 
 // TryRO executes q immediately on the calling goroutine if the engine can
 // answer it without reorganizing and a worker slot is free right now,
 // recording it in the serving stats exactly like Do. ok is false — and
-// nothing has executed — when the query needs reorganization, no slot is
-// free, or the server is closed; callers then fall back to Do. The point is
-// dispatch cost: a network reader can answer the warm read-only majority
-// inline instead of paying a goroutine handoff per request, while cracking
-// queries still go through Do and pipeline out of order.
+// nothing has executed — when the query needs reorganization (or panics:
+// the Do fallback surfaces the error), no slot is free, or the server is
+// closed; callers then fall back to Do. The point is dispatch cost: a
+// network reader can answer the warm read-only majority inline instead of
+// paying a goroutine handoff per request, while cracking queries still go
+// through Do and pipeline out of order.
 func (s *Server) TryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	if len(q.Preds) == 0 {
 		return engine.Result{}, engine.Cost{}, false
@@ -343,24 +311,13 @@ func (s *Server) TryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	default: // all slots busy: let Do queue fairly
 		return engine.Result{}, engine.Cost{}, false
 	}
-	res, cost, ok := safeQueryRO(s.e, q)
+	res, cost, err := s.run(q, true)
 	<-s.sem
-	if !ok {
+	if err != nil {
 		return engine.Result{}, engine.Cost{}, false
 	}
 	s.record(time.Since(t0), t0)
 	return res, cost, true
-}
-
-// safeQueryRO is QueryRO with the same panic conversion as safeQuery; a
-// panicking query reports !ok so the Do fallback surfaces the error.
-func safeQueryRO(e engine.Engine, q engine.Query) (res engine.Result, cost engine.Cost, ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	return e.QueryRO(q)
 }
 
 // outcome carries a detached execution's answer back to its Do call.
@@ -370,12 +327,13 @@ type outcome struct {
 	err  error
 }
 
-// doDeadline is Do under a deadline. The wait for a semaphore slot is bounded by the deadline; once a slot is held the
-// query runs on a detached goroutine so an expiring deadline returns
-// ErrTimeout to the caller immediately while the execution finishes in the
-// background and releases the slot itself — expiry can neither interrupt an
-// engine mid-crack nor leak the slot.
-func (s *Server) doDeadline(q engine.Query, t0, deadline time.Time, sp *SpanTimes) (engine.Result, engine.Cost, error) {
+// doDeadline is do under a deadline. The wait for a semaphore slot is
+// bounded by the deadline; once a slot is held the query runs on a detached
+// goroutine so an expiring deadline returns ErrTimeout to the caller
+// immediately while the execution finishes in the background and releases
+// the slot itself — expiry can neither interrupt an engine mid-crack nor
+// leak the slot.
+func (s *Server) doDeadline(q engine.Query, t0, deadline time.Time, sp *SpanTimes, ro bool) (engine.Result, engine.Cost, error) {
 	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
 	s.waiting.Add(1)
@@ -385,20 +343,16 @@ func (s *Server) doDeadline(q engine.Query, t0, deadline time.Time, sp *SpanTime
 	case <-timer.C:
 		s.waiting.Add(-1)
 		// Never got a slot; nothing to detach.
-		s.met.timeout()
-		s.recordError(t0, time.Now())
+		s.recordTimeout(t0, time.Now())
 		return engine.Result{}, engine.Cost{}, ErrTimeout
 	}
-	var t1 time.Time
-	if sp != nil || s.met != nil { // a span collector or the queue histogram wants the split
-		t1 = time.Now()
-	}
+	t1 := time.Now()
 	var claimed atomic.Bool
 	ch := make(chan outcome, 1)
 	s.bg.Add(1)
 	go func() {
 		defer s.bg.Done()
-		res, cost, err := safeQuery(s.e, q)
+		res, cost, err := s.run(q, ro)
 		<-s.sem
 		end := time.Now()
 		if !claimed.CompareAndSwap(false, true) {
@@ -412,8 +366,7 @@ func (s *Server) doDeadline(q engine.Query, t0, deadline time.Time, sp *SpanTime
 		return out.res, out.cost, out.err
 	case <-timer.C:
 		if claimed.CompareAndSwap(false, true) {
-			s.met.timeout()
-			s.recordError(t0, time.Now())
+			s.recordTimeout(t0, time.Now())
 			return engine.Result{}, engine.Cost{}, ErrTimeout
 		}
 		// The execution claimed first; its buffered answer is ready.
@@ -422,17 +375,26 @@ func (s *Server) doDeadline(q engine.Query, t0, deadline time.Time, sp *SpanTime
 	}
 }
 
-// safeQuery converts an engine panic (e.g. a predicate naming a column the
-// relation does not have) into an error, so a malformed query can neither
-// leak a semaphore slot nor take down the submitting goroutine.
-func safeQuery(e engine.Engine, q engine.Query) (res engine.Result, cost engine.Cost, err error) {
+// run executes q on the engine — through QueryRO when ro is set, where a
+// refusal is errRefused — and converts an engine panic (e.g. a predicate
+// naming a column the relation does not have) into an error, so a malformed
+// query can neither leak a semaphore slot nor take down the submitting
+// goroutine.
+func (s *Server) run(q engine.Query, ro bool) (res engine.Result, cost engine.Cost, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: query panicked: %v", r)
 		}
 	}()
-	res, cost = e.Query(q)
-	return res, cost, nil
+	if !ro {
+		res, cost = s.e.Query(q)
+		return res, cost, nil
+	}
+	res, cost, ok := s.e.QueryRO(q)
+	if !ok {
+		err = errRefused
+	}
+	return res, cost, err
 }
 
 // recordError counts a query that failed — an execution error or a
@@ -440,11 +402,12 @@ func safeQuery(e engine.Engine, q engine.Query) (res engine.Result, cost engine.
 // this counter a run with failures would silently report healthy
 // percentiles and QPS over fewer queries. Both of the query's endpoints
 // still feed the run's wall clock (earliest submission, latest
-// completion): a failed query occupied the server just the same.
+// completion): a failed query occupied the server just the same. Sheds
+// stay out of Errors and out of the wall clock: a shed request consumed no
+// slot and no engine time.
 func (s *Server) recordError(t0, end time.Time) {
-	s.met.error()
+	s.errors.Inc()
 	s.mu.Lock()
-	s.errs++
 	s.noteStartLocked(t0)
 	if end.After(s.last) {
 		s.last = end
@@ -452,15 +415,10 @@ func (s *Server) recordError(t0, end time.Time) {
 	s.mu.Unlock()
 }
 
-// recordShed counts a query shed at the overload watermark. Sheds stay out
-// of Errors and out of the run's wall clock: a shed request consumed no
-// slot and no engine time — the counter exists so operators can see the
-// defense firing, not to distort throughput numbers.
-func (s *Server) recordShed() {
-	s.met.shed()
-	s.mu.Lock()
-	s.sheds++
-	s.mu.Unlock()
+// recordTimeout counts a deadline expiry: an error, and a timeout.
+func (s *Server) recordTimeout(t0, end time.Time) {
+	s.timeouts.Inc()
+	s.recordError(t0, end)
 }
 
 // record captures a completed query: its latency, the completion-time
@@ -472,9 +430,8 @@ func (s *Server) recordShed() {
 // the completion-side update keeps Do at one stats critical section per
 // query.
 func (s *Server) record(lat time.Duration, t0 time.Time) {
-	s.met.success(lat)
+	s.latency.Observe(lat)
 	s.mu.Lock()
-	s.total++
 	if w := s.opts.LatencyWindow; w > 0 && len(s.lats) >= w {
 		// Window full: overwrite round-robin so memory stays bounded on
 		// long-running servers.
@@ -511,8 +468,8 @@ func (s *Server) Close() {
 // Stats summarizes the serving run so far.
 type Stats struct {
 	Queries int // completed queries (successful; errored queries are not counted here)
-	// Errors counts queries that failed — an engine panic converted by
-	// safeQuery (typically a malformed query) or a deadline expiry
+	// Errors counts queries that failed — an engine panic converted to an
+	// error (typically a malformed query) or a deadline expiry
 	// (ErrTimeout under Options.Timeout). Failed queries contribute no
 	// latency sample, so QPS and the percentiles describe the Queries
 	// successes only; a nonzero Errors flags that the run was not healthy.
@@ -533,61 +490,39 @@ type Stats struct {
 	// when Options.LatencyWindow bounds it.
 	Latencies []time.Duration
 
-	// Reader-wait observability, from the shared engine wrapper when it
-	// tracks contention (engine.ConcStatsOf). ReaderWait is cumulative
-	// time readers spent blocked acquiring read access (always zero for
-	// the lock-free Snapshot wrapper); ReaderWaits counts blocked
-	// acquisitions; Snapshots counts versions published by the Snapshot
-	// wrapper and Reclaimed the retired versions already freed.
+	// Reader-wait observability, from the engine's RWMutex guard when it
+	// has one (engine.ConcStatsOf): ReaderWait is cumulative time readers
+	// spent blocked acquiring read access, ReaderWaits counts blocked
+	// acquisitions. Zero for the lock-free Snapshot wrapper, whose own
+	// counters are engine.SnapshotStatsOf(Server.Engine()).
 	ReaderWait  time.Duration
 	ReaderWaits int64
-	Snapshots   int64
-	Reclaimed   int64
 }
 
-// Stats captures a consistent snapshot of the server's counters. With
-// LatencyWindow set, the percentiles (and Latencies) describe the most
-// recent window while Queries and QPS count every completed query.
+// Stats snapshots the server's counters. With LatencyWindow set, the
+// percentiles (and Latencies) describe the most recent window while Queries
+// and QPS count every completed query. The reader-wait fields come from the
+// engine's report, so like a scrape Stats waits out a write section (a
+// crack) in progress.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	lats := append([]time.Duration(nil), s.lats...)
-	total := s.total
-	errs := s.errs
-	sheds := s.sheds
 	first, last := s.first, s.last
 	s.mu.Unlock()
 
-	var elapsed time.Duration
-	if len(lats) > 0 {
-		elapsed = last.Sub(first)
-	}
-	st := summarize(lats, errs, elapsed)
-	st.Sheds = sheds
-	if total != st.Queries {
-		st.Queries = total
-		if st.Elapsed > 0 {
-			st.QPS = float64(total) / st.Elapsed.Seconds()
-		}
+	st := Stats{
+		Queries:   int(s.latency.Count()),
+		Errors:    int(s.errors.Value()),
+		Sheds:     int(s.sheds.Value()),
+		Latencies: lats,
 	}
 	if cs, ok := engine.ConcStatsOf(s.e); ok {
-		st.ReaderWait = cs.ReaderWait
-		st.ReaderWaits = cs.ReaderWaits
-		st.Snapshots = cs.Snapshots
-		st.Reclaimed = cs.Reclaimed
+		st.ReaderWait, st.ReaderWaits = cs.ReaderWait, cs.ReaderWaits
 	}
-	return st
-}
-
-// summarize computes Stats from per-query latencies with conservative
-// nearest-rank percentiles. lats is retained in the returned Stats (not
-// copied).
-func summarize(lats []time.Duration, errors int, elapsed time.Duration) Stats {
-	st := Stats{Queries: len(lats), Errors: errors, Latencies: lats}
 	if len(lats) == 0 {
 		return st
 	}
-	st.Elapsed = elapsed
-	if st.Elapsed > 0 {
+	if st.Elapsed = last.Sub(first); st.Elapsed > 0 {
 		st.QPS = float64(st.Queries) / st.Elapsed.Seconds()
 	}
 	sorted := append([]time.Duration(nil), lats...)
@@ -597,8 +532,7 @@ func summarize(lats []time.Duration, errors int, elapsed time.Duration) Stats {
 		// picks a rank below the percentile whenever the product is
 		// non-integral (e.g. P99 of 200 samples read index 197 instead of
 		// 198), systematically underreporting tail latency.
-		i := int(math.Ceil(p * float64(len(sorted)-1)))
-		return sorted[i]
+		return sorted[int(math.Ceil(p*float64(len(sorted)-1)))]
 	}
 	st.P50, st.P95, st.P99 = pct(0.50), pct(0.95), pct(0.99)
 	st.Max = sorted[len(sorted)-1]

@@ -131,7 +131,8 @@ func TestStatsPercentileNearestRank(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := &Server{lats: tc.lats}
+			s := New(engine.NewScan(store.NewRelation("R", "A")), Options{})
+			s.lats = tc.lats
 			st := s.Stats()
 			if st.P50 != tc.p50 || st.P95 != tc.p95 || st.P99 != tc.p99 || st.Max != tc.max {
 				t.Fatalf("got p50=%v p95=%v p99=%v max=%v, want p50=%v p95=%v p99=%v max=%v",
@@ -147,7 +148,7 @@ func TestStatsPercentileNearestRank(t *testing.T) {
 func TestStatsFirstSubmissionMinimum(t *testing.T) {
 	base := time.Now()
 	ms := time.Millisecond
-	s := &Server{}
+	s := New(engine.NewScan(store.NewRelation("R", "A")), Options{})
 	// Out of order: the 5s-offset submission completes after the 10s one,
 	// and the earliest submission of all belongs to an errored query.
 	s.record(ms, base.Add(10*time.Second))
@@ -165,7 +166,7 @@ func TestStatsFirstSubmissionMinimum(t *testing.T) {
 
 	// Concurrent start-up (run under -race in CI): every permutation of the
 	// races must still yield the minimum.
-	s = &Server{}
+	s = New(engine.NewScan(store.NewRelation("R", "A")), Options{})
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)

@@ -31,7 +31,6 @@ func (g *gatedEngine) Query(q engine.Query) (engine.Result, engine.Cost) {
 	return engine.Result{N: 1, Cols: map[string][]store.Value{"B": {1}}}, engine.Cost{}
 }
 
-func (g *gatedEngine) Probe(q engine.Query) bool { return true }
 func (g *gatedEngine) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	return engine.Result{}, engine.Cost{}, false
 }

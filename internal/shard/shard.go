@@ -2,14 +2,14 @@
 // range-partitioned (or hash-partitioned) across N inner engines, each
 // independently wrapped in engine.Concurrent.
 //
-// Cracking makes reads into writes, so even the probe/execute protocol of
+// Cracking makes reads into writes, so even the two-phase protocol of
 // engine.Concurrent serializes every reader behind a crack — one RWMutex
 // guards the whole relation. Sharding splits that lock: a query that must
 // crack shard 3 takes only shard 3's write lock, while read-only hits on
 // shards 0-2 keep flowing under their shared locks. This is the classic
 // partition/fan-out/merge recipe applied to a self-organizing store, and
-// the probe layer is what makes it safe: every inner engine can report,
-// read-only, whether a query would reorganize it.
+// the two-phase protocol is what makes it safe: every inner engine refuses,
+// read-only, a query that would reorganize it.
 //
 // Partitioning is by value range over a chosen primary attribute: shard i
 // owns the half-open value band [cut[i-1], cut[i]) of that attribute, with
@@ -32,7 +32,6 @@ import (
 
 	"crackstore/internal/crack"
 	"crackstore/internal/engine"
-	"crackstore/internal/partial"
 	"crackstore/internal/store"
 )
 
@@ -155,76 +154,14 @@ func New(kind engine.Kind, rel *store.Relation, n int, opts Options) *Engine {
 	return s
 }
 
-// ConcStats implements engine.ConcObservable by summing the per-shard
-// wrapper statistics.
-func (s *Engine) ConcStats() engine.ConcStats {
-	var total engine.ConcStats
-	for _, sh := range s.shards {
-		if cs, ok := engine.ConcStatsOf(sh); ok {
-			total.ReaderWait += cs.ReaderWait
-			total.ReaderWaits += cs.ReaderWaits
-			total.Snapshots += cs.Snapshots
-			total.Reclaimed += cs.Reclaimed
-		}
-	}
-	return total
-}
+var _ interface{ Report() engine.Report } = (*Engine)(nil)
 
-// KernelReport implements engine.KernelObservable by summing the
-// per-shard kernel counters. Each shard's own wrapper takes its lock, so
-// this is safe on a live engine.
-func (s *Engine) KernelReport() (engine.KernelReport, bool) {
-	var total engine.KernelReport
-	any := false
+// Report is the Add-fold of the shards' reports. Each shard's own wrapper
+// takes its lock, so this is safe on a live engine.
+func (s *Engine) Report() engine.Report {
+	var total engine.Report
 	for _, sh := range s.shards {
-		kr, ok := engine.KernelReportOf(sh)
-		if !ok {
-			continue
-		}
-		any = true
-		total.InTwo += kr.InTwo
-		total.InThree += kr.InThree
-		total.Visited += kr.Visited
-		total.Moved += kr.Moved
-		total.Aux += kr.Aux
-		total.Pieces += kr.Pieces
-		total.Columns += kr.Columns
-	}
-	return total, any
-}
-
-// ChunkStats implements engine.ChunkObservable by summing the per-shard
-// chunk lifecycle counters (ok false when the shards keep no partial maps).
-func (s *Engine) ChunkStats() (partial.ChunkStats, bool) {
-	var total partial.ChunkStats
-	any := false
-	for _, sh := range s.shards {
-		cs, ok := engine.ChunkStatsOf(sh)
-		if !ok {
-			continue
-		}
-		any = true
-		total.Created += cs.Created
-		total.TuplesCreated += cs.TuplesCreated
-		total.Evicted += cs.Evicted
-		total.BuffersRecycled += cs.BuffersRecycled
-		total.BuffersAllocated += cs.BuffersAllocated
-	}
-	return total, any
-}
-
-// SnapshotStats implements engine.SnapObservable by summing the
-// per-shard snapshot lifecycle counters (zero when the shards are not
-// snapshot-wrapped).
-func (s *Engine) SnapshotStats() engine.SnapshotStats {
-	var total engine.SnapshotStats
-	for _, sh := range s.shards {
-		if ss, ok := engine.SnapshotStatsOf(sh); ok {
-			total.Published += ss.Published
-			total.Reclaimed += ss.Reclaimed
-			total.Limbo += ss.Limbo
-			total.Readers += ss.Readers
-		}
+		total.Add(engine.ReportOf(sh))
 	}
 	return total
 }
@@ -267,16 +204,6 @@ func (s *Engine) route(v Value, n int) int {
 	// First boundary strictly above v; the outer bands are open-ended.
 	return sort.Search(len(s.cuts), func(i int) bool { return v < s.cuts[i] })
 }
-
-// Shards returns the shard count.
-func (s *Engine) Shards() int { return len(s.shards) }
-
-// Attr returns the partition attribute.
-func (s *Engine) Attr() string { return s.attr }
-
-// Hashed reports whether the engine fell back to (or was forced into)
-// hash partitioning.
-func (s *Engine) Hashed() bool { return s.hash }
 
 func (s *Engine) Name() string {
 	mode := "range"
@@ -460,21 +387,6 @@ func (s *Engine) Query(q engine.Query) (engine.Result, engine.Cost) {
 		}
 	}
 	return mergeResults(parts, q.Projs), cost
-}
-
-// Probe reports whether q would physically reorganize any relevant shard.
-// It fans out read-only: no shard's write lock is touched.
-func (s *Engine) Probe(q engine.Query) bool {
-	if len(q.Preds) == 0 {
-		return true
-	}
-	lo, hi := s.span(q)
-	for sh := lo; sh < hi; sh++ {
-		if s.shards[sh].Probe(q) {
-			return true
-		}
-	}
-	return false
 }
 
 // QueryRO answers q if no relevant shard needs to reorganize; ok is false

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"crackstore/internal/engine"
-	"crackstore/internal/obs"
 	"crackstore/internal/store"
 )
 
@@ -71,7 +69,7 @@ func TestShardedMatchesSingle(t *testing.T) {
 				base := buildRel(rng, rows, domain)
 				single := engine.New(kind, cloneRel(base))
 				sharded := New(kind, cloneRel(base), nsh, Options{Attr: "A", Hash: hash})
-				if !hash && sharded.Hashed() {
+				if !hash && sharded.hash {
 					t.Fatalf("range partitioning unexpectedly fell back to hash")
 				}
 
@@ -261,7 +259,6 @@ func (e *touchyEngine) Query(engine.Query) (engine.Result, engine.Cost) {
 	e.touched("Query")
 	return engine.Result{}, engine.Cost{}
 }
-func (e *touchyEngine) Probe(engine.Query) bool { e.touched("Probe"); return false }
 func (e *touchyEngine) QueryRO(engine.Query) (engine.Result, engine.Cost, bool) {
 	e.touched("QueryRO")
 	return engine.Result{}, engine.Cost{}, true
@@ -272,7 +269,7 @@ func (e *touchyEngine) JoinInput([]engine.AttrPred, string, []string) (engine.Jo
 }
 
 // TestPrunedShardNeverTouched replaces shard 3 with an engine that fails on
-// any call, then runs queries, probes, inserts, and deletes confined to
+// any call, then runs queries, inserts, and deletes confined to
 // shard 0's band: range pruning must keep shard 3 — and therefore its
 // locks — completely out of the picture.
 func TestPrunedShardNeverTouched(t *testing.T) {
@@ -286,7 +283,6 @@ func TestPrunedShardNeverTouched(t *testing.T) {
 	if res, _ := s.Query(q); res.N != 110 {
 		t.Fatalf("query N=%d, want 110", res.N)
 	}
-	s.Probe(q)
 	if _, _, ok := s.QueryRO(q); !ok {
 		t.Fatalf("repeat in-band query refused read-only execution")
 	}
@@ -311,7 +307,6 @@ func (e *gateEngine) Query(q engine.Query) (engine.Result, engine.Cost) {
 	<-e.release
 	return e.inner.Query(q)
 }
-func (e *gateEngine) Probe(q engine.Query) bool { return e.inner.Probe(q) }
 func (e *gateEngine) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	return e.inner.QueryRO(q)
 }
@@ -377,7 +372,7 @@ func TestHashFallback(t *testing.T) {
 		return rng.Int63n(100)
 	})
 	s := New(engine.Sideways, cloneRel(rel), 4, Options{Attr: "A"})
-	if !s.Hashed() {
+	if !s.hash {
 		t.Fatal("constant attribute did not fall back to hash partitioning")
 	}
 	res, _ := s.Query(engine.Query{
@@ -399,7 +394,7 @@ func TestHashFallback(t *testing.T) {
 		t.Fatalf("hash span for a real range = [%d,%d), want all shards", lo, hi)
 	}
 	// Empty relation is unpartitionable too.
-	if !New(engine.Scan, store.NewRelation("E", "A"), 3, Options{}).Hashed() {
+	if !New(engine.Scan, store.NewRelation("E", "A"), 3, Options{}).hash {
 		t.Fatal("empty relation did not fall back to hash partitioning")
 	}
 }
@@ -463,44 +458,4 @@ func TestShardedConcurrentUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestShardedPartialChunkMetrics: a sharded partial engine forwards the
-// chunk lifecycle counters, so a metrics scrape lists the crack_partial_*
-// families and reports the per-shard sum.
-func TestShardedPartialChunkMetrics(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := New(engine.PartialSideways, buildRel(rng, 4000, 4000), 4, Options{Attr: "A"})
-	for i := 0; i < 20; i++ {
-		lo := rng.Int63n(3000)
-		s.Query(engine.Query{
-			Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(lo, lo+900)}},
-			Projs: []string{"B"},
-		})
-	}
-
-	reg := obs.NewRegistry()
-	engine.RegisterMetrics(reg, s)
-	fams := strings.Join(reg.Families(), " ")
-	for _, fam := range []string{
-		"crack_partial_chunks_created_total", "crack_partial_chunk_tuples_created_total",
-		"crack_partial_chunks_evicted_total", "crack_partial_chunk_buffers_recycled_total",
-		"crack_partial_chunk_buffers_allocated_total",
-	} {
-		if !strings.Contains(fams, fam) {
-			t.Errorf("scrape of a sharded partial engine lacks %s", fam)
-		}
-	}
-
-	var sum uint64
-	for _, sh := range s.shards {
-		cs, ok := engine.ChunkStatsOf(sh)
-		if !ok {
-			t.Fatal("partial shard reports no chunk stats")
-		}
-		sum += cs.Created
-	}
-	if total, ok := engine.ChunkStatsOf(s); !ok || total.Created != sum || sum == 0 {
-		t.Fatalf("sharded ChunkStats Created=%d ok=%v, per-shard sum %d (want equal, nonzero)", total.Created, ok, sum)
-	}
 }

@@ -53,7 +53,7 @@ func (s *Store) extremeAttr(attr string, wantMax bool) (Value, bool) {
 	if len(bounds) == 0 {
 		return s.scanExtreme(attr, wantMax)
 	}
-	// Probe pieces from the relevant end inward. Each probe issues a
+	// Walk pieces from the relevant end inward. Each probe issues a
 	// set-level query for the piece's value range so pending updates merge
 	// and alignment stays correct; the probed area is the piece only.
 	for i := range bounds {

@@ -455,17 +455,8 @@ func (s *Store) planRO(preds []AttrPred, projs []string, disjunctive bool) (pl P
 	return pl, lo, hi, used, true
 }
 
-// ProbeMulti is the read-only probe of the two-phase (probe/execute)
-// protocol: it reports whether MultiSelect(preds, projs, disjunctive) would
-// physically reorganize the store. Safe for concurrent use with other
-// read-only operations.
-func (s *Store) ProbeMulti(preds []AttrPred, projs []string, disjunctive bool) bool {
-	_, _, _, _, ok := s.planRO(preds, projs, disjunctive)
-	return !ok
-}
-
-// MultiSelectRO is the reorganization-free execute path paired with
-// ProbeMulti: it answers the query only when doing so requires no cracking,
+// MultiSelectRO is the reorganization-free execute path of the two-phase
+// protocol: it answers the query only when doing so requires no cracking,
 // no pending-update merge, no map creation, and no tape growth. ok is false
 // otherwise; callers then fall back to MultiSelect under exclusive access.
 // Safe for concurrent use with other read-only operations. The maps' Usage

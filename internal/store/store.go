@@ -151,30 +151,6 @@ func (r *Relation) AppendRow(vals ...Value) {
 	}
 }
 
-// DeleteRows removes the tuples at the given positions (keys). Positions are
-// interpreted against the current layout; duplicates are ignored. This is
-// the baseline engine's eager delete — cracking engines keep pending
-// deletions instead.
-func (r *Relation) DeleteRows(positions []int) {
-	if len(positions) == 0 {
-		return
-	}
-	drop := make(map[int]bool, len(positions))
-	for _, p := range positions {
-		drop[p] = true
-	}
-	for _, a := range r.Order {
-		c := r.cols[a]
-		out := c.Vals[:0]
-		for i, v := range c.Vals {
-			if !drop[i] {
-				out = append(out, v)
-			}
-		}
-		c.Vals = out
-	}
-}
-
 // Select returns, in ascending key order, the positions of tuples in column
 // col whose value matches p. This is the plain column-store select: a full
 // scan that preserves insertion order (Section 2.1).
@@ -230,29 +206,6 @@ func Join(lVals, rVals []Value) []JoinPair {
 			out = append(out, JoinPair{L: i, R: j})
 		}
 	}
-	return out
-}
-
-// Group is one group-by result: the shared value and member positions.
-type Group struct {
-	Key     Value
-	Members []int
-}
-
-// GroupBy groups the given values (parallel to positions 0..len-1) and
-// returns groups sorted by key. Group-by does not preserve tuple order
-// (Section 2.1) — members are in input order within each group, but group
-// emission order is by key.
-func GroupBy(vals []Value) []Group {
-	m := make(map[Value][]int)
-	for i, v := range vals {
-		m[v] = append(m[v], i)
-	}
-	out := make([]Group, 0, len(m))
-	for k, mem := range m {
-		out = append(out, Group{Key: k, Members: mem})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 

@@ -75,7 +75,7 @@ func TestMustColumnPanics(t *testing.T) {
 	NewRelation("R", "A").MustColumn("Z")
 }
 
-func TestAppendAndDeleteRows(t *testing.T) {
+func TestAppendRows(t *testing.T) {
 	r := NewRelation("R", "A", "B")
 	r.AppendRow(1, 10)
 	r.AppendRow(2, 20)
@@ -83,12 +83,8 @@ func TestAppendAndDeleteRows(t *testing.T) {
 	if r.NumRows() != 3 {
 		t.Fatalf("NumRows = %d", r.NumRows())
 	}
-	r.DeleteRows([]int{1})
-	if r.NumRows() != 2 {
-		t.Fatalf("NumRows after delete = %d", r.NumRows())
-	}
-	if r.Column("A").Vals[1] != 3 || r.Column("B").Vals[1] != 30 {
-		t.Fatal("delete broke alignment")
+	if r.Column("A").Vals[2] != 3 || r.Column("B").Vals[2] != 30 {
+		t.Fatal("append broke alignment")
 	}
 }
 
@@ -130,19 +126,6 @@ func TestJoin(t *testing.T) {
 		if pairs[i].L < pairs[i-1].L {
 			t.Fatal("Join did not preserve outer order")
 		}
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	groups := GroupBy([]Value{3, 1, 3, 2, 1})
-	if len(groups) != 3 {
-		t.Fatalf("GroupBy = %d groups, want 3", len(groups))
-	}
-	if groups[0].Key != 1 || groups[1].Key != 2 || groups[2].Key != 3 {
-		t.Fatal("groups not sorted by key")
-	}
-	if len(groups[0].Members) != 2 || groups[0].Members[0] != 1 || groups[0].Members[1] != 4 {
-		t.Fatalf("group 1 members = %v", groups[0].Members)
 	}
 }
 

@@ -18,14 +18,9 @@ type SyncMode int
 const (
 	// SyncGroup (the default) makes every acked append wait for an fsync
 	// covering it, but lets concurrent appends share fsyncs: one waiter
-	// drives the Sync syscall while the others piggyback on its barrier.
-	// Same loss guarantee as SyncAlways, far fewer syscalls under load.
+	// drives the Sync syscall while the others piggyback on its barrier. A
+	// strictly serial writer pays one fsync per append.
 	SyncGroup SyncMode = iota
-	// SyncAlways fsyncs eagerly after every append. Under concurrency it
-	// degenerates to group commit anyway (a sync in flight covers queued
-	// appends), so the difference from SyncGroup is only visible for a
-	// strictly serial writer.
-	SyncAlways
 	// SyncNone never waits: appends are acked after the OS write alone.
 	// A crash may lose the acked tail — this mode is excluded from the
 	// zero-acked-write-loss guarantee and exists for bulk loads and
@@ -37,8 +32,6 @@ func (m SyncMode) String() string {
 	switch m {
 	case SyncGroup:
 		return "group"
-	case SyncAlways:
-		return "always"
 	case SyncNone:
 		return "none"
 	}
@@ -50,12 +43,10 @@ func ParseSyncMode(s string) (SyncMode, error) {
 	switch s {
 	case "group":
 		return SyncGroup, nil
-	case "always":
-		return SyncAlways, nil
 	case "none":
 		return SyncNone, nil
 	}
-	return 0, fmt.Errorf("wal: unknown sync mode %q (want group, always, or none)", s)
+	return 0, fmt.Errorf("wal: unknown sync mode %q (want group or none)", s)
 }
 
 // File is the storage a Log writes to: *os.File satisfies it, and the

@@ -84,7 +84,7 @@ func TestLogAppendAndGroupCommit(t *testing.T) {
 
 func TestLogPoisonOnWriteError(t *testing.T) {
 	mf := &memFile{}
-	l := NewLog(mf, 0, Options{Sync: SyncAlways})
+	l := NewLog(mf, 0, Options{Sync: SyncGroup})
 	if err := l.Append(Record{Type: RecCheckpoint, Seq: 1}); err != nil {
 		t.Fatalf("healthy append: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestOpenLogTruncatesTornTail(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, tornBytes, err := OpenLog(path, Options{Sync: SyncAlways})
+	l, tornBytes, err := OpenLog(path, Options{Sync: SyncGroup})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
