@@ -800,7 +800,8 @@ type outFrame struct {
 // outFramePool recycles request frames. A frame is returned only after its
 // call received a successful response — which proves the writer finished
 // with the buffer — so steady-state calls allocate no fresh frame. Frames
-// of failed or abandoned calls are dropped: the writer may still hold them.
+// of failed or abandoned calls are dropped: the writer may still hold them;
+// so are frames grown past wire.MaxPooledBuf.
 var outFramePool = sync.Pool{
 	New: func() any { return new(outFrame) },
 }
@@ -885,7 +886,7 @@ func (cn *conn) call(ctx context.Context, req *wire.Request) (resp *wire.Respons
 		res = <-ch
 	}
 	sent = f.wrote.Load()
-	if res.err == nil {
+	if res.err == nil && cap(f.buf) <= wire.MaxPooledBuf {
 		// A response arrived, so the frame was fully written long ago;
 		// the writer no longer references it.
 		outFramePool.Put(f)
@@ -939,11 +940,15 @@ func (cn *conn) writeLoop() {
 // then fails everything still pending.
 func (cn *conn) readLoop() {
 	br := bufio.NewReaderSize(cn.nc, 64<<10)
+	var buf []byte // every response payload is read here; valid until the next read
 	for {
-		payload, err := wire.ReadFrame(br, cn.maxFrame)
+		payload, err := wire.ReadFrame(br, cn.maxFrame, buf)
 		if err != nil {
 			cn.shutdown(fmt.Errorf("client: read: %w", err))
 			return
+		}
+		if buf = payload[:0]; cap(buf) > wire.MaxPooledBuf {
+			buf = nil
 		}
 		resp, err := wire.DecodeResponse(payload)
 		if err != nil {

@@ -104,7 +104,7 @@ func startMiniServer(t *testing.T) *miniServer {
 func (m *miniServer) serve(nc net.Conn) {
 	br := bufio.NewReader(nc)
 	for {
-		payload, err := wire.ReadFrame(br, 0)
+		payload, err := wire.ReadFrame(br, 0, nil)
 		if err != nil || m.severNext.CompareAndSwap(true, false) {
 			nc.Close()
 			return
@@ -255,7 +255,7 @@ func slowServer(t *testing.T, delay time.Duration, stallFirstRO bool) net.Listen
 				defer nc.Close()
 				br := bufio.NewReader(nc)
 				for {
-					payload, err := wire.ReadFrame(br, 0)
+					payload, err := wire.ReadFrame(br, 0, nil)
 					if err != nil {
 						return
 					}

@@ -483,4 +483,33 @@
 // comment on the offending line or the line above it. Suppressions are
 // counted in CI logs and budgeted — at most three in the tree, enforced by
 // the internal/vet tests — so exceptions stay rare and documented.
+//
+// Two ownership rules keep the remote read path from allocating what it
+// throws away. Tests, not crackvet, hold them (released columns are poisoned
+// in the equivalence, chaos and map-engine fuzz tests; the wire fuzzers
+// overwrite every payload they decoded), in the words of the chunk-column
+// rule at partial.Store.release:
+//
+//   - result columns: a column enters the free list of result columns
+//     (internal/sideways) only through Result.Release, and only if the list
+//     handed it out — each result records the columns it drew (of 1 KB and
+//     up; a smaller one is plainly allocated), and Release returns exactly
+//     those, once; on any other result it is a no-op. Who calls Release
+//     states that nothing refers to the columns any more: netserve, in
+//     encodeFrame, once the response frame holds a copy, and shard's merge,
+//     once it has copied out of its per-shard results. A Window, a map and
+//     a chunk are never a result's column; a Result is always a copy.
+//     Columns leave the list without being cleared; whoever draws one
+//     overwrites all of it. A caller that never releases leaves its columns
+//     to the collector. The list holds at most 2^19 values (4 MiB),
+//     process-wide.
+//   - frame payloads: wire.ReadFrame reads into the buffer its caller passes
+//     and the payload it returns is valid until the caller's next read into
+//     that buffer; client and netserve keep one per connection, for the
+//     connection's life. DecodeRequest and DecodeResponse copy everything
+//     they return, so a decoded message outlives its payload. A connection's
+//     buffer, and a pooled frame of netserve's frameBufPool or the client's
+//     outFramePool, is dropped rather than kept once it has grown past
+//     wire.MaxPooledBuf (1 MiB): idle connections and pool slots hold at most
+//     that each, whatever the largest message they ever carried.
 package crackstore

@@ -92,11 +92,12 @@ type Query struct {
 	Disjunctive bool
 }
 
-// Result holds positionally aligned projection columns.
-type Result struct {
-	Cols map[string][]Value
-	N    int
-}
+// Result holds positionally aligned projection columns. It is the map-set
+// core's type, so that the columns the map-set engines draw from the free list
+// of result columns keep their way back to it: a caller done with a result may
+// Release it (netserve does, once the response frame holds a copy). Releasing
+// is optional, and a no-op on every other engine's results.
+type Result = sideways.Result
 
 // Cost is the per-query cost split used throughout the experiments.
 type Cost struct {
@@ -770,7 +771,7 @@ func (e *mapEngine) Store() any { return e.st }
 func (e *mapEngine) Query(q Query) (Result, Cost) {
 	t0 := time.Now()
 	res := e.st.MultiSelect(q.Preds, q.Projs, q.Disjunctive)
-	return Result(res), Cost{Sel: time.Since(t0)}
+	return res, Cost{Sel: time.Since(t0)}
 }
 
 // QueryRO refuses when the query would crack a map or chunk, merge pending
@@ -781,7 +782,7 @@ func (e *mapEngine) QueryRO(q Query) (Result, Cost, bool) {
 	if !ok {
 		return Result{}, Cost{}, false
 	}
-	return Result(res), Cost{Sel: time.Since(t0)}, true
+	return res, Cost{Sel: time.Since(t0)}, true
 }
 
 func (e *mapEngine) JoinInput(preds []AttrPred, joinAttr string, projs []string) (JoinInput, Cost) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"crackstore/internal/sideways"
 	"crackstore/internal/store"
 )
 
@@ -257,4 +258,33 @@ func TestCountWithoutProjections(t *testing.T) {
 			e.Delete(round)
 		}
 	}
+}
+
+// TestReleaseOnEveryKind: Release is safe on any engine's result, any number
+// of times. The engines that draw no column from the result free list keep
+// their columns — a Scan or RowStore result may be a view the engine still
+// reads — and a map-set engine's recycled column serves the next answer
+// whole. Poisoning makes a breach of either a wrong answer.
+func TestReleaseOnEveryKind(t *testing.T) {
+	sideways.PoisonReleased(true)
+	defer sideways.PoisonReleased(false)
+	rel := buildRel(rand.New(rand.NewSource(13)), 3000, []string{"A", "B", "C"}, 100) // answers large enough for the free list
+	oracle := NewScan(cloneRel(rel))
+	q := Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(20, 60)}, {Attr: "C", Pred: store.Range(10, 90)}}, Projs: []string{"B", "C"}}
+	res, _ := oracle.Query(q)
+	want := canonRows(res, q.Projs)
+	for _, k := range append(allKinds(), RowStore) {
+		e := New(k, cloneRel(rel))
+		for round := 0; round < 3; round++ {
+			tag := fmt.Sprintf("%s round %d", e.Name(), round)
+			res, _ := e.Query(q)
+			checkResult(t, tag, res, q.Projs, want)
+			res.Release()
+			res.Release()
+			if k != Sideways && k != PartialSideways {
+				checkResult(t, tag+" after Release", res, q.Projs, want)
+			}
+		}
+	}
+	Result{}.Release()
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"crackstore/internal/sideways"
 	"crackstore/internal/store"
 )
 
@@ -175,8 +176,13 @@ func mapEngines(rel *store.Relation) []Engine {
 
 // runMapOps replays ops on the four map-set engines and on Scan. Every
 // query is answered three times per engine — QueryRO before, Query, QueryRO
-// after — and every answer QueryRO gives must be the one Query gives.
+// after — and every answer QueryRO gives must be the one Query gives. Every
+// answer is released once checked, and released columns are poisoned: an
+// engine that kept a reference to a result, or filled less than all of a
+// recycled column, gives a wrong answer.
 func runMapOps(t *testing.T, seed int64, ops []byte) {
+	sideways.PoisonReleased(true)
+	defer sideways.PoisonReleased(false)
 	rel := buildRel(rand.New(rand.NewSource(seed)), fuzzRows, fuzzAttrs, fuzzDomain)
 	oracle := NewScan(cloneRel(rel))
 	engines := mapEngines(rel)
@@ -217,11 +223,14 @@ func runMapOps(t *testing.T, seed int64, ops []byte) {
 				tag := fmt.Sprintf("step %d engine %d (%s) %+v", step, i, e.Name(), q)
 				if res, _, ok := e.QueryRO(q); ok {
 					checkResult(t, tag+" QueryRO before", res, q.Projs, want)
+					res.Release()
 				}
 				res, _ := e.Query(q)
 				checkResult(t, tag+" Query", res, q.Projs, want)
+				res.Release()
 				if res, _, ok := e.QueryRO(q); ok {
 					checkResult(t, tag+" QueryRO after", res, q.Projs, want)
+					res.Release()
 				}
 			}
 		}

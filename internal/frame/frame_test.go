@@ -40,7 +40,7 @@ func TestDomainsRejectForeignFrames(t *testing.T) {
 		{"absurd length, bad echo", huge, false, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			payload, err := wire.ReadFrame(bytes.NewReader(c.b), 0)
+			payload, err := wire.ReadFrame(bytes.NewReader(c.b), 0, nil)
 			if c.wireOK {
 				if err != nil || !bytes.Equal(payload, c.b[frame.HeaderSize:]) {
 					t.Fatalf("wire.ReadFrame rejected its own frame: %v", err)

@@ -32,6 +32,7 @@ func BenchmarkRemoteWarmQuery(b *testing.B) {
 		_, _, err := c.Query(q)
 		return err
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		rng := rand.New(rand.NewSource(7))
@@ -54,6 +55,7 @@ func BenchmarkInProcessWarmQuery(b *testing.B) {
 		_, _, err := srv.Do(q)
 		return err
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		rng := rand.New(rand.NewSource(7))

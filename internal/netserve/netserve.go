@@ -11,10 +11,14 @@
 // carries an ID and responses are written in completion order, a single
 // connection pipelines many in-flight requests — a slow crack does not
 // stall the answers of the read-only queries behind it (pair with
-// serve.Options.Timeout to bound the slow request itself). A read-only
+// serve.Options.Timeout to bound the slow request itself). The reader
+// answers the warm majority itself: a query of either read op, OpQuery or
+// OpQueryRO, that the engine can take without reorganizing while a worker
+// slot is free executes inline and costs no goroutine handoff. A read-only
 // request (OpQueryRO) executes Engine.QueryRO through the serving layer and
-// nothing else: the engine's refusal comes back as StatusRefused. Network
-// events are counted once, in obs instruments the server always keeps.
+// nothing else, on either path: the engine's refusal comes back as
+// StatusRefused. Network events are counted once, in obs instruments the
+// server always keeps.
 //
 // Malformed input never kills the process: an oversized frame or an
 // undecodable payload draws an error response and, when the stream can no
@@ -360,8 +364,9 @@ const (
 func (c *conn) readLoop() {
 	defer c.s.wg.Done()
 	br := bufio.NewReaderSize(c.nc, 64<<10)
+	var buf []byte // every request payload is read here; valid until the next read
 	for {
-		payload, err := wire.ReadFrame(br, c.s.opts.MaxFrame)
+		payload, err := wire.ReadFrame(br, c.s.opts.MaxFrame, buf)
 		if err != nil {
 			if errors.Is(err, wire.ErrFrameTooLarge) || errors.Is(err, wire.ErrCorrupt) {
 				c.s.corrupt.Inc()
@@ -373,6 +378,9 @@ func (c *conn) readLoop() {
 				c.send(&wire.Response{Status: wire.StatusErr, Err: err.Error()})
 			}
 			break
+		}
+		if buf = payload[:0]; cap(buf) > wire.MaxPooledBuf {
+			buf = nil
 		}
 		c.s.framesRead.Inc()
 		c.s.bytesRead.Add(uint64(len(payload) + wire.FrameHeader))
@@ -426,10 +434,12 @@ func (c *conn) readLoop() {
 		// take the query without reorganizing and a slot is free. Slow
 		// queries (cracks, merges, updates, a momentarily full pool, a
 		// full-scan engine per Server.inlineRO, or a post-overrun cooldown)
-		// fall through to dispatch goroutines and complete out of order.
-		// Traced requests always dispatch: tracing wants the fully timed
-		// path, and at 1-in-N sampling the handoff cost is noise.
-		if req.Op == wire.OpQuery && req.Trace == 0 && c.s.inlineRO && c.inlineCooldown == 0 {
+		// fall through to dispatch goroutines and complete out of order —
+		// where an OpQueryRO the engine refused here is refused again, and
+		// answered StatusRefused. Traced requests always dispatch: tracing
+		// wants the fully timed path, and at 1-in-N sampling the handoff
+		// cost is noise.
+		if (req.Op == wire.OpQuery || req.Op == wire.OpQueryRO) && req.Trace == 0 && c.s.inlineRO && c.inlineCooldown == 0 {
 			t0 := time.Now()
 			if res, cost, ok := c.s.srv.TryRO(req.Query); ok {
 				c.send(&wire.Response{ID: req.ID, Op: req.Op, Result: res, Cost: cost})
@@ -468,7 +478,8 @@ func (c *conn) readLoop() {
 
 // frameBufPool recycles response frame buffers between requests: the
 // writer returns each buffer after it hits the socket, so steady-state
-// serving allocates no fresh frame per response.
+// serving allocates no fresh frame per response. A buffer grown past
+// wire.MaxPooledBuf is dropped instead.
 var frameBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 512); return &b },
 }
@@ -494,8 +505,10 @@ func (c *conn) writeLoop() {
 				}
 			}
 		}
-		*frame = (*frame)[:0]
-		frameBufPool.Put(frame)
+		if cap(*frame) <= wire.MaxPooledBuf {
+			*frame = (*frame)[:0]
+			frameBufPool.Put(frame)
+		}
 	}
 	if !broken {
 		bw.Flush()
@@ -513,10 +526,13 @@ func (c *conn) send(resp *wire.Response) {
 }
 
 // encodeFrame encodes one response into a pooled frame buffer, applying
-// the oversize-to-error conversion.
+// the oversize-to-error conversion. The frame holds a copy of the result,
+// and every response is encoded exactly once, so this is where the result's
+// columns go back to the engine's free list.
 func (c *conn) encodeFrame(resp *wire.Response) *[]byte {
 	buf := frameBufPool.Get().(*[]byte)
 	*buf = wire.AppendResponse(*buf, resp)
+	resp.Result.Release()
 	if len(*buf)-wire.FrameHeader > c.s.opts.MaxFrame {
 		over := len(*buf) - wire.FrameHeader
 		*buf = wire.AppendResponse((*buf)[:0], &wire.Response{

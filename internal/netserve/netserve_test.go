@@ -199,7 +199,7 @@ func (r *rawConn) write(frame []byte) {
 func (r *rawConn) read() wire.Response {
 	r.t.Helper()
 	r.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	payload, err := wire.ReadFrame(r.nc, 0)
+	payload, err := wire.ReadFrame(r.nc, 0, nil)
 	if err != nil {
 		r.t.Fatalf("raw read: %v", err)
 	}
@@ -255,7 +255,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 	}
 	// The server hangs up on this connection (framing is unrecoverable)...
 	r.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := wire.ReadFrame(r.nc, 0); err != io.EOF {
+	if _, err := wire.ReadFrame(r.nc, 0, nil); err != io.EOF {
 		t.Fatalf("after oversize want clean EOF, got %v", err)
 	}
 	// ...but the process survives and accepts fresh connections.

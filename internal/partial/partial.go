@@ -29,7 +29,7 @@
 // heap with lazily refreshed keys, since read-only queries raise priorities
 // atomically and cannot reorder anything. The columns of evicted chunks and
 // dropped heads go to a store-owned free list that new chunks and recovered
-// heads draw from (see buffers for the ownership rule); it holds at most
+// heads draw from (see release for the ownership rule); it holds at most
 // Budget/8 values, a sixteenth of the bytes the budget allows live chunks.
 package partial
 
@@ -37,7 +37,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"crackstore/internal/bitvec"
@@ -156,7 +155,7 @@ type Store struct {
 	storage     int            // running sum of chunk.tuples() over all live chunks
 	pinnedAreas map[*area]bool // areas resolved by the in-flight query
 	victims     victimHeap     // every live chunk, lowest eviction priority first
-	bufs        buffers        // columns of evicted chunks and dropped heads
+	bufs        store.FreeList // columns of evicted chunks and dropped heads
 	life        ChunkStats
 	// evictedAccesses sums the access counts of evicted chunks: a mean near
 	// one says the manager evicts what it created a query ago.
@@ -177,96 +176,8 @@ type ChunkStats struct {
 // synchronization as queries.
 func (s *Store) ChunkStats() ChunkStats {
 	st := s.life
-	st.BuffersRecycled, st.BuffersAllocated = s.bufs.recycled, s.bufs.allocated
+	st.BuffersRecycled, st.BuffersAllocated = s.bufs.Recycled, s.bufs.Allocated
 	return st
-}
-
-// buffers is the store's free list of chunk columns. Under a budget chunk
-// creation is steady-state work, and a fresh column costs its zeroing plus a
-// page fault per 4 KB on top of the copy that fills it; a recycled one costs
-// the copy.
-//
-// Ownership: a column enters the list when its chunk is evicted or its head
-// is dropped — on the write path, under exclusive access — and from then on
-// nothing else refers to it. A Window holds tails of chunks the in-flight
-// query pinned, eviction skips pinned chunks, a head drop releases the head
-// only, read-only queries never run beside the write path, and a Result is
-// always a copy. Columns leave the list without being cleared; whoever
-// draws one overwrites all of it.
-//
-// Capacities are rounded to size classes, four per doubling, so a column
-// serves any chunk of its class and a chunk's columns are at most a quarter
-// larger than the chunk. The list holds at most Budget/8 values — a
-// sixteenth of the bytes the budget allows live chunks — and nothing without
-// a budget.
-type buffers struct {
-	free                map[int][][]Value // by capacity, always a size class
-	idle                int               // values held
-	recycled, allocated uint64
-}
-
-// minClass is the smallest pooled capacity; smaller columns cost nothing to
-// allocate.
-const minClass = 8
-
-// classUp returns the smallest size class >= n.
-func classUp(n int) int {
-	if n <= minClass {
-		return minClass
-	}
-	g := 1 << (bits.Len(uint(n-1)) - 3)
-	return (n + g - 1) &^ (g - 1)
-}
-
-// classDown returns the largest size class <= n, 0 when there is none.
-func classDown(n int) int {
-	if n < minClass {
-		return 0
-	}
-	g := 1 << (bits.Len(uint(n)) - 3)
-	return n &^ (g - 1)
-}
-
-// get returns a column of length n with unspecified contents.
-func (b *buffers) get(n int) []Value {
-	c := classUp(n)
-	if l := b.free[c]; len(l) > 0 {
-		buf := l[len(l)-1]
-		b.free[c] = l[:len(l)-1]
-		b.idle -= c
-		b.recycled++
-		return buf[:n]
-	}
-	b.allocated++
-	return make([]Value, n, c)
-}
-
-// put hands a column nothing refers to any more to the list, which keeps
-// within limit values by giving up columns of the class that holds most: the
-// sizes the store evicts drift away from the sizes it creates, and the glut
-// must not crowd out the classes in demand.
-func (b *buffers) put(buf []Value, limit int) {
-	c := classDown(cap(buf))
-	if c == 0 || c > limit {
-		return
-	}
-	if b.free == nil {
-		b.free = make(map[int][][]Value)
-	}
-	for b.idle+c > limit {
-		glut, held := 0, 0
-		for class, l := range b.free {
-			if v := class * len(l); v > held || v == held && class > glut {
-				glut, held = class, v
-			}
-		}
-		l := b.free[glut]
-		l[len(l)-1] = nil
-		b.free[glut] = l[:len(l)-1]
-		b.idle -= glut
-	}
-	b.free[c] = append(b.free[c], buf[:0:c])
-	b.idle += c
 }
 
 // victimHeap orders the store's live chunks by eviction priority. Keys are
@@ -343,8 +254,19 @@ func (s *Store) account(c *chunk) {
 	c.cost = c.tuples()
 }
 
-// release hands a column nothing refers to any more to the free list.
-func (s *Store) release(buf []Value) { s.bufs.put(buf, s.Budget/8) }
+// release hands a column nothing refers to any more to bufs, the store's free
+// list of chunk columns. Under a budget chunk creation is steady-state work,
+// and a fresh column costs its zeroing plus a page fault per 4 KB on top of
+// the copy that fills it; a recycled one costs the copy.
+//
+// Ownership: a column enters the list when its chunk is evicted or its head
+// is dropped — on the write path, under exclusive access — and from then on
+// nothing else refers to it. A Window holds tails of chunks the in-flight
+// query pinned, eviction skips pinned chunks, a head drop releases the head
+// only, read-only queries never run beside the write path, and a Result is
+// always a copy. The list holds at most Budget/8 values — a sixteenth of the
+// bytes the budget allows live chunks — and nothing without a budget.
+func (s *Store) release(buf []Value) { s.bufs.Put(buf, s.Budget/8) }
 
 // dropHead drops chunk c's head column, keeping only the tail.
 func (s *Store) dropHead(c *chunk) {
@@ -491,9 +413,9 @@ func (set *Set) ensureChunk(w *area, tailAttr string, pinned map[*chunk]bool) *c
 	st := set.st
 	size := w.hi - w.lo
 	st.ensureBudget(size, pinned)
-	head := st.bufs.get(size)
+	head := st.bufs.Get(size)
 	copy(head, set.ha.Head[w.lo:w.hi])
-	tail := st.bufs.get(size)
+	tail := st.bufs.Get(size)
 	keys := set.ha.Tail[w.lo:w.hi]
 	if tailAttr == "" {
 		copy(tail, keys)
@@ -562,7 +484,7 @@ func (set *Set) recoverHead(w *area, c *chunk) {
 	defer st.account(c)
 	for _, sib := range w.chunks {
 		if sib != c && !sib.headDropped && sib.cursor == c.cursor {
-			head := st.bufs.get(len(sib.p.Head))
+			head := st.bufs.Get(len(sib.p.Head))
 			copy(head, sib.p.Head)
 			c.p.Head = head
 			c.headDropped = false
@@ -570,10 +492,10 @@ func (set *Set) recoverHead(w *area, c *chunk) {
 		}
 	}
 	size := w.hi - w.lo
-	head := st.bufs.get(size)
+	head := st.bufs.Get(size)
 	copy(head, set.ha.Head[w.lo:w.hi])
 	// The replay drags a tail along whose values nobody reads.
-	tmp := crack.WrapPairs(head, st.bufs.get(size))
+	tmp := crack.WrapPairs(head, st.bufs.Get(size))
 	// Replay under the set's policy: the rebuilt head must make the same
 	// pivot decisions the chunk originally did to pair with its tail.
 	tmp.Policy = set.ha.Policy

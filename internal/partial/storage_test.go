@@ -100,25 +100,7 @@ func TestWarmChunkCreationAllocatesNoColumn(t *testing.T) {
 	if perQuery := (m1.TotalAlloc - m0.TotalAlloc) / (passes * ranges); perQuery > column*3/2 {
 		t.Errorf("%d bytes allocated per query; the answer is one column of %d, a fresh chunk two more", perQuery, column)
 	}
-	if idle := s.bufs.idle; idle > s.Budget/8 {
+	if idle := s.bufs.Idle(); idle > s.Budget/8 {
 		t.Errorf("free list holds %d values, its bound is %d", idle, s.Budget/8)
-	}
-}
-
-// TestSizeClasses: four classes per doubling, so a column is never more than
-// a quarter larger than the chunk it serves, and a column of any capacity
-// files under a class it can serve.
-func TestSizeClasses(t *testing.T) {
-	for n := 0; n < 70000; n++ {
-		up := classUp(n)
-		if up < n || (n > 2*minClass && up-n > n/4) {
-			t.Fatalf("classUp(%d) = %d", n, up)
-		}
-		if classUp(up) != up || classDown(up) != up {
-			t.Fatalf("class %d of %d is not a fixed point: up %d, down %d", up, n, classUp(up), classDown(up))
-		}
-		if down := classDown(n); down > n || (n >= minClass && classUp(down) != down) || (n >= minClass && down <= n/2) {
-			t.Fatalf("classDown(%d) = %d", n, down)
-		}
 	}
 }

@@ -326,7 +326,8 @@ func (s *Engine) span(q engine.Query) (int, int) {
 // ---------------------------------------------------------------------------
 // Query fan-out.
 
-// mergeResults concatenates per-shard results in shard order.
+// mergeResults concatenates per-shard results in shard order. The merged
+// result is a copy, so the parts are released: nothing else ever saw them.
 func mergeResults(parts []engine.Result, projs []string) engine.Result {
 	out := engine.Result{Cols: make(map[string][]Value, len(projs))}
 	for _, p := range parts {
@@ -338,6 +339,9 @@ func mergeResults(parts []engine.Result, projs []string) engine.Result {
 			col = append(col, p.Cols[attr]...)
 		}
 		out.Cols[attr] = col
+	}
+	for _, p := range parts {
+		p.Release()
 	}
 	return out
 }

@@ -3,12 +3,14 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"crackstore/internal/engine"
+	"crackstore/internal/sideways"
 	"crackstore/internal/store"
 )
 
@@ -51,7 +53,14 @@ func writableKinds() []engine.Kind {
 // multisets for every query — for every engine kind, under both range and
 // hash partitioning. Global keys agree by construction (build order, then
 // insertion order), so deletes target the same tuples on both sides.
+//
+// Released result columns are poisoned throughout: a merge releases the
+// per-shard results it copied out of, so a merged answer that still pointed
+// into one would be wrong, and releasing the merge itself — it drew nothing
+// from the free list — must leave it as it was.
 func TestShardedMatchesSingle(t *testing.T) {
+	sideways.PoisonReleased(true)
+	defer sideways.PoisonReleased(false)
 	const (
 		rows   = 400
 		domain = 500
@@ -100,6 +109,11 @@ func TestShardedMatchesSingle(t *testing.T) {
 							if w[i] != g[i] {
 								t.Fatalf("op %d row %d: sharded %s != single %s", op, i, g[i], w[i])
 							}
+						}
+						got.Release()
+						if hash && !slices.Equal(canonRows(got, q.Projs), g) {
+							// Every shard answered: got is a merge.
+							t.Fatalf("op %d: Release changed a merged result", op)
 						}
 					case r < 8: // insert
 						vals := []Value{rng.Int63n(domain), rng.Int63n(domain), rng.Int63n(domain)}

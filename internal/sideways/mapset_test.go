@@ -2,6 +2,7 @@ package sideways
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -104,5 +105,70 @@ func TestDeleteOfBaseKeysSkipsPendingInserts(t *testing.T) {
 			t.Errorf("ledger %d after cancelling a pending insertion: %d insertions, %d deletions, %d compared",
 				i, len(p.ins), len(p.del), p.insScanned)
 		}
+	}
+}
+
+// TestReleaseRecyclesOnce pins the ownership rule of the result free list:
+// a released column serves the next result of its size class, a column the
+// list did not hand out never enters it, and a second Release — of the same
+// Result or of a copy — hands nothing back, least of all the column's next
+// owner's. Poisoning makes any breach a wrong answer.
+func TestReleaseRecyclesOnce(t *testing.T) {
+	PoisonReleased(true)
+	defer PoisonReleased(false)
+	rel := buildRel(rand.New(rand.NewSource(9)), 2000, []string{"A", "B", "C"}, 500)
+	s := NewStore(rel)
+	preds := []AttrPred{{Attr: "A", Pred: store.Range(100, 200)}}
+	want := s.MultiSelect(preds, []string{"B"}, false).Cols["B"]
+	if len(want) == 0 {
+		t.Fatal("the query selects nothing")
+	}
+	answer := func() Result {
+		t.Helper()
+		res, ok := s.MultiSelectRO(preds, []string{"B"}, false)
+		if !ok {
+			t.Fatal("the warm query was refused")
+		}
+		if !slices.Equal(res.Cols["B"], want) {
+			t.Fatalf("answer %v, want %v", res.Cols["B"], want)
+		}
+		return res
+	}
+	idle := func() int {
+		results.Lock()
+		defer results.Unlock()
+		return results.Idle()
+	}
+
+	// Until a process releases for the first time its columns are allocated
+	// exactly, and file under the class below; from then on, in their class.
+	answer().Release()
+	first := answer()
+	col, base := &first.Cols["B"][0], idle()
+	first.Release()
+	if got := idle() - base; got != store.ClassUp(len(want)) {
+		t.Fatalf("Release filed %d values, want the column's class of %d", got, store.ClassUp(len(want)))
+	}
+	second := answer() // overwrote all of the poisoned column
+	if &second.Cols["B"][0] != col {
+		t.Fatal("the released column did not serve the next result of its size")
+	}
+	stale := first // a copy shares the record of what was drawn
+	stale.Release()
+	first.Release()
+	if !slices.Equal(second.Cols["B"], want) || idle() != base {
+		t.Fatal("a second Release took the column back from its next owner")
+	}
+	if third := answer(); &third.Cols["B"][0] == col {
+		t.Fatal("one column serves two live results")
+	}
+
+	// What the list did not hand out never enters it.
+	base = idle()
+	foreign := Result{Cols: map[string][]Value{"B": slices.Clone(want)}, N: len(want)}
+	foreign.Release()
+	Result{}.Release()
+	if !slices.Equal(foreign.Cols["B"], want) || idle() != base {
+		t.Fatal("Release took a column the list never handed out")
 	}
 }

@@ -481,9 +481,9 @@ func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool
 			return Result{}, false
 		}
 		s.Touch(&m.Usage)
-		out := make([]Value, hi-lo)
-		copy(out, m.pairs.Tail[lo:hi])
-		return Result{Cols: map[string][]Value{projs[0]: out}, N: hi - lo}, true
+		res := newResult(hi-lo, 1)
+		res.draw(projs[0], m.pairs.Tail[lo:hi])
+		return res, true
 	}
 	pl, lo, hi, used, ok := s.planRO(preds, projs, disjunctive)
 	if !ok {

@@ -3,6 +3,7 @@ package vet
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -144,6 +145,13 @@ func (l *loader) dirFiles(dir string) (lib, tests, xtests []*ast.File, err error
 	}
 	sort.Strings(names)
 	for _, name := range names {
+		// A file the default build leaves out (//go:build race) may redeclare
+		// what its counterpart declares.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, nil, nil, err
+		} else if !ok {
+			continue
+		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, nil, nil, err

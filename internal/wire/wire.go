@@ -260,8 +260,20 @@ func AppendFrame(buf, payload []byte) []byte {
 	return append(append(buf, hdr[:]...), payload...)
 }
 
-// ReadFrame reads one length-prefixed, checksummed payload from r. A
-// header whose masked length echo disagrees with its length draws
+// MaxPooledBuf bounds the frame and payload buffers the serving path keeps
+// between messages: a connection's read buffer and the pooled frames of
+// netserve and the client are dropped, not kept, once they have grown past
+// it, so one 60 MB response does not pin 60 MB for the life of the process.
+const MaxPooledBuf = 1 << 20
+
+// ReadFrame reads one length-prefixed, checksummed payload from r into buf,
+// growing it when the payload is longer than cap(buf), and returns the
+// payload — which aliases buf when it fits. The caller owns buf: a loop that
+// passes the last payload's [:0] back in reads every frame into one buffer,
+// and the payload is valid until it does. DecodeRequest and DecodeResponse
+// copy everything they return, so a decoded message outlives its payload.
+//
+// A header whose masked length echo disagrees with its length draws
 // ErrChecksum immediately, before any payload read — a corrupted length
 // must never decide how many bytes to wait for, or the reader could stall
 // forever on a mis-framed stream. Frames longer than maxFrame
@@ -269,7 +281,7 @@ func AppendFrame(buf, payload []byte) []byte {
 // allocation; a payload that fails its CRC returns ErrChecksum — the
 // stream carried corruption and the connection should be abandoned. io.EOF
 // is returned only on a clean boundary (no partial header).
-func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
+func ReadFrame(r io.Reader, maxFrame int, buf []byte) ([]byte, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
@@ -289,7 +301,11 @@ func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	if uint64(n) > uint64(maxFrame) {
 		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
 	}
-	payload := make([]byte, n)
+	payload := buf[:0]
+	if int(n) > cap(buf) {
+		payload = make([]byte, n)
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("wire: truncated frame body: %w", io.ErrUnexpectedEOF)

@@ -100,7 +100,7 @@ func normalizeResp(r Response) Response {
 func TestRequestRoundTrip(t *testing.T) {
 	for _, req := range sampleRequests() {
 		frame := AppendRequest(nil, &req)
-		payload, err := ReadFrame(bytes.NewReader(frame), 0)
+		payload, err := ReadFrame(bytes.NewReader(frame), 0, nil)
 		if err != nil {
 			t.Fatalf("%v: ReadFrame: %v", req.Op, err)
 		}
@@ -117,7 +117,7 @@ func TestRequestRoundTrip(t *testing.T) {
 func TestResponseRoundTrip(t *testing.T) {
 	for _, resp := range sampleResponses() {
 		frame := AppendResponse(nil, &resp)
-		payload, err := ReadFrame(bytes.NewReader(frame), 0)
+		payload, err := ReadFrame(bytes.NewReader(frame), 0, nil)
 		if err != nil {
 			t.Fatalf("%v: ReadFrame: %v", resp.Op, err)
 		}
@@ -150,12 +150,52 @@ func TestResultEncodingIsCanonical(t *testing.T) {
 
 func TestReadFrameRejectsOversized(t *testing.T) {
 	frame := AppendFrame(nil, make([]byte, 1024))
-	if _, err := ReadFrame(bytes.NewReader(frame), 512); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := ReadFrame(bytes.NewReader(frame), 512, nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("want ErrFrameTooLarge, got %v", err)
 	}
 	// At exactly the cap the frame passes.
-	if _, err := ReadFrame(bytes.NewReader(frame), 1024); err != nil {
+	if _, err := ReadFrame(bytes.NewReader(frame), 1024, nil); err != nil {
 		t.Fatalf("frame at cap rejected: %v", err)
+	}
+}
+
+// TestReadFrameReusesCallerBuffer: a stream of frames read the way a
+// connection does — the last payload's [:0] passed back in — lands in one
+// buffer, which grows only for a frame longer than any before it, and the
+// messages decoded on the way keep their values after the buffer moved on.
+func TestReadFrameReusesCallerBuffer(t *testing.T) {
+	resps := sampleResponses()
+	var stream []byte
+	for i := range resps {
+		stream = AppendResponse(stream, &resps[i])
+	}
+	r := bytes.NewReader(stream)
+	var buf []byte
+	got := make([]Response, len(resps))
+	grown := 0
+	for i := range resps {
+		payload, err := ReadFrame(r, 0, buf)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if len(payload) <= cap(buf) && &payload[0] != &buf[:1][0] {
+			t.Fatalf("frame %d: %d bytes fit the %d-byte buffer and were read elsewhere", i, len(payload), cap(buf))
+		}
+		if len(payload) > cap(buf) {
+			grown++
+		}
+		if got[i], err = DecodeResponse(payload); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		buf = payload[:0]
+	}
+	if grown == 0 || grown == len(resps) {
+		t.Fatalf("buffer grew %d times over %d frames: the sample exercises no reuse", grown, len(resps))
+	}
+	for i := range resps {
+		if !reflect.DeepEqual(normalizeResp(got[i]), normalizeResp(resps[i])) {
+			t.Errorf("frame %d changed after its buffer was reused:\n got %+v\nwant %+v", i, got[i], resps[i])
+		}
 	}
 }
 
@@ -163,11 +203,11 @@ func TestReadFrameTruncation(t *testing.T) {
 	req := sampleRequests()[0]
 	frame := AppendRequest(nil, &req)
 	// Clean EOF only at a frame boundary.
-	if _, err := ReadFrame(bytes.NewReader(nil), 0); err != io.EOF {
+	if _, err := ReadFrame(bytes.NewReader(nil), 0, nil); err != io.EOF {
 		t.Fatalf("empty stream: want io.EOF, got %v", err)
 	}
 	for cut := 1; cut < len(frame); cut++ {
-		_, err := ReadFrame(bytes.NewReader(frame[:cut]), 0)
+		_, err := ReadFrame(bytes.NewReader(frame[:cut]), 0, nil)
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut at %d: want ErrUnexpectedEOF, got %v", cut, err)
 		}
@@ -220,12 +260,12 @@ func TestReadFrameChecksum(t *testing.T) {
 	for i := 0; i < len(frame); i++ {
 		bad := append([]byte(nil), frame...)
 		bad[i] ^= 0x40
-		if _, err := ReadFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrChecksum) {
+		if _, err := ReadFrame(bytes.NewReader(bad), 0, nil); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("flip at %d: want ErrChecksum, got %v", i, err)
 		}
 	}
 	// The pristine frame still passes.
-	if _, err := ReadFrame(bytes.NewReader(frame), 0); err != nil {
+	if _, err := ReadFrame(bytes.NewReader(frame), 0, nil); err != nil {
 		t.Fatalf("pristine frame rejected: %v", err)
 	}
 }
