@@ -84,6 +84,17 @@ func Build(name string, n int, attrs []string, gen func(attr string, row int) Va
 // Open wraps rel (not copied) in an engine of the given kind.
 func Open(kind Kind, rel *Relation) Engine { return engine.New(kind, rel) }
 
+// Options are the knobs of an engine, fixed when it is built: the adaptive
+// cracking policy of the cracking kinds, and the storage budget (plus, for
+// partial maps, the head-dropping thresholds of Section 4) of the sideways
+// kinds. A kind ignores the knobs it does not have.
+type Options = engine.Options
+
+// OpenWith is Open with options. Nothing about an engine is configured
+// after it is built: structures that replay shared tapes must crack under
+// one policy from their first query on.
+func OpenWith(kind Kind, rel *Relation, opts Options) Engine { return engine.NewWith(kind, rel, opts) }
+
 // CrackPolicy configures adaptive pivot selection for cracking engines.
 // The zero value cracks only at query bounds (the paper's algorithm);
 // the Stochastic and Capped kinds additionally pre-split any targeted
@@ -110,53 +121,6 @@ const (
 
 // CrackPolicyByName maps "default", "stochastic" or "capped" to its kind.
 func CrackPolicyByName(name string) (CrackPolicyKind, bool) { return crack.KindByName(name) }
-
-// OpenWithPolicy is Open with an adaptive cracking policy applied (a no-op
-// for engine kinds that do not crack). Configure policies before the first
-// query: structures that replay shared tapes freeze the policy at creation.
-func OpenWithPolicy(kind Kind, rel *Relation, pol CrackPolicy) Engine {
-	return engine.NewWithPolicy(kind, rel, pol)
-}
-
-// SetCrackPolicy applies an adaptive cracking policy to an engine
-// (including Concurrent wrappers and sharded engines),
-// reporting whether the engine's physical design cracks. Call before the
-// first query.
-func SetCrackPolicy(e Engine, pol CrackPolicy) bool { return engine.SetPolicy(e, pol) }
-
-// OpenSidewaysBudget opens a full-map sideways engine with a storage
-// threshold in tuples (maps are dropped least-frequently-used first).
-func OpenSidewaysBudget(rel *Relation, budget int) Engine {
-	return engine.NewSidewaysWithBudget(rel, budget)
-}
-
-// OpenPartialBudget opens a partial sideways engine with a chunk-storage
-// threshold in tuples.
-func OpenPartialBudget(rel *Relation, budget int) Engine {
-	return engine.NewPartialWithBudget(rel, budget)
-}
-
-// PartialOptions tunes the partial sideways engine beyond the budget.
-type PartialOptions struct {
-	// Budget is the chunk storage threshold in tuples; 0 = unlimited.
-	Budget int
-	// CachedPieceTuples enables head dropping once every piece of a chunk
-	// is at most this many tuples; 0 disables.
-	CachedPieceTuples int
-	// HeadDropIdleQueries drops heads of chunks not cracked for this many
-	// queries; 0 disables.
-	HeadDropIdleQueries int
-}
-
-// OpenPartialWithOptions opens a partial sideways engine with full control
-// over the storage-management knobs of Section 4.
-func OpenPartialWithOptions(rel *Relation, opts PartialOptions) Engine {
-	st := partial.NewStore(rel)
-	st.Budget = opts.Budget
-	st.CachedPieceTuples = opts.CachedPieceTuples
-	st.HeadDropIdleQueries = opts.HeadDropIdleQueries
-	return engine.WrapPartial(st)
-}
 
 // JoinMax evaluates a two-sided join with per-side conjunctive selections
 // and returns the maxima of the requested projections, keyed "L.attr" /
@@ -335,7 +299,7 @@ func Sharded(kind Kind, rel *Relation, n int, opts ShardOptions) Engine {
 // deadline (Timeout), and the metrics registry and latency-sample window.
 // How the engine is shared and which cracking policy it runs are not
 // serving options: decide them where the engine is built (Concurrent,
-// Snapshot, OpenWithPolicy, Sharded, OpenDurable).
+// Snapshot, OpenWith, Sharded, OpenDurable).
 type ServeOptions = serve.Options
 
 // Server executes queries from many clients against one shared engine

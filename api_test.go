@@ -59,8 +59,8 @@ func TestStoreAccessors(t *testing.T) {
 	if crackstore.PartialStore(side) != nil {
 		t.Fatal("PartialStore must not unwrap a sideways engine")
 	}
-	part := crackstore.OpenPartialWithOptions(demoRelation(100, 1),
-		crackstore.PartialOptions{Budget: 1000, CachedPieceTuples: 64})
+	part := crackstore.OpenWith(crackstore.PartialSideways, demoRelation(100, 1),
+		crackstore.Options{Budget: 1000, CachedPieceTuples: 64})
 	if crackstore.PartialStore(part) == nil {
 		t.Fatal("PartialStore should unwrap a partial engine")
 	}
@@ -68,7 +68,7 @@ func TestStoreAccessors(t *testing.T) {
 
 func TestBudgetedOpeners(t *testing.T) {
 	rel := demoRelation(1000, 2)
-	e := crackstore.OpenPartialBudget(rel, 500)
+	e := crackstore.OpenWith(crackstore.PartialSideways, rel, crackstore.Options{Budget: 500})
 	for i := 0; i < 10; i++ {
 		e.Query(crackstore.Query{
 			Preds: []crackstore.AttrPred{{Attr: "A", Pred: crackstore.Range(crackstore.Value(i*90), crackstore.Value(i*90+200))}},
@@ -78,7 +78,7 @@ func TestBudgetedOpeners(t *testing.T) {
 			t.Fatalf("budget exceeded: %d", e.Storage())
 		}
 	}
-	e2 := crackstore.OpenSidewaysBudget(demoRelation(1000, 2), 2500)
+	e2 := crackstore.OpenWith(crackstore.Sideways, demoRelation(1000, 2), crackstore.Options{Budget: 2500})
 	e2.Query(crackstore.Query{
 		Preds: []crackstore.AttrPred{{Attr: "A", Pred: crackstore.Range(0, 100)}},
 		Projs: []string{"B", "C"},

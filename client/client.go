@@ -947,9 +947,7 @@ func (cn *conn) readLoop() {
 			cn.shutdown(fmt.Errorf("client: read: %w", err))
 			return
 		}
-		if buf = payload[:0]; cap(buf) > wire.MaxPooledBuf {
-			buf = nil
-		}
+		buf = wire.NextReadBuf(payload)
 		resp, err := wire.DecodeResponse(payload)
 		if err != nil {
 			cn.shutdown(fmt.Errorf("client: protocol: %w", err))

@@ -126,7 +126,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "crackserved: %v\n", err)
 			os.Exit(2)
 		}
-		e, err = engine.OpenDurable(kind, rel, *dataDir, engine.DurableOptions{Sync: mode, Policy: &pol})
+		e, err = engine.OpenDurable(kind, rel, *dataDir, engine.DurableOptions{Sync: mode, Policy: pol})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "crackserved: open %s: %v\n", *dataDir, err)
 			os.Exit(1)
@@ -149,7 +149,7 @@ func main() {
 	} else if *shards > 1 {
 		e = shard.New(kind, rel, *shards, shard.Options{Attr: "A", Policy: pol, Snapshot: *snapshot})
 	} else {
-		e = engine.NewWithPolicy(kind, rel, pol)
+		e = engine.NewWith(kind, rel, engine.Options{Policy: pol})
 		if *snapshot {
 			e = engine.Snapshot(e)
 		}

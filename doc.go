@@ -117,22 +117,23 @@
 // are recorded in the cracker index like any other boundary, so probes
 // and read-only selects benefit from them immediately:
 //
-//	e := crackstore.OpenWithPolicy(crackstore.SelCrack, rel,
-//	    crackstore.CrackPolicy{Kind: crackstore.StochasticCracking})
+//	e := crackstore.OpenWith(crackstore.SelCrack, rel, crackstore.Options{
+//	    Policy: crackstore.CrackPolicy{Kind: crackstore.StochasticCracking}})
 //
 // A policy belongs to the engine, so it is chosen where the engine is
-// built: OpenWithPolicy (or SetCrackPolicy on an existing engine, through
-// any wrapper), ShardOptions.Policy for every shard of a sharded engine,
-// DurableOptions.Policy for a durable one. The serving layers take the
-// engine as they find it. Pick StochasticCracking for unknown or
+// built, and only there: Options.Policy for OpenWith, ShardOptions.Policy
+// for every shard of a sharded engine, DurableOptions.Policy for a durable
+// one (where recovery replays the crack tape under it). No wrapper can
+// change it later, and the serving layers take the engine as they find it.
+// Pick StochasticCracking for unknown or
 // adversarial access patterns (duplicate-heavy and skewed pieces split
 // well because pivots are sampled from the data); CappedCracking when
 // deterministic pivot placement matters more (uniform data, reproducible
 // layouts without a seed); the default when queries are already uniformly
 // spread, where auxiliary pivots only add constant overhead. Policies are
-// part of the deterministic layout, so structures that replay shared
-// tapes freeze the policy at set creation — configure engines before
-// their first query. `crackbench -exp adaptive -queries 1000` replays
+// part of the deterministic layout: maps that replay one tape must crack
+// under one policy, which is why it is fixed at construction.
+// `crackbench -exp adaptive -queries 1000` replays
 // every (access pattern, policy) pair and prints the cumulative cost of
 // each: the sequential sweep is where the stochastic policy pulls away
 // from plain cracking, the uniform random pattern where auxiliary pivots
@@ -174,8 +175,11 @@
 //
 // # Concurrency model
 //
-// Two wrappers make an engine shared-safe; they trade write-path cost
-// for read-path isolation.
+// A stack is built once — OpenWith (or Open) for the engine, then the
+// wrappers — and fixed from then on: what an engine is and how it is
+// configured is decided by its constructor, and a wrapper forwards the
+// Engine methods and its report, nothing else. Two wrappers make an engine
+// shared-safe; they trade write-path cost for read-path isolation.
 //
 //   - Concurrent: the QueryRO-then-Query read-write lock above. Aligned warm
 //     reads share the lock and scale with cores, but any query that
@@ -205,9 +209,12 @@
 //     Concurrent.
 //
 // Who wraps is one rule: whoever shares an engine calls Concurrent or
-// Snapshot on it, and both return an already shared-safe engine
+// Snapshot on it, and both return an engine that already guards itself
 // (Concurrent, Snapshot, Sharded, OpenDurable) unchanged, so locks never
-// stack. Serve applies exactly that rule — a bare engine gets Concurrent,
+// stack. A stack guards itself exactly when its report has a readers or a
+// snapshot section (see Observability): the report that says what a
+// stack's layers are doing also says what they are, so no marker is
+// needed. Serve applies exactly that rule — a bare engine gets Concurrent,
 // anything else is used as-is; to serve snapshot reads, pass it a Snapshot
 // engine (crackserved -snapshot does). ConcurrencyStats exposes the
 // contention counters of the read-write lock (reader wait time under

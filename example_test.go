@@ -74,14 +74,14 @@ func ExampleCrackerJoin() {
 	// Output: matches: 3
 }
 
-// ExampleOpenPartialWithOptions configures partial sideways cracking with
-// a storage budget and automatic head dropping.
-func ExampleOpenPartialWithOptions() {
+// ExampleOpenWith configures partial sideways cracking with a storage
+// budget and automatic head dropping.
+func ExampleOpenWith() {
 	rel := crackstore.NewRelation("t", "a", "b")
 	for i := 0; i < 1000; i++ {
 		rel.AppendRow(crackstore.Value(i), crackstore.Value(i%7))
 	}
-	e := crackstore.OpenPartialWithOptions(rel, crackstore.PartialOptions{
+	e := crackstore.OpenWith(crackstore.PartialSideways, rel, crackstore.Options{
 		Budget:            500,  // at most 500 tuples of chunk storage
 		CachedPieceTuples: 4096, // drop heads once pieces are cache-resident
 	})

@@ -23,7 +23,7 @@ func main() {
 	rel := crackstore.Build("facts", rows, attrs,
 		func(string, int) crackstore.Value { return rng.Int63n(rows) })
 
-	e := crackstore.OpenPartialWithOptions(rel, crackstore.PartialOptions{
+	e := crackstore.OpenWith(crackstore.PartialSideways, rel, crackstore.Options{
 		Budget:            budget,
 		CachedPieceTuples: 2048, // drop heads of cache-resident chunks
 	})

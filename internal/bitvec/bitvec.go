@@ -62,26 +62,6 @@ func (v *Vector) Count() int {
 	return c
 }
 
-// And intersects v with o in place. Panics if lengths differ.
-func (v *Vector) And(o *Vector) {
-	if v.n != o.n {
-		panic("bitvec: length mismatch")
-	}
-	for i := range v.words {
-		v.words[i] &= o.words[i]
-	}
-}
-
-// Or unions v with o in place. Panics if lengths differ.
-func (v *Vector) Or(o *Vector) {
-	if v.n != o.n {
-		panic("bitvec: length mismatch")
-	}
-	for i := range v.words {
-		v.words[i] |= o.words[i]
-	}
-}
-
 // ClearAll clears every bit.
 func (v *Vector) ClearAll() {
 	for i := range v.words {
@@ -118,12 +98,6 @@ func (v *Vector) ForEachSet(f func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// AppendSet appends the indices of all set bits to dst and returns it.
-func (v *Vector) AppendSet(dst []int) []int {
-	v.ForEachSet(func(i int) { dst = append(dst, i) })
-	return dst
 }
 
 // The three kernels below are the word-at-a-time finish of a multi-selection

@@ -55,34 +55,6 @@ func TestSetClearGet(t *testing.T) {
 	}
 }
 
-func TestAndOr(t *testing.T) {
-	a := New(100)
-	b := New(100)
-	a.Set(1)
-	a.Set(50)
-	b.Set(50)
-	b.Set(99)
-	c := a.Clone()
-	c.And(b)
-	if c.Count() != 1 || !c.Get(50) {
-		t.Errorf("And: got count %d", c.Count())
-	}
-	d := a.Clone()
-	d.Or(b)
-	if d.Count() != 3 {
-		t.Errorf("Or: got count %d, want 3", d.Count())
-	}
-}
-
-func TestAndLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(10).And(New(11))
-}
-
 func TestSetRange(t *testing.T) {
 	for _, tc := range []struct{ n, lo, hi int }{
 		{10, 0, 10}, {10, 3, 7}, {200, 60, 70}, {200, 0, 200},
@@ -121,16 +93,6 @@ func TestForEachSetOrder(t *testing.T) {
 	}
 }
 
-func TestAppendSet(t *testing.T) {
-	v := New(70)
-	v.Set(69)
-	v.Set(2)
-	got := v.AppendSet(nil)
-	if len(got) != 2 || got[0] != 2 || got[1] != 69 {
-		t.Fatalf("AppendSet = %v", got)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := New(64)
 	a.Set(5)
@@ -166,38 +128,6 @@ func TestQuickCountMatchesSets(t *testing.T) {
 		}
 		for j := range set {
 			if !v.Get(j) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: And is intersection, Or is union (element-wise).
-func TestQuickAndOrSemantics(t *testing.T) {
-	f := func(seed int64, nRaw uint16) bool {
-		n := int(nRaw)%500 + 1
-		rng := rand.New(rand.NewSource(seed))
-		a, b := New(n), New(n)
-		as, bs := make([]bool, n), make([]bool, n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				a.Set(i)
-				as[i] = true
-			}
-			if rng.Intn(2) == 0 {
-				b.Set(i)
-				bs[i] = true
-			}
-		}
-		and, or := a.Clone(), a.Clone()
-		and.And(b)
-		or.Or(b)
-		for i := 0; i < n; i++ {
-			if and.Get(i) != (as[i] && bs[i]) || or.Get(i) != (as[i] || bs[i]) {
 				return false
 			}
 		}

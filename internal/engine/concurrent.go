@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"crackstore/internal/crack"
 )
 
 // ConcStats is the Readers section of a Report: how the readers of the
@@ -39,30 +37,27 @@ func (d *ConcStats) add(s ConcStats) {
 // Query. Aligned repeat queries therefore run genuinely in parallel, and
 // one crack pays for every reader that was waiting behind it.
 //
-// Wrapping is idempotent: Concurrent on an engine that is already safe to
-// share (IsShared: a Concurrent, Snapshot or durable engine, the sharded
-// engine) returns it unchanged — adding a global lock over an engine that
-// manages its own finer-grained locking would serialize it.
+// Wrapping is idempotent: Concurrent on an engine that already guards
+// itself (a Concurrent, Snapshot or durable engine, the sharded engine)
+// returns it unchanged — adding a global lock over an engine that manages
+// its own finer-grained locking would serialize it.
 func Concurrent(e Engine) Engine {
-	if IsShared(e) {
+	if guarded(e) {
 		return e
 	}
 	return &rwEngine{e: e}
 }
 
-// sharedMarker tags engines that are already safe to share across
-// goroutines because they do their own locking: the wrappers in this
-// package, and engines defined outside it (e.g. internal/shard, which wraps
-// every shard in Concurrent individually).
-type sharedMarker interface{ SharedEngine() }
-
-// IsShared reports whether e is already safe to share across goroutines,
-// i.e. implements the SharedEngine marker method. This is the one rule for
-// who wraps: whoever shares an engine calls Concurrent (or Snapshot) on it,
-// and both leave an IsShared engine alone.
-func IsShared(e Engine) bool {
-	_, ok := e.(sharedMarker)
-	return ok
+// guarded reports whether e is already safe to share across goroutines:
+// its report has a Readers section (the RWMutex guard, alone, under a
+// journal, or per shard) or a Snapshot section (lock-free versioned reads).
+// Sections are fixed when a stack is built, so this asks for the stack's
+// shape, not its state. It is the one rule for who wraps: whoever shares an
+// engine calls Concurrent (or Snapshot) on it, and both leave a guarded
+// engine alone.
+func guarded(e Engine) bool {
+	r := ReportOf(e)
+	return r.Readers != nil || r.Snapshot != nil
 }
 
 // rwEngine is the RWMutex QueryRO/Query guard behind Concurrent — and,
@@ -89,9 +84,6 @@ func (s *rwEngine) rlock() {
 	s.readerWaits.Add(1)
 }
 
-// SharedEngine marks the guard (and anything embedding it) safe to share.
-func (s *rwEngine) SharedEngine() {}
-
 // Report is the wrapped engine's report, read under the read lock, plus the
 // guard's Readers section. Deliberately bypasses rlock(): a metrics scrape
 // must not count as reader contention.
@@ -108,14 +100,6 @@ func (s *rwEngine) Report() Report {
 
 func (s *rwEngine) Name() string { return s.e.Name() + " (concurrent)" }
 func (s *rwEngine) Kind() Kind   { return s.e.Kind() }
-
-// SetCrackPolicy forwards the adaptive cracking policy to the wrapped
-// engine under the write lock, reporting whether it cracks.
-func (s *rwEngine) SetCrackPolicy(pol crack.Policy) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return SetPolicy(s.e, pol)
-}
 
 func (s *rwEngine) Query(q Query) (Result, Cost) {
 	// Fast path: execute read-only under the shared lock.
@@ -152,12 +136,6 @@ func (s *rwEngine) Delete(key int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.e.Delete(key)
-}
-
-func (s *rwEngine) Prepare(attrs ...string) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.e.Prepare(attrs...)
 }
 
 func (s *rwEngine) Storage() int {

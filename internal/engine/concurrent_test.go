@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"crackstore/internal/crack"
 	"crackstore/internal/store"
 	"crackstore/internal/wal"
 )
@@ -15,19 +16,19 @@ import (
 // guardCase is one way to put an engine behind the RWMutex probe/execute
 // guard. The contract tests below run over all of them: the durable engine
 // embeds the Concurrent guard, so whatever holds for one must hold for the
-// other.
+// other. open builds the engine under pol, the one option both take.
 type guardCase struct {
 	name string
-	open func(t *testing.T, kind Kind, rel *store.Relation) Engine
+	open func(t *testing.T, kind Kind, rel *store.Relation, pol crack.Policy) Engine
 }
 
 func guardCases() []guardCase {
 	return []guardCase{
-		{"concurrent", func(_ *testing.T, kind Kind, rel *store.Relation) Engine {
-			return Concurrent(New(kind, rel))
+		{"concurrent", func(_ *testing.T, kind Kind, rel *store.Relation, pol crack.Policy) Engine {
+			return Concurrent(NewWith(kind, rel, Options{Policy: pol}))
 		}},
-		{"durable", func(t *testing.T, kind Kind, rel *store.Relation) Engine {
-			e, err := OpenDurable(kind, rel, t.TempDir(), DurableOptions{Sync: wal.SyncNone})
+		{"durable", func(t *testing.T, kind Kind, rel *store.Relation, pol crack.Policy) Engine {
+			e, err := OpenDurable(kind, rel, t.TempDir(), DurableOptions{Sync: wal.SyncNone, Policy: pol})
 			if err != nil {
 				t.Fatalf("open durable: %v", err)
 			}
@@ -152,7 +153,7 @@ func TestConcurrentMatchesSequentialReplay(t *testing.T) {
 			kind, gc := kind, gc
 			t.Run(kind.String()+"/"+gc.name, func(t *testing.T) {
 				base := buildBandedRel(seed)
-				shared := gc.open(t, kind, cloneRel(base))
+				shared := gc.open(t, kind, cloneRel(base), crack.Policy{})
 
 				ops := make([][]concOp, nGoroutines)
 				for g := range ops {
@@ -236,15 +237,15 @@ func TestConcurrentProbeConsistency(t *testing.T) {
 	}
 }
 
-// TestConcurrentWrapIdempotent: a guarded engine carries the shared marker
-// and preserves its kind, and every wrapper leaves it alone — a second lock
+// TestConcurrentWrapIdempotent: a guarded engine reports its guard and
+// preserves its kind, and every wrapper leaves it alone — a second lock
 // over an engine that already locks would serialize it.
 func TestConcurrentWrapIdempotent(t *testing.T) {
 	for _, gc := range guardCases() {
 		t.Run(gc.name, func(t *testing.T) {
-			e := gc.open(t, Sideways, buildBandedRel(5))
-			if !IsShared(e) {
-				t.Fatal("guarded engine does not carry the shared marker")
+			e := gc.open(t, Sideways, buildBandedRel(5), crack.Policy{})
+			if ReportOf(e).Readers == nil {
+				t.Fatal("guarded engine's report has no Readers section")
 			}
 			if e.Kind() != Sideways {
 				t.Fatalf("wrapper reports kind %v, want %v", e.Kind(), Sideways)
@@ -266,7 +267,7 @@ func TestConcurrentJoinInputFetcher(t *testing.T) {
 	for _, gc := range guardCases() {
 		t.Run(gc.name, func(t *testing.T) {
 			rel := buildBandedRel(9)
-			e := gc.open(t, SelCrack, cloneRel(rel))
+			e := gc.open(t, SelCrack, cloneRel(rel), crack.Policy{})
 			plain := New(SelCrack, cloneRel(rel))
 			preds := []AttrPred{{Attr: "A", Pred: store.Range(100, 700)}}
 			ji, _ := e.JoinInput(preds, "B", []string{"A"})
@@ -304,7 +305,7 @@ func TestConcurrentOneCrackPaysForAllWaiters(t *testing.T) {
 			ref, _ := alone.Query(q)
 			want, _ := KernelReportOf(alone)
 
-			e := gc.open(t, SelCrack, cloneRel(rel))
+			e := gc.open(t, SelCrack, cloneRel(rel), crack.Policy{})
 			const waiters = 8
 			var wg sync.WaitGroup
 			counts := make([]int, waiters)
@@ -339,7 +340,7 @@ func TestConcurrentReaderWaitStats(t *testing.T) {
 	q := Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(300, 900)}}, Projs: []string{"B"}}
 	for _, gc := range guardCases() {
 		t.Run(gc.name, func(t *testing.T) {
-			e := gc.open(t, SelCrack, buildBandedRel(21))
+			e := gc.open(t, SelCrack, buildBandedRel(21), crack.Policy{})
 			var mu *sync.RWMutex
 			switch w := e.(type) {
 			case *rwEngine:

@@ -22,13 +22,12 @@ type DurableOptions struct {
 	// disables automatic checkpoints (tests and the crash matrix use this
 	// so the on-disk image stays a single scannable segment).
 	CheckpointBytes int64
-	// Policy, if non-nil, is the adaptive cracking policy applied at open
-	// — both to fresh stores and before tape replay on recovery, since a
-	// policy-steered tape must be replayed under the same policy to
-	// reproduce the cuts. Set it here rather than with SetPolicy afterwards:
-	// a policy set after queries ran is not recorded and therefore not
-	// re-applied before tape replay.
-	Policy *crack.Policy
+	// Policy is the adaptive cracking policy the engine is built with —
+	// both fresh stores and recovered ones, where it is in place before
+	// tape replay: a policy-steered tape must be replayed under the same
+	// policy to reproduce the cuts, so reopen with the policy the store was
+	// created with. The zero value cracks at query bounds only.
+	Policy crack.Policy
 	// Wrap, if set, wraps the WAL segment file before use; faultnet's
 	// WrapFile injects torn writes, short writes, and fsync errors here.
 	Wrap func(wal.File) wal.File
@@ -108,8 +107,8 @@ func (d *DurStats) add(s DurStats) {
 // three operations the journal must see. Holding the guard's
 // write lock across log-append and in-memory apply makes log order equal
 // apply order, which is what lets replay reproduce identical tuple keys.
-// Prepare and JoinInput are deliberately not journaled: presorted copies
-// and join warmth are derivable state a restart rebuilds on demand.
+// JoinInput is deliberately not journaled: join warmth is derivable state
+// a restart rebuilds on demand.
 type durEngine struct {
 	rwEngine
 	rel *store.Relation
@@ -136,8 +135,8 @@ type durEngine struct {
 // For an existing directory, rel is ignored — the relation is rebuilt from
 // the checkpoint, the crack tape is replayed to re-crack the recovered
 // layout warm, and the WAL segment tail is applied on top (torn tail
-// truncated). The returned engine carries the SharedEngine marker and
-// needs no Concurrent wrapper.
+// truncated). The returned engine is guarded (its report has a Readers
+// section) and needs no Concurrent wrapper.
 func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions) (Engine, error) {
 	t0 := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -148,6 +147,7 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 		return nil, err
 	}
 	walOpts := wal.Options{Sync: opts.Sync, Wrap: opts.Wrap}
+	build := func(rel *store.Relation) Engine { return NewWith(kind, rel, Options{Policy: opts.Policy}) }
 
 	if cp == nil {
 		// Fresh store: checkpoint the seed relation, then open segment 0.
@@ -155,10 +155,7 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 		// missing; OpenLog creates it empty, so that order is safe, while
 		// the reverse order could leave a segment with records but no
 		// checkpoint to anchor them.
-		d := &durEngine{rwEngine: rwEngine{e: New(kind, rel)}, rel: rel, dir: dir, width: len(rel.Order), opts: opts}
-		if opts.Policy != nil {
-			SetPolicy(d.e, *opts.Policy)
-		}
+		d := &durEngine{rwEngine: rwEngine{e: build(rel)}, rel: rel, dir: dir, width: len(rel.Order), opts: opts}
 		if err := wal.WriteCheckpoint(dir, d.checkpoint(0)); err != nil {
 			return nil, err
 		}
@@ -184,10 +181,7 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 	for i, attr := range cp.Attrs {
 		rrel.MustColumn(attr).Vals = cp.Cols[i]
 	}
-	d := &durEngine{rwEngine: rwEngine{e: New(kind, rrel)}, rel: rrel, dir: dir, width: len(cp.Attrs), opts: opts, cpSeq: cp.Seq}
-	if opts.Policy != nil {
-		SetPolicy(d.e, *opts.Policy)
-	}
+	d := &durEngine{rwEngine: rwEngine{e: build(rrel)}, rel: rrel, dir: dir, width: len(cp.Attrs), opts: opts, cpSeq: cp.Seq}
 	for _, k := range cp.Dead {
 		d.e.Delete(k)
 	}

@@ -2,12 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
 
+	"crackstore/internal/crack"
 	"crackstore/internal/faultnet"
 	"crackstore/internal/store"
 	"crackstore/internal/wal"
@@ -528,6 +530,47 @@ func TestDurableConcurrentAckedWritesSurviveCrash(t *testing.T) {
 	}
 	CloseDurable(rec)
 	CloseDurable(e)
+}
+
+// TestDurableRecoversUnderPolicy: DurableOptions.Policy is in place before
+// the crack tape is replayed, so a crash image of a store that cracked under
+// a policy comes back with the policy's auxiliary pivots, not only the
+// query bounds — and still answers like a scan.
+func TestDurableRecoversUnderPolicy(t *testing.T) {
+	opts := DurableOptions{Sync: wal.SyncGroup, Policy: crack.Policy{Kind: crack.Capped, Cap: 512}}
+	base := buildRel(rand.New(rand.NewSource(31)), 20000, []string{"A", "B"}, 20000)
+	dir := t.TempDir()
+	e, err := OpenDurable(SelCrack, cloneRel(base), dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qs []Query
+	for i := int64(0); i < 6; i++ {
+		qs = append(qs, Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(i*3000, i*3000+700)}}, Projs: []string{"B"}})
+		e.Query(qs[i])
+	}
+	e.Insert(19999, 7)
+
+	// Simulated kill: no Close, so no final checkpoint and no clean marker —
+	// recovery must replay the cracks from the WAL tail.
+	crashDir := filepath.Join(t.TempDir(), "crash")
+	copyDurDir(t, dir, crashDir)
+	CloseDurable(e)
+	rec, err := OpenDurable(SelCrack, nil, crashDir, opts)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer CloseDurable(rec)
+	if st, _ := DurStatsOf(rec); st.CleanShutdown || st.ReplayedRecords != len(qs)+1 {
+		t.Fatalf("crash image recovered as %+v, want %d replayed records", st, len(qs)+1)
+	}
+	if col := rec.(*durEngine).e.(*selCrackEngine).cols["A"]; col == nil || col.P.Stats.Aux == 0 {
+		t.Fatal("the recovered cracker column has no auxiliary pivots: the tape was replayed without the policy")
+	}
+	oracle := New(Scan, cloneRel(base))
+	oracle.Insert(19999, 7)
+	assertAnswerEquivalent(t, "recovered under policy", rec, oracle,
+		append(qs, Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(1000, 15000)}}, Projs: []string{"A", "B"}}))
 }
 
 // TestDurableFaultInjection drives the durable engine over a fault-

@@ -17,11 +17,12 @@
 // qualifying tuples) and tuple reconstruction (materializing projections),
 // matching the breakdown in the paper's Section 3.6 table.
 //
-// Wrappers make an engine shared-safe (Concurrent, Snapshot), durable
-// (OpenDurable) or partitioned (internal/shard). What a wrapper must
-// forward is the Engine interface plus three optional methods:
-// SetCrackPolicy, the SharedEngine marker, and Report — the one method
-// through which a stack says what its layers are doing (see Report).
+// A stack is fixed when it is built: NewWith takes every knob a base engine
+// has (Options), and wrappers make it shared-safe (Concurrent, Snapshot),
+// durable (OpenDurable) or partitioned (internal/shard). What a wrapper
+// must forward is the Engine interface plus Report — the one method through
+// which a stack says what its layers are, and what they are doing (see
+// Report); nothing is configured through a wrapper after the fact.
 package engine
 
 import (
@@ -30,6 +31,7 @@ import (
 	"crackstore/internal/crack"
 	"crackstore/internal/partial"
 	"crackstore/internal/presort"
+	"crackstore/internal/rowstore"
 	"crackstore/internal/sideways"
 	"crackstore/internal/store"
 )
@@ -136,9 +138,6 @@ type Engine interface {
 	Insert(vals ...Value) int
 	// Delete removes the tuple with the given key.
 	Delete(key int)
-	// Prepare performs any offline preparation (presorting); returns its
-	// cost. A no-op for self-organizing engines.
-	Prepare(attrs ...string) time.Duration
 	// Storage returns the auxiliary-structure footprint in tuples.
 	Storage() int
 	// JoinInput evaluates the selection side of a join plan: it returns
@@ -156,53 +155,75 @@ type JoinInput struct {
 	Fetch    func(attr string, i int) Value
 }
 
-// PolicyConfigurable is implemented by engines (and their shared-safe
-// wrappers) whose cracking kernel supports adaptive pivot policies
-// (crack.Policy): SelCrack, Sideways and PartialSideways. SetCrackPolicy
-// reports whether a cracking engine received the policy — wrappers
-// forward and propagate the inner engine's answer, so a wrapped Scan
-// still reports false. Policies must be configured before the first
-// query touches the relevant attribute — structures that replay shared
-// tapes freeze the policy at creation.
-type PolicyConfigurable interface {
-	SetCrackPolicy(pol crack.Policy) bool
+// Options are the knobs of a base engine, fixed when it is built. A kind
+// ignores the knobs it does not have; the zero value is the paper's plain
+// algorithm with unlimited storage.
+type Options struct {
+	// Policy is the adaptive pivot policy of every cracked structure
+	// (SelCrack, Sideways, PartialSideways); the zero value cracks at query
+	// bounds only. It is part of the deterministic layout — maps aligned by
+	// replaying one tape must crack under one policy — so it is never
+	// changed on a live engine.
+	Policy crack.Policy
+	// Budget is the storage threshold in tuples of the map-set engines:
+	// beyond it, full maps (Sideways) or chunks (PartialSideways) are
+	// dropped least-frequently-used first, with aging (Section 4.2).
+	// 0 means unlimited.
+	Budget int
+	// CachedPieceTuples and HeadDropIdleQueries are partial maps' head
+	// dropping: a chunk's head goes once every piece of it is at most
+	// CachedPieceTuples tuples, or once it has not been cracked for
+	// HeadDropIdleQueries queries. 0 disables either.
+	CachedPieceTuples, HeadDropIdleQueries int
 }
 
-// SetPolicy applies the adaptive cracking policy to e when its physical
-// design cracks, reporting whether it did. Non-cracking engines (Scan,
-// Presorted, RowStore) ignore policies.
-func SetPolicy(e Engine, pol crack.Policy) bool {
-	if pc, ok := e.(PolicyConfigurable); ok {
-		return pc.SetCrackPolicy(pol)
-	}
-	return false
-}
-
-// NewWithPolicy constructs an engine of the given kind over rel with the
-// adaptive cracking policy applied (a no-op for non-cracking kinds).
-func NewWithPolicy(kind Kind, rel *store.Relation, pol crack.Policy) Engine {
-	e := New(kind, rel)
-	SetPolicy(e, pol)
-	return e
-}
-
-// New constructs an engine of the given kind over rel (not copied).
-func New(kind Kind, rel *store.Relation) Engine {
+// NewWith constructs an engine of the given kind over rel (not copied),
+// configured by opts. It is the one place a base engine is built.
+func NewWith(kind Kind, rel *store.Relation, opts Options) Engine {
 	switch kind {
 	case Scan:
-		return NewScan(rel)
+		return &scanEngine{rel: rel, dead: make(map[int]bool)}
 	case SelCrack:
-		return NewSelCrack(rel)
+		return &selCrackEngine{rel: rel, cols: make(map[string]*crack.Col), dead: make(map[int]bool), pol: opts.Policy}
 	case Presorted:
-		return NewPresorted(rel)
+		return &presortEngine{ps: presort.NewStore(rel), stale: make(map[string]bool), dead: make(map[int]bool)}
 	case Sideways:
-		return NewSideways(rel)
+		st := sideways.NewStore(rel)
+		st.Policy, st.Budget = opts.Policy, opts.Budget
+		return &mapEngine{st: st, kind: Sideways, name: "sideways cracking"}
 	case PartialSideways:
-		return NewPartial(rel)
+		st := partial.NewStore(rel)
+		st.Policy, st.Budget = opts.Policy, opts.Budget
+		st.CachedPieceTuples, st.HeadDropIdleQueries = opts.CachedPieceTuples, opts.HeadDropIdleQueries
+		return &mapEngine{st: st, kind: PartialSideways, name: "partial sideways cracking"}
 	case RowStore:
-		return NewRowStore(rel)
+		return &rowStoreEngine{rel: rel, plain: rowstore.New(rel), sorted: make(map[string]*rowstore.Table)}
 	}
 	panic("engine: unknown kind")
+}
+
+// New constructs an engine of the given kind over rel with default options.
+func New(kind Kind, rel *store.Relation) Engine { return NewWith(kind, rel, Options{}) }
+
+// NewScan returns the plain column-store engine (non-cracking MonetDB).
+func NewScan(rel *store.Relation) Engine { return New(Scan, rel) }
+
+// NewPartialWithBudget returns a partial engine with a chunk storage
+// threshold in tuples.
+func NewPartialWithBudget(rel *store.Relation, budget int) Engine {
+	return NewWith(PartialSideways, rel, Options{Budget: budget})
+}
+
+// Prepare runs the offline step of the two presorted designs on attrs —
+// Presorted builds a sorted copy per attribute, RowStore a table sorted on
+// it — and returns its cost. Every other engine, and every wrapper, has no
+// such step and costs 0: preparation is part of building a bare engine, not
+// something a stack forwards.
+func Prepare(e Engine, attrs ...string) time.Duration {
+	if p, ok := e.(interface{ Prepare(...string) time.Duration }); ok {
+		return p.Prepare(attrs...)
+	}
+	return 0
 }
 
 // MaxPerProj reduces a result to the per-projection maxima (the aggregate
@@ -221,16 +242,11 @@ func MaxPerProj(res Result, projs []string) (map[string]Value, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Scan engine: the plain column-store baseline.
+// Scan engine: the plain column-store baseline (non-cracking MonetDB).
 
 type scanEngine struct {
 	rel  *store.Relation
 	dead map[int]bool
-}
-
-// NewScan returns the plain column-store engine (non-cracking MonetDB).
-func NewScan(rel *store.Relation) Engine {
-	return &scanEngine{rel: rel, dead: make(map[int]bool)}
 }
 
 func (e *scanEngine) Name() string { return "MonetDB-style scan" }
@@ -241,9 +257,8 @@ func (e *scanEngine) Insert(vals ...Value) int {
 	return e.rel.NumRows() - 1
 }
 
-func (e *scanEngine) Delete(key int)                        { e.dead[key] = true }
-func (e *scanEngine) Prepare(attrs ...string) time.Duration { return 0 }
-func (e *scanEngine) Storage() int                          { return 0 }
+func (e *scanEngine) Delete(key int) { e.dead[key] = true }
+func (e *scanEngine) Storage() int   { return 0 }
 
 // selectKeys returns the ordered keys matching the query's predicates.
 func (e *scanEngine) selectKeys(preds []AttrPred, disjunctive bool) []int {
@@ -341,35 +356,19 @@ func (fc fetchCols) col(rel *store.Relation, attr string) []Value {
 }
 
 // ---------------------------------------------------------------------------
-// Selection cracking engine.
+// Selection cracking engine (CIDR 2007): cracker columns per selection
+// attribute, crackers.select + rel_select plans, and random-access tuple
+// reconstruction from base columns.
 
 type selCrackEngine struct {
 	rel  *store.Relation
 	cols map[string]*crack.Col
 	dead map[int]bool
-	pol  crack.Policy
-}
-
-// NewSelCrack returns the selection-cracking engine of CIDR 2007: cracker
-// columns per selection attribute, crackers.select + rel_select plans, and
-// random-access tuple reconstruction from base columns.
-func NewSelCrack(rel *store.Relation) Engine {
-	return &selCrackEngine{rel: rel, cols: make(map[string]*crack.Col), dead: make(map[int]bool)}
+	pol  crack.Policy // every cracker column's, from Options.Policy
 }
 
 func (e *selCrackEngine) Name() string { return "selection cracking" }
 func (e *selCrackEngine) Kind() Kind   { return SelCrack }
-
-// SetCrackPolicy configures the adaptive pivot policy for cracker columns.
-// Existing columns adopt it for future cracks (each column is independent,
-// so no cross-structure alignment is at stake).
-func (e *selCrackEngine) SetCrackPolicy(pol crack.Policy) bool {
-	e.pol = pol
-	for _, c := range e.cols {
-		c.P.Policy = pol
-	}
-	return true
-}
 
 func (e *selCrackEngine) Insert(vals ...Value) int {
 	e.rel.AppendRow(vals...)
@@ -391,8 +390,6 @@ func (e *selCrackEngine) Delete(key int) {
 		c.Delete(key)
 	}
 }
-
-func (e *selCrackEngine) Prepare(attrs ...string) time.Duration { return 0 }
 
 func (e *selCrackEngine) Storage() int {
 	total := 0
@@ -566,7 +563,9 @@ func (e *selCrackEngine) JoinInput(preds []AttrPred, joinAttr string, projs []st
 }
 
 // ---------------------------------------------------------------------------
-// Presorted engine.
+// Presorted engine: Prepare builds a copy per selection attribute; updates
+// mark every copy stale and the next query pays a full re-sort — the
+// maintenance problem the paper highlights.
 
 type presortEngine struct {
 	ps    *presort.Store
@@ -574,16 +573,10 @@ type presortEngine struct {
 	dead  map[int]bool
 }
 
-// NewPresorted returns the presorted-copies engine. Prepare builds a copy
-// per selection attribute; updates mark every copy stale and the next query
-// pays a full re-sort — the maintenance problem the paper highlights.
-func NewPresorted(rel *store.Relation) Engine {
-	return &presortEngine{ps: presort.NewStore(rel), stale: make(map[string]bool), dead: make(map[int]bool)}
-}
-
 func (e *presortEngine) Name() string { return "presorted copies" }
 func (e *presortEngine) Kind() Kind   { return Presorted }
 
+// Prepare is the offline presorting step (see the package-level Prepare).
 func (e *presortEngine) Prepare(attrs ...string) time.Duration {
 	t0 := time.Now()
 	for _, a := range attrs {
@@ -712,57 +705,20 @@ type mapStore interface {
 	Kernel() (ks crack.KernelStats, pieces, cols int)
 }
 
-// mapEngine adapts a map-set store to Engine.
+// mapEngine adapts a map-set store to Engine: sideways cracking with full
+// maps (Section 3) or with partial maps (Section 4).
 type mapEngine struct {
-	st     mapStore
-	kind   Kind
-	name   string
-	policy *crack.Policy // the store's Policy field
-}
-
-// NewSideways returns the full-map sideways cracking engine (Section 3).
-func NewSideways(rel *store.Relation) Engine { return NewSidewaysWithBudget(rel, 0) }
-
-// NewSidewaysWithBudget returns a sideways engine with a storage threshold
-// (full maps are dropped LFU when the budget is exceeded, Section 4.2).
-func NewSidewaysWithBudget(rel *store.Relation, budget int) Engine {
-	st := sideways.NewStore(rel)
-	st.Budget = budget
-	return &mapEngine{st: st, kind: Sideways, name: "sideways cracking", policy: &st.Policy}
-}
-
-// NewPartial returns the partial sideways cracking engine (Section 4).
-func NewPartial(rel *store.Relation) Engine { return NewPartialWithBudget(rel, 0) }
-
-// NewPartialWithBudget returns a partial engine with a chunk storage
-// threshold in tuples.
-func NewPartialWithBudget(rel *store.Relation, budget int) Engine {
-	st := partial.NewStore(rel)
-	st.Budget = budget
-	return WrapPartial(st)
-}
-
-// WrapPartial wraps an already-configured partial store in an Engine.
-func WrapPartial(st *partial.Store) Engine {
-	return &mapEngine{st: st, kind: PartialSideways, name: "partial sideways cracking", policy: &st.Policy}
+	st   mapStore
+	kind Kind
+	name string
 }
 
 func (e *mapEngine) Name() string { return e.name }
 func (e *mapEngine) Kind() Kind   { return e.kind }
 
-// SetCrackPolicy configures the adaptive pivot policy for the store's maps
-// (chunk maps and chunks for partial maps); it affects map sets created
-// after the call (sets freeze their policy at creation to keep tape replay
-// aligned).
-func (e *mapEngine) SetCrackPolicy(pol crack.Policy) bool {
-	*e.policy = pol
-	return true
-}
-
-func (e *mapEngine) Insert(vals ...Value) int        { return e.st.Insert(vals...) }
-func (e *mapEngine) Delete(key int)                  { e.st.Delete(key) }
-func (e *mapEngine) Prepare(...string) time.Duration { return 0 }
-func (e *mapEngine) Storage() int                    { return e.st.StorageTuples() }
+func (e *mapEngine) Insert(vals ...Value) int { return e.st.Insert(vals...) }
+func (e *mapEngine) Delete(key int)           { e.st.Delete(key) }
+func (e *mapEngine) Storage() int             { return e.st.StorageTuples() }
 
 // Store returns the *sideways.Store or *partial.Store behind the engine,
 // for advanced inspection (map sets, tapes, areas, storage).

@@ -23,6 +23,8 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
+// TestNamesAndNoopPrepare: only the presorted designs have an offline step;
+// Prepare costs 0 on every other engine and through any wrapper.
 func TestNamesAndNoopPrepare(t *testing.T) {
 	rel := buildRel(rand.New(rand.NewSource(1)), 50, []string{"A", "B"}, 10)
 	for _, k := range []Kind{Scan, SelCrack, Sideways, PartialSideways} {
@@ -30,9 +32,12 @@ func TestNamesAndNoopPrepare(t *testing.T) {
 		if e.Name() == "" {
 			t.Errorf("%v: empty name", k)
 		}
-		if d := e.Prepare("A"); d != 0 {
+		if d := Prepare(e, "A"); d != 0 {
 			t.Errorf("%v: Prepare should be a no-op, took %v", k, d)
 		}
+	}
+	if d := Prepare(Concurrent(New(Presorted, cloneRel(rel))), "A"); d != 0 {
+		t.Errorf("Prepare reached a presorted engine through its guard, took %v", d)
 	}
 }
 
@@ -41,7 +46,7 @@ func TestRowStoreEngineAgreesWithScan(t *testing.T) {
 	rel := buildRel(rng, 300, []string{"A", "B", "C"}, 50)
 	scan := New(Scan, cloneRel(rel))
 	rs := New(RowStore, cloneRel(rel))
-	rs.Prepare("A")
+	Prepare(rs, "A")
 	for q := 0; q < 20; q++ {
 		lo := rng.Int63n(50)
 		query := Query{
@@ -91,7 +96,7 @@ func TestBudgetedConstructors(t *testing.T) {
 	rel := buildRel(rand.New(rand.NewSource(4)), 200, []string{"A", "B", "C"}, 50)
 	q := Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(0, 25)}}, Projs: []string{"B"}}
 
-	se := NewSidewaysWithBudget(cloneRel(rel), 450)
+	se := NewWith(Sideways, cloneRel(rel), Options{Budget: 450})
 	for i := 0; i < 5; i++ {
 		se.Query(q)
 	}
@@ -193,7 +198,7 @@ func TestQuickEnginesAgreeDisjunctiveWithUpdates(t *testing.T) {
 // one column of N values on every engine, on the write path and read-only.
 func TestRepeatedProjection(t *testing.T) {
 	rel := buildRel(rand.New(rand.NewSource(9)), 300, []string{"A", "B", "C"}, 60)
-	engines := []Engine{NewSidewaysWithBudget(cloneRel(rel), 900), NewPartialWithBudget(cloneRel(rel), 600)}
+	engines := []Engine{NewWith(Sideways, cloneRel(rel), Options{Budget: 900}), NewPartialWithBudget(cloneRel(rel), 600)}
 	for _, k := range allKinds() {
 		engines = append(engines, New(k, cloneRel(rel)))
 	}
@@ -231,7 +236,7 @@ func TestRepeatedProjection(t *testing.T) {
 // QueryRO, with updates in between.
 func TestCountWithoutProjections(t *testing.T) {
 	rel := buildRel(rand.New(rand.NewSource(11)), 1000, []string{"A", "B"}, 1000)
-	engines := []Engine{NewSidewaysWithBudget(cloneRel(rel), 2000), NewPartialWithBudget(cloneRel(rel), 1500)}
+	engines := []Engine{NewWith(Sideways, cloneRel(rel), Options{Budget: 2000}), NewPartialWithBudget(cloneRel(rel), 1500)}
 	for _, k := range allKinds() {
 		engines = append(engines, New(k, cloneRel(rel)))
 	}

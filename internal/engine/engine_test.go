@@ -224,7 +224,7 @@ func TestPreparedPresortedIsFastOnQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rel := buildRel(rng, 5000, []string{"A", "B"}, 5000)
 	e := New(Presorted, rel)
-	prep := e.Prepare("A")
+	prep := Prepare(e, "A")
 	if prep <= 0 {
 		t.Fatal("Prepare should take measurable time")
 	}

@@ -169,7 +169,7 @@ func mapEngines(rel *store.Relation) []Engine {
 	return []Engine{
 		New(Sideways, cloneRel(rel)),
 		New(PartialSideways, cloneRel(rel)),
-		NewSidewaysWithBudget(cloneRel(rel), 3*fuzzRows),
+		NewWith(Sideways, cloneRel(rel), Options{Budget: 3 * fuzzRows}),
 		NewPartialWithBudget(cloneRel(rel), 2*fuzzRows),
 	}
 }

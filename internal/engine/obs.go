@@ -11,7 +11,9 @@ import (
 // that layer — Kernel for a physical design that cracks, Chunks for partial
 // maps, Readers for the RWMutex guard (Concurrent and the durable engine),
 // Snapshot for piece-versioned snapshot reads, Durable for a WAL — so
-// absence is an answer too, and it is fixed when the stack is built.
+// absence is an answer too, and it is fixed when the stack is built. That
+// is how Concurrent and Snapshot tell a stack that guards itself (Readers
+// or Snapshot present) from a bare engine.
 //
 // Every engine or wrapper with something to say implements one method,
 // Report() Report: base engines fill their own sections, a wrapper takes
@@ -38,9 +40,9 @@ func ReportOf(e Engine) Report {
 
 type reporter interface{ Report() Report }
 
-// A wrapper that does not forward its report hides every layer below it;
-// each one is pinned here (and shard.Engine in its package) so a new wrapper
-// cannot ship without the method.
+// A wrapper that does not forward its report hides every layer below it,
+// its guard included; each one is pinned here (and shard.Engine in its
+// package) so a new wrapper cannot ship without the method.
 var _, _, _ reporter = (*rwEngine)(nil), (*snapEngine)(nil), (*durEngine)(nil)
 
 // KernelReport aggregates the crack-kernel counters and cracker-index

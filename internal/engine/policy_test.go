@@ -42,8 +42,8 @@ func TestPolicyEnginesMatchDefault(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(17 + int(kind)*10 + int(polKind))))
 			base := buildRel(rng, n, []string{"A", "B", "C"}, domain)
 			def := New(kind, cloneRelForPolicy(base))
-			pol := NewWithPolicy(kind, cloneRelForPolicy(base),
-				crack.Policy{Kind: polKind, Cap: 128, Seed: 9})
+			pol := NewWith(kind, cloneRelForPolicy(base),
+				Options{Policy: crack.Policy{Kind: polKind, Cap: 128, Seed: 9}})
 			for q := 0; q < 30; q++ {
 				lo := rng.Int63n(domain)
 				w := 1 + rng.Int63n(domain/4)
@@ -85,17 +85,15 @@ func TestPolicyEnginesMatchDefault(t *testing.T) {
 	}
 }
 
-// TestPolicyThreadsThroughWrappers: SetPolicy through the Concurrent guard
-// (alone and embedded in the durable engine) must reach the inner engine
-// and actually introduce auxiliary pivots on oversized pieces.
+// TestPolicyThreadsThroughWrappers: a policy given where a guarded stack is
+// built (the Concurrent guard alone, and embedded in the durable engine)
+// must reach the inner engine and actually introduce auxiliary pivots on
+// oversized pieces.
 func TestPolicyThreadsThroughWrappers(t *testing.T) {
 	for _, tc := range guardCases() {
 		rng := rand.New(rand.NewSource(5))
 		rel := buildRel(rng, 20000, []string{"A", "B"}, 20000)
-		e := tc.open(t, SelCrack, rel)
-		if !SetPolicy(e, crack.Policy{Kind: crack.Stochastic, Cap: 512, Seed: 3}) {
-			t.Fatalf("%s: SetPolicy not forwarded to the cracking engine", tc.name)
-		}
+		e := tc.open(t, SelCrack, rel, crack.Policy{Kind: crack.Stochastic, Cap: 512, Seed: 3})
 		e.Query(Query{
 			Preds: []AttrPred{{Attr: "A", Pred: store.Range(100, 200)}},
 			Projs: []string{"B"},
@@ -119,28 +117,27 @@ func TestPolicyThreadsThroughWrappers(t *testing.T) {
 }
 
 // TestPolicyIgnoredByNonCrackingEngines: Scan/Presorted/RowStore have no
-// kernel to configure; SetPolicy must report false and leave them working.
+// kernel to configure; built with a policy — bare or behind a guard — they
+// must ignore it, grow no kernel section, and keep working.
 func TestPolicyIgnoredByNonCrackingEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
+	pol := crack.Policy{Kind: crack.Capped, Cap: 16}
 	for _, kind := range []Kind{Scan, Presorted, RowStore} {
-		rel := buildRel(rng, 500, []string{"A", "B"}, 100)
-		e := New(kind, rel)
-		if SetPolicy(e, crack.Policy{Kind: crack.Capped}) {
-			t.Fatalf("%v: SetPolicy reported success on a non-cracking engine", kind)
-		}
-		// Wrappers must propagate the inner engine's answer, not their own.
+		engines := []Engine{NewWith(kind, buildRel(rng, 500, []string{"A", "B"}, 100), Options{Policy: pol})}
 		for _, gc := range guardCases() {
-			if SetPolicy(gc.open(t, kind, buildRel(rng, 100, []string{"A", "B"}, 100)),
-				crack.Policy{Kind: crack.Capped}) {
-				t.Fatalf("%v: SetPolicy reported success through a %s wrapper", kind, gc.name)
-			}
+			engines = append(engines, gc.open(t, kind, buildRel(rng, 500, []string{"A", "B"}, 100), pol))
 		}
-		res, _ := e.Query(Query{
-			Preds: []AttrPred{{Attr: "A", Pred: store.Range(10, 50)}},
-			Projs: []string{"B"},
-		})
-		if res.N == 0 {
-			t.Fatalf("%v: engine broken after SetPolicy attempt", kind)
+		for _, e := range engines {
+			res, _ := e.Query(Query{
+				Preds: []AttrPred{{Attr: "A", Pred: store.Range(10, 50)}},
+				Projs: []string{"B"},
+			})
+			if res.N == 0 {
+				t.Fatalf("%v (%s): engine broken when built with a policy", kind, e.Name())
+			}
+			if ReportOf(e).Kernel != nil {
+				t.Fatalf("%v (%s): a non-cracking engine reports a kernel", kind, e.Name())
+			}
 		}
 	}
 }

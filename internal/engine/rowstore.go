@@ -12,16 +12,12 @@ import (
 // for TPC-H query sequences.
 const RowStore Kind = 100
 
+// rowStoreEngine is the row-store engine. Prepare(attr) builds a copy
+// sorted on attr that queries with a matching primary predicate use.
 type rowStoreEngine struct {
 	rel    *store.Relation
 	plain  *rowstore.Table
 	sorted map[string]*rowstore.Table
-}
-
-// NewRowStore returns a row-store engine over rel. Prepare(attr) builds a
-// copy sorted on attr that queries with a matching primary predicate use.
-func NewRowStore(rel *store.Relation) Engine {
-	return &rowStoreEngine{rel: rel, plain: rowstore.New(rel), sorted: make(map[string]*rowstore.Table)}
 }
 
 func (e *rowStoreEngine) Name() string { return "row-store (presorted)" }

@@ -19,13 +19,13 @@ import (
 // The snapshot protocol is implemented for the selection-cracking engine
 // (SelCrack), whose state — cracker columns plus a tombstone set over
 // append-only base columns — is exactly reconstructible at piece
-// granularity. A warm SelCrack engine keeps its cracked layout and pending
-// updates across the conversion. Engines that are already shared-safe are
-// returned unchanged; other kinds (whose auxiliary structures mutate
-// internal maps and stat caches on the read path) fall back to
-// Concurrent(e), so Snapshot is always safe to request.
+// granularity. A warm SelCrack engine keeps its cracked layout, policy and
+// pending updates across the conversion. Engines that already guard
+// themselves are returned unchanged; other kinds (whose auxiliary
+// structures mutate internal maps and stat caches on the read path) fall
+// back to Concurrent(e), so Snapshot is always safe to request.
 func Snapshot(e Engine) Engine {
-	if IsShared(e) {
+	if guarded(e) {
 		return e
 	}
 	if sc, ok := e.(*selCrackEngine); ok {
@@ -82,23 +82,8 @@ func newSnapEngine(sc *selCrackEngine) *snapEngine {
 	return e
 }
 
-// SharedEngine marks the engine as safe to share without further wrapping.
-func (e *snapEngine) SharedEngine() {}
-
 func (e *snapEngine) Name() string { return "selection cracking (snapshot)" }
 func (e *snapEngine) Kind() Kind   { return SelCrack }
-
-// SetCrackPolicy configures the adaptive pivot policy for current and
-// future cracker columns (future cracks only; published layouts stand).
-func (e *snapEngine) SetCrackPolicy(pol crack.Policy) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.pol = pol
-	for _, c := range *e.cols.Load() {
-		c.Policy = pol
-	}
-	return true
-}
 
 // publishBasesLocked re-publishes the base-column slice headers; must run
 // under mu and before any cracker-column version referencing new keys is
@@ -156,8 +141,6 @@ func (e *snapEngine) Delete(key int) {
 		c.Delete(key)
 	}
 }
-
-func (e *snapEngine) Prepare(attrs ...string) time.Duration { return 0 }
 
 func (e *snapEngine) Storage() int {
 	total := 0

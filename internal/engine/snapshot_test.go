@@ -166,7 +166,7 @@ func TestSnapshotFallback(t *testing.T) {
 	if e := Snapshot(New(SelCrack, cloneRel(rel))); e.Name() != "selection cracking (snapshot)" {
 		t.Fatalf("SelCrack snapshot engine not built: %s", e.Name())
 	}
-	if e := Snapshot(New(Scan, cloneRel(rel))); !IsShared(e) {
+	if e := Snapshot(New(Scan, cloneRel(rel))); !guarded(e) {
 		t.Fatalf("Scan fallback is not shared-safe: %T", e)
 	} else if _, ok := e.(*rwEngine); !ok {
 		t.Fatalf("Scan fallback should be Concurrent, got %T", e)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"crackstore/internal/obs"
-	"crackstore/internal/partial"
 	"crackstore/internal/store"
 )
 
@@ -39,10 +38,7 @@ func TestRecycledBuffersNeverAliasAnswers(t *testing.T) {
 	attrs := []string{"A", "B", "C", "D", "E", "F"}
 	rng := rand.New(rand.NewSource(23))
 	rel := buildRel(rng, rows, attrs, rows)
-	st := partial.NewStore(cloneRel(rel))
-	st.Budget = 3 * rows
-	st.HeadDropIdleQueries = 20
-	e := Concurrent(WrapPartial(st))
+	e := Concurrent(NewWith(PartialSideways, cloneRel(rel), Options{Budget: 3 * rows, HeadDropIdleQueries: 20}))
 
 	type asked struct {
 		q       Query

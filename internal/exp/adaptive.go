@@ -47,7 +47,7 @@ func AdaptiveWorkloads(cfg Config) map[string]Series {
 				panic(fmt.Sprintf("exp: unknown policy %q", polName))
 			}
 			pol := crack.Policy{Kind: kind, Seed: uint64(cfg.Seed)}
-			e := engine.NewWithPolicy(engine.SelCrack, cloneRel(rel), pol)
+			e := engine.NewWith(engine.SelCrack, cloneRel(rel), engine.Options{Policy: pol})
 			g := workload.New(int64(cfg.Rows), cfg.Seed+11)
 			y := make([]time.Duration, cfg.Queries)
 			for q := 0; q < cfg.Queries; q++ {
@@ -56,7 +56,8 @@ func AdaptiveWorkloads(cfg Config) map[string]Series {
 				e.Query(query)
 				y[q] = time.Since(t0)
 			}
-			s := Series{Name: pattern + "/" + polName, Y: y, Policy: polName, Pattern: pattern}
+			k, _ := engine.KernelReportOf(e)
+			s := Series{Name: pattern + "/" + polName, Y: y, Policy: polName, Pattern: pattern, Visited: k.Visited}
 			out[s.Name] = s
 			series = append(series, s)
 			cfg.logf("%-22s cumulative %v\n", s.Name, sumDur(y).Round(time.Microsecond))

@@ -11,8 +11,9 @@ import (
 // TestAdaptiveWorkloadsSmoke runs the policy-vs-pattern comparison at toy
 // scale: every (pattern, policy) series exists with one sample per query,
 // the sequential sweep is cheaper under the stochastic policy than under
-// plain cracking (the artifact's headline claim, with a wide margin at
-// this scale), and the emitted JSON is self-describing.
+// plain cracking (the artifact's headline claim, checked on the kernel's
+// tuple count, which the seed fixes, not on wall-clock time, which it does
+// not), and the emitted JSON is self-describing.
 func TestAdaptiveWorkloadsSmoke(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Rows: 20000, Queries: 200, Seed: 1, W: io.Discard, JSONDir: dir}
@@ -32,8 +33,8 @@ func TestAdaptiveWorkloadsSmoke(t *testing.T) {
 			}
 		}
 	}
-	if def, sto := sumDur(out["sequential/default"].Y), sumDur(out["sequential/stochastic"].Y); sto >= def {
-		t.Errorf("sequential sweep: stochastic %v not faster than default %v", sto, def)
+	if def, sto := out["sequential/default"].Visited, out["sequential/stochastic"].Visited; sto == 0 || sto >= def {
+		t.Errorf("sequential sweep: stochastic classified %d tuples, not fewer than default's %d", sto, def)
 	}
 
 	data, err := os.ReadFile(filepath.Join(dir, "BENCH_adaptive_workloads.json"))

@@ -104,6 +104,10 @@ type Series struct {
 	// BENCH_*.json line so the artifact is self-describing.
 	Policy  string
 	Pattern string
+	// Visited, when set, counts the tuples the crack kernel classified over
+	// the series: the work Y times, counted instead, so it is deterministic
+	// under the seed.
+	Visited uint64
 }
 
 // printSeries prints sampled points of several aligned series and, when

@@ -57,11 +57,11 @@ func partialWorkload(cfg Config, e engine.Engine, resultFrac float64,
 }
 
 func newBudgeted(full bool, cfg Config, budget int) engine.Engine {
-	rel := buildUniform(cfg, "R", 11)
+	kind := engine.PartialSideways
 	if full {
-		return engine.NewSidewaysWithBudget(rel, budget)
+		kind = engine.Sideways
 	}
-	return engine.NewPartialWithBudget(rel, budget)
+	return engine.NewWith(kind, buildUniform(cfg, "R", 11), engine.Options{Budget: budget})
 }
 
 // Fig9Result reproduces Figure 9: full vs partial maps under storage

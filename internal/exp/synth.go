@@ -42,7 +42,7 @@ func Exp1(cfg Config) *Exp1Result {
 		for _, tr := range res.TRCounts {
 			e := engine.New(k, cloneRel(base))
 			if k == engine.Presorted {
-				res.PrepCost = e.Prepare("A1")
+				res.PrepCost = engine.Prepare(e, "A1")
 			}
 			projs := make([]string, tr)
 			for i := range projs {
@@ -264,7 +264,7 @@ func Exp4(cfg Config) *Exp4Result {
 		le := engine.New(k, cloneRel(relR))
 		re := engine.New(k, cloneRel(relS))
 		if k == engine.Presorted {
-			res.PrepCost = le.Prepare("A5") + re.Prepare("A5")
+			res.PrepCost = engine.Prepare(le, "A5") + engine.Prepare(re, "A5")
 		}
 		gen := genFor(cfg, 300)
 		name := k.String()
@@ -323,7 +323,7 @@ func Exp5(cfg Config) *Exp5Result {
 	for _, k := range kinds {
 		e := engine.New(k, cloneRel(base))
 		if k == engine.Presorted {
-			res.PrepCost = e.Prepare("A1")
+			res.PrepCost = engine.Prepare(e, "A1")
 		}
 		gen := genFor(cfg, 400)
 		name := k.String()

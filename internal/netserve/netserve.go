@@ -165,7 +165,7 @@ type Server struct {
 
 // NewServer builds a network server over e without listening yet; call
 // Serve with a listener. The engine is wrapped exactly as serve.New does:
-// in engine.Concurrent unless it is already shared-safe.
+// in engine.Concurrent unless it already guards itself.
 func NewServer(e engine.Engine, opts Options) *Server {
 	opts = opts.withDefaults()
 	kind := e.Kind()
@@ -379,9 +379,7 @@ func (c *conn) readLoop() {
 			}
 			break
 		}
-		if buf = payload[:0]; cap(buf) > wire.MaxPooledBuf {
-			buf = nil
-		}
+		buf = wire.NextReadBuf(payload)
 		c.s.framesRead.Inc()
 		c.s.bytesRead.Add(uint64(len(payload) + wire.FrameHeader))
 		req, err := wire.DecodeRequest(payload)

@@ -12,9 +12,9 @@ import (
 )
 
 // TestServePolicyEngine: an engine built with an adaptive cracking policy
-// (engine.NewWithPolicy — the policy is decided where the engine is built,
-// not by the server) serves answers that match a default-policy reference
-// engine exactly.
+// (engine.NewWith — the policy is decided where the engine is built, not by
+// the server) serves answers that match a default-policy reference engine
+// exactly.
 func TestServePolicyEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	rel := buildRel(rng, 4000, 800)
@@ -23,7 +23,7 @@ func TestServePolicyEngine(t *testing.T) {
 		clone.MustColumn(a).Vals = append([]store.Value(nil), rel.MustColumn(a).Vals...)
 	}
 	pol := crack.Policy{Kind: crack.Stochastic, Cap: 256, Seed: 6}
-	srv := New(engine.NewWithPolicy(engine.SelCrack, rel, pol), Options{Workers: 2})
+	srv := New(engine.NewWith(engine.SelCrack, rel, engine.Options{Policy: pol}), Options{Workers: 2})
 	defer srv.Close()
 	ref := engine.New(engine.SelCrack, clone)
 

@@ -137,11 +137,12 @@ type Server struct {
 }
 
 // New returns a server over e. How the engine is shared, and under which
-// cracking policy, is decided where the engine is built (engine.Snapshot,
-// engine.NewWithPolicy, shard.Options, engine.OpenDurable); New keeps one
-// rule: an engine that is not already shared-safe (engine.IsShared) is
-// wrapped in engine.Concurrent. The server owns no goroutines; Close waits
-// for in-flight queries.
+// cracking policy, is decided where the engine is built (engine.NewWith,
+// engine.Snapshot, shard.Options, engine.OpenDurable); New keeps one rule:
+// e goes through engine.Concurrent, which wraps a bare engine and leaves
+// one that already guards itself (its report has a Readers or Snapshot
+// section) as it is. The server owns no goroutines; Close waits for
+// in-flight queries.
 func New(e engine.Engine, opts Options) *Server {
 	opts = opts.withDefaults()
 	r := opts.Metrics // nil registers nowhere and still returns working instruments

@@ -32,7 +32,7 @@ func TestShardedPolicyMatchesUnsharded(t *testing.T) {
 	}
 	pol := crack.Policy{Kind: crack.Capped, Cap: 256}
 	sharded := New(engine.SelCrack, rel, 3, Options{Attr: "A", Policy: pol})
-	single := engine.NewWithPolicy(engine.SelCrack, clone, pol)
+	single := engine.NewWith(engine.SelCrack, clone, engine.Options{Policy: pol})
 	for q := 0; q < 25; q++ {
 		lo := rng.Int63n(1000)
 		query := engine.Query{
@@ -51,6 +51,11 @@ func TestShardedPolicyMatchesUnsharded(t *testing.T) {
 			}
 		}
 	}
-	// SetCrackPolicy forwards to every shard without error.
-	sharded.SetCrackPolicy(crack.Policy{Kind: crack.Stochastic, Seed: 1})
+	// The policy reached every shard's kernel: cap 256 on ~1700-row shards
+	// forces auxiliary pivots on the first crack of each.
+	for i, sh := range sharded.shards {
+		if k, _ := engine.KernelReportOf(sh); k.Visited > 0 && k.Aux == 0 {
+			t.Fatalf("shard %d cracked without auxiliary pivots: policy not applied", i)
+		}
+	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"crackstore/internal/engine"
 	"crackstore/internal/obs"
+	"crackstore/internal/serve"
 	"crackstore/internal/store"
 	"crackstore/internal/wal"
 )
@@ -49,6 +50,61 @@ func eachStack(t *testing.T, f func(t *testing.T, stack string, kind engine.Kind
 		for _, kind := range []engine.Kind{engine.Scan, engine.SelCrack, engine.Sideways, engine.PartialSideways} {
 			t.Run(stack+"/"+kind.String(), func(t *testing.T) {
 				f(t, stack, kind, open(t, kind, buildRel(rand.New(rand.NewSource(3)), 4000, 4000)))
+			})
+		}
+	}
+}
+
+// TestWrapContract pins what "a stack is fixed when it is built" asks of
+// every wrapper, over every stack that may be shared, and the bare engine:
+//
+//   - whoever shares a stack wraps it once: Concurrent, Snapshot and the
+//     engine serve.New executes against leave a guarded stack as it is,
+//     pointer-equal, and wrap a bare engine exactly once;
+//   - a wrapper forwards Engine and Report and nothing else: the exported
+//     method set of each wrapper type is exactly that (plus Close on the
+//     durable engine), so a wrapper that grows the contract fails here.
+func TestWrapContract(t *testing.T) {
+	shares := map[string]func(engine.Engine) engine.Engine{
+		"Concurrent": engine.Concurrent,
+		"Snapshot":   engine.Snapshot,
+		"serve.New": func(e engine.Engine) engine.Engine {
+			srv := serve.New(e, serve.Options{})
+			defer srv.Close()
+			return srv.Engine()
+		},
+	}
+	contract := []string{"Report"}
+	for i, it := 0, reflect.TypeFor[engine.Engine](); i < it.NumMethod(); i++ {
+		contract = append(contract, it.Method(i).Name)
+	}
+	for stack, open := range reportStacks {
+		for _, kind := range []engine.Kind{engine.SelCrack, engine.Sideways} {
+			t.Run(stack+"/"+kind.String(), func(t *testing.T) {
+				e := open(t, kind, buildRel(rand.New(rand.NewSource(5)), 500, 500))
+				for name, share := range shares {
+					switch w := share(e); {
+					case stack != "bare" && w != e:
+						t.Errorf("%s re-wrapped a guarded stack in %T", name, w)
+					case stack == "bare" && (w == e || share(w) != w):
+						t.Errorf("%s did not wrap a bare engine exactly once", name)
+					}
+				}
+				if stack == "bare" {
+					return
+				}
+				want := slices.Clone(contract)
+				if stack == "durable" {
+					want = append(want, "Close")
+				}
+				var got []string
+				for i, wt := 0, reflect.TypeOf(e); i < wt.NumMethod(); i++ {
+					got = append(got, wt.Method(i).Name)
+				}
+				slices.Sort(want)
+				if !slices.Equal(got, want) { // reflect lists methods sorted by name
+					t.Errorf("%T exports %v, want exactly %v", e, got, want)
+				}
 			})
 		}
 	}

@@ -20,6 +20,12 @@
 // distinct bands (too few distinct values, or an empty relation), the
 // engine falls back to hash partitioning, which still distributes load and
 // still prunes point predicates, but cannot prune ranges.
+//
+// The sharded engine is a wrapper like engine.Concurrent: it forwards the
+// engine.Engine methods and Report, nothing else, and everything about its
+// inner engines — kind, policy, guard — is fixed by New. Its report is the
+// fold of its shards', so it carries their Readers (or Snapshot) section,
+// and engine.Concurrent, engine.Snapshot and serve.New leave it unwrapped.
 package shard
 
 import (
@@ -28,7 +34,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"crackstore/internal/crack"
 	"crackstore/internal/engine"
@@ -66,9 +71,11 @@ type location struct {
 }
 
 // Engine is a relation partitioned across n inner engines. It implements
-// engine.Engine; every inner engine is wrapped in engine.Concurrent, so the
-// sharded engine is safe for any number of goroutines without further
-// wrapping (it carries the SharedEngine marker).
+// engine.Engine; every inner engine is wrapped in engine.Concurrent (or
+// engine.Snapshot) and the key table has its own mutex, so the sharded
+// engine is safe for any number of goroutines without further wrapping — a
+// global lock on top would re-serialize cracks across shards, exactly what
+// sharding exists to avoid.
 type Engine struct {
 	kind    engine.Kind
 	attr    string  // partition attribute
@@ -144,7 +151,7 @@ func New(kind engine.Kind, rel *store.Relation, n int, opts Options) *Engine {
 	}
 	s.shards = make([]engine.Engine, n)
 	for i := range s.shards {
-		inner := engine.NewWithPolicy(kind, rels[i], opts.Policy)
+		inner := engine.NewWith(kind, rels[i], engine.Options{Policy: opts.Policy})
 		if opts.Snapshot {
 			s.shards[i] = engine.Snapshot(inner)
 		} else {
@@ -164,17 +171,6 @@ func (s *Engine) Report() engine.Report {
 		total.Add(engine.ReportOf(sh))
 	}
 	return total
-}
-
-// SetCrackPolicy forwards the adaptive cracking policy to every shard,
-// reporting whether the shard engines crack. Like the per-engine setters,
-// call it before the first query.
-func (s *Engine) SetCrackPolicy(pol crack.Policy) bool {
-	applied := false
-	for _, sh := range s.shards {
-		applied = engine.SetPolicy(sh, pol) || applied
-	}
-	return applied
 }
 
 // quantileCuts returns the n-1 ascending shard boundaries (quantiles of
@@ -214,13 +210,6 @@ func (s *Engine) Name() string {
 }
 
 func (s *Engine) Kind() engine.Kind { return s.kind }
-
-// SharedEngine marks the sharded engine as safe to share across goroutines
-// without an engine.Concurrent wrapper: every shard carries its own
-// read-write lock, and the key table has its own mutex. A global wrapper
-// on top would re-serialize cracks across shards — exactly what sharding
-// exists to avoid. engine.IsShared and serve.New honor this marker.
-func (s *Engine) SharedEngine() {}
 
 // ---------------------------------------------------------------------------
 // Shard pruning.
@@ -445,16 +434,6 @@ func (s *Engine) Delete(key int) {
 	loc := s.keys[key]
 	s.mu.RUnlock()
 	s.shards[loc.shard].Delete(loc.key)
-}
-
-// Prepare fans out to every shard; the returned duration is the summed
-// per-shard preparation work.
-func (s *Engine) Prepare(attrs ...string) time.Duration {
-	var total time.Duration
-	for _, e := range s.shards {
-		total += e.Prepare(attrs...)
-	}
-	return total
 }
 
 // Storage returns the summed auxiliary-structure footprint across shards.

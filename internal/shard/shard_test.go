@@ -265,10 +265,6 @@ func (e *touchyEngine) Insert(...Value) int {
 }
 func (e *touchyEngine) Delete(int)   { e.touched("Delete") }
 func (e *touchyEngine) Storage() int { e.touched("Storage"); return 0 }
-func (e *touchyEngine) Prepare(...string) time.Duration {
-	e.touched("Prepare")
-	return 0
-}
 func (e *touchyEngine) Query(engine.Query) (engine.Result, engine.Cost) {
 	e.touched("Query")
 	return engine.Result{}, engine.Cost{}
@@ -324,10 +320,9 @@ func (e *gateEngine) Query(q engine.Query) (engine.Result, engine.Cost) {
 func (e *gateEngine) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	return e.inner.QueryRO(q)
 }
-func (e *gateEngine) Insert(vals ...Value) int              { return e.inner.Insert(vals...) }
-func (e *gateEngine) Delete(key int)                        { e.inner.Delete(key) }
-func (e *gateEngine) Prepare(attrs ...string) time.Duration { return e.inner.Prepare(attrs...) }
-func (e *gateEngine) Storage() int                          { return e.inner.Storage() }
+func (e *gateEngine) Insert(vals ...Value) int { return e.inner.Insert(vals...) }
+func (e *gateEngine) Delete(key int)           { e.inner.Delete(key) }
+func (e *gateEngine) Storage() int             { return e.inner.Storage() }
 func (e *gateEngine) JoinInput(p []engine.AttrPred, j string, pr []string) (engine.JoinInput, engine.Cost) {
 	return e.inner.JoinInput(p, j, pr)
 }
@@ -413,12 +408,12 @@ func TestHashFallback(t *testing.T) {
 	}
 }
 
-// TestSharedMarker: the sharded engine does its own locking; the engine
-// layer must recognize it as shared and refuse to re-wrap it.
+// TestSharedMarker: the sharded engine does its own locking, and its report
+// says so — the engine layer must recognize that and refuse to re-wrap it.
 func TestSharedMarker(t *testing.T) {
 	s := New(engine.Sideways, identityRel(100), 2, Options{})
-	if !engine.IsShared(s) {
-		t.Fatal("IsShared(sharded) = false")
+	if engine.ReportOf(s).Readers == nil {
+		t.Fatal("sharded engine's report has no Readers section")
 	}
 	if engine.Concurrent(s) != engine.Engine(s) {
 		t.Fatal("Concurrent(sharded) wrapped an engine that manages its own locks")

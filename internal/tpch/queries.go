@@ -60,11 +60,12 @@ var SelectionAttrs = map[int][][2]string{
 }
 
 // Prepare presorts the copies a query needs (meaningful only for the
-// presorted engine kind); returns the preparation cost.
+// presorted designs, Presorted and RowStore; see engine.Prepare); returns
+// the preparation cost.
 func (db *DB) Prepare(q int) time.Duration {
 	var total time.Duration
 	for _, ta := range SelectionAttrs[q] {
-		total += db.tables[ta[0]].Prepare(ta[1])
+		total += engine.Prepare(db.tables[ta[0]], ta[1])
 	}
 	return total
 }

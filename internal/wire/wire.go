@@ -266,10 +266,20 @@ func AppendFrame(buf, payload []byte) []byte {
 // it, so one 60 MB response does not pin 60 MB for the life of the process.
 const MaxPooledBuf = 1 << 20
 
+// NextReadBuf returns the buffer a read loop passes to its next ReadFrame
+// after reading payload: payload's storage, emptied, or nil once it has
+// grown past MaxPooledBuf.
+func NextReadBuf(payload []byte) []byte {
+	if cap(payload) > MaxPooledBuf {
+		return nil
+	}
+	return payload[:0]
+}
+
 // ReadFrame reads one length-prefixed, checksummed payload from r into buf,
 // growing it when the payload is longer than cap(buf), and returns the
 // payload — which aliases buf when it fits. The caller owns buf: a loop that
-// passes the last payload's [:0] back in reads every frame into one buffer,
+// passes NextReadBuf(payload) back in reads every frame into one buffer,
 // and the payload is valid until it does. DecodeRequest and DecodeResponse
 // copy everything they return, so a decoded message outlives its payload.
 //

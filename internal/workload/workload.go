@@ -50,12 +50,6 @@ func (g *Gen) RangeIn(lo, hi int64, frac float64) store.Pred {
 	return store.Range(start, start+width)
 }
 
-// RangeForResultSize returns a range predicate expected to select s tuples
-// from a column of n uniform values over the domain.
-func (g *Gen) RangeForResultSize(s, n int) store.Pred {
-	return g.Range(float64(s) / float64(n))
-}
-
 // Point returns a random point predicate.
 func (g *Gen) Point() store.Pred {
 	return store.Point(1 + g.rng.Int63n(g.Domain))

@@ -18,14 +18,6 @@ func TestRangeWidth(t *testing.T) {
 	}
 }
 
-func TestRangeForResultSize(t *testing.T) {
-	g := New(1000000, 2)
-	p := g.RangeForResultSize(10000, 1000000)
-	if p.Hi-p.Lo != 10000 {
-		t.Fatalf("width = %d, want 10000", p.Hi-p.Lo)
-	}
-}
-
 func TestSkewedHotProbability(t *testing.T) {
 	g := New(10000, 3)
 	hot := 0
