@@ -76,8 +76,8 @@
 // least-frequently-used first, against chunk eviction, head dropping and
 // un-fetching areas), the disjunctive marking pass (a full map marks the
 // head area by position; chunks of different areas share no position
-// space, so a partial set tests the head predicate by value), and the full
-// maps' single-predicate, single-projection read-only fast path.
+// space, so a partial set tests the head predicate by value). The finish's
+// reconstruct is the one place either store materializes an answer.
 //
 // The two storage managers share their eviction rule (Usage in mapset.go):
 // least-frequently-used with dynamic aging. A map's or chunk's priority is
@@ -492,24 +492,21 @@
 // the internal/vet tests — so exceptions stay rare and documented.
 //
 // Two ownership rules keep the remote read path from allocating what it
-// throws away. Tests, not crackvet, hold them (released columns are poisoned
-// in the equivalence, chaos and map-engine fuzz tests; the wire fuzzers
-// overwrite every payload they decoded), in the words of the chunk-column
-// rule at partial.Store.release:
+// throws away. Both are one rule — the caller passes the memory — and tests,
+// not crackvet, hold them (the map-engine fuzz test lends each engine one
+// Result for its whole stream; the wire fuzzers overwrite every payload they
+// decoded):
 //
-//   - result columns: a column enters the free list of result columns
-//     (internal/sideways) only through Result.Release, and only if the list
-//     handed it out — each result records the columns it drew (of 1 KB and
-//     up; a smaller one is plainly allocated), and Release returns exactly
-//     those, once; on any other result it is a no-op. Who calls Release
-//     states that nothing refers to the columns any more: netserve, in
-//     encodeFrame, once the response frame holds a copy, and shard's merge,
-//     once it has copied out of its per-shard results. A Window, a map and
-//     a chunk are never a result's column; a Result is always a copy.
-//     Columns leave the list without being cleared; whoever draws one
-//     overwrites all of it. A caller that never releases leaves its columns
-//     to the collector. The list holds at most 2^19 values (4 MiB),
-//     process-wide.
+//   - lent results: an answer written into the Result a query lends
+//     (engine.Query.Into) is valid until the caller lends the same Result
+//     again. Only netserve's connection reader lends, one Result each, and
+//     only on its inline path, where it encodes the response frame before
+//     it reads the next request; a dispatched request lends nothing, because
+//     serve lets a timed-out execution finish detached. A sharded engine
+//     hands the memory to its one answering shard or to its merge, never to
+//     shards answering side by side. Everyone else gets fresh columns of
+//     exactly the answer's length. A Window, a map and a chunk are never a
+//     result's column; a Result is always a copy.
 //   - frame payloads: wire.ReadFrame reads into the buffer its caller passes
 //     and the payload it returns is valid until the caller's next read into
 //     that buffer; client and netserve keep one per connection, for the

@@ -92,13 +92,19 @@ type Query struct {
 	Preds       []AttrPred
 	Projs       []string
 	Disjunctive bool
+	// Into is memory the caller lends for the answer, like the buffer of
+	// wire.ReadFrame: nil, the usual case, answers into fresh columns of
+	// exactly the answer's length. An answer may be written into a lent
+	// Result — a map-set engine's is whenever it answers read-only
+	// (sideways.Plan.Reconstruct) — and is then valid until the caller lends
+	// the same Result again. It never changes what the query means, and the
+	// wire never carries it.
+	Into *Result
 }
 
 // Result holds positionally aligned projection columns. It is the map-set
-// core's type, so that the columns the map-set engines draw from the free list
-// of result columns keep their way back to it: a caller done with a result may
-// Release it (netserve does, once the response frame holds a copy). Releasing
-// is optional, and a no-op on every other engine's results.
+// core's type, so that a lent Result (Query.Into) reaches their finish
+// unconverted.
 type Result = sideways.Result
 
 // Cost is the per-query cost split used throughout the experiments.
@@ -698,7 +704,7 @@ func (e *presortEngine) JoinInput(preds []AttrPred, joinAttr string, projs []str
 // and *partial.Store both provide it.
 type mapStore interface {
 	MultiSelect(preds []AttrPred, projs []string, disjunctive bool) sideways.Result
-	MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool) (sideways.Result, bool)
+	MultiSelectROInto(into *sideways.Result, preds []AttrPred, projs []string, disjunctive bool) (sideways.Result, bool)
 	Insert(vals ...Value) int
 	Delete(key int)
 	StorageTuples() int
@@ -731,10 +737,11 @@ func (e *mapEngine) Query(q Query) (Result, Cost) {
 }
 
 // QueryRO refuses when the query would crack a map or chunk, merge pending
-// updates, materialize a map or fetch an area, or grow a cracker tape.
+// updates, materialize a map or fetch an area, or grow a cracker tape. It
+// answers into q.Into when the caller lends it.
 func (e *mapEngine) QueryRO(q Query) (Result, Cost, bool) {
 	t0 := time.Now()
-	res, ok := e.st.MultiSelectRO(q.Preds, q.Projs, q.Disjunctive)
+	res, ok := e.st.MultiSelectROInto(q.Into, q.Preds, q.Projs, q.Disjunctive)
 	if !ok {
 		return Result{}, Cost{}, false
 	}

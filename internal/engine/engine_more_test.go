@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"crackstore/internal/sideways"
 	"crackstore/internal/store"
 )
 
@@ -265,31 +264,34 @@ func TestCountWithoutProjections(t *testing.T) {
 	}
 }
 
-// TestReleaseOnEveryKind: Release is safe on any engine's result, any number
-// of times. The engines that draw no column from the result free list keep
-// their columns — a Scan or RowStore result may be a view the engine still
-// reads — and a map-set engine's recycled column serves the next answer
-// whole. Poisoning makes a breach of either a wrong answer.
-func TestReleaseOnEveryKind(t *testing.T) {
-	sideways.PoisonReleased(true)
-	defer sideways.PoisonReleased(false)
-	rel := buildRel(rand.New(rand.NewSource(13)), 3000, []string{"A", "B", "C"}, 100) // answers large enough for the free list
+// TestIntoOnEveryKind: every kind answers the same with and without memory
+// lent in Query.Into, and one lent Result serves answers of different
+// projections in turn. A map-set engine's read-only answer is written into
+// the lent memory; the other kinds leave it alone.
+func TestIntoOnEveryKind(t *testing.T) {
+	rel := buildRel(rand.New(rand.NewSource(13)), 3000, []string{"A", "B", "C"}, 100)
 	oracle := NewScan(cloneRel(rel))
-	q := Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(20, 60)}, {Attr: "C", Pred: store.Range(10, 90)}}, Projs: []string{"B", "C"}}
-	res, _ := oracle.Query(q)
-	want := canonRows(res, q.Projs)
+	preds := []AttrPred{{Attr: "A", Pred: store.Range(20, 60)}, {Attr: "C", Pred: store.Range(10, 90)}}
 	for _, k := range append(allKinds(), RowStore) {
 		e := New(k, cloneRel(rel))
-		for round := 0; round < 3; round++ {
-			tag := fmt.Sprintf("%s round %d", e.Name(), round)
-			res, _ := e.Query(q)
-			checkResult(t, tag, res, q.Projs, want)
-			res.Release()
-			res.Release()
-			if k != Sideways && k != PartialSideways {
-				checkResult(t, tag+" after Release", res, q.Projs, want)
+		var lent Result
+		for _, projs := range [][]string{{"B", "C"}, {"C"}, {"A", "B", "B"}, {"B", "C"}} {
+			tag := fmt.Sprintf("%s %v", e.Name(), projs)
+			q := Query{Preds: preds, Projs: projs}
+			res, _ := oracle.Query(q)
+			want := canonRows(res, projs)
+			res, _ = e.Query(q)
+			checkResult(t, tag+" Query", res, projs, want)
+			q.Into = &lent
+			res, _, ok := e.QueryRO(q)
+			if !ok {
+				t.Fatalf("%s: QueryRO refused a query Query just answered", tag)
+			}
+			checkResult(t, tag+" QueryRO into lent memory", res, projs, want)
+			aliased := res.N > 0 && lent.N == res.N && &lent.Cols[projs[0]][0] == &res.Cols[projs[0]][0]
+			if aliased != (k == Sideways || k == PartialSideways) {
+				t.Fatalf("%s: the answer aliases the lent memory: %v", tag, aliased)
 			}
 		}
 	}
-	Result{}.Release()
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // TestWarmRoundTripAllocBudget: a warm remote query allocates what its
-// caller keeps — the decoded result — and little else: the server's result
-// column comes off the free list and goes back once the frame holds a copy,
-// and each side reads every frame into its connection's one buffer. Server,
+// caller keeps — the decoded result — and little else: the server answers
+// into the one Result its connection's reader lends, and each side reads
+// every frame into its connection's one buffer. Server,
 // client and this loop share the process, so TotalAlloc sees the whole round
 // trip: at most 1.5x the decoded bytes plus 2 KB of small change per query
 // (requests, responses, maps, the frame pools' refills after a collection).
@@ -59,5 +59,22 @@ func TestWarmRoundTripAllocBudget(t *testing.T) {
 		got/queries, decoded/queries, float64(got)/float64(decoded), budget/queries)
 	if got > budget {
 		t.Errorf("%d warm queries allocated %d B for %d B of decoded results, over the budget of %d B", queries, got, decoded, budget)
+	}
+}
+
+// TestInProcessAnswersStayExact: the memory a reader lends its inline answers
+// stays its own. After remote round trips, an in-process caller of the same
+// engine still gets a column of exactly its answer's length.
+func TestInProcessAnswersStayExact(t *testing.T) {
+	s := startServer(t, engine.New(engine.Sideways, buildRel(3, 100_000, 50_000)), Options{})
+	c := dial(t, s, client.Options{})
+	q := engine.Query{Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(20_000, 20_500)}}, Projs: []string{"B"}} // ~1,000 tuples
+	for i := 0; i < 4; i++ {
+		if _, _, err := c.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res, _, ok := s.Engine().QueryRO(q); !ok || res.N == 0 || cap(res.Cols["B"]) != res.N {
+		t.Fatalf("ok=%v: %d values in a column of capacity %d", ok, res.N, cap(res.Cols["B"]))
 	}
 }

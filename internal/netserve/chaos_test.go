@@ -21,7 +21,7 @@ import (
 //
 //   - zero wrong answers — every remote result byte-identical to the
 //     in-process engine (the frame checksum turns corruption into conn
-//     errors, never silent damage), with released result columns poisoned;
+//     errors, never silent damage);
 //   - zero duplicated write effects — insert keys and final row counts
 //     match exactly, because retried writes are deduplicated by token;
 //   - zero client-visible errors for retryable faults — the retry budget
@@ -29,7 +29,6 @@ import (
 //   - clean drain — server, proxy, and client all close without leaking
 //     goroutines (enforced by -race and the t.Cleanup ordering).
 func TestChaosEquivalence(t *testing.T) {
-	poisonReleased(t)
 	cases := []struct {
 		name string
 		kind engine.Kind

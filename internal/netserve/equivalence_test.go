@@ -10,7 +10,6 @@ import (
 	"crackstore/client"
 	"crackstore/internal/engine"
 	"crackstore/internal/shard"
-	"crackstore/internal/sideways"
 	"crackstore/internal/store"
 	"crackstore/internal/wire"
 )
@@ -20,15 +19,6 @@ import (
 // the same rows in the same order with the same projections.
 func encodeResult(res engine.Result) []byte {
 	return wire.AppendResponse(nil, &wire.Response{Op: wire.OpQuery, Result: res})
-}
-
-// poisonReleased makes the server overwrite every result column it releases
-// for the rest of the test: a response encoded from a column after its
-// release, or from a recycled column its query did not wholly fill, then
-// differs from the in-process answer.
-func poisonReleased(t *testing.T) {
-	sideways.PoisonReleased(true)
-	t.Cleanup(func() { sideways.PoisonReleased(false) })
 }
 
 func cloneRel(rel *store.Relation) *store.Relation {
@@ -109,15 +99,13 @@ func genQuery(r *rand.Rand, domain int64) engine.Query {
 // match. A final concurrent phase then pipelines the warmed query pool
 // through the wire from many goroutines and checks each answer against the
 // in-process result, proving the network layer neither corrupts nor
-// reorders within a response under real concurrency. The server's released
-// result columns are poisoned, so neither does it answer from one.
+// reorders within a response under real concurrency.
 func TestRemoteEquivalence(t *testing.T) {
 	const (
 		rows   = 1200
 		domain = 400
 		ops    = 220
 	)
-	poisonReleased(t)
 	for _, tc := range equivMatrix() {
 		t.Run(tc.name, func(t *testing.T) {
 			base := store.Build("R", rows, []string{"A", "B", "C"},

@@ -365,6 +365,11 @@ func (c *conn) readLoop() {
 	defer c.s.wg.Done()
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	var buf []byte // every request payload is read here; valid until the next read
+	// Every inline answer is written here (engine.Query.Into): the reader
+	// encodes its frame before it reads the next request. Dispatched requests
+	// lend nothing — serve lets a timed-out execution run on, detached, and
+	// it would write into memory the reader has moved on with.
+	var res engine.Result
 	for {
 		payload, err := wire.ReadFrame(br, c.s.opts.MaxFrame, buf)
 		if err != nil {
@@ -439,8 +444,10 @@ func (c *conn) readLoop() {
 		// cost is noise.
 		if (req.Op == wire.OpQuery || req.Op == wire.OpQueryRO) && req.Trace == 0 && c.s.inlineRO && c.inlineCooldown == 0 {
 			t0 := time.Now()
-			if res, cost, ok := c.s.srv.TryRO(req.Query); ok {
-				c.send(&wire.Response{ID: req.ID, Op: req.Op, Result: res, Cost: cost})
+			q := req.Query
+			q.Into = &res
+			if ans, cost, ok := c.s.srv.TryRO(q); ok {
+				c.send(&wire.Response{ID: req.ID, Op: req.Op, Result: ans, Cost: cost})
 				if time.Since(t0) > inlineCutoff {
 					c.inlineCooldown = inlineCooldownN
 				}
@@ -524,13 +531,11 @@ func (c *conn) send(resp *wire.Response) {
 }
 
 // encodeFrame encodes one response into a pooled frame buffer, applying
-// the oversize-to-error conversion. The frame holds a copy of the result,
-// and every response is encoded exactly once, so this is where the result's
-// columns go back to the engine's free list.
+// the oversize-to-error conversion. The frame holds a copy of the result, so
+// once it returns the reader may lend the result's memory again.
 func (c *conn) encodeFrame(resp *wire.Response) *[]byte {
 	buf := frameBufPool.Get().(*[]byte)
 	*buf = wire.AppendResponse(*buf, resp)
-	resp.Result.Release()
 	if len(*buf)-wire.FrameHeader > c.s.opts.MaxFrame {
 		over := len(*buf) - wire.FrameHeader
 		*buf = wire.AppendResponse((*buf)[:0], &wire.Response{

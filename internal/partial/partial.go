@@ -886,13 +886,15 @@ func (s *Store) planRO(preds []AttrPred, projs []string, disjunctive bool) (pl s
 	return pl, headSlot, wins, used, ok
 }
 
-// MultiSelectRO is the reorganization-free execute path of the two-phase
+// MultiSelectROInto is the reorganization-free execute path of the two-phase
 // protocol: it answers the query only when every needed chunk exists,
 // is sufficiently aligned, and no pending update or fetch is required.
 // ok is false otherwise; callers then fall back to MultiSelect under
 // exclusive access. The chunks' Usage is bumped atomically; the head-drop
-// idle clock is not advanced by read-only queries.
-func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool) (Result, bool) {
+// idle clock is not advanced by read-only queries. The answer is written
+// into the memory the caller lends (sideways.Plan.Into), or into fresh
+// columns when into is nil; into is untouched when ok is false.
+func (s *Store) MultiSelectROInto(into *Result, preds []AttrPred, projs []string, disjunctive bool) (Result, bool) {
 	pl, headSlot, wins, used, ok := s.planRO(preds, projs, disjunctive)
 	if !ok {
 		return Result{}, false
@@ -902,6 +904,7 @@ func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool
 	for _, c := range used {
 		s.Touch(&c.Usage)
 	}
+	pl.Into = into
 	return finish(&pl, headSlot, wins), true
 }
 

@@ -315,22 +315,30 @@ func (s *Engine) span(q engine.Query) (int, int) {
 // ---------------------------------------------------------------------------
 // Query fan-out.
 
-// mergeResults concatenates per-shard results in shard order. The merged
-// result is a copy, so the parts are released: nothing else ever saw them.
-func mergeResults(parts []engine.Result, projs []string) engine.Result {
+// mergeResults concatenates per-shard results in shard order. A column of
+// the memory the caller lent (engine.Query.Into) that is large enough is
+// reused; every other column is fresh and exactly the merged length.
+func mergeResults(parts []engine.Result, projs []string, into *engine.Result) engine.Result {
 	out := engine.Result{Cols: make(map[string][]Value, len(projs))}
 	for _, p := range parts {
 		out.N += p.N
 	}
+	var lent map[string][]Value
+	if into != nil {
+		lent = into.Cols
+	}
 	for _, attr := range projs {
-		col := make([]Value, 0, out.N)
+		col := lent[attr][:0]
+		if col == nil || cap(col) < out.N {
+			col = make([]Value, 0, out.N)
+		}
 		for _, p := range parts {
 			col = append(col, p.Cols[attr]...)
 		}
 		out.Cols[attr] = col
 	}
-	for _, p := range parts {
-		p.Release()
+	if into != nil {
+		*into = out
 	}
 	return out
 }
@@ -350,12 +358,16 @@ func addCost(total *engine.Cost, c engine.Cost) {
 // predicates under range partitioning — is answered by that shard
 // directly, with no merge. Multi-shard queries fan out in parallel when
 // the runtime has CPUs to run them on, sequentially otherwise (goroutine
-// handoff on a single-CPU box only adds scheduling latency).
+// handoff on a single-CPU box only adds scheduling latency). Memory q lends
+// goes to the one shard that answers, or else to the merge: shards answering
+// side by side must not write into it.
 func (s *Engine) Query(q engine.Query) (engine.Result, engine.Cost) {
 	lo, hi := s.span(q)
 	if hi-lo == 1 {
 		return s.shards[lo].Query(q)
 	}
+	into := q.Into
+	q.Into = nil
 	var cost engine.Cost
 	parts := make([]engine.Result, hi-lo)
 	if runtime.GOMAXPROCS(0) > 1 {
@@ -379,11 +391,12 @@ func (s *Engine) Query(q engine.Query) (engine.Result, engine.Cost) {
 			addCost(&cost, c)
 		}
 	}
-	return mergeResults(parts, q.Projs), cost
+	return mergeResults(parts, q.Projs, into), cost
 }
 
 // QueryRO answers q if no relevant shard needs to reorganize; ok is false
-// as soon as one shard refuses. Never mutates.
+// as soon as one shard refuses. Never mutates. Lent memory goes where
+// Query sends it.
 func (s *Engine) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	if len(q.Preds) == 0 {
 		return engine.Result{}, engine.Cost{}, false
@@ -392,6 +405,8 @@ func (s *Engine) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	if hi-lo == 1 {
 		return s.shards[lo].QueryRO(q)
 	}
+	into := q.Into
+	q.Into = nil
 	parts := make([]engine.Result, hi-lo)
 	var cost engine.Cost
 	for sh := lo; sh < hi; sh++ {
@@ -402,7 +417,7 @@ func (s *Engine) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 		parts[sh-lo] = res
 		addCost(&cost, c)
 	}
-	return mergeResults(parts, q.Projs), cost, true
+	return mergeResults(parts, q.Projs, into), cost, true
 }
 
 // ---------------------------------------------------------------------------

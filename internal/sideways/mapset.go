@@ -343,115 +343,6 @@ type AttrPred struct {
 type Result struct {
 	Cols map[string][]Value
 	N    int
-
-	drawn *drawn // the columns of Cols that came from results; nil when none did
-}
-
-// results is the free list the map-set engines draw result columns from. A
-// server answers a warm query by copying an aligned area into a column,
-// copying the column into a frame and dropping it; a fresh 8 KB column costs
-// more in zeroing and cache misses than the copy that fills it.
-//
-// Ownership: a column enters the list only through Result.Release, and only
-// if draw handed it out — draw records each column in the result's drawn, and
-// Release returns exactly those, once. Whoever calls Release states that
-// nothing refers to the result's columns any more; netserve does, after the
-// response frame holds a copy, and shard's merge, after it has copied out of
-// its per-shard results. A caller that never releases — every in-process user
-// — leaves its columns to the collector and the list empty. The list holds at
-// most resultIdle values.
-var results struct {
-	sync.Mutex
-	store.FreeList
-	poison bool
-	// used is set by the first Release. Until somebody releases, the list is
-	// empty: draw neither locks it nor rounds a column up to its size class.
-	used atomic.Bool
-}
-
-// resultIdle bounds what results keeps, in values: 4 MiB. resultMin is the
-// smallest column worth its bookkeeping: below 1 KB the lock and the record
-// cost what allocating and zeroing does.
-const (
-	resultIdle = 1 << 19
-	resultMin  = 128
-)
-
-// drawn lists the columns one result drew. It is shared by the copies of the
-// Result, so that releasing any of them releases once.
-type drawn struct{ cols [][]Value }
-
-// poisonValue overwrites released columns under PoisonReleased.
-const poisonValue = Value(math.MinInt64 + 0xDEAD)
-
-// PoisonReleased makes Release overwrite every column it takes back, for
-// tests: a result read after its release — or a column drawn and not wholly
-// overwritten — is then a wrong answer and not a silent race.
-func PoisonReleased(on bool) {
-	results.Lock()
-	results.poison = on
-	results.Unlock()
-}
-
-// newResult returns an n-row result of projs columns, none of them drawn
-// yet. Columns the list would not keep, and columns so small that a fresh one
-// costs what the list does, will be allocated exactly and not recorded.
-func newResult(n, projs int) Result {
-	res := Result{Cols: make(map[string][]Value, projs), N: n}
-	if n >= resultMin && n <= resultIdle {
-		res.drawn = &drawn{cols: make([][]Value, 0, projs)}
-	}
-	return res
-}
-
-// draw adds the column of attr to r: N values, src copied to its head and
-// the rest unspecified — off results, or allocated, in N's size class where
-// Release is in use so that it files the column under the class it serves.
-func (r Result) draw(attr string, src []Value) []Value {
-	size, pooled := r.N, r.drawn != nil
-	var col []Value
-	if pooled && results.used.Load() {
-		size = store.ClassUp(size)
-		results.Lock()
-		col = results.Take(r.N)
-		results.Unlock()
-	}
-	if col != nil {
-		copy(col, src)
-	} else {
-		// A make and a copy the compiler fuses: what src covers is never zeroed.
-		col = make([]Value, size)
-		copy(col, src)
-		col = col[:r.N]
-	}
-	if pooled {
-		r.drawn.cols = append(r.drawn.cols, col)
-	}
-	r.Cols[attr] = col
-	return col
-}
-
-// Release hands the columns r drew from the free list of result columns back
-// to it. The caller must be done with r.Cols: the next query overwrites them.
-// Releasing is optional, and a no-op on a result that drew nothing (any other
-// engine's, a merged or decoded one, the zero Result) or is already released.
-func (r Result) Release() {
-	if r.drawn == nil {
-		return
-	}
-	results.Lock()
-	for _, col := range r.drawn.cols {
-		if results.poison {
-			col = col[:cap(col)]
-			for i := range col {
-				col[i] = poisonValue
-			}
-		}
-		results.Put(col, resultIdle)
-	}
-	r.drawn.cols = nil
-	results.Unlock()
-	results.used.Store(true)
 }
 
 // Estimator is the selectivity oracle the planner consults: a store's
@@ -469,6 +360,9 @@ type Plan struct {
 	// Tails lists the distinct tail attributes: Others' first, then the
 	// projections. The set materializes one aligned map or chunk per slot.
 	Tails []string
+	// Into is memory the caller lends for the answer, nil for none; see
+	// Reconstruct.
+	Into *Result
 
 	otherSlot []int    // Tails slot of each Others predicate
 	projs     []string // as the caller listed them; may repeat
@@ -574,7 +468,14 @@ func (pl *Plan) Conjunctive(wins []Window) Result {
 // Reconstruct is operator sideways.reconstruct over a list of windows:
 // marks[i] selects the qualifying tuples of window i (bit 0 = position Lo);
 // nil marks select all of [Lo, Hi). Each output column is sized once and
-// each distinct projection assigned once.
+// each distinct projection assigned once. It is the one place the map-set
+// stores materialize an answer.
+//
+// The answer is written into pl.Into when the caller lends one: a column of
+// a projected attribute is reused whole if it is large enough, and the
+// columns of attributes the plan does not project are dropped. The answer
+// aliases the lent memory, so it is valid until the caller lends that Result
+// again. Without one, every column is fresh and exactly the answer's length.
 func (pl *Plan) Reconstruct(wins []Window, marks []*bitvec.Vector) Result {
 	n := 0
 	for i, w := range wins {
@@ -584,13 +485,31 @@ func (pl *Plan) Reconstruct(wins []Window, marks []*bitvec.Vector) Result {
 			n += marks[i].Count()
 		}
 	}
-	res := newResult(n, len(pl.projs))
-	for _, attr := range pl.projs {
-		if _, done := res.Cols[attr]; done {
+	var fresh Result
+	res := pl.Into
+	if res == nil {
+		res = &fresh
+	}
+	if res.Cols == nil {
+		res.Cols = make(map[string][]Value, len(pl.projs))
+	}
+	for attr := range res.Cols {
+		if !slices.Contains(pl.projs, attr) {
+			delete(res.Cols, attr)
+		}
+	}
+	res.N = n
+	for i, attr := range pl.projs {
+		if slices.Contains(pl.projs[:i], attr) {
 			continue
 		}
 		slot := slices.Index(pl.Tails, attr)
-		out := res.draw(attr, nil)
+		out := res.Cols[attr]
+		if out == nil || cap(out) < n {
+			out = make([]Value, n)
+		}
+		out = out[:n]
+		res.Cols[attr] = out
 		at := 0
 		for i, w := range wins {
 			area := w.Tails[slot][w.Lo:w.Hi]
@@ -601,7 +520,7 @@ func (pl *Plan) Reconstruct(wins []Window, marks []*bitvec.Vector) Result {
 			}
 		}
 	}
-	return res
+	return *res
 }
 
 // closedInterval normalises pred to the closed interval [lo, hi] the

@@ -108,67 +108,53 @@ func TestDeleteOfBaseKeysSkipsPendingInserts(t *testing.T) {
 	}
 }
 
-// TestReleaseRecyclesOnce pins the ownership rule of the result free list:
-// a released column serves the next result of its size class, a column the
-// list did not hand out never enters it, and a second Release — of the same
-// Result or of a copy — hands nothing back, least of all the column's next
-// owner's. Poisoning makes any breach a wrong answer.
-func TestReleaseRecyclesOnce(t *testing.T) {
-	PoisonReleased(true)
-	defer PoisonReleased(false)
+// TestIntoReusesLentMemory pins what a read-only answer does with memory the
+// caller lends: a column of a projected attribute that is large enough
+// serves the next answer whole, a smaller one is replaced, a column the plan
+// does not project leaves the answer, and without lent memory every column
+// is exactly the answer's length.
+func TestIntoReusesLentMemory(t *testing.T) {
 	rel := buildRel(rand.New(rand.NewSource(9)), 2000, []string{"A", "B", "C"}, 500)
 	s := NewStore(rel)
-	preds := []AttrPred{{Attr: "A", Pred: store.Range(100, 200)}}
-	want := s.MultiSelect(preds, []string{"B"}, false).Cols["B"]
-	if len(want) == 0 {
-		t.Fatal("the query selects nothing")
-	}
-	answer := func() Result {
+	wide := []AttrPred{{Attr: "A", Pred: store.Range(100, 200)}}
+	narrow := []AttrPred{{Attr: "A", Pred: store.Range(120, 150)}}
+	answer := func(into *Result, preds []AttrPred, projs ...string) Result {
 		t.Helper()
-		res, ok := s.MultiSelectRO(preds, []string{"B"}, false)
+		want := s.MultiSelect(preds, projs, false)
+		got, ok := s.MultiSelectROInto(into, preds, projs, false)
 		if !ok {
 			t.Fatal("the warm query was refused")
 		}
-		if !slices.Equal(res.Cols["B"], want) {
-			t.Fatalf("answer %v, want %v", res.Cols["B"], want)
+		if got.N != want.N || len(got.Cols) != len(want.Cols) {
+			t.Fatalf("%d rows in %d columns, want %d in %d", got.N, len(got.Cols), want.N, len(want.Cols))
 		}
-		return res
-	}
-	idle := func() int {
-		results.Lock()
-		defer results.Unlock()
-		return results.Idle()
-	}
-
-	// Until a process releases for the first time its columns are allocated
-	// exactly, and file under the class below; from then on, in their class.
-	answer().Release()
-	first := answer()
-	col, base := &first.Cols["B"][0], idle()
-	first.Release()
-	if got := idle() - base; got != store.ClassUp(len(want)) {
-		t.Fatalf("Release filed %d values, want the column's class of %d", got, store.ClassUp(len(want)))
-	}
-	second := answer() // overwrote all of the poisoned column
-	if &second.Cols["B"][0] != col {
-		t.Fatal("the released column did not serve the next result of its size")
-	}
-	stale := first // a copy shares the record of what was drawn
-	stale.Release()
-	first.Release()
-	if !slices.Equal(second.Cols["B"], want) || idle() != base {
-		t.Fatal("a second Release took the column back from its next owner")
-	}
-	if third := answer(); &third.Cols["B"][0] == col {
-		t.Fatal("one column serves two live results")
+		for attr, col := range want.Cols {
+			if !slices.Equal(got.Cols[attr], col) {
+				t.Fatalf("column %s = %v, want %v", attr, got.Cols[attr], col)
+			}
+		}
+		return got
 	}
 
-	// What the list did not hand out never enters it.
-	base = idle()
-	foreign := Result{Cols: map[string][]Value{"B": slices.Clone(want)}, N: len(want)}
-	foreign.Release()
-	Result{}.Release()
-	if !slices.Equal(foreign.Cols["B"], want) || idle() != base {
-		t.Fatal("Release took a column the list never handed out")
+	var lent Result
+	first := answer(&lent, wide, "B")
+	if first.N == 0 {
+		t.Fatal("the query selects nothing")
+	}
+	col := &first.Cols["B"][0]
+	if second := answer(&lent, narrow, "B"); &second.Cols["B"][0] != col || &lent.Cols["B"][0] != col {
+		t.Fatal("a smaller answer did not reuse the lent column")
+	}
+	answer(&lent, narrow, "C", "C") // holds C only: B's lent column goes
+	answer(&lent, wide, "B", "C")   // C outgrows its lent column; B comes back
+
+	fresh := answer(nil, wide, "B", "C")
+	for attr, c := range fresh.Cols {
+		if cap(c) != fresh.N {
+			t.Fatalf("%d values in a fresh column %s of capacity %d", fresh.N, attr, cap(c))
+		}
+		if &c[0] == &lent.Cols[attr][0] {
+			t.Fatalf("an answer without lent memory wrote into the lent column %s", attr)
+		}
 	}
 }

@@ -398,9 +398,7 @@ func (pl *Plan) disjunctive(lo, hi int, tails [][]Value) Result {
 }
 
 // roEligible reports whether the set can serve pred read-only as far as
-// pending updates and the alignment policy are concerned. Shared by planRO
-// and the MultiSelectRO fast path so the eligibility rules live in one
-// place.
+// pending updates and the alignment policy are concerned.
 func (s *Store) roEligible(set *Set, pred store.Pred, disjunctive bool) bool {
 	// Disjunctions read whole maps, so any pending update is relevant.
 	if !set.pend.Settled(pred, disjunctive) {
@@ -462,29 +460,13 @@ func (s *Store) planRO(preds []AttrPred, projs []string, disjunctive bool) (pl P
 // Safe for concurrent use with other read-only operations. The maps' Usage
 // is bumped atomically; everything else is left untouched.
 func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool) (Result, bool) {
-	// Dedicated fast path for the dominant aligned-repeat shape: one
-	// predicate, one projection, conjunctive. Same eligibility rules as
-	// planRO (roEligible/roMap/Area) without its plan allocations — no
-	// tail maps, no bit vectors, just index lookups and one slice copy.
-	if len(preds) == 1 && len(projs) == 1 && !disjunctive {
-		head := preds[0]
-		set := s.sets[head.Attr]
-		if set == nil || !s.roEligible(set, head.Pred, false) {
-			return Result{}, false
-		}
-		m := set.roMap(projs[0])
-		if m == nil {
-			return Result{}, false
-		}
-		lo, hi, ok := m.pairs.Area(head.Pred)
-		if !ok {
-			return Result{}, false
-		}
-		s.Touch(&m.Usage)
-		res := newResult(hi-lo, 1)
-		res.draw(projs[0], m.pairs.Tail[lo:hi])
-		return res, true
-	}
+	return s.MultiSelectROInto(nil, preds, projs, disjunctive)
+}
+
+// MultiSelectROInto is MultiSelectRO writing the answer into memory the
+// caller lends (Plan.Into); into may be nil, and is untouched when ok is
+// false.
+func (s *Store) MultiSelectROInto(into *Result, preds []AttrPred, projs []string, disjunctive bool) (Result, bool) {
 	pl, lo, hi, used, ok := s.planRO(preds, projs, disjunctive)
 	if !ok {
 		return Result{}, false
@@ -492,5 +474,6 @@ func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool
 	for _, m := range used {
 		s.Touch(&m.Usage)
 	}
+	pl.Into = into
 	return pl.finish(lo, hi, used, disjunctive), true
 }

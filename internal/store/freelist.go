@@ -5,9 +5,9 @@ import "math/bits"
 // FreeList is a size-classed free list of value columns, for the places that
 // would otherwise allocate, zero and fault in a fresh column only to copy
 // over all of it: a recycled column costs the copy. Who may put a column —
-// nothing else may refer to it any more — is the rule of the list's owner
-// (partial.Store.release, sideways.Result.Release). Columns leave the list
-// without being cleared; whoever draws one overwrites all of it.
+// nothing else may refer to it any more — is the rule of the list's one
+// owner, partial.Store (see its release). Columns leave the list without
+// being cleared; whoever draws one overwrites all of it.
 //
 // Capacities are rounded to size classes, four per doubling, so a column
 // serves any request of its class and is at most a quarter larger than what
