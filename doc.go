@@ -52,7 +52,15 @@
 // microbenchmarks). All fast paths are deterministic pure functions of
 // (piece contents, operation), which preserves the alignment invariant
 // sideways cracking depends on: maps that replay the same cracker tape
-// stay physically identical.
+// stay physically identical. The kernel also turns that invariant into a
+// saving. Maps at one tape cursor have equal heads and boundaries, so a
+// crack can be decided once, on a leader's head, and applied to followers:
+// crack.Pairs.CrackRangeWith runs one counting pass and one misplaced-tuple
+// scan, and applies every swap block and boundary to each follower. The
+// precondition is that every follower has the leader's length, head values
+// and boundaries; a length mismatch panics. In kernel Stats a follower
+// counts only the tuples it moves (Moved), so crack_kernel_* still counts
+// each move, and each head read once.
 //
 // # Map sets
 //
@@ -63,7 +71,10 @@
 // (relation, tombstones, insert/delete fan-out, the uniform selectivity
 // fallback); each set's pending-update ledger, from which a query takes
 // the insertions and deletions its predicate touches; the cracker tape and
-// its replay; the planner, which picks the head predicate's set from the
+// its replay, which is joint — the maps a query needs, or one area's
+// chunks, are taken in cursor order, the one furthest behind replays alone
+// until it reaches the next one's cursor, and from there they replay
+// together, each crack decided once on one head; the planner, which picks the head predicate's set from the
 // self-organizing histograms and gives every distinct tail attribute one
 // slot; and the finish, select_create_bv / select_refine_bv / reconstruct
 // over a list of aligned windows {Lo, Hi, Tails} — a full map set answers
@@ -490,6 +501,15 @@
 // comment on the offending line or the line above it. Suppressions are
 // counted in CI logs and budgeted — at most three in the tree, enforced by
 // the internal/vet tests — so exceptions stay rare and documented.
+//
+// One kernel rule is held by tests, not crackvet: only map-set alignment
+// (sideways.Tape.ReplayJoint) builds a follower group for
+// crack.Pairs.CrackRangeWith, and only from maps or chunks with a head
+// that it finds at one cursor of one tape. Nothing else may, because
+// nothing else knows the heads are equal. The follower list lives for one
+// CrackRangeWith call. crack.FuzzFollowersAgree pins followers against
+// independent cracks; the two TestAlignTogetherVisitsOnce tests pin the
+// grouping by count.
 //
 // Two ownership rules keep the remote read path from allocating what it
 // throws away. Both are one rule — the caller passes the memory — and tests,

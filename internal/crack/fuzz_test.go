@@ -1,7 +1,9 @@
 package crack
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -243,4 +245,89 @@ func FuzzRippleUpdates(f *testing.F) {
 			t.Fatal("piece invariant violated")
 		}
 	})
+}
+
+// FuzzFollowersAgree pins CrackRangeWith against independent CrackRange
+// calls. A leader and 1-3 followers share a random head (each with its own
+// tail) and crack a fuzzer-chosen predicate sequence jointly, under every
+// policy and both repair loops; solo copies crack the same sequence alone.
+// The leader and every follower must end with the solo copies' heads, tails
+// and index boundaries, the leader's stats must equal its solo copy's, and
+// every follower must count the leader's moves and nothing else.
+func FuzzFollowersAgree(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(0), false, []byte{10, 40, 5, 60, 20, 20})
+	f.Add(int64(2), uint8(3), uint8(1), true, []byte{0, 127, 64, 65, 1, 126, 255, 3})
+	f.Add(int64(3), uint8(2), uint8(2), false, []byte{3, 90, 17, 250, 100, 101, 40, 41})
+	f.Fuzz(func(t *testing.T, seed int64, nf, policy uint8, branchy bool, preds []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		lead := randPairs(rng, 256, 128)
+		lead.Policy = Policy{Kind: PolicyKind(policy % 3), Cap: 16 + int(policy)%48, Seed: uint64(seed)}
+		lead.Branchy = branchy
+		joint := []*Pairs{lead}
+		for i := 0; i < 1+int(nf)%3; i++ {
+			tail := make([]Value, lead.Len())
+			for j := range tail {
+				tail[j] = Value(rng.Int63())
+			}
+			fp := WrapPairs(append([]Value(nil), lead.Head...), tail)
+			fp.Policy, fp.Branchy = lead.Policy, branchy
+			joint = append(joint, fp)
+		}
+		solo := make([]*Pairs, len(joint))
+		for i, p := range joint {
+			solo[i] = WrapPairs(append([]Value(nil), p.Head...), append([]Value(nil), p.Tail...))
+			solo[i].Policy, solo[i].Branchy = p.Policy, branchy
+		}
+		for i := 0; i+1 < len(preds) && i < 40; i += 2 {
+			lo, hi := int64(preds[i])%128, int64(preds[i+1])%128
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			pred := store.Pred{Lo: lo, Hi: hi, LoIncl: preds[i]%2 == 0, HiIncl: preds[i+1]%2 == 0}
+			if preds[i+1] >= 250 {
+				// An unbounded range: its upper bound has no cutoff to
+				// count against.
+				pred.Hi, pred.HiIncl = math.MaxInt64, true
+			}
+			alo, ahi := lead.CrackRangeWith(pred, joint[1:])
+			for _, p := range solo[1:] {
+				p.CrackRange(pred)
+			}
+			if slo, shi := solo[0].CrackRange(pred); alo != slo || ahi != shi {
+				t.Fatalf("pred %v: joint area (%d,%d) vs solo (%d,%d)", pred, alo, ahi, slo, shi)
+			}
+		}
+		for i, p := range joint {
+			if !slices.Equal(p.Head, solo[i].Head) || !slices.Equal(p.Tail, solo[i].Tail) {
+				t.Fatalf("member %d: layout differs from its solo replay", i)
+			}
+			if !sameBoundaries(p, solo[i]) {
+				t.Fatalf("member %d: boundaries differ from its solo replay", i)
+			}
+		}
+		if lead.Stats != solo[0].Stats {
+			t.Fatalf("leader stats %+v, solo %+v", lead.Stats, solo[0].Stats)
+		}
+		for i, p := range joint[1:] {
+			if want := (KernelStats{Moved: lead.Stats.Moved}); p.Stats != want {
+				t.Fatalf("follower %d stats %+v, want %+v", i, p.Stats, want)
+			}
+		}
+	})
+}
+
+// A follower must be another pairs of its leader's length.
+func TestCrackRangeWithRejectsBadFollowers(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	p := randPairs(rng, 64, 32)
+	for name, f := range map[string]*Pairs{"shorter": randPairs(rng, 63, 32), "itself": p} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s follower: no panic", name)
+				}
+			}()
+			p.CrackRangeWith(store.Range(4, 9), []*Pairs{f})
+		}()
+	}
 }

@@ -53,6 +53,41 @@ func BenchmarkCrackRangeCold(b *testing.B) {
 	}
 }
 
+// BenchmarkCrackRangeColdFollower measures two aligned maps cracking one
+// cold 1M-tuple piece: "joint" is a leader with one follower
+// (CrackRangeWith: one counting pass and one misplaced-tuple scan, every
+// swap applied twice), "solo" two independent CrackRange calls.
+func BenchmarkCrackRangeColdFollower(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 1 << 20
+	head, tail := make([]Value, n), make([]Value, n)
+	for i := range head {
+		head[i] = Value(rng.Int63n(n))
+		tail[i] = Value(i)
+	}
+	pred := store.Range(4000, n/2)
+	fresh := func() *Pairs { return WrapPairs(append([]Value(nil), head...), append([]Value(nil), tail...)) }
+	b.Run("joint", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			lead, follower := fresh(), fresh()
+			b.StartTimer()
+			lead.CrackRangeWith(pred, []*Pairs{follower})
+		}
+	})
+	b.Run("solo", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			p, q := fresh(), fresh()
+			b.StartTimer()
+			p.CrackRange(pred)
+			q.CrackRange(pred)
+		}
+	})
+}
+
 // benchCrackInTwoKernel measures the crack-in-two inner loop alone on a
 // cold random column (the worst case for branch prediction: every tuple's
 // side is a coin flip).

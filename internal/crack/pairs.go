@@ -18,6 +18,15 @@
 // replay the same sequence of cracks end up with identical head orderings
 // (Section 3.2).
 //
+// Maps that sit at one point of one tape therefore need not each pay for a
+// crack. CrackRangeWith cracks a leader together with followers: pairs of
+// the leader's length whose head values and index boundaries equal the
+// leader's. Every decision is made once, on the leader's head: the counting
+// pass, the misplaced positions, policy pivots and boundaries. Every swap
+// block and boundary is then applied to each follower as well, so each ends
+// exactly as its own CrackRange would leave it. A follower reads no head;
+// it counts the tuples it moves in Stats.Moved and nothing else.
+//
 // A crack pays for the piece it lands in and nothing else. Crack-in-two
 // counts the tuples left of the bound (fixing the split position) and then
 // repairs: the k-th misplaced tuple of the left region is swapped with the
@@ -116,6 +125,10 @@ type Pairs struct {
 	// Stats accumulates kernel partition counters. Resetting it is cheap
 	// and does not affect behavior.
 	Stats KernelStats
+
+	// followers receive every swap and boundary of the crack in progress;
+	// set only for the duration of one CrackRangeWith call.
+	followers []*Pairs
 }
 
 // NewPairs returns a Pairs over copies of head and tail. Panics if lengths
@@ -212,10 +225,15 @@ func (p *Pairs) crackInTwo(b crackindex.Bound, lo, hi int) int {
 // layouts and stats, which the equivalence fuzz targets pin.
 func (p *Pairs) repair(c Value, lo, split, hi int) {
 	p.Stats.Visited += hi - lo
+	var moved int
 	if p.Branchy {
-		p.Stats.Moved += p.repairBranchy(c, lo, split, hi)
+		moved = p.repairBranchy(c, lo, split, hi)
 	} else {
-		p.Stats.Moved += p.repairPred(c, lo, split, hi)
+		moved = p.repairPred(c, lo, split, hi)
+	}
+	p.Stats.Moved += moved
+	for _, f := range p.followers {
+		f.Stats.Moved += moved
 	}
 }
 
@@ -239,6 +257,9 @@ func (p *Pairs) repairBranchy(c Value, lo, split, hi int) (moved int) {
 		}
 		h[i], h[j] = h[j], h[i]
 		t[i], t[j] = t[j], t[i]
+		for _, f := range p.followers {
+			f.swap(i, j)
+		}
 		moved += 2
 		i++
 		j++
@@ -258,7 +279,9 @@ const predBlock = 256
 // anywhere — the classic two-pointer loop mispredicts once per tuple on
 // random data, while here the only data-dependent control is one buffer
 // check per predBlock tuples. It reads each head value of [lo, hi) once,
-// touches tails only where it swaps, and allocates nothing.
+// touches tails only where it swaps, and allocates nothing. Followers get
+// each block's swaps straight after the leader, while the block's positions
+// are still in L1; their heads are never read.
 func (p *Pairs) repairPred(c Value, lo, split, hi int) (moved int) {
 	h, t := p.Head, p.Tail
 	var bufI, bufJ [predBlock]int
@@ -290,16 +313,25 @@ func (p *Pairs) repairPred(c Value, lo, split, hi int) (moved int) {
 			}
 			continue
 		}
-		for k := 0; k < sw; k++ {
-			a, b := bufI[ci+k], bufJ[cj+k]
-			h[a], h[b] = h[b], h[a]
-			t[a], t[b] = t[b], t[a]
+		is, js := bufI[ci:ci+sw], bufJ[cj:cj+sw]
+		swapPositions(h, t, is, js)
+		for _, f := range p.followers {
+			swapPositions(f.Head, f.Tail, is, js)
 		}
 		moved += 2 * sw
 		ci += sw
 		cj += sw
 	}
 	return moved
+}
+
+// swapPositions swaps the tuples at is[k] and js[k] for every k.
+func swapPositions(h, t []Value, is, js []int) {
+	for k, a := range is {
+		b := js[k]
+		h[a], h[b] = h[b], h[a]
+		t[a], t[b] = t[b], t[a]
+	}
 }
 
 // CrackBound ensures a physical boundary for b exists, cracking the piece it
@@ -319,8 +351,17 @@ func (p *Pairs) crackBoundAt(b crackindex.Bound, pc crackindex.Piece) int {
 		return pc.Lo
 	}
 	pos := p.crackInTwo(b, pc.Lo, pc.Hi)
-	p.Idx.Insert(b, pos)
+	p.mark(b, pos)
 	return pos
+}
+
+// mark records boundary b at position pos in p's index and in every
+// follower's: the one place a crack adds a boundary.
+func (p *Pairs) mark(b crackindex.Bound, pos int) {
+	p.Idx.Insert(b, pos)
+	for _, f := range p.followers {
+		f.Idx.Insert(b, pos)
+	}
 }
 
 // crackRangeInPiece partitions the single piece [lo, hi) against both
@@ -386,8 +427,8 @@ func (p *Pairs) CrackRange(pred store.Pred) (lo, hi int) {
 		pc := p.Idx.PieceFor(b1, len(p.Head))
 		if !pc.LoExact && (!pc.HasHiB || b2.Less(pc.HiBound)) {
 			lo, hi = p.crackRangeInPiece(b1, b2, pc.Lo, pc.Hi)
-			p.Idx.Insert(b1, lo)
-			p.Idx.Insert(b2, hi)
+			p.mark(b1, lo)
+			p.mark(b2, hi)
 			return lo, hi
 		}
 		lo = p.crackBoundAt(b1, pc) // reuse the descent the probe already paid
@@ -400,6 +441,28 @@ func (p *Pairs) CrackRange(pred store.Pred) (lo, hi int) {
 		hi = lo
 	}
 	return lo, hi
+}
+
+// CrackRangeWith is CrackRange on p, the leader, and on followers that sit
+// at the same point of the same cracker tape. Precondition: every follower
+// has p's length, p's head values position for position, and p's index
+// boundaries. Each decision — the counting pass, the misplaced positions,
+// policy pivots, boundaries — is made once, on p's head; every swap is
+// applied to p and to each follower, and every boundary is inserted into
+// each follower's index. Because the kernel depends only on (piece
+// contents, predicate), every follower ends exactly as its own CrackRange
+// would have left it. A follower counts the tuples it moves in Stats.Moved
+// and nothing else, since it reads no head. Panics if a follower's length
+// differs from p's, or if p follows itself.
+func (p *Pairs) CrackRangeWith(pred store.Pred, followers []*Pairs) (lo, hi int) {
+	for _, f := range followers {
+		if f == p || len(f.Head) != len(p.Head) || len(f.Tail) != len(p.Tail) {
+			panic("crack: a follower must be another pairs of its leader's length")
+		}
+	}
+	p.followers = followers
+	defer func() { p.followers = nil }()
+	return p.CrackRange(pred)
 }
 
 // Area is the read-only probe of the two-phase (probe/execute) protocol:

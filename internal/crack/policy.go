@@ -134,7 +134,7 @@ func (p *Pairs) applyPolicy(b crackindex.Bound) {
 			return
 		}
 		pos := p.crackInTwo(pb, pc.Lo, pc.Hi)
-		p.Idx.Insert(pb, pos)
+		p.mark(pb, pos)
 		p.Stats.Aux++
 		if (pos == pc.Lo || pos == pc.Hi) && p.Policy.Kind != Capped {
 			// The pivot was the piece's extreme value: positions did not

@@ -8,7 +8,10 @@
 // frozen (never cracked or physically updated again) so that every chunk
 // created from them starts from the same initial layout. Each fetched area
 // has its own cracker tape; chunks carry a cursor into their area's tape and
-// are aligned by replay, exactly like full maps but at chunk granularity.
+// are aligned by replay, exactly like full maps but at chunk granularity:
+// the chunks of one area at one cursor replay once, each crack decided on
+// one head (sideways.Tape.ReplayJoint), while a head-dropped chunk replays
+// alone and lazily.
 //
 // The storage manager evicts chunks when a budget is exceeded; dropping the
 // last chunk of an area un-fetches it (its tape's pending effects are pushed
@@ -37,6 +40,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"crackstore/internal/bitvec"
@@ -293,8 +297,7 @@ func (s *Store) Set(attr string) *Set {
 	}
 	col := s.Relation().MustColumn(attr)
 	n := col.Len()
-	head := make([]Value, n)
-	copy(head, col.Vals)
+	head := slices.Clone(col.Vals[:n]) // no zeroing pass before the copy
 	tail := make([]Value, n)
 	for i := range tail {
 		tail[i] = Value(i)
@@ -435,25 +438,50 @@ func (set *Set) ensureChunk(w *area, tailAttr string, pinned map[*chunk]bool) *c
 	return c
 }
 
-// replay aligns chunk c of area w to tape position end.
-func (set *Set) replay(w *area, c *chunk, end int, tailAttr string) {
-	if c.cursor >= end {
-		return
+// replay aligns the chunks cs of area w to tape position end. Chunks with
+// a head replay together: at one cursor, each crack is decided once, on one
+// head (sideways.Tape.ReplayJoint). A head-dropped chunk replays alone, and
+// first, so it can still recover its head from a sibling at its cursor.
+func (set *Set) replay(w *area, end int, cs ...*chunk) {
+	rel := set.st.Relation()
+	headCol := rel.MustColumn(set.attr)
+	var joint []sideways.Member
+	for _, c := range cs {
+		if c.cursor >= end {
+			continue
+		}
+		var tailCol *store.Column
+		if c.attr != "" {
+			tailCol = rel.MustColumn(c.attr)
+		}
+		if c.headDropped {
+			set.replayDropped(w, c, end, headCol, tailCol)
+			continue
+		}
+		for i := c.cursor; i < end; i++ {
+			if _, isCrack := w.tape.CrackAt(i); isCrack {
+				c.lastCrack = set.st.queries
+				break
+			}
+		}
+		joint = append(joint, sideways.Member{Pairs: c.p, Cursor: &c.cursor, Tail: tailCol})
 	}
-	headCol := set.st.Relation().MustColumn(set.attr)
-	var tailCol *store.Column
-	if tailAttr != "" {
-		tailCol = set.st.Relation().MustColumn(tailAttr)
+	w.tape.ReplayJoint(joint, end, headCol)
+	for _, c := range cs {
+		set.st.account(c)
 	}
+}
+
+// replayDropped aligns head-dropped chunk c of area w to tape position end,
+// entry by entry. It replays lazily: a crack entry whose bounds are already
+// boundaries is a physical no-op and is skipped (Section 4.1: "if b matches
+// one of the past cracks, cracking and thus full alignment of c is not
+// necessary"). Any entry that would physically move tuples first recovers
+// the head, since crack, ripple-insert and delete reorganize head and tail
+// together.
+func (set *Set) replayDropped(w *area, c *chunk, end int, headCol, tailCol *store.Column) {
 	for ; c.cursor < end; c.cursor++ {
 		pred, isCrack := w.tape.CrackAt(c.cursor)
-		// Head-dropped chunks replay lazily: a crack entry whose bounds
-		// are already boundaries is a physical no-op and can be skipped
-		// (Section 4.1: "if b matches one of the past cracks, cracking and
-		// thus full alignment of c is not necessary"). Any entry that
-		// would physically move tuples first recovers the head, since
-		// crack, ripple-insert and delete reorganize head and tail
-		// together.
 		if c.headDropped {
 			if isCrack && boundsKnown(c, pred) {
 				continue
@@ -465,7 +493,6 @@ func (set *Set) replay(w *area, c *chunk, end int, tailAttr string) {
 			c.lastCrack = set.st.queries
 		}
 	}
-	set.st.account(c)
 }
 
 // boundsKnown reports whether both bounds of pred are already boundaries in
@@ -633,7 +660,7 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string) []sideways.Window {
 		}
 		if keys := del[w]; len(keys) > 0 {
 			kc := set.ensureChunk(w, "", nil)
-			set.replay(w, kc, len(w.tape), "")
+			set.replay(w, len(w.tape), kc)
 			if kc.headDropped {
 				// Replay recovers a dropped head only for entries that move
 				// tuples; locating keys reads it, as the delete entry's own
@@ -642,7 +669,7 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string) []sideways.Window {
 			}
 			w.tape.LogDelete(keys, kc.p.LocateKeys(pred, keys))
 			w.lastUpdate = len(w.tape)
-			set.replay(w, kc, len(w.tape), "")
+			set.replay(w, len(w.tape), kc)
 		}
 	}
 
@@ -661,7 +688,6 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string) []sideways.Window {
 	pinned := make(map[*chunk]bool)
 	var usedChunks []*chunk
 	for _, w := range areas {
-		chunks := make([]*chunk, len(tailAttrs))
 		// Partial alignment (Section 4.1): boundary areas align to the
 		// tape end (they must replay this query's crack); covered areas
 		// align only to the maximum cursor among the chunks this query
@@ -677,14 +703,18 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string) []sideways.Window {
 				}
 			}
 		}
+		// Pin every chunk the area needs before any replays, so the area's
+		// chunks align together.
+		chunks := make([]*chunk, len(tailAttrs))
 		for i, attr := range tailAttrs {
-			c := set.ensureChunk(w, attr, pinned)
-			pinned[c] = true
-			set.replay(w, c, target, attr)
-			set.st.Touch(&c.Usage)
-			chunks[i] = c
-			usedChunks = append(usedChunks, c)
+			chunks[i] = set.ensureChunk(w, attr, pinned)
+			pinned[chunks[i]] = true
 		}
+		set.replay(w, target, chunks...)
+		for _, c := range chunks {
+			set.st.Touch(&c.Usage)
+		}
+		usedChunks = append(usedChunks, chunks...)
 		win, ok := windowOf(chunks, cutLo, cutHi, lowerB, upperB)
 		if !ok {
 			panic(fmt.Sprintf("partial: missing boundary after alignment for %v", pred))

@@ -3,6 +3,7 @@ package partial
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -581,5 +582,72 @@ func TestBudgetedStreamIsDeterministic(t *testing.T) {
 			t.Fatalf("run %d diverged: %d vs %d storage tuples\n--- first\n%s\n--- again\n%s",
 				run, tuples, againTuples, inv, againInv)
 		}
+	}
+}
+
+// TestAlignTogetherVisitsOnce is sideways' joint-alignment count test for
+// the chunks of one area: chunks that lag at one cursor replay each crack
+// once, on one head; a new chunk replays alone up to its sibling's cursor,
+// then joins it; a head-dropped chunk replays alone. Every case ends with
+// equal heads and the answer a scan gives.
+func TestAlignTogetherVisitsOnce(t *testing.T) {
+	const k = 6
+	rel := buildRel(rand.New(rand.NewSource(12)), 2000, []string{"A", "B", "C", "D"}, 1000)
+	nv := &naive{rel: rel, dead: map[int]bool{}}
+	pred := func(i int) store.Pred { return store.Range(Value(60*i), Value(60*i+300)) }
+	visited := func(s *Store, attrs []string) (n int) {
+		for _, w := range s.SetIfExists("A").areas {
+			for _, attr := range attrs {
+				if c, ok := w.chunks[attr]; ok {
+					n += c.p.Stats.Visited
+				}
+			}
+		}
+		return n
+	}
+	// run fetches one area over the whole domain projecting first, drops
+	// the head of chunk drop (if any), queries pred(1..k) projecting lag,
+	// then pred(k+1) projecting last, and returns what the last query
+	// visited.
+	run := func(first []string, drop string, lag, last []string) int {
+		s := NewStore(rel)
+		s.SelectProject("A", store.Range(0, 1000), first)
+		w := s.SetIfExists("A").areas[0]
+		if drop != "" {
+			s.dropHead(w.chunks[drop])
+		}
+		for i := 1; i <= k; i++ {
+			s.SelectProject("A", pred(i), lag)
+		}
+		before := visited(s, last)
+		res := s.SelectProject("A", pred(k+1), last)
+		want := nv.rows([]AttrPred{{Attr: "A", Pred: pred(k + 1)}}, last, false)
+		mustSameRows(t, resultRows(res, last), want, "last query")
+		for _, attr := range last {
+			c := w.chunks[attr]
+			if c.headDropped || c.cursor != len(w.tape) {
+				t.Fatalf("chunk %s: head dropped %v, cursor %d of %d", attr, c.headDropped, c.cursor, len(w.tape))
+			}
+			if !slices.Equal(c.p.Head, w.chunks[last[0]].p.Head) {
+				t.Fatalf("chunk %s head differs from chunk %s", attr, last[0])
+			}
+		}
+		if err := s.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return visited(s, last) - before
+	}
+	b, d, both := []string{"B"}, []string{"D"}, []string{"B", "C"}
+	alone := run(b, "", d, b)
+	if together := run(both, "", d, both); together == 0 || together != alone {
+		t.Fatalf("two chunks at one cursor visited %d, one chunk alone %d", together, alone)
+	}
+	if dropped := run(both, "B", d, both); dropped != 2*alone {
+		t.Fatalf("with one head dropped two chunks visited %d, want twice %d", dropped, alone)
+	}
+	// Staggered: the C chunk is new (cursor 0) beside B's at cursor k.
+	newAlone := run(d, "", b, []string{"C"})
+	if staggered := run(d, "", b, both); staggered == 0 || staggered != newAlone {
+		t.Fatalf("staggered chunks visited %d, the new chunk alone %d", staggered, newAlone)
 	}
 }

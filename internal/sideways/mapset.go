@@ -1,6 +1,7 @@
 package sideways
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -329,6 +330,69 @@ func (t Tape) Replay(p *crack.Pairs, from, to int, headCol, tailCol *store.Colum
 		case entryDelete:
 			p.RippleDeleteBatch(e.positions)
 		}
+	}
+}
+
+// Member is one map or chunk a joint replay aligns: its pairs, its tape
+// cursor, and the base column its tail takes inserted tuples' values from
+// (nil when the tail stores tuple keys).
+type Member struct {
+	Pairs  *crack.Pairs
+	Cursor *int
+	Tail   *store.Column
+}
+
+// ReplayJoint aligns the members ms to tape position to, replaying each
+// entry once for every member that has reached it (staggered alignment).
+// The member furthest behind replays alone until it reaches the next
+// member's cursor; that member then joins it, and so on. A crack entry is
+// decided on the first member of the group and applied to the rest as
+// followers (crack.Pairs.CrackRangeWith). That is layout-identical to
+// replaying each member alone, because members at one cursor hold equal
+// heads and equal boundaries: the alignment invariant. Insert and delete
+// entries are rare and go member by member, each with its own tail column.
+// Members at or past to are left alone; the others end with cursor to.
+// headCol is the base column of the set's head attribute. ms is reordered.
+func (t Tape) ReplayJoint(ms []Member, to int, headCol *store.Column) {
+	slices.SortStableFunc(ms, func(a, b Member) int { return cmp.Compare(*a.Cursor, *b.Cursor) })
+	if len(ms) == 0 || *ms[0].Cursor >= to {
+		return
+	}
+	var group []Member
+	var ps []*crack.Pairs // group's pairs: ps[0] leads, ps[1:] follow
+	next := 0             // first member of ms that has not joined
+	for at := *ms[0].Cursor; at < to; {
+		for next < len(ms) && *ms[next].Cursor == at {
+			// A member listed twice must not follow itself: its swaps
+			// would cancel.
+			if !slices.Contains(ps, ms[next].Pairs) {
+				group = append(group, ms[next])
+				ps = append(ps, ms[next].Pairs)
+			}
+			next++
+		}
+		stop := to
+		if next < len(ms) {
+			stop = min(to, *ms[next].Cursor)
+		}
+		for _, e := range t[at:stop] {
+			switch e.kind {
+			case entryCrack:
+				ps[0].CrackRangeWith(e.pred, ps[1:])
+			case entryInsert:
+				for _, m := range group {
+					m.Pairs.RippleInsertKeys(e.keys, headCol, m.Tail)
+				}
+			case entryDelete:
+				for _, m := range group {
+					m.Pairs.RippleDeleteBatch(e.positions)
+				}
+			}
+		}
+		at = stop
+	}
+	for _, m := range group {
+		*m.Cursor = to
 	}
 }
 

@@ -158,3 +158,62 @@ func TestIntoReusesLentMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestAlignTogetherVisitsOnce pins joint alignment as a count: maps that
+// lag at one cursor replay each crack once, on one head, so a query over
+// two of them visits what a query over one visits. A map that lags further
+// replays alone up to its sibling's cursor, then joins it. Either way the
+// maps end with equal heads and the answer equals a scan's.
+func TestAlignTogetherVisitsOnce(t *testing.T) {
+	const k = 6
+	rel := buildRel(rand.New(rand.NewSource(11)), 2000, []string{"A", "B", "C", "D"}, 1000)
+	nv := &naive{rel: rel, dead: map[int]bool{}}
+	pred := func(i int) store.Pred { return store.Range(Value(60*i), Value(60*i+300)) }
+	visited := func(s *Store, attrs []string) (n int) {
+		for _, attr := range attrs {
+			if m := s.SetIfExists("A").MapIfExists(attr); m != nil {
+				n += m.Pairs().Stats.Visited
+			}
+		}
+		return n
+	}
+	// run queries pred(0) projecting first (if any), pred(1..k) projecting
+	// lag, then pred(k+1) projecting last, and returns what the last query
+	// visited.
+	run := func(first, lag, last []string) int {
+		s := NewStore(rel)
+		if first != nil {
+			s.SelectProject("A", pred(0), first)
+		}
+		for i := 1; i <= k; i++ {
+			s.SelectProject("A", pred(i), lag)
+		}
+		before := visited(s, last)
+		res := s.SelectProject("A", pred(k+1), last)
+		want := nv.rows([]AttrPred{{Attr: "A", Pred: pred(k + 1)}}, last, false)
+		equalRows(t, resultRows(res, last), want, "last query")
+		set := s.SetIfExists("A")
+		for _, attr := range last {
+			m := set.MapIfExists(attr)
+			if m.Cursor() != set.TapeLen() {
+				t.Fatalf("M_A%s at cursor %d of %d", attr, m.Cursor(), set.TapeLen())
+			}
+			if !slices.Equal(m.Pairs().Head, set.MapIfExists(last[0]).Pairs().Head) {
+				t.Fatalf("M_A%s head differs from M_A%s", attr, last[0])
+			}
+		}
+		return visited(s, last) - before
+	}
+	both := []string{"B", "C"}
+	together := run(both, []string{"D"}, both)
+	alone := run([]string{"B"}, []string{"D"}, []string{"B"})
+	if together == 0 || together != alone {
+		t.Fatalf("two maps at one cursor visited %d, one map alone %d", together, alone)
+	}
+	// Staggered: M_AC is new (cursor 0) beside M_AB at cursor k.
+	staggered := run(nil, []string{"B"}, both)
+	newAlone := run(nil, []string{"B"}, []string{"C"})
+	if staggered == 0 || staggered != newAlone {
+		t.Fatalf("staggered maps visited %d, the new map alone %d", staggered, newAlone)
+	}
+}

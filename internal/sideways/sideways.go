@@ -9,7 +9,10 @@
 // deterministic cracking algorithms in internal/crack guarantee that maps
 // replaying the same tape prefix are physically identical in head order, so
 // multi-attribute results are positionally aligned and tuple reconstruction
-// is free (Section 3.2).
+// is free (Section 3.2). The same fact makes alignment cheaper: maps at one
+// cursor replay the tape once, each crack decided on one head and applied
+// to the others as followers (Tape.ReplayJoint), so a query over two lagging
+// maps of a set replays what a query over one would.
 //
 // Multi-selection queries use a single aligned set plus bit-vector filtering
 // (Section 3.3); the set is chosen via the self-organizing histograms kept
@@ -167,18 +170,19 @@ func (s *Store) SetIfExists(attr string) *Set { return s.sets[attr] }
 
 // newMap materializes map M_A,tailAttr from the base prefix. tailAttr ""
 // creates the key map M_Akey. The map starts at tape cursor 0; the caller
-// aligns it.
+// aligns it. Base-prefix columns are cloned rather than made and copied: a
+// clone skips zeroing memory the copy overwrites anyway.
 func (set *Set) newMap(tailAttr string) *Map {
 	n := set.pend.baseLen
-	head := make([]Value, n)
-	copy(head, set.pend.head.Vals[:n])
-	tail := make([]Value, n)
+	head := slices.Clone(set.pend.head.Vals[:n])
+	var tail []Value
 	if tailAttr == "" {
+		tail = make([]Value, n)
 		for i := range tail {
 			tail[i] = Value(i)
 		}
 	} else {
-		copy(tail, set.st.rel.MustColumn(tailAttr).Vals[:n])
+		tail = slices.Clone(set.st.rel.MustColumn(tailAttr).Vals[:n])
 	}
 	m := &Map{tailAttr: tailAttr, pairs: crack.WrapPairs(head, tail)}
 	m.pairs.Policy = set.policy
@@ -188,17 +192,22 @@ func (set *Set) newMap(tailAttr string) *Map {
 // MapIfExists returns the map for tailAttr if materialized.
 func (set *Set) MapIfExists(tailAttr string) *Map { return set.maps[tailAttr] }
 
-// align replays the tape entries m has not seen yet.
-func (set *Set) align(m *Map) {
-	if m.cursor == len(set.tape) {
-		return
+// align replays the tape entries the maps ms have not seen yet. Maps at one
+// cursor replay together: each crack is decided once, on one head
+// (Tape.ReplayJoint).
+func (set *Set) align(ms ...*Map) {
+	var members []Member
+	for _, m := range ms {
+		if m.cursor == len(set.tape) {
+			continue
+		}
+		var tailCol *store.Column
+		if m.tailAttr != "" {
+			tailCol = set.st.rel.MustColumn(m.tailAttr)
+		}
+		members = append(members, Member{Pairs: m.pairs, Cursor: &m.cursor, Tail: tailCol})
 	}
-	var tailCol *store.Column
-	if m.tailAttr != "" {
-		tailCol = set.st.rel.MustColumn(m.tailAttr)
-	}
-	set.tape.Replay(m.pairs, m.cursor, len(set.tape), set.pend.head, tailCol)
-	m.cursor = len(set.tape)
+	set.tape.ReplayJoint(members, len(set.tape), set.pend.head)
 }
 
 // mergePending converts pending updates relevant to pred into tape entries
@@ -237,14 +246,17 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string) (lo, hi int, used []*
 	}
 	set.mergePending(pred)
 	set.tape.LogCrack(pred)
-	for _, m := range used {
-		set.align(m)
-		set.st.Touch(&m.Usage)
-	}
 	if set.st.EagerAlignment {
+		all := make([]*Map, 0, len(set.maps))
 		for _, m := range set.maps {
-			set.align(m)
+			all = append(all, m)
 		}
+		set.align(all...)
+	} else {
+		set.align(used...)
+	}
+	for _, m := range used {
+		set.st.Touch(&m.Usage)
 	}
 	if len(used) == 0 {
 		return 0, 0, used
