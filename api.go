@@ -124,7 +124,11 @@ func CrackPolicyByName(name string) (CrackPolicyKind, bool) { return crack.KindB
 
 // JoinMax evaluates a two-sided join with per-side conjunctive selections
 // and returns the maxima of the requested projections, keyed "L.attr" /
-// "R.attr" (the paper's q2 shape).
+// "R.attr" (the paper's q2 shape). A side may be any engine or stack —
+// concurrent, snapshot, durable (its cracks go on the crack tape) or
+// sharded. Bare Scan and SelCrack engines fetch post-join projections from
+// the full base columns, the scattered access of Exp4; every other side is
+// answered as one query and fetches from its clustered result.
 func JoinMax(l, r JoinSide) (map[string]Value, JoinCost) { return engine.JoinMax(l, r) }
 
 // MaxPerProj reduces a result to per-projection maxima.

@@ -189,8 +189,12 @@
 // A stack is built once — OpenWith (or Open) for the engine, then the
 // wrappers — and fixed from then on: what an engine is and how it is
 // configured is decided by its constructor, and a wrapper forwards the
-// Engine methods and its report, nothing else. Two wrappers make an engine
-// shared-safe; they trade write-path cost for read-path isolation.
+// Engine methods (Kind, Query, QueryRO, Insert, Delete, Storage) and its
+// report, nothing else. Everything else is built from those queries, so it
+// works on any stack: JoinMax answers each side with one query, which a
+// guard locks, a snapshot engine versions and a durable engine puts on its
+// crack tape like any other. Two wrappers make an engine shared-safe; they
+// trade write-path cost for read-path isolation.
 //
 //   - Concurrent: the QueryRO-then-Query read-write lock above. Aligned warm
 //     reads share the lock and scale with cores, but any query that

@@ -158,13 +158,13 @@ func (c *Col) Select(pred store.Pred) []Value {
 
 // RelSelect is operator crackers.rel_select (Section 2.2): for conjunctive
 // queries, subsequent selections filter a prior intermediate result instead
-// of cracking. Given keys from a previous selection and the base column of
-// the next attribute, it performs select and reconstruct in one go using
-// positional key lookups (random access, since keys are unordered).
-func RelSelect(keys []Value, base *store.Column, pred store.Pred) []Value {
+// of cracking. Given keys from a previous selection and the base column
+// values of the next attribute, it performs select and reconstruct in one go
+// using positional key lookups (random access, since keys are unordered).
+func RelSelect(keys, base []Value, pred store.Pred) []Value {
 	out := keys[:0:0]
 	for _, k := range keys {
-		if pred.Matches(base.Vals[int(k)]) {
+		if pred.Matches(base[int(k)]) {
 			out = append(out, k)
 		}
 	}

@@ -186,7 +186,7 @@ func TestQuickColModelEquivalence(t *testing.T) {
 }
 
 func TestRelSelect(t *testing.T) {
-	base := store.NewColumn("B", []Value{5, 15, 25, 35, 45})
+	base := []Value{5, 15, 25, 35, 45}
 	keys := []Value{4, 0, 2}
 	got := RelSelect(keys, base, store.Range(20, 50))
 	if len(got) != 2 || got[0] != 4 || got[1] != 2 {

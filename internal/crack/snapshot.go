@@ -190,24 +190,29 @@ func (v *colVersion) area(pred store.Pred) (i, j int, ok bool) {
 	return i, j, true
 }
 
-// GatherRO appends the keys of tuples matching pred to dst, reading one
-// consistent version lock-free. ok is false when answering pred needs the
-// writer path: a missing cut, or a pending-update backlog large enough that
-// merging it beats rescanning it on every read. The caller MUST hold an
-// Epoch pin (Enter before, Exit after) spanning the call and any use of the
-// result — the pin is what keeps the version's pieces from being reclaimed
-// underneath it.
+// GatherRO returns the keys of tuples matching pred, reading one consistent
+// version lock-free. ok is false when answering pred needs the writer path:
+// a missing cut, or a pending-update backlog large enough that merging it
+// beats rescanning it on every read. The caller MUST hold an Epoch pin
+// (Enter before, Exit after) spanning the call — the pin is what keeps the
+// version's pieces from being reclaimed underneath it; the keys are a copy,
+// allocated once for the area and the backlog, and outlive the pin.
 // Pending insertions are applied virtually and pending deletions filtered,
 // so the answer equals the writer path's.
-func (c *SnapCol) GatherRO(pred store.Pred, dst []Value) ([]Value, bool) {
+func (c *SnapCol) GatherRO(pred store.Pred) ([]Value, bool) {
 	v := c.cur.Load()
 	if len(v.pendIns) > snapMaxPend || len(v.pendDel) > snapMaxPend {
-		return dst, false
+		return nil, false
 	}
 	i, j, ok := v.area(pred)
 	if !ok {
-		return dst, false
+		return nil, false
 	}
+	n := len(v.pendIns)
+	for _, pc := range v.pieces[i:j] {
+		n += len(pc.tail)
+	}
+	dst := make([]Value, 0, n)
 	if len(v.pendDel) == 0 {
 		for _, pc := range v.pieces[i:j] {
 			dst = append(dst, pc.tail...)

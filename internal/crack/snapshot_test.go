@@ -31,7 +31,7 @@ func snapSelect(c *SnapCol, ep *Epoch, pred store.Pred) []Value {
 	if keys, ok := func() ([]Value, bool) {
 		pin := ep.Enter()
 		defer ep.Exit(pin)
-		return c.GatherRO(pred, nil)
+		return c.GatherRO(pred)
 	}(); ok {
 		return keys
 	}
@@ -88,7 +88,7 @@ func TestSnapColGatherROAppliesPending(t *testing.T) {
 	keys, ok := func() ([]Value, bool) {
 		pin := ep.Enter()
 		defer ep.Exit(pin)
-		return c.GatherRO(pred, nil)
+		return c.GatherRO(pred)
 	}()
 	if !ok {
 		t.Fatal("GatherRO refused a cracked predicate")
@@ -298,7 +298,7 @@ func TestSnapColConcurrentReaders(t *testing.T) {
 				if !func() bool {
 					pin := ep.Enter()
 					defer ep.Exit(pin)
-					keys, ok := c.GatherRO(pred, nil)
+					keys, ok := c.GatherRO(pred)
 					if !ok {
 						return true
 					}

@@ -98,8 +98,7 @@ func (s *rwEngine) Report() Report {
 	return r
 }
 
-func (s *rwEngine) Name() string { return s.e.Name() + " (concurrent)" }
-func (s *rwEngine) Kind() Kind   { return s.e.Kind() }
+func (s *rwEngine) Kind() Kind { return s.e.Kind() }
 
 func (s *rwEngine) Query(q Query) (Result, Cost) {
 	// Fast path: execute read-only under the shared lock.
@@ -142,16 +141,4 @@ func (s *rwEngine) Storage() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.e.Storage()
-}
-
-func (s *rwEngine) JoinInput(preds []AttrPred, joinAttr string, projs []string) (JoinInput, Cost) {
-	// Join selections crack both inputs; take the write lock up front.
-	// The returned fetcher needs no lock at all: every engine's JoinInput
-	// captures a snapshot of its fetch columns (base-column slice headers
-	// or a materialized intermediate), both immutable under concurrent
-	// appends. The previous per-tuple RLock/RUnlock pair here dominated
-	// wide join projections.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.e.JoinInput(preds, joinAttr, projs)
 }

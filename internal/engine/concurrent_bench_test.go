@@ -30,38 +30,6 @@ func warmEngine(rows int, sel float64) (Engine, []Query) {
 	return e, pool
 }
 
-// BenchmarkJoinFetch measures the post-join fetch path of a Concurrent-
-// wrapped engine: JoinInput once, then every qualifying tuple fetched for
-// projection. The fetcher used to take/release the wrapper's RLock per
-// tuple; it now reads a captured column snapshot with no lock at all, so
-// this benchmark is the regression guard for that fix.
-func BenchmarkJoinFetch(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		wrap func(Engine) Engine
-	}{{"plain", func(e Engine) Engine { return e }}, {"concurrent", Concurrent}} {
-		b.Run(mode.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			const rows = 100_000
-			rel := store.Build("R", rows, []string{"A", "B", "C"}, func(string, int) Value {
-				return rng.Int63n(rows) + 1
-			})
-			e := mode.wrap(New(SelCrack, rel))
-			preds := []AttrPred{{Attr: "A", Pred: store.Range(1, rows/4)}}
-			ji, _ := e.JoinInput(preds, "B", []string{"C"})
-			if len(ji.JoinVals) == 0 {
-				b.Fatal("empty join input")
-			}
-			b.ResetTimer()
-			var sink Value
-			for i := 0; i < b.N; i++ {
-				sink += ji.Fetch("C", i%len(ji.JoinVals))
-			}
-			_ = sink
-		})
-	}
-}
-
 // BenchmarkWarmQuery runs an aligned repeat workload through the
 // probe/execute Concurrent wrapper across client counts. With >1 CPU the
 // numbers scale with cores; the wrapper's overhead over the bare engine is

@@ -260,37 +260,6 @@ func TestConcurrentWrapIdempotent(t *testing.T) {
 	}
 }
 
-// TestConcurrentJoinInputFetcher: JoinInput through the guard returns a
-// fetcher that needs no lock — it must keep answering from its captured
-// column snapshot while a writer holds the guard and appends.
-func TestConcurrentJoinInputFetcher(t *testing.T) {
-	for _, gc := range guardCases() {
-		t.Run(gc.name, func(t *testing.T) {
-			rel := buildBandedRel(9)
-			e := gc.open(t, SelCrack, cloneRel(rel), crack.Policy{})
-			plain := New(SelCrack, cloneRel(rel))
-			preds := []AttrPred{{Attr: "A", Pred: store.Range(100, 700)}}
-			ji, _ := e.JoinInput(preds, "B", []string{"A"})
-			want, _ := plain.JoinInput(preds, "B", []string{"A"})
-			if len(ji.JoinVals) == 0 || len(ji.JoinVals) != len(want.JoinVals) {
-				t.Fatalf("join column length %d, want %d (nonzero)", len(ji.JoinVals), len(want.JoinVals))
-			}
-			e.Insert(Value(150), Value(150))
-			got := make([]Value, len(ji.JoinVals))
-			exp := make([]Value, len(want.JoinVals))
-			for i := range ji.JoinVals {
-				got[i] = ji.Fetch("A", i)
-				exp[i] = want.Fetch("A", i)
-			}
-			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-			sort.Slice(exp, func(i, j int) bool { return exp[i] < exp[j] })
-			if !valsEqual(got, exp) {
-				t.Fatal("post-join fetches diverged from the plain engine")
-			}
-		})
-	}
-}
-
 // TestConcurrentOneCrackPaysForAllWaiters: many goroutines issue the same
 // cold query at once. Whoever takes the write lock first cracks; everyone
 // queued behind it finds the range cracked on the double-check and runs

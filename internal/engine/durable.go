@@ -107,8 +107,6 @@ func (d *DurStats) add(s DurStats) {
 // three operations the journal must see. Holding the guard's
 // write lock across log-append and in-memory apply makes log order equal
 // apply order, which is what lets replay reproduce identical tuple keys.
-// JoinInput is deliberately not journaled: join warmth is derivable state
-// a restart rebuilds on demand.
 type durEngine struct {
 	rwEngine
 	rel *store.Relation
@@ -420,8 +418,6 @@ func CloseDurable(e Engine) (bool, error) {
 // ---------------------------------------------------------------------------
 // Engine interface.
 
-func (d *durEngine) Name() string { return d.e.Name() + " (durable)" }
-
 // logThenApply is the write path of Insert and Delete: append rec to the
 // WAL, apply it in memory inside the same write-lock section (so log order
 // is apply order), then wait outside the lock until the record is durable
@@ -477,14 +473,14 @@ func (d *durEngine) Delete(key int) {
 }
 
 // Query is the guard's two-phase protocol with a journaled slow path: the
-// read side is rwEngine's, untouched; a query that must reorganize is
-// appended to the crack tape once it has returned, still inside the same
-// write-lock section, so the cuts it made survive a restart. Recording
-// after execution means a query the engine rejects (it panics on an
-// unknown column) never reaches the tape, where it would poison every
-// later recovery. Tape appends are buffered, never durability-waited:
-// losing an unsynced tape tail costs restart warmth, not correctness, and
-// read latency must not pay for fsyncs.
+// read side is rwEngine's, untouched; a query that must reorganize — a join
+// side's selection included — is appended to the crack tape once it has
+// returned, still inside the same write-lock section, so the cuts it made
+// survive a restart. Recording after execution means a query the engine
+// rejects (it panics on an unknown column) never reaches the tape, where it
+// would poison every later recovery. Tape appends are buffered, never
+// durability-waited: losing an unsynced tape tail costs restart warmth, not
+// correctness, and read latency must not pay for fsyncs.
 func (d *durEngine) Query(q Query) (Result, Cost) {
 	if res, cost, ok := d.QueryRO(q); ok {
 		return res, cost

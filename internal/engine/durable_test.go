@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -352,6 +353,50 @@ func TestDurableWarmRestart(t *testing.T) {
 			}
 			assertAnswerEquivalent(t, "warm", re, twin, durBattery(sentinels))
 			CloseDurable(re)
+		})
+	}
+}
+
+// TestDurableJoinMaxCracksOnTape: a join side on a durable stack is a query
+// like any other, so its cracks go on the crack tape. A crash image (no
+// Close) reopens with both sides' cracks replayed, and the join answers
+// like one over Scan engines before the crash and after it.
+func TestDurableJoinMaxCracksOnTape(t *testing.T) {
+	join := func(e Engine) map[string]Value {
+		got, _ := JoinMax(
+			JoinSide{E: e, Preds: []AttrPred{{Attr: "A", Pred: store.Range(100, 700)}}, JoinAttr: "C", Projs: []string{"B", "C"}},
+			JoinSide{E: e, Preds: []AttrPred{{Attr: "B", Pred: store.Range(200, 900)}}, JoinAttr: "C", Projs: []string{"A"}},
+		)
+		return got
+	}
+	want := join(NewScan(durSeedRel()))
+	if len(want) != 3 {
+		t.Fatalf("degenerate join: %v", want)
+	}
+	for _, kind := range []Kind{SelCrack, Sideways} {
+		t.Run(kind.String(), func(t *testing.T) {
+			src := t.TempDir()
+			e, err := OpenDurable(kind, durSeedRel(), src, DurableOptions{Sync: wal.SyncGroup})
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer CloseDurable(e)
+			if got := join(e); !maps.Equal(got, want) {
+				t.Fatalf("join = %v, scan %v", got, want)
+			}
+			dir := filepath.Join(t.TempDir(), "crash")
+			copyDurDir(t, src, dir)
+			re, err := OpenDurable(kind, nil, dir, DurableOptions{Sync: wal.SyncGroup})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer CloseDurable(re)
+			if st, _ := DurStatsOf(re); st.TapeLen != 2 {
+				t.Fatalf("tape holds %d records, want the two join sides' cracks", st.TapeLen)
+			}
+			if got := join(re); !maps.Equal(got, want) {
+				t.Fatalf("recovered join = %v, scan %v", got, want)
+			}
 		})
 	}
 }

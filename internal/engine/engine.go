@@ -19,13 +19,17 @@
 //
 // A stack is fixed when it is built: NewWith takes every knob a base engine
 // has (Options), and wrappers make it shared-safe (Concurrent, Snapshot),
-// durable (OpenDurable) or partitioned (internal/shard). What a wrapper
-// must forward is the Engine interface plus Report — the one method through
-// which a stack says what its layers are, and what they are doing (see
-// Report); nothing is configured through a wrapper after the fact.
+// durable (OpenDurable) or partitioned (internal/shard). The Engine
+// interface is the query and its updates — Kind, Query, QueryRO, Insert,
+// Delete, Storage — and a wrapper forwards exactly that plus Report, the
+// one method through which a stack says what its layers are and what they
+// are doing (see Report). Nothing is configured through a wrapper after the
+// fact, and plans over engines, such as JoinMax, are written against the
+// interface alone, so they run on any stack.
 package engine
 
 import (
+	"slices"
 	"time"
 
 	"crackstore/internal/crack"
@@ -127,8 +131,10 @@ func (c Cost) Total() time.Duration { return c.Sel + c.TR }
 // QueryRO's ok is the one eligibility answer; there is no way to ask
 // without executing, because an answer that is not acted on under the same
 // lock is stale by the time it is used.
+//
+// These six methods are all a wrapper forwards (with Report): anything else
+// a caller needs, a join included, is built from queries.
 type Engine interface {
-	Name() string
 	Kind() Kind
 	// Query evaluates q and reports the cost split.
 	Query(q Query) (Result, Cost)
@@ -146,19 +152,6 @@ type Engine interface {
 	Delete(key int)
 	// Storage returns the auxiliary-structure footprint in tuples.
 	Storage() int
-	// JoinInput evaluates the selection side of a join plan: it returns
-	// the join-attribute values of qualifying tuples and a fetcher for
-	// post-join projection lookups by intermediate row index.
-	JoinInput(preds []AttrPred, joinAttr string, projs []string) (JoinInput, Cost)
-}
-
-// JoinInput is one side of a join: the join column of qualifying tuples
-// plus a post-join fetcher. For scan and selection cracking the fetcher
-// reaches into full base columns (scattered access); for presorted and
-// sideways designs it stays within the small clustered intermediate.
-type JoinInput struct {
-	JoinVals []Value
-	Fetch    func(attr string, i int) Value
 }
 
 // Options are the knobs of a base engine, fixed when it is built. A kind
@@ -196,12 +189,12 @@ func NewWith(kind Kind, rel *store.Relation, opts Options) Engine {
 	case Sideways:
 		st := sideways.NewStore(rel)
 		st.Policy, st.Budget = opts.Policy, opts.Budget
-		return &mapEngine{st: st, kind: Sideways, name: "sideways cracking"}
+		return &mapEngine{st: st, kind: Sideways}
 	case PartialSideways:
 		st := partial.NewStore(rel)
 		st.Policy, st.Budget = opts.Policy, opts.Budget
 		st.CachedPieceTuples, st.HeadDropIdleQueries = opts.CachedPieceTuples, opts.HeadDropIdleQueries
-		return &mapEngine{st: st, kind: PartialSideways, name: "partial sideways cracking"}
+		return &mapEngine{st: st, kind: PartialSideways}
 	case RowStore:
 		return &rowStoreEngine{rel: rel, plain: rowstore.New(rel), sorted: make(map[string]*rowstore.Table)}
 	}
@@ -255,8 +248,7 @@ type scanEngine struct {
 	dead map[int]bool
 }
 
-func (e *scanEngine) Name() string { return "MonetDB-style scan" }
-func (e *scanEngine) Kind() Kind   { return Scan }
+func (e *scanEngine) Kind() Kind { return Scan }
 
 func (e *scanEngine) Insert(vals ...Value) int {
 	e.rel.AppendRow(vals...)
@@ -266,10 +258,12 @@ func (e *scanEngine) Insert(vals ...Value) int {
 func (e *scanEngine) Delete(key int) { e.dead[key] = true }
 func (e *scanEngine) Storage() int   { return 0 }
 
+func (e *scanEngine) base(attr string) []Value { return e.rel.MustColumn(attr).Vals }
+
 // selectKeys returns the ordered keys matching the query's predicates.
-func (e *scanEngine) selectKeys(preds []AttrPred, disjunctive bool) []int {
+func (e *scanEngine) selectKeys(preds []AttrPred, disjunctive bool) []Value {
 	n := e.rel.NumRows()
-	var keys []int
+	var keys []Value
 	cols := make([]*store.Column, len(preds))
 	for i, ap := range preds {
 		cols[i] = e.rel.MustColumn(ap.Attr)
@@ -288,7 +282,7 @@ func (e *scanEngine) selectKeys(preds []AttrPred, disjunctive bool) []int {
 			}
 		}
 		if match {
-			keys = append(keys, i)
+			keys = append(keys, Value(i))
 		}
 	}
 	return keys
@@ -300,10 +294,7 @@ func (e *scanEngine) Query(q Query) (Result, Cost) {
 	keys := e.selectKeys(q.Preds, q.Disjunctive)
 	cost.Sel = time.Since(t0)
 	t0 = time.Now()
-	res := Result{Cols: make(map[string][]Value, len(q.Projs)), N: len(keys)}
-	for _, attr := range q.Projs {
-		res.Cols[attr] = store.Reconstruct(e.rel.MustColumn(attr), keys)
-	}
+	res := reconstruct(keys, q.Projs, e.base)
 	cost.TR = time.Since(t0)
 	return res, cost
 }
@@ -314,51 +305,29 @@ func (e *scanEngine) QueryRO(q Query) (Result, Cost, bool) {
 	return res, cost, true
 }
 
-func (e *scanEngine) JoinInput(preds []AttrPred, joinAttr string, projs []string) (JoinInput, Cost) {
-	var cost Cost
-	t0 := time.Now()
-	keys := e.selectKeys(preds, false)
-	cost.Sel = time.Since(t0)
-	t0 = time.Now()
-	jv := store.Reconstruct(e.rel.MustColumn(joinAttr), keys)
-	cost.TR = time.Since(t0)
-	// Capture the projection columns' slice headers now: base columns are
-	// append-only (deletes are tombstones), so the snapshot stays valid for
-	// every selected key even if writers append rows between fetches —
-	// which lets shared-safe wrappers hand the fetcher out lock-free.
-	fetchCols := fetchSnapshot(e.rel, projs, joinAttr)
-	return JoinInput{
-		JoinVals: jv,
-		// Post-join reconstruction prompts the full base columns: the
-		// qualifying tuples are scattered across the whole column.
-		Fetch: func(attr string, i int) Value {
-			return fetchCols.col(e.rel, attr)[keys[i]]
-		},
-	}, cost
+func (e *scanEngine) joinKeys(preds []AttrPred) ([]Value, func(string) []Value) {
+	return e.selectKeys(preds, false), e.base
 }
 
-// fetchCols is a snapshot of base-column slice headers captured when a
-// JoinInput fetcher is built, so post-join fetches need no lock.
-type fetchCols map[string][]Value
-
-func fetchSnapshot(rel *store.Relation, projs []string, joinAttr string) fetchCols {
-	fc := make(fetchCols, len(projs)+1)
-	for _, a := range projs {
-		fc[a] = rel.MustColumn(a).Vals
+// reconstruct fetches projs of the tuples keys names from the base columns
+// base resolves: the one reconstruct-by-keys path of the designs that keep
+// no clustered copy (scan, selection cracking and its snapshot engine).
+func reconstruct(keys []Value, projs []string, base func(string) []Value) Result {
+	res := Result{Cols: make(map[string][]Value, len(projs)), N: len(keys)}
+	for _, attr := range projs {
+		res.Cols[attr] = gather(base(attr), keys)
 	}
-	fc[joinAttr] = rel.MustColumn(joinAttr).Vals
-	return fc
+	return res
 }
 
-// col resolves attr from the snapshot, falling back to the live column for
-// attributes outside the join's projection list (join plans never fetch
-// those; the fallback only preserves the old any-attribute behavior for
-// direct callers).
-func (fc fetchCols) col(rel *store.Relation, attr string) []Value {
-	if vals, ok := fc[attr]; ok {
-		return vals
+// gather returns col's values at keys, in key order: positional lookups,
+// random access when the keys came out of a cracker column unordered.
+func gather(col, keys []Value) []Value {
+	out := make([]Value, len(keys))
+	for i, k := range keys {
+		out[i] = col[int(k)]
 	}
-	return rel.MustColumn(attr).Vals
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -373,8 +342,7 @@ type selCrackEngine struct {
 	pol  crack.Policy // every cracker column's, from Options.Policy
 }
 
-func (e *selCrackEngine) Name() string { return "selection cracking" }
-func (e *selCrackEngine) Kind() Kind   { return SelCrack }
+func (e *selCrackEngine) Kind() Kind { return SelCrack }
 
 func (e *selCrackEngine) Insert(vals ...Value) int {
 	e.rel.AppendRow(vals...)
@@ -419,70 +387,65 @@ func (e *selCrackEngine) col(attr string) *crack.Col {
 	return c
 }
 
-// selectKeys runs crackers.select on the primary predicate and
-// crackers.rel_select on the rest. Keys come back unordered.
-func (e *selCrackEngine) selectKeys(preds []AttrPred, disjunctive bool) []Value {
-	if disjunctive {
-		// Disjunctions crack every predicate's column and union the keys.
-		seen := make(map[Value]bool)
-		var keys []Value
-		for _, ap := range preds {
-			for _, k := range e.col(ap.Attr).Select(ap.Pred) {
-				if !seen[k] {
-					seen[k] = true
-					keys = append(keys, k)
-				}
-			}
-		}
-		return keys
-	}
-	keys := append([]Value(nil), e.col(preds[0].Attr).Select(preds[0].Pred)...)
-	for _, ap := range preds[1:] {
-		keys = crack.RelSelect(keys, e.rel.MustColumn(ap.Attr), ap.Pred)
-		keys = e.dropDead(keys, ap)
-	}
-	return keys
+func (e *selCrackEngine) base(attr string) []Value { return e.rel.MustColumn(attr).Vals }
+
+// selectCrack answers one predicate by crackers.select on its column. The
+// keys are copied out of the column's view, which the next crack moves — a
+// join side holds its keys across the other side's selection.
+func (e *selCrackEngine) selectCrack(ap AttrPred) ([]Value, bool) {
+	return append([]Value(nil), e.col(ap.Attr).Select(ap.Pred)...), true
 }
 
-// dropDead removes keys whose tuple is tombstoned but whose deletion has
-// not been merged into the cracker column serving this predicate yet.
-func (e *selCrackEngine) dropDead(keys []Value, ap AttrPred) []Value {
-	if len(e.dead) == 0 {
-		return keys
+// selectRO answers one predicate out of an already-cracked area, or refuses
+// when its column would crack or merge a pending update, or does not exist
+// yet. Like selectCrack, it returns a copy of the column's view.
+func (e *selCrackEngine) selectRO(ap AttrPred) ([]Value, bool) {
+	c, ok := e.cols[ap.Attr]
+	if !ok {
+		return nil, false
 	}
-	out := keys[:0]
-	for _, k := range keys {
-		if !e.dead[int(k)] {
-			out = append(out, k)
-		}
-	}
-	return out
+	view, ok := c.SelectRO(ap.Pred)
+	return append([]Value(nil), view...), ok
 }
 
 func (e *selCrackEngine) Query(q Query) (Result, Cost) {
-	var cost Cost
-	t0 := time.Now()
-	keys := e.selectKeys(q.Preds, q.Disjunctive)
-	cost.Sel = time.Since(t0)
-	t0 = time.Now()
-	res := Result{Cols: make(map[string][]Value, len(q.Projs)), N: len(keys)}
-	for _, attr := range q.Projs {
-		col := e.rel.MustColumn(attr)
-		out := make([]Value, len(keys))
-		for i, k := range keys {
-			out[i] = col.Vals[int(k)] // random access: keys are unordered
-		}
-		res.Cols[attr] = out
-	}
-	cost.TR = time.Since(t0)
+	res, cost, _ := crackQuery(q, e.selectCrack, e.base, e.dead)
 	return res, cost
 }
 
-// selectKeysRO is the reorganization-free twin of selectKeys: it reads the
-// qualifying keys out of already-cracked areas. ok is false when any
-// touched column would crack or merge a pending update, or does not exist
-// yet.
-func (e *selCrackEngine) selectKeysRO(preds []AttrPred, disjunctive bool) ([]Value, bool) {
+func (e *selCrackEngine) QueryRO(q Query) (Result, Cost, bool) {
+	return crackQuery(q, e.selectRO, e.base, e.dead)
+}
+
+func (e *selCrackEngine) joinKeys(preds []AttrPred) ([]Value, func(string) []Value) {
+	keys, _ := selectKeys(preds, false, e.selectCrack, e.base, e.dead)
+	return keys, e.base
+}
+
+// crackQuery answers q by selection cracking — selectKeys, then reconstruct
+// from the base columns — for the plain engine and its snapshot engine, on
+// the write path and read-only alike; ok is false when selectKeys refuses.
+func crackQuery(q Query, sel func(AttrPred) ([]Value, bool), base func(string) []Value, dead map[int]bool) (Result, Cost, bool) {
+	var cost Cost
+	t0 := time.Now()
+	keys, ok := selectKeys(q.Preds, q.Disjunctive, sel, base, dead)
+	if !ok {
+		return Result{}, Cost{}, false
+	}
+	cost.Sel = time.Since(t0)
+	t0 = time.Now()
+	res := reconstruct(keys, q.Projs, base)
+	cost.TR = time.Since(t0)
+	return res, cost, true
+}
+
+// selectKeys is selection cracking's one key-selection plan:
+// crackers.select on the primary predicate (sel answers one predicate from
+// its cracker column, cracking or read-only), then crackers.rel_select of
+// the rest against the base columns base resolves, and dropDead; a
+// disjunction unions every predicate's keys instead. ok is false when a sel
+// refuses or there is no predicate. Keys come back unordered.
+func selectKeys(preds []AttrPred, disjunctive bool, sel func(AttrPred) ([]Value, bool), base func(string) []Value, dead map[int]bool) ([]Value, bool) {
 	if len(preds) == 0 {
 		return nil, false
 	}
@@ -490,15 +453,11 @@ func (e *selCrackEngine) selectKeysRO(preds []AttrPred, disjunctive bool) ([]Val
 		seen := make(map[Value]bool)
 		var keys []Value
 		for _, ap := range preds {
-			c, ok := e.cols[ap.Attr]
+			part, ok := sel(ap)
 			if !ok {
 				return nil, false
 			}
-			view, ok := c.SelectRO(ap.Pred)
-			if !ok {
-				return nil, false
-			}
-			for _, k := range view {
+			for _, k := range part {
 				if !seen[k] {
 					seen[k] = true
 					keys = append(keys, k)
@@ -507,65 +466,31 @@ func (e *selCrackEngine) selectKeysRO(preds []AttrPred, disjunctive bool) ([]Val
 		}
 		return keys, true
 	}
-	c, ok := e.cols[preds[0].Attr]
-	if !ok {
-		return nil, false
+	keys, ok := sel(preds[0])
+	if !ok || len(preds) == 1 {
+		return keys, ok
 	}
-	view, ok := c.SelectRO(preds[0].Pred)
-	if !ok {
-		return nil, false
-	}
-	keys := append([]Value(nil), view...)
 	for _, ap := range preds[1:] {
-		keys = crack.RelSelect(keys, e.rel.MustColumn(ap.Attr), ap.Pred)
-		keys = e.dropDead(keys, ap)
+		keys = crack.RelSelect(keys, base(ap.Attr), ap.Pred)
 	}
-	return keys, true
+	return dropDead(keys, dead), true
 }
 
-func (e *selCrackEngine) QueryRO(q Query) (Result, Cost, bool) {
-	var cost Cost
-	t0 := time.Now()
-	keys, ok := e.selectKeysRO(q.Preds, q.Disjunctive)
-	if !ok {
-		return Result{}, Cost{}, false
+// dropDead removes keys whose tuple is tombstoned in dead but whose
+// deletion has not been merged into the cracker column of the primary
+// predicate yet. It filters in place: keys must be rel_select's fresh
+// output, never a column's view.
+func dropDead(keys []Value, dead map[int]bool) []Value {
+	if len(dead) == 0 {
+		return keys
 	}
-	cost.Sel = time.Since(t0)
-	t0 = time.Now()
-	res := Result{Cols: make(map[string][]Value, len(q.Projs)), N: len(keys)}
-	for _, attr := range q.Projs {
-		col := e.rel.MustColumn(attr)
-		out := make([]Value, len(keys))
-		for i, k := range keys {
-			out[i] = col.Vals[int(k)] // random access: keys are unordered
+	out := keys[:0]
+	for _, k := range keys {
+		if !dead[int(k)] {
+			out = append(out, k)
 		}
-		res.Cols[attr] = out
 	}
-	cost.TR = time.Since(t0)
-	return res, cost, true
-}
-
-func (e *selCrackEngine) JoinInput(preds []AttrPred, joinAttr string, projs []string) (JoinInput, Cost) {
-	var cost Cost
-	t0 := time.Now()
-	keys := e.selectKeys(preds, false)
-	cost.Sel = time.Since(t0)
-	t0 = time.Now()
-	col := e.rel.MustColumn(joinAttr)
-	jv := make([]Value, len(keys))
-	for i, k := range keys {
-		jv[i] = col.Vals[int(k)]
-	}
-	cost.TR = time.Since(t0)
-	// Snapshot the projection columns so the fetcher never touches live
-	// engine state (see scanEngine.JoinInput).
-	fetchCols := fetchSnapshot(e.rel, projs, joinAttr)
-	return JoinInput{
-		JoinVals: jv,
-		Fetch: func(attr string, i int) Value {
-			return fetchCols.col(e.rel, attr)[int(keys[i])]
-		},
-	}, cost
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -579,8 +504,7 @@ type presortEngine struct {
 	dead  map[int]bool
 }
 
-func (e *presortEngine) Name() string { return "presorted copies" }
-func (e *presortEngine) Kind() Kind   { return Presorted }
+func (e *presortEngine) Kind() Kind { return Presorted }
 
 // Prepare is the offline presorting step (see the package-level Prepare).
 func (e *presortEngine) Prepare(attrs ...string) time.Duration {
@@ -682,21 +606,6 @@ func (e *presortEngine) QueryRO(q Query) (Result, Cost, bool) {
 	return res, cost, true
 }
 
-func (e *presortEngine) JoinInput(preds []AttrPred, joinAttr string, projs []string) (JoinInput, Cost) {
-	var cost Cost
-	t0 := time.Now()
-	q := Query{Preds: preds, Projs: append(append([]string(nil), projs...), joinAttr)}
-	res, _ := e.Query(q)
-	cost.Sel = time.Since(t0)
-	return JoinInput{
-		JoinVals: res.Cols[joinAttr],
-		// Post-join access stays within the small materialized result.
-		Fetch: func(attr string, i int) Value {
-			return res.Cols[attr][i]
-		},
-	}, cost
-}
-
 // ---------------------------------------------------------------------------
 // Map-set engines: sideways cracking with full maps and with partial maps.
 
@@ -716,11 +625,9 @@ type mapStore interface {
 type mapEngine struct {
 	st   mapStore
 	kind Kind
-	name string
 }
 
-func (e *mapEngine) Name() string { return e.name }
-func (e *mapEngine) Kind() Kind   { return e.kind }
+func (e *mapEngine) Kind() Kind { return e.kind }
 
 func (e *mapEngine) Insert(vals ...Value) int { return e.st.Insert(vals...) }
 func (e *mapEngine) Delete(key int)           { e.st.Delete(key) }
@@ -748,26 +655,48 @@ func (e *mapEngine) QueryRO(q Query) (Result, Cost, bool) {
 	return res, Cost{Sel: time.Since(t0)}, true
 }
 
-func (e *mapEngine) JoinInput(preds []AttrPred, joinAttr string, projs []string) (JoinInput, Cost) {
-	t0 := time.Now()
-	res := e.st.MultiSelect(preds, append(append([]string(nil), projs...), joinAttr), false)
-	return JoinInput{
-		JoinVals: res.Cols[joinAttr],
-		Fetch: func(attr string, i int) Value {
-			return res.Cols[attr][i]
-		},
-	}, Cost{Sel: time.Since(t0)}
-}
-
 // ---------------------------------------------------------------------------
 // Join plans (Exp4, q2).
 
-// JoinSide describes one side of a join query.
+// JoinSide describes one side of a join query: a conjunctive selection over
+// E, the attribute it joins on, and the attributes whose maxima JoinMax
+// reports. E may be any engine or stack.
 type JoinSide struct {
 	E        Engine
 	Preds    []AttrPred
 	JoinAttr string
 	Projs    []string
+}
+
+// joinInput is one side of a join plan once selected: the join column of
+// its qualifying tuples, and fetch, the post-join reconstruction of one of
+// their projections by intermediate row.
+type joinInput struct {
+	vals  []Value
+	fetch func(attr string, i int) Value
+}
+
+// joinSide evaluates the selection of one join side. A bare Scan or SelCrack
+// engine materializes late: it selects keys, and post-join reconstruction
+// reaches into the full base columns at them — the scattered fetch Exp4
+// prices (Figure 5c). Every other engine or stack answers the side as a
+// query that also projects the join attribute, and the join fetches from
+// that small clustered result.
+func joinSide(s JoinSide) joinInput {
+	if late, ok := s.E.(interface {
+		joinKeys(preds []AttrPred) ([]Value, func(string) []Value)
+	}); ok {
+		keys, base := late.joinKeys(s.Preds)
+		return joinInput{
+			vals:  gather(base(s.JoinAttr), keys),
+			fetch: func(attr string, i int) Value { return base(attr)[int(keys[i])] },
+		}
+	}
+	res, _ := s.E.Query(Query{Preds: s.Preds, Projs: append(slices.Clip(s.Projs), s.JoinAttr)})
+	return joinInput{
+		vals:  res.Cols[s.JoinAttr],
+		fetch: func(attr string, i int) Value { return res.Cols[attr][i] },
+	}
 }
 
 // JoinCost breaks a join query into the phases reported by Figure 5.
@@ -782,33 +711,36 @@ func (c JoinCost) Total() time.Duration { return c.PreSel + c.Join + c.PostTR }
 
 // JoinMax evaluates "select max(projs...) from L, R where preds and
 // L.join = R.join" across two engines and returns the maxima keyed by
-// side-qualified attribute names ("L.attr", "R.attr").
+// side-qualified attribute names ("L.attr", "R.attr"). Either side may be
+// any stack, the same one on both sides included; post-join reconstruction
+// fetches from base columns for bare Scan and SelCrack engines and from the
+// side's clustered query answer for everything else (see joinSide).
 func JoinMax(l, r JoinSide) (map[string]Value, JoinCost) {
 	var jc JoinCost
-	li, lc := l.E.JoinInput(l.Preds, l.JoinAttr, l.Projs)
-	ri, rc := r.E.JoinInput(r.Preds, r.JoinAttr, r.Projs)
-	jc.PreSel = lc.Sel + lc.TR + rc.Sel + rc.TR
-
 	t0 := time.Now()
-	pairs := store.Join(li.JoinVals, ri.JoinVals)
+	li, ri := joinSide(l), joinSide(r)
+	jc.PreSel = time.Since(t0)
+
+	t0 = time.Now()
+	pairs := store.Join(li.vals, ri.vals)
 	jc.Join = time.Since(t0)
 
 	t0 = time.Now()
 	out := make(map[string]Value, len(l.Projs)+len(r.Projs))
 	if len(pairs) > 0 {
 		for _, attr := range l.Projs {
-			m := li.Fetch(attr, pairs[0].L)
+			m := li.fetch(attr, pairs[0].L)
 			for _, p := range pairs[1:] {
-				if v := li.Fetch(attr, p.L); v > m {
+				if v := li.fetch(attr, p.L); v > m {
 					m = v
 				}
 			}
 			out["L."+attr] = m
 		}
 		for _, attr := range r.Projs {
-			m := ri.Fetch(attr, pairs[0].R)
+			m := ri.fetch(attr, pairs[0].R)
 			for _, p := range pairs[1:] {
-				if v := ri.Fetch(attr, p.R); v > m {
+				if v := ri.fetch(attr, p.R); v > m {
 					m = v
 				}
 			}

@@ -22,14 +22,15 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-// TestNamesAndNoopPrepare: only the presorted designs have an offline step;
-// Prepare costs 0 on every other engine and through any wrapper.
+// TestNamesAndNoopPrepare: every engine reports the kind it was built as,
+// and only the presorted designs have an offline step; Prepare costs 0 on
+// every other engine and through any wrapper.
 func TestNamesAndNoopPrepare(t *testing.T) {
 	rel := buildRel(rand.New(rand.NewSource(1)), 50, []string{"A", "B"}, 10)
 	for _, k := range []Kind{Scan, SelCrack, Sideways, PartialSideways} {
 		e := New(k, cloneRel(rel))
-		if e.Name() == "" {
-			t.Errorf("%v: empty name", k)
+		if e.Kind() != k {
+			t.Errorf("%v: engine of kind %v", k, e.Kind())
 		}
 		if d := Prepare(e, "A"); d != 0 {
 			t.Errorf("%v: Prepare should be a no-op, took %v", k, d)
@@ -193,7 +194,7 @@ func TestQuickEnginesAgreeDisjunctiveWithUpdates(t *testing.T) {
 }
 
 // TestRepeatedProjection: a projection named twice — by the caller, or by
-// JoinInput appending the join attribute to a list that already has it — is
+// joinSide appending the join attribute to a list that already has it — is
 // one column of N values on every engine, on the write path and read-only.
 func TestRepeatedProjection(t *testing.T) {
 	rel := buildRel(rand.New(rand.NewSource(9)), 300, []string{"A", "B", "C"}, 60)
@@ -213,7 +214,7 @@ func TestRepeatedProjection(t *testing.T) {
 	for _, e := range engines {
 		for _, q := range queries {
 			want, _ := oracle.Query(q)
-			tag := fmt.Sprintf("%s %+v", e.Name(), q)
+			tag := fmt.Sprintf("%v %+v", e.Kind(), q)
 			res, _ := e.Query(q)
 			checkResult(t, tag, res, q.Projs, canonRows(want, q.Projs))
 			if res, _, ok := e.QueryRO(q); ok {
@@ -223,9 +224,10 @@ func TestRepeatedProjection(t *testing.T) {
 				t.Errorf("%s: QueryRO refused a query Query just answered", tag)
 			}
 		}
-		want, _ := oracle.JoinInput(wide, "B", []string{"B"})
-		got, _ := e.JoinInput(wide, "B", []string{"B"})
-		checkRows(t, e.Name()+" JoinInput", joinRows(got, []string{"B"}), joinRows(want, []string{"B"}))
+		side := JoinSide{E: oracle, Preds: wide, JoinAttr: "B", Projs: []string{"B"}}
+		want := joinRows(joinSide(side), side.Projs)
+		side.E = e
+		checkRows(t, e.Kind().String()+" join side", joinRows(joinSide(side), side.Projs), want)
 	}
 }
 
@@ -248,13 +250,13 @@ func TestCountWithoutProjections(t *testing.T) {
 		}
 		for _, e := range engines {
 			if res, _ := e.Query(q); res.N != want.N {
-				t.Errorf("round %d, %s: Query counts %d, scan %d", round, e.Name(), res.N, want.N)
+				t.Errorf("round %d, %v: Query counts %d, scan %d", round, e.Kind(), res.N, want.N)
 			}
 			res, _, ok := e.QueryRO(q)
 			if !ok {
-				t.Errorf("round %d, %s: QueryRO refused a query Query just answered", round, e.Name())
+				t.Errorf("round %d, %v: QueryRO refused a query Query just answered", round, e.Kind())
 			} else if res.N != want.N {
-				t.Errorf("round %d, %s: QueryRO counts %d, scan %d", round, e.Name(), res.N, want.N)
+				t.Errorf("round %d, %v: QueryRO counts %d, scan %d", round, e.Kind(), res.N, want.N)
 			}
 		}
 		for _, e := range append(engines, oracle) {
@@ -276,7 +278,7 @@ func TestIntoOnEveryKind(t *testing.T) {
 		e := New(k, cloneRel(rel))
 		var lent Result
 		for _, projs := range [][]string{{"B", "C"}, {"C"}, {"A", "B", "B"}, {"B", "C"}} {
-			tag := fmt.Sprintf("%s %v", e.Name(), projs)
+			tag := fmt.Sprintf("%v %v", k, projs)
 			q := Query{Preds: preds, Projs: projs}
 			res, _ := oracle.Query(q)
 			want := canonRows(res, projs)

@@ -74,11 +74,11 @@ func TestAllEnginesAgree(t *testing.T) {
 				continue
 			}
 			if len(got) != len(ref) {
-				t.Fatalf("q%d: %s returned %d rows, scan returned %d", q, e.Name(), len(got), len(ref))
+				t.Fatalf("q%d: %v returned %d rows, scan returned %d", q, e.Kind(), len(got), len(ref))
 			}
 			for j := range ref {
 				if got[j] != ref[j] {
-					t.Fatalf("q%d: %s row %d = %s, want %s", q, e.Name(), j, got[j], ref[j])
+					t.Fatalf("q%d: %v row %d = %s, want %s", q, e.Kind(), j, got[j], ref[j])
 				}
 			}
 		}

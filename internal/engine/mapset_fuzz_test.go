@@ -20,7 +20,7 @@ const (
 )
 
 // Op stream format. Every op starts with a header byte h; h%8 selects the
-// kind (0 insert, 1 delete, 2 join input, anything else a query) and bit 3
+// kind (0 insert, 1 delete, 2 join side, anything else a query) and bit 3
 // makes a query disjunctive. The seed builders below are its documentation.
 const (
 	opInsert = 0
@@ -156,12 +156,12 @@ func checkResult(t *testing.T, tag string, res Result, projs []string, want []st
 
 // joinRows canonicalizes one side of a join: per qualifying tuple its join
 // value and the fetched projections.
-func joinRows(ji JoinInput, projs []string) []string {
-	rows := make([]string, len(ji.JoinVals))
-	for i, jv := range ji.JoinVals {
+func joinRows(ji joinInput, projs []string) []string {
+	rows := make([]string, len(ji.vals))
+	for i, jv := range ji.vals {
 		row := []Value{jv}
 		for _, attr := range projs {
-			row = append(row, ji.Fetch(attr, i))
+			row = append(row, ji.fetch(attr, i))
 		}
 		rows[i] = fmt.Sprint(row)
 	}
@@ -200,7 +200,7 @@ func runMapOps(t *testing.T, seed int64, ops []byte) {
 			oracle.Insert(vals...)
 			for _, e := range engines {
 				if key := e.Insert(vals...); key != rows {
-					t.Fatalf("step %d: %s inserted key %d, want %d", step, e.Name(), key, rows)
+					t.Fatalf("step %d: %v inserted key %d, want %d", step, e.Kind(), key, rows)
 				}
 			}
 			rows++
@@ -211,20 +211,19 @@ func runMapOps(t *testing.T, seed int64, ops []byte) {
 				e.Delete(key)
 			}
 		case opJoin:
-			preds, joinAttr, projs := r.preds(), fuzzAttrs[r.next()%4], r.projs()
-			ji, _ := oracle.JoinInput(preds, joinAttr, projs)
-			want := joinRows(ji, projs)
+			side := JoinSide{E: oracle, Preds: r.preds(), JoinAttr: fuzzAttrs[r.next()%4], Projs: r.projs()}
+			want := joinRows(joinSide(side), side.Projs)
 			for i, e := range engines {
-				ji, _ := e.JoinInput(preds, joinAttr, projs)
-				tag := fmt.Sprintf("step %d engine %d (%s) JoinInput(%v, %s, %v)", step, i, e.Name(), preds, joinAttr, projs)
-				checkRows(t, tag, joinRows(ji, projs), want)
+				side.E = e
+				tag := fmt.Sprintf("step %d engine %d (%v) join side %v on %s, %v", step, i, e.Kind(), side.Preds, side.JoinAttr, side.Projs)
+				checkRows(t, tag, joinRows(joinSide(side), side.Projs), want)
 			}
 		default:
 			q := Query{Disjunctive: h&opDisj != 0, Preds: r.preds(), Projs: r.projs()}
 			res, _ := oracle.Query(q)
 			want := canonRows(res, q.Projs)
 			for i, e := range engines {
-				tag := fmt.Sprintf("step %d engine %d (%s) %+v", step, i, e.Name(), q)
+				tag := fmt.Sprintf("step %d engine %d (%v) %+v", step, i, e.Kind(), q)
 				if res, _, ok := e.QueryRO(q); ok {
 					checkResult(t, tag+" QueryRO before", res, q.Projs, want)
 				}
@@ -259,7 +258,7 @@ func FuzzMapEnginesAgree(f *testing.F) {
 		encQuery(opQuery, wide, encProjs(aB, aB)),
 		encQuery(opQuery|opDisj, encPreds(encPred(aA, shapeRange, 10, 50), encPred(aC, shapePoint, 7, 0)), encProjs(aB, aC, aB)),
 	))
-	// The join attribute is also a projection: JoinInput appends it again.
+	// The join attribute is also a projection: joinSide appends it again.
 	f.Add(int64(2), cat(
 		encQuery(opQuery, narrow, encProjs(aB)),
 		encJoin(wide, aB, encProjs(aB)),

@@ -133,10 +133,10 @@ func TestPolicyIgnoredByNonCrackingEngines(t *testing.T) {
 				Projs: []string{"B"},
 			})
 			if res.N == 0 {
-				t.Fatalf("%v (%s): engine broken when built with a policy", kind, e.Name())
+				t.Fatalf("%v (%T): engine broken when built with a policy", kind, e)
 			}
 			if ReportOf(e).Kernel != nil {
-				t.Fatalf("%v (%s): a non-cracking engine reports a kernel", kind, e.Name())
+				t.Fatalf("%v (%T): a non-cracking engine reports a kernel", kind, e)
 			}
 		}
 	}

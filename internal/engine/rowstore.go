@@ -20,8 +20,7 @@ type rowStoreEngine struct {
 	sorted map[string]*rowstore.Table
 }
 
-func (e *rowStoreEngine) Name() string { return "row-store (presorted)" }
-func (e *rowStoreEngine) Kind() Kind   { return RowStore }
+func (e *rowStoreEngine) Kind() Kind { return RowStore }
 
 func (e *rowStoreEngine) Insert(vals ...Value) int {
 	panic("engine: the row-store reference engine is read-only")
@@ -107,17 +106,4 @@ func (e *rowStoreEngine) Query(q Query) (Result, Cost) {
 func (e *rowStoreEngine) QueryRO(q Query) (Result, Cost, bool) {
 	res, cost := e.Query(q)
 	return res, cost, true
-}
-
-func (e *rowStoreEngine) JoinInput(preds []AttrPred, joinAttr string, projs []string) (JoinInput, Cost) {
-	var cost Cost
-	t0 := time.Now()
-	res, _ := e.Query(Query{Preds: preds, Projs: append(append([]string(nil), projs...), joinAttr)})
-	cost.Sel = time.Since(t0)
-	return JoinInput{
-		JoinVals: res.Cols[joinAttr],
-		Fetch: func(attr string, i int) Value {
-			return res.Cols[attr][i]
-		},
-	}, cost
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"crackstore/internal/crack"
 	"crackstore/internal/store"
@@ -35,11 +34,12 @@ func Snapshot(e Engine) Engine {
 }
 
 // snapEngine is the multi-version selection-cracking engine behind
-// Snapshot. Readers (QueryRO, and Query's fast path) are entirely
-// lock-free: they pin an epoch, load immutable state through atomic
-// pointers, and copy what they need. Writers (cracking queries, Insert,
-// Delete, JoinInput) serialize on mu and publish every change as a new
-// immutable version before returning.
+// Snapshot. It answers queries with selection cracking's one plan
+// (crackQuery) and keeps only what versioning adds to it. Readers
+// (QueryRO, and Query's fast path) are entirely lock-free: they pin an
+// epoch, load immutable state through atomic pointers, and copy what they
+// need. Writers (cracking queries, Insert, Delete) serialize on mu and
+// publish every change as a new immutable version before returning.
 //
 // Lock-free reads lean on three invariants:
 //
@@ -82,8 +82,7 @@ func newSnapEngine(sc *selCrackEngine) *snapEngine {
 	return e
 }
 
-func (e *snapEngine) Name() string { return "selection cracking (snapshot)" }
-func (e *snapEngine) Kind() Kind   { return SelCrack }
+func (e *snapEngine) Kind() Kind { return SelCrack }
 
 // publishBasesLocked re-publishes the base-column slice headers; must run
 // under mu and before any cracker-column version referencing new keys is
@@ -150,86 +149,30 @@ func (e *snapEngine) Storage() int {
 	return total
 }
 
-// gatherRO collects qualifying keys lock-free from one consistent snapshot
-// per touched column; ok is false when q would reorganize — a missing
-// cracker column, a missing cut, or a pending-update backlog due for
-// merging. The caller must hold an epoch pin spanning the call.
-func (e *snapEngine) gatherRO(q Query) ([]Value, bool) {
-	cols := *e.cols.Load()
-	if q.Disjunctive {
-		seen := make(map[Value]bool)
-		var keys []Value
-		for _, ap := range q.Preds {
-			c, ok := cols[ap.Attr]
-			if !ok {
-				return nil, false
-			}
-			part, ok := c.GatherRO(ap.Pred, nil)
-			if !ok {
-				return nil, false
-			}
-			for _, k := range part {
-				if !seen[k] {
-					seen[k] = true
-					keys = append(keys, k)
-				}
-			}
-		}
-		return keys, true
-	}
-	c, ok := cols[q.Preds[0].Attr]
+// gatherRO answers one predicate lock-free from the column version it
+// loads, pinned for the gather, or refuses when it would reorganize — a
+// missing cracker column, a missing cut, or a pending-update backlog due
+// for merging. Pending deletions are filtered, so its keys are never dead.
+func (e *snapEngine) gatherRO(ap AttrPred) ([]Value, bool) {
+	pin := e.ep.Enter()
+	defer e.ep.Exit(pin) // the keys are a copy: nothing reads version memory after this
+	c, ok := (*e.cols.Load())[ap.Attr]
 	if !ok {
 		return nil, false
 	}
-	keys, ok := c.GatherRO(q.Preds[0].Pred, nil)
-	if !ok {
-		return nil, false
-	}
-	// Secondary predicates filter against the base-column snapshot; dead
-	// tuples are already excluded by the primary column (physically
-	// removed, or filtered through its pending-deletion set).
-	bases := *e.bases.Load()
-	for _, ap := range q.Preds[1:] {
-		base := bases[ap.Attr]
-		out := keys[:0]
-		for _, k := range keys {
-			if ap.Pred.Matches(base[int(k)]) {
-				out = append(out, k)
-			}
-		}
-		keys = out
-	}
-	return keys, true
+	return c.GatherRO(ap.Pred)
 }
 
+// baseRO resolves a base column lock-free. Every call loads the bases
+// afresh, after the keys it serves were gathered, so it always holds their
+// rows (see publishBasesLocked).
+func (e *snapEngine) baseRO(attr string) []Value { return (*e.bases.Load())[attr] }
+
+// QueryRO is selection cracking read-only over pinned versions. It passes
+// no tombstones: gatherRO's keys never hold a dead tuple, and dead is
+// writer-only state.
 func (e *snapEngine) QueryRO(q Query) (Result, Cost, bool) {
-	if len(q.Preds) == 0 {
-		return Result{}, Cost{}, false
-	}
-	var cost Cost
-	t0 := time.Now()
-	keys, ok := func() ([]Value, bool) {
-		pin := e.ep.Enter()
-		defer e.ep.Exit(pin) // keys are copies; nothing references version memory after this
-		return e.gatherRO(q)
-	}()
-	if !ok {
-		return Result{}, Cost{}, false
-	}
-	cost.Sel = time.Since(t0)
-	t0 = time.Now()
-	bases := *e.bases.Load()
-	res := Result{Cols: make(map[string][]Value, len(q.Projs)), N: len(keys)}
-	for _, attr := range q.Projs {
-		base := bases[attr]
-		out := make([]Value, len(keys))
-		for i, k := range keys {
-			out[i] = base[int(k)] // random access: keys are unordered
-		}
-		res.Cols[attr] = out
-	}
-	cost.TR = time.Since(t0)
-	return res, cost, true
+	return crackQuery(q, e.gatherRO, e.baseRO, nil)
 }
 
 func (e *snapEngine) Query(q Query) (Result, Cost) {
@@ -244,87 +187,17 @@ func (e *snapEngine) Query(q Query) (Result, Cost) {
 	if res, cost, ok := e.QueryRO(q); ok {
 		return res, cost
 	}
-	var cost Cost
-	t0 := time.Now()
-	keys := e.selectKeysLocked(q.Preds, q.Disjunctive)
-	cost.Sel = time.Since(t0)
-	t0 = time.Now()
-	res := Result{Cols: make(map[string][]Value, len(q.Projs)), N: len(keys)}
-	for _, attr := range q.Projs {
-		col := e.rel.MustColumn(attr)
-		out := make([]Value, len(keys))
-		for i, k := range keys {
-			out[i] = col.Vals[int(k)]
-		}
-		res.Cols[attr] = out
-	}
-	cost.TR = time.Since(t0)
+	res, cost, _ := crackQuery(q, e.crackLocked, e.baseLocked, e.dead)
 	return res, cost
 }
 
-// selectKeysLocked is the writer-path key selection: cracker-column selects
-// publish new versions as a side effect. Must run under mu.
-func (e *snapEngine) selectKeysLocked(preds []AttrPred, disjunctive bool) []Value {
-	if disjunctive {
-		seen := make(map[Value]bool)
-		var keys []Value
-		for _, ap := range preds {
-			for _, k := range e.colLocked(ap.Attr).Select(ap.Pred) {
-				if !seen[k] {
-					seen[k] = true
-					keys = append(keys, k)
-				}
-			}
-		}
-		return keys
-	}
-	keys := e.colLocked(preds[0].Attr).Select(preds[0].Pred)
-	for _, ap := range preds[1:] {
-		keys = crack.RelSelect(keys, e.rel.MustColumn(ap.Attr), ap.Pred)
-		keys = e.dropDeadLocked(keys)
-	}
-	return keys
+// crackLocked answers one predicate by cracking its column, which publishes
+// new versions as a side effect. Must run under mu.
+func (e *snapEngine) crackLocked(ap AttrPred) ([]Value, bool) {
+	return e.colLocked(ap.Attr).Select(ap.Pred), true
 }
 
-// dropDeadLocked removes keys whose tuple is tombstoned but whose deletion
-// has not been merged into the column serving the primary predicate yet.
-func (e *snapEngine) dropDeadLocked(keys []Value) []Value {
-	if len(e.dead) == 0 {
-		return keys
-	}
-	out := keys[:0]
-	for _, k := range keys {
-		if !e.dead[int(k)] {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-func (e *snapEngine) JoinInput(preds []AttrPred, joinAttr string, projs []string) (JoinInput, Cost) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var cost Cost
-	t0 := time.Now()
-	keys := e.selectKeysLocked(preds, false)
-	cost.Sel = time.Since(t0)
-	t0 = time.Now()
-	col := e.rel.MustColumn(joinAttr)
-	jv := make([]Value, len(keys))
-	for i, k := range keys {
-		jv[i] = col.Vals[int(k)]
-	}
-	cost.TR = time.Since(t0)
-	// The fetcher captures the current base-column snapshot: post-join
-	// fetches are lock-free and stable even while writers keep appending.
-	bases := *e.bases.Load()
-	return JoinInput{
-		JoinVals: jv,
-		Fetch: func(attr string, i int) Value {
-			return bases[attr][int(keys[i])]
-		},
-	}, cost
-}
+func (e *snapEngine) baseLocked(attr string) []Value { return e.rel.MustColumn(attr).Vals }
 
 // SnapshotStats is the Snapshot section of a Report: the version-lifecycle
 // counters summed across the engine's cracker columns, plus the number of

@@ -386,34 +386,13 @@ func TestGracefulClose(t *testing.T) {
 	}
 }
 
-// slowEngine blocks every Query for a fixed delay and refuses QueryRO —
-// a deterministic stand-in for a crack that overruns the serving deadline.
-type slowEngine struct {
-	delay time.Duration
-}
-
-func (g *slowEngine) Name() string      { return "slow" }
-func (g *slowEngine) Kind() engine.Kind { return engine.Scan }
-func (g *slowEngine) Query(q engine.Query) (engine.Result, engine.Cost) {
-	time.Sleep(g.delay)
-	return engine.Result{N: 1, Cols: map[string][]store.Value{"B": {1}}}, engine.Cost{}
-}
-func (g *slowEngine) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
-	return engine.Result{}, engine.Cost{}, false
-}
-func (g *slowEngine) Insert(vals ...store.Value) int        { return 0 }
-func (g *slowEngine) Delete(key int)                        {}
-func (g *slowEngine) Prepare(attrs ...string) time.Duration { return 0 }
-func (g *slowEngine) Storage() int                          { return 0 }
-func (g *slowEngine) JoinInput(preds []engine.AttrPred, joinAttr string, projs []string) (engine.JoinInput, engine.Cost) {
-	return engine.JoinInput{}, engine.Cost{}
-}
-
 // TestServeTimeoutOverWire: a server-side per-query deadline surfaces to
 // the remote client as an error response long before the slow execution
 // finishes, and the timeout is counted in the server's stats.
 func TestServeTimeoutOverWire(t *testing.T) {
-	s := startServer(t, &slowEngine{delay: 600 * time.Millisecond}, Options{
+	g := &stallEngine{gate: make(chan struct{})}
+	time.AfterFunc(600*time.Millisecond, func() { close(g.gate) })
+	s := startServer(t, g, Options{
 		Serve: serve.Options{Workers: 1, Timeout: 30 * time.Millisecond},
 	})
 	c := dial(t, s, client.Options{})

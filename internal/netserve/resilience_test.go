@@ -23,7 +23,6 @@ type stallEngine struct {
 	calls atomic.Int64
 }
 
-func (g *stallEngine) Name() string      { return "stall" }
 func (g *stallEngine) Kind() engine.Kind { return engine.Scan }
 func (g *stallEngine) Query(q engine.Query) (engine.Result, engine.Cost) {
 	g.calls.Add(1)
@@ -33,13 +32,9 @@ func (g *stallEngine) Query(q engine.Query) (engine.Result, engine.Cost) {
 func (g *stallEngine) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	return engine.Result{}, engine.Cost{}, false
 }
-func (g *stallEngine) Insert(vals ...store.Value) int        { return 0 }
-func (g *stallEngine) Delete(key int)                        {}
-func (g *stallEngine) Prepare(attrs ...string) time.Duration { return 0 }
-func (g *stallEngine) Storage() int                          { return 0 }
-func (g *stallEngine) JoinInput(preds []engine.AttrPred, joinAttr string, projs []string) (engine.JoinInput, engine.Cost) {
-	return engine.JoinInput{}, engine.Cost{}
-}
+func (g *stallEngine) Insert(vals ...store.Value) int { return 0 }
+func (g *stallEngine) Delete(key int)                 {}
+func (g *stallEngine) Storage() int                   { return 0 }
 
 var stallQuery = engine.Query{
 	Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(0, 10)}},

@@ -20,7 +20,6 @@ type gatedEngine struct {
 	calls atomic.Int64
 }
 
-func (g *gatedEngine) Name() string { return "gated" }
 func (g *gatedEngine) Kind() engine.Kind {
 	return engine.Scan
 }
@@ -34,13 +33,9 @@ func (g *gatedEngine) Query(q engine.Query) (engine.Result, engine.Cost) {
 func (g *gatedEngine) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	return engine.Result{}, engine.Cost{}, false
 }
-func (g *gatedEngine) Insert(vals ...store.Value) int        { return 0 }
-func (g *gatedEngine) Delete(key int)                        {}
-func (g *gatedEngine) Prepare(attrs ...string) time.Duration { return 0 }
-func (g *gatedEngine) Storage() int                          { return 0 }
-func (g *gatedEngine) JoinInput(preds []engine.AttrPred, joinAttr string, projs []string) (engine.JoinInput, engine.Cost) {
-	return engine.JoinInput{}, engine.Cost{}
-}
+func (g *gatedEngine) Insert(vals ...store.Value) int { return 0 }
+func (g *gatedEngine) Delete(key int)                 {}
+func (g *gatedEngine) Storage() int                   { return 0 }
 
 var slowQuery = engine.Query{
 	Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(0, 10)}},

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"io"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -124,6 +125,32 @@ func churn(e engine.Engine, seed int64, ops int) {
 			Projs: []string{"B"},
 		})
 	}
+}
+
+// TestJoinMaxEveryStack: a join is a plan over queries, so it runs on any
+// stack — the same stack on both sides here — and after churn answers like
+// the join over bare Scan engines on identical rows. The left side projects
+// its join attribute too.
+func TestJoinMaxEveryStack(t *testing.T) {
+	join := func(e engine.Engine) map[string]Value {
+		got, _ := engine.JoinMax(
+			engine.JoinSide{E: e, Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(500, 2500)}}, JoinAttr: "B", Projs: []string{"B", "C"}},
+			engine.JoinSide{E: e, Preds: []engine.AttrPred{{Attr: "C", Pred: store.Range(1000, 3000)}}, JoinAttr: "B", Projs: []string{"A"}},
+		)
+		return got
+	}
+	oracle := engine.NewScan(buildRel(rand.New(rand.NewSource(3)), 4000, 4000))
+	churn(oracle, 7, 40)
+	want := join(oracle)
+	if len(want) != 3 {
+		t.Fatalf("degenerate join: %v", want)
+	}
+	eachStack(t, func(t *testing.T, _ string, _ engine.Kind, e engine.Engine) {
+		churn(e, 7, 40)
+		if got := join(e); !maps.Equal(got, want) {
+			t.Fatalf("join = %v, scan %v", got, want)
+		}
+	})
 }
 
 // TestReportFamiliesPerStack: /metrics lists a family exactly when the

@@ -201,14 +201,6 @@ func (s *Engine) route(v Value, n int) int {
 	return sort.Search(len(s.cuts), func(i int) bool { return v < s.cuts[i] })
 }
 
-func (s *Engine) Name() string {
-	mode := "range"
-	if s.hash {
-		mode = "hash"
-	}
-	return fmt.Sprintf("sharded %s (%d %s shards on %s)", s.kind, len(s.shards), mode, s.attr)
-}
-
 func (s *Engine) Kind() engine.Kind { return s.kind }
 
 // ---------------------------------------------------------------------------
@@ -458,32 +450,4 @@ func (s *Engine) Storage() int {
 		total += e.Storage()
 	}
 	return total
-}
-
-// JoinInput fans the selection side of a join out to the relevant shards
-// and concatenates the join columns; the fetcher dispatches by segment to
-// the owning shard's fetcher.
-func (s *Engine) JoinInput(preds []engine.AttrPred, joinAttr string, projs []string) (engine.JoinInput, engine.Cost) {
-	lo, hi := s.span(engine.Query{Preds: preds})
-	var cost engine.Cost
-	inputs := make([]engine.JoinInput, hi-lo)
-	for sh := lo; sh < hi; sh++ {
-		ji, c := s.shards[sh].JoinInput(preds, joinAttr, projs)
-		inputs[sh-lo] = ji
-		addCost(&cost, c)
-	}
-	var joinVals []Value
-	starts := make([]int, len(inputs)) // segment start of each shard's rows
-	for i, ji := range inputs {
-		starts[i] = len(joinVals)
-		joinVals = append(joinVals, ji.JoinVals...)
-	}
-	return engine.JoinInput{
-		JoinVals: joinVals,
-		Fetch: func(attr string, i int) Value {
-			// Last segment starting at or before i owns it.
-			seg := sort.Search(len(starts), func(j int) bool { return starts[j] > i }) - 1
-			return inputs[seg].Fetch(attr, i-starts[seg])
-		},
-	}, cost
 }

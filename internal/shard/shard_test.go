@@ -253,7 +253,6 @@ func (e *touchyEngine) touched(what string) {
 	e.t.Errorf("pruned shard was touched: %s", what)
 }
 
-func (e *touchyEngine) Name() string      { return "touchy" }
 func (e *touchyEngine) Kind() engine.Kind { return engine.Sideways }
 func (e *touchyEngine) Insert(...Value) int {
 	e.touched("Insert")
@@ -268,10 +267,6 @@ func (e *touchyEngine) Query(engine.Query) (engine.Result, engine.Cost) {
 func (e *touchyEngine) QueryRO(engine.Query) (engine.Result, engine.Cost, bool) {
 	e.touched("QueryRO")
 	return engine.Result{}, engine.Cost{}, true
-}
-func (e *touchyEngine) JoinInput([]engine.AttrPred, string, []string) (engine.JoinInput, engine.Cost) {
-	e.touched("JoinInput")
-	return engine.JoinInput{}, engine.Cost{}
 }
 
 // TestPrunedShardNeverTouched replaces shard 3 with an engine that fails on
@@ -292,7 +287,6 @@ func TestPrunedShardNeverTouched(t *testing.T) {
 	if _, _, ok := s.QueryRO(q); !ok {
 		t.Fatalf("repeat in-band query refused read-only execution")
 	}
-	s.JoinInput(q.Preds, "A", []string{"B"})
 	k := s.Insert(5, 5) // routes to shard 0
 	s.Delete(k)
 	s.Delete(3) // base row 3 lives in shard 0
@@ -306,7 +300,6 @@ type gateEngine struct {
 	release chan struct{}
 }
 
-func (e *gateEngine) Name() string      { return "gate" }
 func (e *gateEngine) Kind() engine.Kind { return e.inner.Kind() }
 func (e *gateEngine) Query(q engine.Query) (engine.Result, engine.Cost) {
 	e.entered <- struct{}{}
@@ -319,9 +312,6 @@ func (e *gateEngine) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool) 
 func (e *gateEngine) Insert(vals ...Value) int { return e.inner.Insert(vals...) }
 func (e *gateEngine) Delete(key int)           { e.inner.Delete(key) }
 func (e *gateEngine) Storage() int             { return e.inner.Storage() }
-func (e *gateEngine) JoinInput(p []engine.AttrPred, j string, pr []string) (engine.JoinInput, engine.Cost) {
-	return e.inner.JoinInput(p, j, pr)
-}
 
 // TestStuckShardDoesNotBlockOthers pins the finer-grained concurrency the
 // sharding layer exists for: while shard 1 is stuck mid-query (as if
