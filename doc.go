@@ -43,8 +43,8 @@
 // buffers, and writing those costs more than reading the head again.
 // Pending insertions are merged in batches (one boundary walk and one
 // piece-wise ripple per batch instead of one per tuple), and pending
-// deletions are located in the aligned key map by reading only the pieces
-// the query's bounds fall into. The partition inner loops are
+// deletions are located by value (crack.Pairs.Locate) by reading only the
+// pieces the query's bounds fall into. The partition inner loops are
 // branch-free by default: classification is a 0/1 accumulation and
 // misplaced positions are block-compacted into index buffers and swapped
 // unconditionally, so throughput does not collapse on random data the way
@@ -83,12 +83,19 @@
 // adapter in internal/engine turns either store into an Engine.
 // Each store keeps what would make shared code ask which caller it serves:
 // the set-level select (one tape per set, against one tape per area with
-// partial alignment), the storage manager (whole maps dropped
-// least-frequently-used first, against chunk eviction, head dropping and
-// un-fetching areas), the disjunctive marking pass (a full map marks the
-// head area by position; chunks of different areas share no position
-// space, so a partial set tests the head predicate by value). The finish's
-// reconstruct is the one place either store materializes an answer.
+// partial alignment), where a deletion's tuple is found (by value in the
+// maps the query aligns anyway — their head and tails compared with the
+// deleted row — against by key in each area's key chunk), the storage
+// manager (whole maps dropped least-frequently-used first, against chunk
+// eviction, head dropping and un-fetching areas), the disjunctive marking
+// pass (a full map marks the head area by position; chunks of different
+// areas share no position space, so a partial set tests the head predicate
+// by value). The finish's reconstruct is the one place either store
+// materializes an answer. A full map set builds its key map M_Akey only for
+// what it cannot find by value: a deleted tuple another tuple equals on
+// every column the query aligns, the whole-map merge before a disjunction,
+// and key joins. Locating a deletion by value logs the positions the key map
+// would have found, so layouts, tape and WAL are the same either way.
 //
 // The two storage managers share their eviction rule (Usage in mapset.go):
 // least-frequently-used with dynamic aging. A map's or chunk's priority is

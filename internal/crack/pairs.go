@@ -72,7 +72,9 @@
 package crack
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"crackstore/internal/crackindex"
@@ -91,7 +93,7 @@ type KernelStats struct {
 	Visited int // tuples read by repair passes (a crack-in-two has one, a range crack two)
 	Moved   int // tuples stored to a new position (a swap counts 2)
 	Aux     int // auxiliary policy pivots introduced (see Policy)
-	Scanned int // tuples examined by LocateKeys
+	Scanned int // tuples examined by Locate
 }
 
 // Add accumulates o into s (aggregation across columns/maps/chunks).
@@ -481,31 +483,79 @@ func (p *Pairs) Area(pred store.Pred) (lo, hi int, ok bool) {
 	return lo, hi, true
 }
 
-// LocateKeys returns, ascending, the positions of the tuples whose head
-// matches pred and whose tail is one of keys (ascending). This is how a key
-// map M_Akey or key chunk turns pending deletions into physical positions
-// (Section 3.5): every tuple matching pred lies between the start of the
-// piece pred's lower bound falls into and the end of the piece its upper
-// bound falls into, so only those pieces are read — pred need not be cracked
-// yet — and the cheap head test runs before the key search.
-func (p *Pairs) LocateKeys(pred store.Pred, keys []int) []int {
+// Row is a tuple Locate looks for by value: its head value, and its value in
+// each compared tail, in the order Locate is given the tails.
+type Row struct {
+	Head  Value
+	Tails []Value
+}
+
+// Locate returns, ascending, the positions of the tuples whose head matches
+// pred and that equal one of rows. Row r equals the tuple at position i when
+// r.Head is p.Head[i] and r.Tails[j] is tails[j][i] for every j; the tails are
+// columns positionally aligned with p (its own Tail, or the tails of maps at
+// its tape cursor). This is how a map set turns pending deletions into
+// physical positions (Section 3.5): every tuple matching pred lies between
+// the start of the piece pred's lower bound falls into and the end of the
+// piece its upper bound falls into, so only those pieces are read — pred
+// need not be cracked yet — and the cheap head test runs before the row
+// search. A key map M_Akey is the case whose compared tail holds tuple keys.
+//
+// unique reports that every row equals exactly one tuple and no tuple equals
+// two rows. When the compared columns may hold equal tuples, only a unique
+// answer names the rows' own tuples: a row whose tuple is in the map then
+// equals that tuple and no other. Locate stops at the first row that equals
+// a second tuple and returns no positions. It counts the tuples it reads in
+// p.Stats.Scanned.
+func (p *Pairs) Locate(pred store.Pred, rows []Row, tails ...[]Value) (positions []int, unique bool) {
+	if len(rows) == 0 {
+		return nil, true
+	}
+	// In head order, a tuple's candidate rows are one binary search away.
+	byHead := slices.Clone(rows)
+	slices.SortFunc(byHead, func(a, b Row) int { return cmp.Compare(a.Head, b.Head) })
+	hits := make([]int, len(byHead))
 	n := len(p.Head)
 	lo := p.Idx.PieceFor(pred.LowerBound(), n).Lo
 	hi := p.Idx.PieceFor(pred.UpperBound(), n).Hi
-	var positions []int
 	for i := lo; i < hi; i++ {
-		if !pred.Matches(p.Head[i]) {
+		v := p.Head[i]
+		if !pred.Matches(v) {
 			continue
 		}
-		k := int(p.Tail[i])
-		if j := sort.SearchInts(keys, k); j < len(keys) && keys[j] == k {
+		j, found := slices.BinarySearchFunc(byHead, v, func(r Row, v Value) int { return cmp.Compare(r.Head, v) })
+		if !found {
+			continue
+		}
+		hit := false
+		for ; j < len(byHead) && byHead[j].Head == v; j++ {
+			if !byHead[j].at(tails, i) {
+				continue
+			}
+			if hits[j]++; hits[j] > 1 {
+				p.Stats.Scanned += i + 1 - lo
+				return nil, false
+			}
+			hit = true
+		}
+		if hit {
 			positions = append(positions, i)
 		}
 	}
 	if hi > lo {
 		p.Stats.Scanned += hi - lo
 	}
-	return positions
+	return positions, len(positions) == len(rows) && !slices.Contains(hits, 0)
+}
+
+// at reports whether r's tail values are those of position i of tails.
+func (r Row) at(tails [][]Value, i int) bool {
+	for j, t := range tails {
+		if t[i] != r.Tails[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // RippleInsert inserts the tuple (v, t) into the piece where v belongs,

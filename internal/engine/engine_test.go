@@ -237,6 +237,41 @@ func TestPreparedPresortedIsFastOnQueries(t *testing.T) {
 	}
 }
 
+// TestChurnBuildsNoKeyMap: on uniform data, the deletes of a stream shaped
+// like the durable-churn benchmark (narrow queries on A projecting B and C,
+// then delete+insert pairs) are all found by value in the two maps the
+// queries align, so the store ends with those maps and no key map: storage
+// is two maps of every live row.
+func TestChurnBuildsNoKeyMap(t *testing.T) {
+	const rows = 20000
+	rng := rand.New(rand.NewSource(21))
+	e := New(Sideways, buildRel(rng, rows, []string{"A", "B", "C"}, rows))
+	projs := []string{"B", "C"}
+	live := make([]int, rows)
+	for i := range live {
+		live[i] = i
+	}
+	for round := 0; round < 40; round++ {
+		for i := 0; i < 10; i++ {
+			lo := Value(rng.Int63n(rows))
+			e.Query(Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(lo, lo+rows/200)}}, Projs: projs})
+		}
+		for i := 0; i < 10; i++ {
+			j := rng.Intn(len(live))
+			e.Delete(live[j])
+			live[j] = e.Insert(rng.Int63n(rows), rng.Int63n(rows), rng.Int63n(rows))
+		}
+	}
+	// A query over A's whole domain merges every update still pending.
+	res, _ := e.Query(Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(0, rows)}}, Projs: projs})
+	if res.N != rows {
+		t.Fatalf("%d live rows, want %d", res.N, rows)
+	}
+	if maps := ReportOf(e).Kernel.Columns; maps != 2 || e.Storage() != 2*rows {
+		t.Fatalf("%d cracked maps of %d tuples in all, want M_AB and M_AC of %d each", maps, e.Storage(), rows)
+	}
+}
+
 func TestStorageReporting(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	rel := buildRel(rng, 100, []string{"A", "B"}, 50)

@@ -282,6 +282,31 @@ func FuzzMapEnginesAgree(f *testing.F) {
 		encQuery(opQuery, encPreds(encPred(aB, shapeOpen, 3, 40), encPred(aC, shapeRange, 10, 60)), encProjs()),
 		encQuery(opQuery|opDisj, encPreds(encPred(aA, shapePoint, 9, 0), encPred(aD, shapeRange, 0, 20)), encProjs()),
 	))
+	// Deletes of twins: keys 200 and 201 are equal on A..D, key 202 on A..C.
+	// A query aligning B, C or both cannot tell the twin of a deleted tuple
+	// from it and merges through the key map, on the conjunctive path, on a
+	// join side and with both twins deleted in one merge; a disjunction
+	// merges everything through the key map; a delete of a tuple nothing
+	// equals is found by value.
+	twin := []byte{opInsert, 25, 1, 2, 3}
+	point := encPreds(encPred(aA, shapePoint, 25, 25))
+	f.Add(int64(5), cat(
+		encQuery(opQuery, narrow, encProjs(aB)),
+		twin, twin, []byte{opInsert, 25, 1, 2, 9},
+		encQuery(opQuery, point, encProjs(aB)),
+		[]byte{opDelete, 0, 200},
+		encQuery(opQuery, point, encProjs(aB)),
+		encQuery(opQuery, point, encProjs(aC, aD)),
+		[]byte{opDelete, 0, 17},
+		encQuery(opQuery, encPreds(encPred(aA, shapeRange, 0, 63)), encProjs(aB, aC)),
+		twin, twin,
+		encQuery(opQuery, point, encProjs(aD)),
+		[]byte{opDelete, 0, 203}, []byte{opDelete, 0, 204},
+		encJoin(point, aC, encProjs(aB)),
+		[]byte{opDelete, 0, 201},
+		encQuery(opQuery|opDisj, encPreds(encPred(aA, shapePoint, 25, 25), encPred(aC, shapePoint, 2, 2)), encProjs(aB, aD)),
+		encQuery(opQuery, point, encProjs(aB, aC, aD)),
+	))
 	for seed := int64(4); seed < 10; seed++ {
 		f.Add(seed, randomOps(seed, 1500))
 	}

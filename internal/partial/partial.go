@@ -667,7 +667,8 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string) []sideways.Window {
 				// replay below would.
 				set.recoverHead(w, kc)
 			}
-			w.tape.LogDelete(keys, kc.p.LocateKeys(pred, keys))
+			positions, _ := kc.p.Locate(pred, set.pend.Rows(keys, []*store.Column{nil}), kc.p.Tail)
+			w.tape.LogDelete(keys, positions)
 			w.lastUpdate = len(w.tape)
 			set.replay(w, len(w.tape), kc)
 		}

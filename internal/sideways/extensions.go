@@ -17,7 +17,7 @@ import (
 // MergePendingAll converts every pending insertion and deletion of the set
 // into tape entries, regardless of value range. Plans that read whole maps
 // (disjunctions) call this before querying.
-func (set *Set) MergePendingAll() { set.mergePending(FullRange) }
+func (set *Set) MergePendingAll() { set.mergePending(FullRange, nil) }
 
 // MaxAttr returns the maximum live value of attr. When a cracker map for
 // the attribute exists, only the last non-empty piece (plus merged pending
@@ -198,7 +198,7 @@ func (set *Set) QueryKeys(pred store.Pred) (lo, hi int, m *Map) {
 	if set.keyMap == nil {
 		set.keyMap = set.newMap("")
 	}
-	set.mergePending(pred)
+	set.mergePending(pred, []*Map{set.keyMap})
 	set.tape.LogCrack(pred)
 	set.align(set.keyMap)
 	lo, hi = areaOf(set.keyMap, pred)

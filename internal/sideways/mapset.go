@@ -234,6 +234,27 @@ func (p *Pending) TakeDeletes(pred store.Pred) []int {
 	return matched
 }
 
+// Rows returns the tuples of keys as crack.Pairs.Locate looks for them:
+// each key's head value, and its value in each of tails, the base columns
+// of the compared tails in order. A nil column stands for a tail of tuple
+// keys, where a row holds the key itself.
+func (p *Pending) Rows(keys []int, tails []*store.Column) []crack.Row {
+	vals := make([]Value, len(keys)*len(tails))
+	rows := make([]crack.Row, len(keys))
+	for i, k := range keys {
+		r := vals[i*len(tails) : (i+1)*len(tails) : (i+1)*len(tails)]
+		for j, col := range tails {
+			if col == nil {
+				r[j] = Value(k)
+			} else {
+				r[j] = col.Vals[k]
+			}
+		}
+		rows[i] = crack.Row{Head: p.head.Vals[k], Tails: r}
+	}
+	return rows
+}
+
 // Restore pushes the updates logged in t back into the ledger, so they
 // reapply when the value range t covered is materialized again.
 func (p *Pending) Restore(t Tape) {

@@ -18,7 +18,11 @@
 // (Section 3.3); the set is chosen via the self-organizing histograms kept
 // by the cracker indices. Updates follow Section 3.5: pending insertions and
 // deletions per set, merged on demand by the Ripple algorithm and logged in
-// the tape so all maps of the set apply them in the same order.
+// the tape so all maps of the set apply them in the same order. A merged
+// deletion is found by value: its tuple is the one position of the maps the
+// query aligns anyway whose head and tails equal the deleted row. Only when
+// those columns hold an equal tuple beside it does the set build its key map
+// M_Akey (head = A, tail = tuple keys) to find it by key.
 package sideways
 
 import (
@@ -59,7 +63,7 @@ type Set struct {
 	attr   string
 	tape   Tape
 	maps   map[string]*Map
-	keyMap *Map     // M_Akey, created on first merged deletion
+	keyMap *Map     // M_Akey: built by MergePendingAll, QueryKeys or a delete no query finds by value
 	pend   *Pending // updates not yet in the tape
 
 	// policy is the store's cracking policy frozen at set creation: every
@@ -115,16 +119,22 @@ func NewStore(rel *store.Relation) *Store {
 func (s *Store) NumSets() int { return len(s.sets) }
 
 // Kernel aggregates the kernel partition counters over every map the store
-// has had, evicted ones included, and the cracker-index sizes over the live
-// ones: the observability bridge. Call it under the same synchronization as
-// queries (the stats are plain ints on the maps' Pairs).
+// has had, key maps and evicted maps included, and the cracker-index sizes
+// over the live ones: the observability bridge. Call it under the same
+// synchronization as queries (the stats are plain ints on the maps' Pairs).
 func (s *Store) Kernel() (ks crack.KernelStats, pieces, cols int) {
 	ks = s.RetiredKernel()
+	count := func(m *Map) {
+		ks.Add(m.pairs.Stats)
+		pieces += m.pairs.Idx.Pieces()
+		cols++
+	}
 	for _, set := range s.sets {
 		for _, m := range set.maps {
-			ks.Add(m.pairs.Stats)
-			pieces += m.pairs.Idx.Pieces()
-			cols++
+			count(m)
+		}
+		if set.keyMap != nil {
+			count(set.keyMap)
 		}
 	}
 	return ks, pieces, cols
@@ -201,31 +211,60 @@ func (set *Set) align(ms ...*Map) {
 		if m.cursor == len(set.tape) {
 			continue
 		}
-		var tailCol *store.Column
-		if m.tailAttr != "" {
-			tailCol = set.st.rel.MustColumn(m.tailAttr)
-		}
-		members = append(members, Member{Pairs: m.pairs, Cursor: &m.cursor, Tail: tailCol})
+		members = append(members, Member{Pairs: m.pairs, Cursor: &m.cursor, Tail: set.tailCol(m)})
 	}
 	set.tape.ReplayJoint(members, len(set.tape), set.pend.head)
 }
 
+// tailCol returns the base column of m's tail attribute, nil for a tail of
+// tuple keys.
+func (set *Set) tailCol(m *Map) *store.Column {
+	if m.tailAttr == "" {
+		return nil
+	}
+	return set.st.rel.MustColumn(m.tailAttr)
+}
+
 // mergePending converts pending updates relevant to pred into tape entries
-// (Section 3.5): matching insertions become an insert entry; matching
-// deletions are located via the aligned key map — reading only the pieces
-// pred falls into — and become a delete entry carrying physical positions.
-func (set *Set) mergePending(pred store.Pred) {
+// (Section 3.5). Matching insertions become an insert entry. Matching
+// deletions become a delete entry carrying physical positions, found —
+// reading only the pieces pred falls into — by value in the maps ms, aligned
+// to the tape end first: a deleted tuple is the one position whose head and
+// tails equal its row. When some deleted row equals a second tuple on those
+// columns, or ms is empty, the aligned key map finds them by key instead.
+func (set *Set) mergePending(pred store.Pred, ms []*Map) {
 	if keys := set.pend.TakeInserts(pred); len(keys) > 0 {
 		set.tape.LogInsert(keys)
 	}
-	if keys := set.pend.TakeDeletes(pred); len(keys) > 0 {
-		if set.keyMap == nil {
-			set.keyMap = set.newMap("")
-		}
-		set.align(set.keyMap)
-		set.tape.LogDelete(nil, set.keyMap.pairs.LocateKeys(pred, keys))
-		set.align(set.keyMap)
+	keys := set.pend.TakeDeletes(pred)
+	if len(keys) == 0 {
+		return
 	}
+	if len(ms) > 0 {
+		if positions, ok := set.locate(pred, keys, ms); ok {
+			set.tape.LogDelete(nil, positions)
+			return
+		}
+	}
+	if set.keyMap == nil {
+		set.keyMap = set.newMap("")
+	}
+	positions, _ := set.locate(pred, keys, []*Map{set.keyMap})
+	set.tape.LogDelete(nil, positions)
+	set.align(set.keyMap)
+}
+
+// locate aligns the maps ms to the tape end and finds the tuples of keys
+// among them by value: ms[0]'s head and every map's tail against each key's
+// row (crack.Pairs.Locate). On the key map alone that is a search by key.
+func (set *Set) locate(pred store.Pred, keys []int, ms []*Map) (positions []int, unique bool) {
+	set.align(ms...)
+	cols := make([]*store.Column, len(ms))
+	tails := make([][]Value, len(ms))
+	for i, m := range ms {
+		cols[i], tails[i] = set.tailCol(m), m.pairs.Tail
+	}
+	return ms[0].pairs.Locate(pred, set.pend.Rows(keys, cols), tails...)
 }
 
 // Query is the set-level sideways.select for one predicate over any number
@@ -244,7 +283,7 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string) (lo, hi int, used []*
 		}
 		used[i] = m
 	}
-	set.mergePending(pred)
+	set.mergePending(pred, used)
 	set.tape.LogCrack(pred)
 	if set.st.EagerAlignment {
 		all := make([]*Map, 0, len(set.maps))

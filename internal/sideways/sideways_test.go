@@ -417,8 +417,9 @@ func BenchmarkSelectProjectConverging(b *testing.B) {
 
 // TestPendingDeleteMergeReadsOnlyEnclosingPieces: no full-column scan remains
 // on the merge path. On a 1M-row store cracked into over 1,000 pieces, a
-// query that merges one matching pending delete reads, to locate it in the
-// aligned key map, no more than the two pieces its bounds fall into.
+// query that merges one matching pending delete reads, to locate it by value
+// in the map it aligns, no more than the two pieces its bounds fall into, and
+// the set builds no key map.
 func TestPendingDeleteMergeReadsOnlyEnclosingPieces(t *testing.T) {
 	const n = 1_000_000
 	rng := rand.New(rand.NewSource(12))
@@ -435,8 +436,6 @@ func TestPendingDeleteMergeReadsOnlyEnclosingPieces(t *testing.T) {
 		t.Fatalf("map has %d pieces, want at least 1000", pieces)
 	}
 	aVals := rel.MustColumn("A").Vals
-	// The first merged delete creates the key map and replays the whole tape
-	// onto it; the second is the steady state being measured.
 	for round, key := range []int{17, 4711} {
 		a := aVals[key]
 		pred := store.Range(a-100, a+100)
@@ -446,15 +445,15 @@ func TestPendingDeleteMergeReadsOnlyEnclosingPieces(t *testing.T) {
 		if pcLo.Hi < pcHi.Lo {
 			enclosing = (pcLo.Hi - pcLo.Lo) + (pcHi.Hi - pcHi.Lo)
 		}
-		var before int
-		if set.keyMap != nil {
-			before = set.keyMap.pairs.Stats.Scanned
-		}
+		before := m.pairs.Stats.Scanned
 		s.Delete(key)
 		res := s.SelectProject("A", pred, projs)
-		scanned := set.keyMap.pairs.Stats.Scanned - before
+		if set.keyMap != nil {
+			t.Fatalf("round %d: a delete of a tuple no other equals built the key map", round)
+		}
+		scanned := m.pairs.Stats.Scanned - before
 		if scanned == 0 || scanned > enclosing {
-			t.Fatalf("round %d: locating one pending delete read %d key-map tuples, want 1..%d (the enclosing pieces) of %d",
+			t.Fatalf("round %d: locating one pending delete read %d tuples of M_AB, want 1..%d (the enclosing pieces) of %d",
 				round, scanned, enclosing, n)
 		}
 		want := 0
@@ -466,8 +465,63 @@ func TestPendingDeleteMergeReadsOnlyEnclosingPieces(t *testing.T) {
 		if res.N != want {
 			t.Fatalf("round %d: %d rows after the delete, want %d", round, res.N, want)
 		}
-		if set.keyMap.Len() != n-round-1 {
-			t.Fatalf("round %d: key map holds %d tuples, want %d", round, set.keyMap.Len(), n-round-1)
+		if m.Len() != n-round-1 {
+			t.Fatalf("round %d: M_AB holds %d tuples, want %d", round, m.Len(), n-round-1)
 		}
+	}
+}
+
+// TestDeleteOfIndistinguishableTupleFallsBack: tuples equal in A and B but
+// not in C cannot be told apart by a query that aligns only M_AB, so the
+// delete of one of them, or of both in one merge, goes through the key map
+// and takes the deleted tuples' own positions: M_AC then answers the
+// survivors' C values only.
+func TestDeleteOfIndistinguishableTupleFallsBack(t *testing.T) {
+	for _, victims := range [][]int{{1}, {2}, {1, 2}} {
+		rel := store.NewRelation("R", "A", "B", "C")
+		for _, row := range [][]Value{{5, 50, 500}, {7, 70, 700}, {7, 70, 701}, {9, 90, 900}, {7, 71, 702}} {
+			rel.AppendRow(row...)
+		}
+		nv := &naive{rel: rel, dead: map[int]bool{}}
+		s := NewStore(rel)
+		s.SelectProject("A", store.Range(0, 8), []string{"B"})
+		for _, k := range victims {
+			s.Delete(k)
+			nv.dead[k] = true
+		}
+		ctx := fmt.Sprintf("deleting %v", victims)
+		pred := store.Range(6, 8)
+		for _, projs := range [][]string{{"B"}, {"C"}, {"B", "C"}} {
+			res := s.SelectProject("A", pred, projs)
+			equalRows(t, resultRows(res, projs), nv.rows([]AttrPred{{Attr: "A", Pred: pred}}, projs, false), fmt.Sprintf("%s, A -> %v", ctx, projs))
+			if s.SetIfExists("A").keyMap == nil {
+				t.Fatalf("%s: merged by value although A and B cannot tell the twins apart", ctx)
+			}
+		}
+	}
+}
+
+// TestKernelCountsTheKeyMap: the work a key map does shows in Kernel. A
+// whole-map merge of a delete builds the key map and replays the set's tape
+// onto it; Kernel then counts that map's visits beside M_AB's.
+func TestKernelCountsTheKeyMap(t *testing.T) {
+	rel := buildRel(rand.New(rand.NewSource(8)), 1000, []string{"A", "B"}, 500)
+	s := NewStore(rel)
+	for i := 0; i < 5; i++ {
+		s.SelectProject("A", store.Range(Value(i*80), Value(i*80+40)), []string{"B"})
+	}
+	s.Delete(3)
+	s.MultiSelect([]AttrPred{{Attr: "A", Pred: store.Range(0, 100)}}, []string{"B"}, true)
+	set := s.SetIfExists("A")
+	if set.keyMap == nil || set.keyMap.pairs.Stats.Visited == 0 {
+		t.Fatal("a whole-map merge of a delete should build the key map and replay the tape onto it")
+	}
+	ks, pieces, cols := s.Kernel()
+	b := set.MapIfExists("B").pairs
+	if want := b.Stats.Visited + set.keyMap.pairs.Stats.Visited; ks.Visited != want {
+		t.Fatalf("Kernel counts %d visited tuples, M_AB and the key map visited %d", ks.Visited, want)
+	}
+	if want := b.Idx.Pieces() + set.keyMap.pairs.Idx.Pieces(); cols != 2 || pieces != want {
+		t.Fatalf("Kernel counts %d structures of %d pieces, want 2 of %d", cols, pieces, want)
 	}
 }
