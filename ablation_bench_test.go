@@ -10,7 +10,6 @@ import (
 
 	crackstore "crackstore"
 	"crackstore/internal/engine"
-	"crackstore/internal/partial"
 	"crackstore/internal/sideways"
 	"crackstore/internal/store"
 	"crackstore/internal/workload"
@@ -86,7 +85,7 @@ func benchPartialAlignment(b *testing.B, forceFull bool) {
 	rows := 50000
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st := partial.NewStore(ablationRel(rows, 6, 5))
+		st := sideways.NewPartialStore(ablationRel(rows, 6, 5))
 		st.ForceFullAlignment = forceFull
 		gen := workload.New(int64(rows), 6)
 		// Crack one attribute's chunks hard.
@@ -113,7 +112,7 @@ func BenchmarkAblationHeadDropRecovery(b *testing.B) {
 	rows := 50000
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st := partial.NewStore(ablationRel(rows, 2, 7))
+		st := sideways.NewPartialStore(ablationRel(rows, 2, 7))
 		gen := workload.New(int64(rows), 8)
 		for q := 0; q < 50; q++ {
 			st.SelectProject("A", gen.Range(0.05), []string{"B"})
@@ -131,7 +130,7 @@ func BenchmarkAblationNoHeadDrop(b *testing.B) {
 	rows := 50000
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st := partial.NewStore(ablationRel(rows, 2, 7))
+		st := sideways.NewPartialStore(ablationRel(rows, 2, 7))
 		gen := workload.New(int64(rows), 8)
 		for q := 0; q < 50; q++ {
 			st.SelectProject("A", gen.Range(0.05), []string{"B"})
@@ -176,7 +175,7 @@ func TestAblationSwitchesPreserveResults(t *testing.T) {
 	}
 	// Partial: forced-full alignment must match partial alignment.
 	runP := func(force bool) []int {
-		st := partial.NewStore(ablationRel(rows, 3, 11))
+		st := sideways.NewPartialStore(ablationRel(rows, 3, 11))
 		st.ForceFullAlignment = force
 		var ns []int
 		for _, p := range preds {

@@ -8,7 +8,6 @@ import (
 	"crackstore/internal/dict"
 	"crackstore/internal/engine"
 	"crackstore/internal/netserve"
-	"crackstore/internal/partial"
 	"crackstore/internal/serve"
 	"crackstore/internal/shard"
 	"crackstore/internal/sideways"
@@ -136,24 +135,18 @@ func MaxPerProj(res Result, projs []string) (map[string]Value, bool) {
 	return engine.MaxPerProj(res, projs)
 }
 
-// SidewaysStore returns the underlying sideways store of a Sideways engine
-// for advanced inspection (map sets, tapes, storage), or nil.
-func SidewaysStore(e Engine) *sideways.Store {
-	st, _ := mapStoreOf(e).(*sideways.Store)
-	return st
-}
+// SidewaysStore returns the underlying map store of a Sideways engine for
+// advanced inspection (map sets, tapes, storage), or nil.
+func SidewaysStore(e Engine) *sideways.Store { return mapStoreOf(e, Sideways) }
 
-// PartialStore returns the underlying partial store of a PartialSideways
+// PartialStore returns the underlying map store of a PartialSideways
 // engine, or nil.
-func PartialStore(e Engine) *partial.Store {
-	st, _ := mapStoreOf(e).(*partial.Store)
-	return st
-}
+func PartialStore(e Engine) *sideways.Store { return mapStoreOf(e, PartialSideways) }
 
-// mapStoreOf returns the map-set store behind a bare Sideways or
-// PartialSideways engine, or nil.
-func mapStoreOf(e Engine) any {
-	if me, ok := e.(interface{ Store() any }); ok {
+// mapStoreOf returns the map store behind a bare engine of the given kind,
+// or nil.
+func mapStoreOf(e Engine, kind Kind) *sideways.Store {
+	if me, ok := e.(interface{ Store() *sideways.Store }); ok && e.Kind() == kind {
 		return me.Store()
 	}
 	return nil

@@ -65,58 +65,69 @@
 // # Map sets
 //
 // Section 4 of the paper defines partial sideways cracking as Section 3's
-// operators run chunk-wise, so Sideways and PartialSideways are two map-set
-// layouts over one core (internal/sideways/mapset.go). The core owns what
-// does not depend on how a set stores its maps: the base side of a store
-// (relation, tombstones, insert/delete fan-out, the uniform selectivity
-// fallback); each set's pending-update ledger, from which a query takes
-// the insertions and deletions its predicate touches; the cracker tape and
-// its replay, which is joint — the maps a query needs, or one area's
-// chunks, are taken in cursor order, the one furthest behind replays alone
-// until it reaches the next one's cursor, and from there they replay
-// together, each crack decided once on one head; the planner, which picks the head predicate's set from the
-// self-organizing histograms and gives every distinct tail attribute one
-// slot; and the finish, select_create_bv / select_refine_bv / reconstruct
-// over a list of aligned windows {Lo, Hi, Tails} — a full map set answers
-// from one window, a partial set from one per area — which sizes each
-// output column once and assigns each distinct projection once. One
-// adapter in internal/engine turns either store into an Engine.
-// Each store keeps what would make shared code ask which caller it serves:
-// the set-level select (one tape per set, against one tape per area with
-// partial alignment), where a deletion's tuple is found (by value in the
-// maps the query aligns anyway — their head and tails compared with the
-// deleted row — against by key in each area's key chunk), the storage
-// manager (whole maps dropped least-frequently-used first, against chunk
-// eviction, head dropping and un-fetching areas), the disjunctive marking
-// pass (a full map marks the head area by position; chunks of different
-// areas share no position space, so a partial set tests the head predicate
-// by value). The finish's reconstruct is the one place either store
-// materializes an answer. A full map set builds its key map M_Akey only for
-// what it cannot find by value: a deleted tuple another tuple equals on
-// every column the query aligns, the whole-map merge before a disjunction,
-// and key joins. Locating a deletion by value logs the positions the key map
-// would have found, so layouts, tape and WAL are the same either way.
+// operators run chunk-wise over value ranges, so Sideways and
+// PartialSideways are two presets of one map store (internal/sideways). A
+// set divides its domain into areas, each with its own cracker tape, and a
+// map over one area is a chunk. Under partial maps a set keeps a chunk map
+// H_A whose frozen spans are the areas, fetched as queries need them. Under
+// full maps a set has exactly one area, spanning the whole domain: its
+// source is the base prefix in key order, so it needs no H_A, and a new
+// map is cloned from that prefix. Every bounded predicate cuts that area,
+// so it logs every crack and aligns to its tape end, and with one area the
+// eviction tie-break (set, area, tail) is (set, tail): the partial-map
+// machinery reduces exactly to full maps, layout included.
 //
-// The two storage managers share their eviction rule (Usage in mapset.go):
-// least-frequently-used with dynamic aging. A map's or chunk's priority is
-// its access count plus the store's age when it was last used, and the age
-// is the priority of the last victim; ties go in name order, so a query
-// stream always evicts the same victims. The paper's plain access count
-// thrashes on its own Fig 9 cycle (five query types wanting five maps under
-// a budget of three): each batch's new chunks, used once, are evicted a
-// query after they are created, while the chunks of batches that have ended
-// keep their high counts and their place. Aging lets a structure nobody
-// uses be overtaken within a few evictions, and on that cycle cuts the
-// chunk tuples materialized by about a quarter. Partial maps also recycle
-// storage: the columns of an evicted chunk or a dropped head go to a free
-// list owned by the store, in size classes of four per doubling, and new
-// chunks and recovered heads are filled into them, so steady-state chunk
-// creation neither zeroes nor page-faults fresh memory. A column is
-// recycled only once nothing can refer to it: eviction and head drops
-// happen on the write path under exclusive access, they skip the chunks the
-// in-flight query has pinned (the only ones its windows read), and a Result
-// is always a copy. The free list holds at most Budget/8 values — a
-// sixteenth of the bytes the budget allows live chunks — gives up columns
+// What does not depend on areas lives in mapset.go: the base side of a
+// store (relation, tombstones, insert/delete fan-out, the uniform
+// selectivity fallback); each set's pending-update ledger, from which a
+// query takes the insertions and deletions its predicate touches; the
+// cracker tape and its replay, which is joint — the maps of one area a
+// query needs are taken in cursor order, the one furthest behind replays
+// alone until it reaches the next one's cursor, and from there they replay
+// together, each crack decided once on one head; the planner, which picks
+// the head predicate's set from the self-organizing histograms (H_A's index
+// under partial maps, the most aligned map's under full maps) and gives
+// every distinct tail attribute one slot; and the finish over a list of
+// aligned windows {Lo, Hi, Head, Tails}, one per area. A conjunction runs
+// select_create_bv / select_refine_bv / reconstruct over them; a
+// disjunction reads whole areas and tests the head predicate by value on
+// the window's head column, so no plan builds an A→A map. Reconstruct
+// sizes each output column once, assigns each distinct projection once, and
+// is the one place the store materializes an answer.
+//
+// A pending deletion is found by value in the maps of its area the query
+// aligns anyway: their head and tails compared with the deleted row. Only
+// a deleted tuple another tuple equals on every column the query aligns,
+// and key joins, build the area's key chunk (tail = tuple keys) and find it
+// by key. Either way the tape logs the same positions and the tuple keys,
+// so layouts, tape and WAL are identical, and an un-fetched area's updates
+// can be pushed back to pending.
+//
+// The storage manager evicts least-frequently-used with dynamic aging
+// (Usage in mapset.go). A map's priority is its access count plus the
+// store's age when it was last used, and the age is the priority of the
+// last victim; ties go in name order, so a query stream always evicts the
+// same victims. The paper's plain access count thrashes on its own Fig 9
+// cycle (five query types wanting five maps under a budget of three): each
+// batch's new chunks, used once, are evicted a query after they are
+// created, while the chunks of batches that have ended keep their high
+// counts and their place. Aging lets a structure nobody uses be overtaken
+// within a few evictions, and on that cycle cuts the chunk tuples
+// materialized by about a quarter. A query pins every existing map it reads
+// in the areas it resolved before it creates any, so making room never
+// evicts what the same query reads next. Evicting an area's last map
+// un-fetches the area, in both presets: its tape is forgotten and its
+// updates go back to pending. Head dropping (Section 4.1) applies to every
+// map, recovered from a same-cursor sibling or by replaying the tape
+// prefix over the area's source. The columns of an evicted map or a dropped
+// head go to a free list owned by the store, in size classes of four per
+// doubling, and new maps and recovered heads are filled into them, so
+// steady-state chunk creation neither zeroes nor page-faults fresh memory.
+// A column is recycled only once nothing can refer to it: eviction and head
+// drops happen on the write path under exclusive access, they skip the
+// maps the in-flight query has pinned (the only ones its windows read), and
+// a Result is always a copy. The free list holds at most Budget/8 values —
+// a sixteenth of the bytes the budget allows live maps — gives up columns
 // of its fullest class first, and keeps nothing without a budget. Kernel
 // counters of evicted structures are folded into a store-level total, so
 // crack_kernel_* never runs backwards.
@@ -503,10 +514,12 @@
 //     carry an explicit default arm, so growing an enum cannot make a
 //     dispatcher drop a request — or recovery silently skip a logged
 //     write.
-//   - detrand: internal/crack, internal/sideways, and internal/partial
-//     never read the wall clock or the global math/rand state (explicitly
-//     seeded local generators are fine); replaying a crack tape must
-//     reproduce the exact layout of the run that recorded it.
+//   - detrand: internal/crack, internal/sideways (the one map store, full
+//     and partial maps alike) and internal/partial (the name of its
+//     partial-map preset) never read the wall clock or the global
+//     math/rand state (explicitly seeded local generators are fine);
+//     replaying a crack tape must reproduce the exact layout of the run
+//     that recorded it.
 //
 // A finding is suppressed with a `//crackvet:ignore check-name reason`
 // comment on the offending line or the line above it. Suppressions are

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"crackstore/internal/crack"
-	"crackstore/internal/partial"
 	"crackstore/internal/presort"
 	"crackstore/internal/rowstore"
 	"crackstore/internal/sideways"
@@ -166,13 +165,15 @@ type Options struct {
 	Policy crack.Policy
 	// Budget is the storage threshold in tuples of the map-set engines:
 	// beyond it, full maps (Sideways) or chunks (PartialSideways) are
-	// dropped least-frequently-used first, with aging (Section 4.2).
-	// 0 means unlimited.
+	// dropped least-frequently-used first, with aging (Section 4.2), never
+	// one the query being answered reads. A set whose last map goes forgets
+	// its tape, and its merged updates become pending again. 0 means
+	// unlimited.
 	Budget int
-	// CachedPieceTuples and HeadDropIdleQueries are partial maps' head
-	// dropping: a chunk's head goes once every piece of it is at most
-	// CachedPieceTuples tuples, or once it has not been cracked for
-	// HeadDropIdleQueries queries. 0 disables either.
+	// CachedPieceTuples and HeadDropIdleQueries are head dropping, for full
+	// maps and chunks alike (Section 4.1): a map's head goes once every
+	// piece of it is at most CachedPieceTuples tuples, or once it has not
+	// been cracked for HeadDropIdleQueries queries. 0 disables either.
 	CachedPieceTuples, HeadDropIdleQueries int
 }
 
@@ -186,15 +187,14 @@ func NewWith(kind Kind, rel *store.Relation, opts Options) Engine {
 		return &selCrackEngine{rel: rel, cols: make(map[string]*crack.Col), dead: make(map[int]bool), pol: opts.Policy}
 	case Presorted:
 		return &presortEngine{ps: presort.NewStore(rel), stale: make(map[string]bool), dead: make(map[int]bool)}
-	case Sideways:
+	case Sideways, PartialSideways:
 		st := sideways.NewStore(rel)
-		st.Policy, st.Budget = opts.Policy, opts.Budget
-		return &mapEngine{st: st, kind: Sideways}
-	case PartialSideways:
-		st := partial.NewStore(rel)
+		if kind == PartialSideways {
+			st = sideways.NewPartialStore(rel)
+		}
 		st.Policy, st.Budget = opts.Policy, opts.Budget
 		st.CachedPieceTuples, st.HeadDropIdleQueries = opts.CachedPieceTuples, opts.HeadDropIdleQueries
-		return &mapEngine{st: st, kind: PartialSideways}
+		return &mapEngine{st: st, kind: kind}
 	case RowStore:
 		return &rowStoreEngine{rel: rel, plain: rowstore.New(rel), sorted: make(map[string]*rowstore.Table)}
 	}
@@ -609,21 +609,10 @@ func (e *presortEngine) QueryRO(q Query) (Result, Cost, bool) {
 // ---------------------------------------------------------------------------
 // Map-set engines: sideways cracking with full maps and with partial maps.
 
-// mapStore is what the adapter needs of a map-set store; *sideways.Store
-// and *partial.Store both provide it.
-type mapStore interface {
-	MultiSelect(preds []AttrPred, projs []string, disjunctive bool) sideways.Result
-	MultiSelectROInto(into *sideways.Result, preds []AttrPred, projs []string, disjunctive bool) (sideways.Result, bool)
-	Insert(vals ...Value) int
-	Delete(key int)
-	StorageTuples() int
-	Kernel() (ks crack.KernelStats, pieces, cols int)
-}
-
-// mapEngine adapts a map-set store to Engine: sideways cracking with full
+// mapEngine adapts the map store to Engine: sideways cracking with full
 // maps (Section 3) or with partial maps (Section 4).
 type mapEngine struct {
-	st   mapStore
+	st   *sideways.Store
 	kind Kind
 }
 
@@ -633,9 +622,9 @@ func (e *mapEngine) Insert(vals ...Value) int { return e.st.Insert(vals...) }
 func (e *mapEngine) Delete(key int)           { e.st.Delete(key) }
 func (e *mapEngine) Storage() int             { return e.st.StorageTuples() }
 
-// Store returns the *sideways.Store or *partial.Store behind the engine,
-// for advanced inspection (map sets, tapes, areas, storage).
-func (e *mapEngine) Store() any { return e.st }
+// Store returns the map store behind the engine, for advanced inspection
+// (map sets, tapes, areas, storage).
+func (e *mapEngine) Store() *sideways.Store { return e.st }
 
 func (e *mapEngine) Query(q Query) (Result, Cost) {
 	t0 := time.Now()

@@ -3,7 +3,7 @@ package engine
 import (
 	"crackstore/internal/crack"
 	"crackstore/internal/obs"
-	"crackstore/internal/partial"
+	"crackstore/internal/sideways"
 )
 
 // Report is what a stack says about itself: one section per layer it is
@@ -21,7 +21,7 @@ import (
 // one entry point; the per-section accessors are views over it.
 type Report struct {
 	Kernel   *KernelReport
-	Chunks   *partial.ChunkStats
+	Chunks   *sideways.ChunkStats
 	Readers  *ConcStats
 	Snapshot *SnapshotStats
 	Durable  *DurStats
@@ -69,7 +69,7 @@ func (d *KernelReport) add(s KernelReport) {
 	d.Columns += s.Columns
 }
 
-func addChunks(d *partial.ChunkStats, s partial.ChunkStats) {
+func addChunks(d *sideways.ChunkStats, s sideways.ChunkStats) {
 	d.Created += s.Created
 	d.TuplesCreated += s.TuplesCreated
 	d.Evicted += s.Evicted
@@ -93,7 +93,7 @@ func KernelReportOf(e Engine) (KernelReport, bool) { return section(ReportOf(e).
 
 // ChunkStatsOf reports the chunk lifecycle counters of e, or ok false when
 // e does not keep partial maps.
-func ChunkStatsOf(e Engine) (partial.ChunkStats, bool) { return section(ReportOf(e).Chunks) }
+func ChunkStatsOf(e Engine) (sideways.ChunkStats, bool) { return section(ReportOf(e).Chunks) }
 
 // ConcStatsOf reports how e's readers fared against its RWMutex guard, or
 // ok false when e has none (bare and snapshot engines).
@@ -159,8 +159,8 @@ func (e *selCrackEngine) Report() Report {
 // lifecycle of the storage manager over partial maps. Caller serializes.
 func (e *mapEngine) Report() Report {
 	r := kernelSection(e.st.Kernel())
-	if st, ok := e.st.(*partial.Store); ok {
-		cs := st.ChunkStats()
+	if e.kind == PartialSideways {
+		cs := e.st.ChunkStats()
 		r.Chunks = &cs
 	}
 	return r

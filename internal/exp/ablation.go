@@ -3,7 +3,6 @@ package exp
 import (
 	"time"
 
-	"crackstore/internal/partial"
 	"crackstore/internal/sideways"
 	"crackstore/internal/store"
 )
@@ -55,7 +54,7 @@ func Ablations(cfg Config) *AblationResult {
 	// Partial vs forced-full chunk alignment: heavily cracked area, then
 	// covered queries over other tails.
 	partialAlign := func(force bool) time.Duration {
-		st := partial.NewStore(buildUniform(cfg, "R", 6))
+		st := sideways.NewPartialStore(buildUniform(cfg, "R", 6))
 		st.ForceFullAlignment = force
 		gen := genFor(cfg, 902)
 		for q := 0; q < cfg.Queries; q++ {
@@ -73,7 +72,7 @@ func Ablations(cfg Config) *AblationResult {
 
 	// Head dropping: recovery cost on re-crack vs keeping heads.
 	headDrop := func(drop bool) time.Duration {
-		st := partial.NewStore(buildUniform(cfg, "R", 2))
+		st := sideways.NewPartialStore(buildUniform(cfg, "R", 2))
 		gen := genFor(cfg, 903)
 		for q := 0; q < cfg.Queries; q++ {
 			st.SelectProject("A1", gen.Range(0.05), []string{"A2"})

@@ -14,11 +14,6 @@ import (
 // can be performed in a partitioned like way exploiting disjoint ranges in
 // the input maps").
 
-// MergePendingAll converts every pending insertion and deletion of the set
-// into tape entries, regardless of value range. Plans that read whole maps
-// (disjunctions) call this before querying.
-func (set *Set) MergePendingAll() { set.mergePending(FullRange, nil) }
-
 // MaxAttr returns the maximum live value of attr. When a cracker map for
 // the attribute exists, only the last non-empty piece (plus merged pending
 // updates) is inspected instead of the whole column.
@@ -34,22 +29,14 @@ func (s *Store) MinAttr(attr string) (Value, bool) {
 
 func (s *Store) extremeAttr(attr string, wantMax bool) (Value, bool) {
 	set := s.sets[attr]
-	if set == nil || (len(set.maps) == 0 && set.keyMap == nil) {
+	if set == nil || set.MostAlignedMap() == nil {
 		return s.scanExtreme(attr, wantMax)
-	}
-	m := set.MostAlignedMap()
-	if m == nil {
-		m = set.keyMap
 	}
 	// Collect the piece boundaries of the most aligned map. Values ascend
 	// across pieces, so the extreme lives in the outermost non-empty piece
 	// after pending updates for that range are merged.
-	type bp struct {
-		b   crackindex.Bound
-		pos int
-	}
-	var bounds []bp
-	m.pairs.Idx.Walk(func(b crackindex.Bound, pos int) { bounds = append(bounds, bp{b, pos}) })
+	var bounds []crackindex.Bound
+	set.MostAlignedMap().pairs.Idx.Walk(func(b crackindex.Bound, _ int) { bounds = append(bounds, b) })
 	if len(bounds) == 0 {
 		return s.scanExtreme(attr, wantMax)
 	}
@@ -59,10 +46,10 @@ func (s *Store) extremeAttr(attr string, wantMax bool) (Value, bool) {
 	for i := range bounds {
 		var pred store.Pred
 		if wantMax {
-			b := bounds[len(bounds)-1-i].b
+			b := bounds[len(bounds)-1-i]
 			pred = store.Pred{Lo: b.V, Hi: math.MaxInt64, LoIncl: b.Incl, HiIncl: true}
 		} else {
-			b := bounds[i].b
+			b := bounds[i]
 			pred = store.Pred{Lo: math.MinInt64, Hi: b.V, LoIncl: true, HiIncl: !b.Incl}
 		}
 		if v, ok := s.pieceExtreme(set, pred, wantMax); ok {
@@ -76,23 +63,20 @@ func (s *Store) extremeAttr(attr string, wantMax bool) (Value, bool) {
 // pieceExtreme queries one value range on the set's most aligned map and
 // reduces its head values.
 func (s *Store) pieceExtreme(set *Set, pred store.Pred, wantMax bool) (Value, bool) {
-	m := set.MostAlignedMap()
 	tail := ""
-	if m != nil {
+	if m := set.MostAlignedMap(); m != nil {
 		tail = m.tailAttr
 	}
-	lo, hi, used := set.Query(pred, []string{tail})
-	if hi <= lo {
-		return 0, false
-	}
-	head := used[0].pairs.Head[lo:hi]
-	best := head[0]
-	for _, v := range head[1:] {
-		if wantMax && v > best || !wantMax && v < best {
-			best = v
+	found := false
+	var best Value
+	for _, w := range set.Query(pred, []string{tail}, true) {
+		for _, v := range w.Head[w.Lo:w.Hi] {
+			if !found || wantMax && v > best || !wantMax && v < best {
+				best, found = v, true
+			}
 		}
 	}
-	return best, true
+	return best, found
 }
 
 // scanExtreme is the fallback when no cracking knowledge exists: a full
@@ -158,14 +142,12 @@ func CrackerJoin(ls *Store, lAttr string, rs *Store, rAttr string, parts int) []
 			pred.Hi = hi
 			pred.HiIncl = true
 		}
-		la, lb, lm := lSet.QueryKeys(pred)
-		ra, rb, rm := rSet.QueryKeys(pred)
-		if lb <= la || rb <= ra {
+		lHead, lTail := keysOf(lSet, pred)
+		rHead, rTail := keysOf(rSet, pred)
+		if len(lHead) == 0 || len(rHead) == 0 {
 			continue
 		}
 		// Hash join within the partition: build on the smaller side.
-		lHead, lTail := lm.pairs.Head[la:lb], lm.pairs.Tail[la:lb]
-		rHead, rTail := rm.pairs.Head[ra:rb], rm.pairs.Tail[ra:rb]
 		if len(lHead) <= len(rHead) {
 			ht := make(map[Value][]Value, len(lHead))
 			for i, v := range lHead {
@@ -191,16 +173,18 @@ func CrackerJoin(ls *Store, lAttr string, rs *Store, rAttr string, parts int) []
 	return out
 }
 
-// QueryKeys runs the set-level sideways select over the key map M_Akey:
-// it merges pending updates, cracks, aligns, and returns the qualifying
-// area of the aligned key map (head = attribute values, tail = keys).
-func (set *Set) QueryKeys(pred store.Pred) (lo, hi int, m *Map) {
-	if set.keyMap == nil {
-		set.keyMap = set.newMap("")
+// keysOf runs the set-level sideways select over the key maps of set: it
+// merges pending updates, cracks and aligns, and returns the qualifying
+// attribute values and their tuple keys.
+func keysOf(set *Set, pred store.Pred) (vals, keys []Value) {
+	wins := set.Query(pred, []string{""}, true)
+	if len(wins) == 1 {
+		w := wins[0]
+		return w.Head[w.Lo:w.Hi], w.Tails[0][w.Lo:w.Hi]
 	}
-	set.mergePending(pred, []*Map{set.keyMap})
-	set.tape.LogCrack(pred)
-	set.align(set.keyMap)
-	lo, hi = areaOf(set.keyMap, pred)
-	return lo, hi, set.keyMap
+	for _, w := range wins {
+		vals = append(vals, w.Head[w.Lo:w.Hi]...)
+		keys = append(keys, w.Tails[0][w.Lo:w.Hi]...)
+	}
+	return vals, keys
 }

@@ -13,13 +13,10 @@ import (
 	"crackstore/internal/store"
 )
 
-// This file is the map-set core shared by full maps (this package) and
-// partial maps (internal/partial). Section 4 of the paper defines partial
-// sideways cracking as the same operators run chunk-wise, so everything
-// that does not depend on how a set lays out its maps lives here once: the
-// base-side state of a store, a set's pending-update ledger, the cracker
-// tape, the multi-selection planner, the bit-vector finish and the eviction
-// rule of the two storage managers.
+// This file is the map-set core that does not depend on how a set lays out
+// its maps: the base-side state of a store, a set's pending-update ledger,
+// the cracker tape, the multi-selection planner, the bit-vector finish and
+// the eviction priority of the storage manager.
 
 // Base is the base-side state every map-set store carries: the relation,
 // its tombstones, and the pending-update ledgers of the sets built over
@@ -48,9 +45,8 @@ func NewBase(rel *store.Relation) Base {
 	}
 }
 
-// Usage is what the storage managers know about one evictable structure, a
-// full map or a chunk of a partial map. Both evict by LFU with dynamic
-// aging: a structure's priority is its access count plus the store's age
+// Usage is what the storage manager knows about one evictable map, full or
+// partial. It evicts by LFU with dynamic aging: a structure's priority is its access count plus the store's age
 // when it was last used, and the age is the priority of the last victim.
 // Counts alone would keep the much-used structures of a batch that ended and
 // evict the ones the current batch created a query ago; with the age, a
@@ -311,8 +307,8 @@ const (
 
 // entry is one cracker-tape record. Crack entries carry the predicate;
 // insert entries the tuple keys to ripple-insert; delete entries the
-// physical positions (valid at this tape point) to remove, plus the tuple
-// keys when the tape may be un-logged again (Pending.Restore).
+// physical positions (valid at this tape point) to remove and the tuple
+// keys they hold, so the tape can be un-logged again (Pending.Restore).
 type entry struct {
 	kind      entryKind
 	pred      store.Pred
@@ -331,7 +327,7 @@ func (t *Tape) LogCrack(pred store.Pred) { *t = append(*t, entry{kind: entryCrac
 func (t *Tape) LogInsert(keys []int) { *t = append(*t, entry{kind: entryInsert, keys: keys}) }
 
 // LogDelete appends the removal of the given physical positions; keys are
-// the tuples they hold (nil when the tape is never restored).
+// the tuples they hold.
 func (t *Tape) LogDelete(keys, positions []int) {
 	*t = append(*t, entry{kind: entryDelete, keys: keys, positions: positions})
 }
@@ -520,12 +516,49 @@ func (pl *Plan) Slot(attr string) int {
 func (pl *Plan) OtherTail(w Window, j int) []Value { return w.Tails[pl.otherSlot[j]] }
 
 // Window is one positionally aligned fragment of a set: the tail columns
-// of the plan's slots (full length, parallel to Plan.Tails) and the position
-// range [Lo, Hi) the head predicate selects in all of them. A full map set
-// answers a query from one window, a partial set from one per area.
+// of the plan's slots (full length, parallel to Plan.Tails), the head column
+// they are aligned with (nil when the query did not ask for it and it was
+// dropped), and the position range [Lo, Hi) the head predicate selects in
+// all of them. A full map set answers a query from one window, a partial set
+// from one per area.
 type Window struct {
 	Lo, Hi int
+	Head   []Value
 	Tails  [][]Value
+}
+
+// Finish answers the plan from its aligned windows. A pure read, shared by
+// the write path and the read-only path.
+func (pl *Plan) Finish(wins []Window, disjunctive bool) Result {
+	if disjunctive {
+		return pl.Disjunctive(wins)
+	}
+	return pl.Conjunctive(wins)
+}
+
+// Disjunctive finishes a disjunctive plan: per window, mark the tuples
+// matching any predicate. A disjunction reads whole maps, and maps of
+// different areas share no position space, so the head predicate is tested
+// by value on the window's head column.
+func (pl *Plan) Disjunctive(wins []Window) Result {
+	marks := make([]*bitvec.Vector, len(wins))
+	for k, w := range wins {
+		bv := bitvec.New(w.Hi - w.Lo)
+		for i := w.Lo; i < w.Hi; i++ {
+			if pl.Head.Pred.Matches(w.Head[i]) {
+				bv.Set(i - w.Lo)
+				continue
+			}
+			for j, ap := range pl.Others {
+				if ap.Pred.Matches(pl.OtherTail(w, j)[i]) {
+					bv.Set(i - w.Lo)
+					break
+				}
+			}
+		}
+		marks[k] = bv
+	}
+	return pl.Reconstruct(wins, marks)
 }
 
 // Conjunctive finishes a conjunctive plan: per window, refine [Lo, Hi) with

@@ -27,8 +27,8 @@ func budgetedMapStream() (maps string, tuples int) {
 	}
 	var names []string
 	for attr, set := range s.sets {
-		for tail := range set.maps {
-			names = append(names, attr+tail)
+		for _, m := range set.Maps() {
+			names = append(names, attr+m.tailAttr)
 		}
 	}
 	sort.Strings(names)

@@ -81,20 +81,21 @@ func TestFigure3OperatorPipeline(t *testing.T) {
 	s := NewStore(rel)
 	set := s.Set("A")
 	predA := store.Open(3, 10)
-	lo, hi, used := set.Query(predA, []string{"B", "C", "D"})
+	wins := set.Query(predA, []string{"B", "C", "D"}, false)
+	lo, hi, used := wins[0].Lo, wins[0].Hi, wins[0].Tails
 	if hi <= lo {
 		t.Fatal("empty candidate area")
 	}
 	// All three maps share the cracked area and are positionally aligned.
-	for _, m := range used {
-		l2, h2 := areaOf(m, predA)
+	for _, m := range set.Maps() {
+		l2, h2, _ := m.Pairs().Area(predA)
 		if l2 != lo || h2 != hi {
 			t.Fatalf("map areas diverge: [%d,%d) vs [%d,%d)", l2, h2, lo, hi)
 		}
 	}
-	bv := SelectCreateBV(used[0].Pairs().Tail, lo, hi, store.Open(4, 8))
-	SelectRefineBV(used[1].Pairs().Tail, lo, hi, store.Open(1, 7), bv)
-	got := ReconstructBV(used[2].Pairs().Tail, lo, bv)
+	bv := SelectCreateBV(used[0], lo, hi, store.Open(4, 8))
+	SelectRefineBV(used[1], lo, hi, store.Open(1, 7), bv)
+	got := ReconstructBV(used[2], lo, bv)
 	var want []Value
 	for i := range a {
 		if a[i] > 3 && a[i] < 10 && b[i] > 4 && b[i] < 8 && c[i] > 1 && c[i] < 7 {

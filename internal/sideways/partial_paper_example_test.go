@@ -1,4 +1,4 @@
-package partial
+package sideways
 
 import (
 	"testing"
@@ -18,7 +18,7 @@ func TestPaperFigure8(t *testing.T) {
 	for i, v := range a {
 		rel.AppendRow(v, Value(100+i), Value(200+i)) // b_i, c_i tagged by key
 	}
-	s := NewStore(rel)
+	s := NewPartialStore(rel)
 	nv := &naive{rel: rel, dead: map[int]bool{}}
 	check := func(step string, pred store.Pred, proj string) {
 		res := s.SelectProject("A", pred, []string{proj})
@@ -74,8 +74,8 @@ func TestPaperFigure8(t *testing.T) {
 	if shared == nil {
 		t.Fatal("the q1 area disappeared")
 	}
-	if shared.chunks["B"] == nil || shared.chunks["C"] == nil {
-		t.Fatalf("shared area should hold B and C chunks, has %d", len(shared.chunks))
+	if shared.maps["B"] == nil || shared.maps["C"] == nil {
+		t.Fatalf("shared area should hold B and C chunks, has %d", len(shared.maps))
 	}
 	// H_A must never have been cracked inside a fetched area: every area
 	// span must still match its recorded bounds.
@@ -95,7 +95,7 @@ func TestFigure8ChunkIndependence(t *testing.T) {
 	for i, v := range a {
 		rel.AppendRow(v, Value(100+i))
 	}
-	s := NewStore(rel)
+	s := NewPartialStore(rel)
 	s.SelectProject("A", store.Pred{Lo: 9, Hi: 15, LoIncl: false, HiIncl: true}, []string{"B"})
 	s.SelectProject("A", store.Range(2, 8), []string{"B"})
 	set := s.SetIfExists("A")

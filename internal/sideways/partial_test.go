@@ -1,4 +1,4 @@
-package partial
+package sideways
 
 import (
 	"fmt"
@@ -12,60 +12,6 @@ import (
 	"crackstore/internal/crack"
 	"crackstore/internal/store"
 )
-
-type naive struct {
-	rel  *store.Relation
-	dead map[int]bool
-}
-
-func (nv *naive) rows(preds []AttrPred, projs []string, disjunctive bool) [][]Value {
-	var out [][]Value
-	n := nv.rel.NumRows()
-	for i := 0; i < n; i++ {
-		if nv.dead[i] {
-			continue
-		}
-		match := !disjunctive
-		for _, ap := range preds {
-			m := ap.Pred.Matches(nv.rel.MustColumn(ap.Attr).Vals[i])
-			if disjunctive {
-				match = match || m
-			} else {
-				match = match && m
-			}
-		}
-		if !match {
-			continue
-		}
-		row := make([]Value, len(projs))
-		for j, attr := range projs {
-			row[j] = nv.rel.MustColumn(attr).Vals[i]
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-func canon(rows [][]Value) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = fmt.Sprint(r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func resultRows(res Result, projs []string) [][]Value {
-	rows := make([][]Value, res.N)
-	for i := 0; i < res.N; i++ {
-		row := make([]Value, len(projs))
-		for j, attr := range projs {
-			row[j] = res.Cols[attr][i]
-		}
-		rows[i] = row
-	}
-	return rows
-}
 
 func sameRows(got, want [][]Value) bool {
 	g, w := canon(got), canon(want)
@@ -94,16 +40,10 @@ func first3(rows [][]Value) [][]Value {
 	return rows
 }
 
-func buildRel(rng *rand.Rand, n int, attrs []string, domain int64) *store.Relation {
-	return store.Build("R", n, attrs, func(attr string, row int) Value {
-		return Value(rng.Int63n(domain))
-	})
-}
-
 func TestSelectProjectBasic(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rel := buildRel(rng, 500, []string{"A", "B", "C"}, 100)
-	s := NewStore(rel)
+	s := NewPartialStore(rel)
 	nv := &naive{rel: rel, dead: map[int]bool{}}
 	for q := 0; q < 30; q++ {
 		lo := rng.Int63n(100)
@@ -121,7 +61,7 @@ func TestSelectProjectBasic(t *testing.T) {
 func TestChunksCreatedOnDemandOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	rel := buildRel(rng, 1000, []string{"A", "B"}, 1000)
-	s := NewStore(rel)
+	s := NewPartialStore(rel)
 	s.SelectProject("A", store.Range(100, 200), []string{"B"})
 	set := s.SetIfExists("A")
 	if set == nil {
@@ -140,7 +80,7 @@ func TestChunksCreatedOnDemandOnly(t *testing.T) {
 func TestPartialAlignmentSkipsCoveredChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rel := buildRel(rng, 2000, []string{"A", "B", "C"}, 1000)
-	s := NewStore(rel)
+	s := NewPartialStore(rel)
 	// Fetch [0,1000) for B via a wide query, cracking it several times.
 	s.SelectProject("A", store.Range(0, 1000), []string{"B"})
 	s.SelectProject("A", store.Range(100, 900), []string{"B"})
@@ -157,8 +97,8 @@ func TestPartialAlignmentSkipsCoveredChunks(t *testing.T) {
 	// replayed) while its B chunk sits at the area tape end.
 	lazyFound := false
 	for _, w := range set.areas {
-		cb, okB := w.chunks["B"]
-		cc, okC := w.chunks["C"]
+		cb, okB := w.maps["B"]
+		cc, okC := w.maps["C"]
 		if okB && okC && cc.cursor < cb.cursor {
 			lazyFound = true
 		}
@@ -170,11 +110,11 @@ func TestPartialAlignmentSkipsCoveredChunks(t *testing.T) {
 
 // Property: partial SelectProject agrees with naive scan under random
 // query sequences, including multi-projection row alignment.
-func TestQuickSelectProject(t *testing.T) {
+func TestPartialQuickSelectProject(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rel := buildRel(rng, 300, []string{"A", "B", "C", "D"}, 80)
-		s := NewStore(rel)
+		s := NewPartialStore(rel)
 		nv := &naive{rel: rel, dead: map[int]bool{}}
 		projSets := [][]string{{"B"}, {"B", "C"}, {"C", "D"}, {"B", "C", "D"}}
 		for q := 0; q < 25; q++ {
@@ -195,11 +135,11 @@ func TestQuickSelectProject(t *testing.T) {
 }
 
 // Property: conjunctive and disjunctive multi-selections agree with naive.
-func TestQuickMultiSelect(t *testing.T) {
+func TestPartialQuickMultiSelect(t *testing.T) {
 	f := func(seed int64, disjunctive bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rel := buildRel(rng, 250, []string{"A", "B", "C", "D"}, 60)
-		s := NewStore(rel)
+		s := NewPartialStore(rel)
 		nv := &naive{rel: rel, dead: map[int]bool{}}
 		attrs := []string{"A", "B", "C"}
 		for q := 0; q < 12; q++ {
@@ -231,11 +171,11 @@ func TestQuickMultiSelect(t *testing.T) {
 
 // Property: interleaved updates and queries stay correct (area tapes with
 // insert/delete entries, key chunks, pending push-back on unfetch).
-func TestQuickUpdates(t *testing.T) {
+func TestPartialQuickUpdates(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rel := buildRel(rng, 200, []string{"A", "B", "C"}, 50)
-		s := NewStore(rel)
+		s := NewPartialStore(rel)
 		nv := &naive{rel: rel, dead: map[int]bool{}}
 		var live []int
 		for i := 0; i < 200; i++ {
@@ -275,7 +215,7 @@ func TestQuickUpdates(t *testing.T) {
 func TestBudgetEvictionAndRecreation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rel := buildRel(rng, 1000, []string{"A", "B", "C", "D", "E"}, 1000)
-	s := NewStore(rel)
+	s := NewPartialStore(rel)
 	s.Budget = 700
 	nv := &naive{rel: rel, dead: map[int]bool{}}
 	// Cycle through attributes so chunks must be dropped and recreated.
@@ -299,7 +239,7 @@ func TestBudgetEvictionWithUpdates(t *testing.T) {
 	// back to pending so they reapply on refetch.
 	rng := rand.New(rand.NewSource(6))
 	rel := buildRel(rng, 400, []string{"A", "B", "C"}, 100)
-	s := NewStore(rel)
+	s := NewPartialStore(rel)
 	s.Budget = 300
 	nv := &naive{rel: rel, dead: map[int]bool{}}
 	var live []int
@@ -335,7 +275,7 @@ func TestBudgetEvictionWithUpdates(t *testing.T) {
 func TestHeadDropAndRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rel := buildRel(rng, 1000, []string{"A", "B"}, 500)
-	s := NewStore(rel)
+	s := NewPartialStore(rel)
 	nv := &naive{rel: rel, dead: map[int]bool{}}
 	// Crack a few times, then force head drop.
 	s.SelectProject("A", store.Range(0, 500), []string{"B"})
@@ -361,16 +301,16 @@ func TestHeadDropAndRecovery(t *testing.T) {
 func TestHeadRecoveryFromSibling(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	rel := buildRel(rng, 600, []string{"A", "B", "C"}, 300)
-	s := NewStore(rel)
+	s := NewPartialStore(rel)
 	// Align B and C chunks to identical cursors.
 	s.SelectProject("A", store.Range(0, 300), []string{"B", "C"})
 	s.SelectProject("A", store.Range(50, 250), []string{"B", "C"})
 	// Drop only B's head by hand.
 	set := s.SetIfExists("A")
-	var dropped *chunk
+	var dropped *Map
 	for _, w := range set.areas {
-		if c, ok := w.chunks["B"]; ok && c.Len() > 0 {
-			c.p.Head = nil
+		if c, ok := w.maps["B"]; ok && c.Len() > 0 {
+			c.pairs.Head = nil
 			c.headDropped = true
 			dropped = c
 			break
@@ -392,7 +332,7 @@ func TestHeadRecoveryFromSibling(t *testing.T) {
 func TestAutomaticHeadDropOnCacheResidentPieces(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rel := buildRel(rng, 2000, []string{"A", "B"}, 2000)
-	s := NewStore(rel)
+	s := NewPartialStore(rel)
 	s.CachedPieceTuples = 256
 	nv := &naive{rel: rel, dead: map[int]bool{}}
 	// Many queries over one hot range shrink pieces below the threshold.
@@ -406,7 +346,7 @@ func TestAutomaticHeadDropOnCacheResidentPieces(t *testing.T) {
 	}
 	droppedAny := false
 	for _, w := range s.SetIfExists("A").areas {
-		for _, c := range w.chunks {
+		for _, c := range w.maps {
 			if c.headDropped {
 				droppedAny = true
 			}
@@ -420,7 +360,7 @@ func TestAutomaticHeadDropOnCacheResidentPieces(t *testing.T) {
 func TestEstimateSelectivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	rel := buildRel(rng, 1000, []string{"A", "B"}, 1000)
-	s := NewStore(rel)
+	s := NewPartialStore(rel)
 	pred := store.Range(200, 400)
 	est0 := s.EstimateSelectivity("A", pred)
 	if est0 <= 0 || est0 > 1000 {
@@ -437,7 +377,7 @@ func TestEstimateSelectivity(t *testing.T) {
 func TestEmptyPredicate(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rel := buildRel(rng, 100, []string{"A", "B"}, 50)
-	s := NewStore(rel)
+	s := NewPartialStore(rel)
 	res := s.SelectProject("A", store.Open(10, 10), []string{"B"})
 	if res.N != 0 {
 		t.Fatalf("empty predicate returned %d rows", res.N)
@@ -453,7 +393,7 @@ func BenchmarkPartialSelectProject(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := NewStore(rel)
+		s := NewPartialStore(rel)
 		b.StartTimer()
 		for q := 0; q < 50; q++ {
 			lo := rng.Int63n(1 << 16)
@@ -464,11 +404,11 @@ func BenchmarkPartialSelectProject(b *testing.B) {
 
 // Property: disjunctive multi-selections agree with naive under interleaved
 // updates (locks in the FullRange merge behavior).
-func TestQuickDisjunctiveWithUpdates(t *testing.T) {
+func TestPartialQuickDisjunctiveWithUpdates(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rel := buildRel(rng, 200, []string{"A", "B", "C"}, 50)
-		s := NewStore(rel)
+		s := NewPartialStore(rel)
 		nv := &naive{rel: rel, dead: map[int]bool{}}
 		var live []int
 		for i := 0; i < 200; i++ {
@@ -517,7 +457,7 @@ func budgetedStream(t *testing.T, seed int64) (int, string) {
 	const rows, domain = 4000, 4000
 	rng := rand.New(rand.NewSource(seed))
 	attrs := []string{"A", "B", "C", "D", "E", "F"}
-	s := NewStore(buildRel(rng, rows, attrs, domain))
+	s := NewPartialStore(buildRel(rng, rows, attrs, domain))
 	s.Budget = 3 * rows
 	s.HeadDropIdleQueries = 25
 	live := rows
@@ -557,7 +497,7 @@ func budgetedStream(t *testing.T, seed int64) (int, string) {
 	var inv []string
 	for attr, set := range s.sets {
 		for _, w := range set.areas {
-			for tail, c := range w.chunks {
+			for tail, c := range w.maps {
 				inv = append(inv, fmt.Sprintf("%s/%d[%d,%d)/%s len=%d cursor=%d dropped=%v access=%d",
 					attr, w.id, w.lo, w.hi, tail, c.Len(), c.cursor, c.headDropped, c.Accesses()))
 			}
@@ -590,7 +530,7 @@ func TestBudgetedStreamIsDeterministic(t *testing.T) {
 // once, on one head; a new chunk replays alone up to its sibling's cursor,
 // then joins it; a head-dropped chunk replays alone. Every case ends with
 // equal heads and the answer a scan gives.
-func TestAlignTogetherVisitsOnce(t *testing.T) {
+func TestPartialAlignTogetherVisitsOnce(t *testing.T) {
 	const k = 6
 	rel := buildRel(rand.New(rand.NewSource(12)), 2000, []string{"A", "B", "C", "D"}, 1000)
 	nv := &naive{rel: rel, dead: map[int]bool{}}
@@ -598,8 +538,8 @@ func TestAlignTogetherVisitsOnce(t *testing.T) {
 	visited := func(s *Store, attrs []string) (n int) {
 		for _, w := range s.SetIfExists("A").areas {
 			for _, attr := range attrs {
-				if c, ok := w.chunks[attr]; ok {
-					n += c.p.Stats.Visited
+				if c, ok := w.maps[attr]; ok {
+					n += c.pairs.Stats.Visited
 				}
 			}
 		}
@@ -610,11 +550,11 @@ func TestAlignTogetherVisitsOnce(t *testing.T) {
 	// then pred(k+1) projecting last, and returns what the last query
 	// visited.
 	run := func(first []string, drop string, lag, last []string) int {
-		s := NewStore(rel)
+		s := NewPartialStore(rel)
 		s.SelectProject("A", store.Range(0, 1000), first)
 		w := s.SetIfExists("A").areas[0]
 		if drop != "" {
-			s.dropHead(w.chunks[drop])
+			s.dropHead(w.maps[drop])
 		}
 		for i := 1; i <= k; i++ {
 			s.SelectProject("A", pred(i), lag)
@@ -624,11 +564,11 @@ func TestAlignTogetherVisitsOnce(t *testing.T) {
 		want := nv.rows([]AttrPred{{Attr: "A", Pred: pred(k + 1)}}, last, false)
 		mustSameRows(t, resultRows(res, last), want, "last query")
 		for _, attr := range last {
-			c := w.chunks[attr]
+			c := w.maps[attr]
 			if c.headDropped || c.cursor != len(w.tape) {
 				t.Fatalf("chunk %s: head dropped %v, cursor %d of %d", attr, c.headDropped, c.cursor, len(w.tape))
 			}
-			if !slices.Equal(c.p.Head, w.chunks[last[0]].p.Head) {
+			if !slices.Equal(c.pairs.Head, w.maps[last[0]].pairs.Head) {
 				t.Fatalf("chunk %s head differs from chunk %s", attr, last[0])
 			}
 		}

@@ -38,7 +38,7 @@ func TestPolicyFrozenPerSet(t *testing.T) {
 		lo := rng.Int63n(600)
 		check("A", store.Range(lo, lo+1+rng.Int63n(80)), "A after policy change")
 	}
-	for _, m := range s.sets["A"].maps {
+	for _, m := range s.sets["A"].Maps() {
 		if m.pairs.Policy.Kind != crack.Default {
 			t.Fatalf("map of pre-change set adopted policy %v", m.pairs.Policy.Kind)
 		}
@@ -50,7 +50,7 @@ func TestPolicyFrozenPerSet(t *testing.T) {
 		check("B", store.Range(lo, lo+1+rng.Int63n(40)), "B under stochastic")
 	}
 	sawAux := false
-	for _, m := range s.sets["B"].maps {
+	for _, m := range s.sets["B"].Maps() {
 		if m.pairs.Policy.Kind != crack.Stochastic {
 			t.Fatalf("map of post-change set has policy %v, want stochastic", m.pairs.Policy.Kind)
 		}

@@ -448,7 +448,7 @@ func TestPendingDeleteMergeReadsOnlyEnclosingPieces(t *testing.T) {
 		before := m.pairs.Stats.Scanned
 		s.Delete(key)
 		res := s.SelectProject("A", pred, projs)
-		if set.keyMap != nil {
+		if keyMap(set) != nil {
 			t.Fatalf("round %d: a delete of a tuple no other equals built the key map", round)
 		}
 		scanned := m.pairs.Stats.Scanned - before
@@ -494,16 +494,20 @@ func TestDeleteOfIndistinguishableTupleFallsBack(t *testing.T) {
 		for _, projs := range [][]string{{"B"}, {"C"}, {"B", "C"}} {
 			res := s.SelectProject("A", pred, projs)
 			equalRows(t, resultRows(res, projs), nv.rows([]AttrPred{{Attr: "A", Pred: pred}}, projs, false), fmt.Sprintf("%s, A -> %v", ctx, projs))
-			if s.SetIfExists("A").keyMap == nil {
+			if keyMap(s.SetIfExists("A")) == nil {
 				t.Fatalf("%s: merged by value although A and B cannot tell the twins apart", ctx)
 			}
 		}
 	}
 }
 
+// keyMap returns the key map of a full-map set, nil when it has none.
+func keyMap(set *Set) *Map { return set.MapIfExists("") }
+
 // TestKernelCountsTheKeyMap: the work a key map does shows in Kernel. A
-// whole-map merge of a delete builds the key map and replays the set's tape
-// onto it; Kernel then counts that map's visits beside M_AB's.
+// query over the key map (as a cracker join issues) merging a delete builds
+// the key map and replays the set's tape onto it; Kernel then counts that
+// map's visits beside M_AB's.
 func TestKernelCountsTheKeyMap(t *testing.T) {
 	rel := buildRel(rand.New(rand.NewSource(8)), 1000, []string{"A", "B"}, 500)
 	s := NewStore(rel)
@@ -511,17 +515,17 @@ func TestKernelCountsTheKeyMap(t *testing.T) {
 		s.SelectProject("A", store.Range(Value(i*80), Value(i*80+40)), []string{"B"})
 	}
 	s.Delete(3)
-	s.MultiSelect([]AttrPred{{Attr: "A", Pred: store.Range(0, 100)}}, []string{"B"}, true)
 	set := s.SetIfExists("A")
-	if set.keyMap == nil || set.keyMap.pairs.Stats.Visited == 0 {
-		t.Fatal("a whole-map merge of a delete should build the key map and replay the tape onto it")
+	set.Query(store.Range(0, 100), []string{""}, true)
+	if keyMap(set) == nil || keyMap(set).pairs.Stats.Visited == 0 {
+		t.Fatal("a key-map merge of a delete should build the key map and replay the tape onto it")
 	}
 	ks, pieces, cols := s.Kernel()
 	b := set.MapIfExists("B").pairs
-	if want := b.Stats.Visited + set.keyMap.pairs.Stats.Visited; ks.Visited != want {
+	if want := b.Stats.Visited + keyMap(set).pairs.Stats.Visited; ks.Visited != want {
 		t.Fatalf("Kernel counts %d visited tuples, M_AB and the key map visited %d", ks.Visited, want)
 	}
-	if want := b.Idx.Pieces() + set.keyMap.pairs.Idx.Pieces(); cols != 2 || pieces != want {
+	if want := b.Idx.Pieces() + keyMap(set).pairs.Idx.Pieces(); cols != 2 || pieces != want {
 		t.Fatalf("Kernel counts %d structures of %d pieces, want 2 of %d", cols, pieces, want)
 	}
 }

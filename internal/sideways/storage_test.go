@@ -1,4 +1,4 @@
-package partial
+package sideways
 
 import (
 	"math/rand"
@@ -20,7 +20,7 @@ func TestBudgetedCycleDoesNotThrash(t *testing.T) {
 	attrs := []string{"A", "B", "C", "D", "E", "F"}
 	types := [][2]string{{"B", "C"}, {"C", "D"}, {"D", "E"}, {"E", "F"}, {"F", "B"}}
 	rng := rand.New(rand.NewSource(17))
-	s := NewStore(buildRel(rng, rows, attrs, rows))
+	s := NewPartialStore(buildRel(rng, rows, attrs, rows))
 	s.Budget = 3 * rows
 	for q := 0; q < 2000; q++ {
 		typ := types[q/100%len(types)]
@@ -63,7 +63,7 @@ func TestWarmChunkCreationAllocatesNoColumn(t *testing.T) {
 		}
 		return Value(row)
 	})
-	s := NewStore(rel)
+	s := NewPartialStore(rel)
 	s.Budget = rows * 3 / 2
 	pass := func(y string) {
 		for r := 0; r < ranges; r++ {

@@ -6,7 +6,7 @@ import "math/bits"
 // would otherwise allocate, zero and fault in a fresh column only to copy
 // over all of it: a recycled column costs the copy. Who may put a column —
 // nothing else may refer to it any more — is the rule of the list's one
-// owner, partial.Store (see its release). Columns leave the list without
+// owner, sideways.Store (see its release). Columns leave the list without
 // being cleared; whoever draws one overwrites all of it.
 //
 // Capacities are rounded to size classes, four per doubling, so a column

@@ -6,7 +6,8 @@ import (
 )
 
 // DetRand keeps the deterministic kernel and tape-replay packages —
-// internal/crack, internal/sideways, internal/partial — free of wall-clock
+// internal/crack, internal/sideways (the one map store) and the
+// internal/partial preset that names it — free of wall-clock
 // and ambient-randomness calls. Those packages carry the
 // layout-equivalence guarantees (replaying a crack tape must reproduce the
 // exact physical layout; all policy pivots derive from a seeded hash), and
