@@ -175,10 +175,14 @@ func mapEngines(rel *store.Relation) []Engine {
 		New(PartialSideways, cloneRel(rel)),
 		NewWith(Sideways, cloneRel(rel), Options{Budget: 3 * fuzzRows}),
 		NewPartialWithBudget(cloneRel(rel), 2*fuzzRows),
+		// Room for one full map: a query on another set evicts every map
+		// of this one, which un-fetches it and pushes its tape's updates
+		// back to pending.
+		NewWith(Sideways, cloneRel(rel), Options{Budget: fuzzRows}),
 	}
 }
 
-// runMapOps replays ops on the four map-set engines and on Scan. Every
+// runMapOps replays ops on the map-set engines and on Scan. Every
 // query is answered three times per engine — QueryRO before, Query, QueryRO
 // after — and every answer QueryRO gives must be the one Query gives. The
 // second QueryRO, which follows the write path and so is rarely refused,
@@ -286,7 +290,7 @@ func FuzzMapEnginesAgree(f *testing.F) {
 	// A query aligning B, C or both cannot tell the twin of a deleted tuple
 	// from it and merges through the key map, on the conjunctive path, on a
 	// join side and with both twins deleted in one merge; a disjunction
-	// merges everything through the key map; a delete of a tuple nothing
+	// merges every pending update at once; a delete of a tuple nothing
 	// equals is found by value.
 	twin := []byte{opInsert, 25, 1, 2, 3}
 	point := encPreds(encPred(aA, shapePoint, 25, 25))
@@ -310,5 +314,42 @@ func FuzzMapEnginesAgree(f *testing.F) {
 	for seed := int64(4); seed < 10; seed++ {
 		f.Add(seed, randomOps(seed, 1500))
 	}
+	// Whole-area eviction under the one-map budget: S_A merges an insert
+	// and deletes, then queries on S_B and S_C evict all of S_A's maps, so
+	// S_A forgets its tape and takes the insert and the deletes back as
+	// pending; the next S_A query rebuilds its maps from the base prefix
+	// and merges them again, by value, conjunctively, on a join side and
+	// in a disjunction.
+	onA := encPreds(encPred(aA, shapeRange, 20, 40))
+	f.Add(int64(6), cat(
+		encQuery(opQuery, onA, encProjs(aB)),
+		[]byte{opInsert, 30, 5, 6, 7},
+		[]byte{opDelete, 0, 11}, []byte{opDelete, 0, 12},
+		encQuery(opQuery, onA, encProjs(aB, aC)),
+		[]byte{opDelete, 0, 200},
+		encQuery(opQuery, onA, encProjs(aD)),
+		encQuery(opQuery, encPreds(encPred(aB, shapeOpen, 3, 50)), encProjs(aC)),
+		encQuery(opQuery, encPreds(encPred(aC, shapeRange, 10, 30)), encProjs(aA, aD)),
+		encQuery(opQuery, onA, encProjs(aB)),
+		[]byte{opDelete, 0, 13}, []byte{opInsert, 33, 1, 1, 1},
+		encQuery(opQuery, encPreds(encPred(aB, shapeRange, 0, 63)), encProjs(aA)),
+		encJoin(onA, aC, encProjs(aD)),
+		encQuery(opQuery, encPreds(encPred(aD, shapePoint, 9, 0)), encProjs(aB)),
+		encQuery(opQuery|opDisj, encPreds(encPred(aA, shapePoint, 33, 0), encPred(aC, shapeRange, 0, 5)), encProjs(aB, aD)),
+		encQuery(opQuery, onA, encProjs(aB, aC, aD)),
+	))
+	// The same on twins, so the rebuilt maps merge their deletes through
+	// the key map after the area was un-fetched.
+	f.Add(int64(7), cat(
+		twin, twin,
+		encQuery(opQuery, point, encProjs(aB)),
+		[]byte{opDelete, 0, 200},
+		encQuery(opQuery, point, encProjs(aB)),
+		encQuery(opQuery, encPreds(encPred(aC, shapeRange, 0, 63)), encProjs(aD)),
+		[]byte{opDelete, 0, 201}, twin,
+		encQuery(opQuery, point, encProjs(aC, aD)),
+		encQuery(opQuery, encPreds(encPred(aB, shapeRange, 0, 63)), encProjs(aC)),
+		encQuery(opQuery, point, encProjs(aB)),
+	))
 	f.Fuzz(runMapOps)
 }

@@ -143,3 +143,69 @@ func TestChunkLifecycleMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetPinsEveryMapTheQueryReads: making room for a query's new chunk
+// never evicts a chunk the same query reads next. The query lists its
+// missing tail B before its existing tail C, the lowest-priority chunk in the
+// store; the one victim must be D, which the query does not read, and C is
+// neither evicted nor rebuilt.
+func TestBudgetPinsEveryMapTheQueryReads(t *testing.T) {
+	const rows = 1000
+	rel := store.Build("R", rows, []string{"A", "B", "C", "D"}, func(attr string, row int) Value {
+		if attr == "A" {
+			return Value(row)
+		}
+		return Value(row * 7 % rows)
+	})
+	oracle := NewScan(cloneRel(rel))
+	// One area of exactly 100 tuples; the budget holds two chunks of it.
+	e := NewWith(PartialSideways, rel, Options{Budget: 200})
+	ask := func(projs ...string) {
+		t.Helper()
+		q := Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(100, 200)}}, Projs: projs}
+		want, _ := oracle.Query(q)
+		got, _ := e.Query(q)
+		checkResult(t, fmt.Sprint(projs), got, projs, canonRows(want, projs))
+	}
+	ask("C")
+	for i := 0; i < 3; i++ {
+		ask("D")
+	}
+	before, _ := ChunkStatsOf(e)
+	ask("B", "C")
+	after, _ := ChunkStatsOf(e)
+	if created, evicted := after.Created-before.Created, after.Evicted-before.Evicted; created != 1 || evicted != 1 {
+		t.Fatalf("a query reading a new B and a cold C created %d chunks and evicted %d, want 1 and 1 (D only)", created, evicted)
+	}
+}
+
+// TestDisjunctionReadsOnlyItsTails: a disjunction answers like Scan on both
+// presets, merging an insert and a delete on the way, and materializes one
+// map (or set of chunks) per tail of its plan: never one whose tail is the
+// head attribute, which it tests by value on the maps' head.
+func TestDisjunctionReadsOnlyItsTails(t *testing.T) {
+	const rows = 2000
+	rel := buildRel(rand.New(rand.NewSource(31)), rows, []string{"A", "B", "C"}, rows)
+	disj := Query{Disjunctive: true, Projs: []string{"C"}, Preds: []AttrPred{
+		{Attr: "A", Pred: store.Range(100, 300)},
+		{Attr: "B", Pred: store.Range(0, 1500)},
+	}}
+	for _, kind := range []Kind{Sideways, PartialSideways} {
+		oracle, e := NewScan(cloneRel(rel)), New(kind, cloneRel(rel))
+		// Set S_B materializes with a map of A before the updates.
+		conj := Query{Preds: []AttrPred{{Attr: "B", Pred: store.Range(0, 1500)}}, Projs: []string{"A"}}
+		for _, x := range []Engine{oracle, e} {
+			x.Query(conj)
+			x.Insert(150, 10, 7)
+			x.Delete(5)
+		}
+		want, _ := oracle.Query(disj)
+		got, _ := e.Query(disj)
+		checkResult(t, fmt.Sprint(kind), got, disj.Projs, canonRows(want, disj.Projs))
+		// The least selective predicate's set S_B answers; its plan reads
+		// A and C, whole.
+		if n := e.Storage(); n != 2*rows {
+			t.Errorf("%v: a disjunction over S_B reading A and C left %d map tuples, want %d", kind, n, 2*rows)
+		}
+	}
+}
