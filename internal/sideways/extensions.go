@@ -2,6 +2,7 @@ package sideways
 
 import (
 	"math"
+	"slices"
 
 	"crackstore/internal/crackindex"
 	"crackstore/internal/store"
@@ -143,6 +144,11 @@ func CrackerJoin(ls *Store, lAttr string, rs *Store, rAttr string, parts int) []
 			pred.HiIncl = true
 		}
 		lHead, lTail := keysOf(lSet, pred)
+		if ls == rs {
+			// The right side's query may evict the left side's key map
+			// under a budget and recycle its columns.
+			lHead, lTail = slices.Clone(lHead), slices.Clone(lTail)
+		}
 		rHead, rTail := keysOf(rSet, pred)
 		if len(lHead) == 0 || len(rHead) == 0 {
 			continue

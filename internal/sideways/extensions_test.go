@@ -3,6 +3,7 @@ package sideways
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -146,6 +147,36 @@ func TestCrackerJoinMatchesNaive(t *testing.T) {
 				t.Fatalf("parts=%d: unexpected pair %v", parts, p)
 			}
 		}
+	}
+}
+
+// TestCrackerJoinOnOneBudgetedStore: a self-join of two attributes of one
+// budgeted store. The right side's key map can only be made room for by
+// evicting the left side's, whose columns the free list then hands straight
+// to the right side's: the join must not read them afterwards.
+func TestCrackerJoinOnOneBudgetedStore(t *testing.T) {
+	const n = 1000
+	attrs := strings.Split("ABCDEFGHIJKLMNOP", "")
+	rel := buildRel(rand.New(rand.NewSource(6)), n, attrs, 200)
+	s := NewStore(rel)
+	// Fifteen maps of S_A and one key map fit. The free list holds 2,048
+	// values: a key map's head and tail.
+	s.Budget = 16 * 1024
+	for q := 0; q < 5; q++ {
+		s.SelectProject("A", store.Range(Value(q*30), Value(q*30+20)), attrs[1:])
+	}
+	got := CrackerJoin(s, "B", s, "C", 4)
+	want := naiveJoinPairs(rel, rel, "B", "C", nil, nil)
+	if len(got) != lenPairs(want) {
+		t.Fatalf("%d pairs, want %d", len(got), lenPairs(want))
+	}
+	for _, p := range got {
+		if want[[2]Value{p.LKey, p.RKey}] == 0 {
+			t.Fatalf("unexpected pair %v", p)
+		}
+	}
+	if cs := s.ChunkStats(); cs.Evicted == 0 || cs.BuffersRecycled == 0 {
+		t.Fatalf("the join evicted and recycled nothing: %+v", cs)
 	}
 }
 

@@ -517,9 +517,9 @@ func (pl *Plan) OtherTail(w Window, j int) []Value { return w.Tails[pl.otherSlot
 
 // Window is one positionally aligned fragment of a set: the tail columns
 // of the plan's slots (full length, parallel to Plan.Tails), the head column
-// they are aligned with (nil when the query did not ask for it and it was
-// dropped), and the position range [Lo, Hi) the head predicate selects in
-// all of them. A full map set answers a query from one window, a partial set
+// they are aligned with (only when the query asked for it, as disjunctions
+// do), and the position range [Lo, Hi) the head predicate selects in all of
+// them. A full map set answers a query from one window, a partial set
 // from one per area.
 type Window struct {
 	Lo, Hi int

@@ -855,7 +855,7 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window 
 			set.recoverHead(w, used[i][0])
 		}
 		var ok bool
-		if wins[i], ok = windowOf(used[i], cutLo, cutHi, lowerB, upperB); !ok {
+		if wins[i], ok = windowOf(used[i], heads, cutLo, cutHi, lowerB, upperB); !ok {
 			panic(fmt.Sprintf("sideways: missing boundary after alignment for %v", pred))
 		}
 	}
@@ -904,10 +904,11 @@ func (set *Set) locate(w *area, pred store.Pred, keys []int, ms []*Map) (positio
 	return ms[0].pairs.Locate(pred, set.pend.Rows(keys, cols), tails...)
 }
 
-// windowOf returns the window over the aligned maps of one area: all of it,
-// cut at lowerB and/or upperB where the area is a boundary area on that side.
-// ok is false when a cut is not a boundary of the maps' index yet.
-func windowOf(ms []*Map, cutLo, cutHi bool, lowerB, upperB crackindex.Bound) (win Window, ok bool) {
+// windowOf returns the window over the aligned maps of one area, with the
+// leader's head when heads is set: all of it, cut at lowerB and/or upperB
+// where the area is a boundary area on that side. ok is false when a cut is
+// not a boundary of the maps' index yet.
+func windowOf(ms []*Map, heads, cutLo, cutHi bool, lowerB, upperB crackindex.Bound) (win Window, ok bool) {
 	win.Tails = make([][]Value, len(ms))
 	for i, m := range ms {
 		win.Tails[i] = m.pairs.Tail
@@ -915,7 +916,9 @@ func windowOf(ms []*Map, cutLo, cutHi bool, lowerB, upperB crackindex.Bound) (wi
 	if len(ms) == 0 {
 		return win, true
 	}
-	win.Head = ms[0].pairs.Head
+	if heads {
+		win.Head = ms[0].pairs.Head
+	}
 	win.Hi = ms[0].Len()
 	if cutLo {
 		if win.Lo, ok = ms[0].pairs.Idx.Lookup(lowerB); !ok {
@@ -1055,7 +1058,7 @@ func (s *Store) windowsRO(set *Set, pred store.Pred, tailAttrs []string, heads b
 				}
 			}
 		}
-		win, ok := windowOf(ms, cutLo, cutHi, lowerB, upperB)
+		win, ok := windowOf(ms, heads, cutLo, cutHi, lowerB, upperB)
 		if !ok {
 			return nil, nil, false
 		}
