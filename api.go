@@ -42,23 +42,21 @@ type (
 	JoinCost = engine.JoinCost
 )
 
-// Engine kinds.
+// Engine kinds: the designs the store serves. The paper's presorted and
+// row-store yardsticks are experiment baselines, not kinds.
 const (
 	// Scan is the plain column-store baseline: full scans with
-	// order-preserving selects.
+	// order-preserving selects; the oracle the other kinds are checked
+	// against.
 	Scan = engine.Scan
 	// SelCrack is selection cracking (CIDR 2007).
 	SelCrack = engine.SelCrack
-	// Presorted keeps presorted copies per selection attribute.
-	Presorted = engine.Presorted
 	// Sideways is sideways cracking with fully materialized maps
 	// (Section 3 of the paper).
 	Sideways = engine.Sideways
 	// PartialSideways is partial sideways cracking with chunked maps and
 	// storage management (Section 4 of the paper).
 	PartialSideways = engine.PartialSideways
-	// RowStore is the N-ary row-store reference engine (read-only).
-	RowStore = engine.RowStore
 )
 
 // Range returns the half-open predicate lo <= v < hi.

@@ -15,8 +15,7 @@ func demoRelation(n int, seed int64) *crackstore.Relation {
 
 func TestOpenAllKinds(t *testing.T) {
 	kinds := []crackstore.Kind{
-		crackstore.Scan, crackstore.SelCrack, crackstore.Presorted,
-		crackstore.Sideways, crackstore.PartialSideways, crackstore.RowStore,
+		crackstore.Scan, crackstore.SelCrack, crackstore.Sideways, crackstore.PartialSideways,
 	}
 	q := crackstore.Query{
 		Preds: []crackstore.AttrPred{{Attr: "A", Pred: crackstore.Range(100, 300)}},

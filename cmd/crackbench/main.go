@@ -1,7 +1,7 @@
 // Command crackbench regenerates the synthetic experiments of the paper's
 // Sections 3.6 and 4.2: Exp1-Exp6 (Figures 4-7 and the cost-breakdown
-// table) and the partial-map experiments (Figures 9-13), plus the design
-// ablations and the adaptive-policy comparison.
+// table) and the partial-map experiments (Figures 9-13), plus the
+// adaptive-policy comparison.
 //
 // Usage:
 //
@@ -13,7 +13,7 @@
 //	crackbench -exp adaptive -queries 1000             # policies x access patterns
 //
 // Experiment ids: exp1 exp2 exp3 exp4 exp5 exp6 fig9 fig10 fig11 fig12
-// fig13 ablation adaptive all. Sizes default to a laptop-friendly scale;
+// fig13 adaptive all. Sizes default to a laptop-friendly scale;
 // -scale paper uses the paper's sizes (expect minutes per experiment).
 //
 // -exp adaptive replays, for every (access pattern, cracking policy) pair,
@@ -45,7 +45,7 @@ const minRows = 5
 
 func main() {
 	var (
-		expID   = flag.String("exp", "all", "experiment id (exp1..exp6, fig9..fig13, ablation, adaptive, all)")
+		expID   = flag.String("exp", "all", "experiment id (exp1..exp6, fig9..fig13, adaptive, all)")
 		rows    = flag.Int("rows", 0, fmt.Sprintf("base relation rows (0 = scale default, else >= %d)", minRows))
 		queries = flag.Int("queries", 0, "queries per sequence (0 = scale default)")
 		seed    = flag.Int64("seed", 1, "workload seed")
@@ -123,7 +123,6 @@ func main() {
 	run("fig11", func() { exp.Fig11(partialCfg) })
 	run("fig12", func() { exp.Fig12(partialCfg) })
 	run("fig13", func() { exp.Fig13(partialCfg) })
-	run("ablation", func() { exp.Ablations(cfg) })
 	run("adaptive", func() { exp.AdaptiveWorkloads(cfg) })
 
 	if !known {

@@ -55,13 +55,17 @@ func TestDaemon(t *testing.T) {
 
 	t.Run("sharded", func(t *testing.T) {
 		remote("-kind", "partial", "-shards", "4", "-policy", "capped")(t)
-		// A durable store does not compose with shards or snapshots yet:
-		// the daemon refuses the combination before it listens.
-		for _, flag := range []string{"-shards=4", "-snapshot"} {
-			out, err := exec.Command(bin, "-data-dir", t.TempDir(), flag).CombinedOutput()
-			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 ||
-				!strings.Contains(string(out), "crackserved: -data-dir is incompatible with -shards and -snapshot") {
-				t.Errorf("-data-dir with %s: err %v, output:\n%s", flag, err, out)
+		// A durable store does not compose with shards or snapshots yet,
+		// and the paper's baselines are not kinds the daemon serves: it
+		// refuses each before it listens.
+		for _, c := range []struct{ flag, want string }{
+			{"-shards=4", "crackserved: -data-dir is incompatible with -shards and -snapshot"},
+			{"-snapshot", "crackserved: -data-dir is incompatible with -shards and -snapshot"},
+			{"-kind=presorted", `crackserved: unknown engine kind "presorted" (valid: scan|selcrack|sideways|partial)`},
+		} {
+			out, err := exec.Command(bin, "-data-dir", t.TempDir(), c.flag).CombinedOutput()
+			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), c.want) {
+				t.Errorf("-data-dir with %s: err %v, output:\n%s", c.flag, err, out)
 			}
 		}
 	})

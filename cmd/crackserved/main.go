@@ -52,6 +52,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -69,7 +70,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":9090", "listen address")
-		kindName = flag.String("kind", "sideways", "engine kind (scan|selcrack|presorted|sideways|partial|rowstore)")
+		kindName = flag.String("kind", "sideways", "engine kind ("+kindNames()+")")
 		shards   = flag.Int("shards", 0, "partition the relation across this many independently locked engines (0 = unsharded)")
 		policy   = flag.String("policy", "", "adaptive cracking policy (default|stochastic|capped; empty = crack at query bounds only)")
 		workers  = flag.Int("workers", 0, "concurrently executing queries (0 = GOMAXPROCS)")
@@ -91,7 +92,7 @@ func main() {
 
 	kind, ok := engine.KindByName(*kindName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "crackserved: unknown engine kind %q\n", *kindName)
+		fmt.Fprintf(os.Stderr, "crackserved: unknown engine kind %q (valid: %s)\n", *kindName, kindNames())
 		os.Exit(2)
 	}
 	// The zero policy is "crack at query bounds only", what -policy ""
@@ -255,4 +256,13 @@ func orDefault(policy string) string {
 		return "default"
 	}
 	return policy
+}
+
+// kindNames lists the kinds the daemon serves, as -kind spells them.
+func kindNames() string {
+	names := make([]string, 0, len(engine.Kinds()))
+	for _, k := range engine.Kinds() {
+		names = append(names, k.String())
+	}
+	return strings.Join(names, "|")
 }

@@ -14,7 +14,7 @@
 // maps lazily, chunk by chunk, so the structure adapts to the workload
 // under a storage budget.
 //
-// The package exposes six interchangeable engines over the same relation
+// The package exposes four interchangeable engines over the same relation
 // and query model:
 //
 //	e := crackstore.Open(crackstore.Sideways, rel)
@@ -23,11 +23,13 @@
 //	    Projs: []string{"B", "C"},
 //	})
 //
-// Engines: Scan (plain column-store), SelCrack (selection cracking,
-// CIDR 2007), Presorted (presorted copies), Sideways (Section 3),
-// PartialSideways (Section 4) and RowStore (an N-ary reference engine).
-// All support the same insert/delete API; cracking engines merge updates
-// lazily with the Ripple algorithm (SIGMOD 2007).
+// Engines: Scan (plain column-store, the oracle), SelCrack (selection
+// cracking, CIDR 2007), Sideways (Section 3) and PartialSideways
+// (Section 4). All support the same insert/delete API; cracking engines
+// merge updates lazily with the Ripple algorithm (SIGMOD 2007). The
+// paper's yardsticks — presorted copies (internal/presort) and a presorted
+// row store (internal/rowstore) — are read-only baselines that only the
+// experiments build.
 //
 // All cracking engines share one kernel (internal/crack), and a query's
 // write path pays only for the pieces it touches. A range selection whose

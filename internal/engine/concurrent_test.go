@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -148,7 +149,7 @@ func valsEqual(a, b []Value) bool {
 
 func TestConcurrentMatchesSequentialReplay(t *testing.T) {
 	const seed = 99
-	for _, kind := range allKinds() {
+	for _, kind := range Kinds() {
 		for _, gc := range guardCases() {
 			kind, gc := kind, gc
 			t.Run(kind.String()+"/"+gc.name, func(t *testing.T) {
@@ -194,7 +195,7 @@ func TestConcurrentMatchesSequentialReplay(t *testing.T) {
 // engine: once a query has run, QueryRO must accept an identical repeat and
 // agree with Query.
 func TestConcurrentProbeConsistency(t *testing.T) {
-	for _, kind := range allKinds() {
+	for _, kind := range Kinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
 			rel := buildRel(rng, 1000, []string{"A", "B"}, 400)
@@ -356,4 +357,94 @@ func TestConcurrentReaderWaitStats(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConcurrentSelCrackViewsUnderWriter: a SelCrack engine's read-only
+// answer is built straight off its cracker column's view, with no copy of
+// the keys, under the guard's read lock. One-predicate QueryROs, with and
+// without a projection, run beside a writer that inserts, deletes and
+// cracks the other half of the domain; every answer equals Scan's. Under
+// -race, a view read while a crack moved it would fail here.
+func TestConcurrentSelCrackViewsUnderWriter(t *testing.T) {
+	const (
+		rows, domain = 20000, 1000
+		readers      = 2
+		queries      = 300
+	)
+	base := buildRel(rand.New(rand.NewSource(21)), rows, []string{"A", "B"}, domain)
+	oracle := NewScan(cloneRel(base))
+	e := Concurrent(New(SelCrack, cloneRel(base)))
+
+	// Readers query the lower half of A's domain, which the writer never
+	// touches, so Scan over the base answers every read exactly.
+	type read struct {
+		q    Query
+		want []string
+	}
+	reads := make([][]read, readers)
+	for g := range reads {
+		rng := rand.New(rand.NewSource(int64(100 + g)))
+		for i := 0; i < queries; i++ {
+			lo := rng.Int63n(domain/2 - 50)
+			q := Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(lo, lo+1+rng.Int63n(50))}}}
+			if i%2 == 0 {
+				q.Projs = []string{"B"}
+			}
+			res, _ := oracle.Query(q)
+			reads[g] = append(reads[g], read{q, canonRows(res, q.Projs)})
+		}
+	}
+	var upper []int
+	for k, v := range base.MustColumn("A").Vals {
+		if v >= domain/2 {
+			upper = append(upper, k)
+		}
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(7))
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			switch rng.Intn(3) {
+			case 0:
+				upper = append(upper, e.Insert(domain/2+rng.Int63n(domain/2), rng.Int63n(domain)))
+			case 1:
+				i := rng.Intn(len(upper))
+				e.Delete(upper[i])
+				upper[i] = upper[len(upper)-1]
+				upper = upper[:len(upper)-1]
+			case 2:
+				lo := domain/2 + rng.Int63n(domain/2)
+				e.Query(Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(lo, lo+20)}}, Projs: []string{"B"}})
+			}
+		}
+	}()
+	var readWG sync.WaitGroup
+	for g := range reads {
+		readWG.Add(1)
+		go func(g int) {
+			defer readWG.Done()
+			for i, r := range reads[g] {
+				res, _, ok := e.QueryRO(r.q)
+				if !ok {
+					res, _ = e.Query(r.q)
+				}
+				if got := canonRows(res, r.q.Projs); !slices.Equal(got, r.want) {
+					t.Errorf("reader %d query %d (%v, read-only %v): %d rows, scan %d", g, i, r.q.Preds, ok, len(got), len(r.want))
+					return
+				}
+			}
+		}(g)
+	}
+	readWG.Wait()
+	close(done)
+	wg.Wait()
 }

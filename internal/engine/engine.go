@@ -1,19 +1,20 @@
 // Package engine provides a uniform query executor over the physical
-// designs the paper compares:
+// designs the store serves:
 //
 //	Scan            — plain column-store (MonetDB baseline): full scans,
-//	                  order-preserving selects, positional reconstruction
+//	                  order-preserving selects, positional reconstruction;
+//	                  the oracle every other design is checked against
 //	SelCrack        — selection cracking (CIDR 2007): cracker columns,
 //	                  unordered results, random-access reconstruction
-//	Presorted       — presorted copies: binary search + aligned slices,
-//	                  heavy Prepare step, updates force re-sorting
 //	Sideways        — sideways cracking with full maps (Section 3)
 //	PartialSideways — partial sideways cracking (Section 4)
-//	RowStore        — N-ary row-store reference (read-only, Figure 14)
 //
-// All engines answer the same Query type and support the same update API,
-// so the experiment harness can replay identical workloads against each and
-// compare cost profiles. Costs are split into selection (locating
+// All four answer the same Query type and support the same update API, so
+// every stack above them serves each alike. The paper's yardsticks — the
+// presorted copies of internal/presort and the row store of
+// internal/rowstore — implement Engine too, so the experiment harness can
+// replay identical workloads against them, but they are read-only and no
+// serving layer builds them. Costs are split into selection (locating
 // qualifying tuples) and tuple reconstruction (materializing projections),
 // matching the breakdown in the paper's Section 3.6 table.
 //
@@ -33,8 +34,6 @@ import (
 	"time"
 
 	"crackstore/internal/crack"
-	"crackstore/internal/presort"
-	"crackstore/internal/rowstore"
 	"crackstore/internal/sideways"
 	"crackstore/internal/store"
 )
@@ -48,14 +47,17 @@ type AttrPred = sideways.AttrPred
 // Kind identifies a physical design.
 type Kind int
 
-// The core engine kinds; RowStore is declared in rowstore.go.
+// The kinds the store serves. A baseline outside this package declares its
+// own Kind value beyond these; nothing here builds or names it.
 const (
 	Scan Kind = iota
 	SelCrack
-	Presorted
 	Sideways
 	PartialSideways
 )
+
+// Kinds lists the kinds the store serves, in declaration order.
+func Kinds() []Kind { return []Kind{Scan, SelCrack, Sideways, PartialSideways} }
 
 func (k Kind) String() string {
 	switch k {
@@ -63,23 +65,18 @@ func (k Kind) String() string {
 		return "scan"
 	case SelCrack:
 		return "selcrack"
-	case Presorted:
-		return "presorted"
 	case Sideways:
 		return "sideways"
 	case PartialSideways:
 		return "partial"
-	case RowStore:
-		return "rowstore"
 	}
 	return "unknown"
 }
 
-// KindByName maps an engine kind's String() form ("scan", "selcrack",
-// "presorted", "sideways", "partial", "rowstore") back to its Kind, for
+// KindByName maps the String() form of one of Kinds back to its Kind, for
 // command-line and configuration surfaces.
 func KindByName(name string) (Kind, bool) {
-	for _, k := range []Kind{Scan, SelCrack, Presorted, Sideways, PartialSideways, RowStore} {
+	for _, k := range Kinds() {
 		if k.String() == name {
 			return k, true
 		}
@@ -185,8 +182,6 @@ func NewWith(kind Kind, rel *store.Relation, opts Options) Engine {
 		return &scanEngine{rel: rel, dead: make(map[int]bool)}
 	case SelCrack:
 		return &selCrackEngine{rel: rel, cols: make(map[string]*crack.Col), dead: make(map[int]bool), pol: opts.Policy}
-	case Presorted:
-		return &presortEngine{ps: presort.NewStore(rel), stale: make(map[string]bool), dead: make(map[int]bool)}
 	case Sideways, PartialSideways:
 		st := sideways.NewStore(rel)
 		if kind == PartialSideways {
@@ -195,8 +190,6 @@ func NewWith(kind Kind, rel *store.Relation, opts Options) Engine {
 		st.Policy, st.Budget = opts.Policy, opts.Budget
 		st.CachedPieceTuples, st.HeadDropIdleQueries = opts.CachedPieceTuples, opts.HeadDropIdleQueries
 		return &mapEngine{st: st, kind: kind}
-	case RowStore:
-		return &rowStoreEngine{rel: rel, plain: rowstore.New(rel), sorted: make(map[string]*rowstore.Table)}
 	}
 	panic("engine: unknown kind")
 }
@@ -211,18 +204,6 @@ func NewScan(rel *store.Relation) Engine { return New(Scan, rel) }
 // threshold in tuples.
 func NewPartialWithBudget(rel *store.Relation, budget int) Engine {
 	return NewWith(PartialSideways, rel, Options{Budget: budget})
-}
-
-// Prepare runs the offline step of the two presorted designs on attrs —
-// Presorted builds a sorted copy per attribute, RowStore a table sorted on
-// it — and returns its cost. Every other engine, and every wrapper, has no
-// such step and costs 0: preparation is part of building a bare engine, not
-// something a stack forwards.
-func Prepare(e Engine, attrs ...string) time.Duration {
-	if p, ok := e.(interface{ Prepare(...string) time.Duration }); ok {
-		return p.Prepare(attrs...)
-	}
-	return 0
 }
 
 // MaxPerProj reduces a result to the per-projection maxima (the aggregate
@@ -398,14 +379,17 @@ func (e *selCrackEngine) selectCrack(ap AttrPred) ([]Value, bool) {
 
 // selectRO answers one predicate out of an already-cracked area, or refuses
 // when its column would crack or merge a pending update, or does not exist
-// yet. Like selectCrack, it returns a copy of the column's view.
+// yet. Unlike selectCrack it returns the column's view itself: the view is
+// read under the caller's guard, nothing cracks the column while it is held,
+// and every consumer only reads it or copies it — reconstruct's gather,
+// RelSelect's fresh output, the disjunctive union. dropDead, which filters in
+// place, only ever runs on RelSelect's output.
 func (e *selCrackEngine) selectRO(ap AttrPred) ([]Value, bool) {
 	c, ok := e.cols[ap.Attr]
 	if !ok {
 		return nil, false
 	}
-	view, ok := c.SelectRO(ap.Pred)
-	return append([]Value(nil), view...), ok
+	return c.SelectRO(ap.Pred)
 }
 
 func (e *selCrackEngine) Query(q Query) (Result, Cost) {
@@ -491,119 +475,6 @@ func dropDead(keys []Value, dead map[int]bool) []Value {
 		}
 	}
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// Presorted engine: Prepare builds a copy per selection attribute; updates
-// mark every copy stale and the next query pays a full re-sort — the
-// maintenance problem the paper highlights.
-
-type presortEngine struct {
-	ps    *presort.Store
-	stale map[string]bool
-	dead  map[int]bool
-}
-
-func (e *presortEngine) Kind() Kind { return Presorted }
-
-// Prepare is the offline presorting step (see the package-level Prepare).
-func (e *presortEngine) Prepare(attrs ...string) time.Duration {
-	t0 := time.Now()
-	for _, a := range attrs {
-		e.rebuild(a)
-	}
-	return time.Since(t0)
-}
-
-func (e *presortEngine) rebuild(attr string) {
-	if len(e.dead) == 0 {
-		e.ps.Prepare(attr)
-	} else {
-		e.ps.PrepareFiltered(attr, func(key int) bool { return e.dead[key] })
-	}
-	delete(e.stale, attr)
-}
-
-func (e *presortEngine) Insert(vals ...Value) int {
-	rel := e.ps.Relation()
-	rel.AppendRow(vals...)
-	for a := range e.allCopies() {
-		e.stale[a] = true
-	}
-	return rel.NumRows() - 1
-}
-
-func (e *presortEngine) Delete(key int) {
-	if e.dead[key] {
-		return
-	}
-	// There is no efficient way to maintain presorted copies under updates
-	// (Section 3.6, Exp6): every copy must be rebuilt.
-	e.dead[key] = true
-	for a := range e.allCopies() {
-		e.stale[a] = true
-	}
-}
-
-func (e *presortEngine) allCopies() map[string]bool {
-	out := make(map[string]bool)
-	for _, a := range e.ps.Relation().Order {
-		if e.ps.CopyFor(a) != nil {
-			out[a] = true
-		}
-	}
-	return out
-}
-
-func (e *presortEngine) Storage() int {
-	total := 0
-	for _, a := range e.ps.Relation().Order {
-		if c := e.ps.CopyFor(a); c != nil {
-			total += c.Len() * len(e.ps.Relation().Order)
-		}
-	}
-	return total
-}
-
-func (e *presortEngine) freshCopy(attr string) {
-	if e.ps.CopyFor(attr) == nil || e.stale[attr] {
-		e.rebuild(attr)
-	}
-}
-
-func (e *presortEngine) Query(q Query) (Result, Cost) {
-	var cost Cost
-	primary := q.Preds[0].Attr
-	t0 := time.Now()
-	e.freshCopy(primary)
-	preds := make([]store.Pred, len(q.Preds))
-	attrs := make([]string, len(q.Preds))
-	for i, ap := range q.Preds {
-		preds[i] = ap.Pred
-		attrs[i] = ap.Attr
-	}
-	pres := e.ps.Query(preds, attrs, 0, q.Projs, q.Disjunctive)
-	cost.Sel = time.Since(t0)
-	// Selection and reconstruction are fused in the sorted copy; attribute
-	// the (small) projection copying to TR by re-measuring it.
-	t0 = time.Now()
-	res := Result{Cols: pres.Cols, N: pres.N}
-	cost.TR = time.Since(t0)
-	return res, cost
-}
-
-// QueryRO refuses when the primary predicate's presorted copy is missing or
-// stale (updates force a full re-sort on the next query). With a fresh copy
-// the query is a binary search plus aligned scans — no rebuild, no mutation.
-func (e *presortEngine) QueryRO(q Query) (Result, Cost, bool) {
-	if len(q.Preds) == 0 {
-		return Result{}, Cost{}, false
-	}
-	if primary := q.Preds[0].Attr; e.ps.CopyFor(primary) == nil || e.stale[primary] {
-		return Result{}, Cost{}, false
-	}
-	res, cost := e.Query(q)
-	return res, cost, true
 }
 
 // ---------------------------------------------------------------------------

@@ -9,86 +9,34 @@ import (
 	"crackstore/internal/store"
 )
 
+// TestKindStrings: every served kind has a name KindByName maps back, and
+// an engine built as a kind reports it; nothing else has a name.
 func TestKindStrings(t *testing.T) {
 	want := map[Kind]string{
-		Scan: "scan", SelCrack: "selcrack", Presorted: "presorted",
-		Sideways: "sideways", PartialSideways: "partial", RowStore: "rowstore",
-		Kind(42): "unknown",
+		Scan: "scan", SelCrack: "selcrack", Sideways: "sideways", PartialSideways: "partial",
 	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), s)
-		}
+	if len(Kinds()) != len(want) {
+		t.Fatalf("Kinds() = %v, want the %d served kinds", Kinds(), len(want))
 	}
-}
-
-// TestNamesAndNoopPrepare: every engine reports the kind it was built as,
-// and only the presorted designs have an offline step; Prepare costs 0 on
-// every other engine and through any wrapper.
-func TestNamesAndNoopPrepare(t *testing.T) {
 	rel := buildRel(rand.New(rand.NewSource(1)), 50, []string{"A", "B"}, 10)
-	for _, k := range []Kind{Scan, SelCrack, Sideways, PartialSideways} {
-		e := New(k, cloneRel(rel))
-		if e.Kind() != k {
+	for _, k := range Kinds() {
+		if k.String() != want[k] {
+			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), want[k])
+		}
+		if got, ok := KindByName(want[k]); !ok || got != k {
+			t.Errorf("KindByName(%q) = %v, %v", want[k], got, ok)
+		}
+		if e := New(k, cloneRel(rel)); e.Kind() != k {
 			t.Errorf("%v: engine of kind %v", k, e.Kind())
 		}
-		if d := Prepare(e, "A"); d != 0 {
-			t.Errorf("%v: Prepare should be a no-op, took %v", k, d)
+	}
+	for _, name := range []string{"presorted", "rowstore", "unknown"} {
+		if k, ok := KindByName(name); ok {
+			t.Errorf("KindByName(%q) = %v, want no kind", name, k)
 		}
 	}
-	if d := Prepare(Concurrent(New(Presorted, cloneRel(rel))), "A"); d != 0 {
-		t.Errorf("Prepare reached a presorted engine through its guard, took %v", d)
-	}
-}
-
-func TestRowStoreEngineAgreesWithScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	rel := buildRel(rng, 300, []string{"A", "B", "C"}, 50)
-	scan := New(Scan, cloneRel(rel))
-	rs := New(RowStore, cloneRel(rel))
-	Prepare(rs, "A")
-	for q := 0; q < 20; q++ {
-		lo := rng.Int63n(50)
-		query := Query{
-			Preds: []AttrPred{
-				{Attr: "A", Pred: store.Range(lo, lo+15)},
-				{Attr: "B", Pred: store.Range(5, 40)},
-			},
-			Projs:       []string{"C"},
-			Disjunctive: q%3 == 2,
-		}
-		a, _ := scan.Query(query)
-		b, _ := rs.Query(query)
-		ra, rb := canonRows(a, query.Projs), canonRows(b, query.Projs)
-		if len(ra) != len(rb) {
-			t.Fatalf("q%d: rowstore %d rows, scan %d", q, len(rb), len(ra))
-		}
-		for i := range ra {
-			if ra[i] != rb[i] {
-				t.Fatalf("q%d row %d: %s vs %s", q, i, rb[i], ra[i])
-			}
-		}
-	}
-	if rs.Storage() == 0 {
-		t.Error("prepared rowstore should report sorted-copy storage")
-	}
-}
-
-func TestRowStoreReadOnlyPanics(t *testing.T) {
-	rel := buildRel(rand.New(rand.NewSource(3)), 10, []string{"A"}, 10)
-	e := New(RowStore, rel)
-	for name, f := range map[string]func(){
-		"Insert": func() { e.Insert(1) },
-		"Delete": func() { e.Delete(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on rowstore should panic", name)
-				}
-			}()
-			f()
-		}()
+	if s := Kind(42).String(); s != "unknown" {
+		t.Errorf("Kind(42).String() = %q", s)
 	}
 }
 
@@ -125,14 +73,14 @@ func TestJoinCostTotal(t *testing.T) {
 	}
 }
 
-// Property: all five updatable engines agree on disjunctive queries under
-// interleaved updates.
+// Property: every kind agrees on disjunctive queries under interleaved
+// updates.
 func TestQuickEnginesAgreeDisjunctiveWithUpdates(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		base := buildRel(rng, 150, []string{"A", "B", "C"}, 40)
-		engines := make([]Engine, 0, 5)
-		for _, k := range allKinds() {
+		engines := make([]Engine, 0, len(Kinds()))
+		for _, k := range Kinds() {
 			engines = append(engines, New(k, cloneRel(base)))
 		}
 		var live []int
@@ -199,7 +147,7 @@ func TestQuickEnginesAgreeDisjunctiveWithUpdates(t *testing.T) {
 func TestRepeatedProjection(t *testing.T) {
 	rel := buildRel(rand.New(rand.NewSource(9)), 300, []string{"A", "B", "C"}, 60)
 	engines := []Engine{NewWith(Sideways, cloneRel(rel), Options{Budget: 900}), NewPartialWithBudget(cloneRel(rel), 600)}
-	for _, k := range allKinds() {
+	for _, k := range Kinds() {
 		engines = append(engines, New(k, cloneRel(rel)))
 	}
 	oracle := NewScan(cloneRel(rel))
@@ -238,7 +186,7 @@ func TestRepeatedProjection(t *testing.T) {
 func TestCountWithoutProjections(t *testing.T) {
 	rel := buildRel(rand.New(rand.NewSource(11)), 1000, []string{"A", "B"}, 1000)
 	engines := []Engine{NewWith(Sideways, cloneRel(rel), Options{Budget: 2000}), NewPartialWithBudget(cloneRel(rel), 1500)}
-	for _, k := range allKinds() {
+	for _, k := range Kinds() {
 		engines = append(engines, New(k, cloneRel(rel)))
 	}
 	oracle := NewScan(cloneRel(rel))
@@ -274,7 +222,7 @@ func TestIntoOnEveryKind(t *testing.T) {
 	rel := buildRel(rand.New(rand.NewSource(13)), 3000, []string{"A", "B", "C"}, 100)
 	oracle := NewScan(cloneRel(rel))
 	preds := []AttrPred{{Attr: "A", Pred: store.Range(20, 60)}, {Attr: "C", Pred: store.Range(10, 90)}}
-	for _, k := range append(allKinds(), RowStore) {
+	for _, k := range Kinds() {
 		e := New(k, cloneRel(rel))
 		var lent Result
 		for _, projs := range [][]string{{"B", "C"}, {"C"}, {"A", "B", "B"}, {"B", "C"}} {

@@ -40,17 +40,13 @@ func canonRows(res Result, projs []string) []string {
 	return rows
 }
 
-func allKinds() []Kind {
-	return []Kind{Scan, SelCrack, Presorted, Sideways, PartialSideways}
-}
-
-// TestAllEnginesAgree replays an identical read-only workload on all five
-// engines and requires identical result multisets.
+// TestAllEnginesAgree replays an identical read-only workload on every kind
+// and requires identical result multisets.
 func TestAllEnginesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	base := buildRel(rng, 400, []string{"A", "B", "C", "D"}, 100)
-	engines := make([]Engine, 0, 5)
-	for _, k := range allKinds() {
+	engines := make([]Engine, 0, len(Kinds()))
+	for _, k := range Kinds() {
 		engines = append(engines, New(k, cloneRel(base)))
 	}
 	for q := 0; q < 30; q++ {
@@ -90,8 +86,8 @@ func TestQuickEnginesAgreeWithUpdates(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		base := buildRel(rng, 200, []string{"A", "B", "C"}, 50)
-		engines := make([]Engine, 0, 5)
-		for _, k := range allKinds() {
+		engines := make([]Engine, 0, len(Kinds()))
+		for _, k := range Kinds() {
 			engines = append(engines, New(k, cloneRel(base)))
 		}
 		var live []int
@@ -205,7 +201,7 @@ func TestJoinMaxAllEnginesAgree(t *testing.T) {
 		t.Skip("degenerate workload: no join matches")
 	}
 
-	for _, k := range allKinds() {
+	for _, k := range Kinds() {
 		le := New(k, cloneRel(relR))
 		re := New(k, cloneRel(relS))
 		got, _ := JoinMax(
@@ -217,23 +213,6 @@ func TestJoinMaxAllEnginesAgree(t *testing.T) {
 				t.Fatalf("%v: JoinMax[%s] = %d, want %d", k, key, got[key], w)
 			}
 		}
-	}
-}
-
-func TestPreparedPresortedIsFastOnQueries(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	rel := buildRel(rng, 5000, []string{"A", "B"}, 5000)
-	e := New(Presorted, rel)
-	prep := Prepare(e, "A")
-	if prep <= 0 {
-		t.Fatal("Prepare should take measurable time")
-	}
-	_, cost := e.Query(Query{
-		Preds: []AttrPred{{Attr: "A", Pred: store.Range(100, 200)}},
-		Projs: []string{"B"},
-	})
-	if cost.Total() > prep*100 {
-		t.Fatalf("query cost %v disproportionate to prepare %v", cost.Total(), prep)
 	}
 }
 
@@ -275,7 +254,7 @@ func TestChurnBuildsNoKeyMap(t *testing.T) {
 func TestStorageReporting(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	rel := buildRel(rng, 100, []string{"A", "B"}, 50)
-	for _, k := range allKinds() {
+	for _, k := range Kinds() {
 		e := New(k, cloneRel(rel))
 		e.Query(Query{
 			Preds: []AttrPred{{Attr: "A", Pred: store.Range(10, 30)}},

@@ -87,8 +87,7 @@ func section[T any](s *T) (T, bool) {
 }
 
 // KernelReportOf reports the aggregated kernel counters of e, or ok false
-// when the engine's physical design does not crack (scan, presorted,
-// rowstore).
+// when the engine's physical design does not crack (scan).
 func KernelReportOf(e Engine) (KernelReport, bool) { return section(ReportOf(e).Kernel) }
 
 // ChunkStatsOf reports the chunk lifecycle counters of e, or ok false when

@@ -116,13 +116,13 @@ func TestPolicyThreadsThroughWrappers(t *testing.T) {
 	}
 }
 
-// TestPolicyIgnoredByNonCrackingEngines: Scan/Presorted/RowStore have no
-// kernel to configure; built with a policy — bare or behind a guard — they
-// must ignore it, grow no kernel section, and keep working.
+// TestPolicyIgnoredByNonCrackingEngines: Scan has no kernel to configure;
+// built with a policy — bare or behind a guard — it must ignore it, grow no
+// kernel section, and keep working.
 func TestPolicyIgnoredByNonCrackingEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pol := crack.Policy{Kind: crack.Capped, Cap: 16}
-	for _, kind := range []Kind{Scan, Presorted, RowStore} {
+	for _, kind := range []Kind{Scan} {
 		engines := []Engine{NewWith(kind, buildRel(rng, 500, []string{"A", "B"}, 100), Options{Policy: pol})}
 		for _, gc := range guardCases() {
 			engines = append(engines, gc.open(t, kind, buildRel(rng, 500, []string{"A", "B"}, 100), pol))

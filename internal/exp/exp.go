@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"crackstore/internal/engine"
+	"crackstore/internal/presort"
+	"crackstore/internal/rowstore"
 	"crackstore/internal/store"
 	"crackstore/internal/workload"
 )
@@ -69,6 +71,25 @@ func buildUniform(cfg Config, name string, nAttrs int) *store.Relation {
 		return 1 + Value(rng.Int63n(int64(cfg.Rows)))
 	})
 }
+
+// design is one series of an experiment: a physical design, under the name
+// it is printed as, built over a relation.
+type design struct {
+	name  string
+	build func(*store.Relation) engine.Engine
+}
+
+// served is the design of one of the kinds the store serves.
+func served(k engine.Kind) design {
+	return design{k.String(), func(rel *store.Relation) engine.Engine { return engine.New(k, rel) }}
+}
+
+// The paper's yardsticks. The experiment that builds one runs its offline
+// Prepare step and reports that cost apart.
+var (
+	presorted = design{"presorted", func(rel *store.Relation) engine.Engine { return presort.NewEngine(rel) }}
+	rowStore  = design{"rowstore", func(rel *store.Relation) engine.Engine { return rowstore.NewEngine(rel) }}
+)
 
 func cloneRel(rel *store.Relation) *store.Relation {
 	out := store.NewRelation(rel.Name, rel.Order...)

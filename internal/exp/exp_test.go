@@ -222,23 +222,3 @@ func TestMixedSmallRun(t *testing.T) {
 		t.Fatalf("%d executions, want 24", len(res.Relative))
 	}
 }
-
-func TestAblationsRun(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tiny()
-	cfg.Rows = 3000
-	cfg.Queries = 20
-	cfg.W = &buf
-	res := Ablations(cfg)
-	if len(res.Pairs) != 4 {
-		t.Fatalf("%d ablation pairs, want 4", len(res.Pairs))
-	}
-	for name, pair := range res.Pairs {
-		if pair[0] <= 0 || pair[1] <= 0 {
-			t.Errorf("%s: non-positive timing %v", name, pair)
-		}
-	}
-	if !strings.Contains(buf.String(), "Ablations") {
-		t.Fatal("missing ablation table")
-	}
-}

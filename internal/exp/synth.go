@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"crackstore/internal/engine"
+	"crackstore/internal/presort"
 	"crackstore/internal/reorder"
 	"crackstore/internal/store"
 	"crackstore/internal/workload"
@@ -26,6 +27,9 @@ type Exp1Result struct {
 	PrepCost time.Duration
 }
 
+// synthDesigns are the series of Figures 4-6, in the order they print.
+var synthDesigns = []design{presorted, served(engine.Sideways), served(engine.SelCrack), served(engine.Scan)}
+
 // Exp1 runs query q1 — select max(A2), max(A3), ... where v1 < A1 < v2 —
 // with 20% selectivity over a 9-attribute relation (Section 3.6, Exp1).
 func Exp1(cfg Config) *Exp1Result {
@@ -36,13 +40,12 @@ func Exp1(cfg Config) *Exp1Result {
 		Breakdown: map[string]engine.Cost{},
 		Series:    map[string][][]time.Duration{},
 	}
-	kinds := []engine.Kind{engine.Presorted, engine.Sideways, engine.SelCrack, engine.Scan}
-	for _, k := range kinds {
-		name := k.String()
+	for _, d := range synthDesigns {
+		name := d.name
 		for _, tr := range res.TRCounts {
-			e := engine.New(k, cloneRel(base))
-			if k == engine.Presorted {
-				res.PrepCost = engine.Prepare(e, "A1")
+			e := d.build(cloneRel(base))
+			if p, ok := e.(*presort.Engine); ok {
+				res.PrepCost = p.Prepare("A1")
 			}
 			projs := make([]string, tr)
 			for i := range projs {
@@ -69,8 +72,8 @@ func Exp1(cfg Config) *Exp1Result {
 		cfg.logf("%14d", tr)
 	}
 	cfg.logf("\n")
-	for _, k := range kinds {
-		name := k.String()
+	for _, d := range synthDesigns {
+		name := d.name
 		cfg.logf("%-12s", name)
 		for _, d := range res.LastCost[name] {
 			cfg.logf("%14s", fmtDur(d))
@@ -80,18 +83,17 @@ func Exp1(cfg Config) *Exp1Result {
 	cfg.logf("\n== Exp1 cost breakdown at %d TRs (cf. Section 3.6 table) ==\n",
 		res.TRCounts[len(res.TRCounts)-1])
 	cfg.logf("%-12s%12s%12s%12s\n", "engine", "Tot", "TR", "Sel")
-	for _, k := range kinds {
-		b := res.Breakdown[k.String()]
-		cfg.logf("%-12s%12s%12s%12s\n", k.String(), fmtDur(b.Total()), fmtDur(b.TR), fmtDur(b.Sel))
+	for _, d := range synthDesigns {
+		b := res.Breakdown[d.name]
+		cfg.logf("%-12s%12s%12s%12s\n", d.name, fmtDur(b.Total()), fmtDur(b.TR), fmtDur(b.Sel))
 	}
 	cfg.logf("(presorting cost excluded from presorted: %s)\n", fmtDur(res.PrepCost))
 	// Export the full per-query series at the largest TR count as the
 	// machine-readable perf trajectory for this figure.
 	var series []Series
-	for _, k := range kinds {
-		name := k.String()
-		if ss := res.Series[name]; len(ss) > 0 {
-			series = append(series, Series{Name: name, Y: ss[len(ss)-1]})
+	for _, d := range synthDesigns {
+		if ss := res.Series[d.name]; len(ss) > 0 {
+			series = append(series, Series{Name: d.name, Y: ss[len(ss)-1]})
 		}
 	}
 	cfg.reportExportError(cfg.jsonSeries(sanitize("Exp1 (Fig 4a) per-query"), "Exp1 (Fig 4a) per-query", "query", nil, series))
@@ -259,15 +261,14 @@ func Exp4(cfg Config) *Exp4Result {
 		PreJoin: map[string][]time.Duration{},
 		PostTR:  map[string][]time.Duration{},
 	}
-	kinds := []engine.Kind{engine.Presorted, engine.Sideways, engine.SelCrack, engine.Scan}
-	for _, k := range kinds {
-		le := engine.New(k, cloneRel(relR))
-		re := engine.New(k, cloneRel(relS))
-		if k == engine.Presorted {
-			res.PrepCost = engine.Prepare(le, "A5") + engine.Prepare(re, "A5")
+	for _, d := range synthDesigns {
+		le := d.build(cloneRel(relR))
+		re := d.build(cloneRel(relS))
+		if lp, ok := le.(*presort.Engine); ok {
+			res.PrepCost = lp.Prepare("A5") + re.(*presort.Engine).Prepare("A5")
 		}
 		gen := genFor(cfg, 300)
-		name := k.String()
+		name := d.name
 		for q := 0; q < cfg.Queries; q++ {
 			// Most selective predicate first (A5: 20%, A4: 30%, A3: 50%).
 			lPreds := []engine.AttrPred{
@@ -298,8 +299,8 @@ func Exp4(cfg Config) *Exp4Result {
 		{"Exp4 (Fig 5c): TR cost after join", res.PostTR},
 	} {
 		var series []Series
-		for _, k := range kinds {
-			series = append(series, Series{Name: k.String(), Y: part.data[k.String()]})
+		for _, d := range synthDesigns {
+			series = append(series, Series{Name: d.name, Y: part.data[d.name]})
 		}
 		printSeries(cfg, part.title, "query", series)
 	}
@@ -318,15 +319,14 @@ type Exp5Result struct {
 func Exp5(cfg Config) *Exp5Result {
 	base := buildUniform(cfg, "R", 3)
 	res := &Exp5Result{Series: map[string][]time.Duration{}}
-	kinds := []engine.Kind{engine.Presorted, engine.Sideways, engine.SelCrack, engine.Scan}
 	projs := []string{"A2", "A3"}
-	for _, k := range kinds {
-		e := engine.New(k, cloneRel(base))
-		if k == engine.Presorted {
-			res.PrepCost = engine.Prepare(e, "A1")
+	for _, d := range synthDesigns {
+		e := d.build(cloneRel(base))
+		if p, ok := e.(*presort.Engine); ok {
+			res.PrepCost = p.Prepare("A1")
 		}
 		gen := genFor(cfg, 400)
-		name := k.String()
+		name := d.name
 		for q := 0; q < cfg.Queries; q++ {
 			pred := gen.Skewed(0.2, 0.5, 0.9)
 			c := runMaxQuery(e, []engine.AttrPred{{Attr: "A1", Pred: pred}}, projs)
@@ -334,8 +334,8 @@ func Exp5(cfg Config) *Exp5Result {
 		}
 	}
 	var series []Series
-	for _, k := range kinds {
-		series = append(series, Series{Name: k.String(), Y: res.Series[k.String()]})
+	for _, d := range synthDesigns {
+		series = append(series, Series{Name: d.name, Y: res.Series[d.name]})
 	}
 	printSeries(cfg, "Exp5 (Fig 6): skewed workload", "query", series)
 	cfg.logf("(presorting cost: %s)\n", fmtDur(res.PrepCost))

@@ -25,9 +25,10 @@ type Fig14Result struct {
 	Improvement map[int]map[string]float64
 }
 
-// Fig14Kinds are the engine series of Figure 14.
-var Fig14Kinds = []engine.Kind{engine.Scan, engine.SelCrack, engine.Sideways,
-	engine.Presorted, engine.RowStore}
+// fig14Designs are the series of Figure 14; the first is the plain scan
+// every improvement is relative to.
+var fig14Designs = []design{served(engine.Scan), served(engine.SelCrack), served(engine.Sideways),
+	presorted, rowStore}
 
 // Fig14 runs each of the paper's twelve TPC-H queries as a sequence of
 // parameter variations per engine kind.
@@ -47,38 +48,30 @@ func Fig14(cfg Config, sf float64, runs int) *Fig14Result {
 		for i := range params {
 			params[i] = tpch.RandomParams(prng)
 		}
-		var check Value
-		for ki, kind := range Fig14Kinds {
-			db := tpch.NewDB(data, kind)
-			if kind == engine.Presorted || kind == engine.RowStore {
-				prep := db.Prepare(qid)
-				if kind == engine.Presorted {
-					res.PrepCost[qid] = prep
-				}
+		for _, d := range fig14Designs {
+			db := tpch.NewDB(data, d.build)
+			if prep := db.Prepare(qid); d.name == presorted.name {
+				res.PrepCost[qid] = prep
 			}
-			name := kind.String()
+			name := d.name
 			for _, p := range params {
 				t0 := time.Now()
-				got := fn(db, p)
+				fn(db, p)
 				res.Series[qid][name] = append(res.Series[qid][name], time.Since(t0))
-				if ki == 0 {
-					check = check*31 + got
-				}
 			}
-			_ = check
 		}
-		scanTotal := sumDur(res.Series[qid][engine.Scan.String()])
+		scanTotal := sumDur(res.Series[qid][fig14Designs[0].name])
 		res.Improvement[qid] = map[string]float64{}
-		for _, kind := range Fig14Kinds[1:] {
-			total := sumDur(res.Series[qid][kind.String()])
+		for _, d := range fig14Designs[1:] {
+			total := sumDur(res.Series[qid][d.name])
 			if scanTotal > 0 {
-				res.Improvement[qid][kind.String()] =
+				res.Improvement[qid][d.name] =
 					100 * (1 - float64(total)/float64(scanTotal))
 			}
 		}
 		var series []Series
-		for _, kind := range Fig14Kinds {
-			series = append(series, Series{Name: kind.String(), Y: res.Series[qid][kind.String()]})
+		for _, d := range fig14Designs {
+			series = append(series, Series{Name: d.name, Y: res.Series[qid][d.name]})
 		}
 		printSeries(cfg, fmt.Sprintf("Fig 14: TPC-H Query %d (SF=%g)", qid, sf), "run", series)
 		cfg.logf("(presorting cost for Q%d: %s)\n", qid, fmtDur(res.PrepCost[qid]))
@@ -88,7 +81,7 @@ func Fig14(cfg Config, sf float64, runs int) *Fig14Result {
 	for _, qid := range tpch.QueryIDs {
 		cfg.logf("%-6d%11.0f%%%11.0f%%\n", qid,
 			res.Improvement[qid][engine.Sideways.String()],
-			res.Improvement[qid][engine.Presorted.String()])
+			res.Improvement[qid][presorted.name])
 	}
 	return res
 }
@@ -107,8 +100,8 @@ type MixedResult struct {
 // on persistent sideways and scan databases.
 func Mixed(cfg Config, sf float64, batches int) *MixedResult {
 	data := tpch.Generate(sf, cfg.Seed)
-	scanDB := tpch.NewDB(data, engine.Scan)
-	sideDB := tpch.NewDB(data, engine.Sideways)
+	scanDB := tpch.NewDB(data, served(engine.Scan).build)
+	sideDB := tpch.NewDB(data, served(engine.Sideways).build)
 	prng := rand.New(rand.NewSource(cfg.Seed + 77))
 	res := &MixedResult{Batches: batches}
 	for b := 0; b < batches; b++ {

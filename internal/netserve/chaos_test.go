@@ -75,12 +75,11 @@ func TestChaosEquivalence(t *testing.T) {
 			r := rand.New(rand.NewSource(tc.seed))
 			var liveKeys []int
 			nextVal := func() store.Value { return 1 + r.Int63n(domain) }
-			updates := tc.kind != engine.RowStore
 
 			// Phase 1: sequential interleaved workload through the faults.
 			for i := 0; i < ops; i++ {
 				switch {
-				case updates && r.Intn(10) == 0:
+				case r.Intn(10) == 0:
 					vals := []store.Value{nextVal(), nextVal(), nextVal()}
 					wantKey := local.Insert(vals...)
 					gotKey, err := c.Insert(vals...)
@@ -91,7 +90,7 @@ func TestChaosEquivalence(t *testing.T) {
 						t.Fatalf("op %d: insert key %d != in-process %d (write duplicated or lost)", i, gotKey, wantKey)
 					}
 					liveKeys = append(liveKeys, gotKey)
-				case updates && r.Intn(12) == 0 && len(liveKeys) > 0:
+				case r.Intn(12) == 0 && len(liveKeys) > 0:
 					j := r.Intn(len(liveKeys))
 					key := liveKeys[j]
 					liveKeys = append(liveKeys[:j], liveKeys[j+1:]...)

@@ -31,29 +31,19 @@ func cloneRel(rel *store.Relation) *store.Relation {
 
 // equivCase is one cell of the kinds × sharding matrix.
 type equivCase struct {
-	name    string
-	kind    engine.Kind
-	shards  int  // 0 = unsharded
-	updates bool // RowStore is read-only
+	name   string
+	kind   engine.Kind
+	shards int // 0 = unsharded
 }
 
 func equivMatrix() []equivCase {
-	kinds := []engine.Kind{
-		engine.Scan, engine.SelCrack, engine.Presorted,
-		engine.Sideways, engine.PartialSideways,
-	}
 	var cases []equivCase
-	for _, k := range kinds {
+	for _, k := range engine.Kinds() {
 		cases = append(cases,
-			equivCase{name: k.String(), kind: k, updates: true},
-			equivCase{name: k.String() + "/sharded", kind: k, shards: 3, updates: true},
+			equivCase{name: k.String(), kind: k},
+			equivCase{name: k.String() + "/sharded", kind: k, shards: 3},
 		)
 	}
-	// The read-only reference engine, both modes.
-	cases = append(cases,
-		equivCase{name: "rowstore", kind: engine.RowStore},
-		equivCase{name: "rowstore/sharded", kind: engine.RowStore, shards: 3},
-	)
 	return cases
 }
 
@@ -125,7 +115,7 @@ func TestRemoteEquivalence(t *testing.T) {
 			// Phase 1: sequential interleaved workload, exact comparison.
 			for i := 0; i < ops; i++ {
 				switch {
-				case tc.updates && r.Intn(10) == 0: // insert
+				case r.Intn(10) == 0: // insert
 					vals := []store.Value{nextVal(), nextVal(), nextVal()}
 					wantKey := local.Insert(vals...)
 					gotKey, err := c.Insert(vals...)
@@ -136,7 +126,7 @@ func TestRemoteEquivalence(t *testing.T) {
 						t.Fatalf("op %d: insert key %d != in-process %d", i, gotKey, wantKey)
 					}
 					liveKeys = append(liveKeys, gotKey)
-				case tc.updates && r.Intn(12) == 0 && len(liveKeys) > 0: // delete
+				case r.Intn(12) == 0 && len(liveKeys) > 0: // delete
 					j := r.Intn(len(liveKeys))
 					key := liveKeys[j]
 					liveKeys = append(liveKeys[:j], liveKeys[j+1:]...)

@@ -131,12 +131,11 @@ type Server struct {
 	srv  *serve.Server
 	opts Options
 	// inlineRO enables the reader-goroutine fast path for read-only
-	// queries. Cracking and presorted engines answer QueryRO in sublinear
-	// time plus a clustered copy, so executing inline beats a goroutine
-	// handoff; the scan-family engines (Scan, RowStore) answer every query
-	// "read-only" with a full relation scan, which would serialize a
-	// connection's whole pipeline on its one reader — those always
-	// dispatch.
+	// queries. Cracking engines answer QueryRO in sublinear time plus a
+	// clustered copy, so executing inline beats a goroutine handoff; Scan
+	// answers every query "read-only" with a full relation scan, which
+	// would serialize a connection's whole pipeline on its one reader — it
+	// always dispatches.
 	inlineRO bool
 
 	// glimit is the global in-flight cap (nil when MaxInflight is 0).
@@ -168,12 +167,11 @@ type Server struct {
 // in engine.Concurrent unless it already guards itself.
 func NewServer(e engine.Engine, opts Options) *Server {
 	opts = opts.withDefaults()
-	kind := e.Kind()
 	r := opts.Metrics // nil registers nowhere and still returns working instruments
 	s := &Server{
 		srv:      serve.New(e, opts.Serve),
 		opts:     opts,
-		inlineRO: kind != engine.Scan && kind != engine.RowStore,
+		inlineRO: e.Kind() != engine.Scan,
 		dedup:    newDedupWindow(opts.DedupWindow),
 		conns:    make(map[*conn]struct{}),
 		sampler:  obs.NewSampler(opts.TraceSample),

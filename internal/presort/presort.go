@@ -6,13 +6,16 @@
 //
 // Preparing a copy is expensive (the paper reports 3-14 minutes for TPC-H
 // scale 1) and there is no efficient way to maintain sorted copies under
-// updates — Prepare must be re-run after any change, which is exactly the
-// restriction sideways cracking removes.
+// updates, which is exactly the restriction sideways cracking removes. The
+// baseline is therefore read-only: Engine, its engine.Engine adapter, is a
+// yardstick the experiments (internal/exp, internal/tpch) build and
+// Prepare themselves, and no serving layer builds it.
 package presort
 
 import (
 	"sort"
 
+	"crackstore/internal/engine"
 	"crackstore/internal/store"
 )
 
@@ -40,28 +43,10 @@ func NewStore(rel *store.Relation) *Store {
 	return &Store{rel: rel, copies: make(map[string]*Copy)}
 }
 
-// Relation returns the underlying base relation.
-func (s *Store) Relation() *store.Relation { return s.rel }
-
 // Prepare builds (or rebuilds) the copy sorted on attr. This is the heavy
 // offline step; experiments report its cost separately.
 func (s *Store) Prepare(attr string) *Copy {
-	return s.PrepareFiltered(attr, nil)
-}
-
-// PrepareFiltered is Prepare with rows skipped when skip(key) is true; used
-// to rebuild copies after deletions without disturbing base-column keys.
-func (s *Store) PrepareFiltered(attr string, skip func(key int) bool) *Copy {
 	perm := store.OrderBy(s.rel.MustColumn(attr).Vals)
-	if skip != nil {
-		kept := perm[:0]
-		for _, p := range perm {
-			if !skip(p) {
-				kept = append(kept, p)
-			}
-		}
-		perm = kept
-	}
 	c := &Copy{Attr: attr, cols: make(map[string][]Value, len(s.rel.Order))}
 	for _, name := range s.rel.Order {
 		src := s.rel.MustColumn(name).Vals
@@ -76,12 +61,9 @@ func (s *Store) PrepareFiltered(attr string, skip func(key int) bool) *Copy {
 	return c
 }
 
-// CopyFor returns the copy sorted on attr, or nil if not prepared.
-func (s *Store) CopyFor(attr string) *Copy { return s.copies[attr] }
-
-// area returns the contiguous index range [lo, hi) of tuples matching pred
+// Area returns the contiguous index range [lo, hi) of tuples matching pred
 // using binary search on the sort column.
-func (c *Copy) area(pred store.Pred) (lo, hi int) {
+func (c *Copy) Area(pred store.Pred) (lo, hi int) {
 	lo = sort.Search(len(c.key), func(i int) bool {
 		v := c.key[i]
 		if pred.LoIncl {
@@ -102,68 +84,38 @@ func (c *Copy) area(pred store.Pred) (lo, hi int) {
 	return lo, hi
 }
 
-// Area exposes the matching range for cost accounting in experiments.
-func (c *Copy) Area(pred store.Pred) (lo, hi int) { return c.area(pred) }
-
-// Column returns the named column of the copy (sorted order).
-func (c *Copy) Column(attr string) []Value { return c.cols[attr] }
-
-// Result mirrors the sideways result: positionally aligned projections.
-type Result struct {
-	Cols map[string][]Value
-	N    int
-}
-
 // Query evaluates a conjunctive (or disjunctive) multi-selection with
 // projections using the copy sorted on the attribute of preds[primary].
-// The copy must have been Prepared. Like the sideways plan, secondary
+// A missing copy is prepared first. Like the sideways plan, secondary
 // predicates are applied by scanning the aligned area.
-func (s *Store) Query(preds []store.Pred, attrs []string, primary int, projs []string, disjunctive bool) Result {
+func (s *Store) Query(preds []store.Pred, attrs []string, primary int, projs []string, disjunctive bool) engine.Result {
 	c := s.copies[attrs[primary]]
 	if c == nil {
 		c = s.Prepare(attrs[primary])
 	}
-	res := Result{Cols: make(map[string][]Value, len(projs))}
-	if disjunctive {
-		n := c.Len()
-		keep := make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			for j, attr := range attrs {
-				if preds[j].Matches(c.cols[attr][i]) {
-					keep = append(keep, i)
-					break
-				}
-			}
-		}
-		res.N = len(keep)
-		for _, attr := range projs {
-			col := c.cols[attr]
-			out := make([]Value, len(keep))
-			for i, p := range keep {
-				out[i] = col[p]
-			}
-			res.Cols[attr] = out
-		}
-		return res
+	// A disjunction tests every tuple of the copy; a conjunction only the
+	// primary predicate's area, against the other predicates.
+	lo, hi := 0, c.Len()
+	if !disjunctive {
+		lo, hi = c.Area(preds[primary])
 	}
-	lo, hi := c.area(preds[primary])
 	keep := make([]int, 0, hi-lo)
 	for i := lo; i < hi; i++ {
-		ok := true
+		match := !disjunctive
 		for j, attr := range attrs {
-			if j == primary {
+			if j == primary && !disjunctive {
 				continue
 			}
-			if !preds[j].Matches(c.cols[attr][i]) {
-				ok = false
+			if preds[j].Matches(c.cols[attr][i]) == disjunctive {
+				match = disjunctive
 				break
 			}
 		}
-		if ok {
+		if match {
 			keep = append(keep, i)
 		}
 	}
-	res.N = len(keep)
+	res := engine.Result{Cols: make(map[string][]Value, len(projs)), N: len(keep)}
 	for _, attr := range projs {
 		col := c.cols[attr]
 		out := make([]Value, len(keep))

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"crackstore/internal/engine"
 	"crackstore/internal/store"
 )
 
@@ -109,5 +110,21 @@ func BenchmarkQueryAfterPrepare(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lo := rng.Int63n(1 << 16)
 		s.Query([]store.Pred{store.Range(lo, lo+(1<<13))}, []string{"A"}, 0, []string{"B", "C"}, false)
+	}
+}
+
+func TestPreparedPresortedIsFastOnQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	e := NewEngine(buildRel(rng, 5000, []string{"A", "B"}, 5000))
+	prep := e.Prepare("A")
+	if prep <= 0 {
+		t.Fatal("Prepare should take measurable time")
+	}
+	_, cost := e.Query(engine.Query{
+		Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(100, 200)}},
+		Projs: []string{"B"},
+	})
+	if cost.Total() > prep*100 {
+		t.Fatalf("query cost %v disproportionate to prepare %v", cost.Total(), prep)
 	}
 }

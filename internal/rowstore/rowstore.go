@@ -2,7 +2,9 @@
 // as the "MySQL presorted" reference series in the paper's Figure 14. Rows
 // are processed tuple-by-tuple, so multi-predicate evaluation needs no
 // tuple reconstruction at all — the trade-off the paper discusses for
-// TPC-H Query 19.
+// TPC-H Query 19. Engine, its read-only engine.Engine adapter, is a
+// yardstick the TPC-H experiments build and Prepare themselves; no serving
+// layer builds it.
 package rowstore
 
 import (

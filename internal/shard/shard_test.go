@@ -42,10 +42,6 @@ func canonRows(res engine.Result, projs []string) []string {
 	return rows
 }
 
-func writableKinds() []engine.Kind {
-	return []engine.Kind{engine.Scan, engine.SelCrack, engine.Presorted, engine.Sideways, engine.PartialSideways}
-}
-
 // TestShardedMatchesSingle is the layout-equivalence property test: a
 // sharded engine and a single engine of the same kind replay an identical
 // random query/insert/delete interleaving and must produce identical result
@@ -63,7 +59,7 @@ func TestShardedMatchesSingle(t *testing.T) {
 		ops    = 80
 		nsh    = 4
 	)
-	for _, kind := range writableKinds() {
+	for _, kind := range engine.Kinds() {
 		for _, hash := range []bool{false, true} {
 			mode := "range"
 			if hash {
@@ -130,33 +126,6 @@ func TestShardedMatchesSingle(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestShardedRowStoreReadOnly covers the read-only reference kind, which
-// cannot take part in the update interleaving test.
-func TestShardedRowStoreReadOnly(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	base := buildRel(rng, 300, 200)
-	single := engine.New(engine.RowStore, cloneRel(base))
-	sharded := New(engine.RowStore, cloneRel(base), 3, Options{Attr: "A"})
-	for i := 0; i < 20; i++ {
-		lo := rng.Int63n(200)
-		q := engine.Query{
-			Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(lo, lo+40)}},
-			Projs: []string{"B"},
-		}
-		want, _ := single.Query(q)
-		got, _ := sharded.Query(q)
-		w, g := canonRows(want, q.Projs), canonRows(got, q.Projs)
-		if len(w) != len(g) {
-			t.Fatalf("query %d: N=%d want %d", i, got.N, want.N)
-		}
-		for j := range w {
-			if w[j] != g[j] {
-				t.Fatalf("query %d row %d: %s != %s", i, j, g[j], w[j])
-			}
 		}
 	}
 }

@@ -451,7 +451,7 @@ type Plan struct {
 
 // PlanMulti lays out the plan for preds and projs. The head predicate is
 // the most (conjunctive) or least (disjunctive) selective one according to
-// est, or simply the first when est is nil.
+// est; a lone predicate is the head without consulting est.
 func PlanMulti(est Estimator, preds []AttrPred, projs []string, disjunctive bool) Plan {
 	if len(preds) == 0 {
 		panic("sideways: a multi-selection plan requires at least one predicate")
@@ -485,7 +485,7 @@ func PlanMulti(est Estimator, preds []AttrPred, projs []string, disjunctive bool
 // choosePred picks the plan's head predicate. Read-only.
 func choosePred(est Estimator, preds []AttrPred, disjunctive bool) int {
 	chosen := 0
-	if len(preds) == 1 || est == nil {
+	if len(preds) == 1 {
 		return 0
 	}
 	bestEst := est.EstimateSelectivity(preds[0].Attr, preds[0].Pred)

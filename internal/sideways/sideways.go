@@ -225,20 +225,6 @@ type Store struct {
 	// queries; 0 disables.
 	HeadDropIdleQueries int
 
-	// EagerAlignment is an ablation switch: when set, every query aligns
-	// ALL maps of the areas it reads to the tape end, i.e. the "on-line
-	// alignment" strategy Section 3.2 rejects ("every query would have to
-	// touch all maps of a set"). Default false = adaptive (lazy) alignment.
-	EagerAlignment bool
-	// NaiveSetChoice is an ablation switch: when set, MultiSelect uses the
-	// first predicate's map set instead of consulting the self-organizing
-	// histograms for the most selective one (Section 3.3).
-	NaiveSetChoice bool
-	// ForceFullAlignment is an ablation switch: when set, covered areas
-	// align to the tape end like boundary areas, disabling the partial
-	// alignment optimization of Section 4.1.
-	ForceFullAlignment bool
-
 	// Policy is the adaptive cracking policy (crack.Policy) applied to maps
 	// and chunk maps. It is frozen per set at set creation, so set Policy
 	// before the first query touches an attribute. Lazy head-drop replay
@@ -831,23 +817,13 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window 
 		// contents rather than just their internal order.
 		cutLo, cutHi := w == first && first.loB.Less(lowerB), w == last && upperB.Less(last.hiB)
 		target := len(w.tape)
-		if !cutLo && !cutHi && !st.ForceFullAlignment {
+		if !cutLo && !cutHi {
 			target = w.lastUpdate
 			for _, m := range used[i] {
 				target = max(target, m.cursor)
 			}
 		}
-		ms := used[i]
-		if st.EagerAlignment {
-			ms = slices.Clone(ms)
-			for attr, m := range w.maps {
-				if attr != "" {
-					ms = append(ms, m)
-				}
-			}
-			target = len(w.tape)
-		}
-		set.replay(w, target, ms...)
+		set.replay(w, target, used[i]...)
 		for _, m := range used[i] {
 			st.Touch(&m.Usage)
 		}
@@ -984,16 +960,11 @@ func (s *Store) SelectProject(selAttr string, pred store.Pred, projs []string) R
 }
 
 // plan lays out a multi-selection plan — the map set is chosen via the
-// self-organizing histograms, or is simply the first predicate's under the
-// NaiveSetChoice ablation — and the value range its set is queried for. A
-// disjunction evaluates the head predicate outside its range too, so it
+// self-organizing histograms — and the value range its set is queried for.
+// A disjunction evaluates the head predicate outside its range too, so it
 // reads the whole domain.
 func (s *Store) plan(preds []AttrPred, projs []string, disjunctive bool) (Plan, store.Pred) {
-	var est Estimator = s
-	if s.NaiveSetChoice {
-		est = nil
-	}
-	pl := PlanMulti(est, preds, projs, disjunctive)
+	pl := PlanMulti(s, preds, projs, disjunctive)
 	if disjunctive {
 		return pl, FullRange
 	}
@@ -1035,7 +1006,7 @@ func (s *Store) windowsRO(set *Set, pred store.Pred, tailAttrs []string, heads b
 		used = append(used, ms...)
 		cutLo, cutHi := w == areas[0] && w.loB.Less(lowerB), w == areas[len(areas)-1] && upperB.Less(w.hiB)
 		if len(ms) > 0 {
-			if cutLo || cutHi || s.ForceFullAlignment {
+			if cutLo || cutHi {
 				// Boundary maps must already sit at the tape end (the
 				// write path would replay this query's crack onto them).
 				if ms[0].cursor != len(w.tape) {
@@ -1047,15 +1018,6 @@ func (s *Store) windowsRO(set *Set, pred store.Pred, tailAttrs []string, heads b
 			}
 			if heads && ms[0].headDropped {
 				return nil, nil, false
-			}
-		}
-		if s.EagerAlignment {
-			// On-line alignment touches all maps of the area every query; a
-			// lagging map means the write path would replay it.
-			for attr, m := range w.maps {
-				if attr != "" && m.cursor != len(w.tape) {
-					return nil, nil, false
-				}
 			}
 		}
 		win, ok := windowOf(ms, heads, cutLo, cutHi, lowerB, upperB)

@@ -10,24 +10,24 @@ import (
 )
 
 // DB is one physical instantiation of the TPC-H database: every table
-// wrapped by an engine of the same kind, each owning an independent copy of
-// the data.
+// wrapped by an engine of the same design, each owning an independent copy
+// of the data.
 type DB struct {
-	Kind   engine.Kind
 	tables map[string]engine.Engine
 	rels   map[string]*store.Relation
 }
 
-// NewDB clones the generated data and wraps each table in an engine of the
-// given kind.
-func NewDB(d *Data, kind engine.Kind) *DB {
-	db := &DB{Kind: kind, tables: map[string]engine.Engine{}, rels: map[string]*store.Relation{}}
+// NewDB clones the generated data and wraps each table in the engine build
+// makes of it: engine.New of a served kind, or a baseline's constructor
+// (presort.NewEngine, rowstore.NewEngine).
+func NewDB(d *Data, build func(*store.Relation) engine.Engine) *DB {
+	db := &DB{tables: map[string]engine.Engine{}, rels: map[string]*store.Relation{}}
 	for _, rel := range []*store.Relation{
 		d.Region, d.Nation, d.Supplier, d.Customer, d.Part, d.PartSupp, d.Orders, d.Lineitem,
 	} {
 		c := CloneRelation(rel)
 		db.rels[rel.Name] = c
-		db.tables[rel.Name] = engine.New(kind, c)
+		db.tables[rel.Name] = build(c)
 	}
 	return db
 }
@@ -43,7 +43,7 @@ func (db *DB) Rel(name string) *store.Relation { return db.rels[name] }
 var QueryIDs = []int{1, 3, 4, 6, 7, 8, 10, 12, 14, 15, 19, 20}
 
 // SelectionAttrs maps each query to the (table, attribute) pairs its
-// cracked selections use; Prepare presorts these for the presorted engine.
+// cracked selections use; Prepare presorts these for the presorted baselines.
 var SelectionAttrs = map[int][][2]string{
 	1:  {{"lineitem", "l_shipdate"}},
 	3:  {{"customer", "c_mktsegment"}, {"orders", "o_orderdate"}, {"lineitem", "l_shipdate"}},
@@ -59,13 +59,15 @@ var SelectionAttrs = map[int][][2]string{
 	20: {{"part", "p_brand"}, {"lineitem", "l_shipdate"}},
 }
 
-// Prepare presorts the copies a query needs (meaningful only for the
-// presorted designs, Presorted and RowStore; see engine.Prepare); returns
-// the preparation cost.
+// Prepare runs the offline step of a presorted baseline on the copies a
+// query needs (SelectionAttrs) and returns its cost; designs without one
+// cost 0.
 func (db *DB) Prepare(q int) time.Duration {
 	var total time.Duration
 	for _, ta := range SelectionAttrs[q] {
-		total += engine.Prepare(db.tables[ta[0]], ta[1])
+		if p, ok := db.tables[ta[0]].(interface{ Prepare(...string) time.Duration }); ok {
+			total += p.Prepare(ta[1])
+		}
 	}
 	return total
 }

@@ -5,7 +5,18 @@ import (
 	"testing"
 
 	"crackstore/internal/engine"
+	"crackstore/internal/presort"
+	"crackstore/internal/rowstore"
+	"crackstore/internal/store"
 )
+
+// served is the constructor of one of the kinds the store serves.
+func served(k engine.Kind) func(*store.Relation) engine.Engine {
+	return func(rel *store.Relation) engine.Engine { return engine.New(k, rel) }
+}
+
+func newPresorted(rel *store.Relation) engine.Engine { return presort.NewEngine(rel) }
+func newRowStore(rel *store.Relation) engine.Engine  { return rowstore.NewEngine(rel) }
 
 func smallData(t testing.TB) *Data {
 	t.Helper()
@@ -71,8 +82,9 @@ func TestGenerateShape(t *testing.T) {
 }
 
 // TestAllQueriesAgreeAcrossEngines is the TPC-H integration check: every
-// query must produce the same checksum on all five engine kinds, run twice
-// (the second run exercises cracked/aligned state).
+// query must produce the same checksum on all six designs — the four served
+// kinds and both baselines — run twice (the second run exercises
+// cracked/aligned state).
 func TestAllQueriesAgreeAcrossEngines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -81,11 +93,17 @@ func TestAllQueriesAgreeAcrossEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	params := []Params{RandomParams(rng), RandomParams(rng)}
 
-	kinds := []engine.Kind{engine.Scan, engine.SelCrack, engine.Presorted,
-		engine.Sideways, engine.PartialSideways, engine.RowStore}
-	dbs := make([]*DB, len(kinds))
-	for i, k := range kinds {
-		dbs[i] = NewDB(d, k)
+	designs := []struct {
+		name  string
+		build func(*store.Relation) engine.Engine
+	}{
+		{"scan", served(engine.Scan)}, {"selcrack", served(engine.SelCrack)},
+		{"presorted", newPresorted}, {"sideways", served(engine.Sideways)},
+		{"partial", served(engine.PartialSideways)}, {"rowstore", newRowStore},
+	}
+	dbs := make([]*DB, len(designs))
+	for i, ds := range designs {
+		dbs[i] = NewDB(d, ds.build)
 	}
 	for _, qid := range QueryIDs {
 		fn := Queries[qid]
@@ -98,7 +116,7 @@ func TestAllQueriesAgreeAcrossEngines(t *testing.T) {
 					continue
 				}
 				if got != ref {
-					t.Fatalf("Q%d params %d: %v checksum %d != scan %d", qid, pi, kinds[i], got, ref)
+					t.Fatalf("Q%d params %d: %s checksum %d != scan %d", qid, pi, designs[i].name, got, ref)
 				}
 			}
 		}
@@ -118,14 +136,14 @@ func TestSelectionAttrsCoverAllQueries(t *testing.T) {
 
 func TestPrepareBuildsCopies(t *testing.T) {
 	d := Generate(0.001, 5)
-	db := NewDB(d, engine.Presorted)
+	db := NewDB(d, newPresorted)
 	cost := db.Prepare(1)
 	if cost <= 0 {
 		t.Fatal("Prepare should take measurable time")
 	}
 	// Prepared query must be cheap and correct versus scan.
 	p := RandomParams(rand.New(rand.NewSource(1)))
-	scan := NewDB(d, engine.Scan)
+	scan := NewDB(d, served(engine.Scan))
 	if Q1(db, p) != Q1(scan, p) {
 		t.Fatal("prepared presorted Q1 differs from scan")
 	}
@@ -152,7 +170,7 @@ func TestRandomParamsInRanges(t *testing.T) {
 
 func BenchmarkQ1Sideways(b *testing.B) {
 	d := Generate(0.002, 42)
-	db := NewDB(d, engine.Sideways)
+	db := NewDB(d, served(engine.Sideways))
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -165,7 +183,7 @@ func BenchmarkQ6AllEngines(b *testing.B) {
 	d := Generate(0.002, 42)
 	for _, k := range []engine.Kind{engine.Scan, engine.SelCrack, engine.Sideways, engine.PartialSideways} {
 		b.Run(k.String(), func(b *testing.B) {
-			db := NewDB(d, k)
+			db := NewDB(d, served(k))
 			rng := rand.New(rand.NewSource(1))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
