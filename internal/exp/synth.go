@@ -72,10 +72,9 @@ func Exp1(cfg Config) *Exp1Result {
 		cfg.logf("%14d", tr)
 	}
 	cfg.logf("\n")
-	for _, d := range synthDesigns {
-		name := d.name
-		cfg.logf("%-12s", name)
-		for _, d := range res.LastCost[name] {
+	for _, ds := range synthDesigns {
+		cfg.logf("%-12s", ds.name)
+		for _, d := range res.LastCost[ds.name] {
 			cfg.logf("%14s", fmtDur(d))
 		}
 		cfg.logf("\n")
