@@ -5,12 +5,13 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"crackstore/internal/store"
 )
 
-// TestKindStrings: every served kind has a name KindByName maps back, and
-// an engine built as a kind reports it; nothing else has a name.
+// TestKindStrings: every served kind has a name KindByName maps back;
+// nothing else has a name.
 func TestKindStrings(t *testing.T) {
 	want := map[Kind]string{
 		Scan: "scan", SelCrack: "selcrack", Sideways: "sideways", PartialSideways: "partial",
@@ -18,16 +19,12 @@ func TestKindStrings(t *testing.T) {
 	if len(Kinds()) != len(want) {
 		t.Fatalf("Kinds() = %v, want the %d served kinds", Kinds(), len(want))
 	}
-	rel := buildRel(rand.New(rand.NewSource(1)), 50, []string{"A", "B"}, 10)
 	for _, k := range Kinds() {
 		if k.String() != want[k] {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), want[k])
 		}
 		if got, ok := KindByName(want[k]); !ok || got != k {
 			t.Errorf("KindByName(%q) = %v, %v", want[k], got, ok)
-		}
-		if e := New(k, cloneRel(rel)); e.Kind() != k {
-			t.Errorf("%v: engine of kind %v", k, e.Kind())
 		}
 	}
 	for _, name := range []string{"presorted", "rowstore", "unknown"} {
@@ -37,6 +34,25 @@ func TestKindStrings(t *testing.T) {
 	}
 	if s := Kind(42).String(); s != "unknown" {
 		t.Errorf("Kind(42).String() = %q", s)
+	}
+}
+
+// TestNamesAndNoopPrepare: every served engine reports the kind it was
+// built as, bare and behind either guard, and none has an offline step:
+// only the presorted baselines outside this package have a Prepare method.
+func TestNamesAndNoopPrepare(t *testing.T) {
+	rel := buildRel(rand.New(rand.NewSource(1)), 50, []string{"A", "B"}, 10)
+	type preparer interface{ Prepare(...string) time.Duration }
+	for _, k := range Kinds() {
+		bare := New(k, cloneRel(rel))
+		for _, e := range []Engine{bare, Concurrent(bare), Snapshot(New(k, cloneRel(rel)))} {
+			if e.Kind() != k {
+				t.Errorf("%v: engine %T of kind %v", k, e, e.Kind())
+			}
+			if _, ok := e.(preparer); ok {
+				t.Errorf("%v: engine %T has an offline Prepare step", k, e)
+			}
+		}
 	}
 }
 
