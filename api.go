@@ -364,7 +364,7 @@ func Dial(addr string, opts DialOptions) (*RemoteClient, error) { return client.
 
 // NetServeOptions tunes a network server: the serving-layer knobs
 // (NetServeOptions.Serve: Workers, MaxWaiting, per-query Timeout) plus wire
-// limits (MaxFrame, MaxPipeline, MaxInflight).
+// limits (MaxFrame, MaxInflight).
 type NetServeOptions = netserve.Options
 
 // NetServer serves an engine over TCP to RemoteClient peers. Close drains

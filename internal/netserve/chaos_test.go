@@ -12,11 +12,54 @@ import (
 	"crackstore/internal/engine"
 	"crackstore/internal/faultnet"
 	"crackstore/internal/store"
+	"crackstore/internal/wire"
 )
 
-// TestChaosEquivalence is the resilience layer's property test: the
-// remote-vs-in-process equivalence workload runs THROUGH a fault-injecting
-// proxy (corruption, resets, partial writes, truncation, delays at >= 1%
+// encodeResult canonicalizes a result for byte comparison: the wire
+// encoding sorts columns, so two results encode identically iff they hold
+// the same rows in the same order with the same projections.
+func encodeResult(res engine.Result) []byte {
+	return wire.AppendResponse(nil, &wire.Response{Op: wire.OpQuery, Result: res})
+}
+
+func cloneRel(rel *store.Relation) *store.Relation {
+	out := store.NewRelation(rel.Name, rel.Order...)
+	for _, a := range rel.Order {
+		out.MustColumn(a).Vals = append([]store.Value(nil), rel.MustColumn(a).Vals...)
+	}
+	return out
+}
+
+// genQuery draws a random query over the relation: 1-2 predicates,
+// conjunctive or disjunctive, 1-2 projections.
+func genQuery(r *rand.Rand, domain int64) engine.Query {
+	attrs := []string{"A", "B", "C"}
+	nPreds := 1 + r.Intn(2)
+	q := engine.Query{Disjunctive: nPreds > 1 && r.Intn(3) == 0}
+	used := r.Perm(len(attrs))
+	for i := 0; i < nPreds; i++ {
+		lo := 1 + r.Int63n(domain-1)
+		width := 1 + r.Int63n(domain/4)
+		var p store.Pred
+		switch r.Intn(3) {
+		case 0:
+			p = store.Range(lo, lo+width)
+		case 1:
+			p = store.Open(lo, lo+width)
+		default:
+			p = store.Point(lo)
+		}
+		q.Preds = append(q.Preds, engine.AttrPred{Attr: attrs[used[i]], Pred: p})
+	}
+	for _, j := range r.Perm(len(attrs))[:1+r.Intn(2)] {
+		q.Projs = append(q.Projs, attrs[j])
+	}
+	return q
+}
+
+// TestChaosEquivalence is the resilience layer's property test: a
+// remote-vs-in-process workload runs THROUGH a fault-injecting proxy
+// (corruption, resets, partial writes, truncation, delays at >= 1%
 // aggregate) and must still satisfy, end to end:
 //
 //   - zero wrong answers — every remote result byte-identical to the

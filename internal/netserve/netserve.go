@@ -58,21 +58,12 @@ type Options struct {
 	// in-band error rather than shipped to a peer whose reader would
 	// reject it and drop the connection. 0 means wire.DefaultMaxFrame.
 	MaxFrame int
-	// MaxPipeline caps the in-flight requests per connection; 0 means 256.
-	// A client pipelining deeper is backpressured at the TCP level (the
-	// reader stops reading), never disconnected.
-	MaxPipeline int
 	// MaxInflight caps requests in flight across ALL connections; one more
 	// is answered wire.StatusOverloaded in-band — the connection stays
-	// healthy and the client backs off. 0 disables the global cap (per-conn
-	// MaxPipeline still applies). Ping is exempt: health checks must answer
-	// precisely when the server is saturated.
+	// healthy and the client backs off. 0 disables the global cap (the
+	// per-connection cap, maxPipeline, still applies). Ping is exempt:
+	// health checks must answer precisely when the server is saturated.
 	MaxInflight int
-	// DedupWindow bounds the idempotency-token dedup map: the server
-	// remembers the response of the last DedupWindow tokened writes and
-	// replays it when a client retry re-sends a token, so a write whose
-	// response was lost in transit is applied exactly once. 0 means 4096.
-	DedupWindow int
 	// Metrics, when non-nil, exports the network layer's counters (frames,
 	// bytes, corrupt frames, dedup hits, connections, sheds) as the
 	// crack_net_* families of the registry; it is also forwarded to the
@@ -102,12 +93,6 @@ func (o Options) withDefaults() Options {
 		// encoded length wrap and desync the stream.
 		o.MaxFrame = math.MaxUint32 - 4
 	}
-	if o.MaxPipeline <= 0 {
-		o.MaxPipeline = 256
-	}
-	if o.DedupWindow <= 0 {
-		o.DedupWindow = 4096
-	}
 	if o.Serve.LatencyWindow <= 0 {
 		// A network server is long-running by nature: without a window the
 		// latency history grows ~8 bytes per query forever. 2^20 samples
@@ -122,6 +107,18 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+const (
+	// maxPipeline caps the in-flight requests per connection. A client
+	// pipelining deeper is backpressured at the TCP level (the reader stops
+	// reading), never disconnected.
+	maxPipeline = 256
+	// dedupTokens bounds the idempotency-token dedup map: the server
+	// remembers the response of the last dedupTokens tokened writes and
+	// replays it when a client retry re-sends a token, so a write whose
+	// response was lost in transit is applied exactly once.
+	dedupTokens = 4096
+)
 
 // ErrClosed is returned by Serve when the server has been closed.
 var ErrClosed = errors.New("netserve: server is closed")
@@ -172,7 +169,7 @@ func NewServer(e engine.Engine, opts Options) *Server {
 		srv:      serve.New(e, opts.Serve),
 		opts:     opts,
 		inlineRO: e.Kind() != engine.Scan,
-		dedup:    newDedupWindow(opts.DedupWindow),
+		dedup:    newDedupWindow(dedupTokens),
 		conns:    make(map[*conn]struct{}),
 		sampler:  obs.NewSampler(opts.TraceSample),
 
@@ -252,7 +249,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			s:     s,
 			nc:    nc,
 			out:   make(chan *[]byte, 64),
-			limit: make(chan struct{}, s.opts.MaxPipeline),
+			limit: make(chan struct{}, maxPipeline),
 		}
 		s.mu.Lock()
 		if s.closed.Load() {
@@ -337,7 +334,7 @@ type conn struct {
 	nc net.Conn
 
 	out      chan *[]byte   // encoded response frames, reader/dispatch -> writer
-	limit    chan struct{}  // in-flight request cap (MaxPipeline slots)
+	limit    chan struct{}  // in-flight request cap (maxPipeline slots)
 	inflight sync.WaitGroup // dispatched requests not yet answered
 
 	// inlineCooldown (reader-goroutine local) dispatches the next N
