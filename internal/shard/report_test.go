@@ -1,4 +1,4 @@
-package simtest
+package shard
 
 import (
 	"errors"
@@ -14,18 +14,42 @@ import (
 	"crackstore/internal/obs"
 	"crackstore/internal/serve"
 	"crackstore/internal/store"
+	"crackstore/internal/wal"
 )
 
-// eachStack runs f on every in-process stack × kind, over a fresh 4000-row
-// relation. A served stack is an adapter here, with no report of its own.
-func eachStack(t *testing.T, kinds []engine.Kind, f func(t *testing.T, stack string, kind engine.Kind, e engine.Engine)) {
-	for _, s := range stacks {
-		if s.served {
-			continue
+// The stacks a report has to be right on; all but "bare" may be shared.
+type openStack = func(*testing.T, engine.Kind, *store.Relation) engine.Engine
+
+func wrapped(wrap func(engine.Engine) engine.Engine) openStack {
+	return func(_ *testing.T, k engine.Kind, rel *store.Relation) engine.Engine { return wrap(engine.New(k, rel)) }
+}
+
+func sharded(o Options) openStack {
+	return func(_ *testing.T, k engine.Kind, rel *store.Relation) engine.Engine { return New(k, rel, 4, o) }
+}
+
+var reportStacks = map[string]openStack{
+	"bare":            wrapped(func(e engine.Engine) engine.Engine { return e }),
+	"concurrent":      wrapped(engine.Concurrent),
+	"snapshot":        wrapped(engine.Snapshot),
+	"shards":          sharded(Options{Attr: "A"}),
+	"shards+snapshot": sharded(Options{Attr: "A", Snapshot: true}),
+	"durable": func(t *testing.T, k engine.Kind, rel *store.Relation) engine.Engine {
+		e, err := engine.OpenDurable(k, rel, t.TempDir(), engine.DurableOptions{Sync: wal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, kind := range kinds {
-			t.Run(s.name+"/"+kind.String(), func(t *testing.T) {
-				f(t, s.name, kind, s.open(t, base{kind.String(), kind, engine.Options{}}, relation(3, 4000, attrs[:3], 4000)))
+		t.Cleanup(func() { engine.CloseDurable(e) })
+		return e
+	},
+}
+
+// eachStack runs f on every stack × kind, over a fresh 4000-row relation.
+func eachStack(t *testing.T, f func(t *testing.T, stack string, kind engine.Kind, e engine.Engine)) {
+	for stack, open := range reportStacks {
+		for _, kind := range []engine.Kind{engine.Scan, engine.SelCrack, engine.Sideways, engine.PartialSideways} {
+			t.Run(stack+"/"+kind.String(), func(t *testing.T) {
+				f(t, stack, kind, open(t, kind, buildRel(rand.New(rand.NewSource(3)), 4000, 4000)))
 			})
 		}
 	}
@@ -54,31 +78,36 @@ func TestWrapContract(t *testing.T) {
 	for i, it := 0, reflect.TypeFor[engine.Engine](); i < it.NumMethod(); i++ {
 		contract = append(contract, it.Method(i).Name)
 	}
-	eachStack(t, []engine.Kind{engine.SelCrack, engine.Sideways}, func(t *testing.T, stack string, _ engine.Kind, e engine.Engine) {
-		for name, share := range shares {
-			switch w := share(e); {
-			case stack != "bare" && w != e:
-				t.Errorf("%s re-wrapped a guarded stack in %T", name, w)
-			case stack == "bare" && (w == e || share(w) != w):
-				t.Errorf("%s did not wrap a bare engine exactly once", name)
-			}
+	for stack, open := range reportStacks {
+		for _, kind := range []engine.Kind{engine.SelCrack, engine.Sideways} {
+			t.Run(stack+"/"+kind.String(), func(t *testing.T) {
+				e := open(t, kind, buildRel(rand.New(rand.NewSource(5)), 500, 500))
+				for name, share := range shares {
+					switch w := share(e); {
+					case stack != "bare" && w != e:
+						t.Errorf("%s re-wrapped a guarded stack in %T", name, w)
+					case stack == "bare" && (w == e || share(w) != w):
+						t.Errorf("%s did not wrap a bare engine exactly once", name)
+					}
+				}
+				if stack == "bare" {
+					return
+				}
+				want := slices.Clone(contract)
+				if stack == "durable" {
+					want = append(want, "Close")
+				}
+				var got []string
+				for i, wt := 0, reflect.TypeOf(e); i < wt.NumMethod(); i++ {
+					got = append(got, wt.Method(i).Name)
+				}
+				slices.Sort(want)
+				if !slices.Equal(got, want) { // reflect lists methods sorted by name
+					t.Errorf("%T exports %v, want exactly %v", e, got, want)
+				}
+			})
 		}
-		if stack == "bare" {
-			return
-		}
-		want := slices.Clone(contract)
-		if stack == "durable" {
-			want = append(want, "Close")
-		}
-		var got []string
-		for i, wt := 0, reflect.TypeOf(e); i < wt.NumMethod(); i++ {
-			got = append(got, wt.Method(i).Name)
-		}
-		slices.Sort(want)
-		if !slices.Equal(got, want) { // reflect lists methods sorted by name
-			t.Errorf("%T exports %v, want exactly %v", e, got, want)
-		}
-	})
+	}
 }
 
 // churn cracks, inserts and deletes: the load every report test runs.
@@ -103,7 +132,7 @@ func churn(e engine.Engine, seed int64, ops int) {
 func TestReportFamiliesPerStack(t *testing.T) {
 	sections := []string{"crack_kernel_", "crack_index_", "crack_partial_", "crack_engine_reader_",
 		"crack_snapshot_", "crack_wal_", "crack_engine_storage_"}
-	eachStack(t, engine.Kinds(), func(t *testing.T, stack string, kind engine.Kind, e engine.Engine) {
+	eachStack(t, func(t *testing.T, stack string, kind engine.Kind, e engine.Engine) {
 		want := []string{"crack_engine_storage_"}
 		if kind != engine.Scan {
 			want = append(want, "crack_kernel_", "crack_index_")
@@ -174,9 +203,8 @@ func numbers(r *engine.Report, set func(reflect.Value)) map[string]float64 {
 
 // TestReportAddFoldsEveryField is the guard that replaces the per-struct
 // forwarders: Report.Add must sum every numeric field of every section —
-// found by reflection, so a field added later cannot be forgotten; a
-// sharded engine reports the Add-fold of its shards'. On every stack the
-// load moves each section the stack has.
+// found by reflection, so a field added later cannot be forgotten — and a
+// sharded engine's report must be that fold of its shards' reports.
 func TestReportAddFoldsEveryField(t *testing.T) {
 	var a, b, sum engine.Report
 	for _, r := range []*engine.Report{&a, &b} {
@@ -209,12 +237,26 @@ func TestReportAddFoldsEveryField(t *testing.T) {
 		t.Fatalf("reflection found only %d numeric fields", len(nb))
 	}
 
-	eachStack(t, engine.Kinds(), func(t *testing.T, _ string, _ engine.Kind, e engine.Engine) {
+	eachStack(t, func(t *testing.T, _ string, _ engine.Kind, e engine.Engine) {
 		churn(e, 7, 40)
+		parts := []engine.Engine{e}
+		if s, ok := e.(*Engine); ok {
+			parts = s.shards
+		}
+		want := map[string]float64{}
+		for _, p := range parts {
+			r := engine.ReportOf(p)
+			for path, v := range numbers(&r, nil) {
+				want[path] += v
+			}
+		}
 		got := engine.ReportOf(e)
+		if n := numbers(&got, nil); !reflect.DeepEqual(n, want) {
+			t.Fatalf("report is not the fold of its %d parts:\n got %v\nwant %v", len(parts), n, want)
+		}
 		if k, c, s, d := got.Kernel, got.Chunks, got.Snapshot, got.Durable; k != nil && (k.Visited == 0 || k.Pieces == 0) ||
 			c != nil && c.Created == 0 || s != nil && s.Published == 0 || d != nil && d.Wal.Appends == 0 {
-			t.Errorf("the load left a section it has at zero: %v", numbers(&got, nil))
+			t.Errorf("the load left a section it has at zero, so the equality above compared zeros: %v", want)
 		}
 	})
 }
@@ -224,7 +266,7 @@ func TestReportAddFoldsEveryField(t *testing.T) {
 // each wrapper's own lock, so a scrape must not race (run under -race) —
 // and must not count as reader contention either.
 func TestConcurrentScrapeUnderLoad(t *testing.T) {
-	eachStack(t, engine.Kinds(), func(t *testing.T, stack string, _ engine.Kind, e engine.Engine) {
+	eachStack(t, func(t *testing.T, stack string, _ engine.Kind, e engine.Engine) {
 		if stack == "bare" {
 			t.Skip("a bare engine is its caller's to serialize")
 		}

@@ -1,7 +1,10 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +17,117 @@ func buildRel(rng *rand.Rand, n int, domain int64) *store.Relation {
 	return store.Build("R", n, []string{"A", "B", "C"}, func(attr string, row int) Value {
 		return rng.Int63n(domain)
 	})
+}
+
+func cloneRel(rel *store.Relation) *store.Relation {
+	out := store.NewRelation(rel.Name, rel.Order...)
+	for _, a := range rel.Order {
+		out.MustColumn(a).Vals = append([]Value(nil), rel.MustColumn(a).Vals...)
+	}
+	return out
+}
+
+// canonRows reduces a result to a sorted row multiset for order-insensitive
+// comparison.
+func canonRows(res engine.Result, projs []string) []string {
+	rows := make([]string, res.N)
+	for i := 0; i < res.N; i++ {
+		row := make([]Value, len(projs))
+		for j, attr := range projs {
+			row[j] = res.Cols[attr][i]
+		}
+		rows[i] = fmt.Sprint(row)
+	}
+	sort.Strings(rows)
+	return rows
+}
+
+// TestShardedMatchesSingle is the layout-equivalence property test: a
+// sharded engine and a single engine of the same kind replay an identical
+// random query/insert/delete interleaving and must produce identical result
+// multisets for every query — for every engine kind, under both range and
+// hash partitioning. Global keys agree by construction (build order, then
+// insertion order), so deletes target the same tuples on both sides.
+//
+// Every query is asked read-only as well, into one Result lent for the whole
+// replay that holds the previous answer: a fan-out that let its shards write
+// into the lent memory side by side answers wrong.
+func TestShardedMatchesSingle(t *testing.T) {
+	const (
+		rows   = 400
+		domain = 500
+		ops    = 80
+		nsh    = 4
+	)
+	for _, kind := range engine.Kinds() {
+		for _, hash := range []bool{false, true} {
+			mode := "range"
+			if hash {
+				mode = "hash"
+			}
+			t.Run(fmt.Sprintf("%v/%s", kind, mode), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(42))
+				base := buildRel(rng, rows, domain)
+				single := engine.New(kind, cloneRel(base))
+				sharded := New(kind, cloneRel(base), nsh, Options{Attr: "A", Hash: hash})
+				if !hash && sharded.hash {
+					t.Fatalf("range partitioning unexpectedly fell back to hash")
+				}
+
+				var lent engine.Result
+				keys := make([]int, rows)
+				for i := range keys {
+					keys[i] = i
+				}
+				for op := 0; op < ops; op++ {
+					switch r := rng.Intn(10); {
+					case r < 6: // query
+						lo := rng.Int63n(domain)
+						q := engine.Query{
+							Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(lo, lo+1+rng.Int63n(domain/4))}},
+							Projs: []string{"B", "C"},
+						}
+						if rng.Intn(3) == 0 {
+							blo := rng.Int63n(domain)
+							q.Preds = append(q.Preds, engine.AttrPred{Attr: "B", Pred: store.Range(blo, blo+domain/5)})
+							q.Disjunctive = rng.Intn(2) == 0
+						}
+						want, _ := single.Query(q)
+						got, _ := sharded.Query(q)
+						if got.N != want.N {
+							t.Fatalf("op %d: sharded N=%d, single N=%d (query %+v)", op, got.N, want.N, q)
+						}
+						w, g := canonRows(want, q.Projs), canonRows(got, q.Projs)
+						for i := range w {
+							if w[i] != g[i] {
+								t.Fatalf("op %d row %d: sharded %s != single %s", op, i, g[i], w[i])
+							}
+						}
+						q.Into = &lent
+						if got, _, ok := sharded.QueryRO(q); ok && (len(got.Cols) != 2 || !slices.Equal(canonRows(got, q.Projs), w)) {
+							t.Fatalf("op %d: the read-only answer into lent memory differs (query %+v)", op, q)
+						}
+					case r < 8: // insert
+						vals := []Value{rng.Int63n(domain), rng.Int63n(domain), rng.Int63n(domain)}
+						k1 := single.Insert(vals...)
+						k2 := sharded.Insert(vals...)
+						if k1 != k2 {
+							t.Fatalf("op %d: insert keys diverged: single %d, sharded %d", op, k1, k2)
+						}
+						keys = append(keys, k1)
+					default: // delete
+						if len(keys) == 0 {
+							continue
+						}
+						i := rng.Intn(len(keys))
+						single.Delete(keys[i])
+						sharded.Delete(keys[i])
+						keys = append(keys[:i], keys[i+1:]...)
+					}
+				}
+			})
+		}
+	}
 }
 
 // identityRel builds a relation whose partition attribute equals the row
@@ -221,7 +335,7 @@ func TestHashFallback(t *testing.T) {
 		}
 		return rng.Int63n(100)
 	})
-	s := New(engine.Sideways, rel, 4, Options{Attr: "A"})
+	s := New(engine.Sideways, cloneRel(rel), 4, Options{Attr: "A"})
 	if !s.hash {
 		t.Fatal("constant attribute did not fall back to hash partitioning")
 	}
