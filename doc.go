@@ -71,10 +71,18 @@
 // PartialSideways are two presets of one map store (internal/sideways). A
 // set divides its domain into areas, each with its own cracker tape, and a
 // map over one area is a chunk. Under partial maps a set keeps a chunk map
-// H_A whose frozen spans are the areas, fetched as queries need them. Under
-// full maps a set has exactly one area, spanning the whole domain: its
-// source is the base prefix in key order, so it needs no H_A, and a new
-// map is cloned from that prefix. Every bounded predicate cuts that area,
+// H_A whose spans are the areas, fetched as queries need them. A fetched
+// span follows its area's crack entries as one more follower of every
+// replay, starting from the H_A boundaries inside it, so it never moves a
+// tuple across one and H_A's index and estimates stay as they were; it
+// costs moves, no visits and no storage, being a slice of H_A. A new chunk
+// is created at the span's cursor (head and index copied, tail gathered
+// through the span's keys) and replays nothing to catch up with its
+// siblings. The span stops at its area's first insert or delete, since it
+// cannot grow. Under full maps a set has exactly one area, spanning the
+// whole domain: its source is the base prefix in key order, so it needs no
+// H_A, and a new map is cloned from that prefix at cursor 0 and replays
+// the tape up to its siblings. Every bounded predicate cuts that area,
 // so it logs every crack and aligns to its tape end, and with one area the
 // eviction tie-break (set, area, tail) is (set, tail): the partial-map
 // machinery reduces exactly to full maps, layout included.
@@ -120,8 +128,11 @@
 // evicts what the same query reads next. Evicting an area's last map
 // un-fetches the area, in both presets: its tape is forgotten and its
 // updates go back to pending. Head dropping (Section 4.1) applies to every
-// map, recovered from a same-cursor sibling or by replaying the tape
-// prefix over the area's source. The columns of an evicted map or a dropped
+// map. A head is recovered from a same-cursor sibling, or by replaying the
+// tape over the area's source from the source's cursor; a partial chunk
+// that lags its span is re-created at the span's cursor instead, and the
+// maps the query reads with it are aligned there (ChunkStats.Reborn counts
+// it). The columns of an evicted map or a dropped
 // head go to a free list owned by the store, in size classes of four per
 // doubling, and new maps and recovered heads are filled into them, so
 // steady-state chunk creation neither zeroes nor page-faults fresh memory.

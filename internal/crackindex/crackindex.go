@@ -290,6 +290,42 @@ func (ix *Index) Walk(f func(b Bound, pos int)) {
 	walk(ix.root)
 }
 
+// WalkRange calls f for every live boundary strictly between lo and hi, in
+// ascending order. It descends only into subtrees that can hold such a
+// boundary, so it costs O(log n + k) for the k nodes in the range.
+func (ix *Index) WalkRange(lo, hi Bound, f func(b Bound, pos int)) {
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n == nil {
+			return
+		}
+		above, below := lo.Less(n.b), n.b.Less(hi)
+		if above {
+			walk(n.l)
+		}
+		if above && below && !n.deleted {
+			f(n.b, n.pos)
+		}
+		if below {
+			walk(n.r)
+		}
+	}
+	walk(ix.root)
+}
+
+// Clone returns a structural copy of ix, lazily deleted nodes included,
+// that shares no node with it.
+func (ix *Index) Clone() *Index { return &Index{root: cloneNode(ix.root), n: ix.n} }
+
+func cloneNode(n *node) *node {
+	if n == nil {
+		return nil
+	}
+	c := *n
+	c.l, c.r = cloneNode(n.l), cloneNode(n.r)
+	return &c
+}
+
 // Estimate reports bounds on the number of tuples in a column of length n
 // whose value v satisfies lower < v < upper in boundary semantics: lower and
 // upper are the boundaries that cracking this predicate would create (see

@@ -2,6 +2,7 @@ package crackindex
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -294,5 +295,132 @@ func TestReposition(t *testing.T) {
 	// Deleted boundaries must remain deleted and untouched by Reposition.
 	if _, ok := ix.Lookup(bounds[7]); ok {
 		t.Fatal("deleted boundary revived by Reposition")
+	}
+}
+
+// walked lists the boundaries WalkRange (or Walk) hands its callback.
+type walked struct {
+	b   Bound
+	pos int
+}
+
+func walkRange(ix *Index, lo, hi Bound) (out []walked) {
+	ix.WalkRange(lo, hi, func(b Bound, pos int) { out = append(out, walked{b, pos}) })
+	return out
+}
+
+func TestWalkRange(t *testing.T) {
+	ix := New()
+	for i, b := range []Bound{{10, true}, {10, false}, {20, true}, {30, true}, {40, true}, {50, false}} {
+		ix.Insert(b, 10*(i+1))
+	}
+	ix.Delete(Bound{30, true}) // lazily deleted: never visited, still a tree node
+	lowest, highest := Bound{-1 << 63, true}, Bound{1<<63 - 1, false}
+	for _, tc := range []struct {
+		name   string
+		lo, hi Bound
+		want   []walked
+	}{
+		{"everything", lowest, highest, []walked{{Bound{10, true}, 10}, {Bound{10, false}, 20}, {Bound{20, true}, 30}, {Bound{40, true}, 50}, {Bound{50, false}, 60}}},
+		{"bounds at boundaries are excluded", Bound{10, true}, Bound{40, true}, []walked{{Bound{10, false}, 20}, {Bound{20, true}, 30}}},
+		{"the exclusive twin of a boundary", Bound{10, false}, Bound{50, false}, []walked{{Bound{20, true}, 30}, {Bound{40, true}, 50}}},
+		{"between boundaries", Bound{11, true}, Bound{45, true}, []walked{{Bound{20, true}, 30}, {Bound{40, true}, 50}}},
+		{"only a deleted node inside", Bound{25, true}, Bound{35, true}, nil},
+		{"a deleted node at lo", Bound{30, true}, Bound{60, true}, []walked{{Bound{40, true}, 50}, {Bound{50, false}, 60}}},
+		{"adjacent bounds", Bound{10, true}, Bound{10, false}, nil},
+		{"empty range", Bound{40, true}, Bound{20, true}, nil},
+		{"below every boundary", lowest, Bound{10, true}, nil},
+		{"above every boundary", Bound{50, false}, highest, nil},
+	} {
+		if got := walkRange(ix, tc.lo, tc.hi); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: WalkRange(%v, %v) = %v, want %v", tc.name, tc.lo, tc.hi, got, tc.want)
+		}
+	}
+	if got := walkRange(New(), lowest, highest); got != nil {
+		t.Errorf("empty index walked %v", got)
+	}
+}
+
+// Property: WalkRange visits exactly the live boundaries Walk visits
+// strictly between lo and hi, in order.
+func TestQuickWalkRangeMatchesWalk(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ix := New()
+		for i := 0; i < 60; i++ {
+			b := Bound{rng.Int63n(40), rng.Intn(2) == 0}
+			if rng.Intn(4) == 0 {
+				ix.Delete(b)
+			} else {
+				ix.Insert(b, i)
+			}
+		}
+		lo, hi := Bound{rng.Int63n(44) - 2, rng.Intn(2) == 0}, Bound{rng.Int63n(44) - 2, rng.Intn(2) == 0}
+		var want []walked
+		ix.Walk(func(b Bound, pos int) {
+			if lo.Less(b) && b.Less(hi) {
+				want = append(want, walked{b, pos})
+			}
+		})
+		return slices.Equal(walkRange(ix, lo, hi), want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestClone(t *testing.T) {
+	all := func(ix *Index) (out []walked) {
+		ix.Walk(func(b Bound, pos int) { out = append(out, walked{b, pos}) })
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		live    []Bound
+		deleted []Bound
+	}{
+		{"empty", nil, nil},
+		{"one boundary", []Bound{{5, true}}, nil},
+		{"boundaries and deleted nodes", []Bound{{1, true}, {3, false}, {5, true}, {7, true}, {9, false}}, []Bound{{3, false}, {7, true}}},
+		{"only deleted nodes", []Bound{{2, true}, {4, true}}, []Bound{{2, true}, {4, true}}},
+	} {
+		ix := New()
+		for i, b := range tc.live {
+			ix.Insert(b, i)
+		}
+		for _, b := range tc.deleted {
+			ix.Delete(b)
+		}
+		c := ix.Clone()
+		if c.Len() != ix.Len() || !slices.Equal(all(c), all(ix)) {
+			t.Fatalf("%s: clone walks %v (len %d), original %v (len %d)", tc.name, all(c), c.Len(), all(ix), ix.Len())
+		}
+		before := all(ix)
+		// Reviving a deleted node, deleting a live one, moving and adding
+		// boundaries in the clone must leave the original untouched.
+		for _, b := range tc.deleted {
+			c.Insert(b, 100)
+		}
+		for _, b := range tc.live {
+			if !slices.Contains(tc.deleted, b) {
+				c.Delete(b)
+				break
+			}
+		}
+		c.Insert(Bound{6, false}, 50)
+		c.Reposition(func(_ Bound, pos int) int { return pos + 1 })
+		if got := all(ix); !slices.Equal(got, before) || ix.Len() != len(before) {
+			t.Fatalf("%s: changing the clone changed the original: %v, was %v", tc.name, got, before)
+		}
+		for _, b := range tc.deleted {
+			if ix.Has(b) {
+				t.Fatalf("%s: reviving %v in the clone revived it in the original", tc.name, b)
+			}
+		}
+		// And the other way round.
+		ix.Insert(Bound{-5, true}, 0)
+		if c.Has(Bound{-5, true}) {
+			t.Fatalf("%s: a boundary added to the original appeared in the clone", tc.name)
+		}
 	}
 }

@@ -121,7 +121,7 @@ func TestMapLayoutGolden(t *testing.T) {
 			Storage: 39986, Sets: []int{343},
 		}},
 		{"explore/partial", PartialSideways, exploreStream, goldenLayout{
-			Kernel:  KernelReport{InTwo: 698, InThree: 193, Visited: 537938, Moved: 155818, Pieces: 2468, Columns: 590},
+			Kernel:  KernelReport{InTwo: 690, InThree: 172, Visited: 531982, Moved: 166026, Pieces: 2468, Columns: 590},
 			Storage: 77804, Sets: []int{135, 89},
 		}},
 	}

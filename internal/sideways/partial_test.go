@@ -77,34 +77,47 @@ func TestChunksCreatedOnDemandOnly(t *testing.T) {
 	}
 }
 
+// TestPartialAlignmentSkipsCoveredChunks: a query aligns the chunks of an
+// area it covers only as far as the most aligned of them, so it never
+// advances a lagging one for nothing, and a new chunk of a covered area is
+// born at its span's cursor and replays no tape entry at all.
 func TestPartialAlignmentSkipsCoveredChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rel := buildRel(rng, 2000, []string{"A", "B", "C"}, 1000)
 	s := NewPartialStore(rel)
-	// Fetch [0,1000) for B via a wide query, cracking it several times.
-	s.SelectProject("A", store.Range(0, 1000), []string{"B"})
-	s.SelectProject("A", store.Range(100, 900), []string{"B"})
-	s.SelectProject("A", store.Range(200, 800), []string{"B"})
-	set := s.SetIfExists("A")
-	// Now query the full range again with C: the interior area is fully
-	// covered, so the fresh C chunks must NOT be forced to the tape end of
-	// heavily cracked areas when used as covered chunks.
-	res := s.SelectProject("A", store.Range(0, 1000), []string{"C"})
 	nv := &naive{rel: rel, dead: map[int]bool{}}
-	want := nv.rows([]AttrPred{{Attr: "A", Pred: store.Range(0, 1000)}}, []string{"C"}, false)
-	mustSameRows(t, resultRows(res, []string{"C"}), want, "covered query")
-	// The covered middle area's C chunk should have cursor 0 (no cracks
-	// replayed) while its B chunk sits at the area tape end.
-	lazyFound := false
-	for _, w := range set.areas {
-		cb, okB := w.maps["B"]
-		cc, okC := w.maps["C"]
-		if okB && okC && cc.cursor < cb.cursor {
-			lazyFound = true
-		}
+	query := func(pred store.Pred, proj string) {
+		t.Helper()
+		res := s.SelectProject("A", pred, []string{proj})
+		want := nv.rows([]AttrPred{{Attr: "A", Pred: pred}}, []string{proj}, false)
+		mustSameRows(t, resultRows(res, []string{proj}), want, fmt.Sprintf("%v -> %s", pred, proj))
 	}
-	if !lazyFound {
-		t.Fatal("expected at least one C chunk lazily aligned behind its B sibling")
+	// Fetch [0,1000) for B via a wide query, cracking it several times.
+	query(store.Range(0, 1000), "B")
+	query(store.Range(100, 900), "B")
+	query(store.Range(200, 800), "B")
+	set := s.SetIfExists("A")
+	if len(set.areas) != 1 {
+		t.Fatalf("%d areas fetched, want the one over [0,1000)", len(set.areas))
+	}
+	w := set.areas[0]
+	// Query the full range again with C: the area is covered. The new C
+	// chunk starts where the span is, which followed B's replays.
+	query(store.Range(0, 1000), "C")
+	cb, cc := w.maps["B"], w.maps["C"]
+	if cc.pairs.Stats != (crack.KernelStats{}) {
+		t.Fatalf("the new C chunk did kernel work %+v", cc.pairs.Stats)
+	}
+	born := cc.cursor
+	if born == 0 || born != w.spanCursor || born != cb.cursor {
+		t.Fatalf("C chunk born at cursor %d, span at %d, B at %d", born, w.spanCursor, cb.cursor)
+	}
+	// Crack the middle with B, then cover the area with C alone: the C
+	// chunk lags and stays where it is.
+	query(store.Range(300, 700), "B")
+	query(store.Range(0, 1000), "C")
+	if cc.cursor != born || cc.pairs.Stats.Visited != 0 || cc.cursor >= cb.cursor {
+		t.Fatalf("covered C chunk moved from cursor %d to %d (B at %d), visiting %d", born, cc.cursor, cb.cursor, cc.pairs.Stats.Visited)
 	}
 }
 
@@ -527,9 +540,10 @@ func TestBudgetedStreamIsDeterministic(t *testing.T) {
 
 // TestAlignTogetherVisitsOnce is sideways' joint-alignment count test for
 // the chunks of one area: chunks that lag at one cursor replay each crack
-// once, on one head; a new chunk replays alone up to its sibling's cursor,
-// then joins it; a head-dropped chunk replays alone. Every case ends with
-// equal heads and the answer a scan gives.
+// once, on one head; a new chunk is born at its span's cursor, where its
+// sibling is, and replays only what the sibling replays; a head-dropped
+// chunk copies its head from a sibling at its cursor and replays with it.
+// Every case ends with equal heads and the answer a scan gives.
 func TestPartialAlignTogetherVisitsOnce(t *testing.T) {
 	const k = 6
 	rel := buildRel(rand.New(rand.NewSource(12)), 2000, []string{"A", "B", "C", "D"}, 1000)
@@ -582,12 +596,72 @@ func TestPartialAlignTogetherVisitsOnce(t *testing.T) {
 	if together := run(both, "", d, both); together == 0 || together != alone {
 		t.Fatalf("two chunks at one cursor visited %d, one chunk alone %d", together, alone)
 	}
-	if dropped := run(both, "B", d, both); dropped != 2*alone {
-		t.Fatalf("with one head dropped two chunks visited %d, want twice %d", dropped, alone)
+	if dropped := run(both, "B", d, both); dropped != alone {
+		t.Fatalf("with one head dropped two chunks visited %d, one chunk alone %d", dropped, alone)
 	}
-	// Staggered: the C chunk is new (cursor 0) beside B's at cursor k.
+	// Staggered: the C chunk is new beside B's at cursor k. It is born
+	// there and replays one crack, not k+1.
 	newAlone := run(d, "", b, []string{"C"})
-	if staggered := run(d, "", b, both); staggered == 0 || staggered != newAlone {
-		t.Fatalf("staggered chunks visited %d, the new chunk alone %d", staggered, newAlone)
+	if staggered := run(d, "", b, both); staggered == 0 || staggered != newAlone || newAlone >= alone {
+		t.Fatalf("staggered chunks visited %d, the new chunk alone %d, a chunk replaying %d cracks %d", staggered, newAlone, k+1, alone)
+	}
+}
+
+// TestHeadRecoveryBranches walks one area through the three ways a dropped
+// head comes back. A chunk that lags its span is re-created at the span's
+// cursor, and its sibling in the query follows it there; one at the span's
+// cursor with no sibling there rebuilds its head from the span without
+// replaying; one with a sibling at its cursor copies that sibling's head.
+func TestHeadRecoveryBranches(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	rel := buildRel(rng, 2000, []string{"A", "B", "C", "D"}, 1000)
+	s := NewPartialStore(rel)
+	nv := &naive{rel: rel, dead: map[int]bool{}}
+	var events []event
+	s.observe = func(ev event, _ *area, _ *Map) { events = append(events, ev) }
+	query := func(pred store.Pred, projs ...string) []event {
+		t.Helper()
+		events = nil
+		res := s.SelectProject("A", pred, projs)
+		want := nv.rows([]AttrPred{{Attr: "A", Pred: pred}}, projs, false)
+		mustSameRows(t, resultRows(res, projs), want, fmt.Sprintf("%v -> %v", pred, projs))
+		return events
+	}
+	query(store.Range(0, 1000), "B", "C", "D")
+	w := s.SetIfExists("A").areas[0]
+	b, c, d := w.maps["B"], w.maps["C"], w.maps["D"]
+	query(store.Range(100, 900), "B", "C")
+	query(store.Range(200, 800), "C")
+	query(store.Range(300, 700), "D")
+	if b.cursor != 1 || c.cursor != 2 || d.cursor != 3 || w.spanCursor != 3 {
+		t.Fatalf("cursors B %d, C %d, D %d, span %d; want 1, 2, 3, 3", b.cursor, c.cursor, d.cursor, w.spanCursor)
+	}
+
+	// B lags C, which lags the span. Covering the area aligns B and C to
+	// C's cursor, B's head comes back with a crack, and no map is at its
+	// cursor: B is re-created at the span's, and C replays up to it.
+	s.dropHead(b)
+	visited := b.pairs.Stats.Visited
+	if ev := query(store.Range(0, 1000), "B", "C"); !slices.Equal(ev, []event{evReborn}) {
+		t.Fatalf("covered query after B's head drop: events %v, want a rebirth", ev)
+	}
+	if b.headDropped || b.cursor != 3 || c.cursor != 3 || b.pairs.Stats.Visited != visited {
+		t.Fatalf("B at cursor %d (dropped %v, visited %d more), C at %d; want both at 3", b.cursor, b.headDropped, b.pairs.Stats.Visited-visited, c.cursor)
+	}
+	if cs := s.ChunkStats(); cs.Reborn != 1 || cs.Created != 3 {
+		t.Fatalf("chunk stats %+v, want 3 created and 1 reborn", cs)
+	}
+
+	// Every head dropped, all at the span's cursor: the first chunk to need
+	// its head rebuilds it from the span, the second copies it.
+	s.DropHead()
+	if ev := query(store.Range(350, 650), "B", "C"); !slices.Equal(ev, []event{evRebuild, evSibling}) {
+		t.Fatalf("crack after every head dropped: events %v, want a rebuild, then a sibling copy", ev)
+	}
+	if b.pairs.Stats.Visited == visited {
+		t.Fatal("B replayed nothing after its head came back")
+	}
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

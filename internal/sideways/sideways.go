@@ -18,14 +18,22 @@
 // A set divides its value domain into areas; each area has its own tape, and
 // a map over one area is a chunk. Under partial maps (NewPartialStore) a set
 // owns a chunk map H_A — a cracker column over (A, key) — whose spans are the
-// areas: an area is fetched when the first chunk materializes from it, and a
-// fetched span of H_A is frozen so every chunk created from it starts from
-// the same layout. Chunks of a covered area align only as far as the query
-// needs (partial alignment); only the boundary areas are cracked. Under full
-// maps (NewStore) every set has exactly one area, spanning the whole domain:
-// it needs no H_A, because its source is the base prefix in key order, and
-// every bounded predicate cuts it, so it logs every crack and aligns to its
-// tape end. A full map is that area's chunk.
+// areas: an area is fetched when the first chunk materializes from it. A
+// fetched span of H_A follows its area's crack entries: every replay of the
+// area's chunks applies its swaps and boundaries to the span too, starting
+// from the H_A boundaries already inside it, so its cracks never cross one
+// and H_A's index and estimates are unchanged. The span is thus always as
+// aligned as the area's most aligned chunk, and a new chunk is copied from
+// it at its cursor — head, index, and the tail gathered through its keys —
+// instead of replaying the tape from cursor 0. A span cannot grow or shrink,
+// so it stops following at the area's first insert or delete; chunks created
+// after that replay the rest. Chunks of a covered area align only as far as
+// the query needs (partial alignment); only the boundary areas are cracked.
+// Under full maps (NewStore) every set has exactly one area, spanning the
+// whole domain: it needs no H_A, because its source is the base prefix in
+// key order, and every bounded predicate cuts it, so it logs every crack and
+// aligns to its tape end. A full map is that area's chunk, created at cursor
+// 0.
 //
 // Multi-selection queries use a single set plus bit-vector filtering
 // (Section 3.3); the set is chosen via the self-organizing histograms of the
@@ -47,9 +55,11 @@
 // queries raise priorities atomically and cannot reorder anything. Dropping
 // the last chunk of an area un-fetches it: its tape's updates are pushed back
 // to the set's pending updates, so nothing is lost. Heavily cracked or idle
-// chunks can drop their head column; the head is recovered deterministically
-// from the area's source by replaying the tape prefix, or copied from a
-// same-cursor sibling (Section 4.1, "Dropping the Head Column"). The columns
+// chunks can drop their head column (Section 4.1, "Dropping the Head
+// Column"). The head is copied from a same-cursor sibling, or recovered
+// deterministically from the area's source by replaying the tape from the
+// source's cursor; a chunk that lags its span is re-created at the span's
+// cursor instead, and the maps the query reads with it follow. The columns
 // of evicted chunks and dropped heads go to a store-owned free list that new
 // chunks and recovered heads draw from (see release for the ownership rule).
 package sideways
@@ -108,9 +118,9 @@ func (m *Map) tuples() int {
 }
 
 // area is a fetched value range of a set: the span [lo, hi) of its source
-// (H_A, or the base prefix for a whole-domain area) frozen at fetch time,
-// its own cracker tape, and the maps materialized from it, keyed by tail
-// attribute ("" is the key chunk).
+// (H_A, or the base prefix for a whole-domain area), its own cracker tape,
+// and the maps materialized from it, keyed by tail attribute ("" is the key
+// chunk).
 type area struct {
 	id       int
 	lo, hi   int
@@ -121,7 +131,29 @@ type area struct {
 	// never leave an update entry unapplied in a map it returns data from.
 	lastUpdate int
 	maps       map[string]*Map
+
+	// span is the area's span of H_A under partial maps, nil for a
+	// whole-domain area: H_A's columns [lo, hi) under an index of its own,
+	// started from H_A's boundaries inside the span, so its cracks never
+	// cross one and H_A's index stays true. It follows every replay of the
+	// area's crack entries, up to spanCursor, and is the most aligned
+	// structure of the area: a new map is copied from it at that cursor and
+	// replays nothing. A span cannot grow or shrink, so it follows no
+	// further than spanStop, the tape index of the area's first update.
+	span       *crack.Pairs
+	spanCursor int
+	spanStop   int
 }
+
+// updated records that the entry just appended to w's tape is an insert or
+// delete.
+func (w *area) updated() {
+	w.lastUpdate = len(w.tape)
+	w.spanStop = min(w.spanStop, len(w.tape)-1)
+}
+
+// following reports whether w's span still follows the area's replays.
+func (w *area) following() bool { return w.span != nil && w.spanCursor < w.spanStop }
 
 // covers reports whether bound b falls in [loB, hiB).
 func (w *area) covers(b crackindex.Bound) bool {
@@ -241,6 +273,28 @@ type Store struct {
 	// evictedAccesses sums the access counts of evicted maps: a mean near
 	// one says the manager evicts what it created a query ago.
 	evictedAccesses int64
+
+	// observe, when set, is told of every area fetched, map created or
+	// re-created, and head recovered, before any of them replays a tape
+	// entry. Tests set it; it is nil otherwise.
+	observe func(event, *area, *Map)
+}
+
+// event names what Store.observe is told of.
+type event uint8
+
+const (
+	evFetch   event = iota // an area was fetched; the map is nil
+	evBorn                 // a map was created at its area's source cursor
+	evReborn               // a lagging map came back at its area's span cursor
+	evSibling              // a head was copied from a sibling at its cursor
+	evRebuild              // a head was rebuilt by replay from the area's source
+)
+
+func (s *Store) note(ev event, w *area, m *Map) {
+	if s.observe != nil {
+		s.observe(ev, w, m)
+	}
 }
 
 // NewStore wraps rel (not copied) for sideways cracking with full maps.
@@ -260,6 +314,9 @@ type ChunkStats struct {
 	Created       uint64 // maps materialized
 	TuplesCreated uint64 // tuples copied and gathered into them
 	Evicted       uint64 // maps dropped for the budget
+	// Reborn counts head-dropped maps that lagged their area's span and
+	// were re-created at its cursor to recover the head.
+	Reborn uint64
 	// Columns handed to new maps and recovered heads under a budget: taken
 	// from the free list, or allocated because it held none of the size
 	// class.
@@ -311,9 +368,10 @@ func (h *victimHeap) Pop() any {
 // NumSets returns the number of materialized map sets.
 func (s *Store) NumSets() int { return len(s.sets) }
 
-// Kernel aggregates the kernel partition counters over every chunk map and
-// every map the store has had, key chunks and evicted maps included, and the
-// cracker-index sizes over the live ones: the observability bridge. Call it
+// Kernel aggregates the kernel partition counters over every chunk map (the
+// moves its spans follow included) and every map the store has had, key
+// chunks and evicted maps included, and the cracker-index sizes over the
+// live maps and chunk maps: the observability bridge. Call it
 // under the same synchronization as queries (the stats are plain ints on the
 // Pairs).
 func (s *Store) Kernel() (ks crack.KernelStats, pieces, cols int) {
@@ -330,6 +388,11 @@ func (s *Store) Kernel() (ks crack.KernelStats, pieces, cols int) {
 		for _, w := range set.areas {
 			for _, m := range w.maps {
 				count(m.pairs)
+			}
+			if w.span != nil {
+				// A span is a slice of H_A, counted above; its boundaries
+				// are its maps'.
+				ks.Add(w.span.Stats)
 			}
 		}
 	}
@@ -497,10 +560,16 @@ func (set *Set) fetch(lo, hi crackindex.Bound) *area {
 		p1, p2 = crackHABound(set.ha, lo), crackHABound(set.ha, hi)
 		p2 = max(p2, p1)
 	}
-	w := &area{id: set.nextID, lo: p1, hi: p2, loB: lo, hiB: hi, maps: make(map[string]*Map)}
+	w := &area{id: set.nextID, lo: p1, hi: p2, loB: lo, hiB: hi, maps: make(map[string]*Map), spanStop: math.MaxInt}
+	if set.ha != nil {
+		w.span = crack.WrapPairs(set.ha.Head[p1:p2:p2], set.ha.Tail[p1:p2:p2])
+		w.span.Policy = set.policy
+		set.ha.Idx.WalkRange(lo, hi, func(b crackindex.Bound, pos int) { w.span.Idx.Insert(b, pos-p1) })
+	}
 	set.nextID++
 	at := sort.Search(len(set.areas), func(k int) bool { return lo.Less(set.areas[k].loB) })
 	set.areas = slices.Insert(set.areas, at, w)
+	set.st.note(evFetch, w, nil)
 	return w
 }
 
@@ -519,25 +588,52 @@ func crackHABound(ha *crack.Pairs, b crackindex.Bound) int {
 // pending structures so they reapply when the range is fetched again.
 func (set *Set) unfetch(w *area) {
 	set.pend.Restore(w.tape)
+	if w.span != nil {
+		set.st.retired.Add(w.span.Stats)
+	}
 	set.areas = slices.DeleteFunc(set.areas, func(a *area) bool { return a == w })
 }
 
-// spanHead returns the head values of area w's source span, in the order
-// every map of the area starts from.
-func (set *Set) spanHead(w *area) []Value {
-	if set.ha == nil {
-		return set.pend.head.Vals[w.lo:w.hi]
+// source returns what a map of area w starts from: the head values of its
+// span, the span's index and the tape cursor they are at. A whole-domain
+// area starts from the base prefix, unindexed, at cursor 0. The index is
+// the caller's.
+func (set *Set) source(w *area) (head []Value, idx *crackindex.Index, cursor int) {
+	if w.span == nil {
+		return set.pend.head.Vals[w.lo:w.hi], crackindex.New(), 0
 	}
-	return set.ha.Head[w.lo:w.hi]
+	return w.span.Head, w.span.Idx.Clone(), w.spanCursor
 }
 
-// ensureMap materializes (or returns) the map of area w for tailAttr. A new
-// map copies its head from the area's source span. Under partial maps its
-// tail is gathered from the base column via the keys stored in H_A (Section
-// 4.1: "we use the keys stored in w to get the B values from B's base
-// column"); a whole-domain area's span is the base prefix in key order, so
-// its tail is a plain copy. Creating a map may evict maps the in-flight query
-// has not pinned.
+// sourceTail returns a new tail column for tailAttr over area w's source,
+// in its current order. Under partial maps it is gathered from the base
+// column via the keys stored in the span (Section 4.1: "we use the keys
+// stored in w to get the B values from B's base column"); a whole-domain
+// area's source is the base prefix in key order, so its tail is a plain
+// copy. The key chunk's tail holds the keys themselves.
+func (set *Set) sourceTail(w *area, tailAttr string) []Value {
+	st := set.st
+	switch {
+	case w.span == nil && tailAttr == "":
+		return keyRange(w.lo, w.hi)
+	case w.span == nil:
+		return st.copyOf(st.rel.MustColumn(tailAttr).Vals[w.lo:w.hi])
+	case tailAttr == "":
+		return st.copyOf(w.span.Tail)
+	}
+	tail := st.column(w.hi - w.lo)
+	vals := st.rel.MustColumn(tailAttr).Vals
+	for i, k := range w.span.Tail {
+		tail[i] = vals[k]
+	}
+	return tail
+}
+
+// ensureMap materializes (or returns) the map of area w for tailAttr: head
+// and index copied from the area's source at its cursor, tail from
+// sourceTail. Under partial maps that is the span, as aligned as any map of
+// the area, so the new map replays nothing to catch up with its siblings.
+// Creating a map may evict maps the in-flight query has not pinned.
 func (set *Set) ensureMap(w *area, tailAttr string, pinned map[*Map]bool) *Map {
 	if m, ok := w.maps[tailAttr]; ok {
 		return m
@@ -545,29 +641,16 @@ func (set *Set) ensureMap(w *area, tailAttr string, pinned map[*Map]bool) *Map {
 	st := set.st
 	size := w.hi - w.lo
 	st.ensureBudget(size, pinned)
-	head := st.copyOf(set.spanHead(w))
-	var tail []Value
-	switch {
-	case set.ha == nil && tailAttr == "":
-		tail = keyRange(w.lo, w.hi)
-	case set.ha == nil:
-		tail = st.copyOf(st.rel.MustColumn(tailAttr).Vals[w.lo:w.hi])
-	case tailAttr == "":
-		tail = st.copyOf(set.ha.Tail[w.lo:w.hi])
-	default:
-		tail = st.column(size)
-		vals := st.rel.MustColumn(tailAttr).Vals
-		for i, k := range set.ha.Tail[w.lo:w.hi] {
-			tail[i] = vals[k]
-		}
-	}
-	m := &Map{pairs: crack.WrapPairs(head, tail), lastCrack: st.queries, set: set, w: w, tailAttr: tailAttr}
-	m.pairs.Policy = set.policy
+	head, idx, cursor := set.source(w)
+	m := &Map{pairs: crack.WrapPairs(st.copyOf(head), set.sourceTail(w, tailAttr)), cursor: cursor,
+		lastCrack: st.queries, set: set, w: w, tailAttr: tailAttr}
+	m.pairs.Idx, m.pairs.Policy = idx, set.policy
 	w.maps[tailAttr] = m
 	st.account(m)
 	heap.Push(&st.victims, victimKey{m.Priority(), m})
 	st.life.Created++
 	st.life.TuplesCreated += uint64(size)
+	st.note(evBorn, w, m)
 	return m
 }
 
@@ -581,17 +664,25 @@ func (set *Set) tailCol(m *Map) *store.Column {
 }
 
 // replay aligns the maps ms of area w to tape position end. Maps with a head
-// replay together: at one cursor, each crack is decided once, on one head
-// (Tape.ReplayJoint). A head-dropped map replays alone, and first, so it can
-// still recover its head from a sibling at its cursor.
+// replay together, and the area's span follows them: at one cursor, each
+// crack is decided once, on one head (Tape.ReplayJoint). A head-dropped map
+// first skips what it can alone; one that lagged its span comes back at the
+// span's cursor, and then every map of ms is aligned to that cursor.
 func (set *Set) replay(w *area, end int, ms ...*Map) {
+	for again := true; again; {
+		again = false
+		for _, m := range ms {
+			if m.headDropped && m.cursor < end {
+				set.replayDropped(w, m, end)
+				if m.cursor > end {
+					end, again = m.cursor, true
+				}
+			}
+		}
+	}
 	var joint []Member
 	for _, m := range ms {
-		if m.cursor >= end {
-			continue
-		}
-		if m.headDropped {
-			set.replayDropped(w, m, end)
+		if m.headDropped || m.cursor >= end {
 			continue
 		}
 		for i := m.cursor; i < end; i++ {
@@ -602,40 +693,45 @@ func (set *Set) replay(w *area, end int, ms ...*Map) {
 		}
 		joint = append(joint, Member{Pairs: m.pairs, Cursor: &m.cursor, Tail: set.tailCol(m)})
 	}
+	if to := min(end, w.spanStop); len(joint) > 0 && w.following() && w.spanCursor < to {
+		// The span is at least as far as every map of the area, and listed
+		// last, so it never leads: it only applies the swaps and boundaries.
+		w.tape.ReplayJoint(append(slices.Clip(joint), Member{Pairs: w.span, Cursor: &w.spanCursor}), to, set.pend.head)
+	}
 	w.tape.ReplayJoint(joint, end, set.pend.head)
 	for _, m := range ms {
 		set.st.account(m)
 	}
 }
 
-// replayDropped aligns head-dropped map m of area w to tape position end,
-// entry by entry. It replays lazily: a crack entry whose bounds are already
-// boundaries is a physical no-op and is skipped (Section 4.1: "if b matches
-// one of the past cracks, cracking and thus full alignment of c is not
-// necessary"). Any entry that would physically move tuples first recovers
-// the head, since crack, ripple-insert and delete reorganize head and tail
-// together.
+// replayDropped advances head-dropped map m of area w toward tape position
+// end lazily: a crack entry whose bounds are already boundaries is a
+// physical no-op and is skipped (Section 4.1: "if b matches one of the past
+// cracks, cracking and thus full alignment of c is not necessary"), by the
+// span too when it is at m's cursor, since it holds m's boundaries there. At
+// the first entry that would physically move tuples — crack, ripple-insert
+// and delete reorganize head and tail together — m recovers its head and
+// stops; replay aligns it the rest of the way with its siblings.
 func (set *Set) replayDropped(w *area, m *Map, end int) {
 	for ; m.cursor < end; m.cursor++ {
 		pred, isCrack := w.tape.CrackAt(m.cursor)
-		if m.headDropped {
-			if isCrack && m.pairs.Idx.Has(pred.LowerBound()) && m.pairs.Idx.Has(pred.UpperBound()) {
-				continue
-			}
+		if !isCrack || !m.pairs.Idx.Has(pred.LowerBound()) || !m.pairs.Idx.Has(pred.UpperBound()) {
 			set.recoverHead(w, m)
+			return
 		}
-		w.tape.Replay(m.pairs, m.cursor, m.cursor+1, set.pend.head, set.tailCol(m))
-		if isCrack {
-			m.lastCrack = set.st.queries
+		if w.following() && w.spanCursor == m.cursor {
+			w.spanCursor++
 		}
 	}
 }
 
 // recoverHead restores a dropped head column (Section 4.1). Fast path: copy
 // from a sibling map of the same area at the same cursor. Otherwise the head
-// is rebuilt from the area's source span by replaying the tape prefix —
-// deterministic cracking guarantees the rebuilt head pairs correctly with
-// the surviving tail.
+// is rebuilt from the area's source by replaying the tape from the source's
+// cursor to m's — deterministic cracking guarantees the rebuilt head pairs
+// correctly with the surviving tail. A map that lags its area's span cannot
+// be rebuilt that way, since the span has passed its cursor: it is re-created
+// from the span instead (rebirth), and ends at the span's cursor.
 func (set *Set) recoverHead(w *area, m *Map) {
 	st := set.st
 	defer st.account(m)
@@ -643,19 +739,42 @@ func (set *Set) recoverHead(w *area, m *Map) {
 		if sib != m && !sib.headDropped && sib.cursor == m.cursor {
 			m.pairs.Head = st.copyOf(sib.pairs.Head)
 			m.headDropped = false
+			st.note(evSibling, w, m)
 			return
 		}
 	}
+	if w.span != nil && m.cursor < w.spanCursor {
+		set.rebirth(w, m)
+		return
+	}
+	head, idx, from := set.source(w)
 	// The replay drags a tail along whose values nobody reads.
-	tmp := crack.WrapPairs(st.copyOf(set.spanHead(w)), st.column(w.hi-w.lo))
+	tmp := crack.WrapPairs(st.copyOf(head), st.column(len(head)))
 	// Replay under the set's policy: the rebuilt head must make the same
 	// pivot decisions the map originally did to pair with its tail.
-	tmp.Policy = set.policy
-	w.tape.Replay(tmp, 0, m.cursor, set.pend.head, nil)
+	tmp.Idx, tmp.Policy = idx, set.policy
+	w.tape.Replay(tmp, from, m.cursor, set.pend.head, nil)
 	m.pairs.Head = tmp.Head
 	m.headDropped = false
 	m.pairs.Stats.Add(tmp.Stats) // the rebuild is kernel work done for m
 	st.release(tmp.Tail)
+	st.note(evRebuild, w, m)
+}
+
+// rebirth re-creates head-dropped map m of area w, which lags the span, from
+// the span at its cursor: head, index and tail, as ensureMap would. m
+// applied no update yet (the span stops at the first), so it holds the
+// span's tuples. It keeps its place in the store: usage, eviction heap
+// entry and kernel counts.
+func (set *Set) rebirth(w *area, m *Map) {
+	st := set.st
+	st.release(m.pairs.Tail)
+	head, idx, cursor := set.source(w)
+	m.pairs.Head, m.pairs.Tail, m.pairs.Idx = st.copyOf(head), set.sourceTail(w, m.tailAttr), idx
+	m.cursor, m.headDropped, m.lastCrack = cursor, false, st.queries
+	st.life.Reborn++
+	st.life.TuplesCreated += uint64(len(head))
+	st.note(evReborn, w, m)
 }
 
 // DropHead explicitly drops the head column of every map in every set,
@@ -790,7 +909,7 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window 
 	for i, w := range areas {
 		if keys := ins[w]; len(keys) > 0 {
 			w.tape.LogInsert(keys)
-			w.lastUpdate = len(w.tape)
+			w.updated()
 		}
 		if keys := del[w]; len(keys) > 0 {
 			set.mergeDeletes(w, pred, keys, used[i], pinned)
@@ -829,6 +948,9 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window 
 		}
 		if heads && len(used[i]) > 0 && used[i][0].headDropped {
 			set.recoverHead(w, used[i][0])
+			// A lagging leader comes back at the span's cursor; the other
+			// maps follow it there.
+			set.replay(w, used[i][0].cursor, used[i]...)
 		}
 		var ok bool
 		if wins[i], ok = windowOf(used[i], heads, cutLo, cutHi, lowerB, upperB); !ok {
@@ -855,7 +977,7 @@ func (set *Set) mergeDeletes(w *area, pred store.Pred, keys []int, ms []*Map, pi
 		defer set.replay(w, len(w.tape), kc)
 	}
 	w.tape.LogDelete(keys, positions)
-	w.lastUpdate = len(w.tape)
+	w.updated()
 }
 
 // locate aligns the maps ms of area w to the tape end and finds the tuples of

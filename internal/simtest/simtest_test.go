@@ -6,8 +6,9 @@
 // behind Concurrent, behind Snapshot, durable on a WAL, on 4 range shards,
 // on 4 shards with snapshots, behind a serve.Server, remote over loopback
 // TCP, and remote over 4 shards; the three budgeted map engines, the
-// smallest with room for one map, bare and remote; and a Stochastic and a
-// Capped policy on each cracking kind, bare and sharded.
+// smallest with room for one map, bare and remote; budgeted partial maps
+// that drop the head of a chunk idle for two queries, bare; and a
+// Stochastic and a Capped policy on each cracking kind, bare and sharded.
 //
 // Every answer must be Scan's as a sorted tuple multiset, and every insert
 // key Scan's key. A read-only query may refuse; it may not answer wrong. A
@@ -254,6 +255,26 @@ func FuzzStacksAgree(f *testing.F) {
 		encQuery(opQuery, point, encProjs(aC, aD)),
 		encQuery(opQuery, encPreds(encPred(aB, shapeRange, 0, 63)), encProjs(aC)),
 		encQuery(opQuery, point, encProjs(aB)),
+	))
+	// A head comes back three ways in the cell that drops idle heads. One
+	// area of S_A is cracked by queries that leave B, C and D at cursors 1,
+	// 2 and 3, the span at 3. Covering the area with B alone idles B's
+	// head away; covering it with B and C aligns B, which lags its span
+	// and has no map at its cursor, so it is re-created at the span's
+	// cursor and C follows it there. Covering it again idles every head
+	// away; a crack then rebuilds B's head from the span, at its cursor,
+	// and C copies B's.
+	area := encPreds(encPred(aA, shapeRange, 10, 50))
+	f.Add(int64(8), cat(
+		encQuery(opQuery, area, encProjs(aB, aC, aD)),
+		encQuery(opQuery, encPreds(encPred(aA, shapeRange, 20, 40)), encProjs(aB, aC)),
+		encQuery(opQuery, encPreds(encPred(aA, shapeRange, 25, 35)), encProjs(aC)),
+		encQuery(opQuery, encPreds(encPred(aA, shapeRange, 28, 32)), encProjs(aD)),
+		encQuery(opQuery, area, encProjs(aB)),
+		encQuery(opQuery, area, encProjs(aB, aC)),
+		encQuery(opQuery, area, encProjs(aB, aC, aD)),
+		encQuery(opQuery, area, encProjs(aB, aC, aD)),
+		encQuery(opQuery, encPreds(encPred(aA, shapeRange, 30, 31)), encProjs(aB, aC)),
 	))
 	f.Fuzz(replay)
 }

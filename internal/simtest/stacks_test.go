@@ -167,8 +167,8 @@ func (c cell) name() string { return c.stack.name + "/" + c.base.name }
 
 // cells lists the matrix: each served kind on every stack; the budgeted
 // map engines bare, remote and behind Concurrent, the remote cell's twin;
-// an adaptive policy on each cracking kind, bare and sharded. A remote cell
-// follows its twin.
+// partial maps dropping idle heads, bare; an adaptive policy on each
+// cracking kind, bare and sharded. A remote cell follows its twin.
 func cells() []cell {
 	on := func(b base, names ...string) (out []cell) {
 		for _, name := range names {
@@ -193,6 +193,10 @@ func cells() []cell {
 	for _, b := range budgeted {
 		out = append(out, on(b, "bare", "concurrent", "remote")...)
 	}
+	// Heads dropped after two idle queries: a head comes back from a
+	// sibling, rebuilt from its area's span, or with the chunk re-created
+	// at the span's cursor.
+	out = append(out, on(base{"partial/headdrop", engine.PartialSideways, engine.Options{Budget: 2 * rows, HeadDropIdleQueries: 2}}, "bare")...)
 	for _, k := range []engine.Kind{engine.SelCrack, engine.Sideways, engine.PartialSideways} {
 		for _, pk := range []crack.PolicyKind{crack.Stochastic, crack.Capped} {
 			b := base{k.String() + "/" + pk.String(), k, engine.Options{Policy: crack.Policy{Kind: pk, Cap: 32, Seed: 9}}}
