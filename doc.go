@@ -136,10 +136,11 @@
 // head go to a free list owned by the store, in size classes of four per
 // doubling, and new maps and recovered heads are filled into them, so
 // steady-state chunk creation neither zeroes nor page-faults fresh memory.
-// A column is recycled only once nothing can refer to it: eviction and head
-// drops happen on the write path under exclusive access, they skip the
-// maps the in-flight query has pinned (the only ones its windows read), and
-// a Result is always a copy. The free list holds at most Budget/8 values —
+// A column is recycled only once nothing can refer to it: eviction, head
+// drops and re-creation happen on the write path under exclusive access,
+// eviction and head drops skip the maps the in-flight query has pinned (the
+// only ones its windows read), a map is re-created before its area's window
+// exists, and a Result is always a copy. The free list holds at most Budget/8 values —
 // a sixteenth of the bytes the budget allows live maps — gives up columns
 // of its fullest class first, and keeps nothing without a budget. Kernel
 // counters of evicted structures are folded into a store-level total, so

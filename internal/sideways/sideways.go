@@ -429,12 +429,14 @@ func (s *Store) account(m *Map) {
 // a fresh column costs its zeroing plus a page fault per 4 KB on top of the
 // copy that fills it; a recycled one costs the copy.
 //
-// Ownership: a column enters the list when its map is evicted or its head is
-// dropped — on the write path, under exclusive access — and from then on
-// nothing else refers to it. A Window holds columns of maps the in-flight
-// query pinned, eviction skips pinned maps, a head drop releases the head
-// only and never the head of a window the query still reads, read-only
-// queries never run beside the write path, and a Result is always a copy.
+// Ownership: a column enters the list when its map is evicted, its head is
+// dropped or it is re-created (rebirth) — on the write path, under exclusive
+// access — and from then on nothing else refers to it. A Window holds columns
+// of maps the in-flight query pinned, eviction skips pinned maps, a head drop
+// releases the head only and never the head of a window the query still
+// reads, a map is re-created only while its own area is aligned, before that
+// area's window exists, read-only queries never run beside the write path,
+// and a Result is always a copy.
 // The list holds at most Budget/8 values — a sixteenth of the bytes the
 // budget allows live maps — and nothing without a budget.
 func (s *Store) release(buf []Value) { s.bufs.Put(buf, s.Budget/8) }
