@@ -11,11 +11,11 @@ import (
 	"crackstore/internal/workload"
 )
 
-// The physical layout a map-set engine builds is a pure function of its
+// The physical layout a cracking engine builds is a pure function of its
 // query and update stream: every crack the kernel decides, every tuple it
 // visits and moves, every boundary it keeps. These golden counts pin that
-// layout for three fixed streams, so a refactor of the map store that moves
-// any of them fails here rather than in a benchmark run.
+// layout for fixed streams, so a refactor of the map store or of selection
+// cracking that moves any of them fails here rather than in a benchmark run.
 
 const goldenRows = 20000
 
@@ -82,8 +82,8 @@ func churnStream(e Engine) {
 }
 
 // goldenLayout is what the test compares: the kernel counters and index
-// sizes, the storage footprint, and per set the tape length (full maps) or
-// the number of fetched areas (partial maps).
+// sizes, the storage footprint, and on the map-set engines per set the tape
+// length (full maps) or the number of fetched areas (partial maps).
 type goldenLayout struct {
 	Kernel  KernelReport
 	Storage int
@@ -92,7 +92,11 @@ type goldenLayout struct {
 
 func layoutOf(e Engine) goldenLayout {
 	l := goldenLayout{Kernel: *ReportOf(e).Kernel, Storage: e.Storage()}
-	st := any(e.(*mapEngine).Store())
+	me, ok := e.(*mapEngine)
+	if !ok {
+		return l
+	}
+	st := any(me.Store())
 	for _, a := range goldenAttrs {
 		if e.Kind() == Sideways {
 			if set := st.(*sideways.Store).SetIfExists(a); set != nil {
@@ -119,6 +123,14 @@ func TestMapLayoutGolden(t *testing.T) {
 		{"churn/sideways", Sideways, churnStream, goldenLayout{
 			Kernel:  KernelReport{InTwo: 82, InThree: 257, Visited: 262053, Moved: 145228, Pieces: 1194, Columns: 2},
 			Storage: 39986, Sets: []int{343},
+		}},
+		{"explore/selcrack", SelCrack, exploreStream, goldenLayout{
+			Kernel:  KernelReport{InTwo: 412, InThree: 89, Visited: 429276, Moved: 137354, Pieces: 592, Columns: 2},
+			Storage: 40000,
+		}},
+		{"churn/selcrack", SelCrack, churnStream, goldenLayout{
+			Kernel:  KernelReport{InTwo: 82, InThree: 257, Visited: 262106, Moved: 72682, Pieces: 597, Columns: 1},
+			Storage: 19993,
 		}},
 		{"explore/partial", PartialSideways, exploreStream, goldenLayout{
 			Kernel:  KernelReport{InTwo: 690, InThree: 172, Visited: 531982, Moved: 166026, Pieces: 2468, Columns: 590},
