@@ -25,8 +25,9 @@
 //
 // Engines: Scan (plain column-store, the oracle), SelCrack (selection
 // cracking, CIDR 2007), Sideways (Section 3) and PartialSideways
-// (Section 4). All support the same insert/delete API; cracking engines
-// merge updates lazily with the Ripple algorithm (SIGMOD 2007). The
+// (Section 4). All support the same insert/delete API, and all ignore a
+// delete of a key no tuple has; cracking engines merge updates lazily with
+// the Ripple algorithm (SIGMOD 2007). The
 // paper's yardsticks — presorted copies (internal/presort) and a presorted
 // row store (internal/rowstore) — are read-only baselines that only the
 // experiments build.

@@ -239,8 +239,7 @@ func (d *durEngine) applyReplay(cpSeq uint64, rec wal.Record) error {
 		d.open.ReplayedRecords++
 	case wal.RecDelete:
 		for _, k := range rec.Keys {
-			d.e.Delete(k)
-			d.dead = append(d.dead, k)
+			d.tombstone(k)
 		}
 		d.open.ReplayedRecords++
 	case wal.RecCrack:
@@ -466,10 +465,19 @@ func (d *durEngine) Insert(vals ...Value) int {
 // Delete logs and applies a tombstone. A failed durability wait leaves the
 // tombstone applied — the poisoned log stops all further acks anyway.
 func (d *durEngine) Delete(key int) {
-	d.logThenApply(wal.Record{Type: wal.RecDelete, Keys: []int{key}}, func() {
-		d.e.Delete(key)
-		d.dead = append(d.dead, key)
-	})
+	d.logThenApply(wal.Record{Type: wal.RecDelete, Keys: []int{key}}, func() { d.tombstone(key) })
+}
+
+// tombstone deletes key in the inner engine and keeps it for the next
+// checkpoint. A key no tuple has is ignored, as every engine ignores it: a
+// checkpoint's tombstones are applied after all of its rows, so keeping one
+// would delete the tuple a later insert gives that key.
+func (d *durEngine) tombstone(key int) {
+	if key < 0 || key >= d.rel.NumRows() {
+		return
+	}
+	d.e.Delete(key)
+	d.dead = append(d.dead, key)
 }
 
 // Query is the guard's two-phase protocol with a journaled slow path: the

@@ -856,3 +856,41 @@ func TestDurableRecoverySkipsUnfitTapeRecords(t *testing.T) {
 		check(t, dir, 0)
 	})
 }
+
+// TestDurableIgnoresUnknownKeys: a delete of a key no tuple has is ignored,
+// and stays ignored across a clean restart (tombstones in the checkpoint)
+// and a crash (the WAL tail), after an insert has given a tuple that key.
+func TestDurableIgnoresUnknownKeys(t *testing.T) {
+	base := buildRel(rand.New(rand.NewSource(3)), 100, []string{"A", "B"}, 50)
+	qs := []Query{{Preds: []AttrPred{{Attr: "A", Pred: store.Range(0, 100)}}, Projs: []string{"A", "B"}}}
+	oracle := New(Scan, cloneRel(base))
+	oracle.Insert(70, 7)
+	for _, kind := range []Kind{SelCrack, Sideways} {
+		for _, clean := range []bool{true, false} {
+			dir := t.TempDir()
+			opts := DurableOptions{CheckpointBytes: -1}
+			e, err := OpenDurable(kind, cloneRel(base), dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Delete(100)
+			e.Delete(-1)
+			if key := e.Insert(70, 7); key != 100 {
+				t.Fatalf("%v: insert key %d, want 100", kind, key)
+			}
+			assertAnswerEquivalent(t, kind.String()+" live", e, oracle, qs)
+			img := dir
+			if !clean {
+				img = filepath.Join(t.TempDir(), "crash")
+				copyDurDir(t, dir, img)
+			}
+			CloseDurable(e)
+			rec, err := OpenDurable(kind, nil, img, opts)
+			if err != nil {
+				t.Fatalf("%v: recovery: %v", kind, err)
+			}
+			assertAnswerEquivalent(t, fmt.Sprintf("%v recovered (clean %v)", kind, clean), rec, oracle, qs)
+			CloseDurable(rec)
+		}
+	}
+}

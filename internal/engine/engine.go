@@ -236,8 +236,14 @@ func (e *scanEngine) Insert(vals ...Value) int {
 	return e.rel.NumRows() - 1
 }
 
-func (e *scanEngine) Delete(key int) { e.dead[key] = true }
-func (e *scanEngine) Storage() int   { return 0 }
+// Delete tombstones key; a key no tuple has is ignored, as by every engine.
+func (e *scanEngine) Delete(key int) {
+	if key >= 0 && key < e.rel.NumRows() {
+		e.dead[key] = true
+	}
+}
+
+func (e *scanEngine) Storage() int { return 0 }
 
 func (e *scanEngine) base(attr string) []Value { return e.rel.MustColumn(attr).Vals }
 
@@ -337,7 +343,7 @@ func (e *selCrackEngine) Insert(vals ...Value) int {
 }
 
 func (e *selCrackEngine) Delete(key int) {
-	if e.dead[key] {
+	if key < 0 || key >= e.rel.NumRows() || e.dead[key] {
 		return
 	}
 	e.dead[key] = true

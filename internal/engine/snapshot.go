@@ -132,7 +132,7 @@ func (e *snapEngine) Insert(vals ...Value) int {
 func (e *snapEngine) Delete(key int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.dead[key] {
+	if key < 0 || key >= e.rel.NumRows() || e.dead[key] {
 		return
 	}
 	e.dead[key] = true

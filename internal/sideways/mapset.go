@@ -100,9 +100,10 @@ func (b *Base) Insert(vals ...Value) int {
 }
 
 // Delete tombstones the tuple with the given key and registers a pending
-// deletion with every existing map set.
+// deletion with every existing map set. A key no tuple has, negative or
+// beyond the last row, is ignored.
 func (b *Base) Delete(key int) {
-	if b.tombstones[key] {
+	if key < 0 || key >= b.rel.NumRows() || b.tombstones[key] {
 		return
 	}
 	b.tombstones[key] = true

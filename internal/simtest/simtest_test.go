@@ -41,13 +41,17 @@ const (
 
 // Op stream format. Every op starts with a header byte h; h%8 selects the
 // kind (0 insert, 1 delete, 2 join side, anything else a query) and bit 3
-// makes a query disjunctive. The seed builders below are its documentation.
+// makes a query disjunctive. A delete's two key bytes name a live row's key
+// modulo the row count, unless the first is unknownKey: then the second, b,
+// names a key no tuple has, n+b/2 for an even b and -1-b/2 for an odd one.
+// The seed builders below are its documentation.
 const (
-	opInsert = 0
-	opDelete = 1
-	opJoin   = 2
-	opQuery  = 3
-	opDisj   = 8
+	opInsert   = 0
+	opDelete   = 1
+	opJoin     = 2
+	opQuery    = 3
+	opDisj     = 8
+	unknownKey = 0xFF
 )
 
 // Predicate shapes (shape byte % 4).
@@ -276,6 +280,20 @@ func FuzzStacksAgree(f *testing.F) {
 		encQuery(opQuery, area, encProjs(aB, aC, aD)),
 		encQuery(opQuery, encPreds(encPred(aA, shapeRange, 30, 31)), encProjs(aB, aC)),
 	))
+	// Deletes of keys no tuple has are ignored by every cell: one past the
+	// last row and a negative one, before any set exists and once S_A has
+	// pending updates to merge; then an insert gives a tuple the key past
+	// the last row, and it must be visible.
+	f.Add(int64(10), cat(
+		[]byte{opDelete, unknownKey, 0},
+		encQuery(opQuery, narrow, encProjs(aB)),
+		[]byte{opDelete, unknownKey, 2}, []byte{opDelete, unknownKey, 1},
+		encQuery(opQuery, wide, encProjs(aB, aC)),
+		encQuery(opQuery|opDisj, encPreds(encPred(aA, shapeRange, 10, 50), encPred(aC, shapePoint, 7, 0)), encProjs(aB)),
+		twin,
+		encQuery(opQuery, point, encProjs(aB, aD)),
+		encJoin(point, aC, encProjs(aB)),
+	))
 	f.Fuzz(replay)
 }
 
@@ -317,7 +335,14 @@ func replay(t *testing.T, seed int64, ops []byte) {
 				return ""
 			}
 		case opDelete:
-			key := (int(r.next())<<8 | int(r.next())) % n
+			hi, lo := int(r.next()), int(r.next())
+			key := (hi<<8 | lo) % n
+			if hi == unknownKey {
+				key = n + lo>>1
+				if lo&1 != 0 {
+					key = -1 - lo>>1
+				}
+			}
 			oracle.Delete(key)
 			ask = func(_ int, e engine.Engine) string { e.Delete(key); return "" }
 		case opJoin:

@@ -128,7 +128,15 @@ type remoteEngine struct {
 
 func (e *remoteEngine) Kind() engine.Kind { return e.kind }
 func (e *remoteEngine) Storage() int      { return e.s.Engine().Storage() }
-func (e *remoteEngine) Delete(key int)    { must(e.c.Delete(key)) }
+
+// Delete forwards key. The wire carries no negative key: the server refuses
+// one as a corrupt request before any engine sees it, which is how a remote
+// stack ignores it.
+func (e *remoteEngine) Delete(key int) {
+	if err := e.c.Delete(key); key >= 0 {
+		must(err)
+	}
+}
 
 func (e *remoteEngine) Insert(vals ...Value) int {
 	key, err := e.c.Insert(vals...)
