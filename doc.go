@@ -88,6 +88,17 @@
 // eviction tie-break (set, area, tail) is (set, tail): the partial-map
 // machinery reduces exactly to full maps, layout included.
 //
+// Selection cracking is the third user of the store. Its cracker column
+// C_A, (value, key) pairs (Section 2.2), is S_A's key map in a full-map
+// store whose sets get no other map (Store.Keys, Store.KeysRO), so it has
+// the sets' pending-update ledger, delete location and tape. SelCrack keeps
+// its own plan: select on the primary predicate, rel_select of the rest on
+// the base columns, and a gather through the keys. Its memory bound is the
+// key maps plus each set's tape: at most one 80-byte entry per write-path
+// selection, and one per merged insert or delete batch, beside up to two
+// 56-byte index nodes per crack, so the tape grows at the order of the
+// cracker index. Nothing truncates it yet.
+//
 // What does not depend on areas lives in mapset.go: the base side of a
 // store (relation, tombstones, insert/delete fan-out, the uniform
 // selectivity fallback); each set's pending-update ledger, from which a
@@ -253,8 +264,9 @@
 //     version-build allocation on the write path and a piece-granularity
 //     copy per crack. Appropriate whenever reads must meet a latency target while
 //     the store keeps adapting — the common case this package exists for.
-//     Implemented for SelCrack engines; other kinds fall back to
-//     Concurrent.
+//     Implemented for SelCrack engines, whose cracker columns (the sets'
+//     key maps) convert with their layout, policy and pending updates;
+//     other kinds fall back to Concurrent.
 //
 // Who wraps is one rule: whoever shares an engine calls Concurrent or
 // Snapshot on it, and both return an engine that already guards itself

@@ -467,22 +467,6 @@ func (p *Pairs) CrackRangeWith(pred store.Pred, followers []*Pairs) (lo, hi int)
 	return p.CrackRange(pred)
 }
 
-// Area is the read-only probe of the two-phase (probe/execute) protocol:
-// if both bounds of pred already exist as live boundaries, the qualifying
-// area [lo, hi) can be read without any physical reorganization and ok is
-// true. When ok is false, answering pred requires CrackRange (a write).
-func (p *Pairs) Area(pred store.Pred) (lo, hi int, ok bool) {
-	lo, ok1 := p.Idx.Lookup(pred.LowerBound())
-	hi, ok2 := p.Idx.Lookup(pred.UpperBound())
-	if !ok1 || !ok2 {
-		return 0, 0, false
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi, true
-}
-
 // Row is a tuple Locate looks for by value: its head value, and its value in
 // each compared tail, in the order Locate is given the tails.
 type Row struct {

@@ -9,9 +9,10 @@ import (
 	"crackstore/internal/store"
 )
 
-// SnapCol is the multi-version twin of Col: a cracker column whose cracked
-// state is versioned at piece granularity so read-only selects traverse a
-// consistent snapshot without any lock.
+// SnapCol is the multi-version twin of a cracker column — a Pairs of
+// (value, key) with its pending updates, the key map of a selection-cracking
+// map set: its cracked state is versioned at piece granularity so read-only
+// selects traverse a consistent snapshot without any lock.
 //
 // A version is an immutable partition of the column into pieces (each piece
 // an aligned head/tail slice pair) separated by cut bounds — the flattened
@@ -60,6 +61,12 @@ type SnapCol struct {
 	// serialized by the owner's lock; the counters are atomics so a
 	// metrics scrape can read them without coordination.
 	kern [5]atomic.Uint64
+}
+
+// pendingTuple is one pending insertion: its key and its value.
+type pendingTuple struct {
+	key Value
+	val Value
 }
 
 // poisonValue marks reclaimed buffers in Poison mode.
@@ -125,15 +132,18 @@ func NewSnapCol(col *store.Column, pol Policy, ep *Epoch, dels map[int]bool) *Sn
 	return c
 }
 
-// SnapColFromCol converts a (possibly warm) Col into a SnapCol, preserving
-// its cracked layout, index boundaries, and pending updates — so wrapping
-// an already-trained engine keeps its adaptive investment.
-func SnapColFromCol(src *Col, ep *Epoch) *SnapCol {
-	head := append([]Value(nil), src.P.Head...)
-	tail := append([]Value(nil), src.P.Tail...)
+// SnapColFromPairs converts a (possibly warm) cracker column into a SnapCol,
+// preserving its cracked layout, index boundaries, policy and pending
+// updates — so wrapping an already-trained engine keeps its adaptive
+// investment. src holds (value, key) pairs of base column col; ins are the
+// keys of pending insertions, whose values are read from col, and dels the
+// keys of pending deletions. Nothing is aliased.
+func SnapColFromPairs(src *Pairs, col *store.Column, ins []int, dels map[int]bool, ep *Epoch) *SnapCol {
+	head := append([]Value(nil), src.Head...)
+	tail := append([]Value(nil), src.Tail...)
 	var cuts []crackindex.Bound
 	var poss []int
-	src.P.Idx.Walk(func(b crackindex.Bound, pos int) {
+	src.Idx.Walk(func(b crackindex.Bound, pos int) {
 		cuts = append(cuts, b)
 		poss = append(poss, pos)
 	})
@@ -144,13 +154,16 @@ func SnapColFromCol(src *Col, ep *Epoch) *SnapCol {
 		prev = pos
 	}
 	pieces = append(pieces, &snapPiece{head: head[prev:], tail: tail[prev:]})
-	pendIns := append([]pendingTuple(nil), src.pendIns...)
-	sort.SliceStable(pendIns, func(i, j int) bool { return pendIns[i].val < pendIns[j].val })
-	pendDel := make(map[Value]bool, len(src.pendDel))
-	for k := range src.pendDel {
-		pendDel[k] = true
+	pendIns := make([]pendingTuple, len(ins))
+	for i, k := range ins {
+		pendIns[i] = pendingTuple{key: Value(k), val: col.Vals[k]}
 	}
-	c := &SnapCol{ep: ep, Policy: src.P.Policy}
+	sort.SliceStable(pendIns, func(i, j int) bool { return pendIns[i].val < pendIns[j].val })
+	pendDel := make(map[Value]bool, len(dels))
+	for k := range dels {
+		pendDel[Value(k)] = true
+	}
+	c := &SnapCol{ep: ep, Policy: src.Policy}
 	c.cur.Store(&colVersion{pieces: pieces, cuts: cuts, pendIns: pendIns, pendDel: pendDel})
 	return c
 }
@@ -257,10 +270,10 @@ func (v *colVersion) beginEdit() *colVersion {
 	}
 }
 
-// Select is the writer-path twin of Col.Select: it merges relevant pending
-// updates and ensures both predicate bounds exist as cuts — building every
-// replacement piece aside and publishing one new version — then returns the
-// qualifying keys as a fresh slice. Must run under the owner's exclusive
+// Select is operator crackers.select on the writer path: it merges relevant
+// pending updates and ensures both predicate bounds exist as cuts —
+// building every replacement piece aside and publishing one new version —
+// then returns the qualifying keys as a fresh slice. Must run under the owner's exclusive
 // lock (one writer at a time); readers are never blocked and never see a
 // partial edit.
 func (c *SnapCol) Select(pred store.Pred) []Value {
@@ -469,8 +482,7 @@ func (c *SnapCol) crackPiece(w *colVersion, dead *[]*snapPiece, pi int, f func(t
 
 // applyDel removes tuples with pending deletions from pieces [lo, hi),
 // copying only affected pieces and consuming the matched entries from a
-// copy of the pending-deletion set (which also guards duplicate keys,
-// mirroring Col.applyPendingDeletes).
+// copy of the pending-deletion set (which also guards duplicate keys).
 func (c *SnapCol) applyDel(w *colVersion, dead *[]*snapPiece, lo, hi int) bool {
 	del := w.pendDel
 	if len(del) == 0 {
@@ -558,7 +570,7 @@ func (c *SnapCol) tryReclaim() {
 }
 
 // Len returns the number of tuples materialized in pieces (excluding
-// pending insertions), like Col.Len.
+// pending insertions).
 func (c *SnapCol) Len() int {
 	v := c.cur.Load()
 	n := 0
@@ -588,7 +600,7 @@ type SnapStats struct {
 
 // KernelStats returns the kernel partition counters accumulated across
 // every piece crack since the column was created (the conversion from a
-// plain Col starts from zero). Safe to call concurrently.
+// plain cracker column starts from zero). Safe to call concurrently.
 func (c *SnapCol) KernelStats() KernelStats {
 	return KernelStats{
 		InTwo:   int(c.kern[0].Load()),

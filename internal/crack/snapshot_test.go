@@ -2,12 +2,38 @@ package crack
 
 import (
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"crackstore/internal/store"
 )
+
+// model is a naive reference implementation: key -> value, mutated eagerly.
+type model struct {
+	vals map[int]Value
+}
+
+func (m *model) selectKeys(pred store.Pred) []int {
+	var out []int
+	for k, v := range m.vals {
+		if pred.Matches(v) {
+			out = append(out, k)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+func sortedKeys(view []Value) []int {
+	out := make([]int, len(view))
+	for i, k := range view {
+		out[i] = int(k)
+	}
+	sort.Ints(out)
+	return out
+}
 
 // newTestSnapCol builds a SnapCol plus its reference model over n uniform
 // values in [0, domain).
@@ -101,49 +127,6 @@ func TestSnapColGatherROAppliesPending(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("got keys %v, want %v", got, want)
-		}
-	}
-}
-
-func TestSnapColFromColPreservesWarmState(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	vals := make([]Value, 2000)
-	for i := range vals {
-		vals[i] = Value(rng.Int63n(1000))
-	}
-	col := NewCol(store.NewColumn("A", vals))
-	m := &model{vals: map[int]Value{}}
-	for i, v := range vals {
-		m.vals[i] = v
-	}
-	// Warm the column and leave pending updates unmerged.
-	for q := 0; q < 20; q++ {
-		col.Select(randPred(rng, 1000))
-	}
-	col.Insert(2000, 555)
-	m.vals[2000] = 555
-	col.Delete(7)
-	delete(m.vals, 7)
-
-	ep := NewEpoch()
-	sc := SnapColFromCol(col, ep)
-	if sc.Pieces() < 2 {
-		t.Fatalf("conversion dropped the cracked layout: %d pieces", sc.Pieces())
-	}
-	if !sc.CheckVersion() {
-		t.Fatal("converted version violates the piece invariant")
-	}
-	for q := 0; q < 50; q++ {
-		pred := randPred(rng, 1000)
-		got := sortedKeys(snapSelect(sc, ep, pred))
-		want := m.selectKeys(pred)
-		if len(got) != len(want) {
-			t.Fatalf("query %d %v: got %d keys, want %d", q, pred, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("query %d %v: key mismatch at %d", q, pred, i)
-			}
 		}
 	}
 }

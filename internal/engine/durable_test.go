@@ -609,7 +609,7 @@ func TestDurableRecoversUnderPolicy(t *testing.T) {
 	if st, _ := DurStatsOf(rec); st.CleanShutdown || st.ReplayedRecords != len(qs)+1 {
 		t.Fatalf("crash image recovered as %+v, want %d replayed records", st, len(qs)+1)
 	}
-	if col := rec.(*durEngine).e.(*selCrackEngine).cols["A"]; col == nil || col.P.Stats.Aux == 0 {
+	if ReportOf(rec).Kernel.Aux == 0 {
 		t.Fatal("the recovered cracker column has no auxiliary pivots: the tape was replayed without the policy")
 	}
 	oracle := New(Scan, cloneRel(base))

@@ -5,6 +5,7 @@
 //	                  order-preserving selects, positional reconstruction;
 //	                  the oracle every other design is checked against
 //	SelCrack        — selection cracking (CIDR 2007): cracker columns,
+//	                  each a map set's key map in the map store,
 //	                  unordered results, random-access reconstruction
 //	Sideways        — sideways cracking with full maps (Section 3)
 //	PartialSideways — partial sideways cracking (Section 4)
@@ -181,7 +182,9 @@ func NewWith(kind Kind, rel *store.Relation, opts Options) Engine {
 	case Scan:
 		return &scanEngine{rel: rel, dead: make(map[int]bool)}
 	case SelCrack:
-		return &selCrackEngine{rel: rel, cols: make(map[string]*crack.Col), dead: make(map[int]bool), pol: opts.Policy}
+		st := sideways.NewStore(rel)
+		st.Policy = opts.Policy
+		return &selCrackEngine{mapEngine{st: st, kind: SelCrack}}
 	case Sideways, PartialSideways:
 		st := sideways.NewStore(rel)
 		if kind == PartialSideways {
@@ -318,69 +321,31 @@ func gather(col, keys []Value) []Value {
 }
 
 // ---------------------------------------------------------------------------
-// Selection cracking engine (CIDR 2007): cracker columns per selection
+// Selection cracking engine (CIDR 2007): a cracker column per selection
 // attribute, crackers.select + rel_select plans, and random-access tuple
 // reconstruction from base columns.
 
-type selCrackEngine struct {
-	rel  *store.Relation
-	cols map[string]*crack.Col
-	dead map[int]bool
-	pol  crack.Policy // every cracker column's, from Options.Policy
-}
+// selCrackEngine is selection cracking over the map store: the cracker
+// column C_A of (value, key) pairs is S_A's key map, the only map its sets
+// ever get, so it shares the store's pending-update ledger, delete location
+// and tape. It keeps selection cracking's own plan (selectKeys) rather than
+// the store's: select on the primary predicate, rel_select of the rest, and
+// a gather through the keys.
+type selCrackEngine struct{ mapEngine }
 
-func (e *selCrackEngine) Kind() Kind { return SelCrack }
+func (e *selCrackEngine) base(attr string) []Value { return e.st.Relation().MustColumn(attr).Vals }
 
-func (e *selCrackEngine) Insert(vals ...Value) int {
-	e.rel.AppendRow(vals...)
-	key := e.rel.NumRows() - 1
-	for _, ap := range e.rel.Order {
-		if c, ok := e.cols[ap]; ok {
-			c.Insert(key, e.rel.MustColumn(ap).Vals[key])
-		}
-	}
-	return key
-}
-
-func (e *selCrackEngine) Delete(key int) {
-	if key < 0 || key >= e.rel.NumRows() || e.dead[key] {
-		return
-	}
-	e.dead[key] = true
-	for _, c := range e.cols {
-		c.Delete(key)
-	}
-}
-
-func (e *selCrackEngine) Storage() int {
-	total := 0
-	for _, c := range e.cols {
-		total += c.Len()
-	}
-	return total
-}
-
-// col returns the cracker column for attr, creating it on demand from the
-// current base state (tombstones become pending deletions).
-func (e *selCrackEngine) col(attr string) *crack.Col {
-	if c, ok := e.cols[attr]; ok {
-		return c
-	}
-	c := crack.NewColWithPolicy(e.rel.MustColumn(attr), e.pol)
-	for k := range e.dead {
-		c.Delete(k)
-	}
-	e.cols[attr] = c
-	return c
-}
-
-func (e *selCrackEngine) base(attr string) []Value { return e.rel.MustColumn(attr).Vals }
-
-// selectCrack answers one predicate by crackers.select on its column. The
-// keys are copied out of the column's view, which the next crack moves — a
-// join side holds its keys across the other side's selection.
+// selectCrack answers one predicate by crackers.select on its column, read
+// only when it can be, so the set's tape grows only by selections that
+// reorganize. The keys are copied out of the column's view, which the next
+// crack moves — a join side holds its keys across the other side's
+// selection.
 func (e *selCrackEngine) selectCrack(ap AttrPred) ([]Value, bool) {
-	return append([]Value(nil), e.col(ap.Attr).Select(ap.Pred)...), true
+	keys, ok := e.st.KeysRO(ap.Attr, ap.Pred)
+	if !ok {
+		keys = e.st.Keys(ap.Attr, ap.Pred)
+	}
+	return slices.Clone(keys), true
 }
 
 // selectRO answers one predicate out of an already-cracked area, or refuses
@@ -388,37 +353,32 @@ func (e *selCrackEngine) selectCrack(ap AttrPred) ([]Value, bool) {
 // yet. Unlike selectCrack it returns the column's view itself: the view is
 // read under the caller's guard, nothing cracks the column while it is held,
 // and every consumer only reads it or copies it — reconstruct's gather,
-// RelSelect's fresh output, the disjunctive union. dropDead, which filters in
-// place, only ever runs on RelSelect's output.
+// relSelect's fresh output, the disjunctive union.
 func (e *selCrackEngine) selectRO(ap AttrPred) ([]Value, bool) {
-	c, ok := e.cols[ap.Attr]
-	if !ok {
-		return nil, false
-	}
-	return c.SelectRO(ap.Pred)
+	return e.st.KeysRO(ap.Attr, ap.Pred)
 }
 
 func (e *selCrackEngine) Query(q Query) (Result, Cost) {
-	res, cost, _ := crackQuery(q, e.selectCrack, e.base, e.dead)
+	res, cost, _ := crackQuery(q, e.selectCrack, e.base)
 	return res, cost
 }
 
 func (e *selCrackEngine) QueryRO(q Query) (Result, Cost, bool) {
-	return crackQuery(q, e.selectRO, e.base, e.dead)
+	return crackQuery(q, e.selectRO, e.base)
 }
 
 func (e *selCrackEngine) joinKeys(preds []AttrPred) ([]Value, func(string) []Value) {
-	keys, _ := selectKeys(preds, false, e.selectCrack, e.base, e.dead)
+	keys, _ := selectKeys(preds, false, e.selectCrack, e.base)
 	return keys, e.base
 }
 
 // crackQuery answers q by selection cracking — selectKeys, then reconstruct
 // from the base columns — for the plain engine and its snapshot engine, on
 // the write path and read-only alike; ok is false when selectKeys refuses.
-func crackQuery(q Query, sel func(AttrPred) ([]Value, bool), base func(string) []Value, dead map[int]bool) (Result, Cost, bool) {
+func crackQuery(q Query, sel func(AttrPred) ([]Value, bool), base func(string) []Value) (Result, Cost, bool) {
 	var cost Cost
 	t0 := time.Now()
-	keys, ok := selectKeys(q.Preds, q.Disjunctive, sel, base, dead)
+	keys, ok := selectKeys(q.Preds, q.Disjunctive, sel, base)
 	if !ok {
 		return Result{}, Cost{}, false
 	}
@@ -431,11 +391,12 @@ func crackQuery(q Query, sel func(AttrPred) ([]Value, bool), base func(string) [
 
 // selectKeys is selection cracking's one key-selection plan:
 // crackers.select on the primary predicate (sel answers one predicate from
-// its cracker column, cracking or read-only), then crackers.rel_select of
-// the rest against the base columns base resolves, and dropDead; a
-// disjunction unions every predicate's keys instead. ok is false when a sel
-// refuses or there is no predicate. Keys come back unordered.
-func selectKeys(preds []AttrPred, disjunctive bool, sel func(AttrPred) ([]Value, bool), base func(string) []Value, dead map[int]bool) ([]Value, bool) {
+// its cracker column, cracking or read-only, and never returns a deleted
+// tuple), then crackers.rel_select of the rest against the base columns
+// base resolves; a disjunction unions every predicate's keys instead. ok is
+// false when a sel refuses or there is no predicate. Keys come back
+// unordered.
+func selectKeys(preds []AttrPred, disjunctive bool, sel func(AttrPred) ([]Value, bool), base func(string) []Value) ([]Value, bool) {
 	if len(preds) == 0 {
 		return nil, false
 	}
@@ -457,26 +418,25 @@ func selectKeys(preds []AttrPred, disjunctive bool, sel func(AttrPred) ([]Value,
 		return keys, true
 	}
 	keys, ok := sel(preds[0])
-	if !ok || len(preds) == 1 {
-		return keys, ok
+	if !ok {
+		return nil, false
 	}
 	for _, ap := range preds[1:] {
-		keys = crack.RelSelect(keys, base(ap.Attr), ap.Pred)
+		keys = relSelect(keys, base(ap.Attr), ap.Pred)
 	}
-	return dropDead(keys, dead), true
+	return keys, true
 }
 
-// dropDead removes keys whose tuple is tombstoned in dead but whose
-// deletion has not been merged into the cracker column of the primary
-// predicate yet. It filters in place: keys must be rel_select's fresh
-// output, never a column's view.
-func dropDead(keys []Value, dead map[int]bool) []Value {
-	if len(dead) == 0 {
-		return keys
-	}
-	out := keys[:0]
+// relSelect is operator crackers.rel_select (Section 2.2): for conjunctive
+// queries, subsequent selections filter a prior intermediate result instead
+// of cracking. Given keys from a previous selection and the base column
+// values of the next attribute, it performs select and reconstruct in one go
+// using positional key lookups (random access, since keys are unordered).
+// The output is fresh: keys may be a cracker column's view.
+func relSelect(keys, base []Value, pred store.Pred) []Value {
+	var out []Value
 	for _, k := range keys {
-		if !dead[int(k)] {
+		if pred.Matches(base[int(k)]) {
 			out = append(out, k)
 		}
 	}
@@ -487,7 +447,8 @@ func dropDead(keys []Value, dead map[int]bool) []Value {
 // Map-set engines: sideways cracking with full maps and with partial maps.
 
 // mapEngine adapts the map store to Engine: sideways cracking with full
-// maps (Section 3) or with partial maps (Section 4).
+// maps (Section 3) or with partial maps (Section 4), and the store side of
+// selection cracking (selCrackEngine).
 type mapEngine struct {
 	st   *sideways.Store
 	kind Kind

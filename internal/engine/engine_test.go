@@ -129,3 +129,15 @@ func TestStorageReporting(t *testing.T) {
 		}
 	}
 }
+
+func TestRelSelect(t *testing.T) {
+	base := []Value{5, 15, 25, 35, 45}
+	keys := []Value{4, 0, 2}
+	got := relSelect(keys, base, store.Range(20, 50))
+	if len(got) != 2 || got[0] != 4 || got[1] != 2 {
+		t.Fatalf("relSelect = %v, want [4 2]", got)
+	}
+	if got[0] = 0; keys[0] != 4 {
+		t.Fatal("relSelect wrote into its input, which may be a cracker column's view")
+	}
+}

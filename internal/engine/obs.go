@@ -143,20 +143,9 @@ func kernelSection(ks crack.KernelStats, pieces, cols int) Report {
 	}}
 }
 
-// Report for the selection-cracking engine. Caller serializes (the shared
-// wrappers do).
-func (e *selCrackEngine) Report() Report {
-	var ks crack.KernelStats
-	pieces := 0
-	for _, c := range e.cols {
-		ks.Add(c.P.Stats)
-		pieces += c.P.Idx.Pieces()
-	}
-	return kernelSection(ks, pieces, len(e.cols))
-}
-
-// Report for the map-set engines: the kernel section, plus the chunk
-// lifecycle of the storage manager over partial maps. Caller serializes.
+// Report for the map-set engines, selection cracking's included: the kernel
+// section, plus the chunk lifecycle of the storage manager over partial
+// maps. Caller serializes.
 func (e *mapEngine) Report() Report {
 	r := kernelSection(e.st.Kernel())
 	if e.kind == PartialSideways {

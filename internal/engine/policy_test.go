@@ -28,12 +28,11 @@ func TestPolicyThreadsThroughWrappers(t *testing.T) {
 		case *durEngine:
 			inner = w.e
 		}
-		sc := inner.(*selCrackEngine)
-		col := sc.cols["A"]
-		if col.P.Policy.Kind != crack.Stochastic {
-			t.Fatalf("%s: cracker column policy = %v, want stochastic", tc.name, col.P.Policy.Kind)
+		km := inner.(*selCrackEngine).Store().SetIfExists("A").MapIfExists("")
+		if km.Pairs().Policy.Kind != crack.Stochastic {
+			t.Fatalf("%s: cracker column policy = %v, want stochastic", tc.name, km.Pairs().Policy.Kind)
 		}
-		if col.P.Stats.Aux == 0 {
+		if ReportOf(e).Kernel.Aux == 0 {
 			t.Fatalf("%s: no auxiliary pivots on a 20000-tuple cold crack with cap 512", tc.name)
 		}
 	}

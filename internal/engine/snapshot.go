@@ -16,13 +16,14 @@ import (
 // section; Snapshot removes that cliff entirely.
 //
 // The snapshot protocol is implemented for the selection-cracking engine
-// (SelCrack), whose state — cracker columns plus a tombstone set over
+// (SelCrack), whose state — one cracker column per selection attribute, the
+// key map of that attribute's map set, with the set's pending updates, over
 // append-only base columns — is exactly reconstructible at piece
 // granularity. A warm SelCrack engine keeps its cracked layout, policy and
-// pending updates across the conversion. Engines that already guard
-// themselves are returned unchanged; other kinds (whose auxiliary
-// structures mutate internal maps and stat caches on the read path) fall
-// back to Concurrent(e), so Snapshot is always safe to request.
+// pending updates across the conversion (sideways.Store.KeyMaps). Engines
+// that already guard themselves are returned unchanged; other kinds (whose
+// auxiliary structures mutate internal maps and stat caches on the read
+// path) fall back to Concurrent(e), so Snapshot is always safe to request.
 func Snapshot(e Engine) Engine {
 	if guarded(e) {
 		return e
@@ -65,18 +66,20 @@ type snapEngine struct {
 
 func newSnapEngine(sc *selCrackEngine) *snapEngine {
 	e := &snapEngine{
-		rel:  sc.rel,
+		rel:  sc.st.Relation(),
 		ep:   crack.NewEpoch(),
-		dead: make(map[int]bool, len(sc.dead)),
-		pol:  sc.pol,
+		dead: make(map[int]bool),
+		pol:  sc.st.Policy,
 	}
-	for k := range sc.dead {
-		e.dead[k] = true
+	for k := 0; k < e.rel.NumRows(); k++ {
+		if sc.st.IsDeleted(k) {
+			e.dead[k] = true
+		}
 	}
-	cols := make(map[string]*crack.SnapCol, len(sc.cols))
-	for attr, c := range sc.cols {
-		cols[attr] = crack.SnapColFromCol(c, e.ep)
-	}
+	cols := make(map[string]*crack.SnapCol)
+	sc.st.KeyMaps(func(attr string, km *crack.Pairs, ins []int, del map[int]bool) {
+		cols[attr] = crack.SnapColFromPairs(km, e.rel.MustColumn(attr), ins, del, e.ep)
+	})
 	e.cols.Store(&cols)
 	e.publishBasesLocked()
 	return e
@@ -168,11 +171,9 @@ func (e *snapEngine) gatherRO(ap AttrPred) ([]Value, bool) {
 // rows (see publishBasesLocked).
 func (e *snapEngine) baseRO(attr string) []Value { return (*e.bases.Load())[attr] }
 
-// QueryRO is selection cracking read-only over pinned versions. It passes
-// no tombstones: gatherRO's keys never hold a dead tuple, and dead is
-// writer-only state.
+// QueryRO is selection cracking read-only over pinned versions.
 func (e *snapEngine) QueryRO(q Query) (Result, Cost, bool) {
-	return crackQuery(q, e.gatherRO, e.baseRO, nil)
+	return crackQuery(q, e.gatherRO, e.baseRO)
 }
 
 func (e *snapEngine) Query(q Query) (Result, Cost) {
@@ -187,7 +188,7 @@ func (e *snapEngine) Query(q Query) (Result, Cost) {
 	if res, cost, ok := e.QueryRO(q); ok {
 		return res, cost
 	}
-	res, cost, _ := crackQuery(q, e.crackLocked, e.baseLocked, e.dead)
+	res, cost, _ := crackQuery(q, e.crackLocked, e.baseLocked)
 	return res, cost
 }
 

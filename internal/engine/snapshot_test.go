@@ -158,6 +158,44 @@ func TestSnapshotReadersNeverSeeReclaimedState(t *testing.T) {
 	}
 }
 
+// TestSnapshotKeepsWarmSelCrackState wraps a warm SelCrack engine that has
+// an insert and a delete pending: the snapshot engine keeps the cracked
+// layout and both pending updates, and answers what Scan answers.
+func TestSnapshotKeepsWarmSelCrackState(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	base := buildRel(rng, 2000, []string{"A", "B"}, 1000)
+	e, oracle := New(SelCrack, cloneRel(base)), New(Scan, cloneRel(base))
+	for q := 0; q < 20; q++ {
+		lo := rng.Int63n(1000)
+		e.Query(Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(lo, lo+rng.Int63n(200))}}, Projs: []string{"B"}})
+	}
+	for _, w := range []Engine{e, oracle} {
+		w.Insert(555, 1)
+		w.Delete(7)
+	}
+
+	snap := Snapshot(e)
+	c := (*snap.(*snapEngine).cols.Load())["A"]
+	if c.Pieces() < 2 {
+		t.Fatalf("conversion dropped the cracked layout: %d pieces", c.Pieces())
+	}
+	if c.PendingInsertions() != 1 || c.PendingDeletions() != 1 {
+		t.Fatalf("conversion kept %d pending insertions and %d deletions, want 1 and 1", c.PendingInsertions(), c.PendingDeletions())
+	}
+	if !c.CheckVersion() {
+		t.Fatal("converted version violates the piece invariant")
+	}
+	qs := []Query{
+		{Preds: []AttrPred{{Attr: "A", Pred: store.Range(0, 1000)}}, Projs: []string{"A", "B"}},
+		{Preds: []AttrPred{{Attr: "A", Pred: store.Point(base.MustColumn("A").Vals[7])}}, Projs: []string{"B"}},
+	}
+	for q := 0; q < 50; q++ {
+		lo := rng.Int63n(1000)
+		qs = append(qs, Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(lo, lo+rng.Int63n(300))}}, Projs: []string{"A", "B"}})
+	}
+	assertAnswerEquivalent(t, "warm snapshot", snap, oracle, qs)
+}
+
 // TestSnapshotFallback pins the wrapper contract: SelCrack converts to the
 // multi-version engine, already-shared engines pass through unchanged, and
 // unsupported kinds degrade to Concurrent.

@@ -143,13 +143,13 @@ func CrackerJoin(ls *Store, lAttr string, rs *Store, rAttr string, parts int) []
 			pred.Hi = hi
 			pred.HiIncl = true
 		}
-		lHead, lTail := keysOf(lSet, pred)
+		lHead, lTail := keysOf(lSet.Query(pred, []string{""}, true))
 		if ls == rs {
 			// The right side's query may evict the left side's key map
 			// under a budget and recycle its columns.
 			lHead, lTail = slices.Clone(lHead), slices.Clone(lTail)
 		}
-		rHead, rTail := keysOf(rSet, pred)
+		rHead, rTail := keysOf(rSet.Query(pred, []string{""}, true))
 		if len(lHead) == 0 || len(rHead) == 0 {
 			continue
 		}
@@ -179,11 +179,11 @@ func CrackerJoin(ls *Store, lAttr string, rs *Store, rAttr string, parts int) []
 	return out
 }
 
-// keysOf runs the set-level sideways select over the key maps of set: it
-// merges pending updates, cracks and aligns, and returns the qualifying
-// attribute values and their tuple keys.
-func keysOf(set *Set, pred store.Pred) (vals, keys []Value) {
-	wins := set.Query(pred, []string{""}, true)
+// keysOf returns the qualifying attribute values and tuple keys of the
+// key-map windows wins, with heads, as the set-level select over the key
+// maps (Set.Query) or its read-only twin (windowsRO) builds them: views into
+// the key map when there is one window.
+func keysOf(wins []Window) (vals, keys []Value) {
 	if len(wins) == 1 {
 		w := wins[0]
 		return w.Head[w.Lo:w.Hi], w.Tails[0][w.Lo:w.Hi]

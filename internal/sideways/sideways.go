@@ -1,6 +1,7 @@
 // Package sideways implements sideways cracking (Sections 3 and 4 of the
 // paper): the one map store, with fully materialized cracker maps and with
-// partial maps as its two presets.
+// partial maps as its two presets. Selection cracking's cracker column C_A
+// is S_A's key map in a full-map store (Keys).
 //
 // A cracker map M_AB is a two-column table: head = values of attribute A,
 // tail = values of attribute B, pairwise from the same relational tuples.
@@ -1187,6 +1188,49 @@ func (s *Store) MultiSelectROInto(into *Result, preds []AttrPred, projs []string
 	}
 	pl.Into = into
 	return pl.Finish(wins, disjunctive), true
+}
+
+// Keys is operator crackers.select(attr, pred) of selection cracking
+// (Section 2.2) over S_attr's key map, the cracker column C_attr of (value,
+// key) pairs: it merges the pending updates pred touches, cracks the key map
+// and returns the keys of the qualifying tuples, unordered. The keys are a
+// view into the key map, valid until the next query of the store.
+func (s *Store) Keys(attr string, pred store.Pred) []Value {
+	_, keys := keysOf(s.Set(attr).Query(pred, []string{""}, true))
+	return keys
+}
+
+// KeysRO is Keys without reorganizing anything. ok is false exactly when
+// Keys would: S_attr or its key map does not exist yet, a pending update
+// falls in pred's range, the key map lacks pred's bounds, or its head is
+// dropped. Safe for concurrent use with other read-only operations.
+func (s *Store) KeysRO(attr string, pred store.Pred) ([]Value, bool) {
+	set := s.sets[attr]
+	if set == nil || !set.pend.Settled(pred, false) {
+		return nil, false
+	}
+	wins, used, ok := s.windowsRO(set, pred, []string{""}, true)
+	if !ok {
+		return nil, false
+	}
+	for _, m := range used {
+		s.Touch(&m.Usage)
+	}
+	_, keys := keysOf(wins)
+	return keys, true
+}
+
+// KeyMaps calls f with every set of a full-map store that has a key map: its
+// attribute, the key map aligned to its tape end, and the set's pending
+// insertions (keys in arrival order) and deletions. It is how selection
+// cracking's columns leave the store, layout and pending updates intact.
+func (s *Store) KeyMaps(f func(attr string, km *crack.Pairs, ins []int, del map[int]bool)) {
+	for attr, set := range s.sets {
+		if w := set.whole(); w != nil && w.maps[""] != nil {
+			set.replay(w, len(w.tape), w.maps[""])
+			f(attr, w.maps[""].pairs, set.pend.ins, set.pend.del)
+		}
+	}
 }
 
 // checkStorage verifies the running storage total against a full recount.
