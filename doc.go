@@ -60,10 +60,11 @@
 // crack can be decided once, on a leader's head, and applied to followers:
 // crack.Pairs.CrackRangeWith runs one counting pass and one misplaced-tuple
 // scan, and applies every swap block and boundary to each follower. The
-// precondition is that every follower has the leader's length, head values
-// and boundaries; a length mismatch panics. In kernel Stats a follower
-// counts only the tuples it moves (Moved), so crack_kernel_* still counts
-// each move, and each head read once.
+// precondition is that every follower has the leader's length, and its
+// head values and boundaries or no head and no index at all (a tail the
+// leader positions, which only its tail swaps); a length mismatch panics.
+// In kernel Stats a follower counts only the tuples it moves (Moved), so
+// crack_kernel_* still counts each move, and each head read once.
 //
 // # Map sets
 //
@@ -73,20 +74,25 @@
 // set divides its domain into areas, each with its own cracker tape, and a
 // map over one area is a chunk. Under partial maps a set keeps a chunk map
 // H_A whose spans are the areas, fetched as queries need them. A fetched
-// span follows its area's crack entries as one more follower of every
-// replay, starting from the H_A boundaries inside it, so it never moves a
-// tuple across one and H_A's index and estimates stay as they were; it
-// costs moves, no visits and no storage, being a slice of H_A. A new chunk
-// is created at the span's cursor (head and index copied, tail gathered
-// through the span's keys) and replays nothing to catch up with its
-// siblings. The span stops at its area's first insert or delete, since it
-// cannot grow. Under full maps a set has exactly one area, spanning the
-// whole domain: its source is the base prefix in key order, so it needs no
-// H_A, and a new map is cloned from that prefix at cursor 0 and replays
-// the tape up to its siblings. Every bounded predicate cuts that area,
-// so it logs every crack and aligns to its tape end, and with one area the
-// eviction tie-break (set, area, tail) is (set, tail): the partial-map
-// machinery reduces exactly to full maps, layout included.
+// span leads its area: it cracks under an index of its own, started from
+// the H_A boundaries inside it, so it never moves a tuple across one and
+// H_A's index and estimates stay as they were, and it costs no storage,
+// being a slice of H_A. Its chunks keep no head (Section 4.1 shows the copy
+// is optional): each is a tail, gathered through the span's keys at the
+// span's cursor, and costs half a map. Every crack of the area is decided
+// once on the span's head and swaps the tail of every chunk of the area
+// with it, so the chunks never lag the span and a new one replays nothing.
+// The span cannot grow, so at its area's first insert or delete it stops:
+// just before the update merges, each chunk gets a copy of the span's head
+// and index, which replays nothing, and from then on the area's chunks
+// crack, align and drop heads on their own, chunks created later copying
+// the span's head where it stopped. Under full maps a set has exactly one
+// area, spanning the whole domain: its source is the base prefix in key
+// order, so it needs no H_A, and a new map is cloned from that prefix at
+// cursor 0 and replays the tape up to its siblings. Every bounded predicate
+// cuts that area, so it logs every crack and aligns to its tape end, and
+// with one area the eviction tie-break (set, area, tail) is (set, tail):
+// the partial-map machinery reduces exactly to full maps, layout included.
 //
 // Selection cracking is the third user of the store. Its cracker column
 // C_A, (value, key) pairs (Section 2.2), is S_A's key map in a full-map
@@ -139,24 +145,26 @@
 // in the areas it resolved before it creates any, so making room never
 // evicts what the same query reads next. Evicting an area's last map
 // un-fetches the area, in both presets: its tape is forgotten and its
-// updates go back to pending. Head dropping (Section 4.1) applies to every
-// map. A head is recovered from a same-cursor sibling, or by replaying the
-// tape over the area's source from the source's cursor; a partial chunk
-// that lags its span is re-created at the span's cursor instead, and the
-// maps the query reads with it are aligned there (ChunkStats.Reborn counts
-// it). The columns of an evicted map or a dropped
-// head go to a free list owned by the store, in size classes of four per
-// doubling, and new maps and recovered heads are filled into them, so
-// steady-state chunk creation neither zeroes nor page-faults fresh memory.
-// A column is recycled only once nothing can refer to it: eviction, head
-// drops and re-creation happen on the write path under exclusive access,
-// eviction and head drops skip the maps the in-flight query has pinned (the
-// only ones its windows read), a map is re-created before its area's window
-// exists, and a Result is always a copy. The free list holds at most Budget/8 values —
-// a sixteenth of the bytes the budget allows live maps — gives up columns
-// of its fullest class first, and keeps nothing without a budget. Kernel
-// counters of evicted structures are folded into a store-level total, so
-// crack_kernel_* never runs backwards.
+// updates go back to pending. A chunk of a led area costs half its tuples,
+// having no head; every other map costs its tuples. Head dropping (Section
+// 4.1) applies to full maps and to the chunks of areas an update has
+// stopped the span of. A head is recovered from a same-cursor sibling, or
+// by replaying the tape over the area's source from the source's cursor; no
+// chunk lags that cursor, since the span stopped where every chunk was.
+// Room is made under the budget before anything grows a map: a new map, a
+// head recovered or given at an area's first update, and a replay's ripple
+// inserts. The columns of an evicted map or a dropped head go to a free
+// list owned by the store, in size classes of four per doubling, and new
+// maps and recovered heads are filled into them, so steady-state chunk
+// creation neither zeroes nor page-faults fresh memory. A column is
+// recycled only once nothing can refer to it: eviction and head drops
+// happen on the write path under exclusive access, skip the maps the
+// in-flight query has pinned (the only ones its windows read beside the
+// spans of led areas), and a Result is always a copy. The free list holds
+// at most Budget/8 values — a sixteenth of the bytes the budget allows live
+// maps — gives up columns of its fullest class first, and keeps nothing
+// without a budget. Kernel counters of evicted structures are folded into a
+// store-level total, so crack_kernel_* never runs backwards.
 //
 // # Adaptive cracking policies
 //

@@ -3,7 +3,11 @@
 // five different attribute pairs; full maps would need 10x the table size,
 // but partial maps materialize only the chunks the workload actually
 // reads, evict cold chunks least-frequently-used first, and recreate them
-// on demand — always staying under the budget.
+// on demand — always staying under the budget. Each chunk is a tail whose
+// head its area's span of the chunk map holds, so it costs half its tuples
+// and CachedPieceTuples has no head to drop; on a stream with updates the
+// chunks of updated areas get heads, and room is made under the budget
+// before any of them, dropped or not, comes back.
 package main
 
 import (

@@ -249,11 +249,14 @@ func FuzzRippleUpdates(f *testing.F) {
 
 // FuzzFollowersAgree pins CrackRangeWith against independent CrackRange
 // calls. A leader and 1-3 followers share a random head (each with its own
-// tail) and crack a fuzzer-chosen predicate sequence jointly, under every
-// policy and both repair loops; solo copies crack the same sequence alone.
-// The leader and every follower must end with the solo copies' heads, tails
-// and index boundaries, the leader's stats must equal its solo copy's, and
-// every follower must count the leader's moves and nothing else.
+// tail), and one more follower is a tail alone, without head or index; they
+// crack a fuzzer-chosen predicate sequence jointly, under every policy and
+// both repair loops; solo copies, the tail alone's with the leader's head,
+// crack the same sequence alone. The leader and every follower must end
+// with the solo copies' tails, and those with a head with their heads and
+// index boundaries too; the tail alone must still have neither. The
+// leader's stats must equal its solo copy's, and every follower must count
+// the leader's moves and nothing else.
 func FuzzFollowersAgree(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(0), false, []byte{10, 40, 5, 60, 20, 20})
 	f.Add(int64(2), uint8(3), uint8(1), true, []byte{0, 127, 64, 65, 1, 126, 255, 3})
@@ -273,9 +276,14 @@ func FuzzFollowersAgree(f *testing.F) {
 			fp.Policy, fp.Branchy = lead.Policy, branchy
 			joint = append(joint, fp)
 		}
+		bare := &Pairs{Tail: make([]Value, lead.Len()), Policy: lead.Policy, Branchy: branchy}
+		for j := range bare.Tail {
+			bare.Tail[j] = Value(rng.Int63())
+		}
+		joint = append(joint, bare)
 		solo := make([]*Pairs, len(joint))
 		for i, p := range joint {
-			solo[i] = WrapPairs(append([]Value(nil), p.Head...), append([]Value(nil), p.Tail...))
+			solo[i] = WrapPairs(append([]Value(nil), lead.Head...), append([]Value(nil), p.Tail...))
 			solo[i].Policy, solo[i].Branchy = p.Policy, branchy
 		}
 		for i := 0; i+1 < len(preds) && i < 40; i += 2 {
@@ -297,9 +305,18 @@ func FuzzFollowersAgree(f *testing.F) {
 				t.Fatalf("pred %v: joint area (%d,%d) vs solo (%d,%d)", pred, alo, ahi, slo, shi)
 			}
 		}
+		if bare.Head != nil || bare.Idx != nil {
+			t.Fatal("the tail alone gained a head or an index")
+		}
 		for i, p := range joint {
-			if !slices.Equal(p.Head, solo[i].Head) || !slices.Equal(p.Tail, solo[i].Tail) {
-				t.Fatalf("member %d: layout differs from its solo replay", i)
+			if !slices.Equal(p.Tail, solo[i].Tail) {
+				t.Fatalf("member %d: tail differs from its solo replay", i)
+			}
+			if p == bare {
+				continue
+			}
+			if !slices.Equal(p.Head, solo[i].Head) {
+				t.Fatalf("member %d: head differs from its solo replay", i)
 			}
 			if !sameBoundaries(p, solo[i]) {
 				t.Fatalf("member %d: boundaries differ from its solo replay", i)
@@ -320,7 +337,11 @@ func FuzzFollowersAgree(f *testing.F) {
 func TestCrackRangeWithRejectsBadFollowers(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := randPairs(rng, 64, 32)
-	for name, f := range map[string]*Pairs{"shorter": randPairs(rng, 63, 32), "itself": p} {
+	for name, f := range map[string]*Pairs{
+		"shorter":           randPairs(rng, 63, 32),
+		"itself":            p,
+		"shorter tail only": {Tail: make([]Value, 63)},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {

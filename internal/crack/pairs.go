@@ -25,7 +25,10 @@
 // pass, the misplaced positions, policy pivots and boundaries. Every swap
 // block and boundary is then applied to each follower as well, so each ends
 // exactly as its own CrackRange would leave it. A follower reads no head;
-// it counts the tuples it moves in Stats.Moved and nothing else.
+// it counts the tuples it moves in Stats.Moved and nothing else. It need
+// not even have one: a follower without a head column (and without an
+// index) is a tail that only its leader's head and index position, and
+// every swap moves its tail alone.
 //
 // A crack pays for the piece it lands in and nothing else. Crack-in-two
 // counts the tuples left of the bound (fixing the split position) and then
@@ -158,11 +161,6 @@ func WrapPairs(head, tail []Value) *Pairs {
 // Len returns the number of tuples.
 func (p *Pairs) Len() int { return len(p.Head) }
 
-func (p *Pairs) swap(i, j int) {
-	p.Head[i], p.Head[j] = p.Head[j], p.Head[i]
-	p.Tail[i], p.Tail[j] = p.Tail[j], p.Tail[i]
-}
-
 // onLeft reports whether value v belongs strictly before boundary b.
 func onLeft(v Value, b crackindex.Bound) bool {
 	if b.Incl {
@@ -260,7 +258,7 @@ func (p *Pairs) repairBranchy(c Value, lo, split, hi int) (moved int) {
 		h[i], h[j] = h[j], h[i]
 		t[i], t[j] = t[j], t[i]
 		for _, f := range p.followers {
-			f.swap(i, j)
+			swapPositions(f.Head, f.Tail, []int{i}, []int{j})
 		}
 		moved += 2
 		i++
@@ -327,8 +325,16 @@ func (p *Pairs) repairPred(c Value, lo, split, hi int) (moved int) {
 	return moved
 }
 
-// swapPositions swaps the tuples at is[k] and js[k] for every k.
+// swapPositions swaps the tuples at is[k] and js[k] for every k. A nil h
+// is a follower without a head: only its tail swaps.
 func swapPositions(h, t []Value, is, js []int) {
+	if h == nil {
+		for k, a := range is {
+			b := js[k]
+			t[a], t[b] = t[b], t[a]
+		}
+		return
+	}
 	for k, a := range is {
 		b := js[k]
 		h[a], h[b] = h[b], h[a]
@@ -358,11 +364,13 @@ func (p *Pairs) crackBoundAt(b crackindex.Bound, pc crackindex.Piece) int {
 }
 
 // mark records boundary b at position pos in p's index and in every
-// follower's: the one place a crack adds a boundary.
+// follower's that has one: the one place a crack adds a boundary.
 func (p *Pairs) mark(b crackindex.Bound, pos int) {
 	p.Idx.Insert(b, pos)
 	for _, f := range p.followers {
-		f.Idx.Insert(b, pos)
+		if f.Idx != nil {
+			f.Idx.Insert(b, pos)
+		}
 	}
 }
 
@@ -447,8 +455,8 @@ func (p *Pairs) CrackRange(pred store.Pred) (lo, hi int) {
 
 // CrackRangeWith is CrackRange on p, the leader, and on followers that sit
 // at the same point of the same cracker tape. Precondition: every follower
-// has p's length, p's head values position for position, and p's index
-// boundaries. Each decision — the counting pass, the misplaced positions,
+// has p's length, and p's head values position for position and p's index
+// boundaries, or no head and no index at all. Each decision — the counting pass, the misplaced positions,
 // policy pivots, boundaries — is made once, on p's head; every swap is
 // applied to p and to each follower, and every boundary is inserted into
 // each follower's index. Because the kernel depends only on (piece
@@ -458,7 +466,7 @@ func (p *Pairs) CrackRange(pred store.Pred) (lo, hi int) {
 // differs from p's, or if p follows itself.
 func (p *Pairs) CrackRangeWith(pred store.Pred, followers []*Pairs) (lo, hi int) {
 	for _, f := range followers {
-		if f == p || len(f.Head) != len(p.Head) || len(f.Tail) != len(p.Tail) {
+		if f == p || f.Head != nil && len(f.Head) != len(p.Head) || len(f.Tail) != len(p.Tail) {
 			panic("crack: a follower must be another pairs of its leader's length")
 		}
 	}

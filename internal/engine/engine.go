@@ -166,12 +166,17 @@ type Options struct {
 	// dropped least-frequently-used first, with aging (Section 4.2), never
 	// one the query being answered reads. A set whose last map goes forgets
 	// its tape, and its merged updates become pending again. 0 means
-	// unlimited.
+	// unlimited. A full map of n tuples costs n. A chunk of n tuples costs
+	// ⌈n/2⌉ while its area has had no insert or delete merged, since it is
+	// a tail whose head the area's span of the chunk map holds; after that
+	// it costs n until its head is dropped.
 	Budget int
-	// CachedPieceTuples and HeadDropIdleQueries are head dropping, for full
-	// maps and chunks alike (Section 4.1): a map's head goes once every
+	// CachedPieceTuples and HeadDropIdleQueries are head dropping (Section
+	// 4.1), for full maps and for chunks of areas that have had an update
+	// merged (other chunks have no head): a map's head goes once every
 	// piece of it is at most CachedPieceTuples tuples, or once it has not
-	// been cracked for HeadDropIdleQueries queries. 0 disables either.
+	// been cracked for HeadDropIdleQueries queries, and costs half. 0
+	// disables either.
 	CachedPieceTuples, HeadDropIdleQueries int
 }
 

@@ -107,13 +107,14 @@ func TestRecycledBuffersNeverAliasAnswers(t *testing.T) {
 }
 
 // TestChunkLifecycleMetrics: a budgeted partial engine exposes the five
-// chunk lifecycle families, all off zero after a cycle stream; an engine
-// without partial maps registers none of them.
+// chunk lifecycle families, all off zero after a cycle stream whose chunks,
+// tails of half a map's cost, want more than its budget of 1.5 times the
+// rows; an engine without partial maps registers none of them.
 func TestChunkLifecycleMetrics(t *testing.T) {
 	const rows = 20000
 	rng := rand.New(rand.NewSource(29))
 	rel := buildRel(rng, rows, []string{"A", "B", "C", "D", "E", "F"}, rows)
-	e := Concurrent(NewPartialWithBudget(cloneRel(rel), 3*rows))
+	e := Concurrent(NewPartialWithBudget(cloneRel(rel), 3*rows/2))
 	reg := obs.NewRegistry()
 	RegisterMetrics(reg, e)
 	for q := 0; q < 1000; q++ {
@@ -158,8 +159,9 @@ func TestBudgetPinsEveryMapTheQueryReads(t *testing.T) {
 		return Value(row * 7 % rows)
 	})
 	oracle := NewScan(cloneRel(rel))
-	// One area of exactly 100 tuples; the budget holds two chunks of it.
-	e := NewWith(PartialSideways, rel, Options{Budget: 200})
+	// One area of exactly 100 tuples; the budget holds two chunks of it,
+	// tails of 50 tuples' cost each.
+	e := NewWith(PartialSideways, rel, Options{Budget: 100})
 	ask := func(projs ...string) {
 		t.Helper()
 		q := Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(100, 200)}}, Projs: projs}

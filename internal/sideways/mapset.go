@@ -333,6 +333,16 @@ func (t *Tape) LogDelete(keys, positions []int) {
 	*t = append(*t, entry{kind: entryDelete, keys: keys, positions: positions})
 }
 
+// inserted returns the number of tuples the insert entries [from, to) add.
+func (t Tape) inserted(from, to int) (n int) {
+	for _, e := range t[from:max(from, to)] {
+		if e.kind == entryInsert {
+			n += len(e.keys)
+		}
+	}
+	return n
+}
+
 // CrackAt returns the predicate of entry i when it is a crack.
 func (t Tape) CrackAt(i int) (store.Pred, bool) { return t[i].pred, t[i].kind == entryCrack }
 

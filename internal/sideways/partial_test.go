@@ -77,10 +77,11 @@ func TestChunksCreatedOnDemandOnly(t *testing.T) {
 	}
 }
 
-// TestPartialAlignmentSkipsCoveredChunks: a query aligns the chunks of an
-// area it covers only as far as the most aligned of them, so it never
-// advances a lagging one for nothing, and a new chunk of a covered area is
-// born at its span's cursor and replays no tape entry at all.
+// TestPartialAlignmentSkipsCoveredChunks: a new chunk of a covered area
+// is born at its span's cursor and replays no tape entry at all. Once an
+// insert has stopped the span, a query aligns the chunks of an area it
+// covers only as far as the most aligned of them (and the last update), so
+// it never advances a lagging one for nothing.
 func TestPartialAlignmentSkipsCoveredChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rel := buildRel(rng, 2000, []string{"A", "B", "C"}, 1000)
@@ -102,7 +103,7 @@ func TestPartialAlignmentSkipsCoveredChunks(t *testing.T) {
 	}
 	w := set.areas[0]
 	// Query the full range again with C: the area is covered. The new C
-	// chunk starts where the span is, which followed B's replays.
+	// chunk starts where the span is, which led B's cracks.
 	query(store.Range(0, 1000), "C")
 	cb, cc := w.maps["B"], w.maps["C"]
 	if cc.pairs.Stats != (crack.KernelStats{}) {
@@ -112,12 +113,15 @@ func TestPartialAlignmentSkipsCoveredChunks(t *testing.T) {
 	if born == 0 || born != w.spanCursor || born != cb.cursor {
 		t.Fatalf("C chunk born at cursor %d, span at %d, B at %d", born, w.spanCursor, cb.cursor)
 	}
-	// Crack the middle with B, then cover the area with C alone: the C
-	// chunk lags and stays where it is.
+	// Insert into the area and crack the middle with B: both chunks get
+	// their heads, and B replays the insert and the crack. Then cover the
+	// area with C alone: the C chunk replays the insert, lags the crack and
+	// stays there.
+	s.Insert(500, 1, 2)
 	query(store.Range(300, 700), "B")
 	query(store.Range(0, 1000), "C")
-	if cc.cursor != born || cc.pairs.Stats.Visited != 0 || cc.cursor >= cb.cursor {
-		t.Fatalf("covered C chunk moved from cursor %d to %d (B at %d), visiting %d", born, cc.cursor, cb.cursor, cc.pairs.Stats.Visited)
+	if cc.cursor != w.lastUpdate || cc.pairs.Stats.Visited != 0 || cc.cursor >= cb.cursor {
+		t.Fatalf("covered C chunk moved from cursor %d to %d (B at %d, last update %d), visiting %d", born, cc.cursor, cb.cursor, w.lastUpdate, cc.pairs.Stats.Visited)
 	}
 }
 
@@ -315,14 +319,16 @@ func TestHeadRecoveryFromSibling(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	rel := buildRel(rng, 600, []string{"A", "B", "C"}, 300)
 	s := NewPartialStore(rel)
-	// Align B and C chunks to identical cursors.
+	// Align B and C chunks to identical cursors; the insert stops the span
+	// of its area, so they keep their heads there.
 	s.SelectProject("A", store.Range(0, 300), []string{"B", "C"})
+	s.Insert(100, 1, 2)
 	s.SelectProject("A", store.Range(50, 250), []string{"B", "C"})
 	// Drop only B's head by hand.
 	set := s.SetIfExists("A")
 	var dropped *Map
 	for _, w := range set.areas {
-		if c, ok := w.maps["B"]; ok && c.Len() > 0 {
+		if c, ok := w.maps["B"]; ok && c.Len() > 0 && !w.led() {
 			c.pairs.Head = nil
 			c.headDropped = true
 			dropped = c
@@ -538,49 +544,56 @@ func TestBudgetedStreamIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestAlignTogetherVisitsOnce is sideways' joint-alignment count test for
-// the chunks of one area: chunks that lag at one cursor replay each crack
-// once, on one head; a new chunk is born at its span's cursor, where its
-// sibling is, and replays only what the sibling replays; a head-dropped
-// chunk copies its head from a sibling at its cursor and replays with it.
-// Every case ends with equal heads and the answer a scan gives.
+// TestPartialAlignTogetherVisitsOnce is sideways' joint-alignment count
+// test for the chunks of one area. While the area's span leads, every crack
+// is decided once, on the span: the chunks visit nothing, however many the
+// query reads, and a new chunk is born at the span's cursor and follows it.
+// Once an insert has stopped the span, chunks that lag at one cursor
+// replay each crack once, on one head, and a head-dropped chunk copies its
+// head from a sibling at its cursor and replays with it. Every case ends
+// with the chunks at the tape end, equal heads where they have heads, and
+// the answer a scan gives.
 func TestPartialAlignTogetherVisitsOnce(t *testing.T) {
 	const k = 6
-	rel := buildRel(rand.New(rand.NewSource(12)), 2000, []string{"A", "B", "C", "D"}, 1000)
-	nv := &naive{rel: rel, dead: map[int]bool{}}
 	pred := func(i int) store.Pred { return store.Range(Value(60*i), Value(60*i+300)) }
-	visited := func(s *Store, attrs []string) (n int) {
-		for _, w := range s.SetIfExists("A").areas {
-			for _, attr := range attrs {
-				if c, ok := w.maps[attr]; ok {
-					n += c.pairs.Stats.Visited
-				}
+	// visited sums the visits of the chunks for attrs and of the span.
+	visited := func(w *area, attrs []string) (chunks, span int) {
+		for _, attr := range attrs {
+			if c, ok := w.maps[attr]; ok {
+				chunks += c.pairs.Stats.Visited
 			}
 		}
-		return n
+		return chunks, w.span.Stats.Visited
 	}
-	// run fetches one area over the whole domain projecting first, drops
+	// run fetches one area over the whole domain projecting first; with
+	// update set it then inserts a tuple into it and merges it. It drops
 	// the head of chunk drop (if any), queries pred(1..k) projecting lag,
 	// then pred(k+1) projecting last, and returns what the last query
 	// visited.
-	run := func(first []string, drop string, lag, last []string) int {
+	run := func(update bool, first []string, drop string, lag, last []string) int {
+		rel := buildRel(rand.New(rand.NewSource(12)), 2000, []string{"A", "B", "C", "D"}, 1000)
 		s := NewPartialStore(rel)
+		nv := &naive{rel: rel, dead: map[int]bool{}}
 		s.SelectProject("A", store.Range(0, 1000), first)
 		w := s.SetIfExists("A").areas[0]
+		if update {
+			s.Insert(500, 1, 2, 3)
+			s.SelectProject("A", store.Range(0, 1000), first)
+		}
 		if drop != "" {
 			s.dropHead(w.maps[drop])
 		}
 		for i := 1; i <= k; i++ {
 			s.SelectProject("A", pred(i), lag)
 		}
-		before := visited(s, last)
+		chunks, span := visited(w, last)
 		res := s.SelectProject("A", pred(k+1), last)
 		want := nv.rows([]AttrPred{{Attr: "A", Pred: pred(k + 1)}}, last, false)
 		mustSameRows(t, resultRows(res, last), want, "last query")
 		for _, attr := range last {
 			c := w.maps[attr]
-			if c.headDropped || c.cursor != len(w.tape) {
-				t.Fatalf("chunk %s: head dropped %v, cursor %d of %d", attr, c.headDropped, c.cursor, len(w.tape))
+			if c.cursor != len(w.tape) || c.headDropped != w.led() {
+				t.Fatalf("chunk %s: head dropped %v in a led area %v, cursor %d of %d", attr, c.headDropped, w.led(), c.cursor, len(w.tape))
 			}
 			if !slices.Equal(c.pairs.Head, w.maps[last[0]].pairs.Head) {
 				t.Fatalf("chunk %s head differs from chunk %s", attr, last[0])
@@ -589,29 +602,39 @@ func TestPartialAlignTogetherVisitsOnce(t *testing.T) {
 		if err := s.checkInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		return visited(s, last) - before
+		chunksAfter, spanAfter := visited(w, last)
+		if w.led() {
+			if chunksAfter != 0 {
+				t.Fatalf("the chunks of a led area visited %d tuples", chunksAfter)
+			}
+			return spanAfter - span
+		}
+		return chunksAfter - chunks
 	}
 	b, d, both := []string{"B"}, []string{"D"}, []string{"B", "C"}
-	alone := run(b, "", d, b)
-	if together := run(both, "", d, both); together == 0 || together != alone {
-		t.Fatalf("two chunks at one cursor visited %d, one chunk alone %d", together, alone)
+	led := run(false, b, "", d, b)
+	if together := run(false, both, "", d, both); led == 0 || together != led {
+		t.Fatalf("in a led area two chunks cost the span %d, one chunk %d", together, led)
 	}
-	if dropped := run(both, "B", d, both); dropped != alone {
+	// The C chunk is new beside B's: it is born at the span's cursor and
+	// follows the one crack.
+	if staggered := run(false, d, "", b, both); staggered != led {
+		t.Fatalf("in a led area a new chunk beside an old one cost the span %d, one chunk %d", staggered, led)
+	}
+	alone := run(true, b, "", d, b)
+	if together := run(true, both, "", d, both); together == 0 || together != alone || alone <= led {
+		t.Fatalf("two lagging chunks at one cursor visited %d, one chunk alone %d, one crack in a led area %d", together, alone, led)
+	}
+	if dropped := run(true, both, "B", d, both); dropped != alone {
 		t.Fatalf("with one head dropped two chunks visited %d, one chunk alone %d", dropped, alone)
-	}
-	// Staggered: the C chunk is new beside B's at cursor k. It is born
-	// there and replays one crack, not k+1.
-	newAlone := run(d, "", b, []string{"C"})
-	if staggered := run(d, "", b, both); staggered == 0 || staggered != newAlone || newAlone >= alone {
-		t.Fatalf("staggered chunks visited %d, the new chunk alone %d, a chunk replaying %d cracks %d", staggered, newAlone, k+1, alone)
 	}
 }
 
-// TestHeadRecoveryBranches walks one area through the three ways a dropped
-// head comes back. A chunk that lags its span is re-created at the span's
-// cursor, and its sibling in the query follows it there; one at the span's
-// cursor with no sibling there rebuilds its head from the span without
-// replaying; one with a sibling at its cursor copies that sibling's head.
+// TestHeadRecoveryBranches walks one area through the ways a dropped head
+// comes back, once an insert has stopped its span and every chunk got its
+// head there. A chunk that lags its siblings rebuilds its head from the
+// span, replaying the tape from where the span stopped; one with a sibling
+// at its cursor copies that sibling's head.
 func TestHeadRecoveryBranches(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	rel := buildRel(rng, 2000, []string{"A", "B", "C", "D"}, 1000)
@@ -630,31 +653,33 @@ func TestHeadRecoveryBranches(t *testing.T) {
 	query(store.Range(0, 1000), "B", "C", "D")
 	w := s.SetIfExists("A").areas[0]
 	b, c, d := w.maps["B"], w.maps["C"], w.maps["D"]
+	s.Insert(500, 1, 2, 3)
+	if ev := query(store.Range(0, 1000), "B", "C", "D"); !slices.Equal(ev, []event{evUnled, evUnled, evUnled}) {
+		t.Fatalf("first update: events %v, want a head for each chunk", ev)
+	}
 	query(store.Range(100, 900), "B", "C")
 	query(store.Range(200, 800), "C")
 	query(store.Range(300, 700), "D")
-	if b.cursor != 1 || c.cursor != 2 || d.cursor != 3 || w.spanCursor != 3 {
-		t.Fatalf("cursors B %d, C %d, D %d, span %d; want 1, 2, 3, 3", b.cursor, c.cursor, d.cursor, w.spanCursor)
+	if b.cursor != 2 || c.cursor != 3 || d.cursor != 4 || w.spanCursor != 0 {
+		t.Fatalf("cursors B %d, C %d, D %d, span %d; want 2, 3, 4, 0", b.cursor, c.cursor, d.cursor, w.spanCursor)
 	}
 
-	// B lags C, which lags the span. Covering the area aligns B and C to
-	// C's cursor, B's head comes back with a crack, and no map is at its
-	// cursor: B is re-created at the span's, and C replays up to it.
+	// B lags C. Covering the area aligns B to C's cursor, B's head comes
+	// back with a crack, and no map is at its cursor: B rebuilds it from
+	// the span, replaying the insert and one crack.
 	s.dropHead(b)
 	visited := b.pairs.Stats.Visited
-	if ev := query(store.Range(0, 1000), "B", "C"); !slices.Equal(ev, []event{evReborn}) {
-		t.Fatalf("covered query after B's head drop: events %v, want a rebirth", ev)
+	if ev := query(store.Range(0, 1000), "B", "C"); !slices.Equal(ev, []event{evRebuild}) {
+		t.Fatalf("covered query after B's head drop: events %v, want a rebuild", ev)
 	}
-	if b.headDropped || b.cursor != 3 || c.cursor != 3 || b.pairs.Stats.Visited != visited {
+	if b.headDropped || b.cursor != 3 || c.cursor != 3 || b.pairs.Stats.Visited == visited {
 		t.Fatalf("B at cursor %d (dropped %v, visited %d more), C at %d; want both at 3", b.cursor, b.headDropped, b.pairs.Stats.Visited-visited, c.cursor)
 	}
-	if cs := s.ChunkStats(); cs.Reborn != 1 || cs.Created != 3 {
-		t.Fatalf("chunk stats %+v, want 3 created and 1 reborn", cs)
-	}
 
-	// Every head dropped, all at the span's cursor: the first chunk to need
+	// Every head dropped, B and C at one cursor: the first chunk to need
 	// its head rebuilds it from the span, the second copies it.
 	s.DropHead()
+	visited = b.pairs.Stats.Visited
 	if ev := query(store.Range(350, 650), "B", "C"); !slices.Equal(ev, []event{evRebuild, evSibling}) {
 		t.Fatalf("crack after every head dropped: events %v, want a rebuild, then a sibling copy", ev)
 	}

@@ -20,16 +20,22 @@
 // a map over one area is a chunk. Under partial maps (NewPartialStore) a set
 // owns a chunk map H_A — a cracker column over (A, key) — whose spans are the
 // areas: an area is fetched when the first chunk materializes from it. A
-// fetched span of H_A follows its area's crack entries: every replay of the
-// area's chunks applies its swaps and boundaries to the span too, starting
-// from the H_A boundaries already inside it, so its cracks never cross one
-// and H_A's index and estimates are unchanged. The span is thus always as
-// aligned as the area's most aligned chunk, and a new chunk is copied from
-// it at its cursor — head, index, and the tail gathered through its keys —
-// instead of replaying the tape from cursor 0. A span cannot grow or shrink,
-// so it stops following at the area's first insert or delete; chunks created
-// after that replay the rest. Chunks of a covered area align only as far as
-// the query needs (partial alignment); only the boundary areas are cracked.
+// fetched span of H_A leads its area: it holds the area's head in the
+// chunks' order, under an index started from the H_A boundaries already
+// inside it, so its cracks never cross one and H_A's index and estimates
+// are unchanged. Its chunks are tails alone, without the head copy Section
+// 4.1 shows is optional ("Dropping the Head Column"), so a chunk costs half
+// a map. A new chunk is gathered through the span's keys at the span's
+// cursor, and every crack of the area is decided once, on the span's head,
+// and moves the span and the tail of every chunk of the area together
+// (Tape.ReplayJoint). A span cannot grow or shrink, so the area's first
+// insert or delete stops it: just before the update merges, every chunk
+// gets a copy of the span's head and index, which replays nothing since
+// every chunk sits at the span's cursor. From then on the area's chunks
+// crack and align on their own, and chunks created after that copy the
+// span's head at the cursor where it stopped and replay the rest. Chunks of
+// such a covered area align only as far as the query needs (partial
+// alignment); only the boundary areas are cracked.
 // Under full maps (NewStore) every set has exactly one area, spanning the
 // whole domain: it needs no H_A, because its source is the base prefix in
 // key order, and every bounded predicate cuts it, so it logs every crack and
@@ -56,16 +62,20 @@
 // queries raise priorities atomically and cannot reorder anything. Dropping
 // the last chunk of an area un-fetches it: its tape's updates are pushed back
 // to the set's pending updates, so nothing is lost. Heavily cracked or idle
-// chunks can drop their head column (Section 4.1, "Dropping the Head
-// Column"). The head is copied from a same-cursor sibling, or recovered
-// deterministically from the area's source by replaying the tape from the
-// source's cursor; a chunk that lags its span is re-created at the span's
-// cursor instead, and the maps the query reads with it follow. The columns
-// of evicted chunks and dropped heads go to a store-owned free list that new
-// chunks and recovered heads draw from (see release for the ownership rule).
+// full maps, and chunks of areas an update has stopped the span of, can drop
+// their head column (Section 4.1, "Dropping the Head Column"). The head is
+// copied from a same-cursor sibling, or recovered deterministically from the
+// area's source by replaying the tape from the source's cursor; no chunk
+// lags it, since the span stopped where every chunk of its area was. Room is
+// made under the budget before any head comes back, recovered or given at an
+// area's first update, and before a replay's ripple inserts grow the maps.
+// The columns of evicted chunks and dropped heads go to a store-owned free
+// list that new chunks and recovered heads draw from (see release for the
+// ownership rule).
 package sideways
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
@@ -85,9 +95,12 @@ type Value = store.Value
 // full maps it is the whole map M_A,tail; under partial maps a chunk of it.
 // The tail holds tuple keys in the area's key chunk.
 type Map struct {
-	pairs       *crack.Pairs
-	cursor      int
-	Usage       // eviction priority; touched atomically by read-only queries
+	pairs  *crack.Pairs
+	cursor int
+	Usage  // eviction priority; touched atomically by read-only queries
+	// headDropped says the map keeps no head column and no index: its head
+	// was dropped (Section 4.1), or it is a chunk of an area its span
+	// leads, which never had one.
 	headDropped bool
 	lastCrack   int // store query counter at the last replayed crack entry
 	cost        int // tuples() as last added to Store.storage (see account)
@@ -109,8 +122,8 @@ func (m *Map) Cursor() int { return m.cursor }
 // convention.
 func (m *Map) Pairs() *crack.Pairs { return m.pairs }
 
-// tuples returns the map's storage cost in tuples: a full map of n pairs
-// costs n; a head-dropped one costs half (rounded up).
+// tuples returns the map's storage cost in tuples: a map of n pairs costs
+// n; one without a head costs half (rounded up).
 func (m *Map) tuples() int {
 	if m.headDropped {
 		return (m.Len() + 1) / 2
@@ -136,25 +149,25 @@ type area struct {
 	// span is the area's span of H_A under partial maps, nil for a
 	// whole-domain area: H_A's columns [lo, hi) under an index of its own,
 	// started from H_A's boundaries inside the span, so its cracks never
-	// cross one and H_A's index stays true. It follows every replay of the
-	// area's crack entries, up to spanCursor, and is the most aligned
-	// structure of the area: a new map is copied from it at that cursor and
-	// replays nothing. A span cannot grow or shrink, so it follows no
-	// further than spanStop, the tape index of the area's first update.
+	// cross one and H_A's index stays true. Until the area's first insert
+	// or delete the span leads the area (led): it holds the area's only
+	// head and index, every crack of the area is decided on it, and every
+	// chunk is a tail that follows it, at spanCursor. A span cannot grow or
+	// shrink, so the first update stops it there: each chunk gets a copy of
+	// its head and index (unlead), and from then on the chunks crack and
+	// align on their own, a new one copied from the span at spanCursor.
 	span       *crack.Pairs
 	spanCursor int
-	spanStop   int
+	stopped    bool // the span stopped leading at the area's first update
 }
 
 // updated records that the entry just appended to w's tape is an insert or
 // delete.
-func (w *area) updated() {
-	w.lastUpdate = len(w.tape)
-	w.spanStop = min(w.spanStop, len(w.tape)-1)
-}
+func (w *area) updated() { w.lastUpdate = len(w.tape) }
 
-// following reports whether w's span still follows the area's replays.
-func (w *area) following() bool { return w.span != nil && w.spanCursor < w.spanStop }
+// led reports whether w's span leads it: w is an area of H_A with no update
+// merged yet.
+func (w *area) led() bool { return w.span != nil && !w.stopped }
 
 // covers reports whether bound b falls in [loB, hiB).
 func (w *area) covers(b crackindex.Bound) bool {
@@ -253,9 +266,10 @@ type Store struct {
 	Budget int
 	// CachedPieceTuples enables head dropping for maps whose pieces all fit
 	// in a CPU-cache-sized window of this many tuples; 0 disables.
-	CachedPieceTuples int
 	// HeadDropIdleQueries drops the head of maps not cracked for this many
-	// queries; 0 disables.
+	// queries; 0 disables. Both act on full maps and on chunks of areas an
+	// update has stopped the span of: the chunks of a led area have no head.
+	CachedPieceTuples   int
 	HeadDropIdleQueries int
 
 	// Policy is the adaptive cracking policy (crack.Policy) applied to maps
@@ -268,6 +282,7 @@ type Store struct {
 	queries     int
 	storage     int            // running sum of Map.tuples() over all live maps
 	pinnedAreas map[*area]bool // areas resolved by the in-flight query
+	pinned      map[*Map]bool  // maps the in-flight query reads; empty between queries
 	victims     victimHeap     // every live map, lowest eviction priority first
 	bufs        store.FreeList // columns of evicted maps and dropped heads
 	life        ChunkStats
@@ -275,9 +290,9 @@ type Store struct {
 	// one says the manager evicts what it created a query ago.
 	evictedAccesses int64
 
-	// observe, when set, is told of every area fetched, map created or
-	// re-created, and head recovered, before any of them replays a tape
-	// entry. Tests set it; it is nil otherwise.
+	// observe, when set, is told of every area fetched, map created, head
+	// given at an area's first update, and head recovered, before any of
+	// them replays a tape entry. Tests set it; it is nil otherwise.
 	observe func(event, *area, *Map)
 }
 
@@ -287,7 +302,7 @@ type event uint8
 const (
 	evFetch   event = iota // an area was fetched; the map is nil
 	evBorn                 // a map was created at its area's source cursor
-	evReborn               // a lagging map came back at its area's span cursor
+	evUnled                // a map got its head from the span at the area's first update
 	evSibling              // a head was copied from a sibling at its cursor
 	evRebuild              // a head was rebuilt by replay from the area's source
 )
@@ -300,7 +315,7 @@ func (s *Store) note(ev event, w *area, m *Map) {
 
 // NewStore wraps rel (not copied) for sideways cracking with full maps.
 func NewStore(rel *store.Relation) *Store {
-	return &Store{Base: NewBase(rel), sets: make(map[string]*Set)}
+	return &Store{Base: NewBase(rel), sets: make(map[string]*Set), pinned: make(map[*Map]bool)}
 }
 
 // NewPartialStore wraps rel (not copied) for partial sideways cracking.
@@ -315,9 +330,6 @@ type ChunkStats struct {
 	Created       uint64 // maps materialized
 	TuplesCreated uint64 // tuples copied and gathered into them
 	Evicted       uint64 // maps dropped for the budget
-	// Reborn counts head-dropped maps that lagged their area's span and
-	// were re-created at its cursor to recover the head.
-	Reborn uint64
 	// Columns handed to new maps and recovered heads under a budget: taken
 	// from the free list, or allocated because it held none of the size
 	// class.
@@ -370,16 +382,18 @@ func (h *victimHeap) Pop() any {
 func (s *Store) NumSets() int { return len(s.sets) }
 
 // Kernel aggregates the kernel partition counters over every chunk map (the
-// moves its spans follow included) and every map the store has had, key
+// cracks its spans lead included) and every map the store has had, key
 // chunks and evicted maps included, and the cracker-index sizes over the
-// live maps and chunk maps: the observability bridge. Call it
-// under the same synchronization as queries (the stats are plain ints on the
-// Pairs).
+// live maps, chunk maps and spans that lead: the observability bridge. Call
+// it under the same synchronization as queries (the stats are plain ints on
+// the Pairs).
 func (s *Store) Kernel() (ks crack.KernelStats, pieces, cols int) {
 	ks = s.RetiredKernel()
 	count := func(p *crack.Pairs) {
 		ks.Add(p.Stats)
-		pieces += p.Idx.Pieces()
+		if p.Idx != nil {
+			pieces += p.Idx.Pieces()
+		}
 		cols++
 	}
 	for _, set := range s.sets {
@@ -391,9 +405,12 @@ func (s *Store) Kernel() (ks crack.KernelStats, pieces, cols int) {
 				count(m.pairs)
 			}
 			if w.span != nil {
-				// A span is a slice of H_A, counted above; its boundaries
-				// are its maps'.
+				// A span is a slice of H_A, counted above. Its index is
+				// its chunks' while it leads them, and stale after.
 				ks.Add(w.span.Stats)
+				if w.led() {
+					pieces += w.span.Idx.Pieces()
+				}
 			}
 		}
 	}
@@ -430,14 +447,13 @@ func (s *Store) account(m *Map) {
 // a fresh column costs its zeroing plus a page fault per 4 KB on top of the
 // copy that fills it; a recycled one costs the copy.
 //
-// Ownership: a column enters the list when its map is evicted, its head is
-// dropped or it is re-created (rebirth) — on the write path, under exclusive
-// access — and from then on nothing else refers to it. A Window holds columns
-// of maps the in-flight query pinned, eviction skips pinned maps, a head drop
-// releases the head only and never the head of a window the query still
-// reads, a map is re-created only while its own area is aligned, before that
-// area's window exists, read-only queries never run beside the write path,
-// and a Result is always a copy.
+// Ownership: a column enters the list when its map is evicted or its head is
+// dropped — on the write path, under exclusive access — and from then on
+// nothing else refers to it. A Window holds columns of maps the in-flight
+// query pinned (or of its area's span), eviction skips pinned maps, a head
+// drop releases the head only and never the head of a window the query
+// still reads, read-only queries never run beside the write path, and a
+// Result is always a copy.
 // The list holds at most Budget/8 values — a sixteenth of the bytes the
 // budget allows live maps — and nothing without a budget.
 func (s *Store) release(buf []Value) { s.bufs.Put(buf, s.Budget/8) }
@@ -563,7 +579,7 @@ func (set *Set) fetch(lo, hi crackindex.Bound) *area {
 		p1, p2 = crackHABound(set.ha, lo), crackHABound(set.ha, hi)
 		p2 = max(p2, p1)
 	}
-	w := &area{id: set.nextID, lo: p1, hi: p2, loB: lo, hiB: hi, maps: make(map[string]*Map), spanStop: math.MaxInt}
+	w := &area{id: set.nextID, lo: p1, hi: p2, loB: lo, hiB: hi, maps: make(map[string]*Map)}
 	if set.ha != nil {
 		w.span = crack.WrapPairs(set.ha.Head[p1:p2:p2], set.ha.Tail[p1:p2:p2])
 		w.span.Policy = set.policy
@@ -632,22 +648,30 @@ func (set *Set) sourceTail(w *area, tailAttr string) []Value {
 	return tail
 }
 
-// ensureMap materializes (or returns) the map of area w for tailAttr: head
-// and index copied from the area's source at its cursor, tail from
-// sourceTail. Under partial maps that is the span, as aligned as any map of
-// the area, so the new map replays nothing to catch up with its siblings.
+// ensureMap materializes (or returns) the map of area w for tailAttr at its
+// area's source cursor: in a led area a tail alone, gathered through the
+// span's keys, which costs half a map and follows the span; otherwise head
+// and index copied from the area's source and the tail from sourceTail.
+// Under partial maps that source is the span, as aligned as any map of the
+// area, so the new map replays nothing to catch up with its siblings.
 // Creating a map may evict maps the in-flight query has not pinned.
-func (set *Set) ensureMap(w *area, tailAttr string, pinned map[*Map]bool) *Map {
+func (set *Set) ensureMap(w *area, tailAttr string) *Map {
 	if m, ok := w.maps[tailAttr]; ok {
 		return m
 	}
 	st := set.st
 	size := w.hi - w.lo
-	st.ensureBudget(size, pinned)
-	head, idx, cursor := set.source(w)
-	m := &Map{pairs: crack.WrapPairs(st.copyOf(head), set.sourceTail(w, tailAttr)), cursor: cursor,
-		lastCrack: st.queries, set: set, w: w, tailAttr: tailAttr}
-	m.pairs.Idx, m.pairs.Policy = idx, set.policy
+	m := &Map{lastCrack: st.queries, set: set, w: w, tailAttr: tailAttr}
+	if w.led() {
+		st.ensureBudget((size + 1) / 2)
+		m.pairs, m.cursor, m.headDropped = &crack.Pairs{Tail: set.sourceTail(w, tailAttr)}, w.spanCursor, true
+	} else {
+		st.ensureBudget(size)
+		head, idx, cursor := set.source(w)
+		m.pairs, m.cursor = crack.WrapPairs(st.copyOf(head), set.sourceTail(w, tailAttr)), cursor
+		m.pairs.Idx = idx
+	}
+	m.pairs.Policy = set.policy
 	w.maps[tailAttr] = m
 	st.account(m)
 	heap.Push(&st.victims, victimKey{m.Priority(), m})
@@ -655,6 +679,33 @@ func (set *Set) ensureMap(w *area, tailAttr string, pinned map[*Map]bool) *Map {
 	st.life.TuplesCreated += uint64(size)
 	st.note(evBorn, w, m)
 	return m
+}
+
+// unlead stops the span of led area w before its first update is merged:
+// every chunk gets a copy of the span's head and index and from then on
+// cracks and aligns on its own. Every chunk sits at the span's cursor, so
+// nothing replays. Room for each head is made under the budget first, chunk
+// by chunk in tail order; a chunk the query does not read may be evicted to
+// make it, itself included, and then needs no head.
+func (set *Set) unlead(w *area) {
+	st := set.st
+	ms := make([]*Map, 0, len(w.maps))
+	for _, m := range w.maps {
+		ms = append(ms, m)
+	}
+	slices.SortFunc(ms, func(a, b *Map) int { return cmp.Compare(a.tailAttr, b.tailAttr) })
+	w.stopped = true
+	for _, m := range ms {
+		if w.maps[m.tailAttr] == m {
+			st.ensureBudget(m.Len() - m.cost)
+		}
+		if w.maps[m.tailAttr] != m {
+			continue // evicted to make room for a head
+		}
+		m.pairs.Head, m.pairs.Idx, m.headDropped = st.copyOf(w.span.Head), w.span.Idx.Clone(), false
+		st.account(m)
+		st.note(evUnled, w, m)
+	}
 }
 
 // tailCol returns the base column of m's tail attribute, nil for a tail of
@@ -666,21 +717,35 @@ func (set *Set) tailCol(m *Map) *store.Column {
 	return set.st.rel.MustColumn(m.tailAttr)
 }
 
-// replay aligns the maps ms of area w to tape position end. Maps with a head
-// replay together, and the area's span follows them: at one cursor, each
-// crack is decided once, on one head (Tape.ReplayJoint). A head-dropped map
-// first skips what it can alone; one that lagged its span comes back at the
-// span's cursor, and then every map of ms is aligned to that cursor.
+// replay aligns the maps ms of area w to tape position end. In a led area
+// the span replays, and every chunk of the area follows it, listed or not:
+// each crack is decided once, on the span's head, and moves the chunks'
+// tails only (Tape.ReplayJoint). Otherwise the maps with a head replay
+// together, each crack decided on one of them, and a head-dropped map
+// first skips what it can alone. Room for the tuples the maps' ripple
+// inserts add is made first; ms are pinned.
 func (set *Set) replay(w *area, end int, ms ...*Map) {
-	for again := true; again; {
-		again = false
-		for _, m := range ms {
-			if m.headDropped && m.cursor < end {
-				set.replayDropped(w, m, end)
-				if m.cursor > end {
-					end, again = m.cursor, true
-				}
+	if w.led() {
+		if w.spanCursor < end {
+			joint := []Member{{Pairs: w.span, Cursor: &w.spanCursor}}
+			for _, m := range w.maps {
+				m.lastCrack = set.st.queries // a led area's tape holds cracks only
+				joint = append(joint, Member{Pairs: m.pairs, Cursor: &m.cursor})
 			}
+			w.tape.ReplayJoint(joint, end, set.pend.head)
+		}
+		return
+	}
+	grow := 0
+	for _, m := range ms {
+		grow += w.tape.inserted(m.cursor, end)
+	}
+	if grow > 0 {
+		set.st.ensureBudget(grow)
+	}
+	for _, m := range ms {
+		if m.headDropped && m.cursor < end {
+			set.replayDropped(w, m, end)
 		}
 	}
 	var joint []Member
@@ -696,11 +761,6 @@ func (set *Set) replay(w *area, end int, ms ...*Map) {
 		}
 		joint = append(joint, Member{Pairs: m.pairs, Cursor: &m.cursor, Tail: set.tailCol(m)})
 	}
-	if to := min(end, w.spanStop); len(joint) > 0 && w.following() && w.spanCursor < to {
-		// The span is at least as far as every map of the area, and listed
-		// last, so it never leads: it only applies the swaps and boundaries.
-		w.tape.ReplayJoint(append(slices.Clip(joint), Member{Pairs: w.span, Cursor: &w.spanCursor}), to, set.pend.head)
-	}
 	w.tape.ReplayJoint(joint, end, set.pend.head)
 	for _, m := range ms {
 		set.st.account(m)
@@ -710,11 +770,10 @@ func (set *Set) replay(w *area, end int, ms ...*Map) {
 // replayDropped advances head-dropped map m of area w toward tape position
 // end lazily: a crack entry whose bounds are already boundaries is a
 // physical no-op and is skipped (Section 4.1: "if b matches one of the past
-// cracks, cracking and thus full alignment of c is not necessary"), by the
-// span too when it is at m's cursor, since it holds m's boundaries there. At
-// the first entry that would physically move tuples — crack, ripple-insert
-// and delete reorganize head and tail together — m recovers its head and
-// stops; replay aligns it the rest of the way with its siblings.
+// cracks, cracking and thus full alignment of c is not necessary"). At the
+// first entry that would physically move tuples — crack, ripple-insert and
+// delete reorganize head and tail together — m recovers its head and stops;
+// replay aligns it the rest of the way with its siblings.
 func (set *Set) replayDropped(w *area, m *Map, end int) {
 	for ; m.cursor < end; m.cursor++ {
 		pred, isCrack := w.tape.CrackAt(m.cursor)
@@ -722,21 +781,20 @@ func (set *Set) replayDropped(w *area, m *Map, end int) {
 			set.recoverHead(w, m)
 			return
 		}
-		if w.following() && w.spanCursor == m.cursor {
-			w.spanCursor++
-		}
 	}
 }
 
-// recoverHead restores a dropped head column (Section 4.1). Fast path: copy
-// from a sibling map of the same area at the same cursor. Otherwise the head
-// is rebuilt from the area's source by replaying the tape from the source's
-// cursor to m's — deterministic cracking guarantees the rebuilt head pairs
-// correctly with the surviving tail. A map that lags its area's span cannot
-// be rebuilt that way, since the span has passed its cursor: it is re-created
-// from the span instead (rebirth), and ends at the span's cursor.
+// recoverHead restores a dropped head column (Section 4.1) of a map of an
+// area its span does not lead, after making room for it under the budget;
+// m is pinned, since the in-flight query reads every map whose head comes
+// back. Fast path: copy from a sibling map of the same area at the same
+// cursor. Otherwise the head is rebuilt from the area's source by replaying
+// the tape from the source's cursor to m's — deterministic cracking
+// guarantees the rebuilt head pairs correctly with the surviving tail. No
+// map lags the source: the span stopped where every chunk of its area was.
 func (set *Set) recoverHead(w *area, m *Map) {
 	st := set.st
+	st.ensureBudget(m.Len() - m.cost)
 	defer st.account(m)
 	for _, sib := range w.maps {
 		if sib != m && !sib.headDropped && sib.cursor == m.cursor {
@@ -745,10 +803,6 @@ func (set *Set) recoverHead(w *area, m *Map) {
 			st.note(evSibling, w, m)
 			return
 		}
-	}
-	if w.span != nil && m.cursor < w.spanCursor {
-		set.rebirth(w, m)
-		return
 	}
 	head, idx, from := set.source(w)
 	// The replay drags a tail along whose values nobody reads.
@@ -762,22 +816,6 @@ func (set *Set) recoverHead(w *area, m *Map) {
 	m.pairs.Stats.Add(tmp.Stats) // the rebuild is kernel work done for m
 	st.release(tmp.Tail)
 	st.note(evRebuild, w, m)
-}
-
-// rebirth re-creates head-dropped map m of area w, which lags the span, from
-// the span at its cursor: head, index and tail, as ensureMap would. m
-// applied no update yet (the span stops at the first), so it holds the
-// span's tuples. It keeps its place in the store: usage, eviction heap
-// entry and kernel counts.
-func (set *Set) rebirth(w *area, m *Map) {
-	st := set.st
-	st.release(m.pairs.Tail)
-	head, idx, cursor := set.source(w)
-	m.pairs.Head, m.pairs.Tail, m.pairs.Idx = st.copyOf(head), set.sourceTail(w, m.tailAttr), idx
-	m.cursor, m.headDropped, m.lastCrack = cursor, false, st.queries
-	st.life.Reborn++
-	st.life.TuplesCreated += uint64(len(head))
-	st.note(evReborn, w, m)
 }
 
 // DropHead explicitly drops the head column of every map in every set,
@@ -826,7 +864,7 @@ func maxPiece(m *Map) int {
 // more tuples fit in the budget; maps of equal priority go in (set attribute,
 // area id, tail attribute) order, so one query stream always evicts the same
 // maps. Dropping an area's last map un-fetches the area.
-func (s *Store) ensureBudget(size int, pinned map[*Map]bool) {
+func (s *Store) ensureBudget(size int) {
 	if s.Budget <= 0 {
 		return
 	}
@@ -839,7 +877,7 @@ func (s *Store) ensureBudget(size int, pinned map[*Map]bool) {
 			continue
 		}
 		k := heap.Pop(&s.victims).(victimKey)
-		if pinned[k.m] {
+		if s.pinned[k.m] {
 			held = append(held, k)
 			continue
 		}
@@ -874,7 +912,8 @@ func (s *Store) evict(m *Map) {
 // covered ones, and return one window per area in value order (chunk-wise
 // processing, Section 4.1): the aligned map tails, parallel to tailAttrs, and
 // the qualifying position range within them. With heads set every window also
-// carries its leader's head column, recovered if it was dropped.
+// carries its leader's head column, recovered if it was dropped, or its
+// area's span's where the span leads.
 //
 // Every existing map the query reads is pinned before any map is created, so
 // making room for one never evicts another this query is about to read.
@@ -886,36 +925,38 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window 
 		return nil
 	}
 	st.pinnedAreas = make(map[*area]bool, len(areas))
-	pinned := make(map[*Map]bool)
 	for _, w := range areas {
 		st.pinnedAreas[w] = true
 		for _, attr := range tailAttrs {
 			if m, ok := w.maps[attr]; ok {
-				pinned[m] = true
+				st.pinned[m] = true
 			}
 		}
 	}
-	defer func() { st.pinnedAreas = nil }()
+	defer func() { st.pinnedAreas = nil; clear(st.pinned) }()
 	used := make([][]*Map, len(areas))
 	for i, w := range areas {
 		used[i] = make([]*Map, len(tailAttrs))
 		for j, attr := range tailAttrs {
-			used[i][j] = set.ensureMap(w, attr, pinned)
-			pinned[used[i][j]] = true
+			used[i][j] = set.ensureMap(w, attr)
+			st.pinned[used[i][j]] = true
 		}
 	}
 
 	// Merge pending insertions and deletions into the tapes of the areas
-	// they fall in.
+	// they fall in; an area's first update stops its span.
 	ins := set.perArea(areas, set.pend.TakeInserts(pred))
 	del := set.perArea(areas, set.pend.TakeDeletes(pred))
 	for i, w := range areas {
+		if w.led() && len(ins[w])+len(del[w]) > 0 {
+			set.unlead(w)
+		}
 		if keys := ins[w]; len(keys) > 0 {
 			w.tape.LogInsert(keys)
 			w.updated()
 		}
 		if keys := del[w]; len(keys) > 0 {
-			set.mergeDeletes(w, pred, keys, used[i], pinned)
+			set.mergeDeletes(w, pred, keys, used[i])
 		}
 	}
 
@@ -949,14 +990,11 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window 
 		for _, m := range used[i] {
 			st.Touch(&m.Usage)
 		}
-		if heads && len(used[i]) > 0 && used[i][0].headDropped {
+		if heads && !w.led() && len(used[i]) > 0 && used[i][0].headDropped {
 			set.recoverHead(w, used[i][0])
-			// A lagging leader comes back at the span's cursor; the other
-			// maps follow it there.
-			set.replay(w, used[i][0].cursor, used[i]...)
 		}
 		var ok bool
-		if wins[i], ok = windowOf(used[i], heads, cutLo, cutHi, lowerB, upperB); !ok {
+		if wins[i], ok = windowOf(w, used[i], heads, cutLo, cutHi, lowerB, upperB); !ok {
 			panic(fmt.Sprintf("sideways: missing boundary after alignment for %v", pred))
 		}
 	}
@@ -972,10 +1010,11 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window 
 // deleted tuple is the one position whose head and tails equal its row. When
 // some deleted row equals a second tuple on those columns, the area's key
 // chunk finds them by key instead.
-func (set *Set) mergeDeletes(w *area, pred store.Pred, keys []int, ms []*Map, pinned map[*Map]bool) {
+func (set *Set) mergeDeletes(w *area, pred store.Pred, keys []int, ms []*Map) {
 	positions, ok := set.locate(w, pred, keys, ms)
 	if !ok {
-		kc := set.ensureMap(w, "", pinned)
+		kc := set.ensureMap(w, "")
+		set.st.pinned[kc] = true
 		positions, _ = set.locate(w, pred, keys, []*Map{kc})
 		defer set.replay(w, len(w.tape), kc)
 	}
@@ -1005,11 +1044,12 @@ func (set *Set) locate(w *area, pred store.Pred, keys []int, ms []*Map) (positio
 	return ms[0].pairs.Locate(pred, set.pend.Rows(keys, cols), tails...)
 }
 
-// windowOf returns the window over the aligned maps of one area, with the
-// leader's head when heads is set: all of it, cut at lowerB and/or upperB
-// where the area is a boundary area on that side. ok is false when a cut is
-// not a boundary of the maps' index yet.
-func windowOf(ms []*Map, heads, cutLo, cutHi bool, lowerB, upperB crackindex.Bound) (win Window, ok bool) {
+// windowOf returns the window over the aligned maps ms of area w, with the
+// head when heads is set: all of it, cut at lowerB and/or upperB where the
+// area is a boundary area on that side. Head and cuts are the leader's,
+// ms[0], or in a led area the span's. ok is false when a cut is not a
+// boundary of that index yet.
+func windowOf(w *area, ms []*Map, heads, cutLo, cutHi bool, lowerB, upperB crackindex.Bound) (win Window, ok bool) {
 	win.Tails = make([][]Value, len(ms))
 	for i, m := range ms {
 		win.Tails[i] = m.pairs.Tail
@@ -1017,17 +1057,21 @@ func windowOf(ms []*Map, heads, cutLo, cutHi bool, lowerB, upperB crackindex.Bou
 	if len(ms) == 0 {
 		return win, true
 	}
+	lead := ms[0].pairs
+	if w.led() {
+		lead = w.span
+	}
 	if heads {
-		win.Head = ms[0].pairs.Head
+		win.Head = lead.Head
 	}
 	win.Hi = ms[0].Len()
 	if cutLo {
-		if win.Lo, ok = ms[0].pairs.Idx.Lookup(lowerB); !ok {
+		if win.Lo, ok = lead.Idx.Lookup(lowerB); !ok {
 			return win, false
 		}
 	}
 	if cutHi {
-		if win.Hi, ok = ms[0].pairs.Idx.Lookup(upperB); !ok {
+		if win.Hi, ok = lead.Idx.Lookup(upperB); !ok {
 			return win, false
 		}
 	}
@@ -1141,11 +1185,11 @@ func (s *Store) windowsRO(set *Set, pred store.Pred, tailAttrs []string, heads b
 				// Partial alignment may lag on cracks but never on updates.
 				return nil, nil, false
 			}
-			if heads && ms[0].headDropped {
+			if heads && !w.led() && ms[0].headDropped {
 				return nil, nil, false
 			}
 		}
-		win, ok := windowOf(ms, heads, cutLo, cutHi, lowerB, upperB)
+		win, ok := windowOf(w, ms, heads, cutLo, cutHi, lowerB, upperB)
 		if !ok {
 			return nil, nil, false
 		}

@@ -10,25 +10,20 @@ import (
 
 // TestBudgetedCycleDoesNotThrash runs the Fig 9 cycle at a tenth of the
 // benchmark's scale: five query types A∈1% ∧ X∈50% → Y that together want
-// five maps of S_A, in batches of 100, under a budget of three. Counts only.
-// Evicting by access count alone materialized 5,245 chunks of 2,668,230
-// tuples on this stream (commit 3a8b22a) and the chunks it evicted had been
-// used 1.04 times on average: it dropped what it had created a query ago and
-// kept the well-used chunks of batches that had ended.
+// five maps of S_A, in batches of 100, under a budget of three. Its chunks
+// are tails that cost half a map each, so the three maps' budget is 1.5
+// times the rows (the chunks of all five want 2.5). Counts only. Evicting
+// by access count alone materialized 5,213 chunks of 2,666,097 tuples on
+// this stream and the chunks it evicted had been used 1.04 times on
+// average: it dropped what it had created a query ago and kept the
+// well-used chunks of batches that had ended.
 func TestBudgetedCycleDoesNotThrash(t *testing.T) {
-	const rows, lfuTuples = 100000, 2668230
-	attrs := []string{"A", "B", "C", "D", "E", "F"}
-	types := [][2]string{{"B", "C"}, {"C", "D"}, {"D", "E"}, {"E", "F"}, {"F", "B"}}
+	const rows, lfuTuples = 100000, 2666097
 	rng := rand.New(rand.NewSource(17))
-	s := NewPartialStore(buildRel(rng, rows, attrs, rows))
-	s.Budget = 3 * rows
+	s := NewPartialStore(buildRel(rng, rows, cycleAttrs, rows))
+	s.Budget = 3 * rows / 2
 	for q := 0; q < 2000; q++ {
-		typ := types[q/100%len(types)]
-		lo, xlo := rng.Int63n(rows-rows/100), rng.Int63n(rows/2)
-		s.MultiSelect([]AttrPred{
-			{Attr: "A", Pred: store.Range(lo, lo+rows/100)},
-			{Attr: typ[0], Pred: store.Range(xlo, xlo+rows/2)},
-		}, []string{typ[1]}, false)
+		cycleQuery(s, rng, q, rows)
 		if s.StorageTuples() > s.Budget {
 			t.Fatalf("query %d: %d chunk tuples, budget %d", q, s.StorageTuples(), s.Budget)
 		}
@@ -48,11 +43,66 @@ func TestBudgetedCycleDoesNotThrash(t *testing.T) {
 	}
 }
 
+var cycleAttrs = []string{"A", "B", "C", "D", "E", "F"}
+
+// cycleQuery asks query q of the Fig 9 cycle over rows tuples: query type
+// q/100 mod 5 of A∈1% ∧ X∈50% → Y.
+func cycleQuery(s *Store, rng *rand.Rand, q, rows int) {
+	types := [][2]string{{"B", "C"}, {"C", "D"}, {"D", "E"}, {"E", "F"}, {"F", "B"}}
+	typ := types[q/100%len(types)]
+	lo, xlo := rng.Int63n(int64(rows-rows/100)), rng.Int63n(int64(rows/2))
+	s.MultiSelect([]AttrPred{
+		{Attr: "A", Pred: store.Range(lo, lo+int64(rows/100))},
+		{Attr: typ[0], Pred: store.Range(xlo, xlo+int64(rows/2))},
+	}, []string{typ[1]}, false)
+}
+
+// TestHeadRecoveryBudget runs the cycle of TestBudgetedCycleDoesNotThrash,
+// with a delete and an insert before every tenth query, under each
+// head-drop knob, and checks the budget after every query. The updates stop
+// the spans of the areas they fall in, so their chunks get heads, drop them
+// and recover them: room is made before any head comes back.
+func TestHeadRecoveryBudget(t *testing.T) {
+	const rows = 100000
+	knobs := []struct {
+		name         string
+		idle, cached int
+	}{{"idle=1", 1, 0}, {"idle=2", 2, 0}, {"idle=5", 5, 0}, {"idle=20", 20, 0}, {"cached=256", 0, 256}}
+	for _, k := range knobs {
+		t.Run(k.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(17))
+			s := NewPartialStore(buildRel(rng, rows, cycleAttrs, rows))
+			s.Budget, s.HeadDropIdleQueries, s.CachedPieceTuples = 3*rows/2, k.idle, k.cached
+			heads := map[event]int{}
+			s.observe = func(ev event, _ *area, _ *Map) { heads[ev]++ }
+			for q := 0; q < 2000; q++ {
+				if q%10 == 0 {
+					s.Delete(rng.Intn(rows))
+					s.Insert(rng.Int63n(rows), rng.Int63n(rows), rng.Int63n(rows), rng.Int63n(rows), rng.Int63n(rows), rng.Int63n(rows))
+				}
+				cycleQuery(s, rng, q, rows)
+				if s.StorageTuples() > s.Budget {
+					t.Fatalf("query %d: %d chunk tuples, budget %d", q, s.StorageTuples(), s.Budget)
+				}
+			}
+			if err := s.checkInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s: %d heads given at a first update, %d rebuilt, %d copied from a sibling, %d evicted",
+				k.name, heads[evUnled], heads[evRebuild], heads[evSibling], s.ChunkStats().Evicted)
+			if heads[evUnled] == 0 || heads[evRebuild]+heads[evSibling] == 0 || s.ChunkStats().Evicted == 0 {
+				t.Fatalf("the stream gave no head, recovered none or evicted nothing: %v", heads)
+			}
+		})
+	}
+}
+
 // TestWarmChunkCreationAllocatesNoColumn: two query types over the same
 // sixteen ranges, under a budget that holds the chunks of one and a half,
-// evict each other's chunks forever. Once warm, every creation draws both
-// columns from the free list and the one column a query allocates is its
-// answer.
+// evict each other's chunks forever. The chunks are tails of half a map's
+// cost, so the budget is three quarters of the rows. Once warm, every
+// creation draws its column from the free list and the one column a query
+// allocates is its answer.
 func TestWarmChunkCreationAllocatesNoColumn(t *testing.T) {
 	const rows, ranges = 64000, 16
 	const width = rows / ranges
@@ -64,7 +114,7 @@ func TestWarmChunkCreationAllocatesNoColumn(t *testing.T) {
 		return Value(row)
 	})
 	s := NewPartialStore(rel)
-	s.Budget = rows * 3 / 2
+	s.Budget = rows * 3 / 4
 	pass := func(y string) {
 		for r := 0; r < ranges; r++ {
 			s.SelectProject("A", store.Range(Value(r*width), Value((r+1)*width)), []string{y})
@@ -93,14 +143,49 @@ func TestWarmChunkCreationAllocatesNoColumn(t *testing.T) {
 	if cs.BuffersAllocated != warm.BuffersAllocated {
 		t.Errorf("%d columns allocated once warm, want none", cs.BuffersAllocated-warm.BuffersAllocated)
 	}
-	if got := cs.BuffersRecycled - warm.BuffersRecycled; got != 2*created {
-		t.Errorf("%d columns recycled for %d chunks, want head and tail of each", got, created)
+	if got := cs.BuffersRecycled - warm.BuffersRecycled; got != created {
+		t.Errorf("%d columns recycled for %d chunks, want the tail of each", got, created)
 	}
 	const column = width * 8
 	if perQuery := (m1.TotalAlloc - m0.TotalAlloc) / (passes * ranges); perQuery > column*3/2 {
-		t.Errorf("%d bytes allocated per query; the answer is one column of %d, a fresh chunk two more", perQuery, column)
+		t.Errorf("%d bytes allocated per query; the answer is one column of %d, a fresh chunk one more", perQuery, column)
 	}
 	if idle := s.bufs.Idle(); idle > s.Budget/8 {
 		t.Errorf("free list holds %d values, its bound is %d", idle, s.Budget/8)
+	}
+}
+
+// BenchmarkChunkBirth measures creating one chunk of a fetched area of 2^18
+// tuples, in ns per created tuple, under a budget that holds one chunk, so
+// every creation evicts the previous one. The free list holds an eighth of
+// the budget, too little for a column of the chunk, so every column is
+// freshly allocated. "tail" is a chunk of a led area: its tail gathered
+// through the span's keys. "updated" is a chunk of an area an insert has
+// stopped: head and index copied from the span as well.
+func BenchmarkChunkBirth(b *testing.B) {
+	const rows = 1 << 20
+	for _, updated := range []bool{false, true} {
+		name := map[bool]string{false: "tail", true: "updated"}[updated]
+		b.Run(name, func(b *testing.B) {
+			rel := buildRel(rand.New(rand.NewSource(1)), rows, []string{"A", "B", "C"}, rows)
+			s := NewPartialStore(rel)
+			pred := store.Range(0, rows/4-1)
+			s.SelectProject("A", pred, []string{"B"})
+			if updated {
+				s.Insert(1, 2, 3)
+				s.SelectProject("A", pred, []string{"B"})
+			}
+			set := s.SetIfExists("A")
+			w := set.areas[0]
+			m := w.maps["B"]
+			s.Budget = m.tuples()
+			s.pinnedAreas = map[*area]bool{w: true} // evicting the last chunk keeps the area
+			tails := []string{"C", "B"}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m = set.ensureMap(w, tails[i%2])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m.Len()), "ns/tuple")
+		})
 	}
 }
