@@ -456,10 +456,10 @@ func (p *Pairs) CrackRange(pred store.Pred) (lo, hi int) {
 // CrackRangeWith is CrackRange on p, the leader, and on followers that sit
 // at the same point of the same cracker tape. Precondition: every follower
 // has p's length, and p's head values position for position and p's index
-// boundaries, or no head and no index at all. Each decision — the counting pass, the misplaced positions,
-// policy pivots, boundaries — is made once, on p's head; every swap is
-// applied to p and to each follower, and every boundary is inserted into
-// each follower's index. Because the kernel depends only on (piece
+// boundaries, or no head and no index at all. Each decision — the counting
+// pass, the misplaced positions, policy pivots, boundaries — is made once,
+// on p's head; every swap is applied to p and to each follower, and every
+// boundary is inserted into each follower's index that exists. Because the kernel depends only on (piece
 // contents, predicate), every follower ends exactly as its own CrackRange
 // would have left it. A follower counts the tuples it moves in Stats.Moved
 // and nothing else, since it reads no head. Panics if a follower's length

@@ -260,16 +260,18 @@ func FuzzStacksAgree(f *testing.F) {
 		encQuery(opQuery, encPreds(encPred(aB, shapeRange, 0, 63)), encProjs(aC)),
 		encQuery(opQuery, point, encProjs(aB)),
 	))
-	// A head comes back three ways in the cell that drops idle heads. One
-	// area of S_A is cracked by queries that leave B, C and D at cursors 1,
-	// 2 and 3, the span at 3. Covering the area with B alone idles B's
-	// head away; covering it with B and C aligns B, which lags its span
-	// and has no map at its cursor, so it is re-created at the span's
-	// cursor and C follows it there. Covering it again idles every head
-	// away; a crack then rebuilds B's head from the span, at its cursor,
-	// and C copies B's.
+	// A head comes back both ways in the cell that drops idle heads. One
+	// area of S_A is fetched with B, C and D, and an insert into it stops
+	// its span: the next query gives every chunk its head. Cracks then
+	// leave B, C and D at cursors 2, 3 and 4. Covering the area with B
+	// alone idles B's head away; covering it with B and C aligns B, which
+	// lags C and has no map at its cursor, so it rebuilds its head from
+	// the span. Covering it with B, C and D brings C's idled head back from
+	// B, at their cursor. A last crack reads both again.
 	area := encPreds(encPred(aA, shapeRange, 10, 50))
 	f.Add(int64(8), cat(
+		encQuery(opQuery, area, encProjs(aB, aC, aD)),
+		[]byte{opInsert, 30, 4, 5, 6},
 		encQuery(opQuery, area, encProjs(aB, aC, aD)),
 		encQuery(opQuery, encPreds(encPred(aA, shapeRange, 20, 40)), encProjs(aB, aC)),
 		encQuery(opQuery, encPreds(encPred(aA, shapeRange, 25, 35)), encProjs(aC)),
