@@ -201,9 +201,9 @@ func cells() []cell {
 	for _, b := range budgeted {
 		out = append(out, on(b, "bare", "concurrent", "remote")...)
 	}
-	// Heads dropped after two idle queries: a head comes back from a
-	// sibling, rebuilt from its area's span, or with the chunk re-created
-	// at the span's cursor.
+	// Heads dropped after two idle queries, from the chunks of areas an
+	// update has given heads: a head comes back from a sibling or rebuilt
+	// from its area's span.
 	out = append(out, on(base{"partial/headdrop", engine.PartialSideways, engine.Options{Budget: 2 * rows, HeadDropIdleQueries: 2}}, "bare")...)
 	for _, k := range []engine.Kind{engine.SelCrack, engine.Sideways, engine.PartialSideways} {
 		for _, pk := range []crack.PolicyKind{crack.Stochastic, crack.Capped} {
