@@ -82,9 +82,8 @@ func Build(name string, n int, attrs []string, gen func(attr string, row int) Va
 func Open(kind Kind, rel *Relation) Engine { return engine.New(kind, rel) }
 
 // Options are the knobs of an engine, fixed when it is built: the adaptive
-// cracking policy of the cracking kinds, and the storage budget (plus, for
-// partial maps, the head-dropping thresholds of Section 4) of the sideways
-// kinds. A kind ignores the knobs it does not have.
+// cracking policy of the cracking kinds, and the storage budget of the
+// sideways kinds. A kind ignores the knobs it does not have.
 type Options = engine.Options
 
 // OpenWith is Open with options. Nothing about an engine is configured

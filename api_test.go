@@ -59,7 +59,7 @@ func TestStoreAccessors(t *testing.T) {
 		t.Fatal("PartialStore must not unwrap a sideways engine")
 	}
 	part := crackstore.OpenWith(crackstore.PartialSideways, demoRelation(100, 1),
-		crackstore.Options{Budget: 1000, CachedPieceTuples: 64})
+		crackstore.Options{Budget: 1000})
 	if crackstore.PartialStore(part) == nil {
 		t.Fatal("PartialStore should unwrap a partial engine")
 	}

@@ -85,8 +85,9 @@
 // The span cannot grow, so at its area's first insert or delete it stops:
 // just before the update merges, each chunk gets a copy of the span's head
 // and index, which replays nothing, and from then on the area's chunks
-// crack, align and drop heads on their own, chunks created later copying
-// the span's head where it stopped. Under full maps a set has exactly one
+// crack and align on their own, chunks created later copying the span's
+// head where it stopped. So a map has a head exactly when no span leads
+// its area. Under full maps a set has exactly one
 // area, spanning the whole domain: its source is the base prefix in key
 // order, so it needs no H_A, and a new map is cloned from that prefix at
 // cursor 0 and replays the tape up to its siblings. Every bounded predicate
@@ -146,18 +147,13 @@
 // evicts what the same query reads next. Evicting an area's last map
 // un-fetches the area, in both presets: its tape is forgotten and its
 // updates go back to pending. A chunk of a led area costs half its tuples,
-// having no head; every other map costs its tuples. Head dropping (Section
-// 4.1) applies to full maps and to the chunks of areas an update has
-// stopped the span of. A head is recovered from a same-cursor sibling, or
-// by replaying the tape over the area's source from the source's cursor; no
-// chunk lags that cursor, since the span stopped where every chunk was.
-// Room is made under the budget before anything grows a map: a new map, a
-// head recovered or given at an area's first update, and a replay's ripple
-// inserts. The columns of an evicted map or a dropped head go to a free
-// list owned by the store, in size classes of four per doubling, and new
-// maps and recovered heads are filled into them, so steady-state chunk
-// creation neither zeroes nor page-faults fresh memory. A column is
-// recycled only once nothing can refer to it: eviction and head drops
+// having no head; every other map costs its tuples. Room is made under the
+// budget before anything grows a map: a new map, the heads an area's first
+// update gives its chunks, and a replay's ripple inserts. The columns of an
+// evicted map go to a free list owned by the store, in size classes of four
+// per doubling, and new maps and heads are filled into them, so
+// steady-state chunk creation neither zeroes nor page-faults fresh memory.
+// A column is recycled only once nothing can refer to it: evictions
 // happen on the write path under exclusive access, skip the maps the
 // in-flight query has pinned (the only ones its windows read beside the
 // spans of led areas), and a Result is always a copy. The free list holds

@@ -75,15 +75,15 @@ func ExampleCrackerJoin() {
 }
 
 // ExampleOpenWith configures partial sideways cracking with a storage
-// budget and automatic head dropping.
+// budget. Its chunks are tails alone, whose head the chunk map holds, so
+// each costs half its tuples.
 func ExampleOpenWith() {
 	rel := crackstore.NewRelation("t", "a", "b")
 	for i := 0; i < 1000; i++ {
 		rel.AppendRow(crackstore.Value(i), crackstore.Value(i%7))
 	}
 	e := crackstore.OpenWith(crackstore.PartialSideways, rel, crackstore.Options{
-		Budget:            500,  // at most 500 tuples of chunk storage
-		CachedPieceTuples: 4096, // drop heads once pieces are cache-resident
+		Budget: 500, // at most 500 tuples of chunk storage
 	})
 	res, _ := e.Query(crackstore.Query{
 		Preds: []crackstore.AttrPred{{Attr: "a", Pred: crackstore.Range(100, 200)}},

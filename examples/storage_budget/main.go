@@ -3,11 +3,11 @@
 // five different attribute pairs; full maps would need 10x the table size,
 // but partial maps materialize only the chunks the workload actually
 // reads, evict cold chunks least-frequently-used first, and recreate them
-// on demand — always staying under the budget. Each chunk is a tail whose
-// head its area's span of the chunk map holds, so it costs half its tuples
-// and CachedPieceTuples has no head to drop; on a stream with updates the
-// chunks of updated areas get heads, and room is made under the budget
-// before any of them, dropped or not, comes back.
+// on demand — always staying under the budget. Each chunk is a tail alone,
+// without a head column: its area's span of the chunk map holds the head
+// and decides every crack, so a chunk costs half its tuples. On a stream
+// with updates the chunks of an updated area get heads at its first
+// update, and room is made under the budget before they do.
 package main
 
 import (
@@ -27,10 +27,7 @@ func main() {
 	rel := crackstore.Build("facts", rows, attrs,
 		func(string, int) crackstore.Value { return rng.Int63n(rows) })
 
-	e := crackstore.OpenWith(crackstore.PartialSideways, rel, crackstore.Options{
-		Budget:            budget,
-		CachedPieceTuples: 2048, // drop heads of cache-resident chunks
-	})
+	e := crackstore.OpenWith(crackstore.PartialSideways, rel, crackstore.Options{Budget: budget})
 	gen := workload.New(rows, 11)
 
 	fmt.Printf("budget: %d tuples; full maps for this workload would need %d\n\n",

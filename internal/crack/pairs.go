@@ -382,12 +382,12 @@ func (p *Pairs) mark(b crackindex.Bound, pos int) {
 // repaired twice with the splits already known: first as a whole at the
 // bound that leaves the smaller remainder — hi-lt tuples right of b1 or
 // gt-lo tuples left of b2 — and then that remainder at the other bound. The
-// order is a pure function of the piece contents, so aligned maps,
-// head-recovery replays and crack-tape recovery, which all replay the same
-// predicates over equal heads, stay layout-identical. With n tuples of
-// which nL lie left of the range and nM inside it, the head is read n times
-// to count and n + min(n-nL, nL+nM) times to repair: 2.25n in all on
-// average for a narrow range placed uniformly.
+// order is a pure function of the piece contents, so aligned maps and
+// crack-tape recovery, which both replay the same predicates over equal
+// heads, stay layout-identical. With n tuples of which nL lie left of the
+// range and nM inside it, the head is read n times to count and
+// n + min(n-nL, nL+nM) times to repair: 2.25n in all on average for a
+// narrow range placed uniformly.
 func (p *Pairs) crackRangeInPiece(b1, b2 crackindex.Bound, lo, hi int) (int, int) {
 	c1, ok1 := cut(b1)
 	c2, ok2 := cut(b2)

@@ -168,16 +168,9 @@ type Options struct {
 	// its tape, and its merged updates become pending again. 0 means
 	// unlimited. A full map of n tuples costs n. A chunk of n tuples costs
 	// ⌈n/2⌉ while its area has had no insert or delete merged, since it is
-	// a tail whose head the area's span of the chunk map holds; after that
-	// it costs n until its head is dropped.
+	// a tail whose head the area's span of the chunk map holds (Section
+	// 4.1, "Dropping the Head Column"); after that it costs n.
 	Budget int
-	// CachedPieceTuples and HeadDropIdleQueries are head dropping (Section
-	// 4.1), for full maps and for chunks of areas that have had an update
-	// merged (other chunks have no head): a map's head goes once every
-	// piece of it is at most CachedPieceTuples tuples, or once it has not
-	// been cracked for HeadDropIdleQueries queries, and costs half. 0
-	// disables either.
-	CachedPieceTuples, HeadDropIdleQueries int
 }
 
 // NewWith constructs an engine of the given kind over rel (not copied),
@@ -196,7 +189,6 @@ func NewWith(kind Kind, rel *store.Relation, opts Options) Engine {
 			st = sideways.NewPartialStore(rel)
 		}
 		st.Policy, st.Budget = opts.Policy, opts.Budget
-		st.CachedPieceTuples, st.HeadDropIdleQueries = opts.CachedPieceTuples, opts.HeadDropIdleQueries
 		return &mapEngine{st: st, kind: kind}
 	}
 	panic("engine: unknown kind")

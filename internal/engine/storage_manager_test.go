@@ -28,7 +28,7 @@ func cycleQuery(rng *rand.Rand, q, domain int) Query {
 }
 
 // TestRecycledBuffersNeverAliasAnswers keeps every answer of a 2,000-query
-// budgeted stream — head drops on, updates between batches, two goroutines
+// budgeted stream — updates between batches, two goroutines
 // re-asking recent queries beside the writer — and compares them all with
 // the scan oracle once the stream is over. Chunk columns are recycled
 // without being cleared, so an answer that shared memory with a chunk would
@@ -38,7 +38,7 @@ func TestRecycledBuffersNeverAliasAnswers(t *testing.T) {
 	attrs := []string{"A", "B", "C", "D", "E", "F"}
 	rng := rand.New(rand.NewSource(23))
 	rel := buildRel(rng, rows, attrs, rows)
-	e := Concurrent(NewWith(PartialSideways, cloneRel(rel), Options{Budget: 3 * rows, HeadDropIdleQueries: 20}))
+	e := Concurrent(NewWith(PartialSideways, cloneRel(rel), Options{Budget: 3 * rows}))
 
 	type asked struct {
 		q       Query

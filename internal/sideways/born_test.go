@@ -28,7 +28,7 @@ const (
 
 // bornCounts is what one stream exercised.
 type bornCounts struct {
-	born, unled, sibling, rebuild int
+	born, unled int
 	// bornStopped counts chunks created in an area whose span an update
 	// had stopped, which then replay the tape's updates themselves.
 	bornStopped int
@@ -37,8 +37,6 @@ type bornCounts struct {
 func (c *bornCounts) add(o bornCounts) {
 	c.born += o.born
 	c.unled += o.unled
-	c.sibling += o.sibling
-	c.rebuild += o.rebuild
 	c.bornStopped += o.bornStopped
 }
 
@@ -52,7 +50,7 @@ func boundaries(ix *crackindex.Index) (out []string) {
 // its base column gathered through the span's keys at the span's cursor,
 // or "" when it does not.
 func checkLedChunk(s *Store, w *area, m *Map) string {
-	if !m.headDropped || m.pairs.Head != nil || m.pairs.Idx != nil {
+	if m.pairs.Head != nil || m.pairs.Idx != nil {
 		return "keeps a head or an index"
 	}
 	if m.cursor != w.spanCursor {
@@ -78,7 +76,7 @@ func checkLedChunk(s *Store, w *area, m *Map) string {
 // stopped, or "" when it does not.
 func checkStoppedChunk(w *area, m *Map) string {
 	switch {
-	case m.headDropped:
+	case m.pairs.Head == nil:
 		return "has no head"
 	case m.cursor != w.spanCursor:
 		return fmt.Sprintf("at cursor %d, the span stopped at %d", m.cursor, w.spanCursor)
@@ -94,13 +92,13 @@ func checkStoppedChunk(w *area, m *Map) string {
 // every chunk against its area's span and every answer against a scan, and
 // returns what the stream exercised.
 //
-// data[0] sets the store up: bits 0-1 the idle queries before a head is
-// dropped (0 never), bits 2-3 the budget (none, or 1, 2 or 3 times the rows
-// over four), bit 4 the capped policy. Then every three bytes are an op: a
-// kind byte and two more. Kinds 0-15 query A over a value range the two
-// bytes give and project one of six sets of B, C and D, conjunctively or
-// disjunctively with a predicate on B (a disjunction reads heads); 16 and
-// 17 insert, 18 deletes and 19 drops every head.
+// data[0] sets the store up: bits 2-3 the budget (none, or 1, 2 or 3 times
+// the rows over four), bit 4 the capped policy; bits 0-1 are unused. Then
+// every three bytes are an op: a kind byte and two more. Kinds 0-15 query A
+// over a value range the two bytes give and project one of six sets of B,
+// C and D, conjunctively or disjunctively with a predicate on B (a
+// disjunction reads heads); 16 and 17 insert, 18 deletes and 19 does
+// nothing.
 func checkBornAligned(t *testing.T, data []byte) (got bornCounts) {
 	if len(data) == 0 {
 		return got
@@ -109,7 +107,6 @@ func checkBornAligned(t *testing.T, data []byte) (got bornCounts) {
 	rng := rand.New(rand.NewSource(int64(cfg)))
 	rel := buildRel(rng, bornRows, []string{"A", "B", "C", "D"}, bornDomain)
 	s := NewPartialStore(rel)
-	s.HeadDropIdleQueries = int(cfg & 3)
 	s.Budget = int(cfg>>2&3) * bornRows / 4
 	if cfg&16 != 0 {
 		s.Policy = crack.Policy{Kind: crack.Capped, Cap: 8}
@@ -124,10 +121,6 @@ func checkBornAligned(t *testing.T, data []byte) (got bornCounts) {
 	s.observe = func(ev event, w *area, m *Map) {
 		var msg string
 		switch ev {
-		case evSibling:
-			got.sibling++
-		case evRebuild:
-			got.rebuild++
 		case evUnled:
 			got.unled++
 			msg = checkStoppedChunk(w, m)
@@ -161,7 +154,6 @@ func checkBornAligned(t *testing.T, data []byte) (got bornCounts) {
 				nv.dead[k] = true
 			}
 		case 19:
-			s.DropHead()
 		default:
 			projs := [][]string{{"B"}, {"C"}, {"D"}, {"B", "C"}, {"C", "D"}, {"B", "C", "D"}}[kind%6]
 			preds := []AttrPred{{Attr: "A", Pred: store.Range(a, a+b)}}
@@ -199,13 +191,12 @@ func checkBornAligned(t *testing.T, data []byte) (got bornCounts) {
 }
 
 // bornSeeds are the committed inputs: random streams under every store
-// set-up, with and without head dropping, and two that stop a span under a
-// budget. In both, A∈[10,30] is fetched with B, C and D, whose tails fit
-// the budget of three quarters of the rows, and cracked with B and C; then
-// a tuple is inserted into the area. A query of B alone merges it: making
-// room for B's head evicts D, and for C's head C itself. Or, with a head
-// dropped after every idle query, a disjunction merges it and a later
-// crack rebuilds a dropped head.
+// set-up, and two that stop a span under a budget. In both, A∈[10,30] is
+// fetched with B, C and D, whose tails fit the budget of three quarters of
+// the rows, and cracked with B and C; then a tuple is inserted into the
+// area. In the first a query of B alone merges it: making room for B's
+// head evicts D, and for C's head C itself. In the second a disjunction
+// merges it, and a crack of B and C creates a chunk in the stopped area.
 func bornSeeds() [][]byte {
 	seeds := [][]byte{
 		{12, 5, 11, 20, 3, 13, 16, 16, 20, 0, 0, 11, 20},
@@ -230,17 +221,16 @@ func FuzzBornAligned(f *testing.F) {
 }
 
 // TestBornAlignedSeedsCoverEveryBranch: the committed inputs of
-// FuzzBornAligned reach every way a chunk gets its layout — a tail created
-// in a led area, a head given at the area's first update, a chunk created
-// after it — and both ways a dropped head comes back: from a sibling at its
-// cursor and rebuilt from the span.
+// FuzzBornAligned reach every way a chunk gets its layout: a tail created
+// in a led area, a head given at the area's first update, and a chunk
+// created after it.
 func TestBornAlignedSeedsCoverEveryBranch(t *testing.T) {
 	var total bornCounts
 	for _, seed := range bornSeeds() {
 		total.add(checkBornAligned(t, seed))
 	}
 	t.Logf("%+v", total)
-	if total.born == 0 || total.unled == 0 || total.bornStopped == 0 || total.sibling == 0 || total.rebuild == 0 {
+	if total.born == 0 || total.unled == 0 || total.bornStopped == 0 {
 		t.Fatalf("the seeds miss a branch: %+v", total)
 	}
 }

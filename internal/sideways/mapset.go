@@ -343,24 +343,6 @@ func (t Tape) inserted(from, to int) (n int) {
 	return n
 }
 
-// CrackAt returns the predicate of entry i when it is a crack.
-func (t Tape) CrackAt(i int) (store.Pred, bool) { return t[i].pred, t[i].kind == entryCrack }
-
-// Replay applies entries [from, to) to p. headCol and tailCol are the base
-// columns inserted tuples are read from; a nil tailCol stores tuple keys.
-func (t Tape) Replay(p *crack.Pairs, from, to int, headCol, tailCol *store.Column) {
-	for _, e := range t[from:to] {
-		switch e.kind {
-		case entryCrack:
-			p.CrackRange(e.pred)
-		case entryInsert:
-			p.RippleInsertKeys(e.keys, headCol, tailCol)
-		case entryDelete:
-			p.RippleDeleteBatch(e.positions)
-		}
-	}
-}
-
 // Member is one map or chunk a joint replay aligns: its pairs, its tape
 // cursor, and the base column its tail takes inserted tuples' values from
 // (nil when the tail stores tuple keys).

@@ -289,93 +289,6 @@ func TestBudgetEvictionWithUpdates(t *testing.T) {
 	}
 }
 
-func TestHeadDropAndRecovery(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rel := buildRel(rng, 1000, []string{"A", "B"}, 500)
-	s := NewPartialStore(rel)
-	nv := &naive{rel: rel, dead: map[int]bool{}}
-	// Crack a few times, then force head drop.
-	s.SelectProject("A", store.Range(0, 500), []string{"B"})
-	s.SelectProject("A", store.Range(100, 400), []string{"B"})
-	s.DropHead()
-	before := s.StorageTuples()
-	// A covered query must work without the head.
-	res := s.SelectProject("A", store.Range(100, 400), []string{"B"})
-	want := nv.rows([]AttrPred{{Attr: "A", Pred: store.Range(100, 400)}}, []string{"B"}, false)
-	mustSameRows(t, resultRows(res, []string{"B"}), want, "covered, head dropped")
-	if s.StorageTuples() != before {
-		t.Fatal("covered query should not recover heads")
-	}
-	// A query needing a new crack must recover the head and stay correct.
-	res = s.SelectProject("A", store.Range(150, 350), []string{"B"})
-	want = nv.rows([]AttrPred{{Attr: "A", Pred: store.Range(150, 350)}}, []string{"B"}, false)
-	mustSameRows(t, resultRows(res, []string{"B"}), want, "crack after head drop")
-	if err := s.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHeadRecoveryFromSibling(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	rel := buildRel(rng, 600, []string{"A", "B", "C"}, 300)
-	s := NewPartialStore(rel)
-	// Align B and C chunks to identical cursors; the insert stops the span
-	// of its area, so they keep their heads there.
-	s.SelectProject("A", store.Range(0, 300), []string{"B", "C"})
-	s.Insert(100, 1, 2)
-	s.SelectProject("A", store.Range(50, 250), []string{"B", "C"})
-	// Drop only B's head by hand.
-	set := s.SetIfExists("A")
-	var dropped *Map
-	for _, w := range set.areas {
-		if c, ok := w.maps["B"]; ok && c.Len() > 0 && !w.led() {
-			c.pairs.Head = nil
-			c.headDropped = true
-			dropped = c
-			break
-		}
-	}
-	if dropped == nil {
-		t.Fatal("no chunk to drop")
-	}
-	// Next crack recovers from the same-cursor C sibling.
-	res := s.SelectProject("A", store.Range(80, 220), []string{"B", "C"})
-	nv := &naive{rel: rel, dead: map[int]bool{}}
-	want := nv.rows([]AttrPred{{Attr: "A", Pred: store.Range(80, 220)}}, []string{"B", "C"}, false)
-	mustSameRows(t, resultRows(res, []string{"B", "C"}), want, "sibling recovery")
-	if dropped.headDropped {
-		t.Fatal("head not recovered")
-	}
-}
-
-func TestAutomaticHeadDropOnCacheResidentPieces(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	rel := buildRel(rng, 2000, []string{"A", "B"}, 2000)
-	s := NewPartialStore(rel)
-	s.CachedPieceTuples = 256
-	nv := &naive{rel: rel, dead: map[int]bool{}}
-	// Many queries over one hot range shrink pieces below the threshold.
-	for q := 0; q < 60; q++ {
-		lo := rng.Int63n(1000)
-		hi := lo + 1 + rng.Int63n(200)
-		pred := store.Range(lo, hi)
-		res := s.SelectProject("A", pred, []string{"B"})
-		want := nv.rows([]AttrPred{{Attr: "A", Pred: pred}}, []string{"B"}, false)
-		mustSameRows(t, resultRows(res, []string{"B"}), want, fmt.Sprintf("q%d", q))
-	}
-	droppedAny := false
-	for _, w := range s.SetIfExists("A").areas {
-		for _, c := range w.maps {
-			if c.headDropped {
-				droppedAny = true
-			}
-		}
-	}
-	if !droppedAny {
-		t.Fatal("expected some heads dropped under CachedPieceTuples policy")
-	}
-}
-
 func TestEstimateSelectivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	rel := buildRel(rng, 1000, []string{"A", "B"}, 1000)
@@ -478,7 +391,6 @@ func budgetedStream(t *testing.T, seed int64) (int, string) {
 	attrs := []string{"A", "B", "C", "D", "E", "F"}
 	s := NewPartialStore(buildRel(rng, rows, attrs, domain))
 	s.Budget = 3 * rows
-	s.HeadDropIdleQueries = 25
 	live := rows
 	var before crack.KernelStats
 	for q := 0; q < 1000; q++ {
@@ -518,7 +430,7 @@ func budgetedStream(t *testing.T, seed int64) (int, string) {
 		for _, w := range set.areas {
 			for tail, c := range w.maps {
 				inv = append(inv, fmt.Sprintf("%s/%d[%d,%d)/%s len=%d cursor=%d dropped=%v access=%d",
-					attr, w.id, w.lo, w.hi, tail, c.Len(), c.cursor, c.headDropped, c.Accesses()))
+					attr, w.id, w.lo, w.hi, tail, c.Len(), c.cursor, c.pairs.Head == nil, c.Accesses()))
 			}
 			inv = append(inv, fmt.Sprintf("%s/%d[%d,%d) tape=%d", attr, w.id, w.lo, w.hi, len(w.tape)))
 		}
@@ -529,11 +441,12 @@ func budgetedStream(t *testing.T, seed int64) (int, string) {
 
 // TestBudgetedStreamIsDeterministic: eviction picks its victim by a total
 // order, never by map iteration order, so two runs of one seeded stream end
-// with the same storage total, areas and chunk inventory.
+// with the same storage total, areas and chunk inventory, tail-only chunks
+// among them.
 func TestBudgetedStreamIsDeterministic(t *testing.T) {
 	tuples, inv := budgetedStream(t, 21)
 	if tuples == 0 || !strings.Contains(inv, "dropped=true") {
-		t.Fatalf("stream did not exercise the budget and head drops: %d tuples\n%s", tuples, inv)
+		t.Fatalf("stream did not exercise the budget and tail-only chunks: %d tuples\n%s", tuples, inv)
 	}
 	for run := 0; run < 3; run++ {
 		againTuples, againInv := budgetedStream(t, 21)
@@ -549,10 +462,9 @@ func TestBudgetedStreamIsDeterministic(t *testing.T) {
 // is decided once, on the span: the chunks visit nothing, however many the
 // query reads, and a new chunk is born at the span's cursor and follows it.
 // Once an insert has stopped the span, chunks that lag at one cursor
-// replay each crack once, on one head, and a head-dropped chunk copies its
-// head from a sibling at its cursor and replays with it. Every case ends
-// with the chunks at the tape end, equal heads where they have heads, and
-// the answer a scan gives.
+// replay each crack once, on one head. Every case ends with the chunks at
+// the tape end, equal heads where they have heads, and the answer a scan
+// gives.
 func TestPartialAlignTogetherVisitsOnce(t *testing.T) {
 	const k = 6
 	pred := func(i int) store.Pred { return store.Range(Value(60*i), Value(60*i+300)) }
@@ -566,11 +478,10 @@ func TestPartialAlignTogetherVisitsOnce(t *testing.T) {
 		return chunks, w.span.Stats.Visited
 	}
 	// run fetches one area over the whole domain projecting first; with
-	// update set it then inserts a tuple into it and merges it. It drops
-	// the head of chunk drop (if any), queries pred(1..k) projecting lag,
-	// then pred(k+1) projecting last, and returns what the last query
-	// visited.
-	run := func(update bool, first []string, drop string, lag, last []string) int {
+	// update set it then inserts a tuple into it and merges it. It queries
+	// pred(1..k) projecting lag, then pred(k+1) projecting last, and
+	// returns what the last query visited.
+	run := func(update bool, first, lag, last []string) int {
 		rel := buildRel(rand.New(rand.NewSource(12)), 2000, []string{"A", "B", "C", "D"}, 1000)
 		s := NewPartialStore(rel)
 		nv := &naive{rel: rel, dead: map[int]bool{}}
@@ -579,9 +490,6 @@ func TestPartialAlignTogetherVisitsOnce(t *testing.T) {
 		if update {
 			s.Insert(500, 1, 2, 3)
 			s.SelectProject("A", store.Range(0, 1000), first)
-		}
-		if drop != "" {
-			s.dropHead(w.maps[drop])
 		}
 		for i := 1; i <= k; i++ {
 			s.SelectProject("A", pred(i), lag)
@@ -592,8 +500,8 @@ func TestPartialAlignTogetherVisitsOnce(t *testing.T) {
 		mustSameRows(t, resultRows(res, last), want, "last query")
 		for _, attr := range last {
 			c := w.maps[attr]
-			if c.cursor != len(w.tape) || c.headDropped != w.led() {
-				t.Fatalf("chunk %s: head dropped %v in a led area %v, cursor %d of %d", attr, c.headDropped, w.led(), c.cursor, len(w.tape))
+			if c.cursor != len(w.tape) || (c.pairs.Head == nil) != w.led() {
+				t.Fatalf("chunk %s: tail only %v in a led area %v, cursor %d of %d", attr, c.pairs.Head == nil, w.led(), c.cursor, len(w.tape))
 			}
 			if !slices.Equal(c.pairs.Head, w.maps[last[0]].pairs.Head) {
 				t.Fatalf("chunk %s head differs from chunk %s", attr, last[0])
@@ -612,81 +520,17 @@ func TestPartialAlignTogetherVisitsOnce(t *testing.T) {
 		return chunksAfter - chunks
 	}
 	b, d, both := []string{"B"}, []string{"D"}, []string{"B", "C"}
-	led := run(false, b, "", d, b)
-	if together := run(false, both, "", d, both); led == 0 || together != led {
+	led := run(false, b, d, b)
+	if together := run(false, both, d, both); led == 0 || together != led {
 		t.Fatalf("in a led area two chunks cost the span %d, one chunk %d", together, led)
 	}
 	// The C chunk is new beside B's: it is born at the span's cursor and
 	// follows the one crack.
-	if staggered := run(false, d, "", b, both); staggered != led {
+	if staggered := run(false, d, b, both); staggered != led {
 		t.Fatalf("in a led area a new chunk beside an old one cost the span %d, one chunk %d", staggered, led)
 	}
-	alone := run(true, b, "", d, b)
-	if together := run(true, both, "", d, both); together == 0 || together != alone || alone <= led {
+	alone := run(true, b, d, b)
+	if together := run(true, both, d, both); together == 0 || together != alone || alone <= led {
 		t.Fatalf("two lagging chunks at one cursor visited %d, one chunk alone %d, one crack in a led area %d", together, alone, led)
-	}
-	if dropped := run(true, both, "B", d, both); dropped != alone {
-		t.Fatalf("with one head dropped two chunks visited %d, one chunk alone %d", dropped, alone)
-	}
-}
-
-// TestHeadRecoveryBranches walks one area through the ways a dropped head
-// comes back, once an insert has stopped its span and every chunk got its
-// head there. A chunk that lags its siblings rebuilds its head from the
-// span, replaying the tape from where the span stopped; one with a sibling
-// at its cursor copies that sibling's head.
-func TestHeadRecoveryBranches(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	rel := buildRel(rng, 2000, []string{"A", "B", "C", "D"}, 1000)
-	s := NewPartialStore(rel)
-	nv := &naive{rel: rel, dead: map[int]bool{}}
-	var events []event
-	s.observe = func(ev event, _ *area, _ *Map) { events = append(events, ev) }
-	query := func(pred store.Pred, projs ...string) []event {
-		t.Helper()
-		events = nil
-		res := s.SelectProject("A", pred, projs)
-		want := nv.rows([]AttrPred{{Attr: "A", Pred: pred}}, projs, false)
-		mustSameRows(t, resultRows(res, projs), want, fmt.Sprintf("%v -> %v", pred, projs))
-		return events
-	}
-	query(store.Range(0, 1000), "B", "C", "D")
-	w := s.SetIfExists("A").areas[0]
-	b, c, d := w.maps["B"], w.maps["C"], w.maps["D"]
-	s.Insert(500, 1, 2, 3)
-	if ev := query(store.Range(0, 1000), "B", "C", "D"); !slices.Equal(ev, []event{evUnled, evUnled, evUnled}) {
-		t.Fatalf("first update: events %v, want a head for each chunk", ev)
-	}
-	query(store.Range(100, 900), "B", "C")
-	query(store.Range(200, 800), "C")
-	query(store.Range(300, 700), "D")
-	if b.cursor != 2 || c.cursor != 3 || d.cursor != 4 || w.spanCursor != 0 {
-		t.Fatalf("cursors B %d, C %d, D %d, span %d; want 2, 3, 4, 0", b.cursor, c.cursor, d.cursor, w.spanCursor)
-	}
-
-	// B lags C. Covering the area aligns B to C's cursor, B's head comes
-	// back with a crack, and no map is at its cursor: B rebuilds it from
-	// the span, replaying the insert and one crack.
-	s.dropHead(b)
-	visited := b.pairs.Stats.Visited
-	if ev := query(store.Range(0, 1000), "B", "C"); !slices.Equal(ev, []event{evRebuild}) {
-		t.Fatalf("covered query after B's head drop: events %v, want a rebuild", ev)
-	}
-	if b.headDropped || b.cursor != 3 || c.cursor != 3 || b.pairs.Stats.Visited == visited {
-		t.Fatalf("B at cursor %d (dropped %v, visited %d more), C at %d; want both at 3", b.cursor, b.headDropped, b.pairs.Stats.Visited-visited, c.cursor)
-	}
-
-	// Every head dropped, B and C at one cursor: the first chunk to need
-	// its head rebuilds it from the span, the second copies it.
-	s.DropHead()
-	visited = b.pairs.Stats.Visited
-	if ev := query(store.Range(350, 650), "B", "C"); !slices.Equal(ev, []event{evRebuild, evSibling}) {
-		t.Fatalf("crack after every head dropped: events %v, want a rebuild, then a sibling copy", ev)
-	}
-	if b.pairs.Stats.Visited == visited {
-		t.Fatal("B replayed nothing after its head came back")
-	}
-	if err := s.checkInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -61,17 +61,13 @@
 // good. Victims come off a heap with lazily refreshed keys, since read-only
 // queries raise priorities atomically and cannot reorder anything. Dropping
 // the last chunk of an area un-fetches it: its tape's updates are pushed back
-// to the set's pending updates, so nothing is lost. Heavily cracked or idle
-// full maps, and chunks of areas an update has stopped the span of, can drop
-// their head column (Section 4.1, "Dropping the Head Column"). The head is
-// copied from a same-cursor sibling, or recovered deterministically from the
-// area's source by replaying the tape from the source's cursor; no chunk
-// lags it, since the span stopped where every chunk of its area was. Room is
-// made under the budget before any head comes back, recovered or given at an
-// area's first update, and before a replay's ripple inserts grow the maps.
-// The columns of evicted chunks and dropped heads go to a store-owned free
-// list that new chunks and recovered heads draw from (see release for the
-// ownership rule).
+// to the set's pending updates, so nothing is lost. A map has a head column
+// exactly when no span leads its area: full maps always, chunks of an area
+// an update has stopped the span of from that update on, and the chunks of
+// a led area never. Room is made under the budget before an area's first
+// update gives its chunks their heads, and before a replay's ripple inserts
+// grow the maps. The columns of evicted maps go to a store-owned free list
+// that new maps and heads draw from (see release for the ownership rule).
 package sideways
 
 import (
@@ -97,13 +93,8 @@ type Value = store.Value
 type Map struct {
 	pairs  *crack.Pairs
 	cursor int
-	Usage  // eviction priority; touched atomically by read-only queries
-	// headDropped says the map keeps no head column and no index: its head
-	// was dropped (Section 4.1), or it is a chunk of an area its span
-	// leads, which never had one.
-	headDropped bool
-	lastCrack   int // store query counter at the last replayed crack entry
-	cost        int // tuples() as last added to Store.storage (see account)
+	Usage      // eviction priority; touched atomically by read-only queries
+	cost   int // tuples() as last added to Store.storage (see account)
 
 	// Where the map lives: what eviction needs to remove it, and the
 	// (set attribute, area id, tail attribute) order of equal priorities.
@@ -123,9 +114,10 @@ func (m *Map) Cursor() int { return m.cursor }
 func (m *Map) Pairs() *crack.Pairs { return m.pairs }
 
 // tuples returns the map's storage cost in tuples: a map of n pairs costs
-// n; one without a head costs half (rounded up).
+// n; a chunk of a led area, a tail without head or index, costs half
+// (rounded up).
 func (m *Map) tuples() int {
-	if m.headDropped {
+	if m.pairs.Head == nil {
 		return (m.Len() + 1) / 2
 	}
 	return m.Len()
@@ -264,35 +256,25 @@ type Store struct {
 	// excluded, like the cracker columns of selection cracking); 0 means
 	// unlimited.
 	Budget int
-	// CachedPieceTuples enables head dropping for maps whose pieces all fit
-	// in a CPU-cache-sized window of this many tuples; 0 disables.
-	// HeadDropIdleQueries drops the head of maps not cracked for this many
-	// queries; 0 disables. Both act on full maps and on chunks of areas an
-	// update has stopped the span of: the chunks of a led area have no head.
-	CachedPieceTuples   int
-	HeadDropIdleQueries int
 
 	// Policy is the adaptive cracking policy (crack.Policy) applied to maps
 	// and chunk maps. It is frozen per set at set creation, so set Policy
-	// before the first query touches an attribute. Lazy head-drop replay
-	// stays valid under every policy: a crack whose bounds are existing
-	// boundaries is a physical no-op.
+	// before the first query touches an attribute.
 	Policy crack.Policy
 
-	queries     int
 	storage     int            // running sum of Map.tuples() over all live maps
 	pinnedAreas map[*area]bool // areas resolved by the in-flight query
 	pinned      map[*Map]bool  // maps the in-flight query reads; empty between queries
 	victims     victimHeap     // every live map, lowest eviction priority first
-	bufs        store.FreeList // columns of evicted maps and dropped heads
+	bufs        store.FreeList // columns of evicted maps
 	life        ChunkStats
 	// evictedAccesses sums the access counts of evicted maps: a mean near
 	// one says the manager evicts what it created a query ago.
 	evictedAccesses int64
 
-	// observe, when set, is told of every area fetched, map created, head
-	// given at an area's first update, and head recovered, before any of
-	// them replays a tape entry. Tests set it; it is nil otherwise.
+	// observe, when set, is told of every area fetched, map created and
+	// head given at an area's first update, before any of them replays a
+	// tape entry. Tests set it; it is nil otherwise.
 	observe func(event, *area, *Map)
 }
 
@@ -300,11 +282,9 @@ type Store struct {
 type event uint8
 
 const (
-	evFetch   event = iota // an area was fetched; the map is nil
-	evBorn                 // a map was created at its area's source cursor
-	evUnled                // a map got its head from the span at the area's first update
-	evSibling              // a head was copied from a sibling at its cursor
-	evRebuild              // a head was rebuilt by replay from the area's source
+	evFetch event = iota // an area was fetched; the map is nil
+	evBorn               // a map was created at its area's source cursor
+	evUnled              // a map got its head from the span at the area's first update
 )
 
 func (s *Store) note(ev event, w *area, m *Map) {
@@ -330,9 +310,9 @@ type ChunkStats struct {
 	Created       uint64 // maps materialized
 	TuplesCreated uint64 // tuples copied and gathered into them
 	Evicted       uint64 // maps dropped for the budget
-	// Columns handed to new maps and recovered heads under a budget: taken
-	// from the free list, or allocated because it held none of the size
-	// class.
+	// Columns handed to new maps and to heads given at an area's first
+	// update under a budget: taken from the free list, or allocated because
+	// it held none of the size class.
 	BuffersRecycled, BuffersAllocated uint64
 }
 
@@ -418,8 +398,8 @@ func (s *Store) Kernel() (ks crack.KernelStats, pieces, cols int) {
 }
 
 // StorageTuples returns the total map storage in tuples (a map of length n
-// costs n, as in the paper's Figures 9(d)/10(c); head-dropped maps count
-// half). The chunk maps are excluded; see ChunkMapTuples.
+// costs n, as in the paper's Figures 9(d)/10(c); a chunk of a led area, a
+// tail alone, counts half). The chunk maps are excluded; see ChunkMapTuples.
 func (s *Store) StorageTuples() int { return s.storage }
 
 // ChunkMapTuples returns the total size of all chunk maps H_A in tuples.
@@ -434,9 +414,9 @@ func (s *Store) ChunkMapTuples() int {
 }
 
 // account brings the running storage total up to date with map m. Every
-// step that changes what a live map costs — creation, ripple updates,
-// dropping or recovering its head — ends with it, so the budget check never
-// has to re-walk the maps.
+// step that changes what a live map costs — creation, ripple updates, the
+// head given at its area's first update — ends with it, so the budget check
+// never has to re-walk the maps.
 func (s *Store) account(m *Map) {
 	s.storage += m.tuples() - m.cost
 	m.cost = m.tuples()
@@ -447,13 +427,11 @@ func (s *Store) account(m *Map) {
 // a fresh column costs its zeroing plus a page fault per 4 KB on top of the
 // copy that fills it; a recycled one costs the copy.
 //
-// Ownership: a column enters the list when its map is evicted or its head is
-// dropped — on the write path, under exclusive access — and from then on
-// nothing else refers to it. A Window holds columns of maps the in-flight
-// query pinned (or of its area's span), eviction skips pinned maps, a head
-// drop releases the head only and never the head of a window the query
-// still reads, read-only queries never run beside the write path, and a
-// Result is always a copy.
+// Ownership: a column enters the list when its map is evicted — on the write
+// path, under exclusive access — and from then on nothing else refers to it.
+// A Window holds columns of maps the in-flight query pinned (or of its
+// area's span), eviction skips pinned maps, read-only queries never run
+// beside the write path, and a Result is always a copy.
 // The list holds at most Budget/8 values — a sixteenth of the bytes the
 // budget allows live maps — and nothing without a budget.
 func (s *Store) release(buf []Value) { s.bufs.Put(buf, s.Budget/8) }
@@ -476,14 +454,6 @@ func (s *Store) copyOf(src []Value) []Value {
 		return buf
 	}
 	return slices.Clone(src)
-}
-
-// dropHead drops map m's head column, keeping only the tail.
-func (s *Store) dropHead(m *Map) {
-	s.release(m.pairs.Head)
-	m.pairs.Head = nil
-	m.headDropped = true
-	s.account(m)
 }
 
 // Set returns the map set for attr, creating it on demand (see NewPending
@@ -661,10 +631,10 @@ func (set *Set) ensureMap(w *area, tailAttr string) *Map {
 	}
 	st := set.st
 	size := w.hi - w.lo
-	m := &Map{lastCrack: st.queries, set: set, w: w, tailAttr: tailAttr}
+	m := &Map{set: set, w: w, tailAttr: tailAttr}
 	if w.led() {
 		st.ensureBudget((size + 1) / 2)
-		m.pairs, m.cursor, m.headDropped = &crack.Pairs{Tail: set.sourceTail(w, tailAttr)}, w.spanCursor, true
+		m.pairs, m.cursor = &crack.Pairs{Tail: set.sourceTail(w, tailAttr)}, w.spanCursor
 	} else {
 		st.ensureBudget(size)
 		head, idx, cursor := set.source(w)
@@ -702,7 +672,7 @@ func (set *Set) unlead(w *area) {
 		if w.maps[m.tailAttr] != m {
 			continue // evicted to make room for a head
 		}
-		m.pairs.Head, m.pairs.Idx, m.headDropped = st.copyOf(w.span.Head), w.span.Idx.Clone(), false
+		m.pairs.Head, m.pairs.Idx = st.copyOf(w.span.Head), w.span.Idx.Clone()
 		st.account(m)
 		st.note(evUnled, w, m)
 	}
@@ -720,16 +690,14 @@ func (set *Set) tailCol(m *Map) *store.Column {
 // replay aligns the maps ms of area w to tape position end. In a led area
 // the span replays, and every chunk of the area follows it, listed or not:
 // each crack is decided once, on the span's head, and moves the chunks'
-// tails only (Tape.ReplayJoint). Otherwise the maps with a head replay
-// together, each crack decided on one of them, and a head-dropped map
-// first skips what it can alone. Room for the tuples the maps' ripple
+// tails only (Tape.ReplayJoint). Otherwise the maps replay together, each
+// crack decided on one of them. Room for the tuples the maps' ripple
 // inserts add is made first; ms are pinned.
 func (set *Set) replay(w *area, end int, ms ...*Map) {
 	if w.led() {
 		if w.spanCursor < end {
 			joint := []Member{{Pairs: w.span, Cursor: &w.spanCursor}}
 			for _, m := range w.maps {
-				m.lastCrack = set.st.queries // a led area's tape holds cracks only
 				joint = append(joint, Member{Pairs: m.pairs, Cursor: &m.cursor})
 			}
 			w.tape.ReplayJoint(joint, end, set.pend.head)
@@ -743,21 +711,10 @@ func (set *Set) replay(w *area, end int, ms ...*Map) {
 	if grow > 0 {
 		set.st.ensureBudget(grow)
 	}
-	for _, m := range ms {
-		if m.headDropped && m.cursor < end {
-			set.replayDropped(w, m, end)
-		}
-	}
 	var joint []Member
 	for _, m := range ms {
-		if m.headDropped || m.cursor >= end {
+		if m.cursor >= end {
 			continue
-		}
-		for i := m.cursor; i < end; i++ {
-			if _, isCrack := w.tape.CrackAt(i); isCrack {
-				m.lastCrack = set.st.queries
-				break
-			}
 		}
 		joint = append(joint, Member{Pairs: m.pairs, Cursor: &m.cursor, Tail: set.tailCol(m)})
 	}
@@ -765,99 +722,6 @@ func (set *Set) replay(w *area, end int, ms ...*Map) {
 	for _, m := range ms {
 		set.st.account(m)
 	}
-}
-
-// replayDropped advances head-dropped map m of area w toward tape position
-// end lazily: a crack entry whose bounds are already boundaries is a
-// physical no-op and is skipped (Section 4.1: "if b matches one of the past
-// cracks, cracking and thus full alignment of c is not necessary"). At the
-// first entry that would physically move tuples — crack, ripple-insert and
-// delete reorganize head and tail together — m recovers its head and stops;
-// replay aligns it the rest of the way with its siblings.
-func (set *Set) replayDropped(w *area, m *Map, end int) {
-	for ; m.cursor < end; m.cursor++ {
-		pred, isCrack := w.tape.CrackAt(m.cursor)
-		if !isCrack || !m.pairs.Idx.Has(pred.LowerBound()) || !m.pairs.Idx.Has(pred.UpperBound()) {
-			set.recoverHead(w, m)
-			return
-		}
-	}
-}
-
-// recoverHead restores a dropped head column (Section 4.1) of a map of an
-// area its span does not lead, after making room for it under the budget;
-// m is pinned, since the in-flight query reads every map whose head comes
-// back. Fast path: copy from a sibling map of the same area at the same
-// cursor. Otherwise the head is rebuilt from the area's source by replaying
-// the tape from the source's cursor to m's — deterministic cracking
-// guarantees the rebuilt head pairs correctly with the surviving tail. No
-// map lags the source: the span stopped where every chunk of its area was.
-func (set *Set) recoverHead(w *area, m *Map) {
-	st := set.st
-	st.ensureBudget(m.Len() - m.cost)
-	defer st.account(m)
-	for _, sib := range w.maps {
-		if sib != m && !sib.headDropped && sib.cursor == m.cursor {
-			m.pairs.Head = st.copyOf(sib.pairs.Head)
-			m.headDropped = false
-			st.note(evSibling, w, m)
-			return
-		}
-	}
-	head, idx, from := set.source(w)
-	// The replay drags a tail along whose values nobody reads.
-	tmp := crack.WrapPairs(st.copyOf(head), st.column(len(head)))
-	// Replay under the set's policy: the rebuilt head must make the same
-	// pivot decisions the map originally did to pair with its tail.
-	tmp.Idx, tmp.Policy = idx, set.policy
-	w.tape.Replay(tmp, from, m.cursor, set.pend.head, nil)
-	m.pairs.Head = tmp.Head
-	m.headDropped = false
-	m.pairs.Stats.Add(tmp.Stats) // the rebuild is kernel work done for m
-	st.release(tmp.Tail)
-	st.note(evRebuild, w, m)
-}
-
-// DropHead explicitly drops the head column of every map in every set,
-// keeping only tails (used by experiments; normally the automatic policies
-// in maybeDropHeads apply).
-func (s *Store) DropHead() {
-	for _, set := range s.sets {
-		for _, w := range set.areas {
-			for _, m := range w.maps {
-				if !m.headDropped {
-					s.dropHead(m)
-				}
-			}
-		}
-	}
-}
-
-// maybeDropHeads applies the two head-drop opportunities of Section 4.1 to
-// the maps used by the current query.
-func (s *Store) maybeDropHeads(used []*Map) {
-	if s.CachedPieceTuples <= 0 && s.HeadDropIdleQueries <= 0 {
-		return
-	}
-	for _, m := range used {
-		if m.headDropped {
-			continue
-		}
-		if s.CachedPieceTuples > 0 && maxPiece(m) <= s.CachedPieceTuples ||
-			s.HeadDropIdleQueries > 0 && s.queries-m.lastCrack >= s.HeadDropIdleQueries {
-			s.dropHead(m)
-		}
-	}
-}
-
-// maxPiece returns the largest piece size of map m.
-func maxPiece(m *Map) int {
-	largest, prev := 0, 0
-	m.pairs.Idx.Walk(func(_ crackindex.Bound, pos int) {
-		largest = max(largest, pos-prev)
-		prev = pos
-	})
-	return max(largest, m.Len()-prev)
 }
 
 // ensureBudget evicts the unpinned maps of lowest Usage priority until size
@@ -912,14 +776,13 @@ func (s *Store) evict(m *Map) {
 // covered ones, and return one window per area in value order (chunk-wise
 // processing, Section 4.1): the aligned map tails, parallel to tailAttrs, and
 // the qualifying position range within them. With heads set every window also
-// carries its leader's head column, recovered if it was dropped, or its
-// area's span's where the span leads.
+// carries its leader's head column, or its area's span's where the span
+// leads.
 //
 // Every existing map the query reads is pinned before any map is created, so
 // making room for one never evicts another this query is about to read.
 func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window {
 	st := set.st
-	st.queries++
 	areas, _ := set.resolve(pred, true)
 	if len(areas) == 0 {
 		return nil
@@ -990,16 +853,10 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window 
 		for _, m := range used[i] {
 			st.Touch(&m.Usage)
 		}
-		if heads && !w.led() && len(used[i]) > 0 && used[i][0].headDropped {
-			set.recoverHead(w, used[i][0])
-		}
 		var ok bool
 		if wins[i], ok = windowOf(w, used[i], heads, cutLo, cutHi, lowerB, upperB); !ok {
 			panic(fmt.Sprintf("sideways: missing boundary after alignment for %v", pred))
 		}
-	}
-	if !heads {
-		st.maybeDropHeads(slices.Concat(used...))
 	}
 	return wins
 }
@@ -1031,11 +888,6 @@ func (set *Set) locate(w *area, pred store.Pred, keys []int, ms []*Map) (positio
 		return nil, false
 	}
 	set.replay(w, len(w.tape), ms...)
-	if ms[0].headDropped {
-		// Replay recovers a dropped head only for entries that move tuples;
-		// locating reads it.
-		set.recoverHead(w, ms[0])
-	}
 	cols := make([]*store.Column, len(ms))
 	tails := make([][]Value, len(ms))
 	for i, m := range ms {
@@ -1152,9 +1004,8 @@ func (s *Store) MultiSelect(preds []AttrPred, projs []string, disjunctive bool) 
 
 // windowsRO builds the windows for pred, and the maps they read, without
 // replaying, fetching, or cracking anything. ok is false when the write path
-// would reorganize: a gap needs fetching, a map is missing or misaligned, a
-// boundary map lacks the predicate's physical bounds, or a head the plan
-// reads is dropped.
+// would reorganize: a gap needs fetching, a map is missing or misaligned, or
+// a boundary map lacks the predicate's physical bounds.
 func (s *Store) windowsRO(set *Set, pred store.Pred, tailAttrs []string, heads bool) (wins []Window, used []*Map, ok bool) {
 	areas, ok := set.resolve(pred, false)
 	if !ok {
@@ -1185,9 +1036,6 @@ func (s *Store) windowsRO(set *Set, pred store.Pred, tailAttrs []string, heads b
 				// Partial alignment may lag on cracks but never on updates.
 				return nil, nil, false
 			}
-			if heads && !w.led() && ms[0].headDropped {
-				return nil, nil, false
-			}
 		}
 		win, ok := windowOf(w, ms, heads, cutLo, cutHi, lowerB, upperB)
 		if !ok {
@@ -1203,8 +1051,8 @@ func (s *Store) windowsRO(set *Set, pred store.Pred, tailAttrs []string, heads b
 // no pending-update merge, no map creation or area fetch, and no tape
 // growth. ok is false otherwise; callers then fall back to MultiSelect under
 // exclusive access. Safe for concurrent use with other read-only
-// operations. The maps' Usage is bumped atomically; the head-drop idle clock
-// is not advanced; everything else is left untouched.
+// operations. The maps' Usage is bumped atomically; everything else is left
+// untouched.
 func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool) (Result, bool) {
 	return s.MultiSelectROInto(nil, preds, projs, disjunctive)
 }
@@ -1246,8 +1094,7 @@ func (s *Store) Keys(attr string, pred store.Pred) []Value {
 
 // KeysRO is Keys without reorganizing anything. ok is false exactly when
 // Keys would: S_attr or its key map does not exist yet, a pending update
-// falls in pred's range, the key map lacks pred's bounds, or its head is
-// dropped. Safe for concurrent use with other read-only operations.
+// falls in pred's range, or the key map lacks pred's bounds. Safe for concurrent use with other read-only operations.
 func (s *Store) KeysRO(attr string, pred store.Pred) ([]Value, bool) {
 	set := s.sets[attr]
 	if set == nil || !set.pend.Settled(pred, false) {
@@ -1305,7 +1152,7 @@ func (s *Store) checkInvariants() error {
 		}
 		for _, w := range set.areas {
 			for tattr, m := range w.maps {
-				if !m.headDropped && !m.pairs.CheckPieces() {
+				if m.pairs.Head != nil && !m.pairs.CheckPieces() {
 					return fmt.Errorf("map %s/%d/%s violates piece invariants", attr, w.id, tattr)
 				}
 			}

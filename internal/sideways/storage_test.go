@@ -57,28 +57,41 @@ func cycleQuery(s *Store, rng *rand.Rand, q, rows int) {
 	}, []string{typ[1]}, false)
 }
 
-// TestHeadRecoveryBudget runs the cycle of TestBudgetedCycleDoesNotThrash,
-// with a delete and an insert before every tenth query, under each
-// head-drop knob, and checks the budget after every query. The updates stop
-// the spans of the areas they fall in, so their chunks get heads, drop them
-// and recover them: room is made before any head comes back.
+// TestHeadRecoveryBudget runs the cycle of TestBudgetedCycleDoesNotThrash
+// with updates, a delete and an insert at a time, and checks the budget
+// after every query. The updates stop the spans of the areas they fall in,
+// so their chunks grow two ways: each gets a copy of its span's head at the
+// area's first update, and ripple inserts add tuples to it. Room is made
+// under the budget before either. Case idle=N runs N queries with no update
+// between two updates; case cached=N issues N updates before the first
+// query, all pending until queries reach them, and none after.
 func TestHeadRecoveryBudget(t *testing.T) {
 	const rows = 100000
-	knobs := []struct {
-		name         string
-		idle, cached int
+	cases := []struct {
+		name          string
+		idle, upfront int
 	}{{"idle=1", 1, 0}, {"idle=2", 2, 0}, {"idle=5", 5, 0}, {"idle=20", 20, 0}, {"cached=256", 0, 256}}
-	for _, k := range knobs {
-		t.Run(k.name, func(t *testing.T) {
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
 			s := NewPartialStore(buildRel(rng, rows, cycleAttrs, rows))
-			s.Budget, s.HeadDropIdleQueries, s.CachedPieceTuples = 3*rows/2, k.idle, k.cached
-			heads := map[event]int{}
-			s.observe = func(ev event, _ *area, _ *Map) { heads[ev]++ }
+			s.Budget = 3 * rows / 2
+			heads := 0
+			s.observe = func(ev event, _ *area, _ *Map) {
+				if ev == evUnled {
+					heads++
+				}
+			}
+			update := func() {
+				s.Delete(rng.Intn(rows))
+				s.Insert(rng.Int63n(rows), rng.Int63n(rows), rng.Int63n(rows), rng.Int63n(rows), rng.Int63n(rows), rng.Int63n(rows))
+			}
+			for i := 0; i < c.upfront; i++ {
+				update()
+			}
 			for q := 0; q < 2000; q++ {
-				if q%10 == 0 {
-					s.Delete(rng.Intn(rows))
-					s.Insert(rng.Int63n(rows), rng.Int63n(rows), rng.Int63n(rows), rng.Int63n(rows), rng.Int63n(rows), rng.Int63n(rows))
+				if c.upfront == 0 && q%(c.idle+1) == 0 {
+					update()
 				}
 				cycleQuery(s, rng, q, rows)
 				if s.StorageTuples() > s.Budget {
@@ -88,10 +101,9 @@ func TestHeadRecoveryBudget(t *testing.T) {
 			if err := s.checkInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%s: %d heads given at a first update, %d rebuilt, %d copied from a sibling, %d evicted",
-				k.name, heads[evUnled], heads[evRebuild], heads[evSibling], s.ChunkStats().Evicted)
-			if heads[evUnled] == 0 || heads[evRebuild]+heads[evSibling] == 0 || s.ChunkStats().Evicted == 0 {
-				t.Fatalf("the stream gave no head, recovered none or evicted nothing: %v", heads)
+			t.Logf("%s: %d heads given at a first update, %d evicted", c.name, heads, s.ChunkStats().Evicted)
+			if heads == 0 || s.ChunkStats().Evicted == 0 {
+				t.Fatalf("the stream gave %d heads and evicted %d chunks", heads, s.ChunkStats().Evicted)
 			}
 		})
 	}

@@ -6,8 +6,7 @@
 // behind Concurrent, behind Snapshot, durable on a WAL, on 4 range shards,
 // on 4 shards with snapshots, behind a serve.Server, remote over loopback
 // TCP, and remote over 4 shards; the three budgeted map engines, the
-// smallest with room for one map, bare and remote; budgeted partial maps
-// that drop the head of a chunk idle for two queries, bare; and a
+// smallest with room for one map, bare, concurrent and remote; and a
 // Stochastic and a Capped policy on each cracking kind, bare and sharded.
 //
 // Every answer must be Scan's as a sorted tuple multiset, and every insert
@@ -260,14 +259,13 @@ func FuzzStacksAgree(f *testing.F) {
 		encQuery(opQuery, encPreds(encPred(aB, shapeRange, 0, 63)), encProjs(aC)),
 		encQuery(opQuery, point, encProjs(aB)),
 	))
-	// A head comes back both ways in the cell that drops idle heads. One
-	// area of S_A is fetched with B, C and D, and an insert into it stops
-	// its span: the next query gives every chunk its head. Cracks then
-	// leave B, C and D at cursors 2, 3 and 4. Covering the area with B
-	// alone idles B's head away; covering it with B and C aligns B, which
-	// lags C and has no map at its cursor, so it rebuilds its head from
-	// the span. Covering it with B, C and D brings C's idled head back from
-	// B, at their cursor. A last crack reads both again.
+	// One stopped area under a budget, in partial/budget=400. An area of
+	// S_A is fetched with B, C and D, and an insert into it stops its
+	// span: the next query makes room for every chunk's head and gives
+	// it. Cracks then leave B, C and D at cursors 2, 3 and 4. Covering the
+	// area with B alone replays nothing; with B and C, B catches up with
+	// C; with B, C and D, B and C catch up with D together. A last crack
+	// moves B and C together.
 	area := encPreds(encPred(aA, shapeRange, 10, 50))
 	f.Add(int64(8), cat(
 		encQuery(opQuery, area, encProjs(aB, aC, aD)),

@@ -175,8 +175,7 @@ func (c cell) name() string { return c.stack.name + "/" + c.base.name }
 
 // cells lists the matrix: each served kind on every stack; the budgeted
 // map engines bare, remote and behind Concurrent, the remote cell's twin;
-// partial maps dropping idle heads, bare; an adaptive policy on each
-// cracking kind, bare and sharded. A remote cell follows its twin.
+// an adaptive policy on each cracking kind, bare and sharded. A remote cell follows its twin.
 func cells() []cell {
 	on := func(b base, names ...string) (out []cell) {
 		for _, name := range names {
@@ -201,10 +200,6 @@ func cells() []cell {
 	for _, b := range budgeted {
 		out = append(out, on(b, "bare", "concurrent", "remote")...)
 	}
-	// Heads dropped after two idle queries, from the chunks of areas an
-	// update has given heads: a head comes back from a sibling or rebuilt
-	// from its area's span.
-	out = append(out, on(base{"partial/headdrop", engine.PartialSideways, engine.Options{Budget: 2 * rows, HeadDropIdleQueries: 2}}, "bare")...)
 	for _, k := range []engine.Kind{engine.SelCrack, engine.Sideways, engine.PartialSideways} {
 		for _, pk := range []crack.PolicyKind{crack.Stochastic, crack.Capped} {
 			b := base{k.String() + "/" + pk.String(), k, engine.Options{Policy: crack.Policy{Kind: pk, Cap: 32, Seed: 9}}}
