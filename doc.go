@@ -442,7 +442,21 @@
 // DurableOptions.Sync picks the ack contract: WALSyncGroup (default)
 // blocks each ack on an fsync covering its record, with concurrent writers
 // sharing fsyncs (group commit) and a strictly serial writer paying one
-// fsync per record; WALSyncNone acks immediately and risks the tail. After any storage
+// fsync per record; WALSyncNone acks immediately and risks the tail.
+// Either way a WAL segment is preallocated (fallocate, Linux) one 1 MiB
+// step past its write frontier, and extended by another step before an
+// append would cross the allocated end, so the fsync behind an ack
+// commits the record without also committing a file-size and extent
+// change: on a 2-core ext4 VM a serial append's fsync p50 is 66–93 µs on
+// a growing file against 47–61 µs after fallocate; writing the zeros
+// ahead instead measured 51–89 µs, and fdatasync was no faster than fsync
+// on either file, which is why the log syncs with fsync. The zeros past
+// the frontier never validate as a record (the frame's masked length
+// echo rejects an all-zero header), so recovery stops there and counts
+// as torn only the bytes up to the last non-zero one. A segment file
+// holds at most one step past its records, and a clean Close trims it to
+// them before writing the clean marker. Where fallocate is refused, or
+// off Linux, segments grow as they are written. After any storage
 // error the log poisons — every later write is refused with a -1 key
 // rather than acked on a log whose durable prefix is unknowable. The
 // crash-point property test kills a logged workload at every byte offset

@@ -54,7 +54,9 @@ type DurStats struct {
 	ReplayedRecords int
 	ReplayedBytes   int64
 	// TruncatedBytes is the torn tail discarded at open — bytes of a
-	// record that was mid-write when the previous process died.
+	// record that was mid-write when the previous process died, through
+	// its last non-zero byte (the preallocated zeros after it are not
+	// torn, just unwritten).
 	TruncatedBytes int64
 	// RecoveryTime is the wall time of the whole open-and-replay.
 	RecoveryTime time.Duration
@@ -70,7 +72,9 @@ type DurStats struct {
 	// WriteErrs counts writes refused or failed because of storage errors
 	// (the log poisons on the first such error and stops acking).
 	WriteErrs int64
-	// WalBytes is the live segment size; Wal holds the log's counters.
+	// WalBytes is the live segment's record bytes (its file runs up to one
+	// preallocation step longer until a clean close trims it); Wal holds
+	// the log's counters.
 	WalBytes int64
 	Wal      wal.Stats
 }
@@ -148,16 +152,17 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 	build := func(rel *store.Relation) Engine { return NewWith(kind, rel, Options{Policy: opts.Policy}) }
 
 	if cp == nil {
-		// Fresh store: checkpoint the seed relation, then open segment 0.
-		// A crash between the two leaves a checkpoint whose segment is
-		// missing; OpenLog creates it empty, so that order is safe, while
+		// Fresh store: checkpoint the seed relation, then open segment 0
+		// empty (a leftover segment 0 has no checkpoint to anchor it). A
+		// crash between the two leaves a checkpoint whose segment is
+		// missing; recovery opens it empty, so that order is safe, while
 		// the reverse order could leave a segment with records but no
 		// checkpoint to anchor them.
 		d := &durEngine{rwEngine: rwEngine{e: build(rel)}, rel: rel, dir: dir, width: len(rel.Order), opts: opts}
 		if err := wal.WriteCheckpoint(dir, d.checkpoint(0)); err != nil {
 			return nil, err
 		}
-		log, _, err := wal.OpenLog(wal.SegmentPath(dir, 0), walOpts)
+		log, err := wal.OpenLog(wal.SegmentPath(dir, 0), 0, walOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -195,28 +200,23 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 		d.replayCrack(rec)
 	}
 
-	// Apply the segment tail on top of the checkpoint.
+	// Apply the segment tail on top of the checkpoint. The segment is read
+	// and scanned once: the log opens at the valid prefix the replay found.
 	segPath := wal.SegmentPath(dir, cp.Seq)
 	raw, err := os.ReadFile(segPath)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	replayErr := func() error {
-		n, err := wal.Scan(raw, func(_ int64, rec wal.Record) error {
-			return d.applyReplay(cp.Seq, rec)
-		})
-		if err != nil {
-			return err
-		}
-		d.open.TruncatedBytes = int64(len(raw)) - n
-		return nil
-	}()
-	if replayErr != nil {
-		return nil, replayErr
+	valid, err := wal.Scan(raw, func(_ int64, rec wal.Record) error {
+		return d.applyReplay(cp.Seq, rec)
+	})
+	if err != nil {
+		return nil, err
 	}
-	d.open.ReplayedBytes = int64(len(raw)) - d.open.TruncatedBytes
+	d.open.ReplayedBytes = valid
+	d.open.TruncatedBytes = wal.TornBytes(raw[valid:])
 
-	log, torn, err := wal.OpenLog(segPath, walOpts)
+	log, err := wal.OpenLog(segPath, valid, walOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +224,7 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 
 	d.open.Recovered = true
 	d.open.CleanShutdown = hasMarker && mSeq == cp.Seq &&
-		mSize == int64(len(raw)) && torn == 0 && d.open.ReplayedRecords == 0
+		mSize == int64(len(raw)) && mSize == valid && d.open.ReplayedRecords == 0
 	d.open.RecoveryTime = time.Since(t0)
 	return d, nil
 }
@@ -341,7 +341,7 @@ func (d *durEngine) checkpointLocked() {
 		return
 	}
 	seq := d.cpSeq + 1
-	newLog, _, err := wal.OpenLog(wal.SegmentPath(d.dir, seq), wal.Options{Sync: d.opts.Sync, Wrap: d.opts.Wrap})
+	newLog, err := wal.OpenLog(wal.SegmentPath(d.dir, seq), 0, wal.Options{Sync: d.opts.Sync, Wrap: d.opts.Wrap})
 	if err != nil {
 		d.writeErrs.Add(1)
 		return
@@ -368,7 +368,9 @@ func (d *durEngine) checkpointLocked() {
 }
 
 // Close makes the store durable and marks the shutdown clean: final fsync,
-// final checkpoint (so the next open replays nothing), clean marker, close.
+// final checkpoint (so the next open replays nothing), close — which trims
+// the segment's preallocated tail, so the file is as long as its records —
+// then the clean marker recording that length.
 func (d *durEngine) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -381,11 +383,11 @@ func (d *durEngine) Close() error {
 		d.log.Close()
 		return err
 	}
-	if err := wal.WriteCleanMarker(d.dir, d.cpSeq, d.log.Size()); err != nil {
-		d.log.Close()
+	size := d.log.Size()
+	if err := d.log.Close(); err != nil {
 		return err
 	}
-	return d.log.Close()
+	return wal.WriteCleanMarker(d.dir, d.cpSeq, size)
 }
 
 // Report is the guard's report plus the Durable section, each read in its

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -193,11 +195,14 @@ func TestDurableFreshOpenBasics(t *testing.T) {
 
 // TestDurableCrashMatrix is the crash-point matrix property test: run a
 // scripted insert/delete/crack workload with per-record fsync, then for
-// every byte offset of the resulting WAL simulate a process kill at that
-// point (checkpoint + truncated segment in a fresh directory), recover,
-// and require the recovered store to be answer-equivalent to a sequential
-// replay of exactly the records whose frames are complete in the image —
-// zero acked-write loss at the full image, no phantoms anywhere.
+// every byte offset of the resulting WAL's records simulate a process kill
+// at that point (checkpoint + truncated segment in a fresh directory),
+// recover, and require the recovered store to be answer-equivalent to a
+// sequential replay of exactly the records whose frames are complete in
+// the image — zero acked-write loss at the full image, no phantoms
+// anywhere. Two more images keep the preallocated zero tail a crash can
+// leave behind: every record followed by it, and a torn last record
+// followed by zeros; the zeros are end of log, not torn bytes.
 func TestDurableCrashMatrix(t *testing.T) {
 	dir := t.TempDir()
 	opts := DurableOptions{Sync: wal.SyncGroup, CheckpointBytes: -1}
@@ -213,10 +218,16 @@ func TestDurableCrashMatrix(t *testing.T) {
 	}
 	// No Close: the crash happens with the WAL as the only record of the
 	// post-checkpoint writes. SyncGroup means every acked write is inside
-	// the synced image read back here.
+	// the synced image read back here: the records, then the zeros of the
+	// preallocated step.
 	img, err := os.ReadFile(wal.SegmentPath(dir, 0))
 	if err != nil {
 		t.Fatalf("read segment: %v", err)
+	}
+	var starts []int64
+	written, err := wal.Scan(img, func(off int64, _ wal.Record) error { starts = append(starts, off); return nil })
+	if err != nil || wal.TornBytes(img[written:]) != 0 {
+		t.Fatalf("live segment: %d record bytes, then %d non-zero bytes (err %v)", written, wal.TornBytes(img[written:]), err)
 	}
 	cpBytes, err := os.ReadFile(filepath.Join(dir, "checkpoint"))
 	if err != nil {
@@ -225,38 +236,39 @@ func TestDurableCrashMatrix(t *testing.T) {
 	root := t.TempDir()
 	qs := durBattery(sentinels)
 
-	step := 1
-	if testing.Short() {
-		step = 13
-	}
-	for k := 0; k <= len(img); k += step {
-		crashDir := filepath.Join(root, fmt.Sprintf("k%06d", k))
+	// crash recovers image as the segment next to the checkpoint and checks
+	// it against a never-crashed twin; it returns the image's valid prefix
+	// and the torn bytes recovery reported.
+	crash := func(tag string, image []byte) (valid, truncated int64) {
+		crashDir := filepath.Join(root, tag)
 		if err := os.MkdirAll(crashDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
+		defer os.RemoveAll(crashDir)
 		if err := os.WriteFile(filepath.Join(crashDir, "checkpoint"), cpBytes, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(wal.SegmentPath(crashDir, 0), img[:k], 0o644); err != nil {
+		if err := os.WriteFile(wal.SegmentPath(crashDir, 0), image, 0o644); err != nil {
 			t.Fatal(err)
 		}
 
 		rec, err := OpenDurable(SelCrack, nil, crashDir, opts)
 		if err != nil {
-			t.Fatalf("k=%d: recovery failed: %v", k, err)
+			t.Fatalf("%s: recovery failed: %v", tag, err)
 		}
+		defer CloseDurable(rec)
 		st, _ := DurStatsOf(rec)
 		if !st.Recovered {
-			t.Fatalf("k=%d: not marked recovered", k)
+			t.Fatalf("%s: not marked recovered", tag)
 		}
 		if st.CleanShutdown {
-			t.Fatalf("k=%d: crash image marked clean", k)
+			t.Fatalf("%s: crash image marked clean", tag)
 		}
 
 		// The never-crashed twin replays exactly the complete records.
 		twin := New(SelCrack, durSeedRel())
 		replayable := 0
-		valid, err := wal.Scan(img[:k], func(_ int64, r wal.Record) error {
+		valid, err = wal.Scan(image, func(_ int64, r wal.Record) error {
 			switch r.Type {
 			case wal.RecInsert:
 				for i := 0; i+r.Width <= len(r.Vals); i += r.Width {
@@ -273,22 +285,87 @@ func TestDurableCrashMatrix(t *testing.T) {
 				replayable++
 			case wal.RecCheckpoint:
 			default:
-				t.Fatalf("k=%d: unexpected record type %v", k, r.Type)
+				t.Fatalf("%s: unexpected record type %v", tag, r.Type)
 			}
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("k=%d: scan: %v", k, err)
+			t.Fatalf("%s: scan: %v", tag, err)
 		}
 		if st.ReplayedRecords != replayable {
-			t.Fatalf("k=%d: replayed %d records, image has %d", k, st.ReplayedRecords, replayable)
+			t.Fatalf("%s: replayed %d records, image has %d", tag, st.ReplayedRecords, replayable)
 		}
-		if st.TruncatedBytes != int64(k)-valid {
-			t.Fatalf("k=%d: truncated %d, want %d", k, st.TruncatedBytes, int64(k)-valid)
+		assertAnswerEquivalent(t, tag, rec, twin, qs)
+		return valid, st.TruncatedBytes
+	}
+
+	step := 1
+	if testing.Short() {
+		step = 13
+	}
+	for k := 0; k <= int(written); k += step {
+		valid, truncated := crash(fmt.Sprintf("k%06d", k), img[:k])
+		// A tear is counted through its last non-zero byte: recovery cannot
+		// tell the zeros a torn write ended with from unwritten space.
+		torn := bytes.TrimRight(img[valid:k], "\x00")
+		if truncated != int64(len(torn)) {
+			t.Fatalf("k=%d: truncated %d, want %d", k, truncated, len(torn))
 		}
-		assertAnswerEquivalent(t, fmt.Sprintf("k=%d", k), rec, twin, qs)
-		CloseDurable(rec)
-		os.RemoveAll(crashDir)
+	}
+
+	if valid, truncated := crash("zero-tail", img); valid != written || truncated != 0 {
+		t.Fatalf("records + zero step: valid %d, truncated %d; want %d, 0", valid, truncated, written)
+	}
+
+	// Tear the last record before its last non-zero byte, at a non-zero
+	// byte, and zero the rest of it.
+	last := starts[len(starts)-1]
+	cut := last + wal.TornBytes(img[last:written]) - 1
+	for cut > last+1 && img[cut-1] == 0 {
+		cut--
+	}
+	tornImg := slices.Clone(img)
+	clear(tornImg[cut:written])
+	if valid, truncated := crash("torn-zero-tail", tornImg); valid != last || truncated != cut-last {
+		t.Fatalf("torn last record + zeros: valid %d, truncated %d; want %d, %d", valid, truncated, last, cut-last)
+	}
+}
+
+// TestDurableCloseTrimsSegment: a live segment runs past its records into
+// the preallocated step, and CloseDurable trims it, so the segment the
+// clean marker names is exactly as long as the marker says.
+func TestDurableCloseTrimsSegment(t *testing.T) {
+	dir := t.TempDir()
+	e, err := OpenDurable(Sideways, durSeedRel(), dir, DurableOptions{Sync: wal.SyncGroup})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	ops, _ := durWorkload()
+	for _, op := range ops {
+		applyOp(e, op)
+	}
+	st, _ := DurStatsOf(e)
+	fi, err := os.Stat(wal.SegmentPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("live segment: %d bytes on disk, %d written", fi.Size(), st.WalBytes)
+	if fi.Size() < st.WalBytes {
+		t.Fatalf("live segment %d bytes, shorter than its %d written", fi.Size(), st.WalBytes)
+	}
+	if ok, err := CloseDurable(e); !ok || err != nil {
+		t.Fatalf("close: ok=%v err=%v", ok, err)
+	}
+	seq, walSize, ok := wal.TakeCleanMarker(dir)
+	if !ok {
+		t.Fatal("no clean marker after CloseDurable")
+	}
+	fi, err = os.Stat(wal.SegmentPath(dir, seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != walSize {
+		t.Fatalf("segment %d is %d bytes, clean marker says %d", seq, fi.Size(), walSize)
 	}
 }
 
@@ -825,6 +902,12 @@ func TestDurableRecoverySkipsUnfitTapeRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Append at the end of the records, before the preallocated zeros.
+		valid, err := wal.Scan(seg, func(int64, wal.Record) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg = seg[:valid]
 		for _, rec := range bad {
 			seg = wal.AppendRecord(seg, rec)
 		}

@@ -1,3 +1,28 @@
+// Package wal is the durability layer of OpenDurable: a CRC-framed,
+// append-only record log with group-commit fsync (Log), the record codec
+// with its longest-valid-prefix Scan, atomically replaced checkpoints, and
+// per-checkpoint log segments.
+//
+// A segment is preallocated one step (1 MiB) ahead of its write frontier
+// with fallocate, and extended by another step whenever an append would
+// cross the allocated end, so the fsync behind an ack does not also commit
+// a size and extent change. The bytes past the frontier read back as
+// zeros, and an all-zero frame header never validates (the masked length
+// echo disagrees with a zero length), so Scan stops at the first zero
+// header exactly as it stops at a torn record. A segment file holds at
+// most one step past its records; a clean Close trims it to its records.
+// Where fallocate is refused, or off Linux, a segment grows as it is
+// written.
+//
+// Why preallocate, and why Sync stays fsync: serial 54-byte appends, each
+// followed by one sync, 3,000 per run, on ext4 (2-core VM, go1.24); the
+// range of the per-sync p50 over repeated runs:
+//
+//	growing file, fsync           66–93 µs
+//	fallocate first, fsync        47–61 µs
+//	zero-filled by writes, fsync  51–89 µs (slower than fallocate in every paired run)
+//	growing file, fdatasync       73–90 µs
+//	fallocate first, fdatasync    47–59 µs (no faster than fsync)
 package wal
 
 import (
@@ -90,6 +115,14 @@ type Log struct {
 	f    File
 	mode SyncMode
 
+	// raw is the segment file under f (nil for NewLog): preallocation and
+	// Close's trim act on it directly, so a Wrap sees only record bytes.
+	raw *os.File
+	// alloc is the end of the preallocated region; appends write below it
+	// without growing the file. Negative once fallocate has failed:
+	// preallocation is then off for this log.
+	alloc int64
+
 	written int64 // bytes handed to f.Write without error
 	synced  int64 // bytes covered by a successful Sync
 	syncing bool  // a waiter is inside f.Sync
@@ -111,39 +144,67 @@ type Log struct {
 // a live log; pass nil to detach.
 func (l *Log) ObserveFsync(h *obs.Histogram) { l.fsyncHist.Store(h) }
 
-// OpenLog opens (creating if needed) the log file at path, truncates any
-// torn tail to the longest valid record prefix, and positions appends at
-// the end. The second return is the number of torn-tail bytes discarded.
-func OpenLog(path string, opts Options) (*Log, int64, error) {
-	b, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, 0, err
-	}
-	valid, err := Scan(b, func(int64, Record) error { return nil })
-	if err != nil {
-		return nil, 0, err
-	}
-	torn := int64(len(b)) - valid
+// preallocStep is how far ahead of the write frontier a segment is
+// allocated, and how much more each extension adds.
+const preallocStep = 1 << 20
+
+// fallocate is the preallocation call; tests swap it to make it fail.
+var fallocate = fallocateFile
+
+// OpenLog opens (creating if needed) the segment at path, whose first valid
+// bytes are its record prefix as Scan found it (0 for a new segment),
+// and positions appends there. Anything past the prefix — a torn tail,
+// stale bytes, or an earlier preallocated tail — is truncated and the
+// truncation fsynced before the segment is preallocated one step past the
+// prefix: fallocate keeps existing bytes, so they must be gone first.
+func OpenLog(path string, valid int64, opts Options) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if torn > 0 {
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, 0, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, 0, err
-		}
+	if err := truncateTo(f, valid); err != nil {
+		f.Close()
+		return nil, err
 	}
 	if _, err := f.Seek(valid, io.SeekStart); err != nil {
 		f.Close()
-		return nil, 0, err
+		return nil, err
 	}
 	l := newLog(f, valid, opts)
-	return l, torn, nil
+	l.raw = f
+	l.alloc = valid
+	l.growLocked(valid)
+	return l, nil
+}
+
+// truncateTo cuts f back to size bytes, durably, if it is longer.
+func truncateTo(f *os.File, size int64) error {
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	switch {
+	case fi.Size() < size:
+		return fmt.Errorf("wal: segment %s has %d bytes, fewer than its %d-byte valid prefix", f.Name(), fi.Size(), size)
+	case fi.Size() == size:
+		return nil
+	}
+	if err := f.Truncate(size); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// TornBytes is the length of a segment's torn tail, given tail, the bytes
+// past its valid prefix: through the last non-zero byte. The zeros after it
+// are preallocated space no write reached.
+func TornBytes(tail []byte) int64 {
+	for i := len(tail) - 1; i >= 0; i-- {
+		if tail[i] != 0 {
+			return int64(i + 1)
+		}
+	}
+	return 0
 }
 
 // NewLog wraps an already-positioned file whose first size bytes are valid
@@ -156,9 +217,24 @@ func newLog(f File, size int64, opts Options) *Log {
 	if opts.Wrap != nil {
 		f = opts.Wrap(f)
 	}
-	l := &Log{f: f, mode: opts.Sync, written: size, synced: size}
+	l := &Log{f: f, mode: opts.Sync, written: size, synced: size, alloc: -1}
 	l.cond = sync.NewCond(&l.mu)
 	return l
+}
+
+// growLocked preallocates the segment from the allocated end through one
+// step past end. If fallocate fails (a filesystem that does not support it,
+// a platform without it, a full disk), preallocation stops and appends grow
+// the file as they write — the log itself is unaffected.
+func (l *Log) growLocked(end int64) {
+	if l.raw == nil || l.alloc < 0 {
+		return
+	}
+	if err := fallocate(l.raw, l.alloc, end+preallocStep-l.alloc); err != nil {
+		l.alloc = -1
+		return
+	}
+	l.alloc = end + preallocStep
 }
 
 // AppendBuffered frames and writes rec under the log lock, returning the
@@ -173,6 +249,9 @@ func (l *Log) AppendBuffered(rec Record) (int64, error) {
 		return 0, ErrPoisoned
 	}
 	l.buf = AppendRecord(l.buf[:0], rec)
+	if end := l.written + int64(len(l.buf)); end > l.alloc {
+		l.growLocked(end)
+	}
 	n, err := l.f.Write(l.buf)
 	if err != nil {
 		// A short or torn write leaves bytes past l.written that recovery
@@ -315,17 +394,31 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// Close closes the underlying file without syncing (callers that need a
-// durable close call Sync first). It waits out any fsync in flight, so a
-// concurrent WaitDurable can never have its syscall yanked to EBADF —
-// which would poison the log and fail acks whose data is actually durable.
+// Close trims the preallocated tail, so the segment file ends at its
+// records, fsyncs the trim, and closes the file. A clean-shutdown marker
+// written after a successful Close may therefore record the file's size;
+// a failed trim is returned. A poisoned log is closed untrimmed (recovery
+// reads its zero tail as end of log), and a log that never preallocated
+// is closed without a sync: callers that need a durable close call Sync
+// first. Close waits out any fsync in flight, so a concurrent WaitDurable
+// can never have its syscall yanked to EBADF — which would poison the log
+// and fail acks whose data is actually durable.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.syncing {
 		l.cond.Wait()
 	}
-	return l.f.Close()
+	var err error
+	if l.err == nil && l.alloc > l.written {
+		if err = l.raw.Truncate(l.written); err == nil {
+			err = l.raw.Sync()
+		}
+	}
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (l *Log) poisonLocked(err error) {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 
 	"crackstore/internal/store"
@@ -137,29 +138,137 @@ func TestOpenLogTruncatesTornTail(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, tornBytes, err := OpenLog(path, Options{Sync: SyncGroup})
+	valid, err := Scan(torn, func(int64, Record) error { return nil })
+	if err != nil || valid != int64(whole) {
+		t.Fatalf("scan: valid=%d err=%v, want %d", valid, err, whole)
+	}
+	if tb := TornBytes(torn[valid:]); tb != 7 {
+		t.Fatalf("torn=%d want 7", tb)
+	}
+	l, err := OpenLog(path, valid, Options{Sync: SyncGroup})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if tornBytes != 7 {
-		t.Fatalf("torn=%d want 7", tornBytes)
-	}
 	if l.Size() != int64(whole) {
 		t.Fatalf("size=%d want %d", l.Size(), whole)
+	}
+	// Past the frontier the file holds zeros (the preallocated step), not
+	// the stale torn bytes: fallocate keeps what is there, so OpenLog must
+	// truncate first.
+	b, _ := os.ReadFile(path)
+	if TornBytes(b[whole:]) != 0 {
+		t.Fatalf("stale bytes past the frontier: % x", b[whole:whole+7])
 	}
 	// Appending after truncation must continue at the valid end.
 	if err := l.Append(Record{Type: RecDelete, Keys: []int{7}}); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	l.Close()
-	b, _ := os.ReadFile(path)
+	if err := l.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	b, _ = os.ReadFile(path)
 	var keys []int
-	valid, err := Scan(b, func(_ int64, rec Record) error { keys = append(keys, rec.Keys...); return nil })
+	valid, err = Scan(b, func(_ int64, rec Record) error { keys = append(keys, rec.Keys...); return nil })
 	if err != nil || valid != int64(len(b)) {
 		t.Fatalf("reread: valid=%d/%d err=%v", valid, len(b), err)
 	}
 	if len(keys) != 2 || keys[0] != 5 || keys[1] != 7 {
 		t.Fatalf("keys=%v want [5 7]", keys)
+	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestLogPreallocatesAheadOfFrontier: a segment holds its records plus at
+// most one preallocated step, the step is extended before an append would
+// cross it, Scan stops at the zero tail, and Close trims the file to its
+// records.
+func TestLogPreallocatesAheadOfFrontier(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, err := OpenLog(path, 0, Options{Sync: SyncGroup})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if fileSize(t, path) != preallocStep {
+		t.Skipf("fallocate refused here (size %d after open)", fileSize(t, path))
+	}
+	// 64 KiB records: the log crosses its first step after 16 of them.
+	rec := Record{Type: RecInsert, Width: 1, Vals: make([]Value, 8<<10)}
+	for i := 0; i < 40; i++ {
+		rec.Vals[0] = Value(i + 1)
+		if err := l.Append(rec); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		size, written := fileSize(t, path), l.Size()
+		if size <= written || size > written+preallocStep {
+			t.Fatalf("append %d: file %d bytes for %d written, want preallocated space past them, at most one %d-byte step", i, size, written, preallocStep)
+		}
+	}
+	if l.Size() < 2*preallocStep {
+		t.Fatalf("log %d bytes never crossed a second step", l.Size())
+	}
+	b, _ := os.ReadFile(path)
+	n := 0
+	valid, err := Scan(b, func(int64, Record) error { n++; return nil })
+	if err != nil || valid != l.Size() || n != 40 || TornBytes(b[valid:]) != 0 {
+		t.Fatalf("scan of the live file: valid=%d want %d, recs=%d, torn=%d, err=%v", valid, l.Size(), n, TornBytes(b[valid:]), err)
+	}
+	written := l.Size()
+	if err := l.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if size := fileSize(t, path); size != written {
+		t.Fatalf("closed file %d bytes, want its %d written", size, written)
+	}
+}
+
+// TestLogWithoutFallocate: where fallocate is refused, a log appends, syncs
+// and recovers as it would with no preallocation at all.
+func TestLogWithoutFallocate(t *testing.T) {
+	calls := 0
+	fallocate = func(*os.File, int64, int64) error { calls++; return syscall.EOPNOTSUPP }
+	t.Cleanup(func() { fallocate = fallocateFile })
+
+	path := filepath.Join(t.TempDir(), "wal.log")
+	var valid int64
+	for round := 0; round < 2; round++ {
+		l, err := OpenLog(path, valid, Options{Sync: SyncGroup})
+		if err != nil {
+			t.Fatalf("round %d: open: %v", round, err)
+		}
+		for i := 0; i < 5; i++ {
+			if err := l.Append(Record{Type: RecDelete, Keys: []int{10*round + i}}); err != nil {
+				t.Fatalf("round %d: append: %v", round, err)
+			}
+			if size := fileSize(t, path); size != l.Size() {
+				t.Fatalf("round %d: file %d bytes, log %d", round, size, l.Size())
+			}
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatalf("round %d: sync: %v", round, err)
+		}
+		if st := l.Stats(); st.Appends != 5 || st.Fsyncs < 5 {
+			t.Fatalf("round %d: stats %+v", round, st)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+		b, _ := os.ReadFile(path)
+		var keys []int
+		valid, err = Scan(b, func(_ int64, rec Record) error { keys = append(keys, rec.Keys...); return nil })
+		if err != nil || valid != int64(len(b)) || len(keys) != 5*(round+1) {
+			t.Fatalf("round %d: recovered %v (valid %d of %d, err %v)", round, keys, valid, len(b), err)
+		}
+	}
+	if calls != 2 {
+		t.Fatalf("fallocate tried %d times, want once per open", calls)
 	}
 }
 
