@@ -1,7 +1,9 @@
 // Command crackvet runs the repo-invariant static analyzer suite over the
 // crackstore module. It type-checks every package reachable from the given
 // patterns (default ./...) and applies the six checkers in internal/vet:
-// epochpin, frozenversion, lockpair, wirebounds, exhaustive, detrand. Each
+// epochpin, frozenversion, lockpair, wirebounds (every decode-side
+// allocation in internal/wire, internal/wal and internal/frame sized by
+// frame.Reader.Count), exhaustive, detrand. Each
 // finding prints as `file:line: [check-name] message`; the process exits 1
 // when any unsuppressed finding remains, 2 on a loading/usage error, and 0
 // on a clean tree. Pragma-suppressed findings (//crackvet:ignore) are

@@ -550,10 +550,12 @@
 //     on every path of the acquiring function, in the same mode (Lock with
 //     Unlock, RLock with RUnlock), and a held lock is never re-acquired —
 //     the self-deadlock Go's runtime only reports at execution time.
-//   - wirebounds: inside internal/wire, every decode-side preallocation
-//     size derives from consumeLen (or an explicit bound guard), so a
-//     corrupt 5-byte length prefix cannot demand a multi-gigabyte
-//     allocation before validation.
+//   - wirebounds: inside internal/wire, internal/wal and internal/frame —
+//     the decoders of peer frames, log records and checkpoints — every
+//     decode-side preallocation size derives from frame.Reader.Count (or
+//     an explicit bound guard), which caps a count by the bytes left to
+//     encode it, so a corrupt 5-byte count cannot demand a multi-gigabyte
+//     allocation, or overflow into a panic, before validation.
 //   - exhaustive: switches over wire.Op, wire.Status, engine.Kind,
 //     wal.RecType, and obs.Stage either cover every declared constant or
 //     carry an explicit default arm, so growing an enum cannot make a

@@ -70,3 +70,62 @@ func TestDomainsRejectForeignFrames(t *testing.T) {
 		})
 	}
 }
+
+// TestReaderRoundTrip reads back what the shared appenders wrote, and Done
+// holds exactly when every byte was read.
+func TestReaderRoundTrip(t *testing.T) {
+	b := frame.AppendString(nil, "attr")
+	b = frame.AppendBool(b, true)
+	b = frame.AppendValues(b, []int64{-1, 1 << 40})
+	b = frame.AppendValues(b, nil)
+	b = binary.AppendVarint(b, -300)
+	r := frame.NewReader(b)
+	s, ok, vals, empty := r.Str(), r.Bool(), r.Values(), r.Values()
+	if s != "attr" || !ok || len(vals) != 2 || vals[0] != -1 || vals[1] != 1<<40 || empty == nil || len(empty) != 0 {
+		t.Fatalf("read back %q %v %v %#v", s, ok, vals, empty)
+	}
+	if r.Done() {
+		t.Fatal("Done with a varint left to read")
+	}
+	if v := r.Varint(); v != -300 || !r.Done() {
+		t.Fatalf("last varint %d, Done %v", v, r.Done())
+	}
+}
+
+// TestReaderLatchesFailure: after the first failed read every read returns
+// its zero value and consumes nothing, and Done stays false — also for a
+// failure the decoder itself declares with Fail.
+func TestReaderLatchesFailure(t *testing.T) {
+	for name, fail := range map[string]func(*frame.Reader){
+		"overrun":     func(r *frame.Reader) { r.Bytes(5) },
+		"bool 2":      func(r *frame.Reader) { r.Bool() },
+		"caller Fail": func(r *frame.Reader) { r.Fail() },
+	} {
+		r := frame.NewReader([]byte{2, 1, 1, 1})
+		fail(&r)
+		if v, s, n := r.Byte(), r.Str(), r.Count(1); v != 0 || s != "" || n != 0 || r.Done() {
+			t.Errorf("%s: reads after the failure gave %d %q %d, Done %v", name, v, s, n, r.Done())
+		}
+	}
+}
+
+// TestReaderCountBound: Count accepts a count whose elements fit the
+// remaining bytes at minSize each and fails the next one up, including
+// counts that would overflow an int or a byte size.
+func TestReaderCountBound(t *testing.T) {
+	for _, c := range []struct {
+		count   uint64
+		minSize int
+		ok      bool
+	}{
+		{3, 8, true}, {4, 8, false}, {25, 1, true}, {26, 1, false},
+		{25, 0, true}, {26, 0, false}, {1 << 63, 8, false}, {1<<64 - 1, 1, false},
+	} {
+		r := frame.NewReader(append(binary.AppendUvarint(nil, c.count), make([]byte, 25)...))
+		n := r.Count(c.minSize)
+		r.Bytes(25)
+		if want := map[bool]uint64{true: c.count}[c.ok]; uint64(n) != want || r.Done() != c.ok {
+			t.Errorf("Count(%d) of %d over 25 bytes = %d, Done %v", c.minSize, c.count, n, r.Done())
+		}
+	}
+}

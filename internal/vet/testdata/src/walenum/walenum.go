@@ -2,7 +2,9 @@
 // is named wal so the enum reads wal.RecType, exactly as in the repo). A
 // recovery switch that silently skips a new record type replays a
 // corrupted store, so these switches must cover every constant or decide
-// their unknown-value behavior in a default arm.
+// their unknown-value behavior in a default arm. It also pins that the
+// wirebounds checker reaches a package named wal: a log read back from disk
+// is as untrusted as a peer's frame.
 package wal
 
 type RecType byte
@@ -45,4 +47,8 @@ func okFullCoverage(t RecType) string {
 		return "checkpoint"
 	}
 	return ""
+}
+
+func badKeys(b []byte) []int {
+	return make([]int, b[0]) // want "preallocation size"
 }

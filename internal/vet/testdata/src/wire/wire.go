@@ -1,5 +1,5 @@
 // Fixture for the wirebounds and exhaustive checkers: a miniature wire
-// package with a consumeLen-style bounded count decoder, decode-side
+// package with a frame.Reader-style bounded count decoder, decode-side
 // preallocations, and switches over the Op/Status enums.
 package wire
 
@@ -18,26 +18,26 @@ const (
 	StatusErr Status = 1
 )
 
-// consumeLen decodes a count and refuses any value exceeding what the
-// remaining input could possibly hold (minSize bytes per element).
-func consumeLen(b []byte, minSize int) (int, []byte, bool) {
-	if len(b) == 0 {
-		return 0, b, false
-	}
-	n := int(b[0])
-	if n > len(b[1:])/minSize {
-		return 0, b, false
-	}
-	return n, b[1:], true
+// Reader mirrors frame.Reader: Count caps a count by what the remaining
+// input could possibly hold (minSize bytes per element).
+type Reader struct{ b []byte }
+
+func (r *Reader) Uvarint() uint64 { return uint64(r.b[0]) }
+
+func (r *Reader) Count(minSize int) int { return min(int(r.Uvarint()), len(r.b)/minSize) }
+
+// tally has a Count method too, but it is not a Reader's: it bounds nothing.
+type tally struct{ n int }
+
+func (t tally) Count(int) int { return t.n }
+
+func okBounded(r *Reader) []int64 {
+	n := r.Count(8)
+	return make([]int64, n)
 }
 
-func okBounded(b []byte) []int64 {
-	n, rest, ok := consumeLen(b, 8)
-	if !ok {
-		return nil
-	}
-	_ = rest
-	return make([]int64, n)
+func okCountInline(r Reader) map[string]int {
+	return make(map[string]int, r.Count(2))
 }
 
 // okGuarded mirrors the frame-header path: the length is validated against
@@ -68,6 +68,24 @@ func badUnbounded(b []byte) []int64 {
 func badMapPrealloc(b []byte) map[int]int {
 	n := int(b[0])
 	return make(map[int]int, n) // want "preallocation size"
+}
+
+func badDecodedCount(r *Reader) []int64 {
+	return make([]int64, r.Uvarint()) // want "preallocation size"
+}
+
+func badForeignCount(r *Reader, t tally) []int64 {
+	n := t.Count(8)
+	return make([]int64, n) // want "preallocation size"
+}
+
+// badOrGuard is the shape of a real overflow: n*8 wraps negative for a
+// large enough n and passes the joined guard, so it bounds nothing.
+func badOrGuard(r *Reader, n int) []int64 {
+	if n < 0 || n*8 > len(r.b) {
+		return nil
+	}
+	return make([]int64, n) // want "preallocation size"
 }
 
 func describeOp(op Op) string {

@@ -67,7 +67,7 @@ func TestFrozenVersionFixture(t *testing.T)  { fixture(t, "frozenversion", Froze
 func TestLockPairFixture(t *testing.T)       { fixture(t, "lockpair", LockPair) }
 func TestWireFixture(t *testing.T)           { fixture(t, "wire", WireBounds, Exhaustive) }
 func TestExhaustiveKindFixture(t *testing.T) { fixture(t, "exhaustive", Exhaustive) }
-func TestExhaustiveWalFixture(t *testing.T)  { fixture(t, "walenum", Exhaustive) }
+func TestExhaustiveWalFixture(t *testing.T)  { fixture(t, "walenum", Exhaustive, WireBounds) }
 func TestExhaustiveObsFixture(t *testing.T)  { fixture(t, "obsstage", Exhaustive) }
 func TestDetRandFixture(t *testing.T)        { fixture(t, "crack", DetRand) }
 

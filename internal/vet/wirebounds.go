@@ -4,36 +4,42 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
-// WireBounds guards the wire package's prealloc-DoS contract: every
-// decode-side make([]T, n) / make(map[...], n) must take its size from a
-// count that cannot exceed the bytes actually remaining — which is exactly
-// what consumeLen produces. A size that reaches make straight from a
-// decoded integer lets a 5-byte adversarial frame demand a multi-gigabyte
-// allocation; the fuzz targets probe this property, this checker proves it
-// per call site. A size is accepted when it derives from:
+// WireBounds guards the decoders' prealloc-DoS contract: every decode-side
+// make([]T, n) / make(map[...], n) in the packages that decode untrusted
+// bytes — internal/wire (a peer's frames), internal/wal (a log or
+// checkpoint read back from disk) and internal/frame (their shared
+// reader) — must take its size from a count that cannot exceed the bytes
+// actually remaining, which is exactly what frame.Reader.Count returns. A
+// size that reaches make straight from a decoded integer lets a few
+// adversarial bytes demand a multi-gigabyte allocation (or overflow into a
+// panic); the fuzz targets probe this property, this checker proves it per
+// call site. A size is accepted when it derives from:
 //
-//   - a consumeLen result (the canonical bounded count),
-//   - a constant, len(), or cap(),
+//   - a call of the Count method of a type named Reader (the canonical
+//     bounded count; matched by name so fixtures work),
+//   - a constant, len(), cap() or min(),
 //   - a variable that an earlier `if v > limit { return ... }` guard
 //     bounds explicitly (the frame-header path, where the length is
-//     validated before any payload exists to measure against),
+//     validated before any payload exists to measure against; a guard
+//     joined by || bounds nothing),
 //
-// or arithmetic over those. Only non-test files of wire packages are
-// checked: tests build their own inputs, and encoders allocate from data
-// the process already holds either way — but the checker cannot tell an
-// encoder from a decoder, so it holds both to the same rule (encode-side
-// sizes all come from len() anyway).
+// or arithmetic over those. Only non-test files are checked: tests build
+// their own inputs, and encoders allocate from data the process already
+// holds either way — but the checker cannot tell an encoder from a
+// decoder, so it holds both to the same rule (encode-side sizes all come
+// from len() anyway).
 var WireBounds = &Checker{
 	Name: "wirebounds",
-	Doc:  "wire decode preallocations must be bounded via consumeLen",
+	Doc:  "decode preallocations must be bounded via frame.Reader.Count",
 	Run:  runWireBounds,
 }
 
 func runWireBounds(pass *Pass) {
-	if pass.Name != "wire" && !strings.Contains(pass.PkgPath, "internal/wire") {
+	switch pass.Name {
+	case "wire", "wal", "frame":
+	default:
 		return
 	}
 	for _, f := range pass.Files {
@@ -77,16 +83,22 @@ func wireBoundsBody(pass *Pass, body *ast.BlockStmt) {
 		return e
 	}
 
-	// isConsumeLen matches a call to a function named consumeLen (the
-	// bounded-count decoder; matched by name so fixtures work).
-	isConsumeLen := func(call *ast.CallExpr) bool {
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			return fun.Name == "consumeLen"
-		case *ast.SelectorExpr:
-			return fun.Sel.Name == "consumeLen"
+	// isCount matches a call of Reader.Count, on a Reader or a *Reader.
+	isCount := func(call *ast.CallExpr) bool {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "Count" {
+			return false
 		}
-		return false
+		s := pass.Info.Selections[sel]
+		if s == nil || s.Kind() != types.MethodVal {
+			return false
+		}
+		recv := s.Recv()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		named, ok := recv.(*types.Named)
+		return ok && named.Obj().Name() == "Reader"
 	}
 
 	// terminates reports whether a statement list unconditionally leaves
@@ -125,6 +137,9 @@ func wireBoundsBody(pass *Pass, body *ast.BlockStmt) {
 		case *ast.UnaryExpr:
 			return isBlessed(x.X)
 		case *ast.CallExpr:
+			if isCount(x) {
+				return true
+			}
 			if id, ok := x.Fun.(*ast.Ident); ok {
 				if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); isBuiltin && (id.Name == "len" || id.Name == "cap" || id.Name == "min") {
 					return true
@@ -137,8 +152,8 @@ func wireBoundsBody(pass *Pass, body *ast.BlockStmt) {
 		return false
 	}
 
-	// Bless fixpoint: consumeLen results, comparison guards with
-	// terminating bodies, and propagation through bounded assignments.
+	// Bless fixpoint: comparison guards with terminating bodies, and
+	// propagation through bounded assignments (Count results among them).
 	for changed := true; changed; {
 		changed = false
 		bless := func(id *ast.Ident) {
@@ -150,14 +165,6 @@ func wireBoundsBody(pass *Pass, body *ast.BlockStmt) {
 		ast.Inspect(body, func(n ast.Node) bool {
 			switch s := n.(type) {
 			case *ast.AssignStmt:
-				if len(s.Rhs) == 1 {
-					if call, ok := s.Rhs[0].(*ast.CallExpr); ok && isConsumeLen(call) && len(s.Lhs) >= 1 {
-						if id, ok := s.Lhs[0].(*ast.Ident); ok {
-							bless(id)
-						}
-						return true
-					}
-				}
 				if len(s.Lhs) == len(s.Rhs) {
 					for i, rhs := range s.Rhs {
 						if id, ok := s.Lhs[i].(*ast.Ident); ok && isBlessed(rhs) {
@@ -199,7 +206,7 @@ func wireBoundsBody(pass *Pass, body *ast.BlockStmt) {
 		}
 		for _, sz := range call.Args[1:] {
 			if !isBlessed(sz) {
-				pass.Reportf(call.Pos(), "preallocation size does not derive from consumeLen (or an explicit bound guard): a corrupt length can demand an arbitrary allocation")
+				pass.Reportf(call.Pos(), "preallocation size does not derive from frame.Reader.Count (or an explicit bound guard): a corrupt count can demand an arbitrary allocation")
 				break
 			}
 		}

@@ -137,10 +137,10 @@ func encodeCheckpoint(cp *Checkpoint) []byte {
 	}
 	head := []byte{checkpointVersion}
 	head = binary.AppendUvarint(head, cp.Seq)
-	head = appendString(head, cp.Name)
+	head = frame.AppendString(head, cp.Name)
 	head = binary.AppendUvarint(head, uint64(len(cp.Attrs)))
 	for _, a := range cp.Attrs {
-		head = appendString(head, a)
+		head = frame.AppendString(head, a)
 	}
 	head = binary.AppendUvarint(head, uint64(rows))
 
@@ -173,54 +173,38 @@ func encodeCheckpoint(cp *Checkpoint) []byte {
 	return framed
 }
 
+// decodeCheckpointPayload reads a checkpoint payload as strictly as
+// DecodeRecord reads a record. The row count is bounded by the bytes left
+// for all of the columns, so they are allocated before they are read.
 func decodeCheckpointPayload(payload []byte) (*Checkpoint, error) {
-	r := reader{b: payload}
-	if v := r.u8(); v != checkpointVersion {
+	r := frame.NewReader(payload)
+	if v := r.Byte(); v != checkpointVersion {
 		return nil, fmt.Errorf("wal: checkpoint version %d (want %d)", v, checkpointVersion)
 	}
-	cp := &Checkpoint{Seq: r.uvarint(), Name: r.str()}
-	nattrs := int(r.uvarint())
-	if r.err || nattrs < 0 || nattrs > r.remaining() {
-		return nil, ErrCorrupt
+	cp := &Checkpoint{Seq: r.Uvarint(), Name: r.Str()}
+	cp.Attrs = make([]string, r.Count(1))
+	for i := range cp.Attrs {
+		cp.Attrs[i] = r.Str()
 	}
-	cp.Attrs = make([]string, 0, nattrs)
-	for i := 0; i < nattrs; i++ {
-		cp.Attrs = append(cp.Attrs, r.str())
-	}
-	rows := int(r.uvarint())
-	if r.err || rows < 0 || nattrs > 0 && rows > r.remaining()/(8*nattrs) {
-		return nil, ErrCorrupt
-	}
-	cp.Cols = make([][]Value, nattrs)
+	rows := r.Count(8 * len(cp.Attrs))
+	cp.Cols = make([][]Value, len(cp.Attrs))
 	for i := range cp.Cols {
-		cp.Cols[i] = r.vals(rows)
+		cp.Cols[i] = make([]Value, rows)
+		r.Words(cp.Cols[i])
 	}
-	ndead := int(r.uvarint())
-	if r.err || ndead < 0 || ndead > r.remaining() {
-		return nil, ErrCorrupt
+	cp.Dead = make([]int, r.Count(1))
+	for i := range cp.Dead {
+		cp.Dead[i] = int(r.Uvarint())
 	}
-	cp.Dead = make([]int, 0, ndead)
-	for i := 0; i < ndead; i++ {
-		cp.Dead = append(cp.Dead, int(r.uvarint()))
-	}
-	ntape := int(r.uvarint())
-	if r.err || ntape < 0 || ntape > r.remaining() {
-		return nil, ErrCorrupt
-	}
-	cp.Tape = make([]Record, 0, ntape)
-	for i := 0; i < ntape; i++ {
-		n := int(r.uvarint())
-		if r.err || n < 0 || n > r.remaining() {
-			return nil, ErrCorrupt
-		}
-		rec, err := DecodeRecord(r.b[r.off : r.off+n])
+	cp.Tape = make([]Record, r.Count(1))
+	for i := range cp.Tape {
+		rec, err := DecodeRecord(r.Bytes(r.Count(1)))
 		if err != nil {
 			return nil, err
 		}
-		r.off += n
-		cp.Tape = append(cp.Tape, rec)
+		cp.Tape[i] = rec
 	}
-	if r.err || r.remaining() != 0 {
+	if !r.Done() {
 		return nil, ErrCorrupt
 	}
 	return cp, nil

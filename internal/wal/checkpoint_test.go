@@ -34,6 +34,12 @@ func testCheckpoint(rows int) *Checkpoint {
 	return cp
 }
 
+// appendString is the reference's string encoding: a uvarint length, then
+// the bytes.
+func appendString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
 // appendCheckpointReference is the append-grown encoder encodeCheckpoint
 // replaced, kept as the definition of the on-disk format.
 func appendCheckpointReference(cp *Checkpoint) []byte {

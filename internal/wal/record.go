@@ -111,10 +111,7 @@ func AppendPayload(dst []byte, rec Record) []byte {
 	switch rec.Type {
 	case RecInsert:
 		dst = binary.AppendUvarint(dst, uint64(rec.Width))
-		dst = binary.AppendUvarint(dst, uint64(len(rec.Vals)))
-		for _, v := range rec.Vals {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-		}
+		dst = frame.AppendValues(dst, rec.Vals)
 	case RecDelete:
 		dst = binary.AppendUvarint(dst, uint64(len(rec.Keys)))
 		for _, k := range rec.Keys {
@@ -123,7 +120,7 @@ func AppendPayload(dst []byte, rec Record) []byte {
 	case RecCrack:
 		dst = binary.AppendUvarint(dst, uint64(len(rec.Preds)))
 		for _, p := range rec.Preds {
-			dst = appendString(dst, p.Attr)
+			dst = frame.AppendString(dst, p.Attr)
 			dst = binary.AppendVarint(dst, p.Pred.Lo)
 			dst = binary.AppendVarint(dst, p.Pred.Hi)
 			var flags byte
@@ -137,13 +134,9 @@ func AppendPayload(dst []byte, rec Record) []byte {
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(rec.Projs)))
 		for _, s := range rec.Projs {
-			dst = appendString(dst, s)
+			dst = frame.AppendString(dst, s)
 		}
-		if rec.Disjunctive {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = frame.AppendBool(dst, rec.Disjunctive)
 	case RecCheckpoint:
 		dst = binary.AppendUvarint(dst, rec.Seq)
 	default:
@@ -161,73 +154,48 @@ func AppendRecord(dst []byte, rec Record) []byte {
 	return dst
 }
 
-// DecodeRecord decodes a frameless record payload. Decoding is strict:
-// every read is bounds-checked, trailing garbage is an error, and slice
-// preallocations are capped by the bytes actually remaining, so an
-// adversarial payload can neither panic the decoder nor force a large
-// allocation (FuzzRecordCodec pins both properties).
+// DecodeRecord decodes a frameless record payload. Decoding is strict and
+// reads through one frame.Reader: every read is bounds-checked, a value the
+// format forbids (a zero width, a batch that is not whole tuples, unknown
+// predicate flags) or trailing bytes make ErrCorrupt, and every slice is
+// sized by frame.Reader.Count, so an adversarial payload can neither panic
+// the decoder nor make it allocate more than a constant factor of its own
+// size (FuzzRecordCodec pins both properties).
 func DecodeRecord(payload []byte) (Record, error) {
-	r := reader{b: payload}
-	rec := Record{Type: RecType(r.u8())}
+	r := frame.NewReader(payload)
+	rec := Record{Type: RecType(r.Byte())}
 	switch rec.Type {
 	case RecInsert:
-		rec.Width = int(r.uvarint())
-		n := int(r.uvarint())
-		if rec.Width <= 0 || n < 0 || n%max(rec.Width, 1) != 0 {
+		rec.Width, rec.Vals = int(r.Uvarint()), r.Values()
+		if rec.Width <= 0 || len(rec.Vals)%rec.Width != 0 {
 			return Record{}, ErrCorrupt
 		}
-		rec.Vals = r.vals(n)
 	case RecDelete:
-		n := int(r.uvarint())
-		// Each key costs at least one byte, so the remaining bytes bound
-		// the preallocation.
-		if n < 0 || n > r.remaining() {
-			return Record{}, ErrCorrupt
-		}
-		rec.Keys = make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			rec.Keys = append(rec.Keys, int(r.uvarint()))
+		rec.Keys = make([]int, r.Count(1))
+		for i := range rec.Keys {
+			rec.Keys[i] = int(r.Uvarint())
 		}
 	case RecCrack:
-		n := int(r.uvarint())
-		if n < 0 || n > r.remaining() {
-			return Record{}, ErrCorrupt
-		}
-		rec.Preds = make([]PredRec, 0, n)
-		for i := 0; i < n; i++ {
-			var p PredRec
-			p.Attr = r.str()
-			p.Pred.Lo = r.varint()
-			p.Pred.Hi = r.varint()
-			flags := r.u8()
-			p.Pred.LoIncl = flags&1 != 0
-			p.Pred.HiIncl = flags&2 != 0
+		rec.Preds = make([]PredRec, r.Count(4)) // attr len, lo, hi, flags
+		for i := range rec.Preds {
+			attr, lo, hi, flags := r.Str(), r.Varint(), r.Varint(), r.Byte()
 			if flags&^byte(3) != 0 {
-				return Record{}, ErrCorrupt
+				r.Fail()
 			}
-			rec.Preds = append(rec.Preds, p)
+			rec.Preds[i] = PredRec{Attr: attr, Pred: store.Pred{
+				Lo: lo, Hi: hi, LoIncl: flags&1 != 0, HiIncl: flags&2 != 0}}
 		}
-		m := int(r.uvarint())
-		if m < 0 || m > r.remaining() {
-			return Record{}, ErrCorrupt
+		rec.Projs = make([]string, r.Count(1))
+		for i := range rec.Projs {
+			rec.Projs[i] = r.Str()
 		}
-		rec.Projs = make([]string, 0, m)
-		for i := 0; i < m; i++ {
-			rec.Projs = append(rec.Projs, r.str())
-		}
-		switch r.u8() {
-		case 0:
-		case 1:
-			rec.Disjunctive = true
-		default:
-			return Record{}, ErrCorrupt
-		}
+		rec.Disjunctive = r.Bool()
 	case RecCheckpoint:
-		rec.Seq = r.uvarint()
+		rec.Seq = r.Uvarint()
 	default:
 		return Record{}, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, byte(rec.Type))
 	}
-	if r.err || r.remaining() != 0 {
+	if !r.Done() {
 		return Record{}, ErrCorrupt
 	}
 	return rec, nil
@@ -264,86 +232,4 @@ func Scan(b []byte, fn func(off int64, rec Record) error) (int64, error) {
 		}
 		off += frameHeader + int(n)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Encoding helpers.
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// reader is a strict bounds-checked decode cursor; any overrun latches err
-// and makes every later read return zero values.
-type reader struct {
-	b   []byte
-	off int
-	err bool
-}
-
-func (r *reader) remaining() int { return len(r.b) - r.off }
-
-func (r *reader) fail() { r.err = true }
-
-func (r *reader) u8() byte {
-	if r.err || r.off >= len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) varint() int64 {
-	if r.err {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) str() string {
-	n := int(r.uvarint())
-	if r.err || n < 0 || n > r.remaining() {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-// vals decodes n fixed 8-byte little-endian values; the byte cost is
-// checked before the slice is allocated.
-func (r *reader) vals(n int) []Value {
-	if r.err || n < 0 || n*8 > r.remaining() {
-		r.fail()
-		return nil
-	}
-	out := make([]Value, n)
-	for i := range out {
-		out[i] = Value(binary.LittleEndian.Uint64(r.b[r.off:]))
-		r.off += 8
-	}
-	return out
 }

@@ -2,9 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"crackstore/internal/frame"
 	"crackstore/internal/store"
 )
 
@@ -51,6 +54,9 @@ func TestRecordRoundTrip(t *testing.T) {
 		}
 		if !recEqual(got, rec) {
 			t.Fatalf("%v: round trip mismatch:\n got %+v\nwant %+v", rec.Type, got, rec)
+		}
+		if _, err := DecodeRecord(append(payload, 0)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%v: trailing byte: err=%v, want ErrCorrupt", rec.Type, err)
 		}
 	}
 }
@@ -124,6 +130,30 @@ func TestDecodeRejectsOversizeCounts(t *testing.T) {
 	}
 }
 
+// overflowInsert is a CRC-valid insert payload whose value count,
+// 1,893,715,657,364,446,006, is a multiple of its width 89: eight bytes a
+// value times that count wraps negative, which once slipped past the
+// decoder's size check into a make that panicked.
+var overflowInsert = []byte{0x01, 0x59, 0xb6, 0xb6, 0xb6, 0xb6, 0xb6, 0x8b, 0xf5, 0xa3, 0x1a}
+
+// TestDecodeRejectsOverflowingCount: the overflowing insert is corrupt,
+// both to DecodeRecord and to a Scan over its frame, and neither panics.
+func TestDecodeRejectsOverflowingCount(t *testing.T) {
+	if _, err := DecodeRecord(overflowInsert); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeRecord: err=%v, want ErrCorrupt", err)
+	}
+	framed := make([]byte, frameHeader, frameHeader+len(overflowInsert))
+	framed = append(framed, overflowInsert...)
+	frame.Put(framed, framed[frameHeader:], lenEcho)
+	valid, err := Scan(framed, func(int64, Record) error {
+		t.Fatal("Scan delivered the overflowing record")
+		return nil
+	})
+	if valid != 0 || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Scan: valid=%d err=%v, want 0 valid bytes and ErrCorrupt", valid, err)
+	}
+}
+
 // FuzzRecordCodec pins the codec's safety contract on arbitrary bytes:
 // DecodeRecord never panics, and when it accepts a payload, re-encoding
 // the decoded record is a fixed point (decode∘encode is the identity on
@@ -136,6 +166,7 @@ func FuzzRecordCodec(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(RecInsert)})
+	f.Add(overflowInsert)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := DecodeRecord(payload)
 		if err != nil {
@@ -199,4 +230,26 @@ func FuzzScanTornTail(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRecordFormatUnchanged pins the record payload encoding byte for byte,
+// one record per type: a log written before a codec change must replay
+// after it.
+func TestRecordFormatUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		rec  Record
+		want string
+	}{
+		{Record{Type: RecInsert, Width: 2, Vals: []Value{-1, 1 << 40}}, "010202ffffffffffffffff0000000000010000"},
+		{Record{Type: RecDelete, Keys: []int{0, 300}}, "020200ac02"},
+		{Record{Type: RecCrack, Preds: []PredRec{
+			{Attr: "A", Pred: store.Pred{Lo: -5, Hi: 100, LoIncl: true}},
+			{Attr: "B", Pred: store.Pred{Lo: 3, Hi: 3, LoIncl: true, HiIncl: true}},
+		}, Projs: []string{"C"}, Disjunctive: true}, "0302014109c80101014206060301014301"},
+		{Record{Type: RecCheckpoint, Seq: 300}, "04ac02"},
+	} {
+		if got := fmt.Sprintf("%x", AppendPayload(nil, c.rec)); got != c.want {
+			t.Errorf("%v: payload\n got %s\nwant %s", c.rec.Type, got, c.want)
+		}
+	}
 }

@@ -46,10 +46,13 @@
 // and the client should back off and retry, with no work done and the
 // connection intact.
 //
-// Decoding is strict: every read is bounds-checked, trailing garbage is an
-// error, and slice preallocations are capped by the bytes actually
-// remaining, so a truncated or adversarial frame can neither panic the
-// decoder nor make it over-allocate (FuzzDecodeRequest and
+// Decoding is strict and reads through the one payload decoder of
+// internal/frame, frame.Reader, which the WAL shares: every read is
+// bounds-checked, trailing garbage is an error, a result column must hold
+// exactly N values, and every slice or map is sized by frame.Reader.Count,
+// which caps an announced count by the bytes actually remaining. A
+// truncated or adversarial frame can neither panic the decoder nor make it
+// allocate more than a constant factor of the frame (FuzzDecodeRequest and
 // FuzzDecodeResponse pin both properties).
 //
 // # Tracing extension
@@ -329,195 +332,77 @@ func ReadFrame(r io.Reader, maxFrame int, buf []byte) ([]byte, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive append/consume helpers.
-//
-// The appenders build payloads; the consumers are the strict inverses, each
-// returning the remaining bytes and a hard error on truncation. All sizes
-// decode through consumeLen, which rejects any announced element count that
-// could not fit in the bytes that remain — the property that keeps
-// preallocation proportional to real input.
+// Bodies. Strings, bools and value slices use the shared encodings of
+// internal/frame; every decoder below reads through one frame.Reader and
+// leaves the failure check to DecodeRequest/DecodeResponse.
 
 func appendUvarint(buf []byte, v uint64) []byte { return binary.AppendUvarint(buf, v) }
 func appendVarint(buf []byte, v int64) []byte   { return binary.AppendVarint(buf, v) }
-func appendString(buf []byte, s string) []byte {
-	return append(appendUvarint(buf, uint64(len(s))), s...)
-}
-func appendBool(buf []byte, b bool) []byte {
-	if b {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
 func appendDuration(buf []byte, d time.Duration) []byte {
 	return appendVarint(buf, int64(d))
 }
 
-func consumeUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, ErrCorrupt
+func readDuration(r *frame.Reader) time.Duration { return time.Duration(r.Varint()) }
+
+// readInt reads a uvarint that must fit an int. Counters are 64-bit: a
+// long-lived daemon legitimately exceeds 2^31 queries within hours.
+func readInt(r *frame.Reader) int {
+	u := r.Uvarint()
+	if u > math.MaxInt64 {
+		r.Fail()
 	}
-	return v, b[n:], nil
+	return int(u)
 }
 
-func consumeVarint(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, nil, ErrCorrupt
+// readKey reads a tuple key: a varint that must not be negative.
+func readKey(r *frame.Reader) int {
+	k := r.Varint()
+	if k < 0 {
+		r.Fail()
 	}
-	return v, b[n:], nil
+	return int(k)
 }
-
-// consumeLen decodes an element count and rejects counts that cannot fit in
-// the remaining bytes at minSize bytes per element, bounding every
-// subsequent make() by the true input size.
-func consumeLen(b []byte, minSize int) (int, []byte, error) {
-	v, rest, err := consumeUvarint(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if minSize < 1 {
-		minSize = 1
-	}
-	if v > uint64(len(rest)/minSize) {
-		return 0, nil, ErrCorrupt
-	}
-	return int(v), rest, nil
-}
-
-func consumeString(b []byte) (string, []byte, error) {
-	n, rest, err := consumeLen(b, 1)
-	if err != nil {
-		return "", nil, err
-	}
-	return string(rest[:n]), rest[n:], nil
-}
-
-func consumeBool(b []byte) (bool, []byte, error) {
-	if len(b) < 1 {
-		return false, nil, ErrCorrupt
-	}
-	switch b[0] {
-	case 0:
-		return false, b[1:], nil
-	case 1:
-		return true, b[1:], nil
-	}
-	return false, nil, ErrCorrupt
-}
-
-func consumeDuration(b []byte) (time.Duration, []byte, error) {
-	v, rest, err := consumeVarint(b)
-	return time.Duration(v), rest, err
-}
-
-// Value slices (insert tuples, result columns) use fixed 8-byte
-// little-endian encoding rather than varints: results carry thousands of
-// values per response, and a fixed-width loop en/decodes an order of
-// magnitude faster than per-value varints — on a loopback or datacenter
-// link the serving path is CPU-bound, not bandwidth-bound.
-
-func appendValues(buf []byte, vals []store.Value) []byte {
-	buf = appendUvarint(buf, uint64(len(vals)))
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
-	return buf
-}
-
-func consumeValues(b []byte) ([]store.Value, []byte, error) {
-	n, rest, err := consumeLen(b, 8)
-	if err != nil {
-		return nil, nil, err
-	}
-	vals := make([]store.Value, n)
-	for i := range vals {
-		vals[i] = store.Value(binary.LittleEndian.Uint64(rest[i*8:]))
-	}
-	return vals, rest[n*8:], nil
-}
-
-// ---------------------------------------------------------------------------
-// Query / Result / Cost bodies.
 
 func appendPred(buf []byte, p store.Pred) []byte {
 	buf = appendVarint(buf, int64(p.Lo))
 	buf = appendVarint(buf, int64(p.Hi))
-	buf = appendBool(buf, p.LoIncl)
-	return appendBool(buf, p.HiIncl)
+	buf = frame.AppendBool(buf, p.LoIncl)
+	return frame.AppendBool(buf, p.HiIncl)
 }
 
-func consumePred(b []byte) (store.Pred, []byte, error) {
-	var (
-		p   store.Pred
-		lo  int64
-		hi  int64
-		err error
-	)
-	if lo, b, err = consumeVarint(b); err != nil {
-		return p, nil, err
-	}
-	if hi, b, err = consumeVarint(b); err != nil {
-		return p, nil, err
-	}
-	p.Lo, p.Hi = store.Value(lo), store.Value(hi)
-	if p.LoIncl, b, err = consumeBool(b); err != nil {
-		return p, nil, err
-	}
-	if p.HiIncl, b, err = consumeBool(b); err != nil {
-		return p, nil, err
-	}
-	return p, b, nil
+func readPred(r *frame.Reader) store.Pred {
+	return store.Pred{Lo: r.Varint(), Hi: r.Varint(), LoIncl: r.Bool(), HiIncl: r.Bool()}
 }
 
 func appendQuery(buf []byte, q engine.Query) []byte {
 	buf = appendUvarint(buf, uint64(len(q.Preds)))
 	for _, ap := range q.Preds {
-		buf = appendString(buf, ap.Attr)
+		buf = frame.AppendString(buf, ap.Attr)
 		buf = appendPred(buf, ap.Pred)
 	}
 	buf = appendUvarint(buf, uint64(len(q.Projs)))
 	for _, p := range q.Projs {
-		buf = appendString(buf, p)
+		buf = frame.AppendString(buf, p)
 	}
-	return appendBool(buf, q.Disjunctive)
+	return frame.AppendBool(buf, q.Disjunctive)
 }
 
-func consumeQuery(b []byte) (engine.Query, []byte, error) {
-	var (
-		q   engine.Query
-		n   int
-		err error
-	)
-	if n, b, err = consumeLen(b, 5); err != nil { // attr len + 4 pred bytes minimum
-		return q, nil, err
-	}
-	if n > 0 {
+func readQuery(r *frame.Reader) engine.Query {
+	var q engine.Query
+	if n := r.Count(5); n > 0 { // attr len + 4 pred bytes minimum
 		q.Preds = make([]engine.AttrPred, n)
 		for i := range q.Preds {
-			if q.Preds[i].Attr, b, err = consumeString(b); err != nil {
-				return q, nil, err
-			}
-			if q.Preds[i].Pred, b, err = consumePred(b); err != nil {
-				return q, nil, err
-			}
+			q.Preds[i] = engine.AttrPred{Attr: r.Str(), Pred: readPred(r)}
 		}
 	}
-	if n, b, err = consumeLen(b, 1); err != nil {
-		return q, nil, err
-	}
-	if n > 0 {
+	if n := r.Count(1); n > 0 {
 		q.Projs = make([]string, n)
 		for i := range q.Projs {
-			if q.Projs[i], b, err = consumeString(b); err != nil {
-				return q, nil, err
-			}
+			q.Projs[i] = r.Str()
 		}
 	}
-	if q.Disjunctive, b, err = consumeBool(b); err != nil {
-		return q, nil, err
-	}
-	return q, b, nil
+	q.Disjunctive = r.Bool()
+	return q
 }
 
 // appendResult encodes a result in sorted column order, so the encoding of
@@ -532,49 +417,32 @@ func appendResult(buf []byte, res engine.Result) []byte {
 	sort.Strings(names)
 	buf = appendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
-		buf = appendString(buf, name)
-		buf = appendValues(buf, res.Cols[name])
+		buf = frame.AppendString(buf, name)
+		buf = frame.AppendValues(buf, res.Cols[name])
 	}
 	return buf
 }
 
-func consumeResult(b []byte) (engine.Result, []byte, error) {
-	var (
-		res engine.Result
-		n   uint64
-		err error
-	)
-	if n, b, err = consumeUvarint(b); err != nil {
-		return res, nil, err
-	}
-	// N is the row count, not a buffer size; cap it sanely rather than
-	// against remaining bytes (columns may legitimately be absent).
+// readResult reads a result whose columns each hold exactly N values. N
+// is a row count, not a buffer size, so it is capped sanely rather than
+// against the remaining bytes: a count-only answer has N rows and no
+// columns.
+func readResult(r *frame.Reader) engine.Result {
+	n := r.Uvarint()
 	if n > math.MaxInt32 {
-		return res, nil, ErrCorrupt
+		r.Fail()
 	}
-	res.N = int(n)
-	cols, b, err := consumeLen(b, 2) // name len + value count minimum
-	if err != nil {
-		return res, nil, err
-	}
+	res := engine.Result{N: int(n)}
+	cols := r.Count(2) // name len + value count minimum
 	res.Cols = make(map[string][]store.Value, cols)
 	for i := 0; i < cols; i++ {
-		var (
-			name string
-			vals []store.Value
-		)
-		if name, b, err = consumeString(b); err != nil {
-			return res, nil, err
-		}
-		if vals, b, err = consumeValues(b); err != nil {
-			return res, nil, err
-		}
-		if _, dup := res.Cols[name]; dup {
-			return res, nil, ErrCorrupt
+		name, vals := r.Str(), r.Values()
+		if _, dup := res.Cols[name]; dup || len(vals) != res.N {
+			r.Fail()
 		}
 		res.Cols[name] = vals
 	}
-	return res, b, nil
+	return res
 }
 
 func appendCost(buf []byte, c engine.Cost) []byte {
@@ -582,18 +450,8 @@ func appendCost(buf []byte, c engine.Cost) []byte {
 	return appendDuration(buf, c.TR)
 }
 
-func consumeCost(b []byte) (engine.Cost, []byte, error) {
-	var (
-		c   engine.Cost
-		err error
-	)
-	if c.Sel, b, err = consumeDuration(b); err != nil {
-		return c, nil, err
-	}
-	if c.TR, b, err = consumeDuration(b); err != nil {
-		return c, nil, err
-	}
-	return c, b, nil
+func readCost(r *frame.Reader) engine.Cost {
+	return engine.Cost{Sel: readDuration(r), TR: readDuration(r)}
 }
 
 func appendStats(buf []byte, st Stats) []byte {
@@ -608,55 +466,12 @@ func appendStats(buf []byte, st Stats) []byte {
 	return appendDuration(buf, st.Max)
 }
 
-func consumeStats(b []byte) (Stats, []byte, error) {
-	var (
-		st  Stats
-		u   uint64
-		err error
-	)
-	if u, b, err = consumeUvarint(b); err != nil {
-		return st, nil, err
+func readStats(r *frame.Reader) Stats {
+	return Stats{
+		Queries: readInt(r), Errors: readInt(r), Sheds: readInt(r),
+		Elapsed: readDuration(r), QPS: math.Float64frombits(r.Uvarint()),
+		P50: readDuration(r), P95: readDuration(r), P99: readDuration(r), Max: readDuration(r),
 	}
-	// Counters are 64-bit ints: a long-lived daemon legitimately exceeds
-	// 2^31 queries within hours at measured rates.
-	if u > math.MaxInt64 {
-		return st, nil, ErrCorrupt
-	}
-	st.Queries = int(u)
-	if u, b, err = consumeUvarint(b); err != nil {
-		return st, nil, err
-	}
-	if u > math.MaxInt64 {
-		return st, nil, ErrCorrupt
-	}
-	st.Errors = int(u)
-	if u, b, err = consumeUvarint(b); err != nil {
-		return st, nil, err
-	}
-	if u > math.MaxInt64 {
-		return st, nil, ErrCorrupt
-	}
-	st.Sheds = int(u)
-	if st.Elapsed, b, err = consumeDuration(b); err != nil {
-		return st, nil, err
-	}
-	if u, b, err = consumeUvarint(b); err != nil {
-		return st, nil, err
-	}
-	st.QPS = math.Float64frombits(u)
-	if st.P50, b, err = consumeDuration(b); err != nil {
-		return st, nil, err
-	}
-	if st.P95, b, err = consumeDuration(b); err != nil {
-		return st, nil, err
-	}
-	if st.P99, b, err = consumeDuration(b); err != nil {
-		return st, nil, err
-	}
-	if st.Max, b, err = consumeDuration(b); err != nil {
-		return st, nil, err
-	}
-	return st, b, nil
 }
 
 // appendSpans encodes a span list: count, then per span a stage byte and
@@ -679,42 +494,20 @@ func appendSpans(buf []byte, spans []obs.Span) []byte {
 	return buf
 }
 
-func consumeSpans(b []byte) ([]obs.Span, []byte, error) {
-	n, b, err := consumeLen(b, 3) // stage byte + two 1-byte uvarints minimum
-	if err != nil {
-		return nil, nil, err
-	}
+func readSpans(r *frame.Reader) []obs.Span {
+	n := r.Count(3) // stage byte + two 1-byte uvarints minimum
 	if n == 0 {
-		return nil, b, nil
+		return nil
 	}
 	spans := make([]obs.Span, n)
 	for i := range spans {
-		if len(b) < 1 {
-			return nil, nil, ErrCorrupt
-		}
-		st := obs.Stage(b[0])
+		st := obs.Stage(r.Byte())
 		if st == 0 || st > obs.MaxStage {
-			return nil, nil, fmt.Errorf("%w: unknown trace stage %d", ErrCorrupt, b[0])
+			r.Fail()
 		}
-		spans[i].Stage = st
-		b = b[1:]
-		var u uint64
-		if u, b, err = consumeUvarint(b); err != nil {
-			return nil, nil, err
-		}
-		if u > math.MaxInt64 {
-			return nil, nil, fmt.Errorf("%w: span start overflows", ErrCorrupt)
-		}
-		spans[i].Start = time.Duration(u)
-		if u, b, err = consumeUvarint(b); err != nil {
-			return nil, nil, err
-		}
-		if u > math.MaxInt64 {
-			return nil, nil, fmt.Errorf("%w: span duration overflows", ErrCorrupt)
-		}
-		spans[i].Dur = time.Duration(u)
+		spans[i] = obs.Span{Stage: st, Start: time.Duration(readInt(r)), Dur: time.Duration(readInt(r))}
 	}
-	return spans, b, nil
+	return spans
 }
 
 // ---------------------------------------------------------------------------
@@ -760,7 +553,7 @@ func AppendRequest(buf []byte, req *Request) []byte {
 		buf = appendQuery(buf, req.Query)
 	case OpInsert:
 		buf = appendUvarint(buf, req.Token)
-		buf = appendValues(buf, req.Vals)
+		buf = frame.AppendValues(buf, req.Vals)
 	case OpDelete:
 		buf = appendUvarint(buf, req.Token)
 		buf = appendVarint(buf, int64(req.Key))
@@ -776,69 +569,37 @@ func AppendRequest(buf []byte, req *Request) []byte {
 
 // DecodeRequest decodes one request payload (a frame body).
 func DecodeRequest(payload []byte) (Request, error) {
-	var req Request
-	if len(payload) < 1 {
-		return req, ErrCorrupt
-	}
-	tagged, b := payload[0], payload[1:]
-	traced := tagged&traceFlag != 0
-	op := Op(tagged &^ traceFlag)
-	var err error
-	if req.ID, b, err = consumeUvarint(b); err != nil {
-		return req, err
-	}
-	var ttl uint64
-	if ttl, b, err = consumeUvarint(b); err != nil {
-		return req, err
-	}
+	r := frame.NewReader(payload)
+	tagged := r.Byte()
+	req := Request{ID: r.Uvarint(), Op: Op(tagged &^ traceFlag)}
+	ttl := r.Uvarint()
 	if ttl > maxTTLMicros {
-		return req, fmt.Errorf("%w: ttl overflows", ErrCorrupt)
+		r.Fail()
 	}
 	req.TTL = time.Duration(ttl) * time.Microsecond
-	if traced {
-		if req.Trace, b, err = consumeUvarint(b); err != nil {
-			return req, err
-		}
-		if req.Trace == 0 {
-			return req, fmt.Errorf("%w: traced request with zero trace id", ErrCorrupt)
+	if tagged&traceFlag != 0 {
+		if req.Trace = r.Uvarint(); req.Trace == 0 {
+			r.Fail() // a traced request names its trace
 		}
 	}
-	req.Op = op
-	switch op {
+	switch req.Op {
 	case OpQuery, OpQueryRO:
-		if req.Query, b, err = consumeQuery(b); err != nil {
-			return req, err
-		}
+		req.Query = readQuery(&r)
 	case OpInsert:
-		if req.Token, b, err = consumeUvarint(b); err != nil {
-			return req, err
-		}
-		if req.Vals, b, err = consumeValues(b); err != nil {
-			return req, err
-		}
+		req.Token = r.Uvarint()
+		req.Vals = r.Values()
 	case OpDelete:
-		if req.Token, b, err = consumeUvarint(b); err != nil {
-			return req, err
-		}
-		var k int64
-		if k, b, err = consumeVarint(b); err != nil {
-			return req, err
-		}
-		if k < 0 {
-			return req, ErrCorrupt
-		}
-		req.Key = int(k)
+		req.Token = r.Uvarint()
+		req.Key = readKey(&r)
 	case OpStats, OpPing:
 		// no body
 	case OpHello:
-		if req.Version, b, err = consumeUvarint(b); err != nil {
-			return req, err
-		}
+		req.Version = r.Uvarint()
 	default:
-		return req, fmt.Errorf("%w: unknown request op %d", ErrCorrupt, byte(op))
+		return Request{}, fmt.Errorf("%w: unknown request op %d", ErrCorrupt, byte(req.Op))
 	}
-	if len(b) != 0 {
-		return req, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b))
+	if !r.Done() {
+		return Request{}, ErrCorrupt
 	}
 	return req, nil
 }
@@ -858,7 +619,7 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 	buf = append(buf, byte(resp.Status))
 	switch resp.Status {
 	case StatusErr:
-		buf = appendString(buf, resp.Err)
+		buf = frame.AppendString(buf, resp.Err)
 	case StatusRefused:
 		// no body: the query must be retried as OpQuery
 	case StatusOverloaded:
@@ -890,81 +651,49 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 
 // DecodeResponse decodes one response payload (a frame body).
 func DecodeResponse(payload []byte) (Response, error) {
-	var resp Response
-	if len(payload) < 1 {
-		return resp, ErrCorrupt
-	}
-	tagged, b := payload[0], payload[1:]
+	r := frame.NewReader(payload)
+	tagged := r.Byte()
 	if tagged&respTag == 0 {
-		return resp, fmt.Errorf("%w: payload is not a response", ErrCorrupt)
+		return Response{}, fmt.Errorf("%w: payload is not a response", ErrCorrupt)
 	}
-	traced := tagged&traceFlag != 0
-	resp.Op = Op(tagged &^ (respTag | traceFlag))
-	var err error
-	if resp.ID, b, err = consumeUvarint(b); err != nil {
-		return resp, err
-	}
-	if len(b) < 1 {
-		return resp, ErrCorrupt
-	}
-	resp.Status, b = Status(b[0]), b[1:]
+	resp := Response{Op: Op(tagged &^ (respTag | traceFlag)), ID: r.Uvarint(), Status: Status(r.Byte())}
 	switch resp.Status {
 	case StatusErr:
-		if resp.Err, b, err = consumeString(b); err != nil {
-			return resp, err
-		}
+		resp.Err = r.Str()
 	case StatusRefused:
 		if resp.Op != OpQueryRO {
-			return resp, fmt.Errorf("%w: refused status on %v", ErrCorrupt, resp.Op)
+			return Response{}, fmt.Errorf("%w: refused status on %v", ErrCorrupt, resp.Op)
 		}
 	case StatusOverloaded:
 		switch resp.Op {
 		case OpQuery, OpQueryRO, OpInsert, OpDelete, OpStats, OpPing, OpHello:
 			// no body
 		default:
-			return resp, fmt.Errorf("%w: overloaded status on unknown op %d", ErrCorrupt, byte(resp.Op))
+			return Response{}, fmt.Errorf("%w: overloaded status on unknown op %d", ErrCorrupt, byte(resp.Op))
 		}
 	case StatusOK:
 		switch resp.Op {
 		case OpQuery, OpQueryRO:
-			if resp.Result, b, err = consumeResult(b); err != nil {
-				return resp, err
-			}
-			if resp.Cost, b, err = consumeCost(b); err != nil {
-				return resp, err
-			}
+			resp.Result, resp.Cost = readResult(&r), readCost(&r)
 		case OpInsert:
-			var k int64
-			if k, b, err = consumeVarint(b); err != nil {
-				return resp, err
-			}
-			if k < 0 {
-				return resp, ErrCorrupt
-			}
-			resp.Key = int(k)
+			resp.Key = readKey(&r)
 		case OpDelete, OpPing:
 			// no body
 		case OpStats:
-			if resp.Stats, b, err = consumeStats(b); err != nil {
-				return resp, err
-			}
+			resp.Stats = readStats(&r)
 		case OpHello:
-			if resp.Version, b, err = consumeUvarint(b); err != nil {
-				return resp, err
-			}
+			resp.Version = r.Uvarint()
 		default:
-			return resp, fmt.Errorf("%w: unknown response op %d", ErrCorrupt, byte(resp.Op))
+			return Response{}, fmt.Errorf("%w: unknown response op %d", ErrCorrupt, byte(resp.Op))
 		}
 	default:
-		return resp, fmt.Errorf("%w: unknown status %d", ErrCorrupt, byte(resp.Status))
+		return Response{}, fmt.Errorf("%w: unknown status %d", ErrCorrupt, byte(resp.Status))
 	}
-	if traced {
-		if resp.Spans, b, err = consumeSpans(b); err != nil {
-			return resp, err
-		}
+	if tagged&traceFlag != 0 {
+		resp.Spans = readSpans(&r)
 	}
-	if len(b) != 0 {
-		return resp, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b))
+	if !r.Done() {
+		return Response{}, ErrCorrupt
 	}
 	return resp, nil
 }

@@ -3,12 +3,15 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
 	"time"
 
 	"crackstore/internal/engine"
+	"crackstore/internal/frame"
+	"crackstore/internal/obs"
 	"crackstore/internal/store"
 )
 
@@ -423,11 +426,108 @@ func TestDecodeRejectsDuplicateColumns(t *testing.T) {
 	payload = appendUvarint(payload, 1) // N
 	payload = appendUvarint(payload, 2) // columns
 	for i := 0; i < 2; i++ {
-		payload = appendString(payload, "B")
-		payload = appendValues(payload, []store.Value{int64(i)})
+		payload = frame.AppendString(payload, "B")
+		payload = frame.AppendValues(payload, []store.Value{int64(i)})
 	}
 	payload = appendCost(payload, engine.Cost{})
 	if _, err := DecodeResponse(payload); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("duplicate column: want ErrCorrupt, got %v", err)
+	}
+}
+
+// TestDecodeRejectsRaggedResult: every result column holds exactly N
+// values — a caller reads rows below N from each of them — so a column of
+// any other length is corrupt. No columns at all is the count-only answer
+// and stays legal.
+func TestDecodeRejectsRaggedResult(t *testing.T) {
+	result := func(cols ...[]store.Value) []byte {
+		payload := appendUvarint([]byte{byte(OpQuery) | respTag}, 9)
+		payload = append(payload, byte(StatusOK))
+		payload = appendUvarint(payload, 3) // N
+		payload = appendUvarint(payload, uint64(len(cols)))
+		for i, col := range cols {
+			payload = frame.AppendString(payload, string(rune('B'+i)))
+			payload = frame.AppendValues(payload, col)
+		}
+		return appendCost(payload, engine.Cost{})
+	}
+	for _, cols := range [][][]store.Value{{{1}}, {{1, 2, 3}, {1, 2, 3, 4}}, {{}}} {
+		if _, err := DecodeResponse(result(cols...)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("N=3 with column lengths %d: want ErrCorrupt, got %v", len(cols[len(cols)-1]), err)
+		}
+	}
+	resp, err := DecodeResponse(result())
+	if err != nil || resp.Result.N != 3 || len(resp.Result.Cols) != 0 {
+		t.Fatalf("count-only answer: got %+v, %v; want N=3 and no columns", resp.Result, err)
+	}
+	resp, err = DecodeResponse(result([]store.Value{1, 2, 3}, []store.Value{4, 5, 6}))
+	if err != nil || len(resp.Result.Cols["C"]) != 3 {
+		t.Fatalf("two full columns: got %+v, %v", resp.Result, err)
+	}
+}
+
+// TestRequestFormatUnchanged pins the request encoding byte for byte: one
+// request per op, a traced one included. A decoder or encoder change that
+// moves any byte fails here before it can strand a peer on the old format.
+func TestRequestFormatUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		req  Request
+		want string
+	}{
+		{Request{ID: 1, Op: OpQuery, TTL: 3 * time.Millisecond, Query: engine.Query{
+			Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(-2, 300)}},
+			Projs: []string{"B", "C"},
+		}}, "0101b81701014103d8040100020142014300"},
+		{Request{ID: 2, Op: OpQueryRO, Query: engine.Query{
+			Preds:       []engine.AttrPred{{Attr: "x", Pred: store.Point(7)}, {Attr: "y", Pred: store.Open(1, 2)}},
+			Disjunctive: true,
+		}}, "0202000201780e0e01010179020400000001"},
+		{Request{ID: 3, Op: OpInsert, Token: 1 << 40, Vals: []store.Value{-1, 0, 1 << 40}}, "03030080808080802003ffffffffffffffff00000000000000000000000000010000"},
+		{Request{ID: 4, Op: OpDelete, Token: 9, Key: 300}, "04040009d804"},
+		{Request{ID: 5, Op: OpStats}, "050500"},
+		{Request{ID: 6, Op: OpPing, TTL: time.Second}, "0606c0843d"},
+		{Request{ID: 7, Op: OpHello, Version: ProtoVersion}, "07070002"},
+		{Request{ID: 8, Op: OpQuery, Trace: 1 << 33, Query: engine.Query{
+			Preds: []engine.AttrPred{{Attr: "A", Pred: store.Point(0)}},
+		}}, "4108008080808020010141000001010000"},
+	} {
+		if got := fmt.Sprintf("%x", AppendRequest(nil, &c.req)[FrameHeader:]); got != c.want {
+			t.Errorf("%v (id %d): payload\n got %s\nwant %s", c.req.Op, c.req.ID, got, c.want)
+		}
+	}
+}
+
+// TestResponseFormatUnchanged is the response-side twin: one response per
+// status, one StatusOK response per op, and a traced response with spans.
+func TestResponseFormatUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		resp Response
+		want string
+	}{
+		{Response{ID: 1, Op: OpQuery, Status: StatusOK,
+			Result: engine.Result{N: 2, Cols: map[string][]store.Value{"C": {-1, 1 << 40}, "B": {7, 8}}},
+			Cost:   engine.Cost{Sel: 123 * time.Microsecond, TR: time.Millisecond}}, "810100020201420207000000000000000800000000000000014302ffffffffffffffff0000000000010000f0810f80897a"},
+		{Response{ID: 2, Op: OpQueryRO, Status: StatusOK, Result: engine.Result{N: 5}}, "82020005000000"},
+		{Response{ID: 3, Op: OpInsert, Status: StatusOK, Key: 300}, "830300d804"},
+		{Response{ID: 4, Op: OpDelete, Status: StatusOK}, "840400"},
+		{Response{ID: 5, Op: OpStats, Status: StatusOK, Stats: Stats{
+			Queries: 1000, Errors: 2, Sheds: 17, Elapsed: 3 * time.Second, QPS: 12345.678,
+			P50: time.Millisecond, P95: 2 * time.Millisecond, P99: 4 * time.Millisecond, Max: time.Second,
+		}}, "850500e807021180f882ad16d8f2d0c5ec9a87e44080897a8092f40180a4e80380a8d6b907"},
+		{Response{ID: 6, Op: OpPing, Status: StatusOK}, "860600"},
+		{Response{ID: 7, Op: OpHello, Status: StatusOK, Version: ProtoVersion}, "87070002"},
+		{Response{ID: 8, Op: OpQuery, Status: StatusErr, Err: "engine: no such attribute"}, "81080119656e67696e653a206e6f207375636820617474726962757465"},
+		{Response{ID: 9, Op: OpQueryRO, Status: StatusRefused}, "820902"},
+		{Response{ID: 10, Op: OpInsert, Status: StatusOverloaded}, "830a03"},
+		{Response{ID: 11, Op: OpQuery, Status: StatusOK,
+			Result: engine.Result{N: 1, Cols: map[string][]store.Value{"A": {4}}},
+			Spans: []obs.Span{
+				{Stage: obs.StageQueue, Dur: 5 * time.Microsecond},
+				{Stage: obs.StageExecute, Start: 5 * time.Microsecond, Dur: 90 * time.Microsecond},
+			}}, "c10b00010101410104000000000000000000020200882703882790bf05"},
+	} {
+		if got := fmt.Sprintf("%x", AppendResponse(nil, &c.resp)[FrameHeader:]); got != c.want {
+			t.Errorf("%v/%d (id %d): payload\n got %s\nwant %s", c.resp.Op, c.resp.Status, c.resp.ID, got, c.want)
+		}
 	}
 }
