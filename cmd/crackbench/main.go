@@ -9,7 +9,7 @@
 //	crackbench -exp all             # everything
 //	crackbench -exp fig9 -rows 1000000 -queries 1000   # paper scale
 //	crackbench -exp exp2 -scale paper
-//	crackbench -exp exp1 -json out                     # per-query series as JSON
+//	crackbench -exp exp1 -csv out                      # full series as CSV
 //	crackbench -exp adaptive -queries 1000             # policies x access patterns
 //
 // Experiment ids: exp1 exp2 exp3 exp4 exp5 exp6 fig9 fig10 fig11 fig12
@@ -51,7 +51,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "workload seed")
 		scale   = flag.String("scale", "default", "default | paper")
 		csvDir  = flag.String("csv", "", "also write full series as CSV files into this directory")
-		jsonDir = flag.String("json", "", "also write per-query cumulative latency series as JSON files into this directory")
 	)
 	flag.Parse()
 	usage := func(format string, args ...any) {
@@ -79,7 +78,6 @@ func main() {
 		cfg.Queries = *queries
 	}
 	cfg.CSVDir = *csvDir
-	cfg.JSONDir = *jsonDir
 
 	// The Section 4.2 experiments use a 10x smaller relation than the
 	// Section 3.6 ones in the paper (1e6 vs 1e7); mirror that ratio unless

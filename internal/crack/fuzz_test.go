@@ -215,7 +215,7 @@ func FuzzRippleDeleteBatch(f *testing.F) {
 	})
 }
 
-// FuzzRippleUpdates mixes cracks, ripple inserts and positional removals.
+// FuzzRippleUpdates mixes cracks, ripple inserts and ripple deletes.
 func FuzzRippleUpdates(f *testing.F) {
 	f.Add(int64(1), []byte{0, 10, 1, 20, 2, 3, 0, 50})
 	f.Add(int64(9), []byte{2, 2, 2, 2, 1, 1})
@@ -231,9 +231,9 @@ func FuzzRippleUpdates(f *testing.F) {
 			case 1: // insert
 				p.RippleInsert(arg, Value(1000+i))
 				live++
-			case 2: // remove one position
+			case 2: // delete one position
 				if p.Len() > 0 {
-					p.RemovePositions([]int{int(arg) % p.Len()})
+					p.RippleDelete(int(arg) % p.Len())
 					live--
 				}
 			}

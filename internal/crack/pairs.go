@@ -718,8 +718,8 @@ func (p *Pairs) RippleInsertKeys(keys []int, headCol, tailCol *store.Column) {
 // the end of the column: the last tuple of the hole's piece fills the hole,
 // every subsequent boundary shifts left by one (its piece donates its last
 // tuple to the hole it inherits), and the column shrinks by one. Only one
-// tuple per downstream piece moves, versus the full-suffix compaction of
-// RemovePositions. This is the per-tuple reference for RippleDeleteBatch.
+// tuple per downstream piece moves, where compacting the column would move
+// its whole suffix. This is the per-tuple reference for RippleDeleteBatch.
 func (p *Pairs) RippleDelete(pos int) {
 	n := len(p.Head)
 	type bpos struct {
@@ -827,35 +827,6 @@ func (p *Pairs) RippleDeleteBatch(positions []int) {
 	}
 	p.Head = h[:n-m]
 	p.Tail = t[:n-m]
-	p.Idx.Reposition(func(b crackindex.Bound, pos int) int {
-		return pos - sort.SearchInts(positions, pos)
-	})
-}
-
-// RemovePositions deletes the tuples at the given positions (ascending,
-// duplicate-free) and compacts the arrays, shifting index boundaries left.
-func (p *Pairs) RemovePositions(positions []int) {
-	if len(positions) == 0 {
-		return
-	}
-	del := 0
-	next := 0
-	out := 0
-	for i := 0; i < len(p.Head); i++ {
-		if next < len(positions) && positions[next] == i {
-			next++
-			del++
-			continue
-		}
-		if out != i {
-			p.Head[out], p.Tail[out] = p.Head[i], p.Tail[i]
-		}
-		out++
-	}
-	p.Head = p.Head[:out]
-	p.Tail = p.Tail[:out]
-	// Re-position every boundary: subtract the number of deleted positions
-	// before it.
 	p.Idx.Reposition(func(b crackindex.Bound, pos int) int {
 		return pos - sort.SearchInts(positions, pos)
 	})

@@ -2,7 +2,6 @@ package crack
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -243,39 +242,6 @@ func TestQuickRippleInsert(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRemovePositions(t *testing.T) {
-	p := WrapPairs(
-		[]Value{1, 2, 3, 4, 5, 6, 7, 8},
-		[]Value{0, 1, 2, 3, 4, 5, 6, 7},
-	)
-	p.CrackRange(store.Range(3, 6)) // creates boundaries
-	// Find positions of values 3 and 7 and remove them.
-	var dead []int
-	for i, v := range p.Head {
-		if v == 3 || v == 7 {
-			dead = append(dead, i)
-		}
-	}
-	sort.Ints(dead)
-	p.RemovePositions(dead)
-	if p.Len() != 6 {
-		t.Fatalf("Len = %d, want 6", p.Len())
-	}
-	if !p.CheckPieces() {
-		t.Fatal("piece invariant violated after remove")
-	}
-	for _, v := range p.Head {
-		if v == 3 || v == 7 {
-			t.Fatal("removed value still present")
-		}
-	}
-	// A further crack must still work correctly.
-	lo, hi := p.CrackRange(store.Range(4, 9))
-	if hi-lo != 4 { // 4,5,6,8
-		t.Fatalf("post-remove crack area = %d, want 4", hi-lo)
 	}
 }
 

@@ -14,9 +14,8 @@
 // counts for ranges that match existing boundaries and tight bounds plus an
 // interpolated estimate otherwise.
 //
-// Nodes are never physically removed while a structure is alive; lazy
-// deletion marks them, so recreating a dropped chunk can reuse its learned
-// partitioning (Section 4.1, "Storage Management").
+// Boundaries are only ever added or moved: a piece never merges back, so
+// the tree never removes a node.
 package crackindex
 
 import "fmt"
@@ -47,27 +46,26 @@ func (b Bound) String() string {
 }
 
 type node struct {
-	b       Bound
-	pos     int
-	deleted bool
-	h       int
-	l, r    *node
+	b    Bound
+	pos  int
+	h    int
+	l, r *node
 }
 
 // Index is a cracker index. The zero value is not usable; call New.
 type Index struct {
 	root *node
-	n    int // live boundaries
+	n    int // boundaries
 }
 
 // New returns an empty index.
 func New() *Index { return &Index{} }
 
-// Len returns the number of live (non-deleted) boundaries.
+// Len returns the number of boundaries.
 func (ix *Index) Len() int { return ix.n }
 
 // Pieces returns the number of pieces a column of the given length is
-// divided into (live boundaries + 1).
+// divided into (boundaries + 1).
 func (ix *Index) Pieces() int { return ix.n + 1 }
 
 func height(n *node) int {
@@ -114,7 +112,7 @@ func rotL(n *node) *node {
 }
 
 // Insert records boundary b at position pos. If the boundary already exists
-// (live or lazily deleted) its position is updated and it is revived.
+// its position is updated.
 func (ix *Index) Insert(b Bound, pos int) {
 	ix.root = ix.insert(ix.root, b, pos)
 }
@@ -130,39 +128,13 @@ func (ix *Index) insert(n *node, b Bound, pos int) *node {
 	case n.b.Less(b):
 		n.r = ix.insert(n.r, b, pos)
 	default:
-		if n.deleted {
-			n.deleted = false
-			ix.n++
-		}
 		n.pos = pos
 		return n
 	}
 	return fix(n)
 }
 
-// Delete lazily removes boundary b. It reports whether a live boundary was
-// found. The node stays in the tree and can be revived by a later Insert.
-func (ix *Index) Delete(b Bound) bool {
-	n := ix.root
-	for n != nil {
-		switch {
-		case b.Less(n.b):
-			n = n.l
-		case n.b.Less(b):
-			n = n.r
-		default:
-			if n.deleted {
-				return false
-			}
-			n.deleted = true
-			ix.n--
-			return true
-		}
-	}
-	return false
-}
-
-// Lookup returns the position of boundary b, if a live boundary exists.
+// Lookup returns the position of boundary b, if it exists.
 func (ix *Index) Lookup(b Bound) (pos int, ok bool) {
 	n := ix.root
 	for n != nil {
@@ -172,19 +144,16 @@ func (ix *Index) Lookup(b Bound) (pos int, ok bool) {
 		case n.b.Less(b):
 			n = n.r
 		default:
-			if n.deleted {
-				return 0, false
-			}
 			return n.pos, true
 		}
 	}
 	return 0, false
 }
 
-// Has reports whether a live boundary equal to b exists. It is the
-// read-only probe behind the two-phase (probe/execute) query protocol: a
-// range whose bounds both exist as live boundaries can be answered without
-// any physical reorganization.
+// Has reports whether a boundary equal to b exists. It is the read-only
+// probe behind the two-phase (probe/execute) query protocol: a range whose
+// bounds are both boundaries can be answered without any physical
+// reorganization.
 func (ix *Index) Has(b Bound) bool {
 	_, ok := ix.Lookup(b)
 	return ok
@@ -196,65 +165,32 @@ type Piece struct {
 	Lo, Hi           int
 	LoBound, HiBound Bound
 	HasLoB, HasHiB   bool
-	LoExact, HiExact bool // whether Lo/Hi are exactly the requested bound
+	LoExact          bool // b is itself a boundary: the piece is empty, at its position
 }
 
 // PieceFor locates the piece that bound b falls into for a column of length
-// n. If a live boundary equal to b exists, the returned piece is degenerate:
-// Lo == Hi == position of the boundary and LoExact (and HiExact) are true.
+// n. If a boundary equal to b exists, the returned piece is degenerate:
+// Lo == Hi == position of the boundary and LoExact is true.
 func (ix *Index) PieceFor(b Bound, n int) Piece {
 	p := Piece{Lo: 0, Hi: n}
 	cur := ix.root
 	for cur != nil {
 		switch {
 		case b.Less(cur.b):
-			if !cur.deleted {
-				p.Hi, p.HiBound, p.HasHiB = cur.pos, cur.b, true
-			}
+			p.Hi, p.HiBound, p.HasHiB = cur.pos, cur.b, true
 			cur = cur.l
 		case cur.b.Less(b):
-			if !cur.deleted {
-				p.Lo, p.LoBound, p.HasLoB = cur.pos, cur.b, true
-			}
+			p.Lo, p.LoBound, p.HasLoB = cur.pos, cur.b, true
 			cur = cur.r
 		default:
-			if !cur.deleted {
-				return Piece{Lo: cur.pos, Hi: cur.pos, LoBound: b, HiBound: b,
-					HasLoB: true, HasHiB: true, LoExact: true, HiExact: true}
-			}
-			// Deleted boundary: keep searching both directions is not
-			// needed — a deleted node partitions nothing; continue as if
-			// absent by scanning the side that can tighten the piece.
-			// Both subtrees may contain live boundaries; walk left side
-			// first for the upper bound, then right side for the lower.
-			p = tighten(cur.l, b, p)
-			p = tighten(cur.r, b, p)
-			return p
+			return Piece{Lo: cur.pos, Hi: cur.pos, LoBound: b, HiBound: b,
+				HasLoB: true, HasHiB: true, LoExact: true}
 		}
 	}
 	return p
 }
 
-// tighten narrows piece p for bound b using live boundaries in subtree n.
-func tighten(n *node, b Bound, p Piece) Piece {
-	for n != nil {
-		switch {
-		case b.Less(n.b):
-			if !n.deleted {
-				p.Hi, p.HiBound, p.HasHiB = n.pos, n.b, true
-			}
-			n = n.l
-		default:
-			if !n.deleted {
-				p.Lo, p.LoBound, p.HasLoB = n.pos, n.b, true
-			}
-			n = n.r
-		}
-	}
-	return p
-}
-
-// Reposition calls f for every live boundary in ascending order and stores
+// Reposition calls f for every boundary in ascending order and stores
 // the returned position. It is the bulk counterpart of re-Inserting each
 // boundary after a batched ripple update: one tree walk instead of one
 // descent per boundary. f must keep positions monotone (the piece
@@ -266,15 +202,13 @@ func (ix *Index) Reposition(f func(b Bound, pos int) int) {
 			return
 		}
 		walk(n.l)
-		if !n.deleted {
-			n.pos = f(n.b, n.pos)
-		}
+		n.pos = f(n.b, n.pos)
 		walk(n.r)
 	}
 	walk(ix.root)
 }
 
-// Walk calls f for every live boundary in ascending order.
+// Walk calls f for every boundary in ascending order.
 func (ix *Index) Walk(f func(b Bound, pos int)) {
 	var walk func(n *node)
 	walk = func(n *node) {
@@ -282,15 +216,13 @@ func (ix *Index) Walk(f func(b Bound, pos int)) {
 			return
 		}
 		walk(n.l)
-		if !n.deleted {
-			f(n.b, n.pos)
-		}
+		f(n.b, n.pos)
 		walk(n.r)
 	}
 	walk(ix.root)
 }
 
-// WalkRange calls f for every live boundary strictly between lo and hi, in
+// WalkRange calls f for every boundary strictly between lo and hi, in
 // ascending order. It descends only into subtrees that can hold such a
 // boundary, so it costs O(log n + k) for the k nodes in the range.
 func (ix *Index) WalkRange(lo, hi Bound, f func(b Bound, pos int)) {
@@ -303,7 +235,7 @@ func (ix *Index) WalkRange(lo, hi Bound, f func(b Bound, pos int)) {
 		if above {
 			walk(n.l)
 		}
-		if above && below && !n.deleted {
+		if above && below {
 			f(n.b, n.pos)
 		}
 		if below {
@@ -313,8 +245,7 @@ func (ix *Index) WalkRange(lo, hi Bound, f func(b Bound, pos int)) {
 	walk(ix.root)
 }
 
-// Clone returns a structural copy of ix, lazily deleted nodes included,
-// that shares no node with it.
+// Clone returns a structural copy of ix that shares no node with it.
 func (ix *Index) Clone() *Index { return &Index{root: cloneNode(ix.root), n: ix.n} }
 
 func cloneNode(n *node) *node {

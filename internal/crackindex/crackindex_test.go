@@ -1,6 +1,7 @@
 package crackindex
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -91,48 +92,15 @@ func TestPieceForEdges(t *testing.T) {
 	}
 }
 
-func TestDeleteAndRevive(t *testing.T) {
-	ix := New()
-	ix.Insert(Bound{10, true}, 100)
-	ix.Insert(Bound{20, true}, 200)
-	if !ix.Delete(Bound{10, true}) {
-		t.Fatal("Delete failed")
-	}
-	if ix.Delete(Bound{10, true}) {
-		t.Fatal("double Delete succeeded")
-	}
-	if ix.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", ix.Len())
-	}
-	if _, ok := ix.Lookup(Bound{10, true}); ok {
-		t.Fatal("deleted boundary still visible")
-	}
-	// Piece lookup must see through the deleted node.
-	p := ix.PieceFor(Bound{10, true}, 1000)
-	if p.Lo != 0 || p.Hi != 200 {
-		t.Fatalf("piece across deleted node = %+v", p)
-	}
-	// Revive with a new position.
-	ix.Insert(Bound{10, true}, 111)
-	pos, ok := ix.Lookup(Bound{10, true})
-	if !ok || pos != 111 {
-		t.Fatalf("revived = %d,%v", pos, ok)
-	}
-	if ix.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", ix.Len())
-	}
-}
-
 func TestWalkOrdered(t *testing.T) {
 	ix := New()
 	vals := []int64{50, 10, 30, 70, 20}
 	for i, v := range vals {
 		ix.Insert(Bound{v, true}, i*10)
 	}
-	ix.Delete(Bound{30, true})
 	var got []int64
 	ix.Walk(func(b Bound, pos int) { got = append(got, b.V) })
-	want := []int64{10, 20, 50, 70}
+	want := []int64{10, 20, 30, 50, 70}
 	if len(got) != len(want) {
 		t.Fatalf("Walk = %v, want %v", got, want)
 	}
@@ -256,18 +224,13 @@ func BenchmarkPieceFor(b *testing.B) {
 	}
 }
 
-// TestReposition verifies the bulk position update visits live boundaries in
-// ascending order, skips deleted ones, and matches repeated Insert calls.
+// TestReposition verifies the bulk position update visits every boundary in
+// ascending order and matches repeated Insert calls.
 func TestReposition(t *testing.T) {
 	ix := New()
-	var bounds []Bound
 	for i := 0; i < 50; i++ {
-		b := Bound{V: int64(i * 2), Incl: i%2 == 0}
-		bounds = append(bounds, b)
-		ix.Insert(b, i*10)
+		ix.Insert(Bound{V: int64(i * 2), Incl: i%2 == 0}, i*10)
 	}
-	ix.Delete(bounds[7])
-	ix.Delete(bounds[23])
 
 	// Reference: collect via Walk, shift with Insert.
 	ref := New()
@@ -284,7 +247,7 @@ func TestReposition(t *testing.T) {
 		}
 	}
 	if len(order) != ix.Len() {
-		t.Fatalf("Reposition visited %d boundaries, want %d live", len(order), ix.Len())
+		t.Fatalf("Reposition visited %d boundaries, want %d", len(order), ix.Len())
 	}
 	ix.Walk(func(b Bound, pos int) {
 		want, ok := ref.Lookup(b)
@@ -292,10 +255,6 @@ func TestReposition(t *testing.T) {
 			t.Fatalf("boundary %v: pos %d, want %d", b, pos, want)
 		}
 	})
-	// Deleted boundaries must remain deleted and untouched by Reposition.
-	if _, ok := ix.Lookup(bounds[7]); ok {
-		t.Fatal("deleted boundary revived by Reposition")
-	}
 }
 
 // walked lists the boundaries WalkRange (or Walk) hands its callback.
@@ -314,19 +273,18 @@ func TestWalkRange(t *testing.T) {
 	for i, b := range []Bound{{10, true}, {10, false}, {20, true}, {30, true}, {40, true}, {50, false}} {
 		ix.Insert(b, 10*(i+1))
 	}
-	ix.Delete(Bound{30, true}) // lazily deleted: never visited, still a tree node
 	lowest, highest := Bound{-1 << 63, true}, Bound{1<<63 - 1, false}
 	for _, tc := range []struct {
 		name   string
 		lo, hi Bound
 		want   []walked
 	}{
-		{"everything", lowest, highest, []walked{{Bound{10, true}, 10}, {Bound{10, false}, 20}, {Bound{20, true}, 30}, {Bound{40, true}, 50}, {Bound{50, false}, 60}}},
-		{"bounds at boundaries are excluded", Bound{10, true}, Bound{40, true}, []walked{{Bound{10, false}, 20}, {Bound{20, true}, 30}}},
-		{"the exclusive twin of a boundary", Bound{10, false}, Bound{50, false}, []walked{{Bound{20, true}, 30}, {Bound{40, true}, 50}}},
-		{"between boundaries", Bound{11, true}, Bound{45, true}, []walked{{Bound{20, true}, 30}, {Bound{40, true}, 50}}},
-		{"only a deleted node inside", Bound{25, true}, Bound{35, true}, nil},
-		{"a deleted node at lo", Bound{30, true}, Bound{60, true}, []walked{{Bound{40, true}, 50}, {Bound{50, false}, 60}}},
+		{"everything", lowest, highest, []walked{{Bound{10, true}, 10}, {Bound{10, false}, 20}, {Bound{20, true}, 30}, {Bound{30, true}, 40}, {Bound{40, true}, 50}, {Bound{50, false}, 60}}},
+		{"bounds at boundaries are excluded", Bound{10, true}, Bound{40, true}, []walked{{Bound{10, false}, 20}, {Bound{20, true}, 30}, {Bound{30, true}, 40}}},
+		{"the exclusive twin of a boundary", Bound{10, false}, Bound{50, false}, []walked{{Bound{20, true}, 30}, {Bound{30, true}, 40}, {Bound{40, true}, 50}}},
+		{"between boundaries", Bound{11, true}, Bound{45, true}, []walked{{Bound{20, true}, 30}, {Bound{30, true}, 40}, {Bound{40, true}, 50}}},
+		{"one boundary inside", Bound{25, true}, Bound{35, true}, []walked{{Bound{30, true}, 40}}},
+		{"a boundary at lo", Bound{30, true}, Bound{60, true}, []walked{{Bound{40, true}, 50}, {Bound{50, false}, 60}}},
 		{"adjacent bounds", Bound{10, true}, Bound{10, false}, nil},
 		{"empty range", Bound{40, true}, Bound{20, true}, nil},
 		{"below every boundary", lowest, Bound{10, true}, nil},
@@ -341,19 +299,14 @@ func TestWalkRange(t *testing.T) {
 	}
 }
 
-// Property: WalkRange visits exactly the live boundaries Walk visits
+// Property: WalkRange visits exactly the boundaries Walk visits
 // strictly between lo and hi, in order.
 func TestQuickWalkRangeMatchesWalk(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ix := New()
 		for i := 0; i < 60; i++ {
-			b := Bound{rng.Int63n(40), rng.Intn(2) == 0}
-			if rng.Intn(4) == 0 {
-				ix.Delete(b)
-			} else {
-				ix.Insert(b, i)
-			}
+			ix.Insert(Bound{rng.Int63n(40), rng.Intn(2) == 0}, i)
 		}
 		lo, hi := Bound{rng.Int63n(44) - 2, rng.Intn(2) == 0}, Bound{rng.Int63n(44) - 2, rng.Intn(2) == 0}
 		var want []walked
@@ -375,52 +328,221 @@ func TestClone(t *testing.T) {
 		return out
 	}
 	for _, tc := range []struct {
-		name    string
-		live    []Bound
-		deleted []Bound
+		name   string
+		bounds []Bound
 	}{
-		{"empty", nil, nil},
-		{"one boundary", []Bound{{5, true}}, nil},
-		{"boundaries and deleted nodes", []Bound{{1, true}, {3, false}, {5, true}, {7, true}, {9, false}}, []Bound{{3, false}, {7, true}}},
-		{"only deleted nodes", []Bound{{2, true}, {4, true}}, []Bound{{2, true}, {4, true}}},
+		{"empty", nil},
+		{"one boundary", []Bound{{5, true}}},
+		{"several boundaries", []Bound{{1, true}, {3, false}, {5, true}, {7, true}, {9, false}}},
 	} {
 		ix := New()
-		for i, b := range tc.live {
+		for i, b := range tc.bounds {
 			ix.Insert(b, i)
-		}
-		for _, b := range tc.deleted {
-			ix.Delete(b)
 		}
 		c := ix.Clone()
 		if c.Len() != ix.Len() || !slices.Equal(all(c), all(ix)) {
 			t.Fatalf("%s: clone walks %v (len %d), original %v (len %d)", tc.name, all(c), c.Len(), all(ix), ix.Len())
 		}
 		before := all(ix)
-		// Reviving a deleted node, deleting a live one, moving and adding
-		// boundaries in the clone must leave the original untouched.
-		for _, b := range tc.deleted {
+		// Moving and adding boundaries in the clone must leave the original
+		// untouched.
+		for _, b := range tc.bounds {
 			c.Insert(b, 100)
-		}
-		for _, b := range tc.live {
-			if !slices.Contains(tc.deleted, b) {
-				c.Delete(b)
-				break
-			}
 		}
 		c.Insert(Bound{6, false}, 50)
 		c.Reposition(func(_ Bound, pos int) int { return pos + 1 })
 		if got := all(ix); !slices.Equal(got, before) || ix.Len() != len(before) {
 			t.Fatalf("%s: changing the clone changed the original: %v, was %v", tc.name, got, before)
 		}
-		for _, b := range tc.deleted {
-			if ix.Has(b) {
-				t.Fatalf("%s: reviving %v in the clone revived it in the original", tc.name, b)
-			}
-		}
 		// And the other way round.
 		ix.Insert(Bound{-5, true}, 0)
 		if c.Has(Bound{-5, true}) {
 			t.Fatalf("%s: a boundary added to the original appeared in the clone", tc.name)
 		}
+	}
+}
+
+// model is a sorted slice of boundaries over a sorted column of small
+// values: the reference TestQuickModel checks an Index against.
+type model struct {
+	col    []int64  // ascending; boundaries sit at their true positions in it
+	bounds []walked // ascending by bound
+}
+
+// truePos is where boundary b partitions m.col: the number of values on
+// its left.
+func (m *model) truePos(b Bound) int {
+	return sort.Search(len(m.col), func(i int) bool {
+		return m.col[i] > b.V || (b.Incl && m.col[i] == b.V)
+	})
+}
+
+func (m *model) find(b Bound) (int, bool) {
+	return slices.BinarySearchFunc(m.bounds, b, func(w walked, b Bound) int {
+		switch {
+		case w.b.Less(b):
+			return -1
+		case b.Less(w.b):
+			return 1
+		}
+		return 0
+	})
+}
+
+func (m *model) insert(b Bound) {
+	i, ok := m.find(b)
+	if ok {
+		m.bounds[i].pos = m.truePos(b)
+		return
+	}
+	m.bounds = slices.Insert(m.bounds, i, walked{b, m.truePos(b)})
+}
+
+// pieceFor is PieceFor read off the sorted slice.
+func (m *model) pieceFor(b Bound) Piece {
+	i, ok := m.find(b)
+	if ok {
+		pos := m.bounds[i].pos
+		return Piece{Lo: pos, Hi: pos, LoBound: b, HiBound: b, HasLoB: true, HasHiB: true, LoExact: true}
+	}
+	p := Piece{Lo: 0, Hi: len(m.col)}
+	if i > 0 {
+		p.Lo, p.LoBound, p.HasLoB = m.bounds[i-1].pos, m.bounds[i-1].b, true
+	}
+	if i < len(m.bounds) {
+		p.Hi, p.HiBound, p.HasHiB = m.bounds[i].pos, m.bounds[i].b, true
+	}
+	return p
+}
+
+// Property: under random Inserts, re-inserts of an existing bound after the
+// column moved under it, and Repositions, the index answers every read
+// exactly as a sorted slice does; a Clone follows its own history only; and
+// Estimate's min and max bracket the true count of the column the
+// boundaries partition.
+func TestQuickModel(t *testing.T) {
+	randBound := func(rng *rand.Rand) Bound { return Bound{rng.Int63n(36) - 2, rng.Intn(2) == 0} }
+	agree := func(ix *Index, m *model, rng *rand.Rand) error {
+		if ix.Len() != len(m.bounds) || ix.Pieces() != len(m.bounds)+1 {
+			return fmt.Errorf("Len %d, model %d", ix.Len(), len(m.bounds))
+		}
+		var all []walked
+		ix.Walk(func(b Bound, pos int) { all = append(all, walked{b, pos}) })
+		if !slices.Equal(all, m.bounds) {
+			return fmt.Errorf("Walk %v, model %v", all, m.bounds)
+		}
+		for k := 0; k < 8; k++ {
+			b := randBound(rng)
+			if k%2 == 0 && len(m.bounds) > 0 {
+				b = m.bounds[rng.Intn(len(m.bounds))].b
+			}
+			i, ok := m.find(b)
+			pos, got := ix.Lookup(b)
+			if got != ok || ix.Has(b) != ok || (ok && pos != m.bounds[i].pos) {
+				return fmt.Errorf("Lookup(%v) = %d,%v, model has it: %v", b, pos, got, ok)
+			}
+			if p, want := ix.PieceFor(b, len(m.col)), m.pieceFor(b); p != want {
+				return fmt.Errorf("PieceFor(%v) = %+v, model %+v", b, p, want)
+			}
+			lo, hi := randBound(rng), randBound(rng)
+			var want []walked
+			for _, w := range m.bounds {
+				if lo.Less(w.b) && w.b.Less(hi) {
+					want = append(want, w)
+				}
+			}
+			if got := walkRange(ix, lo, hi); !slices.Equal(got, want) {
+				return fmt.Errorf("WalkRange(%v, %v) = %v, model %v", lo, hi, got, want)
+			}
+			truth := max(0, m.truePos(hi)-m.truePos(lo))
+			if mn, mx, est := ix.Estimate(lo, hi, len(m.col)); mn > truth || truth > mx || est < mn || est > mx {
+				return fmt.Errorf("Estimate(%v, %v) = %d,%d,%d, truth %d", lo, hi, mn, mx, est, truth)
+			}
+		}
+		return nil
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := &model{}
+		for i := 0; i < 40+rng.Intn(80); i++ {
+			m.col = append(m.col, rng.Int63n(32))
+		}
+		slices.Sort(m.col)
+		ix := New()
+		var clone *Index
+		var cloned model
+		for step := 0; step < 60; step++ {
+			switch op := rng.Intn(8); {
+			case op < 5:
+				b := randBound(rng)
+				if op == 0 && len(m.bounds) > 0 { // an existing bound, unmoved
+					b = m.bounds[rng.Intn(len(m.bounds))].b
+				}
+				ix.Insert(b, m.truePos(b))
+				m.insert(b)
+			default:
+				// The column grows or shrinks under the boundaries; move
+				// them to their new positions one Insert at a time, or in
+				// one Reposition.
+				if v := rng.Int63n(32); rng.Intn(2) == 0 || len(m.col) == 0 {
+					i, _ := slices.BinarySearch(m.col, v)
+					m.col = slices.Insert(m.col, i, v)
+				} else {
+					i := rng.Intn(len(m.col))
+					m.col = slices.Delete(m.col, i, i+1)
+				}
+				if op == 5 {
+					for _, w := range m.bounds {
+						ix.Insert(w.b, m.truePos(w.b))
+					}
+				} else {
+					var order []Bound
+					ix.Reposition(func(b Bound, _ int) int {
+						order = append(order, b)
+						return m.truePos(b)
+					})
+					if !slices.IsSortedFunc(order, func(a, b Bound) int {
+						if a.Less(b) {
+							return -1
+						}
+						return 1
+					}) || len(order) != len(m.bounds) {
+						t.Logf("seed %d step %d: Reposition visited %v", seed, step, order)
+						return false
+					}
+				}
+				for i := range m.bounds {
+					m.bounds[i].pos = m.truePos(m.bounds[i].b)
+				}
+			}
+			if step == 30 {
+				clone = ix.Clone()
+				cloned = model{col: slices.Clone(m.col), bounds: slices.Clone(m.bounds)}
+			}
+			if err := agree(ix, m, rng); err != nil {
+				t.Logf("seed %d step %d: %v", seed, step, err)
+				return false
+			}
+		}
+		// The clone kept the boundaries of step 30 through every later
+		// change of the original, and changing it leaves the original be.
+		if err := agree(clone, &cloned, rng); err != nil {
+			t.Logf("seed %d: clone: %v", seed, err)
+			return false
+		}
+		for range 10 {
+			b := randBound(rng)
+			clone.Insert(b, cloned.truePos(b))
+			cloned.insert(b)
+		}
+		clone.Reposition(func(_ Bound, pos int) int { return pos + 1 })
+		if err := agree(ix, m, rng); err != nil {
+			t.Logf("seed %d: original after changing the clone: %v", seed, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

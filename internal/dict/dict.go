@@ -7,11 +7,8 @@
 // integer-ordered domain, and it is what internal/tpch's categorical
 // attributes model.
 //
-// The dictionary is immutable once built. Extending it with unseen strings
-// would renumber ranks and invalidate stored codes; Extend therefore
-// returns a fresh dictionary plus the remapping old code -> new code, and
-// the caller rewrites its columns (an offline operation, like the paper's
-// presorting).
+// The dictionary is immutable once built: a string it has not seen has no
+// code, and adding one would renumber the ranks of every stored code.
 package dict
 
 import (
@@ -109,19 +106,4 @@ func nextPrefix(p string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// Extend builds a new dictionary over the union of the current strings and
-// extra, returning it together with the remapping remap[oldCode] ==
-// newCode for rewriting existing encoded columns.
-func (d *Dict) Extend(extra []string) (*Dict, []Value) {
-	all := make([]string, 0, len(d.strs)+len(extra))
-	all = append(all, d.strs...)
-	all = append(all, extra...)
-	nd := Build(all)
-	remap := make([]Value, len(d.strs))
-	for i, s := range d.strs {
-		remap[i] = nd.codes[s]
-	}
-	return nd, remap
 }

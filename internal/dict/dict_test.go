@@ -102,28 +102,6 @@ func countMatches(d *Dict, p interface{ Matches(Value) bool }) int {
 	return n
 }
 
-func TestExtendRemap(t *testing.T) {
-	d := Build([]string{"m", "z"})
-	nd, remap := d.Extend([]string{"a", "q"})
-	if nd.Len() != 4 {
-		t.Fatalf("extended Len = %d", nd.Len())
-	}
-	for old, s := range d.strs {
-		if nd.String(remap[old]) != s {
-			t.Fatalf("remap broken for %q", s)
-		}
-	}
-	// Order preservation still holds in the new dictionary.
-	prev := ""
-	for c := 0; c < nd.Len(); c++ {
-		if s := nd.String(Value(c)); s < prev {
-			t.Fatal("extended dictionary not sorted")
-		} else {
-			prev = s
-		}
-	}
-}
-
 // Property: for random string sets, code comparisons agree with string
 // comparisons, and PrefixPred matches exactly strings.HasPrefix.
 func TestQuickOrderAndPrefix(t *testing.T) {

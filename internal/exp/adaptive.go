@@ -23,9 +23,9 @@ import (
 // auxiliary pivots and stay near-linear on every pattern, at the price of
 // a small constant overhead on patterns plain cracking already handles.
 //
-// The emitted BENCH_adaptive_workloads.json carries the policy and pattern
-// on every series plus document-level metadata, so the artifact is
-// self-describing. Returns the series keyed "pattern/policy".
+// With cfg.CSVDir set it writes every series to adaptive_workloads.csv, one
+// "pattern/policy_us" column each. Returns the series keyed
+// "pattern/policy".
 func AdaptiveWorkloads(cfg Config) map[string]Series {
 	patterns := workload.PatternNames()
 	policies := []string{"default", "stochastic", "capped"}
@@ -57,7 +57,7 @@ func AdaptiveWorkloads(cfg Config) map[string]Series {
 				y[q] = time.Since(t0)
 			}
 			k, _ := engine.KernelReportOf(e)
-			s := Series{Name: pattern + "/" + polName, Y: y, Policy: polName, Pattern: pattern, Visited: k.Visited}
+			s := Series{Name: pattern + "/" + polName, Y: y, Visited: k.Visited}
 			out[s.Name] = s
 			series = append(series, s)
 			cfg.logf("%-22s cumulative %v\n", s.Name, sumDur(y).Round(time.Microsecond))
@@ -71,19 +71,11 @@ func AdaptiveWorkloads(cfg Config) map[string]Series {
 		title += fmt.Sprintf(": sequential sweep %.1fx faster under stochastic (%v vs %v)",
 			float64(d)/float64(s), s.Round(time.Microsecond), d.Round(time.Microsecond))
 	}
-	meta := map[string]string{
-		"rows":        fmt.Sprint(cfg.Rows),
-		"queries":     fmt.Sprint(cfg.Queries),
-		"seed":        fmt.Sprint(cfg.Seed),
-		"engine":      "selcrack",
-		"selectivity": fmt.Sprintf("%.6f", frac),
-		"policy_cap":  "default (max(1024, rows/16))",
-	}
-	// Print the sampled table without the title-derived exports; the JSON
-	// artifact keeps a fixed name so two runs can be diffed.
+	// Print the sampled table without the title-derived export; the CSV
+	// keeps a fixed name so two runs can be diffed.
 	printCfg := cfg
-	printCfg.JSONDir, printCfg.CSVDir = "", ""
+	printCfg.CSVDir = ""
 	printSeries(printCfg, title, "query", series)
-	cfg.reportExportError(cfg.jsonSeries("adaptive_workloads", title, "query", meta, series))
+	cfg.reportExportError(cfg.csvSeries("adaptive_workloads", "query", series))
 	return out
 }

@@ -1,10 +1,11 @@
 package exp
 
 import (
-	"encoding/json"
+	"encoding/csv"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -13,12 +14,13 @@ import (
 // the sequential sweep is cheaper under the stochastic policy than under
 // plain cracking (the artifact's headline claim, checked on the kernel's
 // tuple count, which the seed fixes, not on wall-clock time, which it does
-// not), and the emitted JSON is self-describing.
+// not), and the CSV holds every series in full.
 func TestAdaptiveWorkloadsSmoke(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Rows: 20000, Queries: 200, Seed: 1, W: io.Discard, JSONDir: dir}
+	cfg := Config{Rows: 20000, Queries: 200, Seed: 1, W: io.Discard, CSVDir: dir}
 	out := AdaptiveWorkloads(cfg)
 
+	header := []string{"query"}
 	for _, pattern := range []string{"random", "sequential", "zoomin", "periodic"} {
 		for _, pol := range []string{"default", "stochastic", "capped"} {
 			s, ok := out[pattern+"/"+pol]
@@ -28,40 +30,23 @@ func TestAdaptiveWorkloadsSmoke(t *testing.T) {
 			if len(s.Y) != cfg.Queries {
 				t.Fatalf("%s: %d samples, want %d", s.Name, len(s.Y), cfg.Queries)
 			}
-			if s.Policy != pol || s.Pattern != pattern {
-				t.Fatalf("%s: metadata %q/%q not recorded", s.Name, s.Policy, s.Pattern)
-			}
+			header = append(header, s.Name+"_us")
 		}
 	}
 	if def, sto := out["sequential/default"].Visited, out["sequential/stochastic"].Visited; sto == 0 || sto >= def {
 		t.Errorf("sequential sweep: stochastic classified %d tuples, not fewer than default's %d", sto, def)
 	}
 
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_adaptive_workloads.json"))
+	f, err := os.Open(filepath.Join(dir, "adaptive_workloads.csv"))
 	if err != nil {
-		t.Fatalf("artifact missing: %v", err)
+		t.Fatalf("CSV missing: %v", err)
 	}
-	var doc struct {
-		Title  string            `json:"title"`
-		Meta   map[string]string `json:"meta"`
-		Series []struct {
-			Name    string `json:"name"`
-			Policy  string `json:"policy"`
-			Pattern string `json:"pattern"`
-		} `json:"series"`
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatalf("CSV not readable: %v", err)
 	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("artifact not valid JSON: %v", err)
-	}
-	if doc.Meta["rows"] != "20000" || doc.Meta["queries"] != "200" {
-		t.Fatalf("artifact meta not self-describing: %v", doc.Meta)
-	}
-	if len(doc.Series) != 12 {
-		t.Fatalf("artifact has %d series, want 12", len(doc.Series))
-	}
-	for _, s := range doc.Series {
-		if s.Policy == "" || s.Pattern == "" {
-			t.Fatalf("series %q lacks policy/pattern metadata", s.Name)
-		}
+	if len(rows) != cfg.Queries+1 || !slices.Equal(rows[0], header) {
+		t.Fatalf("CSV has %d rows headed %v, want %d headed %v", len(rows), rows[0], cfg.Queries+1, header)
 	}
 }

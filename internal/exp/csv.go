@@ -127,7 +127,7 @@ func sanitize(title string) string {
 	return string(out)
 }
 
-// reportExportError surfaces CSV/JSON write problems without failing
+// reportExportError surfaces CSV write problems without failing
 // experiments.
 func (c Config) reportExportError(err error) {
 	if err != nil {

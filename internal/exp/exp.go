@@ -31,11 +31,6 @@ type Config struct {
 	// CSVDir, when non-empty, also writes each figure's full series as a
 	// CSV file (one per panel) into this directory for plotting.
 	CSVDir string
-	// JSONDir, when non-empty, also writes each figure's per-query and
-	// cumulative latency series as BENCH_<panel>.json into this directory,
-	// giving later revisions a machine-readable perf trajectory to compare
-	// against.
-	JSONDir string
 }
 
 // Default returns a laptop-scale configuration.
@@ -120,11 +115,6 @@ func SamplePoints(n int) []int {
 type Series struct {
 	Name string
 	Y    []time.Duration
-	// Policy and Pattern, when set, record the adaptive cracking policy
-	// and the access pattern behind this series; they are emitted into the
-	// BENCH_*.json line so the artifact is self-describing.
-	Policy  string
-	Pattern string
 	// Visited, when set, counts the tuples the crack kernel classified over
 	// the series: the work Y times, counted instead, so it is deterministic
 	// under the seed.
@@ -135,7 +125,6 @@ type Series struct {
 // CSVDir is set, exports the full series as CSV.
 func printSeries(cfg Config, title string, xlabel string, series []Series) {
 	cfg.reportExportError(cfg.csvSeries(sanitize(title), xlabel, series))
-	cfg.reportExportError(cfg.jsonSeries(sanitize(title), title, xlabel, nil, series))
 	cfg.logf("\n== %s ==\n", title)
 	cfg.logf("%-10s", xlabel)
 	for _, s := range series {

@@ -87,15 +87,15 @@ func Exp1(cfg Config) *Exp1Result {
 		cfg.logf("%-12s%12s%12s%12s\n", d.name, fmtDur(b.Total()), fmtDur(b.TR), fmtDur(b.Sel))
 	}
 	cfg.logf("(presorting cost excluded from presorted: %s)\n", fmtDur(res.PrepCost))
-	// Export the full per-query series at the largest TR count as the
-	// machine-readable perf trajectory for this figure.
+	// Export the full per-query series at the largest TR count, which the
+	// table above only samples.
 	var series []Series
 	for _, d := range synthDesigns {
 		if ss := res.Series[d.name]; len(ss) > 0 {
 			series = append(series, Series{Name: d.name, Y: ss[len(ss)-1]})
 		}
 	}
-	cfg.reportExportError(cfg.jsonSeries(sanitize("Exp1 (Fig 4a) per-query"), "Exp1 (Fig 4a) per-query", "query", nil, series))
+	cfg.reportExportError(cfg.csvSeries("exp1_fig_4a_per_query", "query", series))
 	return res
 }
 

@@ -3,7 +3,6 @@ package sideways
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"crackstore/internal/store"
 )
@@ -58,53 +57,21 @@ func TestDisjunctiveSeesUnmergedDelete(t *testing.T) {
 }
 
 // Property: disjunctive multi-selections agree with naive under interleaved
-// updates (the conjunctive variant is covered by TestQuickUpdates).
+// updates (the conjunctive variant is covered by TestQuickUpdates); this
+// locks in the FullRange merge behavior.
 func TestQuickDisjunctiveWithUpdates(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rel := buildRel(rng, 200, []string{"A", "B", "C"}, 50)
-		s := NewStore(rel)
-		nv := &naive{rel: rel, dead: map[int]bool{}}
-		var live []int
-		for i := 0; i < 200; i++ {
-			live = append(live, i)
-		}
-		for step := 0; step < 40; step++ {
-			switch rng.Intn(4) {
-			case 0:
-				k := s.Insert(Value(rng.Int63n(50)), Value(rng.Int63n(50)), Value(rng.Int63n(50)))
-				live = append(live, k)
-			case 1:
-				if len(live) > 0 {
-					i := rng.Intn(len(live))
-					k := live[i]
-					live = append(live[:i], live[i+1:]...)
-					s.Delete(k)
-					nv.dead[k] = true
-				}
-			default:
+	quickPresets(t, 25, func(newStore func(*store.Relation) *Store) any {
+		return func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			rel := buildRel(rng, 200, []string{"A", "B", "C"}, 50)
+			return updateStream(rng, newStore(rel), &naive{rel: rel, dead: map[int]bool{}}, 40, func(s *Store, nv *naive) (got, want [][]Value) {
 				lo1, lo2 := rng.Int63n(50), rng.Int63n(50)
 				preds := []AttrPred{
 					{Attr: "A", Pred: store.Range(lo1, lo1+10)},
 					{Attr: "B", Pred: store.Range(lo2, lo2+10)},
 				}
-				res := s.MultiSelect(preds, []string{"C"}, true)
-				want := nv.rows(preds, []string{"C"}, true)
-				g := canon(resultRows(res, []string{"C"}))
-				w := canon(want)
-				if len(g) != len(w) {
-					return false
-				}
-				for i := range w {
-					if g[i] != w[i] {
-						return false
-					}
-				}
-			}
+				return resultRows(s.MultiSelect(preds, []string{"C"}, true), []string{"C"}), nv.rows(preds, []string{"C"}, true)
+			})
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"crackstore/internal/crack"
 	"crackstore/internal/store"
@@ -125,110 +124,6 @@ func TestPartialAlignmentSkipsCoveredChunks(t *testing.T) {
 	}
 }
 
-// Property: partial SelectProject agrees with naive scan under random
-// query sequences, including multi-projection row alignment.
-func TestPartialQuickSelectProject(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rel := buildRel(rng, 300, []string{"A", "B", "C", "D"}, 80)
-		s := NewPartialStore(rel)
-		nv := &naive{rel: rel, dead: map[int]bool{}}
-		projSets := [][]string{{"B"}, {"B", "C"}, {"C", "D"}, {"B", "C", "D"}}
-		for q := 0; q < 25; q++ {
-			lo := rng.Int63n(80)
-			hi := lo + rng.Int63n(80-lo+1)
-			pred := store.Pred{Lo: lo, Hi: hi, LoIncl: rng.Intn(2) == 0, HiIncl: rng.Intn(2) == 0}
-			projs := projSets[rng.Intn(len(projSets))]
-			res := s.SelectProject("A", pred, projs)
-			if !sameRows(resultRows(res, projs), nv.rows([]AttrPred{{Attr: "A", Pred: pred}}, projs, false)) {
-				return false
-			}
-		}
-		return s.checkInvariants() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: conjunctive and disjunctive multi-selections agree with naive.
-func TestPartialQuickMultiSelect(t *testing.T) {
-	f := func(seed int64, disjunctive bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rel := buildRel(rng, 250, []string{"A", "B", "C", "D"}, 60)
-		s := NewPartialStore(rel)
-		nv := &naive{rel: rel, dead: map[int]bool{}}
-		attrs := []string{"A", "B", "C"}
-		for q := 0; q < 12; q++ {
-			nPred := 1 + rng.Intn(3)
-			var preds []AttrPred
-			seen := map[string]bool{}
-			for len(preds) < nPred {
-				attr := attrs[rng.Intn(len(attrs))]
-				if seen[attr] {
-					continue
-				}
-				seen[attr] = true
-				lo := rng.Int63n(60)
-				hi := lo + rng.Int63n(60-lo+1)
-				preds = append(preds, AttrPred{Attr: attr, Pred: store.Range(lo, hi)})
-			}
-			projs := []string{"D", "A"}
-			res := s.MultiSelect(preds, projs, disjunctive)
-			if !sameRows(resultRows(res, projs), nv.rows(preds, projs, disjunctive)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: interleaved updates and queries stay correct (area tapes with
-// insert/delete entries, key chunks, pending push-back on unfetch).
-func TestPartialQuickUpdates(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rel := buildRel(rng, 200, []string{"A", "B", "C"}, 50)
-		s := NewPartialStore(rel)
-		nv := &naive{rel: rel, dead: map[int]bool{}}
-		var live []int
-		for i := 0; i < 200; i++ {
-			live = append(live, i)
-		}
-		for step := 0; step < 50; step++ {
-			switch rng.Intn(4) {
-			case 0:
-				k := s.Insert(Value(rng.Int63n(50)), Value(rng.Int63n(50)), Value(rng.Int63n(50)))
-				live = append(live, k)
-			case 1:
-				if len(live) > 0 {
-					i := rng.Intn(len(live))
-					k := live[i]
-					live = append(live[:i], live[i+1:]...)
-					s.Delete(k)
-					nv.dead[k] = true
-				}
-			default:
-				lo := rng.Int63n(50)
-				hi := lo + rng.Int63n(50-lo+1)
-				pred := store.Range(lo, hi)
-				projs := []string{"B", "C"}
-				res := s.SelectProject("A", pred, projs)
-				if !sameRows(resultRows(res, projs), nv.rows([]AttrPred{{Attr: "A", Pred: pred}}, projs, false)) {
-					return false
-				}
-			}
-		}
-		return s.checkInvariants() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBudgetEvictionAndRecreation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rel := buildRel(rng, 1000, []string{"A", "B", "C", "D", "E"}, 1000)
@@ -331,50 +226,6 @@ func BenchmarkPartialSelectProject(b *testing.B) {
 			lo := rng.Int63n(1 << 16)
 			s.SelectProject("A", store.Range(lo, lo+(1<<13)), []string{"B", "C"})
 		}
-	}
-}
-
-// Property: disjunctive multi-selections agree with naive under interleaved
-// updates (locks in the FullRange merge behavior).
-func TestPartialQuickDisjunctiveWithUpdates(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rel := buildRel(rng, 200, []string{"A", "B", "C"}, 50)
-		s := NewPartialStore(rel)
-		nv := &naive{rel: rel, dead: map[int]bool{}}
-		var live []int
-		for i := 0; i < 200; i++ {
-			live = append(live, i)
-		}
-		for step := 0; step < 30; step++ {
-			switch rng.Intn(4) {
-			case 0:
-				k := s.Insert(Value(rng.Int63n(50)), Value(rng.Int63n(50)), Value(rng.Int63n(50)))
-				live = append(live, k)
-			case 1:
-				if len(live) > 0 {
-					i := rng.Intn(len(live))
-					k := live[i]
-					live = append(live[:i], live[i+1:]...)
-					s.Delete(k)
-					nv.dead[k] = true
-				}
-			default:
-				lo1, lo2 := rng.Int63n(50), rng.Int63n(50)
-				preds := []AttrPred{
-					{Attr: "A", Pred: store.Range(lo1, lo1+10)},
-					{Attr: "B", Pred: store.Range(lo2, lo2+10)},
-				}
-				res := s.MultiSelect(preds, []string{"C"}, true)
-				if !sameRows(resultRows(res, []string{"C"}), nv.rows(preds, []string{"C"}, true)) {
-					return false
-				}
-			}
-		}
-		return s.checkInvariants() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -172,129 +172,130 @@ func TestLazyAlignment(t *testing.T) {
 	}
 }
 
+// presets are the store's two constructors; its properties run over both.
+var presets = []struct {
+	name string
+	new  func(*store.Relation) *Store
+}{{"full", NewStore}, {"partial", NewPartialStore}}
+
+// quickPresets runs the property that newProp builds for each preset under
+// quick.Check, as one subtest per preset.
+func quickPresets(t *testing.T, maxCount int, newProp func(newStore func(*store.Relation) *Store) any) {
+	for _, p := range presets {
+		t.Run(p.name, func(t *testing.T) {
+			if err := quick.Check(newProp(p.new), &quick.Config{MaxCount: maxCount}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // Property: sequences of single-selection multi-projection queries agree
 // with the naive scan, including row alignment across projections.
 func TestQuickSelectProject(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rel := buildRel(rng, 300, []string{"A", "B", "C", "D"}, 80)
-		s := NewStore(rel)
-		nv := &naive{rel: rel, dead: map[int]bool{}}
-		projSets := [][]string{{"B"}, {"B", "C"}, {"B", "C", "D"}, {"C", "D"}}
-		for q := 0; q < 25; q++ {
-			lo := rng.Int63n(80)
-			hi := lo + rng.Int63n(80-lo+1)
-			pred := store.Pred{Lo: lo, Hi: hi, LoIncl: rng.Intn(2) == 0, HiIncl: rng.Intn(2) == 0}
-			projs := projSets[rng.Intn(len(projSets))]
-			res := s.SelectProject("A", pred, projs)
-			want := nv.rows([]AttrPred{{"A", pred}}, projs, false)
-			g, w := canon(resultRows(res, projs)), canon(want)
-			if len(g) != len(w) {
-				return false
-			}
-			for i := range w {
-				if g[i] != w[i] {
+	quickPresets(t, 30, func(newStore func(*store.Relation) *Store) any {
+		return func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			rel := buildRel(rng, 300, []string{"A", "B", "C", "D"}, 80)
+			s := newStore(rel)
+			nv := &naive{rel: rel, dead: map[int]bool{}}
+			projSets := [][]string{{"B"}, {"B", "C"}, {"B", "C", "D"}, {"C", "D"}}
+			for q := 0; q < 25; q++ {
+				lo := rng.Int63n(80)
+				hi := lo + rng.Int63n(80-lo+1)
+				pred := store.Pred{Lo: lo, Hi: hi, LoIncl: rng.Intn(2) == 0, HiIncl: rng.Intn(2) == 0}
+				projs := projSets[rng.Intn(len(projSets))]
+				res := s.SelectProject("A", pred, projs)
+				if !sameRows(resultRows(res, projs), nv.rows([]AttrPred{{"A", pred}}, projs, false)) {
 					return false
 				}
 			}
+			return s.checkInvariants() == nil
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // Property: conjunctive and disjunctive multi-selections agree with naive.
 func TestQuickMultiSelect(t *testing.T) {
-	f := func(seed int64, disjunctive bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rel := buildRel(rng, 250, []string{"A", "B", "C", "D"}, 60)
-		s := NewStore(rel)
-		nv := &naive{rel: rel, dead: map[int]bool{}}
-		attrs := []string{"A", "B", "C"}
-		for q := 0; q < 15; q++ {
-			nPred := 1 + rng.Intn(3)
-			var preds []AttrPred
-			seen := map[string]bool{}
-			for len(preds) < nPred {
-				attr := attrs[rng.Intn(len(attrs))]
-				if seen[attr] {
-					continue
+	quickPresets(t, 25, func(newStore func(*store.Relation) *Store) any {
+		return func(seed int64, disjunctive bool) bool {
+			rng := rand.New(rand.NewSource(seed))
+			rel := buildRel(rng, 250, []string{"A", "B", "C", "D"}, 60)
+			s := newStore(rel)
+			nv := &naive{rel: rel, dead: map[int]bool{}}
+			attrs := []string{"A", "B", "C"}
+			for q := 0; q < 15; q++ {
+				nPred := 1 + rng.Intn(3)
+				var preds []AttrPred
+				seen := map[string]bool{}
+				for len(preds) < nPred {
+					attr := attrs[rng.Intn(len(attrs))]
+					if seen[attr] {
+						continue
+					}
+					seen[attr] = true
+					lo := rng.Int63n(60)
+					hi := lo + rng.Int63n(60-lo+1)
+					preds = append(preds, AttrPred{attr, store.Range(lo, hi)})
 				}
-				seen[attr] = true
-				lo := rng.Int63n(60)
-				hi := lo + rng.Int63n(60-lo+1)
-				preds = append(preds, AttrPred{attr, store.Range(lo, hi)})
-			}
-			projs := []string{"D", "A"}
-			res := s.MultiSelect(preds, projs, disjunctive)
-			want := nv.rows(preds, projs, disjunctive)
-			g, w := canon(resultRows(res, projs)), canon(want)
-			if len(g) != len(w) {
-				return false
-			}
-			for i := range w {
-				if g[i] != w[i] {
+				projs := []string{"D", "A"}
+				res := s.MultiSelect(preds, projs, disjunctive)
+				if !sameRows(resultRows(res, projs), nv.rows(preds, projs, disjunctive)) {
 					return false
 				}
 			}
+			return s.checkInvariants() == nil
 		}
-		return true
+	})
+}
+
+// updateStream runs steps random inserts, deletes and queries against s and
+// nv, asking query for each query's got and wanted rows; it reports whether
+// every answer agreed and the store's invariants hold at the end.
+func updateStream(rng *rand.Rand, s *Store, nv *naive, steps int, query func(*Store, *naive) (got, want [][]Value)) bool {
+	live := make([]int, nv.rel.NumRows())
+	for i := range live {
+		live[i] = i
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
+	for step := 0; step < steps; step++ {
+		switch rng.Intn(4) {
+		case 0:
+			k := s.Insert(Value(rng.Int63n(50)), Value(rng.Int63n(50)), Value(rng.Int63n(50)))
+			live = append(live, k)
+		case 1:
+			if len(live) > 0 {
+				i := rng.Intn(len(live))
+				k := live[i]
+				live = append(live[:i], live[i+1:]...)
+				s.Delete(k)
+				nv.dead[k] = true
+			}
+		default:
+			if !sameRows(query(s, nv)) {
+				return false
+			}
+		}
 	}
+	return s.checkInvariants() == nil
 }
 
 // Property: interleaved updates and queries stay consistent with an eager
-// reference, exercising tape insert/delete entries and the key map.
+// reference, exercising tape insert/delete entries, key maps and chunks, and
+// pending push-back on unfetch.
 func TestQuickUpdates(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rel := buildRel(rng, 200, []string{"A", "B", "C"}, 50)
-		s := NewStore(rel)
-		nv := &naive{rel: rel, dead: map[int]bool{}}
-		var live []int
-		for i := 0; i < 200; i++ {
-			live = append(live, i)
-		}
-		for step := 0; step < 50; step++ {
-			switch rng.Intn(4) {
-			case 0:
-				k := s.Insert(Value(rng.Int63n(50)), Value(rng.Int63n(50)), Value(rng.Int63n(50)))
-				live = append(live, k)
-			case 1:
-				if len(live) > 0 {
-					i := rng.Intn(len(live))
-					k := live[i]
-					live = append(live[:i], live[i+1:]...)
-					s.Delete(k)
-					nv.dead[k] = true
-				}
-			default:
+	quickPresets(t, 25, func(newStore func(*store.Relation) *Store) any {
+		return func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			rel := buildRel(rng, 200, []string{"A", "B", "C"}, 50)
+			return updateStream(rng, newStore(rel), &naive{rel: rel, dead: map[int]bool{}}, 50, func(s *Store, nv *naive) (got, want [][]Value) {
 				lo := rng.Int63n(50)
 				hi := lo + rng.Int63n(50-lo+1)
 				pred := store.Range(lo, hi)
 				projs := []string{"B", "C"}
-				res := s.SelectProject("A", pred, projs)
-				want := nv.rows([]AttrPred{{"A", pred}}, projs, false)
-				g, w := canon(resultRows(res, projs)), canon(want)
-				if len(g) != len(w) {
-					return false
-				}
-				for i := range w {
-					if g[i] != w[i] {
-						return false
-					}
-				}
-			}
+				return resultRows(s.SelectProject("A", pred, projs), projs), nv.rows([]AttrPred{{"A", pred}}, projs, false)
+			})
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 func TestBudgetDropsLFUMaps(t *testing.T) {

@@ -3,10 +3,12 @@
 // of a relation is stored as a separate column in tuple insertion order and
 // the key (tuple id / position) is a virtual dense sequence (Section 2.1).
 //
-// The package provides the base physical algebra: positional range select,
-// positional tuple reconstruction, hash join, group-by, order-by, and
-// aggregates. All higher layers — selection cracking, sideways cracking, and
-// partial sideways cracking — operate on columns from this kernel.
+// The package provides the base physical algebra: range predicates and the
+// cracker-index bounds they map to, positional tuple reconstruction, hash
+// join, order-by, min and max, and a scanning count (SelectCount) that
+// serves as the reference answer. All higher layers — selection cracking,
+// sideways cracking, and partial sideways cracking — operate on columns
+// from this kernel.
 package store
 
 import (
@@ -151,21 +153,8 @@ func (r *Relation) AppendRow(vals ...Value) {
 	}
 }
 
-// Select returns, in ascending key order, the positions of tuples in column
-// col whose value matches p. This is the plain column-store select: a full
-// scan that preserves insertion order (Section 2.1).
-func Select(col *Column, p Pred) []int {
-	var out []int
-	for i, v := range col.Vals {
-		if p.Matches(v) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelectCount returns the number of matching tuples without materializing
-// positions.
+// SelectCount returns the number of tuples of col that match p, by a full
+// scan.
 func SelectCount(col *Column, p Pred) int {
 	n := 0
 	for _, v := range col.Vals {
@@ -246,15 +235,6 @@ func Min(vals []Value) (m Value, ok bool) {
 		}
 	}
 	return m, true
-}
-
-// Sum returns the sum of vals.
-func Sum(vals []Value) Value {
-	var s Value
-	for _, v := range vals {
-		s += v
-	}
-	return s
 }
 
 // Mix64 is the splitmix64 finalizer: a cheap, well-distributed integer

@@ -88,20 +88,15 @@ func TestAppendRows(t *testing.T) {
 	}
 }
 
-func TestSelectOrderPreserving(t *testing.T) {
+func TestSelectCount(t *testing.T) {
 	col := NewColumn("A", []Value{5, 1, 9, 3, 7, 2})
-	pos := Select(col, Range(2, 8))
-	want := []int{0, 3, 4, 5}
-	if len(pos) != len(want) {
-		t.Fatalf("Select = %v, want %v", pos, want)
-	}
-	for i := range want {
-		if pos[i] != want[i] {
-			t.Fatalf("Select = %v, want %v", pos, want)
+	for _, tc := range []struct {
+		p    Pred
+		want int
+	}{{Range(2, 8), 4}, {Open(2, 8), 3}, {Point(9), 1}, {Range(10, 20), 0}} {
+		if got := SelectCount(col, tc.p); got != tc.want {
+			t.Errorf("SelectCount(%v) = %d, want %d", tc.p, got, tc.want)
 		}
-	}
-	if SelectCount(col, Range(2, 8)) != 4 {
-		t.Fatal("SelectCount mismatch")
 	}
 }
 
@@ -147,16 +142,13 @@ func TestAggregates(t *testing.T) {
 	if m, ok := Min(vals); !ok || m != -2 {
 		t.Errorf("Min = %d,%v", m, ok)
 	}
-	if s := Sum(vals); s != 11 {
-		t.Errorf("Sum = %d", s)
-	}
 	if _, ok := Max(nil); ok {
 		t.Error("Max of empty should report !ok")
 	}
 }
 
-// Property: Select + Reconstruct on the selection column returns exactly the
-// matching values, in insertion order.
+// Property: Reconstruct at the matching positions returns exactly the
+// matching values, in insertion order, and SelectCount counts them.
 func TestQuickSelectReconstruct(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -169,19 +161,18 @@ func TestQuickSelectReconstruct(t *testing.T) {
 		lo := Value(rng.Intn(1000))
 		hi := lo + Value(rng.Intn(500))
 		p := Range(lo, hi)
-		pos := Select(col, p)
-		rec := Reconstruct(col, pos)
-		want := 0
-		for _, v := range vals {
+		var pos []int
+		for i, v := range vals {
 			if p.Matches(v) {
-				want++
+				pos = append(pos, i)
 			}
 		}
-		if len(rec) != want {
+		rec := Reconstruct(col, pos)
+		if SelectCount(col, p) != len(pos) || len(rec) != len(pos) {
 			return false
 		}
-		for _, v := range rec {
-			if !p.Matches(v) {
+		for i, v := range rec {
+			if v != vals[pos[i]] {
 				return false
 			}
 		}
@@ -220,20 +211,6 @@ func TestQuickJoinCardinality(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkSelectScan(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	vals := make([]Value, 1<<18)
-	for i := range vals {
-		vals[i] = Value(rng.Intn(1 << 18))
-	}
-	col := NewColumn("A", vals)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Select(col, Range(1000, 1<<16))
 	}
 }
 
