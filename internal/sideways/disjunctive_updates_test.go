@@ -60,18 +60,24 @@ func TestDisjunctiveSeesUnmergedDelete(t *testing.T) {
 // updates (the conjunctive variant is covered by TestQuickUpdates); this
 // locks in the FullRange merge behavior.
 func TestQuickDisjunctiveWithUpdates(t *testing.T) {
-	quickPresets(t, 25, func(newStore func(*store.Relation) *Store) any {
-		return func(seed int64) bool {
-			rng := rand.New(rand.NewSource(seed))
-			rel := buildRel(rng, 200, []string{"A", "B", "C"}, 50)
-			return updateStream(rng, newStore(rel), &naive{rel: rel, dead: map[int]bool{}}, 40, func(s *Store, nv *naive) (got, want [][]Value) {
-				lo1, lo2 := rng.Int63n(50), rng.Int63n(50)
-				preds := []AttrPred{
-					{Attr: "A", Pred: store.Range(lo1, lo1+10)},
-					{Attr: "B", Pred: store.Range(lo2, lo2+10)},
-				}
-				return resultRows(s.MultiSelect(preds, []string{"C"}, true), []string{"C"}), nv.rows(preds, []string{"C"}, true)
-			})
-		}
-	})
+	quickCheck(t, 25, disjunctiveUpdatesProp(NewStore))
+}
+
+func TestPartialQuickDisjunctiveWithUpdates(t *testing.T) {
+	quickCheck(t, 25, disjunctiveUpdatesProp(NewPartialStore))
+}
+
+func disjunctiveUpdatesProp(newStore func(*store.Relation) *Store) func(int64) bool {
+	return func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rel := buildRel(rng, 200, []string{"A", "B", "C"}, 50)
+		return updateStream(rng, newStore(rel), &naive{rel: rel, dead: map[int]bool{}}, 40, func(s *Store, nv *naive) (got, want [][]Value) {
+			lo1, lo2 := rng.Int63n(50), rng.Int63n(50)
+			preds := []AttrPred{
+				{Attr: "A", Pred: store.Range(lo1, lo1+10)},
+				{Attr: "B", Pred: store.Range(lo2, lo2+10)},
+			}
+			return resultRows(s.MultiSelect(preds, []string{"C"}, true), []string{"C"}), nv.rows(preds, []string{"C"}, true)
+		})
+	}
 }

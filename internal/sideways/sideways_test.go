@@ -172,81 +172,85 @@ func TestLazyAlignment(t *testing.T) {
 	}
 }
 
-// presets are the store's two constructors; its properties run over both.
-var presets = []struct {
-	name string
-	new  func(*store.Relation) *Store
-}{{"full", NewStore}, {"partial", NewPartialStore}}
-
-// quickPresets runs the property that newProp builds for each preset under
-// quick.Check, as one subtest per preset.
-func quickPresets(t *testing.T, maxCount int, newProp func(newStore func(*store.Relation) *Store) any) {
-	for _, p := range presets {
-		t.Run(p.name, func(t *testing.T) {
-			if err := quick.Check(newProp(p.new), &quick.Config{MaxCount: maxCount}); err != nil {
-				t.Fatal(err)
-			}
-		})
+// quickCheck runs prop under quick.Check for maxCount random inputs. Each
+// property below is built from a store constructor and checked for both the
+// full store (TestQuick*) and the partial store (TestPartialQuick*).
+func quickCheck(t *testing.T, maxCount int, prop any) {
+	t.Helper()
+	if err := quick.Check(prop, &quick.Config{MaxCount: maxCount}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // Property: sequences of single-selection multi-projection queries agree
 // with the naive scan, including row alignment across projections.
 func TestQuickSelectProject(t *testing.T) {
-	quickPresets(t, 30, func(newStore func(*store.Relation) *Store) any {
-		return func(seed int64) bool {
-			rng := rand.New(rand.NewSource(seed))
-			rel := buildRel(rng, 300, []string{"A", "B", "C", "D"}, 80)
-			s := newStore(rel)
-			nv := &naive{rel: rel, dead: map[int]bool{}}
-			projSets := [][]string{{"B"}, {"B", "C"}, {"B", "C", "D"}, {"C", "D"}}
-			for q := 0; q < 25; q++ {
-				lo := rng.Int63n(80)
-				hi := lo + rng.Int63n(80-lo+1)
-				pred := store.Pred{Lo: lo, Hi: hi, LoIncl: rng.Intn(2) == 0, HiIncl: rng.Intn(2) == 0}
-				projs := projSets[rng.Intn(len(projSets))]
-				res := s.SelectProject("A", pred, projs)
-				if !sameRows(resultRows(res, projs), nv.rows([]AttrPred{{"A", pred}}, projs, false)) {
-					return false
-				}
+	quickCheck(t, 30, selectProjectProp(NewStore))
+}
+
+func TestPartialQuickSelectProject(t *testing.T) {
+	quickCheck(t, 30, selectProjectProp(NewPartialStore))
+}
+
+func selectProjectProp(newStore func(*store.Relation) *Store) func(int64) bool {
+	return func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rel := buildRel(rng, 300, []string{"A", "B", "C", "D"}, 80)
+		s := newStore(rel)
+		nv := &naive{rel: rel, dead: map[int]bool{}}
+		projSets := [][]string{{"B"}, {"B", "C"}, {"B", "C", "D"}, {"C", "D"}}
+		for q := 0; q < 25; q++ {
+			lo := rng.Int63n(80)
+			hi := lo + rng.Int63n(80-lo+1)
+			pred := store.Pred{Lo: lo, Hi: hi, LoIncl: rng.Intn(2) == 0, HiIncl: rng.Intn(2) == 0}
+			projs := projSets[rng.Intn(len(projSets))]
+			res := s.SelectProject("A", pred, projs)
+			if !sameRows(resultRows(res, projs), nv.rows([]AttrPred{{"A", pred}}, projs, false)) {
+				return false
 			}
-			return s.checkInvariants() == nil
 		}
-	})
+		return s.checkInvariants() == nil
+	}
 }
 
 // Property: conjunctive and disjunctive multi-selections agree with naive.
 func TestQuickMultiSelect(t *testing.T) {
-	quickPresets(t, 25, func(newStore func(*store.Relation) *Store) any {
-		return func(seed int64, disjunctive bool) bool {
-			rng := rand.New(rand.NewSource(seed))
-			rel := buildRel(rng, 250, []string{"A", "B", "C", "D"}, 60)
-			s := newStore(rel)
-			nv := &naive{rel: rel, dead: map[int]bool{}}
-			attrs := []string{"A", "B", "C"}
-			for q := 0; q < 15; q++ {
-				nPred := 1 + rng.Intn(3)
-				var preds []AttrPred
-				seen := map[string]bool{}
-				for len(preds) < nPred {
-					attr := attrs[rng.Intn(len(attrs))]
-					if seen[attr] {
-						continue
-					}
-					seen[attr] = true
-					lo := rng.Int63n(60)
-					hi := lo + rng.Int63n(60-lo+1)
-					preds = append(preds, AttrPred{attr, store.Range(lo, hi)})
+	quickCheck(t, 25, multiSelectProp(NewStore))
+}
+
+func TestPartialQuickMultiSelect(t *testing.T) {
+	quickCheck(t, 25, multiSelectProp(NewPartialStore))
+}
+
+func multiSelectProp(newStore func(*store.Relation) *Store) func(int64, bool) bool {
+	return func(seed int64, disjunctive bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rel := buildRel(rng, 250, []string{"A", "B", "C", "D"}, 60)
+		s := newStore(rel)
+		nv := &naive{rel: rel, dead: map[int]bool{}}
+		attrs := []string{"A", "B", "C"}
+		for q := 0; q < 15; q++ {
+			nPred := 1 + rng.Intn(3)
+			var preds []AttrPred
+			seen := map[string]bool{}
+			for len(preds) < nPred {
+				attr := attrs[rng.Intn(len(attrs))]
+				if seen[attr] {
+					continue
 				}
-				projs := []string{"D", "A"}
-				res := s.MultiSelect(preds, projs, disjunctive)
-				if !sameRows(resultRows(res, projs), nv.rows(preds, projs, disjunctive)) {
-					return false
-				}
+				seen[attr] = true
+				lo := rng.Int63n(60)
+				hi := lo + rng.Int63n(60-lo+1)
+				preds = append(preds, AttrPred{attr, store.Range(lo, hi)})
 			}
-			return s.checkInvariants() == nil
+			projs := []string{"D", "A"}
+			res := s.MultiSelect(preds, projs, disjunctive)
+			if !sameRows(resultRows(res, projs), nv.rows(preds, projs, disjunctive)) {
+				return false
+			}
 		}
-	})
+		return s.checkInvariants() == nil
+	}
 }
 
 // updateStream runs steps random inserts, deletes and queries against s and
@@ -283,19 +287,25 @@ func updateStream(rng *rand.Rand, s *Store, nv *naive, steps int, query func(*St
 // reference, exercising tape insert/delete entries, key maps and chunks, and
 // pending push-back on unfetch.
 func TestQuickUpdates(t *testing.T) {
-	quickPresets(t, 25, func(newStore func(*store.Relation) *Store) any {
-		return func(seed int64) bool {
-			rng := rand.New(rand.NewSource(seed))
-			rel := buildRel(rng, 200, []string{"A", "B", "C"}, 50)
-			return updateStream(rng, newStore(rel), &naive{rel: rel, dead: map[int]bool{}}, 50, func(s *Store, nv *naive) (got, want [][]Value) {
-				lo := rng.Int63n(50)
-				hi := lo + rng.Int63n(50-lo+1)
-				pred := store.Range(lo, hi)
-				projs := []string{"B", "C"}
-				return resultRows(s.SelectProject("A", pred, projs), projs), nv.rows([]AttrPred{{"A", pred}}, projs, false)
-			})
-		}
-	})
+	quickCheck(t, 25, updatesProp(NewStore))
+}
+
+func TestPartialQuickUpdates(t *testing.T) {
+	quickCheck(t, 25, updatesProp(NewPartialStore))
+}
+
+func updatesProp(newStore func(*store.Relation) *Store) func(int64) bool {
+	return func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rel := buildRel(rng, 200, []string{"A", "B", "C"}, 50)
+		return updateStream(rng, newStore(rel), &naive{rel: rel, dead: map[int]bool{}}, 50, func(s *Store, nv *naive) (got, want [][]Value) {
+			lo := rng.Int63n(50)
+			hi := lo + rng.Int63n(50-lo+1)
+			pred := store.Range(lo, hi)
+			projs := []string{"B", "C"}
+			return resultRows(s.SelectProject("A", pred, projs), projs), nv.rows([]AttrPred{{"A", pred}}, projs, false)
+		})
+	}
 }
 
 func TestBudgetDropsLFUMaps(t *testing.T) {
