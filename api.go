@@ -203,11 +203,11 @@ func Concurrent(e Engine) Engine { return engine.Concurrent(e) }
 
 // Snapshot wraps an engine for concurrent serving with lock-free snapshot
 // reads: writers publish every reorganization (crack, pending-update
-// merge) as a new immutable version behind an atomic pointer, readers pin
-// an epoch and traverse the version they loaded, and retired versions are
-// reclaimed only after every reader that could see them has exited — so a
-// read-only query never waits for a crack, where Concurrent stalls all
-// readers behind a cold crack's write lock. Implemented for SelCrack
+// merge) as a new immutable version behind an atomic pointer, and readers
+// traverse the version they loaded, which nothing writes again; the
+// garbage collector frees it once no reader holds it. A read-only query
+// never waits for a crack, where Concurrent stalls all readers behind a
+// cold crack's write lock. Implemented for SelCrack
 // engines; already-shared engines are returned unchanged and other kinds
 // fall back to Concurrent. Wrapping is idempotent.
 func Snapshot(e Engine) Engine { return engine.Snapshot(e) }
@@ -216,8 +216,8 @@ func Snapshot(e Engine) Engine { return engine.Snapshot(e) }
 // lock: how long and how often they blocked behind a writer (Concurrent,
 // durable and — summed over shards — sharded engines). ok is false when e
 // has no such lock: a bare engine, or a Snapshot engine, whose readers take
-// none (its published and reclaimed versions are the crack_snapshot_*
-// metric families).
+// none (its published versions are the crack_snapshot_published_total
+// metric family).
 func ConcurrencyStats(e Engine) (engine.ConcStats, bool) { return engine.ConcStatsOf(e) }
 
 // DurableOptions configures OpenDurable: WAL fsync mode (WALSyncGroup /

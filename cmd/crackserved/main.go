@@ -74,7 +74,7 @@ func main() {
 		shards   = flag.Int("shards", 0, "partition the relation across this many independently locked engines (0 = unsharded)")
 		policy   = flag.String("policy", "", "adaptive cracking policy (default|stochastic|capped; empty = crack at query bounds only)")
 		workers  = flag.Int("workers", 0, "concurrently executing queries (0 = GOMAXPROCS)")
-		snapshot = flag.Bool("snapshot", false, "serve reads from epoch-protected snapshots (lock-free reads; selcrack engines, per shard when sharded)")
+		snapshot = flag.Bool("snapshot", false, "serve reads from immutable snapshots (lock-free reads; selcrack engines, per shard when sharded)")
 		timeout  = flag.Duration("timeout", 0, "per-query deadline (0 = none)")
 		rows     = flag.Int("rows", 200_000, "synthetic relation rows")
 		seed     = flag.Int64("seed", 1, "synthetic relation seed")
@@ -240,14 +240,13 @@ func main() {
 		time.Since(t0).Round(time.Millisecond), st.Queries, st.Errors, st.QPS, st.P50, st.P99, st.Max)
 	// Durability and snapshot lifecycle summaries, when the engine has
 	// those layers: the numbers an operator wants in the shutdown log to
-	// corroborate a clean drain (everything fsynced, nothing in limbo).
+	// corroborate a clean drain (everything fsynced).
 	if ds, ok := engine.DurStatsOf(srv.Engine()); ok {
 		fmt.Printf("crackserved: durable: %d appends, %d fsyncs, %d group commits, %d tape records, %d checkpoints\n",
 			ds.Wal.Appends, ds.Wal.Fsyncs, ds.Wal.GroupCommits, ds.TapeLen, ds.Checkpoints)
 	}
 	if ss, ok := engine.SnapshotStatsOf(srv.Engine()); ok {
-		fmt.Printf("crackserved: snapshots: %d published, %d reclaimed, %d in limbo\n",
-			ss.Published, ss.Reclaimed, ss.Limbo)
+		fmt.Printf("crackserved: snapshots: %d published\n", ss.Published)
 	}
 }
 

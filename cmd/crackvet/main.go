@@ -1,7 +1,7 @@
 // Command crackvet runs the repo-invariant static analyzer suite over the
 // crackstore module. It type-checks every package reachable from the given
-// patterns (default ./...) and applies the six checkers in internal/vet:
-// epochpin, frozenversion, lockpair, wirebounds (every decode-side
+// patterns (default ./...) and applies the five checkers in internal/vet:
+// frozenversion, lockpair, wirebounds (every decode-side
 // allocation in internal/wire, internal/wal and internal/frame sized by
 // frame.Reader.Count), exhaustive, detrand. Each
 // finding prints as `file:line: [check-name] message`; the process exits 1

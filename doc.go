@@ -107,8 +107,8 @@
 // cracker index. Nothing truncates it yet.
 //
 // What does not depend on areas lives in mapset.go: the base side of a
-// store (relation, tombstones, insert/delete fan-out, the uniform
-// selectivity fallback); each set's pending-update ledger, from which a
+// store (relation, insert/delete fan-out, the uniform selectivity
+// fallback); each set's pending-update ledger, from which a
 // query takes the insertions and deletions its predicate touches; the
 // cracker tape and its replay, which is joint — the maps of one area a
 // query needs are taken in cursor order, the one furthest behind replays
@@ -251,13 +251,14 @@
 //     duration of whatever reorganization is in flight. Appropriate when
 //     the workload is overwhelmingly warm repeats and writes are rare.
 //
-//   - Snapshot: multi-versioned cracked state with epoch-based
-//     reclamation. Writers build repartitioned pieces aside and publish
-//     each reorganization as a new immutable version behind an atomic
-//     pointer; readers pin an epoch, traverse the version they loaded
-//     without taking any lock, and apply the (bounded) pending-update
-//     backlog virtually; retired versions are reclaimed once the last
-//     epoch that could see them has exited. Reads never wait for cracks,
+//   - Snapshot: multi-versioned cracked state. Writers build repartitioned
+//     pieces aside and publish each reorganization as a new immutable
+//     version behind an atomic pointer; readers traverse the version they
+//     loaded without taking any lock, and apply the (bounded)
+//     pending-update backlog virtually. No piece of a published version
+//     is ever written or reused, so a reader needs nothing but its pointer
+//     and the garbage collector frees a replaced version once the last
+//     reader holding it is done. Reads never wait for cracks,
 //     where under the RWMutex wrapper a reader's tail inherits the full
 //     crack+merge duration of whatever a writer is doing: `bash
 //     benchmark/run.sh --workload serve-churn --trace 1` shows that side
@@ -284,7 +285,7 @@
 // contention counters of the read-write lock (reader wait time under
 // Concurrent, per shard summed under Sharded, and for durable engines); a
 // Snapshot engine has no such lock and reports ok false — what it
-// publishes and reclaims is the crack_snapshot_* metric families.
+// publishes is the crack_snapshot_published_total family.
 //
 // # Sharding
 //
@@ -429,7 +430,13 @@
 //
 // Recovery loads the newest checkpoint (base columns, tombstones, and the
 // tape, written atomically via temp-file rename), replays the tape so the
-// cracker index comes back warm, then applies the WAL tail. Checkpoints
+// cracker index comes back warm, then applies the WAL tail. Tombstones
+// belong to the relation (store.Relation.Delete), which every engine
+// deletes through: a key is tombstoned once however often it is deleted,
+// and a key no tuple has is not tombstoned at all, so the distinct deleted
+// keys — all a checkpoint writes — never outnumber the rows
+// (TestDurableCheckpointsEachDeadKeyOnce). Keys are positions the client
+// holds, so they are never renumbered and the tombstones never shrink. Checkpoints
 // rotate the log into per-checkpoint segments (wal.00000001.log, ...), so
 // file identity — not offsets — decides which records postdate the
 // checkpoint, and a crash anywhere in the rotation recovers from exactly
@@ -534,18 +541,18 @@
 // The concurrency and protocol contracts the runtime layers rely on are
 // machine-checked by cmd/crackvet (internal/vet), a stdlib-only static
 // analyzer CI runs over the whole tree; `go run ./cmd/crackvet ./...`
-// must exit clean. The six contracts:
+// must exit clean. The five contracts:
 //
-//   - epochpin: every Pin returned by crack.Epoch.Enter is released with
-//     Exit on every path out of the acquiring function — deferred, or with
-//     provably nothing that can panic between Enter and Exit — and never
-//     escapes the frame. A leaked pin blocks version reclamation forever;
-//     an escaped pin can be Exited twice, freeing a slot another reader
-//     now occupies.
 //   - frozenversion: nothing reachable from a value loaded from an
 //     atomic.Pointer — a published snapshot version — is ever written.
 //     Readers traverse versions lock-free with no way to observe a fix-up;
-//     the only legal write path is copy, mutate the copy, publish.
+//     the only legal write path is copy, mutate the copy, publish. Nor is
+//     published memory ever reused, so no reader needs to announce itself:
+//     a replaced version lives exactly as long as some reader holds it, and
+//     the garbage collector reclaims it after. crackvet sees writes through
+//     a loaded pointer; a write through a piece the writer still holds from
+//     building it is held by crack.TestSnapColConcurrentReaders, which
+//     checks after every write that the version it replaced is unchanged.
 //   - lockpair: sync.Mutex/RWMutex acquisitions pair with their releases
 //     on every path of the acquiring function, in the same mode (Lock with
 //     Unlock, RLock with RUnlock), and a held lock is never re-acquired —

@@ -1,7 +1,6 @@
 package crack
 
 import (
-	"math"
 	"sort"
 	"sync/atomic"
 
@@ -18,18 +17,18 @@ import (
 // an aligned head/tail slice pair) separated by cut bounds — the flattened
 // form of the cracker index — plus the pending-update structures of the
 // Ripple algorithm. Readers load the current version with one atomic
-// pointer read (inside an Epoch pin) and gather from it; nothing a reader
-// touches is ever mutated.
+// pointer read and gather from it; nothing a reader touches is ever
+// mutated.
 //
 // Writers (Select merging/cracking, Insert, Delete) build replacement
 // pieces aside — a crack copies only the piece a bound falls into and
 // partitions the copy with the same crack-in-two/crack-in-three kernels
 // (and Policy pivots) Pairs uses — then publish a new version with one
-// atomic pointer swap and retire the old one into a limbo list tagged by
-// the shared Epoch clock. Retired pieces are reclaimed only when every
-// reader that could still see them has exited its pin. Writers must be
-// externally serialized (the owning engine's write path holds a mutex);
-// readers need no coordination at all.
+// atomic pointer swap. A published piece is never written or reused, so a
+// reader still traversing an old version needs nothing but its pointer:
+// the garbage collector frees the version once no reader holds it. Writers
+// must be externally serialized (the owning engine's write path holds a
+// mutex); readers need no coordination at all.
 //
 // Pending updates never block snapshot reads: GatherRO applies pending
 // insertions virtually (appending matching keys) and filters pending
@@ -37,24 +36,11 @@ import (
 // query to the writer path.
 type SnapCol struct {
 	cur atomic.Pointer[colVersion]
-	ep  *Epoch
 
 	// Policy selects the adaptive pivot policy for cracks, as in Pairs.
 	Policy Policy
 
-	// Poison, when set (tests), overwrites reclaimed piece buffers with
-	// poisonValue so that any premature reclaim — a piece freed while a
-	// live reader still holds it — corrupts that reader's answer instead
-	// of silently going unnoticed.
-	Poison bool
-
-	// limbo holds retired versions' dead pieces, tags ascending. Writer
-	// state: guarded by the owner's exclusive lock, like all write paths.
-	limbo []retiredPieces
-
 	published atomic.Uint64 // versions published
-	retired   atomic.Uint64 // versions retired into limbo
-	reclaimed atomic.Uint64 // versions reclaimed out of limbo
 
 	// kern accumulates the kernel partition counters of every piece
 	// crack (InTwo, InThree, Visited, Moved, Aux). Writers are
@@ -68,9 +54,6 @@ type pendingTuple struct {
 	key Value
 	val Value
 }
-
-// poisonValue marks reclaimed buffers in Poison mode.
-const poisonValue = Value(math.MinInt64)
 
 // snapMaxPend bounds the pending-update backlog readers scan per gather:
 // beyond it the probe routes one query to the writer path, which merges the
@@ -92,7 +75,6 @@ type snapPiece struct {
 // pieces[i] (values on the bound's left) from pieces[i+1] (values at or
 // right of it), in ascending bound order; len(cuts) == len(pieces)-1.
 type colVersion struct {
-	id     uint64
 	pieces []*snapPiece
 	cuts   []crackindex.Bound
 	// pendIns is kept sorted by val (ties in arrival order), so the
@@ -102,17 +84,10 @@ type colVersion struct {
 	pendDel map[Value]bool
 }
 
-// retiredPieces is one limbo entry: the pieces replaced by the publish
-// whose retire tag is tag. Reclaimable once tag < Epoch.MinActive().
-type retiredPieces struct {
-	tag  uint64
-	dead []*snapPiece
-}
-
 // NewSnapCol creates the snapshot cracker column for base column col, with
 // the keys in dels (may be nil) queued as pending deletions — the engine
 // creates columns on demand after tombstones may already exist.
-func NewSnapCol(col *store.Column, pol Policy, ep *Epoch, dels map[int]bool) *SnapCol {
+func NewSnapCol(col *store.Column, pol Policy, dels []int) *SnapCol {
 	n := col.Len()
 	head := make([]Value, n)
 	tail := make([]Value, n)
@@ -121,10 +96,10 @@ func NewSnapCol(col *store.Column, pol Policy, ep *Epoch, dels map[int]bool) *Sn
 		tail[i] = Value(i)
 	}
 	pendDel := make(map[Value]bool, len(dels))
-	for k := range dels {
+	for _, k := range dels {
 		pendDel[Value(k)] = true
 	}
-	c := &SnapCol{ep: ep, Policy: pol}
+	c := &SnapCol{Policy: pol}
 	c.cur.Store(&colVersion{
 		pieces:  []*snapPiece{{head: head, tail: tail}},
 		pendDel: pendDel,
@@ -138,7 +113,7 @@ func NewSnapCol(col *store.Column, pol Policy, ep *Epoch, dels map[int]bool) *Sn
 // investment. src holds (value, key) pairs of base column col; ins are the
 // keys of pending insertions, whose values are read from col, and dels the
 // keys of pending deletions. Nothing is aliased.
-func SnapColFromPairs(src *Pairs, col *store.Column, ins []int, dels map[int]bool, ep *Epoch) *SnapCol {
+func SnapColFromPairs(src *Pairs, col *store.Column, ins []int, dels map[int]bool) *SnapCol {
 	head := append([]Value(nil), src.Head...)
 	tail := append([]Value(nil), src.Tail...)
 	var cuts []crackindex.Bound
@@ -163,7 +138,7 @@ func SnapColFromPairs(src *Pairs, col *store.Column, ins []int, dels map[int]boo
 	for k := range dels {
 		pendDel[Value(k)] = true
 	}
-	c := &SnapCol{ep: ep, Policy: src.Policy}
+	c := &SnapCol{Policy: src.Policy}
 	c.cur.Store(&colVersion{pieces: pieces, cuts: cuts, pendIns: pendIns, pendDel: pendDel})
 	return c
 }
@@ -206,12 +181,9 @@ func (v *colVersion) area(pred store.Pred) (i, j int, ok bool) {
 // GatherRO returns the keys of tuples matching pred, reading one consistent
 // version lock-free. ok is false when answering pred needs the writer path:
 // a missing cut, or a pending-update backlog large enough that merging it
-// beats rescanning it on every read. The caller MUST hold an Epoch pin
-// (Enter before, Exit after) spanning the call — the pin is what keeps the
-// version's pieces from being reclaimed underneath it; the keys are a copy,
-// allocated once for the area and the backlog, and outlive the pin.
-// Pending insertions are applied virtually and pending deletions filtered,
-// so the answer equals the writer path's.
+// beats rescanning it on every read. The keys are a copy, allocated once
+// for the area and the backlog. Pending insertions are applied virtually
+// and pending deletions filtered, so the answer equals the writer path's.
 func (c *SnapCol) GatherRO(pred store.Pred) ([]Value, bool) {
 	v := c.cur.Load()
 	if len(v.pendIns) > snapMaxPend || len(v.pendDel) > snapMaxPend {
@@ -262,7 +234,6 @@ func (c *SnapCol) GatherRO(pred store.Pred) ([]Value, bool) {
 // structures stay shared until an edit step copies them.
 func (v *colVersion) beginEdit() *colVersion {
 	return &colVersion{
-		id:      v.id + 1,
 		pieces:  append([]*snapPiece(nil), v.pieces...),
 		cuts:    append([]crackindex.Bound(nil), v.cuts...),
 		pendIns: v.pendIns,
@@ -279,9 +250,8 @@ func (v *colVersion) beginEdit() *colVersion {
 func (c *SnapCol) Select(pred store.Pred) []Value {
 	old := c.cur.Load()
 	w := old.beginEdit()
-	var dead []*snapPiece
-	changed := c.mergePend(w, &dead, pred, len(old.pendIns) > snapMaxPend)
-	changed = c.ensureCuts(w, &dead, pred) || changed
+	changed := c.mergePend(w, pred, len(old.pendIns) > snapMaxPend)
+	changed = c.ensureCuts(w, pred) || changed
 	i, j, ok := w.area(pred)
 	if !ok {
 		panic("crack: SnapCol area missing after crack")
@@ -290,9 +260,9 @@ func (c *SnapCol) Select(pred store.Pred) []Value {
 	if len(w.pendDel) > snapMaxPend {
 		lo, hi = 0, len(w.pieces)
 	}
-	changed = c.applyDel(w, &dead, lo, hi) || changed
+	changed = c.applyDel(w, lo, hi) || changed
 	if changed {
-		c.publish(w, dead)
+		c.publish(w)
 	} else {
 		w = old // nothing moved: answer from the published version
 	}
@@ -320,11 +290,10 @@ func (c *SnapCol) Insert(key int, val Value) {
 	ni = append(ni, pendingTuple{key: Value(key), val: val})
 	ni = append(ni, old.pendIns[at:]...)
 	w.pendIns = ni
-	var dead []*snapPiece
 	if len(w.pendIns) > snapMaxPend {
-		c.mergePend(w, &dead, store.Pred{}, true)
+		c.mergePend(w, store.Pred{}, true)
 	}
-	c.publish(w, dead)
+	c.publish(w)
 }
 
 // Delete queues a pending deletion (or cancels a pending insertion) in a
@@ -340,7 +309,7 @@ func (c *SnapCol) Delete(key int) {
 			ni = append(ni, old.pendIns[:i]...)
 			ni = append(ni, old.pendIns[i+1:]...)
 			w.pendIns = ni
-			c.publish(w, nil)
+			c.publish(w)
 			return
 		}
 	}
@@ -354,16 +323,15 @@ func (c *SnapCol) Delete(key int) {
 	}
 	nd[k] = true
 	w.pendDel = nd
-	var dead []*snapPiece
 	if len(nd) > snapMaxPend {
-		c.applyDel(w, &dead, 0, len(w.pieces))
+		c.applyDel(w, 0, len(w.pieces))
 	}
-	c.publish(w, dead)
+	c.publish(w)
 }
 
 // mergePend merges pending insertions matching pred (or all of them) into
 // copies of their target pieces, val order preserved per piece.
-func (c *SnapCol) mergePend(w *colVersion, dead *[]*snapPiece, pred store.Pred, all bool) bool {
+func (c *SnapCol) mergePend(w *colVersion, pred store.Pred, all bool) bool {
 	if len(w.pendIns) == 0 {
 		return false
 	}
@@ -395,7 +363,6 @@ func (c *SnapCol) mergePend(w *colVersion, dead *[]*snapPiece, pred store.Pred, 
 			head = append(head, t.val)
 			tail = append(tail, t.key)
 		}
-		*dead = append(*dead, pc)
 		w.pieces[pi] = &snapPiece{head: head, tail: tail}
 	}
 	return true
@@ -405,7 +372,7 @@ func (c *SnapCol) mergePend(w *colVersion, dead *[]*snapPiece, pred store.Pred, 
 // they fall into. When both bounds miss inside the same piece, the piece is
 // partitioned against both in one crack-in-three pass, exactly like
 // Pairs.CrackRange.
-func (c *SnapCol) ensureCuts(w *colVersion, dead *[]*snapPiece, pred store.Pred) bool {
+func (c *SnapCol) ensureCuts(w *colVersion, pred store.Pred) bool {
 	lb, ub := pred.LowerBound(), pred.UpperBound()
 	_, okL := w.findCut(lb)
 	_, okU := w.findCut(ub)
@@ -413,14 +380,14 @@ func (c *SnapCol) ensureCuts(w *colVersion, dead *[]*snapPiece, pred store.Pred)
 		return false
 	}
 	if !okL && !okU && lb.Less(ub) && w.pieceOfBound(lb) == w.pieceOfBound(ub) {
-		c.crackPiece(w, dead, w.pieceOfBound(lb), func(tmp *Pairs) { tmp.CrackRange(pred) })
+		c.crackPiece(w, w.pieceOfBound(lb), func(tmp *Pairs) { tmp.CrackRange(pred) })
 		return true
 	}
 	if !okL {
-		c.crackPiece(w, dead, w.pieceOfBound(lb), func(tmp *Pairs) { tmp.CrackBound(lb) })
+		c.crackPiece(w, w.pieceOfBound(lb), func(tmp *Pairs) { tmp.CrackBound(lb) })
 	}
 	if _, ok := w.findCut(ub); !ok {
-		c.crackPiece(w, dead, w.pieceOfBound(ub), func(tmp *Pairs) { tmp.CrackBound(ub) })
+		c.crackPiece(w, w.pieceOfBound(ub), func(tmp *Pairs) { tmp.CrackBound(ub) })
 	}
 	return true
 }
@@ -428,9 +395,8 @@ func (c *SnapCol) ensureCuts(w *colVersion, dead *[]*snapPiece, pred store.Pred)
 // crackPiece copies piece pi, partitions the copy with the shared Pairs
 // kernels (crack applies c.Policy, so auxiliary pivots land here too), and
 // splices the resulting sub-pieces and cuts into w. The sub-pieces share
-// the copy's backing arrays over disjoint ranges; the replaced piece goes
-// to the dead list.
-func (c *SnapCol) crackPiece(w *colVersion, dead *[]*snapPiece, pi int, f func(tmp *Pairs)) {
+// the copy's backing arrays over disjoint ranges.
+func (c *SnapCol) crackPiece(w *colVersion, pi int, f func(tmp *Pairs)) {
 	pc := w.pieces[pi]
 	head := append([]Value(nil), pc.head...)
 	tail := append([]Value(nil), pc.tail...)
@@ -467,7 +433,6 @@ func (c *SnapCol) crackPiece(w *colVersion, dead *[]*snapPiece, pi int, f func(t
 		prev = cp.pos
 	}
 	subs = append(subs, &snapPiece{head: head[prev:], tail: tail[prev:]})
-	*dead = append(*dead, pc)
 	np := make([]*snapPiece, 0, len(w.pieces)+len(subs)-1)
 	np = append(np, w.pieces[:pi]...)
 	np = append(np, subs...)
@@ -483,7 +448,7 @@ func (c *SnapCol) crackPiece(w *colVersion, dead *[]*snapPiece, pi int, f func(t
 // applyDel removes tuples with pending deletions from pieces [lo, hi),
 // copying only affected pieces and consuming the matched entries from a
 // copy of the pending-deletion set (which also guards duplicate keys).
-func (c *SnapCol) applyDel(w *colVersion, dead *[]*snapPiece, lo, hi int) bool {
+func (c *SnapCol) applyDel(w *colVersion, lo, hi int) bool {
 	del := w.pendDel
 	if len(del) == 0 {
 		return false
@@ -518,7 +483,6 @@ func (c *SnapCol) applyDel(w *colVersion, dead *[]*snapPiece, lo, hi int) bool {
 			head = append(head, pc.head[x])
 			tail = append(tail, k)
 		}
-		*dead = append(*dead, pc)
 		w.pieces[pi] = &snapPiece{head: head, tail: tail}
 	}
 	if nd == nil {
@@ -528,45 +492,11 @@ func (c *SnapCol) applyDel(w *colVersion, dead *[]*snapPiece, lo, hi int) bool {
 	return true
 }
 
-// publish swaps in the new version, retires the old one's replaced pieces
-// into limbo tagged with the advanced epoch, and reclaims every limbo entry
-// no live reader can still see.
-func (c *SnapCol) publish(w *colVersion, dead []*snapPiece) {
+// publish swaps in the new version. The old one is left to its readers;
+// nothing of it is written again.
+func (c *SnapCol) publish(w *colVersion) {
 	c.cur.Store(w)
-	tag := c.ep.Advance()
-	c.limbo = append(c.limbo, retiredPieces{tag: tag, dead: dead})
 	c.published.Add(1)
-	c.retired.Add(1)
-	c.tryReclaim()
-}
-
-// tryReclaim frees the limbo prefix whose tags precede every active
-// reader's enter-epoch. In Poison mode the dead piece buffers are
-// overwritten first, making a reclamation bug observable as corrupted
-// reads rather than a silent latent race.
-func (c *SnapCol) tryReclaim() {
-	min := c.ep.MinActive()
-	n := 0
-	for _, r := range c.limbo {
-		if r.tag >= min {
-			break
-		}
-		if c.Poison {
-			for _, pc := range r.dead {
-				for i := range pc.head {
-					pc.head[i] = poisonValue
-				}
-				for i := range pc.tail {
-					pc.tail[i] = poisonValue
-				}
-			}
-		}
-		n++
-	}
-	if n > 0 {
-		c.limbo = append(c.limbo[:0], c.limbo[n:]...)
-		c.reclaimed.Add(uint64(n))
-	}
 }
 
 // Len returns the number of tuples materialized in pieces (excluding
@@ -589,15 +519,6 @@ func (c *SnapCol) PendingInsertions() int { return len(c.cur.Load().pendIns) }
 // PendingDeletions returns the number of deletions not yet merged.
 func (c *SnapCol) PendingDeletions() int { return len(c.cur.Load().pendDel) }
 
-// SnapStats are SnapCol's version-lifecycle counters. Limbo is the number
-// of retired-but-unreclaimed versions — held back by live readers.
-type SnapStats struct {
-	Published uint64
-	Retired   uint64
-	Reclaimed uint64
-	Limbo     uint64
-}
-
 // KernelStats returns the kernel partition counters accumulated across
 // every piece crack since the column was created (the conversion from a
 // plain cracker column starts from zero). Safe to call concurrently.
@@ -611,16 +532,9 @@ func (c *SnapCol) KernelStats() KernelStats {
 	}
 }
 
-// Stats returns the version-lifecycle counters. Safe to call concurrently.
-func (c *SnapCol) Stats() SnapStats {
-	s := SnapStats{
-		Published: c.published.Load(),
-		Retired:   c.retired.Load(),
-		Reclaimed: c.reclaimed.Load(),
-	}
-	s.Limbo = s.Retired - s.Reclaimed
-	return s
-}
+// Published returns the number of versions published. Safe to call
+// concurrently.
+func (c *SnapCol) Published() uint64 { return c.published.Load() }
 
 // CheckVersion verifies the current version's piece invariant (every value
 // sits between its piece's delimiting cuts) and cut ordering; the snapshot

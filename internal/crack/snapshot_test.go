@@ -2,6 +2,7 @@ package crack
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,28 +38,23 @@ func sortedKeys(view []Value) []int {
 
 // newTestSnapCol builds a SnapCol plus its reference model over n uniform
 // values in [0, domain).
-func newTestSnapCol(rng *rand.Rand, n int, domain int64) (*SnapCol, *Epoch, *model) {
+func newTestSnapCol(rng *rand.Rand, n int, domain int64) (*SnapCol, *model) {
 	vals := make([]Value, n)
 	for i := range vals {
 		vals[i] = Value(rng.Int63n(domain))
 	}
-	ep := NewEpoch()
-	c := NewSnapCol(store.NewColumn("A", vals), Policy{}, ep, nil)
+	c := NewSnapCol(store.NewColumn("A", vals), Policy{}, nil)
 	m := &model{vals: map[int]Value{}}
 	for i, v := range vals {
 		m.vals[i] = v
 	}
-	return c, ep, m
+	return c, m
 }
 
-// gatherAll answers pred through the snapshot read path, falling back to the
-// writer path exactly like the engine does.
-func snapSelect(c *SnapCol, ep *Epoch, pred store.Pred) []Value {
-	if keys, ok := func() ([]Value, bool) {
-		pin := ep.Enter()
-		defer ep.Exit(pin)
-		return c.GatherRO(pred)
-	}(); ok {
+// snapSelect answers pred through the snapshot read path, falling back to
+// the writer path exactly like the engine does.
+func snapSelect(c *SnapCol, pred store.Pred) []Value {
+	if keys, ok := c.GatherRO(pred); ok {
 		return keys
 	}
 	return c.Select(pred)
@@ -67,7 +63,7 @@ func snapSelect(c *SnapCol, ep *Epoch, pred store.Pred) []Value {
 func TestSnapColModelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const domain = 500
-	c, ep, m := newTestSnapCol(rng, 1000, domain)
+	c, m := newTestSnapCol(rng, 1000, domain)
 	nextKey := 1000
 	for q := 0; q < 400; q++ {
 		switch rng.Intn(10) {
@@ -84,7 +80,7 @@ func TestSnapColModelEquivalence(t *testing.T) {
 			}
 		default:
 			pred := randPred(rng, domain)
-			got := sortedKeys(snapSelect(c, ep, pred))
+			got := sortedKeys(snapSelect(c, pred))
 			want := m.selectKeys(pred)
 			if len(got) != len(want) {
 				t.Fatalf("query %d %v: got %d keys, want %d", q, pred, len(got), len(want))
@@ -105,166 +101,74 @@ func TestSnapColModelEquivalence(t *testing.T) {
 }
 
 func TestSnapColGatherROAppliesPending(t *testing.T) {
-	ep := NewEpoch()
-	c := NewSnapCol(store.NewColumn("A", []Value{10, 20, 30, 40}), Policy{}, ep, nil)
+	c := NewSnapCol(store.NewColumn("A", []Value{10, 20, 30, 40}), Policy{}, nil)
 	pred := store.Range(15, 45)
 	c.Select(pred) // establish the cuts
 	c.Insert(4, 25)
 	c.Delete(1) // key 1 (value 20) is materialized: a pending deletion
-	keys, ok := func() ([]Value, bool) {
-		pin := ep.Enter()
-		defer ep.Exit(pin)
-		return c.GatherRO(pred)
-	}()
+	keys, ok := c.GatherRO(pred)
 	if !ok {
 		t.Fatal("GatherRO refused a cracked predicate")
 	}
 	got := sortedKeys(keys)
 	want := []int{2, 3, 4} // 30, 40, and the pending 25; 20 deleted
-	if len(got) != len(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("got keys %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got keys %v, want %v", got, want)
-		}
-	}
 }
 
-func TestEpochProtocol(t *testing.T) {
-	ep := NewEpoch()
-	if ep.MinActive() == 0 {
-		t.Fatal("no readers: MinActive must not block reclamation")
+// versionSum fingerprints every value a version's pieces hold, in order.
+func versionSum(v *colVersion) uint64 {
+	h := uint64(len(v.pieces))
+	for _, pc := range v.pieces {
+		h = h*31 + uint64(len(pc.head))
+		for i := range pc.head {
+			h = (h*31+uint64(pc.head[i]))*31 + uint64(pc.tail[i])
+		}
 	}
-	// The pinned window runs in its own scope: the deferred Exit marks
-	// exactly where the reader departs.
-	tag := func() uint64 {
-		p1 := ep.Enter()
-		defer ep.Exit(p1)
-		e1 := ep.Now()
-		tag := ep.Advance() // something retired after p1 entered
-		if tag <= e1 {
-			t.Fatalf("advance did not move the clock: tag %d, enter epoch %d", tag, e1)
-		}
-		if min := ep.MinActive(); min > e1 {
-			t.Fatalf("pinned reader invisible: MinActive %d > enter epoch %d", min, e1)
-		}
-		// The retired tag must NOT be reclaimable while p1 is pinned.
-		if tag < ep.MinActive() {
-			t.Fatal("retired state reclaimable under a live pin")
-		}
-		return tag
-	}()
-	if tag >= ep.MinActive() {
-		t.Fatal("retired state still held back after the only reader exited")
-	}
+	return h
 }
 
-func TestEpochOverflow(t *testing.T) {
-	ep := NewEpoch()
-	pins := make([]Pin, 0, epochSlots+3)
-	for i := 0; i < epochSlots+3; i++ {
-		//crackvet:ignore epochpin the overflow test must accumulate pins to exhaust the slot array
-		pins = append(pins, ep.Enter())
-	}
-	overflowed := 0
-	for _, p := range pins {
-		if p.slot < 0 {
-			overflowed++
-		}
-	}
-	if overflowed != 3 {
-		t.Fatalf("expected 3 overflow pins, got %d", overflowed)
-	}
-	if ep.MinActive() != 0 {
-		t.Fatal("overflow pins must block all reclamation")
-	}
-	if got := ep.Active(); got != epochSlots+3 {
-		t.Fatalf("Active = %d, want %d", got, epochSlots+3)
-	}
-	for _, p := range pins {
-		ep.Exit(p)
-	}
-	if ep.MinActive() == 0 {
-		t.Fatal("reclamation still blocked after all pins exited")
-	}
-}
-
-func TestSnapColReclaimWaitsForReaders(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	c, ep, _ := newTestSnapCol(rng, 1000, 1000)
-
-	// Writer replaces state while a reader is pinned: retired pieces must
-	// stay in limbo. The pinned window is its own scope so the deferred
-	// Exit marks exactly where the reader departs.
-	func() {
-		pin := ep.Enter()
-		defer ep.Exit(pin)
-		c.Select(store.Range(100, 200))
-		c.Select(store.Range(300, 400))
-		if st := c.Stats(); st.Limbo == 0 {
-			t.Fatal("retired versions reclaimed under a live pin")
-		}
-	}()
-	// The next publish reclaims everything the departed reader held back.
-	c.Select(store.Range(500, 600))
-	st := c.Stats()
-	if st.Limbo > 1 { // only the newest retirement may still be pending
-		t.Fatalf("limbo backlog after readers left: %+v", st)
-	}
-	if st.Reclaimed == 0 {
-		t.Fatal("nothing reclaimed after readers left")
-	}
-}
-
-// TestSnapColPoisonCatchesUseAfterReclaim demonstrates the Poison harness:
-// a pinned reader's loaded version is never poisoned, while an unpinned
-// (buggy) reader holding stale state would observe poisonValue.
-func TestSnapColPoisonCatchesUseAfterReclaim(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	c, ep, _ := newTestSnapCol(rng, 1000, 1000)
-	c.Poison = true
-
-	// Correct reader: pins, loads, is never corrupted.
-	func() {
-		pin := ep.Enter()
-		defer ep.Exit(pin)
-		v := c.cur.Load()
-		c.Select(store.Range(100, 900)) // cracks: retires the single piece
-		for _, pc := range v.pieces {
-			for _, val := range pc.head {
-				if val == poisonValue {
-					t.Fatal("pinned reader's version was poisoned")
-				}
-			}
-		}
-	}()
-
-	// Buggy reader: holds version state without a pin. After the next
-	// publish its memory is fair game and the poison must land.
-	stale := c.cur.Load()
-	c.Select(store.Range(200, 300))
-	c.Select(store.Range(400, 500))
-	poisoned := false
-	for _, pc := range stale.pieces {
-		for _, val := range pc.head {
-			if val == poisonValue {
-				poisoned = true
-			}
-		}
-	}
-	if !poisoned {
-		t.Fatal("unpinned stale version escaped poisoning (reclaim not exercised)")
-	}
-}
-
-// TestSnapColConcurrentReaders hammers one SnapCol with lock-free readers
-// while a serialized writer cracks and mutates continuously. Run with -race.
+// TestSnapColConcurrentReaders runs lock-free readers over static value
+// bands while a serialized writer cracks, inserts and deletes in band 0.
+// Every reader answer is precomputed: the bands never change, though
+// deletions queued in them before the readers start are merged into pieces
+// while they read. The writer also checks, after every operation, that the
+// version it replaced — the one a slow reader may still traverse — holds
+// exactly what it held before: published memory is never written. Run with
+// -race as well.
 func TestSnapColConcurrentReaders(t *testing.T) {
+	const (
+		n         = 4000
+		bands     = 4
+		bandWidth = 500
+	)
 	rng := rand.New(rand.NewSource(23))
-	const domain = 2000
-	c, ep, _ := newTestSnapCol(rng, 4000, domain)
-	c.Poison = true // make premature reclamation corrupt answers observably
+	c, m := newTestSnapCol(rng, n, bands*bandWidth)
+
+	// Queue deletions in the reader bands: pending now, merged into pieces
+	// later by the writer's selects and by its backlog merges.
+	var queued []Value
+	for i := 0; i < 60; i++ {
+		k := rng.Intn(n)
+		if v, ok := m.vals[k]; ok && v >= bandWidth {
+			c.Delete(k)
+			delete(m.vals, k)
+			queued = append(queued, Value(k))
+		}
+	}
+	type check struct {
+		pred store.Pred
+		want []int
+	}
+	var checks []check
+	for b := 1; b < bands; b++ {
+		for i := 0; i < 8; i++ {
+			lo := Value(b*bandWidth) + rng.Int63n(bandWidth-100)
+			pred := store.Range(lo, lo+1+rng.Int63n(99))
+			checks = append(checks, check{pred, m.selectKeys(pred)})
+		}
+	}
 
 	var stop atomic.Bool
 	var mu sync.Mutex // the writer serialization SnapCol requires
@@ -275,43 +179,53 @@ func TestSnapColConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
-				pred := randPred(rng, domain)
-				// One pinned read per iteration: the closure scope keeps
-				// the defer per-iteration rather than per-goroutine.
-				if !func() bool {
-					pin := ep.Enter()
-					defer ep.Exit(pin)
-					keys, ok := c.GatherRO(pred)
-					if !ok {
-						return true
-					}
-					// Touch every key while pinned; poisoned answers would
-					// surface as impossible key values.
-					for _, k := range keys {
-						if k == poisonValue {
-							t.Error("reader observed a poisoned key: premature reclaim")
-							return false
-						}
-					}
-					return true
-				}() {
+				ck := checks[rng.Intn(len(checks))]
+				keys, ok := c.GatherRO(ck.pred)
+				if !ok {
+					mu.Lock()
+					keys = c.Select(ck.pred)
+					mu.Unlock()
+				}
+				if got := sortedKeys(keys); !slices.Equal(got, ck.want) {
+					t.Errorf("reader %v (lock-free %v): got %d keys %v, want %d %v", ck.pred, ok, len(got), got, len(ck.want), ck.want)
 					return
 				}
 			}
 		}(int64(100 + r))
 	}
+
 	writerRng := rand.New(rand.NewSource(42))
-	nextKey := 4000
-	for i := 0; i < 300; i++ {
+	var mine []int // live keys in band 0
+	for k, v := range m.vals {
+		if v < bandWidth {
+			mine = append(mine, k)
+		}
+	}
+	slices.Sort(mine)
+	nextKey := n
+	for i := 0; i < 400; i++ {
 		mu.Lock()
-		switch writerRng.Intn(4) {
+		prev := c.cur.Load()
+		sum := versionSum(prev)
+		switch writerRng.Intn(5) {
 		case 0:
-			c.Insert(nextKey, Value(writerRng.Int63n(domain)))
+			c.Insert(nextKey, Value(writerRng.Int63n(bandWidth)))
+			mine = append(mine, nextKey)
 			nextKey++
 		case 1:
-			c.Delete(writerRng.Intn(nextKey))
+			if len(mine) > 0 {
+				j := writerRng.Intn(len(mine))
+				c.Delete(mine[j])
+				mine = append(mine[:j], mine[j+1:]...)
+			}
+		case 2: // a reader band: merges its pending deletions, changes no answer
+			c.Select(checks[writerRng.Intn(len(checks))].pred)
 		default:
-			c.Select(randPred(writerRng, domain))
+			lo := Value(writerRng.Int63n(bandWidth - 100))
+			c.Select(store.Range(lo, lo+1+writerRng.Int63n(99)))
+		}
+		if versionSum(prev) != sum {
+			t.Errorf("op %d wrote into the version it replaced", i)
 		}
 		mu.Unlock()
 	}
@@ -320,8 +234,13 @@ func TestSnapColConcurrentReaders(t *testing.T) {
 	if !c.CheckVersion() {
 		t.Fatal("final version violates the piece invariant")
 	}
-	st := c.Stats()
-	if st.Published == 0 || st.Reclaimed == 0 {
-		t.Fatalf("run exercised nothing: %+v", st)
+	pending := 0
+	for _, k := range queued {
+		if c.cur.Load().pendDel[k] {
+			pending++
+		}
+	}
+	if pending == len(queued) {
+		t.Fatalf("none of the %d deletions queued in the reader bands was merged while they read", len(queued))
 	}
 }

@@ -9,7 +9,7 @@ import (
 // ConcStats is the Readers section of a Report: how the readers of the
 // RWMutex guard fare against concurrent reorganization. The zero value
 // means "nothing observed". Snapshot readers take no lock and have no such
-// section; what they publish and reclaim is SnapshotStats.
+// section; what they publish is SnapshotStats.
 type ConcStats struct {
 	// ReaderWait is the cumulative time readers spent blocked acquiring
 	// read access.
@@ -66,6 +66,9 @@ func guarded(e Engine) bool {
 type rwEngine struct {
 	mu sync.RWMutex
 	e  Engine
+	// journal, if set, is called under the write lock after every query
+	// that had to reorganize, once it has returned.
+	journal func(Query)
 
 	readerWaitNs atomic.Int64
 	readerWaits  atomic.Int64
@@ -116,7 +119,11 @@ func (s *rwEngine) Query(q Query) (Result, Cost) {
 	if res, cost, ok := s.e.QueryRO(q); ok {
 		return res, cost
 	}
-	return s.e.Query(q)
+	res, cost = s.e.Query(q)
+	if s.journal != nil {
+		s.journal(q)
+	}
+	return res, cost
 }
 
 func (s *rwEngine) QueryRO(q Query) (Result, Cost, bool) {

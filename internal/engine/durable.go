@@ -106,11 +106,11 @@ func (d *DurStats) add(s DurStats) {
 // fresh WAL segment.
 //
 // It is the Concurrent guard plus a journal: the embedded rwEngine supplies
-// the lock, the whole read side (QueryRO, Storage, reader-wait stats) and
-// the unjournaled write-side methods, and durEngine overrides only the
-// three operations the journal must see. Holding the guard's
-// write lock across log-append and in-memory apply makes log order equal
-// apply order, which is what lets replay reproduce identical tuple keys.
+// the lock and the two-phase Query, and calls journalCrack after every
+// query that reorganized; durEngine overrides only Insert and Delete.
+// Holding the guard's write lock across log-append and in-memory apply
+// makes log order equal apply order, which is what lets replay reproduce
+// identical tuple keys.
 type durEngine struct {
 	rwEngine
 	rel *store.Relation
@@ -123,7 +123,6 @@ type durEngine struct {
 	cpSeq uint64
 
 	tape []wal.Record // cumulative crack tape since seed
-	dead []int        // cumulative tombstoned keys since seed
 
 	checkpoints atomic.Int64
 	writeErrs   atomic.Int64
@@ -158,7 +157,7 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 		// missing; recovery opens it empty, so that order is safe, while
 		// the reverse order could leave a segment with records but no
 		// checkpoint to anchor them.
-		d := &durEngine{rwEngine: rwEngine{e: build(rel)}, rel: rel, dir: dir, width: len(rel.Order), opts: opts}
+		d := newDurEngine(build(rel), rel, dir, opts)
 		if err := wal.WriteCheckpoint(dir, d.checkpoint(0)); err != nil {
 			return nil, err
 		}
@@ -184,11 +183,11 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 	for i, attr := range cp.Attrs {
 		rrel.MustColumn(attr).Vals = cp.Cols[i]
 	}
-	d := &durEngine{rwEngine: rwEngine{e: build(rrel)}, rel: rrel, dir: dir, width: len(cp.Attrs), opts: opts, cpSeq: cp.Seq}
+	d := newDurEngine(build(rrel), rrel, dir, opts)
+	d.cpSeq = cp.Seq
 	for _, k := range cp.Dead {
 		d.e.Delete(k)
 	}
-	d.dead = cp.Dead
 
 	// Replay the tape: re-running the recorded reorganizing queries cracks
 	// the rebuilt base columns into the same cut set the dead process had
@@ -229,6 +228,14 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 	return d, nil
 }
 
+// newDurEngine puts e, built over rel, behind the guard with the crack
+// journal hooked into its write path.
+func newDurEngine(e Engine, rel *store.Relation, dir string, opts DurableOptions) *durEngine {
+	d := &durEngine{rwEngine: rwEngine{e: e}, rel: rel, dir: dir, width: len(rel.Order), opts: opts}
+	d.journal = d.journalCrack
+	return d
+}
+
 // applyReplay applies one recovered WAL record to the warm store.
 func (d *durEngine) applyReplay(cpSeq uint64, rec wal.Record) error {
 	switch rec.Type {
@@ -239,7 +246,7 @@ func (d *durEngine) applyReplay(cpSeq uint64, rec wal.Record) error {
 		d.open.ReplayedRecords++
 	case wal.RecDelete:
 		for _, k := range rec.Keys {
-			d.tombstone(k)
+			d.e.Delete(k)
 		}
 		d.open.ReplayedRecords++
 	case wal.RecCrack:
@@ -300,9 +307,10 @@ func crackRecord(q Query) wal.Record {
 // checkpoint materializes the current state (caller holds the write lock,
 // or is inside OpenDurable before the engine is shared). The base-column
 // slices are referenced, not copied: the relation is append-only and the
-// encode completes before the lock is released.
+// encode completes before the lock is released. The tombstones are the
+// relation's: each deleted key once, however often it was deleted.
 func (d *durEngine) checkpoint(seq uint64) *wal.Checkpoint {
-	cp := &wal.Checkpoint{Seq: seq, Name: d.rel.Name, Attrs: d.rel.Order, Dead: d.dead, Tape: d.tape}
+	cp := &wal.Checkpoint{Seq: seq, Name: d.rel.Name, Attrs: d.rel.Order, Dead: d.rel.Deleted(), Tape: d.tape}
 	cp.Cols = make([][]store.Value, len(d.rel.Order))
 	for i, attr := range d.rel.Order {
 		cp.Cols[i] = d.rel.MustColumn(attr).Vals
@@ -464,48 +472,26 @@ func (d *durEngine) Insert(vals ...Value) int {
 	return key
 }
 
-// Delete logs and applies a tombstone. A failed durability wait leaves the
+// Delete logs and applies a tombstone. A key no tuple has is logged and
+// ignored, as every engine ignores it. A failed durability wait leaves the
 // tombstone applied — the poisoned log stops all further acks anyway.
 func (d *durEngine) Delete(key int) {
-	d.logThenApply(wal.Record{Type: wal.RecDelete, Keys: []int{key}}, func() { d.tombstone(key) })
+	d.logThenApply(wal.Record{Type: wal.RecDelete, Keys: []int{key}}, func() { d.e.Delete(key) })
 }
 
-// tombstone deletes key in the inner engine and keeps it for the next
-// checkpoint. A key no tuple has is ignored, as every engine ignores it: a
-// checkpoint's tombstones are applied after all of its rows, so keeping one
-// would delete the tuple a later insert gives that key.
-func (d *durEngine) tombstone(key int) {
-	if key < 0 || key >= d.rel.NumRows() {
-		return
-	}
-	d.e.Delete(key)
-	d.dead = append(d.dead, key)
-}
-
-// Query is the guard's two-phase protocol with a journaled slow path: the
-// read side is rwEngine's, untouched; a query that must reorganize — a join
-// side's selection included — is appended to the crack tape once it has
-// returned, still inside the same write-lock section, so the cuts it made
-// survive a restart. Recording after execution means a query the engine
-// rejects (it panics on an unknown column) never reaches the tape, where it
-// would poison every later recovery. Tape appends are buffered, never
-// durability-waited: losing an unsynced tape tail costs restart warmth, not
-// correctness, and read latency must not pay for fsyncs.
-func (d *durEngine) Query(q Query) (Result, Cost) {
-	if res, cost, ok := d.QueryRO(q); ok {
-		return res, cost
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if res, cost, ok := d.e.QueryRO(q); ok {
-		return res, cost
-	}
-	res, cost := d.e.Query(q)
+// journalCrack appends a query that reorganized — a join side's selection
+// included — to the crack tape, still inside the guard's write-lock
+// section, so the cuts it made survive a restart. Recording after execution
+// means a query the engine rejects (it panics on an unknown column) never
+// reaches the tape, where it would poison every later recovery. Tape
+// appends are buffered, never durability-waited: losing an unsynced tape
+// tail costs restart warmth, not correctness, and read latency must not pay
+// for fsyncs.
+func (d *durEngine) journalCrack(q Query) {
 	rec := crackRecord(q)
 	if _, err := d.log.AppendBuffered(rec); err != nil {
 		d.writeErrs.Add(1)
 	}
 	d.tape = append(d.tape, rec)
 	d.maybeCheckpointLocked()
-	return res, cost
 }

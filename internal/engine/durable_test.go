@@ -977,3 +977,59 @@ func TestDurableIgnoresUnknownKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestDurableCheckpointsEachDeadKeyOnce pins the tombstone bound (doc.go
+// "Invariants"): however often a key is deleted, and however many deletes
+// name keys no tuple has, a checkpoint holds each dead key once, so its
+// tombstones never outnumber the rows — when written by the process that
+// took the deletes, and again after recovery from that checkpoint or from
+// the WAL tail.
+func TestDurableCheckpointsEachDeadKeyOnce(t *testing.T) {
+	base := buildRel(rand.New(rand.NewSource(5)), 100, []string{"A", "B"}, 50)
+	qs := []Query{{Preds: []AttrPred{{Attr: "A", Pred: store.Range(0, 50)}}, Projs: []string{"A", "B"}}}
+	oracle := New(Scan, cloneRel(base))
+	oracle.Delete(3)
+	oracle.Delete(7)
+	wantDead := func(t *testing.T, tag, dir string) {
+		t.Helper()
+		cp, err := wal.LoadCheckpoint(dir)
+		if err != nil || cp == nil {
+			t.Fatalf("%s: load checkpoint: %v", tag, err)
+		}
+		if fmt.Sprint(cp.Dead) != "[3 7]" {
+			t.Fatalf("%s: checkpoint tombstones %v, want [3 7]", tag, cp.Dead)
+		}
+	}
+	for _, kind := range []Kind{Scan, SelCrack, Sideways, PartialSideways} {
+		for _, clean := range []bool{true, false} {
+			tag := fmt.Sprintf("%v (clean %v)", kind, clean)
+			dir := t.TempDir()
+			opts := DurableOptions{CheckpointBytes: -1}
+			e, err := OpenDurable(kind, cloneRel(base), dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				e.Delete(7)
+				e.Delete(-1)
+				e.Delete(100 + i)
+			}
+			e.Delete(3)
+			img := dir
+			if !clean {
+				img = filepath.Join(t.TempDir(), "crash")
+				copyDurDir(t, dir, img)
+			}
+			CloseDurable(e)
+			wantDead(t, tag+" live", dir)
+			rec, err := OpenDurable(kind, nil, img, opts)
+			if err != nil {
+				t.Fatalf("%s: recovery: %v", tag, err)
+			}
+			rec.Delete(7)
+			assertAnswerEquivalent(t, tag+" recovered", rec, oracle, qs)
+			CloseDurable(rec)
+			wantDead(t, tag+" recovered", img)
+		}
+	}
+}

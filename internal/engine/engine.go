@@ -178,7 +178,7 @@ type Options struct {
 func NewWith(kind Kind, rel *store.Relation, opts Options) Engine {
 	switch kind {
 	case Scan:
-		return &scanEngine{rel: rel, dead: make(map[int]bool)}
+		return &scanEngine{rel: rel}
 	case SelCrack:
 		st := sideways.NewStore(rel)
 		st.Policy = opts.Policy
@@ -225,8 +225,7 @@ func MaxPerProj(res Result, projs []string) (map[string]Value, bool) {
 // Scan engine: the plain column-store baseline (non-cracking MonetDB).
 
 type scanEngine struct {
-	rel  *store.Relation
-	dead map[int]bool
+	rel *store.Relation
 }
 
 func (e *scanEngine) Kind() Kind { return Scan }
@@ -237,11 +236,7 @@ func (e *scanEngine) Insert(vals ...Value) int {
 }
 
 // Delete tombstones key; a key no tuple has is ignored, as by every engine.
-func (e *scanEngine) Delete(key int) {
-	if key >= 0 && key < e.rel.NumRows() {
-		e.dead[key] = true
-	}
-}
+func (e *scanEngine) Delete(key int) { e.rel.Delete(key) }
 
 func (e *scanEngine) Storage() int { return 0 }
 
@@ -256,7 +251,7 @@ func (e *scanEngine) selectKeys(preds []AttrPred, disjunctive bool) []Value {
 		cols[i] = e.rel.MustColumn(ap.Attr)
 	}
 	for i := 0; i < n; i++ {
-		if e.dead[i] {
+		if e.rel.IsDeleted(i) {
 			continue
 		}
 		match := !disjunctive

@@ -196,9 +196,6 @@ func RegisterMetrics(r *obs.Registry, e Engine) {
 	}
 	if have.Snapshot != nil {
 		counter("crack_snapshot_published_total", "immutable versions published by writers", func(p Report) uint64 { return p.Snapshot.Published })
-		counter("crack_snapshot_reclaimed_total", "retired versions reclaimed after readers exited", func(p Report) uint64 { return p.Snapshot.Reclaimed })
-		gauge("crack_snapshot_limbo", "retired versions held back by live readers", func(p Report) float64 { return float64(p.Snapshot.Limbo) })
-		gauge("crack_snapshot_readers", "currently pinned snapshot readers", func(p Report) float64 { return float64(p.Snapshot.Readers) })
 	}
 	if have.Durable != nil {
 		counter("crack_wal_appends_total", "WAL records appended", func(p Report) uint64 { return uint64(p.Durable.Wal.Appends) })

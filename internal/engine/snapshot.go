@@ -10,10 +10,11 @@ import (
 
 // Snapshot wraps e for concurrent serving with lock-free snapshot reads:
 // read-only queries traverse an immutable version of the cracked state
-// (published by writers with an atomic pointer swap, reclaimed via
-// epoch-based reclamation) and never wait for a crack — the RWMutex of
-// Concurrent makes every reader stall behind a cold crack's multi-ms write
-// section; Snapshot removes that cliff entirely.
+// (published by writers with an atomic pointer swap, never written again,
+// and freed by the garbage collector once no reader holds it) and never
+// wait for a crack — the RWMutex of Concurrent makes every reader stall
+// behind a cold crack's multi-ms write section; Snapshot removes that cliff
+// entirely.
 //
 // The snapshot protocol is implemented for the selection-cracking engine
 // (SelCrack), whose state — one cracker column per selection attribute, the
@@ -37,48 +38,37 @@ func Snapshot(e Engine) Engine {
 // snapEngine is the multi-version selection-cracking engine behind
 // Snapshot. It answers queries with selection cracking's one plan
 // (crackQuery) and keeps only what versioning adds to it. Readers
-// (QueryRO, and Query's fast path) are entirely lock-free: they pin an
-// epoch, load immutable state through atomic pointers, and copy what they
-// need. Writers (cracking queries, Insert, Delete) serialize on mu and
-// publish every change as a new immutable version before returning.
+// (QueryRO, and Query's fast path) are entirely lock-free: they load
+// immutable state through atomic pointers and copy what they need. Writers
+// (cracking queries, Insert, Delete) serialize on mu and publish every
+// change as a new immutable version before returning.
 //
 // Lock-free reads lean on three invariants:
 //
-//   - Base columns are append-only (deletes are tombstones), and bases
-//     holds their slice headers republished under mu after every append —
-//     a reader's header snapshot never sees a partially written row
-//     because the row's keys only become reachable via a cracker-column
-//     version published after bases.
-//   - A cracker column's versions are immutable and epoch-reclaimed
-//     (crack.SnapCol); readers pin the epoch across a gather.
+//   - Base columns are append-only (deletes are tombstones, kept by the
+//     relation and read by writers only), and bases holds their slice
+//     headers republished under mu after every append — a reader's header
+//     snapshot never sees a partially written row because the row's keys
+//     only become reachable via a cracker-column version published after
+//     bases.
+//   - A cracker column's versions are immutable (crack.SnapCol): a reader
+//     holding one needs nothing else to keep it intact.
 //   - The cols map is copy-on-write: on-demand column creation publishes a
 //     fresh map, never mutating one a reader may hold.
 type snapEngine struct {
-	mu   sync.Mutex // serializes writers; readers never take it
-	rel  *store.Relation
-	ep   *crack.Epoch
-	dead map[int]bool // writer-only tombstones (never read lock-free)
-	pol  crack.Policy
+	mu  sync.Mutex // serializes writers; readers never take it
+	rel *store.Relation
+	pol crack.Policy
 
 	cols  atomic.Pointer[map[string]*crack.SnapCol]
 	bases atomic.Pointer[map[string][]Value]
 }
 
 func newSnapEngine(sc *selCrackEngine) *snapEngine {
-	e := &snapEngine{
-		rel:  sc.st.Relation(),
-		ep:   crack.NewEpoch(),
-		dead: make(map[int]bool),
-		pol:  sc.st.Policy,
-	}
-	for k := 0; k < e.rel.NumRows(); k++ {
-		if sc.st.IsDeleted(k) {
-			e.dead[k] = true
-		}
-	}
+	e := &snapEngine{rel: sc.st.Relation(), pol: sc.st.Policy}
 	cols := make(map[string]*crack.SnapCol)
 	sc.st.KeyMaps(func(attr string, km *crack.Pairs, ins []int, del map[int]bool) {
-		cols[attr] = crack.SnapColFromPairs(km, e.rel.MustColumn(attr), ins, del, e.ep)
+		cols[attr] = crack.SnapColFromPairs(km, e.rel.MustColumn(attr), ins, del)
 	})
 	e.cols.Store(&cols)
 	e.publishBasesLocked()
@@ -107,7 +97,7 @@ func (e *snapEngine) colLocked(attr string) *crack.SnapCol {
 	if c, ok := cols[attr]; ok {
 		return c
 	}
-	c := crack.NewSnapCol(e.rel.MustColumn(attr), e.pol, e.ep, e.dead)
+	c := crack.NewSnapCol(e.rel.MustColumn(attr), e.pol, e.rel.Deleted())
 	nc := make(map[string]*crack.SnapCol, len(cols)+1)
 	for k, v := range cols {
 		nc[k] = v
@@ -135,10 +125,9 @@ func (e *snapEngine) Insert(vals ...Value) int {
 func (e *snapEngine) Delete(key int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if key < 0 || key >= e.rel.NumRows() || e.dead[key] {
+	if !e.rel.Delete(key) {
 		return
 	}
-	e.dead[key] = true
 	for _, c := range *e.cols.Load() {
 		c.Delete(key)
 	}
@@ -153,12 +142,10 @@ func (e *snapEngine) Storage() int {
 }
 
 // gatherRO answers one predicate lock-free from the column version it
-// loads, pinned for the gather, or refuses when it would reorganize — a
-// missing cracker column, a missing cut, or a pending-update backlog due
-// for merging. Pending deletions are filtered, so its keys are never dead.
+// loads, or refuses when it would reorganize — a missing cracker column, a
+// missing cut, or a pending-update backlog due for merging. Pending
+// deletions are filtered, so its keys are never dead.
 func (e *snapEngine) gatherRO(ap AttrPred) ([]Value, bool) {
-	pin := e.ep.Enter()
-	defer e.ep.Exit(pin) // the keys are a copy: nothing reads version memory after this
 	c, ok := (*e.cols.Load())[ap.Attr]
 	if !ok {
 		return nil, false
@@ -171,7 +158,7 @@ func (e *snapEngine) gatherRO(ap AttrPred) ([]Value, bool) {
 // rows (see publishBasesLocked).
 func (e *snapEngine) baseRO(attr string) []Value { return (*e.bases.Load())[attr] }
 
-// QueryRO is selection cracking read-only over pinned versions.
+// QueryRO is selection cracking read-only over published versions.
 func (e *snapEngine) QueryRO(q Query) (Result, Cost, bool) {
 	return crackQuery(q, e.gatherRO, e.baseRO)
 }
@@ -200,22 +187,14 @@ func (e *snapEngine) crackLocked(ap AttrPred) ([]Value, bool) {
 
 func (e *snapEngine) baseLocked(attr string) []Value { return e.rel.MustColumn(attr).Vals }
 
-// SnapshotStats is the Snapshot section of a Report: the version-lifecycle
-// counters summed across the engine's cracker columns, plus the number of
-// currently pinned readers.
+// SnapshotStats is the Snapshot section of a Report: the versions published
+// across the engine's cracker columns. The section's presence marks a stack
+// whose reads take no lock.
 type SnapshotStats struct {
 	Published uint64 // versions published (atomic pointer swaps)
-	Reclaimed uint64 // versions reclaimed after their readers exited
-	Limbo     uint64 // retired versions still held back by live readers
-	Readers   int    // currently pinned readers (racy, monitoring only)
 }
 
-func (d *SnapshotStats) add(s SnapshotStats) {
-	d.Published += s.Published
-	d.Reclaimed += s.Reclaimed
-	d.Limbo += s.Limbo
-	d.Readers += s.Readers
-}
+func (d *SnapshotStats) add(s SnapshotStats) { d.Published += s.Published }
 
 // Report is the kernel and snapshot sections. Per-column counters are
 // atomics and the cols map is copy-on-write, so no lock is needed.
@@ -227,12 +206,8 @@ func (e *snapEngine) Report() Report {
 	for _, c := range cols {
 		ks.Add(c.KernelStats())
 		pieces += c.Pieces()
-		s := c.Stats()
-		st.Published += s.Published
-		st.Reclaimed += s.Reclaimed
-		st.Limbo += s.Limbo
+		st.Published += c.Published()
 	}
-	st.Readers = e.ep.Active()
 	r := kernelSection(ks, pieces, len(cols))
 	r.Snapshot = &st
 	return r

@@ -53,13 +53,12 @@ func TestSnapshotMatchesSequentialReplay(t *testing.T) {
 }
 
 // TestSnapshotReadersNeverSeeReclaimedState is the snapshot-consistency
-// property test of the epoch protocol: N lock-free readers over static value
-// bands + one writer cracking, inserting, and deleting continuously in its
-// own band. Reader answers are precomputed (their bands never change), the
-// cracker columns run in Poison mode — reclaimed piece memory is overwritten,
-// so a piece freed while a live reader still traverses it corrupts that
-// reader's answer — and the version-lifecycle counters must show that
-// publication AND reclamation actually happened. Run with -race.
+// property test: N lock-free readers over static value bands + one writer
+// cracking, inserting, and deleting continuously in its own band. Reader
+// answers are precomputed (their bands never change), so a reader that
+// traverses a version the writer has written into, or a torn one, answers
+// wrong; the published counter must show that versions were replaced under
+// the readers. Run with -race.
 func TestSnapshotReadersNeverSeeReclaimedState(t *testing.T) {
 	const seed = 31
 	base := buildBandedRel(seed)
@@ -90,12 +89,8 @@ func TestSnapshotReadersNeverSeeReclaimedState(t *testing.T) {
 		}
 	}
 
-	// Create the cracker columns, then poison reclaimed memory so a
-	// premature reclaim is observable instead of silent.
+	// Create the cracker columns before the readers start.
 	shared.Query(Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(0, 1)}}, Projs: []string{"B"}})
-	for _, c := range *se.cols.Load() {
-		c.Poison = true
-	}
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -110,7 +105,7 @@ func TestSnapshotReadersNeverSeeReclaimedState(t *testing.T) {
 				got := append([]Value(nil), res.Cols["B"]...)
 				sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 				if !valsEqual(got, c.want) {
-					t.Errorf("reader answer diverged (reclaimed or torn state?): got %v, want %v", got, c.want)
+					t.Errorf("reader answer diverged (written or torn version?): got %v, want %v", got, c.want)
 					return
 				}
 			}
@@ -118,7 +113,7 @@ func TestSnapshotReadersNeverSeeReclaimedState(t *testing.T) {
 	}
 
 	// The writer churns band 0: every query cracks fresh ranges, inserts
-	// and deletes force pending-update merges — each publish retires state
+	// and deletes force pending-update merges — each publish replaces state
 	// the readers may still hold.
 	writerRng := rand.New(rand.NewSource(77))
 	keys := make([]int, 0, bandRows)
@@ -149,12 +144,6 @@ func TestSnapshotReadersNeverSeeReclaimedState(t *testing.T) {
 	st := *se.Report().Snapshot
 	if st.Published == 0 {
 		t.Fatal("writer published no versions: the test exercised nothing")
-	}
-	if st.Reclaimed == 0 {
-		t.Fatal("nothing was reclaimed: the epoch protocol was not exercised")
-	}
-	if st.Readers != 0 {
-		t.Fatalf("leaked epoch pins: %d readers still registered", st.Readers)
 	}
 }
 
@@ -220,7 +209,7 @@ func TestSnapshotFallback(t *testing.T) {
 }
 
 // TestSnapshotConcStats checks the observability contract: the snapshot
-// wrapper reports published/reclaimed versions and has no reader lock to
+// wrapper reports published versions and has no reader lock to
 // report on, the Concurrent wrapper reports reader-wait fields.
 func TestSnapshotConcStats(t *testing.T) {
 	rel := buildBandedRel(5)

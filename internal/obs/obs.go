@@ -260,7 +260,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 }
 
 // GaugeFunc registers a gauge whose value is read by fn at scrape time
-// only (piece counts, limbo depth, tape length).
+// only (piece counts, storage, tape length).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.add(&metric{name: name, help: help, kind: kindGaugeFunc, gf: fn})
 }

@@ -89,7 +89,7 @@ func (s *Store) scanExtreme(attr string, wantMax bool) (Value, bool) {
 	found := false
 	var best Value
 	for key, v := range col.Vals {
-		if s.tombstones[key] {
+		if s.rel.IsDeleted(key) {
 			continue
 		}
 		if !found || (wantMax && v > best) || (!wantMax && v < best) {

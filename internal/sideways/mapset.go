@@ -18,15 +18,14 @@ import (
 // the cracker tape, the multi-selection planner, the bit-vector finish and
 // the eviction priority of the storage manager.
 
-// Base is the base-side state every map-set store carries: the relation,
-// its tombstones, and the pending-update ledgers of the sets built over
-// it. The base columns are append-only: inserts are appended immediately
-// (keys are dense positions) while cracking structures keep them pending;
-// deletes are tombstoned and merged lazily per set.
+// Base is the base-side state every map-set store carries: the relation
+// and the pending-update ledgers of the sets built over it. The base
+// columns are append-only: inserts are appended immediately (keys are dense
+// positions) while cracking structures keep them pending; deletes are
+// tombstoned in the relation and merged lazily per set.
 type Base struct {
-	rel        *store.Relation
-	tombstones map[int]bool
-	ledgers    []*Pending // one per map set
+	rel     *store.Relation
+	ledgers []*Pending // one per map set
 
 	age     int64             // eviction age: the highest priority evicted so far
 	retired crack.KernelStats // kernel work done on structures since evicted
@@ -38,10 +37,9 @@ type Base struct {
 // NewBase wraps rel (not copied).
 func NewBase(rel *store.Relation) Base {
 	return Base{
-		rel:        rel,
-		tombstones: make(map[int]bool),
-		colMin:     make(map[string]Value),
-		colMax:     make(map[string]Value),
+		rel:    rel,
+		colMin: make(map[string]Value),
+		colMax: make(map[string]Value),
 	}
 }
 
@@ -103,17 +101,13 @@ func (b *Base) Insert(vals ...Value) int {
 // deletion with every existing map set. A key no tuple has, negative or
 // beyond the last row, is ignored.
 func (b *Base) Delete(key int) {
-	if key < 0 || key >= b.rel.NumRows() || b.tombstones[key] {
+	if !b.rel.Delete(key) {
 		return
 	}
-	b.tombstones[key] = true
 	for _, p := range b.ledgers {
 		p.noteDelete(key)
 	}
 }
-
-// IsDeleted reports whether key is tombstoned.
-func (b *Base) IsDeleted(key int) bool { return b.tombstones[key] }
 
 // UniformEstimate estimates the number of tuples matching pred on attr from
 // the base column's value range alone: the fallback of EstimateSelectivity
@@ -170,12 +164,13 @@ type Pending struct {
 // observed the updates as pending from the start. An unknown attribute
 // panics before anything is registered.
 func NewPending(b *Base, attr string) *Pending {
+	dead := b.rel.Deleted()
 	p := &Pending{
 		head:    b.rel.MustColumn(attr),
 		baseLen: b.rel.NumRows(),
-		del:     make(map[int]bool, len(b.tombstones)),
+		del:     make(map[int]bool, len(dead)),
 	}
-	for k := range b.tombstones {
+	for _, k := range dead {
 		p.del[k] = true
 	}
 	b.ledgers = append(b.ledgers, p)

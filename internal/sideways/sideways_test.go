@@ -469,7 +469,7 @@ func TestPendingDeleteMergeReadsOnlyEnclosingPieces(t *testing.T) {
 		}
 		want := 0
 		for k, v := range aVals {
-			if pred.Matches(v) && !s.IsDeleted(k) {
+			if pred.Matches(v) && !s.rel.IsDeleted(k) {
 				want++
 			}
 		}

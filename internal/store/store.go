@@ -91,11 +91,13 @@ func NewColumn(name string, vals []Value) *Column { return &Column{Name: name, V
 func (c *Column) Len() int { return len(c.Vals) }
 
 // Relation is a named set of aligned base columns. All columns have equal
-// length; position i across all columns forms relational tuple i.
+// length; position i across all columns forms relational tuple i. Columns
+// are append-only: a deleted tuple keeps its position and is tombstoned.
 type Relation struct {
 	Name  string
 	Order []string // attribute order, for stable iteration
 	cols  map[string]*Column
+	dead  map[int]bool // tombstoned keys; at most NumRows of them
 }
 
 // NewRelation returns an empty relation with the given attribute names.
@@ -151,6 +153,33 @@ func (r *Relation) AppendRow(vals ...Value) {
 		c := r.cols[a]
 		c.Vals = append(c.Vals, vals[i])
 	}
+}
+
+// Delete tombstones the tuple with the given key. It reports false, and
+// changes nothing, for a key no tuple has (negative or beyond the last row)
+// and for a key already deleted.
+func (r *Relation) Delete(key int) bool {
+	if key < 0 || key >= r.NumRows() || r.dead[key] {
+		return false
+	}
+	if r.dead == nil {
+		r.dead = make(map[int]bool)
+	}
+	r.dead[key] = true
+	return true
+}
+
+// IsDeleted reports whether the tuple with the given key is tombstoned.
+func (r *Relation) IsDeleted(key int) bool { return r.dead[key] }
+
+// Deleted returns the tombstoned keys in ascending order.
+func (r *Relation) Deleted() []int {
+	keys := make([]int, 0, len(r.dead))
+	for k := range r.dead {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
 }
 
 // SelectCount returns the number of tuples of col that match p, by a full

@@ -77,7 +77,7 @@ func (p *Pass) lockEvent(call *ast.CallExpr, def bool) (event, bool) {
 	if acquire {
 		kind = evAcquire
 	}
-	return event{kind: kind, key: key, mode: mode, def: def, pos: call.Pos(), call: call}, true
+	return event{kind: kind, key: key, mode: mode, def: def, pos: call.Pos()}, true
 }
 
 func runLockPair(pass *Pass) {
@@ -120,7 +120,6 @@ func lockPairBody(pass *Pass, body *ast.BlockStmt) {
 	acqName := map[string]string{"W": "Lock", "R": "RLock"}
 	walkFlow(pass, body, flowHooks{
 		classify: classify,
-		describe: func(key string) string { return key },
 		onDoubleAcquire: func(e event, prev *heldRes) {
 			pass.Reportf(e.pos, "%s.%s: %s is already held here (acquired with %s); double acquire self-deadlocks",
 				e.key, acqName[e.mode], e.key, acqName[prev.mode])

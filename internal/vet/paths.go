@@ -6,14 +6,13 @@ import (
 	"go/types"
 )
 
-// The path walker is the shared engine behind epochpin and lockpair: an
-// abstract interpretation of one function body that tracks a set of held
-// resources (epoch pins, mutexes) across the statement-level control flow
-// — sequencing, if/else, loops, switch/select, return — and reports
-// acquire/release pairing violations. Function literals are walked as
-// independent bodies (their statements execute at another time), and a
-// deferred release makes a resource safe on every subsequent path,
-// including panic edges.
+// The path walker is lockpair's engine: an abstract interpretation of one
+// function body that tracks a set of held resources (mutexes) across the
+// statement-level control flow — sequencing, if/else, loops, switch/select,
+// return — and reports acquire/release pairing violations. Function
+// literals are walked as independent bodies (their statements execute at
+// another time), and a deferred release makes a resource safe on every
+// subsequent path.
 
 type evKind int
 
@@ -26,17 +25,15 @@ const (
 type event struct {
 	kind evKind
 	key  string // resource identity, function-local
-	mode string // pairing class ("W"/"R" for locks; "" for pins)
+	mode string // pairing class ("W"/"R")
 	def  bool   // release registered via defer
 	pos  token.Pos
-	call *ast.CallExpr // the call the event came from (excluded from dirty tracking)
 }
 
 // heldRes is one currently held resource.
 type heldRes struct {
-	mode  string
-	pos   token.Pos
-	dirty bool // a potentially panicking call executed while held
+	mode string
+	pos  token.Pos
 }
 
 type flowState struct {
@@ -65,8 +62,6 @@ func (s *flowState) clone() *flowState {
 type flowHooks struct {
 	// classify extracts the acquire/release events of one simple statement.
 	classify func(stmt ast.Stmt) []event
-	// describe renders a resource key for messages ("epoch pin p", "s.mu").
-	describe func(key string) string
 
 	onDoubleAcquire func(e event, prev *heldRes)
 	onMismatch      func(e event, prev *heldRes)
@@ -78,12 +73,6 @@ type flowHooks struct {
 	// onDiverge reports a resource held on some but not all merging
 	// branches — released (or acquired) on one path only.
 	onDiverge func(key string, h *heldRes, at token.Pos)
-	// onPanicEdge, when non-nil, reports a non-deferred release that only
-	// covers the normal edge: a call executed while the resource was held,
-	// so a panic would leak it. Used by epochpin (pins must survive panic
-	// edges); lockpair leaves it nil (a panic with a lock held is fatal
-	// anyway).
-	onPanicEdge func(key string, h *heldRes, rel token.Pos)
 }
 
 type flowWalker struct {
@@ -117,7 +106,6 @@ func (w *flowWalker) walkStmts(stmts []ast.Stmt, st *flowState) bool {
 func (w *flowWalker) walkStmt(s ast.Stmt, st *flowState) bool {
 	switch s := s.(type) {
 	case *ast.ReturnStmt:
-		w.markDirty(s, nil, st)
 		for k, h := range st.held {
 			if _, ok := st.deferred[k]; !ok {
 				w.hooks.onLeak(k, h, s.Pos(), "still held at return")
@@ -139,7 +127,6 @@ func (w *flowWalker) walkStmt(s ast.Stmt, st *flowState) bool {
 		if s.Init != nil {
 			w.walkStmt(s.Init, st)
 		}
-		w.markDirty(s.Cond, nil, st)
 		bodySt := st.clone()
 		bodyTerm := w.walkStmts(s.Body.List, bodySt)
 		elseSt := st.clone()
@@ -153,12 +140,10 @@ func (w *flowWalker) walkStmt(s ast.Stmt, st *flowState) bool {
 		if s.Init != nil {
 			w.walkStmt(s.Init, st)
 		}
-		w.markDirty(s.Cond, nil, st)
 		w.loopBody(s.Body, st)
 		return false
 
 	case *ast.RangeStmt:
-		w.markDirty(s.X, nil, st)
 		w.loopBody(s.Body, st)
 		return false
 
@@ -166,7 +151,6 @@ func (w *flowWalker) walkStmt(s ast.Stmt, st *flowState) bool {
 		if s.Init != nil {
 			w.walkStmt(s.Init, st)
 		}
-		w.markDirty(s.Tag, nil, st)
 		return w.clauses(s.Body, st, s.End(), false)
 
 	case *ast.TypeSwitchStmt:
@@ -181,18 +165,11 @@ func (w *flowWalker) walkStmt(s ast.Stmt, st *flowState) bool {
 		return w.clauses(s.Body, st, s.End(), true)
 
 	case *ast.DeferStmt:
-		w.apply(w.hooks.classify(s), s, st)
-		return false
-
-	case *ast.GoStmt:
-		// The spawned body runs later (walked separately as a FuncLit);
-		// the call expression itself may panic while resources are held.
-		w.markDirty(s, nil, st)
+		w.apply(w.hooks.classify(s), st)
 		return false
 
 	default:
-		evs := w.hooks.classify(s)
-		w.apply(evs, s, st)
+		w.apply(w.hooks.classify(s), st)
 		return w.isTerminator(s)
 	}
 }
@@ -271,18 +248,14 @@ func (w *flowWalker) merge(st *flowState, at token.Pos, outs []branchOut) bool {
 	held := make(map[string]*heldRes)
 	for k, h := range live[0].held {
 		inAll := true
-		dirty := h.dirty
 		for _, o := range live[1:] {
-			oh, ok := o.held[k]
-			if !ok {
+			if _, ok := o.held[k]; !ok {
 				inAll = false
 				break
 			}
-			dirty = dirty || oh.dirty
 		}
 		if inAll {
 			hc := *h
-			hc.dirty = dirty
 			held[k] = &hc
 		}
 	}
@@ -315,22 +288,8 @@ func (w *flowWalker) merge(st *flowState, at token.Pos, outs []branchOut) bool {
 	return false
 }
 
-// apply interprets one statement's events against the state, then marks
-// held resources dirty if the statement contains any other call.
-func (w *flowWalker) apply(evs []event, stmt ast.Stmt, st *flowState) {
-	eventCalls := make(map[*ast.CallExpr]bool, len(evs))
-	for _, e := range evs {
-		if e.call != nil {
-			eventCalls[e.call] = true
-		}
-	}
-	// Dirty first: a call in the same statement as a release (e.g.
-	// `x := f(); mu.Unlock()` can't share a statement, but
-	// `v := decode(p.Load())` can) executes before the event applies only
-	// for acquire-producing calls; keeping the conservative order (dirty
-	// before releases, after nothing) over-reports nothing in practice
-	// because release statements are bare calls.
-	w.markDirty(stmt, eventCalls, st)
+// apply interprets one statement's events against the state.
+func (w *flowWalker) apply(evs []event, st *flowState) {
 	for _, e := range evs {
 		switch e.kind {
 		case evAcquire:
@@ -362,52 +321,7 @@ func (w *flowWalker) apply(evs []event, stmt ast.Stmt, st *flowState) {
 			delete(st.held, e.key)
 			if e.def {
 				st.deferred[e.key] = e.mode
-			} else if prev.dirty && w.hooks.onPanicEdge != nil {
-				w.hooks.onPanicEdge(e.key, prev, e.pos)
 			}
-		}
-	}
-}
-
-// markDirty flags every held resource when n contains a call that could
-// panic — any call except the statement's own classified events, type
-// conversions, and panic-free builtins.
-func (w *flowWalker) markDirty(n ast.Node, eventCalls map[*ast.CallExpr]bool, st *flowState) {
-	if n == nil || len(st.held) == 0 {
-		return
-	}
-	found := false
-	ast.Inspect(n, func(x ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, isLit := x.(*ast.FuncLit); isLit {
-			return false // runs later, not on this edge
-		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if eventCalls[call] {
-			return true
-		}
-		if tv, ok := w.pass.Info.Types[call.Fun]; ok && tv.IsType() {
-			return true // conversion
-		}
-		if id, ok := call.Fun.(*ast.Ident); ok {
-			switch id.Name {
-			case "len", "cap", "append", "copy", "delete", "new", "min", "max":
-				if _, isBuiltin := w.pass.Info.Uses[id].(*types.Builtin); isBuiltin {
-					return true
-				}
-			}
-		}
-		found = true
-		return false
-	})
-	if found {
-		for _, h := range st.held {
-			h.dirty = true
 		}
 	}
 }
@@ -415,8 +329,8 @@ func (w *flowWalker) markDirty(n ast.Node, eventCalls map[*ast.CallExpr]bool, st
 // isTerminator reports statements that end the path without a return:
 // panic, os.Exit/runtime.Goexit/log.Fatal* (package-level), and the
 // testing.T family (Fatal, Fatalf, FailNow, Skip*, which stop the test
-// goroutine). Method calls named Exit on ordinary values (e.g.
-// Epoch.Exit) are NOT terminators — only package functions are.
+// goroutine). Method calls named Exit on ordinary values are NOT
+// terminators — only package functions are.
 func (w *flowWalker) isTerminator(s ast.Stmt) bool {
 	es, ok := s.(*ast.ExprStmt)
 	if !ok {

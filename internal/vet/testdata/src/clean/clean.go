@@ -1,18 +1,11 @@
-// Fixture proving the suite is quiet on idiomatic code: epoch pins behind
-// defer, paired locks, copy-then-publish version replacement.
+// Fixture proving the suite is quiet on idiomatic code: paired locks,
+// lock-free reads of a published version, copy-then-publish replacement.
 package clean
 
 import (
 	"sync"
 	"sync/atomic"
 )
-
-type Pin struct{ slot int32 }
-
-type Epoch struct{ n int }
-
-func (e *Epoch) Enter() Pin { e.n++; return Pin{} }
-func (e *Epoch) Exit(p Pin) { e.n-- }
 
 type version struct {
 	vals []int64
@@ -21,14 +14,11 @@ type version struct {
 type store struct {
 	mu  sync.Mutex
 	cur atomic.Pointer[version]
-	ep  Epoch
 }
 
 func work() {}
 
 func (s *store) read() int64 {
-	pin := s.ep.Enter()
-	defer s.ep.Exit(pin)
 	v := s.cur.Load()
 	if len(v.vals) == 0 {
 		return 0

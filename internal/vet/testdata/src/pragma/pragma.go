@@ -2,25 +2,16 @@
 // suppresses (and is counted), a wrong checker name does not.
 package pragma
 
-type Pin struct{ slot int32 }
+import "sync"
 
-type Epoch struct{ n int }
+type S struct{ mu sync.Mutex }
 
-func (e *Epoch) Enter() Pin { e.n++; return Pin{} }
-func (e *Epoch) Exit(p Pin) { e.n-- }
-
-func work() {}
-
-func suppressed(ep *Epoch) {
-	//crackvet:ignore epochpin fixture exercising the suppression pragma
-	pin := ep.Enter()
-	work()
-	ep.Exit(pin)
+func (s *S) suppressed() {
+	//crackvet:ignore lockpair fixture exercising the suppression pragma
+	s.mu.Lock()
 }
 
-func wrongCheckerName(ep *Epoch) {
-	//crackvet:ignore lockpair a wrong checker name must not silence epochpin
-	pin := ep.Enter() // want "non-panic edge"
-	work()
-	ep.Exit(pin)
+func (s *S) wrongCheckerName() {
+	//crackvet:ignore frozenversion a wrong checker name must not silence lockpair
+	s.mu.Lock() // want "not released before the function returns"
 }

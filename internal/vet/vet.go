@@ -59,7 +59,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All is the full checker suite, in reporting order.
 var All = []*Checker{
-	EpochPin,
 	FrozenVersion,
 	LockPair,
 	WireBounds,

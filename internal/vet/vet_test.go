@@ -62,7 +62,6 @@ func fixture(t *testing.T, name string, checkers ...*Checker) Result {
 	return res
 }
 
-func TestEpochPinFixture(t *testing.T)       { fixture(t, "epochpin", EpochPin) }
 func TestFrozenVersionFixture(t *testing.T)  { fixture(t, "frozenversion", FrozenVersion) }
 func TestLockPairFixture(t *testing.T)       { fixture(t, "lockpair", LockPair) }
 func TestWireFixture(t *testing.T)           { fixture(t, "wire", WireBounds, Exhaustive) }
@@ -74,12 +73,12 @@ func TestDetRandFixture(t *testing.T)        { fixture(t, "crack", DetRand) }
 // TestPragmaFixture: a matching //crackvet:ignore suppresses and is
 // counted; a pragma naming the wrong checker suppresses nothing.
 func TestPragmaFixture(t *testing.T) {
-	res := fixture(t, "pragma", EpochPin)
+	res := fixture(t, "pragma", LockPair)
 	if len(res.Suppressed) != 1 {
 		t.Fatalf("suppressed = %v, want exactly 1", res.Suppressed)
 	}
-	if s := res.Suppressed[0]; s.Check != "epochpin" {
-		t.Fatalf("suppressed check = %q, want epochpin", s.Check)
+	if s := res.Suppressed[0]; s.Check != "lockpair" {
+		t.Fatalf("suppressed check = %q, want lockpair", s.Check)
 	}
 }
 

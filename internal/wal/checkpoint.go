@@ -31,7 +31,7 @@ type Checkpoint struct {
 	Name  string   // relation name
 	Attrs []string // attribute order
 	Cols  [][]Value
-	Dead  []int    // deleted tuple keys (tombstones), in delete order
+	Dead  []int    // tombstoned keys; the durable engine writes each once, ascending
 	Tape  []Record // RecCrack records, in query order
 }
 
