@@ -149,18 +149,11 @@
 // updates go back to pending. A chunk of a led area costs half its tuples,
 // having no head; every other map costs its tuples. Room is made under the
 // budget before anything grows a map: a new map, the heads an area's first
-// update gives its chunks, and a replay's ripple inserts. The columns of an
-// evicted map go to a free list owned by the store, in size classes of four
-// per doubling, and new maps and heads are filled into them, so
-// steady-state chunk creation neither zeroes nor page-faults fresh memory.
-// A column is recycled only once nothing can refer to it: evictions
-// happen on the write path under exclusive access, skip the maps the
-// in-flight query has pinned (the only ones its windows read beside the
-// spans of led areas), and a Result is always a copy. The free list holds
-// at most Budget/8 values — a sixteenth of the bytes the budget allows live
-// maps — gives up columns of its fullest class first, and keeps nothing
-// without a budget. Kernel counters of evicted structures are folded into a
-// store-level total, so crack_kernel_* never runs backwards.
+// update gives its chunks, and a replay's ripple inserts. New maps and
+// heads get freshly allocated columns, and once a map is evicted its
+// columns belong to the garbage collector: nothing is recycled by hand.
+// Kernel counters of evicted structures are folded into a store-level
+// total, so crack_kernel_* never runs backwards.
 //
 // # Adaptive cracking policies
 //

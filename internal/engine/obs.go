@@ -73,8 +73,6 @@ func addChunks(d *sideways.ChunkStats, s sideways.ChunkStats) {
 	d.Created += s.Created
 	d.TuplesCreated += s.TuplesCreated
 	d.Evicted += s.Evicted
-	d.BuffersRecycled += s.BuffersRecycled
-	d.BuffersAllocated += s.BuffersAllocated
 }
 
 // section is a one-line view of one Report section: ok is its presence.
@@ -187,8 +185,6 @@ func RegisterMetrics(r *obs.Registry, e Engine) {
 		counter("crack_partial_chunks_created_total", "chunks materialized from chunk-map areas", func(p Report) uint64 { return p.Chunks.Created })
 		counter("crack_partial_chunk_tuples_created_total", "tuples fetched and gathered into new chunks", func(p Report) uint64 { return p.Chunks.TuplesCreated })
 		counter("crack_partial_chunks_evicted_total", "chunks dropped to stay within the storage budget", func(p Report) uint64 { return p.Chunks.Evicted })
-		counter("crack_partial_chunk_buffers_recycled_total", "chunk columns drawn from the free list", func(p Report) uint64 { return p.Chunks.BuffersRecycled })
-		counter("crack_partial_chunk_buffers_allocated_total", "chunk columns allocated because the free list had none of the size class", func(p Report) uint64 { return p.Chunks.BuffersAllocated })
 	}
 	if have.Readers != nil {
 		gauge("crack_engine_reader_wait_seconds_total", "cumulative time readers blocked behind writers", func(p Report) float64 { return p.Readers.ReaderWait.Seconds() })

@@ -30,9 +30,9 @@ func cycleQuery(rng *rand.Rand, q, domain int) Query {
 // TestRecycledBuffersNeverAliasAnswers keeps every answer of a 2,000-query
 // budgeted stream — updates between batches, two goroutines
 // re-asking recent queries beside the writer — and compares them all with
-// the scan oracle once the stream is over. Chunk columns are recycled
-// without being cleared, so an answer that shared memory with a chunk would
-// have been overwritten by then.
+// the scan oracle once the stream is over. Chunks are cracked, rippled and
+// evicted meanwhile, so an answer that shared memory with a chunk would
+// have changed by then.
 func TestRecycledBuffersNeverAliasAnswers(t *testing.T) {
 	const rows, batches, perBatch = 10000, 20, 100
 	attrs := []string{"A", "B", "C", "D", "E", "F"}
@@ -87,8 +87,8 @@ func TestRecycledBuffersNeverAliasAnswers(t *testing.T) {
 	}
 
 	cs, ok := ChunkStatsOf(e)
-	if !ok || cs.Evicted == 0 || cs.BuffersRecycled == 0 {
-		t.Fatalf("the stream did not recycle chunk columns: %+v", cs)
+	if !ok || cs.Evicted == 0 {
+		t.Fatalf("the stream evicted no chunk: %+v", cs)
 	}
 	oracle := NewScan(cloneRel(rel))
 	for b := range kept {
@@ -106,7 +106,7 @@ func TestRecycledBuffersNeverAliasAnswers(t *testing.T) {
 	}
 }
 
-// TestChunkLifecycleMetrics: a budgeted partial engine exposes the five
+// TestChunkLifecycleMetrics: a budgeted partial engine exposes the three
 // chunk lifecycle families, all off zero after a cycle stream whose chunks,
 // tails of half a map's cost, want more than its budget of 1.5 times the
 // rows; an engine without partial maps registers none of them.
@@ -128,8 +128,6 @@ func TestChunkLifecycleMetrics(t *testing.T) {
 		"crack_partial_chunks_created_total",
 		"crack_partial_chunk_tuples_created_total",
 		"crack_partial_chunks_evicted_total",
-		"crack_partial_chunk_buffers_recycled_total",
-		"crack_partial_chunk_buffers_allocated_total",
 	} {
 		if !regexp.MustCompile(`(?m)^` + fam + ` [1-9]`).MatchString(b.String()) {
 			t.Errorf("family %s missing or zero after a budgeted cycle stream", fam)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"crackstore/client"
@@ -80,5 +81,29 @@ func TestMalformedRemoteQueryDoesNotBrickDurableStore(t *testing.T) {
 		if !reflect.DeepEqual(sortedRows(got, q.Projs), sortedRows(want, q.Projs)) {
 			t.Fatalf("reopened store diverges from its Scan twin on %+v", q)
 		}
+	}
+}
+
+// TestRefusedDurableInsertIsAnInBandError: a durable engine refuses an
+// insert of the wrong width with key -1. The client must get an in-band
+// error for it, as it does from a plain stack, not a negative key its
+// decoder rejects as a corrupt frame and retries over fresh connections.
+func TestRefusedDurableInsertIsAnInBandError(t *testing.T) {
+	e, err := engine.OpenDurable(engine.Sideways, buildRel(32, 500, 100), t.TempDir(), engine.DurableOptions{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer engine.CloseDurable(e)
+	c := dial(t, startServer(t, e, Options{}), client.Options{})
+
+	if _, err := c.Insert(1, 2); err == nil || !strings.Contains(err.Error(), "insert refused") {
+		t.Fatalf("two-value insert into three attributes: err %v, want an in-band refusal", err)
+	}
+	if ctr := c.Counters(); ctr.Retries != 0 || ctr.Redials != 0 {
+		t.Fatalf("the refusal cost %d retries and %d redials, want none", ctr.Retries, ctr.Redials)
+	}
+	q := engine.Query{Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(10, 40)}}, Projs: []string{"B"}}
+	if _, _, err := c.Query(q); err != nil {
+		t.Fatalf("query after the refusal: %v", err)
 	}
 }

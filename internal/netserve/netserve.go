@@ -672,7 +672,11 @@ func (s *Server) exec(req *wire.Request, arrival time.Time) (resp *wire.Response
 		resp.Result, resp.Cost = res, cost
 		resp.Spans = serverSpans(sp, cost)
 	case wire.OpInsert:
-		resp.Key = s.srv.Engine().Insert(req.Vals...)
+		// A durable engine refuses an insert it cannot log (wrong width,
+		// poisoned log) with key -1; on the wire a key is never negative.
+		if resp.Key = s.srv.Engine().Insert(req.Vals...); resp.Key < 0 {
+			return fail(errors.New("netserve: insert refused"))
+		}
 	case wire.OpDelete:
 		s.srv.Engine().Delete(req.Key)
 	case wire.OpPing:

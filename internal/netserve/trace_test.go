@@ -183,8 +183,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"crack_partial_chunks_created_total",
 		"crack_partial_chunk_tuples_created_total",
 		"crack_partial_chunks_evicted_total",
-		"crack_partial_chunk_buffers_recycled_total",
-		"crack_partial_chunk_buffers_allocated_total",
 	} {
 		if !strings.Contains(out, strings.SplitN(fam, " ", 2)[0]) {
 			t.Errorf("exposition missing family %s", fam)

@@ -317,7 +317,7 @@ func (s *Server) TryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	if err != nil {
 		return engine.Result{}, engine.Cost{}, false
 	}
-	s.record(time.Since(t0), t0)
+	s.account(t0, time.Time{}, time.Now(), nil, nil) // the slot was free: an exact zero wait
 	return res, cost, true
 }
 

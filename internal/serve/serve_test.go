@@ -1,13 +1,17 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
+	"regexp"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"crackstore/internal/engine"
+	"crackstore/internal/obs"
 	"crackstore/internal/store"
 )
 
@@ -230,4 +234,40 @@ func TestNewOwnsNoGoroutines(t *testing.T) {
 		t.Fatalf("New started %d goroutines", after-before)
 	}
 	srv.Close()
+}
+
+// TestTryROFeedsTheQueueHistogram: an inline answer waited for no slot, and
+// the queue histogram says so with a zero sample, so it counts every query
+// the server completed, inline ones included.
+func TestTryROFeedsTheQueueHistogram(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := New(engine.New(engine.Sideways, buildRel(rand.New(rand.NewSource(5)), 2000, 500)), Options{Metrics: reg})
+	q := engine.Query{Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(100, 200)}}, Projs: []string{"B"}}
+	if _, _, err := srv.Do(q); err != nil { // cracks, so the rest are read-only
+		t.Fatal(err)
+	}
+	const n = 50
+	for i := 0; i < n; i++ {
+		if _, _, ok := srv.TryRO(q); !ok {
+			t.Fatalf("TryRO %d refused a warm query", i)
+		}
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	value := func(series string) string {
+		m := regexp.MustCompile(`(?m)^` + series + ` (\S+)$`).FindStringSubmatch(b.String())
+		if m == nil {
+			t.Fatalf("no %s in the exposition", series)
+		}
+		return m[1]
+	}
+	want := fmt.Sprint(n + 1)
+	if got := value("crack_serve_queries_total"); got != want {
+		t.Fatalf("crack_serve_queries_total %s, want %s", got, want)
+	}
+	if got := value("crack_serve_queue_seconds_count"); got != want {
+		t.Errorf("crack_serve_queue_seconds_count %s, want %s: inline answers skipped the queue histogram", got, want)
+	}
 }

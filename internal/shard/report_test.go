@@ -233,7 +233,7 @@ func TestReportAddFoldsEveryField(t *testing.T) {
 	if len(na) != 0 {
 		t.Errorf("Add dropped %v", na)
 	}
-	if len(nb) < 28 { // 28 at the time of writing
+	if len(nb) < 26 { // 26 at the time of writing
 		t.Fatalf("reflection found only %d numeric fields", len(nb))
 	}
 

@@ -2,7 +2,6 @@ package sideways
 
 import (
 	"math"
-	"slices"
 
 	"crackstore/internal/crackindex"
 	"crackstore/internal/store"
@@ -144,11 +143,6 @@ func CrackerJoin(ls *Store, lAttr string, rs *Store, rAttr string, parts int) []
 			pred.HiIncl = true
 		}
 		lHead, lTail := keysOf(lSet.Query(pred, []string{""}, true))
-		if ls == rs {
-			// The right side's query may evict the left side's key map
-			// under a budget and recycle its columns.
-			lHead, lTail = slices.Clone(lHead), slices.Clone(lTail)
-		}
 		rHead, rTail := keysOf(rSet.Query(pred, []string{""}, true))
 		if len(lHead) == 0 || len(rHead) == 0 {
 			continue

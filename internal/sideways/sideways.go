@@ -66,8 +66,8 @@
 // an update has stopped the span of from that update on, and the chunks of
 // a led area never. Room is made under the budget before an area's first
 // update gives its chunks their heads, and before a replay's ripple inserts
-// grow the maps. The columns of evicted maps go to a store-owned free list
-// that new maps and heads draw from (see release for the ownership rule).
+// grow the maps. New maps and heads get fresh columns; an evicted map's
+// columns belong to the garbage collector.
 package sideways
 
 import (
@@ -266,7 +266,6 @@ type Store struct {
 	pinnedAreas map[*area]bool // areas resolved by the in-flight query
 	pinned      map[*Map]bool  // maps the in-flight query reads; empty between queries
 	victims     victimHeap     // every live map, lowest eviction priority first
-	bufs        store.FreeList // columns of evicted maps
 	life        ChunkStats
 	// evictedAccesses sums the access counts of evicted maps: a mean near
 	// one says the manager evicts what it created a query ago.
@@ -310,19 +309,11 @@ type ChunkStats struct {
 	Created       uint64 // maps materialized
 	TuplesCreated uint64 // tuples copied and gathered into them
 	Evicted       uint64 // maps dropped for the budget
-	// Columns handed to new maps and to heads given at an area's first
-	// update under a budget: taken from the free list, or allocated because
-	// it held none of the size class.
-	BuffersRecycled, BuffersAllocated uint64
 }
 
 // ChunkStats returns the lifecycle counters. Call it under the same
 // synchronization as queries.
-func (s *Store) ChunkStats() ChunkStats {
-	st := s.life
-	st.BuffersRecycled, st.BuffersAllocated = s.bufs.Recycled, s.bufs.Allocated
-	return st
-}
+func (s *Store) ChunkStats() ChunkStats { return s.life }
 
 // victimHeap orders the store's live maps by eviction priority. Keys are
 // lazy: a use raises a map's priority without touching the heap (read-only
@@ -420,40 +411,6 @@ func (s *Store) ChunkMapTuples() int {
 func (s *Store) account(m *Map) {
 	s.storage += m.tuples() - m.cost
 	m.cost = m.tuples()
-}
-
-// release hands a column nothing refers to any more to bufs, the store's free
-// list of map columns. Under a budget map creation is steady-state work, and
-// a fresh column costs its zeroing plus a page fault per 4 KB on top of the
-// copy that fills it; a recycled one costs the copy.
-//
-// Ownership: a column enters the list when its map is evicted — on the write
-// path, under exclusive access — and from then on nothing else refers to it.
-// A Window holds columns of maps the in-flight query pinned (or of its
-// area's span), eviction skips pinned maps, read-only queries never run
-// beside the write path, and a Result is always a copy.
-// The list holds at most Budget/8 values — a sixteenth of the bytes the
-// budget allows live maps — and nothing without a budget.
-func (s *Store) release(buf []Value) { s.bufs.Put(buf, s.Budget/8) }
-
-// column returns a column of n values to fill: from the free list under a
-// budget, freshly allocated otherwise.
-func (s *Store) column(n int) []Value {
-	if s.Budget > 0 {
-		return s.bufs.Get(n)
-	}
-	return make([]Value, n)
-}
-
-// copyOf returns a copy of src: drawn from the free list under a budget,
-// otherwise cloned, which skips zeroing memory the copy overwrites anyway.
-func (s *Store) copyOf(src []Value) []Value {
-	if s.Budget > 0 {
-		buf := s.bufs.Get(len(src))
-		copy(buf, src)
-		return buf
-	}
-	return slices.Clone(src)
 }
 
 // Set returns the map set for attr, creating it on demand (see NewPending
@@ -606,11 +563,11 @@ func (set *Set) sourceTail(w *area, tailAttr string) []Value {
 	case w.span == nil && tailAttr == "":
 		return keyRange(w.lo, w.hi)
 	case w.span == nil:
-		return st.copyOf(st.rel.MustColumn(tailAttr).Vals[w.lo:w.hi])
+		return slices.Clone(st.rel.MustColumn(tailAttr).Vals[w.lo:w.hi])
 	case tailAttr == "":
-		return st.copyOf(w.span.Tail)
+		return slices.Clone(w.span.Tail)
 	}
-	tail := st.column(w.hi - w.lo)
+	tail := make([]Value, w.hi-w.lo)
 	vals := st.rel.MustColumn(tailAttr).Vals
 	for i, k := range w.span.Tail {
 		tail[i] = vals[k]
@@ -638,7 +595,7 @@ func (set *Set) ensureMap(w *area, tailAttr string) *Map {
 	} else {
 		st.ensureBudget(size)
 		head, idx, cursor := set.source(w)
-		m.pairs, m.cursor = crack.WrapPairs(st.copyOf(head), set.sourceTail(w, tailAttr)), cursor
+		m.pairs, m.cursor = crack.WrapPairs(slices.Clone(head), set.sourceTail(w, tailAttr)), cursor
 		m.pairs.Idx = idx
 	}
 	m.pairs.Policy = set.policy
@@ -672,7 +629,7 @@ func (set *Set) unlead(w *area) {
 		if w.maps[m.tailAttr] != m {
 			continue // evicted to make room for a head
 		}
-		m.pairs.Head, m.pairs.Idx = st.copyOf(w.span.Head), w.span.Idx.Clone()
+		m.pairs.Head, m.pairs.Idx = slices.Clone(w.span.Head), w.span.Idx.Clone()
 		st.account(m)
 		st.note(evUnled, w, m)
 	}
@@ -753,15 +710,13 @@ func (s *Store) ensureBudget(size int) {
 	}
 }
 
-// evict drops map m, already off the victim heap, and recycles its columns.
+// evict drops map m, already off the victim heap.
 func (s *Store) evict(m *Map) {
 	delete(m.w.maps, m.tailAttr)
 	s.storage -= m.cost
 	s.Retire(&m.Usage, m.pairs.Stats)
 	s.life.Evicted++
 	s.evictedAccesses += m.Accesses()
-	s.release(m.pairs.Head)
-	s.release(m.pairs.Tail)
 	// Never un-fetch an area the in-flight query resolved: pushing its
 	// tape updates back to pending while the query holds the area object
 	// would double-apply them. An empty fetched area is valid.
