@@ -269,20 +269,19 @@ func CloseDurable(e Engine) (ok bool, err error) { return engine.CloseDurable(e)
 // false when e is not durable.
 func DurabilityStats(e Engine) (s DurabilityStatsReport, ok bool) { return engine.DurStatsOf(e) }
 
-// ShardOptions tunes a sharded engine: partition attribute and hash
-// fallback.
+// ShardOptions tunes a sharded engine: partition attribute, cracking
+// policy, and snapshot reads per shard.
 type ShardOptions = shard.Options
 
 // Sharded partitions rel across n engines of the given kind, each behind
 // its own Concurrent wrapper. Rows are range-partitioned on
 // ShardOptions.Attr (default: the relation's first attribute) with
 // boundaries at the base data's n-quantiles, falling back to hash
-// partitioning when the attribute cannot form n distinct bands (or when
-// ShardOptions.Hash forces it). Conjunctive queries that constrain the
-// partition attribute skip every shard whose value band cannot intersect
-// the predicate, and a query takes a shard's write lock only if that shard
-// itself must crack — a crack on one shard never blocks read-only hits on
-// the others. The returned engine is already shared-safe: Serve and
+// partitioning when the attribute cannot form n distinct bands.
+// Conjunctive queries that constrain the partition attribute skip every
+// shard whose value band cannot intersect the predicate, and a query takes
+// a shard's write lock only if that shard itself must crack — a crack on
+// one shard never blocks read-only hits on the others. The returned engine is already shared-safe: Serve and
 // Concurrent use it as-is.
 func Sharded(kind Kind, rel *Relation, n int, opts ShardOptions) Engine {
 	return shard.New(kind, rel, n, opts)
@@ -325,8 +324,9 @@ var ErrServeOverloaded = serve.ErrOverloaded
 
 // DialOptions tunes a remote client: pooled connection count, response
 // frame cap, dial timeout, and the resilience knobs — retry budget and
-// backoff schedule (MaxRetries, RetryBase, RetryMax), hedged reads
-// (Hedge, HedgeAfter), and per-call deadlines (Timeout).
+// backoff schedule (MaxRetries, RetryBase, RetryMax) and the hedge delay
+// of read-only queries (HedgeAfter; 0 never hedges). Per-call deadlines
+// come from the context of the *Context methods.
 type DialOptions = client.Options
 
 // ErrRemoteOverloaded is the error a RemoteClient call returns once the

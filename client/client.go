@@ -21,9 +21,9 @@
 // wire.StatusOverloaded sheds are also retried after backoff. Context-
 // carrying variants (QueryContext, ...) bound each call and propagate the
 // remaining time as a wire TTL hint so the server skips work nobody
-// awaits. Optional hedged reads (Options.Hedge) fire a second QueryRO on
-// another pooled connection once the first exceeds a p99-derived delay and
-// take whichever answers first.
+// awaits. Optional hedged reads (Options.HedgeAfter) fire a second QueryRO
+// on another pooled connection once the first is unanswered after a fixed
+// delay and take whichever answers first.
 //
 // The crackstore root package re-exports Dial, so typical use is:
 //
@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,13 +71,10 @@ type Options struct {
 	// RetryMax caps the backoff step; 0 means 250ms.
 	RetryMax time.Duration
 
-	// Hedge enables hedged read-only queries: a QueryRO still unanswered
-	// after the hedge delay fires a duplicate on another pooled connection
-	// and the first answer wins (the loser is abandoned, its late response
-	// dropped). Needs Conns >= 2 to be useful.
-	Hedge bool
-	// HedgeAfter fixes the hedge delay; 0 derives it from the observed p99
-	// of recent successful queries (2ms until enough samples exist).
+	// HedgeAfter, when > 0 and Conns >= 2, hedges read-only queries: a
+	// QueryRO still unanswered after HedgeAfter fires a duplicate on
+	// another pooled connection and the first answer wins (the loser is
+	// abandoned, its late response dropped). 0 never hedges.
 	HedgeAfter time.Duration
 
 	// Metrics, when non-nil, registers the client's resilience counters
@@ -173,7 +169,6 @@ type Client struct {
 	// probability and the server's dedup window never conflates them.
 	tokBase uint64
 	tokSeq  atomic.Uint64
-	lat     latRing
 	closed  atomic.Bool
 
 	ctr     counters
@@ -393,7 +388,6 @@ func (c *Client) QueryContext(ctx context.Context, q engine.Query) (engine.Resul
 	if resp.Status != wire.StatusOK {
 		return engine.Result{}, engine.Cost{}, remoteErr(resp)
 	}
-	c.lat.record(time.Since(t0))
 	return resp.Result, resp.Cost, nil
 }
 
@@ -403,9 +397,9 @@ func (c *Client) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool, erro
 	return c.QueryROContext(context.Background(), q)
 }
 
-// QueryROContext is QueryRO bounded by ctx. With Options.Hedge and a pool
-// of at least two connections, a straggling call fires a duplicate on
-// another connection after the hedge delay and the first answer wins —
+// QueryROContext is QueryRO bounded by ctx. With Options.HedgeAfter > 0 and
+// a pool of at least two connections, a call unanswered after HedgeAfter
+// fires a duplicate on another connection and the first answer wins —
 // safe precisely because a read-only query by definition changes nothing.
 func (c *Client) QueryROContext(ctx context.Context, q engine.Query) (engine.Result, engine.Cost, bool, error) {
 	t0 := time.Now()
@@ -417,7 +411,7 @@ func (c *Client) QueryROContext(ctx context.Context, q engine.Query) (engine.Res
 	if traced := c.traceStart(req); traced {
 		resp, err = c.call(ctx, req)
 		c.finishTrace(req, t0, resp, err)
-	} else if c.opts.Hedge && len(c.slots) > 1 {
+	} else if c.opts.HedgeAfter > 0 && len(c.slots) > 1 {
 		resp, err = c.hedged(ctx, q)
 	} else {
 		resp, err = c.call(ctx, req)
@@ -425,7 +419,7 @@ func (c *Client) QueryROContext(ctx context.Context, q engine.Query) (engine.Res
 	if err != nil {
 		return engine.Result{}, engine.Cost{}, false, err
 	}
-	return c.roResult(resp, t0)
+	return roResult(resp)
 }
 
 // traceStart makes the 1-in-N sampling decision for one query, stamping
@@ -485,10 +479,9 @@ func (c *Client) finishTrace(req *wire.Request, t0 time.Time, resp *wire.Respons
 // The codec only passes statuses it knows, so the default arm fires when
 // this client links a wire package newer than itself — protocol skew gets
 // a typed error instead of silently reading an empty result.
-func (c *Client) roResult(resp *wire.Response, t0 time.Time) (engine.Result, engine.Cost, bool, error) {
+func roResult(resp *wire.Response) (engine.Result, engine.Cost, bool, error) {
 	switch resp.Status {
 	case wire.StatusOK:
-		c.lat.record(time.Since(t0))
 		return resp.Result, resp.Cost, true, nil
 	case wire.StatusRefused:
 		return engine.Result{}, engine.Cost{}, false, nil
@@ -518,7 +511,7 @@ func (c *Client) hedged(ctx context.Context, q engine.Query) (*wire.Response, er
 		}()
 	}
 	launch(false)
-	timer := time.NewTimer(c.hedgeDelay())
+	timer := time.NewTimer(c.opts.HedgeAfter)
 	defer timer.Stop()
 	launched := 1
 	for {
@@ -553,22 +546,6 @@ func (c *Client) hedged(ctx context.Context, q engine.Query) (*wire.Response, er
 			}
 		}
 	}
-}
-
-// hedgeDelay is the straggler threshold: Options.HedgeAfter when fixed,
-// otherwise the p99 of recent successful queries — hedging the slowest 1%
-// costs ~1% extra load for a tail-latency cut, the classic trade.
-func (c *Client) hedgeDelay() time.Duration {
-	if c.opts.HedgeAfter > 0 {
-		return c.opts.HedgeAfter
-	}
-	if d := c.lat.p99(); d > 0 {
-		if d < 500*time.Microsecond {
-			d = 500 * time.Microsecond
-		}
-		return d
-	}
-	return 2 * time.Millisecond
 }
 
 // Insert appends one tuple (relation attribute order) and returns its
@@ -727,39 +704,6 @@ func (s *slot) evict(cn *conn) {
 		s.cn = nil
 	}
 	s.mu.Unlock()
-}
-
-// ---------------------------------------------------------------------------
-// Hedge-delay latency ring.
-
-// latRing keeps the last N successful query latencies for the p99-derived
-// hedge delay. Lock-free: slots are atomically stored nanosecond counts.
-type latRing struct {
-	n       atomic.Uint64
-	samples [256]atomic.Int64
-}
-
-func (l *latRing) record(d time.Duration) {
-	i := l.n.Add(1) - 1
-	l.samples[i%uint64(len(l.samples))].Store(int64(d))
-}
-
-// p99 returns the 99th percentile of the retained samples, or 0 until at
-// least 32 samples exist (too few to call anything a tail).
-func (l *latRing) p99() time.Duration {
-	n := l.n.Load()
-	if n < 32 {
-		return 0
-	}
-	if n > uint64(len(l.samples)) {
-		n = uint64(len(l.samples))
-	}
-	lats := make([]int64, n)
-	for i := range lats {
-		lats[i] = l.samples[i].Load()
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	return time.Duration(lats[(len(lats)*99)/100])
 }
 
 // ---------------------------------------------------------------------------

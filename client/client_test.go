@@ -310,11 +310,11 @@ func TestContextCancellationAbandonsCall(t *testing.T) {
 	}
 }
 
-// TestHedgedReadWins: with hedging on and one conn's read-only answers
+// TestHedgedReadWins: with HedgeAfter set and one conn's read-only answers
 // swallowed, the hedge fires on the other conn and every call completes.
 func TestHedgedReadWins(t *testing.T) {
 	ln := slowServer(t, 0, true)
-	c, err := Dial(ln.Addr().String(), Options{Conns: 2, Hedge: true, HedgeAfter: 10 * time.Millisecond})
+	c, err := Dial(ln.Addr().String(), Options{Conns: 2, HedgeAfter: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -337,6 +337,35 @@ func TestHedgedReadWins(t *testing.T) {
 	}
 	if ctr := c.Counters(); ctr.Hedges == 0 {
 		t.Fatalf("no hedge fired against a stalled conn: %+v", ctr)
+	}
+}
+
+// TestNoHedgeByDefault: with HedgeAfter 0 no hedge fires, so a read-only
+// call that lands on the stalled conn runs until its context expires.
+func TestNoHedgeByDefault(t *testing.T) {
+	ln := slowServer(t, 0, true)
+	c, err := Dial(ln.Addr().String(), Options{Conns: 2})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+
+	stalled := 0
+	for i := 0; i < 4; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		_, _, _, err := c.QueryROContext(ctx, testQuery)
+		cancel()
+		if errors.Is(err, context.DeadlineExceeded) {
+			stalled++
+		} else if err != nil {
+			t.Fatalf("QueryRO %d: %v", i, err)
+		}
+	}
+	if stalled == 0 {
+		t.Fatal("no call reached the stalled conn")
+	}
+	if ctr := c.Counters(); ctr.Hedges != 0 {
+		t.Fatalf("HedgeAfter 0 fired %d hedges", ctr.Hedges)
 	}
 }
 
@@ -363,9 +392,8 @@ func TestPing(t *testing.T) {
 // know (protocol skew: a newer server enum) surfaces as a typed
 // *UnknownStatusError, distinguishable from ordinary remote failures.
 func TestUnknownStatusIsTyped(t *testing.T) {
-	var c Client
 	resp := &wire.Response{Op: wire.OpQueryRO, Status: wire.Status(99)}
-	_, _, ok, err := c.roResult(resp, time.Now())
+	_, _, ok, err := roResult(resp)
 	if ok {
 		t.Fatal("unknown status reported ok=true")
 	}
@@ -378,7 +406,7 @@ func TestUnknownStatusIsTyped(t *testing.T) {
 	}
 	// The known statuses must not be misclassified as skew.
 	for _, st := range []wire.Status{wire.StatusOK, wire.StatusRefused, wire.StatusErr, wire.StatusOverloaded} {
-		_, _, _, err := c.roResult(&wire.Response{Op: wire.OpQueryRO, Status: st}, time.Now())
+		_, _, _, err := roResult(&wire.Response{Op: wire.OpQueryRO, Status: st})
 		if errors.As(err, &use) {
 			t.Fatalf("status %d misreported as unknown", byte(st))
 		}

@@ -37,24 +37,37 @@ func TestDaemon(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	remote := func(args ...string) func(*testing.T) {
+	// remote serves the drive through a daemon started with args; each bad
+	// query first gets an in-band error, and the daemon keeps serving.
+	remote := func(bad []engine.Query, args ...string) func(*testing.T) {
 		return func(t *testing.T) {
 			d := start(t, bin, append(args, "-rows", "50000", "-seed", "1")...)
 			cl := dial(t, d.addr, client.Options{Conns: 2})
+			for _, q := range bad {
+				if _, _, err := cl.Query(q); err == nil || !strings.Contains(err.Error(), "no column") {
+					t.Fatalf("malformed query %+v: err %v, want an in-band error", q, err)
+				}
+			}
 			drive(t, cl, 50000, 4000)
 			// A failure whose response was lost shows only in the server's count.
-			if st, err := cl.Stats(); err != nil || st.Errors != 0 {
-				t.Fatalf("server-side errors: %d (stats err %v)", st.Errors, err)
+			if st, err := cl.Stats(); err != nil || st.Errors != len(bad) {
+				t.Fatalf("server-side errors: %d, want %d (stats err %v)", st.Errors, len(bad), err)
 			}
 			if out := d.stop(syscall.SIGTERM); !strings.Contains(out, "drained in") {
 				t.Fatalf("no drain line after SIGTERM:\n%s", out)
 			}
 		}
 	}
-	t.Run("remote", remote("-kind", "sideways"))
+	t.Run("remote", remote(nil, "-kind", "sideways"))
 
 	t.Run("sharded", func(t *testing.T) {
-		remote("-kind", "partial", "-shards", "4", "-policy", "capped")(t)
+		// Unknown attributes in a predicate and in a projection: each query
+		// fans out over all four shards and panics inside them.
+		bad := []engine.Query{
+			{Preds: []engine.AttrPred{{Attr: "Z", Pred: store.Range(1, 100)}}, Projs: []string{"B"}},
+			{Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(1, 50001)}}, Projs: []string{"Z"}},
+		}
+		remote(bad, "-kind", "partial", "-shards", "4", "-policy", "capped")(t)
 		// A durable store does not compose with shards or snapshots yet,
 		// and the paper's baselines are not kinds the daemon serves: it
 		// refuses each before it listens.

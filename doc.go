@@ -223,7 +223,9 @@
 // percentiles — the fractional rank is rounded upward, never truncated to
 // a rank below the percentile — measure elapsed time from the earliest
 // submission, and count failed queries in Errors rather than silently
-// shrinking the run.
+// shrinking the run. Server.Stats reads only the server's own instruments,
+// so it never waits for a crack in progress; how the engine's readers fared
+// is ConcurrencyStats(Server.Engine()).
 //
 // # Concurrency model
 //
@@ -294,8 +296,8 @@
 // attribute are pruned to the shards whose value bands can intersect the
 // predicate — a crack on one shard never blocks read-only hits on the
 // others, and pruned shards are not touched at all. When the attribute
-// cannot form n distinct bands (few distinct values, empty relation) or
-// ShardOptions.Hash is set, partitioning falls back to hashing, which
+// cannot form n distinct bands (few distinct values, empty relation),
+// partitioning falls back to hashing, which
 // still spreads load and prunes point predicates but cannot prune ranges.
 // Inserts and deletes route to the owning shard; global tuple keys are
 // preserved. The sharded engine is already shared-safe — Serve and
@@ -369,9 +371,9 @@
 // carry an idempotency token, and the server's dedup window replays the
 // recorded response for a token it has already executed instead of
 // applying the write again, so a retried insert lands exactly once.
-// DialOptions.Hedge adds hedged reads for read-only queries: a duplicate
-// is fired at a second connection once the first is slower than an
-// adaptive p99-derived delay, and the first answer wins. Counters
+// DialOptions.HedgeAfter adds hedged reads for read-only queries: a
+// duplicate is fired at a second connection once the first is unanswered
+// after that fixed delay, and the first answer wins. Counters
 // (RemoteClient.Counters) expose retries, hedges, sheds, and redials — a
 // chaos run whose counters stay zero exercised nothing.
 //

@@ -71,5 +71,6 @@ func main() {
 	st := srv.Stats()
 	fmt.Printf("%d clients, one shared sideways engine: %d queries  %.0f q/s   p50=%v p99=%v max=%v\n",
 		clients, st.Queries, st.QPS, st.P50, st.P99, st.Max)
-	fmt.Printf("readers blocked behind a writer %d times (%v in total)\n", st.ReaderWaits, st.ReaderWait)
+	cs, _ := crackstore.ConcurrencyStats(srv.Engine())
+	fmt.Printf("readers blocked behind a writer %d times (%v in total)\n", cs.ReaderWaits, cs.ReaderWait)
 }

@@ -25,30 +25,11 @@ func New(n int) *Vector {
 	return &Vector{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// NewSet returns a vector of n bits, all set.
-func NewSet(n int) *Vector {
-	v := New(n)
-	for i := range v.words {
-		v.words[i] = ^uint64(0)
-	}
-	v.clearTail()
-	return v
-}
-
-func (v *Vector) clearTail() {
-	if r := v.n % wordBits; r != 0 && len(v.words) > 0 {
-		v.words[len(v.words)-1] &= (1 << uint(r)) - 1
-	}
-}
-
 // Len returns the number of bits in the vector.
 func (v *Vector) Len() int { return v.n }
 
 // Set sets bit i.
 func (v *Vector) Set(i int) { v.words[i/wordBits] |= 1 << uint(i%wordBits) }
-
-// Clear clears bit i.
-func (v *Vector) Clear(i int) { v.words[i/wordBits] &^= 1 << uint(i%wordBits) }
 
 // Get reports whether bit i is set.
 func (v *Vector) Get(i int) bool { return v.words[i/wordBits]&(1<<uint(i%wordBits)) != 0 }
@@ -60,44 +41,6 @@ func (v *Vector) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// ClearAll clears every bit.
-func (v *Vector) ClearAll() {
-	for i := range v.words {
-		v.words[i] = 0
-	}
-}
-
-// SetRange sets bits [lo, hi).
-func (v *Vector) SetRange(lo, hi int) {
-	if lo < 0 || hi > v.n || lo > hi {
-		panic("bitvec: bad range")
-	}
-	for i := lo; i < hi && i%wordBits != 0; i++ {
-		v.Set(i)
-	}
-	lo += (wordBits - lo%wordBits) % wordBits
-	if lo > hi {
-		return
-	}
-	for ; lo+wordBits <= hi; lo += wordBits {
-		v.words[lo/wordBits] = ^uint64(0)
-	}
-	for ; lo < hi; lo++ {
-		v.Set(lo)
-	}
-}
-
-// ForEachSet calls f with the index of every set bit, in ascending order.
-func (v *Vector) ForEachSet(f func(i int)) {
-	for wi, w := range v.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			f(wi*wordBits + b)
-			w &= w - 1
-		}
-	}
 }
 
 // The three kernels below are the word-at-a-time finish of a multi-selection
@@ -138,7 +81,7 @@ func (v *Vector) AndRange(vals []int64, lo, hi int64) {
 		panic("bitvec: length mismatch")
 	}
 	if lo > hi {
-		v.ClearAll()
+		clear(v.words)
 		return
 	}
 	span := uint64(hi - lo)
@@ -169,11 +112,4 @@ func (v *Vector) Gather(dst, src []int64) int {
 		}
 	}
 	return n
-}
-
-// Clone returns a copy of v.
-func (v *Vector) Clone() *Vector {
-	w := &Vector{words: make([]uint64, len(v.words)), n: v.n}
-	copy(w.words, v.words)
-	return w
 }

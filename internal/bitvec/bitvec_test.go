@@ -23,86 +23,25 @@ func TestNewAllClear(t *testing.T) {
 	}
 }
 
-func TestNewSet(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 1000} {
-		v := NewSet(n)
-		if v.Count() != n {
-			t.Fatalf("NewSet(%d).Count = %d", n, v.Count())
-		}
-	}
-}
-
+// TestSetClearGet: Set sets one bit, word boundaries included, and an
+// empty interval clears every bit.
 func TestSetClearGet(t *testing.T) {
 	v := New(200)
 	v.Set(0)
 	v.Set(63)
 	v.Set(64)
 	v.Set(199)
-	for _, i := range []int{0, 63, 64, 199} {
-		if !v.Get(i) {
-			t.Errorf("bit %d should be set", i)
+	for i := 0; i < 200; i++ {
+		if want := i == 0 || i == 63 || i == 64 || i == 199; v.Get(i) != want {
+			t.Errorf("bit %d = %v, want %v", i, v.Get(i), want)
 		}
 	}
 	if v.Count() != 4 {
 		t.Fatalf("Count = %d, want 4", v.Count())
 	}
-	v.Clear(63)
-	if v.Get(63) {
-		t.Error("bit 63 should be clear")
-	}
-	if v.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", v.Count())
-	}
-}
-
-func TestSetRange(t *testing.T) {
-	for _, tc := range []struct{ n, lo, hi int }{
-		{10, 0, 10}, {10, 3, 7}, {200, 60, 70}, {200, 0, 200},
-		{200, 64, 128}, {200, 63, 129}, {200, 5, 5}, {65, 64, 65},
-	} {
-		v := New(tc.n)
-		v.SetRange(tc.lo, tc.hi)
-		if v.Count() != tc.hi-tc.lo {
-			t.Errorf("SetRange(%d,%d) on n=%d: count %d, want %d",
-				tc.lo, tc.hi, tc.n, v.Count(), tc.hi-tc.lo)
-		}
-		for i := 0; i < tc.n; i++ {
-			want := i >= tc.lo && i < tc.hi
-			if v.Get(i) != want {
-				t.Fatalf("SetRange(%d,%d): bit %d = %v, want %v", tc.lo, tc.hi, i, v.Get(i), want)
-			}
-		}
-	}
-}
-
-func TestForEachSetOrder(t *testing.T) {
-	v := New(500)
-	want := []int{3, 64, 65, 130, 499}
-	for _, i := range want {
-		v.Set(i)
-	}
-	var got []int
-	v.ForEachSet(func(i int) { got = append(got, i) })
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	a := New(64)
-	a.Set(5)
-	b := a.Clone()
-	b.Set(6)
-	if a.Get(6) {
-		t.Fatal("Clone is not independent")
-	}
-	if !b.Get(5) {
-		t.Fatal("Clone lost bit")
+	v.AndRange(make([]int64, 200), 1, 0)
+	if v.Count() != 0 {
+		t.Fatalf("Count = %d after an empty interval, want 0", v.Count())
 	}
 }
 
@@ -115,13 +54,8 @@ func TestQuickCountMatchesSets(t *testing.T) {
 		set := map[int]bool{}
 		for i := 0; i < 100; i++ {
 			j := rng.Intn(n)
-			if rng.Intn(2) == 0 {
-				v.Set(j)
-				set[j] = true
-			} else {
-				v.Clear(j)
-				delete(set, j)
-			}
+			v.Set(j)
+			set[j] = true
 		}
 		if v.Count() != len(set) {
 			return false
@@ -140,7 +74,7 @@ func TestQuickCountMatchesSets(t *testing.T) {
 
 // Property: FromRange, AndRange and Gather are their per-element
 // definitions, for any interval (inverted and domain-wide ones too) and any
-// length; a Gather through NewSet takes the whole-word path.
+// length; a Gather through an all-ones vector takes the whole-word path.
 func TestQuickRangeKernels(t *testing.T) {
 	bounds := []int64{math.MinInt64, -3, 0, 2, math.MaxInt64}
 	f := func(seed int64, nRaw uint16) bool {
@@ -156,9 +90,9 @@ func TestQuickRangeKernels(t *testing.T) {
 		lo1, hi1 := bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))]
 		lo2, hi2 := int64(rng.Intn(9)-4), int64(rng.Intn(9)-4)
 		v := FromRange(vals, lo1, hi1)
-		w := NewSet(n)
+		w := FromRange(vals, math.MinInt64, math.MaxInt64)
 		w.AndRange(vals, lo2, hi2)
-		both := v.Clone()
+		both := FromRange(vals, lo1, hi1)
 		both.AndRange(vals, lo2, hi2)
 		var want []int64
 		for i, x := range vals {
@@ -173,7 +107,7 @@ func TestQuickRangeKernels(t *testing.T) {
 		got := make([]int64, n)
 		all := make([]int64, n)
 		return slices.Equal(got[:both.Gather(got, vals)], want) &&
-			NewSet(n).Gather(all, vals) == n && slices.Equal(all, vals)
+			FromRange(vals, math.MinInt64, math.MaxInt64).Gather(all, vals) == n && slices.Equal(all, vals)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -196,18 +130,10 @@ func TestRangeKernelsLengthMismatchPanics(t *testing.T) {
 	}
 }
 
-func BenchmarkSetRange(b *testing.B) {
-	v := New(1 << 20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		v.SetRange(1000, 1<<19)
-		v.ClearAll()
-	}
-}
-
 func BenchmarkCount(b *testing.B) {
-	v := NewSet(1 << 20)
+	v := FromRange(make([]int64, 1<<20), 0, 0)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = v.Count()
 	}

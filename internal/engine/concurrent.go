@@ -104,11 +104,9 @@ func (s *rwEngine) Report() Report {
 func (s *rwEngine) Kind() Kind { return s.e.Kind() }
 
 func (s *rwEngine) Query(q Query) (Result, Cost) {
-	// Fast path: execute read-only under the shared lock.
-	s.rlock()
-	res, cost, ok := s.e.QueryRO(q)
-	s.mu.RUnlock()
-	if ok {
+	// Fast path: execute read-only under the shared lock, released even
+	// when a malformed query panics.
+	if res, cost, ok := s.QueryRO(q); ok {
 		return res, cost
 	}
 	// Slow path: the query needs reorganization. Double-check under the
@@ -119,7 +117,7 @@ func (s *rwEngine) Query(q Query) (Result, Cost) {
 	if res, cost, ok := s.e.QueryRO(q); ok {
 		return res, cost
 	}
-	res, cost = s.e.Query(q)
+	res, cost := s.e.Query(q)
 	if s.journal != nil {
 		s.journal(q)
 	}

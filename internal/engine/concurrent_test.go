@@ -261,6 +261,33 @@ func TestConcurrentWrapIdempotent(t *testing.T) {
 	}
 }
 
+// TestConcurrentPanicReleasesGuard: a malformed query panics inside the
+// guard (on Scan, in the read-only fast path); the guard's locks are
+// released, so a later write does not block forever.
+func TestConcurrentPanicReleasesGuard(t *testing.T) {
+	for _, gc := range guardCases() {
+		for _, kind := range Kinds() {
+			t.Run(gc.name+"/"+kind.String(), func(t *testing.T) {
+				e := gc.open(t, kind, buildBandedRel(5), crack.Policy{})
+				func() {
+					defer func() { recover() }()
+					e.Query(Query{Preds: []AttrPred{{Attr: "Z", Pred: store.Range(0, 10)}}, Projs: []string{"B"}})
+				}()
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					e.Insert(1, 2)
+				}()
+				select {
+				case <-done:
+				case <-time.After(5 * time.Second):
+					t.Fatal("Insert blocked behind the lock a panicking query left held")
+				}
+			})
+		}
+	}
+}
+
 // TestConcurrentOneCrackPaysForAllWaiters: many goroutines issue the same
 // cold query at once. Whoever takes the write lock first cracks; everyone
 // queued behind it finds the range cracked on the double-check and runs

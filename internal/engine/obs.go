@@ -88,10 +88,6 @@ func section[T any](s *T) (T, bool) {
 // when the engine's physical design does not crack (scan).
 func KernelReportOf(e Engine) (KernelReport, bool) { return section(ReportOf(e).Kernel) }
 
-// ChunkStatsOf reports the chunk lifecycle counters of e, or ok false when
-// e does not keep partial maps.
-func ChunkStatsOf(e Engine) (sideways.ChunkStats, bool) { return section(ReportOf(e).Chunks) }
-
 // ConcStatsOf reports how e's readers fared against its RWMutex guard, or
 // ok false when e has none (bare and snapshot engines).
 func ConcStatsOf(e Engine) (ConcStats, bool) { return section(ReportOf(e).Readers) }

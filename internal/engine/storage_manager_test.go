@@ -86,8 +86,8 @@ func TestRecycledBuffersNeverAliasAnswers(t *testing.T) {
 		}
 	}
 
-	cs, ok := ChunkStatsOf(e)
-	if !ok || cs.Evicted == 0 {
+	cs := ReportOf(e).Chunks
+	if cs == nil || cs.Evicted == 0 {
 		t.Fatalf("the stream evicted no chunk: %+v", cs)
 	}
 	oracle := NewScan(cloneRel(rel))
@@ -171,9 +171,9 @@ func TestBudgetPinsEveryMapTheQueryReads(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ask("D")
 	}
-	before, _ := ChunkStatsOf(e)
+	before := *ReportOf(e).Chunks
 	ask("B", "C")
-	after, _ := ChunkStatsOf(e)
+	after := *ReportOf(e).Chunks
 	if created, evicted := after.Created-before.Created, after.Evicted-before.Evicted; created != 1 || evicted != 1 {
 		t.Fatalf("a query reading a new B and a cold C created %d chunks and evicted %d, want 1 and 1 (D only)", created, evicted)
 	}

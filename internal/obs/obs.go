@@ -265,21 +265,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.add(&metric{name: name, help: help, kind: kindGaugeFunc, gf: fn})
 }
 
-// FindHistogram returns the histogram registered under name, or nil.
-// For tests and tools that want exact quantiles without parsing the
-// exposition.
-func (r *Registry) FindHistogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.metrics[name]; m != nil {
-		return m.h
-	}
-	return nil
-}
-
 // Families returns the registered family names in registration order.
 func (r *Registry) Families() []string {
 	if r == nil {

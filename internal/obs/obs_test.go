@@ -189,9 +189,6 @@ func TestNilRegistry(t *testing.T) {
 	if fams := r.Families(); fams != nil {
 		t.Errorf("nil registry families = %v", fams)
 	}
-	if h := r.FindHistogram("z_seconds"); h != nil {
-		t.Errorf("nil registry found a histogram")
-	}
 }
 
 func TestDuplicatePanics(t *testing.T) {

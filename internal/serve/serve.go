@@ -485,48 +485,30 @@ type Stats struct {
 	// Pxx is sorted[ceil(p*(n-1))], i.e. the fractional rank rounded
 	// upward, so a reported tail percentile is never below the true one.
 	P50, P95, P99, Max time.Duration
-
-	// Latencies holds the captured per-query latencies in completion
-	// order (a copy; safe to keep) — every sample, or the retained window
-	// when Options.LatencyWindow bounds it.
-	Latencies []time.Duration
-
-	// Reader-wait observability, from the engine's RWMutex guard when it
-	// has one (engine.ConcStatsOf): ReaderWait is cumulative time readers
-	// spent blocked acquiring read access, ReaderWaits counts blocked
-	// acquisitions. Zero for the lock-free Snapshot wrapper, whose own
-	// counters are engine.SnapshotStatsOf(Server.Engine()).
-	ReaderWait  time.Duration
-	ReaderWaits int64
 }
 
 // Stats snapshots the server's counters. With LatencyWindow set, the
-// percentiles (and Latencies) describe the most recent window while Queries
-// and QPS count every completed query. The reader-wait fields come from the
-// engine's report, so like a scrape Stats waits out a write section (a
-// crack) in progress.
+// percentiles describe the most recent window while Queries and QPS count
+// every completed query. Stats reads only the server's own instruments and
+// never calls into the engine, so a crack in progress does not delay it;
+// how the engine's readers fared is engine.ConcStatsOf(Server.Engine()).
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
-	lats := append([]time.Duration(nil), s.lats...)
+	sorted := append([]time.Duration(nil), s.lats...)
 	first, last := s.first, s.last
 	s.mu.Unlock()
 
 	st := Stats{
-		Queries:   int(s.latency.Count()),
-		Errors:    int(s.errors.Value()),
-		Sheds:     int(s.sheds.Value()),
-		Latencies: lats,
+		Queries: int(s.latency.Count()),
+		Errors:  int(s.errors.Value()),
+		Sheds:   int(s.sheds.Value()),
 	}
-	if cs, ok := engine.ConcStatsOf(s.e); ok {
-		st.ReaderWait, st.ReaderWaits = cs.ReaderWait, cs.ReaderWaits
-	}
-	if len(lats) == 0 {
+	if len(sorted) == 0 {
 		return st
 	}
 	if st.Elapsed = last.Sub(first); st.Elapsed > 0 {
 		st.QPS = float64(st.Queries) / st.Elapsed.Seconds()
 	}
-	sorted := append([]time.Duration(nil), lats...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	pct := func(p float64) time.Duration {
 		// Nearest-rank needs the ceiling: int() truncation toward zero

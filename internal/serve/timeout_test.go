@@ -159,11 +159,35 @@ func TestLatencyWindowBoundsHistory(t *testing.T) {
 	if st.Queries != n {
 		t.Fatalf("Queries = %d, want %d (window must not shrink the count)", st.Queries, n)
 	}
-	if len(st.Latencies) != 8 {
-		t.Fatalf("retained %d samples, want the 8-sample window", len(st.Latencies))
+	if len(srv.lats) != 8 {
+		t.Fatalf("retained %d samples, want the 8-sample window", len(srv.lats))
 	}
 	if st.QPS <= 0 || st.P50 <= 0 {
 		t.Fatalf("window stats implausible: %+v", st)
+	}
+}
+
+// TestStatsNeverWaitForEngine: Stats reads only the server's instruments,
+// so it answers at once while a query holds the engine's write lock.
+func TestStatsNeverWaitForEngine(t *testing.T) {
+	g := &gatedEngine{delay: 400 * time.Millisecond}
+	srv := New(g, Options{Workers: 1})
+	defer srv.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := srv.Do(slowQuery)
+		done <- err
+	}()
+	for g.calls.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	t0 := time.Now()
+	srv.Stats()
+	if took := time.Since(t0); took > g.delay/4 {
+		t.Fatalf("Stats took %v behind a %v query holding the engine", took, g.delay)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -48,11 +48,6 @@ type Options struct {
 	// Attr is the partition attribute; "" means the relation's first
 	// attribute. Range pruning applies to predicates over this attribute.
 	Attr string
-	// Hash forces hash partitioning even when the attribute could be
-	// range-partitioned (useful for workloads whose predicates never touch
-	// the partition attribute, where balanced load matters more than
-	// pruning).
-	Hash bool
 	// Policy is the adaptive cracking policy (crack.Policy) applied to
 	// every inner engine at construction; the zero value is the default
 	// crack-at-query-bounds behavior.
@@ -91,11 +86,11 @@ type Engine struct {
 // New partitions rel across n engines of the given kind. Rows are routed by
 // opts.Attr (default: the first attribute): range partitioning with
 // n-quantile boundaries computed from the base data, or hash partitioning
-// when opts.Hash is set or the attribute's values cannot form n distinct
-// bands. The relation's rows are copied into per-shard relations; rel
-// itself is not retained. Global tuple keys follow build order (row i of
-// rel keeps key i; Insert appends), matching the key sequence of an
-// unsharded engine over the same rows.
+// when the attribute's values cannot form n distinct bands. The relation's
+// rows are copied into per-shard relations; rel itself is not retained.
+// Global tuple keys follow build order (row i of rel keeps key i; Insert
+// appends), matching the key sequence of an unsharded engine over the same
+// rows.
 func New(kind engine.Kind, rel *store.Relation, n int, opts Options) *Engine {
 	if n < 1 {
 		panic("shard: shard count must be >= 1")
@@ -117,15 +112,12 @@ func New(kind engine.Kind, rel *store.Relation, n int, opts Options) *Engine {
 		panic(fmt.Sprintf("shard: relation %q has no attribute %q", rel.Name, attr))
 	}
 
-	s := &Engine{kind: kind, attr: attr, attrIdx: attrIdx, hash: opts.Hash}
-	if !s.hash {
-		s.cuts = quantileCuts(rel.MustColumn(attr).Vals, n)
-		if len(s.cuts) != n-1 {
-			// Unpartitionable: not enough distinct values (or no rows) to
-			// form n non-empty bands. Fall back to hashing.
-			s.hash = true
-			s.cuts = nil
-		}
+	s := &Engine{kind: kind, attr: attr, attrIdx: attrIdx, cuts: quantileCuts(rel.MustColumn(attr).Vals, n)}
+	if len(s.cuts) != n-1 {
+		// Unpartitionable: not enough distinct values (or no rows) to
+		// form n non-empty bands. Fall back to hashing.
+		s.hash = true
+		s.cuts = nil
 	}
 
 	// Split the base rows into per-shard relations, recording the global
@@ -350,9 +342,11 @@ func addCost(total *engine.Cost, c engine.Cost) {
 // predicates under range partitioning — is answered by that shard
 // directly, with no merge. Multi-shard queries fan out in parallel when
 // the runtime has CPUs to run them on, sequentially otherwise (goroutine
-// handoff on a single-CPU box only adds scheduling latency). Memory q lends
-// goes to the one shard that answers, or else to the merge: shards answering
-// side by side must not write into it.
+// handoff on a single-CPU box only adds scheduling latency). A shard that
+// panics (an unknown attribute, say) panics Query on the caller's goroutine
+// once every shard has returned, as the sequential loop would. Memory q
+// lends goes to the one shard that answers, or else to the merge: shards
+// answering side by side must not write into it.
 func (s *Engine) Query(q engine.Query) (engine.Result, engine.Cost) {
 	lo, hi := s.span(q)
 	if hi-lo == 1 {
@@ -364,15 +358,22 @@ func (s *Engine) Query(q engine.Query) (engine.Result, engine.Cost) {
 	parts := make([]engine.Result, hi-lo)
 	if runtime.GOMAXPROCS(0) > 1 {
 		costs := make([]engine.Cost, hi-lo)
+		panics := make([]any, hi-lo)
 		var wg sync.WaitGroup
 		for sh := lo; sh < hi; sh++ {
 			wg.Add(1)
 			go func(sh int) {
 				defer wg.Done()
+				defer func() { panics[sh-lo] = recover() }()
 				parts[sh-lo], costs[sh-lo] = s.shards[sh].Query(q)
 			}(sh)
 		}
 		wg.Wait()
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
+			}
+		}
 		for _, c := range costs {
 			addCost(&cost, c)
 		}

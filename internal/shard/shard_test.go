@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"crackstore/internal/engine"
+	"crackstore/internal/serve"
 	"crackstore/internal/store"
 )
 
@@ -46,7 +48,8 @@ func canonRows(res engine.Result, projs []string) []string {
 // sharded engine and a single engine of the same kind replay an identical
 // random query/insert/delete interleaving and must produce identical result
 // multisets for every query — for every engine kind, under both range and
-// hash partitioning. Global keys agree by construction (build order, then
+// hash partitioning. The hash leg partitions on D, which takes fewer
+// distinct values than there are shards, so New must hash. Global keys agree by construction (build order, then
 // insertion order), so deletes target the same tuples on both sides.
 //
 // Every query is asked read-only as well, into one Result lent for the whole
@@ -67,11 +70,21 @@ func TestShardedMatchesSingle(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%v/%s", kind, mode), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(42))
-				base := buildRel(rng, rows, domain)
+				attrs, part := []string{"A", "B", "C"}, "A"
+				if hash {
+					attrs, part = append(attrs, "D"), "D"
+				}
+				gen := func(attr string) Value {
+					if attr == "D" {
+						return rng.Int63n(nsh - 1)
+					}
+					return rng.Int63n(domain)
+				}
+				base := store.Build("R", rows, attrs, func(attr string, _ int) Value { return gen(attr) })
 				single := engine.New(kind, cloneRel(base))
-				sharded := New(kind, cloneRel(base), nsh, Options{Attr: "A", Hash: hash})
-				if !hash && sharded.hash {
-					t.Fatalf("range partitioning unexpectedly fell back to hash")
+				sharded := New(kind, cloneRel(base), nsh, Options{Attr: part})
+				if sharded.hash != hash {
+					t.Fatalf("partitioning on %s: hash = %v, want %v", part, sharded.hash, hash)
 				}
 
 				var lent engine.Result
@@ -108,7 +121,10 @@ func TestShardedMatchesSingle(t *testing.T) {
 							t.Fatalf("op %d: the read-only answer into lent memory differs (query %+v)", op, q)
 						}
 					case r < 8: // insert
-						vals := []Value{rng.Int63n(domain), rng.Int63n(domain), rng.Int63n(domain)}
+						vals := make([]Value, len(attrs))
+						for i, a := range attrs {
+							vals[i] = gen(a)
+						}
 						k1 := single.Insert(vals...)
 						k2 := sharded.Insert(vals...)
 						if k1 != k2 {
@@ -422,4 +438,39 @@ func TestShardedConcurrentUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestFanOutPanicIsAnError: a malformed query that fans out over shards
+// panics inside the shards' goroutines; Query re-panics on the caller's
+// goroutine, so serve turns it into an error instead of the process
+// dying. The stack keeps answering like Scan afterwards.
+func TestFanOutPanicIsAnError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(5))
+	base := buildRel(rng, 400, 500)
+	wide := []engine.AttrPred{{Attr: "A", Pred: store.Range(0, 500)}}
+	bad := map[string]engine.Query{
+		"predicate":  {Preds: []engine.AttrPred{{Attr: "Z", Pred: store.Range(0, 10)}}, Projs: []string{"B"}},
+		"projection": {Preds: wide, Projs: []string{"Z"}},
+	}
+	good := engine.Query{Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(100, 300)}}, Projs: []string{"B", "C"}}
+	want, _ := engine.New(engine.Scan, cloneRel(base)).Query(good)
+	for _, kind := range engine.Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			srv := serve.New(New(kind, cloneRel(base), 4, Options{Attr: "A"}), serve.Options{})
+			defer srv.Close()
+			for name, q := range bad {
+				if _, _, err := srv.Do(q); err == nil {
+					t.Fatalf("bad %s: Do returned no error", name)
+				}
+			}
+			got, _, err := srv.Do(good)
+			if err != nil {
+				t.Fatalf("well-formed query after the bad ones: %v", err)
+			}
+			if !slices.Equal(canonRows(got, good.Projs), canonRows(want, good.Projs)) {
+				t.Fatalf("answer after the bad queries differs from Scan: N=%d, want %d", got.N, want.N)
+			}
+		})
+	}
 }

@@ -22,12 +22,16 @@ func checkFinishKernels(t *testing.T, tail []Value, lo, hi int, p1, p2 store.Pre
 	if bv.Len() != hi-lo {
 		t.Fatalf("create: %d bits for area [%d, %d)", bv.Len(), lo, hi)
 	}
-	ref := bitvec.New(hi - lo)
-	for i := lo; i < hi; i++ {
-		if p1.Matches(tail[i]) {
-			ref.Set(i - lo)
+	refOf := func(preds ...store.Pred) *bitvec.Vector {
+		ref := bitvec.New(hi - lo)
+		for i := lo; i < hi; i++ {
+			if !slices.ContainsFunc(preds, func(p store.Pred) bool { return !p.Matches(tail[i]) }) {
+				ref.Set(i - lo)
+			}
 		}
+		return ref
 	}
+	ref := refOf(p1)
 	same := func(op string, p store.Pred) {
 		t.Helper()
 		for i := 0; i < hi-lo; i++ {
@@ -42,11 +46,7 @@ func checkFinishKernels(t *testing.T, tail []Value, lo, hi int, p1, p2 store.Pre
 	same("create", p1)
 
 	SelectRefineBV(tail, lo, hi, p2, bv)
-	for i := lo; i < hi; i++ {
-		if !p2.Matches(tail[i]) {
-			ref.Clear(i - lo)
-		}
-	}
+	ref = refOf(p1, p2)
 	same("refine", p2)
 
 	var want []Value
@@ -55,7 +55,8 @@ func checkFinishKernels(t *testing.T, tail []Value, lo, hi int, p1, p2 store.Pre
 			want = append(want, tail[i])
 		}
 	}
-	if got := ReconstructBV(tail, lo, bv); !slices.Equal(got, want) {
+	got := make([]Value, bv.Count())
+	if bv.Gather(got, tail[lo:hi]); !slices.Equal(got, want) {
 		t.Fatalf("reconstruct over [%d, %d) under %v and %v: %d values, want %d", lo, hi, p1, p2, len(got), len(want))
 	}
 }

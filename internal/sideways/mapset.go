@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"crackstore/internal/bitvec"
@@ -17,31 +16,6 @@ import (
 // its maps: the base-side state of a store, a set's pending-update ledger,
 // the cracker tape, the multi-selection planner, the bit-vector finish and
 // the eviction priority of the storage manager.
-
-// Base is the base-side state every map-set store carries: the relation
-// and the pending-update ledgers of the sets built over it. The base
-// columns are append-only: inserts are appended immediately (keys are dense
-// positions) while cracking structures keep them pending; deletes are
-// tombstoned in the relation and merged lazily per set.
-type Base struct {
-	rel     *store.Relation
-	ledgers []*Pending // one per map set
-
-	age     int64             // eviction age: the highest priority evicted so far
-	retired crack.KernelStats // kernel work done on structures since evicted
-
-	statsMu        sync.Mutex       // guards colMin/colMax (lazily filled by read-only probes)
-	colMin, colMax map[string]Value // cached base column stats for fallback estimation
-}
-
-// NewBase wraps rel (not copied).
-func NewBase(rel *store.Relation) Base {
-	return Base{
-		rel:    rel,
-		colMin: make(map[string]Value),
-		colMax: make(map[string]Value),
-	}
-}
 
 // Usage is what the storage manager knows about one evictable map, full or
 // partial. It evicts by LFU with dynamic aging: a structure's priority is its access count plus the store's age
@@ -61,38 +35,35 @@ func (u *Usage) Priority() int64 { return u.usedAt.Load() + u.access.Load() }
 // Accesses returns the number of queries that used the structure.
 func (u *Usage) Accesses() int64 { return u.access.Load() }
 
-// Touch records one query's use of u. Read-only queries call it
+// touch records one query's use of u. Read-only queries call it
 // concurrently: the age only moves under exclusive access, so they all store
 // the same one — and none at all while nothing has been evicted since the
 // last use, the whole life of an unbudgeted store.
-func (b *Base) Touch(u *Usage) {
-	if u.usedAt.Load() != b.age {
-		u.usedAt.Store(b.age)
+func (s *Store) touch(u *Usage) {
+	if u.usedAt.Load() != s.age {
+		u.usedAt.Store(s.age)
 	}
 	u.access.Add(1)
 }
 
-// Retire records the eviction of the structure u describes: the store ages
+// retire records the eviction of the structure u describes: the store ages
 // to its priority, and the kernel work ks done on it stays counted.
-func (b *Base) Retire(u *Usage, ks crack.KernelStats) {
-	b.age = max(b.age, u.Priority())
-	b.retired.Add(ks)
+func (s *Store) retire(u *Usage, ks crack.KernelStats) {
+	s.age = max(s.age, u.Priority())
+	s.retired.Add(ks)
 }
 
-// RetiredKernel returns the kernel counters of every evicted structure.
-func (b *Base) RetiredKernel() crack.KernelStats { return b.retired }
-
 // Relation returns the underlying base relation.
-func (b *Base) Relation() *store.Relation { return b.rel }
+func (s *Store) Relation() *store.Relation { return s.rel }
 
 // Insert appends a tuple (values in relation attribute order) to the base
 // relation and registers it as pending with every existing map set. It
 // returns the new tuple's key.
-func (b *Base) Insert(vals ...Value) int {
-	b.rel.AppendRow(vals...)
-	key := b.rel.NumRows() - 1
-	for _, p := range b.ledgers {
-		p.ins = append(p.ins, key)
+func (s *Store) Insert(vals ...Value) int {
+	s.rel.AppendRow(vals...)
+	key := s.rel.NumRows() - 1
+	for _, set := range s.sets {
+		set.pend.ins = append(set.pend.ins, key)
 	}
 	return key
 }
@@ -100,21 +71,21 @@ func (b *Base) Insert(vals ...Value) int {
 // Delete tombstones the tuple with the given key and registers a pending
 // deletion with every existing map set. A key no tuple has, negative or
 // beyond the last row, is ignored.
-func (b *Base) Delete(key int) {
-	if !b.rel.Delete(key) {
+func (s *Store) Delete(key int) {
+	if !s.rel.Delete(key) {
 		return
 	}
-	for _, p := range b.ledgers {
-		p.noteDelete(key)
+	for _, set := range s.sets {
+		set.pend.noteDelete(key)
 	}
 }
 
-// UniformEstimate estimates the number of tuples matching pred on attr from
+// uniformEstimate estimates the number of tuples matching pred on attr from
 // the base column's value range alone: the fallback of EstimateSelectivity
 // for attributes without cracking knowledge.
-func (b *Base) UniformEstimate(attr string, pred store.Pred) int {
-	lo, hi := b.colStats(attr)
-	n := b.rel.NumRows()
+func (s *Store) uniformEstimate(attr string, pred store.Pred) int {
+	lo, hi := s.colStats(attr)
+	n := s.rel.NumRows()
 	if hi <= lo {
 		return n
 	}
@@ -131,16 +102,16 @@ func (b *Base) UniformEstimate(attr string, pred store.Pred) int {
 	return int(float64(n) * float64(chi-clo) / float64(hi-lo))
 }
 
-func (b *Base) colStats(attr string) (lo, hi Value) {
-	b.statsMu.Lock()
-	defer b.statsMu.Unlock()
-	if l, ok := b.colMin[attr]; ok {
-		return l, b.colMax[attr]
+func (s *Store) colStats(attr string) (lo, hi Value) {
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	if l, ok := s.colMin[attr]; ok {
+		return l, s.colMax[attr]
 	}
-	col := b.rel.MustColumn(attr)
+	col := s.rel.MustColumn(attr)
 	l, _ := store.Min(col.Vals)
 	h, _ := store.Max(col.Vals)
-	b.colMin[attr], b.colMax[attr] = l, h
+	s.colMin[attr], s.colMax[attr] = l, h
 	return l, h
 }
 
@@ -158,22 +129,21 @@ type Pending struct {
 	insScanned int
 }
 
-// NewPending registers the ledger of a new map set with head attribute attr.
-// A set created after updates starts from the full current base (inserts
-// included) with all live tombstones pending, which is equivalent to having
-// observed the updates as pending from the start. An unknown attribute
-// panics before anything is registered.
-func NewPending(b *Base, attr string) *Pending {
-	dead := b.rel.Deleted()
+// newPending returns the ledger of a new map set of rel with head attribute
+// attr. A set created after updates starts from the full current base
+// (inserts included) with all live tombstones pending, which is equivalent
+// to having observed the updates as pending from the start. An unknown
+// attribute panics.
+func newPending(rel *store.Relation, attr string) *Pending {
+	dead := rel.Deleted()
 	p := &Pending{
-		head:    b.rel.MustColumn(attr),
-		baseLen: b.rel.NumRows(),
+		head:    rel.MustColumn(attr),
+		baseLen: rel.NumRows(),
 		del:     make(map[int]bool, len(dead)),
 	}
 	for _, k := range dead {
 		p.del[k] = true
 	}
-	b.ledgers = append(b.ledgers, p)
 	return p
 }
 
@@ -414,12 +384,6 @@ type Result struct {
 	N    int
 }
 
-// Estimator is the selectivity oracle the planner consults: a store's
-// self-organizing histograms with a uniform fallback.
-type Estimator interface {
-	EstimateSelectivity(attr string, pred store.Pred) int
-}
-
 // Plan is a multi-selection plan over one map set (Section 3.3): the head
 // predicate whose set answers the query, the remaining predicates evaluated
 // on tails, and one tail slot per distinct attribute the plan reads.
@@ -439,12 +403,12 @@ type Plan struct {
 
 // PlanMulti lays out the plan for preds and projs. The head predicate is
 // the most (conjunctive) or least (disjunctive) selective one according to
-// est; a lone predicate is the head without consulting est.
-func PlanMulti(est Estimator, preds []AttrPred, projs []string, disjunctive bool) Plan {
+// s's estimates; a lone predicate is the head without consulting s.
+func PlanMulti(s *Store, preds []AttrPred, projs []string, disjunctive bool) Plan {
 	if len(preds) == 0 {
 		panic("sideways: a multi-selection plan requires at least one predicate")
 	}
-	chosen := choosePred(est, preds, disjunctive)
+	chosen := choosePred(s, preds, disjunctive)
 	pl := Plan{
 		Head:      preds[chosen],
 		Others:    make([]AttrPred, 0, len(preds)-1),
@@ -471,14 +435,14 @@ func PlanMulti(est Estimator, preds []AttrPred, projs []string, disjunctive bool
 }
 
 // choosePred picks the plan's head predicate. Read-only.
-func choosePred(est Estimator, preds []AttrPred, disjunctive bool) int {
+func choosePred(s *Store, preds []AttrPred, disjunctive bool) int {
 	chosen := 0
 	if len(preds) == 1 {
 		return 0
 	}
-	bestEst := est.EstimateSelectivity(preds[0].Attr, preds[0].Pred)
+	bestEst := s.EstimateSelectivity(preds[0].Attr, preds[0].Pred)
 	for i := 1; i < len(preds); i++ {
-		e := est.EstimateSelectivity(preds[i].Attr, preds[i].Pred)
+		e := s.EstimateSelectivity(preds[i].Attr, preds[i].Pred)
 		better := e < bestEst
 		if disjunctive {
 			better = e > bestEst
@@ -660,12 +624,4 @@ func SelectCreateBV(tail []Value, lo, hi int, pred store.Pred) *bitvec.Vector {
 func SelectRefineBV(tail []Value, lo, hi int, pred store.Pred, bv *bitvec.Vector) {
 	vlo, vhi := closedInterval(pred)
 	bv.AndRange(tail[lo:hi], vlo, vhi)
-}
-
-// ReconstructBV is operator sideways.reconstruct step (8): gather the tail
-// values whose bit is set; base is the tail offset of bit 0.
-func ReconstructBV(tail []Value, base int, bv *bitvec.Vector) []Value {
-	out := make([]Value, bv.Count())
-	bv.Gather(out, tail[base:base+bv.Len()])
-	return out
 }

@@ -81,13 +81,13 @@ func TestEvictedMapsKeepTheirKernelCounts(t *testing.T) {
 func TestDeleteOfBaseKeysSkipsPendingInserts(t *testing.T) {
 	const n = 10000
 	rel := buildRel(rand.New(rand.NewSource(6)), n, []string{"A", "B"}, 1000)
-	b := NewBase(rel)
-	ledgers := []*Pending{NewPending(&b, "A"), NewPending(&b, "B")}
+	s := NewStore(rel)
+	ledgers := []*Pending{s.Set("A").pend, s.Set("B").pend}
 	for i := 0; i < n; i++ {
-		b.Insert(Value(i), Value(i))
+		s.Insert(Value(i), Value(i))
 	}
 	for key := 0; key < n; key++ {
-		b.Delete(key)
+		s.Delete(key)
 	}
 	for i, p := range ledgers {
 		if p.insScanned != 0 {
@@ -99,7 +99,7 @@ func TestDeleteOfBaseKeysSkipsPendingInserts(t *testing.T) {
 	}
 	// A pending insertion is still cancelled by its own delete, not queued
 	// behind it.
-	b.Delete(n + 7)
+	s.Delete(n + 7)
 	for i, p := range ledgers {
 		if len(p.ins) != n-1 || len(p.del) != n || p.insScanned != 8 {
 			t.Errorf("ledger %d after cancelling a pending insertion: %d insertions, %d deletions, %d compared",

@@ -96,7 +96,8 @@ func TestFigure3OperatorPipeline(t *testing.T) {
 	}
 	bv := SelectCreateBV(used[0], lo, hi, store.Open(4, 8))
 	SelectRefineBV(used[1], lo, hi, store.Open(1, 7), bv)
-	got := ReconstructBV(used[2], lo, bv)
+	got := make([]Value, bv.Count())
+	bv.Gather(got, used[2][lo:hi])
 	var want []Value
 	for i := range a {
 		if a[i] > 3 && a[i] < 10 && b[i] > 4 && b[i] < 8 && c[i] > 1 && c[i] < 7 {

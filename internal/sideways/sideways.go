@@ -77,6 +77,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"crackstore/internal/crack"
 	"crackstore/internal/crackindex"
@@ -246,9 +247,12 @@ func (set *Set) MostAlignedMap() *Map {
 	return best
 }
 
-// Store owns a base relation plus all map sets built over it.
+// Store owns a base relation plus all map sets built over it. The base
+// columns are append-only: inserts are appended immediately (keys are dense
+// positions) while the sets keep them pending; deletes are tombstoned in the
+// relation and merged lazily per set.
 type Store struct {
-	Base
+	rel     *store.Relation
 	sets    map[string]*Set
 	partial bool // sets keep a chunk map and fetch areas of it
 
@@ -267,6 +271,8 @@ type Store struct {
 	pinned      map[*Map]bool  // maps the in-flight query reads; empty between queries
 	victims     victimHeap     // every live map, lowest eviction priority first
 	life        ChunkStats
+	age         int64             // eviction age: the highest priority evicted so far
+	retired     crack.KernelStats // kernel work done on maps since evicted
 	// evictedAccesses sums the access counts of evicted maps: a mean near
 	// one says the manager evicts what it created a query ago.
 	evictedAccesses int64
@@ -275,6 +281,9 @@ type Store struct {
 	// head given at an area's first update, before any of them replays a
 	// tape entry. Tests set it; it is nil otherwise.
 	observe func(event, *area, *Map)
+
+	statsMu        sync.Mutex       // guards colMin/colMax (lazily filled by read-only probes)
+	colMin, colMax map[string]Value // cached base column stats for fallback estimation
 }
 
 // event names what Store.observe is told of.
@@ -294,7 +303,10 @@ func (s *Store) note(ev event, w *area, m *Map) {
 
 // NewStore wraps rel (not copied) for sideways cracking with full maps.
 func NewStore(rel *store.Relation) *Store {
-	return &Store{Base: NewBase(rel), sets: make(map[string]*Set), pinned: make(map[*Map]bool)}
+	return &Store{
+		rel: rel, sets: make(map[string]*Set), pinned: make(map[*Map]bool),
+		colMin: make(map[string]Value), colMax: make(map[string]Value),
+	}
 }
 
 // NewPartialStore wraps rel (not copied) for partial sideways cracking.
@@ -359,7 +371,7 @@ func (s *Store) NumSets() int { return len(s.sets) }
 // it under the same synchronization as queries (the stats are plain ints on
 // the Pairs).
 func (s *Store) Kernel() (ks crack.KernelStats, pieces, cols int) {
-	ks = s.RetiredKernel()
+	ks = s.retired
 	count := func(p *crack.Pairs) {
 		ks.Add(p.Stats)
 		if p.Idx != nil {
@@ -413,17 +425,17 @@ func (s *Store) account(m *Map) {
 	m.cost = m.tuples()
 }
 
-// Set returns the map set for attr, creating it on demand (see NewPending
+// Set returns the map set for attr, creating it on demand (see newPending
 // for what a set created after updates starts from). Under partial maps the
 // chunk map H_A is built from the current base state.
 func (s *Store) Set(attr string) *Set {
 	if set, ok := s.sets[attr]; ok {
 		return set
 	}
-	// NewPending validates attr before anything is registered: a panic on
+	// newPending validates attr before the set is registered: a panic on
 	// an unknown attribute must not leave a half-created set behind (a
 	// later read-only probe would mistake it for real cracking knowledge).
-	set := &Set{st: s, attr: attr, pend: NewPending(&s.Base, attr), policy: s.Policy}
+	set := &Set{st: s, attr: attr, pend: newPending(s.rel, attr), policy: s.Policy}
 	if s.partial {
 		head := slices.Clone(set.pend.head.Vals[:set.pend.baseLen]) // no zeroing pass before the copy
 		set.ha = crack.WrapPairs(head, keyRange(0, len(head)))
@@ -714,7 +726,7 @@ func (s *Store) ensureBudget(size int) {
 func (s *Store) evict(m *Map) {
 	delete(m.w.maps, m.tailAttr)
 	s.storage -= m.cost
-	s.Retire(&m.Usage, m.pairs.Stats)
+	s.retire(&m.Usage, m.pairs.Stats)
 	s.life.Evicted++
 	s.evictedAccesses += m.Accesses()
 	// Never un-fetch an area the in-flight query resolved: pushing its
@@ -806,7 +818,7 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window 
 		}
 		set.replay(w, target, used[i]...)
 		for _, m := range used[i] {
-			st.Touch(&m.Usage)
+			st.touch(&m.Usage)
 		}
 		var ok bool
 		if wins[i], ok = windowOf(w, used[i], heads, cutLo, cutHi, lowerB, upperB); !ok {
@@ -926,7 +938,7 @@ func (s *Store) EstimateSelectivity(attr string, pred store.Pred) int {
 			return est
 		}
 	}
-	return s.UniformEstimate(attr, pred)
+	return s.uniformEstimate(attr, pred)
 }
 
 // SelectProject evaluates a single-selection, multi-projection query
@@ -1031,7 +1043,7 @@ func (s *Store) MultiSelectROInto(into *Result, preds []AttrPred, projs []string
 	// No dedup needed: windows are one per area and an area's maps are
 	// keyed by distinct tail attributes, so no map repeats.
 	for _, m := range used {
-		s.Touch(&m.Usage)
+		s.touch(&m.Usage)
 	}
 	pl.Into = into
 	return pl.Finish(wins, disjunctive), true
@@ -1060,7 +1072,7 @@ func (s *Store) KeysRO(attr string, pred store.Pred) ([]Value, bool) {
 		return nil, false
 	}
 	for _, m := range used {
-		s.Touch(&m.Usage)
+		s.touch(&m.Usage)
 	}
 	_, keys := keysOf(wins)
 	return keys, true

@@ -2,7 +2,6 @@ package vet
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -82,61 +81,36 @@ func (p *Pass) lockEvent(call *ast.CallExpr, def bool) (event, bool) {
 
 func runLockPair(pass *Pass) {
 	funcBodies(pass.Package, func(name string, body *ast.BlockStmt) {
-		lockPairBody(pass, body)
+		walkFlow(pass, body)
 	})
 }
 
-func lockPairBody(pass *Pass, body *ast.BlockStmt) {
-	classify := func(stmt ast.Stmt) []event {
-		var evs []event
-		switch s := stmt.(type) {
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok {
-				if ev, ok := pass.lockEvent(call, false); ok {
-					evs = append(evs, ev)
-				}
-			}
-		case *ast.DeferStmt:
-			if ev, ok := pass.lockEvent(s.Call, true); ok {
+// classify extracts the lock events of one simple statement.
+func (w *flowWalker) classify(stmt ast.Stmt) []event {
+	var evs []event
+	switch s := stmt.(type) {
+	case *ast.ExprStmt:
+		if call, ok := s.X.(*ast.CallExpr); ok {
+			if ev, ok := w.pass.lockEvent(call, false); ok {
 				evs = append(evs, ev)
-				break
-			}
-			// defer func() { ...; mu.Unlock(); ... }()
-			if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-				ast.Inspect(lit.Body, func(n ast.Node) bool {
-					if call, ok := n.(*ast.CallExpr); ok {
-						if ev, ok := pass.lockEvent(call, true); ok && ev.kind == evRelease {
-							evs = append(evs, ev)
-						}
-					}
-					return true
-				})
 			}
 		}
-		return evs
+	case *ast.DeferStmt:
+		if ev, ok := w.pass.lockEvent(s.Call, true); ok {
+			evs = append(evs, ev)
+			break
+		}
+		// defer func() { ...; mu.Unlock(); ... }()
+		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
+			ast.Inspect(lit.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if ev, ok := w.pass.lockEvent(call, true); ok && ev.kind == evRelease {
+						evs = append(evs, ev)
+					}
+				}
+				return true
+			})
+		}
 	}
-
-	relName := map[string]string{"W": "Unlock", "R": "RUnlock"}
-	acqName := map[string]string{"W": "Lock", "R": "RLock"}
-	walkFlow(pass, body, flowHooks{
-		classify: classify,
-		onDoubleAcquire: func(e event, prev *heldRes) {
-			pass.Reportf(e.pos, "%s.%s: %s is already held here (acquired with %s); double acquire self-deadlocks",
-				e.key, acqName[e.mode], e.key, acqName[prev.mode])
-		},
-		onMismatch: func(e event, prev *heldRes) {
-			pass.Reportf(e.pos, "%s released with %s but was acquired with %s",
-				e.key, relName[e.mode], acqName[prev.mode])
-		},
-		onDoubleRelease: func(e event) {
-			pass.Reportf(e.pos, "%s unlocked here but a deferred unlock is still pending (double release)", e.key)
-		},
-		onLeak: func(key string, h *heldRes, at token.Pos, how string) {
-			pass.Reportf(at, "%s %s (acquired with %s and never released on this path)",
-				key, how, acqName[h.mode])
-		},
-		onDiverge: func(key string, h *heldRes, at token.Pos) {
-			pass.Reportf(h.pos, "%s is released on some paths but still held on others", key)
-		},
-	})
+	return evs
 }

@@ -7,12 +7,12 @@ import (
 )
 
 // The path walker is lockpair's engine: an abstract interpretation of one
-// function body that tracks a set of held resources (mutexes) across the
+// function body that tracks a set of held mutexes across the
 // statement-level control flow — sequencing, if/else, loops, switch/select,
-// return — and reports acquire/release pairing violations. Function
-// literals are walked as independent bodies (their statements execute at
-// another time), and a deferred release makes a resource safe on every
-// subsequent path.
+// return — and reports Lock/Unlock and RLock/RUnlock pairing violations.
+// Function literals are walked as independent bodies (their statements
+// execute at another time), and a deferred release makes a mutex safe on
+// every subsequent path.
 
 type evKind int
 
@@ -57,39 +57,33 @@ func (s *flowState) clone() *flowState {
 	return c
 }
 
-// flowHooks parameterizes the walker per checker. Nil hooks disable the
-// corresponding report.
-type flowHooks struct {
-	// classify extracts the acquire/release events of one simple statement.
-	classify func(stmt ast.Stmt) []event
-
-	onDoubleAcquire func(e event, prev *heldRes)
-	onMismatch      func(e event, prev *heldRes)
-	onDoubleRelease func(e event)
-	// onLeak reports a resource still held when a path leaves the function
-	// (at == return position, or the acquire position on fall-through and
-	// loop-iteration leaks).
-	onLeak func(key string, h *heldRes, at token.Pos, how string)
-	// onDiverge reports a resource held on some but not all merging
-	// branches — released (or acquired) on one path only.
-	onDiverge func(key string, h *heldRes, at token.Pos)
-}
-
 type flowWalker struct {
-	pass  *Pass
-	hooks flowHooks
+	pass *Pass
 }
 
-func walkFlow(pass *Pass, body *ast.BlockStmt, hooks flowHooks) {
-	w := &flowWalker{pass: pass, hooks: hooks}
+func walkFlow(pass *Pass, body *ast.BlockStmt) {
+	w := &flowWalker{pass: pass}
 	st := newFlowState()
 	if !w.walkStmts(body.List, st) {
 		for k, h := range st.held {
 			if _, ok := st.deferred[k]; !ok {
-				w.hooks.onLeak(k, h, h.pos, "not released before the function returns")
+				w.leak(k, h, h.pos, "not released before the function returns")
 			}
 		}
 	}
+}
+
+var (
+	relName = map[string]string{"W": "Unlock", "R": "RUnlock"}
+	acqName = map[string]string{"W": "Lock", "R": "RLock"}
+)
+
+// leak reports a mutex still held when a path leaves the function (at is
+// the return position, or the acquire position on fall-through and
+// loop-iteration leaks).
+func (w *flowWalker) leak(key string, h *heldRes, at token.Pos, how string) {
+	w.pass.Reportf(at, "%s %s (acquired with %s and never released on this path)",
+		key, how, acqName[h.mode])
 }
 
 // walkStmts interprets a statement list; true means every path through the
@@ -108,7 +102,7 @@ func (w *flowWalker) walkStmt(s ast.Stmt, st *flowState) bool {
 	case *ast.ReturnStmt:
 		for k, h := range st.held {
 			if _, ok := st.deferred[k]; !ok {
-				w.hooks.onLeak(k, h, s.Pos(), "still held at return")
+				w.leak(k, h, s.Pos(), "still held at return")
 			}
 		}
 		return true
@@ -165,11 +159,11 @@ func (w *flowWalker) walkStmt(s ast.Stmt, st *flowState) bool {
 		return w.clauses(s.Body, st, s.End(), true)
 
 	case *ast.DeferStmt:
-		w.apply(w.hooks.classify(s), st)
+		w.apply(w.classify(s), st)
 		return false
 
 	default:
-		w.apply(w.hooks.classify(s), st)
+		w.apply(w.classify(s), st)
 		return w.isTerminator(s)
 	}
 }
@@ -183,7 +177,7 @@ func (w *flowWalker) loopBody(body *ast.BlockStmt, st *flowState) {
 	for k, h := range bodySt.held {
 		if _, was := pre.held[k]; !was {
 			if _, ok := bodySt.deferred[k]; !ok {
-				w.hooks.onLeak(k, h, h.pos, "acquired in a loop and not released by the end of the iteration")
+				w.leak(k, h, h.pos, "acquired in a loop and not released by the end of the iteration")
 			}
 		}
 	}
@@ -233,8 +227,9 @@ func (w *flowWalker) clauses(body *ast.BlockStmt, st *flowState, end token.Pos, 
 }
 
 // merge folds branch out-states back into st; true when every branch
-// terminated. A resource held in some but not all surviving branches is
-// reported as a divergence and dropped (so one bug draws one report).
+// terminated. A mutex held in some but not all surviving branches —
+// released (or acquired) on one path only — is reported as a divergence
+// and dropped (so one bug draws one report).
 func (w *flowWalker) merge(st *flowState, at token.Pos, outs []branchOut) bool {
 	var live []*flowState
 	for _, o := range outs {
@@ -267,7 +262,7 @@ func (w *flowWalker) merge(st *flowState, at token.Pos, outs []branchOut) bool {
 			if _, pending := o.deferred[k]; pending {
 				continue
 			}
-			w.hooks.onDiverge(k, h, at)
+			w.pass.Reportf(h.pos, "%s is released on some paths but still held on others", k)
 		}
 	}
 	deferred := make(map[string]string)
@@ -293,12 +288,13 @@ func (w *flowWalker) apply(evs []event, st *flowState) {
 	for _, e := range evs {
 		switch e.kind {
 		case evAcquire:
-			if prev, ok := st.held[e.key]; ok {
-				w.hooks.onDoubleAcquire(e, prev)
-				continue
+			prev, ok := st.held[e.key]
+			if mode, pending := st.deferred[e.key]; !ok && pending {
+				prev, ok = &heldRes{mode: mode, pos: e.pos}, true
 			}
-			if _, pending := st.deferred[e.key]; pending {
-				w.hooks.onDoubleAcquire(e, &heldRes{mode: st.deferred[e.key], pos: e.pos})
+			if ok {
+				w.pass.Reportf(e.pos, "%s.%s: %s is already held here (acquired with %s); double acquire self-deadlocks",
+					e.key, acqName[e.mode], e.key, acqName[prev.mode])
 				continue
 			}
 			st.held[e.key] = &heldRes{mode: e.mode, pos: e.pos}
@@ -306,7 +302,7 @@ func (w *flowWalker) apply(evs []event, st *flowState) {
 			prev, ok := st.held[e.key]
 			if !ok {
 				if _, pending := st.deferred[e.key]; pending && !e.def {
-					w.hooks.onDoubleRelease(e)
+					w.pass.Reportf(e.pos, "%s unlocked here but a deferred unlock is still pending (double release)", e.key)
 				}
 				if e.def {
 					// Deferred release with no visible acquire yet: arm it
@@ -316,7 +312,8 @@ func (w *flowWalker) apply(evs []event, st *flowState) {
 				continue
 			}
 			if prev.mode != e.mode {
-				w.hooks.onMismatch(e, prev)
+				w.pass.Reportf(e.pos, "%s released with %s but was acquired with %s",
+					e.key, relName[e.mode], acqName[prev.mode])
 			}
 			delete(st.held, e.key)
 			if e.def {

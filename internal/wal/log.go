@@ -115,7 +115,8 @@ type Log struct {
 	f    File
 	mode SyncMode
 
-	// raw is the segment file under f (nil for NewLog): preallocation and
+	// raw is the segment file under f (nil when newLog wraps a test's
+	// file): preallocation and
 	// Close's trim act on it directly, so a Wrap sees only record bytes.
 	raw *os.File
 	// alloc is the end of the preallocated region; appends write below it
@@ -207,12 +208,8 @@ func TornBytes(tail []byte) int64 {
 	return 0
 }
 
-// NewLog wraps an already-positioned file whose first size bytes are valid
-// records. Tests use it to drive in-memory and fault-injecting files.
-func NewLog(f File, size int64, opts Options) *Log {
-	return newLog(f, size, opts)
-}
-
+// newLog wraps an already-positioned file whose first size bytes are valid
+// records. Tests call it directly to drive in-memory files.
 func newLog(f File, size int64, opts Options) *Log {
 	if opts.Wrap != nil {
 		f = opts.Wrap(f)

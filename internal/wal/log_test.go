@@ -46,7 +46,7 @@ func (m *memFile) Close() error { return nil }
 
 func TestLogAppendAndGroupCommit(t *testing.T) {
 	mf := &memFile{}
-	l := NewLog(mf, 0, Options{Sync: SyncGroup})
+	l := newLog(mf, 0, Options{Sync: SyncGroup})
 	const writers = 8
 	const each = 25
 	var wg sync.WaitGroup
@@ -85,7 +85,7 @@ func TestLogAppendAndGroupCommit(t *testing.T) {
 
 func TestLogPoisonOnWriteError(t *testing.T) {
 	mf := &memFile{}
-	l := NewLog(mf, 0, Options{Sync: SyncGroup})
+	l := newLog(mf, 0, Options{Sync: SyncGroup})
 	if err := l.Append(Record{Type: RecCheckpoint, Seq: 1}); err != nil {
 		t.Fatalf("healthy append: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestLogPoisonOnWriteError(t *testing.T) {
 
 func TestLogPoisonOnSyncError(t *testing.T) {
 	mf := &memFile{}
-	l := NewLog(mf, 0, Options{Sync: SyncGroup})
+	l := newLog(mf, 0, Options{Sync: SyncGroup})
 	end, err := l.AppendBuffered(Record{Type: RecCheckpoint, Seq: 1})
 	if err != nil {
 		t.Fatalf("append: %v", err)
