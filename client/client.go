@@ -217,12 +217,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	for _, sl := range c.slots {
-		sl.mu.Lock()
-		if sl.cn != nil {
-			sl.cn.shutdown(ErrClosed)
-			sl.cn = nil
-		}
-		sl.mu.Unlock()
+		sl.close()
 	}
 	return nil
 }
@@ -696,6 +691,16 @@ func (s *slot) get(c *Client) (*conn, error) {
 	return s.cn, nil
 }
 
+// close shuts the slot's connection down, if it has one.
+func (s *slot) close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cn != nil {
+		s.cn.shutdown(ErrClosed)
+		s.cn = nil
+	}
+}
+
 // evict drops a dead connection from its slot (the next get re-dials
 // immediately; dial backoff only applies to failed dials).
 func (s *slot) evict(cn *conn) {
@@ -788,17 +793,11 @@ var resultChPool = sync.Pool{
 func (cn *conn) call(ctx context.Context, req *wire.Request) (resp *wire.Response, sent bool, err error) {
 	ch := resultChPool.Get().(chan result)
 	defer resultChPool.Put(ch)
-	cn.mu.Lock()
-	if cn.err != nil {
-		err := cn.err
-		cn.mu.Unlock()
+	id, err := cn.register(ch)
+	if err != nil {
 		return nil, false, err
 	}
-	cn.nextID++ // IDs start at 1: ID 0 is the server's conn-level error channel
-	id := cn.nextID
 	req.ID = id
-	cn.pending[id] = ch
-	cn.mu.Unlock()
 
 	f := outFramePool.Get().(*outFrame)
 	f.buf = wire.AppendRequest(f.buf[:0], req)
@@ -836,6 +835,28 @@ func (cn *conn) call(ctx context.Context, req *wire.Request) (resp *wire.Respons
 		outFramePool.Put(f)
 	}
 	return res.resp, sent, res.err
+}
+
+// register files ch as the waiter of a fresh request ID, unless the
+// connection has failed.
+func (cn *conn) register(ch chan result) (uint64, error) {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	if cn.err != nil {
+		return 0, cn.err
+	}
+	cn.nextID++ // IDs start at 1: ID 0 is the server's conn-level error channel
+	cn.pending[cn.nextID] = ch
+	return cn.nextID, nil
+}
+
+// take removes and returns the waiter registered under id.
+func (cn *conn) take(id uint64) (chan result, bool) {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	ch, ok := cn.pending[id]
+	delete(cn.pending, id)
+	return ch, ok
 }
 
 // forget tombstones a pending request whose caller gave up, so the reader
@@ -903,10 +924,7 @@ func (cn *conn) readLoop() {
 			cn.shutdown(fmt.Errorf("client: server: %s", resp.Err))
 			return
 		}
-		cn.mu.Lock()
-		ch, ok := cn.pending[resp.ID]
-		delete(cn.pending, resp.ID)
-		cn.mu.Unlock()
+		ch, ok := cn.take(resp.ID)
 		if !ok {
 			cn.shutdown(fmt.Errorf("client: protocol: response for unknown request %d", resp.ID))
 			return
@@ -922,15 +940,10 @@ func (cn *conn) readLoop() {
 // shutdown marks the connection failed, closes the socket, and fails every
 // pending waiter. First error wins; later calls are no-ops.
 func (cn *conn) shutdown(err error) {
-	cn.mu.Lock()
-	if cn.err != nil {
-		cn.mu.Unlock()
+	waiters, first := cn.fail(err)
+	if !first {
 		return
 	}
-	cn.err = err
-	waiters := cn.pending
-	cn.pending = make(map[uint64]chan result)
-	cn.mu.Unlock()
 	close(cn.dead) // stops the writer; unblocks senders
 	cn.nc.Close()  // unblocks the reader, which re-enters shutdown harmlessly
 	for _, ch := range waiters {
@@ -938,4 +951,18 @@ func (cn *conn) shutdown(err error) {
 			ch <- result{err: err}
 		}
 	}
+}
+
+// fail records err as the connection's failure and takes its pending
+// waiters; first is false when the connection had already failed.
+func (cn *conn) fail(err error) (waiters map[uint64]chan result, first bool) {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	if cn.err != nil {
+		return nil, false
+	}
+	cn.err = err
+	waiters = cn.pending
+	cn.pending = make(map[uint64]chan result)
+	return waiters, true
 }

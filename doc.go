@@ -548,10 +548,18 @@
 //     a loaded pointer; a write through a piece the writer still holds from
 //     building it is held by crack.TestSnapColConcurrentReaders, which
 //     checks after every write that the version it replaced is unchanged.
-//   - lockpair: sync.Mutex/RWMutex acquisitions pair with their releases
-//     on every path of the acquiring function, in the same mode (Lock with
-//     Unlock, RLock with RUnlock), and a held lock is never re-acquired —
-//     the self-deadlock Go's runtime only reports at execution time.
+//   - lockpair: every sync.Mutex/RWMutex section is released by
+//     construction. An acquire — X.Lock(), X.RLock(), or an `if` whose
+//     condition calls X.TryLock()/X.TryRLock() and whose body may block on
+//     X — is followed in the same block either (a) at once by `defer
+//     X.Unlock()` (`defer X.RUnlock()` for a read lock), or (b) by the
+//     matching release, with nothing between them that calls anything but a
+//     builtin other than panic or a conversion, indexes or slices, returns,
+//     branches, defers, starts a goroutine, selects, or uses a channel. A
+//     section of form (b) cannot panic out through a call or leave before
+//     its release; a section that must drop its lock before blocking work
+//     is its own function with a deferred release. A lock is never
+//     re-acquired while its deferred release is pending.
 //   - wirebounds: inside internal/wire, internal/wal and internal/frame —
 //     the decoders of peer frames, log records and checkpoints — every
 //     decode-side preallocation size derives from frame.Reader.Count (or
@@ -569,11 +577,6 @@
 //     math/rand state (explicitly seeded local generators are fine);
 //     replaying a crack tape must reproduce the exact layout of the run
 //     that recorded it.
-//
-// A finding is suppressed with a `//crackvet:ignore check-name reason`
-// comment on the offending line or the line above it. Suppressions are
-// counted in CI logs and budgeted — at most three in the tree, enforced by
-// the internal/vet tests — so exceptions stay rare and documented.
 //
 // One kernel rule is held by tests, not crackvet: only map-set alignment
 // (sideways.Tape.ReplayJoint) builds a follower group for

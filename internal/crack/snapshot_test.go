@@ -182,9 +182,11 @@ func TestSnapColConcurrentReaders(t *testing.T) {
 				ck := checks[rng.Intn(len(checks))]
 				keys, ok := c.GatherRO(ck.pred)
 				if !ok {
-					mu.Lock()
-					keys = c.Select(ck.pred)
-					mu.Unlock()
+					func() {
+						mu.Lock()
+						defer mu.Unlock()
+						keys = c.Select(ck.pred)
+					}()
 				}
 				if got := sortedKeys(keys); !slices.Equal(got, ck.want) {
 					t.Errorf("reader %v (lock-free %v): got %d keys %v, want %d %v", ck.pred, ok, len(got), got, len(ck.want), ck.want)
@@ -204,30 +206,32 @@ func TestSnapColConcurrentReaders(t *testing.T) {
 	slices.Sort(mine)
 	nextKey := n
 	for i := 0; i < 400; i++ {
-		mu.Lock()
-		prev := c.cur.Load()
-		sum := versionSum(prev)
-		switch writerRng.Intn(5) {
-		case 0:
-			c.Insert(nextKey, Value(writerRng.Int63n(bandWidth)))
-			mine = append(mine, nextKey)
-			nextKey++
-		case 1:
-			if len(mine) > 0 {
-				j := writerRng.Intn(len(mine))
-				c.Delete(mine[j])
-				mine = append(mine[:j], mine[j+1:]...)
+		func() {
+			mu.Lock()
+			defer mu.Unlock()
+			prev := c.cur.Load()
+			sum := versionSum(prev)
+			switch writerRng.Intn(5) {
+			case 0:
+				c.Insert(nextKey, Value(writerRng.Int63n(bandWidth)))
+				mine = append(mine, nextKey)
+				nextKey++
+			case 1:
+				if len(mine) > 0 {
+					j := writerRng.Intn(len(mine))
+					c.Delete(mine[j])
+					mine = append(mine[:j], mine[j+1:]...)
+				}
+			case 2: // a reader band: merges its pending deletions, changes no answer
+				c.Select(checks[writerRng.Intn(len(checks))].pred)
+			default:
+				lo := Value(writerRng.Int63n(bandWidth - 100))
+				c.Select(store.Range(lo, lo+1+writerRng.Int63n(99)))
 			}
-		case 2: // a reader band: merges its pending deletions, changes no answer
-			c.Select(checks[writerRng.Intn(len(checks))].pred)
-		default:
-			lo := Value(writerRng.Int63n(bandWidth - 100))
-			c.Select(store.Range(lo, lo+1+writerRng.Int63n(99)))
-		}
-		if versionSum(prev) != sum {
-			t.Errorf("op %d wrote into the version it replaced", i)
-		}
-		mu.Unlock()
+			if versionSum(prev) != sum {
+				t.Errorf("op %d wrote into the version it replaced", i)
+			}
+		}()
 	}
 	stop.Store(true)
 	wg.Wait()

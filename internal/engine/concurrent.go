@@ -74,26 +74,13 @@ type rwEngine struct {
 	readerWaits  atomic.Int64
 }
 
-// rlock acquires the read lock, recording time spent blocked behind a
-// writer (an uncontended acquisition costs one TryRLock).
-func (s *rwEngine) rlock() {
-	if s.mu.TryRLock() {
-		return
-	}
-	t0 := time.Now()
-	//crackvet:ignore lockpair rlock acquires for its caller; every call site pairs it with s.mu.RUnlock
-	s.mu.RLock()
-	s.readerWaitNs.Add(int64(time.Since(t0)))
-	s.readerWaits.Add(1)
-}
-
 // Report is the wrapped engine's report, read under the read lock, plus the
-// guard's Readers section. Deliberately bypasses rlock(): a metrics scrape
-// must not count as reader contention.
+// guard's Readers section. A metrics scrape takes the lock without
+// counting as reader contention.
 func (s *rwEngine) Report() Report {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	r := ReportOf(s.e)
-	s.mu.RUnlock()
 	r.Readers = &ConcStats{
 		ReaderWait:  time.Duration(s.readerWaitNs.Load()),
 		ReaderWaits: s.readerWaits.Load(),
@@ -124,8 +111,15 @@ func (s *rwEngine) Query(q Query) (Result, Cost) {
 	return res, cost
 }
 
+// QueryRO runs q read-only under the shared lock, recording time spent
+// blocked behind a writer (an uncontended acquisition costs one TryRLock).
 func (s *rwEngine) QueryRO(q Query) (Result, Cost, bool) {
-	s.rlock()
+	if !s.mu.TryRLock() {
+		t0 := time.Now()
+		s.mu.RLock()
+		s.readerWaitNs.Add(int64(time.Since(t0)))
+		s.readerWaits.Add(1)
+	}
 	defer s.mu.RUnlock()
 	return s.e.QueryRO(q)
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -286,6 +287,51 @@ func TestConcurrentPanicReleasesGuard(t *testing.T) {
 			})
 		}
 	}
+	// A WAL write that panics below the durable engine's write lock.
+	for _, kind := range Kinds() {
+		t.Run("durable-write/"+kind.String(), func(t *testing.T) {
+			var armed atomic.Bool
+			e, err := OpenDurable(kind, buildBandedRel(5), t.TempDir(), DurableOptions{
+				Sync: wal.SyncNone,
+				Wrap: func(f wal.File) wal.File { return panicOnce{f, &armed} },
+			})
+			if err != nil {
+				t.Fatalf("open durable: %v", err)
+			}
+			armed.Store(true)
+			func() {
+				defer func() { recover() }()
+				e.Insert(1, 2)
+			}()
+			if armed.Load() {
+				t.Fatal("the WAL write did not panic")
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				e.Insert(3, 4)
+			}()
+			select {
+			case <-done:
+				CloseDurable(e)
+			case <-time.After(5 * time.Second):
+				t.Fatal("Insert blocked behind the lock a panicking WAL write left held")
+			}
+		})
+	}
+}
+
+// panicOnce is a WAL file whose first Write after arming panics.
+type panicOnce struct {
+	wal.File
+	armed *atomic.Bool
+}
+
+func (f panicOnce) Write(p []byte) (int, error) {
+	if f.armed.CompareAndSwap(true, false) {
+		panic("wal: injected write panic")
+	}
+	return f.File.Write(p)
 }
 
 // TestConcurrentOneCrackPaysForAllWaiters: many goroutines issue the same
@@ -347,11 +393,13 @@ func TestConcurrentReaderWaitStats(t *testing.T) {
 			}
 			// A scrape that finds the guard write-locked waits like a reader
 			// but is not one: it must not count as contention.
-			mu.Lock()
 			scraped := make(chan struct{})
-			go func() { ReportOf(e); close(scraped) }()
-			time.Sleep(2 * time.Millisecond)
-			mu.Unlock()
+			func() {
+				mu.Lock()
+				defer mu.Unlock()
+				go func() { ReportOf(e); close(scraped) }()
+				time.Sleep(2 * time.Millisecond)
+			}()
 			<-scraped
 			if cs, ok := ConcStatsOf(e); !ok || cs.ReaderWaits != 0 {
 				t.Fatalf("fresh engine after a blocked scrape: ConcStats ok=%v %+v", ok, cs)
@@ -360,16 +408,18 @@ func TestConcurrentReaderWaitStats(t *testing.T) {
 			// is no event for "blocked in RLock", so yield to it and retry
 			// until a blocked acquisition has been observed.
 			for attempt := 0; ; attempt++ {
-				mu.Lock()
 				started, done := make(chan struct{}), make(chan struct{})
-				go func() {
-					close(started)
-					e.QueryRO(q)
-					close(done)
+				func() {
+					mu.Lock()
+					defer mu.Unlock()
+					go func() {
+						close(started)
+						e.QueryRO(q)
+						close(done)
+					}()
+					<-started
+					runtime.Gosched()
 				}()
-				<-started
-				runtime.Gosched()
-				mu.Unlock()
 				<-done
 				cs, _ := ConcStatsOf(e)
 				if cs.ReaderWaits > 0 {

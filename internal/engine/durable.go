@@ -439,14 +439,7 @@ func CloseDurable(e Engine) (bool, error) {
 // on the first storage error every later write fails too (the durable
 // prefix is unknowable, so acking would lie — restart and recover instead).
 func (d *durEngine) logThenApply(rec wal.Record, apply func()) bool {
-	d.mu.Lock()
-	log := d.log
-	end, err := log.AppendBuffered(rec)
-	if err == nil {
-		apply()
-		d.maybeCheckpointLocked()
-	}
-	d.mu.Unlock()
+	log, end, err := d.appendApply(rec, apply)
 	if err == nil {
 		err = log.WaitDurable(end)
 	}
@@ -454,6 +447,20 @@ func (d *durEngine) logThenApply(rec wal.Record, apply func()) bool {
 		d.writeErrs.Add(1)
 	}
 	return err == nil
+}
+
+// appendApply is logThenApply's write-lock section. It returns the log
+// the record went to, which a checkpoint may have retired since.
+func (d *durEngine) appendApply(rec wal.Record, apply func()) (*wal.Log, int64, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	log := d.log
+	end, err := log.AppendBuffered(rec)
+	if err == nil {
+		apply()
+		d.maybeCheckpointLocked()
+	}
+	return log, end, err
 }
 
 // Insert logs the tuple, applies it, and acks with its key only once the

@@ -45,9 +45,7 @@ func BenchmarkProbeHit(b *testing.B) {
 				go func(g int) {
 					defer wg.Done()
 					for i := 0; i < per; i++ {
-						mu.RLock()
-						res, _, ok := e.QueryRO(qs[(g+i)%len(qs)])
-						mu.RUnlock()
+						res, _, ok := lockedQueryRO(&mu, e, qs[(g+i)%len(qs)])
 						if !ok || res.N == 0 {
 							panic("probe-hit benchmark missed")
 						}
@@ -84,19 +82,28 @@ func BenchmarkProbeMiss(b *testing.B) {
 					defer wg.Done()
 					for i := 0; i < per; i++ {
 						q := next()
-						mu.RLock()
-						_, _, ok := e.QueryRO(q)
-						mu.RUnlock()
-						if ok {
+						if _, _, ok := lockedQueryRO(&mu, e, q); ok {
 							continue // unexpectedly warm; nothing to crack
 						}
-						mu.Lock()
-						e.Query(q)
-						mu.Unlock()
+						lockedQuery(&mu, e, q)
 					}
 				}()
 			}
 			wg.Wait()
 		})
 	}
+}
+
+// lockedQueryRO is one probe under mu's read lock.
+func lockedQueryRO(mu *sync.RWMutex, e Engine, q Query) (Result, Cost, bool) {
+	mu.RLock()
+	defer mu.RUnlock()
+	return e.QueryRO(q)
+}
+
+// lockedQuery is one crack under mu's write lock.
+func lockedQuery(mu *sync.RWMutex, e Engine, q Query) {
+	mu.Lock()
+	defer mu.Unlock()
+	e.Query(q)
 }

@@ -121,6 +121,13 @@ func (in *Injector) pick(rates []float64) (choice int, cut float64) {
 	return -1, cut
 }
 
+// draw is one seeded uniform draw.
+func (in *Injector) draw() float64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.r.Float64()
+}
+
 // decide draws the fault (if any) for one network operation. Read-side
 // operations keep zero-rate slots for the write-only faults so the draw
 // sequence (and thus every seeded run) is unchanged by the shared core.
@@ -155,10 +162,7 @@ func (in *Injector) stallAccept() (time.Duration, bool) {
 	if in.f.AcceptStallRate <= 0 {
 		return 0, false
 	}
-	in.mu.Lock()
-	hit := in.r.Float64() < in.f.AcceptStallRate
-	in.mu.Unlock()
-	if !hit {
+	if in.draw() >= in.f.AcceptStallRate {
 		return 0, false
 	}
 	d := in.f.AcceptStall
@@ -288,19 +292,40 @@ func (p *Proxy) Addr() net.Addr { return p.ln.Addr() }
 
 // Close stops accepting and severs every proxied connection.
 func (p *Proxy) Close() error {
+	if p.sever() {
+		p.wg.Wait()
+	}
+	return nil
+}
+
+// sever marks the proxy closed and closes its listener and every proxied
+// connection; false when it was already closed.
+func (p *Proxy) sever() bool {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
-		return nil
+		return false
 	}
 	p.closed = true
 	p.ln.Close()
 	for c := range p.conns {
 		c.Close()
 	}
-	p.mu.Unlock()
-	p.wg.Wait()
-	return nil
+	return true
+}
+
+// track registers a proxied pair and counts its two pumps, unless Close
+// already ran.
+func (p *Proxy) track(in, out net.Conn) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return false
+	}
+	p.conns[in] = struct{}{}
+	p.conns[out] = struct{}{}
+	p.wg.Add(2)
+	return true
 }
 
 func (p *Proxy) acceptLoop() {
@@ -318,17 +343,11 @@ func (p *Proxy) acceptLoop() {
 			in.Close()
 			continue
 		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
+		if !p.track(in, out) {
 			in.Close()
 			out.Close()
 			return
 		}
-		p.conns[in] = struct{}{}
-		p.conns[out] = struct{}{}
-		p.wg.Add(2)
-		p.mu.Unlock()
 		// Faults ride on the forwarding writes, so each direction sees
 		// delays, corruption, truncation, and resets independently.
 		go p.pump(in, WrapConn(out, p.inj))

@@ -214,14 +214,10 @@ func Listen(addr string, e engine.Engine, opts Options) (*Server, error) {
 // Serve accepts connections on ln until Close. It returns ErrClosed after
 // a graceful Close, or the accept error that stopped it.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed.Load() {
-		s.mu.Unlock()
+	if !s.bind(ln) {
 		ln.Close()
 		return ErrClosed
 	}
-	s.ln = ln // no-op when Listen already bound it; last listener wins otherwise
-	s.mu.Unlock()
 	backoff := 5 * time.Millisecond
 	for {
 		nc, err := ln.Accept()
@@ -251,23 +247,42 @@ func (s *Server) Serve(ln net.Listener) error {
 			out:   make(chan *[]byte, 64),
 			limit: make(chan struct{}, maxPipeline),
 		}
-		s.mu.Lock()
-		if s.closed.Load() {
-			s.mu.Unlock()
+		if !s.register(c) {
 			nc.Close()
 			return ErrClosed
 		}
-		s.conns[c] = struct{}{}
-		// Add under the lock: a concurrent Close between registration and
-		// Add would otherwise see a zero WaitGroup, Wait through it, and
-		// tear the serve layer down under this connection's goroutines.
-		s.wg.Add(2)
-		s.mu.Unlock()
 		s.connsTotal.Inc()
 		s.connsOpen.Add(1)
 		go c.readLoop()
 		go c.writeLoop()
 	}
+}
+
+// bind makes ln the listener (a no-op when Listen already bound it; the
+// last listener wins otherwise), unless Close already ran.
+func (s *Server) bind(ln net.Listener) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return false
+	}
+	s.ln = ln
+	return true
+}
+
+// register adds c to the live connections, unless Close already ran.
+func (s *Server) register(c *conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return false
+	}
+	s.conns[c] = struct{}{}
+	// Add under the lock: a concurrent Close between registration and
+	// Add would otherwise see a zero WaitGroup, Wait through it, and
+	// tear the serve layer down under this connection's goroutines.
+	s.wg.Add(2)
+	return true
 }
 
 // Addr returns the bound listener address (nil before Serve/Listen).
@@ -302,21 +317,26 @@ func (s *Server) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	s.mu.Lock()
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for c := range s.conns {
-		// Unblock the reader; it drains in-flight requests and shuts the
-		// connection down on its way out.
-		c.nc.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
+	s.interrupt()
 	s.wg.Wait()
 	s.srv.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.serveErr
+}
+
+// interrupt closes the listener and unblocks every connection's reader,
+// which drains its in-flight requests and shuts the connection down on its
+// way out.
+func (s *Server) interrupt() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ln != nil {
+		s.ln.Close()
+	}
+	for c := range s.conns {
+		c.nc.SetReadDeadline(time.Now())
+	}
 }
 
 func (s *Server) dropConn(c *conn) {
@@ -554,7 +574,7 @@ func (c *conn) sendTraced(req *wire.Request, resp *wire.Response, arrival time.T
 	t0 := time.Now()
 	buf := c.encodeFrame(resp)
 	enc := time.Since(t0)
-	if sink := c.s.opts.TraceSink; sink != nil {
+	if c.s.opts.TraceSink != nil {
 		tr := obs.Trace{
 			ID:    req.Trace,
 			Op:    req.Op.String(),
@@ -562,11 +582,16 @@ func (c *conn) sendTraced(req *wire.Request, resp *wire.Response, arrival time.T
 			Err:   resp.Err,
 			Spans: append(spans, obs.Span{Stage: obs.StageEncode, Start: t0.Sub(arrival), Dur: enc}),
 		}
-		c.s.traceMu.Lock()
-		tr.WriteJSON(sink)
-		c.s.traceMu.Unlock()
+		c.s.writeTrace(&tr)
 	}
 	c.out <- buf
+}
+
+// writeTrace writes one trace to the sink, which every connection shares.
+func (s *Server) writeTrace(tr *obs.Trace) {
+	s.traceMu.Lock()
+	defer s.traceMu.Unlock()
+	tr.WriteJSON(s.opts.TraceSink)
 }
 
 // headerOf attempts to salvage the op and request ID from a payload whose

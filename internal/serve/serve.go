@@ -409,11 +409,11 @@ func (s *Server) run(q engine.Query, ro bool) (res engine.Result, cost engine.Co
 func (s *Server) recordError(t0, end time.Time) {
 	s.errors.Inc()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.noteStartLocked(t0)
 	if end.After(s.last) {
 		s.last = end
 	}
-	s.mu.Unlock()
 }
 
 // recordTimeout counts a deadline expiry: an error, and a timeout.
@@ -433,6 +433,7 @@ func (s *Server) recordTimeout(t0, end time.Time) {
 func (s *Server) record(lat time.Duration, t0 time.Time) {
 	s.latency.Observe(lat)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if w := s.opts.LatencyWindow; w > 0 && len(s.lats) >= w {
 		// Window full: overwrite round-robin so memory stays bounded on
 		// long-running servers.
@@ -445,7 +446,6 @@ func (s *Server) record(lat time.Duration, t0 time.Time) {
 	if t := t0.Add(lat); t.After(s.last) {
 		s.last = t
 	}
-	s.mu.Unlock()
 }
 
 // noteStartLocked folds t0 into the earliest-submission marker; the caller

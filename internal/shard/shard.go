@@ -434,14 +434,20 @@ func (s *Engine) Insert(vals ...Value) int {
 // Delete removes the tuple with the given global key; unknown keys are
 // ignored. Only the owning shard's write lock is taken.
 func (s *Engine) Delete(key int) {
-	s.mu.RLock()
-	if key < 0 || key >= len(s.keys) {
-		s.mu.RUnlock()
-		return
+	if loc, ok := s.locate(key); ok {
+		s.shards[loc.shard].Delete(loc.key)
 	}
-	loc := s.keys[key]
-	s.mu.RUnlock()
-	s.shards[loc.shard].Delete(loc.key)
+}
+
+// locate returns where the tuple with the given global key lives; false
+// for a key never issued.
+func (s *Engine) locate(key int) (location, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if key < 0 || key >= len(s.keys) {
+		return location{}, false
+	}
+	return s.keys[key], true
 }
 
 // Storage returns the summed auxiliary-structure footprint across shards.

@@ -16,11 +16,7 @@ import (
 // (rand.New(rand.NewSource(seed))) are allowed; the process-global
 // functions and the clock are not. Test files are exempt — they measure
 // and fuzz, which is exactly what needs clocks and randomness.
-var DetRand = &Checker{
-	Name: "detrand",
-	Doc:  "no time.Now / global math/rand in deterministic kernel packages",
-	Run:  runDetRand,
-}
+var DetRand = &Checker{Name: "detrand", Run: runDetRand}
 
 // detRandPackages names the deterministic packages by package name (name,
 // not path, so fixtures match too).

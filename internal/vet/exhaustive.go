@@ -16,11 +16,7 @@ import (
 // drops a request, recovery skips a logged write, or a trace renderer
 // drops a span; the default arm forces each site to decide its
 // unknown-value behavior.
-var Exhaustive = &Checker{
-	Name: "exhaustive",
-	Doc:  "switches over wire.Op, wire.Status, engine.Kind, wal.RecType, obs.Stage must be exhaustive or have a default",
-	Run:  runExhaustive,
-}
+var Exhaustive = &Checker{Name: "exhaustive", Run: runExhaustive}
 
 // exhaustiveTypes names the enum types the checker covers, as
 // packageName.TypeName (package name, not path, so fixtures match too).

@@ -23,11 +23,7 @@ import (
 // pointers still denotes frozen memory when written through in place
 // (v.pieces[i].head[j] = x), because sub-pieces published together are
 // immutable together.
-var FrozenVersion = &Checker{
-	Name: "frozenversion",
-	Doc:  "values loaded from atomic.Pointer are immutable",
-	Run:  runFrozenVersion,
-}
+var FrozenVersion = &Checker{Name: "frozenversion", Run: runFrozenVersion}
 
 // isAtomicPointerLoad matches a call to (*sync/atomic.Pointer[T]).Load.
 func (p *Pass) isAtomicPointerLoad(call *ast.CallExpr) bool {
@@ -56,9 +52,7 @@ func (p *Pass) isAtomicPointerLoad(call *ast.CallExpr) bool {
 }
 
 func runFrozenVersion(pass *Pass) {
-	funcBodies(pass.Package, func(name string, body *ast.BlockStmt) {
-		frozenBody(pass, body)
-	})
+	funcBodies(pass.Package, func(body *ast.BlockStmt) { frozenBody(pass, body) })
 }
 
 func frozenBody(pass *Pass, body *ast.BlockStmt) {

@@ -35,6 +35,6 @@ func (s *store) replace(vals []int64) {
 
 func (s *store) bump() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	work()
-	s.mu.Unlock()
 }

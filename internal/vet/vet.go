@@ -5,21 +5,17 @@
 // standard library only — go/ast, go/parser, go/types, go/importer — so
 // the module keeps its zero-dependency go.mod.
 //
-// Each checker reports findings as `file:line: [check-name] message`. A
-// finding can be suppressed by a pragma comment on the same line or the
-// line directly above it:
-//
-//	//crackvet:ignore check-name reason for the exception
-//
-// Suppressions are counted and surfaced by cmd/crackvet so pragma creep
-// stays visible.
+// Each checker reports findings as `file:line: [check-name] message`.
+// There is no suppression: code a checker flags is changed until it
+// conforms.
 package vet
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -37,7 +33,6 @@ func (f Finding) String() string {
 // Checker is one named invariant check.
 type Checker struct {
 	Name string
-	Doc  string
 	Run  func(pass *Pass)
 }
 
@@ -66,93 +61,23 @@ var All = []*Checker{
 	DetRand,
 }
 
-// Result is the outcome of running checkers over a set of packages.
-type Result struct {
-	Findings   []Finding // active findings (exit nonzero when non-empty)
-	Suppressed []Finding // findings silenced by a //crackvet:ignore pragma
-}
-
-// ignorePragma is the suppression comment prefix.
-const ignorePragma = "//crackvet:ignore"
-
-// ignores collects, per file, the set of (line, check) pairs suppressed by
-// pragmas. A pragma on line N suppresses findings of the named check on
-// line N and line N+1 (so it can sit on its own line above the finding).
-func ignoredLines(p *Package) map[string]map[int]map[string]bool {
-	out := make(map[string]map[int]map[string]bool)
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				rest, ok := strings.CutPrefix(text, ignorePragma)
-				if !ok {
-					continue
-				}
-				fields := strings.Fields(rest)
-				if len(fields) == 0 {
-					continue
-				}
-				check := fields[0]
-				pos := p.Fset.Position(c.Pos())
-				byLine := out[pos.Filename]
-				if byLine == nil {
-					byLine = make(map[int]map[string]bool)
-					out[pos.Filename] = byLine
-				}
-				for _, line := range []int{pos.Line, pos.Line + 1} {
-					if byLine[line] == nil {
-						byLine[line] = make(map[string]bool)
-					}
-					byLine[line][check] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Run executes the given checkers (all of them when nil) over pkgs,
-// splitting findings into active and pragma-suppressed, each sorted by
-// position.
-func Run(pkgs []*Package, checkers []*Checker) Result {
+// Run executes the given checkers (all of them when nil) over pkgs and
+// returns their findings sorted by position.
+func Run(pkgs []*Package, checkers []*Checker) []Finding {
 	if checkers == nil {
 		checkers = All
 	}
-	var res Result
+	var fs []Finding
 	for _, pkg := range pkgs {
-		var fs []Finding
 		for _, c := range checkers {
-			pass := &Pass{Package: pkg, check: c.Name, findings: &fs}
-			c.Run(pass)
-		}
-		ign := ignoredLines(pkg)
-		seen := make(map[Finding]bool) // path-flow checkers can reach one site twice
-		for _, f := range fs {
-			if seen[f] {
-				continue
-			}
-			seen[f] = true
-			if ign[f.Pos.Filename][f.Pos.Line][f.Check] {
-				res.Suppressed = append(res.Suppressed, f)
-			} else {
-				res.Findings = append(res.Findings, f)
-			}
+			c.Run(&Pass{Package: pkg, check: c.Name, findings: &fs})
 		}
 	}
-	byPos := func(s []Finding) func(i, j int) bool {
-		return func(i, j int) bool {
-			if s[i].Pos.Filename != s[j].Pos.Filename {
-				return s[i].Pos.Filename < s[j].Pos.Filename
-			}
-			if s[i].Pos.Line != s[j].Pos.Line {
-				return s[i].Pos.Line < s[j].Pos.Line
-			}
-			return s[i].Check < s[j].Check
-		}
-	}
-	sort.Slice(res.Findings, byPos(res.Findings))
-	sort.Slice(res.Suppressed, byPos(res.Suppressed))
-	return res
+	slices.SortFunc(fs, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line), strings.Compare(a.Check, b.Check))
+	})
+	return fs
 }
 
 // ---------------------------------------------------------------------------
@@ -160,18 +85,18 @@ func Run(pkgs []*Package, checkers []*Checker) Result {
 
 // funcBodies visits every function-like body in the package: declared
 // functions and methods, and every function literal (each literal body is
-// its own unit — statements inside it run at another time, so path-based
-// checkers must not mix them with the enclosing body).
-func funcBodies(p *Package, visit func(name string, body *ast.BlockStmt)) {
+// its own unit — statements inside it run at another time, so checkers
+// must not mix them with the enclosing body).
+func funcBodies(p *Package, visit func(body *ast.BlockStmt)) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					visit(fn.Name.Name, fn.Body)
+					visit(fn.Body)
 				}
 			case *ast.FuncLit:
-				visit("func literal", fn.Body)
+				visit(fn.Body)
 			}
 			return true
 		})
@@ -181,7 +106,7 @@ func funcBodies(p *Package, visit func(name string, body *ast.BlockStmt)) {
 // recvChain renders a selector chain of identifiers and field selections
 // ("s.mu", "e.inner.statsMu") for use as a lock identity key; ok is false
 // when the expression contains anything else (calls, indexing), which a
-// path-insensitive key cannot name reliably.
+// syntactic key cannot name reliably.
 func recvChain(e ast.Expr) (string, bool) {
 	switch x := e.(type) {
 	case *ast.Ident:

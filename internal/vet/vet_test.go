@@ -20,13 +20,13 @@ type want struct {
 // fixture runs checkers over testdata/src/<name> and matches the findings
 // one-to-one against the `// want` comments in the fixture sources: every
 // finding must be wanted, every want must be found.
-func fixture(t *testing.T, name string, checkers ...*Checker) Result {
+func fixture(t *testing.T, name string, checkers ...*Checker) []Finding {
 	t.Helper()
 	pkg, err := LoadDir(filepath.Join("testdata", "src", name))
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
-	res := Run([]*Package{pkg}, checkers)
+	findings := Run([]*Package{pkg}, checkers)
 
 	var wants []*want
 	for _, f := range pkg.Files {
@@ -41,7 +41,7 @@ func fixture(t *testing.T, name string, checkers ...*Checker) Result {
 			}
 		}
 	}
-	for _, f := range res.Findings {
+	for _, f := range findings {
 		matched := false
 		for _, w := range wants {
 			if !w.hit && w.file == f.Pos.Filename && w.line == f.Pos.Line && w.re.MatchString(f.Message) {
@@ -59,7 +59,7 @@ func fixture(t *testing.T, name string, checkers ...*Checker) Result {
 			t.Errorf("%s:%d: no finding matching %q", w.file, w.line, w.re)
 		}
 	}
-	return res
+	return findings
 }
 
 func TestFrozenVersionFixture(t *testing.T)  { fixture(t, "frozenversion", FrozenVersion) }
@@ -70,28 +70,15 @@ func TestExhaustiveWalFixture(t *testing.T)  { fixture(t, "walenum", Exhaustive,
 func TestExhaustiveObsFixture(t *testing.T)  { fixture(t, "obsstage", Exhaustive) }
 func TestDetRandFixture(t *testing.T)        { fixture(t, "crack", DetRand) }
 
-// TestPragmaFixture: a matching //crackvet:ignore suppresses and is
-// counted; a pragma naming the wrong checker suppresses nothing.
-func TestPragmaFixture(t *testing.T) {
-	res := fixture(t, "pragma", LockPair)
-	if len(res.Suppressed) != 1 {
-		t.Fatalf("suppressed = %v, want exactly 1", res.Suppressed)
-	}
-	if s := res.Suppressed[0]; s.Check != "lockpair" {
-		t.Fatalf("suppressed check = %q, want lockpair", s.Check)
-	}
-}
-
 // TestCleanFixture: idiomatic code draws zero findings from the full suite.
 func TestCleanFixture(t *testing.T) {
-	res := fixture(t, "clean", All...)
-	if len(res.Findings)+len(res.Suppressed) != 0 {
-		t.Fatalf("clean fixture not clean: %v / %v", res.Findings, res.Suppressed)
+	if fs := fixture(t, "clean", All...); len(fs) != 0 {
+		t.Fatalf("clean fixture not clean: %v", fs)
 	}
 }
 
 // TestRepoInvariantsHold runs the full suite over the real module — the
-// same gate CI applies via cmd/crackvet — and enforces the pragma budget.
+// same gate CI applies via cmd/crackvet.
 func TestRepoInvariantsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check")
@@ -100,14 +87,7 @@ func TestRepoInvariantsHold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	res := Run(pkgs, nil)
-	for _, f := range res.Findings {
+	for _, f := range Run(pkgs, nil) {
 		t.Errorf("%s", f)
-	}
-	if n := len(res.Suppressed); n > 3 {
-		t.Errorf("%d pragma suppressions, budget is 3:", n)
-		for _, f := range res.Suppressed {
-			t.Errorf("  %s", f)
-		}
 	}
 }

@@ -30,11 +30,7 @@ import (
 // holds either way — but the checker cannot tell an encoder from a
 // decoder, so it holds both to the same rule (encode-side sizes all come
 // from len() anyway).
-var WireBounds = &Checker{
-	Name: "wirebounds",
-	Doc:  "decode preallocations must be bounded via frame.Reader.Count",
-	Run:  runWireBounds,
-}
+var WireBounds = &Checker{Name: "wirebounds", Run: runWireBounds}
 
 func runWireBounds(pass *Pass) {
 	switch pass.Name {

@@ -278,33 +278,42 @@ func (l *Log) WaitDurable(end int64) error {
 	}
 	piggybacked := false
 	for {
-		l.mu.Lock()
-		if l.err != nil {
-			err := l.err
-			l.mu.Unlock()
+		target, drive, err := l.nextSync(end, &piggybacked)
+		if !drive {
 			return err
 		}
-		if l.synced >= end {
-			if piggybacked {
-				l.stats.GroupCommits++
-			}
-			l.mu.Unlock()
-			return nil
-		}
-		if l.syncing {
-			piggybacked = true
-			l.cond.Wait()
-			l.mu.Unlock()
-			continue
-		}
-		l.syncing = true
-		// Snapshot the written frontier: the fsync covers every byte
-		// written before the syscall starts, including appends that landed
-		// while we were waiting.
-		target := l.written
-		l.mu.Unlock()
 		l.syncOnce(target)
 	}
+}
+
+// nextSync is one turn of WaitDurable under the log lock. It returns the
+// outcome once the log is durable through end or poisoned. Otherwise it
+// waits out the fsync in flight, if any (setting *piggybacked), and then
+// elects the caller to drive the next one through target.
+func (l *Log) nextSync(end int64, piggybacked *bool) (target int64, drive bool, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for {
+		if l.err != nil {
+			return 0, false, l.err
+		}
+		if l.synced >= end {
+			if *piggybacked {
+				l.stats.GroupCommits++
+			}
+			return 0, false, nil
+		}
+		if !l.syncing {
+			break
+		}
+		*piggybacked = true
+		l.cond.Wait()
+	}
+	l.syncing = true
+	// Snapshot the written frontier: the fsync covers every byte written
+	// before the syscall starts, including appends that landed while we
+	// were waiting.
+	return l.written, true, nil
 }
 
 // syncOnce drives one Sync syscall (caller set l.syncing) and publishes
@@ -319,7 +328,13 @@ func (l *Log) syncOnce(target int64) {
 	if h != nil {
 		h.Observe(time.Since(t0))
 	}
+	l.publishSync(target, err)
+}
+
+// publishSync ends the fsync syncOnce drove and wakes every waiter.
+func (l *Log) publishSync(target int64, err error) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.syncing = false
 	l.stats.Fsyncs++
 	if err != nil {
@@ -328,7 +343,6 @@ func (l *Log) syncOnce(target int64) {
 		l.synced = target
 	}
 	l.cond.Broadcast()
-	l.mu.Unlock()
 }
 
 // Append writes rec and waits for durability per the sync mode. It is the
