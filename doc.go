@@ -535,8 +535,9 @@
 //
 // The concurrency and protocol contracts the runtime layers rely on are
 // machine-checked by cmd/crackvet (internal/vet), a stdlib-only static
-// analyzer CI runs over the whole tree; `go run ./cmd/crackvet ./...`
-// must exit clean. The five contracts:
+// analyzer CI runs over the whole tree, benchmark/ included;
+// `go run ./cmd/crackvet ./...` must exit clean, here and in benchmark/.
+// crackvet keeps the three contracts no test catches a break of:
 //
 //   - frozenversion: nothing reachable from a value loaded from an
 //     atomic.Pointer — a published snapshot version — is ever written.
@@ -547,7 +548,8 @@
 //     the garbage collector reclaims it after. crackvet sees writes through
 //     a loaded pointer; a write through a piece the writer still holds from
 //     building it is held by crack.TestSnapColConcurrentReaders, which
-//     checks after every write that the version it replaced is unchanged.
+//     checks after every write that the version it replaced (its pieces,
+//     cuts and pending updates) is unchanged.
 //   - lockpair: every sync.Mutex/RWMutex section is released by
 //     construction. An acquire — X.Lock(), X.RLock(), or an `if` whose
 //     condition calls X.TryLock()/X.TryRLock() and whose body may block on
@@ -566,26 +568,35 @@
 //     an explicit bound guard), which caps a count by the bytes left to
 //     encode it, so a corrupt 5-byte count cannot demand a multi-gigabyte
 //     allocation, or overflow into a panic, before validation.
-//   - exhaustive: switches over wire.Op, wire.Status, engine.Kind,
-//     wal.RecType, and obs.Stage either cover every declared constant or
-//     carry an explicit default arm, so growing an enum cannot make a
-//     dispatcher drop a request — or recovery silently skip a logged
-//     write.
-//   - detrand: internal/crack, internal/sideways (the one map store, full
-//     and partial maps alike) and internal/partial (the name of its
-//     partial-map preset) never read the wall clock or the global
-//     math/rand state (explicitly seeded local generators are fine);
-//     replaying a crack tape must reproduce the exact layout of the run
-//     that recorded it.
 //
-// One kernel rule is held by tests, not crackvet: only map-set alignment
-// (sideways.Tape.ReplayJoint) builds a follower group for
-// crack.Pairs.CrackRangeWith, and only from maps or chunks with a head
-// that it finds at one cursor of one tape. Nothing else may, because
-// nothing else knows the heads are equal. The follower list lives for one
-// CrackRangeWith call. crack.FuzzFollowersAgree pins followers against
-// independent cracks; the two TestAlignTogetherVisitsOnce tests pin the
-// grouping by count.
+// Three rules are held by tests, not crackvet, because a break of any of
+// them fails tests that run on every change:
+//
+//   - deterministic replay: internal/crack, internal/sideways (the one map
+//     store, full and partial maps alike) and internal/partial never read
+//     the wall clock or the global math/rand state (explicitly seeded local
+//     generators are fine), because replaying a crack tape must reproduce
+//     the exact layout of the run that recorded it (the tape replay that
+//     aligns maps, paper §3). A Stochastic pivot drawn from the global
+//     rand.Uint64 fails crack.TestPolicyReplayDeterminism,
+//     crack.FuzzFollowersAgree, crack.FuzzPolicyKernels,
+//     sideways.TestPolicyStoreWithUpdates and simtest.FuzzStacksAgree.
+//   - enum dispatch: switches over wire.Op, wire.Status, engine.Kind,
+//     wal.RecType and obs.Stage either cover every declared constant or
+//     carry an explicit default arm, so growing an enum cannot make a
+//     dispatcher drop a request, or recovery silently skip a logged write.
+//     The tests exercise every engine kind; an engine.NewWith that drops
+//     PartialSideways fails TestOpenAllKinds, engine.TestConcurrentMatchesSequentialReplay,
+//     shard.TestReportFamiliesPerStack, netserve.TestMetricsEndToEnd,
+//     simtest.FuzzStacksAgree, tpch.TestAllQueriesAgreeAcrossEngines,
+//     exp.TestCSVStorageExport and crackserved's TestDaemon.
+//   - follower groups: only map-set alignment (sideways.Tape.ReplayJoint)
+//     builds a follower group for crack.Pairs.CrackRangeWith, and only from
+//     maps or chunks with a head that it finds at one cursor of one tape.
+//     Nothing else may, because nothing else knows the heads are equal.
+//     The follower list lives for one CrackRangeWith call.
+//     crack.FuzzFollowersAgree pins followers against independent cracks;
+//     the two TestAlignTogetherVisitsOnce tests pin the grouping by count.
 //
 // Two ownership rules keep the remote read path from allocating what it
 // throws away. Both are one rule — the caller passes the memory — and tests,

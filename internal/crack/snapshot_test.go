@@ -117,13 +117,38 @@ func TestSnapColGatherROAppliesPending(t *testing.T) {
 	}
 }
 
-// versionSum fingerprints every value a version's pieces hold, in order.
+// versionSum fingerprints every value a version holds: its pieces in
+// order, its cuts, its pending insertions (key and value, in order) and its
+// pending deletions (sorted keys, each with its flag).
 func versionSum(v *colVersion) uint64 {
 	h := uint64(len(v.pieces))
 	for _, pc := range v.pieces {
 		h = h*31 + uint64(len(pc.head))
 		for i := range pc.head {
 			h = (h*31+uint64(pc.head[i]))*31 + uint64(pc.tail[i])
+		}
+	}
+	h = h*31 + uint64(len(v.cuts))
+	for _, b := range v.cuts {
+		h = h*31 + uint64(b.V)
+		if b.Incl {
+			h++
+		}
+	}
+	h = h*31 + uint64(len(v.pendIns))
+	for _, t := range v.pendIns {
+		h = (h*31+uint64(t.key))*31 + uint64(t.val)
+	}
+	dels := make([]Value, 0, len(v.pendDel))
+	for k := range v.pendDel {
+		dels = append(dels, k)
+	}
+	slices.Sort(dels)
+	h = h*31 + uint64(len(dels))
+	for _, k := range dels {
+		h = h*31 + uint64(k)
+		if v.pendDel[k] {
+			h++
 		}
 	}
 	return h

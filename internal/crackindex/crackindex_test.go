@@ -199,28 +199,77 @@ func TestQuickWalkMonotone(t *testing.T) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
+// benchSizes are the boundary counts of the sized benchmarks: a map holds
+// a few thousand pieces on the gated workloads.
+var benchSizes = []int{1_000, 10_000, 100_000}
+
+// Sinks keep the compiler from dropping a benchmarked call.
+var (
+	sinkPiece Piece
+	sinkIndex *Index
+)
+
+// benchIndex returns an index of n distinct random boundaries.
+func benchIndex(n int) *Index {
 	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ix := New()
-		for k := 0; k < 100; k++ {
-			ix.Insert(Bound{int64(rng.Intn(1 << 20)), true}, k)
-		}
+	ix := New()
+	for ix.Len() < n {
+		v := int64(rng.Intn(1 << 30))
+		ix.Insert(Bound{v, true}, int(v))
+	}
+	return ix
+}
+
+// BenchmarkInsert adds 100 boundaries to a clone of an index of n. The
+// clone is taken outside the timer, so every iteration inserts at the same
+// size; ns/insert is the figure to compare.
+func BenchmarkInsert(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			base := benchIndex(n)
+			rng := rand.New(rand.NewSource(2))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ix := base.Clone()
+				b.StartTimer()
+				for k := 0; k < 100; k++ {
+					v := int64(rng.Intn(1 << 30))
+					ix.Insert(Bound{v, false}, int(v))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(100*b.N), "ns/insert")
+		})
 	}
 }
 
 func BenchmarkPieceFor(b *testing.B) {
-	ix := New()
-	rng := rand.New(rand.NewSource(1))
-	for k := 0; k < 1000; k++ {
-		v := int64(rng.Intn(1 << 20))
-		ix.Insert(Bound{v, true}, int(v))
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ix := benchIndex(n)
+			rng := rand.New(rand.NewSource(2))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkPiece = ix.PieceFor(Bound{int64(rng.Intn(1 << 30)), true}, 1<<30)
+			}
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.PieceFor(Bound{int64(rng.Intn(1 << 20)), true}, 1<<20)
+}
+
+// BenchmarkClone copies an index of n, as a led chunk copies its span's
+// index at its area's first update.
+func BenchmarkClone(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ix := benchIndex(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkIndex = ix.Clone()
+			}
+		})
 	}
 }
 

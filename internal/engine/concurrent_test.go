@@ -287,51 +287,67 @@ func TestConcurrentPanicReleasesGuard(t *testing.T) {
 			})
 		}
 	}
-	// A WAL write that panics below the durable engine's write lock.
-	for _, kind := range Kinds() {
-		t.Run("durable-write/"+kind.String(), func(t *testing.T) {
-			var armed atomic.Bool
-			e, err := OpenDurable(kind, buildBandedRel(5), t.TempDir(), DurableOptions{
-				Sync: wal.SyncNone,
-				Wrap: func(f wal.File) wal.File { return panicOnce{f, &armed} },
+	// A WAL write that panics below the durable engine's write lock, and a
+	// WAL fsync that panics in the group commit's elected waiter.
+	for _, c := range []struct {
+		name string
+		mode wal.SyncMode
+		sync bool // panic in Sync, not Write
+	}{{"durable-write", wal.SyncNone, false}, {"durable-sync", wal.SyncGroup, true}} {
+		for _, kind := range Kinds() {
+			t.Run(c.name+"/"+kind.String(), func(t *testing.T) {
+				var armed atomic.Bool
+				e, err := OpenDurable(kind, buildBandedRel(5), t.TempDir(), DurableOptions{
+					Sync: c.mode,
+					Wrap: func(f wal.File) wal.File { return panicOnce{f, &armed, c.sync} },
+				})
+				if err != nil {
+					t.Fatalf("open durable: %v", err)
+				}
+				armed.Store(true)
+				func() {
+					defer func() { recover() }()
+					e.Insert(1, 2)
+				}()
+				if armed.Load() {
+					t.Fatal("the WAL file did not panic")
+				}
+				done := make(chan int)
+				go func() { done <- e.Insert(3, 4) }()
+				select {
+				case key := <-done:
+					if c.sync && key >= 0 {
+						t.Fatalf("Insert acked key %d after a panicking fsync", key)
+					}
+					CloseDurable(e)
+				case <-time.After(5 * time.Second):
+					t.Fatal("Insert blocked behind a panicking WAL write or fsync")
+				}
 			})
-			if err != nil {
-				t.Fatalf("open durable: %v", err)
-			}
-			armed.Store(true)
-			func() {
-				defer func() { recover() }()
-				e.Insert(1, 2)
-			}()
-			if armed.Load() {
-				t.Fatal("the WAL write did not panic")
-			}
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				e.Insert(3, 4)
-			}()
-			select {
-			case <-done:
-				CloseDurable(e)
-			case <-time.After(5 * time.Second):
-				t.Fatal("Insert blocked behind the lock a panicking WAL write left held")
-			}
-		})
+		}
 	}
 }
 
-// panicOnce is a WAL file whose first Write after arming panics.
+// panicOnce is a WAL file whose first Write (or, with sync, first Sync)
+// after arming panics.
 type panicOnce struct {
 	wal.File
 	armed *atomic.Bool
+	sync  bool
 }
 
 func (f panicOnce) Write(p []byte) (int, error) {
-	if f.armed.CompareAndSwap(true, false) {
+	if !f.sync && f.armed.CompareAndSwap(true, false) {
 		panic("wal: injected write panic")
 	}
 	return f.File.Write(p)
+}
+
+func (f panicOnce) Sync() error {
+	if f.sync && f.armed.CompareAndSwap(true, false) {
+		panic("wal: injected fsync panic")
+	}
+	return f.File.Sync()
 }
 
 // TestConcurrentOneCrackPaysForAllWaiters: many goroutines issue the same

@@ -191,8 +191,8 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 
 	// Replay the tape: re-running the recorded reorganizing queries cracks
 	// the rebuilt base columns into the same cut set the dead process had
-	// (the kernel is deterministic — enforced by crackvet's detrand
-	// checker — and recovery is single-goroutine, so replay order is tape
+	// (the kernel is deterministic — doc.go Invariants, "deterministic
+	// replay" — and recovery is single-goroutine, so replay order is tape
 	// order). This is what makes the restart warm rather than correct-but-
 	// cold.
 	for _, rec := range cp.Tape {

@@ -1,22 +1,6 @@
-// Fixture for the wirebounds and exhaustive checkers: a miniature wire
-// package with a frame.Reader-style bounded count decoder, decode-side
-// preallocations, and switches over the Op/Status enums.
+// Fixture for the wirebounds checker: a miniature wire package with a
+// frame.Reader-style bounded count decoder and decode-side preallocations.
 package wire
-
-type Op byte
-
-const (
-	OpQuery  Op = 1
-	OpInsert Op = 2
-	OpPing   Op = 3
-)
-
-type Status byte
-
-const (
-	StatusOK  Status = 0
-	StatusErr Status = 1
-)
 
 // Reader mirrors frame.Reader: Count caps a count by what the remaining
 // input could possibly hold (minSize bytes per element).
@@ -86,39 +70,4 @@ func badOrGuard(r *Reader, n int) []int64 {
 		return nil
 	}
 	return make([]int64, n) // want "preallocation size"
-}
-
-func describeOp(op Op) string {
-	switch op { // want "misses OpPing and has no default arm"
-	case OpQuery:
-		return "query"
-	case OpInsert:
-		return "insert"
-	}
-	return "?"
-}
-
-func okDefaultArm(op Op) string {
-	switch op {
-	case OpQuery:
-		return "query"
-	default:
-		return "other"
-	}
-}
-
-func okFullCoverage(st Status) string {
-	switch st {
-	case StatusOK:
-		return "ok"
-	case StatusErr:
-		return "err"
-	}
-	return ""
-}
-
-func badEmptySwitch(st Status) int {
-	switch st { // want "misses StatusErr, StatusOK and has no default arm"
-	}
-	return 0
 }

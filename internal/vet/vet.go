@@ -1,9 +1,11 @@
 // Package vet implements crackvet, the repo-invariant static analyzer
-// suite: a set of checkers over the type-checked AST that enforce, at
+// suite: three checkers over the type-checked AST that enforce, at
 // compile time, the concurrency and protocol contracts the runtime layers
-// rely on (see doc.go "Invariants" at the module root). Built on the
-// standard library only — go/ast, go/parser, go/types, go/importer — so
-// the module keeps its zero-dependency go.mod.
+// rely on and no test catches (see doc.go "Invariants" at the module root).
+// The go command finds and compiles the packages (`go list -export`); the
+// checkers parse and type-check them with the standard library only —
+// go/ast, go/parser, go/types, go/importer — so the module keeps its
+// zero-dependency go.mod.
 //
 // Each checker reports findings as `file:line: [check-name] message`.
 // There is no suppression: code a checker flags is changed until it
@@ -57,8 +59,6 @@ var All = []*Checker{
 	FrozenVersion,
 	LockPair,
 	WireBounds,
-	Exhaustive,
-	DetRand,
 }
 
 // Run executes the given checkers (all of them when nil) over pkgs and

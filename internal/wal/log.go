@@ -316,19 +316,24 @@ func (l *Log) nextSync(end int64, piggybacked *bool) (target int64, drive bool, 
 	return l.written, true, nil
 }
 
+// errSyncPanicked is the outcome syncOnce publishes when the file's Sync
+// panics: the log poisons and wakes its waiters, and the panic goes on.
+var errSyncPanicked = errors.New("fsync panicked")
+
 // syncOnce drives one Sync syscall (caller set l.syncing) and publishes
-// the outcome.
+// the outcome, also when Sync panics.
 func (l *Log) syncOnce(target int64) {
+	err := errSyncPanicked
+	defer func() { l.publishSync(target, err) }()
 	var t0 time.Time
 	h := l.fsyncHist.Load()
 	if h != nil {
 		t0 = time.Now()
 	}
-	err := l.f.Sync()
+	err = l.f.Sync()
 	if h != nil {
 		h.Observe(time.Since(t0))
 	}
-	l.publishSync(target, err)
 }
 
 // publishSync ends the fsync syncOnce drove and wakes every waiter.

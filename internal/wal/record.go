@@ -15,9 +15,9 @@ type Value = store.Value
 // RecType identifies one write-ahead-log record kind.
 type RecType byte
 
-// Record types. The enum is covered by crackvet's exhaustive checker: a
-// switch over RecType must either handle every constant or carry a default
-// arm, so adding a record kind cannot silently fall through a replay loop.
+// Record types. A switch over RecType must either handle every constant or
+// carry a default arm (doc.go Invariants, "enum dispatch"), so adding a
+// record kind cannot silently fall through a replay loop.
 const (
 	// RecInsert is an acked insert batch: Width values per tuple, in
 	// relation attribute order, replayed as sequential appends (keys are
