@@ -33,38 +33,38 @@
 // experiments build.
 //
 // All cracking engines share one kernel (internal/crack), and a query's
-// write path pays only for the pieces it touches. A range selection whose
-// bounds fall into the same uncracked piece — always the case for the
-// first query on a cold column — is resolved by one fused range crack: a
-// single branch-free counting pass fixes both split positions, the piece
-// is repaired as a whole at the bound that leaves the smaller remainder,
-// and that remainder is repaired at the other bound. Measured memory
-// traffic, not the number of tuples moved, is what bounds a cold crack
-// here: the head is read about 2.25 times for a narrow range, tails are
-// touched only where tuples swap, and the only scratch is two L1-resident
-// position buffers; a movement-optimal single pass would need piece-sized
-// buffers, and writing those costs more than reading the head again.
-// Pending insertions are merged in batches (one boundary walk and one
-// piece-wise ripple per batch instead of one per tuple), and pending
-// deletions are located by value (crack.Pairs.Locate) by reading only the
-// pieces the query's bounds fall into. The partition inner loops are
-// branch-free by default: classification is a 0/1 accumulation and
-// misplaced positions are block-compacted into index buffers and swapped
-// unconditionally, so throughput does not collapse on random data the way
-// a per-tuple branchy loop's does (~2x faster in the kernel
-// microbenchmarks). All fast paths are deterministic pure functions of
-// (piece contents, operation), which preserves the alignment invariant
-// sideways cracking depends on: maps that replay the same cracker tape
-// stay physically identical. The kernel also turns that invariant into a
-// saving. Maps at one tape cursor have equal heads and boundaries, so a
-// crack can be decided once, on a leader's head, and applied to followers:
-// crack.Pairs.CrackRangeWith runs one counting pass and one misplaced-tuple
-// scan, and applies every swap block and boundary to each follower. The
-// precondition is that every follower has the leader's length, and its
-// head values and boundaries or no head and no index at all (a tail the
-// leader positions, which only its tail swaps); a length mismatch panics.
-// In kernel Stats a follower counts only the tuples it moves (Moved), so
-// crack_kernel_* still counts each move, and each head read once.
+// write path pays only for the pieces it touches. Every crack — of a
+// cracker column, a map, a chunk or span, a snapshot's piece copy, a policy
+// pivot, a replayed crack tape — is one two-ended block partition
+// (Edelkamp and Weiß, "BlockQuicksort", ESA 2016): blocks scan inward from
+// both ends of the piece, the positions of misplaced tuples are packed into
+// two L1-resident buffers without branching, and the k-th misplaced tuple
+// from the left swaps with the k-th from the right. The layout is the
+// textbook two-pointer partition's and every misplaced tuple moves once,
+// but no per-tuple branch depends on the data, so throughput does not
+// collapse on random data the way a branchy two-pointer loop's does, and
+// the head is read once. A range selection whose bounds fall into the same
+// uncracked piece — always the case for the first query on a cold column —
+// partitions the whole piece at one bound and the remainder at the other,
+// the bound whose remainder looks smaller in a sample of the piece going
+// first: the head is read about 1.25 times for a narrow range, tails are
+// touched only where tuples swap, and nothing is allocated. Pending
+// insertions are merged in batches (one boundary walk and one piece-wise
+// ripple per batch instead of one per tuple), and pending deletions are
+// located by value (crack.Pairs.Locate) by reading only the pieces the
+// query's bounds fall into. All fast paths are deterministic pure
+// functions of (piece contents, operation), which preserves the alignment
+// invariant sideways cracking depends on: maps that replay the same cracker
+// tape stay physically identical. The kernel also turns that invariant
+// into a saving. Maps at one tape cursor have equal heads and boundaries,
+// so a crack can be decided once, on a leader's head, and applied to
+// followers: crack.Pairs.CrackRangeWith reads the leader's head alone and
+// applies every swap block and boundary to each follower. The precondition
+// is that every follower has the leader's length, and its head values and
+// boundaries or no head and no index at all (a tail the leader positions,
+// which only its tail swaps); a length mismatch panics. In kernel Stats a
+// follower counts only the tuples it moves (Moved), so crack_kernel_*
+// still counts each move, and each head read once.
 //
 // # Map sets
 //

@@ -13,15 +13,19 @@ import (
 // FuzzCrackRange drives random crack sequences from fuzzer-chosen bytes:
 // every byte pair becomes a predicate. Invariants: the returned area
 // contains exactly the matching tuples, piece boundaries hold physically,
-// and the tuple multiset never changes.
+// the tuple multiset never changes, and a copy cracked by the two-pointer
+// reference kernel returns the same areas and ends with the same layout
+// and the same moves.
 func FuzzCrackRange(f *testing.F) {
 	f.Add(int64(1), []byte{10, 40, 5, 60, 20, 20})
 	f.Add(int64(2), []byte{0, 255, 128, 129})
 	f.Add(int64(3), []byte{})
 	f.Fuzz(func(t *testing.T, seed int64, preds []byte) {
 		rng := rand.New(rand.NewSource(seed))
-		p := randPairs(rng, 256, 128)
+		p := randPairs(rng, 1+rng.Intn(1200), 128)
 		before := pairSet(p)
+		ref := WrapPairs(slices.Clone(p.Head), slices.Clone(p.Tail))
+		ref.kernel = twoPointer
 		for i := 0; i+1 < len(preds) && i < 40; i += 2 {
 			lo, hi := int64(preds[i])%128, int64(preds[i+1])%128
 			if lo > hi {
@@ -29,6 +33,9 @@ func FuzzCrackRange(f *testing.F) {
 			}
 			pred := store.Pred{Lo: lo, Hi: hi, LoIncl: preds[i]%2 == 0, HiIncl: preds[i+1]%2 == 0}
 			alo, ahi := p.CrackRange(pred)
+			if rlo, rhi := ref.CrackRange(pred); alo != rlo || ahi != rhi {
+				t.Fatalf("pred %v: area (%d,%d) vs two-pointer (%d,%d)", pred, alo, ahi, rlo, rhi)
+			}
 			for j := 0; j < p.Len(); j++ {
 				in := j >= alo && j < ahi
 				if pred.Matches(p.Head[j]) != in {
@@ -42,13 +49,16 @@ func FuzzCrackRange(f *testing.F) {
 		if !equalSets(before, pairSet(p)) {
 			t.Fatal("tuple multiset changed")
 		}
+		if !slices.Equal(p.Head, ref.Head) || !slices.Equal(p.Tail, ref.Tail) || p.Stats.Moved != ref.Stats.Moved {
+			t.Fatalf("block and two-pointer kernels diverged (moved %d vs %d)", p.Stats.Moved, ref.Stats.Moved)
+		}
 	})
 }
 
-// FuzzCrackRangeInPiece fuzzes the fused same-piece range crack. For every
+// FuzzCrackRangeInPiece fuzzes the same-piece range crack. For every
 // fuzzer-chosen predicate sequence: it must produce the areas and piece
-// boundaries of the two-pass crack-in-two reference; the predicated default
-// and the branchy in-two reference repair must agree on layout and stats;
+// boundaries of the two-pass crack-in-two reference; the block partition
+// and the two-pointer reference kernel must agree on layout and stats;
 // a map with equal heads and different tails must end with an identical
 // head column (the alignment-determinism invariant of Section 3.2); and no
 // (head, tail) pairing may be lost.
@@ -58,7 +68,7 @@ func FuzzCrackRangeInPiece(f *testing.F) {
 	f.Add(int64(8), []byte{})
 	f.Fuzz(func(t *testing.T, seed int64, preds []byte) {
 		rng := rand.New(rand.NewSource(seed))
-		a := randPairs(rng, 256, 128)
+		a := randPairs(rng, 1+rng.Intn(1200), 128)
 		before := pairSet(a)
 		other := make([]Value, a.Len())
 		for i := range other {
@@ -66,7 +76,7 @@ func FuzzCrackRangeInPiece(f *testing.F) {
 		}
 		b := WrapPairs(append([]Value(nil), a.Head...), other)
 		br := WrapPairs(append([]Value(nil), a.Head...), append([]Value(nil), a.Tail...))
-		br.Branchy = true
+		br.kernel = twoPointer
 		ref := WrapPairs(append([]Value(nil), a.Head...), append([]Value(nil), a.Tail...))
 		for i := 0; i+1 < len(preds) && i < 40; i += 2 {
 			lo, hi := int64(preds[i])%128, int64(preds[i+1])%128
@@ -97,16 +107,55 @@ func FuzzCrackRangeInPiece(f *testing.F) {
 			t.Fatal("tuple multiset changed")
 		}
 		if a.Stats != br.Stats {
-			t.Fatalf("stats diverged: predicated %+v vs branchy %+v", a.Stats, br.Stats)
+			t.Fatalf("stats diverged: block %+v vs two-pointer %+v", a.Stats, br.Stats)
 		}
 		for i := 0; i < a.Len(); i++ {
 			if a.Head[i] != br.Head[i] || a.Tail[i] != br.Tail[i] {
-				t.Fatalf("predicated and branchy repair diverged at %d: (%d,%d) vs (%d,%d)",
+				t.Fatalf("block and two-pointer kernels diverged at %d: (%d,%d) vs (%d,%d)",
 					i, a.Head[i], a.Tail[i], br.Head[i], br.Tail[i])
 			}
 			if a.Head[i] != b.Head[i] {
 				t.Fatalf("maps with equal heads and different tails diverged at %d: %d vs %d",
 					i, a.Head[i], b.Head[i])
+			}
+		}
+	})
+}
+
+// FuzzBlockPartition fuzzes the block partition against the two-pointer
+// reference kernel directly: a fuzzer-chosen byte pattern, repeated to a
+// fuzzer-chosen length of up to eight blocks, is partitioned at a
+// fuzzer-chosen cutoff by a leader with a follower that has a head and one
+// that is a tail alone. Splits, every layout and every move count must
+// equal the reference's.
+func FuzzBlockPartition(f *testing.F) {
+	f.Add([]byte{3, 200, 7, 9, 100}, uint8(50), uint16(700))
+	f.Add([]byte{255, 0}, uint8(1), uint16(257))
+	f.Add([]byte{9}, uint8(9), uint16(2048))
+	f.Fuzz(func(t *testing.T, pattern []byte, c uint8, n uint16) {
+		if len(pattern) == 0 {
+			return
+		}
+		head, tail := make([]Value, int(n)%(8*predBlock+1)), make([]Value, int(n)%(8*predBlock+1))
+		for i := range head {
+			head[i], tail[i] = Value(pattern[i%len(pattern)]), Value(i)
+		}
+		group := func(kernel func(*Pairs, Value, int, int) int) []*Pairs {
+			ps := []*Pairs{
+				WrapPairs(slices.Clone(head), slices.Clone(tail)),
+				WrapPairs(slices.Clone(head), slices.Clone(tail)),
+				{Tail: slices.Clone(tail)},
+			}
+			ps[0].kernel, ps[0].followers = kernel, ps[1:]
+			return ps
+		}
+		blk, ref := group(nil), group(twoPointer)
+		if got, want := blk[0].partition(Value(c), 0, len(head)), ref[0].partition(Value(c), 0, len(head)); got != want {
+			t.Fatalf("split %d, two-pointer %d", got, want)
+		}
+		for i := range blk {
+			if !slices.Equal(blk[i].Head, ref[i].Head) || !slices.Equal(blk[i].Tail, ref[i].Tail) || blk[i].Stats != ref[i].Stats {
+				t.Fatalf("member %d: layout or stats differ from the two-pointer reference (%+v vs %+v)", i, blk[i].Stats, ref[i].Stats)
 			}
 		}
 	})
@@ -250,22 +299,22 @@ func FuzzRippleUpdates(f *testing.F) {
 // FuzzFollowersAgree pins CrackRangeWith against independent CrackRange
 // calls. A leader and 1-3 followers share a random head (each with its own
 // tail), and one more follower is a tail alone, without head or index; they
-// crack a fuzzer-chosen predicate sequence jointly, under every policy and
-// both repair loops; solo copies, the tail alone's with the leader's head,
-// crack the same sequence alone. The leader and every follower must end
+// crack a fuzzer-chosen predicate sequence jointly with the block
+// partition, under every policy; solo copies, the tail alone's with the
+// leader's head, crack the same sequence alone with the two-pointer
+// reference kernel. The leader and every follower must end
 // with the solo copies' tails, and those with a head with their heads and
 // index boundaries too; the tail alone must still have neither. The
 // leader's stats must equal its solo copy's, and every follower must count
 // the leader's moves and nothing else.
 func FuzzFollowersAgree(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(0), false, []byte{10, 40, 5, 60, 20, 20})
-	f.Add(int64(2), uint8(3), uint8(1), true, []byte{0, 127, 64, 65, 1, 126, 255, 3})
-	f.Add(int64(3), uint8(2), uint8(2), false, []byte{3, 90, 17, 250, 100, 101, 40, 41})
-	f.Fuzz(func(t *testing.T, seed int64, nf, policy uint8, branchy bool, preds []byte) {
+	f.Add(int64(1), uint8(1), uint8(0), []byte{10, 40, 5, 60, 20, 20})
+	f.Add(int64(2), uint8(3), uint8(1), []byte{0, 127, 64, 65, 1, 126, 255, 3})
+	f.Add(int64(3), uint8(2), uint8(2), []byte{3, 90, 17, 250, 100, 101, 40, 41})
+	f.Fuzz(func(t *testing.T, seed int64, nf, policy uint8, preds []byte) {
 		rng := rand.New(rand.NewSource(seed))
-		lead := randPairs(rng, 256, 128)
+		lead := randPairs(rng, 1+rng.Intn(1200), 128)
 		lead.Policy = Policy{Kind: PolicyKind(policy % 3), Cap: 16 + int(policy)%48, Seed: uint64(seed)}
-		lead.Branchy = branchy
 		joint := []*Pairs{lead}
 		for i := 0; i < 1+int(nf)%3; i++ {
 			tail := make([]Value, lead.Len())
@@ -273,10 +322,10 @@ func FuzzFollowersAgree(f *testing.F) {
 				tail[j] = Value(rng.Int63())
 			}
 			fp := WrapPairs(append([]Value(nil), lead.Head...), tail)
-			fp.Policy, fp.Branchy = lead.Policy, branchy
+			fp.Policy = lead.Policy
 			joint = append(joint, fp)
 		}
-		bare := &Pairs{Tail: make([]Value, lead.Len()), Policy: lead.Policy, Branchy: branchy}
+		bare := &Pairs{Tail: make([]Value, lead.Len()), Policy: lead.Policy}
 		for j := range bare.Tail {
 			bare.Tail[j] = Value(rng.Int63())
 		}
@@ -284,7 +333,7 @@ func FuzzFollowersAgree(f *testing.F) {
 		solo := make([]*Pairs, len(joint))
 		for i, p := range joint {
 			solo[i] = WrapPairs(append([]Value(nil), lead.Head...), append([]Value(nil), p.Tail...))
-			solo[i].Policy, solo[i].Branchy = p.Policy, branchy
+			solo[i].Policy, solo[i].kernel = p.Policy, twoPointer
 		}
 		for i := 0; i+1 < len(preds) && i < 40; i += 2 {
 			lo, hi := int64(preds[i])%128, int64(preds[i+1])%128

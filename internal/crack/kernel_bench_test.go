@@ -1,8 +1,10 @@
 package crack
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"crackstore/internal/crackindex"
 	"crackstore/internal/store"
@@ -10,15 +12,84 @@ import (
 
 // benchColumn builds a cold 2^18-tuple column for the cold-start kernel
 // benchmarks (same shape as BenchmarkCrackRangeFirstQuery).
-func benchColumn() ([]Value, []Value) {
-	rng := rand.New(rand.NewSource(1))
-	head := make([]Value, 1<<18)
-	tail := make([]Value, 1<<18)
+func benchColumn() ([]Value, []Value) { return randColumn(1<<18, 1) }
+
+// randColumn returns n head values drawn uniformly from [0, n) and the
+// tail of tuple keys 0..n-1.
+func randColumn(n int, seed int64) ([]Value, []Value) {
+	rng := rand.New(rand.NewSource(seed))
+	head, tail := make([]Value, n), make([]Value, n)
 	for i := range head {
-		head[i] = Value(rng.Int63n(1 << 18))
+		head[i] = Value(rng.Int63n(int64(n)))
 		tail[i] = Value(i)
 	}
 	return head, tail
+}
+
+// traffic returns the bytes the kernel work counted in ps's stats reads and
+// writes: 8 per visited head value, and per moved tuple a read and a write
+// of its head and tail (of its tail alone in a pairs without a head).
+func traffic(ps []*Pairs) int {
+	bytes := 0
+	for _, p := range ps {
+		perMove := 32
+		if p.Head == nil {
+			perMove = 16
+		}
+		bytes += 8*p.Stats.Visited + perMove*p.Stats.Moved
+	}
+	return bytes
+}
+
+// benchKernel times crack over b.N cold copies of head and tail. Each crack
+// gets members fresh pairs (a leader, then followers with its head), and the
+// copies are refreshed outside the timer in batches of about 2^16 tuples,
+// so small pieces do not pay a timer stop per crack. It reports bw_frac: the
+// kernel's rate over the bytes its stats say it read and wrote (traffic),
+// divided by the rate of a copy with the same traffic (half the bytes read,
+// half written), timed in the same run.
+func benchKernel(b *testing.B, head, tail []Value, members int, crack func(ps []*Pairs)) {
+	batch := max(1, (1<<16)/len(head))
+	sets := make([][]*Pairs, batch)
+	for k := range sets {
+		for range members {
+			sets[k] = append(sets[k], WrapPairs(make([]Value, len(head)), make([]Value, len(tail))))
+		}
+	}
+	var src, dst []Value
+	var copyTime time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += batch {
+		b.StopTimer()
+		k := min(batch, b.N-done)
+		for _, set := range sets[:k] {
+			for _, p := range set {
+				copy(p.Head, head)
+				copy(p.Tail, tail)
+				p.Idx, p.Stats = crackindex.New(), KernelStats{}
+			}
+		}
+		b.StartTimer()
+		for _, set := range sets[:k] {
+			crack(set)
+		}
+		b.StopTimer()
+		n := 0
+		for _, set := range sets[:k] {
+			n += traffic(set) / 16 // values copied: half the traffic read, half written
+		}
+		if n > len(src) {
+			src, dst = make([]Value, n), make([]Value, n)
+		}
+		start := time.Now()
+		copy(dst[:n], src[:n])
+		copyTime += time.Since(start)
+		b.StartTimer()
+	}
+	if b.Elapsed() > 0 {
+		b.ReportMetric(float64(copyTime)/float64(b.Elapsed()), "bw_frac")
+	}
 }
 
 // BenchmarkCrackInTwo measures the seed kernel on a cold column: two
@@ -26,91 +97,71 @@ func benchColumn() ([]Value, []Value) {
 func BenchmarkCrackInTwo(b *testing.B) {
 	head, tail := benchColumn()
 	pred := store.Range(1000, 1<<17)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		p := WrapPairs(append([]Value(nil), head...), append([]Value(nil), tail...))
-		b.StartTimer()
-		p.CrackBound(pred.LowerBound())
-		p.CrackBound(pred.UpperBound())
-	}
+	benchKernel(b, head, tail, 1, func(ps []*Pairs) {
+		ps[0].CrackBound(pred.LowerBound())
+		ps[0].CrackBound(pred.UpperBound())
+	})
 }
 
-// BenchmarkCrackRangeCold measures the fused same-piece range crack (one
-// counting pass for both bounds, two repairs) on the same cold column and
-// predicate.
+// BenchmarkCrackRangeCold measures the same-piece range crack (the whole
+// piece partitioned at one bound, the remainder at the other) on the same
+// cold column and predicate.
 func BenchmarkCrackRangeCold(b *testing.B) {
 	head, tail := benchColumn()
 	pred := store.Range(1000, 1<<17)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		p := WrapPairs(append([]Value(nil), head...), append([]Value(nil), tail...))
-		b.StartTimer()
-		p.CrackRange(pred)
-	}
+	benchKernel(b, head, tail, 1, func(ps []*Pairs) { ps[0].CrackRange(pred) })
 }
 
 // BenchmarkCrackRangeColdFollower measures two aligned maps cracking one
 // cold 1M-tuple piece: "joint" is a leader with one follower
-// (CrackRangeWith: one counting pass and one misplaced-tuple scan, every
-// swap applied twice), "solo" two independent CrackRange calls.
+// (CrackRangeWith: one pass over the leader's head, every swap applied
+// twice), "solo" two independent CrackRange calls.
 func BenchmarkCrackRangeColdFollower(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 1 << 20
-	head, tail := make([]Value, n), make([]Value, n)
-	for i := range head {
-		head[i] = Value(rng.Int63n(n))
-		tail[i] = Value(i)
-	}
-	pred := store.Range(4000, n/2)
-	fresh := func() *Pairs { return WrapPairs(append([]Value(nil), head...), append([]Value(nil), tail...)) }
+	head, tail := randColumn(1<<20, 1)
+	pred := store.Range(4000, 1<<19)
 	b.Run("joint", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			lead, follower := fresh(), fresh()
-			b.StartTimer()
-			lead.CrackRangeWith(pred, []*Pairs{follower})
-		}
+		benchKernel(b, head, tail, 2, func(ps []*Pairs) { ps[0].CrackRangeWith(pred, ps[1:]) })
 	})
 	b.Run("solo", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			p, q := fresh(), fresh()
-			b.StartTimer()
-			p.CrackRange(pred)
-			q.CrackRange(pred)
-		}
+		benchKernel(b, head, tail, 2, func(ps []*Pairs) {
+			ps[0].CrackRange(pred)
+			ps[1].CrackRange(pred)
+		})
 	})
 }
 
-// benchCrackInTwoKernel measures the crack-in-two inner loop alone on a
-// cold random column (the worst case for branch prediction: every tuple's
-// side is a coin flip).
-func benchCrackInTwoKernel(b *testing.B, branchy bool) {
-	head, tail := benchColumn()
-	pred := store.Range(1000, 1<<17)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		p := WrapPairs(append([]Value(nil), head...), append([]Value(nil), tail...))
-		p.Branchy = branchy
-		b.StartTimer()
-		p.CrackBound(pred.LowerBound())
-		p.CrackBound(pred.UpperBound())
+// BenchmarkCrackSized prices a cold crack-in-two at the middle value and a
+// cold range crack of a tenth of the domain over pieces from 512 tuples,
+// the size converged queries crack, to 1M.
+func BenchmarkCrackSized(b *testing.B) {
+	for _, n := range []int{512, 4 << 10, 64 << 10, 1 << 20} {
+		head, tail := randColumn(n, 3)
+		mid := crackindex.Bound{V: Value(n / 2), Incl: true}
+		pred := store.Range(Value(n/3), Value(n/3+n/10))
+		b.Run(fmt.Sprintf("in-two/n=%d", n), func(b *testing.B) {
+			benchKernel(b, head, tail, 1, func(ps []*Pairs) { ps[0].CrackBound(mid) })
+		})
+		b.Run(fmt.Sprintf("range/n=%d", n), func(b *testing.B) {
+			benchKernel(b, head, tail, 1, func(ps []*Pairs) { ps[0].CrackRange(pred) })
+		})
 	}
 }
 
-// BenchmarkCrackInTwoPredicated is the branch-free predicated default.
-func BenchmarkCrackInTwoPredicated(b *testing.B) { benchCrackInTwoKernel(b, false) }
-
-// BenchmarkCrackInTwoBranchyRef is the branchy two-pointer reference.
-func BenchmarkCrackInTwoBranchyRef(b *testing.B) { benchCrackInTwoKernel(b, true) }
+// BenchmarkCrackInTwoBranchyRef runs BenchmarkCrackInTwo's two partitions
+// through the two-pointer reference kernel directly: the branchy loop the
+// block partition replaces, which mispredicts about once per tuple on
+// random data.
+func BenchmarkCrackInTwoBranchyRef(b *testing.B) {
+	head, tail := benchColumn()
+	c1, _ := cut(store.Range(1000, 1<<17).LowerBound())
+	c2, _ := cut(store.Range(1000, 1<<17).UpperBound())
+	benchKernel(b, head, tail, 1, func(ps []*Pairs) {
+		p := ps[0]
+		split := twoPointer(p, c1, 0, p.Len())
+		twoPointer(p, c2, split, p.Len())
+		p.Stats.Visited += 2*p.Len() - split
+	})
+}
 
 // benchCrackedPairs returns a 2^16-tuple column cracked into ~512 pieces,
 // plus a batch of pending inserts spread over the domain.

@@ -2,6 +2,7 @@ package crack
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // crackRangeTwoPass is the seed kernel: each bound cracks its piece
-// independently. Kept as the reference the fused same-piece range crack is
+// independently. Kept as the reference the same-piece range crack is
 // verified against.
 func crackRangeTwoPass(p *Pairs, pred store.Pred) (lo, hi int) {
 	lo = p.CrackBound(pred.LowerBound())
@@ -61,11 +62,102 @@ func rangeCounts(head []Value, pred store.Pred) (nL, nM int) {
 	return nL, nM
 }
 
+// twoPointer is the textbook two-pointer (Hoare) partition, the reference
+// the block partition must match in layout, split and moves: cursor i
+// scans right for a tuple >= c, cursor j scans left for one < c, and the
+// two stalls swap until the cursors cross.
+func twoPointer(p *Pairs, c Value, lo, hi int) int {
+	h := p.Head
+	i, j := lo, hi-1
+	for {
+		for i <= j && h[i] < c {
+			i++
+		}
+		for i <= j && h[j] >= c {
+			j--
+		}
+		if i > j {
+			return i
+		}
+		p.swap([]int{i}, []int{j})
+		i++
+		j--
+	}
+}
+
+// TestBlockPartitionMatchesTwoPointer partitions pieces of every size up to
+// a few blocks, in shapes that stress each end of the block kernel (all on
+// one side, sorted, reverse sorted, few distinct values, random), at cutoffs
+// below, inside and above the values, and requires the two-pointer
+// reference's layout, split and moves.
+func TestBlockPartitionMatchesTwoPointer(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	shapes := map[string]func(i, n int) Value{
+		"sorted":   func(i, n int) Value { return Value(i) },
+		"reversed": func(i, n int) Value { return Value(n - i) },
+		"two":      func(i, n int) Value { return Value(rng.Intn(2)) * Value(n) },
+		"random":   func(i, n int) Value { return Value(rng.Intn(n + 1)) },
+		"clumped":  func(i, n int) Value { return Value((i / 300) % 2 * n) },
+	}
+	for name, shape := range shapes {
+		for n := 0; n <= 4*predBlock+3; n += 1 + n/50 {
+			head := make([]Value, n)
+			for i := range head {
+				head[i] = shape(i, n)
+			}
+			for _, c := range []Value{-1, 0, 1, Value(n / 3), Value(n / 2), Value(n), Value(n + 1)} {
+				a := WrapPairs(slices.Clone(head), make([]Value, n))
+				for i := range a.Tail {
+					a.Tail[i] = Value(i)
+				}
+				b := WrapPairs(slices.Clone(a.Head), slices.Clone(a.Tail))
+				lo, hi := min(n, 3), n
+				if got, want := a.blockPartition(c, lo, hi), twoPointer(b, c, lo, hi); got != want ||
+					!slices.Equal(a.Head, b.Head) || !slices.Equal(a.Tail, b.Tail) || a.Stats != b.Stats {
+					t.Fatalf("%s n=%d c=%d: split %d vs %d, moved %d vs %d", name, n, c, got, want, a.Stats.Moved, b.Stats.Moved)
+				}
+			}
+		}
+	}
+}
+
+// lowerFirst is the order rule of a same-piece range crack, restated from
+// its definition: partition at the lower cutoff c1 first when, among 64
+// evenly spaced head values, at most as many lie at or right of c1 as lie
+// left of c2.
+func lowerFirst(head []Value, c1, c2 Value) bool {
+	n, s := len(head), min(len(head), 64)
+	right1, left2 := 0, 0
+	for k := 0; k < s; k++ {
+		v := head[k*n/s]
+		if v >= c1 {
+			right1++
+		}
+		if v < c2 {
+			left2++
+		}
+	}
+	return right1 <= left2
+}
+
+// rangeTraffic is the number of tuples a same-piece range crack of head
+// visits: the piece, then the remainder its order rule leaves.
+func rangeTraffic(head []Value, pred store.Pred) int {
+	nL, nM := rangeCounts(head, pred)
+	c1, _ := cut(pred.LowerBound())
+	c2, _ := cut(pred.UpperBound())
+	if lowerFirst(head, c1, c2) {
+		return 2*len(head) - nL
+	}
+	return len(head) + nL + nM
+}
+
 // TestCrackRangeColdTraffic is the pass-accounting acceptance test: on a
 // cold column whose bounds both fall in the single uncracked piece,
-// CrackRange performs exactly one fused range crack and no crack-in-two, and
-// its two repair passes read the whole piece once plus the smaller of the
-// two possible remainders: Visited == n + min(n-nL, nL+nM).
+// CrackRange performs exactly one same-piece range crack and no
+// crack-in-two, and its two partitions read the whole piece once plus the
+// remainder the order rule picks: n + (n-nL) or n + (nL+nM). Where the two
+// remainders differ by a tenth of the piece, the rule picks the smaller.
 func TestCrackRangeColdTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 10000
@@ -75,14 +167,18 @@ func TestCrackRangeColdTraffic(t *testing.T) {
 	} {
 		p := randPairs(rng, n, 1000)
 		nL, nM := rangeCounts(p.Head, pred)
+		want := rangeTraffic(p.Head, pred)
 		lo, hi := p.CrackRange(pred)
 		if p.Stats.InThree != 1 || p.Stats.InTwo != 0 {
 			t.Fatalf("%v: cold crack used %d range cracks and %d crack-in-two passes, want 1 and 0",
 				pred, p.Stats.InThree, p.Stats.InTwo)
 		}
-		if want := n + min(n-nL, nL+nM); p.Stats.Visited != want {
-			t.Fatalf("%v: cold crack visited %d tuples, want n + min(n-nL, nL+nM) = %d",
-				pred, p.Stats.Visited, want)
+		if p.Stats.Visited != want {
+			t.Fatalf("%v: cold crack visited %d tuples, want %d", pred, p.Stats.Visited, want)
+		}
+		if a, b := n-nL, nL+nM; abs(a-b) > n/10 && want != n+min(a, b) {
+			t.Fatalf("%v: the order rule left the larger remainder: visited %d, remainders %d and %d",
+				pred, want, a, b)
 		}
 		if lo != nL || hi != nL+nM {
 			t.Fatalf("%v: area [%d,%d), want [%d,%d)", pred, lo, hi, nL, nL+nM)
@@ -99,8 +195,95 @@ func TestCrackRangeColdTraffic(t *testing.T) {
 	}
 }
 
-// TestCrackRangeSamePieceAllocatesNothing: the fused range crack of a 1M-row
-// piece works out of repair's two stack-resident position buffers. The
+func abs(x int) int { return max(x, -x) }
+
+// misplaced counts the tuples of head on the wrong side of the split a
+// partition at c leaves: the values >= c among the first count(< c).
+func misplaced(head []Value, c Value) int {
+	split := 0
+	for _, v := range head {
+		if v < c {
+			split++
+		}
+	}
+	m := 0
+	for _, v := range head[:split] {
+		if v >= c {
+			m++
+		}
+	}
+	return m
+}
+
+// TestPartitionTraffic pins what every partition costs, whatever its
+// layout: it visits exactly hi-lo tuples and moves exactly twice the tuples
+// on the wrong side of its split. It records every partition of a
+// crack-in-two, a same-piece range crack and a policy pivot, and checks the
+// partitions each makes: the piece, then for the range crack the remainder
+// its order rule picks.
+func TestPartitionTraffic(t *testing.T) {
+	type part struct{ lo, hi int }
+	rng := rand.New(rand.NewSource(23))
+	for _, tc := range []struct {
+		name  string
+		pol   Policy
+		crack func(p *Pairs)
+		want  func(head []Value) []part
+	}{
+		{"in-two", Policy{}, func(p *Pairs) { p.CrackBound(crackindex.Bound{V: 300, Incl: true}) },
+			func(head []Value) []part { return []part{{0, len(head)}} }},
+		{"range", Policy{}, func(p *Pairs) { p.CrackRange(store.Range(200, 260)) },
+			func(head []Value) []part {
+				nL, nM := rangeCounts(head, store.Range(200, 260))
+				if lowerFirst(head, 200, 261) {
+					return []part{{0, len(head)}, {nL, len(head)}}
+				}
+				return []part{{0, len(head)}, {0, nL + nM}}
+			}},
+		{"pivot", Policy{Kind: Capped, Cap: 3000}, func(p *Pairs) { p.CrackBound(crackindex.Bound{V: 10, Incl: true}) },
+			func(head []Value) []part { return []part{{0, len(head)}} }},
+	} {
+		for _, n := range []int{1, 7, 255, 256, 257, 513, 5000} {
+			p := randPairs(rng, n, 1000)
+			p.Policy = tc.pol
+			want := tc.want(p.Head)
+			var got []part
+			p.kernel = func(p *Pairs, c Value, lo, hi int) int {
+				got = append(got, part{lo, hi})
+				m, moved := misplaced(p.Head[lo:hi], c), p.Stats.Moved
+				split := p.blockPartition(c, lo, hi)
+				if p.Stats.Moved-moved != 2*m {
+					t.Fatalf("%s n=%d: partition of [%d,%d) moved %d tuples, want 2 x %d misplaced",
+						tc.name, n, lo, hi, p.Stats.Moved-moved, m)
+				}
+				return split
+			}
+			tc.crack(p)
+			visited := 0
+			for _, g := range got {
+				visited += g.hi - g.lo
+			}
+			if p.Stats.Visited != visited {
+				t.Fatalf("%s n=%d: partitions %v, but %d tuples visited", tc.name, n, got, p.Stats.Visited)
+			}
+			if tc.name == "pivot" && n > 3000 {
+				// The piece is split at the pivot first; the query's own
+				// bound then cracks whichever part it falls into.
+				if p.Stats.Aux != 1 || len(got) != 2 {
+					t.Fatalf("pivot n=%d: %d auxiliary pivots, partitions %v", n, p.Stats.Aux, got)
+				}
+				got = got[:1]
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s n=%d: partitions %v, want %v", tc.name, n, got, want)
+			}
+		}
+	}
+}
+
+// TestCrackRangeSamePieceAllocatesNothing: the same-piece range crack of a
+// 1M-row piece works out of the partition's two stack-resident position
+// buffers. The
 // kernel is called below CrackRange, whose index inserts do allocate; what
 // it allocates does not depend on how many tuples are misplaced, so the
 // already-partitioned repeat runs measure the same code as the first.
@@ -115,7 +298,7 @@ func TestCrackRangeSamePieceAllocatesNothing(t *testing.T) {
 		t.Fatalf("same-piece range crack allocated %.0f objects per run, want 0", allocs)
 	}
 	if p.Stats.InThree == 0 || p.Stats.Moved == 0 {
-		t.Fatalf("the measured path was not the fused range crack: %+v", p.Stats)
+		t.Fatalf("the measured path was not the same-piece range crack: %+v", p.Stats)
 	}
 }
 
@@ -138,7 +321,7 @@ func TestCrackRangeFallsBackAcrossPieces(t *testing.T) {
 }
 
 // TestCrackRangeMatchesTwoPassBoundaries: for any predicate sequence, the
-// fused range crack must produce the same areas and the same piece
+// same-piece range crack must produce the same areas and the same piece
 // boundaries (bound and position) as the two-pass reference, because split
 // positions are determined by value counts alone; it must keep every
 // (head, tail) pairing; and a second structure with equal heads but other
@@ -184,15 +367,15 @@ func TestCrackRangeMatchesTwoPassBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fused == 0 {
-		t.Fatal("no seed exercised the fused same-piece range crack")
+		t.Fatal("no seed exercised the same-piece range crack")
 	}
 }
 
 // TestCrackRangeTrafficBound: whatever the index state, a CrackRange that
-// takes the fused same-piece path reads, in its two repair passes, the piece
-// once plus the smaller remainder — Visited <= n + min(n-nL, nL+nM) for a
-// piece of n tuples — and one that falls back reads each bound's own piece
-// once.
+// takes the same-piece path visits the piece once plus the remainder its
+// order rule picks, and one that falls back visits exactly the piece each
+// bound cracks in two: the lower bound's piece unless the bound is already
+// a boundary, then the piece the upper bound falls into after that.
 func TestCrackRangeTrafficBound(t *testing.T) {
 	fused := 0
 	f := func(seed int64) bool {
@@ -200,20 +383,30 @@ func TestCrackRangeTrafficBound(t *testing.T) {
 		p := randPairs(rng, 200+rng.Intn(2000), 500)
 		for q := 0; q < 8; q++ {
 			pred := randPred(rng, 500)
+			b1, b2 := pred.LowerBound(), pred.UpperBound()
 			n := p.Len()
-			pc := p.Idx.PieceFor(pred.LowerBound(), n)
-			pcHi := p.Idx.PieceFor(pred.UpperBound(), n)
-			nL, nM := rangeCounts(p.Head[pc.Lo:pc.Hi], pred)
+			pc := p.Idx.PieceFor(b1, n)
+			crack2 := b2 != b1 && !p.Idx.Has(b2)
+			inPiece := rangeTraffic(p.Head[pc.Lo:pc.Hi], pred)
 			before := p.Stats
 			p.CrackRange(pred)
 			visited := p.Stats.Visited - before.Visited
+			var want int
 			if p.Stats.InThree > before.InThree {
 				fused++
-				sz := pc.Hi - pc.Lo
-				if visited > sz+min(sz-nL, nL+nM) {
-					return false
+				want = inPiece
+			} else {
+				if !pc.LoExact {
+					want = pc.Hi - pc.Lo
 				}
-			} else if visited > (pc.Hi-pc.Lo)+(pcHi.Hi-pcHi.Lo) {
+				if crack2 {
+					// The upper bound cracks last, so the index the query
+					// leaves shows the piece it split.
+					want += crackedPiece(p, b2)
+				}
+			}
+			if visited != want {
+				t.Logf("seed %d query %d %v: visited %d, want %d", seed, q, pred, visited, want)
 				return false
 			}
 		}
@@ -223,24 +416,39 @@ func TestCrackRangeTrafficBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fused == 0 {
-		t.Fatal("no seed exercised the fused same-piece range crack")
+		t.Fatal("no seed exercised the same-piece range crack")
 	}
 }
 
-// TestMovedCounterMatchesAcrossKernels: the predicated and branchy kernels
-// execute the same state machine, so their Moved accounting must agree
-// exactly (alongside the layouts the fuzz targets pin).
+// crackedPiece returns the size of the piece a crack at b split in two,
+// read from the index the crack left: from the boundary before b to the
+// boundary after it.
+func crackedPiece(p *Pairs, b crackindex.Bound) int {
+	lo, hi, after := 0, p.Len(), false
+	p.Idx.Walk(func(x crackindex.Bound, pos int) {
+		if x.Less(b) {
+			lo = pos
+		} else if b.Less(x) && !after {
+			hi, after = pos, true
+		}
+	})
+	return hi - lo
+}
+
+// TestMovedCounterMatchesAcrossKernels: the block partition and the
+// two-pointer reference pair the same misplaced tuples, so their stats must
+// agree exactly (alongside the layouts the fuzz targets pin).
 func TestMovedCounterMatchesAcrossKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a := randPairs(rng, 4096, 1024)
 	b := WrapPairs(append([]Value(nil), a.Head...), append([]Value(nil), a.Tail...))
-	b.Branchy = true
+	b.kernel = twoPointer
 	for q := 0; q < 20; q++ {
 		pred := randPred(rng, 1024)
 		a.CrackRange(pred)
 		b.CrackRange(pred)
 		if a.Stats != b.Stats {
-			t.Fatalf("stats diverged after query %d: predicated %+v vs branchy %+v", q, a.Stats, b.Stats)
+			t.Fatalf("stats diverged after query %d: block %+v vs two-pointer %+v", q, a.Stats, b.Stats)
 		}
 	}
 }

@@ -21,36 +21,34 @@
 // Maps that sit at one point of one tape therefore need not each pay for a
 // crack. CrackRangeWith cracks a leader together with followers: pairs of
 // the leader's length whose head values and index boundaries equal the
-// leader's. Every decision is made once, on the leader's head: the counting
-// pass, the misplaced positions, policy pivots and boundaries. Every swap
-// block and boundary is then applied to each follower as well, so each ends
-// exactly as its own CrackRange would leave it. A follower reads no head;
-// it counts the tuples it moves in Stats.Moved and nothing else. It need
-// not even have one: a follower without a head column (and without an
-// index) is a tail that only its leader's head and index position, and
-// every swap moves its tail alone.
+// leader's. Every decision is made once, on the leader's head: the
+// misplaced positions, the order of a range crack's two partitions, policy
+// pivots and boundaries. Every swap block and boundary is then applied to
+// each follower as well, so each ends exactly as its own CrackRange would
+// leave it. A follower reads no head; it counts the tuples it moves in
+// Stats.Moved and nothing else. It need not even have one: a follower
+// without a head column (and without an index) is a tail that only its
+// leader's head and index position, and every swap moves its tail alone.
 //
-// A crack pays for the piece it lands in and nothing else. Crack-in-two
-// counts the tuples left of the bound (fixing the split position) and then
-// repairs: the k-th misplaced tuple of the left region is swapped with the
-// k-th of the right, block by block, out of two L1-resident position
-// buffers. CrackRange partitions against both bounds of a range predicate;
-// whenever both fall into the same uncracked piece — the common cold-start
-// case — one fused counting pass fixes both split positions, the piece is
-// repaired as a whole at the bound that leaves the smaller remainder, and
-// that remainder is repaired at the other bound. Otherwise each bound cracks
-// its own piece in two. Which path is taken, and which bound goes first,
-// depends only on the cracker-index state and the piece's head values, both
-// functions of the replayed operation sequence, so the choice is identical
-// across aligned maps and the alignment invariant is preserved.
-//
-// The range crack is built for memory traffic, not for the fewest tuple
-// moves. A partition that stores every misplaced tuple exactly once has to
-// remember where all of them are — position buffers as large as the piece,
-// 8 MB written per cold 1M-row piece — and on the bandwidth-poor machines
-// this runs on that write costs more than reading the head again. The fused
-// form reads the head about 2.25 times for a narrow range, touches tails
-// only where tuples swap, and allocates nothing.
+// A crack pays for the piece it lands in and nothing else, and every crack
+// runs one kernel: a two-ended block partition (Edelkamp and Weiß,
+// "BlockQuicksort", ESA 2016). Blocks scan inward from both ends of the
+// piece, the positions of misplaced tuples are packed into two L1-resident
+// buffers without branching, and the k-th misplaced tuple from the left
+// swaps with the k-th from the right. That is the layout of the textbook
+// two-pointer partition, with the fewest moves a swap-based partition can
+// make (two per misplaced tuple), in one pass over the head and with no
+// per-tuple branch on the data. CrackRange partitions against both bounds
+// of a range predicate; when both fall into the same uncracked piece — the
+// common cold-start case — the whole piece is partitioned at one bound and
+// the remainder at the other, the bound that leaves the smaller remainder
+// in a sample of the piece going first. The head is then read about 1.25
+// times for a narrow range; tails are touched only where tuples swap, and
+// nothing is allocated. Otherwise each bound cracks its own piece in two.
+// Which path is taken, and which bound goes first, depends only on the
+// cracker-index state and the piece's head values, both functions of the
+// replayed operation sequence, so the choice is identical across aligned
+// maps and the alignment invariant is preserved.
 //
 // Updates use the Ripple algorithm. RippleInsert merges one pending tuple;
 // RippleInsertBatch merges many in a single pass (one index walk, one bulk
@@ -58,20 +56,11 @@
 // arrival-order sequential RippleInsert calls would, so replay tapes can be
 // applied with either without breaking alignment.
 //
-// Two orthogonal knobs tune the kernel beyond the paper's algorithm:
-//
-//   - Pairs.Policy selects an adaptive pivot policy (see Policy): the
-//     Stochastic and Capped policies pre-split pathologically large pieces
-//     at auxiliary pivots before the query's own crack, so convergence no
-//     longer depends on the query pattern. Auxiliary pivots are ordinary
-//     index boundaries; probes and SelectRO benefit from them immediately.
-//   - The partition inner loops run branch-free by default: per-tuple
-//     left/right decisions are computed as 0/1 counter advances and
-//     store-always position compaction instead of unpredictable branches,
-//     so throughput does not collapse on random data (~50% mispredicts in
-//     the branchy loop). Pairs.Branchy selects the branchy two-pointer
-//     reference repair, which is fuzz-pinned layout-identical to the
-//     predicated one.
+// Pairs.Policy selects an adaptive pivot policy (see Policy): the
+// Stochastic and Capped policies pre-split pathologically large pieces at
+// auxiliary pivots before the query's own crack, so convergence no longer
+// depends on the query pattern. Auxiliary pivots are ordinary index
+// boundaries; probes and SelectRO benefit from them immediately.
 package crack
 
 import (
@@ -92,8 +81,8 @@ type Value = store.Value
 // benchmarks use it for work accounting.
 type KernelStats struct {
 	InTwo   int // crack-in-two partitions (one bound, one piece)
-	InThree int // same-piece range cracks (both bounds, one fused count)
-	Visited int // tuples read by repair passes (a crack-in-two has one, a range crack two)
+	InThree int // same-piece range cracks (the piece at one bound, the remainder at the other)
+	Visited int // tuples partitions read: each reads its whole range once
 	Moved   int // tuples stored to a new position (a swap counts 2)
 	Aux     int // auxiliary policy pivots introduced (see Policy)
 	Scanned int // tuples examined by Locate
@@ -121,12 +110,6 @@ type Pairs struct {
 	// must stay aligned have to crack under one policy.
 	Policy Policy
 
-	// Branchy selects the branchy reference repair loop instead of the
-	// branch-free predicated default. Both produce identical layouts;
-	// the switch exists for the equivalence fuzz targets and the kernel
-	// microbenchmarks.
-	Branchy bool
-
 	// Stats accumulates kernel partition counters. Resetting it is cheap
 	// and does not affect behavior.
 	Stats KernelStats
@@ -134,6 +117,10 @@ type Pairs struct {
 	// followers receive every swap and boundary of the crack in progress;
 	// set only for the duration of one CrackRangeWith call.
 	followers []*Pairs
+
+	// kernel, when set, replaces the block partition; the package's tests
+	// set it to the two-pointer reference the block partition must match.
+	kernel func(p *Pairs, c Value, lo, hi int) int
 }
 
 // NewPairs returns a Pairs over copies of head and tail. Panics if lengths
@@ -184,7 +171,7 @@ func cut(b crackindex.Bound) (c Value, ok bool) {
 }
 
 // b2v returns 1 for true and 0 for false. The Go compiler lowers this
-// pattern to a flag-set instruction, keeping the predicated kernels free of
+// pattern to a flag-set instruction, keeping the partition kernel free of
 // data-dependent branches.
 func b2v(b bool) Value {
 	if b {
@@ -195,9 +182,7 @@ func b2v(b bool) Value {
 
 // crackInTwo partitions positions [lo, hi) so that all values on the left
 // of boundary b precede all values at-or-right of it, returning the split
-// position: a branch-free counting pass fixes the split, then repair moves
-// the misplaced tuples across it. The result is a deterministic function of
-// the piece contents.
+// position. The result is a deterministic function of the piece contents.
 func (p *Pairs) crackInTwo(b crackindex.Bound, lo, hi int) int {
 	p.Stats.InTwo++
 	c, ok := cut(b)
@@ -207,122 +192,114 @@ func (p *Pairs) crackInTwo(b crackindex.Bound, lo, hi int) int {
 		p.Stats.Visited += hi - lo
 		return hi
 	}
-	nL := 0
-	for _, v := range p.Head[lo:hi] {
-		nL += int(b2v(v < c))
-	}
-	p.repair(c, lo, lo+nL, hi)
-	return lo + nL
+	return p.partition(c, lo, hi)
 }
 
-// repair finishes a partition of [lo, hi) whose split position is already
-// known (split-lo tuples are < c): it exchanges the k-th misplaced tuple of
-// [lo, split) with the k-th misplaced tuple of [split, hi), so every swap
-// puts two tuples in their final region — the minimum movement any
-// swap-based partition can achieve. It dispatches to the branch-free
-// predicated kernel (default) or the branchy two-pointer reference
-// (Pairs.Branchy); both pair the same positions and produce identical
-// layouts and stats, which the equivalence fuzz targets pin.
-func (p *Pairs) repair(c Value, lo, split, hi int) {
-	p.Stats.Visited += hi - lo
-	var moved int
-	if p.Branchy {
-		moved = p.repairBranchy(c, lo, split, hi)
-	} else {
-		moved = p.repairPred(c, lo, split, hi)
-	}
-	p.Stats.Moved += moved
-	for _, f := range p.followers {
-		f.Stats.Moved += moved
-	}
-}
-
-// repairBranchy is the branchy reference repair: cursor i scans the left
-// region for misplaced (>= c) tuples while cursor j scans the right region
-// for misplaced (< c) ones, swapping the k-th stall of each. The stall
-// positions and their pairing are what repairPred replicates exactly.
-func (p *Pairs) repairBranchy(c Value, lo, split, hi int) (moved int) {
-	h, t := p.Head, p.Tail
-	i, j := lo, split
-	for {
-		for i < split && h[i] < c {
-			i++
-		}
-		for j < hi && h[j] >= c {
-			j++
-		}
-		if i == split {
-			// Misplaced counts on both sides are equal, so j == hi too.
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		t[i], t[j] = t[j], t[i]
-		for _, f := range p.followers {
-			swapPositions(f.Head, f.Tail, []int{i}, []int{j})
-		}
-		moved += 2
-		i++
-		j++
-	}
-	return moved
-}
-
-// predBlock is the compaction block size of the predicated kernels: small
-// enough for the index buffers to live in L1, large enough to amortize the
+// predBlock is the block size of the partition kernel: small enough for its
+// two position buffers to live in L1, large enough to amortize the
 // per-block control branches to noise (one check per predBlock tuples).
 const predBlock = 256
 
-// repairPred is the branch-free predicated repair: it block-compacts the
-// misplaced positions of each region into two small stack-resident index
-// buffers using store-always/advance-by-flag compaction, then swaps the
-// paired positions unconditionally. No per-tuple branch depends on the data
-// anywhere — the classic two-pointer loop mispredicts once per tuple on
-// random data, while here the only data-dependent control is one buffer
-// check per predBlock tuples. It reads each head value of [lo, hi) once,
-// touches tails only where it swaps, and allocates nothing. Followers get
-// each block's swaps straight after the leader, while the block's positions
-// are still in L1; their heads are never read.
-func (p *Pairs) repairPred(c Value, lo, split, hi int) (moved int) {
-	h, t := p.Head, p.Tail
-	var bufI, bufJ [predBlock]int
-	i, j := lo, split
-	ni, ci, nj, cj := 0, 0, 0, 0
-	for {
-		if ni == ci {
-			ni, ci = 0, 0
-			for k := 0; k < predBlock && i < split; k++ {
-				bufI[ni] = i
-				ni += int(b2v(h[i] >= c))
-				i++
-			}
-		}
-		if nj == cj {
-			nj, cj = 0, 0
-			for k := 0; k < predBlock && j < hi; k++ {
-				bufJ[nj] = j
-				nj += int(b2v(h[j] < c))
-				j++
-			}
-		}
-		sw := min(ni-ci, nj-cj)
-		if sw == 0 {
-			// Misplaced counts on both sides are equal, so one drained
-			// side with an exhausted region means the repair is complete.
-			if (i == split && ni == ci) || (j == hi && nj == cj) {
-				break
-			}
-			continue
-		}
-		is, js := bufI[ci:ci+sw], bufJ[cj:cj+sw]
-		swapPositions(h, t, is, js)
-		for _, f := range p.followers {
-			swapPositions(f.Head, f.Tail, is, js)
-		}
-		moved += 2 * sw
-		ci += sw
-		cj += sw
+// partition moves the values < c of [lo, hi) before the others, returns
+// the split position and counts the hi-lo tuples it visits. Every crack of
+// every cracking structure comes here.
+func (p *Pairs) partition(c Value, lo, hi int) int {
+	p.Stats.Visited += hi - lo
+	if p.kernel != nil {
+		return p.kernel(p, c, lo, hi)
 	}
-	return moved
+	return p.blockPartition(c, lo, hi)
+}
+
+// blockPartition is the partition kernel, a two-ended block partition
+// (Edelkamp and Weiß, "BlockQuicksort", ESA 2016): one block scans inward
+// from each end, packing the positions of misplaced tuples into an
+// L1-resident buffer without branching (store always, advance by the
+// comparison's 0/1), and then the buffered pairs swap unconditionally. The
+// k-th misplaced tuple from the left is paired with the k-th from the
+// right, so the layout is exactly the two-pointer (Hoare) partition's,
+// every swap puts two tuples on their final side, and no per-tuple branch
+// depends on the data. Each head value of [lo, hi) is read once, apart from
+// at most one block that the finish reads again; tails are touched only
+// where tuples swap, and nothing is allocated. Followers get each block's
+// swaps straight after the leader, while the positions are still in L1;
+// their heads are never read.
+func (p *Pairs) blockPartition(c Value, lo, hi int) int {
+	h := p.Head
+	var bufL, bufR [predBlock]int
+	const mask = predBlock - 1
+	i, j := lo, hi // [i, j) is not scanned yet
+	nl, cl, nr, cr := 0, 0, 0, 0
+	for i < j {
+		if cl == nl {
+			nl, cl = 0, 0
+			end := min(i+predBlock, j)
+			for k, v := range h[i:end] {
+				bufL[nl&mask] = i + k
+				nl += int(b2v(v >= c))
+			}
+			i = end
+		}
+		if cr == nr {
+			nr, cr = 0, 0
+			start := max(j-predBlock, i)
+			blk := h[start:j]
+			for k := len(blk) - 1; k >= 0; k-- {
+				bufR[nr&mask] = start + k
+				nr += int(b2v(blk[k] < c))
+			}
+			j = start
+		}
+		sw := min(nl-cl, nr-cr)
+		p.swap(bufL[cl:cl+sw], bufR[cr:cr+sw])
+		cl += sw
+		cr += sw
+	}
+	// Every tuple is scanned, and one buffer may still hold misplaced
+	// positions, all from its last block. The pairs left to swap lie
+	// between the first of them and the meeting point: rescan that stretch
+	// from the other end and swap the pairs that have not crossed.
+	switch {
+	case cl < nl:
+		x := bufL[cl]
+		nr = 0
+		blk := h[x:i]
+		for k := len(blk) - 1; k >= 0; k-- {
+			bufR[nr&mask] = x + k
+			nr += int(b2v(blk[k] < c))
+		}
+		m := 0
+		for k := range min(nl-cl, nr) {
+			m += int(b2v(bufL[cl+k] < bufR[k]))
+		}
+		p.swap(bufL[cl:cl+m], bufR[:m])
+		return x + nr
+	case cr < nr:
+		y := bufR[cr]
+		nl = 0
+		for k, v := range h[j : y+1] {
+			bufL[nl&mask] = j + k
+			nl += int(b2v(v >= c))
+		}
+		m := 0
+		for k := range min(nr-cr, nl) {
+			m += int(b2v(bufL[k] < bufR[cr+k]))
+		}
+		p.swap(bufL[:m], bufR[cr:cr+m])
+		return y + 1 - nl
+	}
+	return i
+}
+
+// swap exchanges the tuples at is[k] and js[k] for every k, in p and in
+// every follower, and counts the moves.
+func (p *Pairs) swap(is, js []int) {
+	swapPositions(p.Head, p.Tail, is, js)
+	for _, f := range p.followers {
+		swapPositions(f.Head, f.Tail, is, js)
+		f.Stats.Moved += 2 * len(is)
+	}
+	p.Stats.Moved += 2 * len(is)
 }
 
 // swapPositions swaps the tuples at is[k] and js[k] for every k. A nil h
@@ -374,44 +351,46 @@ func (p *Pairs) mark(b crackindex.Bound, pos int) {
 	}
 }
 
+// orderSamples is how many evenly spaced head values of a piece decide
+// which bound of a same-piece range crack partitions the whole piece.
+const orderSamples = 64
+
 // crackRangeInPiece partitions the single piece [lo, hi) against both
 // bounds of a range: values left of b1, then values in [b1, b2), then values
 // at-or-right of b2. Requires b1 < b2. Returns the two split positions.
 //
-// One fused branch-free counting pass fixes both splits. The piece is then
-// repaired twice with the splits already known: first as a whole at the
-// bound that leaves the smaller remainder — hi-lt tuples right of b1 or
-// gt-lo tuples left of b2 — and then that remainder at the other bound. The
-// order is a pure function of the piece contents, so aligned maps and
-// crack-tape recovery, which both replay the same predicates over equal
-// heads, stay layout-identical. With n tuples of which nL lie left of the
-// range and nM inside it, the head is read n times to count and
-// n + min(n-nL, nL+nM) times to repair: 2.25n in all on average for a
-// narrow range placed uniformly.
+// It is two partitions: the whole piece at one bound, then the remainder at
+// the other. The bound partitioned first is the one whose remainder looks
+// smaller in a sample of orderSamples evenly spaced head values: the tuples
+// right of b1, or those left of b2. The order is a pure function of the
+// piece contents, so aligned maps and crack-tape recovery, which both
+// replay the same predicates over equal heads, stay layout-identical. With
+// n tuples of which nL lie left of the range and nM inside it, the head is
+// read n + (n-nL) or n + (nL+nM) times: about 1.25n on average for a narrow
+// range placed uniformly.
 func (p *Pairs) crackRangeInPiece(b1, b2 crackindex.Bound, lo, hi int) (int, int) {
 	c1, ok1 := cut(b1)
 	c2, ok2 := cut(b2)
 	if !ok1 || !ok2 {
 		// A bound at the very end of the value domain (an unbounded range)
-		// has no cutoff to count against; resolve each bound by itself.
+		// has no cutoff to partition at; resolve each bound by itself.
 		lt := p.crackInTwo(b1, lo, hi)
 		return lt, p.crackInTwo(b2, lt, hi)
 	}
 	p.Stats.InThree++
-	nL, nLM := 0, 0
-	for _, v := range p.Head[lo:hi] {
-		nL += int(b2v(v < c1))
-		nLM += int(b2v(v < c2))
+	n, s := hi-lo, min(hi-lo, orderSamples)
+	sL, sLM := 0, 0
+	for k := range s {
+		v := p.Head[lo+k*n/s]
+		sL += int(b2v(v < c1))
+		sLM += int(b2v(v < c2))
 	}
-	lt, gt := lo+nL, lo+nLM
-	if hi-lt <= gt-lo {
-		p.repair(c1, lo, lt, hi)
-		p.repair(c2, lt, gt, hi)
-	} else {
-		p.repair(c2, lo, gt, hi)
-		p.repair(c1, lo, lt, gt)
+	if s-sL <= sLM {
+		lt := p.partition(c1, lo, hi)
+		return lt, p.partition(c2, lt, hi)
 	}
-	return lt, gt
+	gt := p.partition(c2, lo, hi)
+	return p.partition(c1, lo, gt), gt
 }
 
 // CrackRange physically reorganizes the pairs so that all tuples matching
@@ -420,7 +399,7 @@ func (p *Pairs) crackRangeInPiece(b1, b2 crackindex.Bound, lo, hi int) (int, int
 //
 // When both bounds of pred fall into the same uncracked piece (always the
 // case on a cold column), the piece is partitioned against both bounds by
-// one fused range crack; otherwise each bound cracks its own piece in two.
+// one range crack; otherwise each bound cracks its own piece in two.
 // The path choice depends only on the index state, so it is identical
 // across maps replaying the same operation sequence.
 func (p *Pairs) CrackRange(pred store.Pred) (lo, hi int) {
@@ -456,12 +435,13 @@ func (p *Pairs) CrackRange(pred store.Pred) (lo, hi int) {
 // CrackRangeWith is CrackRange on p, the leader, and on followers that sit
 // at the same point of the same cracker tape. Precondition: every follower
 // has p's length, and p's head values position for position and p's index
-// boundaries, or no head and no index at all. Each decision — the counting
-// pass, the misplaced positions, policy pivots, boundaries — is made once,
-// on p's head; every swap is applied to p and to each follower, and every
-// boundary is inserted into each follower's index that exists. Because the kernel depends only on (piece
-// contents, predicate), every follower ends exactly as its own CrackRange
-// would have left it. A follower counts the tuples it moves in Stats.Moved
+// boundaries, or no head and no index at all. Each decision — the
+// misplaced positions, the order of the partitions, policy pivots,
+// boundaries — is made once, on p's head; every swap is applied to p and
+// to each follower, and every boundary is inserted into each follower's
+// index that exists. Because the kernel depends only on (piece contents,
+// predicate), every follower ends exactly as its own CrackRange would have
+// left it. A follower counts the tuples it moves in Stats.Moved
 // and nothing else, since it reads no head. Panics if a follower's length
 // differs from p's, or if p follows itself.
 func (p *Pairs) CrackRangeWith(pred store.Pred, followers []*Pairs) (lo, hi int) {

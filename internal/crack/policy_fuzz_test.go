@@ -9,15 +9,15 @@ import (
 )
 
 // FuzzPolicyKernels is the combined equivalence fuzz target for the
-// adaptive policies and the predicated kernels. For every fuzzer-chosen
+// adaptive policies and the partition kernel. For every fuzzer-chosen
 // predicate sequence it drives six structures over the same data — each
-// policy (Default, Stochastic, Capped) under both the predicated and the
-// branchy kernel — and checks:
+// policy (Default, Stochastic, Capped) under both the block partition and
+// the two-pointer reference kernel — and checks:
 //
 //   - answer equivalence: every policy returns exactly the Default
 //     policy's qualifying key set for every query (layouts may differ
 //     across policies);
-//   - kernel equivalence: at a fixed policy, the branchy and predicated
+//   - kernel equivalence: at a fixed policy, the block and two-pointer
 //     kernels produce bit-identical layouts, identical boundaries, and
 //     identical kernel stats;
 //   - invariants: piece boundaries hold physically and the tuple multiset
@@ -36,17 +36,17 @@ func FuzzPolicyKernels(f *testing.F) {
 			{Kind: Stochastic, Cap: 32, Seed: uint64(seed)},
 			{Kind: Capped, Cap: 32},
 		}
-		mk := func(pol Policy, branchy bool) *Pairs {
+		mk := func(pol Policy) *Pairs {
 			p := WrapPairs(append([]Value(nil), base.Head...), append([]Value(nil), base.Tail...))
 			p.Policy = pol
-			p.Branchy = branchy
 			return p
 		}
-		pred := make([]*Pairs, len(policies))
-		bran := make([]*Pairs, len(policies))
+		blk := make([]*Pairs, len(policies))
+		ref := make([]*Pairs, len(policies))
 		for i, pol := range policies {
-			pred[i] = mk(pol, false)
-			bran[i] = mk(pol, true)
+			blk[i] = mk(pol)
+			ref[i] = mk(pol)
+			ref[i].kernel = twoPointer
 		}
 		for i := 0; i+1 < len(preds) && i < 40; i += 2 {
 			lo, hi := int64(preds[i])%128, int64(preds[i+1])%128
@@ -56,13 +56,13 @@ func FuzzPolicyKernels(f *testing.F) {
 			q := store.Pred{Lo: lo, Hi: hi, LoIncl: preds[i]%2 == 0, HiIncl: preds[i+1]%2 == 0}
 			var want []Value
 			for k := range policies {
-				plo, phi := pred[k].CrackRange(q)
-				blo, bhi := bran[k].CrackRange(q)
+				plo, phi := blk[k].CrackRange(q)
+				blo, bhi := ref[k].CrackRange(q)
 				if plo != blo || phi != bhi {
-					t.Fatalf("policy %v: area (%d,%d) pred vs (%d,%d) branchy",
+					t.Fatalf("policy %v: area (%d,%d) block vs (%d,%d) two-pointer",
 						policies[k].Kind, plo, phi, blo, bhi)
 				}
-				keys := append([]Value(nil), pred[k].Tail[plo:phi]...)
+				keys := append([]Value(nil), blk[k].Tail[plo:phi]...)
 				sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 				if k == 0 {
 					want = keys
@@ -81,14 +81,14 @@ func FuzzPolicyKernels(f *testing.F) {
 			}
 		}
 		for k := range policies {
-			a, b := pred[k], bran[k]
+			a, b := blk[k], ref[k]
 			if a.Stats != b.Stats {
 				t.Fatalf("policy %v: kernel stats diverged: %+v vs %+v",
 					policies[k].Kind, a.Stats, b.Stats)
 			}
 			for i := 0; i < a.Len(); i++ {
 				if a.Head[i] != b.Head[i] || a.Tail[i] != b.Tail[i] {
-					t.Fatalf("policy %v: branchy vs predicated layout diverged at %d",
+					t.Fatalf("policy %v: two-pointer vs block layout diverged at %d",
 						policies[k].Kind, i)
 				}
 			}

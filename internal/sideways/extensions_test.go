@@ -31,11 +31,10 @@ func TestMaxAttrUsesLastPiece(t *testing.T) {
 	// Crack the map so pieces exist.
 	s.SelectProject("A", store.Range(2000, 4000), []string{"B"})
 	s.SelectProject("A", store.Range(7000, 9000), []string{"B"})
-	truth, _ := store.Max(rel.MustColumn("A").Vals)
+	tmin, truth, _ := store.MinMax(rel.MustColumn("A").Vals)
 	if m, ok := s.MaxAttr("A"); !ok || m != truth {
 		t.Fatalf("MaxAttr = %d, want %d", m, truth)
 	}
-	tmin, _ := store.Min(rel.MustColumn("A").Vals)
 	if m, ok := s.MinAttr("A"); !ok || m != tmin {
 		t.Fatalf("MinAttr = %d, want %d", m, tmin)
 	}

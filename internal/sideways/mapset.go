@@ -109,8 +109,7 @@ func (s *Store) colStats(attr string) (lo, hi Value) {
 		return l, s.colMax[attr]
 	}
 	col := s.rel.MustColumn(attr)
-	l, _ := store.Min(col.Vals)
-	h, _ := store.Max(col.Vals)
+	l, h, _ := store.MinMax(col.Vals)
 	s.colMin[attr], s.colMax[attr] = l, h
 	return l, h
 }

@@ -252,18 +252,17 @@ func Max(vals []Value) (m Value, ok bool) {
 	return m, true
 }
 
-// Min returns the minimum of vals; ok is false when vals is empty.
-func Min(vals []Value) (m Value, ok bool) {
+// MinMax returns the minimum and maximum of vals in one pass; ok is false
+// when vals is empty.
+func MinMax(vals []Value) (lo, hi Value, ok bool) {
 	if len(vals) == 0 {
-		return 0, false
+		return 0, 0, false
 	}
-	m = vals[0]
+	lo, hi = vals[0], vals[0]
 	for _, v := range vals[1:] {
-		if v < m {
-			m = v
-		}
+		lo, hi = min(lo, v), max(hi, v)
 	}
-	return m, true
+	return lo, hi, true
 }
 
 // Mix64 is the splitmix64 finalizer: a cheap, well-distributed integer

@@ -139,11 +139,14 @@ func TestAggregates(t *testing.T) {
 	if m, ok := Max(vals); !ok || m != 9 {
 		t.Errorf("Max = %d,%v", m, ok)
 	}
-	if m, ok := Min(vals); !ok || m != -2 {
-		t.Errorf("Min = %d,%v", m, ok)
+	if lo, hi, ok := MinMax(vals); !ok || lo != -2 || hi != 9 {
+		t.Errorf("MinMax = %d,%d,%v", lo, hi, ok)
 	}
 	if _, ok := Max(nil); ok {
 		t.Error("Max of empty should report !ok")
+	}
+	if _, _, ok := MinMax(nil); ok {
+		t.Error("MinMax of empty should report !ok")
 	}
 }
 
