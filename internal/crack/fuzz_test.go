@@ -136,7 +136,8 @@ func FuzzBlockPartition(f *testing.F) {
 		if len(pattern) == 0 {
 			return
 		}
-		head, tail := make([]Value, int(n)%(8*predBlock+1)), make([]Value, int(n)%(8*predBlock+1))
+		size := int(n) % (8*predBlock + 1)
+		head, tail := make([]Value, size), make([]Value, size)
 		for i := range head {
 			head[i], tail[i] = Value(pattern[i%len(pattern)]), Value(i)
 		}
@@ -150,7 +151,7 @@ func FuzzBlockPartition(f *testing.F) {
 			return ps
 		}
 		blk, ref := group(nil), group(twoPointer)
-		if got, want := blk[0].partition(Value(c), 0, len(head)), ref[0].partition(Value(c), 0, len(head)); got != want {
+		if got, want := blk[0].partition(Value(c), 0, size), ref[0].partition(Value(c), 0, size); got != want {
 			t.Fatalf("split %d, two-pointer %d", got, want)
 		}
 		for i := range blk {

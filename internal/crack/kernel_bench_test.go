@@ -81,6 +81,7 @@ func benchKernel(b *testing.B, head, tail []Value, members int, crack func(ps []
 		}
 		if n > len(src) {
 			src, dst = make([]Value, n), make([]Value, n)
+			copy(dst, src) // fault the pages in before the timed copies
 		}
 		start := time.Now()
 		copy(dst[:n], src[:n])

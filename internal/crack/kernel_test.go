@@ -122,14 +122,15 @@ func TestBlockPartitionMatchesTwoPointer(t *testing.T) {
 }
 
 // lowerFirst is the order rule of a same-piece range crack, restated from
-// its definition: partition at the lower cutoff c1 first when, among 64
-// evenly spaced head values, at most as many lie at or right of c1 as lie
-// left of c2.
+// its definition: partition at the lower cutoff c1 first when, among the
+// head values at positions 0, step, ..., 63·step (step = n/64; every value
+// of a piece under 64), at most as many lie at or right of c1 as lie left
+// of c2.
 func lowerFirst(head []Value, c1, c2 Value) bool {
-	n, s := len(head), min(len(head), 64)
+	s, step := min(len(head), 64), max(len(head)/64, 1)
 	right1, left2 := 0, 0
 	for k := 0; k < s; k++ {
-		v := head[k*n/s]
+		v := head[k*step]
 		if v >= c1 {
 			right1++
 		}
@@ -234,8 +235,11 @@ func TestPartitionTraffic(t *testing.T) {
 			func(head []Value) []part { return []part{{0, len(head)}} }},
 		{"range", Policy{}, func(p *Pairs) { p.CrackRange(store.Range(200, 260)) },
 			func(head []Value) []part {
-				nL, nM := rangeCounts(head, store.Range(200, 260))
-				if lowerFirst(head, 200, 261) {
+				pred := store.Range(200, 260)
+				nL, nM := rangeCounts(head, pred)
+				c1, _ := cut(pred.LowerBound())
+				c2, _ := cut(pred.UpperBound())
+				if lowerFirst(head, c1, c2) {
 					return []part{{0, len(head)}, {nL, len(head)}}
 				}
 				return []part{{0, len(head)}, {0, nL + nM}}
@@ -283,10 +287,10 @@ func TestPartitionTraffic(t *testing.T) {
 
 // TestCrackRangeSamePieceAllocatesNothing: the same-piece range crack of a
 // 1M-row piece works out of the partition's two stack-resident position
-// buffers. The
-// kernel is called below CrackRange, whose index inserts do allocate; what
-// it allocates does not depend on how many tuples are misplaced, so the
-// already-partitioned repeat runs measure the same code as the first.
+// buffers. The kernel is called below CrackRange, whose index inserts do
+// allocate; what it allocates does not depend on how many tuples are
+// misplaced, so the already-partitioned repeat runs measure the same code
+// as the first.
 func TestCrackRangeSamePieceAllocatesNothing(t *testing.T) {
 	const n = 1 << 20
 	p := randPairs(rand.New(rand.NewSource(9)), n, n)

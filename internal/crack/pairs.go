@@ -256,9 +256,11 @@ func (p *Pairs) blockPartition(c Value, lo, hi int) int {
 		cr += sw
 	}
 	// Every tuple is scanned, and one buffer may still hold misplaced
-	// positions, all from its last block. The pairs left to swap lie
-	// between the first of them and the meeting point: rescan that stretch
-	// from the other end and swap the pairs that have not crossed.
+	// positions, all from its last block. The rest of the partition lies
+	// between the first of them and the meeting point: rescanning that
+	// stretch from the other end fixes the split, and the leftovers on the
+	// wrong side of it (found by binary search, as they are sorted) swap
+	// with as many rescanned positions.
 	switch {
 	case cl < nl:
 		x := bufL[cl]
@@ -268,10 +270,7 @@ func (p *Pairs) blockPartition(c Value, lo, hi int) int {
 			bufR[nr&mask] = x + k
 			nr += int(b2v(blk[k] < c))
 		}
-		m := 0
-		for k := range min(nl-cl, nr) {
-			m += int(b2v(bufL[cl+k] < bufR[k]))
-		}
+		m := sort.SearchInts(bufL[cl:nl], x+nr)
 		p.swap(bufL[cl:cl+m], bufR[:m])
 		return x + nr
 	case cr < nr:
@@ -281,12 +280,10 @@ func (p *Pairs) blockPartition(c Value, lo, hi int) int {
 			bufL[nl&mask] = j + k
 			nl += int(b2v(v >= c))
 		}
-		m := 0
-		for k := range min(nr-cr, nl) {
-			m += int(b2v(bufL[k] < bufR[cr+k]))
-		}
+		split := y + 1 - nl
+		m := sort.Search(nr-cr, func(k int) bool { return bufR[cr+k] < split })
 		p.swap(bufL[:m], bufR[cr:cr+m])
-		return y + 1 - nl
+		return split
 	}
 	return i
 }
@@ -378,10 +375,10 @@ func (p *Pairs) crackRangeInPiece(b1, b2 crackindex.Bound, lo, hi int) (int, int
 		return lt, p.crackInTwo(b2, lt, hi)
 	}
 	p.Stats.InThree++
-	n, s := hi-lo, min(hi-lo, orderSamples)
+	s, step := min(hi-lo, orderSamples), max((hi-lo)/orderSamples, 1)
 	sL, sLM := 0, 0
-	for k := range s {
-		v := p.Head[lo+k*n/s]
+	for k := lo; k < lo+s*step; k += step {
+		v := p.Head[k]
 		sL += int(b2v(v < c1))
 		sLM += int(b2v(v < c2))
 	}
