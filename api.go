@@ -202,14 +202,14 @@ func ClusteredMin(e Engine, attr string) (v Value, ok bool) {
 func Concurrent(e Engine) Engine { return engine.Concurrent(e) }
 
 // Snapshot wraps an engine for concurrent serving with lock-free snapshot
-// reads: writers publish every reorganization (crack, pending-update
-// merge) as a new immutable version behind an atomic pointer, and readers
-// traverse the version they loaded, which nothing writes again; the
-// garbage collector frees it once no reader holds it. A read-only query
+// reads: the wrapped engine stays the only writer, and after every write it
+// publishes its cracker columns as an immutable version behind an atomic
+// pointer, sharing the pieces the write did not touch. Readers traverse the
+// version they loaded, which nothing writes again, so a read-only query
 // never waits for a crack, where Concurrent stalls all readers behind a
-// cold crack's write lock. Implemented for SelCrack
-// engines; already-shared engines are returned unchanged and other kinds
-// fall back to Concurrent. Wrapping is idempotent.
+// cold crack's write lock. Implemented for SelCrack engines, which keep
+// their layout and kernel counters; already-shared engines are returned
+// unchanged and other kinds fall back to Concurrent. Wrapping is idempotent.
 func Snapshot(e Engine) Engine { return engine.Snapshot(e) }
 
 // ConcurrencyStats reports how e's readers fared against its read-write

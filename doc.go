@@ -34,8 +34,8 @@
 //
 // All cracking engines share one kernel (internal/crack), and a query's
 // write path pays only for the pieces it touches. Every crack — of a
-// cracker column, a map, a chunk or span, a snapshot's piece copy, a policy
-// pivot, a replayed crack tape — is one two-ended block partition
+// cracker column, a map, a chunk or span, a policy pivot, a replayed crack
+// tape — is one two-ended block partition
 // (Edelkamp and Weiß, "BlockQuicksort", ESA 2016): blocks scan inward from
 // both ends of the piece, the positions of misplaced tuples are packed into
 // two L1-resident buffers without branching, and the k-th misplaced tuple
@@ -246,27 +246,27 @@
 //     duration of whatever reorganization is in flight. Appropriate when
 //     the workload is overwhelmingly warm repeats and writes are rare.
 //
-//   - Snapshot: multi-versioned cracked state. Writers build repartitioned
-//     pieces aside and publish each reorganization as a new immutable
-//     version behind an atomic pointer; readers traverse the version they
-//     loaded without taking any lock, and apply the (bounded)
-//     pending-update backlog virtually. No piece of a published version
-//     is ever written or reused, so a reader needs nothing but its pointer
-//     and the garbage collector frees a replaced version once the last
-//     reader holding it is done. Reads never wait for cracks,
-//     where under the RWMutex wrapper a reader's tail inherits the full
-//     crack+merge duration of whatever a writer is doing: `bash
+//   - Snapshot: multi-versioned cracked state. The writer is the wrapped
+//     SelCrack engine, under a mutex, cracking and merging as it would
+//     unwrapped; after each write it publishes its cracker columns as an
+//     immutable version behind an atomic pointer — cuts, the keys of each
+//     piece, pending updates — sharing every piece the write did not touch.
+//     Readers traverse the version they loaded without any lock and apply
+//     the pending updates (at most 128 a column) virtually. No published
+//     version is ever written or reused, so the garbage collector frees one
+//     once its last reader is done. Reads, the report and Storage never
+//     wait for cracks, where under the RWMutex wrapper a reader's tail
+//     inherits the full crack+merge duration of a writer: `bash
 //     benchmark/run.sh --workload serve-churn --trace 1` shows that side
 //     (the reader's query_p99_us, serve.reader_p999_us,
 //     engine.concurrent.reader_wait_frac); the snapshot side has a ledger
 //     row, engine.snapshot.self_ns on `--workload serve-warm --trace 1`,
-//     and no end-to-end workload yet (ROADMAP item 3). The cost is
-//     version-build allocation on the write path and a piece-granularity
-//     copy per crack. Appropriate whenever reads must meet a latency target while
-//     the store keeps adapting — the common case this package exists for.
-//     Implemented for SelCrack engines, whose cracker columns (the sets'
-//     key maps) convert with their layout, policy and pending updates;
-//     other kinds fall back to Concurrent.
+//     and no end-to-end workload yet (ROADMAP item 3). The cost is a copy
+//     of each touched piece's keys and of the piece table per write.
+//     Appropriate whenever reads must meet a latency target while the store
+//     keeps adapting — the common case this package exists for. Implemented
+//     for SelCrack engines, which keep their layout, pending updates and
+//     kernel counters when wrapped; other kinds fall back to Concurrent.
 //
 // Who wraps is one rule: whoever shares an engine calls Concurrent or
 // Snapshot on it, and both return an engine that already guards itself
@@ -546,10 +546,13 @@
 //     published memory ever reused, so no reader needs to announce itself:
 //     a replaced version lives exactly as long as some reader holds it, and
 //     the garbage collector reclaims it after. crackvet sees writes through
-//     a loaded pointer; a write through a piece the writer still holds from
-//     building it is held by crack.TestSnapColConcurrentReaders, which
-//     checks after every write that the version it replaced (its pieces,
-//     cuts and pending updates) is unchanged.
+//     a loaded pointer and through a pointer read out of published memory
+//     (a column version in the published cols map), so a writer derives
+//     each successor in the function that loads the version it replaces; a
+//     write through memory the writer still holds from building a version
+//     is held by engine.TestSnapshotConcurrentReaders, which checks after
+//     every write that the version it replaced (its cuts, piece keys and
+//     pending updates) is unchanged.
 //   - lockpair: every sync.Mutex/RWMutex section is released by
 //     construction. An acquire — X.Lock(), X.RLock(), or an `if` whose
 //     condition calls X.TryLock()/X.TryRLock() and whose body may block on

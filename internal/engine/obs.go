@@ -47,8 +47,8 @@ var _, _, _ reporter = (*rwEngine)(nil), (*snapEngine)(nil), (*durEngine)(nil)
 
 // KernelReport aggregates the crack-kernel counters and cracker-index
 // sizes across every cracked structure an engine owns: cracker columns
-// (selection cracking), maps (sideways), chunk maps and chunks
-// (partial), or piece-versioned snapshot columns.
+// (selection cracking, bare or behind Snapshot), maps (sideways), chunk
+// maps and chunks (partial).
 type KernelReport struct {
 	InTwo   uint64 // crack-in-two partition passes
 	InThree uint64 // crack-in-three partitions

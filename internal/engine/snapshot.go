@@ -1,30 +1,28 @@
 package engine
 
 import (
+	"cmp"
+	"maps"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"crackstore/internal/crack"
+	"crackstore/internal/crackindex"
+	"crackstore/internal/sideways"
 	"crackstore/internal/store"
 )
 
 // Snapshot wraps e for concurrent serving with lock-free snapshot reads:
-// read-only queries traverse an immutable version of the cracked state
-// (published by writers with an atomic pointer swap, never written again,
-// and freed by the garbage collector once no reader holds it) and never
-// wait for a crack — the RWMutex of Concurrent makes every reader stall
-// behind a cold crack's multi-ms write section; Snapshot removes that cliff
-// entirely.
-//
-// The snapshot protocol is implemented for the selection-cracking engine
-// (SelCrack), whose state — one cracker column per selection attribute, the
-// key map of that attribute's map set, with the set's pending updates, over
-// append-only base columns — is exactly reconstructible at piece
-// granularity. A warm SelCrack engine keeps its cracked layout, policy and
-// pending updates across the conversion (sideways.Store.KeyMaps). Engines
-// that already guard themselves are returned unchanged; other kinds (whose
-// auxiliary structures mutate internal maps and stat caches on the read
-// path) fall back to Concurrent(e), so Snapshot is always safe to request.
+// read-only queries traverse an immutable version of the cracked state and
+// never wait for a crack, where Concurrent stalls every reader behind a
+// cold crack's write section. It is implemented for SelCrack, whose cracker
+// columns (its sets' key maps, with their pending updates, over append-only
+// base columns) version at piece granularity; the SelCrack engine stays the
+// only writer, so it keeps its layout, pending updates and kernel counters.
+// Engines that already guard themselves are returned unchanged, and other
+// kinds fall back to Concurrent(e).
 func Snapshot(e Engine) Engine {
 	if guarded(e) {
 		return e
@@ -35,122 +33,321 @@ func Snapshot(e Engine) Engine {
 	return Concurrent(e)
 }
 
-// snapEngine is the multi-version selection-cracking engine behind
-// Snapshot. It answers queries with selection cracking's one plan
-// (crackQuery) and keeps only what versioning adds to it. Readers
-// (QueryRO, and Query's fast path) are entirely lock-free: they load
-// immutable state through atomic pointers and copy what they need. Writers
-// (cracking queries, Insert, Delete) serialize on mu and publish every
-// change as a new immutable version before returning.
+// snapEngine is the multi-version engine behind Snapshot. Writers
+// (cracking queries, Insert, Delete) serialize on mu, run the wrapped
+// SelCrack engine and publish a version of its cracker columns before
+// returning. Readers (QueryRO, and Query's fast path) take no lock: they
+// run selection cracking's plan (crackQuery) over what they load. That
+// leans on three invariants:
 //
-// Lock-free reads lean on three invariants:
-//
-//   - Base columns are append-only (deletes are tombstones, kept by the
-//     relation and read by writers only), and bases holds their slice
-//     headers republished under mu after every append — a reader's header
-//     snapshot never sees a partially written row because the row's keys
-//     only become reachable via a cracker-column version published after
-//     bases.
-//   - A cracker column's versions are immutable (crack.SnapCol): a reader
-//     holding one needs nothing else to keep it intact.
-//   - The cols map is copy-on-write: on-demand column creation publishes a
-//     fresh map, never mutating one a reader may hold.
+//   - Base columns are append-only (deletes are tombstones, read by writers
+//     only), and bases holds their slice headers, republished under mu
+//     after every append and before any version that holds the new key.
+//   - A published keyVersion is never written.
+//   - The cols map is copy-on-write: every publish stores a fresh one.
 type snapEngine struct {
-	mu  sync.Mutex // serializes writers; readers never take it
-	rel *store.Relation
-	pol crack.Policy
+	mu sync.Mutex      // serializes writers; readers never take it
+	sc *selCrackEngine // the only writer; used under mu alone
 
-	cols  atomic.Pointer[map[string]*crack.SnapCol]
-	bases atomic.Pointer[map[string][]Value]
+	cols      atomic.Pointer[map[string]*keyVersion]
+	bases     atomic.Pointer[map[string][]Value]
+	kernel    atomic.Pointer[KernelReport] // the store's kernel section at the last publish
+	published atomic.Uint64                // publishes: one per write
 }
 
+// keyVersion is one immutable version of a cracker column: cuts[i]
+// separates pieces[i] (values left of the cut) from pieces[i+1], and each
+// piece holds the keys of its tuples, in no particular order. ins and del
+// are the set's pending updates, which readers apply.
+type keyVersion struct {
+	cuts   []crackindex.Bound
+	pieces [][]Value
+	n      int             // tuples in pieces
+	ins    []pendingInsert // sorted by value
+	del    map[Value]bool
+}
+
+type pendingInsert struct{ key, val Value }
+
+// maxPending bounds the pending updates a reader applies per gather: a
+// write that leaves more pending insertions or deletions in a column merges
+// all of them, so a sustained insert stream costs a narrow read little.
+const maxPending = 128
+
+// The edges of the value domain. A predicate bound there selects from the
+// first or the last piece: the store cracks at an edge only while it cracks
+// the range's other bound, and a piece beyond an edge is empty.
+var domainLo, domainHi = sideways.FullRange.LowerBound(), sideways.FullRange.UpperBound()
+
 func newSnapEngine(sc *selCrackEngine) *snapEngine {
-	e := &snapEngine{rel: sc.st.Relation(), pol: sc.st.Policy}
-	cols := make(map[string]*crack.SnapCol)
-	sc.st.KeyMaps(func(attr string, km *crack.Pairs, ins []int, del map[int]bool) {
-		cols[attr] = crack.SnapColFromPairs(km, e.rel.MustColumn(attr), ins, del)
-	})
-	e.cols.Store(&cols)
+	e := &snapEngine{sc: sc}
+	e.cols.Store(&map[string]*keyVersion{})
 	e.publishBasesLocked()
+	e.publishLocked(nil)
 	return e
 }
 
 func (e *snapEngine) Kind() Kind { return SelCrack }
 
-// publishBasesLocked re-publishes the base-column slice headers; must run
-// under mu and before any cracker-column version referencing new keys is
-// published, so a reader that sees a key through a version always finds
-// its row in the bases snapshot it loads afterwards.
+// publishBasesLocked re-publishes the base-column slice headers. It runs
+// under mu, before any version holding a new key is published, so a reader
+// finds every key's row in the bases it loads after the version.
 func (e *snapEngine) publishBasesLocked() {
-	nb := make(map[string][]Value, len(e.rel.Order))
-	for _, a := range e.rel.Order {
-		nb[a] = e.rel.MustColumn(a).Vals
+	rel := e.sc.st.Relation()
+	nb := make(map[string][]Value, len(rel.Order))
+	for _, a := range rel.Order {
+		nb[a] = rel.MustColumn(a).Vals
 	}
 	e.bases.Store(&nb)
 }
 
-// colLocked returns the cracker column for attr, creating it on demand from
-// the current base state (tombstones become pending deletions) and
-// publishing a fresh cols map. Must run under mu.
-func (e *snapEngine) colLocked(attr string) *crack.SnapCol {
+// valBound is the bound just before value v: it orders before exactly the
+// cuts v lies left of.
+func valBound(v Value) crackindex.Bound { return crackindex.Bound{V: v, Incl: true} }
+
+// pieceAt returns the index of the piece between cuts that bound b falls
+// into: the piece right of b when b is a cut.
+func pieceAt(cuts []crackindex.Bound, b crackindex.Bound) int {
+	return sort.Search(len(cuts), func(i int) bool { return b.Less(cuts[i]) })
+}
+
+// splitOut copies the pieces key map km holds between its cuts lo and hi,
+// one fresh slice each, with the cuts that separate them. A nil lo or hi
+// stands for the edge of the value domain, where the store may have cut.
+func splitOut(km *crack.Pairs, lo, hi *crackindex.Bound) (sub keyVersion) {
+	from, to, l, h := 0, km.Len(), domainLo, domainHi
+	if lo != nil {
+		l = *lo
+		from, _ = km.Idx.Lookup(l)
+	}
+	if hi != nil {
+		h = *hi
+		to, _ = km.Idx.Lookup(h)
+	}
+	split := func(b crackindex.Bound, pos int) {
+		sub.pieces = append(sub.pieces, slices.Clone(km.Tail[from:pos]))
+		sub.cuts = append(sub.cuts, b)
+		from = pos
+	}
+	if pos, ok := km.Idx.Lookup(domainLo); ok && lo == nil && (hi == nil || *hi != domainLo) {
+		split(domainLo, pos)
+	}
+	km.Idx.WalkRange(l, h, split)
+	if pos, ok := km.Idx.Lookup(domainHi); ok && hi == nil && (lo == nil || *lo != domainHi) {
+		split(domainHi, pos)
+	}
+	sub.pieces = append(sub.pieces, slices.Clone(km.Tail[from:to]))
+	return sub
+}
+
+// publishLocked publishes a version of every cracker column as the store
+// now holds it, and the store's kernel section; cracked lists the
+// predicates the write cracked with. A column whose backlog exceeds
+// maxPending first merges all of it through the store, which cracks
+// nothing.
+//
+// A version shares every piece of the one it replaces except those a
+// cracked bound or a merged update fell into, which splitOut copies: a
+// crack permutes only the piece it splits, and a ripple insert or delete
+// moves tuples of other pieces without changing which tuples they hold. If
+// the key map has a cut anywhere else, every piece is copied. Must run
+// under mu, after publishBasesLocked when a row was appended.
+func (e *snapEngine) publishLocked(cracked []AttrPred) {
+	st := e.sc.st
+	rel := st.Relation()
 	cols := *e.cols.Load()
-	if c, ok := cols[attr]; ok {
-		return c
+	next := maps.Clone(cols)
+	whole := &keyVersion{pieces: make([][]Value, 1)} // replacing its one piece copies everything
+	for _, attr := range rel.Order {
+		km, ins, del := st.KeyMap(attr)
+		if km == nil {
+			continue
+		}
+		head := rel.MustColumn(attr).Vals
+		old, touched := cols[attr], []int{0}
+		var merged []Value // the values of the updates the write merged
+		if old == nil {
+			old = whole
+		} else {
+			// Insertions the ledger no longer holds (unless a delete
+			// cancelled them), and deletions it no longer holds.
+			pending := make(map[Value]bool, len(ins))
+			for _, k := range ins {
+				pending[Value(k)] = true
+			}
+			for _, t := range old.ins {
+				if !pending[t.key] && !rel.IsDeleted(int(t.key)) {
+					merged = append(merged, t.val)
+				}
+			}
+			for k := range old.del {
+				if !del[int(k)] {
+					merged = append(merged, head[k])
+				}
+			}
+			touched = touched[:0]
+			for _, ap := range cracked {
+				if ap.Attr == attr {
+					touched = append(touched, pieceAt(old.cuts, ap.Pred.LowerBound()), pieceAt(old.cuts, ap.Pred.UpperBound()))
+				}
+			}
+		}
+		if len(ins) > maxPending || len(del) > maxPending {
+			for _, k := range ins {
+				merged = append(merged, head[k])
+			}
+			for k := range del {
+				merged = append(merged, head[k])
+			}
+			st.Keys(attr, sideways.FullRange)
+			km, ins, del = st.KeyMap(attr)
+		}
+		for _, val := range merged {
+			touched = append(touched, pieceAt(old.cuts, valBound(val)))
+		}
+		slices.Sort(touched)
+		touched = slices.Compact(touched)
+		subs, added := make([]keyVersion, len(touched)), 0
+		for x, t := range touched {
+			var lo, hi *crackindex.Bound
+			if t > 0 {
+				lo = &old.cuts[t-1]
+			}
+			if t < len(old.cuts) {
+				hi = &old.cuts[t]
+			}
+			subs[x] = splitOut(km, lo, hi)
+			added += len(subs[x].cuts)
+		}
+		if len(old.cuts)+added != km.Idx.Len() {
+			old, touched, subs = whole, []int{0}, []keyVersion{splitOut(km, nil, nil)}
+		}
+
+		v := &keyVersion{cuts: old.cuts, pieces: old.pieces, n: km.Len(), ins: old.ins, del: old.del}
+		if len(touched) > 0 {
+			v.cuts = make([]crackindex.Bound, 0, km.Idx.Len())
+			v.pieces = make([][]Value, 0, km.Idx.Len()+1)
+			p := 0 // the next piece of old to share
+			for x, t := range touched {
+				v.cuts = append(append(v.cuts, old.cuts[p:t]...), subs[x].cuts...)
+				v.pieces = append(append(v.pieces, old.pieces[p:t]...), subs[x].pieces...)
+				if t < len(old.cuts) {
+					v.cuts = append(v.cuts, old.cuts[t])
+				}
+				p = t + 1
+			}
+			v.cuts = append(v.cuts, old.cuts[min(p, len(old.cuts)):]...)
+			v.pieces = append(v.pieces, old.pieces[p:]...)
+		}
+		// A write adds one pending update, cancels one or merges some: the
+		// ledger is unchanged when nothing merged and its sizes are.
+		if len(merged) > 0 || len(ins) != len(v.ins) {
+			v.ins = make([]pendingInsert, len(ins))
+			for i, k := range ins {
+				v.ins[i] = pendingInsert{key: Value(k), val: head[k]}
+			}
+			slices.SortStableFunc(v.ins, func(a, b pendingInsert) int { return cmp.Compare(a.val, b.val) })
+		}
+		if len(merged) > 0 || len(del) != len(v.del) {
+			v.del = make(map[Value]bool, len(del))
+			for k := range del {
+				v.del[Value(k)] = true
+			}
+		}
+		next[attr] = v
 	}
-	c := crack.NewSnapCol(e.rel.MustColumn(attr), e.pol, e.rel.Deleted())
-	nc := make(map[string]*crack.SnapCol, len(cols)+1)
-	for k, v := range cols {
-		nc[k] = v
-	}
-	nc[attr] = c
-	e.cols.Store(&nc)
-	return c
+	e.cols.Store(&next)
+	e.kernel.Store(kernelSection(st.Kernel()).Kernel)
+	e.published.Add(1)
 }
 
 func (e *snapEngine) Insert(vals ...Value) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.rel.AppendRow(vals...)
-	key := e.rel.NumRows() - 1
+	key := e.sc.Insert(vals...)
 	e.publishBasesLocked() // before any column version can expose the key
-	cols := *e.cols.Load()
-	for _, ap := range e.rel.Order {
-		if c, ok := cols[ap]; ok {
-			c.Insert(key, e.rel.MustColumn(ap).Vals[key])
-		}
-	}
+	e.publishLocked(nil)
 	return key
 }
 
 func (e *snapEngine) Delete(key int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.rel.Delete(key) {
+	rel := e.sc.st.Relation()
+	if rel.IsDeleted(key) {
 		return
 	}
-	for _, c := range *e.cols.Load() {
-		c.Delete(key)
+	e.sc.Delete(key)
+	if rel.IsDeleted(key) {
+		e.publishLocked(nil)
 	}
 }
 
+// Storage sums the tuples of the published pieces.
 func (e *snapEngine) Storage() int {
 	total := 0
-	for _, c := range *e.cols.Load() {
-		total += c.Len()
+	for _, v := range *e.cols.Load() {
+		total += v.n
 	}
 	return total
 }
 
+// area returns the pieces [i, j) pred selects, ok only when both its bounds
+// are cuts or domain edges.
+func (v *keyVersion) area(pred store.Pred) (i, j int, ok bool) {
+	cut := func(b crackindex.Bound) (int, bool) {
+		k := sort.Search(len(v.cuts), func(k int) bool { return !v.cuts[k].Less(b) })
+		return k + 1, k < len(v.cuts) && v.cuts[k] == b
+	}
+	if lb := pred.LowerBound(); lb != domainLo {
+		if i, ok = cut(lb); !ok {
+			return 0, 0, false
+		}
+	}
+	j = len(v.pieces)
+	if ub := pred.UpperBound(); ub != domainHi {
+		if j, ok = cut(ub); !ok {
+			return 0, 0, false
+		}
+	}
+	return i, max(i, j), true
+}
+
 // gatherRO answers one predicate lock-free from the column version it
-// loads, or refuses when it would reorganize — a missing cracker column, a
-// missing cut, or a pending-update backlog due for merging. Pending
-// deletions are filtered, so its keys are never dead.
+// loads, or refuses when the writer would crack (no column, or no cut). It
+// drops pending deletions and adds the pending insertions pred matches.
 func (e *snapEngine) gatherRO(ap AttrPred) ([]Value, bool) {
-	c, ok := (*e.cols.Load())[ap.Attr]
+	v := (*e.cols.Load())[ap.Attr]
+	if v == nil {
+		return nil, false
+	}
+	i, j, ok := v.area(ap.Pred)
 	if !ok {
 		return nil, false
 	}
-	return c.GatherRO(ap.Pred)
+	lb, ub := ap.Pred.LowerBound(), ap.Pred.UpperBound()
+	lo := sort.Search(len(v.ins), func(k int) bool { return !valBound(v.ins[k].val).Less(lb) })
+	hi := max(lo, sort.Search(len(v.ins), func(k int) bool { return !valBound(v.ins[k].val).Less(ub) }))
+	n := hi - lo
+	for _, keys := range v.pieces[i:j] {
+		n += len(keys)
+	}
+	dst := make([]Value, 0, n)
+	for _, keys := range v.pieces[i:j] {
+		if len(v.del) == 0 {
+			dst = append(dst, keys...)
+			continue
+		}
+		for _, k := range keys {
+			if !v.del[k] {
+				dst = append(dst, k)
+			}
+		}
+	}
+	for _, t := range v.ins[lo:hi] {
+		dst = append(dst, t.key)
+	}
+	return dst, true
 }
 
 // baseRO resolves a base column lock-free. Every call loads the bases
@@ -175,40 +372,27 @@ func (e *snapEngine) Query(q Query) (Result, Cost) {
 	if res, cost, ok := e.QueryRO(q); ok {
 		return res, cost
 	}
-	res, cost, _ := crackQuery(q, e.crackLocked, e.baseLocked)
+	var cracked []AttrPred
+	res, cost, _ := crackQuery(q, func(ap AttrPred) ([]Value, bool) {
+		cracked = append(cracked, ap)
+		return e.sc.selectCrack(ap)
+	}, e.sc.base)
+	e.publishLocked(cracked)
 	return res, cost
 }
 
-// crackLocked answers one predicate by cracking its column, which publishes
-// new versions as a side effect. Must run under mu.
-func (e *snapEngine) crackLocked(ap AttrPred) ([]Value, bool) {
-	return e.colLocked(ap.Attr).Select(ap.Pred), true
-}
-
-func (e *snapEngine) baseLocked(attr string) []Value { return e.rel.MustColumn(attr).Vals }
-
-// SnapshotStats is the Snapshot section of a Report: the versions published
-// across the engine's cracker columns. The section's presence marks a stack
-// whose reads take no lock.
+// SnapshotStats is the Snapshot section of a Report: the versions the
+// engine's writes published. The section's presence marks a stack whose
+// reads take no lock.
 type SnapshotStats struct {
-	Published uint64 // versions published (atomic pointer swaps)
+	Published uint64 // cols maps published, one per write
 }
 
 func (d *SnapshotStats) add(s SnapshotStats) { d.Published += s.Published }
 
-// Report is the kernel and snapshot sections. Per-column counters are
-// atomics and the cols map is copy-on-write, so no lock is needed.
+// Report is the kernel section the last write published and the snapshot
+// section; neither needs mu, so a scrape never waits for a crack.
 func (e *snapEngine) Report() Report {
-	var ks crack.KernelStats
-	var st SnapshotStats
-	pieces := 0
-	cols := *e.cols.Load()
-	for _, c := range cols {
-		ks.Add(c.KernelStats())
-		pieces += c.Pieces()
-		st.Published += c.Published()
-	}
-	r := kernelSection(ks, pieces, len(cols))
-	r.Snapshot = &st
-	return r
+	k := *e.kernel.Load()
+	return Report{Kernel: &k, Snapshot: &SnapshotStats{Published: e.published.Load()}}
 }

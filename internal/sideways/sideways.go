@@ -1078,17 +1078,19 @@ func (s *Store) KeysRO(attr string, pred store.Pred) ([]Value, bool) {
 	return keys, true
 }
 
-// KeyMaps calls f with every set of a full-map store that has a key map: its
-// attribute, the key map aligned to its tape end, and the set's pending
-// insertions (keys in arrival order) and deletions. It is how selection
-// cracking's columns leave the store, layout and pending updates intact.
-func (s *Store) KeyMaps(f func(attr string, km *crack.Pairs, ins []int, del map[int]bool)) {
-	for attr, set := range s.sets {
+// KeyMap returns S_attr's key map in a full-map store, aligned to its tape
+// end, and the set's pending insertions (keys in arrival order) and
+// deletions; km is nil when S_attr has no key map. All three are live
+// state, which the next query or update changes: the caller copies what it
+// keeps.
+func (s *Store) KeyMap(attr string) (km *crack.Pairs, ins []int, del map[int]bool) {
+	if set := s.sets[attr]; set != nil {
 		if w := set.whole(); w != nil && w.maps[""] != nil {
 			set.replay(w, len(w.tape), w.maps[""])
-			f(attr, w.maps[""].pairs, set.pend.ins, set.pend.del)
+			return w.maps[""].pairs, set.pend.ins, set.pend.del
 		}
 	}
+	return nil, nil, nil
 }
 
 // checkStorage verifies the running storage total against a full recount.

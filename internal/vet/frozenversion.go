@@ -15,14 +15,11 @@ import (
 //
 // Propagation is value-structural: it follows field selections, indexing,
 // slicing, and deref of the loaded pointer, and it follows aliases whose
-// type shares memory (slices, maps, and the loaded pointer itself).
-// Following a pointer *stored inside* frozen memory steps outside the
-// frozen region (such pointees — e.g. the SnapCols held by a published
-// cols map — are independently synchronized live objects, not versions),
-// with one deliberate exception: an element read out of a frozen slice of
-// pointers still denotes frozen memory when written through in place
-// (v.pieces[i].head[j] = x), because sub-pieces published together are
-// immutable together.
+// type shares memory: slices, maps and pointers. A pointer read out of
+// published memory is itself published — the column versions a published
+// cols map holds are as immutable as the map — so a writer derives a
+// successor in the function that loads the version it replaces, where a
+// write through the old one is seen.
 var FrozenVersion = &Checker{Name: "frozenversion", Run: runFrozenVersion}
 
 // isAtomicPointerLoad matches a call to (*sync/atomic.Pointer[T]).Load.
@@ -89,18 +86,23 @@ func frozenBody(pass *Pass, body *ast.BlockStmt) {
 		return false
 	}
 
-	// aliases reports whether binding rhs to a variable carries frozen
+	// aliases reports whether binding rhs to variable id carries frozen
 	// memory: the loaded pointer itself, a frozen variable copied
-	// wholesale, or any frozen expression whose type shares backing store
-	// (slice or map; struct and scalar copies are genuinely private).
-	sharesMemory := func(t types.Type) bool {
-		switch t.Underlying().(type) {
-		case *types.Slice, *types.Map:
+	// wholesale, or any frozen expression bound to a variable whose type
+	// shares backing store (slice, map or pointer; struct and scalar copies
+	// are genuinely private).
+	sharesMemory := func(id *ast.Ident) bool {
+		obj := identObj(id)
+		if obj == nil {
+			return false
+		}
+		switch obj.Type().Underlying().(type) {
+		case *types.Slice, *types.Map, *types.Pointer:
 			return true
 		}
 		return false
 	}
-	aliases := func(rhs ast.Expr) bool {
+	aliases := func(id *ast.Ident, rhs ast.Expr) bool {
 		if !isFrozen(rhs) {
 			return false
 		}
@@ -108,14 +110,12 @@ func frozenBody(pass *Pass, body *ast.BlockStmt) {
 		case *ast.CallExpr, *ast.Ident: // the Load itself / a straight copy
 			return true
 		}
-		if tv, ok := pass.Info.Types[rhs]; ok && tv.Type != nil {
-			return sharesMemory(tv.Type)
-		}
-		return false
+		return sharesMemory(id)
 	}
 
 	// Fixpoint alias collection: `v := p.Load()`, `cols := *p.Load()`,
-	// `base := bases[attr]`, `w = old`, range values over frozen maps.
+	// `base := bases[attr]`, `v, ok := cols[attr]`, `w = old`, range values
+	// over frozen maps.
 	for changed := true; changed; {
 		changed = false
 		add := func(id *ast.Ident) {
@@ -127,20 +127,23 @@ func frozenBody(pass *Pass, body *ast.BlockStmt) {
 		ast.Inspect(body, func(n ast.Node) bool {
 			switch s := n.(type) {
 			case *ast.AssignStmt:
-				if len(s.Lhs) == len(s.Rhs) {
-					for i, rhs := range s.Rhs {
-						if id, ok := s.Lhs[i].(*ast.Ident); ok && aliases(rhs) {
+				for i, lhs := range s.Lhs {
+					id, ok := lhs.(*ast.Ident)
+					switch {
+					case !ok:
+					case len(s.Lhs) == len(s.Rhs):
+						if aliases(id, s.Rhs[i]) {
+							add(id)
+						}
+					case i == 0 && len(s.Rhs) == 1: // v, ok := m[k]
+						if _, index := s.Rhs[0].(*ast.IndexExpr); index && aliases(id, s.Rhs[0]) {
 							add(id)
 						}
 					}
 				}
 			case *ast.RangeStmt:
-				if isFrozen(s.X) && s.Value != nil {
-					if id, ok := s.Value.(*ast.Ident); ok {
-						if tv, ok := pass.Info.Types[s.Value]; ok && tv.Type != nil && sharesMemory(tv.Type) {
-							add(id)
-						}
-					}
+				if id, ok := s.Value.(*ast.Ident); ok && isFrozen(s.X) && sharesMemory(id) {
+					add(id)
 				}
 			}
 			return true

@@ -1,6 +1,6 @@
 // Fixture for the frozenversion checker: writes through values loaded from
-// atomic.Pointer are flagged; fresh copies and pointees of published
-// containers stay writable.
+// atomic.Pointer, or through pointers read out of them, are flagged; fresh
+// copies stay writable.
 package frozenversion
 
 import "sync/atomic"
@@ -72,11 +72,31 @@ type reg struct {
 	m atomic.Pointer[map[string]*item]
 }
 
-// okPointees: the pointees held by a published map are independently
-// synchronized live objects, not part of the frozen version.
-func okPointees(r *reg) {
+// okReplaceEntry is the legal write path for a published map of
+// versions: copy the entry read out of it, mutate the copy, publish a new
+// map holding it.
+func okReplaceEntry(r *reg) {
+	m := *r.m.Load()
+	next := &item{n: m["x"].n + 1}
+	r.m.Store(&map[string]*item{"x": next})
+}
+
+// A pointer read out of a published map is published too.
+func badPointee(r *reg) {
+	old := (*r.m.Load())["x"]
+	old.n++ // want "published versions are immutable"
+}
+
+func badCommaOkPointee(r *reg) {
+	old, ok := (*r.m.Load())["x"]
+	if ok {
+		old.n = 5 // want "published versions are immutable"
+	}
+}
+
+func badRangedPointee(r *reg) {
 	for _, it := range *r.m.Load() {
-		it.n = 5
+		it.n = 5 // want "published versions are immutable"
 	}
 }
 
