@@ -71,7 +71,7 @@ func main() {
 		if m == nil {
 			continue
 		}
-		idx := m.Pairs().Idx
+		idx := m.Lead().Idx
 		fmt.Printf("  map M_AB: %d tuples, %d pieces, tape cursor %d/%d\n",
 			m.Len(), idx.Pieces(), m.Cursor(), set.TapeLen())
 		if q == 1 || q == *queries || q%5 == 0 {

@@ -48,7 +48,11 @@
 // partitions the whole piece at one bound and the remainder at the other,
 // the bound whose remainder looks smaller in a sample of the piece going
 // first: the head is read about 1.25 times for a narrow range, tails are
-// touched only where tuples swap, and nothing is allocated. Pending
+// touched only where tuples swap, and nothing is allocated. A bound at an
+// edge of the value domain ({MinInt64, inclusive} or {MaxInt64,
+// exclusive}) cuts nothing: it lies at the start or the end of the pairs,
+// so an unbounded range cracks in two at its other bound and keeps no edge
+// boundary in the index. Pending
 // insertions are merged in batches (one boundary walk and one piece-wise
 // ripple per batch instead of one per tuple), and pending deletions are
 // located by value (crack.Pairs.Locate) by reading only the pieces the
@@ -86,14 +90,23 @@
 // just before the update merges, each chunk gets a copy of the span's head
 // and index, which replays nothing, and from then on the area's chunks
 // crack and align on their own, chunks created later copying the span's
-// head where it stopped. So a map has a head exactly when no span leads
-// its area. Under full maps a set has exactly one
-// area, spanning the whole domain: its source is the base prefix in key
-// order, so it needs no H_A, and a new map is cloned from that prefix at
-// cursor 0 and replays the tape up to its siblings. Every bounded predicate
-// cuts that area, so it logs every crack and aligns to its tape end, and
-// with one area the eviction tie-break (set, area, tail) is (set, tail):
-// the partial-map machinery reduces exactly to full maps, layout included.
+// head where it stopped. Under full maps a set has exactly one area,
+// spanning the whole domain: its source is the base prefix in key order,
+// so it needs no H_A, and a new map is cloned from that prefix at cursor 0
+// and replays the tape up to its siblings. The full maps one query creates
+// there before the area's first update form a head group: they sit at one
+// cursor and would hold equal heads, so the first owns the head and the
+// index, and the others are tails (plain copies of their base columns)
+// that follow it. A query that uses any map of a group replays the whole
+// group, the owner leading, so a joint crack swaps one head and every
+// tail. Groups split where spans stop: just before the area's first insert
+// or delete merges, each tail gets a copy of its owner's head and index.
+// Evicting an owner hands its head and index, uncopied, to the next map of
+// its group. So a map has a head exactly when neither a span nor a group
+// owner leads it. Every bounded predicate cuts the whole-domain area, so
+// it logs every crack and aligns to its tape end, and with one area the
+// eviction tie-break (set, area, tail) is (set, tail): the partial-map
+// machinery reduces to full maps, layout included.
 //
 // Selection cracking is the third user of the store. Its cracker column
 // C_A, (value, key) pairs (Section 2.2), is S_A's key map in a full-map
@@ -115,7 +128,7 @@
 // alone until it reaches the next one's cursor, and from there they replay
 // together, each crack decided once on one head; the planner, which picks
 // the head predicate's set from the self-organizing histograms (H_A's index
-// under partial maps, the most aligned map's under full maps) and gives
+// under partial maps, the most aligned head owner's under full maps) and gives
 // every distinct tail attribute one slot; and the finish over a list of
 // aligned windows {Lo, Hi, Head, Tails}, one per area. A conjunction runs
 // select_create_bv / select_refine_bv / reconstruct over them; a
@@ -125,7 +138,8 @@
 // is the one place the store materializes an answer.
 //
 // A pending deletion is found by value in the maps of its area the query
-// aligns anyway: their head and tails compared with the deleted row. Only
+// aligns anyway: their leader's head and their tails compared with the
+// deleted row. Only
 // a deleted tuple another tuple equals on every column the query aligns,
 // and key joins, build the area's key chunk (tail = tuple keys) and find it
 // by key. Either way the tape logs the same positions and the tuple keys,
@@ -146,14 +160,17 @@
 // in the areas it resolved before it creates any, so making room never
 // evicts what the same query reads next. Evicting an area's last map
 // un-fetches the area, in both presets: its tape is forgotten and its
-// updates go back to pending. A chunk of a led area costs half its tuples,
-// having no head; every other map costs its tuples. Room is made under the
-// budget before anything grows a map: a new map, the heads an area's first
-// update gives its chunks, and a replay's ripple inserts. New maps and
-// heads get freshly allocated columns, and once a map is evicted its
-// columns belong to the garbage collector: nothing is recycled by hand.
-// Kernel counters of evicted structures are folded into a store-level
-// total, so crack_kernel_* never runs backwards.
+// updates go back to pending. A tail without a head, a chunk of a led area
+// or a map that follows its group owner, costs half its tuples; every
+// other map costs its tuples, and the store's piece count counts each
+// index once, not once per map it positions. Room is made under the budget
+// before anything grows a map: a new map, the heads an area's first update
+// gives its tails, and a replay's ripple inserts. New maps and heads get
+// freshly allocated columns, an evicted group owner's head and index pass
+// to the next map of its group, and otherwise an evicted map's columns
+// belong to the garbage collector: nothing is recycled by hand. Kernel
+// counters of evicted structures are folded into a store-level total, so
+// crack_kernel_* never runs backwards.
 //
 // # Adaptive cracking policies
 //
@@ -595,8 +612,10 @@
 //     exp.TestCSVStorageExport and crackserved's TestDaemon.
 //   - follower groups: only map-set alignment (sideways.Tape.ReplayJoint)
 //     builds a follower group for crack.Pairs.CrackRangeWith, and only from
-//     maps or chunks with a head that it finds at one cursor of one tape.
-//     Nothing else may, because nothing else knows the heads are equal.
+//     maps, chunks and spans it finds at one cursor of one tape, each with
+//     a head, or a tail whose leader (its area's span or its head group's
+//     owner) joins first. Nothing else may, because nothing else knows the
+//     heads are equal.
 //     The follower list lives for one CrackRangeWith call.
 //     crack.FuzzFollowersAgree pins followers against independent cracks;
 //     the two TestAlignTogetherVisitsOnce tests pin the grouping by count.

@@ -1,6 +1,7 @@
 package crack
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -321,6 +322,43 @@ func TestCrackRangeFallsBackAcrossPieces(t *testing.T) {
 	}
 	if !p.CheckPieces() {
 		t.Fatal("piece invariant violated")
+	}
+}
+
+// TestCrackRangeEdgeBoundCutsOnce: a bound at an edge of the value domain
+// lies at the start or the end of the pairs, so a range with one such bound
+// is one crack in two at its other bound: one partition over the cold
+// column, one boundary, and the layout that crack alone leaves.
+func TestCrackRangeEdgeBoundCutsOnce(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		pred  store.Pred
+		lower bool // the cut is the lower bound; the upper is an edge
+	}{
+		{"A >= 500", store.Pred{Lo: 500, Hi: math.MaxInt64, LoIncl: true, HiIncl: true}, true},
+		{"MinInt64 <= A < 500", store.Pred{Lo: math.MinInt64, Hi: 500, LoIncl: true}, false},
+	} {
+		cut := crackindex.Bound{V: 500, Incl: true}
+		p := randPairs(rand.New(rand.NewSource(8)), 1000, 1000)
+		ref := WrapPairs(slices.Clone(p.Head), slices.Clone(p.Tail))
+		at := ref.CrackBound(cut)
+		lo, hi := p.CrackRange(c.pred)
+		if want := (KernelStats{InTwo: 1, Visited: 1000, Moved: ref.Stats.Moved}); p.Stats != want {
+			t.Errorf("%s: stats %+v, want %+v", c.name, p.Stats, want)
+		}
+		if want := []crackindex.Bound{cut, {V: int64(at), Incl: true}}; !slices.Equal(boundaries(p), want) {
+			t.Errorf("%s: boundaries %v, want %v", c.name, boundaries(p), want)
+		}
+		wantLo, wantHi := 0, at
+		if c.lower {
+			wantLo, wantHi = at, 1000
+		}
+		if lo != wantLo || hi != wantHi {
+			t.Errorf("%s: area [%d, %d), want [%d, %d)", c.name, lo, hi, wantLo, wantHi)
+		}
+		if !slices.Equal(p.Head, ref.Head) || !slices.Equal(p.Tail, ref.Tail) {
+			t.Errorf("%s: layout differs from one crack at %v", c.name, cut)
+		}
 	}
 }
 

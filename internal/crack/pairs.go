@@ -183,15 +183,10 @@ func b2v(b bool) Value {
 // crackInTwo partitions positions [lo, hi) so that all values on the left
 // of boundary b precede all values at-or-right of it, returning the split
 // position. The result is a deterministic function of the piece contents.
+// b is no edge of the value domain (edgeAt), so it has a cutoff.
 func (p *Pairs) crackInTwo(b crackindex.Bound, lo, hi int) int {
 	p.Stats.InTwo++
-	c, ok := cut(b)
-	if !ok {
-		// Non-representable boundary {MaxInt64, exclusive}: every value is
-		// on its left; nothing moves and the split is at hi.
-		p.Stats.Visited += hi - lo
-		return hi
-	}
+	c, _ := cut(b)
 	return p.partition(c, lo, hi)
 }
 
@@ -318,10 +313,14 @@ func swapPositions(h, t []Value, is, js []int) {
 
 // CrackBound ensures a physical boundary for b exists, cracking the piece it
 // falls into if necessary, and returns the boundary position. The index is
-// updated. A no-op if the boundary already exists. Under a non-default
-// Policy, a piece larger than the policy cap is first split at auxiliary
-// pivots.
+// updated. A no-op if the boundary already exists, and for an edge of the
+// value domain, which lies at the start or the end (edgeAt). Under a
+// non-default Policy, a piece larger than the policy cap is first split at
+// auxiliary pivots.
 func (p *Pairs) CrackBound(b crackindex.Bound) int {
+	if pos, ok := p.edgeAt(b); ok {
+		return pos
+	}
 	p.applyPolicy(b)
 	return p.crackBoundAt(b, p.Idx.PieceFor(b, len(p.Head)))
 }
@@ -365,15 +364,12 @@ const orderSamples = 64
 // n tuples of which nL lie left of the range and nM inside it, the head is
 // read n + (n-nL) or n + (nL+nM) times: about 1.25n on average for a narrow
 // range placed uniformly.
+//
+// Neither bound is an edge of the value domain (see edgeAt), so both have a
+// cutoff.
 func (p *Pairs) crackRangeInPiece(b1, b2 crackindex.Bound, lo, hi int) (int, int) {
-	c1, ok1 := cut(b1)
-	c2, ok2 := cut(b2)
-	if !ok1 || !ok2 {
-		// A bound at the very end of the value domain (an unbounded range)
-		// has no cutoff to partition at; resolve each bound by itself.
-		lt := p.crackInTwo(b1, lo, hi)
-		return lt, p.crackInTwo(b2, lt, hi)
-	}
+	c1, _ := cut(b1)
+	c2, _ := cut(b2)
 	p.Stats.InThree++
 	s, step := min(hi-lo, orderSamples), max((hi-lo)/orderSamples, 1)
 	sL, sLM := 0, 0
@@ -396,9 +392,11 @@ func (p *Pairs) crackRangeInPiece(b1, b2 crackindex.Bound, lo, hi int) (int, int
 //
 // When both bounds of pred fall into the same uncracked piece (always the
 // case on a cold column), the piece is partitioned against both bounds by
-// one range crack; otherwise each bound cracks its own piece in two.
-// The path choice depends only on the index state, so it is identical
-// across maps replaying the same operation sequence.
+// one range crack; otherwise each bound cracks its own piece in two. A
+// bound at an edge of the value domain is no cut at all: it lies at the
+// start or the end of the pairs (edgeAt), and only the other bound
+// cracks. The path choice depends only on the index state, so it is
+// identical across maps replaying the same operation sequence.
 func (p *Pairs) CrackRange(pred store.Pred) (lo, hi int) {
 	b1, b2 := pred.LowerBound(), pred.UpperBound()
 	if p.Policy.Kind != Default {
@@ -409,24 +407,45 @@ func (p *Pairs) CrackRange(pred store.Pred) (lo, hi int) {
 		p.applyPolicy(b1)
 		p.applyPolicy(b2)
 	}
-	if b1.Less(b2) {
+	lo, edgeLo := p.edgeAt(b1)
+	hi, edgeHi := p.edgeAt(b2)
+	switch {
+	case edgeLo && edgeHi:
+	case edgeLo:
+		hi = p.crackBoundAt(b2, p.Idx.PieceFor(b2, len(p.Head)))
+	case edgeHi:
+		lo = p.crackBoundAt(b1, p.Idx.PieceFor(b1, len(p.Head)))
+	default:
 		pc := p.Idx.PieceFor(b1, len(p.Head))
-		if !pc.LoExact && (!pc.HasHiB || b2.Less(pc.HiBound)) {
+		if b1.Less(b2) && !pc.LoExact && (!pc.HasHiB || b2.Less(pc.HiBound)) {
 			lo, hi = p.crackRangeInPiece(b1, b2, pc.Lo, pc.Hi)
 			p.mark(b1, lo)
 			p.mark(b2, hi)
 			return lo, hi
 		}
 		lo = p.crackBoundAt(b1, pc) // reuse the descent the probe already paid
-	} else {
-		lo = p.crackBoundAt(b1, p.Idx.PieceFor(b1, len(p.Head)))
+		hi = p.crackBoundAt(b2, p.Idx.PieceFor(b2, len(p.Head)))
 	}
-	hi = p.crackBoundAt(b2, p.Idx.PieceFor(b2, len(p.Head)))
 	if hi < lo {
 		// Possible only for empty predicates (e.g. lo > hi); normalize.
 		hi = lo
 	}
 	return lo, hi
+}
+
+// edgeAt reports whether b is an edge of the value domain and where it
+// lies: {MinInt64, inclusive} before every tuple, {MaxInt64, exclusive}
+// after every one. An edge splits nothing, so a range crack neither
+// partitions at it nor keeps it in the index; an unbounded range cracks
+// at its other bound alone.
+func (p *Pairs) edgeAt(b crackindex.Bound) (pos int, ok bool) {
+	switch b {
+	case crackindex.Bound{V: math.MinInt64, Incl: true}:
+		return 0, true
+	case crackindex.Bound{V: math.MaxInt64}:
+		return len(p.Head), true
+	}
+	return 0, false
 }
 
 // CrackRangeWith is CrackRange on p, the leader, and on followers that sit

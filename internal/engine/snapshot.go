@@ -75,8 +75,9 @@ type pendingInsert struct{ key, val Value }
 const maxPending = 128
 
 // The edges of the value domain. A predicate bound there selects from the
-// first or the last piece: the store cracks at an edge only while it cracks
-// the range's other bound, and a piece beyond an edge is empty.
+// first or the last piece: a range crack resolves an edge bound to the start
+// or the end of the key map without cutting there (crack.Pairs.CrackRange),
+// and a piece beyond an edge would be empty.
 var domainLo, domainHi = sideways.FullRange.LowerBound(), sideways.FullRange.UpperBound()
 
 func newSnapEngine(sc *selCrackEngine) *snapEngine {
@@ -113,7 +114,9 @@ func pieceAt(cuts []crackindex.Bound, b crackindex.Bound) int {
 
 // splitOut copies the pieces key map km holds between its cuts lo and hi,
 // one fresh slice each, with the cuts that separate them. A nil lo or hi
-// stands for the edge of the value domain, where the store may have cut.
+// stands for the edge of the value domain. Range cracks never cut there,
+// but a stochastic policy pivot sampled from MinInt64 values cuts at the
+// lower edge, so the edge cuts are looked up all the same.
 func splitOut(km *crack.Pairs, lo, hi *crackindex.Bound) (sub keyVersion) {
 	from, to, l, h := 0, km.Len(), domainLo, domainHi
 	if lo != nil {

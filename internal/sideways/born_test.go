@@ -20,6 +20,14 @@ import (
 // span's keys, position by position, at the span's cursor; and each chunk
 // given a head at the first update, or created after it, starts with the
 // span's head and boundaries at the point where the span stopped.
+//
+// Under full maps the maps one query creates before the area's first update
+// form a head group: the first owns the head and index, the others are
+// tails that follow it, until the first update gives each a copy or the
+// owner's eviction hands its head to the next. After every op each full
+// map, its leader's head paired with its own tail, must equal a solo pairs
+// built from the base columns that replays the area's tape to the map's
+// cursor, boundaries included.
 
 const (
 	bornRows   = 160
@@ -32,12 +40,19 @@ type bornCounts struct {
 	// bornStopped counts chunks created in an area whose span an update
 	// had stopped, which then replay the tape's updates themselves.
 	bornStopped int
+	// Under full maps: tails born into a head group, tails given a copy
+	// of their owner's head when the area's first update split the group,
+	// and heads handed on by an evicted owner.
+	follower, split, handed int
 }
 
 func (c *bornCounts) add(o bornCounts) {
 	c.born += o.born
 	c.unled += o.unled
 	c.bornStopped += o.bornStopped
+	c.follower += o.follower
+	c.split += o.split
+	c.handed += o.handed
 }
 
 // boundaries lists an index's live boundaries in order.
@@ -88,12 +103,43 @@ func checkStoppedChunk(w *area, m *Map) string {
 	return ""
 }
 
-// checkBornAligned runs the op stream data codes on a partial store, checks
-// every chunk against its area's span and every answer against a scan, and
-// returns what the stream exercised.
+// checkSoloReplay reports how full map m of whole-domain area w differs
+// from a solo pairs built from the base columns that replays w's tape to
+// m's cursor, or "" when it does not: m's leader's head (its own or its
+// group owner's) and boundaries against the solo head and boundaries, m's
+// tail against the solo tail.
+func checkSoloReplay(s *Store, set *Set, w *area, m *Map) string {
+	var col *store.Column
+	tail := keyRange(w.lo, w.hi)
+	if m.tailAttr != "" {
+		col = s.rel.MustColumn(m.tailAttr)
+		tail = slices.Clone(col.Vals[w.lo:w.hi])
+	}
+	solo := crack.WrapPairs(slices.Clone(set.pend.head.Vals[w.lo:w.hi]), tail)
+	solo.Policy = set.policy
+	cursor := 0
+	w.tape.ReplayJoint([]Member{{Pairs: solo, Cursor: &cursor, Tail: col}}, m.cursor, set.pend.head)
+	lead := m.Lead()
+	switch {
+	case !slices.Equal(lead.Head, solo.Head):
+		return "its leader's head differs from the solo replay's"
+	case !slices.Equal(m.pairs.Tail, solo.Tail):
+		return "its tail differs from the solo replay's"
+	case !slices.Equal(boundaries(lead.Idx), boundaries(solo.Idx)):
+		return fmt.Sprintf("boundaries %v, the solo replay has %v", boundaries(lead.Idx), boundaries(solo.Idx))
+	}
+	return ""
+}
+
+// checkBornAligned runs the op stream data codes on a partial or a
+// full-map store, checks every chunk against its area's span or every full
+// map against a solo replay, and every answer against a scan, and returns
+// what the stream exercised.
 //
-// data[0] sets the store up: bits 2-3 the budget (none, or 1, 2 or 3 times
-// the rows over four), bit 4 the capped policy; bits 0-1 are unused. Then
+// data[0] sets the store up: bit 5 full maps instead of partial ones, bits
+// 2-3 the budget (none, or 1, 2 or 3 times the rows over four under
+// partial maps, the rows under full maps), bit 4 the capped policy; bits
+// 0-1 are unused. Then
 // every three bytes are an op: a kind byte and two more. Kinds 0-15 query A
 // over a value range the two bytes give and project one of six sets of B,
 // C and D, conjunctively or disjunctively with a predicate on B (a
@@ -106,8 +152,11 @@ func checkBornAligned(t *testing.T, data []byte) (got bornCounts) {
 	cfg, ops := data[0], data[1:]
 	rng := rand.New(rand.NewSource(int64(cfg)))
 	rel := buildRel(rng, bornRows, []string{"A", "B", "C", "D"}, bornDomain)
-	s := NewPartialStore(rel)
-	s.Budget = int(cfg>>2&3) * bornRows / 4
+	s, budget := NewPartialStore(rel), bornRows/4
+	if cfg&32 != 0 {
+		s, budget = NewStore(rel), bornRows
+	}
+	s.Budget = int(cfg>>2&3) * budget
 	if cfg&16 != 0 {
 		s.Policy = crack.Policy{Kind: crack.Capped, Cap: 8}
 	}
@@ -120,11 +169,20 @@ func checkBornAligned(t *testing.T, data []byte) (got bornCounts) {
 	var failure string
 	s.observe = func(ev event, w *area, m *Map) {
 		var msg string
-		switch ev {
-		case evUnled:
+		switch {
+		case ev == evHanded:
+			got.handed++
+		case w != nil && w.span == nil:
+			// A full map: every op ends with checkSoloReplay.
+			if ev == evUnled {
+				got.split++
+			} else if ev == evBorn && m.pairs.Head == nil {
+				got.follower++
+			}
+		case ev == evUnled:
 			got.unled++
 			msg = checkStoppedChunk(w, m)
-		case evBorn:
+		case ev == evBorn:
 			if w.led() {
 				got.born++
 				msg = checkLedChunk(s, w, m)
@@ -172,6 +230,14 @@ func checkBornAligned(t *testing.T, data []byte) (got bornCounts) {
 		}
 		for attr, set := range s.sets {
 			for _, w := range set.areas {
+				if w.span == nil {
+					for tail, m := range w.maps {
+						if msg := checkSoloReplay(s, set, w, m); msg != "" {
+							t.Fatalf("%s: full map %s of set %s at cursor %d: %s", ctx, tail, attr, m.cursor, msg)
+						}
+					}
+					continue
+				}
 				if !w.span.CheckPieces() {
 					t.Fatalf("%s: the span of area %s/%d violates piece invariants", ctx, attr, w.id)
 				}
@@ -191,10 +257,10 @@ func checkBornAligned(t *testing.T, data []byte) (got bornCounts) {
 }
 
 // bornSeeds are the committed inputs: random streams under every store
-// set-up, and two that stop a span under a budget. In both, A∈[10,30] is
-// fetched with B, C and D, whose tails fit the budget of three quarters of
-// the rows, and cracked with B and C; then a tuple is inserted into the
-// area. In the first a query of B alone merges it: making room for B's
+// set-up, partial and full, and two that stop a span under a budget. In
+// both, A∈[10,30] is fetched with B, C and D, whose tails fit the budget of
+// three quarters of the rows, and cracked with B and C; then a tuple is
+// inserted into the area. In the first a query of B alone merges it: making room for B's
 // head evicts D, and for C's head C itself. In the second a disjunction
 // merges it, and a crack of B and C creates a chunk in the stopped area.
 func bornSeeds() [][]byte {
@@ -203,7 +269,7 @@ func bornSeeds() [][]byte {
 		{13, 5, 11, 20, 3, 13, 16, 17, 15, 0, 12, 11, 20, 19, 0, 0, 3, 14, 10},
 	}
 	rng := rand.New(rand.NewSource(36))
-	for cfg := 0; cfg < 32; cfg++ {
+	for cfg := 0; cfg < 64; cfg++ {
 		data := []byte{byte(cfg)}
 		for i := 0; i < 3*120; i++ {
 			data = append(data, byte(rng.Intn(256)))
@@ -221,16 +287,19 @@ func FuzzBornAligned(f *testing.F) {
 }
 
 // TestBornAlignedSeedsCoverEveryBranch: the committed inputs of
-// FuzzBornAligned reach every way a chunk gets its layout: a tail created
-// in a led area, a head given at the area's first update, and a chunk
-// created after it.
+// FuzzBornAligned reach every way a chunk or a full map gets its layout: a
+// tail created in a led area, a head given at the area's first update, and
+// a chunk created after it; a tail born into a head group, a head copied
+// when the area's first update splits the group, and a head handed on by
+// an evicted owner.
 func TestBornAlignedSeedsCoverEveryBranch(t *testing.T) {
 	var total bornCounts
 	for _, seed := range bornSeeds() {
 		total.add(checkBornAligned(t, seed))
 	}
 	t.Logf("%+v", total)
-	if total.born == 0 || total.unled == 0 || total.bornStopped == 0 {
+	if total.born == 0 || total.unled == 0 || total.bornStopped == 0 ||
+		total.follower == 0 || total.split == 0 || total.handed == 0 {
 		t.Fatalf("the seeds miss a branch: %+v", total)
 	}
 }

@@ -157,8 +157,9 @@ func TestCrackerJoinOnOneBudgetedStore(t *testing.T) {
 	attrs := strings.Split("ABCDEFGHIJKLMNOP", "")
 	rel := buildRel(rand.New(rand.NewSource(6)), n, attrs, 200)
 	s := NewStore(rel)
-	// Fifteen maps of S_A and one key map fit.
-	s.Budget = 16 * 1024
+	// S_A's fifteen maps are one head group, a map and fourteen tails of
+	// half a map each (8n tuples): they and one key map fit, two do not.
+	s.Budget = 9*n + n/4
 	for q := 0; q < 5; q++ {
 		s.SelectProject("A", store.Range(Value(q*30), Value(q*30+20)), attrs[1:])
 	}

@@ -323,8 +323,11 @@ type Member struct {
 // decided on the first member of the group and applied to the rest as
 // followers (crack.Pairs.CrackRangeWith). That is layout-identical to
 // replaying each member alone, because members at one cursor hold equal
-// heads and equal boundaries: the alignment invariant. Insert and delete
-// entries are rare and go member by member, each with its own tail column.
+// heads and equal boundaries: the alignment invariant. A member may be a
+// tail alone (no head, no index) when its leader, listed before it at its
+// cursor, replays with it: the first member at the lowest cursor has a
+// head. Insert and delete entries are rare and go member by member, each
+// with its own head and tail column; a tail alone never meets one.
 // Members at or past to are left alone; the others end with cursor to.
 // headCol is the base column of the set's head attribute. ms is reordered.
 func (t Tape) ReplayJoint(ms []Member, to int, headCol *store.Column) {

@@ -198,7 +198,7 @@ func TestAlignTogetherVisitsOnce(t *testing.T) {
 			if m.Cursor() != set.TapeLen() {
 				t.Fatalf("M_A%s at cursor %d of %d", attr, m.Cursor(), set.TapeLen())
 			}
-			if !slices.Equal(m.Pairs().Head, set.MapIfExists(last[0]).Pairs().Head) {
+			if !slices.Equal(m.Lead().Head, set.MapIfExists(last[0]).Lead().Head) {
 				t.Fatalf("M_A%s head differs from M_A%s", attr, last[0])
 			}
 		}

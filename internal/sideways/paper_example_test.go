@@ -88,8 +88,8 @@ func TestFigure3OperatorPipeline(t *testing.T) {
 	}
 	// All three maps share the cracked area and are positionally aligned.
 	for _, m := range set.Maps() {
-		l2, _ := m.Pairs().Idx.Lookup(predA.LowerBound())
-		h2, _ := m.Pairs().Idx.Lookup(predA.UpperBound())
+		l2, _ := m.Lead().Idx.Lookup(predA.LowerBound())
+		h2, _ := m.Lead().Idx.Lookup(predA.UpperBound())
 		if l2 != lo || h2 != hi {
 			t.Fatalf("map areas diverge: [%d,%d) vs [%d,%d)", l2, h2, lo, hi)
 		}

@@ -40,7 +40,12 @@
 // whole domain: it needs no H_A, because its source is the base prefix in
 // key order, and every bounded predicate cuts it, so it logs every crack and
 // aligns to its tape end. A full map is that area's chunk, created at cursor
-// 0.
+// 0. The full maps one query creates before the area's first update form a
+// head group: the first owns the head and the index, the others are tails,
+// plain copies of their base columns, that follow it through every crack,
+// as a led area's chunks follow its span. The area's first update splits
+// every group the way it stops a span: each tail gets a copy of its owner's
+// head and index.
 //
 // Multi-selection queries use a single set plus bit-vector filtering
 // (Section 3.3); the set is chosen via the self-organizing histograms of the
@@ -62,17 +67,21 @@
 // queries raise priorities atomically and cannot reorder anything. Dropping
 // the last chunk of an area un-fetches it: its tape's updates are pushed back
 // to the set's pending updates, so nothing is lost. A map has a head column
-// exactly when no span leads its area: full maps always, chunks of an area
-// an update has stopped the span of from that update on, and the chunks of
-// a led area never. Room is made under the budget before an area's first
-// update gives its chunks their heads, and before a replay's ripple inserts
-// grow the maps. New maps and heads get fresh columns; an evicted map's
-// columns belong to the garbage collector.
+// exactly when neither a span nor a group owner leads it: group owners and
+// full maps born alone or after their area's first update, chunks of an
+// area an update has stopped the span of from that update on, and never
+// the chunks of a led area or the tails of a head group. Evicting a group
+// owner hands its head and index to the next map of its group. Room is
+// made under the budget before an area's first update gives its tails
+// their heads, and before a replay's ripple inserts grow the maps. New
+// maps and heads get fresh columns; an evicted map's columns belong to the
+// garbage collector, unless they pass to its group's next owner.
 package sideways
 
 import (
 	"cmp"
 	"container/heap"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -94,8 +103,9 @@ type Value = store.Value
 type Map struct {
 	pairs  *crack.Pairs
 	cursor int
-	Usage      // eviction priority; touched atomically by read-only queries
-	cost   int // tuples() as last added to Store.storage (see account)
+	Usage         // eviction priority; touched atomically by read-only queries
+	cost   int    // tuples() as last added to Store.storage (see account)
+	g      *group // the head group m belongs to, nil for none
 
 	// Where the map lives: what eviction needs to remove it, and the
 	// (set attribute, area id, tail attribute) order of equal priorities.
@@ -111,12 +121,34 @@ func (m *Map) Len() int { return len(m.pairs.Tail) }
 func (m *Map) Cursor() int { return m.cursor }
 
 // Pairs exposes the underlying pairs (head/tail/index) read-only by
-// convention.
+// convention. A map that is a tail alone has no head and no index of its
+// own; Lead returns the pairs that position it.
 func (m *Map) Pairs() *crack.Pairs { return m.pairs }
 
+// Lead returns the pairs whose head and index position m's tail, read-only
+// by convention: its led area's span, the owner of its head group, or m's
+// own pairs.
+func (m *Map) Lead() *crack.Pairs {
+	switch {
+	case m.w.led():
+		return m.w.span
+	case m.g != nil:
+		return m.g.maps[0].pairs
+	}
+	return m.pairs
+}
+
+// group is a head group: the full maps one query creates in a whole-domain
+// area before the area's first update. They sit at one cursor and would
+// hold equal heads, so only maps[0], the owner, keeps a head and an index;
+// the others are tails that follow it through every crack (Tape.ReplayJoint).
+// A group never replays an update: the area's first one splits it (unlead).
+// Evicting the owner hands its head and index to the next map (leave).
+type group struct{ maps []*Map }
+
 // tuples returns the map's storage cost in tuples: a map of n pairs costs
-// n; a chunk of a led area, a tail without head or index, costs half
-// (rounded up).
+// n; a tail without head or index, a chunk of a led area or a follower in
+// a head group, costs half (rounded up).
 func (m *Map) tuples() int {
 	if m.pairs.Head == nil {
 		return (m.Len() + 1) / 2
@@ -231,8 +263,10 @@ func (set *Set) MapIfExists(tailAttr string) *Map {
 }
 
 // MostAlignedMap returns the full map of the set whose cursor is closest to
-// the tape end (Section 3.3: better aligned maps give better estimates), or
-// nil when the set has none or keeps partial maps.
+// the tape end (Section 3.3: better aligned maps give better estimates)
+// among those that own a head and an index, or nil when the set has none or
+// keeps partial maps. A tail in a head group sits at its owner's cursor, so
+// no better aligned map is passed over.
 func (set *Set) MostAlignedMap() *Map {
 	w := set.whole()
 	if w == nil {
@@ -240,7 +274,7 @@ func (set *Set) MostAlignedMap() *Map {
 	}
 	var best *Map
 	for attr, m := range w.maps {
-		if attr != "" && (best == nil || m.cursor > best.cursor) {
+		if attr != "" && m.pairs.Head != nil && (best == nil || m.cursor > best.cursor) {
 			best = m
 		}
 	}
@@ -290,9 +324,10 @@ type Store struct {
 type event uint8
 
 const (
-	evFetch event = iota // an area was fetched; the map is nil
-	evBorn               // a map was created at its area's source cursor
-	evUnled              // a map got its head from the span at the area's first update
+	evFetch  event = iota // an area was fetched; the map is nil
+	evBorn                // a map was created at its area's source cursor
+	evUnled               // a map got a copy of its leader's head at the area's first update
+	evHanded              // a map got the head and index of its evicted group owner
 )
 
 func (s *Store) note(ev event, w *area, m *Map) {
@@ -367,7 +402,9 @@ func (s *Store) NumSets() int { return len(s.sets) }
 // Kernel aggregates the kernel partition counters over every chunk map (the
 // cracks its spans lead included) and every map the store has had, key
 // chunks and evicted maps included, and the cracker-index sizes over the
-// live maps, chunk maps and spans that lead: the observability bridge. Call
+// live maps, chunk maps and spans that lead, each index counted once: a
+// tail that follows a span or a group owner has none. cols counts the live
+// maps and chunk maps. It is the observability bridge. Call
 // it under the same synchronization as queries (the stats are plain ints on
 // the Pairs).
 func (s *Store) Kernel() (ks crack.KernelStats, pieces, cols int) {
@@ -515,7 +552,7 @@ func (set *Set) resolve(pred store.Pred, fetch bool) (out []*area, ok bool) {
 func (set *Set) fetch(lo, hi crackindex.Bound) *area {
 	p1, p2 := 0, set.pend.baseLen
 	if set.ha != nil {
-		p1, p2 = crackHABound(set.ha, lo), crackHABound(set.ha, hi)
+		p1, p2 = set.ha.CrackBound(lo), set.ha.CrackBound(hi)
 		p2 = max(p2, p1)
 	}
 	w := &area{id: set.nextID, lo: p1, hi: p2, loB: lo, hiB: hi, maps: make(map[string]*Map)}
@@ -529,17 +566,6 @@ func (set *Set) fetch(lo, hi crackindex.Bound) *area {
 	set.areas = slices.Insert(set.areas, at, w)
 	set.st.note(evFetch, w, nil)
 	return w
-}
-
-// crackHABound cracks H_A at bound b unless b is a sentinel edge.
-func crackHABound(ha *crack.Pairs, b crackindex.Bound) int {
-	if b == minBound {
-		return 0
-	}
-	if b == maxBound {
-		return ha.Len()
-	}
-	return ha.CrackBound(b)
 }
 
 // unfetch removes area w: its tape's updates are pushed back to the set's
@@ -593,22 +619,35 @@ func (set *Set) sourceTail(w *area, tailAttr string) []Value {
 // and index copied from the area's source and the tail from sourceTail.
 // Under partial maps that source is the span, as aligned as any map of the
 // area, so the new map replays nothing to catch up with its siblings.
+// g, when not nil, is the head group of the maps the in-flight query creates
+// in a whole-domain area: its first map gets a head, and every later one is
+// a tail alone, a plain copy of its base column, that follows the first.
 // Creating a map may evict maps the in-flight query has not pinned.
-func (set *Set) ensureMap(w *area, tailAttr string) *Map {
+func (set *Set) ensureMap(w *area, tailAttr string, g *group) *Map {
 	if m, ok := w.maps[tailAttr]; ok {
 		return m
 	}
 	st := set.st
 	size := w.hi - w.lo
 	m := &Map{set: set, w: w, tailAttr: tailAttr}
-	if w.led() {
+	switch {
+	case w.led():
 		st.ensureBudget((size + 1) / 2)
 		m.pairs, m.cursor = &crack.Pairs{Tail: set.sourceTail(w, tailAttr)}, w.spanCursor
-	} else {
+	case g != nil && len(g.maps) > 0:
+		owner := g.maps[0] // pinned by the query that creates the group
+		st.ensureBudget((size + 1) / 2)
+		m.pairs, m.cursor = &crack.Pairs{Tail: set.sourceTail(w, tailAttr)}, owner.cursor
+		owner.g, m.g = g, g
+		g.maps = append(g.maps, m)
+	default:
 		st.ensureBudget(size)
 		head, idx, cursor := set.source(w)
 		m.pairs, m.cursor = crack.WrapPairs(slices.Clone(head), set.sourceTail(w, tailAttr)), cursor
 		m.pairs.Idx = idx
+		if g != nil {
+			g.maps = append(g.maps, m)
+		}
 	}
 	m.pairs.Policy = set.policy
 	w.maps[tailAttr] = m
@@ -620,30 +659,65 @@ func (set *Set) ensureMap(w *area, tailAttr string) *Map {
 	return m
 }
 
-// unlead stops the span of led area w before its first update is merged:
-// every chunk gets a copy of the span's head and index and from then on
-// cracks and aligns on its own. Every chunk sits at the span's cursor, so
-// nothing replays. Room for each head is made under the budget first, chunk
-// by chunk in tail order; a chunk the query does not read may be evicted to
-// make it, itself included, and then needs no head.
-func (set *Set) unlead(w *area) {
-	st := set.st
-	ms := make([]*Map, 0, len(w.maps))
+// stop ends head sharing in area w just before its first update merges:
+// a tail cannot take a ripple update, so every tail of w gets a head and
+// index of its own (unlead). In a led area that stops the span; in a
+// whole-domain area it splits every head group. From then on w's maps
+// crack and align on their own.
+func (set *Set) stop(w *area) {
+	var tails []*Map
 	for _, m := range w.maps {
-		ms = append(ms, m)
+		if m.pairs.Head == nil {
+			tails = append(tails, m)
+		}
 	}
-	slices.SortFunc(ms, func(a, b *Map) int { return cmp.Compare(a.tailAttr, b.tailAttr) })
+	set.unlead(tails)
 	w.stopped = true
+}
+
+// unlead gives every tail of ms a copy of the head and index that lead it
+// (Map.Lead): its area's span, or its group owner's. A tail sits at its
+// leader's cursor, so nothing replays. Room for each head is made under the
+// budget first, tail by tail in tail order; a map the query does not read
+// may be evicted to make it, the tail itself included, which then needs no
+// head, and an evicted group owner hands its head to the next map of its
+// group, which then needs no copy.
+func (set *Set) unlead(ms []*Map) {
+	st := set.st
+	slices.SortFunc(ms, func(a, b *Map) int { return cmp.Compare(a.tailAttr, b.tailAttr) })
 	for _, m := range ms {
-		if w.maps[m.tailAttr] == m {
+		if m.w.maps[m.tailAttr] == m && m.pairs.Head == nil {
 			st.ensureBudget(m.Len() - m.cost)
 		}
-		if w.maps[m.tailAttr] != m {
-			continue // evicted to make room for a head
+		if m.w.maps[m.tailAttr] != m || m.pairs.Head != nil {
+			continue // evicted to make room for a head, or handed one
 		}
-		m.pairs.Head, m.pairs.Idx = slices.Clone(w.span.Head), w.span.Idx.Clone()
+		lead := m.Lead()
+		m.pairs.Head, m.pairs.Idx = slices.Clone(lead.Head), lead.Idx.Clone()
+		if m.g != nil {
+			st.leave(m)
+		}
 		st.account(m)
-		st.note(evUnled, w, m)
+		st.note(evUnled, m.w, m)
+	}
+}
+
+// leave takes m out of its head group. An owner hands its head and index
+// to the next map of the group, without copying; a group left with one map
+// dissolves.
+func (s *Store) leave(m *Map) {
+	g := m.g
+	i := slices.Index(g.maps, m)
+	g.maps = slices.Delete(g.maps, i, i+1)
+	m.g = nil
+	if i == 0 {
+		heir := g.maps[0]
+		heir.pairs.Head, heir.pairs.Idx = m.pairs.Head, m.pairs.Idx
+		s.account(heir)
+		s.note(evHanded, heir.w, heir)
+	}
+	if len(g.maps) == 1 {
+		g.maps[0].g = nil
 	}
 }
 
@@ -660,8 +734,9 @@ func (set *Set) tailCol(m *Map) *store.Column {
 // the span replays, and every chunk of the area follows it, listed or not:
 // each crack is decided once, on the span's head, and moves the chunks'
 // tails only (Tape.ReplayJoint). Otherwise the maps replay together, each
-// crack decided on one of them. Room for the tuples the maps' ripple
-// inserts add is made first; ms are pinned.
+// crack decided on one of them; a map in a head group brings its whole
+// group, owner first, so the owner's head leads the group's tails. Room for
+// the tuples the maps' ripple inserts add is made first; ms are pinned.
 func (set *Set) replay(w *area, end int, ms ...*Map) {
 	if w.led() {
 		if w.spanCursor < end {
@@ -681,11 +756,19 @@ func (set *Set) replay(w *area, end int, ms ...*Map) {
 		set.st.ensureBudget(grow)
 	}
 	var joint []Member
+	add := func(m *Map) {
+		if m.cursor < end {
+			joint = append(joint, Member{Pairs: m.pairs, Cursor: &m.cursor, Tail: set.tailCol(m)})
+		}
+	}
 	for _, m := range ms {
-		if m.cursor >= end {
+		if m.g == nil {
+			add(m)
 			continue
 		}
-		joint = append(joint, Member{Pairs: m.pairs, Cursor: &m.cursor, Tail: set.tailCol(m)})
+		for _, x := range m.g.maps {
+			add(x) // ReplayJoint drops a map listed twice
+		}
 	}
 	w.tape.ReplayJoint(joint, end, set.pend.head)
 	for _, m := range ms {
@@ -729,6 +812,9 @@ func (s *Store) evict(m *Map) {
 	s.retire(&m.Usage, m.pairs.Stats)
 	s.life.Evicted++
 	s.evictedAccesses += m.Accesses()
+	if m.g != nil {
+		s.leave(m)
+	}
 	// Never un-fetch an area the in-flight query resolved: pushing its
 	// tape updates back to pending while the query holds the area object
 	// would double-apply them. An empty fetched area is valid.
@@ -743,11 +829,12 @@ func (s *Store) evict(m *Map) {
 // covered ones, and return one window per area in value order (chunk-wise
 // processing, Section 4.1): the aligned map tails, parallel to tailAttrs, and
 // the qualifying position range within them. With heads set every window also
-// carries its leader's head column, or its area's span's where the span
-// leads.
+// carries its leader's head column (Map.Lead).
 //
-// Every existing map the query reads is pinned before any map is created, so
-// making room for one never evicts another this query is about to read.
+// The maps the query creates in a whole-domain area before its first update
+// form one head group. Every existing map the query reads is pinned before
+// any map is created, so making room for one never evicts another this
+// query is about to read.
 func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window {
 	st := set.st
 	areas, _ := set.resolve(pred, true)
@@ -766,20 +853,25 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window 
 	defer func() { st.pinnedAreas = nil; clear(st.pinned) }()
 	used := make([][]*Map, len(areas))
 	for i, w := range areas {
+		var g *group
+		if w.span == nil && !w.stopped {
+			g = new(group)
+		}
 		used[i] = make([]*Map, len(tailAttrs))
 		for j, attr := range tailAttrs {
-			used[i][j] = set.ensureMap(w, attr)
+			used[i][j] = set.ensureMap(w, attr, g)
 			st.pinned[used[i][j]] = true
 		}
 	}
 
 	// Merge pending insertions and deletions into the tapes of the areas
-	// they fall in; an area's first update stops its span.
+	// they fall in; an area's first update stops its span or splits its
+	// head groups.
 	ins := set.perArea(areas, set.pend.TakeInserts(pred))
 	del := set.perArea(areas, set.pend.TakeDeletes(pred))
 	for i, w := range areas {
-		if w.led() && len(ins[w])+len(del[w]) > 0 {
-			set.unlead(w)
+		if !w.stopped && len(ins[w])+len(del[w]) > 0 {
+			set.stop(w)
 		}
 		if keys := ins[w]; len(keys) > 0 {
 			w.tape.LogInsert(keys)
@@ -837,7 +929,7 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window 
 func (set *Set) mergeDeletes(w *area, pred store.Pred, keys []int, ms []*Map) {
 	positions, ok := set.locate(w, pred, keys, ms)
 	if !ok {
-		kc := set.ensureMap(w, "")
+		kc := set.ensureMap(w, "", nil)
 		set.st.pinned[kc] = true
 		positions, _ = set.locate(w, pred, keys, []*Map{kc})
 		defer set.replay(w, len(w.tape), kc)
@@ -847,9 +939,10 @@ func (set *Set) mergeDeletes(w *area, pred store.Pred, keys []int, ms []*Map) {
 }
 
 // locate aligns the maps ms of area w to the tape end and finds the tuples of
-// keys among them by value: ms[0]'s head and every map's tail against each
-// key's row (crack.Pairs.Locate). On the key chunk alone that is a search by
-// key. unique is false when ms is empty or a row matches more than once.
+// keys among them by value: the head that leads ms[0] and every map's tail
+// against each key's row (crack.Pairs.Locate). On the key chunk alone that
+// is a search by key. unique is false when ms is empty or a row matches more
+// than once.
 func (set *Set) locate(w *area, pred store.Pred, keys []int, ms []*Map) (positions []int, unique bool) {
 	if len(ms) == 0 {
 		return nil, false
@@ -860,14 +953,14 @@ func (set *Set) locate(w *area, pred store.Pred, keys []int, ms []*Map) (positio
 	for i, m := range ms {
 		cols[i], tails[i] = set.tailCol(m), m.pairs.Tail
 	}
-	return ms[0].pairs.Locate(pred, set.pend.Rows(keys, cols), tails...)
+	return ms[0].Lead().Locate(pred, set.pend.Rows(keys, cols), tails...)
 }
 
 // windowOf returns the window over the aligned maps ms of area w, with the
 // head when heads is set: all of it, cut at lowerB and/or upperB where the
-// area is a boundary area on that side. Head and cuts are the leader's,
-// ms[0], or in a led area the span's. ok is false when a cut is not a
-// boundary of that index yet.
+// area is a boundary area on that side. Head and cuts are those that lead
+// ms[0] (Map.Lead): its own, its group owner's, or in a led area the
+// span's. ok is false when a cut is not a boundary of that index yet.
 func windowOf(w *area, ms []*Map, heads, cutLo, cutHi bool, lowerB, upperB crackindex.Bound) (win Window, ok bool) {
 	win.Tails = make([][]Value, len(ms))
 	for i, m := range ms {
@@ -876,10 +969,7 @@ func windowOf(w *area, ms []*Map, heads, cutLo, cutHi bool, lowerB, upperB crack
 	if len(ms) == 0 {
 		return win, true
 	}
-	lead := ms[0].pairs
-	if w.led() {
-		lead = w.span
-	}
+	lead := ms[0].Lead()
 	if heads {
 		win.Head = lead.Head
 	}
@@ -1121,11 +1211,45 @@ func (s *Store) checkInvariants() error {
 		}
 		for _, w := range set.areas {
 			for tattr, m := range w.maps {
-				if m.pairs.Head != nil && !m.pairs.CheckPieces() {
-					return fmt.Errorf("map %s/%d/%s violates piece invariants", attr, w.id, tattr)
+				if err := checkLead(w, m); err != nil {
+					return fmt.Errorf("map %s/%d/%s %v", attr, w.id, tattr, err)
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// checkLead verifies what positions map m of area w: a led area's span, the
+// owner of a head group at m's cursor and length, or m's own head and
+// index, which must satisfy the piece invariants.
+func checkLead(w *area, m *Map) error {
+	switch g := m.g; {
+	case w.led():
+		if m.pairs.Head != nil || m.g != nil {
+			return errors.New("of a led area has a head or a group")
+		}
+		return nil
+	case g != nil:
+		owner := g.maps[0]
+		switch {
+		case len(g.maps) < 2 || !slices.Contains(g.maps, m) || w.span != nil || w.stopped:
+			return errors.New("is in a head group that should not exist")
+		case w.maps[owner.tailAttr] != owner || owner.pairs.Head == nil:
+			return errors.New("has a group owner that is gone or has no head")
+		case m != owner && (m.pairs.Head != nil || m.pairs.Idx != nil):
+			return errors.New("follows a group owner but keeps a head")
+		case m.cursor != owner.cursor || m.Len() != owner.Len():
+			return fmt.Errorf("at cursor %d with %d tuples, its group owner at %d with %d", m.cursor, m.Len(), owner.cursor, owner.Len())
+		}
+		if m != owner {
+			return nil
+		}
+	case m.pairs.Head == nil:
+		return errors.New("has no head and nothing leads it")
+	}
+	if !m.pairs.CheckPieces() {
+		return errors.New("violates piece invariants")
 	}
 	return nil
 }
