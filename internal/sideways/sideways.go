@@ -67,11 +67,11 @@
 // queries raise priorities atomically and cannot reorder anything. Dropping
 // the last chunk of an area un-fetches it: its tape's updates are pushed back
 // to the set's pending updates, so nothing is lost. A map has a head column
-// exactly when neither a span nor a group owner leads it: group owners and
-// full maps born alone or after their area's first update, chunks of an
-// area an update has stopped the span of from that update on, and never
-// the chunks of a led area or the tails of a head group. Evicting a group
-// owner hands its head and index to the next map of its group. Room is
+// exactly when neither a span nor a group owner leads it: every full map
+// but the tails of a head group, which get a copy of their owner's at their
+// area's first update, and the chunks of an area an update has stopped the
+// span of, from that update on; never the chunks of a led area. Evicting a
+// group owner hands its head and index to the next map of its group. Room is
 // made under the budget before an area's first update gives its tails
 // their heads, and before a replay's ripple inserts grow the maps. New
 // maps and heads get fresh columns; an evicted map's columns belong to the
