@@ -63,7 +63,12 @@
 // into a saving. Maps at one tape cursor have equal heads and boundaries,
 // so a crack can be decided once, on a leader's head, and applied to
 // followers: crack.Pairs.CrackRangeWith reads the leader's head alone and
-// applies every swap block and boundary to each follower. The precondition
+// applies every swap block and boundary to each follower. Ripple updates
+// take followers the same way: RippleInsertBatch and RippleDeleteBatch
+// decide where tuples land and leave from the leader's head values,
+// boundaries and the positions alone, and move every column of the leader
+// and of each follower by that one plan, an insert giving each follower
+// tail values of its own. The precondition
 // is that every follower has the leader's length, and its head values and
 // boundaries or no head and no index at all (a tail the leader positions,
 // which only its tail swaps); a length mismatch panics. In kernel Stats a
@@ -78,34 +83,32 @@
 // set divides its domain into areas, each with its own cracker tape, and a
 // map over one area is a chunk. Under partial maps a set keeps a chunk map
 // H_A whose spans are the areas, fetched as queries need them. A fetched
-// span leads its area: it cracks under an index of its own, started from
-// the H_A boundaries inside it, so it never moves a tuple across one and
-// H_A's index and estimates stay as they were, and it costs no storage,
-// being a slice of H_A. Its chunks keep no head (Section 4.1 shows the copy
-// is optional): each is a tail, gathered through the span's keys at the
-// span's cursor, and costs half a map. Every crack of the area is decided
-// once on the span's head and swaps the tail of every chunk of the area
-// with it, so the chunks never lag the span and a new one replays nothing.
-// The span cannot grow, so at its area's first insert or delete it stops:
-// just before the update merges, each chunk gets a copy of the span's head
-// and index, which replays nothing, and from then on the area's chunks
-// crack and align on their own, chunks created later copying the span's
-// head where it stopped. Under full maps a set has exactly one area,
-// spanning the whole domain: its source is the base prefix in key order,
-// so it needs no H_A, and a new map is cloned from that prefix at cursor 0
-// and replays the tape up to its siblings. The full maps one query creates
-// there before the area's first update form a head group: they sit at one
+// span leads its area for the area's whole life: it cracks under an index
+// of its own, started from the H_A boundaries inside it, so it never moves
+// a tuple across one and H_A's index and estimates stay as they were. Its
+// chunks keep no head (Section 4.1 shows the copy is optional): each is a
+// tail, gathered through the span's keys at the span's cursor, and costs
+// half a map. Every tape entry of the area, crack, insert or delete, is
+// decided once on the span's head and index and moves the tail of every
+// chunk of the area with it, so the chunks never lag the span and a new
+// one replays nothing. A span starts as a slice of H_A and costs no
+// storage; a slice cannot grow or shrink, so just before its area's first
+// insert or delete merges the span takes columns of its own, a clone of
+// its head and its keys, which cost one map of its length. Under full maps
+// a set has exactly one area, spanning the whole domain: its source is the
+// base prefix in key order, so it needs no H_A, and a new map is cloned
+// from that prefix at cursor 0 and replays the tape up to its siblings.
+// The full maps one query creates there form a head group: they sit at one
 // cursor and would hold equal heads, so the first owns the head and the
 // index, and the others are tails (plain copies of their base columns)
 // that follow it. A query that uses any map of a group replays the whole
-// group, the owner leading, so a joint crack swaps one head and every
-// tail. Groups split where spans stop: just before the area's first insert
-// or delete merges, each tail gets a copy of its owner's head and index.
-// Evicting an owner hands its head and index, uncopied, to the next map of
-// its group. So a map has a head exactly when neither a span nor a group
-// owner leads it. Every bounded predicate cuts the whole-domain area, so
-// it logs every crack and aligns to its tape end, and with one area the
-// eviction tie-break (set, area, tail) is (set, tail): the partial-map
+// group, the owner leading, so a joint crack or ripple update moves one
+// head and every tail. A group lasts until its maps are evicted: evicting
+// an owner hands its head and index, uncopied, to the next map of its
+// group. So a map has a head exactly when neither a span nor a group owner
+// leads it. Every bounded predicate cuts the whole-domain area, so it logs
+// every crack and aligns to its tape end, and with one area the eviction
+// tie-break (set, area, tail) is (set, tail): the partial-map
 // machinery reduces to full maps, layout included.
 //
 // Selection cracking is the third user of the store. Its cracker column
@@ -159,16 +162,17 @@
 // materialized by about a quarter. A query pins every existing map it reads
 // in the areas it resolved before it creates any, so making room never
 // evicts what the same query reads next. Evicting an area's last map
-// un-fetches the area, in both presets: its tape is forgotten and its
-// updates go back to pending. A tail without a head, a chunk of a led area
-// or a map that follows its group owner, costs half its tuples; every
-// other map costs its tuples, and the store's piece count counts each
+// un-fetches the area, in both presets: its tape is forgotten, its
+// updates go back to pending and its span's own columns are released. A
+// tail without a head, a chunk or a map that follows its group owner,
+// costs half its tuples; every other map costs its tuples, a span with
+// columns of its own its length, and the store's piece count counts each
 // index once, not once per map it positions. Room is made under the budget
-// before anything grows a map: a new map, the heads an area's first update
-// gives its tails, and a replay's ripple inserts. New maps and heads get
-// freshly allocated columns, an evicted group owner's head and index pass
-// to the next map of its group, and otherwise an evicted map's columns
-// belong to the garbage collector: nothing is recycled by hand. Kernel
+// before anything grows: a new map, the columns a span takes at its area's
+// first update, and a replay's ripple inserts. New maps and columns are
+// freshly allocated, an evicted group owner's head and index pass to the
+// next map of its group, and otherwise an evicted map's columns belong to
+// the garbage collector: nothing is recycled by hand. Kernel
 // counters of evicted structures are folded into a store-level total, so
 // crack_kernel_* never runs backwards.
 //

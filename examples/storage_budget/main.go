@@ -5,9 +5,10 @@
 // reads, evict cold chunks least-frequently-used first, and recreate them
 // on demand — always staying under the budget. Each chunk is a tail alone,
 // without a head column: its area's span of the chunk map holds the head
-// and decides every crack, so a chunk costs half its tuples. On a stream
-// with updates the chunks of an updated area get heads at its first
-// update, and room is made under the budget before they do.
+// and decides every crack and ripple update, so a chunk costs half its
+// tuples. On a stream with updates the span of an updated area takes
+// columns of its own at the area's first update, and room is made under the
+// budget before it does.
 package main
 
 import (

@@ -1,6 +1,7 @@
 package crack
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -297,22 +298,26 @@ func FuzzRippleUpdates(f *testing.F) {
 	})
 }
 
-// FuzzFollowersAgree pins CrackRangeWith against independent CrackRange
-// calls. A leader and 1-3 followers share a random head (each with its own
-// tail), and one more follower is a tail alone, without head or index; they
-// crack a fuzzer-chosen predicate sequence jointly with the block
-// partition, under every policy; solo copies, the tail alone's with the
-// leader's head, crack the same sequence alone with the two-pointer
-// reference kernel. The leader and every follower must end
-// with the solo copies' tails, and those with a head with their heads and
-// index boundaries too; the tail alone must still have neither. The
-// leader's stats must equal its solo copy's, and every follower must count
-// the leader's moves and nothing else.
+// FuzzFollowersAgree pins the follower kernels, CrackRangeWith,
+// RippleInsertBatch and RippleDeleteBatch, against independent solo runs. A
+// leader and 1-3 followers share a random head (each with its own tail),
+// and one more follower is a tail alone, without head or index. They run a
+// fuzzer-chosen op sequence jointly: cracks with the block partition under
+// every policy, and batches of ripple inserts (each follower with tail
+// values of its own) and ripple deletes. Solo copies, the tail alone's with
+// the leader's head, run the same ops alone: cracks with the two-pointer
+// reference kernel, updates tuple by tuple through RippleInsert and
+// RippleDelete. After every op the leader and every follower must hold the
+// solo copies' tails, and those with a head their heads and index
+// boundaries too; the tail alone must still have neither. The leader's
+// stats must equal its solo copy's, and every follower must count the
+// leader's moves and nothing else.
 func FuzzFollowersAgree(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(0), []byte{10, 40, 5, 60, 20, 20})
 	f.Add(int64(2), uint8(3), uint8(1), []byte{0, 127, 64, 65, 1, 126, 255, 3})
 	f.Add(int64(3), uint8(2), uint8(2), []byte{3, 90, 17, 250, 100, 101, 40, 41})
-	f.Fuzz(func(t *testing.T, seed int64, nf, policy uint8, preds []byte) {
+	f.Add(int64(4), uint8(2), uint8(1), []byte{10, 40, 6, 3, 20, 70, 7, 2, 14, 1, 1, 126, 15, 0})
+	f.Fuzz(func(t *testing.T, seed int64, nf, policy uint8, ops []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		lead := randPairs(rng, 1+rng.Intn(1200), 128)
 		lead.Policy = Policy{Kind: PolicyKind(policy % 3), Cap: 16 + int(policy)%48, Seed: uint64(seed)}
@@ -336,40 +341,85 @@ func FuzzFollowersAgree(f *testing.F) {
 			solo[i] = WrapPairs(append([]Value(nil), lead.Head...), append([]Value(nil), p.Tail...))
 			solo[i].Policy, solo[i].kernel = p.Policy, twoPointer
 		}
-		for i := 0; i+1 < len(preds) && i < 40; i += 2 {
-			lo, hi := int64(preds[i])%128, int64(preds[i+1])%128
-			if lo > hi {
-				lo, hi = hi, lo
+		for i := 0; i+1 < len(ops) && i < 40; i += 2 {
+			op := fmt.Sprintf("op %d", i/2)
+			switch n := 1 + int(ops[i+1])%4; ops[i] % 8 {
+			case 6: // a batch of n ripple inserts
+				vals := make([]Value, n)
+				tails := make([][]Value, len(joint))
+				for j := range vals {
+					vals[j] = rng.Int63n(128)
+				}
+				fs := make([]Follower, 0, len(joint)-1)
+				for k, p := range joint {
+					tails[k] = make([]Value, n)
+					for j := range tails[k] {
+						tails[k][j] = Value(rng.Int63())
+					}
+					if k > 0 {
+						fs = append(fs, Follower{p, tails[k]})
+					}
+				}
+				lead.RippleInsertBatch(vals, tails[0], fs...)
+				for k, p := range solo {
+					for j, v := range vals {
+						p.RippleInsert(v, tails[k][j])
+					}
+				}
+				op += fmt.Sprintf(": insert %v", vals)
+			case 7: // a batch of up to n ripple deletes
+				if lead.Len() == 0 {
+					continue
+				}
+				var dead []int
+				for j := 0; j < n; j++ {
+					if pos := rng.Intn(lead.Len()); !slices.Contains(dead, pos) {
+						dead = append(dead, pos)
+					}
+				}
+				sort.Ints(dead)
+				lead.RippleDeleteBatch(dead, joint[1:]...)
+				for _, p := range solo {
+					for j := len(dead) - 1; j >= 0; j-- {
+						p.RippleDelete(dead[j])
+					}
+				}
+				op += fmt.Sprintf(": delete %v", dead)
+			default:
+				lo, hi := int64(ops[i])%128, int64(ops[i+1])%128
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				pred := store.Pred{Lo: lo, Hi: hi, LoIncl: ops[i]%2 == 0, HiIncl: ops[i+1]%2 == 0}
+				if ops[i+1] >= 250 {
+					// An unbounded range: its upper bound has no cutoff to
+					// count against.
+					pred.Hi, pred.HiIncl = math.MaxInt64, true
+				}
+				alo, ahi := lead.CrackRangeWith(pred, joint[1:])
+				for _, p := range solo[1:] {
+					p.CrackRange(pred)
+				}
+				if slo, shi := solo[0].CrackRange(pred); alo != slo || ahi != shi {
+					t.Fatalf("%s: pred %v: joint area (%d,%d) vs solo (%d,%d)", op, pred, alo, ahi, slo, shi)
+				}
 			}
-			pred := store.Pred{Lo: lo, Hi: hi, LoIncl: preds[i]%2 == 0, HiIncl: preds[i+1]%2 == 0}
-			if preds[i+1] >= 250 {
-				// An unbounded range: its upper bound has no cutoff to
-				// count against.
-				pred.Hi, pred.HiIncl = math.MaxInt64, true
+			if bare.Head != nil || bare.Idx != nil {
+				t.Fatalf("%s: the tail alone gained a head or an index", op)
 			}
-			alo, ahi := lead.CrackRangeWith(pred, joint[1:])
-			for _, p := range solo[1:] {
-				p.CrackRange(pred)
-			}
-			if slo, shi := solo[0].CrackRange(pred); alo != slo || ahi != shi {
-				t.Fatalf("pred %v: joint area (%d,%d) vs solo (%d,%d)", pred, alo, ahi, slo, shi)
-			}
-		}
-		if bare.Head != nil || bare.Idx != nil {
-			t.Fatal("the tail alone gained a head or an index")
-		}
-		for i, p := range joint {
-			if !slices.Equal(p.Tail, solo[i].Tail) {
-				t.Fatalf("member %d: tail differs from its solo replay", i)
-			}
-			if p == bare {
-				continue
-			}
-			if !slices.Equal(p.Head, solo[i].Head) {
-				t.Fatalf("member %d: head differs from its solo replay", i)
-			}
-			if !sameBoundaries(p, solo[i]) {
-				t.Fatalf("member %d: boundaries differ from its solo replay", i)
+			for k, p := range joint {
+				if !slices.Equal(p.Tail, solo[k].Tail) {
+					t.Fatalf("%s: member %d: tail differs from its solo run", op, k)
+				}
+				if p == bare {
+					continue
+				}
+				if !slices.Equal(p.Head, solo[k].Head) {
+					t.Fatalf("%s: member %d: head differs from its solo run", op, k)
+				}
+				if !sameBoundaries(p, solo[k]) {
+					t.Fatalf("%s: member %d: boundaries differ from its solo run", op, k)
+				}
 			}
 		}
 		if lead.Stats != solo[0].Stats {
@@ -383,7 +433,8 @@ func FuzzFollowersAgree(f *testing.F) {
 	})
 }
 
-// A follower must be another pairs of its leader's length.
+// A follower must be another pairs of its leader's length, for a crack and
+// for either ripple kernel.
 func TestCrackRangeWithRejectsBadFollowers(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := randPairs(rng, 64, 32)
@@ -392,13 +443,19 @@ func TestCrackRangeWithRejectsBadFollowers(t *testing.T) {
 		"itself":            p,
 		"shorter tail only": {Tail: make([]Value, 63)},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s follower: no panic", name)
-				}
+		for kernel, run := range map[string]func(){
+			"crack":  func() { p.CrackRangeWith(store.Range(4, 9), []*Pairs{f}) },
+			"insert": func() { p.RippleInsertBatch([]Value{4}, []Value{1}, Follower{f, []Value{2}}) },
+			"delete": func() { p.RippleDeleteBatch([]int{3}, f) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %s follower: no panic", kernel, name)
+					}
+				}()
+				run()
 			}()
-			p.CrackRangeWith(store.Range(4, 9), []*Pairs{f})
-		}()
+		}
 	}
 }

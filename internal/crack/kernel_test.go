@@ -561,7 +561,7 @@ func TestRippleInsertBatchEmptyAndColdPaths(t *testing.T) {
 			t.Fatalf("cold batch: Head[%d] = %d, want %d", i, p.Head[i], v)
 		}
 	}
-	// Single-element batch delegates to RippleInsert.
+	// A single-element batch runs the batch kernel like any other.
 	p.CrackRange(store.Range(2, 4))
 	p.RippleInsertBatch([]Value{2}, []Value{12})
 	if p.Len() != 6 || !p.CheckPieces() {

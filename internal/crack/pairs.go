@@ -50,11 +50,19 @@
 // replayed operation sequence, so the choice is identical across aligned
 // maps and the alignment invariant is preserved.
 //
-// Updates use the Ripple algorithm. RippleInsert merges one pending tuple;
-// RippleInsertBatch merges many in a single pass (one index walk, one bulk
-// boundary shift) and is defined to produce exactly the layout that
-// arrival-order sequential RippleInsert calls would, so replay tapes can be
-// applied with either without breaking alignment.
+// Updates use the Ripple algorithm. RippleInsertBatch merges pending tuples
+// in a single pass (one index walk, one bulk boundary shift) and is defined
+// to produce exactly the layout that arrival-order sequential RippleInsert
+// calls would; RippleDeleteBatch removes positions and produces the layout
+// of per-tuple RippleDelete calls from the highest position down. The
+// per-tuple kernels are the references the batch kernels are tested
+// against. Where a ripple update puts and takes tuples depends only on the
+// leader's head values, its boundaries and the positions, so both batch
+// kernels take followers, as CrackRangeWith does: the moves are decided
+// once, on the leader, and applied to every column of the leader and of
+// each follower, a tail alone or a tail with a head. An insert follower
+// brings its own tail values for the new tuples (RippleInsertKeys reads
+// them from its base column or takes the keys).
 //
 // Pairs.Policy selects an adaptive pivot policy (see Policy): the
 // Stochastic and Capped policies pre-split pathologically large pieces at
@@ -462,9 +470,7 @@ func (p *Pairs) edgeAt(b crackindex.Bound) (pos int, ok bool) {
 // differs from p's, or if p follows itself.
 func (p *Pairs) CrackRangeWith(pred store.Pred, followers []*Pairs) (lo, hi int) {
 	for _, f := range followers {
-		if f == p || f.Head != nil && len(f.Head) != len(p.Head) || len(f.Tail) != len(p.Tail) {
-			panic("crack: a follower must be another pairs of its leader's length")
-		}
+		p.checkFollower(f)
 	}
 	p.followers = followers
 	defer func() { p.followers = nil }()
@@ -582,132 +588,176 @@ func (p *Pairs) RippleInsert(v, t Value) {
 	}
 }
 
+// Follower is a pairs that RippleInsertBatch moves with its leader, and the
+// tail values of the tuples it gains, parallel to the leader's.
+type Follower struct {
+	*Pairs
+	Tails []Value
+}
+
+// checkFollower panics unless f is another pairs of p's length, with a head
+// of that length or none.
+func (p *Pairs) checkFollower(f *Pairs) {
+	if f == p || f.Head != nil && len(f.Head) != len(p.Head) || len(f.Tail) != len(p.Tail) {
+		panic("crack: a follower must be another pairs of its leader's length")
+	}
+}
+
+// cuts returns p's index boundaries and their positions, in order.
+func (p *Pairs) cuts() (bounds []crackindex.Bound, pos []int) {
+	p.Idx.Walk(func(b crackindex.Bound, at int) {
+		bounds = append(bounds, b)
+		pos = append(pos, at)
+	})
+	return bounds, pos
+}
+
+// shiftIndex moves the k-th boundary of p's index, and of every follower's
+// that exists, from position pos to d(k, pos).
+func (p *Pairs) shiftIndex(followers []*Pairs, d func(k, pos int) int) {
+	shift := func(ix *crackindex.Index) {
+		k := -1
+		ix.Reposition(func(_ crackindex.Bound, pos int) int {
+			k++
+			return d(k, pos)
+		})
+	}
+	shift(p.Idx)
+	for _, f := range followers {
+		if f.Idx != nil {
+			shift(f.Idx)
+		}
+	}
+}
+
 // RippleInsertBatch inserts all tuples (vals[i], tails[i]) as if
 // RippleInsert were called for each in order, but in a single pass: one
 // index walk to collect boundaries, one target search per tuple, one
-// piece-wise reshuffle of the arrays, and one bulk boundary shift. The
+// piece-wise reshuffle of every column, and one bulk boundary shift. The
 // resulting layout is exactly the layout the equivalent sequence of
 // RippleInsert calls produces, so tape replays may use either form without
 // breaking alignment determinism.
-func (p *Pairs) RippleInsertBatch(vals, tails []Value) {
+//
+// Every follower gains the same tuples at the same positions, with its own
+// tail values: where each tuple lands is decided once, on p's head values
+// and boundaries, and every column of p and of the followers is reshuffled
+// by that one plan. Panics if a follower's length differs from p's, or if p
+// follows itself.
+func (p *Pairs) RippleInsertBatch(vals, tails []Value, followers ...Follower) {
+	fs := make([]*Pairs, len(followers))
+	for i, f := range followers {
+		p.checkFollower(f.Pairs)
+		if len(f.Tails) != len(vals) {
+			panic("crack: RippleInsertBatch follower tails length mismatch")
+		}
+		fs[i] = f.Pairs
+	}
 	if len(vals) != len(tails) {
 		panic("crack: RippleInsertBatch vals/tails length mismatch")
 	}
-	m := len(vals)
-	if m == 0 {
+	if len(vals) == 0 {
 		return
 	}
-	if m == 1 {
-		p.RippleInsert(vals[0], tails[0])
-		return
-	}
-	type bpos struct {
-		b   crackindex.Bound
-		pos int
-	}
-	var bps []bpos
-	p.Idx.Walk(func(b crackindex.Bound, pos int) { bps = append(bps, bpos{b, pos}) })
-	nb := len(bps)
-	if nb == 0 {
-		p.Head = append(p.Head, vals...)
-		p.Tail = append(p.Tail, tails...)
-		return
-	}
-	// target[i] is the first boundary whose left side vals[i] belongs to
+	bounds, cuts := p.cuts()
+	nb := len(cuts)
+	// targets[i] is the first boundary whose left side vals[i] belongs to
 	// (nb when it belongs after all boundaries): the tuple lands at the end
-	// of piece target[i] and exactly boundaries target[i].. shift right.
+	// of piece targets[i] and exactly boundaries targets[i].. shift right.
 	// onLeft(v, ·) is monotone along the boundary order, so binary search
 	// applies.
-	targets := make([]int, m)
-	shift := make([]int, nb+1) // after prefix-summing: #inserts with target <= k
+	pl := insertPlan{cuts: cuts, targets: make([]int, len(vals)), shift: make([]int, nb+1)}
 	for i, v := range vals {
-		t := sort.Search(nb, func(k int) bool { return onLeft(v, bps[k].b) })
-		targets[i] = t
-		shift[t]++
+		t := sort.Search(nb, func(k int) bool { return onLeft(v, bounds[k]) })
+		pl.targets[i] = t
+		pl.shift[t]++ // after prefix-summing: #inserts with target <= k
 	}
 	for k := 1; k <= nb; k++ {
-		shift[k] += shift[k-1]
+		pl.shift[k] += pl.shift[k-1]
 	}
-	n := len(p.Head)
-	p.Head = append(p.Head, make([]Value, m)...)
-	p.Tail = append(p.Tail, make([]Value, m)...)
-
-	// Rebuild affected pieces from the top down. Sequential ripple inserts
-	// act on piece k (positions [bps[k-1].pos, bps[k].pos)) as a queue: an
-	// insert targeting k appends its tuple; an insert targeting a lower
-	// piece rotates the piece's current first tuple to its end (one tuple
-	// per shifted boundary). Replaying those events in arrival order per
-	// piece reproduces the sequential layout exactly.
-	appH := make([]Value, 0, m)
-	appT := make([]Value, 0, m)
-	for k := nb; k >= 0; k-- {
-		if shift[k] == 0 {
-			break // no inserts land at or below piece k: untouched
+	p.Head, p.Tail = pl.apply(p.Head, vals), pl.apply(p.Tail, tails)
+	for _, f := range followers {
+		if f.Head != nil {
+			f.Head = pl.apply(f.Head, vals)
 		}
-		start, end := 0, n
-		if k > 0 {
-			start = bps[k-1].pos
-		}
-		if k < nb {
-			end = bps[k].pos
-		}
-		sBefore := 0
-		if k > 0 {
-			sBefore = shift[k-1]
-		}
-		appH, appT = appH[:0], appT[:0]
-		front := start // old-array index of the piece's current first tuple
-		pop := 0       // consumed prefix of the appended queue
-		for i := 0; i < m; i++ {
-			switch {
-			case targets[i] == k:
-				appH = append(appH, vals[i])
-				appT = append(appT, tails[i])
-			case targets[i] < k:
-				if front < end {
-					appH = append(appH, p.Head[front])
-					appT = append(appT, p.Tail[front])
-					front++
-				} else if pop < len(appH) {
-					appH = append(appH, appH[pop])
-					appT = append(appT, appT[pop])
-					pop++
-				}
-				// else: the piece is empty; nothing rotates.
-			}
-		}
-		// Surviving originals keep their order, then the appended queue.
-		newStart := start + sBefore
-		origLen := end - front
-		copy(p.Head[newStart:newStart+origLen], p.Head[front:end])
-		copy(p.Tail[newStart:newStart+origLen], p.Tail[front:end])
-		copy(p.Head[newStart+origLen:end+shift[k]], appH[pop:])
-		copy(p.Tail[newStart+origLen:end+shift[k]], appT[pop:])
+		f.Tail = pl.apply(f.Tail, f.Tails)
 	}
-	k := 0
-	p.Idx.Reposition(func(b crackindex.Bound, pos int) int {
-		d := shift[k]
-		k++
-		return pos + d
-	})
+	p.shiftIndex(fs, func(k, pos int) int { return pos + pl.shift[k] })
 }
 
-// RippleInsertKeys batch-merges the tuples with the given base keys: head
-// values come from headCol, tails from tailCol, or the keys themselves when
-// tailCol is nil (key maps). Shared by the sideways and partial replay
-// tapes so their insert entries stay byte-identical.
-func (p *Pairs) RippleInsertKeys(keys []int, headCol, tailCol *store.Column) {
-	vals := make([]Value, len(keys))
-	tails := make([]Value, len(keys))
-	for i, k := range keys {
-		vals[i] = headCol.Vals[k]
-		if tailCol != nil {
-			tails[i] = tailCol.Vals[k]
-		} else {
-			tails[i] = Value(k)
+// insertPlan is where a ripple insert batch puts its tuples, decided on the
+// leader's head values and boundaries: the boundary positions, each tuple's
+// target piece, and the prefix-summed count of tuples at or below each
+// piece.
+type insertPlan struct {
+	cuts, targets, shift []int
+}
+
+// apply returns column c with the inserted values ins (parallel to the
+// plan's targets) merged in by the plan. Affected pieces are rebuilt from
+// the top down. Sequential ripple inserts act on piece k (positions
+// [cuts[k-1], cuts[k])) as a queue: an insert targeting k appends its
+// tuple; an insert targeting a lower piece rotates the piece's current
+// first tuple to its end (one tuple per shifted boundary). Replaying those
+// events in arrival order per piece reproduces the sequential layout
+// exactly.
+func (pl insertPlan) apply(c, ins []Value) []Value {
+	n, m, nb := len(c), len(ins), len(pl.cuts)
+	c = append(c, make([]Value, m)...)
+	app := make([]Value, 0, m)
+	for k := nb; k >= 0 && pl.shift[k] > 0; k-- { // no inserts at or below piece k: untouched
+		start, end, sBefore := 0, n, 0
+		if k > 0 {
+			start, sBefore = pl.cuts[k-1], pl.shift[k-1]
 		}
+		if k < nb {
+			end = pl.cuts[k]
+		}
+		app = app[:0]
+		front := start // old-array index of the piece's current first tuple
+		pop := 0       // consumed prefix of the appended queue
+		for i, t := range pl.targets {
+			switch {
+			case t == k:
+				app = append(app, ins[i])
+			case t < k && front < end:
+				app = append(app, c[front])
+				front++
+			case t < k && pop < len(app):
+				app = append(app, app[pop])
+				pop++
+			}
+			// else: the piece is empty; nothing rotates.
+		}
+		// Surviving originals keep their order, then the appended queue.
+		at := start + sBefore
+		at += copy(c[at:], c[front:end])
+		copy(c[at:end+pl.shift[k]], app[pop:])
 	}
-	p.RippleInsertBatch(vals, tails)
+	return c
+}
+
+// RippleInsertKeys batch-merges the tuples with the given base keys into p
+// and its followers (RippleInsertBatch): head values come from headCol, and
+// each pairs' tail values from its column in cols, cols[0] p's and cols[i]
+// followers[i-1]'s, or are the keys themselves where that column is nil
+// (key maps).
+func (p *Pairs) RippleInsertKeys(keys []int, headCol *store.Column, cols []*store.Column, followers ...*Pairs) {
+	valsOf := func(col *store.Column) []Value {
+		out := make([]Value, len(keys))
+		for i, k := range keys {
+			if col != nil {
+				out[i] = col.Vals[k]
+			} else {
+				out[i] = Value(k)
+			}
+		}
+		return out
+	}
+	fs := make([]Follower, len(followers))
+	for i, f := range followers {
+		fs[i] = Follower{f, valsOf(cols[i+1])}
+	}
+	p.RippleInsertBatch(valsOf(headCol), valsOf(cols[0]), fs...)
 }
 
 // RippleDelete removes the tuple at position pos by rippling the hole to
@@ -747,85 +797,75 @@ func (p *Pairs) RippleDelete(pos int) {
 }
 
 // RippleDeleteBatch removes the tuples at the given positions (ascending,
-// duplicate-free, valid against the current layout) in a single pass: one
-// index walk, one fill-from-the-end sweep per affected piece, and one bulk
-// boundary shift. It produces exactly the layout that per-tuple
-// RippleDelete calls produce when applied from the highest position down
-// (the order in which every position stays valid), so replay tapes can use
-// either form without breaking alignment determinism. It is the delete-side
-// counterpart of RippleInsertBatch.
-func (p *Pairs) RippleDeleteBatch(positions []int) {
-	m := len(positions)
-	if m == 0 {
+// duplicate-free, valid against the current layout) from p and from every
+// follower in a single pass: one index walk, one fill-from-the-end sweep per
+// affected piece of each column, and one bulk boundary shift. It produces
+// exactly the layout that per-tuple RippleDelete calls produce when applied
+// from the highest position down (the order in which every position stays
+// valid), so replay tapes can use either form without breaking alignment
+// determinism. It is the delete-side counterpart of RippleInsertBatch: a
+// follower is a tail alone or a tail whose head values and boundaries equal
+// p's, and every column moves by p's boundaries. Panics if a follower's
+// length differs from p's, or if p follows itself.
+func (p *Pairs) RippleDeleteBatch(positions []int, followers ...*Pairs) {
+	for _, f := range followers {
+		p.checkFollower(f)
+	}
+	if len(positions) == 0 {
 		return
 	}
-	if m == 1 {
-		p.RippleDelete(positions[0])
-		return
+	_, cuts := p.cuts()
+	p.Head, p.Tail = rippleDelete(p.Head, cuts, positions), rippleDelete(p.Tail, cuts, positions)
+	for _, f := range followers {
+		if f.Head != nil {
+			f.Head = rippleDelete(f.Head, cuts, positions)
+		}
+		f.Tail = rippleDelete(f.Tail, cuts, positions)
 	}
-	n := len(p.Head)
-	type bpos struct {
-		b crackindex.Bound
-		p int
-	}
-	var bps []bpos
-	p.Idx.Walk(func(b crackindex.Bound, bp int) { bps = append(bps, bpos{b, bp}) })
-	nb := len(bps)
-	h, t := p.Head, p.Tail
-	// Sequential highest-first semantics decompose per piece: a piece first
-	// absorbs its own deletions (each hole filled by the piece's current
-	// last tuple), then rotates right once per deletion in an earlier piece
-	// (it donates its last tuple to the piece below and inherits a slot).
-	// "before" counts deletions in earlier pieces; di scans positions.
+	p.shiftIndex(followers, func(_, pos int) int { return pos - sort.SearchInts(positions, pos) })
+}
+
+// rippleDelete removes positions from column c, whose pieces end at cuts.
+// Sequential highest-first semantics decompose per piece: a piece first
+// absorbs its own deletions (each hole filled by the piece's current last
+// tuple), then rotates right once per deletion in an earlier piece (it
+// donates its last tuple to the piece below and inherits a slot). "before"
+// counts deletions in earlier pieces; di scans positions.
+func rippleDelete(c []Value, cuts, positions []int) []Value {
+	n, m := len(c), len(positions)
 	di, before := 0, 0
-	for k := 0; k <= nb; k++ {
+	for k := 0; k <= len(cuts); k++ {
 		s, e := 0, n
 		if k > 0 {
-			s = bps[k-1].p
+			s = cuts[k-1]
 		}
-		if k < nb {
-			e = bps[k].p
+		if k < len(cuts) {
+			e = cuts[k]
 		}
 		ownStart := di
 		for di < m && positions[di] < e {
 			di++
 		}
 		own := positions[ownStart:di]
-		if before == 0 && len(own) == 0 {
-			continue
-		}
 		end := e
 		for i := len(own) - 1; i >= 0; i-- {
 			end--
-			if d := own[i]; d != end {
-				h[d], t[d] = h[end], t[end]
-			}
+			c[own[i]] = c[end]
 		}
-		if before > 0 {
-			sz := end - s
-			ns := s - before
-			if sz > 0 {
-				r := before % sz
-				copy(h[ns:ns+r], h[end-r:end])
-				copy(t[ns:ns+r], t[end-r:end])
-				if before >= sz {
-					// Every survivor moves: the rotated tail block lands
-					// first, then the untouched prefix follows it.
-					copy(h[ns+r:ns+sz], h[s:end-r])
-					copy(t[ns+r:ns+sz], t[s:end-r])
-				}
-				// before < sz: only the tail block moved into the front
-				// gap; the middle [s, end-r) already sits at its final
-				// positions.
+		if sz := end - s; before > 0 && sz > 0 {
+			ns, r := s-before, before%sz
+			copy(c[ns:ns+r], c[end-r:end])
+			if before >= sz {
+				// Every survivor moves: the rotated tail block lands
+				// first, then the untouched prefix follows it.
+				copy(c[ns+r:ns+sz], c[s:end-r])
 			}
+			// before < sz: only the tail block moved into the front gap;
+			// the middle [s, end-r) already sits at its final positions.
 		}
 		before += len(own)
 	}
-	p.Head = h[:n-m]
-	p.Tail = t[:n-m]
-	p.Idx.Reposition(func(b crackindex.Bound, pos int) int {
-		return pos - sort.SearchInts(positions, pos)
-	})
+	return c[:n-m]
 }
 
 // CheckPieces verifies that every index boundary holds physically: values

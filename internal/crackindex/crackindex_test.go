@@ -258,8 +258,7 @@ func BenchmarkPieceFor(b *testing.B) {
 	}
 }
 
-// BenchmarkClone copies an index of n, as a led chunk copies its span's
-// index at its area's first update.
+// BenchmarkClone copies an index of n.
 func BenchmarkClone(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

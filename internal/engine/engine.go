@@ -166,10 +166,12 @@ type Options struct {
 	// dropped least-frequently-used first, with aging (Section 4.2), never
 	// one the query being answered reads. A set whose last map goes forgets
 	// its tape, and its merged updates become pending again. 0 means
-	// unlimited. A full map of n tuples costs n. A chunk of n tuples costs
-	// ⌈n/2⌉ while its area has had no insert or delete merged, since it is
-	// a tail whose head the area's span of the chunk map holds (Section
-	// 4.1, "Dropping the Head Column"); after that it costs n.
+	// unlimited. A full map of n tuples costs n, or ⌈n/2⌉ when it is a tail
+	// that follows the head of a map the same query created. A chunk of n
+	// tuples costs ⌈n/2⌉: it is a tail whose head the area's span of the
+	// chunk map holds (Section 4.1, "Dropping the Head Column"). A span
+	// costs nothing until its area's first insert or delete merges; from
+	// then on it has columns of its own and costs its length.
 	Budget int
 }
 

@@ -203,9 +203,13 @@ func TestDisjunctionReadsOnlyItsTails(t *testing.T) {
 		got, _ := e.Query(disj)
 		checkResult(t, fmt.Sprint(kind), got, disj.Projs, canonRows(want, disj.Projs))
 		// The least selective predicate's set S_B answers; its plan reads
-		// A and C, whole.
-		if n := e.Storage(); n != 2*rows {
-			t.Errorf("%v: a disjunction over S_B reading A and C left %d map tuples, want %d", kind, n, 2*rows)
+		// A and C, whole: two full maps, each a head group of its own; or
+		// in each area, both of which an update reached, the span's own
+		// columns and two tails, which round up on the two areas of odd
+		// length (1,505 and 495 tuples).
+		tuples := map[Kind]int{Sideways: 2 * rows, PartialSideways: 2*rows + 2}[kind]
+		if n := e.Storage(); n != tuples {
+			t.Errorf("%v: a disjunction over S_B reading A and C left %d map tuples, want %d", kind, n, tuples)
 		}
 	}
 }

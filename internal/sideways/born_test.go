@@ -11,23 +11,21 @@ import (
 	"crackstore/internal/store"
 )
 
-// Under partial maps an area's span of H_A leads the area until its first
-// update: every chunk is a tail, gathered through the span's keys at the
-// span's cursor and swapped along with every crack the span replays. At the
-// first update each chunk gets a copy of the span's head and index, and
-// from then on aligns on its own. FuzzBornAligned pins both halves: after
-// every op, each tail-only chunk equals its base column gathered through the
-// span's keys, position by position, at the span's cursor; and each chunk
-// given a head at the first update, or created after it, starts with the
-// span's head and boundaries at the point where the span stopped.
+// Under partial maps an area's span of H_A leads the area for its whole
+// life: every chunk is a tail, gathered through the span's keys at the
+// span's cursor, and every tape entry, crack, insert or delete, is decided
+// on the span and moves every chunk's tail with it. Just before the area's
+// first update merges, the span takes columns of its own. FuzzBornAligned
+// pins it: after every op, and at every chunk's birth, each chunk equals its
+// base column gathered through the span's keys, position by position, at
+// the span's cursor.
 //
-// Under full maps the maps one query creates before the area's first update
-// form a head group: the first owns the head and index, the others are
-// tails that follow it, until the first update gives each a copy or the
-// owner's eviction hands its head to the next. After every op each full
-// map, its leader's head paired with its own tail, must equal a solo pairs
-// built from the base columns that replays the area's tape to the map's
-// cursor, boundaries included.
+// Under full maps the maps one query creates form a head group: the first
+// owns the head and index, the others are tails that follow it through
+// every tape entry, until the owner's eviction hands its head to the next.
+// After every op each full map, its leader's head paired with its own tail,
+// must equal a solo pairs built from the base columns that replays the
+// area's tape to the map's cursor, boundaries included.
 
 const (
 	bornRows   = 160
@@ -36,22 +34,19 @@ const (
 
 // bornCounts is what one stream exercised.
 type bornCounts struct {
-	born, unled int
-	// bornStopped counts chunks created in an area whose span an update
-	// had stopped, which then replay the tape's updates themselves.
-	bornStopped int
-	// Under full maps: tails born into a head group, tails given a copy
-	// of their owner's head when the area's first update split the group,
+	// Tails that replayed an insert or delete entry: in a head group, and
+	// in an area of H_A.
+	groupUpdate, ledUpdate int
+	// Spans that took columns of their own, tails born into a head group,
 	// and heads handed on by an evicted owner.
-	follower, split, handed int
+	owned, follower, handed int
 }
 
 func (c *bornCounts) add(o bornCounts) {
-	c.born += o.born
-	c.unled += o.unled
-	c.bornStopped += o.bornStopped
+	c.groupUpdate += o.groupUpdate
+	c.ledUpdate += o.ledUpdate
+	c.owned += o.owned
 	c.follower += o.follower
-	c.split += o.split
 	c.handed += o.handed
 }
 
@@ -61,20 +56,21 @@ func boundaries(ix *crackindex.Index) (out []string) {
 	return out
 }
 
-// checkLedChunk reports how tail-only chunk m of led area w differs from
-// its base column gathered through the span's keys at the span's cursor,
-// or "" when it does not.
+// checkLedChunk reports how tail-only chunk m of area w differs from its
+// base column gathered through the span's keys at the span's cursor, or ""
+// when it does not.
 func checkLedChunk(s *Store, w *area, m *Map) string {
+	sp := w.span.pairs
 	if m.pairs.Head != nil || m.pairs.Idx != nil {
 		return "keeps a head or an index"
 	}
-	if m.cursor != w.spanCursor {
-		return fmt.Sprintf("at cursor %d, its span at %d", m.cursor, w.spanCursor)
+	if m.cursor != w.span.cursor {
+		return fmt.Sprintf("at cursor %d, its span at %d", m.cursor, w.span.cursor)
 	}
-	if len(m.pairs.Tail) != len(w.span.Tail) {
-		return fmt.Sprintf("%d tuples, its span %d", len(m.pairs.Tail), len(w.span.Tail))
+	if len(m.pairs.Tail) != len(sp.Tail) {
+		return fmt.Sprintf("%d tuples, its span %d", len(m.pairs.Tail), len(sp.Tail))
 	}
-	for i, k := range w.span.Tail {
+	for i, k := range sp.Tail {
 		want := k
 		if m.tailAttr != "" {
 			want = s.rel.MustColumn(m.tailAttr).Vals[k]
@@ -86,21 +82,9 @@ func checkLedChunk(s *Store, w *area, m *Map) string {
 	return ""
 }
 
-// checkStoppedChunk reports how chunk m, just given its head at its area's
-// first update or just created after it, differs from the span where it
-// stopped, or "" when it does not.
-func checkStoppedChunk(w *area, m *Map) string {
-	switch {
-	case m.pairs.Head == nil:
-		return "has no head"
-	case m.cursor != w.spanCursor:
-		return fmt.Sprintf("at cursor %d, the span stopped at %d", m.cursor, w.spanCursor)
-	case !slices.Equal(m.pairs.Head, w.span.Head):
-		return "head differs from the span's"
-	case !slices.Equal(boundaries(m.pairs.Idx), boundaries(w.span.Idx)):
-		return fmt.Sprintf("boundaries %v, the span has %v", boundaries(m.pairs.Idx), boundaries(w.span.Idx))
-	}
-	return ""
+// updates reports whether tape entries [from, to) hold an insert or delete.
+func updates(t Tape, from, to int) bool {
+	return slices.ContainsFunc(t[from:max(from, to)], func(e entry) bool { return e.kind != entryCrack })
 }
 
 // checkSoloReplay reports how full map m of whole-domain area w differs
@@ -167,28 +151,20 @@ func checkBornAligned(t *testing.T, data []byte) (got bornCounts) {
 	}
 
 	var failure string
+	from := map[*Map]int{} // each map's cursor when the op began, or at its birth
 	s.observe = func(ev event, w *area, m *Map) {
 		var msg string
 		switch {
 		case ev == evHanded:
 			got.handed++
-		case w != nil && w.span == nil:
-			// A full map: every op ends with checkSoloReplay.
-			if ev == evUnled {
-				got.split++
-			} else if ev == evBorn && m.pairs.Head == nil {
-				got.follower++
-			}
-		case ev == evUnled:
-			got.unled++
-			msg = checkStoppedChunk(w, m)
+		case ev == evOwned:
+			got.owned++
 		case ev == evBorn:
-			if w.led() {
-				got.born++
+			from[m] = m.cursor
+			if w.span != nil {
 				msg = checkLedChunk(s, w, m)
-			} else {
-				got.bornStopped++
-				msg = checkStoppedChunk(w, m)
+			} else if m.pairs.Head == nil {
+				got.follower++ // a full map: every op ends with checkSoloReplay
 			}
 		}
 		if msg != "" && failure == "" {
@@ -199,6 +175,14 @@ func checkBornAligned(t *testing.T, data []byte) (got bornCounts) {
 	for i := 0; i+2 < len(ops); i += 3 {
 		kind, a, b := ops[i]%20, Value(ops[i+1])%(bornDomain+2)-1, Value(ops[i+2])%(bornDomain/2)
 		ctx := fmt.Sprintf("op %d (kind %d)", i/3, kind)
+		clear(from)
+		for _, set := range s.sets {
+			for _, w := range set.areas {
+				for _, m := range w.maps {
+					from[m] = m.cursor
+				}
+			}
+		}
 		switch kind {
 		case 16, 17:
 			vals := []Value{a, Value(rng.Int63n(bornDomain)), Value(rng.Int63n(bornDomain)), Value(rng.Int63n(bornDomain))}
@@ -230,25 +214,24 @@ func checkBornAligned(t *testing.T, data []byte) (got bornCounts) {
 		}
 		for attr, set := range s.sets {
 			for _, w := range set.areas {
-				if w.span == nil {
-					for tail, m := range w.maps {
-						if msg := checkSoloReplay(s, set, w, m); msg != "" {
-							t.Fatalf("%s: full map %s of set %s at cursor %d: %s", ctx, tail, attr, m.cursor, msg)
-						}
-					}
-					continue
-				}
-				if !w.span.CheckPieces() {
-					t.Fatalf("%s: the span of area %s/%d violates piece invariants", ctx, attr, w.id)
-				}
 				for tail, m := range w.maps {
-					if w.led() {
-						if msg := checkLedChunk(s, w, m); msg != "" {
-							t.Fatalf("%s: map %s of led area %s/%d: %s", ctx, tail, attr, w.id, msg)
+					if c, ok := from[m]; ok && m.pairs.Head == nil && updates(w.tape, c, m.cursor) {
+						if w.span != nil {
+							got.ledUpdate++
+						} else {
+							got.groupUpdate++
 						}
-					} else if m.cursor < w.spanCursor {
-						t.Fatalf("%s: map %s of area %s/%d at cursor %d, behind where its span stopped, %d", ctx, tail, attr, w.id, m.cursor, w.spanCursor)
 					}
+					if w.span != nil {
+						if msg := checkLedChunk(s, w, m); msg != "" {
+							t.Fatalf("%s: map %s of area %s/%d: %s", ctx, tail, attr, w.id, msg)
+						}
+					} else if msg := checkSoloReplay(s, set, w, m); msg != "" {
+						t.Fatalf("%s: full map %s of set %s at cursor %d: %s", ctx, tail, attr, m.cursor, msg)
+					}
+				}
+				if w.span != nil && !w.span.pairs.CheckPieces() {
+					t.Fatalf("%s: the span of area %s/%d violates piece invariants", ctx, attr, w.id)
 				}
 			}
 		}
@@ -257,12 +240,17 @@ func checkBornAligned(t *testing.T, data []byte) (got bornCounts) {
 }
 
 // bornSeeds are the committed inputs: random streams under every store
-// set-up, partial and full, and two that stop a span under a budget. In
-// both, A∈[10,30] is fetched with B, C and D, whose tails fit the budget of
-// three quarters of the rows, and cracked with B and C; then a tuple is
-// inserted into the area. In the first a query of B alone merges it: making room for B's
-// head evicts D, and for C's head C itself. In the second a disjunction
-// merges it, and a crack of B and C creates a chunk in the stopped area.
+// set-up, partial and full, and two hand-written ones under partial maps
+// with a budget of three quarters of the rows. In both, A∈[10,30] is
+// fetched with B, C and D, whose tails fit the budget, and cracked with B
+// and C; then a tuple is inserted into the area. In the first a query of B
+// alone merges it: making room for the span's own columns evicts C and D,
+// and B follows the span through the insert. In the second a disjunction
+// merges it, fetching the areas on either side with a B chunk each; B
+// follows the span through the insert, and the pinned chunks and the span
+// then exceed the budget. A crack of B and C creates a C chunk in the
+// updated area, gathered through the span's own keys at its cursor, and
+// making room for it un-fetches both side areas.
 func bornSeeds() [][]byte {
 	seeds := [][]byte{
 		{12, 5, 11, 20, 3, 13, 16, 16, 20, 0, 0, 11, 20},
@@ -287,19 +275,18 @@ func FuzzBornAligned(f *testing.F) {
 }
 
 // TestBornAlignedSeedsCoverEveryBranch: the committed inputs of
-// FuzzBornAligned reach every way a chunk or a full map gets its layout: a
-// tail created in a led area, a head given at the area's first update, and
-// a chunk created after it; a tail born into a head group, a head copied
-// when the area's first update splits the group, and a head handed on by
-// an evicted owner.
+// FuzzBornAligned reach every way a tail gets its layout: an update
+// replayed on a tail that follows a group owner, and on a chunk that
+// follows its span; a span that takes columns of its own; a tail born into
+// a head group; and a head handed on by an evicted owner.
 func TestBornAlignedSeedsCoverEveryBranch(t *testing.T) {
 	var total bornCounts
 	for _, seed := range bornSeeds() {
 		total.add(checkBornAligned(t, seed))
 	}
 	t.Logf("%+v", total)
-	if total.born == 0 || total.unled == 0 || total.bornStopped == 0 ||
-		total.follower == 0 || total.split == 0 || total.handed == 0 {
+	if total.groupUpdate == 0 || total.ledUpdate == 0 || total.owned == 0 ||
+		total.follower == 0 || total.handed == 0 {
 		t.Fatalf("the seeds miss a branch: %+v", total)
 	}
 }

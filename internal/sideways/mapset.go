@@ -288,15 +288,6 @@ type Tape []entry
 // LogCrack appends a crack of pred.
 func (t *Tape) LogCrack(pred store.Pred) { *t = append(*t, entry{kind: entryCrack, pred: pred}) }
 
-// LogInsert appends the ripple-insertion of the tuples with the given keys.
-func (t *Tape) LogInsert(keys []int) { *t = append(*t, entry{kind: entryInsert, keys: keys}) }
-
-// LogDelete appends the removal of the given physical positions; keys are
-// the tuples they hold.
-func (t *Tape) LogDelete(keys, positions []int) {
-	*t = append(*t, entry{kind: entryDelete, keys: keys, positions: positions})
-}
-
 // inserted returns the number of tuples the insert entries [from, to) add.
 func (t Tape) inserted(from, to int) (n int) {
 	for _, e := range t[from:max(from, to)] {
@@ -319,32 +310,31 @@ type Member struct {
 // ReplayJoint aligns the members ms to tape position to, replaying each
 // entry once for every member that has reached it (staggered alignment).
 // The member furthest behind replays alone until it reaches the next
-// member's cursor; that member then joins it, and so on. A crack entry is
-// decided on the first member of the group and applied to the rest as
-// followers (crack.Pairs.CrackRangeWith). That is layout-identical to
+// member's cursor; that member then joins it, and so on. Every entry, crack,
+// insert or delete, is decided once per group, on its first member, and
+// applied to the rest as followers (crack.Pairs.CrackRangeWith,
+// RippleInsertKeys, RippleDeleteBatch). That is layout-identical to
 // replaying each member alone, because members at one cursor hold equal
 // heads and equal boundaries: the alignment invariant. A member may be a
 // tail alone (no head, no index) when its leader, listed before it at its
 // cursor, replays with it: the first member at the lowest cursor has a
-// head. Insert and delete entries are rare and go member by member, each
-// with its own head and tail column; a tail alone never meets one.
-// Members at or past to are left alone; the others end with cursor to.
-// headCol is the base column of the set's head attribute. ms is reordered.
+// head. Members at or past to are left alone; the others end with cursor
+// to. headCol is the base column of the set's head attribute. ms is
+// reordered.
 func (t Tape) ReplayJoint(ms []Member, to int, headCol *store.Column) {
 	slices.SortStableFunc(ms, func(a, b Member) int { return cmp.Compare(*a.Cursor, *b.Cursor) })
 	if len(ms) == 0 || *ms[0].Cursor >= to {
 		return
 	}
-	var group []Member
-	var ps []*crack.Pairs // group's pairs: ps[0] leads, ps[1:] follow
-	next := 0             // first member of ms that has not joined
+	var ps []*crack.Pairs    // the group's pairs: ps[0] leads, ps[1:] follow
+	var cols []*store.Column // the base column of each one's tail
+	next := 0                // first member of ms that has not joined
 	for at := *ms[0].Cursor; at < to; {
 		for next < len(ms) && *ms[next].Cursor == at {
 			// A member listed twice must not follow itself: its swaps
 			// would cancel.
-			if !slices.Contains(ps, ms[next].Pairs) {
-				group = append(group, ms[next])
-				ps = append(ps, ms[next].Pairs)
+			if m := ms[next]; !slices.Contains(ps, m.Pairs) {
+				ps, cols = append(ps, m.Pairs), append(cols, m.Tail)
 			}
 			next++
 		}
@@ -357,18 +347,14 @@ func (t Tape) ReplayJoint(ms []Member, to int, headCol *store.Column) {
 			case entryCrack:
 				ps[0].CrackRangeWith(e.pred, ps[1:])
 			case entryInsert:
-				for _, m := range group {
-					m.Pairs.RippleInsertKeys(e.keys, headCol, m.Tail)
-				}
+				ps[0].RippleInsertKeys(e.keys, headCol, cols, ps[1:]...)
 			case entryDelete:
-				for _, m := range group {
-					m.Pairs.RippleDeleteBatch(e.positions)
-				}
+				ps[0].RippleDeleteBatch(e.positions, ps[1:]...)
 			}
 		}
 		at = stop
 	}
-	for _, m := range group {
+	for _, m := range ms[:next] {
 		*m.Cursor = to
 	}
 }

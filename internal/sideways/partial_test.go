@@ -3,7 +3,6 @@ package sideways
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -77,10 +76,9 @@ func TestChunksCreatedOnDemandOnly(t *testing.T) {
 }
 
 // TestPartialAlignmentSkipsCoveredChunks: a new chunk of a covered area
-// is born at its span's cursor and replays no tape entry at all. Once an
-// insert has stopped the span, a query aligns the chunks of an area it
-// covers only as far as the most aligned of them (and the last update), so
-// it never advances a lagging one for nothing.
+// is born at its span's cursor and replays no tape entry at all, before an
+// update and after one. A query that only covers the area aligns it no
+// further than its chunks and its last update.
 func TestPartialAlignmentSkipsCoveredChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rel := buildRel(rng, 2000, []string{"A", "B", "C"}, 1000)
@@ -109,18 +107,26 @@ func TestPartialAlignmentSkipsCoveredChunks(t *testing.T) {
 		t.Fatalf("the new C chunk did kernel work %+v", cc.pairs.Stats)
 	}
 	born := cc.cursor
-	if born == 0 || born != w.spanCursor || born != cb.cursor {
-		t.Fatalf("C chunk born at cursor %d, span at %d, B at %d", born, w.spanCursor, cb.cursor)
+	if born == 0 || born != w.span.cursor || born != cb.cursor {
+		t.Fatalf("C chunk born at cursor %d, span at %d, B at %d", born, w.span.cursor, cb.cursor)
 	}
-	// Insert into the area and crack the middle with B: both chunks get
-	// their heads, and B replays the insert and the crack. Then cover the
-	// area with C alone: the C chunk replays the insert, lags the crack and
-	// stays there.
+	// Insert into the area and crack the middle with B: the span replays
+	// the insert and the crack, and moves both chunks with it. Then cover
+	// the area with C alone: the C chunk sits at the span's cursor, the
+	// tape end, and visits nothing. A key chunk born now is gathered at the
+	// span's cursor too and replays nothing.
 	s.Insert(500, 1, 2)
 	query(store.Range(300, 700), "B")
 	query(store.Range(0, 1000), "C")
-	if cc.cursor != w.lastUpdate || cc.pairs.Stats.Visited != 0 || cc.cursor >= cb.cursor {
-		t.Fatalf("covered C chunk moved from cursor %d to %d (B at %d, last update %d), visiting %d", born, cc.cursor, cb.cursor, w.lastUpdate, cc.pairs.Stats.Visited)
+	if n := len(w.tape); cc.cursor != n || cb.cursor != n || w.span.cursor != n || cc.pairs.Stats.Visited != 0 || w.lastUpdate == 0 {
+		t.Fatalf("after an insert C at cursor %d, B at %d, the span at %d of %d (last update %d); C visited %d", cc.cursor, cb.cursor, w.span.cursor, n, w.lastUpdate, cc.pairs.Stats.Visited)
+	}
+	s.Keys("A", store.Range(0, 1000))
+	if kc := w.maps[""]; kc.cursor != len(w.tape) || kc.pairs.Stats != (crack.KernelStats{}) {
+		t.Fatalf("a key chunk born after the insert at cursor %d of %d did kernel work %+v", kc.cursor, len(w.tape), kc.pairs.Stats)
+	}
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -181,6 +187,9 @@ func TestBudgetEvictionWithUpdates(t *testing.T) {
 			want := nv.rows([]AttrPred{{Attr: "A", Pred: pred}}, projs, false)
 			mustSameRows(t, resultRows(res, projs), want, fmt.Sprintf("step %d", step))
 		}
+	}
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -309,13 +318,12 @@ func TestBudgetedStreamIsDeterministic(t *testing.T) {
 }
 
 // TestPartialAlignTogetherVisitsOnce is sideways' joint-alignment count
-// test for the chunks of one area. While the area's span leads, every crack
-// is decided once, on the span: the chunks visit nothing, however many the
-// query reads, and a new chunk is born at the span's cursor and follows it.
-// Once an insert has stopped the span, chunks that lag at one cursor
-// replay each crack once, on one head. Every case ends with the chunks at
-// the tape end, equal heads where they have heads, and the answer a scan
-// gives.
+// test for the chunks of one area. The area's span leads it for life, so
+// every crack is decided once, on the span: the chunks visit nothing,
+// however many the query reads, and a new chunk is born at the span's
+// cursor and follows it. After an insert has merged into the area the same
+// holds, the span replaying the insert with the chunks following. Every
+// case ends with the chunks at the tape end and the answer a scan gives.
 func TestPartialAlignTogetherVisitsOnce(t *testing.T) {
 	const k = 6
 	pred := func(i int) store.Pred { return store.Range(Value(60*i), Value(60*i+300)) }
@@ -326,12 +334,12 @@ func TestPartialAlignTogetherVisitsOnce(t *testing.T) {
 				chunks += c.pairs.Stats.Visited
 			}
 		}
-		return chunks, w.span.Stats.Visited
+		return chunks, w.span.pairs.Stats.Visited
 	}
 	// run fetches one area over the whole domain projecting first; with
 	// update set it then inserts a tuple into it and merges it. It queries
 	// pred(1..k) projecting lag, then pred(k+1) projecting last, and
-	// returns what the last query visited.
+	// returns what the span visited in the last query.
 	run := func(update bool, first, lag, last []string) int {
 		rel := buildRel(rand.New(rand.NewSource(12)), 2000, []string{"A", "B", "C", "D"}, 1000)
 		s := NewPartialStore(rel)
@@ -345,43 +353,34 @@ func TestPartialAlignTogetherVisitsOnce(t *testing.T) {
 		for i := 1; i <= k; i++ {
 			s.SelectProject("A", pred(i), lag)
 		}
-		chunks, span := visited(w, last)
+		_, span := visited(w, last)
 		res := s.SelectProject("A", pred(k+1), last)
 		want := nv.rows([]AttrPred{{Attr: "A", Pred: pred(k + 1)}}, last, false)
 		mustSameRows(t, resultRows(res, last), want, "last query")
 		for _, attr := range last {
-			c := w.maps[attr]
-			if c.cursor != len(w.tape) || (c.pairs.Head == nil) != w.led() {
-				t.Fatalf("chunk %s: tail only %v in a led area %v, cursor %d of %d", attr, c.pairs.Head == nil, w.led(), c.cursor, len(w.tape))
-			}
-			if !slices.Equal(c.pairs.Head, w.maps[last[0]].pairs.Head) {
-				t.Fatalf("chunk %s head differs from chunk %s", attr, last[0])
+			if c := w.maps[attr]; c.cursor != len(w.tape) || c.pairs.Head != nil {
+				t.Fatalf("chunk %s: has a head %v, cursor %d of %d", attr, c.pairs.Head != nil, c.cursor, len(w.tape))
 			}
 		}
 		if err := s.checkInvariants(); err != nil {
 			t.Fatal(err)
 		}
 		chunksAfter, spanAfter := visited(w, last)
-		if w.led() {
-			if chunksAfter != 0 {
-				t.Fatalf("the chunks of a led area visited %d tuples", chunksAfter)
-			}
-			return spanAfter - span
+		if chunksAfter != 0 {
+			t.Fatalf("the chunks of a led area visited %d tuples", chunksAfter)
 		}
-		return chunksAfter - chunks
+		return spanAfter - span
 	}
 	b, d, both := []string{"B"}, []string{"D"}, []string{"B", "C"}
-	led := run(false, b, d, b)
-	if together := run(false, both, d, both); led == 0 || together != led {
-		t.Fatalf("in a led area two chunks cost the span %d, one chunk %d", together, led)
-	}
-	// The C chunk is new beside B's: it is born at the span's cursor and
-	// follows the one crack.
-	if staggered := run(false, d, b, both); staggered != led {
-		t.Fatalf("in a led area a new chunk beside an old one cost the span %d, one chunk %d", staggered, led)
-	}
-	alone := run(true, b, d, b)
-	if together := run(true, both, d, both); together == 0 || together != alone || alone <= led {
-		t.Fatalf("two lagging chunks at one cursor visited %d, one chunk alone %d, one crack in a led area %d", together, alone, led)
+	for _, update := range []bool{false, true} {
+		led := run(update, b, d, b)
+		if together := run(update, both, d, both); led == 0 || together != led {
+			t.Fatalf("update %v: two chunks cost the span %d, one chunk %d", update, together, led)
+		}
+		// The C chunk is new beside B's: it is born at the span's cursor
+		// and follows the one crack.
+		if staggered := run(update, d, b, both); staggered != led {
+			t.Fatalf("update %v: a new chunk beside an old one cost the span %d, one chunk %d", update, staggered, led)
+		}
 	}
 }

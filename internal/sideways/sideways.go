@@ -12,7 +12,7 @@
 // replaying the same tape prefix are physically identical in head order, so
 // multi-attribute results are positionally aligned and tuple reconstruction
 // is free (Section 3.2). The same fact makes alignment cheaper: maps at one
-// cursor replay the tape once, each crack decided on one head and applied
+// cursor replay the tape once, each entry decided on one head and applied
 // to the others as followers (Tape.ReplayJoint).
 //
 // Partial sideways cracking (Section 4) is the same store over value ranges.
@@ -20,32 +20,26 @@
 // a map over one area is a chunk. Under partial maps (NewPartialStore) a set
 // owns a chunk map H_A — a cracker column over (A, key) — whose spans are the
 // areas: an area is fetched when the first chunk materializes from it. A
-// fetched span of H_A leads its area: it holds the area's head in the
-// chunks' order, under an index started from the H_A boundaries already
-// inside it, so its cracks never cross one and H_A's index and estimates
-// are unchanged. Its chunks are tails alone, without the head copy Section
-// 4.1 shows is optional ("Dropping the Head Column"), so a chunk costs half
-// a map. A new chunk is gathered through the span's keys at the span's
-// cursor, and every crack of the area is decided once, on the span's head,
-// and moves the span and the tail of every chunk of the area together
-// (Tape.ReplayJoint). A span cannot grow or shrink, so the area's first
-// insert or delete stops it: just before the update merges, every chunk
-// gets a copy of the span's head and index, which replays nothing since
-// every chunk sits at the span's cursor. From then on the area's chunks
-// crack and align on their own, and chunks created after that copy the
-// span's head at the cursor where it stopped and replay the rest. Chunks of
-// such a covered area align only as far as the query needs (partial
-// alignment); only the boundary areas are cracked.
+// fetched span of H_A leads its area for the area's whole life: it holds the
+// area's head in the chunks' order, under an index started from the H_A
+// boundaries inside it, so its cracks never cross one and H_A's index and
+// estimates are unchanged. Its chunks are tails alone, without the head copy
+// Section 4.1 shows is optional ("Dropping the Head Column"), so a chunk
+// costs half a map. A new chunk is gathered through the span's keys at the
+// span's cursor, and every tape entry of the area, crack, insert or delete,
+// is decided once, on the span's head and index, and moves the span and the
+// tail of every chunk of the area together (Tape.ReplayJoint). A span starts
+// as a view of H_A's columns, which cannot grow or shrink, so just before
+// its area's first update merges it takes columns of its own, a clone of its
+// head and its keys; its index is already its own.
 // Under full maps (NewStore) every set has exactly one area, spanning the
 // whole domain: it needs no H_A, because its source is the base prefix in
 // key order, and every bounded predicate cuts it, so it logs every crack and
 // aligns to its tape end. A full map is that area's chunk, created at cursor
-// 0. The full maps one query creates before the area's first update form a
-// head group: the first owns the head and the index, the others are tails,
-// plain copies of their base columns, that follow it through every crack,
-// as a led area's chunks follow its span. The area's first update splits
-// every group the way it stops a span: each tail gets a copy of its owner's
-// head and index.
+// 0. The full maps one query creates there form a head group: the first
+// owns the head and the index, the others are tails, plain copies of their
+// base columns, that follow it through every tape entry, as an area's
+// chunks follow its span. A group lasts until its maps are evicted.
 //
 // Multi-selection queries use a single set plus bit-vector filtering
 // (Section 3.3); the set is chosen via the self-organizing histograms of the
@@ -67,19 +61,17 @@
 // queries raise priorities atomically and cannot reorder anything. Dropping
 // the last chunk of an area un-fetches it: its tape's updates are pushed back
 // to the set's pending updates, so nothing is lost. A map has a head column
-// exactly when neither a span nor a group owner leads it: every full map
-// but the tails of a head group, which get a copy of their owner's at their
-// area's first update, and the chunks of an area an update has stopped the
-// span of, from that update on; never the chunks of a led area. Evicting a
-// group owner hands its head and index to the next map of its group. Room is
-// made under the budget before an area's first update gives its tails
-// their heads, and before a replay's ripple inserts grow the maps. New
-// maps and heads get fresh columns; an evicted map's columns belong to the
-// garbage collector, unless they pass to its group's next owner.
+// exactly when neither a span nor a group owner leads it: never a chunk, and
+// of a head group only its owner. Evicting a group owner hands its head and
+// index to the next map of its group. A span's own columns cost what a map
+// of its length costs, and are released when its area is un-fetched. Room is
+// made under the budget before a span takes its columns and before a
+// replay's ripple inserts grow the maps. New maps and columns are fresh; an
+// evicted map's columns belong to the garbage collector, unless they pass to
+// its group's next owner.
 package sideways
 
 import (
-	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
@@ -99,7 +91,7 @@ type Value = store.Value
 // Map is one materialized map over one area: a (head, tail) pairs table
 // covering the area's value range, plus a cursor into the area's tape. Under
 // full maps it is the whole map M_A,tail; under partial maps a chunk of it.
-// The tail holds tuple keys in the area's key chunk.
+// The tail holds tuple keys in the area's key chunk, and in an area's span.
 type Map struct {
 	pairs  *crack.Pairs
 	cursor int
@@ -111,7 +103,7 @@ type Map struct {
 	// (set attribute, area id, tail attribute) order of equal priorities.
 	set      *Set
 	w        *area
-	tailAttr string // "" for the key chunk
+	tailAttr string // "" for the key chunk and the span
 }
 
 // Len returns the number of tuples currently in the map.
@@ -126,34 +118,44 @@ func (m *Map) Cursor() int { return m.cursor }
 func (m *Map) Pairs() *crack.Pairs { return m.pairs }
 
 // Lead returns the pairs whose head and index position m's tail, read-only
-// by convention: its led area's span, the owner of its head group, or m's
-// own pairs.
-func (m *Map) Lead() *crack.Pairs {
+// by convention: its area's span, the owner of its head group, or m's own
+// pairs.
+func (m *Map) Lead() *crack.Pairs { return m.lead().pairs }
+
+// lead returns the map whose head and index position m's tail: its area's
+// span, the owner of its head group, or m itself.
+func (m *Map) lead() *Map {
 	switch {
-	case m.w.led():
+	case m.w.span != nil:
 		return m.w.span
 	case m.g != nil:
-		return m.g.maps[0].pairs
+		return m.g.maps[0]
 	}
-	return m.pairs
+	return m
 }
 
 // group is a head group: the full maps one query creates in a whole-domain
-// area before the area's first update. They sit at one cursor and would
-// hold equal heads, so only maps[0], the owner, keeps a head and an index;
-// the others are tails that follow it through every crack (Tape.ReplayJoint).
-// A group never replays an update: the area's first one splits it (unlead).
-// Evicting the owner hands its head and index to the next map (leave).
+// area. They sit at one cursor and would hold equal heads, so only
+// maps[0], the owner, keeps a head and an index; the others are tails that
+// follow it through every tape entry (Tape.ReplayJoint). Evicting the owner
+// hands its head and index to the next map (leave).
 type group struct{ maps []*Map }
 
 // tuples returns the map's storage cost in tuples: a map of n pairs costs
-// n; a tail without head or index, a chunk of a led area or a follower in
-// a head group, costs half (rounded up).
-func (m *Map) tuples() int {
-	if m.pairs.Head == nil {
-		return (m.Len() + 1) / 2
+// n; a tail without head or index, a chunk or a follower in a head group,
+// costs half (rounded up); a span costs nothing while it is a view of H_A's
+// columns, before its area's first update.
+func (m *Map) tuples() int { return m.tuplesAt(m.Len()) }
+
+// tuplesAt is what m would cost with n pairs.
+func (m *Map) tuplesAt(n int) int {
+	switch {
+	case m == m.w.span && m.w.lastUpdate == 0:
+		return 0
+	case m.pairs.Head == nil:
+		return (n + 1) / 2
 	}
-	return m.Len()
+	return n
 }
 
 // area is a fetched value range of a set: the span [lo, hi) of its source
@@ -166,33 +168,22 @@ type area struct {
 	loB, hiB crackindex.Bound
 	tape     Tape
 	// lastUpdate is one past the tape index of the most recent insert or
-	// delete entry. Partial alignment may lag on crack entries but must
-	// never leave an update entry unapplied in a map it returns data from.
+	// delete entry, 0 before the first. Partial alignment may lag on crack
+	// entries but must never leave an update entry unapplied in a map it
+	// returns data from.
 	lastUpdate int
 	maps       map[string]*Map
 
 	// span is the area's span of H_A under partial maps, nil for a
-	// whole-domain area: H_A's columns [lo, hi) under an index of its own,
+	// whole-domain area: head A and tail keys, under an index of its own,
 	// started from H_A's boundaries inside the span, so its cracks never
-	// cross one and H_A's index stays true. Until the area's first insert
-	// or delete the span leads the area (led): it holds the area's only
-	// head and index, every crack of the area is decided on it, and every
-	// chunk is a tail that follows it, at spanCursor. A span cannot grow or
-	// shrink, so the first update stops it there: each chunk gets a copy of
-	// its head and index (unlead), and from then on the chunks crack and
-	// align on their own, a new one copied from the span at spanCursor.
-	span       *crack.Pairs
-	spanCursor int
-	stopped    bool // the span stopped leading at the area's first update
+	// cross one and H_A's index stays true. The span leads the area: it
+	// holds the area's only head and index, every tape entry is decided on
+	// it, and every chunk is a tail that follows it, at its cursor. Until
+	// the area's first update its columns are H_A's [lo, hi); from then on
+	// clones of its own (Set.log).
+	span *Map
 }
-
-// updated records that the entry just appended to w's tape is an insert or
-// delete.
-func (w *area) updated() { w.lastUpdate = len(w.tape) }
-
-// led reports whether w's span leads it: w is an area of H_A with no update
-// merged yet.
-func (w *area) led() bool { return w.span != nil && !w.stopped }
 
 // covers reports whether bound b falls in [loB, hiB).
 func (w *area) covers(b crackindex.Bound) bool {
@@ -311,9 +302,9 @@ type Store struct {
 	// one says the manager evicts what it created a query ago.
 	evictedAccesses int64
 
-	// observe, when set, is told of every area fetched, map created and
-	// head given at an area's first update, before any of them replays a
-	// tape entry. Tests set it; it is nil otherwise.
+	// observe, when set, is told of every area fetched, map created, span
+	// given columns of its own and head handed on, before any of them
+	// replays a tape entry. Tests set it; it is nil otherwise.
 	observe func(event, *area, *Map)
 
 	statsMu        sync.Mutex       // guards colMin/colMax (lazily filled by read-only probes)
@@ -326,7 +317,7 @@ type event uint8
 const (
 	evFetch  event = iota // an area was fetched; the map is nil
 	evBorn                // a map was created at its area's source cursor
-	evUnled               // a map got a copy of its leader's head at the area's first update
+	evOwned               // a span took columns of its own at its area's first update; the map is the span
 	evHanded              // a map got the head and index of its evicted group owner
 )
 
@@ -399,14 +390,13 @@ func (h *victimHeap) Pop() any {
 // NumSets returns the number of materialized map sets.
 func (s *Store) NumSets() int { return len(s.sets) }
 
-// Kernel aggregates the kernel partition counters over every chunk map (the
-// cracks its spans lead included) and every map the store has had, key
-// chunks and evicted maps included, and the cracker-index sizes over the
-// live maps, chunk maps and spans that lead, each index counted once: a
-// tail that follows a span or a group owner has none. cols counts the live
-// maps and chunk maps. It is the observability bridge. Call
-// it under the same synchronization as queries (the stats are plain ints on
-// the Pairs).
+// Kernel aggregates the kernel partition counters over every chunk map and
+// span and every map the store has had, key chunks and evicted maps
+// included, and the cracker-index sizes over the live maps, chunk maps and
+// spans, each index counted once: a tail that follows a span or a group
+// owner has none. cols counts the live maps and chunk maps. It is the
+// observability bridge. Call it under the same synchronization as queries
+// (the stats are plain ints on the Pairs).
 func (s *Store) Kernel() (ks crack.KernelStats, pieces, cols int) {
 	ks = s.retired
 	count := func(p *crack.Pairs) {
@@ -425,12 +415,10 @@ func (s *Store) Kernel() (ks crack.KernelStats, pieces, cols int) {
 				count(m.pairs)
 			}
 			if w.span != nil {
-				// A span is a slice of H_A, counted above. Its index is
-				// its chunks' while it leads them, and stale after.
-				ks.Add(w.span.Stats)
-				if w.led() {
-					pieces += w.span.Idx.Pieces()
-				}
+				// A span is a slice of H_A, or its copy: no column of
+				// its own to count.
+				ks.Add(w.span.pairs.Stats)
+				pieces += w.span.pairs.Idx.Pieces()
 			}
 		}
 	}
@@ -438,8 +426,9 @@ func (s *Store) Kernel() (ks crack.KernelStats, pieces, cols int) {
 }
 
 // StorageTuples returns the total map storage in tuples (a map of length n
-// costs n, as in the paper's Figures 9(d)/10(c); a chunk of a led area, a
-// tail alone, counts half). The chunk maps are excluded; see ChunkMapTuples.
+// costs n, as in the paper's Figures 9(d)/10(c); a tail alone, a chunk or a
+// group follower, counts half; a span counts its length once it has columns
+// of its own). The chunk maps are excluded; see ChunkMapTuples.
 func (s *Store) StorageTuples() int { return s.storage }
 
 // ChunkMapTuples returns the total size of all chunk maps H_A in tuples.
@@ -454,9 +443,9 @@ func (s *Store) ChunkMapTuples() int {
 }
 
 // account brings the running storage total up to date with map m. Every
-// step that changes what a live map costs — creation, ripple updates, the
-// head given at its area's first update — ends with it, so the budget check
-// never has to re-walk the maps.
+// step that changes what a live map or span costs — creation, ripple
+// updates, a head handed on, a span's own columns — ends with it, so the
+// budget check never has to re-walk the maps.
 func (s *Store) account(m *Map) {
 	s.storage += m.tuples() - m.cost
 	m.cost = m.tuples()
@@ -557,9 +546,10 @@ func (set *Set) fetch(lo, hi crackindex.Bound) *area {
 	}
 	w := &area{id: set.nextID, lo: p1, hi: p2, loB: lo, hiB: hi, maps: make(map[string]*Map)}
 	if set.ha != nil {
-		w.span = crack.WrapPairs(set.ha.Head[p1:p2:p2], set.ha.Tail[p1:p2:p2])
-		w.span.Policy = set.policy
-		set.ha.Idx.WalkRange(lo, hi, func(b crackindex.Bound, pos int) { w.span.Idx.Insert(b, pos-p1) })
+		span := crack.WrapPairs(set.ha.Head[p1:p2:p2], set.ha.Tail[p1:p2:p2])
+		span.Policy = set.policy
+		set.ha.Idx.WalkRange(lo, hi, func(b crackindex.Bound, pos int) { span.Idx.Insert(b, pos-p1) })
+		w.span = &Map{pairs: span, set: set, w: w}
 	}
 	set.nextID++
 	at := sort.Search(len(set.areas), func(k int) bool { return lo.Less(set.areas[k].loB) })
@@ -569,24 +559,15 @@ func (set *Set) fetch(lo, hi crackindex.Bound) *area {
 }
 
 // unfetch removes area w: its tape's updates are pushed back to the set's
-// pending structures so they reapply when the range is fetched again.
+// pending structures so they reapply when the range is fetched again, and
+// its span's own columns are released.
 func (set *Set) unfetch(w *area) {
 	set.pend.Restore(w.tape)
 	if w.span != nil {
-		set.st.retired.Add(w.span.Stats)
+		set.st.storage -= w.span.cost
+		set.st.retired.Add(w.span.pairs.Stats)
 	}
 	set.areas = slices.DeleteFunc(set.areas, func(a *area) bool { return a == w })
-}
-
-// source returns what a map of area w starts from: the head values of its
-// span, the span's index and the tape cursor they are at. A whole-domain
-// area starts from the base prefix, unindexed, at cursor 0. The index is
-// the caller's.
-func (set *Set) source(w *area) (head []Value, idx *crackindex.Index, cursor int) {
-	if w.span == nil {
-		return set.pend.head.Vals[w.lo:w.hi], crackindex.New(), 0
-	}
-	return w.span.Head, w.span.Idx.Clone(), w.spanCursor
 }
 
 // sourceTail returns a new tail column for tailAttr over area w's source,
@@ -596,55 +577,55 @@ func (set *Set) source(w *area) (head []Value, idx *crackindex.Index, cursor int
 // area's source is the base prefix in key order, so its tail is a plain
 // copy. The key chunk's tail holds the keys themselves.
 func (set *Set) sourceTail(w *area, tailAttr string) []Value {
-	st := set.st
+	col := set.tailCol(tailAttr)
 	switch {
-	case w.span == nil && tailAttr == "":
+	case w.span != nil:
+		return gather(col, w.span.pairs.Tail)
+	case col == nil:
 		return keyRange(w.lo, w.hi)
-	case w.span == nil:
-		return slices.Clone(st.rel.MustColumn(tailAttr).Vals[w.lo:w.hi])
-	case tailAttr == "":
-		return slices.Clone(w.span.Tail)
 	}
-	tail := make([]Value, w.hi-w.lo)
-	vals := st.rel.MustColumn(tailAttr).Vals
-	for i, k := range w.span.Tail {
-		tail[i] = vals[k]
+	return slices.Clone(col.Vals[w.lo:w.hi])
+}
+
+// gather returns col's values at keys, in order, or a copy of the keys when
+// col is nil.
+func gather(col *store.Column, keys []Value) []Value {
+	if col == nil {
+		return slices.Clone(keys)
 	}
-	return tail
+	out := make([]Value, len(keys))
+	for i, k := range keys {
+		out[i] = col.Vals[k]
+	}
+	return out
 }
 
 // ensureMap materializes (or returns) the map of area w for tailAttr at its
-// area's source cursor: in a led area a tail alone, gathered through the
-// span's keys, which costs half a map and follows the span; otherwise head
-// and index copied from the area's source and the tail from sourceTail.
-// Under partial maps that source is the span, as aligned as any map of the
-// area, so the new map replays nothing to catch up with its siblings.
-// g, when not nil, is the head group of the maps the in-flight query creates
-// in a whole-domain area: its first map gets a head, and every later one is
-// a tail alone, a plain copy of its base column, that follows the first.
-// Creating a map may evict maps the in-flight query has not pinned.
+// area's source cursor. In an area of H_A it is a tail alone, gathered
+// through the span's keys at the span's cursor, which costs half a map,
+// replays nothing and follows the span. In a whole-domain area it starts
+// from the base prefix at cursor 0 with a head and an index, unless g, the
+// head group of the maps the in-flight query creates there, has a map
+// already: then it is a tail alone, a plain copy of its base column, that
+// follows the group's first. Creating a map may evict maps the in-flight
+// query has not pinned.
 func (set *Set) ensureMap(w *area, tailAttr string, g *group) *Map {
 	if m, ok := w.maps[tailAttr]; ok {
 		return m
 	}
 	st := set.st
-	size := w.hi - w.lo
 	m := &Map{set: set, w: w, tailAttr: tailAttr}
 	switch {
-	case w.led():
-		st.ensureBudget((size + 1) / 2)
-		m.pairs, m.cursor = &crack.Pairs{Tail: set.sourceTail(w, tailAttr)}, w.spanCursor
+	case w.span != nil:
+		st.ensureBudget((w.span.Len() + 1) / 2)
+		m.pairs, m.cursor = &crack.Pairs{Tail: set.sourceTail(w, tailAttr)}, w.span.cursor
 	case g != nil && len(g.maps) > 0:
-		owner := g.maps[0] // pinned by the query that creates the group
-		st.ensureBudget((size + 1) / 2)
-		m.pairs, m.cursor = &crack.Pairs{Tail: set.sourceTail(w, tailAttr)}, owner.cursor
-		owner.g, m.g = g, g
-		g.maps = append(g.maps, m)
+		st.ensureBudget((w.hi - w.lo + 1) / 2)
+		m.pairs, m.g = &crack.Pairs{Tail: set.sourceTail(w, tailAttr)}, g
+		g.maps[0].g, g.maps = g, append(g.maps, m) // the owner is pinned by the query that creates the group
 	default:
-		st.ensureBudget(size)
-		head, idx, cursor := set.source(w)
-		m.pairs, m.cursor = crack.WrapPairs(slices.Clone(head), set.sourceTail(w, tailAttr)), cursor
-		m.pairs.Idx = idx
+		st.ensureBudget(w.hi - w.lo)
+		m.pairs = crack.WrapPairs(slices.Clone(set.pend.head.Vals[w.lo:w.hi]), set.sourceTail(w, tailAttr))
 		if g != nil {
 			g.maps = append(g.maps, m)
 		}
@@ -654,52 +635,9 @@ func (set *Set) ensureMap(w *area, tailAttr string, g *group) *Map {
 	st.account(m)
 	heap.Push(&st.victims, victimKey{m.Priority(), m})
 	st.life.Created++
-	st.life.TuplesCreated += uint64(size)
+	st.life.TuplesCreated += uint64(m.Len())
 	st.note(evBorn, w, m)
 	return m
-}
-
-// stop ends head sharing in area w just before its first update merges:
-// a tail cannot take a ripple update, so every tail of w gets a head and
-// index of its own (unlead). In a led area that stops the span; in a
-// whole-domain area it splits every head group. From then on w's maps
-// crack and align on their own.
-func (set *Set) stop(w *area) {
-	var tails []*Map
-	for _, m := range w.maps {
-		if m.pairs.Head == nil {
-			tails = append(tails, m)
-		}
-	}
-	set.unlead(tails)
-	w.stopped = true
-}
-
-// unlead gives every tail of ms a copy of the head and index that lead it
-// (Map.Lead): its area's span, or its group owner's. A tail sits at its
-// leader's cursor, so nothing replays. Room for each head is made under the
-// budget first, tail by tail in tail order; a map the query does not read
-// may be evicted to make it, the tail itself included, which then needs no
-// head, and an evicted group owner hands its head to the next map of its
-// group, which then needs no copy.
-func (set *Set) unlead(ms []*Map) {
-	st := set.st
-	slices.SortFunc(ms, func(a, b *Map) int { return cmp.Compare(a.tailAttr, b.tailAttr) })
-	for _, m := range ms {
-		if m.w.maps[m.tailAttr] == m && m.pairs.Head == nil {
-			st.ensureBudget(m.Len() - m.cost)
-		}
-		if m.w.maps[m.tailAttr] != m || m.pairs.Head != nil {
-			continue // evicted to make room for a head, or handed one
-		}
-		lead := m.Lead()
-		m.pairs.Head, m.pairs.Idx = slices.Clone(lead.Head), lead.Idx.Clone()
-		if m.g != nil {
-			st.leave(m)
-		}
-		st.account(m)
-		st.note(evUnled, m.w, m)
-	}
 }
 
 // leave takes m out of its head group. An owner hands its head and index
@@ -721,59 +659,63 @@ func (s *Store) leave(m *Map) {
 	}
 }
 
-// tailCol returns the base column of m's tail attribute, nil for a tail of
-// tuple keys.
-func (set *Set) tailCol(m *Map) *store.Column {
-	if m.tailAttr == "" {
+// tailCol returns the base column of tail attribute attr, nil for a tail
+// of tuple keys ("").
+func (set *Set) tailCol(attr string) *store.Column {
+	if attr == "" {
 		return nil
 	}
-	return set.st.rel.MustColumn(m.tailAttr)
+	return set.st.rel.MustColumn(attr)
 }
 
-// replay aligns the maps ms of area w to tape position end. In a led area
-// the span replays, and every chunk of the area follows it, listed or not:
-// each crack is decided once, on the span's head, and moves the chunks'
-// tails only (Tape.ReplayJoint). Otherwise the maps replay together, each
-// crack decided on one of them; a map in a head group brings its whole
-// group, owner first, so the owner's head leads the group's tails. Room for
-// the tuples the maps' ripple inserts add is made first; ms are pinned.
+// replay aligns the maps ms of area w to tape position end. Each map
+// brings its lead (Map.lead) and every map that lead leads: in an area of
+// H_A the span and every chunk of the area, listed or not; in a
+// whole-domain area its head group, owner first. Room for the tuples their
+// ripple inserts add is made first, and evicts no map the query pinned.
+// Then they replay together, each tape entry decided once on a lead's head
+// and index (Tape.ReplayJoint), and each is accounted for.
 func (set *Set) replay(w *area, end int, ms ...*Map) {
-	if w.led() {
-		if w.spanCursor < end {
-			joint := []Member{{Pairs: w.span, Cursor: &w.spanCursor}}
-			for _, m := range w.maps {
-				joint = append(joint, Member{Pairs: m.pairs, Cursor: &m.cursor})
-			}
-			w.tape.ReplayJoint(joint, end, set.pend.head)
-		}
-		return
-	}
-	grow := 0
-	for _, m := range ms {
-		grow += w.tape.inserted(m.cursor, end)
+	all, grow := joint(ms), 0
+	for _, m := range all {
+		grow += m.tuplesAt(m.Len()+w.tape.inserted(m.cursor, end)) - m.cost
 	}
 	if grow > 0 {
 		set.st.ensureBudget(grow)
+		all = joint(ms) // again: making room may have evicted a follower
 	}
-	var joint []Member
-	add := func(m *Map) {
+	var members []Member
+	for _, m := range all {
 		if m.cursor < end {
-			joint = append(joint, Member{Pairs: m.pairs, Cursor: &m.cursor, Tail: set.tailCol(m)})
+			members = append(members, Member{Pairs: m.pairs, Cursor: &m.cursor, Tail: set.tailCol(m.tailAttr)})
 		}
 	}
-	for _, m := range ms {
-		if m.g == nil {
-			add(m)
-			continue
-		}
-		for _, x := range m.g.maps {
-			add(x) // ReplayJoint drops a map listed twice
-		}
-	}
-	w.tape.ReplayJoint(joint, end, set.pend.head)
-	for _, m := range ms {
+	w.tape.ReplayJoint(members, end, set.pend.head)
+	for _, m := range all {
 		set.st.account(m)
 	}
+}
+
+// joint lists the maps a replay of ms moves: the lead of each and every map
+// that lead leads (a span's every chunk, a group owner's tails), each once,
+// every lead before the maps it leads.
+func joint(ms []*Map) []*Map {
+	var out []*Map
+	for _, m := range ms {
+		switch lead := m.lead(); {
+		case slices.Contains(out, lead):
+		case lead == lead.w.span:
+			out = append(out, lead)
+			for _, c := range lead.w.maps {
+				out = append(out, c)
+			}
+		case lead.g != nil:
+			out = append(out, lead.g.maps...)
+		default:
+			out = append(out, lead)
+		}
+	}
+	return out
 }
 
 // ensureBudget evicts the unpinned maps of lowest Usage priority until size
@@ -831,10 +773,9 @@ func (s *Store) evict(m *Map) {
 // the qualifying position range within them. With heads set every window also
 // carries its leader's head column (Map.Lead).
 //
-// The maps the query creates in a whole-domain area before its first update
-// form one head group. Every existing map the query reads is pinned before
-// any map is created, so making room for one never evicts another this
-// query is about to read.
+// The maps the query creates in a whole-domain area form one head group.
+// Every existing map the query reads is pinned before any map is created, so
+// making room for one never evicts another this query is about to read.
 func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window {
 	st := set.st
 	areas, _ := set.resolve(pred, true)
@@ -854,7 +795,7 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window 
 	used := make([][]*Map, len(areas))
 	for i, w := range areas {
 		var g *group
-		if w.span == nil && !w.stopped {
+		if w.span == nil {
 			g = new(group)
 		}
 		used[i] = make([]*Map, len(tailAttrs))
@@ -865,17 +806,12 @@ func (set *Set) Query(pred store.Pred, tailAttrs []string, heads bool) []Window 
 	}
 
 	// Merge pending insertions and deletions into the tapes of the areas
-	// they fall in; an area's first update stops its span or splits its
-	// head groups.
+	// they fall in.
 	ins := set.perArea(areas, set.pend.TakeInserts(pred))
 	del := set.perArea(areas, set.pend.TakeDeletes(pred))
 	for i, w := range areas {
-		if !w.stopped && len(ins[w])+len(del[w]) > 0 {
-			set.stop(w)
-		}
 		if keys := ins[w]; len(keys) > 0 {
-			w.tape.LogInsert(keys)
-			w.updated()
+			set.log(w, entry{kind: entryInsert, keys: keys})
 		}
 		if keys := del[w]; len(keys) > 0 {
 			set.mergeDeletes(w, pred, keys, used[i])
@@ -934,8 +870,25 @@ func (set *Set) mergeDeletes(w *area, pred store.Pred, keys []int, ms []*Map) {
 		positions, _ = set.locate(w, pred, keys, []*Map{kc})
 		defer set.replay(w, len(w.tape), kc)
 	}
-	w.tape.LogDelete(keys, positions)
-	w.updated()
+	set.log(w, entry{kind: entryDelete, keys: keys, positions: positions})
+}
+
+// log appends update entry e, an insert or a delete, to w's tape. A span
+// about to meet its area's first update takes columns of its own first: a
+// view of H_A's columns cannot grow or shrink, and H_A's slice must stay
+// intact, since an un-fetched area is fetched again from it with its
+// updates pending once more. Room is made for the clone under the budget.
+func (set *Set) log(w *area, e entry) {
+	if sp := w.span; sp != nil && w.lastUpdate == 0 {
+		set.st.ensureBudget(sp.Len())
+		sp.pairs.Head, sp.pairs.Tail = slices.Clone(sp.pairs.Head), slices.Clone(sp.pairs.Tail)
+		set.st.note(evOwned, w, sp)
+	}
+	w.tape = append(w.tape, e)
+	w.lastUpdate = len(w.tape)
+	if w.span != nil {
+		set.st.account(w.span)
+	}
 }
 
 // locate aligns the maps ms of area w to the tape end and finds the tuples of
@@ -951,7 +904,7 @@ func (set *Set) locate(w *area, pred store.Pred, keys []int, ms []*Map) (positio
 	cols := make([]*store.Column, len(ms))
 	tails := make([][]Value, len(ms))
 	for i, m := range ms {
-		cols[i], tails[i] = set.tailCol(m), m.pairs.Tail
+		cols[i], tails[i] = set.tailCol(m.tailAttr), m.pairs.Tail
 	}
 	return ms[0].Lead().Locate(pred, set.pend.Rows(keys, cols), tails...)
 }
@@ -959,8 +912,8 @@ func (set *Set) locate(w *area, pred store.Pred, keys []int, ms []*Map) (positio
 // windowOf returns the window over the aligned maps ms of area w, with the
 // head when heads is set: all of it, cut at lowerB and/or upperB where the
 // area is a boundary area on that side. Head and cuts are those that lead
-// ms[0] (Map.Lead): its own, its group owner's, or in a led area the
-// span's. ok is false when a cut is not a boundary of that index yet.
+// ms[0] (Map.Lead): its area's span, its group owner's, or its own. ok is
+// false when a cut is not a boundary of that index yet.
 func windowOf(w *area, ms []*Map, heads, cutLo, cutHi bool, lowerB, upperB crackindex.Bound) (win Window, ok bool) {
 	win.Tails = make([][]Value, len(ms))
 	for i, m := range ms {
@@ -1188,6 +1141,9 @@ func (s *Store) checkStorage() error {
 	recount := 0
 	for _, set := range s.sets {
 		for _, w := range set.areas {
+			if w.span != nil {
+				recount += w.span.tuples()
+			}
 			for _, m := range w.maps {
 				recount += m.tuples()
 			}
@@ -1199,8 +1155,9 @@ func (s *Store) checkStorage() error {
 	return nil
 }
 
-// checkInvariants verifies the storage total and every map's piece
-// invariants; tests call it.
+// checkInvariants verifies the storage total, every index's piece
+// invariants, that each span holds the head attribute's values of its keys,
+// and what positions each map (checkLead); tests call it.
 func (s *Store) checkInvariants() error {
 	if err := s.checkStorage(); err != nil {
 		return err
@@ -1210,6 +1167,9 @@ func (s *Store) checkInvariants() error {
 			return fmt.Errorf("chunk map H_%s violates piece invariants", attr)
 		}
 		for _, w := range set.areas {
+			if sp := w.span; sp != nil && (!slices.Equal(sp.pairs.Head, gather(set.pend.head, sp.pairs.Tail)) || !sp.pairs.CheckPieces()) {
+				return fmt.Errorf("the span of area %s/%d is not its keys' head values in pieces", attr, w.id)
+			}
 			for tattr, m := range w.maps {
 				if err := checkLead(w, m); err != nil {
 					return fmt.Errorf("map %s/%d/%s %v", attr, w.id, tattr, err)
@@ -1220,20 +1180,24 @@ func (s *Store) checkInvariants() error {
 	return nil
 }
 
-// checkLead verifies what positions map m of area w: a led area's span, the
-// owner of a head group at m's cursor and length, or m's own head and
-// index, which must satisfy the piece invariants.
+// checkLead verifies what positions map m of area w: its area's span, whose
+// keys m's tail must be gathered through at the span's cursor, the owner of
+// a head group at m's cursor and length, or m's own head and index, which
+// must satisfy the piece invariants.
 func checkLead(w *area, m *Map) error {
 	switch g := m.g; {
-	case w.led():
-		if m.pairs.Head != nil || m.g != nil {
-			return errors.New("of a led area has a head or a group")
+	case w.span != nil:
+		switch sp := w.span; {
+		case m.pairs.Head != nil || m.pairs.Idx != nil || m.g != nil:
+			return errors.New("of an area of H_A has a head, an index or a group")
+		case m.cursor != sp.cursor || !slices.Equal(m.pairs.Tail, gather(m.set.tailCol(m.tailAttr), sp.pairs.Tail)):
+			return fmt.Errorf("at cursor %d is not its column gathered through its span's keys at cursor %d", m.cursor, sp.cursor)
 		}
 		return nil
 	case g != nil:
 		owner := g.maps[0]
 		switch {
-		case len(g.maps) < 2 || !slices.Contains(g.maps, m) || w.span != nil || w.stopped:
+		case len(g.maps) < 2 || !slices.Contains(g.maps, m):
 			return errors.New("is in a head group that should not exist")
 		case w.maps[owner.tailAttr] != owner || owner.pairs.Head == nil:
 			return errors.New("has a group owner that is gone or has no head")

@@ -59,10 +59,10 @@ func cycleQuery(s *Store, rng *rand.Rand, q, rows int) {
 
 // TestHeadRecoveryBudget runs the cycle of TestBudgetedCycleDoesNotThrash
 // with updates, a delete and an insert at a time, and checks the budget
-// after every query. The updates stop the spans of the areas they fall in,
-// so their chunks grow two ways: each gets a copy of its span's head at the
-// area's first update, and ripple inserts add tuples to it. Room is made
-// under the budget before either. Case idle=N runs N queries with no update
+// after every query. Storage grows two ways where an update merges: the
+// area's span takes columns of its own at the area's first update, a map of
+// the span's length, and ripple inserts add tuples to the span and to every
+// chunk. Room is made under the budget before either. Case idle=N runs N queries with no update
 // between two updates; case cached=N issues N updates before the first
 // query, all pending until queries reach them, and none after.
 func TestHeadRecoveryBudget(t *testing.T) {
@@ -76,10 +76,10 @@ func TestHeadRecoveryBudget(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
 			s := NewPartialStore(buildRel(rng, rows, cycleAttrs, rows))
 			s.Budget = 3 * rows / 2
-			heads := 0
+			owned := 0
 			s.observe = func(ev event, _ *area, _ *Map) {
-				if ev == evUnled {
-					heads++
+				if ev == evOwned {
+					owned++
 				}
 			}
 			update := func() {
@@ -101,9 +101,9 @@ func TestHeadRecoveryBudget(t *testing.T) {
 			if err := s.checkInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%s: %d heads given at a first update, %d evicted", c.name, heads, s.ChunkStats().Evicted)
-			if heads == 0 || s.ChunkStats().Evicted == 0 {
-				t.Fatalf("the stream gave %d heads and evicted %d chunks", heads, s.ChunkStats().Evicted)
+			t.Logf("%s: %d spans took columns of their own, %d evicted", c.name, owned, s.ChunkStats().Evicted)
+			if owned == 0 || s.ChunkStats().Evicted == 0 {
+				t.Fatalf("%d spans took columns of their own and %d chunks were evicted", owned, s.ChunkStats().Evicted)
 			}
 		})
 	}
@@ -169,9 +169,9 @@ func TestWarmChunkCreationAllocatesOneColumn(t *testing.T) {
 // M_AB and M_AC together, as one head group: M_AB owns the head and the
 // index, M_AC is a tail that follows it. Storage is a map and a half, the
 // query allocates three columns (M_AB's head and tail, M_AC's tail) and its
-// answer, and the set's estimates read the owner's index. The first merged
-// insert splits the group: M_AC gets a copy of the head and index, and
-// storage is two maps.
+// answer, and the set's estimates read the owner's index. The group
+// outlives the first merged insert: the owner decides where the tuple goes
+// and M_AC's tail follows, so storage stays a map and a half.
 func TestMapsBornTogetherShareOneHead(t *testing.T) {
 	const rows = 100_000
 	rel := buildRel(rand.New(rand.NewSource(4)), rows, []string{"A", "B", "C"}, rows)
@@ -197,8 +197,8 @@ func TestMapsBornTogetherShareOneHead(t *testing.T) {
 	}
 	s.Insert(40_500, 1, 2)
 	s.SelectProject("A", pred, []string{"B", "C"})
-	if got := s.StorageTuples(); got != 2*(rows+1) {
-		t.Fatalf("StorageTuples = %d after the first merged insert, want %d (two maps)", got, 2*(rows+1))
+	if got, want := s.StorageTuples(), rows+1+(rows+2)/2; got != want {
+		t.Fatalf("StorageTuples = %d after the first merged insert, want %d (a map and a tail)", got, want)
 	}
 	if err := s.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -208,11 +208,14 @@ func TestMapsBornTogetherShareOneHead(t *testing.T) {
 // BenchmarkChunkBirth measures creating one chunk of a fetched area of 2^18
 // tuples, in ns per created tuple, under a budget that holds one chunk, so
 // every creation evicts the previous one and allocates its columns afresh.
-// "tail" is a chunk of a led area: its tail gathered through the span's
-// keys. "updated" is a chunk of an area an insert has stopped: head and
-// index copied from the span as well.
+// "tail" is a chunk of an area no update has reached: its tail gathered
+// through the keys of its span, a view of H_A. "updated" is a chunk of an
+// area an insert has reached, whose span has columns of its own: the same
+// gather through those keys, so it reports its ns/tuple against "tail"'s as
+// well (vs_tail, 1 when they cost the same).
 func BenchmarkChunkBirth(b *testing.B) {
 	const rows = 1 << 20
+	var tailNs float64
 	for _, updated := range []bool{false, true} {
 		name := map[bool]string{false: "tail", true: "updated"}[updated]
 		b.Run(name, func(b *testing.B) {
@@ -234,7 +237,13 @@ func BenchmarkChunkBirth(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m = set.ensureMap(w, tails[i%2], nil)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m.Len()), "ns/tuple")
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N*m.Len())
+			b.ReportMetric(ns, "ns/tuple")
+			if !updated {
+				tailNs = ns
+			} else if tailNs > 0 {
+				b.ReportMetric(ns/tailNs, "vs_tail")
+			}
 		})
 	}
 }

@@ -259,13 +259,15 @@ func FuzzStacksAgree(f *testing.F) {
 		encQuery(opQuery, encPreds(encPred(aB, shapeRange, 0, 63)), encProjs(aC)),
 		encQuery(opQuery, point, encProjs(aB)),
 	))
-	// One stopped area under a budget, in partial/budget=400. An area of
-	// S_A is fetched with B, C and D, and an insert into it stops its
-	// span: the next query makes room for every chunk's head and gives
-	// it. Cracks then leave B, C and D at cursors 2, 3 and 4. Covering the
-	// area with B alone replays nothing; with B and C, B catches up with
-	// C; with B, C and D, B and C catch up with D together. A last crack
-	// moves B and C together.
+	// One updated area under a budget, in partial/budget=400. An area of
+	// S_A is fetched with B, C and D, and an insert falls into it: the
+	// next query makes room for the span's own columns, the span clones
+	// its slice of H_A and replays the insert, and B, C and D follow it.
+	// The narrower queries that follow project B and C, C, or D, but the
+	// span decides each of their cracks and moves all three chunks, so no
+	// chunk lags: covering the area with B, with B and C, or with all
+	// three replays nothing, and a last crack moves every chunk with the
+	// span.
 	area := encPreds(encPred(aA, shapeRange, 10, 50))
 	f.Add(int64(8), cat(
 		encQuery(opQuery, area, encProjs(aB, aC, aD)),
